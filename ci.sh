@@ -4,7 +4,9 @@
 # `./ci.sh vet-go` runs only the Go-source analyzer stage;
 # `./ci.sh certify` runs only the plan-certificate diff;
 # `./ci.sh fuzz-smoke` runs only the short fuzz pass;
-# `./ci.sh flexload-smoke` runs only the load-generator smoke.
+# `./ci.sh flexload-smoke` runs only the load-generator smoke;
+# `./ci.sh netpoll-smoke` runs only the netpoll smoke;
+# `./ci.sh netpoll-stress` runs only the repeated netpoll race pass.
 set -eu
 
 cd "$(dirname "$0")"
@@ -156,6 +158,21 @@ netpoll_smoke() {
 	rm -f "$idl"
 }
 
+netpoll_stress() {
+	# The poller loop, Close and Drain's poller teardown are the
+	# concurrent code a single pass exercises least, so repeat them
+	# under the race detector. GOMAXPROCS=1 as well as the default: one
+	# P shared by poller, workers and callers is where a goroutine
+	# parked in the scheduler differs most from a thread blocked in
+	# epoll_wait.
+	for procs in "" 1; do
+		echo "GOMAXPROCS=${procs:-default} go test -race -count=20 ./internal/netpoll"
+		env ${procs:+GOMAXPROCS=$procs} go test -race -count=20 ./internal/netpoll
+		echo "GOMAXPROCS=${procs:-default} go test -race -count=5 -run 'Netpoll|Drain' ./internal/sunrpc ./internal/conformance"
+		env ${procs:+GOMAXPROCS=$procs} go test -race -count=5 -run 'Netpoll|Drain' ./internal/sunrpc ./internal/conformance
+	done
+}
+
 fuzz_smoke() {
 	# Short coverage-guided runs over the network-facing decoders and
 	# the stats snapshot codecs. `go test -fuzz` takes one target per
@@ -204,6 +221,11 @@ if [ "${1:-}" = "netpoll-smoke" ]; then
 	exit 0
 fi
 
+if [ "${1:-}" = "netpoll-stress" ]; then
+	netpoll_stress
+	exit 0
+fi
+
 echo "== gofmt"
 out=$(gofmt -l .)
 if [ -n "$out" ]; then
@@ -229,6 +251,9 @@ flexload_smoke
 
 echo "== netpoll smoke"
 netpoll_smoke
+
+echo "== netpoll stress"
+netpoll_stress
 
 echo "== fuzz smoke"
 fuzz_smoke

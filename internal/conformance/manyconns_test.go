@@ -90,7 +90,7 @@ func TestMatrixManyConns(t *testing.T) {
 				// small box inflate per-call latency well past the
 				// default 50ms attempt budget — the netpoll mode worst
 				// of all, since its readiness loop multiplexes every
-				// conn over min(GOMAXPROCS, shards) pollers. The cell
+				// conn over GOMAXPROCS pollers. The cell
 				// checks correctness invariants, not latency — widen
 				// the attempt window so retries measure faults, not
 				// scheduler pressure.

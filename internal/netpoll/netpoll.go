@@ -10,6 +10,16 @@
 // a server with 100k idle connections keeps them all parked inside a
 // single epoll set instead of 100k blocked reader goroutines.
 //
+// The queue is nested under the Go runtime's own poller: the epoll
+// descriptor is itself registered there (an epoll descriptor reads as
+// ready while its set holds an event), and the goroutine polls it
+// without blocking and otherwise parks in the scheduler, as a reader
+// goroutine parks in conn.Read. A goroutine blocked in epoll_wait pins
+// an OS thread that must win a P back on every wakeup, which on a busy
+// machine cost more than the read it announced; a parked goroutine is
+// resumed inline by whichever P runs out of work. A poller therefore
+// costs a goroutine, not a thread.
+//
 // The package is deliberately x/sys-free: on linux it speaks raw
 // syscall.EpollCreate1 / EpollCtl / EpollWait. On other platforms
 // Supported() reports false and New returns ErrUnsupported; callers
@@ -20,8 +30,9 @@
 // registering side must Deregister before closing the fd — closing a
 // descriptor that is still in the epoll set invites the classic
 // fd-reuse race where a recycled descriptor number receives a stale
-// event. Callbacks run on the poller goroutine; they must not block
-// indefinitely or every other connection on the same poller stalls.
+// event. Callbacks run on the poller goroutine; one that blocks holds
+// up that goroutine (not a thread) and with it every other connection
+// on the same poller, so they must not block indefinitely.
 package netpoll
 
 import "errors"
@@ -52,7 +63,7 @@ type Poller struct {
 
 // New creates a poller and starts its event loop. onWake, if non-nil,
 // is called once per wakeup with the number of connection events
-// delivered in the batch (wake-pipe events excluded) — the stats hook.
+// delivered in the batch — the stats hook.
 func New(onWake func(events int)) (*Poller, error) {
 	p := &Poller{}
 	if err := p.init(onWake); err != nil {

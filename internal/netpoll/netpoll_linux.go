@@ -4,6 +4,7 @@ package netpoll
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"syscall"
 )
@@ -17,15 +18,17 @@ const supported = true
 const epollET = uint32(1) << 31
 
 type poller struct {
-	epfd  int
-	wakeR int // level-triggered self-wake pipe, read end
-	wakeW int
+	// epf owns the epoll descriptor. It is non-blocking, so os.NewFile
+	// registers it with the Go runtime's own poller (epoll sets nest:
+	// an epoll descriptor reads as ready while its set holds an event)
+	// and rc.Read can park the loop goroutine on it.
+	epf *os.File
+	rc  syscall.RawConn
 
 	onWake func(int)
 
-	mu     sync.Mutex
-	ready  map[int]Callback
-	closed bool
+	mu    sync.Mutex
+	ready map[int]Callback
 
 	done chan struct{} // closed when the event loop exits
 }
@@ -35,27 +38,34 @@ func (p *poller) init(onWake func(int)) error {
 	if err != nil {
 		return fmt.Errorf("netpoll: epoll_create1: %w", err)
 	}
-	var pipe [2]int
-	if err := syscall.Pipe2(pipe[:], syscall.O_CLOEXEC|syscall.O_NONBLOCK); err != nil {
+	if err := syscall.SetNonblock(epfd, true); err != nil {
 		syscall.Close(epfd)
-		return fmt.Errorf("netpoll: pipe2: %w", err)
+		return fmt.Errorf("netpoll: set nonblock: %w", err)
 	}
-	// The wake pipe is registered level-triggered so a single byte is
-	// enough to keep the loop waking until it observes closed.
-	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(pipe[0])}
-	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, pipe[0], &ev); err != nil {
-		syscall.Close(epfd)
-		syscall.Close(pipe[0])
-		syscall.Close(pipe[1])
-		return fmt.Errorf("netpoll: epoll_ctl wake: %w", err)
+	p.epf = os.NewFile(uintptr(epfd), "netpoll")
+	if p.rc, err = p.epf.SyscallConn(); err != nil {
+		p.epf.Close()
+		return fmt.Errorf("netpoll: %w", err)
 	}
-	p.epfd = epfd
-	p.wakeR = pipe[0]
-	p.wakeW = pipe[1]
 	p.onWake = onWake
 	p.ready = make(map[int]Callback)
 	p.done = make(chan struct{})
 	go p.loop()
+	return nil
+}
+
+// ctl runs epoll_ctl (what names op in the error) on the poller's
+// descriptor through epf, which pins it for the duration of the call:
+// after Close it reports ErrClosed instead of reaching a recycled
+// descriptor number.
+func (p *poller) ctl(what string, op, fd int, ev *syscall.EpollEvent) error {
+	var err error
+	if p.rc.Control(func(epfd uintptr) { err = syscall.EpollCtl(int(epfd), op, fd, ev) }) != nil {
+		return ErrClosed
+	}
+	if err != nil {
+		return fmt.Errorf("netpoll: epoll_ctl %s fd %d: %w", what, fd, err)
+	}
 	return nil
 }
 
@@ -64,13 +74,9 @@ func (p *poller) init(onWake func(int)) error {
 // arrived before Register is NOT reported (no edge), so callers must
 // attempt one read immediately after registering.
 func (p *poller) Register(fd int, cb Callback) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
 	// Table entry first: the edge can fire the instant EpollCtl
 	// returns, on the poller goroutine, and must find its callback.
+	p.mu.Lock()
 	p.ready[fd] = cb
 	p.mu.Unlock()
 
@@ -78,13 +84,13 @@ func (p *poller) Register(fd int, cb Callback) error {
 		Events: syscall.EPOLLIN | syscall.EPOLLRDHUP | epollET,
 		Fd:     int32(fd),
 	}
-	if err := syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_ADD, fd, &ev); err != nil {
+	err := p.ctl("add", syscall.EPOLL_CTL_ADD, fd, &ev)
+	if err != nil {
 		p.mu.Lock()
 		delete(p.ready, fd)
 		p.mu.Unlock()
-		return fmt.Errorf("netpoll: epoll_ctl add fd %d: %w", fd, err)
 	}
-	return nil
+	return err
 }
 
 // Deregister removes fd from the epoll set. Call before closing the
@@ -92,64 +98,52 @@ func (p *poller) Register(fd int, cb Callback) error {
 // lookup misses).
 func (p *poller) Deregister(fd int) error {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
 	delete(p.ready, fd)
 	p.mu.Unlock()
-	if err := syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, fd, nil); err != nil {
-		return fmt.Errorf("netpoll: epoll_ctl del fd %d: %w", fd, err)
-	}
-	return nil
+	return p.ctl("del", syscall.EPOLL_CTL_DEL, fd, nil)
 }
 
-// Close stops the event loop. It signals the loop via the wake pipe
-// and returns without waiting for in-flight callbacks: a callback
-// blocked handing work downstream must be unblocked by its own
-// shutdown path (the sunrpc server drains its worker pool first). The
-// loop closes the epoll and pipe descriptors on exit.
+// Close stops the event loop and releases the epoll descriptor:
+// closing epf evicts a loop parked in rc.Read, and a loop that is
+// inside a callback finds the file closed on its next wait. Close does
+// not wait for an in-flight callback: one blocked handing work
+// downstream must be unblocked by its own shutdown path (the sunrpc
+// server drains its worker pool first). Closing twice is harmless.
 func (p *poller) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	p.mu.Unlock()
-	var one [1]byte
-	syscall.Write(p.wakeW, one[:]) // best-effort; loop also checks closed
+	p.epf.Close()
 	return nil
 }
 
-// Done is closed when the event loop goroutine has exited and the
-// poller's descriptors are released.
+// Done is closed when the event loop goroutine has exited; the epoll
+// descriptor is released by then.
 func (p *poller) Done() <-chan struct{} { return p.done }
 
 func (p *poller) loop() {
-	defer func() {
-		syscall.Close(p.epfd)
-		syscall.Close(p.wakeR)
-		syscall.Close(p.wakeW)
-		close(p.done)
-	}()
+	defer close(p.done)
 	events := make([]syscall.EpollEvent, 128)
-	for {
-		n, err := syscall.EpollWait(p.epfd, events, -1)
-		if err == syscall.EINTR {
-			continue
+	var n int
+	var err error
+	// wait polls the set without blocking; when it reports false,
+	// rc.Read parks this goroutine in the runtime poller until the set
+	// has an edge, as conn.Read parks a reader goroutine. Built once: a
+	// closure per iteration would allocate on every wakeup.
+	wait := func(epfd uintptr) bool {
+		for {
+			n, err = syscall.EpollWait(int(epfd), events, 0)
+			if err != syscall.EINTR {
+				return n != 0 || err != nil
+			}
 		}
-		if err != nil {
+	}
+	for {
+		// Read fails once Close has closed epf.
+		if p.rc.Read(wait) != nil || err != nil {
 			return
 		}
 		conns := 0
 		for i := 0; i < n; i++ {
-			fd := int(events[i].Fd)
-			if fd == p.wakeR {
-				continue
-			}
 			p.mu.Lock()
-			cb := p.ready[fd]
+			cb := p.ready[int(events[i].Fd)]
 			p.mu.Unlock()
 			if cb != nil {
 				conns++
@@ -159,12 +153,6 @@ func (p *poller) loop() {
 		}
 		if conns > 0 && p.onWake != nil {
 			p.onWake(conns)
-		}
-		p.mu.Lock()
-		closed := p.closed
-		p.mu.Unlock()
-		if closed {
-			return
 		}
 	}
 }

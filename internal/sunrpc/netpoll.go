@@ -46,11 +46,6 @@ var aLongTimeAgo = time.Unix(1, 0)
 // before serving.
 func (s *Server) SetNetpoll(on bool) { s.netpoll = on }
 
-// SetNetpollPollers overrides the number of poller goroutines; n <= 0
-// (the default) means min(GOMAXPROCS, accept shards). Set before
-// serving.
-func (s *Server) SetNetpollPollers(n int) { s.netpollPollers = n }
-
 // npReadBuf is the scratch-buffer size for poller reads. One buffer is
 // in use per concurrently-draining connection (pooled, not per-conn):
 // idle connections hold only their reassembly state.
@@ -234,21 +229,12 @@ func (s *Server) registerNetpoll(nc net.Conn) (*npConn, bool) {
 	return c, true
 }
 
-// startPollersLocked starts the poller set (s.mu held). Default count:
-// min(GOMAXPROCS, accept shards) — one poller can multiplex very many
-// connections, so there is no reason to exceed either bound.
+// startPollersLocked starts the poller set (s.mu held): one poller per
+// P. A poller parks in the Go scheduler like any reader goroutine, so
+// it costs no thread, and with fewer pollers than Ps connections
+// serialise through a goroutine that is usually running on another P.
 func (s *Server) startPollersLocked() error {
-	n := s.netpollPollers
-	if n <= 0 {
-		shards := len(s.listeners)
-		if shards < 1 {
-			shards = 1
-		}
-		n = runtime.GOMAXPROCS(0)
-		if n > shards {
-			n = shards
-		}
-	}
+	n := runtime.GOMAXPROCS(0)
 	for i := 0; i < n; i++ {
 		p, err := netpoll.New(func(events int) { s.stats.AddPollerWakeups(events) })
 		if err != nil {

@@ -38,6 +38,21 @@ func socketpairConns(t testing.TB) (client, server net.Conn) {
 	return toConn(fds[0], "sp-client"), toConn(fds[1], "sp-server")
 }
 
+// waitGoroutines waits for the goroutine count to come back down to
+// baseline: a goroutine whose exit something has already waited for
+// (a closed Done channel, a WaitGroup) can still be a few instructions
+// from returning.
+func waitGoroutines(t *testing.T, baseline int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d %s", baseline, runtime.NumGoroutine(), when)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func waitSnapshot(t *testing.T, e *stats.Endpoint, what string, cond func(*stats.Snapshot) bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -531,13 +546,62 @@ func TestNetpollDrainNoLeaks(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after drain", before, runtime.NumGoroutine())
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitGoroutines(t, before, "after drain")
+}
+
+// TestNetpollDrainCyclesNoLeaks: Drain waits for every poller loop to
+// exit, so a server that is brought up, called and drained over and
+// over leaves neither a goroutine nor a descriptor (listener, accepted
+// conn, epoll set) behind — descriptors are counted the moment the
+// last Drain returns.
+func TestNetpollDrainCyclesNoLeaks(t *testing.T) {
+	if !netpoll.Supported() {
+		t.Skip("netpoll unsupported on this platform")
 	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count descriptors: %v", err)
+		}
+		return len(ents)
+	}
+	sock := filepath.Join(t.TempDir(), "np.sock")
+	goroutines, fds := runtime.NumGoroutine(), openFDs()
+
+	for i := 0; i < 50; i++ {
+		s := newTestServer()
+		s.SetNetpoll(true)
+		s.SetConcurrency(2)
+		l, err := net.Listen("unix", sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- s.Serve(l) }()
+		conn, err := net.Dial("unix", sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewClient(conn, testProg, testVers)
+		if err := c.Call(0, nil, func(*xdr.Decoder) error { return nil }); err != nil {
+			t.Fatalf("cycle %d: call: %v", i, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err = s.Drain(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("cycle %d: Drain: %v", i, err)
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("cycle %d: Serve: %v", i, err)
+		}
+		conn.Close()
+	}
+
+	if n := openFDs(); n != fds {
+		t.Errorf("descriptors leaked: %d before, %d after 50 cycles", fds, n)
+	}
+	waitGoroutines(t, goroutines, "after 50 cycles")
 }
 
 // TestAcceptRateLimitFakeClock: the per-shard token bucket is

@@ -61,9 +61,8 @@ type Server struct {
 	// Netpoll mode (see netpoll.go): event-driven readiness readers
 	// instead of a goroutine per connection. npRead pools the scratch
 	// buffers poller reads drain into.
-	netpoll        bool
-	netpollPollers int
-	npRead         sync.Pool
+	netpoll bool
+	npRead  sync.Pool
 
 	// Accept rate limiting: a token bucket per accept shard (see
 	// accept.go). The clock is swappable so tests drive it with a
@@ -234,15 +233,25 @@ func (s *Server) Drain(ctx context.Context) error {
 
 	// Netpoll pollers go last: every registered conn counts as a pool
 	// user, so once the wait above has seen poolUsers reach zero no
-	// callback can be mid-flight. Close signals the event loops and
-	// returns without waiting (a loop wedged behind a stuck pool in
-	// the deadline-expired case exits once the pool drains).
+	// callback can be mid-flight and Close releases each loop at once.
+	// Waiting for Done makes a returned Drain leave no poller goroutine
+	// or epoll descriptor behind; a loop wedged behind a stuck pool in
+	// the deadline-expired case exits once the pool drains.
 	s.mu.Lock()
 	pollers := s.pollers
 	s.pollers = nil
 	s.mu.Unlock()
 	for _, p := range pollers {
 		p.Close()
+	}
+	for _, p := range pollers {
+		select {
+		case <-p.Done():
+		case <-ctx.Done():
+			if err == nil {
+				err = ctx.Err()
+			}
+		}
 	}
 	return err
 }
