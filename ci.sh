@@ -165,11 +165,25 @@ netpoll_stress() {
 	# P shared by poller, workers and callers is where a goroutine
 	# parked in the scheduler differs most from a thread blocked in
 	# epoll_wait.
+	#
+	# The sunrpc connection core is tested as mode tables (serial, pool,
+	# netpoll, fallback rows in internal/sunrpc/modes_test.go); the
+	# pattern names those tables, the poller-only tests and every Drain
+	# test. Each alternative must select something: a rename fails the
+	# stage here instead of turning it into a silent no-op.
+	pkgs="./internal/sunrpc ./internal/conformance"
+	pattern='Netpoll|Drain|HalfClose|SlowReader|PanicRecovery|ManyConns'
+	for alt in $(echo "$pattern" | tr '|' ' '); do
+		if ! go test -list "$alt" $pkgs | grep -q '^Test'; then
+			echo "netpoll-stress: no test matches '$alt'; update the pattern in ci.sh"
+			exit 1
+		fi
+	done
 	for procs in "" 1; do
 		echo "GOMAXPROCS=${procs:-default} go test -race -count=20 ./internal/netpoll"
 		env ${procs:+GOMAXPROCS=$procs} go test -race -count=20 ./internal/netpoll
-		echo "GOMAXPROCS=${procs:-default} go test -race -count=5 -run 'Netpoll|Drain' ./internal/sunrpc ./internal/conformance"
-		env ${procs:+GOMAXPROCS=$procs} go test -race -count=5 -run 'Netpoll|Drain' ./internal/sunrpc ./internal/conformance
+		echo "GOMAXPROCS=${procs:-default} go test -race -count=5 -run '$pattern' $pkgs"
+		env ${procs:+GOMAXPROCS=$procs} go test -race -count=5 -run "$pattern" $pkgs
 	done
 }
 

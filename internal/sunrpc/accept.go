@@ -5,35 +5,13 @@ import (
 	"errors"
 	"syscall"
 	"time"
+
+	"flexrpc/internal/clock"
 )
-
-// Clock abstracts time for the accept rate limiter. It is a structural
-// subset of internal/runtime.Clock, so tests can hand the server a
-// FakeClock without sunrpc importing the runtime package.
-type Clock interface {
-	Now() time.Time
-	Sleep(ctx context.Context, d time.Duration) error
-}
-
-// wallClock is the default real-time Clock.
-type wallClock struct{}
-
-func (wallClock) Now() time.Time { return time.Now() }
-
-func (wallClock) Sleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
 
 // SetClock replaces the clock driving the accept rate limiter; nil
 // (the default) means wall time. Set before serving.
-func (s *Server) SetClock(c Clock) { s.clock = c }
+func (s *Server) SetClock(c clock.Clock) { s.clock = c }
 
 // SetAcceptRate paces each accept shard with a token bucket of perSec
 // tokens per second and the given burst (minimum 1): an accept storm
@@ -51,7 +29,7 @@ func (s *Server) SetAcceptRate(perSec float64, burst int) {
 // acceptLimiter is one shard's token bucket. It lives entirely on the
 // shard's accept goroutine, so no locking.
 type acceptLimiter struct {
-	clock  Clock
+	clock  clock.Clock
 	rate   float64 // tokens per second
 	burst  float64
 	tokens float64
@@ -64,7 +42,7 @@ func (s *Server) newAcceptLimiter() *acceptLimiter {
 	}
 	ck := s.clock
 	if ck == nil {
-		ck = wallClock{}
+		ck = clock.WallClock
 	}
 	burst := float64(s.acceptBurst)
 	if burst < 1 {

@@ -1,7 +1,6 @@
 package sunrpc
 
 import (
-	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -64,50 +63,6 @@ func TestConcurrentDispatchOverlaps(t *testing.T) {
 	close(release)
 	if err := <-slowDone; err != nil {
 		t.Fatalf("slow call: %v", err)
-	}
-}
-
-// TestConcurrentPanicRecovery is the worker-pool panic regression: a
-// panicking handler must surface to its own caller as SYSTEM_ERR,
-// increment the handler-panic counter, and leave the connection (and
-// its worker siblings) serving.
-func TestConcurrentPanicRecovery(t *testing.T) {
-	for _, conc := range []int{1, 4} {
-		s := newTestServer()
-		s.Register(procPanic, func(args *xdr.Decoder, reply *xdr.Encoder) error {
-			panic("handler bug")
-		})
-		e := stats.New(nil)
-		s.SetStats(e)
-		s.SetConcurrency(conc)
-
-		cc, sc := net.Pipe()
-		go func() { _ = s.ServeConn(sc) }()
-		c := NewClient(cc, testProg, testVers)
-
-		err := c.Call(procPanic, nil, nil)
-		var rerr *RemoteError
-		if !errors.As(err, &rerr) || rerr.Stat != SystemErr {
-			t.Fatalf("conc=%d: panic surfaced as %v, want SYSTEM_ERR", conc, err)
-		}
-		if got := e.Snapshot().HandlerPanics; got != 1 {
-			t.Fatalf("conc=%d: handler panics counted %d, want 1", conc, got)
-		}
-
-		// The connection survived: an ordinary call still works.
-		var sum int32
-		err = c.Call(procAdd,
-			func(enc *xdr.Encoder) { enc.PutInt32(1); enc.PutInt32(2) },
-			func(d *xdr.Decoder) error {
-				v, err := d.Int32()
-				sum = v
-				return err
-			})
-		if err != nil || sum != 3 {
-			t.Fatalf("conc=%d: call after panic: %v, %v", conc, sum, err)
-		}
-		cc.Close()
-		sc.Close()
 	}
 }
 
@@ -186,159 +141,6 @@ func (r *rawNullCaller) call(t testing.TB) {
 		t.Fatal(err)
 	}
 	r.rec = rec[:cap(rec)]
-}
-
-// TestConcurrentServerZeroAllocNullRPC is the scaling gate: with
-// stats off, the worker-pool server path — reader, queue, worker
-// dispatch, coalescing writer — settles to zero allocations per null
-// RPC.
-func TestConcurrentServerZeroAllocNullRPC(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation gates are not meaningful under the race detector")
-	}
-	s := newTestServer()
-	s.Register(0, func(args *xdr.Decoder, reply *xdr.Encoder) error { return nil })
-	s.SetConcurrency(4)
-	cc, sc := net.Pipe()
-	go func() { _ = s.ServeConn(sc) }()
-	t.Cleanup(func() { cc.Close(); sc.Close() })
-
-	caller := &rawNullCaller{conn: cc}
-	for i := 0; i < 100; i++ {
-		caller.call(t) // warm every pool on the server side
-	}
-	allocs := testing.AllocsPerRun(200, func() { caller.call(t) })
-	if allocs != 0 {
-		t.Fatalf("concurrent server path allocates %.1f times per null RPC, want 0", allocs)
-	}
-}
-
-// TestConcurrentTailRepliesAfterHalfClose is the wait-for-flush
-// regression: a pipelined client that half-closes its write side
-// after a burst must still receive every reply. ServeConn may only
-// return — and Serve may only close the conn — once the combining
-// flusher has written everything this connection is owed, the
-// shared-pool equivalent of the old writer-goroutine join.
-func TestConcurrentTailRepliesAfterHalfClose(t *testing.T) {
-	const calls = 64
-	s := newTestServer()
-	s.SetConcurrency(4)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = s.Serve(l) }()
-	t.Cleanup(func() { l.Close() })
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-
-	var enc xdr.Encoder
-	var out []byte
-	for i := 0; i < calls; i++ {
-		enc.Reset()
-		encodeCall(&enc, CallHeader{XID: uint32(i + 1), Prog: testProg, Vers: testVers, Proc: 0})
-		out = appendRecord(out, enc.Bytes())
-	}
-	if _, err := conn.Write(out); err != nil {
-		t.Fatal(err)
-	}
-	// Half-close: the server reader sees EOF while replies may still
-	// be executing or buffered behind the flusher.
-	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-
-	var rec []byte
-	for i := 0; i < calls; i++ {
-		rec, err = readRecord(conn, rec)
-		if err != nil {
-			t.Fatalf("reply %d of %d: %v (tail replies dropped after half-close)", i, calls, err)
-		}
-		rec = rec[:cap(rec)]
-	}
-}
-
-// TestConcurrentSlowReaderBoundedBuffering pins the reply-buffer
-// bound: a client that pipelines requests for large replies without
-// reading any must stall the server's reader once the pending-reply
-// cap fills — bounding server memory and passing pushback to the
-// peer's TCP stream — rather than buffering every executed reply.
-// Once the client drains, everything it was owed still arrives.
-func TestConcurrentSlowReaderBoundedBuffering(t *testing.T) {
-	const calls = 100
-	s := newTestServer()
-	blob := make([]byte, 64<<10)
-	s.Register(procBig, func(args *xdr.Decoder, reply *xdr.Encoder) error {
-		reply.PutOpaque(blob)
-		return nil
-	})
-	e := stats.New(nil)
-	s.SetStats(e)
-	s.SetConcurrency(4)
-
-	cc, sc := net.Pipe()
-	served := make(chan struct{})
-	go func() { defer close(served); _ = s.ServeConn(sc) }()
-
-	// Feed pipelined requests from a side goroutine: net.Pipe writes
-	// are synchronous, so the feeder parks as soon as the server
-	// reader does.
-	fed := make(chan struct{})
-	go func() {
-		defer close(fed)
-		var enc xdr.Encoder
-		var out []byte
-		for i := 0; i < calls; i++ {
-			enc.Reset()
-			encodeCall(&enc, CallHeader{XID: uint32(i + 1), Prog: testProg, Vers: testVers, Proc: procBig})
-			out = appendRecord(out[:0], enc.Bytes())
-			if _, err := cc.Write(out); err != nil {
-				return
-			}
-		}
-	}()
-
-	// With the client not reading, the first flush blocks (net.Pipe is
-	// unbuffered), pending fills to the cap, and the reader parks:
-	// the queued count must go quiet well short of the full burst.
-	deadline := time.Now().Add(10 * time.Second)
-	var queued, prev uint64
-	stable := 0
-	for stable < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queued count never settled (last %d)", queued)
-		}
-		time.Sleep(50 * time.Millisecond)
-		queued = e.Snapshot().Queued
-		if queued == prev {
-			stable++
-		} else {
-			stable, prev = 0, queued
-		}
-	}
-	if queued == 0 || queued >= calls/2 {
-		t.Fatalf("server queued %d of %d pipelined requests against a non-reading client; want a small bounded backlog", queued, calls)
-	}
-
-	// Drain: every reply the client is owed must still arrive.
-	var rec []byte
-	var err error
-	for i := 0; i < calls; i++ {
-		rec, err = readRecord(cc, rec)
-		if err != nil {
-			t.Fatalf("reply %d of %d after draining: %v", i, calls, err)
-		}
-		rec = rec[:cap(rec)]
-	}
-	<-fed
-	cc.Close()
-	sc.Close()
-	<-served
 }
 
 // TestConcurrentServeConnShutdown checks the wind-down order: closing

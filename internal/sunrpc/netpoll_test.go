@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -124,19 +123,16 @@ func TestNetpollBasicRPC(t *testing.T) {
 }
 
 // TestNetpollFallbackPipe: a conn without a descriptor (net.Pipe) on a
-// netpoll server transparently uses the goroutine reader — identical
-// semantics, portable everywhere.
+// netpoll server takes the goroutine feed — nothing registers with a
+// poller — with identical semantics, portable everywhere.
 func TestNetpollFallbackPipe(t *testing.T) {
 	s := newTestServer()
-	s.SetNetpoll(true)
-	s.SetConcurrency(2)
-	cc, sc := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- s.ServeConn(sc) }()
+	e := stats.New(nil)
+	s.SetStats(e)
+	cc, _, done := serverMode{conc: 2, netpoll: true, pipe: true}.start(t, s)
 
-	c := NewClient(cc, testProg, testVers)
 	var sum int32
-	err := c.Call(procAdd,
+	err := NewClient(cc, testProg, testVers).Call(procAdd,
 		func(enc *xdr.Encoder) { enc.PutInt32(40); enc.PutInt32(2) },
 		func(d *xdr.Decoder) error {
 			v, err := d.Int32()
@@ -146,260 +142,11 @@ func TestNetpollFallbackPipe(t *testing.T) {
 	if err != nil || sum != 42 {
 		t.Fatalf("fallback call: sum=%d err=%v", sum, err)
 	}
-	cc.Close()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("ServeConn: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeConn did not return after peer close")
-	}
-}
-
-// TestNetpollTailRepliesAfterHalfClose mirrors the shared-pool
-// regression in netpoll mode: the EPOLLRDHUP/EOF edge arrives while
-// pipelined replies are still owed, and every one of them must still
-// be flushed before the connection tears down.
-func TestNetpollTailRepliesAfterHalfClose(t *testing.T) {
-	if !netpoll.Supported() {
-		t.Skip("netpoll unsupported on this platform")
-	}
-	const calls = 64
-	s := newTestServer()
-	s.SetNetpoll(true)
-	s.SetConcurrency(4)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = s.Serve(l) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-	})
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-
-	var enc xdr.Encoder
-	var out []byte
-	for i := 0; i < calls; i++ {
-		enc.Reset()
-		encodeCall(&enc, CallHeader{XID: uint32(i + 1), Prog: testProg, Vers: testVers, Proc: 0})
-		out = appendRecord(out, enc.Bytes())
-	}
-	if _, err := conn.Write(out); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-
-	var rec []byte
-	for i := 0; i < calls; i++ {
-		rec, err = readRecord(conn, rec)
-		if err != nil {
-			t.Fatalf("reply %d of %d: %v (tail replies dropped after half-close)", i, calls, err)
-		}
-		rec = rec[:cap(rec)]
-	}
-}
-
-// TestNetpollRecordSplitAcrossReadinessEvents: one request arriving in
-// three separate readiness events — mid-header, then mid-body, then
-// the tail — reassembles into exactly one dispatch, and the partial
-// reads are counted.
-func TestNetpollRecordSplitAcrossReadinessEvents(t *testing.T) {
-	if !netpoll.Supported() {
-		t.Skip("netpoll unsupported on this platform")
-	}
-	s := newTestServer()
-	s.SetNetpoll(true)
-	s.SetConcurrency(2)
-	e := stats.New(nil)
-	s.SetStats(e)
-
-	cc, sc := socketpairConns(t)
-	done := make(chan error, 1)
-	go func() { done <- s.ServeConn(sc) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-		cc.Close()
-	})
-
-	var enc xdr.Encoder
-	enc.Reset()
-	encodeCall(&enc, CallHeader{XID: 7, Prog: testProg, Vers: testVers, Proc: procAdd})
-	enc.PutInt32(40)
-	enc.PutInt32(2)
-	msg := appendRecord(nil, enc.Bytes())
-
-	// Three chunks: 2 bytes (half the record-marking header), then up
-	// to the middle of the body, then the rest. The waits between
-	// writes let the poller drain to EAGAIN, so each chunk is its own
-	// readiness event and the first two park a partial record.
-	cuts := []int{2, len(msg) / 2, len(msg)}
-	prev := 0
-	for i, cut := range cuts {
-		if _, err := cc.Write(msg[prev:cut]); err != nil {
-			t.Fatal(err)
-		}
-		prev = cut
-		if i < len(cuts)-1 {
-			waitSnapshot(t, e, "partial read", func(s *stats.Snapshot) bool {
-				return s.PartialReads >= uint64(i+1)
-			})
-		}
-	}
-
-	cc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	rec, err := readRecord(cc, nil)
-	if err != nil {
-		t.Fatalf("reply: %v", err)
-	}
-	d := xdr.NewDecoder(rec)
-	if _, err := decodeReply(d); err != nil {
-		t.Fatalf("reply header: %v", err)
-	}
-	sum, err := d.Int32()
-	if err != nil || sum != 42 {
-		t.Fatalf("sum=%d err=%v", sum, err)
-	}
-	snap := e.Snapshot()
-	if snap.Queued != 1 {
-		t.Fatalf("Queued = %d, want exactly 1 dispatch for the split record", snap.Queued)
-	}
-	if snap.PartialReads < 2 {
-		t.Fatalf("PartialReads = %d, want >= 2", snap.PartialReads)
-	}
-}
-
-// TestNetpollSlowReaderBoundedBuffering pins the same reply-buffer
-// bound as the goroutine path: a non-reading client pipelining big
-// replies parks the connection's read state machine at the pending
-// cap (rPaused) instead of buffering everything; draining the client
-// resumes it and every owed reply arrives.
-func TestNetpollSlowReaderBoundedBuffering(t *testing.T) {
-	if !netpoll.Supported() {
-		t.Skip("netpoll unsupported on this platform")
-	}
-	const calls = 100
-	s := newTestServer()
-	blob := make([]byte, 64<<10)
-	s.Register(procBig, func(args *xdr.Decoder, reply *xdr.Encoder) error {
-		reply.PutOpaque(blob)
-		return nil
-	})
-	e := stats.New(nil)
-	s.SetStats(e)
-	s.SetNetpoll(true)
-	s.SetConcurrency(4)
-
-	cc, sc := socketpairConns(t)
-	// Small kernel buffers so the flusher blocks early and the
-	// pending cap — not the socket — is what bounds the backlog.
-	if uc, ok := sc.(*net.UnixConn); ok {
-		uc.SetWriteBuffer(16 << 10)
-	}
-	if uc, ok := cc.(*net.UnixConn); ok {
-		uc.SetReadBuffer(16 << 10)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.ServeConn(sc) }()
-
-	var enc xdr.Encoder
-	var out []byte
-	for i := 0; i < calls; i++ {
-		enc.Reset()
-		encodeCall(&enc, CallHeader{XID: uint32(i + 1), Prog: testProg, Vers: testVers, Proc: procBig})
-		out = appendRecord(out, enc.Bytes())
-	}
-	// The whole pipelined burst is tiny (~4 KiB); it lands in the
-	// socket buffer without the client needing a feeder goroutine.
-	if _, err := cc.Write(out); err != nil {
-		t.Fatal(err)
-	}
-
-	// With the client not reading, the queued count must go quiet well
-	// short of the full burst: the paused reader is the bound.
-	deadline := time.Now().Add(10 * time.Second)
-	var queued, prev uint64
-	stable := 0
-	for stable < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queued count never settled (last %d)", queued)
-		}
-		time.Sleep(50 * time.Millisecond)
-		queued = e.Snapshot().Queued
-		if queued == prev {
-			stable++
-		} else {
-			stable, prev = 0, queued
-		}
-	}
-	if queued == 0 || queued >= calls/2 {
-		t.Fatalf("server queued %d of %d pipelined requests against a non-reading client; want a small bounded backlog", queued, calls)
-	}
-
-	// Drain: every reply the client is owed must still arrive.
-	cc.SetReadDeadline(time.Now().Add(30 * time.Second))
-	var rec []byte
-	var err error
-	for i := 0; i < calls; i++ {
-		rec, err = readRecord(cc, rec)
-		if err != nil {
-			t.Fatalf("reply %d of %d after draining: %v", i, calls, err)
-		}
-		rec = rec[:cap(rec)]
+	if n := e.Snapshot().PollerConnsRegistered; n != 0 {
+		t.Fatalf("PollerConnsRegistered = %d for a descriptor-less conn, want 0", n)
 	}
 	cc.Close()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("ServeConn did not return after the client closed")
-	}
-}
-
-// TestNetpollServerZeroAllocNullRPC is the netpoll-mode scaling gate:
-// the poller read path — readiness callback, incremental reassembly,
-// pool dispatch, combining flusher — settles to zero allocations per
-// null RPC, matching the goroutine path's gate.
-func TestNetpollServerZeroAllocNullRPC(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation gates are not meaningful under the race detector")
-	}
-	if !netpoll.Supported() {
-		t.Skip("netpoll unsupported on this platform")
-	}
-	s := newTestServer()
-	s.Register(0, func(args *xdr.Decoder, reply *xdr.Encoder) error { return nil })
-	s.SetNetpoll(true)
-	s.SetConcurrency(4)
-	cc, sc := socketpairConns(t)
-	go func() { _ = s.ServeConn(sc) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-		cc.Close()
-	})
-
-	caller := &rawNullCaller{conn: cc}
-	for i := 0; i < 100; i++ {
-		caller.call(t) // warm the pools and grow steady-state buffers
-	}
-	allocs := testing.AllocsPerRun(200, func() { caller.call(t) })
-	if allocs != 0 {
-		t.Fatalf("netpoll server path allocates %.1f times per null RPC, want 0", allocs)
-	}
+	waitServed(t, done)
 }
 
 // TestNetpollIdleConnScale is the tentpole's claim as a test: N idle
@@ -502,106 +249,6 @@ func TestNetpollIdleConnScale(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-}
-
-// TestNetpollDrainNoLeaks: drain with live netpoll conns (some
-// mid-call) releases every goroutine the server created.
-func TestNetpollDrainNoLeaks(t *testing.T) {
-	if !netpoll.Supported() {
-		t.Skip("netpoll unsupported on this platform")
-	}
-	before := runtime.NumGoroutine()
-	s := newTestServer()
-	s.SetNetpoll(true)
-	s.SetConcurrency(4)
-	sock := filepath.Join(t.TempDir(), "np.sock")
-	l, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- s.Serve(l) }()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		conn, err := net.Dial("unix", sock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := NewClient(conn, testProg, testVers)
-			_ = c.Call(0, nil, func(*xdr.Decoder) error { return nil })
-		}()
-	}
-	wg.Wait()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	if err := <-served; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	waitGoroutines(t, before, "after drain")
-}
-
-// TestNetpollDrainCyclesNoLeaks: Drain waits for every poller loop to
-// exit, so a server that is brought up, called and drained over and
-// over leaves neither a goroutine nor a descriptor (listener, accepted
-// conn, epoll set) behind — descriptors are counted the moment the
-// last Drain returns.
-func TestNetpollDrainCyclesNoLeaks(t *testing.T) {
-	if !netpoll.Supported() {
-		t.Skip("netpoll unsupported on this platform")
-	}
-	openFDs := func() int {
-		ents, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Skipf("cannot count descriptors: %v", err)
-		}
-		return len(ents)
-	}
-	sock := filepath.Join(t.TempDir(), "np.sock")
-	goroutines, fds := runtime.NumGoroutine(), openFDs()
-
-	for i := 0; i < 50; i++ {
-		s := newTestServer()
-		s.SetNetpoll(true)
-		s.SetConcurrency(2)
-		l, err := net.Listen("unix", sock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		served := make(chan error, 1)
-		go func() { served <- s.Serve(l) }()
-		conn, err := net.Dial("unix", sock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := NewClient(conn, testProg, testVers)
-		if err := c.Call(0, nil, func(*xdr.Decoder) error { return nil }); err != nil {
-			t.Fatalf("cycle %d: call: %v", i, err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err = s.Drain(ctx)
-		cancel()
-		if err != nil {
-			t.Fatalf("cycle %d: Drain: %v", i, err)
-		}
-		if err := <-served; err != nil {
-			t.Fatalf("cycle %d: Serve: %v", i, err)
-		}
-		conn.Close()
-	}
-
-	if n := openFDs(); n != fds {
-		t.Errorf("descriptors leaked: %d before, %d after 50 cycles", fds, n)
-	}
-	waitGoroutines(t, goroutines, "after 50 cycles")
 }
 
 // TestAcceptRateLimitFakeClock: the per-shard token bucket is

@@ -72,20 +72,15 @@ func appendRecord(dst, data []byte) []byte {
 	}
 }
 
-// readRecord reads one record-marked message, reassembling
-// fragments. buf is reused when large enough. Fragment headers are
+// readRecordLimit reads one record-marked message, reassembling
+// fragments, bounded to limit total bytes (DefaultMaxRecord when
+// limit <= 0). buf is reused when large enough. Fragment headers are
 // read into buf's spare capacity, not a local array — a local would
 // escape through the io.Reader and put one allocation on every
-// message.
-func readRecord(r io.Reader, buf []byte) ([]byte, error) {
-	return readRecordLimit(r, buf, DefaultMaxRecord)
-}
-
-// readRecordLimit is readRecord bounded to limit total bytes
-// (DefaultMaxRecord when limit <= 0). A fragment's length word is
-// attacker-controlled until its bytes actually arrive, so the buffer
-// grows at most one bounded chunk ahead of received data — a hostile
-// length prefix cannot force a huge allocation up front.
+// message. A fragment's length word is attacker-controlled until its
+// bytes actually arrive, so the buffer grows at most one bounded chunk
+// ahead of received data — a hostile length prefix cannot force a huge
+// allocation up front.
 func readRecordLimit(r io.Reader, buf []byte, limit int) ([]byte, error) {
 	if limit <= 0 {
 		limit = DefaultMaxRecord
@@ -119,6 +114,71 @@ func readRecordLimit(r io.Reader, buf []byte, limit int) ([]byte, error) {
 			return out, nil
 		}
 	}
+}
+
+// recordAssembler incrementally reassembles record-marked messages
+// from arbitrary byte chunks — the push-style counterpart of
+// readRecordLimit, and the server's only parser: both feeds of the
+// connection core (conn.go) hand it whatever one read returned. Header
+// bytes accumulate in hdr; body bytes append to the caller's record
+// buffer. Total record size is bounded by limit.
+type recordAssembler struct {
+	limit   int
+	hdrLen  int  // header bytes collected so far (< 4 mid-header)
+	fragRem int  // body bytes remaining in the current fragment
+	last    bool // current fragment is the record's last
+	started bool // some record bytes consumed since the last complete record
+	hdr     [4]byte
+}
+
+// midRecord reports whether the assembler is holding a partial record.
+func (a *recordAssembler) midRecord() bool { return a.started || a.hdrLen > 0 }
+
+// feed consumes bytes from b into *rec. It returns the count consumed
+// and whether *rec now holds one complete record; when complete, the
+// remaining bytes of b are left for the next call (with a fresh rec).
+// An over-limit record is rejected with ErrBadMessage, exactly as
+// readRecordLimit rejects it.
+func (a *recordAssembler) feed(b []byte, rec *[]byte) (int, bool, error) {
+	consumed := 0
+	for consumed < len(b) {
+		if a.fragRem == 0 {
+			n := copy(a.hdr[a.hdrLen:], b[consumed:])
+			a.hdrLen += n
+			consumed += n
+			if a.hdrLen < 4 {
+				return consumed, false, nil
+			}
+			a.hdrLen = 0
+			a.started = true
+			word := binary.BigEndian.Uint32(a.hdr[:])
+			a.last = word&lastFragFlag != 0
+			frag := int(word &^ lastFragFlag)
+			if frag > a.limit || len(*rec)+frag > a.limit {
+				return consumed, false, fmt.Errorf("%w: record exceeds %d bytes", ErrBadMessage, a.limit)
+			}
+			a.fragRem = frag
+			if a.fragRem == 0 && a.last {
+				a.started = false
+				return consumed, true, nil
+			}
+			continue
+		}
+		chunk := a.fragRem
+		if rest := len(b) - consumed; chunk > rest {
+			chunk = rest
+		}
+		out := growRecord(*rec, chunk)
+		out = append(out, b[consumed:consumed+chunk]...)
+		*rec = out
+		consumed += chunk
+		a.fragRem -= chunk
+		if a.fragRem == 0 && a.last {
+			a.started = false
+			return consumed, true, nil
+		}
+	}
+	return consumed, false, nil
 }
 
 // growRecord ensures n bytes of spare capacity past len(out),

@@ -4,14 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
+	"flexrpc/internal/clock"
 	"flexrpc/internal/netpoll"
 	"flexrpc/internal/stats"
 	"flexrpc/internal/xdr"
@@ -57,34 +59,29 @@ type Server struct {
 
 	concurrency int
 	stats       *stats.Endpoint
+	netpoll     bool
 
-	// Netpoll mode (see netpoll.go): event-driven readiness readers
-	// instead of a goroutine per connection. npRead pools the scratch
-	// buffers poller reads drain into.
-	netpoll bool
-	npRead  sync.Pool
+	recBufs  sync.Pool // record holders, shared by every connection and executor
+	pollBufs sync.Pool // pollReadBuf scratch the poller feed reads into
 
 	// Accept rate limiting: a token bucket per accept shard (see
 	// accept.go). The clock is swappable so tests drive it with a
 	// FakeClock.
 	acceptRate  float64
 	acceptBurst int
-	clock       Clock
+	clock       clock.Clock
 
-	// Overload protection: maxInflight bounds calls across every
-	// connection; over-cap (and post-drain) calls answer SYSTEM_ERR —
-	// the only pushback the bare Sun RPC wire can carry — instead of
-	// queueing behind work the server cannot finish.
-	maxInflight int64
-	inflight    atomic.Int64
-	draining    atomic.Bool
+	// A draining server answers SYSTEM_ERR — the only pushback the bare
+	// Sun RPC wire can carry — instead of starting work it may not
+	// finish; inflight is what Drain waits out first.
+	inflight atomic.Int64
+	draining atomic.Bool
 
 	mu         sync.Mutex
 	listeners  []net.Listener
-	conns      map[net.Conn]struct{}
-	pool       *workerPool // shared across connections; nil until first concurrent conn
-	poolUsers  int         // connection readers currently able to submit to pool
-	poolWake   sync.Cond   // broadcast (under mu) when poolUsers reaches zero
+	conns      map[*srvConn]struct{} // every live connection, until its teardown
+	connsGone  sync.Cond             // broadcast (under mu) when conns empties
+	pool       *workerPool           // shared across connections; nil until the first pooled conn
 	pollers    []*netpoll.Poller
 	pollerNext int // round-robin poller assignment for new conns
 }
@@ -92,9 +89,10 @@ type Server struct {
 // NewServer creates a server for prog/vers. Procedure 0 (the null
 // procedure every Sun RPC program must provide) is pre-registered.
 func NewServer(prog, vers uint32) *Server {
-	s := &Server{prog: prog, vers: vers, handlers: make(map[uint32]ProcHandler)}
-	s.poolWake.L = &s.mu
-	s.npRead.New = func() any { b := make([]byte, npReadBuf); return &b }
+	s := &Server{prog: prog, vers: vers, handlers: make(map[uint32]ProcHandler), conns: make(map[*srvConn]struct{})}
+	s.connsGone.L = &s.mu
+	s.recBufs.New = func() any { return new([]byte) }
+	s.pollBufs.New = func() any { b := make([]byte, pollReadBuf); return &b }
 	s.handlers[0] = func(*xdr.Decoder, *xdr.Encoder) error { return nil }
 	return s
 }
@@ -106,43 +104,42 @@ func (s *Server) Register(proc uint32, h ProcHandler) {
 }
 
 // SetConcurrency sets the size of the server's shared worker pool.
-// n <= 1 (the default) keeps the serial in-order loop on every
-// connection; n > 1 dispatches requests from all connections onto one
-// bounded pool of n workers, so the goroutine bill is O(conns +
-// workers) — one reader per connection plus the shared pool — rather
-// than O(conns × workers). Replies are coalesced per connection by
-// whichever worker holds the flush at the time (see srvConn). Out-of-
-// order replies are legal on the Sun RPC wire — the client
-// demultiplexes by xid. Set before serving.
+// n <= 1 (the default) executes each connection's requests inline on
+// the goroutine feeding it, in arrival order; n > 1 dispatches requests
+// from all connections onto one bounded pool of n workers, so the
+// goroutine bill is O(conns + workers) — one feeding goroutine per
+// connection plus the shared pool — rather than O(conns × workers).
+// Either way replies are coalesced per connection by whoever holds the
+// flush at the time (see srvConn). Out-of-order replies are legal on
+// the Sun RPC wire — the client demultiplexes by xid. Set before
+// serving.
 func (s *Server) SetConcurrency(n int) { s.concurrency = n }
+
+// SetNetpoll switches the server to the event-driven readiness
+// runtime: connections register with a fixed set of pollers instead of
+// spending a feeding goroutine each, so idle connections cost only
+// their compact per-conn state (~a few hundred bytes), not a goroutine
+// stack. On platforms without netpoll support (see internal/netpoll),
+// or for connections that expose no raw descriptor (in-memory pipes),
+// the server transparently falls back to the goroutine feed with
+// identical semantics. Implies a shared worker pool even when
+// SetConcurrency was never raised. Set before serving.
+func (s *Server) SetNetpoll(on bool) { s.netpoll = on }
 
 // SetStats points the server's queue/flush/panic counters at e; a nil
 // endpoint (the default) records nothing. Set before serving.
 func (s *Server) SetStats(e *stats.Endpoint) { s.stats = e }
 
-// SetMaxInflight bounds concurrently dispatched calls across every
-// connection; calls past the bound answer SYSTEM_ERR without invoking
-// a handler. n <= 0 (the default) means unlimited. Set before serving.
-func (s *Server) SetMaxInflight(n int) { s.maxInflight = int64(n) }
-
-// Inflight reports the calls currently being dispatched.
-func (s *Server) Inflight() int64 { return s.inflight.Load() }
-
-// Draining reports whether Drain has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain gracefully retires the server: listeners passed to Serve stop
 // accepting, new calls on existing connections answer SYSTEM_ERR, and
 // Drain waits (bounded by ctx) for in-flight dispatches to finish
-// before closing the remaining connections and stopping the shared
-// worker pool. It reports ctx.Err() when in-flight calls outlive the
-// deadline (connections are closed regardless, so blocked peers
-// unpark; the pool is then detached and retired in the background
-// once its last reader leaves, since a stuck reader may still hold a
-// reference to it). Connections served via ServeConn directly were
-// never handed to the server, so Drain cannot close them: their
-// callers must close them, or the readers they occupy keep the pool
-// alive past the deadline.
+// before closing every connection — those handed to ServeConn directly
+// included — and stopping the shared worker pool and the pollers. It
+// reports ctx.Err() when in-flight calls outlive the deadline
+// (connections are closed regardless, so blocked peers unpark; the pool
+// is then detached and retired in the background once the last
+// connection leaves, since one stuck behind a handler may still submit
+// to it).
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.mu.Lock()
@@ -167,76 +164,66 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 
-	// Snapshot then close outside the lock: a netpoll conn's Close
-	// finishes the connection inline (untrack, pool departure), which
-	// needs s.mu itself.
+	// Snapshot then close outside the lock: a close that tears the
+	// connection down untracks it, which needs s.mu itself.
 	s.mu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
+	conns := make([]*srvConn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
-	s.conns = nil
 	s.mu.Unlock()
 	for _, c := range conns {
-		c.Close()
+		c.close()
 	}
 
-	// Stop the shared pool once every connection reader has wound
-	// down (closing the conns above unblocks them). A reader mid-
-	// submit still holds a pool reference, so closing the jobs
-	// channel earlier could panic a send; poolUsers counts exactly
-	// those readers, and the last one out broadcasts poolWake. The
-	// waker goroutine turns a ctx expiry into a broadcast so the
-	// wait below never outlives the deadline.
-	wakerDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.mu.Lock()
-			s.poolWake.Broadcast()
-			s.mu.Unlock()
-		case <-wakerDone:
-		}
-	}()
+	// Stop the shared pool once every connection has torn down (the
+	// closes above unblock them). A reader mid-submit still holds a pool
+	// reference, so closing the jobs channel earlier could panic a
+	// send; a connection stays in conns until its teardown, and the
+	// last one out broadcasts connsGone. The AfterFunc turns a ctx
+	// expiry into a broadcast so the wait never outlives the deadline.
+	stop := context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		s.connsGone.Broadcast()
+		s.mu.Unlock()
+	})
 	s.mu.Lock()
-	for s.poolUsers > 0 && ctx.Err() == nil {
-		s.poolWake.Wait()
+	for len(s.conns) > 0 && ctx.Err() == nil {
+		s.connsGone.Wait()
 	}
-	pool, users := s.pool, s.poolUsers
+	pool, left := s.pool, len(s.conns)
 	s.pool = nil
 	s.mu.Unlock()
-	close(wakerDone)
+	stop()
 	if pool != nil {
-		if users == 0 {
-			close(pool.jobs)
-			pool.wg.Wait()
+		if left == 0 {
+			pool.stop()
 		} else {
-			// Deadline expired with readers still registered. The pool
-			// is detached (no new connection can reach it, since the
+			// Deadline expired with connections still live. The pool is
+			// detached (no new connection can reach it, since the
 			// server is draining) and retired in the background the
-			// moment the last reader leaves, so repeated drain/recreate
+			// moment the last one leaves, so repeated drain/recreate
 			// cycles cannot accumulate worker goroutines.
 			if err == nil {
 				err = ctx.Err()
 			}
 			go func() {
 				s.mu.Lock()
-				for s.poolUsers > 0 {
-					s.poolWake.Wait()
+				for len(s.conns) > 0 {
+					s.connsGone.Wait()
 				}
 				s.mu.Unlock()
-				close(pool.jobs)
-				pool.wg.Wait()
+				pool.stop()
 			}()
 		}
 	}
 
-	// Netpoll pollers go last: every registered conn counts as a pool
-	// user, so once the wait above has seen poolUsers reach zero no
-	// callback can be mid-flight and Close releases each loop at once.
-	// Waiting for Done makes a returned Drain leave no poller goroutine
-	// or epoll descriptor behind; a loop wedged behind a stuck pool in
-	// the deadline-expired case exits once the pool drains.
+	// Pollers go last: every registered conn is in conns, so once the
+	// wait above has seen it empty no callback can be mid-flight and
+	// Close releases each loop at once. Waiting for Done makes a
+	// returned Drain leave no poller goroutine or epoll descriptor
+	// behind; a loop wedged behind a stuck pool in the deadline-expired
+	// case exits once the pool drains.
 	s.mu.Lock()
 	pollers := s.pollers
 	s.pollers = nil
@@ -256,86 +243,118 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// track registers conn for closure at drain time; it reports false
-// (and closes conn) when the server is already draining.
-func (s *Server) track(conn net.Conn) bool {
+// attach builds the connection core for nc — choosing its feed and its
+// executor from what the server was configured with and what nc can do
+// — and adds it to the set Drain closes. It returns nil, with nc
+// closed, when the server is already draining.
+func (s *Server) attach(nc net.Conn) *srvConn {
+	c := &srvConn{srv: s, conn: nc, fd: -1, done: make(chan struct{})}
+	if c.asm.limit = s.MaxMessageSize; c.asm.limit <= 0 {
+		c.asm.limit = DefaultMaxRecord
+	}
+	if sc, ok := nc.(syscall.Conn); ok && s.netpoll && netpoll.Supported() {
+		if raw, err := sc.SyscallConn(); err == nil {
+			raw.Control(func(u uintptr) { c.fd = int(u) })
+		}
+	}
+
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining.Load() {
-		s.mu.Unlock()
-		conn.Close()
-		return false
+		nc.Close()
+		return nil
 	}
-	if s.conns == nil {
-		s.conns = make(map[net.Conn]struct{})
+	if s.netpoll || s.concurrency > 1 {
+		if s.pool == nil {
+			s.pool = newWorkerPool(max(s.concurrency, 1))
+		}
+		c.pool = s.pool
+	} else {
+		c.inline = new(executor)
 	}
-	s.conns[conn] = struct{}{}
-	s.mu.Unlock()
-	return true
+	// Conns without a usable descriptor (in-memory pipes), platforms
+	// without a poller and a registration the kernel refuses all fall
+	// through to the goroutine feed. Registering under mu keeps a
+	// callback that finishes the conn at once from untracking it before
+	// it is tracked.
+	if c.fd >= 0 && (len(s.pollers) > 0 || s.startPollersLocked() == nil) {
+		c.pl = s.pollers[s.pollerNext%len(s.pollers)]
+		s.pollerNext++
+		if c.pl.Register(c.fd, c.onReady) == nil {
+			s.stats.AddPollerConnRegistered()
+		} else {
+			c.pl = nil
+		}
+	}
+	s.conns[c] = struct{}{}
+	return c
 }
 
-func (s *Server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
-// ServeConn processes calls from conn until it closes, returning nil
-// on clean EOF. With SetConcurrency(n > 1) requests are executed by
-// the server's shared worker pool and replies are coalesced; otherwise
-// requests run serially in arrival order.
-func (s *Server) ServeConn(conn net.Conn) error {
-	limit := s.MaxMessageSize
-	if limit <= 0 {
-		limit = DefaultMaxRecord
-	}
-	if s.netpoll {
-		// Netpoll mode: register with a poller and park until the
-		// connection winds down. Unlike the goroutine paths, these
-		// conns are tracked, so Drain closes them. Conns without a
-		// usable descriptor (in-memory pipes) and platforms without a
-		// poller fall through to the goroutine readers.
-		if c, handled := s.registerNetpoll(conn); handled {
-			if c == nil {
-				return nil // dropped: server already draining
+// startPollersLocked starts the poller set (s.mu held): one poller per
+// P. A poller parks in the Go scheduler like any feeding goroutine, so
+// it costs no thread, and with fewer pollers than Ps connections
+// serialise through a goroutine that is usually running on another P.
+func (s *Server) startPollersLocked() error {
+	for i := runtime.GOMAXPROCS(0); i > 0; i-- {
+		p, err := netpoll.New(func(events int) { s.stats.AddPollerWakeups(events) })
+		if err != nil {
+			for _, q := range s.pollers {
+				q.Close()
 			}
-			<-c.done
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
+			s.pollers = nil
 			return err
 		}
+		s.pollers = append(s.pollers, p)
 	}
-	if s.concurrency > 1 {
-		return s.serveShared(conn, limit)
-	}
-	var enc xdr.Encoder
-	var recBuf []byte
-	for {
-		rec, err := readRecordLimit(conn, recBuf, limit)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("sunrpc: read: %w", err)
-		}
-		recBuf = rec[:cap(rec)]
-		enc.Reset()
-		s.dispatch(xdr.NewDecoder(rec), &enc)
-		if err := writeRecord(conn, enc.Bytes()); err != nil {
-			return fmt.Errorf("sunrpc: write: %w", err)
-		}
-	}
+	return nil
 }
 
-// A workerPool executes dispatches for every concurrent connection of
-// one Server: a fixed set of workers draining one bounded jobs
-// channel. Each job carries the connection it belongs to, so replies
-// land on the right stream; record buffers are pooled across
-// connections, so the steady-state path allocates nothing.
+func (s *Server) untrack(c *srvConn) {
+	s.mu.Lock()
+	delete(s.conns, c)
+	if len(s.conns) == 0 {
+		s.connsGone.Broadcast()
+	}
+	s.mu.Unlock()
+}
+
+// ServeConn processes calls from conn until it winds down, then closes
+// it, returning nil on clean EOF. With SetConcurrency(n > 1) or netpoll
+// requests are executed by the server's shared worker pool; otherwise
+// they run on this goroutine in arrival order.
+func (s *Server) ServeConn(conn net.Conn) error {
+	c := s.attach(conn)
+	if c == nil {
+		return nil // dropped: server already draining
+	}
+	c.onReady(false)
+	<-c.done
+	return c.err
+}
+
+// An executor is the scratch one dispatching goroutine reuses from
+// call to call: one per pool worker, one per inline connection.
+type executor struct {
+	dec xdr.Decoder
+	enc xdr.Encoder
+}
+
+// run dispatches the record in holder and queues its reply on c.
+func (x *executor) run(c *srvConn, holder *[]byte) {
+	x.enc.Reset()
+	x.dec.Reset(*holder)
+	c.srv.dispatch(&x.dec, &x.enc)
+	c.srv.recBufs.Put(holder)
+	c.enqueueReply(x.enc.Bytes())
+}
+
+// A workerPool executes dispatches for every pooled connection of one
+// Server: a fixed set of workers draining one bounded jobs channel.
+// Each job carries the connection it belongs to, so replies land on
+// the right stream.
 type workerPool struct {
 	jobs chan poolJob
 	wg   sync.WaitGroup
-	bufs sync.Pool
 }
 
 type poolJob struct {
@@ -343,192 +362,25 @@ type poolJob struct {
 	holder *[]byte
 }
 
-func newWorkerPool(s *Server, n int) *workerPool {
-	p := &workerPool{
-		jobs: make(chan poolJob, n),
-		bufs: sync.Pool{New: func() any { return new([]byte) }},
-	}
+func newWorkerPool(n int) *workerPool {
+	p := &workerPool{jobs: make(chan poolJob, n)}
 	for i := 0; i < n; i++ {
 		p.wg.Add(1)
-		go p.run(s)
+		go func() {
+			defer p.wg.Done()
+			var x executor
+			for j := range p.jobs {
+				x.run(j.c, j.holder)
+			}
+		}()
 	}
 	return p
 }
 
-func (p *workerPool) run(s *Server) {
-	defer p.wg.Done()
-	dec := xdr.NewDecoder(nil)
-	var enc xdr.Encoder
-	for j := range p.jobs {
-		rec := *j.holder
-		enc.Reset()
-		dec.Reset(rec)
-		s.dispatch(dec, &enc)
-		*j.holder = rec[:cap(rec)]
-		p.bufs.Put(j.holder)
-		j.c.enqueueReply(s, enc.Bytes())
-	}
-}
-
-// srvConn is the compact per-connection state of the shared-pool
-// server: the net.Conn, a WaitGroup tracking this connection's jobs
-// inside the pool, and the coalescing write state. No goroutines —
-// the reader loop lives in serveShared's frame and replies are
-// flushed by whichever pool worker finishes first (see enqueueReply).
-type srvConn struct {
-	conn     net.Conn
-	np       *npConn        // non-nil in netpoll mode: reply accounting feeds the read state machine
-	inflight sync.WaitGroup // jobs submitted to the pool, replies not yet flushed (or discarded)
-
-	mu       sync.Mutex
-	flushed  sync.Cond // broadcast after every flush attempt; L is &mu
-	pending  []byte    // record-marked replies awaiting the flusher
-	queued   int       // reply count inside pending
-	spare    []byte    // previous flush buffer, recycled on swap
-	flushing bool      // some worker currently owns this connection's flush
-	werr     error     // first write error; poisons the stream
-}
-
-// srvConnMaxPending caps the bytes of finished replies buffered on one
-// connection awaiting flush. The connection's reader parks before
-// pulling the next record while pending is over the cap (see
-// serveShared), so a slow-reading client that keeps pipelining
-// requests stalls its own reader — TCP pushes back on the peer — and
-// pins O(cap + in-flight jobs) server memory instead of growing
-// without bound. The cap gates the reader rather than the pool
-// workers so one slow client can never park the shared pool.
-const srvConnMaxPending = 256 << 10
-
-// enqueueReply appends one finished reply to the connection's pending
-// buffer and, unless another worker already owns the flush, becomes
-// the flusher: it keeps writing until nothing is pending, so every
-// reply that lands while a Write is in flight coalesces into the next
-// one. This is the combining-writer replacement for the per-connection
-// writer goroutine the old server spent. The connection's inflight
-// count is released here — per reply flushed, or at discard on a
-// poisoned stream — never at mere enqueue, so serveShared's
-// inflight.Wait() doubles as wait-for-flush and ServeConn cannot
-// return (and Serve cannot close the conn) while replies are still
-// buffered.
-func (c *srvConn) enqueueReply(s *Server, rep []byte) {
-	c.mu.Lock()
-	if c.werr != nil {
-		c.mu.Unlock()
-		c.inflight.Done() // discarded: the stream is already poisoned
-		if c.np != nil {
-			c.np.afterEnqueue(1)
-		}
-		return
-	}
-	c.pending = appendRecord(c.pending, rep)
-	c.queued++
-	if c.flushing {
-		c.mu.Unlock()
-		return
-	}
-	c.flushing = true
-	done := 0
-	for c.werr == nil && len(c.pending) > 0 {
-		buf, n := c.pending, c.queued
-		c.pending, c.queued = c.spare[:0], 0
-		c.spare = nil
-		c.mu.Unlock()
-		_, err := c.conn.Write(buf)
-		c.mu.Lock()
-		c.spare = buf
-		if err != nil {
-			c.werr = fmt.Errorf("sunrpc: write: %w", err)
-			// The stream is poisoned mid-record; unblock the reader
-			// so the connection winds down, and discard whatever
-			// queued behind the failed write. The netpoll path must
-			// deregister the fd before closing it, which cannot happen
-			// under mu — poisonLocked defers it to afterEnqueue.
-			if c.np != nil {
-				c.np.poisonLocked()
-			} else {
-				c.conn.Close()
-			}
-			n += c.queued
-			c.pending = c.pending[:0]
-			c.queued = 0
-		} else {
-			s.stats.AddFlush(n)
-		}
-		c.inflight.Add(-n)
-		done += n
-		c.flushed.Broadcast()
-	}
-	c.flushing = false
-	c.mu.Unlock()
-	if c.np != nil {
-		c.np.afterEnqueue(done)
-	}
-}
-
-// serveShared is the scaling server loop: this goroutine reads
-// request records and feeds them to the server-wide worker pool;
-// workers dispatch handlers and flush replies back to the connection
-// through the combining writer in srvConn. Per-connection cost is one
-// goroutine and one srvConn, independent of the pool size.
-func (s *Server) serveShared(conn net.Conn, limit int) error {
-	s.mu.Lock()
-	if s.draining.Load() {
-		s.mu.Unlock()
-		conn.Close()
-		return nil
-	}
-	if s.pool == nil {
-		s.pool = newWorkerPool(s, s.concurrency)
-	}
-	pool := s.pool
-	s.poolUsers++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.poolUsers--
-		if s.poolUsers == 0 {
-			s.poolWake.Broadcast()
-		}
-		s.mu.Unlock()
-	}()
-
-	c := &srvConn{conn: conn}
-	c.flushed.L = &c.mu
-	var readErr error
-	for {
-		// Backpressure: while the peer reads replies slower than it
-		// pipelines requests, park this reader until the flusher works
-		// the backlog under the cap — a pending record over the cap
-		// always has an active flusher, and a write error (Drain
-		// closing the conn included) broadcasts too, so this wait
-		// cannot outlive the connection.
-		c.mu.Lock()
-		for c.werr == nil && len(c.pending) > srvConnMaxPending {
-			c.flushed.Wait()
-		}
-		c.mu.Unlock()
-		holder := pool.bufs.Get().(*[]byte)
-		rec, err := readRecordLimit(conn, *holder, limit)
-		if err != nil {
-			pool.bufs.Put(holder)
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, net.ErrClosed) {
-				readErr = fmt.Errorf("sunrpc: read: %w", err)
-			}
-			break
-		}
-		*holder = rec
-		s.stats.AddQueued()
-		c.inflight.Add(1)
-		pool.jobs <- poolJob{c, holder}
-	}
-	c.inflight.Wait()
-	c.mu.Lock()
-	werr := c.werr
-	c.mu.Unlock()
-	if werr != nil {
-		return werr
-	}
-	return readErr
+// stop retires the workers; no connection may still submit.
+func (p *workerPool) stop() {
+	close(p.jobs)
+	p.wg.Wait()
 }
 
 // dispatch handles one call, always leaving a complete reply in enc.
@@ -540,19 +392,14 @@ func (s *Server) dispatch(d *xdr.Decoder, enc *xdr.Encoder) {
 		encodeAcceptedReply(enc, h.XID, SystemErr)
 		return
 	}
-	// Admission: a draining or over-capacity server answers SYSTEM_ERR
-	// before touching a handler. The bare Sun RPC wire has no richer
-	// pushback (the session layer's frames ride above it); SYSTEM_ERR
-	// is retryable by construction, which is all shedding needs.
-	n := s.inflight.Add(1)
+	// A draining server answers SYSTEM_ERR before touching a handler.
+	// The bare Sun RPC wire has no richer pushback (the session layer's
+	// frames, and its admission caps, ride above it); SYSTEM_ERR is
+	// retryable by construction, which is all a drain needs.
+	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	if s.draining.Load() {
 		s.stats.AddDrainReject()
-		encodeAcceptedReply(enc, h.XID, SystemErr)
-		return
-	}
-	if s.maxInflight > 0 && n > s.maxInflight {
-		s.stats.AddShed()
 		encodeAcceptedReply(enc, h.XID, SystemErr)
 		return
 	}
@@ -597,8 +444,8 @@ func (s *Server) runHandler(proc uint32, h ProcHandler, d *xdr.Decoder, enc *xdr
 }
 
 // Serve accepts connections from l and serves each until the listener
-// closes (or Drain closes it) — in netpoll mode by registering the
-// conn with a poller, otherwise on its own goroutine. Accept failures
+// closes (or Drain closes it) — from a poller where the conn took the
+// poller feed, otherwise from its own feeding goroutine. Accept failures
 // are classified by errno (see classifyAcceptError): connections that
 // died in the backlog retry immediately, resource exhaustion (EMFILE
 // and friends) backs off at the 100ms cap, anything else is permanent
@@ -640,19 +487,15 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 			return err
 		}
-		if s.netpoll {
-			if _, handled := s.registerNetpoll(conn); handled {
-				continue
-			}
+		switch c := s.attach(conn); {
+		case c == nil: // draining: conn already closed
+		case c.pl != nil:
+			// Data that arrived before the edge-triggered registration
+			// gets no edge; one read pass picks it up.
+			c.onReady(false)
+		default:
+			go c.onReady(false)
 		}
-		if !s.track(conn) {
-			continue
-		}
-		go func() {
-			defer s.untrack(conn)
-			defer conn.Close()
-			_ = s.ServeConn(conn)
-		}()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -169,6 +170,12 @@ func TestConcurrentCallersSerialize(t *testing.T) {
 		}(int32(g))
 	}
 	wg.Wait()
+}
+
+// readRecord is readRecordLimit at the default bound: the reference
+// reader the tests parse server output with.
+func readRecord(r io.Reader, buf []byte) ([]byte, error) {
+	return readRecordLimit(r, buf, DefaultMaxRecord)
 }
 
 func TestRecordMarkingRoundTrip(t *testing.T) {
