@@ -6,7 +6,9 @@
 # `./ci.sh fuzz-smoke` runs only the short fuzz pass;
 # `./ci.sh flexload-smoke` runs only the load-generator smoke;
 # `./ci.sh netpoll-smoke` runs only the netpoll smoke;
-# `./ci.sh netpoll-stress` runs only the repeated netpoll race pass.
+# `./ci.sh netpoll-stress` runs only the repeated netpoll race pass;
+# `./ci.sh alloc-gates` runs only the allocation gates, without -race;
+# `./ci.sh bench-smoke` runs only the bench module's tests.
 set -eu
 
 cd "$(dirname "$0")"
@@ -172,7 +174,7 @@ netpoll_stress() {
 	# test. Each alternative must select something: a rename fails the
 	# stage here instead of turning it into a silent no-op.
 	pkgs="./internal/sunrpc ./internal/conformance"
-	pattern='Netpoll|Drain|HalfClose|SlowReader|PanicRecovery|ManyConns'
+	pattern='Netpoll|Drain|HalfClose|SlowReader|PoolFull|PanicRecovery|ManyConns'
 	for alt in $(echo "$pattern" | tr '|' ' '); do
 		if ! go test -list "$alt" $pkgs | grep -q '^Test'; then
 			echo "netpoll-stress: no test matches '$alt'; update the pattern in ci.sh"
@@ -185,6 +187,31 @@ netpoll_stress() {
 		echo "GOMAXPROCS=${procs:-default} go test -race -count=5 -run '$pattern' $pkgs"
 		env ${procs:+GOMAXPROCS=$procs} go test -race -count=5 -run "$pattern" $pkgs
 	done
+}
+
+alloc_gates() {
+	# Every AllocsPerRun gate skips itself under the race detector, and
+	# the test stage above runs only with -race: without this stage CI
+	# checks none of them. The pattern names the gates' naming
+	# conventions; as in netpoll-stress, an alternative that selects
+	# nothing fails the stage instead of turning it into a no-op.
+	pattern='Alloc|ZeroAlloc|CertificateMatchesGates'
+	for alt in $(echo "$pattern" | tr '|' ' '); do
+		if ! go test -list "$alt" ./... | grep -q '^Test'; then
+			echo "alloc-gates: no test matches '$alt'; update the pattern in ci.sh"
+			exit 1
+		fi
+	done
+	echo "go test -count=1 -run '$pattern' ./... (no -race)"
+	go test -count=1 -run "$pattern" ./...
+}
+
+bench_smoke() {
+	# bench/ is its own module, so `go test ./...` from the root never
+	# reaches it: its smoke test runs every workload once, checks the
+	# replies and that BENCHMARK.json still matches the metric tables.
+	echo "go test -C bench ./..."
+	go test -C bench ./...
 }
 
 fuzz_smoke() {
@@ -240,6 +267,16 @@ if [ "${1:-}" = "netpoll-stress" ]; then
 	exit 0
 fi
 
+if [ "${1:-}" = "alloc-gates" ]; then
+	alloc_gates
+	exit 0
+fi
+
+if [ "${1:-}" = "bench-smoke" ]; then
+	bench_smoke
+	exit 0
+fi
+
 echo "== gofmt"
 out=$(gofmt -l .)
 if [ -n "$out" ]; then
@@ -257,8 +294,14 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-echo "== bench smoke (compile + one iteration per benchmark)"
+echo "== allocation gates (no -race)"
+alloc_gates
+
+echo "== benchmarks compile and run one iteration each"
 go test -run='^$' -bench=. -benchtime=1x ./...
+
+echo "== bench module smoke"
+bench_smoke
 
 echo "== flexload smoke"
 flexload_smoke

@@ -38,6 +38,7 @@ var ctxEntryPoints = map[string]bool{
 	"ServeMessageContext":    true,
 	"ServeMessageRawContext": true,
 	"Handle":                 true, // SessionServer.Handle(ctx, ...)
+	"HandleAppend":           true,
 }
 
 func runContextDiscipline(p *Pass) {

@@ -27,12 +27,12 @@ type FaultsConfig struct {
 func DefaultFaultsConfig() FaultsConfig { return FaultsConfig{Calls: 5000} }
 
 // sessLoopback carries session frames straight into a SessionServer,
-// copying each reply the way a real wire would.
+// which lands each reply in the caller's buffer the way a real wire
+// would.
 type sessLoopback struct{ sess *frt.SessionServer }
 
 func (l *sessLoopback) Call(opIdx int, req, replyBuf []byte) ([]byte, error) {
-	frame := l.sess.Handle(context.Background(), opIdx, req)
-	return append(replyBuf[:0], frame...), nil
+	return l.sess.HandleAppend(context.Background(), opIdx, req, replyBuf[:0]), nil
 }
 
 func (l *sessLoopback) Close() error { return nil }

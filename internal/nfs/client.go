@@ -3,6 +3,7 @@ package nfs
 import (
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,24 +40,46 @@ type Stats struct {
 // unmarshaling, buffer management and user-space copies.
 func (s Stats) ClientNanos() int64 { return s.TotalNanos - s.NetServerNanos }
 
-// timedConn accumulates time spent blocked in the connection, which
-// under a shaped link is network transmission plus server time.
+// timedConn accumulates the time calls spend blocked in the connection,
+// which under a shaped link is network transmission plus server time.
+// The Sun RPC client's reply reader is parked in Read long before the
+// request is marshaled, so a Read counts only from the start of the
+// latest Write — the reply cannot have been on its way any earlier — and
+// where it then overlaps that Write the overlap is counted once.
 type timedConn struct {
 	net.Conn
 	nanos *atomic.Int64
+
+	wstart  atomic.Int64 // start of the latest Write, on timedEpoch's clock
+	mu      sync.Mutex
+	counted int64 // end of the latest interval added to nanos
+}
+
+var timedEpoch = time.Now()
+
+// count adds what [start, now) holds beyond the time already counted.
+func (c *timedConn) count(start int64) {
+	end := int64(time.Since(timedEpoch))
+	c.mu.Lock()
+	if start = max(start, c.counted); end > start {
+		c.nanos.Add(end - start)
+		c.counted = end
+	}
+	c.mu.Unlock()
 }
 
 func (c *timedConn) Write(b []byte) (int, error) {
-	t0 := time.Now()
+	t0 := int64(time.Since(timedEpoch))
+	c.wstart.Store(t0)
 	n, err := c.Conn.Write(b)
-	c.nanos.Add(time.Since(t0).Nanoseconds())
+	c.count(t0)
 	return n, err
 }
 
 func (c *timedConn) Read(b []byte) (int, error) {
-	t0 := time.Now()
+	t0 := int64(time.Since(timedEpoch))
 	n, err := c.Conn.Read(b)
-	c.nanos.Add(time.Since(t0).Nanoseconds())
+	c.count(max(t0, c.wstart.Load()))
 	return n, err
 }
 

@@ -116,31 +116,32 @@ func decodeBatchReply(body []byte, want int) ([][]byte, error) {
 }
 
 // execBatch executes every sub-call of a batch request body in order
-// and returns the complete session reply frame. A malformed batch is
-// answered like a corrupted frame: the client retransmits the whole
-// batch.
-func (s *SessionServer) execBatch(ctx context.Context, body []byte, tid uint32) []byte {
+// and appends the complete session reply frame to dst. A malformed
+// batch is answered like a corrupted frame: the client retransmits the
+// whole batch.
+func (s *SessionServer) execBatch(ctx context.Context, body []byte, tid uint32, dst []byte) []byte {
 	ops, reqs, err := decodeBatchRequest(body)
 	if err != nil {
 		s.disp.stats.AddBadFrame()
-		return badRequestFrame()
+		return appendBadRequestFrame(dst)
 	}
 	enc, _ := s.encs.Get().(Encoder)
 	if enc == nil {
 		enc = s.plan.Codec.NewEncoder()
 	}
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(ops)))
+	// The body's checksum is known only once every sub-reply is in.
+	hdr := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, sessOK)
+	dst = binary.BigEndian.AppendUint32(dst, 0)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ops)))
 	for i, opIdx := range ops {
 		enc.Reset()
 		s.disp.serveMessageTraced(ctx, s.plan, opIdx, reqs[i], enc, tid)
-		out = appendBatchReplyEntry(out, enc.Bytes())
+		dst = appendBatchReplyEntry(dst, enc.Bytes())
 	}
 	s.encs.Put(enc)
-	rep := make([]byte, robustRepHeader+len(out))
-	binary.BigEndian.PutUint32(rep[0:4], sessOK)
-	binary.BigEndian.PutUint32(rep[4:8], crc32.ChecksumIEEE(out))
-	copy(rep[robustRepHeader:], out)
-	return rep
+	binary.BigEndian.PutUint32(dst[hdr+4:], crc32.ChecksumIEEE(dst[hdr+robustRepHeader:]))
+	return dst
 }
 
 // BatchOptions size the client-side batcher. The zero value of any

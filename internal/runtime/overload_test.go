@@ -579,15 +579,17 @@ func TestSessionServerShedHandleZeroAllocs(t *testing.T) {
 	}
 	frame := sessionRequestFrame(1, 1, 0, nil)
 	idx := plan.OpIndex("nop")
+	buf := make([]byte, 0, 64) // the transport's reply buffer
 	gateAllocs(t, "admission-on shed null call", 0, func() {
-		if rep := s.Handle(t.Context(), idx, frame); len(rep) != robustRepHeader {
+		if rep := s.HandleAppend(t.Context(), idx, frame, buf); len(rep) != robustRepHeader {
 			t.Fatalf("shed reply is %d bytes, want the pushback frame", len(rep))
 		}
 	})
 }
 
 // An admitted idempotent null call under admission control costs what
-// it costs without it: one allocation, the reply frame itself.
+// it costs without it: nothing, the reply frame being appended to the
+// transport's buffer.
 func TestSessionServerAdmittedHandleBoundedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
@@ -597,8 +599,9 @@ func TestSessionServerAdmittedHandleBoundedAllocs(t *testing.T) {
 	s.SetAdmission(NewAdmission(AdmissionOptions{MaxInflight: 64, PerClient: 8}))
 	frame := sessionRequestFrame(1, 1, flagIdempotent, nil)
 	idx := plan.OpIndex("nop")
-	gateAllocs(t, "admission-on admitted null call", 1, func() {
-		if rep := s.Handle(t.Context(), idx, frame); len(rep) < robustRepHeader {
+	buf := make([]byte, 0, 64)
+	gateAllocs(t, "admission-on admitted null call", 0, func() {
+		if rep := s.HandleAppend(t.Context(), idx, frame, buf); len(rep) < robustRepHeader {
 			t.Fatalf("short reply: %d bytes", len(rep))
 		}
 	})

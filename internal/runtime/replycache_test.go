@@ -1,0 +1,457 @@
+package runtime
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math/rand"
+	goruntime "runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"unsafe"
+)
+
+// The tests below pin the reply cache's at-most-once contract on its
+// slab-and-arena layout. They reach into the shards (same package): the
+// arena's bookkeeping is the thing under test.
+
+// patterned is the reply every test gives key: bytes that depend on the
+// key and the position, so another key's bytes — or a stale chunk's —
+// cannot pass for it.
+func patterned(key uint64, size int) []byte {
+	b := make([]byte, size)
+	for i := range b {
+		b[i] = byte(key*131 + uint64(i)*7)
+	}
+	return b
+}
+
+// replySize gives each key one of a spread of sizes, from empty to
+// larger than an arena chunk.
+func replySize(key uint64) int {
+	sizes := [...]int{8, 0, 100, 5000, 1700, 30000, replyChunkSize + 900, 12, 8200, replyChunkSize}
+	return sizes[key%uint64(len(sizes))]
+}
+
+// checkShard asserts the slab and the arena agree with each other and
+// with what was put in.
+func checkShard(t *testing.T, s *replyShard) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.ring) > s.cap {
+		t.Fatalf("ring holds %d entries, capacity %d", len(s.ring), s.cap)
+	}
+	done := 0
+	for key, slot := range s.index {
+		if slot == executing {
+			continue
+		}
+		done++
+		if s.ring[slot].key != key {
+			t.Fatalf("index sends key %d to slot %d, which holds key %d", key, slot, s.ring[slot].key)
+		}
+	}
+	if done != len(s.ring) {
+		t.Fatalf("index finds %d completed entries, ring holds %d", done, len(s.ring))
+	}
+	for _, e := range s.ring {
+		if want := patterned(e.key, replySize(e.key)); !bytes.Equal(e.frame, want) {
+			t.Fatalf("arena bytes retained for key %d (%d bytes) are not its reply (%d bytes)", e.key, len(e.frame), len(want))
+		}
+	}
+	live := 0
+	for i, k := range s.chunks {
+		live += k.live
+		if k.live == 0 {
+			t.Fatalf("chunk %d of %d has no tenant and was not recycled", i, len(s.chunks))
+		}
+	}
+	if live != len(s.ring) {
+		t.Fatalf("chunks count %d tenants, ring holds %d entries", live, len(s.ring))
+	}
+	// FIFO on both sides: the oldest entry lives in the oldest chunk.
+	if len(s.ring) == s.cap {
+		if f := s.ring[s.head].frame; len(f) > 0 {
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(s.chunks[0].buf)))
+			at := uintptr(unsafe.Pointer(unsafe.SliceData(f)))
+			if at < lo || at >= lo+uintptr(cap(s.chunks[0].buf)) {
+				t.Fatal("the oldest entry does not live in the oldest chunk")
+			}
+		}
+	}
+}
+
+func arenaChunks(c *ReplyCache) (n int) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += len(s.chunks)
+		if s.spare != nil {
+			n++
+		}
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// TestReplyCacheReplayIsOwnBytesOrReexecution: with the arena cycling
+// through replies of mixed sizes — one larger than a chunk among them —
+// a replay of any earlier key, however many neighbours have come and
+// gone since, returns that key's bytes or runs the call again; it never
+// returns another key's bytes. Every replay is checked, and the slab and
+// arena are audited as they churn.
+func TestReplyCacheReplayIsOwnBytesOrReexecution(t *testing.T) {
+	const capacity, keys = 12, 400
+	c := NewReplyCacheSharded(capacity, 1)
+	s := &c.shards[0]
+	rng := rand.New(rand.NewSource(17))
+	reexecuted := 0
+	call := func(key uint64) (replayed bool) {
+		prefix := []byte("hdr")
+		out, replayed := c.do(key, prefix, func(dst []byte) []byte {
+			return append(dst, patterned(key, replySize(key))...)
+		})
+		if !bytes.HasPrefix(out, prefix) || !bytes.Equal(out[len(prefix):], patterned(key, replySize(key))) {
+			t.Fatalf("key %d (replayed=%v) came back with %d bytes that are not its reply", key, replayed, len(out)-len(prefix))
+		}
+		return replayed
+	}
+	for key := uint64(0); key < keys; key++ {
+		if call(key) {
+			t.Fatalf("first call of key %d was served as a replay", key)
+		}
+		// Retransmit a few earlier keys: recent ones replay, old ones
+		// were evicted and execute again.
+		for i := 0; i < 3 && key > 0; i++ {
+			old := key - uint64(rng.Intn(int(min(key, 3*capacity))+1))
+			wasCached := false
+			s.mu.Lock()
+			_, wasCached = s.index[old]
+			s.mu.Unlock()
+			if replayed := call(old); replayed != wasCached {
+				t.Fatalf("key %d: cached=%v but replayed=%v", old, wasCached, replayed)
+			} else if !replayed {
+				reexecuted++
+			}
+		}
+		checkShard(t, s)
+	}
+	if reexecuted == 0 {
+		t.Fatal("no retransmit outlived its entry: the test never exercised eviction")
+	}
+	if c.Len() != capacity {
+		t.Fatalf("Len = %d after %d keys, want the capacity %d", c.Len(), keys, capacity)
+	}
+	// The arena holds the retained bytes, each chunk's unused tail, and
+	// at most one spare — not every reply it ever saw.
+	if n := arenaChunks(c); n > capacity+1 {
+		t.Fatalf("arena holds %d chunks for %d retained replies", n, capacity)
+	}
+}
+
+// TestReplyCacheEvictsLastTenantOfFillingChunk: at small capacities an
+// eviction empties the very chunk being filled, and the reply that takes
+// the slot may not fit what that chunk holds — an oversize reply after a
+// small one, a small one after an oversize. The tenant counts must still
+// match the ring.
+func TestReplyCacheEvictsLastTenantOfFillingChunk(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3} {
+		c := NewReplyCacheSharded(capacity, 1)
+		for _, key := range []uint64{2, 6, 12, 22, 16, 32, 42, 26, 36, 52, 62, 72, 6, 2, 46, 56} {
+			out, _ := c.do(key, nil, func(dst []byte) []byte { return append(dst, patterned(key, replySize(key))...) })
+			if !bytes.Equal(out, patterned(key, replySize(key))) {
+				t.Fatalf("capacity %d: key %d came back with bytes that are not its reply", capacity, key)
+			}
+			checkShard(t, &c.shards[0])
+		}
+	}
+}
+
+// TestReplyCacheDuplicateWaitsForOriginal: a duplicate that arrives
+// while the original executes waits on the shard, starts no second
+// execution, and gets a byte-identical copy — in its own buffer.
+func TestReplyCacheDuplicateWaitsForOriginal(t *testing.T) {
+	c := NewReplyCacheSharded(64, 1)
+	s := &c.shards[0]
+	const key = 42
+	var execs atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	exec := func(dst []byte) []byte {
+		execs.Add(1)
+		close(entered)
+		<-release
+		return append(dst, patterned(key, 300)...)
+	}
+	type result struct {
+		out      []byte
+		replayed bool
+	}
+	first, dup := make(chan result, 1), make(chan result, 1)
+	go func() {
+		out, replayed := c.do(key, nil, exec)
+		first <- result{out, replayed}
+	}()
+	<-entered
+	go func() {
+		out, replayed := c.do(key, make([]byte, 0, 512), exec)
+		dup <- result{out, replayed}
+	}()
+	// The duplicate is parked on the shard's cond, not spinning or
+	// executing: wait until it is counted there.
+	for waiting := 0; waiting == 0; goruntime.Gosched() {
+		s.mu.Lock()
+		waiting = s.waiters
+		s.mu.Unlock()
+	}
+	close(release)
+	a, b := <-first, <-dup
+	if a.replayed || !b.replayed {
+		t.Fatalf("replayed: original %v, duplicate %v; want false, true", a.replayed, b.replayed)
+	}
+	if !bytes.Equal(a.out, patterned(key, 300)) || !bytes.Equal(a.out, b.out) {
+		t.Fatal("the duplicate's bytes differ from the original's")
+	}
+	if unsafe.SliceData(a.out) == unsafe.SliceData(b.out) {
+		t.Fatal("original and duplicate share a buffer")
+	}
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("executed %d times", n)
+	}
+}
+
+// TestReplyCacheInFlightNeverEvicted states the rule for the ring
+// wrapping onto an in-flight call: it cannot. A call holds no ring slot
+// while it executes — its key maps to the executing marker — and claims
+// one only at completion, so however many times the ring wraps under a
+// blocked handler, eviction finds completed entries only, and a
+// duplicate of the blocked call still waits for it.
+func TestReplyCacheInFlightNeverEvicted(t *testing.T) {
+	const capacity, slow = 2, 7
+	c := NewReplyCacheSharded(capacity, 1)
+	s := &c.shards[0]
+	var slowExecs atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	slowExec := func(dst []byte) []byte {
+		slowExecs.Add(1)
+		close(entered)
+		<-release
+		return append(dst, patterned(slow, replySize(slow))...)
+	}
+	done := make(chan []byte, 2)
+	go func() { out, _ := c.do(slow, nil, slowExec); done <- out }()
+	<-entered
+
+	// Wrap the ring five times over while the handler blocks.
+	for key := uint64(100); key < 100+5*capacity; key++ {
+		c.do(key, nil, func(dst []byte) []byte { return append(dst, patterned(key, replySize(key))...) })
+		checkShard(t, s)
+	}
+	s.mu.Lock()
+	slot, ok := s.index[slow]
+	s.mu.Unlock()
+	if !ok || slot != executing {
+		t.Fatalf("the in-flight key maps to (%d, %v) after the ring wrapped; want the executing marker", slot, ok)
+	}
+	go func() { out, _ := c.do(slow, nil, slowExec); done <- out }()
+	for waiting := 0; waiting == 0; goruntime.Gosched() {
+		s.mu.Lock()
+		waiting = s.waiters
+		s.mu.Unlock()
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if out := <-done; !bytes.Equal(out, patterned(slow, replySize(slow))) {
+			t.Fatal("a caller of the slow key got bytes that are not its reply")
+		}
+	}
+	if n := slowExecs.Load(); n != 1 {
+		t.Fatalf("the slow call executed %d times", n)
+	}
+	checkShard(t, s)
+}
+
+// TestReplyCacheCapacityOneConcurrent: one shard retaining one reply, so
+// every completion evicts and recycles arena space, while other
+// goroutines are copying replays out and duplicates wait. Whatever a
+// caller gets is its own key's reply. Run under -race.
+func TestReplyCacheCapacityOneConcurrent(t *testing.T) {
+	c := NewReplyCacheSharded(1, 1)
+	const goroutines, rounds, keys = 8, 400, 5
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			buf := make([]byte, 0, 1024)
+			for i := 0; i < rounds; i++ {
+				key := uint64(rng.Intn(keys)) // few keys: duplicates collide mid-execution
+				out, _ := c.do(key, buf[:0], func(dst []byte) []byte {
+					goruntime.Gosched() // widen the window duplicates wait in
+					return append(dst, patterned(key, replySize(key))...)
+				})
+				if !bytes.Equal(out, patterned(key, replySize(key))) {
+					t.Errorf("goroutine %d: key %d came back with %d bytes that are not its reply", g, key, len(out))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	checkShard(t, &c.shards[0])
+}
+
+// TestSessionServerCapacityOneConcurrentHandleAppend is the same squeeze
+// one layer up: concurrent HandleAppend calls on a one-entry cache, with
+// retransmits of a few (cid, seq) keys interleaved, each into the
+// caller's own buffer. Every reply frame must verify and carry the
+// result of its own request. Run under -race.
+func TestSessionServerCapacityOneConcurrentHandleAppend(t *testing.T) {
+	p := batchPres(t)
+	disp := NewDispatcher(p)
+	disp.Handle("lone", func(c *Call) error {
+		goruntime.Gosched()
+		c.SetResult(c.Arg(0).(int32) * 2)
+		return nil
+	})
+	plan, err := NewPlan(p, XDRCodec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSessionServer(disp, plan, NewReplyCacheSharded(1, 1))
+	idx := plan.OpIndex("lone")
+	const goroutines, rounds, keys = 8, 300, 4
+	frames := make([][]byte, keys)
+	for k := range frames {
+		enc := XDRCodec.NewEncoder()
+		if err := plan.Ops[idx].EncodeRequest(enc, []Value{int32(k + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		frames[k] = sessionRequestFrame(5, uint32(k), 0, enc.Bytes())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			buf := make([]byte, 0, 256)
+			for i := 0; i < rounds; i++ {
+				k := rng.Intn(keys)
+				rep := sess.HandleAppend(t.Context(), idx, frames[k], buf[:0])
+				if len(rep) < robustRepHeader || binary.BigEndian.Uint32(rep) != sessOK ||
+					crc32.ChecksumIEEE(rep[robustRepHeader:]) != binary.BigEndian.Uint32(rep[4:]) {
+					t.Errorf("goroutine %d: reply frame for key %d does not verify", g, k)
+					return
+				}
+				if got, err := decodeDoubled(plan, idx, rep[robustRepHeader:]); err != nil || got != int32(2*(k+1)) {
+					t.Errorf("goroutine %d: key %d answered %d (err %v), want %d", g, k, got, err, 2*(k+1))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestReplyCacheFlushReleasesArena: Flush drops every completed reply
+// and hands slab and arena back — also while a call is in flight, which
+// is left to finish and is retained afterwards like any other.
+func TestReplyCacheFlushReleasesArena(t *testing.T) {
+	c := NewReplyCacheSharded(64, 4)
+	fill := func(from, n uint64) {
+		for key := from; key < from+n; key++ {
+			c.do(key, nil, func(dst []byte) []byte { return append(dst, patterned(key, replySize(key))...) })
+		}
+	}
+	empty := func(when string, inflight int) {
+		t.Helper()
+		if c.Len() != 0 || arenaChunks(c) != 0 {
+			t.Fatalf("%s: Len = %d, %d arena chunks; want 0, 0", when, c.Len(), arenaChunks(c))
+		}
+		indexed := 0
+		for i := range c.shards {
+			s := &c.shards[i]
+			s.mu.Lock()
+			indexed += len(s.index)
+			if s.ring != nil {
+				t.Fatalf("%s: shard %d kept its slab", when, i)
+			}
+			s.mu.Unlock()
+		}
+		if indexed != inflight {
+			t.Fatalf("%s: %d keys still indexed, want the %d in flight", when, indexed, inflight)
+		}
+	}
+
+	fill(0, 40)
+	const slow = 1000
+	entered, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		c.do(slow, nil, func(dst []byte) []byte {
+			close(entered)
+			<-release
+			return append(dst, patterned(slow, replySize(slow))...)
+		})
+	}()
+	<-entered
+	if n := c.Flush(); n != 40 {
+		t.Fatalf("Flush dropped %d replies, want 40", n)
+	}
+	empty("flushed during a call", 1)
+
+	close(release)
+	<-done
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d after the in-flight call completed, want 1", c.Len())
+	}
+	if _, replayed := c.do(slow, nil, func(dst []byte) []byte { t.Error("re-executed"); return dst }); !replayed {
+		t.Fatal("the call that completed after Flush was not retained")
+	}
+	fill(2000, 30)
+	for i := range c.shards {
+		checkShard(t, &c.shards[i])
+	}
+	c.Flush()
+	empty("flushed when idle", 0)
+}
+
+// TestReplyCacheDoSteadyStateNoAllocs: once the ring has wrapped — slab
+// at capacity, a spare chunk on hand — a call through the cache
+// allocates nothing: no entry, no channel, no retained copy.
+func TestReplyCacheDoSteadyStateNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are not meaningful under the race detector")
+	}
+	const capacity = 64
+	c := NewReplyCacheSharded(capacity, 2)
+	reply := patterned(1, 1700)
+	buf := make([]byte, 0, 2048)
+	exec := func(dst []byte) []byte { return append(dst, reply...) }
+	key := uint64(0)
+	call := func() {
+		key++
+		if out, _ := c.do(key, buf, exec); len(out) != len(reply) {
+			t.Fatalf("%d-byte reply", len(out))
+		}
+	}
+	// Past capacity, and far enough for every shard's arena to have
+	// retired a chunk.
+	for i := 0; i < 40*capacity; i++ {
+		call()
+	}
+	if allocs := testing.AllocsPerRun(2000, call); allocs != 0 {
+		t.Fatalf("ReplyCache.do allocates %.2f times per call in steady state, want 0", allocs)
+	}
+	// A replay is as free.
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, replayed := c.do(key, buf, exec); !replayed {
+			t.Fatal("the newest key was not replayed")
+		}
+	}); allocs != 0 {
+		t.Fatalf("a replay allocates %.2f times, want 0", allocs)
+	}
+}

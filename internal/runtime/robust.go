@@ -443,6 +443,18 @@ func (r *RobustConn) sleep(ctx context.Context, d time.Duration) error {
 // interleave their sequence numbers across every shard (the hash
 // mixes the low bits), so even a single chatty client spreads its
 // bookkeeping. [idempotent] operations never reach the cache at all.
+//
+// The cache owns the memory it retains, and a call in steady state
+// allocates none of it. Per shard, completed entries sit by value in a
+// ring slab in completion order, found through index; their reply bytes
+// are bump-allocated from an arena of fixed-size chunks filled in that
+// same order. Eviction takes the ring's oldest entry, which is also the
+// arena's oldest bytes, so a chunk is recycled exactly when its last
+// entry is evicted. Slab and arena grow on demand — nothing is sized by
+// the capacity up front — and the arena never holds more than the
+// retained entries' bytes, the unused tail of each chunk, and one spare
+// chunk per shard. Arena bytes never leave the cache: a replay is
+// copied into the caller's buffer under the shard lock.
 type ReplyCache struct {
 	shards     []replyShard
 	mask       uint64
@@ -455,16 +467,40 @@ type ReplyCache struct {
 // contention.
 type replyShard struct {
 	mu      sync.Mutex
+	done    sync.Cond // on mu; waited on only by a duplicate that arrives mid-execution
+	waiters int       // goroutines in done.Wait
 	cap     int
-	entries map[uint64]*cacheEntry
-	order   []uint64
+	index   map[uint64]int32 // key → ring slot, or executing
+	ring    []cacheEntry     // completed entries; full at len == cap, then head is the oldest
+	head    int
+	chunks  []arenaChunk // oldest first; the last is being filled
+	spare   []byte       // one retired chunk, kept for the next refill
 	_       [24]byte
 }
 
+// executing is the index value of a key whose first execution is still
+// running. It holds no ring slot — a slot is claimed at completion — so
+// the ring only ever wraps onto completed entries and an in-flight call
+// cannot be evicted.
+const executing = -1
+
+// cacheEntry is one retained reply; frame aliases its arena chunk.
 type cacheEntry struct {
-	done  chan struct{}
-	frame []byte // immutable once done is closed
+	key   uint64
+	frame []byte
 }
+
+// arenaChunk is one block of reply bytes: buf's length is the fill
+// mark, live the retained entries inside it.
+type arenaChunk struct {
+	buf  []byte
+	live int
+}
+
+// replyChunkSize is the arena's allocation unit. A reply larger than a
+// chunk gets a chunk of its own size, returned to the collector when
+// its entry is evicted.
+const replyChunkSize = 64 << 10
 
 // DefaultReplyCacheSize bounds the cache when NewReplyCache is given
 // a non-positive capacity.
@@ -507,8 +543,10 @@ func NewReplyCacheSharded(capacity, shards int) *ReplyCache {
 	}
 	c := &ReplyCache{shards: make([]replyShard, n), mask: uint64(n - 1)}
 	for i := range c.shards {
-		c.shards[i].cap = perShard
-		c.shards[i].entries = make(map[uint64]*cacheEntry)
+		s := &c.shards[i]
+		s.cap = perShard
+		s.done.L = &s.mu
+		s.index = make(map[uint64]int32)
 	}
 	return c
 }
@@ -552,35 +590,97 @@ func (c *ReplyCache) lock(s *replyShard) {
 	s.mu.Lock()
 }
 
-// do returns the cached reply for key, executing exec exactly once
-// per key; duplicates wait for the first execution to finish. The
-// second result reports whether the reply was replayed (served from
-// the cache, or by waiting out the original execution) rather than
-// produced by this call's own exec. exec runs outside the shard lock,
-// so slow handlers only serialize true duplicates.
-func (c *ReplyCache) do(key uint64, exec func() []byte) ([]byte, bool) {
+// do appends the reply frame for key to dst and returns the extended
+// slice, running exec — which appends a fresh frame to the dst it is
+// given — exactly once per key; duplicates wait for the first execution
+// to finish and get a copy of its bytes. The second result reports
+// whether the reply was replayed (copied from the cache, possibly after
+// waiting out the original execution) rather than produced by this
+// call's own exec. exec runs outside the shard lock, so slow handlers
+// only serialize true duplicates. A duplicate that waited looks the key
+// up afresh when woken: if more than a shard's capacity of other calls
+// completed before it ran, its entry is already evicted and it executes
+// as a first arrival — the outcome of any duplicate that arrives after
+// eviction.
+func (c *ReplyCache) do(key uint64, dst []byte, exec func(dst []byte) []byte) ([]byte, bool) {
 	s := c.shard(key)
 	c.lock(s)
-	if e, ok := s.entries[key]; ok {
-		s.mu.Unlock()
-		<-e.done
-		return e.frame, true
+	for {
+		slot, ok := s.index[key]
+		if !ok {
+			break
+		}
+		if slot != executing {
+			dst = append(dst, s.ring[slot].frame...)
+			s.mu.Unlock()
+			return dst, true
+		}
+		s.waiters++
+		s.done.Wait()
+		s.waiters--
 	}
-	e := &cacheEntry{done: make(chan struct{})}
-	s.entries[key] = e
+	s.index[key] = executing
 	s.mu.Unlock()
 
-	e.frame = exec()
-	close(e.done)
+	out := exec(dst)
 
 	c.lock(s)
-	s.order = append(s.order, key)
-	for len(s.order) > s.cap {
-		delete(s.entries, s.order[0])
-		s.order = s.order[1:]
+	s.retain(key, out[len(dst):])
+	if s.waiters > 0 {
+		s.done.Broadcast()
 	}
 	s.mu.Unlock()
-	return e.frame, false
+	return out, false
+}
+
+// retain copies a completed reply into the arena and claims the ring's
+// next slot for it, evicting the oldest entry once the ring is full.
+func (s *replyShard) retain(key uint64, frame []byte) {
+	if len(s.ring) < s.cap {
+		s.index[key] = int32(len(s.ring))
+		s.ring = append(s.ring, cacheEntry{key, s.alloc(frame)})
+		return
+	}
+	e := &s.ring[s.head]
+	delete(s.index, e.key)
+	// The oldest entry lives in the oldest chunk — every chunk listed has
+	// a tenant — and a chunk it was the last tenant of is recycled, the
+	// one being filled included: alloc takes the spare straight back.
+	if k := &s.chunks[0]; k.live > 1 {
+		k.live--
+	} else {
+		if cap(k.buf) == replyChunkSize {
+			s.spare = k.buf[:0]
+		}
+		n := copy(s.chunks, s.chunks[1:])
+		s.chunks[n] = arenaChunk{}
+		s.chunks = s.chunks[:n]
+	}
+	*e = cacheEntry{key, s.alloc(frame)}
+	s.index[key] = int32(s.head)
+	s.head = (s.head + 1) % s.cap
+}
+
+// alloc copies frame to the arena's fill mark, opening a new chunk when
+// the current one has no room for it whole.
+func (s *replyShard) alloc(frame []byte) []byte {
+	if n := len(s.chunks); n == 0 || cap(s.chunks[n-1].buf)-len(s.chunks[n-1].buf) < len(frame) {
+		buf := s.spare
+		switch {
+		case len(frame) > replyChunkSize:
+			buf = make([]byte, 0, len(frame))
+		case buf == nil:
+			buf = make([]byte, 0, replyChunkSize)
+		default:
+			s.spare = nil
+		}
+		s.chunks = append(s.chunks, arenaChunk{buf: buf})
+	}
+	k := &s.chunks[len(s.chunks)-1]
+	off := len(k.buf)
+	k.buf = append(k.buf, frame...)
+	k.live++
+	return k.buf[off:len(k.buf):len(k.buf)]
 }
 
 // Len reports how many completed replies the cache currently holds,
@@ -590,26 +690,26 @@ func (c *ReplyCache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		c.lock(s)
-		n += len(s.order)
+		n += len(s.ring)
 		s.mu.Unlock()
 	}
 	return n
 }
 
-// Flush evicts every completed reply, returning how many were
-// dropped. In-flight executions (entries not yet in order) are left to
-// finish; a drain calls Flush after the last in-flight call completes,
-// so the memory retires with the session.
+// Flush evicts every completed reply and releases the slab and the
+// arena, returning how many replies were dropped. In-flight executions
+// are left to finish; a drain calls Flush after the last in-flight call
+// completes, so the memory retires with the session.
 func (c *ReplyCache) Flush() int {
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
 		c.lock(s)
-		for _, key := range s.order {
-			delete(s.entries, key)
+		for j := range s.ring {
+			delete(s.index, s.ring[j].key)
 		}
-		n += len(s.order)
-		s.order = s.order[:0]
+		n += len(s.ring)
+		s.ring, s.head, s.chunks, s.spare = nil, 0, nil, nil
 		s.mu.Unlock()
 	}
 	return n
@@ -667,14 +767,22 @@ func (s *SessionServer) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Handle processes one request frame and returns the reply frame.
-// The returned slice is shared (it may be replayed to a later
-// retransmit): transports must copy it onto the wire and never
-// modify it.
+// Handle processes one request frame and returns the reply frame in a
+// buffer of the caller's own: HandleAppend with a nil dst.
 func (s *SessionServer) Handle(ctx context.Context, opIdx int, frame []byte) []byte {
+	return s.HandleAppend(ctx, opIdx, frame, nil)
+}
+
+// HandleAppend processes one request frame, appends the reply frame to
+// dst — a buffer the transport owns, typically the one it sends from —
+// and returns the extended slice. Nothing it returns is shared: the
+// bytes the reply cache retains for a later retransmit are its own
+// copy, and a replay is copied out of the cache into dst. With room in
+// dst a call allocates nothing here, cached or not.
+func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst []byte) []byte {
 	if len(frame) < robustReqHeader {
 		s.disp.stats.AddBadFrame()
-		return badRequestFrame()
+		return appendBadRequestFrame(dst)
 	}
 	cid := binary.BigEndian.Uint32(frame[0:4])
 	seq := binary.BigEndian.Uint32(frame[4:8])
@@ -683,10 +791,10 @@ func (s *SessionServer) Handle(ctx context.Context, opIdx int, frame []byte) []b
 	// Admission runs before the CRC check: shedding exists to avoid
 	// work, and checksumming a call we are about to reject is work.
 	// Everything needed — client id, [idempotent] bit — is in the
-	// header. A rejected call returns the controller's shared pushback
-	// frame with zero allocation.
+	// header. A rejected call copies out the controller's prebuilt
+	// pushback frame.
 	if pb := s.adm.Admit(cid, flags&flagIdempotent != 0); pb != nil {
-		return pb
+		return append(dst, pb...)
 	}
 	body := frame[robustReqHeader:]
 	if crc32.ChecksumIEEE(body) != sum {
@@ -694,35 +802,34 @@ func (s *SessionServer) Handle(ctx context.Context, opIdx int, frame []byte) []b
 		// cached — the retry must reach the dispatcher.
 		s.adm.Release(cid)
 		s.disp.stats.AddBadFrame()
-		return badRequestFrame()
+		return appendBadRequestFrame(dst)
 	}
-	tid := flags >> traceIDShift
-	exec := func() []byte {
+	exec := func(dst []byte) []byte {
 		if flags&flagBatch != 0 {
-			return s.execBatch(ctx, body, tid)
+			return s.execBatch(ctx, body, flags>>traceIDShift, dst)
 		}
-		return s.exec(ctx, opIdx, body, tid)
+		return s.exec(ctx, opIdx, body, flags>>traceIDShift, dst)
 	}
-	var rep []byte
 	if flags&flagIdempotent != 0 || s.cache == nil {
-		rep = exec()
+		dst = exec(dst)
 		s.adm.Release(cid)
-		return rep
+		return dst
 	}
 	// A batch frame is cached and replayed whole under the outer
 	// (cid, seq) key: the client retransmits the whole batch, so one
 	// cache entry gives every sub-call at-most-once execution.
 	key := uint64(cid)<<32 | uint64(seq)
-	rep, replayed := s.cache.do(key, exec)
+	dst, replayed := s.cache.do(key, dst, exec)
 	s.adm.Release(cid)
 	if replayed {
 		s.disp.stats.AddReplay(opIdx)
 	}
-	return rep
+	return dst
 }
 
-// exec dispatches one request body and builds a fresh reply frame.
-func (s *SessionServer) exec(ctx context.Context, opIdx int, body []byte, tid uint32) []byte {
+// exec dispatches one request body and appends a fresh reply frame to
+// dst.
+func (s *SessionServer) exec(ctx context.Context, opIdx int, body []byte, tid uint32, dst []byte) []byte {
 	enc, _ := s.encs.Get().(Encoder)
 	if enc == nil {
 		enc = s.plan.Codec.NewEncoder()
@@ -730,17 +837,15 @@ func (s *SessionServer) exec(ctx context.Context, opIdx int, body []byte, tid ui
 	enc.Reset()
 	s.disp.serveMessageTraced(ctx, s.plan, opIdx, body, enc, tid)
 	out := enc.Bytes()
-	rep := make([]byte, robustRepHeader+len(out))
-	binary.BigEndian.PutUint32(rep[0:4], sessOK)
-	binary.BigEndian.PutUint32(rep[4:8], crc32.ChecksumIEEE(out))
-	copy(rep[robustRepHeader:], out)
+	dst = binary.BigEndian.AppendUint32(dst, sessOK)
+	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(out))
+	dst = append(dst, out...)
 	s.encs.Put(enc)
-	return rep
+	return dst
 }
 
-func badRequestFrame() []byte {
-	rep := make([]byte, robustRepHeader)
-	binary.BigEndian.PutUint32(rep[0:4], sessBadRequest)
-	// crc32 of the empty body is 0; the zeroed word already matches.
-	return rep
+// appendBadRequestFrame appends the reply that asks for a retransmit.
+// crc32 of its empty body is 0.
+func appendBadRequestFrame(dst []byte) []byte {
+	return append(dst, 0, 0, 0, sessBadRequest, 0, 0, 0, 0)
 }

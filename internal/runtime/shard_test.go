@@ -10,6 +10,9 @@ import (
 	"flexrpc/internal/stats"
 )
 
+// noReply is an exec that produces an empty reply frame.
+func noReply(dst []byte) []byte { return dst }
+
 // TestReplyCacheShardedSingleFlight: duplicates of one key execute
 // once and everyone sees the first execution's bytes, across shard
 // boundaries and under concurrency.
@@ -26,9 +29,9 @@ func TestReplyCacheShardedSingleFlight(t *testing.T) {
 			wg.Add(1)
 			go func(k uint64) {
 				defer wg.Done()
-				frame, _ := c.do(k, func() []byte {
+				frame, _ := c.do(k, nil, func(dst []byte) []byte {
 					execs.Add(1)
-					return binary.BigEndian.AppendUint64(nil, k)
+					return binary.BigEndian.AppendUint64(dst, k)
 				})
 				if got := binary.BigEndian.Uint64(frame); got != k {
 					t.Errorf("key %d replayed frame for key %d", k, got)
@@ -52,14 +55,14 @@ func TestReplyCacheShardedEviction(t *testing.T) {
 	const capacity, shards = 16, 4
 	c := NewReplyCacheSharded(capacity, shards)
 	for k := uint64(0); k < 10*capacity; k++ {
-		c.do(k, func() []byte { return nil })
+		c.do(k, nil, noReply)
 	}
 	if got := c.Len(); got > capacity {
 		t.Fatalf("cache retains %d entries past its capacity %d", got, capacity)
 	}
 	// The newest key must still be present (FIFO evicts oldest).
 	var replayed bool
-	_, replayed = c.do(10*capacity-1, func() []byte { return nil })
+	_, replayed = c.do(10*capacity-1, nil, noReply)
 	if !replayed {
 		t.Fatal("newest key was evicted before older ones")
 	}
@@ -120,7 +123,7 @@ func TestReplyCacheContentionCounter(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.do(key, func() []byte { return nil })
+		c.do(key, nil, noReply)
 	}()
 
 	deadline := time.Now().Add(5 * time.Second)

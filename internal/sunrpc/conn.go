@@ -43,12 +43,11 @@ import (
 var aLongTimeAgo = time.Unix(1, 0)
 
 // Read scratch sizes. The poller feed borrows a pooled pollReadBuf per
-// draining pass, so idle connections hold none. A goroutine feed holds
-// its scratch while parked in Read, so it starts at goReadBuf — one
-// Read still carries a 1 KiB call and its headers — and trades up to
-// pollReadBuf only once a fragment larger than its scratch shows the
-// connection moves bulk records (a 1 MiB call through 4 KiB reads
-// takes twice as long).
+// draining pass, so idle connections hold none. A goroutine feed — the
+// client's reply reader is one too — holds its scratch while parked in
+// Read, so it gets goReadBuf: one Read still carries a 1 KiB call and
+// its headers, and a fragment larger than the scratch bypasses it (see
+// recordAssembler.landing).
 const (
 	pollReadBuf = 64 << 10
 	goReadBuf   = 4 << 10
@@ -66,14 +65,14 @@ const srvConnMaxPending = 256 << 10
 // Read states. Exactly one goroutine owns the read side at a time: the
 // one that moved rstate to rActive under mu.
 //
-//	rIdle ──edge──▶ rActive ──over the pending cap──▶ rPaused
-//	  ▲               │  ▲                               │
-//	  └────EAGAIN─────┘  └────────flusher, under cap─────┘
+//	rIdle ──edge──▶ rActive ──pending cap, or pool queue full──▶ rPaused
+//	  ▲               │  ▲                                         │
+//	  └────EAGAIN─────┘  └───flusher under cap, job off the queue──┘
 //	                  └──EOF / error / close──▶ rDone
 const (
 	rIdle   = iota // poller feed only: registered, waiting for a readiness edge
 	rActive        // a goroutine is draining the descriptor, or parked in conn.Read
-	rPaused        // over the pending-reply cap; the flusher resumes
+	rPaused        // over the pending-reply cap, or its job waits for a pool slot
 	rDone          // read side retired (EOF, error, or close)
 )
 
@@ -87,13 +86,14 @@ type srvConn struct {
 	// executors contend on under mu.
 	asm    recordAssembler
 	holder *[]byte // partially assembled record (pooled), nil between records
-	carry  []byte  // read bytes not yet ingested when the pending cap paused us (< one scratch)
+	carry  []byte  // read bytes not yet ingested when the read side paused (< one scratch)
 
 	srv  *Server
 	conn net.Conn
 
-	pl *netpoll.Poller // poller feed; nil means the goroutine feed
-	fd int
+	pl     *netpoll.Poller // poller feed; nil means the goroutine feed
+	fd     int
+	resume chan struct{} // goroutine feed: the paused feeder waits here, in place
 
 	pool   *workerPool // executor: the shared pool, or when nil
 	inline *executor   // the feeding goroutine itself
@@ -109,6 +109,7 @@ type srvConn struct {
 	werr     error  // first write error; poisons the stream
 	rstate   int
 	rearm    bool  // readiness edge arrived while rActive; drain again before idling
+	stalled  bool  // paused until its job gets a slot in the pool's full queue
 	closing  bool  // close requested, or the read side failed: wind down, owing nothing
 	tornDown bool  // finish() ran (or is about to); guards double teardown
 	njobs    int   // records submitted, replies not yet flushed or discarded
@@ -127,9 +128,9 @@ func (c *srvConn) onReady(bool) {
 		c.mu.Unlock()
 		return
 	case rPaused, rDone:
-		// Paused conns are resumed by the flusher (which always reads to
-		// EAGAIN afterwards, so no edge is lost); done conns are winding
-		// down.
+		// Paused conns are resumed by settleLocked (the resumed reader
+		// always reads to EAGAIN, so no edge is lost); done conns are
+		// winding down.
 		c.mu.Unlock()
 		return
 	}
@@ -139,10 +140,10 @@ func (c *srvConn) onReady(bool) {
 }
 
 // readLoop reads until the feed runs dry (poller feed: EAGAIN, back to
-// rIdle), the pending-reply cap trips (rPaused; the flusher resumes),
-// or the read side finishes (rDone). It runs on whichever goroutine
-// claimed rActive — a poller, the goroutine feed, or the one spawned
-// to resume after backpressure.
+// rIdle), the read side pauses (rPaused; settleLocked resumes), or it
+// finishes (rDone). It runs on whichever goroutine claimed rActive — a
+// poller, the goroutine feed, or the one spawned to resume a paused
+// poller feed.
 func (c *srvConn) readLoop() {
 	var buf []byte
 	if c.pl != nil {
@@ -160,29 +161,35 @@ func (c *srvConn) readLoop() {
 		}
 		c.mu.Unlock()
 
-		// Bytes left over from the batch that tripped the pending cap
-		// come before anything new from the descriptor.
-		b := c.carry
-		c.carry = c.carry[:0]
-		var rerr error
-		if len(b) == 0 {
-			var n int
+		// Bytes left over from the read that paused us come before
+		// anything new from the descriptor.
+		var n int
+		var paused bool
+		var rerr, err error
+		if b := c.carry; len(b) > 0 {
+			c.carry = b[:0]
+			paused, err = c.ingest(b)
+		} else if dst := c.asm.landing(c.holder, len(buf)); dst != nil {
+			if n, rerr = c.read(dst); c.asm.landed(n, c.holder) {
+				paused = c.submit(nil)
+			} else if n > 0 {
+				c.srv.stats.AddPartialRead()
+			}
+		} else {
 			n, rerr = c.read(buf)
-			b = buf[:n]
+			paused, err = c.ingest(buf[:n])
 		}
-		if len(b) > 0 {
-			paused, err := c.ingest(b)
-			if err != nil {
-				c.mu.Lock()
-				c.finishReadLocked(err)
+		if err != nil {
+			c.mu.Lock()
+			c.finishReadLocked(err)
+			return
+		}
+		if paused {
+			if c.pl != nil {
 				return
 			}
-			if paused {
-				return
-			}
-			if len(buf) < pollReadBuf && c.asm.fragRem > len(buf) {
-				buf = make([]byte, pollReadBuf) // a goroutine feed meeting bulk records
-			}
+			<-c.resume
+			continue
 		}
 		switch {
 		case rerr == nil:
@@ -243,14 +250,9 @@ func peerGone(err error) bool {
 }
 
 // ingest feeds one read's bytes through the reassembler and submits
-// each completed record. The pending-reply cap is enforced per record,
-// not per read: one read can carry hundreds of pipelined requests whose
-// replies are each far larger than the request. When the cap trips, the
-// unconsumed remainder is stashed in carry and the state machine parks
-// in rPaused — published before the record is submitted, so the reply
-// that record produces is itself a flush yet to come, and the flusher's
-// resume can never be lost. Steady state allocates nothing: record
-// holders are pooled and grow to their working size.
+// each completed record, stopping when one pauses the read side. Steady
+// state allocates nothing: record holders are pooled and grow to their
+// working size.
 func (c *srvConn) ingest(b []byte) (paused bool, err error) {
 	for len(b) > 0 {
 		if c.holder == nil {
@@ -265,23 +267,7 @@ func (c *srvConn) ingest(b []byte) (paused bool, err error) {
 		if !complete {
 			break
 		}
-		holder := c.holder
-		c.holder = nil
-		c.srv.stats.AddQueued()
-		c.mu.Lock()
-		c.njobs++
-		if len(c.pending) > srvConnMaxPending {
-			c.carry = append(c.carry[:0], b...)
-			c.rstate = rPaused
-			paused = true
-		}
-		c.mu.Unlock()
-		if c.pool != nil {
-			c.pool.jobs <- poolJob{c, holder}
-		} else {
-			c.inline.run(c, holder)
-		}
-		if paused {
+		if c.submit(b) {
 			return true, nil
 		}
 	}
@@ -289,6 +275,50 @@ func (c *srvConn) ingest(b []byte) (paused bool, err error) {
 		c.srv.stats.AddPartialRead()
 	}
 	return false, nil
+}
+
+// submit hands the completed record in holder to the executor; rest is
+// what the current read holds beyond it. It never blocks — the caller
+// may be a poller that owns many connections — but pauses the read side,
+// stashing rest in carry, over the pending-reply cap (checked per record:
+// one read can carry hundreds of pipelined requests with far larger
+// replies) and on a full pool queue. rPaused is published in the
+// critical section that hands the record over, so neither the flush of
+// its reply nor the slot it waits for can resume a reader not yet paused.
+func (c *srvConn) submit(rest []byte) (paused bool) {
+	job := poolJob{c, c.holder}
+	c.holder = nil
+	c.srv.stats.AddQueued()
+	c.mu.Lock()
+	c.njobs++
+	stalled := false
+	if c.pool != nil {
+		select {
+		case c.pool.jobs <- job:
+		default:
+			stalled = true // every worker is busy
+		}
+	}
+	if paused = stalled || len(c.pending) > srvConnMaxPending; paused {
+		c.stalled = stalled
+		c.carry = append(c.carry[:0], rest...)
+		c.rstate = rPaused
+	}
+	c.mu.Unlock()
+	switch {
+	case c.pool == nil:
+		c.inline.run(c, job.holder)
+	case stalled:
+		// Wait for a slot — blocked senders queue in arrival order — on
+		// a goroutine that may: at most one a connection.
+		go func() {
+			c.pool.jobs <- job
+			c.mu.Lock()
+			c.stalled = false
+			c.settleLocked(0)
+		}()
+	}
+	return paused
 }
 
 // enqueueReply appends one finished reply to the connection's pending
@@ -359,18 +389,21 @@ func (c *srvConn) close() {
 
 // settleLocked is where every state change lands (mu held on entry;
 // unlocks): it credits done flushed or discarded replies, resumes a
-// reader paused on backpressure, retires the read side of a dead
-// connection, and tears down once the read side is done and the last
-// owed reply has left.
+// paused reader, retires the read side of a dead connection, and tears
+// down once the read side is done and the last owed reply has left.
 func (c *srvConn) settleLocked(done int) {
 	c.njobs -= done
 	resume, closeNow := false, false
+	dead := c.closing || c.werr != nil
+	if c.rstate == rPaused && (dead && c.pl == nil ||
+		!dead && !c.stalled && len(c.pending) <= srvConnMaxPending) {
+		// Resume — or, on a dead connection, wake a goroutine feed
+		// waiting in place, which retires its read side like any other.
+		c.rstate = rActive
+		resume = true
+	}
 	switch {
-	case !c.closing && c.werr == nil:
-		if c.rstate == rPaused && len(c.pending) <= srvConnMaxPending {
-			c.rstate = rActive
-			resume = true
-		}
+	case !dead:
 	case c.rstate != rActive:
 		c.rstate = rDone
 		closeNow = true
@@ -409,13 +442,14 @@ func (c *srvConn) settleLocked(done int) {
 	if fin {
 		c.finish()
 	}
-	if resume {
-		// Resume on a fresh goroutine: this one is usually a pool
-		// worker, and a readLoop blocked submitting back into the pool
-		// from a worker could deadlock the pool against itself.
-		// Pause/resume only happens under slow-reader backpressure, so
-		// the transient goroutine does not disturb the steady-state
-		// count.
+	switch {
+	case !resume:
+	case c.pl == nil:
+		c.resume <- struct{}{} // the feeder carries on, on its own goroutine
+	default:
+		// This goroutine is usually a pool worker with jobs to get back
+		// to. Pause/resume only happens under backpressure, so the
+		// transient goroutine does not disturb the steady-state count.
 		go c.readLoop()
 	}
 }

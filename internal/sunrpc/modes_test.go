@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -264,6 +265,154 @@ func TestConcurrentSlowReaderBoundedBuffering(t *testing.T) {
 		<-fed
 		cc.Close()
 		waitServed(t, done)
+	})
+}
+
+// TestConcurrentPoolFullParksConnection: with every worker blocked in a
+// handler and the pool's queue full, a connection whose next record
+// finds no slot parks — a poller feeding it goes on to its other
+// connections, so a nop on one of them is ingested while the handlers
+// still block — and when the workers free up the parked connection
+// carries on from the bytes it had already read: nothing lost, nothing
+// out of order. One parked connection is put on every poller, so a
+// poller blocked in the submit could not ingest the nop wherever it
+// landed.
+func TestConcurrentPoolFullParksConnection(t *testing.T) {
+	const procBlock, procSeq, tail = 20, 21, 3
+	forEachMode(t, func(t *testing.T, m serverMode) {
+		if m.conc <= 1 {
+			t.Skip("the inline executor has no queue to fill")
+		}
+		workers, pollers := 2, 1
+		if m.netpoll {
+			workers = 1 // one worker executes, and so replies, in submission order
+			if !m.pipe {
+				pollers = runtime.GOMAXPROCS(0)
+			}
+		}
+		s := newTestServer()
+		release := make(chan struct{})
+		s.Register(procBlock, func(*xdr.Decoder, *xdr.Encoder) error { <-release; return nil })
+		var mu sync.Mutex
+		var seen []int32
+		s.Register(procSeq, func(args *xdr.Decoder, _ *xdr.Encoder) error {
+			v, err := args.Int32()
+			mu.Lock()
+			seen = append(seen, v)
+			mu.Unlock()
+			return err
+		})
+		e := stats.New(nil)
+		s.SetStats(e)
+		s.SetConcurrency(workers)
+		s.SetNetpoll(m.netpoll)
+		l, dial := m.listen(t)
+		go s.Serve(l)
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			s.Drain(ctx)
+		})
+
+		queued := uint64(0)
+		send := func(b []byte, records int) net.Conn {
+			conn, err := dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { conn.Close() })
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			go conn.Write(b) // net.Pipe writes block until read
+			queued += uint64(records)
+			waitSnapshot(t, e, "the next record to be submitted", func(s *stats.Snapshot) bool { return s.Queued >= queued })
+			return conn
+		}
+		// Fill the workers and the queue behind them.
+		filler := send(appendCalls(2*workers, procBlock), 2*workers)
+		// Each of these finds the queue full on its first record and
+		// parks with three more records already read.
+		parked := make([]net.Conn, pollers)
+		for i := range parked {
+			var enc xdr.Encoder
+			encodeCall(&enc, CallHeader{XID: 1, Prog: testProg, Vers: testVers, Proc: procBlock})
+			b := appendRecord(nil, enc.Bytes())
+			for k := 1; k <= tail; k++ {
+				enc.Reset()
+				encodeCall(&enc, CallHeader{XID: uint32(1 + k), Prog: testProg, Vers: testVers, Proc: procSeq})
+				enc.PutInt32(int32(10*i + k))
+				b = appendRecord(b, enc.Bytes())
+			}
+			parked[i] = send(b, 1)
+		}
+		// The nop is submitted although no handler has returned yet.
+		nop := send(appendCalls(1, 0), 1)
+		if got := e.Snapshot().Queued; got != queued {
+			t.Fatalf("%d records submitted with every worker blocked, want %d: a parked connection kept reading", got, queued)
+		}
+		close(release)
+
+		// Replies are collected from every connection at once: a
+		// net.Pipe write parks the worker until its reply is read.
+		replies := func(conn net.Conn, n int) <-chan []uint32 {
+			out := make(chan []uint32, 1)
+			go func() {
+				var rec []byte
+				var xids []uint32
+				defer func() { out <- xids }()
+				for i := 0; i < n; i++ {
+					var err error
+					if rec, err = readRecord(conn, rec); err != nil {
+						t.Errorf("reply %d of %d: %v", i+1, n, err)
+						return
+					}
+					xid, err := decodeReply(xdr.NewDecoder(rec))
+					if err != nil {
+						t.Errorf("reply %d of %d: %v", i+1, n, err)
+						return
+					}
+					xids = append(xids, xid)
+					rec = rec[:cap(rec)]
+				}
+			}()
+			return out
+		}
+		nopDone, fillerDone := replies(nop, 1), replies(filler, 2*workers)
+		parkedDone := make([]<-chan []uint32, len(parked))
+		for i, conn := range parked {
+			parkedDone[i] = replies(conn, 1+tail)
+		}
+		<-nopDone
+		<-fillerDone
+		for i, done := range parkedDone {
+			xids := <-done
+			if t.Failed() {
+				return
+			}
+			sorted := append([]uint32(nil), xids...)
+			sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+			for k, xid := range sorted {
+				if xid != uint32(k+1) {
+					t.Fatalf("parked connection %d answered xids %v, want each of 1..%d once", i, xids, 1+tail)
+				}
+			}
+			if workers == 1 && !sort.SliceIsSorted(xids, func(a, b int) bool { return xids[a] < xids[b] }) {
+				t.Fatalf("parked connection %d answered out of order: %v", i, xids)
+			}
+		}
+		if workers == 1 {
+			// Per connection, the handler saw the carried records in the
+			// order they were sent.
+			last := make(map[int32]int32)
+			for _, v := range seen {
+				if v%10 <= last[v/10] {
+					t.Fatalf("handler saw %v: connection %d's records out of order", seen, v/10)
+				}
+				last[v/10] = v % 10
+			}
+		}
+		if len(seen) != pollers*tail {
+			t.Fatalf("handler saw %d carried records, want %d", len(seen), pollers*tail)
+		}
 	})
 }
 

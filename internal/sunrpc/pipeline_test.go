@@ -3,6 +3,7 @@ package sunrpc
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -94,41 +95,87 @@ func TestPipelinedCallsInterleave(t *testing.T) {
 	}
 }
 
+// oneRecordFeed runs the loop every production feed runs, one record
+// per next call: one read at a time, straight into the record buffer's
+// spare capacity when the landing rule says so, else into the scratch
+// and through feed. The record buffer is reused from call to call.
+type oneRecordFeed struct {
+	r       io.Reader
+	asm     recordAssembler
+	scratch []byte
+	unfed   []byte // read but not yet fed
+	rec     []byte
+	ahead   int // most capacity rec ever held beyond the bytes received for it
+}
+
+// next returns the next complete record, or the error that ended the
+// stream: the reader's, or the assembler's rejection.
+func (f *oneRecordFeed) next() ([]byte, error) {
+	f.rec = f.rec[:0]
+	for {
+		if len(f.unfed) > 0 {
+			used, complete, err := f.asm.feed(f.unfed, &f.rec)
+			f.ahead = max(f.ahead, cap(f.rec)-len(f.rec))
+			if f.unfed = f.unfed[used:]; complete || err != nil {
+				return f.rec, err
+			}
+			continue
+		}
+		if dst := f.asm.landing(&f.rec, len(f.scratch)); dst != nil {
+			n, err := f.r.Read(dst)
+			f.ahead = max(f.ahead, cap(f.rec)-len(f.rec)-n)
+			if f.asm.landed(n, &f.rec) {
+				return f.rec, nil
+			}
+			if err != nil {
+				return nil, err
+			}
+			continue
+		}
+		n, err := f.r.Read(f.scratch)
+		if f.unfed = f.scratch[:n]; n == 0 && err != nil {
+			return nil, err
+		}
+	}
+}
+
 // TestReadRecordSteadyStateNoAllocs checks that a long sequence of
-// same-sized messages read through a reused buffer settles into zero
-// allocations per record — growth is geometric, not linear.
+// same-sized messages assembled into a reused buffer settles into zero
+// allocations per record — growth is geometric, not linear — both for
+// records that pass through the feed's scratch and for bulk ones that
+// land directly in the buffer.
 func TestReadRecordSteadyStateNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
 	}
-	msg := bytes.Repeat([]byte{0x5A}, 1500)
-	var stream bytes.Buffer
-	const n = 90
-	for i := 0; i < n; i++ {
-		if err := writeRecord(&stream, msg); err != nil {
-			t.Fatal(err)
+	for _, size := range []int{1500, 3 * goReadBuf} {
+		msg := bytes.Repeat([]byte{0x5A}, size)
+		var stream bytes.Buffer
+		const n = 90
+		for i := 0; i < n; i++ {
+			if err := writeRecord(&stream, msg); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	r := bytes.NewReader(stream.Bytes())
+		f := &oneRecordFeed{r: bytes.NewReader(stream.Bytes()), asm: newAssembler(0), scratch: make([]byte, goReadBuf)}
+		for i := 0; i < 2; i++ { // the buffer reaches its working size
+			if _, err := f.next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first := &f.rec[:1][0]
 
-	rec, err := readRecord(r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch := rec[:cap(rec)]
-	first := &scratch[0]
-
-	allocs := testing.AllocsPerRun(80, func() {
-		rec, err := readRecord(r, scratch)
-		if err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(80, func() {
+			rec, err := f.next()
+			if err != nil || !bytes.Equal(rec, msg) {
+				t.Fatalf("record of %d bytes, err %v", len(rec), err)
+			}
+			if &rec[0] != first {
+				t.Fatal("the assembler abandoned the reusable buffer")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state assembly of %d-byte records allocates %.1f times per message", size, allocs)
 		}
-		if &rec[0] != first {
-			t.Fatal("readRecord abandoned the reusable buffer")
-		}
-		scratch = rec[:cap(rec)]
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state readRecord allocates %.1f times per message", allocs)
 	}
 }

@@ -72,73 +72,38 @@ func appendRecord(dst, data []byte) []byte {
 	}
 }
 
-// readRecordLimit reads one record-marked message, reassembling
-// fragments, bounded to limit total bytes (DefaultMaxRecord when
-// limit <= 0). buf is reused when large enough. Fragment headers are
-// read into buf's spare capacity, not a local array — a local would
-// escape through the io.Reader and put one allocation on every
-// message. A fragment's length word is attacker-controlled until its
-// bytes actually arrive, so the buffer grows at most one bounded chunk
-// ahead of received data — a hostile length prefix cannot force a huge
-// allocation up front.
-func readRecordLimit(r io.Reader, buf []byte, limit int) ([]byte, error) {
-	if limit <= 0 {
-		limit = DefaultMaxRecord
-	}
-	out := buf[:0]
-	for {
-		out = growRecord(out, 4)
-		hdr := out[len(out) : len(out)+4]
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			return nil, err
-		}
-		word := binary.BigEndian.Uint32(hdr)
-		last := word&lastFragFlag != 0
-		n := int(word &^ lastFragFlag)
-		if n > limit || len(out)+n > limit {
-			return nil, fmt.Errorf("%w: record exceeds %d bytes", ErrBadMessage, limit)
-		}
-		for n > 0 {
-			chunk := n
-			if chunk > maxFragment {
-				chunk = maxFragment
-			}
-			out = growRecord(out, chunk)
-			out = out[:len(out)+chunk]
-			if _, err := io.ReadFull(r, out[len(out)-chunk:]); err != nil {
-				return nil, err
-			}
-			n -= chunk
-		}
-		if last {
-			return out, nil
-		}
-	}
-}
-
 // recordAssembler incrementally reassembles record-marked messages
-// from arbitrary byte chunks — the push-style counterpart of
-// readRecordLimit, and the server's only parser: both feeds of the
-// connection core (conn.go) hand it whatever one read returned. Header
-// bytes accumulate in hdr; body bytes append to the caller's record
-// buffer. Total record size is bounded by limit.
+// from arbitrary byte chunks. It is the package's only parser: the
+// client's reply reader and both feeds of the server connection core
+// (conn.go) hand it whatever one read returned. Header bytes accumulate
+// in hdr; body bytes append to the caller's record buffer, which grows
+// at most one bounded chunk ahead of the bytes received — a length word
+// is attacker-controlled until they arrive. Total record size is
+// bounded by limit.
 type recordAssembler struct {
 	limit   int
 	hdrLen  int  // header bytes collected so far (< 4 mid-header)
 	fragRem int  // body bytes remaining in the current fragment
-	last    bool // current fragment is the record's last
-	started bool // some record bytes consumed since the last complete record
+	more    bool // the record continues past the current fragment
 	hdr     [4]byte
 }
 
+// newAssembler returns an assembler bounding records to limit bytes
+// (DefaultMaxRecord when limit <= 0).
+func newAssembler(limit int) recordAssembler {
+	if limit <= 0 {
+		limit = DefaultMaxRecord
+	}
+	return recordAssembler{limit: limit}
+}
+
 // midRecord reports whether the assembler is holding a partial record.
-func (a *recordAssembler) midRecord() bool { return a.started || a.hdrLen > 0 }
+func (a *recordAssembler) midRecord() bool { return a.hdrLen > 0 || a.fragRem > 0 || a.more }
 
 // feed consumes bytes from b into *rec. It returns the count consumed
 // and whether *rec now holds one complete record; when complete, the
 // remaining bytes of b are left for the next call (with a fresh rec).
-// An over-limit record is rejected with ErrBadMessage, exactly as
-// readRecordLimit rejects it.
+// An over-limit record is rejected with ErrBadMessage.
 func (a *recordAssembler) feed(b []byte, rec *[]byte) (int, bool, error) {
 	consumed := 0
 	for consumed < len(b) {
@@ -150,16 +115,14 @@ func (a *recordAssembler) feed(b []byte, rec *[]byte) (int, bool, error) {
 				return consumed, false, nil
 			}
 			a.hdrLen = 0
-			a.started = true
 			word := binary.BigEndian.Uint32(a.hdr[:])
-			a.last = word&lastFragFlag != 0
+			a.more = word&lastFragFlag == 0
 			frag := int(word &^ lastFragFlag)
 			if frag > a.limit || len(*rec)+frag > a.limit {
 				return consumed, false, fmt.Errorf("%w: record exceeds %d bytes", ErrBadMessage, a.limit)
 			}
 			a.fragRem = frag
-			if a.fragRem == 0 && a.last {
-				a.started = false
+			if a.landed(0, rec) { // an empty last fragment
 				return consumed, true, nil
 			}
 			continue
@@ -169,16 +132,38 @@ func (a *recordAssembler) feed(b []byte, rec *[]byte) (int, bool, error) {
 			chunk = rest
 		}
 		out := growRecord(*rec, chunk)
-		out = append(out, b[consumed:consumed+chunk]...)
+		copy(out[len(out):len(out)+chunk], b[consumed:])
 		*rec = out
 		consumed += chunk
-		a.fragRem -= chunk
-		if a.fragRem == 0 && a.last {
-			a.started = false
+		if a.landed(chunk, rec) {
 			return consumed, true, nil
 		}
 	}
 	return consumed, false, nil
+}
+
+// landing is the direct-landing rule every feed applies before a read:
+// once the current fragment's remainder exceeds the feed's scratch, the
+// read can only return this record's body, so it goes straight into the
+// record buffer's spare capacity (the returned slice, reserved at most
+// pollReadBuf ahead) — one copy fewer per bulk byte. nil means read the
+// scratch and feed it.
+func (a *recordAssembler) landing(rec *[]byte, scratch int) []byte {
+	if a.fragRem <= scratch {
+		return nil
+	}
+	out := growRecord(*rec, min(a.fragRem, pollReadBuf))
+	*rec = out
+	return out[len(out):min(cap(out), len(out)+a.fragRem)]
+}
+
+// landed accounts for n body bytes now in *rec past its length — read
+// into landing's slice, or appended by feed — and reports whether they
+// completed the record.
+func (a *recordAssembler) landed(n int, rec *[]byte) bool {
+	*rec = (*rec)[:len(*rec)+n]
+	a.fragRem -= n
+	return a.fragRem == 0 && !a.more
 }
 
 // growRecord ensures n bytes of spare capacity past len(out),

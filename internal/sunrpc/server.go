@@ -248,10 +248,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // — and adds it to the set Drain closes. It returns nil, with nc
 // closed, when the server is already draining.
 func (s *Server) attach(nc net.Conn) *srvConn {
-	c := &srvConn{srv: s, conn: nc, fd: -1, done: make(chan struct{})}
-	if c.asm.limit = s.MaxMessageSize; c.asm.limit <= 0 {
-		c.asm.limit = DefaultMaxRecord
-	}
+	c := &srvConn{srv: s, conn: nc, fd: -1, done: make(chan struct{}), asm: newAssembler(s.MaxMessageSize)}
 	if sc, ok := nc.(syscall.Conn); ok && s.netpoll && netpoll.Supported() {
 		if raw, err := sc.SyscallConn(); err == nil {
 			raw.Control(func(u uintptr) { c.fd = int(u) })
@@ -285,6 +282,9 @@ func (s *Server) attach(nc net.Conn) *srvConn {
 		} else {
 			c.pl = nil
 		}
+	}
+	if c.pl == nil {
+		c.resume = make(chan struct{}, 1)
 	}
 	s.conns[c] = struct{}{}
 	return c

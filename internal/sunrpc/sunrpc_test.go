@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -128,19 +127,21 @@ func TestErrorStatuses(t *testing.T) {
 }
 
 func TestWrongProgramAndVersion(t *testing.T) {
-	cc, sc := net.Pipe()
-	defer cc.Close()
-	defer sc.Close()
-	go func() { _ = newTestServer().ServeConn(sc) }()
+	// One connection per client: a client's reply reader owns its
+	// connection's read side from the first call until Close.
+	dial := func(prog, vers uint32) *Client {
+		cc, sc := net.Pipe()
+		t.Cleanup(func() { cc.Close(); sc.Close() })
+		go func() { _ = newTestServer().ServeConn(sc) }()
+		return NewClient(cc, prog, vers)
+	}
 
 	var remote *RemoteError
-	wrongProg := NewClient(cc, testProg+1, testVers)
-	err := wrongProg.Call(0, nil, nil)
+	err := dial(testProg+1, testVers).Call(0, nil, nil)
 	if !errors.As(err, &remote) || remote.Stat != ProgUnavail {
 		t.Fatalf("prog err = %v", err)
 	}
-	wrongVers := NewClient(cc, testProg, testVers+7)
-	err = wrongVers.Call(0, nil, nil)
+	err = dial(testProg, testVers+7).Call(0, nil, nil)
 	if !errors.As(err, &remote) || remote.Stat != ProgMismatch {
 		t.Fatalf("vers err = %v", err)
 	}
@@ -170,12 +171,6 @@ func TestConcurrentCallersSerialize(t *testing.T) {
 		}(int32(g))
 	}
 	wg.Wait()
-}
-
-// readRecord is readRecordLimit at the default bound: the reference
-// reader the tests parse server output with.
-func readRecord(r io.Reader, buf []byte) ([]byte, error) {
-	return readRecordLimit(r, buf, DefaultMaxRecord)
 }
 
 func TestRecordMarkingRoundTrip(t *testing.T) {

@@ -123,11 +123,11 @@ func (s *Server) Serve(ctx context.Context) error {
 
 // ServeSession is Serve for session traffic: each frame body is an
 // at-most-once session frame (client id, sequence number, flags,
-// checksum) handed to sess.Handle instead of straight to a
+// checksum) handed to sess.HandleAppend instead of straight to a
 // dispatcher, so a RobustConn client gets retries, duplicate
 // suppression and reply replay over the pipe transport.
 func (s *Server) ServeSession(ctx context.Context, sess *runtime.SessionServer) error {
-	var body []byte
+	var body, frame []byte
 	for {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -144,7 +144,7 @@ func (s *Server) ServeSession(ctx context.Context, sess *runtime.SessionServer) 
 			return fmt.Errorf("pipeconn: serve: %w", err)
 		}
 		body = req[:0]
-		frame := sess.Handle(ctx, int(opIdx), req)
+		frame = sess.HandleAppend(ctx, int(opIdx), req, frame[:0])
 		if err := writeFrame(s.rep, opIdx, frame); err != nil {
 			return fmt.Errorf("pipeconn: reply: %w", err)
 		}

@@ -492,6 +492,7 @@ type Server struct {
 	disp    *runtime.Dispatcher
 	plan    *runtime.Plan
 	scratch []byte
+	frame   []byte // session reply frame under construction (ServeSession)
 	bufs    []*fbuf.Buffer
 }
 
@@ -592,7 +593,7 @@ func (s *Server) Serve(ctx context.Context) error {
 }
 
 // ServeSession is Serve for session traffic: each body is an
-// at-most-once session frame handed to sess.Handle, so a RobustConn
+// at-most-once session frame handed to sess.HandleAppend, so a RobustConn
 // client gets retries, duplicate suppression and reply replay over
 // the ring.
 func (s *Server) ServeSession(ctx context.Context, sess *runtime.SessionServer) error {
@@ -634,7 +635,8 @@ func (s *Server) serve(ctx context.Context, sess *runtime.SessionServer) error {
 		}
 		s.bufs = bufs
 		if sess != nil {
-			err = s.replyBytes(ctx, op, sess.Handle(ctx, int(op), body))
+			s.frame = sess.HandleAppend(ctx, int(op), body, s.frame[:0])
+			err = s.publish(ctx, op, s.frame, nil)
 		} else {
 			err = s.replyServe(ctx, op, body)
 		}
@@ -693,11 +695,6 @@ func (s *Server) replyServe(ctx context.Context, op uint32, body []byte) error {
 	rep.Free(r.server)
 	err = s.publish(ctx, op, encoded, enc)
 	return err
-}
-
-// replyBytes publishes an already-built reply frame (session path).
-func (s *Server) replyBytes(ctx context.Context, op uint32, frame []byte) error {
-	return s.publish(ctx, op, frame, nil)
 }
 
 // publish writes body as a frame to the client and rings the reply

@@ -75,11 +75,15 @@ func (c *Conn) CallContext(ctx context.Context, opIdx int, req []byte, replyBuf 
 	encodeArgs := func(e *xdr.Encoder) { e.PutRaw(req) }
 	decodeRes := func(d *xdr.Decoder) error {
 		raw := d.Rest()
-		if cap(replyBuf) >= len(raw) {
-			body = replyBuf[:len(raw)]
-		} else {
-			body = make([]byte, len(raw))
+		// A short buffer grows geometrically, from a floor, as sunrpc's
+		// record buffers do: the caller recycles what it gets back, and
+		// a layer above may first slice a header off it (RobustConn
+		// does), so an exact-size buffer would fall short by that
+		// header on every later call.
+		if cap(replyBuf) < len(raw) {
+			replyBuf = make([]byte, max(2*cap(replyBuf), len(raw), 512))
 		}
+		body = replyBuf[:len(raw)]
 		copy(body, raw)
 		return nil
 	}
@@ -121,9 +125,10 @@ func (c *Conn) SelfFraming() bool { return true }
 
 // NewSessionServer builds a Sun RPC server whose procedure bodies
 // are at-most-once session frames: each argument block is handed to
-// sess.Handle and the returned session frame rides back as the
-// result, so a RobustConn client speaking through a suntcp Conn gets
-// retries, duplicate suppression and reply replay over Sun RPC.
+// sess.HandleAppend, which appends the session reply frame straight
+// into the Sun RPC reply being encoded, so a RobustConn client
+// speaking through a suntcp Conn gets retries, duplicate suppression
+// and reply replay over Sun RPC.
 func NewSessionServer(sess *runtime.SessionServer, iface *ir.Interface) *sunrpc.Server {
 	prog, vers := progVers(iface)
 	srv := sunrpc.NewServer(prog, vers)
@@ -131,7 +136,7 @@ func NewSessionServer(sess *runtime.SessionServer, iface *ir.Interface) *sunrpc.
 		idx := i
 		op := &iface.Ops[i]
 		srv.Register(procFor(op, idx), func(args *xdr.Decoder, reply *xdr.Encoder) error {
-			reply.PutRaw(sess.Handle(context.Background(), idx, args.Rest()))
+			reply.SetBytes(sess.HandleAppend(context.Background(), idx, args.Rest(), reply.Bytes()))
 			return nil
 		})
 	}

@@ -74,6 +74,11 @@ func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 // — callers detect that by comparing backing arrays.
 func (e *Encoder) ResetTo(buf []byte) { e.buf = buf[:0:len(buf)] }
 
+// SetBytes installs b — Bytes() with more encoded data appended to it
+// — as the encoded data, so an append-style producer can write straight
+// into the encoder's buffer.
+func (e *Encoder) SetBytes(b []byte) { e.buf = b }
+
 // PutUint32 encodes a 32-bit unsigned integer.
 func (e *Encoder) PutUint32(v uint32) {
 	e.buf = append(e.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
