@@ -1,13 +1,16 @@
 # flexrpc build and CI entry points. `make ci` is what the repository
-# considers green: formatting, go vet, build, race-enabled tests,
-# flexvet over every example IDL/PDL, the Go-source analyzer sweep,
-# and the plan-certificate diff.
+# considers green: the full gate in ci.sh — formatting, go vet, build,
+# race-enabled tests, allocation gates, benchmark and figure checks,
+# the flexload/netpoll/fuzz smokes, flexvet over every example
+# IDL/PDL, the Go-source analyzer sweep and the plan-certificate diff.
+# The other targets run single stages.
 
 GO ?= go
 
 .PHONY: ci fmt-check vet build test vet-examples vet-go certify golden
 
-ci: fmt-check vet build test vet-examples vet-go certify
+ci:
+	./ci.sh
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -1,501 +1,53 @@
 package flexrpc
 
-// One benchmark per figure of the paper's evaluation (§4). These are
-// per-operation testing.B benchmarks; the full figure workloads with
-// paper-style output live in cmd/experiments (go run ./cmd/experiments).
+// Benchmarks for the figures of the evaluation, derived from the figure
+// registry: BenchmarkFig/<fig>/<system> drives one operation of each
+// system a figure assembles (one RPC, one chunk through a pipe) — the
+// same constructor the figure's own table is measured through — and a
+// figure with no per-operation hot path (faults, scale, overload, c10k)
+// runs whole at its smoke size. The full figure workloads with
+// paper-style output are `go run ./cmd/experiments`.
+//
+//	go test -run '^$' -bench 'Fig/10' -benchmem .
 
 import (
-	"fmt"
-	"io"
 	"testing"
 
 	"flexrpc/internal/experiments"
-	"flexrpc/internal/kernbuf"
-	"flexrpc/internal/mach"
-	"flexrpc/internal/netsim"
-	"flexrpc/internal/nfs"
 	"flexrpc/internal/pipeserver"
-	"flexrpc/internal/pres"
-	"flexrpc/internal/runtime"
-	"flexrpc/internal/transport/inproc"
-	"flexrpc/internal/transport/shmring"
-	"flexrpc/internal/transport/suntcp"
 )
 
-// BenchmarkFig2NFSRead measures one 8 KB NFS read through each of
-// the four client stub variants of Figure 2 (unshaped link; the
-// network-dominated version is in cmd/experiments).
-func BenchmarkFig2NFSRead(b *testing.B) {
-	variants := []struct {
-		name    string
-		special bool
-		hand    bool
-	}{
-		{"conventional/hand", false, true},
-		{"conventional/generated", false, false},
-		{"userbuf/hand", true, true},
-		{"userbuf/generated", true, false},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			srv := nfs.NewServer(64 << 10)
-			cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 64)
-			srv.Start(sc)
-			defer cc.Close()
-			var client nfs.ReadClient
-			if v.hand {
-				client = nfs.NewHandClient(cc, v.special)
-			} else {
-				gc, err := nfs.NewGenClient(cc, v.special)
-				if err != nil {
-					b.Fatal(err)
-				}
-				client = gc
-			}
-			ub := kernbuf.NewUserBuffer(nfs.MaxData)
-			b.SetBytes(nfs.MaxData)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := client.ReadAt(ub, 0, 0, nfs.MaxData); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// benchMachPipe assembles a pipe server over the streamlined IPC
-// transport and returns writer and reader clients.
-func benchMachPipe(b *testing.B, pipeSize int, serverPDL string) (*pipeserver.Client, *pipeserver.Client) {
-	b.Helper()
-	compiled, err := pipeserver.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	serverPres := compiled.Pres
-	if serverPDL != "" {
-		sc, err := compiled.WithPDL("server.pdl", serverPDL)
-		if err != nil {
-			b.Fatal(err)
-		}
-		serverPres = sc.Pres
-	}
-	srv, err := pipeserver.NewServer(pipeSize, serverPres)
-	if err != nil {
-		b.Fatal(err)
-	}
-	k := mach.NewKernel()
-	serverTask := k.NewTask("pipe-server")
-	_, port := serverTask.AllocatePort()
-	srv.ServeMach(serverTask, port, 2)
-	b.Cleanup(port.Destroy)
-
-	writerTask := k.NewTask("writer")
-	readerTask := k.NewTask("reader")
-	w, err := pipeserver.NewMachClient(writerTask, writerTask.InsertRight(port), compiled.DefaultPres(pres.StyleCORBA))
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := pipeserver.NewMachClient(readerTask, readerTask.InsertRight(port), compiled.DefaultPres(pres.StyleCORBA))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return w, r
-}
-
-// BenchmarkFig6Pipe measures one chunk through the pipe server for
-// both presentations and both pipe sizes of Figure 6.
-func BenchmarkFig6Pipe(b *testing.B) {
-	const chunk = 2048
-	for _, size := range []int{4096, 8192} {
-		for _, mode := range []struct {
-			name string
-			pdl  string
-		}{
-			{"default", ""},
-			{"deallocnever", pipeserver.Figure5PDL},
-		} {
-			b.Run(fmt.Sprintf("%dK/%s", size/1024, mode.name), func(b *testing.B) {
-				w, r := benchMachPipe(b, size, mode.pdl)
-				data := make([]byte, chunk)
-				b.SetBytes(chunk)
-				b.ResetTimer()
+func BenchmarkFig(b *testing.B) {
+	for _, f := range experiments.Figures {
+		b.Run(f.Name, func(b *testing.B) {
+			if len(f.Systems) == 0 {
 				for i := 0; i < b.N; i++ {
-					if err := w.Write(data); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := r.Read(chunk); err != nil && err != io.EOF {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig7Fbuf measures one chunk through the fbuf pipe in its
-// [special] presentation (Figure 7's optimized configuration); the
-// standard-presentation baseline and BSD reference are in
-// cmd/experiments.
-func BenchmarkFig7Fbuf(b *testing.B) {
-	const chunk = 2048
-	fp, err := pipeserver.StartFbufPipe(pipeserver.FbufPipeConfig{
-		Kernel:   mach.NewKernel(),
-		PipeSize: 8192,
-		BufSize:  chunk,
-		PoolSize: 24,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { fp.Port.Destroy() })
-	data := make([]byte, chunk)
-	readBuf := make([]byte, chunk)
-	b.SetBytes(chunk)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fp.Writer.Write(data); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := fp.Reader.Read(readBuf); err != nil && err != io.EOF {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig10Mutability measures a same-domain RPC with a 1 KB in
-// parameter under the three systems of Figure 10, in the
-// all-requirements-relaxed group (client trashable, server
-// modifies) where flexible presentation wins outright.
-func BenchmarkFig10Mutability(b *testing.B) {
-	compiled, err := Compile(Options{
-		Frontend: FrontendCORBA,
-		Filename: "mut.idl",
-		Source:   `interface Mut { void put(in sequence<octet> data); };`,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	systems := []struct {
-		name              string
-		trashable, borrow bool
-	}{
-		{"fixedcopy", false, false},
-		{"fixedborrow", false, true},
-		{"flexible", true, false},
-	}
-	for _, sys := range systems {
-		b.Run(sys.name, func(b *testing.B) {
-			cp := compiled.DefaultPres(StyleCORBA)
-			sp := compiled.DefaultPres(StyleCORBA)
-			if sys.trashable {
-				cp.Ops["put"].Param("data").Trashable = true
-			}
-			if sys.borrow {
-				sp.Ops["put"].Param("data").Preserved = true
-			}
-			disp := NewDispatcher(sp)
-			scratch := make([]byte, experiments.ParamSize)
-			disp.Handle("put", func(c *Call) error {
-				buf := c.ArgBytes(0)
-				if !c.ArgPrivate(0) {
-					copy(scratch, buf) // forced server-side glue copy
-					buf = scratch
-				}
-				buf[0] ^= 0xFF
-				return nil
-			})
-			conn, err := inproc.Connect(cp, disp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			args := []Value{make([]byte, experiments.ParamSize)}
-			b.SetBytes(experiments.ParamSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := conn.Invoke("put", args, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig11Alloc measures a same-domain RPC with a 1 KB out
-// parameter in Figure 11's "server provides the buffer" group,
-// where flexible presentation passes the server's retained buffer by
-// reference while both fixed systems copy.
-func BenchmarkFig11Alloc(b *testing.B) {
-	compiled, err := Compile(Options{
-		Frontend: FrontendCORBA,
-		Filename: "alloc.idl",
-		Source:   `interface Alloc { sequence<octet> fetch(in unsigned long n); };`,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	retained := make([]byte, experiments.ParamSize)
-	for _, sys := range []string{"fixedcorba", "fixedmig", "flexible"} {
-		b.Run(sys, func(b *testing.B) {
-			var cp, sp *Presentation
-			switch sys {
-			case "fixedcorba":
-				cp, sp = compiled.DefaultPres(StyleCORBA), compiled.DefaultPres(StyleCORBA)
-			case "fixedmig":
-				cp, sp = compiled.DefaultPres(StyleMIG), compiled.DefaultPres(StyleMIG)
-			case "flexible":
-				cp, sp = compiled.DefaultPres(StyleCORBA), compiled.DefaultPres(StyleCORBA)
-				sa := sp.Ops["fetch"].Result()
-				sa.Alloc = pres.AllocCallee
-				sa.Dealloc = pres.DeallocNever
-				cp.Ops["fetch"].Result().Alloc = pres.AllocAuto
-			}
-			disp := NewDispatcher(sp)
-			disp.Handle("fetch", func(c *Call) error {
-				n := int(c.Arg(0).(uint32))
-				if buf := c.ResultBuffer(); buf != nil {
-					copy(buf, retained[:n]) // MIG: copy into caller buffer
-					c.SetResult(buf[:n])
-					return nil
-				}
-				if c.ResultMoved() {
-					out := make([]byte, n) // CORBA: donate a fresh copy
-					copy(out, retained[:n])
-					c.SetResult(out)
-					return nil
-				}
-				c.SetResult(retained[:n]) // flexible: reference
-				return nil
-			})
-			conn, err := inproc.Connect(cp, disp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			clientBuf := make([]byte, experiments.ParamSize)
-			args := []Value{uint32(experiments.ParamSize)}
-			b.SetBytes(experiments.ParamSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var retBuf []byte
-				if sys == "fixedmig" {
-					retBuf = clientBuf
-				}
-				if _, _, err := conn.Invoke("fetch", args, nil, retBuf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// startNullServer runs a null-RPC mach server for the §4.5
-// benchmarks.
-func startNullServer(b *testing.B, serverSig mach.EndpointSig) (*mach.Kernel, *mach.Port, *mach.Task) {
-	b.Helper()
-	k := mach.NewKernel()
-	srv := k.NewTask("server")
-	_, port := srv.AllocatePort()
-	port.RegisterServer(serverSig)
-	go func() {
-		for {
-			in, err := srv.Receive(port, nil)
-			if err != nil {
-				return
-			}
-			for _, n := range in.PortNames {
-				_ = srv.DeallocateRight(n)
-			}
-			in.Reply(&mach.Message{})
-		}
-	}()
-	b.Cleanup(port.Destroy)
-	return k, port, srv
-}
-
-// BenchmarkPortTransfer is the §4.5 unique-name experiment: one port
-// right transferred per call (paper: 32.4us -> 24.7us, -24%).
-func BenchmarkPortTransfer(b *testing.B) {
-	for _, nonunique := range []bool{false, true} {
-		name := "unique"
-		if nonunique {
-			name = "nonunique"
-		}
-		b.Run(name, func(b *testing.B) {
-			k, port, _ := startNullServer(b, mach.EndpointSig{
-				Contract: "xfer", Trust: mach.TrustFullLevel, NonUniquePorts: nonunique,
-			})
-			cli := k.NewTask("client")
-			bind, err := mach.Bind(cli, cli.InsertRight(port),
-				mach.EndpointSig{Contract: "xfer", Trust: mach.TrustFullLevel})
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, carried := cli.AllocatePort()
-			req := &mach.Message{Ports: []*mach.Port{carried}}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := bind.Call(req, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig12Trust is the Figure 12 matrix: null RPC for every
-// client-trust x server-trust combination over the bind-time
-// specialized transport.
-func BenchmarkFig12Trust(b *testing.B) {
-	for _, ct := range experiments.TrustLevels {
-		for _, st := range experiments.TrustLevels {
-			b.Run(fmt.Sprintf("client=%v/server=%v", ct, st), func(b *testing.B) {
-				k, port, _ := startNullServer(b, mach.EndpointSig{Contract: "null", Trust: st})
-				cli := k.NewTask("client")
-				bind, err := mach.Bind(cli, cli.InsertRight(port),
-					mach.EndpointSig{Contract: "null", Trust: ct})
-				if err != nil {
-					b.Fatal(err)
-				}
-				req := &mach.Message{}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := bind.Call(req, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFigScale measures a pipelined null RPC through the full
-// session stack for the three server modes of the scale figure:
-// serial dispatch, the concurrent worker pool with a sharded reply
-// cache and coalescing writer, and the same plus client-side
-// [batchable] call merging. Eight client goroutines share one
-// connection; the full figure grid (workloads × connection counts)
-// is `go run ./cmd/experiments -fig scale`.
-func BenchmarkFigScale(b *testing.B) {
-	compiled, err := Compile(Options{
-		Frontend: FrontendCORBA,
-		Filename: "scale.idl",
-		Source:   `interface Scale { void nop(); };`,
-		// [batchable] but not [idempotent]: calls must traverse the
-		// at-most-once reply cache the figure is exercising.
-		PDL:         "interface Scale {\n    [batchable] nop();\n};\n",
-		PDLFilename: "scale.pdl",
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	modes := []struct {
-		name            string
-		workers, shards int
-		batch           bool
-	}{
-		{"serial", 1, 1, false},
-		{"concurrent8", 8, 8, false},
-		{"concurrent8+batch", 8, 8, true},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			p := compiled.Pres
-			disp := runtime.NewDispatcher(p)
-			disp.Handle("nop", func(c *runtime.Call) error { return nil })
-			plan, err := runtime.NewPlan(p, runtime.XDRCodec, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sess := runtime.NewSessionServer(disp, plan,
-				runtime.NewReplyCacheSharded(runtime.DefaultReplyCacheSize, m.shards))
-			srv := suntcp.NewSessionServer(sess, p.Interface)
-			srv.SetConcurrency(m.workers)
-			cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 256)
-			go func() { _ = srv.ServeConn(sc) }()
-			conn := runtime.NewRobustConn(suntcp.Dial(cc, p), p, runtime.RobustOptions{
-				ClientID:   1,
-				AtMostOnce: true,
-			})
-			if m.batch {
-				// Match the driver count so steady-state batches flush
-				// on size, not on the latency-bound timer.
-				conn.EnableBatching(runtime.BatchOptions{MaxCalls: 8})
-			}
-			b.Cleanup(func() { conn.Close(); cc.Close(); sc.Close() })
-			opIdx := plan.OpIndex("nop")
-			enc := runtime.XDRCodec.NewEncoder()
-			if err := plan.Ops[opIdx].EncodeRequest(enc, nil); err != nil {
-				b.Fatal(err)
-			}
-			req := enc.Bytes()
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				var replyBuf []byte
-				for pb.Next() {
-					reply, err := conn.Call(opIdx, req, replyBuf)
+					rep, err := f.Execute(experiments.Smoke)
 					if err != nil {
 						b.Fatal(err)
 					}
-					replyBuf = reply[:0]
+					if err := rep.Err(); err != nil {
+						b.Fatal(err)
+					}
 				}
-			})
-		})
-	}
-}
-
-// BenchmarkShmRing measures the zero-copy shared-memory transport:
-// a null RPC through the bind-time inline and doorbell paths, and a
-// 1 KB [trusted] put whose payload is encoded directly into the
-// leased ring slot and borrow-decoded in place. The full comparison
-// against inproc (with copy meters) is `go run ./cmd/experiments -fig shm`.
-func BenchmarkShmRing(b *testing.B) {
-	compiled, err := Compile(Options{
-		Frontend: FrontendCORBA,
-		Filename: "shm.idl",
-		Source:   `interface Shm { void nop(); void put(in sequence<octet> data); };`,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name  string
-		force bool
-		put   bool
-	}{
-		{"inline/null", false, false},
-		{"doorbell/null", true, false},
-		{"doorbell/put1k", true, true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			cp := compiled.DefaultPres(StyleCORBA)
-			cp.Trust = pres.TrustFull
-			sp := compiled.DefaultPres(StyleCORBA)
-			sp.Trust = pres.TrustFull
-			disp := NewDispatcher(sp)
-			disp.Handle("nop", func(c *Call) error { return nil })
-			var sink byte
-			disp.Handle("put", func(c *Call) error {
-				sink ^= c.ArgBytes(0)[0]
-				return nil
-			})
-			_ = sink
-			bound, err := shmring.Connect(cp, disp, XDRCodec, shmring.Options{ForceDoorbell: mode.force})
-			if err != nil {
-				b.Fatal(err)
+				return
 			}
-			b.Cleanup(func() { _ = bound.Close() })
-			op, args := "nop", []Value(nil)
-			if mode.put {
-				op, args = "put", []Value{make([]byte, 1024)}
-				b.SetBytes(1024)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := bound.Invoke(op, args, nil, nil); err != nil {
-					b.Fatal(err)
-				}
+			for _, sys := range f.Systems {
+				b.Run(sys.Name, func(b *testing.B) {
+					op, closeFn, err := sys.New()
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.Cleanup(closeFn)
+					b.SetBytes(sys.Bytes)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := op(); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -514,40 +66,5 @@ func BenchmarkCompile(b *testing.B) {
 		if _, err := c.WithPDL("f5.pdl", pipeserver.Figure5PDL); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkMarshal measures the interpreted marshal plans on a 1 KB
-// buffer round trip for both codecs.
-func BenchmarkMarshal(b *testing.B) {
-	compiled, err := Compile(Options{
-		Frontend: FrontendCORBA,
-		Filename: "m.idl",
-		Source:   `interface M { void put(in sequence<octet> data); };`,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, codec := range []Codec{XDRCodec, CDRCodec} {
-		b.Run(codec.Name(), func(b *testing.B) {
-			plan, err := runtime.NewPlan(compiled.Pres, codec, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			op := plan.Ops[0]
-			enc := codec.NewEncoder()
-			args := []Value{make([]byte, 1024)}
-			b.SetBytes(1024)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				enc.Reset()
-				if err := op.EncodeRequest(enc, args); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := op.DecodeRequest(codec.NewDecoder(enc.Bytes())); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

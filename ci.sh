@@ -8,7 +8,8 @@
 # `./ci.sh netpoll-smoke` runs only the netpoll smoke;
 # `./ci.sh netpoll-stress` runs only the repeated netpoll race pass;
 # `./ci.sh alloc-gates` runs only the allocation gates, without -race;
-# `./ci.sh bench-smoke` runs only the bench module's tests.
+# `./ci.sh bench-smoke` runs only the bench module's tests;
+# `./ci.sh figures` runs only the figure claim check.
 set -eu
 
 cd "$(dirname "$0")"
@@ -214,6 +215,15 @@ bench_smoke() {
 	go test -C bench ./...
 }
 
+figures() {
+	# Every registered figure at -quick size (~30 s). Each checks its
+	# own claims against the numbers it just measured and the command
+	# exits non-zero on a false one, so a change that inverts a figure's
+	# shape fails here rather than in a reviewer's reading of a table.
+	echo "go run ./cmd/experiments -quick"
+	go run ./cmd/experiments -quick
+}
+
 fuzz_smoke() {
 	# Short coverage-guided runs over the network-facing decoders and
 	# the stats snapshot codecs. `go test -fuzz` takes one target per
@@ -277,6 +287,11 @@ if [ "${1:-}" = "bench-smoke" ]; then
 	exit 0
 fi
 
+if [ "${1:-}" = "figures" ]; then
+	figures
+	exit 0
+fi
+
 echo "== gofmt"
 out=$(gofmt -l .)
 if [ -n "$out" ]; then
@@ -299,6 +314,9 @@ alloc_gates
 
 echo "== benchmarks compile and run one iteration each"
 go test -run='^$' -bench=. -benchtime=1x ./...
+
+echo "== figures: every claim holds at -quick size"
+figures
 
 echo "== bench module smoke"
 bench_smoke

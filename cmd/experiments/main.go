@@ -1,12 +1,21 @@
 // Command experiments regenerates every figure of the paper's
 // evaluation (§4) and prints rows shaped like the original, with the
-// paper's reported numbers quoted for comparison.
+// paper's reported numbers quoted for comparison. Each figure's claims
+// are checked against the numbers it just measured; a false claim is
+// printed and the command exits non-zero.
 //
 //	go run ./cmd/experiments            # all figures
 //	go run ./cmd/experiments -fig 6     # one figure (2, 6, 7, 10, 11, 12, ports, marshal, faults, scale, shm, overload, c10k)
 //	go run ./cmd/experiments -quick     # smaller workloads, noisier
 //	go run ./cmd/experiments -csv       # machine-readable rows
 //	go run ./cmd/experiments -json      # also write BENCH_<fig>.json per figure
+//
+// The figures, their names above and everything printed come from the
+// registry in internal/experiments (DESIGN.md "Figures as data").
+// BENCH_<fig>.json is schema 2: numeric cells with units, the claims
+// and their verdicts, and the commit, toolchain and host that produced
+// them; build the binary (go build) rather than go run it from a dirty
+// tree if the commit field matters.
 //
 // Absolute numbers are modern-Go numbers; the reproduction target is
 // the shape of each comparison — which presentation wins and by
@@ -15,259 +24,66 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"flexrpc/internal/experiments"
-	"flexrpc/internal/netsim"
 )
 
 func main() {
+	names := experiments.Names(experiments.Figures)
 	var (
-		fig     = flag.String("fig", "all", "figure to run: 2, 6, 7, 10, 11, 12, ports, marshal, faults, scale, shm, overload, c10k or all")
+		fig     = flag.String("fig", "all", "figure to run: "+names+" or all")
 		quick   = flag.Bool("quick", false, "smaller workloads (faster, noisier)")
 		csv     = flag.Bool("csv", false, "emit comma-separated rows instead of aligned tables")
-		jsonOut = flag.Bool("json", false, "also write BENCH_<fig>.json (ns/op, allocs/op, B/op) per figure")
+		jsonOut = flag.Bool("json", false, "also write BENCH_<fig>.json per figure (schema 2: numeric cells with units, claim verdicts, provenance)")
 	)
 	flag.Parse()
-	if err := run(*fig, *quick, *csv, *jsonOut); err != nil {
+	jsonDir := ""
+	if *jsonOut {
+		jsonDir = "."
+	}
+	size := experiments.Full
+	if *quick {
+		size = experiments.Quick
+	}
+	if err := run(experiments.Figures, *fig, size, *csv, jsonDir, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig string, quick, csv, jsonOut bool) error {
-	emit := func(t *experiments.Table) {
+// run executes the selected figures of figs at the given size, printing
+// each table to stdout and, when jsonDir is set, writing its BENCH file
+// there. A figure that cannot measure stops the run; a false claim does
+// not — every figure still prints and records its verdicts — but makes
+// the returned error non-nil (errors.Is experiments.ErrFalseClaim).
+func run(figs []*experiments.Figure, fig string, size experiments.Size, csv bool, jsonDir string, stdout io.Writer) error {
+	selected, err := experiments.Select(figs, fig)
+	if err != nil {
+		return err
+	}
+	prov := experiments.NewProvenance()
+	var failed []error
+	for _, f := range selected {
+		rep, err := f.Execute(size)
+		if err != nil {
+			return err
+		}
 		if csv {
-			fmt.Print(t.CSV(), "\n")
+			fmt.Fprint(stdout, rep.CSV(), "\n")
 		} else {
-			fmt.Print(t.Format(), "\n")
+			fmt.Fprint(stdout, rep.Format(), "\n")
 		}
-	}
-	// emitJSON writes the figure's rows (and hot-path benchmark
-	// metrics, when it has one) to BENCH_<name>.json.
-	emitJSON := func(name string, t *experiments.Table, metrics []experiments.Metric) error {
-		if !jsonOut {
-			return nil
-		}
-		return experiments.WriteBenchJSON(name, t, metrics)
-	}
-	iters := 20000
-	fileSize := 8 << 20
-	pipeCfg := experiments.DefaultPipeConfig()
-	if quick {
-		iters = 3000
-		fileSize = 1 << 20
-		pipeCfg.Total = 512 << 10
-	}
-
-	want := func(name string) bool { return fig == "all" || fig == name }
-	ran := false
-
-	if want("2") {
-		ran = true
-		rows, err := experiments.Fig2(experiments.Fig2Config{
-			FileSize: fileSize,
-			Link:     netsim.Ethernet10,
-		})
-		if err != nil {
-			return err
-		}
-		t := experiments.Fig2Table(rows)
-		emit(t)
-		if err := emitJSON("fig2", t, nil); err != nil {
-			return err
-		}
-	}
-	if want("6") {
-		ran = true
-		rows, err := experiments.Fig6(pipeCfg)
-		if err != nil {
-			return err
-		}
-		t := experiments.PipeTable(
-			"Figure 6: basic pipe server over streamlined IPC (paper §4.2)",
-			"paper: [dealloc(never)] improves total run time 21% (4K) and 24% (8K)",
-			rows)
-		emit(t)
-		if err := emitJSON("fig6", t, nil); err != nil {
-			return err
-		}
-	}
-	if want("7") {
-		ran = true
-		rows, err := experiments.Fig7(pipeCfg)
-		if err != nil {
-			return err
-		}
-		t := experiments.PipeTable(
-			"Figure 7: pipe server over fbufs (paper §4.3)",
-			"paper: [special] improves throughput 92% (4K) and 160% (8K); BSD pipe shown for reference",
-			rows)
-		emit(t)
-		if err := emitJSON("fig7", t, nil); err != nil {
-			return err
-		}
-	}
-	if want("10") {
-		ran = true
-		rows, err := experiments.Fig10(iters)
-		if err != nil {
-			return err
-		}
-		t := experiments.SemTable(
-			"Figure 10: copy vs borrow semantics, same-domain 1KB in param (paper §4.4.1)",
-			"paper: flexible matches the best fixed system in every group and needs no glue",
-			rows)
-		emit(t)
-		if jsonOut {
-			metrics, err := experiments.BenchFig10()
-			if err != nil {
-				return err
-			}
-			if err := emitJSON("fig10", t, metrics); err != nil {
+		if jsonDir != "" {
+			if err := rep.WriteJSON(jsonDir, prov); err != nil {
 				return err
 			}
 		}
+		failed = append(failed, rep.Err())
 	}
-	if want("11") {
-		ran = true
-		rows, err := experiments.Fig11(iters)
-		if err != nil {
-			return err
-		}
-		t := experiments.SemTable(
-			"Figure 11: allocation semantics, same-domain 1KB out param (paper §4.4.2)",
-			"paper: flexible minimizes copying and eliminates glue; fixed systems are terrible when mismatched",
-			rows)
-		emit(t)
-		if jsonOut {
-			metrics, err := experiments.BenchFig11()
-			if err != nil {
-				return err
-			}
-			if err := emitJSON("fig11", t, metrics); err != nil {
-				return err
-			}
-		}
-	}
-	if want("ports") {
-		ran = true
-		rows, err := experiments.PortTransfer(iters)
-		if err != nil {
-			return err
-		}
-		t := experiments.PortTable(rows)
-		emit(t)
-		if err := emitJSON("ports", t, nil); err != nil {
-			return err
-		}
-	}
-	if want("12") {
-		ran = true
-		m, err := experiments.Fig12(iters)
-		if err != nil {
-			return err
-		}
-		t := experiments.Fig12Table(m)
-		emit(t)
-		if err := emitJSON("fig12", t, nil); err != nil {
-			return err
-		}
-	}
-	if want("marshal") {
-		ran = true
-		metrics, err := experiments.BenchMarshal()
-		if err != nil {
-			return err
-		}
-		t := experiments.MetricTable(
-			"Marshal: interpreted plan, 1KB echo round trip per codec", metrics)
-		emit(t)
-		if err := emitJSON("marshal", t, metrics); err != nil {
-			return err
-		}
-	}
-	if want("faults") {
-		ran = true
-		faultsCfg := experiments.DefaultFaultsConfig()
-		if quick {
-			faultsCfg.Calls = 1000
-		}
-		t, err := experiments.FigFaults(faultsCfg)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		if err := emitJSON("faults", t, nil); err != nil {
-			return err
-		}
-	}
-	if want("scale") {
-		ran = true
-		scaleCfg := experiments.DefaultScaleConfig()
-		if quick {
-			scaleCfg.Calls = 3000
-		}
-		t, err := experiments.FigScale(scaleCfg)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		if err := emitJSON("scale", t, nil); err != nil {
-			return err
-		}
-	}
-	if want("shm") {
-		ran = true
-		metrics, err := experiments.BenchShm()
-		if err != nil {
-			return err
-		}
-		t := experiments.MetricTable(
-			"Shm: same-domain RPC over fbuf-backed ring slots with doorbell handoff", metrics)
-		emit(t)
-		if err := emitJSON("shm", t, metrics); err != nil {
-			return err
-		}
-	}
-	if want("overload") {
-		ran = true
-		overloadCfg := experiments.DefaultOverloadConfig()
-		if quick {
-			overloadCfg.Duration = 80 * time.Millisecond
-		}
-		t, err := experiments.FigOverload(overloadCfg)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		if err := emitJSON("overload", t, nil); err != nil {
-			return err
-		}
-	}
-	if want("c10k") {
-		ran = true
-		c10kCfg := experiments.DefaultC10KConfig()
-		if quick {
-			c10kCfg.Conns = []int{100, 1000}
-			c10kCfg.Measure = 100 * time.Millisecond
-			c10kCfg.NetpollConns = []int{1000}
-			c10kCfg.NetpollActive = 128
-		}
-		t, err := experiments.FigC10K(c10kCfg)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		if err := emitJSON("c10k", t, nil); err != nil {
-			return err
-		}
-	}
-	if !ran {
-		return fmt.Errorf("unknown figure %q (want 2, 6, 7, 10, 11, 12, ports, marshal, faults, scale, shm, overload, c10k or all)", fig)
-	}
-	return nil
+	return errors.Join(failed...)
 }

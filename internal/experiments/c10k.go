@@ -2,21 +2,20 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
-	"flexrpc/internal/core"
 	"flexrpc/internal/flexload"
 	"flexrpc/internal/netpoll"
-	"flexrpc/internal/netsim"
-	"flexrpc/internal/pres"
 	frt "flexrpc/internal/runtime"
-	"flexrpc/internal/stats"
 	"flexrpc/internal/transport/suntcp"
 )
 
@@ -29,264 +28,256 @@ import (
 // like with like: the load is constant, only the connection count
 // grows, and throughput and p99 must hold while goroutines/connection
 // stays ~1.
+//
+// The netpoll rows serve the same load through the netpoll runtime
+// (SetNetpoll: readiness-driven reads, zero goroutines per idle
+// connection) over real unix sockets, flexload driving an active
+// subset while the rest of the population sits idle — the population
+// whose cost the netpoll runtime takes to zero. They are skipped on
+// platforms without poller support.
 
-// C10KConfig sizes the c10k experiment.
-type C10KConfig struct {
-	Conns   []int         // connection counts, one row each
-	Workers int           // shared worker-pool size
-	Rate    float64       // aggregate open-loop offered load, calls/sec
-	Warmup  time.Duration // flexload warmup phase
-	Measure time.Duration // flexload measure window
-	SLO     time.Duration // latency bound that defines goodput
-	Seed    int64         // flexload seed
+const (
+	c10kWorkers = 8                     // shared worker-pool size
+	c10kSLO     = 50 * time.Millisecond // latency bound that defines goodput
+	c10kShards  = 4                     // unix listeners (accept shards) of the netpoll rows
+)
 
-	// NetpollConns adds rows served by the netpoll runtime
-	// (SetNetpoll: readiness-driven reads, zero goroutines per idle
-	// connection) over real unix sockets. Each in-process connection
-	// burns two descriptors, so counts are clamped to the RLIMIT_NOFILE
-	// budget with the clamp recorded in the table note. Nil/empty means
-	// no netpoll rows; the rows are also skipped on platforms without
-	// poller support.
-	NetpollConns []int
-	// NetpollShards is the number of unix listeners (accept shards)
-	// for the netpoll rows; <= 0 means 4.
-	NetpollShards int
-	// NetpollActive is how many of the registered connections flexload
-	// actively drives (the rest sit idle — the population whose cost
-	// the netpoll runtime takes to zero); <= 0 means min(conns, 256).
-	NetpollActive int
+// c10kConfig sizes one run.
+type c10kConfig struct {
+	conns           []int         // goroutine-reader rows
+	rate            float64       // aggregate open-loop offered load, calls/sec
+	warmup, measure time.Duration // flexload phases
+	netpollConns    []int         // netpoll rows, clamped to the RLIMIT_NOFILE budget
+	netpollActive   int           // connections flexload drives in a netpoll row
 }
 
-// DefaultC10KConfig returns the full-size run: 100 → 1k → 10k
-// connections under the same 2000 calls/sec aggregate offered load,
-// plus netpoll rows asking for 10k and 100k connections (fd-budget
-// permitting).
-func DefaultC10KConfig() C10KConfig {
-	return C10KConfig{
-		Conns:        []int{100, 1000, 10000},
-		Workers:      8,
-		Rate:         2000,
-		Warmup:       100 * time.Millisecond,
-		Measure:      300 * time.Millisecond,
-		SLO:          50 * time.Millisecond,
-		Seed:         1,
-		NetpollConns: []int{10000, 100000},
-	}
+var figC10K = &Figure{
+	Name: "c10k",
+	Columns: []Column{
+		{Name: "offered/s", Unit: "1/s", Format: "%.0f"},
+		{Name: "goodput/s", Unit: "1/s", Format: "%.0f"},
+		{Name: "p50 ms", Unit: "ms", Format: "%.2f"},
+		{Name: "p99 ms", Unit: "ms", Format: "%.2f"},
+		{Name: "goroutines", Unit: "count", Format: "%.0f"},
+		{Name: "g/conn", Unit: "count", Format: "%.2f"},
+		{Name: "KiB/conn", Unit: "KiB", Format: "%.2f"},
+		{Name: "goroutine limit", Unit: "count", Format: "%.0f", Hidden: true},
+		{Name: "rate/s", Unit: "1/s", Format: "%.0f", Hidden: true},
+		{Name: "completed", Unit: "count", Format: "%.0f", Hidden: true},
+		{Name: "within SLO", Unit: "count", Format: "%.0f", Hidden: true},
+		{Name: "errors", Unit: "count", Format: "%.0f", Hidden: true},
+	},
+	// 100 → 1k → 10k connections under the same 2000 calls/sec, plus
+	// netpoll rows asking for 10k and 100k (fd budget permitting).
+	Run: func(s Size) (*Result, error) {
+		cfg := pick(s,
+			c10kConfig{conns: []int{100, 1000, 10000}, rate: 2000, warmup: 100 * time.Millisecond, measure: 300 * time.Millisecond,
+				netpollConns: []int{10000, 100000}, netpollActive: 256},
+			c10kConfig{conns: []int{100, 1000}, rate: 2000, warmup: 100 * time.Millisecond, measure: 100 * time.Millisecond,
+				netpollConns: []int{1000}, netpollActive: 128},
+			c10kConfig{conns: []int{32, 128}, rate: 600, warmup: 30 * time.Millisecond, measure: 100 * time.Millisecond,
+				netpollConns: []int{64, 384}, netpollActive: 32})
+		res := &Result{
+			Title: fmt.Sprintf("C10k: null RPC, %d shared workers, %.0f calls/s aggregate open-loop offered load; goodput = completions within the %v SLO",
+				c10kWorkers, cfg.rate, c10kSLO),
+			Note: "per-connection cost is one reader goroutine + one compact struct; " +
+				"execution is the shared pool, so goroutines grow with conns, not conns × workers",
+		}
+		if !netpoll.Supported() {
+			cfg.netpollConns = nil
+			res.Note += "; netpoll rows skipped: no poller on this platform"
+		}
+		seen := make(map[int]bool)
+		for i, want := range append(cfg.conns, cfg.netpollConns...) {
+			conns, poller := want, i >= len(cfg.conns)
+			if poller {
+				clamped := ""
+				if conns, clamped = netpollConnBudget(want); clamped != "" {
+					res.Note += "; " + clamped
+				}
+				if seen[conns] {
+					continue // a larger request clamped onto an earlier row
+				}
+				seen[conns] = true
+			}
+			row, err := c10kCell(cfg, conns, poller)
+			if err != nil {
+				return nil, err
+			}
+			res.Rows = append(res.Rows, row)
+		}
+		return res, nil
+	},
+	// Every row carries its own thresholds as hidden cells, so the same
+	// claims read across both kinds of row. The parent of this figure
+	// asserted them at the largest connection count of each kind; they
+	// are no weaker for holding at the smaller counts too.
+	Claims: []Claim{
+		{Name: "netpoll rows are present where the platform has a poller", Check: func(r *Report) error {
+			if last := r.Rows[len(r.Rows)-1].Label; netpoll.Supported() != strings.HasPrefix(last, "netpoll ") {
+				return fmt.Errorf("last row is %q, poller support is %v", last, netpoll.Supported())
+			}
+			return nil
+		}},
+		// (a) The goroutine bill. Readers cost one per connection plus
+		// the shared pool and a constant of harness slack (conns +
+		// 8·workers + 64): a per-connection pool would sit at conns ×
+		// (workers+1) and fail by orders of magnitude. Netpoll
+		// connections cost none (GOMAXPROCS + shards + workers + 64),
+		// where the goroutine-reader path sits at ≈ conns.
+		rowwise("standing goroutines stay within the per-row limit", "goroutines", "<=", 1, "goroutine limit"),
+		// (b) The offered load is still served within the SLO with the
+		// full population connected: goodput within a factor of two of
+		// the offered rate, the overwhelming majority of completions
+		// inside the SLO, no errors.
+		rowwise("goodput is at least half the offered rate", "goodput/s", ">=", 0.5, "rate/s"),
+		everyRow("calls complete", anyRow, ">", 0, "completed"),
+		rowwise("nine in ten completions land inside the SLO", "within SLO", ">=", 0.9, "completed"),
+		everyRow("no call errors", anyRow, "==", 0, "errors"),
+	},
 }
 
-func (c C10KConfig) withDefaults() C10KConfig {
-	d := DefaultC10KConfig()
-	if len(c.Conns) == 0 {
-		c.Conns = d.Conns
-	}
-	if c.Workers <= 0 {
-		c.Workers = d.Workers
-	}
-	if c.Rate <= 0 {
-		c.Rate = d.Rate
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = d.Warmup
-	}
-	if c.Measure <= 0 {
-		c.Measure = d.Measure
-	}
-	if c.SLO <= 0 {
-		c.SLO = d.SLO
-	}
-	if c.Seed == 0 {
-		c.Seed = d.Seed
-	}
-	if c.NetpollShards <= 0 {
-		c.NetpollShards = 4
-	}
-	return c
-}
-
-// c10kCellResult carries one connection count's raw numbers so the
-// claims can be asserted on values rather than rendered strings.
-type c10kCellResult struct {
-	conns      int
-	report     *flexload.Report
-	goroutines int     // server-side goroutine delta after all conns up
-	perConn    float64 // goroutines / connection
-}
-
-// FigC10K runs flexload against the shared-pool server at each
-// connection count and self-asserts the headline claims at the
-// largest: goroutine count stays ≤ conns + constant·workers, and the
-// offered load is still served within the SLO.
-func FigC10K(cfg C10KConfig) (*Table, error) {
-	cfg = cfg.withDefaults()
-	compiled, err := core.Compile(core.Options{
-		Frontend: core.FrontendCORBA, Filename: "c10k.idl",
-		Source: `interface C10k { void nop(); };`,
+// c10kCell brings up one shared-pool server and its full connection
+// population, measures the standing cost of that population before any
+// traffic, then lets flexload drive the open-loop load.
+//
+// A goroutine-reader row pre-dials in-memory connections: each costs
+// exactly one ServeConn reader goroutine (client read loops start
+// lazily, on the first call) and flexload drives them all. A poller
+// row serves sharded unix listeners in netpoll mode: every accepted
+// conn registers with the fixed poller set and no goroutine is spawned
+// for it; flexload drives an active subset while the rest sit idle.
+func c10kCell(cfg c10kConfig, conns int, poller bool) (Row, error) {
+	bed, err := newSessionBed(bedSpec{
+		handler: nopHandler, workers: c10kWorkers,
+		cacheCap: max(2*conns, frt.DefaultReplyCacheSize), shards: 64,
 	})
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
-	t := &Table{
-		Title: fmt.Sprintf("C10k: null RPC, %d shared workers, %.0f calls/s aggregate open-loop offered load; goodput = completions within the %v SLO",
-			cfg.Workers, cfg.Rate, cfg.SLO),
-		Note: "per-connection cost is one reader goroutine + one compact struct; " +
-			"execution is the shared pool, so goroutines grow with conns, not conns × workers",
-		Headers: []string{"offered", "goodput/s", "p50 ms", "p99 ms", "goroutines", "g/conn", "KiB/conn"},
-	}
-	results := make([]c10kCellResult, 0, len(cfg.Conns))
-	for _, conns := range cfg.Conns {
-		r, err := c10kCell(compiled.Pres, cfg, conns)
+	label, limit := fmt.Sprintf("conns %d", conns), conns+8*c10kWorkers+64
+	clients := make([]*suntcp.Conn, conns)
+	var lns []net.Listener
+	var socks []string
+	if poller {
+		label, limit = "netpoll "+label, runtime.GOMAXPROCS(0)+c10kShards+c10kWorkers+64
+		clients = clients[:min(cfg.netpollActive, conns)]
+		bed.srv.SetNetpoll(true)
+		dir, err := os.MkdirTemp("", "c10knp")
 		if err != nil {
-			return nil, err
+			return Row{}, err
 		}
-		results = append(results, r)
-		t.Rows = append(t.Rows, Row{
-			Label: fmt.Sprintf("conns %d", conns),
-			Values: []string{
-				fmt.Sprintf("%d", r.report.Offered),
-				fmt.Sprintf("%.0f", r.report.GoodputPerSec),
-				f2(float64(r.report.P50Ns) / 1e6),
-				f2(float64(r.report.P99Ns) / 1e6),
-				fmt.Sprintf("%d", r.goroutines),
-				f2(r.perConn),
-				"-",
-			},
-		})
-	}
-	if err := assertC10KClaims(cfg, results); err != nil {
-		return nil, err
-	}
-	if err := figC10KNetpollRows(compiled.Pres, cfg, t); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// assertC10KClaims checks the figure's headline claims at the largest
-// connection count, failing the whole run when the data contradicts
-// them — the JSON this figure emits is a certificate, not just a log.
-func assertC10KClaims(cfg C10KConfig, results []c10kCellResult) error {
-	top := results[0]
-	for _, r := range results {
-		if r.conns > top.conns {
-			top = r
+		defer os.RemoveAll(dir)
+		for i := 0; i < c10kShards; i++ {
+			socks = append(socks, filepath.Join(dir, fmt.Sprintf("s%d.sock", i)))
+			ln, err := net.Listen("unix", socks[i])
+			if err != nil {
+				return Row{}, err
+			}
+			lns = append(lns, ln)
 		}
 	}
-	// (a) O(conns + workers): one reader per connection plus the shared
-	// pool and a constant of harness slack. A per-connection pool would
-	// sit at conns × (workers+1) and fail this by orders of magnitude.
-	limit := top.conns + 8*cfg.Workers + 64
-	if top.goroutines > limit {
-		return fmt.Errorf("c10k claim failed: %d goroutines for %d conns (limit conns + 8·workers + 64 = %d); per-connection cost is not O(1)",
-			top.goroutines, top.conns, limit)
-	}
-	// (b) the offered load is still served within the SLO at the top
-	// connection count: goodput within a factor of two of the offered
-	// rate, and the overwhelming majority of completions inside the SLO.
-	rep := top.report
-	if rep.GoodputPerSec < cfg.Rate/2 {
-		return fmt.Errorf("c10k claim failed: goodput %.0f/s < half the %.0f/s offered rate at %d conns",
-			rep.GoodputPerSec, cfg.Rate, top.conns)
-	}
-	if rep.Completed == 0 || rep.WithinSLO*10 < rep.Completed*9 {
-		return fmt.Errorf("c10k claim failed: only %d/%d completions within the %v SLO at %d conns",
-			rep.WithinSLO, rep.Completed, cfg.SLO, top.conns)
-	}
-	if rep.Errors != 0 {
-		return fmt.Errorf("c10k claim failed: %d call errors at %d conns", rep.Errors, top.conns)
-	}
-	return nil
-}
 
-// c10kCell brings up one shared-pool server, pre-dials every
-// connection (each costs exactly one ServeConn reader goroutine —
-// client read loops start lazily, on the first call), measures the
-// goroutine delta, then lets flexload drive the open-loop load.
-func c10kCell(p *pres.Presentation, cfg C10KConfig, conns int) (c10kCellResult, error) {
-	disp := frt.NewDispatcher(p)
-	disp.Handle("nop", func(c *frt.Call) error { return nil })
-	plan, err := frt.NewPlan(p, frt.XDRCodec, nil)
-	if err != nil {
-		return c10kCellResult{}, err
-	}
-	serverStats := stats.New(nil)
-	cacheCap := 2 * conns
-	if cacheCap < frt.DefaultReplyCacheSize {
-		cacheCap = frt.DefaultReplyCacheSize
-	}
-	sess := frt.NewSessionServer(disp, plan, frt.NewReplyCacheSharded(cacheCap, 64))
-	srv := suntcp.NewSessionServer(sess, p.Interface)
-	srv.SetConcurrency(cfg.Workers)
-	srv.SetStats(serverStats)
-
-	opIdx := plan.OpIndex("nop")
-	enc := frt.XDRCodec.NewEncoder()
-	if err := plan.Ops[opIdx].EncodeRequest(enc, nil); err != nil {
-		return c10kCellResult{}, err
-	}
-	req := enc.Bytes()
-
+	// Two GC cycles before the baseline: sync.Pool contents from the
+	// earlier cells survive one collection as victims, and their
+	// release between the two measurements would otherwise swallow the
+	// per-connection growth.
+	runtime.GC()
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	baseline := runtime.NumGoroutine()
-	dialed := make([]*suntcp.Conn, conns)
-	for i := range dialed {
-		cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 64)
-		go func() { _ = srv.ServeConn(sc) }()
-		dialed[i] = suntcp.Dial(cc, p)
-	}
-	// Wait for every reader (and the lazily-created worker pool) to be
-	// up before counting: the delta is the server's standing cost with
-	// all connections established and no traffic yet.
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() < baseline+conns && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
-	delta := runtime.NumGoroutine() - baseline
-
-	rep, err := flexload.Run(flexload.Target{
-		Dial:    func(id int) (frt.Conn, error) { return dialed[id], nil },
-		Pres:    p,
-		Op:      "nop",
-		Request: req,
-	}, flexload.Options{
-		Clients:     conns,
-		Mode:        flexload.Open,
-		Rate:        cfg.Rate,
-		Warmup:      cfg.Warmup,
-		Measure:     cfg.Measure,
-		Cooldown:    50 * time.Millisecond,
-		Seed:        cfg.Seed,
-		Robust:      &frt.RobustOptions{AtMostOnce: true},
-		ServerStats: serverStats,
-		SLO:         cfg.SLO,
-	})
-	if err != nil {
-		return c10kCellResult{}, err
+	if poller {
+		go func() { _ = bed.srv.ServeShards(lns...) }()
 	}
 
-	// flexload closed every connection on its way out; drain the server
-	// so the shared pool is gone before the next cell counts goroutines.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	var idle []net.Conn // the poller population's client ends
+	measure := func() (Row, error) {
+		// established reports whether the server holds the whole
+		// population: every reader up, or every conn owned by a poller.
+		established := func() bool { return runtime.NumGoroutine() >= baseline+conns }
+		if poller {
+			established = func() bool { return bed.stats.Snapshot().PollerConnsRegistered >= uint64(conns) }
+			for i := 0; i < conns; i++ {
+				cc, err := net.Dial("unix", socks[i%c10kShards])
+				if err != nil {
+					return Row{}, fmt.Errorf("dial %d of %d: %w", i, conns, err)
+				}
+				idle = append(idle, cc)
+			}
+		}
+		for i := range clients {
+			if poller {
+				clients[i] = suntcp.Dial(idle[i], bed.pres)
+			} else {
+				clients[i] = bed.dial(64)
+			}
+		}
+		for deadline := time.Now().Add(30 * time.Second); !established(); time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				return Row{}, errors.New("the server never held the whole population")
+			}
+		}
+		time.Sleep(10 * time.Millisecond) // the lazily-created worker pool
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		goroutines := runtime.NumGoroutine() - baseline
+		// Heap per connection is reported for real sockets only: an
+		// in-memory pipe's buffers are the harness's, not the server's.
+		kibPerConn := math.NaN()
+		if poller {
+			kibPerConn = max(float64(m1.HeapAlloc)-float64(m0.HeapAlloc), 0) / float64(conns) / 1024
+		}
+
+		rep, err := flexload.Run(flexload.Target{
+			Dial:    func(id int) (frt.Conn, error) { return clients[id], nil },
+			Pres:    bed.pres,
+			Op:      "nop",
+			Request: bed.req,
+		}, flexload.Options{
+			Clients:     len(clients),
+			Mode:        flexload.Open,
+			Rate:        cfg.rate,
+			Warmup:      cfg.warmup,
+			Measure:     cfg.measure,
+			Cooldown:    50 * time.Millisecond,
+			Seed:        Seed,
+			Robust:      &frt.RobustOptions{AtMostOnce: true},
+			ServerStats: bed.stats,
+			SLO:         c10kSLO,
+		})
+		if err != nil {
+			return Row{}, err
+		}
+		return Row{Label: label, Cells: []float64{
+			float64(rep.Offered) / time.Duration(rep.MeasureNs).Seconds(),
+			rep.GoodputPerSec,
+			float64(rep.P50Ns) / 1e6,
+			float64(rep.P99Ns) / 1e6,
+			float64(goroutines),
+			float64(goroutines) / float64(conns),
+			kibPerConn,
+			float64(limit), cfg.rate, float64(rep.Completed), float64(rep.WithinSLO), float64(rep.Errors),
+		}}, nil
+	}
+	row, err := measure()
+	// flexload closed the connections it drove; Drain tears down the rest
+	// of the population server-side — so the shared pool is gone before
+	// the next cell counts goroutines — then the idle client ends release
+	// their descriptors.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		return c10kCellResult{}, fmt.Errorf("c10k: drain after %d conns: %w", conns, err)
+	if derr := bed.srv.Drain(ctx); derr != nil && err == nil {
+		err = fmt.Errorf("drain: %w", derr)
 	}
-	return c10kCellResult{
-		conns:      conns,
-		report:     rep,
-		goroutines: delta,
-		perConn:    float64(delta) / float64(conns),
-	}, nil
-}
-
-// ---- netpoll rows ---------------------------------------------------
-
-// c10kNetpollResult carries one netpoll row's raw numbers.
-type c10kNetpollResult struct {
-	conns      int
-	report     *flexload.Report
-	goroutines int     // server+harness goroutine delta with all conns registered
-	perConn    float64 // goroutines / connection
-	heapBytes  float64 // heap delta per connection, both ends in-process
+	for _, c := range idle {
+		c.Close()
+	}
+	if err != nil {
+		return Row{}, fmt.Errorf("%s: %w", label, err)
+	}
+	return row, nil
 }
 
 // netpollConnBudget clamps a requested connection count to the
@@ -306,256 +297,10 @@ func netpollConnBudget(want int) (got int, note string) {
 			rl = raised
 		}
 	}
-	budget := (int(rl.Cur) - 768) / 2
-	if budget < 1 {
-		budget = 1
-	}
+	budget := max((int(rl.Cur)-768)/2, 1)
 	if want <= budget {
 		return want, ""
 	}
 	return budget, fmt.Sprintf("netpoll row clamped %d → %d conns by RLIMIT_NOFILE=%d (two fds per in-process conn)",
 		want, budget, rl.Cur)
-}
-
-// figC10KNetpollRows appends the netpoll rows: the same offered load,
-// but the population of connections is held by the readiness runtime —
-// goroutines stay ≈ pollers + shards + workers no matter how many
-// connections are registered, where the goroutine-reader rows above
-// grow one-per-connection.
-func figC10KNetpollRows(p *pres.Presentation, cfg C10KConfig, t *Table) error {
-	if len(cfg.NetpollConns) == 0 {
-		return nil
-	}
-	if !netpoll.Supported() {
-		t.Note += "; netpoll rows skipped: no poller on this platform"
-		return nil
-	}
-	var results []c10kNetpollResult
-	seen := make(map[int]bool)
-	for _, want := range cfg.NetpollConns {
-		conns, note := netpollConnBudget(want)
-		if note != "" {
-			t.Note += "; " + note
-		}
-		if seen[conns] {
-			continue // a larger request clamped onto an earlier row
-		}
-		seen[conns] = true
-		r, err := c10kNetpollCell(p, cfg, conns)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
-		t.Rows = append(t.Rows, Row{
-			Label: fmt.Sprintf("netpoll conns %d", conns),
-			Values: []string{
-				fmt.Sprintf("%d", r.report.Offered),
-				fmt.Sprintf("%.0f", r.report.GoodputPerSec),
-				f2(float64(r.report.P50Ns) / 1e6),
-				f2(float64(r.report.P99Ns) / 1e6),
-				fmt.Sprintf("%d", r.goroutines),
-				f2(r.perConn),
-				f2(r.heapBytes / 1024),
-			},
-		})
-	}
-	return assertC10KNetpollClaims(cfg, results)
-}
-
-// assertC10KNetpollClaims checks the tentpole claim on the largest
-// netpoll row: the goroutine count is a function of pollers, shards
-// and workers — not of the connection count — and the offered load is
-// still served within the SLO with every connection registered.
-func assertC10KNetpollClaims(cfg C10KConfig, results []c10kNetpollResult) error {
-	if len(results) == 0 {
-		return nil
-	}
-	top := results[0]
-	for _, r := range results {
-		if r.conns > top.conns {
-			top = r
-		}
-	}
-	// (a) O(pollers + shards + workers): idle connections cost zero
-	// goroutines. The goroutine-reader path sits at ≈ conns and fails
-	// this by orders of magnitude at 10k.
-	limit := runtime.GOMAXPROCS(0) + cfg.NetpollShards + cfg.Workers + 64
-	if top.goroutines > limit {
-		return fmt.Errorf("c10k netpoll claim failed: %d goroutines for %d conns (limit GOMAXPROCS + shards + workers + 64 = %d); idle connections are not goroutine-free",
-			top.goroutines, top.conns, limit)
-	}
-	// (b) the load still flows with the full population registered.
-	rep := top.report
-	if rep.GoodputPerSec < cfg.Rate/2 {
-		return fmt.Errorf("c10k netpoll claim failed: goodput %.0f/s < half the %.0f/s offered rate at %d conns",
-			rep.GoodputPerSec, cfg.Rate, top.conns)
-	}
-	if rep.Completed == 0 || rep.WithinSLO*10 < rep.Completed*9 {
-		return fmt.Errorf("c10k netpoll claim failed: only %d/%d completions within the %v SLO at %d conns",
-			rep.WithinSLO, rep.Completed, cfg.SLO, top.conns)
-	}
-	if rep.Errors != 0 {
-		return fmt.Errorf("c10k netpoll claim failed: %d call errors at %d conns", rep.Errors, top.conns)
-	}
-	return nil
-}
-
-// c10kNetpollCell brings up a netpoll-mode server on sharded unix
-// listeners, dials the full connection population (every accepted conn
-// registers with the fixed poller set; no goroutine is spawned for
-// it), measures the goroutine and heap deltas, then lets flexload
-// drive the open-loop load over an active subset while the rest of the
-// population sits idle.
-func c10kNetpollCell(p *pres.Presentation, cfg C10KConfig, conns int) (c10kNetpollResult, error) {
-	disp := frt.NewDispatcher(p)
-	disp.Handle("nop", func(c *frt.Call) error { return nil })
-	plan, err := frt.NewPlan(p, frt.XDRCodec, nil)
-	if err != nil {
-		return c10kNetpollResult{}, err
-	}
-	serverStats := stats.New(nil)
-	cacheCap := 2 * conns
-	if cacheCap < frt.DefaultReplyCacheSize {
-		cacheCap = frt.DefaultReplyCacheSize
-	}
-	sess := frt.NewSessionServer(disp, plan, frt.NewReplyCacheSharded(cacheCap, 64))
-	srv := suntcp.NewSessionServer(sess, p.Interface)
-	srv.SetConcurrency(cfg.Workers)
-	srv.SetStats(serverStats)
-	srv.SetNetpoll(true)
-
-	dir, err := os.MkdirTemp("", "c10knp")
-	if err != nil {
-		return c10kNetpollResult{}, err
-	}
-	defer os.RemoveAll(dir)
-	shards := cfg.NetpollShards
-	lns := make([]net.Listener, shards)
-	socks := make([]string, shards)
-	for i := range lns {
-		socks[i] = filepath.Join(dir, fmt.Sprintf("s%d.sock", i))
-		if lns[i], err = net.Listen("unix", socks[i]); err != nil {
-			return c10kNetpollResult{}, err
-		}
-	}
-
-	// Two GC cycles before the baseline: sync.Pool contents from the
-	// earlier cells survive one collection as victims, and their
-	// release between the two measurements would otherwise swallow the
-	// per-connection growth.
-	runtime.GC()
-	runtime.GC()
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	baseline := runtime.NumGoroutine()
-	go func() { _ = srv.ServeShards(lns...) }()
-
-	drain := func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		return srv.Drain(ctx)
-	}
-
-	dialed := make([]net.Conn, 0, conns)
-	closeDialed := func() {
-		for _, c := range dialed {
-			c.Close()
-		}
-	}
-	for i := 0; i < conns; i++ {
-		cc, err := net.Dial("unix", socks[i%shards])
-		if err != nil {
-			closeDialed()
-			_ = drain()
-			return c10kNetpollResult{}, fmt.Errorf("c10k netpoll: dial %d of %d: %w", i, conns, err)
-		}
-		dialed = append(dialed, cc)
-	}
-
-	// The goroutine and heap deltas are the standing cost of the full
-	// registered population — wait until the poller set owns every
-	// connection before measuring.
-	deadline := time.Now().Add(30 * time.Second)
-	var registered uint64
-	for time.Now().Before(deadline) {
-		registered = serverStats.Snapshot().PollerConnsRegistered
-		if registered >= uint64(conns) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if registered < uint64(conns) {
-		closeDialed()
-		_ = drain()
-		return c10kNetpollResult{}, fmt.Errorf("c10k netpoll: only %d of %d conns registered with the pollers", registered, conns)
-	}
-	runtime.GC()
-	runtime.GC()
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	delta := runtime.NumGoroutine() - baseline
-	var heapPerConn float64
-	if m1.HeapAlloc > m0.HeapAlloc {
-		heapPerConn = float64(m1.HeapAlloc-m0.HeapAlloc) / float64(conns)
-	}
-
-	active := cfg.NetpollActive
-	if active <= 0 {
-		active = 256
-	}
-	if active > conns {
-		active = conns
-	}
-	opIdx := plan.OpIndex("nop")
-	enc := frt.XDRCodec.NewEncoder()
-	if err := plan.Ops[opIdx].EncodeRequest(enc, nil); err != nil {
-		closeDialed()
-		_ = drain()
-		return c10kNetpollResult{}, err
-	}
-	req := enc.Bytes()
-	clients := make([]*suntcp.Conn, active)
-	for i := range clients {
-		clients[i] = suntcp.Dial(dialed[i], p)
-	}
-	rep, err := flexload.Run(flexload.Target{
-		Dial:    func(id int) (frt.Conn, error) { return clients[id], nil },
-		Pres:    p,
-		Op:      "nop",
-		Request: req,
-	}, flexload.Options{
-		Clients:     active,
-		Mode:        flexload.Open,
-		Rate:        cfg.Rate,
-		Warmup:      cfg.Warmup,
-		Measure:     cfg.Measure,
-		Cooldown:    50 * time.Millisecond,
-		Seed:        cfg.Seed,
-		Robust:      &frt.RobustOptions{AtMostOnce: true},
-		ServerStats: serverStats,
-		SLO:         cfg.SLO,
-	})
-	if err != nil {
-		closeDialed()
-		_ = drain()
-		return c10kNetpollResult{}, err
-	}
-
-	// flexload closed the active subset; Drain tears down the rest of
-	// the registered population server-side, then the idle client ends
-	// release their descriptors.
-	if err := drain(); err != nil {
-		closeDialed()
-		return c10kNetpollResult{}, fmt.Errorf("c10k netpoll: drain after %d conns: %w", conns, err)
-	}
-	for _, c := range dialed[active:] {
-		c.Close()
-	}
-	return c10kNetpollResult{
-		conns:      conns,
-		report:     rep,
-		goroutines: delta,
-		perConn:    float64(delta) / float64(conns),
-		heapBytes:  heapPerConn,
-	}, nil
 }

@@ -1,379 +1,265 @@
 package experiments
 
 import (
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"flexrpc/internal/netpoll"
-	"flexrpc/internal/netsim"
 )
 
-// The experiment drivers run with tiny workloads here; shape
-// assertions use generous margins so scheduling noise cannot flake
-// the suite, while still catching inverted results and broken
-// configurations. Full-size runs live in cmd/experiments.
+// Every figure runs here at its smoke size. The claims checked are the
+// figures' own — the same names and margins cmd/experiments checks at
+// full size — with margins generous enough that scheduling noise cannot
+// flake the suite while inverted results and broken configurations are
+// still caught.
 
-func TestFig2ShapeAndInvariants(t *testing.T) {
-	rows, err := Fig2(Fig2Config{
-		FileSize: 512 << 10,
-		Link:     netsim.LinkParams{Bandwidth: 200 << 20},
-	})
+// checkFigure runs one registered figure and checks what every figure
+// owes: a table whose printed form carries the title, every label and
+// every printed column, and claims that all hold.
+func checkFigure(t *testing.T, name string) {
+	t.Helper()
+	figs, err := Select(Figures, name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
+	rep, err := figs[0].Execute(Smoke)
+	if err != nil {
+		t.Fatal(err)
 	}
-	reads := uint64(512 << 10 / 8192)
-	for _, r := range rows {
-		if r.Total <= 0 || r.Client <= 0 || r.NetServer <= 0 {
-			t.Errorf("%s: non-positive timing %+v", r.Config, r)
+	if len(rep.Rows) == 0 || len(rep.Verdicts) == 0 {
+		t.Fatalf("figure %s: %d rows, %d claims; a figure measures something and claims something", name, len(rep.Rows), len(rep.Verdicts))
+	}
+	text := rep.Format()
+	if rep.Title == "" || !strings.Contains(text, "== "+rep.Title+" ==") {
+		t.Errorf("table missing title %q:\n%s", rep.Title, text)
+	}
+	for _, row := range rep.Rows {
+		if !strings.Contains(text, row.Label) {
+			t.Errorf("table missing row %q", row.Label)
 		}
-		if r.UserCopies != reads {
-			t.Errorf("%s: user copies = %d, want %d", r.Config, r.UserCopies, reads)
+	}
+	header := strings.Join(rep.lines("")[0], "\x00") + "\x00"
+	for _, c := range rep.Figure.Columns {
+		if printed := strings.Contains(header, "\x00"+c.Name+"\x00"); printed == c.Hidden {
+			t.Errorf("column %q: hidden=%v, printed=%v", c.Name, c.Hidden, printed)
 		}
 	}
-	// The conventional hand-coded client does one intermediate
-	// kernel copy per read; the user-space one does none.
-	if rows[0].KernelCopies != reads {
-		t.Errorf("conventional/hand kernel copies = %d", rows[0].KernelCopies)
+	for _, v := range rep.Verdicts {
+		if !v.Holds {
+			t.Errorf("claim %q is false: %s", v.Claim, v.Detail)
+		}
 	}
-	if rows[2].KernelCopies != 0 {
-		t.Errorf("userbuf/hand kernel copies = %d", rows[2].KernelCopies)
-	}
-	// Shape: within each stub family the user-space presentation
-	// must not be slower on the client segment (wide margin).
-	if rows[2].Client > rows[0].Client*3/2 {
-		t.Errorf("hand: user-space client time %v vs conventional %v", rows[2].Client, rows[0].Client)
-	}
-	if rows[3].Client > rows[1].Client*3/2 {
-		t.Errorf("generated: user-space client time %v vs conventional %v", rows[3].Client, rows[1].Client)
-	}
-	table := Fig2Table(rows).Format()
-	if !strings.Contains(table, "Figure 2") {
-		t.Error("table missing title")
+	if t.Failed() {
+		t.Log("\n" + text)
 	}
 }
 
-func smallPipeCfg() PipeConfig {
-	return PipeConfig{Total: 256 << 10, PipeSizes: []int{4096}}
-}
+func TestFig2ShapeAndInvariants(t *testing.T) { checkFigure(t, "2") }
+func TestFig6Shape(t *testing.T)              { checkFigure(t, "6") }
+func TestFig7Shape(t *testing.T)              { checkFigure(t, "7") }
+func TestFig10Shape(t *testing.T)             { checkFigure(t, "10") }
+func TestFig11Shape(t *testing.T)             { checkFigure(t, "11") }
+func TestFig12Shape(t *testing.T)             { checkFigure(t, "12") }
+func TestPortTransferShape(t *testing.T)      { checkFigure(t, "ports") }
+func TestFigMarshalShape(t *testing.T)        { checkFigure(t, "marshal") }
+func TestFigFaultsShape(t *testing.T)         { checkFigure(t, "faults") }
+func TestFigScaleShape(t *testing.T)          { checkFigure(t, "scale") }
+func TestFigShmShape(t *testing.T)            { checkFigure(t, "shm") }
+func TestFigOverloadShape(t *testing.T)       { checkFigure(t, "overload") }
+func TestFigC10KShape(t *testing.T)           { checkFigure(t, "c10k") }
 
-func TestFig6Shape(t *testing.T) {
-	rows, err := Fig6(smallPipeCfg())
+// TestRegistry checks the descriptions themselves, and that the
+// per-figure tests above cover the registry: a figure added to Figures
+// without a shape test fails here.
+func TestRegistry(t *testing.T) {
+	src, err := os.ReadFile("experiments_test.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	def, never := rows[0], rows[1]
-	if def.MBps <= 0 || never.MBps <= 0 {
-		t.Fatalf("throughputs = %+v", rows)
-	}
-	// dealloc(never) must not lose by more than noise.
-	if never.MBps < def.MBps*0.85 {
-		t.Errorf("dealloc(never) slower than default: %.1f vs %.1f MB/s", never.MBps, def.MBps)
-	}
-}
-
-func TestFig7Shape(t *testing.T) {
-	rows, err := Fig7(smallPipeCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 { // standard, special, BSD reference
-		t.Fatalf("rows = %d", len(rows))
-	}
-	std, special, bsd := rows[0], rows[1], rows[2]
-	// The headline claim: the [special] presentation substantially
-	// outperforms the standard one (paper: +92%/+160%; demand at
-	// least +30% even on a noisy box).
-	if special.MBps < std.MBps*1.3 {
-		t.Errorf("[special] = %.1f MB/s vs standard %.1f MB/s; want >= 1.3x", special.MBps, std.MBps)
-	}
-	if bsd.MBps <= special.MBps {
-		t.Errorf("in-process BSD pipe should outrun cross-domain RPC: %.1f vs %.1f", bsd.MBps, special.MBps)
-	}
-}
-
-func TestFig10Shape(t *testing.T) {
-	rows, err := Fig10(1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 12 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	get := func(group, system string) SemRow {
-		for _, r := range rows {
-			if strings.Contains(r.Group, group) && strings.Contains(r.System, system) {
-				return r
+	names := map[string]bool{}
+	files := map[string]bool{}
+	for _, f := range Figures {
+		if names[f.Name] || files[f.File()] {
+			t.Errorf("figure %q registered twice", f.Name)
+		}
+		names[f.Name], files[f.File()] = true, true
+		if !strings.Contains(string(src), `checkFigure(t, "`+f.Name+`")`) {
+			t.Errorf("figure %q has no shape test", f.Name)
+		}
+		if f.Run == nil || len(f.Claims) == 0 {
+			t.Errorf("figure %q needs a Run and at least one claim", f.Name)
+		}
+		claims := map[string]bool{}
+		for _, c := range f.Claims {
+			if c.Name == "" || claims[c.Name] {
+				t.Errorf("figure %q: claim name %q empty or repeated", f.Name, c.Name)
+			}
+			claims[c.Name] = true
+		}
+		for _, c := range f.Columns {
+			if c.Name == "" || c.Unit == "" || !strings.Contains(c.Format, "%") {
+				t.Errorf("figure %q: column %+v needs a name, a unit and a format", f.Name, c)
 			}
 		}
-		t.Fatalf("row %s/%s missing", group, system)
-		return SemRow{}
-	}
-	// Flexible never needs glue.
-	for _, r := range rows {
-		if strings.Contains(r.System, "flexible") && r.NsGlue > 0 {
-			t.Errorf("flexible has glue in %q", r.Group)
-		}
-	}
-	// Fixed borrow forces server glue exactly when the server
-	// modifies.
-	if get("server modifies", "borrow").NsGlue == 0 {
-		t.Error("fixed borrow with modifying server should show glue")
-	}
-	if get("server reads", "borrow").NsGlue != 0 {
-		t.Error("fixed borrow with read-only server should show no glue")
-	}
-	// In the fully-relaxed group, flexible must beat fixed copy by a
-	// clear margin (it eliminates the 1KB copy).
-	relaxedFlex := get("trashable-ok / server modifies", "flexible")
-	relaxedCopy := get("trashable-ok / server modifies", "copy")
-	if relaxedFlex.NsCall > relaxedCopy.NsCall*0.9 {
-		t.Errorf("flexible %.0f ns vs fixed copy %.0f ns; want clearly faster", relaxedFlex.NsCall, relaxedCopy.NsCall)
-	}
-}
-
-func TestFig11Shape(t *testing.T) {
-	rows, err := Fig11(1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 12 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	get := func(group, system string) SemRow {
-		for _, r := range rows {
-			if strings.Contains(r.Group, group) && strings.Contains(r.System, system) {
-				return r
+		systems := map[string]bool{}
+		for _, s := range f.Systems {
+			if s.Name == "" || systems[s.Name] || s.New == nil {
+				t.Errorf("figure %q: system %q unnamed, repeated or unbuildable", f.Name, s.Name)
 			}
-		}
-		t.Fatalf("row %s/%s missing", group, system)
-		return SemRow{}
-	}
-	for _, r := range rows {
-		if strings.Contains(r.System, "flexible") && r.NsGlue > 0 {
-			t.Errorf("flexible has glue in %q", r.Group)
+			systems[s.Name] = true
 		}
 	}
-	// Mismatched fixed systems pay glue; flexible does not.
-	if get("server provides", "CORBA").NsGlue == 0 {
-		t.Error("CORBA with providing server should show glue")
-	}
-	if get("client provides", "CORBA").NsGlue == 0 {
-		t.Error("CORBA with providing client should show glue")
-	}
-	if get("server provides", "MIG").NsGlue == 0 {
-		t.Error("MIG with providing server should show glue")
-	}
-	if get("client provides", "MIG").NsGlue != 0 {
-		t.Error("MIG with providing client should be its happy path")
-	}
-	// Flexible wins the server-provides group outright (reference
-	// pass vs copy).
-	flex := get("server provides", "flexible")
-	corba := get("server provides", "CORBA")
-	if flex.NsCall > corba.NsCall*0.9 {
-		t.Errorf("flexible %.0f ns vs CORBA %.0f ns in server-provides group", flex.NsCall, corba.NsCall)
+	if _, err := Select(Figures, "nope"); err == nil || !strings.Contains(err.Error(), "want "+Names(Figures)+" or all") {
+		t.Errorf("unknown figure error = %v, want it to list %s", err, Names(Figures))
 	}
 }
 
-func TestFig12Shape(t *testing.T) {
-	m, err := Fig12(1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci := range m {
-		for si := range m[ci] {
-			if m[ci][si] <= 0 {
-				t.Fatalf("cell [%d][%d] = %v", ci, si, m[ci][si])
+// TestSystemsRunOnce builds every benchmark system and runs one
+// operation, so a system only BenchmarkFig drives cannot rot unseen.
+func TestSystemsRunOnce(t *testing.T) {
+	for _, f := range Figures {
+		for _, s := range f.Systems {
+			op, closeFn, err := s.New()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", f.Name, s.Name, err)
 			}
-		}
-	}
-	// Slowest corner (none/none) must not beat the fastest corner
-	// (full trust) — allow wide noise margin.
-	if m[0][0] < m[2][2]*4/5 {
-		t.Errorf("no-trust %v faster than full-trust %v", m[0][0], m[2][2])
-	}
-	if !strings.Contains(Fig12Table(m).Format(), "client none") {
-		t.Error("table missing rows")
-	}
-}
-
-func TestPortTransferShape(t *testing.T) {
-	rows, err := PortTransfer(4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	unique, nonunique := rows[0], rows[1]
-	// The relaxed path must not be slower beyond noise.
-	if nonunique.NsCall > unique.NsCall*1.15 {
-		t.Errorf("nonunique %.0f ns vs unique %.0f ns", nonunique.NsCall, unique.NsCall)
-	}
-}
-
-func TestFigFaultsShape(t *testing.T) {
-	tab, err := FigFaults(FaultsConfig{Calls: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	get := func(label string) Row {
-		for _, r := range tab.Rows {
-			if r.Label == label {
-				return r
+			if err := op(); err != nil {
+				t.Errorf("%s/%s: %v", f.Name, s.Name, err)
 			}
+			closeFn()
 		}
-		t.Fatalf("row %q missing", label)
-		return Row{}
-	}
-	// With retries on, the session layer must mask every injected
-	// loss; 400 calls at 8 attempts each makes failure astronomically
-	// unlikely, so demand perfection.
-	for _, label := range []string{"loss 1% retries on", "loss 5% retries on"} {
-		if v := get(label).Values[0]; v != "100.0" {
-			t.Errorf("%s: success %s%%, want 100.0", label, v)
-		}
-	}
-	// With retries off, 5% loss must actually lose calls — otherwise
-	// the injector is not injecting.
-	if v := get("loss 5% retries off").Values[0]; v == "100.0" {
-		t.Error("5% loss with retries off lost nothing: fault injection broken")
 	}
 }
 
-func TestFigOverloadShape(t *testing.T) {
-	// FigOverload self-asserts the headline claims (admission goodput
-	// and p99 beat unprotected at top load; budgeted retries beat
-	// unbudgeted) and returns an error when the data contradicts them,
-	// so a nil error here is the real assertion. The shape check below
-	// guards the grid itself.
-	cfg := OverloadConfig{Duration: 80 * time.Millisecond, Loads: []int{2, 10}}
-	tab, err := FigOverload(cfg)
+// fakeFigure is a two-row grouped figure with one true and one false
+// claim, a hidden column and an unmeasured cell.
+func fakeFigure() *Figure {
+	return &Figure{
+		Name: "9", Title: "T", Note: "note",
+		Columns: []Column{
+			{Name: "a", Unit: "ns", Format: "%.1f"},
+			{Name: "bb", Unit: "%", Format: "%+.0f%%"},
+			{Name: "secret", Unit: "count", Format: "%.0f", Hidden: true},
+		},
+		Run: func(Size) (*Result, error) {
+			return &Result{Rows: []Row{
+				{Group: "g", Label: "row one", Cells: []float64{1, 24, 7}},
+				{Group: "g", Label: `with "quotes", and comma`, Cells: []float64{10, math.NaN(), 8}},
+			}}, nil
+		},
+		Claims: []Claim{
+			cmp("row one is smaller", ref{"g: row one", "a"}, "<", 1, ref{`g: with "quotes", and comma`, "a"}),
+			bound("unmeasured cells fail claims", ">=", 0, ref{`g: with "quotes", and comma`, "bb"}),
+			bound("absent rows fail claims", "==", 0, ref{"no such row", "a"}),
+		},
+	}
+}
+
+func TestTableFormatting(t *testing.T) {
+	rep, err := fakeFigure().Execute(Smoke)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6 (2 loads x 3 modes)", len(tab.Rows))
+	want := "== T ==\nnote\n" +
+		"                                   a    bb\n" +
+		"  g:                                      \n" +
+		"      row one                    1.0  +24%\n" +
+		"      with \"quotes\", and comma  10.0     -\n"
+	if got := rep.Format(); got != want {
+		t.Errorf("formatted table =\n%s\nwant\n%s", got, want)
 	}
-	for _, r := range tab.Rows {
-		if len(r.Values) != len(tab.Headers) {
-			t.Fatalf("row %q has %d values for %d headers", r.Label, len(r.Values), len(tab.Headers))
-		}
+	if v := pctDelta(100, 124); v != 24 {
+		t.Errorf("pctDelta(100, 124) = %v", v)
+	}
+	if !math.IsNaN(pctDelta(0, 5)) {
+		t.Error("pctDelta without a base must be NaN")
+	}
+	if mbps(1e6, time.Second) != 1.0 || mbps(1, 0) != 0 {
+		t.Error("mbps wrong")
 	}
 }
 
-func TestFigC10KShape(t *testing.T) {
-	// FigC10K self-asserts the headline claims (goroutines stay
-	// O(conns + workers); the offered load is served within the SLO at
-	// the top connection count), so a nil error is the real assertion.
-	cfg := C10KConfig{
-		Conns:         []int{32, 128},
-		Rate:          600,
-		Warmup:        30 * time.Millisecond,
-		Measure:       100 * time.Millisecond,
-		NetpollConns:  []int{64, 384},
-		NetpollActive: 32,
-	}
-	tab, err := FigC10K(cfg)
+func TestTableCSV(t *testing.T) {
+	rep, err := fakeFigure().Execute(Smoke)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 2
-	if netpoll.Supported() {
-		want = 4 // the netpoll rows self-assert goroutines ≈ pollers + shards + workers
-	}
-	if len(tab.Rows) != want {
-		t.Fatalf("rows = %d, want %d", len(tab.Rows), want)
-	}
-	for _, r := range tab.Rows {
-		if len(r.Values) != len(tab.Headers) {
-			t.Fatalf("row %q has %d values for %d headers", r.Label, len(r.Values), len(tab.Headers))
-		}
+	want := "config,a,bb\ng:,,\nrow one,1.0,+24%\n\"with \"\"quotes\"\", and comma\",10.0,-\n"
+	if got := rep.CSV(); got != want {
+		t.Fatalf("csv =\n%q\nwant\n%q", got, want)
 	}
 }
 
-func BenchmarkFigC10K(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := FigC10K(C10KConfig{
-			Conns:   []int{64, 256},
-			Rate:    600,
-			Warmup:  20 * time.Millisecond,
-			Measure: 80 * time.Millisecond,
-		}); err != nil {
-			b.Fatal(err)
-		}
+// TestVerdictsAndJSON pins the certificate: verdicts in claim order
+// with the numbers of a false one, and a schema-2 file whose values are
+// numbers or null.
+func TestVerdictsAndJSON(t *testing.T) {
+	f := fakeFigure()
+	rep, err := f.Execute(Quick)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func BenchmarkFigOverload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := FigOverload(OverloadConfig{
-			Duration: 60 * time.Millisecond, Loads: []int{2, 10},
-		}); err != nil {
-			b.Fatal(err)
+	if v := rep.Verdicts; len(v) != 3 || !v[0].Holds || v[1].Holds || v[2].Holds || !strings.Contains(v[1].Detail, "NaN") {
+		t.Fatalf("verdicts = %+v", v)
+	}
+	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), `claim is false: "unmeasured cells fail claims"`) {
+		t.Fatalf("Err() = %v", err)
+	}
+	dir := t.TempDir()
+	if err := rep.WriteJSON(dir, NewProvenance()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "BENCH_fig9.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Schema  int
+		Figure  string
+		Size    string
+		Columns []struct {
+			Name, Unit string
+			Hidden     bool
 		}
+		Rows []struct {
+			Group, Label string
+			Values       []*float64
+		}
+		Claims     []Verdict
+		Provenance Provenance
+	}
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("%v\n%s", err, data)
+	}
+	if got.Schema != 2 || got.Figure != "fig9" || got.Size != "quick" {
+		t.Errorf("header = %+v", got)
+	}
+	if len(got.Columns) != 3 || got.Columns[1].Unit != "%" || !got.Columns[2].Hidden {
+		t.Errorf("columns = %+v", got.Columns)
+	}
+	if len(got.Rows) != 2 || got.Rows[0].Group != "g" || *got.Rows[0].Values[1] != 24 || got.Rows[1].Values[1] != nil || *got.Rows[1].Values[2] != 8 {
+		t.Errorf("rows = %+v", got.Rows)
+	}
+	if len(got.Claims) != 3 || got.Claims[1].Holds || got.Claims[1].Detail == "" {
+		t.Errorf("claims = %+v", got.Claims)
+	}
+	p := got.Provenance
+	if p.Commit == "" || p.Go == "" || p.GOMAXPROCS < 1 || p.NProc < 1 || p.Kernel == "" || p.Date == "" || p.Seed != Seed {
+		t.Errorf("provenance = %+v", p)
 	}
 }
 
 func TestBestOfPicksMinimum(t *testing.T) {
 	calls := 0
 	durs := []time.Duration{5 * time.Millisecond, 2 * time.Millisecond, 9 * time.Millisecond}
-	got := bestOf(3, func() time.Duration {
-		d := durs[calls]
+	got, err := bestOf(3, func() (time.Duration, error) {
 		calls++
-		return d
+		return durs[calls-1], nil
 	})
-	if got != 2*time.Millisecond || calls != 3 {
-		t.Fatalf("bestOf = %v after %d calls", got, calls)
-	}
-}
-
-func TestTableFormatting(t *testing.T) {
-	tab := &Table{
-		Title:   "T",
-		Note:    "note",
-		Headers: []string{"a", "bb"},
-		Rows: []Row{
-			{Label: "row one", Values: []string{"1", "2"}},
-			{Label: "r2", Values: []string{"10", "20"}},
-		},
-	}
-	out := tab.Format()
-	for _, want := range []string{"== T ==", "note", "row one", "20"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("formatted table missing %q:\n%s", want, out)
-		}
-	}
-	if pct(100, 124) != "+24%" || pct(100, 76) != "-24%" || pct(0, 5) != "-" {
-		t.Error("pct formatting wrong")
-	}
-	if mbps(1e6, time.Second) != 1.0 || mbps(1, 0) != 0 {
-		t.Error("mbps formatting wrong")
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tab := &Table{
-		Title:   "T",
-		Headers: []string{"a", "b"},
-		Rows: []Row{
-			{Label: "plain", Values: []string{"1", "2"}},
-			{Label: `with "quotes", and comma`, Values: []string{"3", "4"}},
-		},
-	}
-	got := tab.CSV()
-	want := "config,a,b\nplain,1,2\n\"with \"\"quotes\"\", and comma\",3,4\n"
-	if got != want {
-		t.Fatalf("csv =\n%q\nwant\n%q", got, want)
+	if err != nil || got != 2*time.Millisecond || calls != 3 {
+		t.Fatalf("bestOf = %v, %v after %d calls", got, err, calls)
 	}
 }

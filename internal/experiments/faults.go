@@ -3,12 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
-	"flexrpc/internal/core"
-	"flexrpc/internal/pres"
 	frt "flexrpc/internal/runtime"
+	"flexrpc/internal/stats"
 	"flexrpc/internal/transport/faultconn"
 )
 
@@ -16,15 +14,8 @@ import (
 // over a fault-injecting transport. The paper's systems assume a
 // reliable channel; this measures what the robustness machinery
 // costs when the channel is not — p50/p99 latency and goodput under
-// injected loss, with the retry policy on versus off.
-
-// FaultsConfig sizes the faults experiment.
-type FaultsConfig struct {
-	Calls int // calls per configuration
-}
-
-// DefaultFaultsConfig returns the full-size run.
-func DefaultFaultsConfig() FaultsConfig { return FaultsConfig{Calls: 5000} }
+// 1% and 5% injected message loss, with the retry policy off (errors
+// surface to the caller) versus on (the session layer masks the loss).
 
 // sessLoopback carries session frames straight into a SessionServer,
 // which lands each reply in the caller's buffer the way a real wire
@@ -37,112 +28,90 @@ func (l *sessLoopback) Call(opIdx int, req, replyBuf []byte) ([]byte, error) {
 
 func (l *sessLoopback) Close() error { return nil }
 
-// FigFaults measures null-RPC latency percentiles and goodput under
-// 1% and 5% injected message loss, with retries off (errors surface
-// to the caller) and on (the session layer masks the loss).
-func FigFaults(cfg FaultsConfig) (*Table, error) {
-	if cfg.Calls <= 0 {
-		cfg.Calls = DefaultFaultsConfig().Calls
+func faultsLabel(lossPct float64, retries bool) string {
+	mode := "off"
+	if retries {
+		mode = "on"
 	}
-	compiled, err := core.Compile(core.Options{
-		Frontend: core.FrontendCORBA, Filename: "null.idl",
-		Source: `interface Null { void nop(); };`,
-	})
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:   "Faults: null RPC under injected loss, at-most-once session layer",
-		Note:    "retries off surfaces loss to the caller; retries on masks it and pays latency tail",
-		Headers: []string{"success%", "p50 µs", "p99 µs", "calls/s", "retries/call", "replays/call"},
-	}
-	for _, loss := range []float64{0.01, 0.05} {
-		for _, retries := range []bool{false, true} {
-			row, err := faultsRow(compiled.Pres, cfg.Calls, loss, retries)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-	}
-	return t, nil
+	return fmt.Sprintf("loss %g%% retries %s", lossPct, mode)
 }
 
-func faultsRow(p *pres.Presentation, calls int, loss float64, retries bool) (Row, error) {
-	disp := frt.NewDispatcher(p)
-	disp.Handle("nop", func(c *frt.Call) error { return nil })
-	plan, err := frt.NewPlan(p, frt.XDRCodec, nil)
+var figFaults = &Figure{
+	Name:  "faults",
+	Title: "Faults: null RPC under injected loss, at-most-once session layer",
+	Note:  "retries off surfaces loss to the caller; retries on masks it and pays latency tail",
+	Columns: []Column{
+		{Name: "success%", Unit: "%", Format: "%.1f"},
+		{Name: "p50 µs", Unit: "us", Format: "%.1f"},
+		{Name: "p99 µs", Unit: "us", Format: "%.1f"},
+		{Name: "calls/s", Unit: "1/s", Format: "%.0f"},
+		{Name: "retries/call", Unit: "count", Format: "%.2f"},
+		{Name: "replays/call", Unit: "count", Format: "%.2f"},
+	},
+	Run: func(s Size) (*Result, error) {
+		calls := pick(s, 5000, 1000, 400)
+		res := &Result{}
+		for _, lossPct := range []float64{1, 5} {
+			for _, retries := range []bool{false, true} {
+				row, err := faultsRow(calls, lossPct, retries)
+				if err != nil {
+					return nil, err
+				}
+				res.Rows = append(res.Rows, row)
+			}
+		}
+		return res, nil
+	},
+	Claims: []Claim{
+		rowCount("two loss rates x retries off and on", 4),
+		// With retries on, the session layer must mask every injected
+		// loss; even the smoke run's 400 calls at 8 attempts each make
+		// failure astronomically unlikely, so demand perfection.
+		bound("retries mask every injected loss", "==", 100,
+			ref{faultsLabel(1, true), "success%"}, ref{faultsLabel(5, true), "success%"}),
+		// With retries off, 5% loss must actually lose calls — otherwise
+		// the injector is not injecting.
+		bound("5% loss without retries loses calls", "<", 100, ref{faultsLabel(5, false), "success%"}),
+	},
+}
+
+func faultsRow(calls int, lossPct float64, retry bool) (Row, error) {
+	bed, err := newSessionBed(bedSpec{handler: nopHandler})
 	if err != nil {
 		return Row{}, err
 	}
-	sess := frt.NewSessionServer(disp, plan, frt.NewReplyCache(frt.DefaultReplyCacheSize))
-	sched := faultconn.New(faultconn.Profile{
-		Seed:        1,
-		DropRequest: loss / 2,
-		DropReply:   loss / 2,
-	})
+	bed.disp.EnableStats() // replays land on the server dispatcher
+	sched := faultconn.New(faultconn.Profile{Seed: Seed, DropRequest: lossPct / 200, DropReply: lossPct / 200})
 	policy := frt.RetryPolicy{MaxAttempts: 1}
-	if retries {
+	if retry {
 		policy = frt.RetryPolicy{
 			MaxAttempts:    8,
 			AttemptTimeout: 2 * time.Millisecond,
 			BaseBackoff:    100 * time.Microsecond,
 			MaxBackoff:     time.Millisecond,
-			Seed:           1,
+			Seed:           Seed,
 		}
 	}
-	conn := frt.NewRobustConn(sched.Wrap(&sessLoopback{sess: sess}), p, frt.RobustOptions{
-		ClientID:   1,
-		AtMostOnce: true,
-		Policy:     policy,
-	})
-	client, err := frt.NewClient(p, frt.XDRCodec, conn, nil)
+	clientStats := stats.New([]string{"nop"})
+	conn := bed.robust(sched.Wrap(&sessLoopback{sess: bed.sess}), 0, frt.RobustOptions{Policy: policy}, clientStats)
+	// One caller; a lost call is the measurement, not a failure.
+	l, err := bed.closedLoop([]*frt.RobustConn{conn}, 1,
+		func(issued int, _ time.Duration) bool { return issued < calls },
+		func(error) bool { return true })
 	if err != nil {
 		return Row{}, err
 	}
-	client.EnableStats() // retries land on the client endpoint
-	disp.EnableStats()   // replays land on the server dispatcher
-	lat := make([]time.Duration, 0, calls)
-	ok := 0
-	start := time.Now()
-	for i := 0; i < calls; i++ {
-		t0 := time.Now()
-		_, _, err := client.Invoke("nop", nil, nil, nil)
-		if err == nil {
-			ok++
-			lat = append(lat, time.Since(t0))
-		}
+	var replays uint64
+	for _, o := range bed.disp.Stats().Ops {
+		replays += o.Replays
 	}
-	elapsed := time.Since(start)
-
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pct := func(q float64) float64 {
-		if len(lat) == 0 {
-			return 0
-		}
-		i := int(q * float64(len(lat)-1))
-		return float64(lat[i].Nanoseconds()) / 1e3
-	}
-	mode := "off"
-	if retries {
-		mode = "on"
-	}
-	var nretries, nreplays uint64
-	for _, o := range client.Stats().Ops {
-		nretries += o.Retries
-	}
-	for _, o := range disp.Stats().Ops {
-		nreplays += o.Replays
-	}
-	return Row{
-		Label: fmt.Sprintf("loss %g%% retries %s", loss*100, mode),
-		Values: []string{
-			f1(100 * float64(ok) / float64(calls)),
-			f1(pct(0.50)),
-			f1(pct(0.99)),
-			fmt.Sprintf("%.0f", float64(calls)/elapsed.Seconds()),
-			f2(float64(nretries) / float64(calls)),
-			f2(float64(nreplays) / float64(calls)),
-		},
-	}, nil
+	n := float64(calls)
+	return Row{Label: faultsLabel(lossPct, retry), Cells: []float64{
+		100 * float64(len(l.lat)) / n,
+		float64(l.percentile(0.50).Nanoseconds()) / 1e3,
+		float64(l.percentile(0.99).Nanoseconds()) / 1e3,
+		n / l.elapsed.Seconds(),
+		float64(retries(clientStats.Snapshot())) / n,
+		float64(replays) / n,
+	}}, nil
 }

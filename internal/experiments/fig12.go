@@ -2,175 +2,164 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"flexrpc/internal/mach"
 )
 
-// uniprocessor pins the scheduler to one CPU for the duration of a
-// micro-experiment, matching the paper's uniprocessor HP730 and
-// removing cross-CPU wakeup noise from the rendezvous path. The
-// returned function restores the previous setting.
-func uniprocessor() func() {
-	prev := runtime.GOMAXPROCS(1)
-	return func() { runtime.GOMAXPROCS(prev) }
-}
+// The §4.5 experiments: a transport specialized at bind time from the
+// endpoints' presentation attributes.
 
-// The §4.5 experiments: a transport specialized at bind time from
-// the endpoints' presentation attributes.
-
-// TrustLevels in display order (the paper's axes).
-var TrustLevels = []mach.Trust{mach.TrustNoneLevel, mach.TrustLeakyLevel, mach.TrustFullLevel}
-
-// Fig12 measures null RPC over the bind-time-specialized transport
-// for every client-trust x server-trust combination. The result is
-// indexed [client][server].
-func Fig12(iters int) ([3][3]time.Duration, error) {
-	defer uniprocessor()()
-	var out [3][3]time.Duration
-	for ci, ct := range TrustLevels {
-		for si, st := range TrustLevels {
-			k := mach.NewKernel()
-			srv := k.NewTask("server")
-			cli := k.NewTask("client")
-			_, port := srv.AllocatePort()
-			port.RegisterServer(mach.EndpointSig{Contract: "null", Trust: st})
-			right := cli.InsertRight(port)
-			bind, err := mach.Bind(cli, right, mach.EndpointSig{Contract: "null", Trust: ct})
+// newMachCall registers a null server under serverSig, binds a client
+// under clientSig and returns one call as the operation. With carry
+// set every call transfers one port right, which the server consumes.
+func newMachCall(serverSig, clientSig mach.EndpointSig, carry bool) (op func() error, closeFn func(), err error) {
+	k := mach.NewKernel()
+	srv := k.NewTask("server")
+	cli := k.NewTask("client")
+	_, port := srv.AllocatePort()
+	port.RegisterServer(serverSig)
+	bind, err := mach.Bind(cli, cli.InsertRight(port), clientSig)
+	if err != nil {
+		return nil, nil, err
+	}
+	go func() {
+		for {
+			in, err := srv.Receive(port, nil)
 			if err != nil {
-				return out, err
+				return
 			}
-			go func() {
-				for {
-					in, err := srv.Receive(port, nil)
-					if err != nil {
-						return
-					}
-					in.Reply(&mach.Message{})
-				}
-			}()
-			req := &mach.Message{}
-			d := bestOf(Trials, func() time.Duration {
-				runtime.GC()
-				start := time.Now()
-				for i := 0; i < iters; i++ {
-					if _, err := bind.Call(req, nil); err != nil {
-						panic(err)
-					}
-				}
-				return time.Since(start)
-			})
-			out[ci][si] = d / time.Duration(iters)
-			port.Destroy()
-		}
-	}
-	return out, nil
-}
-
-// Fig12Table renders the 3x3 trust matrix.
-func Fig12Table(m [3][3]time.Duration) *Table {
-	t := &Table{
-		Title: "Figure 12: null RPC vs trust parameters (paper §4.5)",
-		Note: "paper: ~30% spread slowest (none/none) to fastest; the two most-trusting\n" +
-			"server columns are equal (server [unprotected] adds nothing)",
-		Headers: []string{"server none", "server leaky", "server leaky,unprot"},
-	}
-	for ci, ct := range TrustLevels {
-		vals := make([]string, 3)
-		for si := range TrustLevels {
-			vals[si] = fmt.Sprintf("%d ns", m[ci][si].Nanoseconds())
-		}
-		t.Rows = append(t.Rows, Row{Label: "client " + ct.String(), Values: vals})
-	}
-	return t
-}
-
-// PortRow is one configuration of the port-transfer experiment.
-type PortRow struct {
-	Config string
-	NsCall float64
-}
-
-// PortTransfer measures passing a single port right between two
-// tasks per call, with the standard unique-name invariant versus the
-// [nonunique] presentation. The paper measured 32.4 -> 24.7 usec
-// (24% less).
-func PortTransfer(iters int) ([]PortRow, error) {
-	defer uniprocessor()()
-	var rows []PortRow
-	for _, nonunique := range []bool{false, true} {
-		k := mach.NewKernel()
-		srv := k.NewTask("server")
-		cli := k.NewTask("client")
-		_, port := srv.AllocatePort()
-		port.RegisterServer(mach.EndpointSig{
-			Contract:       "xfer",
-			Trust:          mach.TrustFullLevel,
-			NonUniquePorts: nonunique,
-		})
-		right := cli.InsertRight(port)
-		bind, err := mach.Bind(cli, right, mach.EndpointSig{Contract: "xfer", Trust: mach.TrustFullLevel})
-		if err != nil {
-			return nil, err
-		}
-		go func() {
-			for {
-				in, err := srv.Receive(port, nil)
-				if err != nil {
-					return
-				}
-				// Consume the transferred right, paying the standard
-				// path's full insert/deallocate cycle each call.
-				for _, n := range in.PortNames {
-					_ = srv.DeallocateRight(n)
-				}
-				in.Reply(&mach.Message{})
+			// Consume any transferred right, paying the standard path's
+			// full insert/deallocate cycle each call.
+			for _, n := range in.PortNames {
+				_ = srv.DeallocateRight(n)
 			}
-		}()
-		// A realistic server task holds many other rights (one per
-		// open object); the reverse splay tree is exercised at a
-		// plausible size, not size one.
+			in.Reply(&mach.Message{})
+		}
+	}()
+	req := &mach.Message{}
+	if carry {
+		// A realistic server task holds many other rights (one per open
+		// object); the reverse splay tree is exercised at a plausible
+		// size, not size one.
 		other := k.NewTask("right-holder")
 		for i := 0; i < 64; i++ {
 			_, p := other.AllocatePort()
 			srv.InsertRight(p)
 		}
 		_, carried := cli.AllocatePort()
-		req := &mach.Message{Ports: []*mach.Port{carried}}
-		d := bestOf(Trials, func() time.Duration {
-			runtime.GC()
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				if _, err := bind.Call(req, nil); err != nil {
-					panic(err)
-				}
-			}
-			return time.Since(start)
-		})
-		name := "unique-name invariant (standard Mach)"
-		if nonunique {
-			name = "[nonunique] presentation"
-		}
-		rows = append(rows, PortRow{Config: name, NsCall: float64(d.Nanoseconds()) / float64(iters)})
-		port.Destroy()
+		req.Ports = []*mach.Port{carried}
 	}
-	return rows, nil
+	return func() error {
+		_, err := bind.Call(req, nil)
+		return err
+	}, port.Destroy, nil
 }
 
-// PortTable renders the port-transfer comparison.
-func PortTable(rows []PortRow) *Table {
-	t := &Table{
-		Title:   "Port right transfer: relaxing the unique-name requirement (paper §4.5)",
-		Note:    "paper: 32.4 usec -> 24.7 usec, a 24% reduction",
-		Headers: []string{"ns/transfer", "vs standard"},
+// trustLevels in display order (the paper's axes).
+var trustLevels = []mach.Trust{mach.TrustNoneLevel, mach.TrustLeakyLevel, mach.TrustFullLevel}
+
+func newTrustCall(client, server mach.Trust) Build {
+	return func() (func() error, func(), error) {
+		return newMachCall(mach.EndpointSig{Contract: "null", Trust: server},
+			mach.EndpointSig{Contract: "null", Trust: client}, false)
 	}
-	base := rows[0].NsCall
-	for _, r := range rows {
-		t.Rows = append(t.Rows, Row{
-			Label:  r.Config,
-			Values: []string{f1(r.NsCall), pct(base, r.NsCall)},
-		})
+}
+
+var fig12 = &Figure{
+	Name:  "12",
+	Title: "Figure 12: null RPC vs trust parameters (paper §4.5)",
+	Note: "paper: ~30% spread slowest (none/none) to fastest; the two most-trusting\n" +
+		"server columns are equal (server [unprotected] adds nothing)",
+	Columns: []Column{
+		{Name: "server none", Unit: "ns", Format: "%.0f ns"},
+		{Name: "server leaky", Unit: "ns", Format: "%.0f ns"},
+		{Name: "server leaky,unprot", Unit: "ns", Format: "%.0f ns"},
+	},
+	Run: func(s Size) (*Result, error) {
+		defer uniprocessor()()
+		iters := pick(s, 20000, 3000, 1500)
+		res := &Result{}
+		for _, ct := range trustLevels {
+			row := Row{Label: "client " + ct.String()}
+			for _, st := range trustLevels {
+				c, err := timeSystem(newTrustCall(ct, st), iters, nil)
+				if err != nil {
+					return nil, err
+				}
+				row.Cells = append(row.Cells, c.ns)
+			}
+			res.Rows = append(res.Rows, row)
+		}
+		return res, nil
+	},
+	Claims: []Claim{
+		everyRow("every trust combination binds and is timed", anyRow, ">", 0, "server none", "server leaky", "server leaky,unprot"),
+		// The slowest corner (none/none) must not beat the fastest
+		// corner (full trust) — allow a wide noise margin.
+		cmp("no trust is not faster than 0.8x full trust",
+			ref{"client none", "server none"}, ">=", 0.8, ref{"client leaky,unprotected", "server leaky,unprot"}),
+	},
+	Systems: func() []System {
+		var out []System
+		for _, ct := range trustLevels {
+			for _, st := range trustLevels {
+				out = append(out, System{Name: fmt.Sprintf("client=%v/server=%v", ct, st), New: newTrustCall(ct, st)})
+			}
+		}
+		return out
+	}(),
+}
+
+// portModes is the port-transfer experiment: one port right passed
+// between two tasks per call, under the standard unique-name invariant
+// versus the [nonunique] presentation. The paper measured 32.4 -> 24.7
+// usec (24% less).
+var portModes = []struct {
+	label     string
+	nonunique bool
+}{
+	{"unique-name invariant (standard Mach)", false},
+	{"[nonunique] presentation", true},
+}
+
+func newPortTransfer(nonunique bool) Build {
+	return func() (func() error, func(), error) {
+		return newMachCall(
+			mach.EndpointSig{Contract: "xfer", Trust: mach.TrustFullLevel, NonUniquePorts: nonunique},
+			mach.EndpointSig{Contract: "xfer", Trust: mach.TrustFullLevel}, true)
 	}
-	return t
+}
+
+var figPorts = &Figure{
+	Name:  "ports",
+	Title: "Port right transfer: relaxing the unique-name requirement (paper §4.5)",
+	Note:  "paper: 32.4 usec -> 24.7 usec, a 24% reduction",
+	Columns: []Column{
+		{Name: "ns/transfer", Unit: "ns", Format: "%.1f"},
+		{Name: "vs standard", Unit: "%", Format: "%+.0f%%"},
+	},
+	Run: func(s Size) (*Result, error) {
+		defer uniprocessor()()
+		iters := pick(s, 20000, 3000, 4000)
+		res := &Result{}
+		for _, m := range portModes {
+			c, err := timeSystem(newPortTransfer(m.nonunique), iters, nil)
+			if err != nil {
+				return nil, err
+			}
+			base := c.ns
+			if len(res.Rows) > 0 {
+				base = res.Rows[0].Cells[0]
+			}
+			res.Rows = append(res.Rows, Row{Label: m.label, Cells: []float64{c.ns, pctDelta(base, c.ns)}})
+		}
+		return res, nil
+	},
+	Claims: []Claim{
+		rowCount("the standard and the relaxed path", 2),
+		// The relaxed path must not be slower beyond noise.
+		cmp("[nonunique] is at most 1.15x the unique-name path",
+			ref{portModes[1].label, "ns/transfer"}, "<=", 1.15, ref{portModes[0].label, "ns/transfer"}),
+	},
+	Systems: systems(0, []string{portModes[0].label, portModes[1].label}, func(i int) Build { return newPortTransfer(portModes[i].nonunique) }),
 }

@@ -1,79 +1,36 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
-	"flexrpc/internal/core"
-	"flexrpc/internal/netsim"
-	"flexrpc/internal/pres"
 	frt "flexrpc/internal/runtime"
 	"flexrpc/internal/stats"
-	"flexrpc/internal/transport/suntcp"
 )
 
 // Overload experiment: deliberate degradation under offered load
 // beyond capacity. The server's capacity is a backend bottleneck
-// (Backend concurrent slots, Service hold time each); closed-loop
-// clients offer 2x-10x that capacity. Unprotected, every excess call
-// queues at the bottleneck and latency grows linearly with the load
-// multiple — the latency SLO dies even though every call "succeeds".
-// With admission control the excess is shed before the bottleneck
-// with a pushback frame, clients honor the advisory RetryAfter, and
-// the calls that do get through keep bottleneck-speed latency: lower
-// goodput is never the failure mode, unbounded queueing is.
+// (overloadBackend concurrent slots, overloadService hold time each);
+// closed-loop clients offer 2x-10x that capacity. Unprotected, every
+// excess call queues at the bottleneck and latency grows linearly with
+// the load multiple — the latency SLO dies even though every call
+// "succeeds". With admission control the excess is shed before the
+// bottleneck with a pushback frame, clients honor the advisory
+// RetryAfter, and the calls that do get through keep bottleneck-speed
+// latency: lower goodput is never the failure mode, unbounded queueing
+// is.
 //
 // Goodput counts completions within the SLO — a reply that arrives
 // after the caller's patience is spent is overhead, not service.
 
-// OverloadConfig sizes the overload experiment.
-type OverloadConfig struct {
-	Backend    int           // backend bottleneck concurrency
-	Service    time.Duration // backend hold time per call
-	SLO        time.Duration // latency bound that defines goodput
-	RetryAfter time.Duration // server's advisory pushback pause
-	Loads      []int         // offered-load multiples of Backend
-	Duration   time.Duration // measurement window per cell
-}
-
-// DefaultOverloadConfig returns the full-size run.
-func DefaultOverloadConfig() OverloadConfig {
-	return OverloadConfig{
-		Backend:    4,
-		Service:    time.Millisecond,
-		SLO:        5 * time.Millisecond,
-		RetryAfter: time.Millisecond,
-		Loads:      []int{2, 4, 10},
-		Duration:   250 * time.Millisecond,
-	}
-}
-
-func (c OverloadConfig) withDefaults() OverloadConfig {
-	d := DefaultOverloadConfig()
-	if c.Backend <= 0 {
-		c.Backend = d.Backend
-	}
-	if c.Service <= 0 {
-		c.Service = d.Service
-	}
-	if c.SLO <= 0 {
-		c.SLO = d.SLO
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = d.RetryAfter
-	}
-	if len(c.Loads) == 0 {
-		c.Loads = d.Loads
-	}
-	if c.Duration <= 0 {
-		c.Duration = d.Duration
-	}
-	return c
-}
+const (
+	overloadBackend    = 4                    // backend bottleneck concurrency
+	overloadService    = time.Millisecond     // backend hold time per call
+	overloadSLO        = 5 * time.Millisecond // latency bound that defines goodput
+	overloadRetryAfter = time.Millisecond     // server's advisory pushback pause
+)
 
 // overloadMode selects the protection installed for one cell.
 type overloadMode struct {
@@ -82,245 +39,133 @@ type overloadMode struct {
 	budget    bool
 }
 
-// overloadCellResult carries one cell's raw numbers so the claims can
-// be asserted on values rather than rendered strings.
-type overloadCellResult struct {
-	issued      int
-	completed   int
-	withinSLO   int
-	goodput     float64 // within-SLO completions per second
-	p50, p99    time.Duration
-	retries     uint64
-	sheds       uint64
-	suppressed  uint64
-	fastFails   uint64
-	elapsedSecs float64
+var overloadModes = []overloadMode{
+	{name: "unprotected"},
+	{name: "admission", admission: true},
+	{name: "admission+budget", admission: true, budget: true},
 }
 
-// FigOverload runs the load x protection grid and self-asserts the
-// headline claims: at the highest offered load, admission control
-// sustains higher goodput and a lower p99 than the unprotected
-// server, and a retry-budgeted client wastes fewer retries than an
-// unbudgeted one against the same pushback storm.
-func FigOverload(cfg OverloadConfig) (*Table, error) {
-	cfg = cfg.withDefaults()
-	compiled, err := core.Compile(core.Options{
-		Frontend: core.FrontendCORBA, Filename: "work.idl",
-		Source: `interface Work { void work(); };`,
-	})
-	if err != nil {
-		return nil, err
-	}
-	modes := []overloadMode{
-		{name: "unprotected"},
-		{name: "admission", admission: true},
-		{name: "admission+budget", admission: true, budget: true},
-	}
-	t := &Table{
-		Title: fmt.Sprintf("Overload: %d-slot backend, %v service; goodput = completions within the %v SLO",
-			cfg.Backend, cfg.Service, cfg.SLO),
-		Note: "unprotected, excess load queues at the backend and p99 grows with the load multiple; " +
-			"admission sheds it before the bottleneck and keeps admitted latency flat",
-		Headers: []string{"goodput/s", "ok %", "p50 ms", "p99 ms", "retries/call", "shed/call", "suppressed"},
-	}
-	results := make(map[string]overloadCellResult, len(cfg.Loads)*len(modes))
-	for _, load := range cfg.Loads {
-		for _, m := range modes {
-			r, err := overloadCell(compiled.Pres, cfg, m, load)
-			if err != nil {
-				return nil, err
+func overloadLabel(load int, m overloadMode) string { return fmt.Sprintf("load %dx %s", load, m.name) }
+
+// overloadTop is the highest offered load, a multiple of the backend,
+// that every run size reaches; the claims are made there, where the
+// protections matter most.
+const overloadTop = 10
+
+// atTop names a cell of one mode's row at overloadTop.
+func atTop(mode int, col string) ref {
+	return ref{overloadLabel(overloadTop, overloadModes[mode]), col}
+}
+
+var figOverload = &Figure{
+	Name: "overload",
+	Title: fmt.Sprintf("Overload: %d-slot backend, %v service; goodput = completions within the %v SLO",
+		overloadBackend, overloadService, overloadSLO),
+	Note: "unprotected, excess load queues at the backend and p99 grows with the load multiple; " +
+		"admission sheds it before the bottleneck and keeps admitted latency flat",
+	Columns: []Column{
+		{Name: "goodput/s", Unit: "1/s", Format: "%.0f"},
+		{Name: "ok %", Unit: "%", Format: "%.1f"},
+		{Name: "p50 ms", Unit: "ms", Format: "%.2f"},
+		{Name: "p99 ms", Unit: "ms", Format: "%.2f"},
+		{Name: "retries/call", Unit: "count", Format: "%.2f"},
+		{Name: "shed/call", Unit: "count", Format: "%.2f"},
+		{Name: "suppressed", Unit: "count", Format: "%.0f"},
+	},
+	Run: func(s Size) (*Result, error) {
+		window := pick(s, 250*time.Millisecond, 80*time.Millisecond, 80*time.Millisecond)
+		loads := pick(s, []int{2, 4, overloadTop}, []int{2, 4, overloadTop}, []int{2, overloadTop})
+		res := &Result{}
+		for _, load := range loads {
+			for _, m := range overloadModes {
+				row, err := overloadCell(window, m, load)
+				if err != nil {
+					return nil, err
+				}
+				res.Rows = append(res.Rows, row)
 			}
-			key := fmt.Sprintf("load %dx %s", load, m.name)
-			results[key] = r
-			t.Rows = append(t.Rows, Row{
-				Label: key,
-				Values: []string{
-					fmt.Sprintf("%.0f", r.goodput),
-					f1(100 * float64(r.completed) / float64(max(r.issued, 1))),
-					f2(float64(r.p50.Nanoseconds()) / 1e6),
-					f2(float64(r.p99.Nanoseconds()) / 1e6),
-					f2(float64(r.retries) / float64(max(r.issued, 1))),
-					f2(float64(r.sheds) / float64(max(r.issued, 1))),
-					fmt.Sprintf("%d", r.suppressed),
-				},
-			})
 		}
-	}
-	if err := assertOverloadClaims(cfg, results); err != nil {
-		return nil, err
-	}
-	return t, nil
+		return res, nil
+	},
+	// The headline claims, at the highest offered load: admission
+	// control sustains higher goodput and a lower p99 than the
+	// unprotected server, and a retry-budgeted client wastes fewer
+	// retries than an unbudgeted one against the same pushback storm.
+	// Modes by index into overloadModes.
+	Claims: []Claim{
+		everyRow("every cell serves calls", anyRow, ">", 0, "ok %"),
+		cmp("admission sustains higher goodput than unprotected", atTop(1, "goodput/s"), ">", 1, atTop(0, "goodput/s")),
+		cmp("admission keeps p99 below unprotected", atTop(1, "p99 ms"), "<", 1, atTop(0, "p99 ms")),
+		bound("the unbudgeted client retries under pushback", ">", 0, atTop(1, "retries/call")),
+		cmp("the retry budget cuts retries per call", atTop(2, "retries/call"), "<", 1, atTop(1, "retries/call")),
+		bound("the retry budget suppresses retries under pushback", ">", 0, atTop(2, "suppressed")),
+	},
 }
 
-// assertOverloadClaims checks the figure's headline claims at the
-// highest offered load, failing the whole run when the data
-// contradicts them — the JSON this figure emits is a certificate,
-// not just a log.
-func assertOverloadClaims(cfg OverloadConfig, results map[string]overloadCellResult) error {
-	top := cfg.Loads[0]
-	for _, l := range cfg.Loads {
-		if l > top {
-			top = l
-		}
-	}
-	unprot := results[fmt.Sprintf("load %dx unprotected", top)]
-	adm := results[fmt.Sprintf("load %dx admission", top)]
-	bud := results[fmt.Sprintf("load %dx admission+budget", top)]
-	if adm.goodput <= unprot.goodput {
-		return fmt.Errorf("overload claim failed: admission goodput %.0f/s <= unprotected %.0f/s at %dx load",
-			adm.goodput, unprot.goodput, top)
-	}
-	if adm.p99 >= unprot.p99 {
-		return fmt.Errorf("overload claim failed: admission p99 %v >= unprotected %v at %dx load",
-			adm.p99, unprot.p99, top)
-	}
-	admRetries := float64(adm.retries) / float64(max(adm.issued, 1))
-	budRetries := float64(bud.retries) / float64(max(bud.issued, 1))
-	if admRetries == 0 {
-		return fmt.Errorf("overload claim failed: unbudgeted client recorded no retries under pushback at %dx load", top)
-	}
-	if budRetries >= admRetries {
-		return fmt.Errorf("overload claim failed: budgeted retries/call %.2f >= unbudgeted %.2f at %dx load",
-			budRetries, admRetries, top)
-	}
-	if bud.suppressed == 0 {
-		return fmt.Errorf("overload claim failed: retry budget suppressed nothing under pushback at %dx load", top)
-	}
-	return nil
-}
-
-// overloadCell runs one load x protection cell: load*Backend
+// overloadCell runs one load x protection cell: load*overloadBackend
 // closed-loop drivers, each over its own connection, against one
 // session server whose handler funnels through the backend
 // bottleneck.
-func overloadCell(p *pres.Presentation, cfg OverloadConfig, m overloadMode, load int) (overloadCellResult, error) {
-	disp := frt.NewDispatcher(p)
-	sem := make(chan struct{}, cfg.Backend)
-	disp.Handle("work", func(c *frt.Call) error {
+func overloadCell(window time.Duration, m overloadMode, load int) (Row, error) {
+	sem := make(chan struct{}, overloadBackend)
+	bed, err := newSessionBed(bedSpec{handler: func(*frt.Call) error {
 		sem <- struct{}{}
-		time.Sleep(cfg.Service)
+		time.Sleep(overloadService)
 		<-sem
 		return nil
-	})
-	plan, err := frt.NewPlan(p, frt.XDRCodec, nil)
+	}})
 	if err != nil {
-		return overloadCellResult{}, err
+		return Row{}, err
 	}
-	serverStats := stats.New(nil)
-	sess := frt.NewSessionServer(disp, plan, frt.NewReplyCache(frt.DefaultReplyCacheSize))
-	var adm *frt.Admission
 	if m.admission {
 		// The cap equals the backend: everything the bottleneck cannot
 		// serve right now is pushed back instead of queued against it.
-		adm = frt.NewAdmission(frt.AdmissionOptions{
-			MaxInflight: cfg.Backend,
-			RetryAfter:  cfg.RetryAfter,
-			Stats:       serverStats,
-		})
-		sess.SetAdmission(adm)
+		bed.sess.SetAdmission(frt.NewAdmission(frt.AdmissionOptions{
+			MaxInflight: overloadBackend,
+			RetryAfter:  overloadRetryAfter,
+			Stats:       bed.stats,
+		}))
 	}
-	srv := suntcp.NewSessionServer(sess, p.Interface)
-
 	var budget *frt.RetryBudget
 	if m.budget {
 		// One budget shared by every driver: the aggregate retry rate
 		// toward this backend is what must not amplify.
 		budget = frt.NewRetryBudget(10, 0.1)
 	}
-	clientStats := stats.New([]string{"work"})
-	opIdx := plan.OpIndex("work")
-	enc := frt.XDRCodec.NewEncoder()
-	if err := plan.Ops[opIdx].EncodeRequest(enc, nil); err != nil {
-		return overloadCellResult{}, err
-	}
-	req := enc.Bytes()
-
-	drivers := load * cfg.Backend
-	conns := make([]*frt.RobustConn, drivers)
+	clientStats := stats.New([]string{"nop"})
+	conns := make([]*frt.RobustConn, load*overloadBackend)
 	for i := range conns {
-		cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 64)
-		go func() { _ = srv.ServeConn(sc) }()
-		conn := frt.NewRobustConn(suntcp.Dial(cc, p), p, frt.RobustOptions{
-			ClientID:   uint32(i + 1),
-			AtMostOnce: true,
+		conns[i] = bed.robust(bed.dial(64), i, frt.RobustOptions{
 			Policy: frt.RetryPolicy{
 				MaxAttempts: 4,
-				BaseBackoff: cfg.RetryAfter,
-				MaxBackoff:  4 * cfg.RetryAfter,
+				BaseBackoff: overloadRetryAfter,
+				MaxBackoff:  4 * overloadRetryAfter,
 				Seed:        int64(i + 1),
 			},
 			Budget: budget,
+		}, clientStats)
+	}
+	// One closed-loop driver per connection for the window; a shed call
+	// is load doing its work.
+	l, err := bed.closedLoop(conns, 1,
+		func(_ int, since time.Duration) bool { return since < window },
+		func(err error) bool {
+			var shed *frt.ErrOverloaded
+			return errors.As(err, &shed)
 		})
-		conn.SetStats(clientStats)
-		conns[i] = conn
+	if err != nil {
+		return Row{}, err
 	}
-
-	type driverTally struct {
-		issued, completed int
-		lat               []time.Duration
-	}
-	tallies := make([]driverTally, drivers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for d := range conns {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			conn := conns[d]
-			tally := &tallies[d]
-			var replyBuf []byte
-			for time.Since(start) < cfg.Duration {
-				tally.issued++
-				t0 := time.Now()
-				reply, err := conn.CallContext(context.Background(), opIdx, req, replyBuf)
-				if err == nil {
-					tally.completed++
-					tally.lat = append(tally.lat, time.Since(t0))
-					replyBuf = reply[:0]
-					continue
-				}
-				var ov *frt.ErrOverloaded
-				if !errors.As(err, &ov) {
-					// Anything but a shed is a harness bug, not load.
-					panic(err)
-				}
-			}
-		}(d)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, conn := range conns {
-		conn.Close()
-	}
-
-	var r overloadCellResult
-	var lat []time.Duration
-	for i := range tallies {
-		r.issued += tallies[i].issued
-		r.completed += tallies[i].completed
-		lat = append(lat, tallies[i].lat...)
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pick := func(q float64) time.Duration {
-		if len(lat) == 0 {
-			return 0
-		}
-		return lat[int(q*float64(len(lat)-1))]
-	}
-	r.p50, r.p99 = pick(0.50), pick(0.99)
-	for _, d := range lat {
-		if d <= cfg.SLO {
-			r.withinSLO++
-		}
-	}
-	r.elapsedSecs = elapsed.Seconds()
-	r.goodput = float64(r.withinSLO) / r.elapsedSecs
+	withinSLO := sort.Search(len(l.lat), func(i int) bool { return l.lat[i] > overloadSLO })
 	cs := clientStats.Snapshot()
-	for _, o := range cs.Ops {
-		r.retries += o.Retries
-	}
-	r.suppressed = cs.RetrySuppressed
-	r.fastFails = cs.BreakerFastFails
-	r.sheds = serverStats.Snapshot().Sheds
-	return r, nil
+	n := float64(max(l.issued, 1))
+	return Row{Label: overloadLabel(load, m), Cells: []float64{
+		float64(withinSLO) / l.elapsed.Seconds(),
+		100 * float64(len(l.lat)) / n,
+		float64(l.percentile(0.50).Nanoseconds()) / 1e6,
+		float64(l.percentile(0.99).Nanoseconds()) / 1e6,
+		float64(retries(cs)) / n,
+		float64(bed.stats.Snapshot().Sheds) / n,
+		float64(cs.RetrySuppressed),
+	}}, nil
 }

@@ -1,17 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sync"
+	"math"
 	"time"
 
-	"flexrpc/internal/core"
-	"flexrpc/internal/netsim"
-	"flexrpc/internal/pres"
 	frt "flexrpc/internal/runtime"
 	"flexrpc/internal/stats"
-	"flexrpc/internal/transport/suntcp"
 )
 
 // Scale experiment: multicore server scaling. Each connection
@@ -25,26 +20,17 @@ import (
 // with workers even on one core, the way a blocked NFS handler
 // would).
 
-// ScaleConfig sizes the scale experiment.
-type ScaleConfig struct {
-	Calls   int // calls per row
-	Workers int // server worker-pool size and client drivers per conn
-	Conns   int // connections in the multi-connection rows
-	Stall   time.Duration
-}
-
-// DefaultScaleConfig returns the full-size run.
-func DefaultScaleConfig() ScaleConfig {
-	return ScaleConfig{Calls: 20000, Workers: 8, Conns: 8, Stall: 200 * time.Microsecond}
-}
-
-const scaleIDL = `interface Scale { void nop(); };`
+const (
+	scaleWorkers = 8 // server worker-pool size and client drivers per conn
+	scaleConns   = 8 // connections in the multi-connection rows
+	scaleStall   = 200 * time.Microsecond
+)
 
 // The PDL marks nop [batchable] so the batched leg can merge calls.
 // It is deliberately NOT [idempotent]: every call must traverse the
 // at-most-once reply cache, the structure whose sharding the figure
 // is measuring.
-const scalePDL = "interface Scale {\n    [batchable] nop();\n};\n"
+const scalePDL = "interface Null {\n    [batchable] nop();\n};\n"
 
 type scaleMode struct {
 	name    string
@@ -53,169 +39,120 @@ type scaleMode struct {
 	batch   bool
 }
 
-// FigScale measures calls/s for each server mode × workload ×
+var scaleModes = []scaleMode{
+	{name: "serial", workers: 1, shards: 1},
+	{name: fmt.Sprintf("concurrent/%d", scaleWorkers), workers: scaleWorkers, shards: scaleWorkers},
+	{name: fmt.Sprintf("concurrent/%d+batch", scaleWorkers), workers: scaleWorkers, shards: scaleWorkers, batch: true},
+}
+
+func scaleLabel(stall time.Duration, conns int, m scaleMode) string {
+	workload := "null"
+	if stall > 0 {
+		workload = fmt.Sprintf("stall %v", stall)
+	}
+	return fmt.Sprintf("%s conns %d %s", workload, conns, m.name)
+}
+
+// figScale measures calls/s for each server mode × workload ×
 // connection count, plus the machinery's own counters: how many
 // replies each writer flush coalesced, how many calls each batch
 // frame carried, and how often a cache shard was found locked.
-func FigScale(cfg ScaleConfig) (*Table, error) {
-	d := DefaultScaleConfig()
-	if cfg.Calls <= 0 {
-		cfg.Calls = d.Calls
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = d.Workers
-	}
-	if cfg.Conns <= 0 {
-		cfg.Conns = d.Conns
-	}
-	if cfg.Stall <= 0 {
-		cfg.Stall = d.Stall
-	}
-	compiled, err := core.Compile(core.Options{
-		Frontend: core.FrontendCORBA, Filename: "scale.idl", Source: scaleIDL,
-		PDL: scalePDL, PDLFilename: "scale.pdl",
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	t := &Table{
-		Title: fmt.Sprintf("Scale: pipelined null RPC, %d drivers/conn; stall simulates a %v backend wait",
-			cfg.Workers, cfg.Stall),
-		Note: "speedup is vs the serial row of the same workload and conn count; " +
-			"null-RPC scaling needs real cores, stall scaling only needs workers",
-		Headers: []string{"calls/s", "speedup", "coalesce/flush", "batch/frame", "shard waits"},
-	}
-	modes := []scaleMode{
-		{name: "serial", workers: 1, shards: 1},
-		{name: fmt.Sprintf("concurrent/%d", cfg.Workers), workers: cfg.Workers, shards: cfg.Workers},
-		{name: fmt.Sprintf("concurrent/%d+batch", cfg.Workers), workers: cfg.Workers, shards: cfg.Workers, batch: true},
-	}
-	for _, wl := range []struct {
-		name  string
-		stall time.Duration
-	}{
-		{"null", 0},
-		{fmt.Sprintf("stall %v", cfg.Stall), cfg.Stall},
-	} {
-		for _, conns := range []int{1, cfg.Conns} {
-			var base float64
-			for _, m := range modes {
-				row, rate, err := scaleRow(compiled.Pres, cfg, m, wl.stall, conns)
-				if err != nil {
-					return nil, err
+var figScale = &Figure{
+	Name: "scale",
+	Title: fmt.Sprintf("Scale: pipelined null RPC, %d drivers/conn; stall simulates a %v backend wait",
+		scaleWorkers, scaleStall),
+	Note: "speedup is vs the serial row of the same workload and conn count; " +
+		"null-RPC scaling needs real cores, stall scaling only needs workers",
+	Columns: []Column{
+		{Name: "calls/s", Unit: "1/s", Format: "%.0f"},
+		{Name: "speedup", Unit: "ratio", Format: "%.2f"},
+		{Name: "coalesce/flush", Unit: "count", Format: "%.2f"},
+		{Name: "batch/frame", Unit: "count", Format: "%.2f"},
+		{Name: "shard waits", Unit: "count", Format: "%.0f"},
+	},
+	Run: func(s Size) (*Result, error) {
+		calls := pick(s, 20000, 3000, 400)
+		res := &Result{}
+		for _, stall := range []time.Duration{0, scaleStall} {
+			for _, conns := range []int{1, scaleConns} {
+				var serial float64
+				for _, m := range scaleModes {
+					row, err := scaleRow(calls, m, stall, conns)
+					if err != nil {
+						return nil, err
+					}
+					if m.workers == 1 {
+						serial = row.Cells[0]
+					}
+					row.Cells[1] = row.Cells[0] / serial
+					res.Rows = append(res.Rows, row)
 				}
-				if m.workers == 1 {
-					base = rate
-				}
-				speedup := "1.00"
-				if m.workers != 1 && base > 0 {
-					speedup = f2(rate / base)
-				}
-				row.Label = fmt.Sprintf("%s conns %d %s", wl.name, conns, m.name)
-				row.Values = append([]string{fmt.Sprintf("%.0f", rate), speedup}, row.Values...)
-				t.Rows = append(t.Rows, row)
 			}
 		}
-	}
-	return t, nil
+		return res, nil
+	},
+	Claims: []Claim{
+		rowCount("two workloads x two connection counts x three modes", 12),
+		everyRow("every mode completes its calls", anyRow, ">", 0, "calls/s"),
+		// A stalled handler holds a worker, not a core: eight workers
+		// must overlap the waits even on one CPU (8x measured).
+		cmp("one connection, stalled handler: the worker pool is at least 2x serial",
+			ref{scaleLabel(scaleStall, 1, scaleModes[1]), "calls/s"}, ">=", 2,
+			ref{scaleLabel(scaleStall, 1, scaleModes[0]), "calls/s"}),
+	},
 }
 
-// scaleRow runs cfg.Calls calls through one server mode and reports
-// the mechanism counters plus the achieved rate.
-func scaleRow(p *pres.Presentation, cfg ScaleConfig, m scaleMode, stall time.Duration, conns int) (Row, float64, error) {
-	disp := frt.NewDispatcher(p)
-	disp.Handle("nop", func(c *frt.Call) error {
-		if stall > 0 {
-			time.Sleep(stall)
-		}
-		return nil
+// scaleRow runs calls calls through one server mode and reports the
+// achieved rate plus the mechanism counters.
+func scaleRow(calls int, m scaleMode, stall time.Duration, conns int) (Row, error) {
+	bed, err := newSessionBed(bedSpec{
+		pdl: scalePDL,
+		handler: func(*frt.Call) error {
+			if stall > 0 {
+				time.Sleep(stall)
+			}
+			return nil
+		},
+		workers: m.workers, shards: m.shards,
 	})
-	plan, err := frt.NewPlan(p, frt.XDRCodec, nil)
 	if err != nil {
-		return Row{}, 0, err
+		return Row{}, err
 	}
-	serverStats := stats.New(nil)
-	cache := frt.NewReplyCacheSharded(frt.DefaultReplyCacheSize, m.shards)
-	cache.SetStats(serverStats)
-	sess := frt.NewSessionServer(disp, plan, cache)
-	srv := suntcp.NewSessionServer(sess, p.Interface)
-	srv.SetConcurrency(m.workers)
-	srv.SetStats(serverStats)
+	bed.cache.SetStats(bed.stats)
 
 	clientStats := stats.New([]string{"nop"})
-	opIdx := plan.OpIndex("nop")
-	enc := frt.XDRCodec.NewEncoder()
-	if err := plan.Ops[opIdx].EncodeRequest(enc, nil); err != nil {
-		return Row{}, 0, err
-	}
-	req := enc.Bytes()
-
 	rconns := make([]*frt.RobustConn, conns)
 	for i := range rconns {
-		cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 256)
-		go func() { _ = srv.ServeConn(sc) }()
-		conn := frt.NewRobustConn(suntcp.Dial(cc, p), p, frt.RobustOptions{
-			ClientID:   uint32(i + 1),
-			AtMostOnce: true,
-		})
-		conn.SetStats(clientStats)
+		rconns[i] = bed.robust(bed.dial(256), i, frt.RobustOptions{}, clientStats)
 		if m.batch {
 			// MaxCalls matches the driver count so steady-state
 			// batches flush on size (on the enqueuer, immediately)
 			// rather than waiting out the timer: the timer is the
 			// lone-call latency bound, not the throughput path.
-			conn.EnableBatching(frt.BatchOptions{MaxCalls: cfg.Workers})
-		}
-		rconns[i] = conn
-	}
-
-	perDriver := cfg.Calls / (conns * cfg.Workers)
-	if perDriver < 1 {
-		perDriver = 1
-	}
-	total := perDriver * conns * cfg.Workers
-
-	errc := make(chan error, conns*cfg.Workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for _, conn := range rconns {
-		for d := 0; d < cfg.Workers; d++ {
-			wg.Add(1)
-			go func(conn *frt.RobustConn) {
-				defer wg.Done()
-				var replyBuf []byte
-				for i := 0; i < perDriver; i++ {
-					reply, err := conn.CallContext(context.Background(), opIdx, req, replyBuf)
-					if err != nil {
-						errc <- err
-						return
-					}
-					replyBuf = reply[:0]
-				}
-			}(conn)
+			rconns[i].EnableBatching(frt.BatchOptions{MaxCalls: scaleWorkers})
 		}
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, conn := range rconns {
-		conn.Close()
-	}
-	select {
-	case err := <-errc:
-		return Row{}, 0, err
-	default:
+	perDriver := max(calls/(conns*scaleWorkers), 1)
+	l, err := bed.closedLoop(rconns, scaleWorkers,
+		func(issued int, _ time.Duration) bool { return issued < perDriver },
+		func(error) bool { return false })
+	if err != nil {
+		return Row{}, err
 	}
 
-	rate := float64(total) / elapsed.Seconds()
-	ss := serverStats.Snapshot()
-	coalesce := "-"
-	if ss.Flushes > 0 {
-		coalesce = f2(float64(ss.FlushedRecords) / float64(ss.Flushes))
+	// A ratio with no events behind it is not measured.
+	per := func(n, events uint64) float64 {
+		if events == 0 {
+			return math.NaN()
+		}
+		return float64(n) / float64(events)
 	}
-	batched := "-"
-	if cs := clientStats.Snapshot(); cs.BatchFlushes > 0 {
-		batched = f2(float64(cs.BatchedCalls) / float64(cs.BatchFlushes))
-	}
-	return Row{Values: []string{coalesce, batched, fmt.Sprintf("%d", cache.Contention())}}, rate, nil
+	ss, cs := bed.stats.Snapshot(), clientStats.Snapshot()
+	return Row{Label: scaleLabel(stall, conns, m), Cells: []float64{
+		float64(l.issued) / l.elapsed.Seconds(),
+		0, // speedup: the caller knows the serial row
+		per(ss.FlushedRecords, ss.Flushes),
+		per(cs.BatchedCalls, cs.BatchFlushes),
+		float64(bed.cache.Contention()),
+	}}, nil
 }
