@@ -1,15 +1,8 @@
 #!/bin/sh
 # CI driver. `./ci.sh` runs the full gate (same as `make ci`);
-# `./ci.sh vet-examples` runs only the flexvet sweep over examples/;
-# `./ci.sh vet-go` runs only the Go-source analyzer stage;
-# `./ci.sh certify` runs only the plan-certificate diff;
-# `./ci.sh fuzz-smoke` runs only the short fuzz pass;
-# `./ci.sh flexload-smoke` runs only the load-generator smoke;
-# `./ci.sh netpoll-smoke` runs only the netpoll smoke;
-# `./ci.sh netpoll-stress` runs only the repeated netpoll race pass;
-# `./ci.sh alloc-gates` runs only the allocation gates, without -race;
-# `./ci.sh bench-smoke` runs only the bench module's tests;
-# `./ci.sh figures` runs only the figure claim check.
+# `./ci.sh <stage>` runs one stage — the names are the arms of the
+# `case` at the bottom, each described at its function — and any other
+# name exits 2 without running anything.
 set -eu
 
 cd "$(dirname "$0")"
@@ -242,104 +235,76 @@ fuzz_smoke() {
 	go test -run='^$' -fuzz=FuzzTraceCodec -fuzztime="$fuzztime" ./internal/stats
 }
 
-if [ "${1:-}" = "vet-examples" ]; then
-	vet_examples
-	exit 0
-fi
+full() {
+	echo "== gofmt"
+	out=$(gofmt -l .)
+	if [ -n "$out" ]; then
+		echo "gofmt needed on:"
+		echo "$out"
+		exit 1
+	fi
 
-if [ "${1:-}" = "vet-go" ]; then
-	vet_go
-	exit 0
-fi
+	echo "== go vet"
+	go vet ./...
 
-if [ "${1:-}" = "certify" ]; then
-	certify "${2:-}"
-	exit 0
-fi
+	echo "== go build"
+	go build ./...
 
-if [ "${1:-}" = "fuzz-smoke" ]; then
-	fuzz_smoke
-	exit 0
-fi
+	echo "== go test -race"
+	go test -race ./...
 
-if [ "${1:-}" = "flexload-smoke" ]; then
-	flexload_smoke
-	exit 0
-fi
-
-if [ "${1:-}" = "netpoll-smoke" ]; then
-	netpoll_smoke
-	exit 0
-fi
-
-if [ "${1:-}" = "netpoll-stress" ]; then
-	netpoll_stress
-	exit 0
-fi
-
-if [ "${1:-}" = "alloc-gates" ]; then
+	echo "== allocation gates (no -race)"
 	alloc_gates
-	exit 0
-fi
 
-if [ "${1:-}" = "bench-smoke" ]; then
-	bench_smoke
-	exit 0
-fi
+	echo "== benchmarks compile and run one iteration each"
+	go test -run='^$' -bench=. -benchtime=1x ./...
 
-if [ "${1:-}" = "figures" ]; then
+	echo "== figures: every claim holds at -quick size"
 	figures
-	exit 0
-fi
 
-echo "== gofmt"
-out=$(gofmt -l .)
-if [ -n "$out" ]; then
-	echo "gofmt needed on:"
-	echo "$out"
-	exit 1
-fi
+	echo "== bench module smoke"
+	bench_smoke
 
-echo "== go vet"
-go vet ./...
+	echo "== flexload smoke"
+	flexload_smoke
 
-echo "== go build"
-go build ./...
+	echo "== netpoll smoke"
+	netpoll_smoke
 
-echo "== go test -race"
-go test -race ./...
+	echo "== netpoll stress"
+	netpoll_stress
 
-echo "== allocation gates (no -race)"
-alloc_gates
+	echo "== fuzz smoke"
+	fuzz_smoke
 
-echo "== benchmarks compile and run one iteration each"
-go test -run='^$' -bench=. -benchtime=1x ./...
+	echo "== flexc vet examples"
+	vet_examples
 
-echo "== figures: every claim holds at -quick size"
-figures
+	echo "== flexc vet -go"
+	vet_go
 
-echo "== bench module smoke"
-bench_smoke
+	echo "== flexc vet -certify"
+	certify
 
-echo "== flexload smoke"
-flexload_smoke
+	echo "CI green"
+}
 
-echo "== netpoll smoke"
-netpoll_smoke
-
-echo "== netpoll stress"
-netpoll_stress
-
-echo "== fuzz smoke"
-fuzz_smoke
-
-echo "== flexc vet examples"
-vet_examples
-
-echo "== flexc vet -go"
-vet_go
-
-echo "== flexc vet -certify"
-certify
-
-echo "CI green"
+# One stage by name, or the full gate with no argument. An unknown
+# name is a typo, not a request for the full gate.
+case "${1:-}" in
+"") full ;;
+vet-examples) vet_examples ;;
+vet-go) vet_go ;;
+certify) certify "${2:-}" ;;
+fuzz-smoke) fuzz_smoke ;;
+flexload-smoke) flexload_smoke ;;
+netpoll-smoke) netpoll_smoke ;;
+netpoll-stress) netpoll_stress ;;
+alloc-gates) alloc_gates ;;
+bench-smoke) bench_smoke ;;
+figures) figures ;;
+*)
+	echo "ci.sh: unknown stage '$1'; stages: vet-examples vet-go certify [-update] fuzz-smoke flexload-smoke netpoll-smoke netpoll-stress alloc-gates bench-smoke figures (no argument runs them all)" >&2
+	exit 2
+	;;
+esac

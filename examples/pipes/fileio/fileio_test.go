@@ -3,6 +3,7 @@ package fileio
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 
 	"flexrpc"
@@ -30,7 +31,7 @@ func (s *impl) Write(call *flexrpc.Call, data []byte) error {
 func (s *impl) CloseWrite(call *flexrpc.Call) error { return nil }
 func (s *impl) CloseRead(call *flexrpc.Call) error  { return nil }
 
-func compileIDL(t *testing.T) *core.Compiled {
+func compileIDL(t testing.TB) *core.Compiled {
 	t.Helper()
 	src, err := os.ReadFile("fileio.idl")
 	if err != nil {
@@ -69,6 +70,24 @@ func TestGeneratedStubsEndToEnd(t *testing.T) {
 	}
 	if err := client.CloseWrite(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Over an in-process connection nothing marshals, so nothing has
+// type-checked the result before the generated client unpacks it: a
+// handler that never calls SetResult must cost the caller an error
+// naming the operation, not a panic.
+func TestNilResultOverInProcIsAnError(t *testing.T) {
+	c := compileIDL(t)
+	disp := flexrpc.NewDispatcher(c.Pres)
+	disp.Handle("read", func(call *flexrpc.Call) error { return nil })
+	conn, err := flexrpc.ConnectInProc(c.Pres, disp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewFileIOClient(conn).Read(4)
+	if err == nil || !strings.Contains(err.Error(), "FileIO.read result") {
+		t.Fatalf("Read = %q, %v; want an error naming FileIO.read result", got, err)
 	}
 }
 

@@ -133,9 +133,11 @@ type (
 	DecodeStepFn = runtime.DecodeStepFn
 	// Conn is a client-side message transport connection.
 	Conn = runtime.Conn
-	// Encoder appends wire-format primitives (used by compiled stubs).
+	// Encoder appends wire-format primitives ([special] hooks marshal
+	// through it).
 	Encoder = runtime.Encoder
-	// Decoder reads wire-format primitives (used by compiled stubs).
+	// Decoder reads wire-format primitives ([special] hooks unmarshal
+	// through it).
 	Decoder = runtime.Decoder
 )
 
@@ -409,12 +411,4 @@ func NewParallelClient(p *Presentation, codec Codec, conn runtime.Conn, hooks Sp
 // invocations (paper §4.4).
 func ConnectInProc(clientPres *Presentation, disp *Dispatcher) (Invoker, error) {
 	return inproc.Connect(clientPres, disp)
-}
-
-// RawCall round-trips a pre-marshaled request for compiled stubs,
-// returning a decoder positioned at the reply body. Generated
-// *CompiledClient types call this; application code normally uses
-// Invoke or the typed stub methods instead.
-func RawCall(conn Conn, codec Codec, opIdx int, req, replyBuf []byte) (Decoder, []byte, error) {
-	return runtime.RawCall(conn, codec, opIdx, req, replyBuf)
 }

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"flexrpc/internal/ir"
@@ -161,42 +162,45 @@ func (g *gen) emitClientMethod(cname string, op *ir.Operation) error {
 		g.pf("\tvar resultLanding []byte\n")
 	}
 
-	zeroRets := func() string {
-		zs := append(append([]string(nil), zeros...), "err")
-		return strings.Join(zs, ", ")
+	if len(zeros) == 0 {
+		g.pf("\t_, _, err := c.inv.Invoke(%q, args, outBufs, resultLanding)\n\treturn err\n}\n\n", op.Name)
+		return nil
 	}
+	fail := "\tif err != nil {\n\t\treturn " + strings.Join(append(zeros, "err"), ", ") + "\n\t}\n"
 
-	g.pf("\touts, ret, err := c.inv.Invoke(%q, args, outBufs, resultLanding)\n", op.Name)
-	g.pf("\tif err != nil {\n\t\treturn %s\n\t}\n", zeroRets())
-	g.pf("\t_, _ = outs, ret\n")
+	// Invoke, naming only the returns this operation has.
+	outsVar, retVar := "outs", "ret"
+	if len(zeros) == 1 && op.HasResult() {
+		outsVar = "_"
+	}
+	if !op.HasResult() {
+		retVar = "_"
+	}
+	g.pf("\t%s, %s, err := c.inv.Invoke(%q, args, outBufs, resultLanding)\n%s", outsVar, retVar, op.Name, fail)
 
-	// Unpack returns.
+	// Unpack returns through checked conversions: over an in-process
+	// connection nothing else has looked at their types.
 	var retExprs []string
 	for i, p := range op.Params {
 		if p.Dir == ir.In {
 			continue
 		}
-		conv, errCase := g.convFromValue(fmt.Sprintf("outs[%d]", i), p.Type)
 		v := fmt.Sprintf("out%d", i)
-		if errCase {
-			g.pf("\t%s, err := %s\n\tif err != nil {\n\t\treturn %s\n\t}\n", v, conv, zeroRets())
-		} else {
-			g.pf("\t%s := %s\n", v, conv)
-		}
+		g.pf("\t%s, err := %s\n%s", v, g.convFromValue(fmt.Sprintf("outs[%d]", i), p.Type, g.what(op, "out param "+p.Name)), fail)
 		retExprs = append(retExprs, v)
 	}
 	if op.HasResult() {
-		conv, errCase := g.convFromValue("ret", op.Result)
-		if errCase {
-			g.pf("\tres, err := %s\n\tif err != nil {\n\t\treturn %s\n\t}\n", conv, zeroRets())
-		} else {
-			g.pf("\tres := %s\n", conv)
-		}
+		g.pf("\tres, err := %s\n%s", g.convFromValue("ret", op.Result, g.what(op, "result")), fail)
 		retExprs = append(retExprs, "res")
 	}
-	retExprs = append(retExprs, "nil")
-	g.pf("\treturn %s\n}\n\n", strings.Join(retExprs, ", "))
+	g.pf("\treturn %s\n}\n\n", strings.Join(append(retExprs, "nil"), ", "))
 	return nil
+}
+
+// what renders the Go string literal a checked conversion names its
+// value by: interface, operation and which part of it.
+func (g *gen) what(op *ir.Operation, part string) string {
+	return strconv.Quote(g.compiled.Iface.Name + "." + op.Name + " " + part)
 }
 
 // zeroExpr returns the zero-value literal for the Go mapping of t.

@@ -1,6 +1,11 @@
 package codegen
 
 import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 
@@ -50,7 +55,7 @@ func TestGenerateRichInterface(t *testing.T) {
 		"Green Color = 1",
 		"type Point struct {",
 		"Tint Color",
-		"func pointFromValue(v flexrpc.Value) (Point, error)",
+		"func pointFromValue(v flexrpc.Value, what string) (Point, error)",
 		"func pointSliceToValue(xs []Point) flexrpc.Value",
 		"type CanvasClient struct",
 		"func (c *CanvasClient) Plot(p Point, extra []Point) error",
@@ -192,5 +197,88 @@ func TestSunFrontendGeneration(t *testing.T) {
 		if !strings.Contains(src, want) {
 			t.Errorf("sun-front-end output missing %q", want)
 		}
+	}
+}
+
+// The plan is the only marshal engine: generated code is Go types
+// and typed wrappers over Invoker, whatever the presentation says.
+func TestNoMarshalCodeEmitted(t *testing.T) {
+	src := generate(t, richIDL, `interface Canvas { snapshot([special] return); stats([alloc(caller)] blob); };`)
+	for _, banned := range []string{"flexrpc.Conn", "flexrpc.Codec", "flexrpc.Encoder", "flexrpc.Decoder", ".Put", "dec.", `"sync"`} {
+		if strings.Contains(src, banned) {
+			t.Errorf("generated source contains %q: marshal code belongs to the plan", banned)
+		}
+	}
+	if !strings.Contains(src, "func (c *CanvasClient) Snapshot(size uint32) ([]byte, error)") {
+		t.Error("a [special] operation gets the same typed wrapper as any other")
+	}
+}
+
+// Over an in-process connection nothing marshals, so the wrappers'
+// conversions are the only type checks a value meets: each is checked
+// and names the operation and parameter.
+func TestCheckedConversionsNameOpAndParam(t *testing.T) {
+	src := generate(t, `
+		typedef octet md5[16];
+		enum mood { calm, tense };
+		interface C { mood check(in md5 sum, out sequence<long> hist); };`, "")
+	for _, want := range []string{
+		`asEnum[Mood](ret, "C.check result")`,
+		`asSlice(outs[1], "C.check out param hist", as[int32])`,
+		`as[[]byte](call.Arg(0), "C.check param sum")`,
+		"func as[T any](v flexrpc.Value, what string) (T, error)",
+	} {
+		if !strings.Contains(src, want) {
+			t.Errorf("generated source missing %q", want)
+		}
+	}
+	if strings.Count(src, ".(") != 1 {
+		t.Errorf("only the as helper may assert a type:\n%s", src)
+	}
+}
+
+// Every field of a struct converts through its own check.
+func TestStructFieldsAreChecked(t *testing.T) {
+	src := generate(t, `
+		enum e { a, b };
+		struct two { e first; e second; };
+		interface D { two get(); };`, "")
+	for _, want := range []string{
+		"out.First, err = asEnum[E](vs[0], what)",
+		"out.Second, err = asEnum[E](vs[1], what)",
+		`twoFromValue(ret, "D.get result")`,
+	} {
+		if !strings.Contains(src, want) {
+			t.Errorf("generated source missing %q", want)
+		}
+	}
+}
+
+// format.Source only proves the output parses; this type-checks every
+// conversion shape against the real flexrpc package.
+func TestGeneratedSourceTypeChecks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks flexrpc from source")
+	}
+	src := generate(t, `
+		enum color { red, green, blue };
+		typedef octet md5[16];
+		struct point { long x; color tint; sequence<octet> blob; string label; };
+		interface Shapes {
+			void plot(in point p, in sequence<point> extra, in sequence<long> ns, in sequence<color> cs);
+			point locate(in string name, inout md5 sum);
+			void stats(out unsigned long count, out sequence<octet> blob, out sequence<point> pts, out sequence<color> cs);
+			color area();
+			sequence<string> names();
+			oneway void poke(in long n);
+		};`, `interface Shapes { stats([alloc(caller)] blob); };`)
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "gen.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	if _, err := conf.Check("gen", fset, []*ast.File{f}, nil); err != nil {
+		t.Fatalf("%v\n%s", err, src)
 	}
 }

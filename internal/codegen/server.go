@@ -85,13 +85,9 @@ func (g *gen) emitHandler(op *ir.Operation) error {
 		if p.Dir == ir.Out {
 			continue
 		}
-		conv, errCase := g.convFromValue(fmt.Sprintf("call.Arg(%d)", i), p.Type)
 		v := fmt.Sprintf("a%d", i)
-		if errCase {
-			g.pf("\t\t%s, err := %s\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n", v, conv)
-		} else {
-			g.pf("\t\t%s := %s\n", v, conv)
-		}
+		g.pf("\t\t%s, err := %s\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n",
+			v, g.convFromValue(fmt.Sprintf("call.Arg(%d)", i), p.Type, g.what(op, "param "+p.Name)))
 		callArgs = append(callArgs, v)
 	}
 	// Invoke the implementation.
@@ -105,8 +101,12 @@ func (g *gen) emitHandler(op *ir.Operation) error {
 	if op.HasResult() {
 		outVars = append(outVars, "res")
 	}
-	outVars = append(outVars, "err")
-	g.pf("\t\t%s := impl.%s(%s)\n", strings.Join(outVars, ", "), goName(op.Name), strings.Join(callArgs, ", "))
+	invoke := fmt.Sprintf("impl.%s(%s)", goName(op.Name), strings.Join(callArgs, ", "))
+	if len(outVars) == 0 {
+		g.pf("\t\treturn %s\n\t})\n", invoke)
+		return nil
+	}
+	g.pf("\t\t%s, err := %s\n", strings.Join(outVars, ", "), invoke)
 	g.pf("\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n")
 	// Store results.
 	for i, p := range op.Params {

@@ -83,21 +83,3 @@ func (op *OpPlan) EncodeRequestArena(dst []byte, args []Value) (int, error) {
 	op.plan.ReleaseArenaEncoder(ae)
 	return n, err
 }
-
-// EncodeReplyArena marshals the out/inout values and result directly
-// into dst, returning the number of bytes written (or
-// ErrArenaOverflow). The server side of a shared-memory transport
-// encodes replies into the reply slot with this.
-func (op *OpPlan) EncodeReplyArena(dst []byte, outs []Value, ret Value) (int, error) {
-	ae, ok := op.plan.AcquireArenaEncoder(dst)
-	if !ok {
-		return 0, fmt.Errorf("runtime: codec %s cannot target an arena", op.plan.Codec.Name())
-	}
-	err := op.EncodeReply(ae, outs, ret)
-	var n int
-	if err == nil {
-		n, err = ArenaLen(dst, ae.Bytes())
-	}
-	op.plan.ReleaseArenaEncoder(ae)
-	return n, err
-}

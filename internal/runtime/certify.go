@@ -23,27 +23,6 @@ import (
 	"fmt"
 
 	"flexrpc/internal/ir"
-	"flexrpc/internal/pres"
-)
-
-// Step phases, in per-call execution order. Request-encode and
-// reply-decode run on the client; request-decode and reply-encode on
-// the server.
-const (
-	PhaseReqEncode = "req-encode"
-	PhaseReqDecode = "req-decode"
-	PhaseRepEncode = "rep-encode"
-	PhaseRepDecode = "rep-decode"
-)
-
-// Landing modes: where a decoded value's bytes end up.
-const (
-	LandScalar  = "scalar"  // fixed-size word, no buffer storage
-	LandBorrow  = "borrow"  // aliases the request/reply frame
-	LandCaller  = "caller"  // lands in a caller-provided buffer
-	LandOwn     = "own"     // fresh heap storage per call
-	LandSpecial = "special" // programmer hook; storage unknown
-	LandNone    = "none"    // void / encode-only step
 )
 
 // A StepCert describes one compiled marshal step of an operation.
@@ -58,7 +37,7 @@ type StepCert struct {
 	// Landing is where the value's bytes end up (decode phases) or
 	// "none" for encode phases, which append into the recycled
 	// frame.
-	Landing string `json:"landing"`
+	Landing Landing `json:"landing"`
 	// Allocs reports whether executing the step heap-allocates
 	// fresh storage per call. [special] steps are opaque user code
 	// and are conservatively marked allocating.
@@ -115,32 +94,32 @@ func (p *Plan) Certificate() *PlanCert {
 	return c
 }
 
-// certify builds one operation's certificate from its step lists.
+// certify builds one operation's certificate from its step lists:
+// each step's landing is the one compileParam stored on it.
 func (op *OpPlan) certify() OpCert {
 	oc := OpCert{Op: op.Op.Name, NOut: op.nOut, Steps: []StepCert{}}
-	maxDec := op.plan.maxDecode
-	add := func(phase, param string, t *ir.Type, landing string, traced bool) {
-		sc := StepCert{Phase: phase, Param: param, Landing: landing, Traced: traced}
+	add := func(phase string, st *step) {
+		t := op.Op.Result
+		if st.arg >= 0 {
+			t = op.Op.Params[st.arg].Type
+		}
+		sc := StepCert{Phase: phase, Param: st.name, Type: "void", Landing: st.landing, Traced: st.traced}
 		if t != nil {
 			sc.Type = t.Signature()
-		} else {
-			sc.Type = "void"
 		}
 		cost := 0
 		switch phase {
 		case PhaseReqEncode, PhaseRepEncode:
 			// Encode steps append into the recycled frame; only
 			// opaque [special] hooks may allocate.
-			sc.Landing = LandNone
-			sc.Allocs = landing == LandSpecial
-			if landing == LandSpecial {
-				sc.Landing = LandSpecial
+			sc.Allocs = st.landing == LandSpecial
+			if sc.Allocs {
 				cost = 1
 			}
 		default:
-			sc.Allocs = decodeAllocates(t, landing)
-			if variableLength(t) && landing != LandSpecial {
-				sc.MaxDecode = maxDec
+			sc.Allocs = decodeAllocates(t, st.landing)
+			if variableLength(t) && st.landing != LandSpecial {
+				sc.MaxDecode = op.plan.maxDecode
 			}
 			cost = decodeCost(t, sc.Allocs)
 		}
@@ -152,55 +131,16 @@ func (op *OpPlan) certify() OpCert {
 		}
 		oc.Steps = append(oc.Steps, sc)
 	}
-	typeOf := func(arg int) *ir.Type {
-		if arg < 0 {
-			return op.Op.Result
+	for _, ph := range []struct {
+		phase string
+		steps []step
+	}{
+		{PhaseReqEncode, op.reqEnc}, {PhaseReqDecode, op.reqDec},
+		{PhaseRepEncode, op.repEnc}, {PhaseRepDecode, op.repDec},
+	} {
+		for i := range ph.steps {
+			add(ph.phase, &ph.steps[i])
 		}
-		return op.Op.Params[arg].Type
-	}
-	nameLanding := func(name string, decodePhase string) string {
-		a := op.attrs(name)
-		t := typeOf(paramIdx(op.Op, name))
-		if a.Special {
-			return LandSpecial
-		}
-		return landingOf(t, a, decodePhase)
-	}
-	for i := range op.reqEnc {
-		st := &op.reqEnc[i]
-		a := op.attrs(st.name)
-		l := LandNone
-		if a.Special {
-			l = LandSpecial
-		}
-		add(PhaseReqEncode, st.name, typeOf(st.arg), l, a.Traced)
-	}
-	for i := range op.reqDec {
-		st := &op.reqDec[i]
-		add(PhaseReqDecode, st.name, typeOf(st.arg), nameLanding(st.name, PhaseReqDecode), false)
-	}
-	for i := range op.repEnc {
-		st := &op.repEnc[i]
-		a := op.attrs(st.name)
-		l := LandNone
-		if a.Special {
-			l = LandSpecial
-		}
-		add(PhaseRepEncode, st.name, typeOf(st.arg), l, a.Traced)
-	}
-	for i := range op.repDec {
-		st := &op.repDec[i]
-		a := op.attrs(st.name)
-		l := landingOf(typeOf(st.arg), a, PhaseRepDecode)
-		if a.Special {
-			l = LandSpecial
-		} else if st.callerBuf && st.intoFn != nil {
-			// The compiled step really does land in the caller's
-			// buffer; record what was compiled, not what the attrs
-			// alone would suggest.
-			l = LandCaller
-		}
-		add(PhaseRepDecode, st.name, typeOf(st.arg), l, false)
 	}
 	// The positional outs slice DecodeReply allocates when the
 	// operation has out/inout parameters is a client-side per-call
@@ -233,34 +173,11 @@ func decodeCost(t *ir.Type, allocs bool) int {
 	return cost
 }
 
-// landingOf classifies where a decoded parameter lands, mirroring
-// compileOp: request decodes borrow from the frame, reply decodes
-// own their storage unless the presentation supplies a caller
-// buffer.
-func landingOf(t *ir.Type, a *pres.ParamAttrs, decodePhase string) string {
-	if t == nil || t.Kind == ir.Void {
-		return LandNone
-	}
-	switch t.Kind {
-	case ir.Bytes, ir.FixedBytes:
-		if decodePhase == PhaseReqDecode {
-			return LandBorrow
-		}
-		if a.Alloc == pres.AllocCaller {
-			return LandCaller
-		}
-		return LandOwn
-	case ir.String, ir.Seq, ir.Array, ir.Struct:
-		return LandOwn
-	}
-	return LandScalar
-}
-
 // decodeAllocates reports whether a decode step with the given
 // landing heap-allocates per call. Scalars decode into interface
 // words whose common values the Go runtime interns; buffer kinds
 // allocate only when they land in fresh storage.
-func decodeAllocates(t *ir.Type, landing string) bool {
+func decodeAllocates(t *ir.Type, landing Landing) bool {
 	if t == nil || t.Kind == ir.Void {
 		return false
 	}
@@ -303,17 +220,6 @@ func variableLength(t *ir.Type) bool {
 		}
 	}
 	return false
-}
-
-// paramIdx returns the positional index of a named parameter, -1 for
-// the result pseudo-parameter.
-func paramIdx(op *ir.Operation, name string) int {
-	for i := range op.Params {
-		if op.Params[i].Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // VerifyBounds proves the certificate's bounds invariant: every

@@ -331,31 +331,3 @@ func (c *Client) finishCall(opPlan *OpPlan, dec Decoder, outBufs [][]byte, retBu
 
 // Close closes the underlying transport connection.
 func (c *Client) Close() error { return c.conn.Close() }
-
-// RawCall is the transport entry point for compiled stubs (the
-// codegen back-end's direct-marshal clients): it round-trips a
-// pre-marshaled request body and returns a decoder positioned at the
-// reply body, having consumed the runtime's status framing when the
-// transport is not self-framing. The raw reply slice is returned too
-// so callers can recycle it as the next replyBuf.
-func RawCall(conn Conn, codec Codec, opIdx int, req, replyBuf []byte) (Decoder, []byte, error) {
-	reply, err := conn.Call(opIdx, req, replyBuf)
-	if err != nil {
-		return nil, nil, err
-	}
-	dec := codec.NewDecoder(reply)
-	if connFramed(conn) {
-		status, err := dec.Uint32()
-		if err != nil {
-			return nil, nil, fmt.Errorf("runtime: truncated reply: %w", err)
-		}
-		if status != replyOK {
-			msg, err := dec.String()
-			if err != nil {
-				msg = "(unreadable error)"
-			}
-			return nil, nil, &RemoteError{Msg: msg}
-		}
-	}
-	return dec, reply, nil
-}

@@ -68,27 +68,3 @@ func CallConn(ctx context.Context, conn Conn, opIdx int, req, replyBuf []byte) (
 func (c *Client) InvokeContext(ctx context.Context, op string, args []Value, outBufs [][]byte, retBuf []byte) ([]Value, Value, error) {
 	return c.invoke(ctx, op, args, outBufs, retBuf)
 }
-
-// RawCallContext is RawCall with a per-call context (see CallConn for
-// the abandonment semantics on transports without native support).
-func RawCallContext(ctx context.Context, conn Conn, codec Codec, opIdx int, req, replyBuf []byte) (Decoder, []byte, error) {
-	reply, err := CallConn(ctx, conn, opIdx, req, replyBuf)
-	if err != nil {
-		return nil, nil, err
-	}
-	dec := codec.NewDecoder(reply)
-	if connFramed(conn) {
-		status, err := dec.Uint32()
-		if err != nil {
-			return nil, nil, fmt.Errorf("runtime: truncated reply: %w", err)
-		}
-		if status != replyOK {
-			msg, err := dec.String()
-			if err != nil {
-				msg = "(unreadable error)"
-			}
-			return nil, nil, &RemoteError{Msg: msg}
-		}
-	}
-	return dec, reply, nil
-}

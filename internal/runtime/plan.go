@@ -102,10 +102,35 @@ func (p *Plan) meterAlloc(n int) {
 }
 
 // Decode bounds applied by NewPlan according to the presentation's
-// trust level; override with SetMaxDecode.
+// trust level.
 const (
 	DefaultMaxDecode uint32 = 16 << 20
 	TrustedMaxDecode uint32 = 256 << 20
+)
+
+// Step phases, in per-call execution order. Request-encode and
+// reply-decode run on the client; request-decode and reply-encode on
+// the server.
+const (
+	PhaseReqEncode = "req-encode"
+	PhaseReqDecode = "req-decode"
+	PhaseRepEncode = "rep-encode"
+	PhaseRepDecode = "rep-decode"
+)
+
+// A Landing says where a decoded value's bytes end up. resolveLanding
+// is the one place a landing is chosen: compileDecode builds the
+// closure that does what it says, DecodeReply hands a caller buffer to
+// the steps it marks, and the certificate reports it.
+type Landing string
+
+const (
+	LandScalar  Landing = "scalar"  // fixed-size word, no buffer storage
+	LandBorrow  Landing = "borrow"  // byte buffers alias the request frame
+	LandCaller  Landing = "caller"  // lands in a caller-provided buffer
+	LandOwn     Landing = "own"     // fresh heap storage per call
+	LandSpecial Landing = "special" // programmer hook; storage unknown
+	LandNone    Landing = "none"    // void / encode-only step
 )
 
 // An OpPlan marshals one operation's requests and replies via its
@@ -116,38 +141,28 @@ type OpPlan struct {
 	pres *pres.OpPres
 	plan *Plan
 
-	reqEnc []encStep   // in/inout params, request encode
-	reqDec []decStep   // in/inout params, request decode (borrow)
-	repEnc []encStep   // out/inout params + result, reply encode
-	repDec []replyStep // out/inout params + result, reply decode
-	nOut   int         // out/inout param count (0 → DecodeReply outs == nil)
+	reqEnc []step // in/inout params, request encode
+	reqDec []step // in/inout params, request decode
+	repEnc []step // out/inout params + result, reply encode
+	repDec []step // out/inout params + result, reply decode
+	nOut   int    // out/inout param count (0 → DecodeReply outs == nil)
 }
 
-// encStep encodes one parameter (arg == -1 for the result).
-type encStep struct {
-	arg  int
-	name string
-	fn   EncodeStepFn
+// A step marshals or unmarshals one parameter (arg == -1 for the
+// result) in one phase: enc is set in the encode phases, dec in the
+// decode phases.
+type step struct {
+	arg     int
+	name    string
+	landing Landing
+	traced  bool // enc is wrapped by the [traced] meter
+	enc     EncodeStepFn
+	dec     decodeFn
 }
 
-// decStep decodes one request parameter into its positional slot.
-type decStep struct {
-	arg  int
-	name string
-	fn   DecodeStepFn
-}
-
-// replyStep decodes one out parameter or the result (arg == -1).
-// When the presentation says the caller allocates ([alloc(caller)])
-// and the parameter is a byte buffer, intoFn lands the data in the
-// caller-provided buffer instead of fresh storage.
-type replyStep struct {
-	arg       int
-	name      string
-	callerBuf bool
-	fn        DecodeStepFn
-	intoFn    func(dec Decoder, dst []byte) (Value, error)
-}
+// A decodeFn is a compiled unmarshal step. dst is the caller's
+// landing buffer; only LandCaller steps look at it.
+type decodeFn func(dec Decoder, dst []byte) (Value, error)
 
 // NewPlan compiles marshal plans for every operation of p's
 // interface. hooks may be nil when no parameter is [special].
@@ -180,13 +195,6 @@ func (p *Plan) OpIndex(name string) int {
 	}
 	return -1
 }
-
-// SetMaxDecode overrides the plan's decode bound (0 restores the
-// codec default). Call before the plan is shared across goroutines.
-func (p *Plan) SetMaxDecode(n uint32) { p.maxDecode = n }
-
-// MaxDecode reports the plan's decode bound.
-func (p *Plan) MaxDecode() uint32 { return p.maxDecode }
 
 // limitDecoder applies the plan's decode bound to d when the codec
 // supports limiting.
@@ -241,105 +249,120 @@ func (pl *Plan) compileOp(idx int, op *ir.Operation, opPres *pres.OpPres) (*OpPl
 	o := &OpPlan{Idx: idx, Op: op, pres: opPres, plan: pl}
 	for i := range op.Params {
 		prm := &op.Params[i]
-		a := o.attrs(prm.Name)
-		enc, dec, into, err := pl.compileParam(op.Name, prm.Name, prm.Type, a)
-		if err != nil {
+		if err := o.compileParam(i, prm.Name, prm.Type, prm.Dir != ir.Out, prm.Dir != ir.In); err != nil {
 			return nil, err
 		}
-		if a.Traced {
-			enc = pl.wrapTraced(idx, enc)
-		}
-		if prm.Dir == ir.In || prm.Dir == ir.InOut {
-			o.reqEnc = append(o.reqEnc, encStep{arg: i, name: prm.Name, fn: enc})
-			borrow := dec
-			if !a.Special {
-				borrow = pl.compileDecodeBorrow(prm.Type)
-			}
-			o.reqDec = append(o.reqDec, decStep{arg: i, name: prm.Name, fn: borrow})
-		}
-		if prm.Dir == ir.Out || prm.Dir == ir.InOut {
+		if prm.Dir != ir.In {
 			o.nOut++
-			o.repEnc = append(o.repEnc, encStep{arg: i, name: prm.Name, fn: enc})
-			o.repDec = append(o.repDec, replyStep{
-				arg: i, name: prm.Name,
-				callerBuf: a.Alloc == pres.AllocCaller,
-				fn:        dec, intoFn: into,
-			})
 		}
 	}
 	if op.HasResult() {
-		a := o.attrs(pres.ResultParam)
-		enc, dec, into, err := pl.compileParam(op.Name, pres.ResultParam, op.Result, a)
-		if err != nil {
+		if err := o.compileParam(-1, pres.ResultParam, op.Result, false, true); err != nil {
 			return nil, err
 		}
-		if a.Traced {
-			enc = pl.wrapTraced(idx, enc)
-		}
-		o.repEnc = append(o.repEnc, encStep{arg: -1, name: pres.ResultParam, fn: enc})
-		o.repDec = append(o.repDec, replyStep{
-			arg: -1, name: pres.ResultParam,
-			callerBuf: a.Alloc == pres.AllocCaller,
-			fn:        dec, intoFn: into,
-		})
 	}
 	return o, nil
 }
 
-// compileParam resolves one parameter into its encode step, its
-// own-storage decode step, and (for byte buffers) its decode-into
-// step. [special] parameters resolve to the hooks, preferring the
-// bind-time StepHooks form.
-func (pl *Plan) compileParam(opName, prmName string, t *ir.Type, a *pres.ParamAttrs) (EncodeStepFn, DecodeStepFn, func(Decoder, []byte) (Value, error), error) {
+// compileParam appends one parameter's steps to the request lists
+// when it travels in and to the reply lists when it travels out. Each
+// step's landing is resolved here, stored, and the decode closure is
+// built from it.
+func (o *OpPlan) compileParam(arg int, name string, t *ir.Type, in, out bool) error {
+	pl, a := o.plan, o.attrs(name)
+	var enc EncodeStepFn
+	var hook decodeFn // set for a [special] parameter
 	if a.Special {
-		if pl.hooks == nil {
-			what := "param " + prmName
-			if prmName == pres.ResultParam {
-				what = "result"
-			}
-			return nil, nil, nil, fmt.Errorf("runtime: %s.%s %s is [special] but no hooks were provided",
-				pl.Pres.Interface.Name, opName, what)
+		var err error
+		if enc, hook, err = pl.compileSpecial(o.Op.Name, name); err != nil {
+			return err
 		}
-		var enc EncodeStepFn
-		var dec DecodeStepFn
-		if sh, ok := pl.hooks.(StepHooks); ok {
-			enc = sh.EncodeStep(opName, prmName)
-			dec = sh.DecodeStep(opName, prmName)
-		}
-		hooks := pl.hooks
-		if enc == nil {
-			enc = func(e Encoder, v Value) error { return hooks.EncodeSpecial(opName, prmName, e, v) }
-		}
-		if dec == nil {
-			dec = func(d Decoder) (Value, error) { return hooks.DecodeSpecial(opName, prmName, d) }
-		}
-		return enc, dec, nil, nil
+	} else {
+		enc = compileEncode(t)
 	}
-	var into func(Decoder, []byte) (Value, error)
+	if a.Traced {
+		enc = pl.wrapTraced(o.Idx, enc)
+	}
+	add := func(list *[]step, phase string) {
+		st := step{arg: arg, name: name, landing: resolveLanding(phase, t, a)}
+		switch {
+		case phase == PhaseReqEncode || phase == PhaseRepEncode:
+			st.enc, st.traced = enc, a.Traced
+		case hook != nil:
+			st.dec = hook
+		default:
+			st.dec = pl.compileDecode(t, st.landing)
+		}
+		*list = append(*list, st)
+	}
+	if in {
+		add(&o.reqEnc, PhaseReqEncode)
+		add(&o.reqDec, PhaseReqDecode)
+	}
+	if out {
+		add(&o.repEnc, PhaseRepEncode)
+		add(&o.repDec, PhaseRepDecode)
+	}
+	return nil
+}
+
+// resolveLanding decides where one parameter lands in one phase.
+// Server-side in parameters borrow: byte buffers alias the request
+// message — the CORBA server mapping: in parameters are valid for the
+// duration of the call, and a work function that retains them must
+// copy — which is what lets a server receive bulk data with exactly
+// one kernel copy on the request path. Replies land in storage the
+// consumer owns (default move semantics) unless the presentation says
+// the caller allocates a byte buffer ([alloc(caller)]). A composite
+// reports where its byte-buffer leaves land; a string is always a
+// fresh Go string.
+func resolveLanding(phase string, t *ir.Type, a *pres.ParamAttrs) Landing {
+	switch {
+	case a.Special:
+		return LandSpecial
+	case t == nil || t.Kind == ir.Void, phase == PhaseReqEncode, phase == PhaseRepEncode:
+		return LandNone
+	}
 	switch t.Kind {
-	case ir.Bytes:
-		into = func(dec Decoder, dst []byte) (Value, error) {
-			b, err := dec.BytesInto(dst)
-			if err == nil {
-				pl.meterCopy(len(b))
-			}
-			return b, err
+	case ir.Bytes, ir.FixedBytes, ir.Seq, ir.Array, ir.Struct:
+		if phase == PhaseReqDecode {
+			return LandBorrow
 		}
-	case ir.FixedBytes:
-		size := t.Size
-		ownFn := pl.compileDecodeOwn(t)
-		into = func(dec Decoder, dst []byte) (Value, error) {
-			if len(dst) < size {
-				return ownFn(dec)
-			}
-			if err := dec.FixedBytesInto(dst[:size]); err != nil {
-				return nil, err
-			}
-			pl.meterCopy(size)
-			return dst[:size], nil
+		if a.Alloc == pres.AllocCaller && (t.Kind == ir.Bytes || t.Kind == ir.FixedBytes) {
+			return LandCaller
 		}
+		return LandOwn
+	case ir.String:
+		return LandOwn
 	}
-	return compileEncode(t), pl.compileDecodeOwn(t), into, nil
+	return LandScalar
+}
+
+// compileSpecial resolves a [special] parameter to its hooks,
+// preferring the bind-time StepHooks form.
+func (pl *Plan) compileSpecial(opName, prmName string) (EncodeStepFn, decodeFn, error) {
+	if pl.hooks == nil {
+		what := "param " + prmName
+		if prmName == pres.ResultParam {
+			what = "result"
+		}
+		return nil, nil, fmt.Errorf("runtime: %s.%s %s is [special] but no hooks were provided",
+			pl.Pres.Interface.Name, opName, what)
+	}
+	var enc EncodeStepFn
+	var dec DecodeStepFn
+	if sh, ok := pl.hooks.(StepHooks); ok {
+		enc = sh.EncodeStep(opName, prmName)
+		dec = sh.DecodeStep(opName, prmName)
+	}
+	hooks := pl.hooks
+	if enc == nil {
+		enc = func(e Encoder, v Value) error { return hooks.EncodeSpecial(opName, prmName, e, v) }
+	}
+	if dec == nil {
+		dec = func(d Decoder) (Value, error) { return hooks.DecodeSpecial(opName, prmName, d) }
+	}
+	return enc, func(d Decoder, _ []byte) (Value, error) { return dec(d) }, nil
 }
 
 // wrapTraced meters an encode step whose parameter carries [traced]:
@@ -539,80 +562,40 @@ func compileEncode(t *ir.Type) EncodeStepFn {
 	}
 }
 
-// compileDecodeScalar handles the kinds whose decode is identical for
-// borrow and own semantics, or nil for the buffer-bearing kinds.
-func compileDecodeScalar(t *ir.Type) DecodeStepFn {
+// compileDecode builds the decode step that lands wire type t where l
+// says. The type switch runs here, once, at bind time; composites
+// pass their landing down to their elements.
+func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
 	if t == nil || t.Kind == ir.Void {
-		return func(Decoder) (Value, error) { return nil, nil }
+		return func(Decoder, []byte) (Value, error) { return nil, nil }
 	}
 	switch t.Kind {
 	case ir.Bool:
-		return func(dec Decoder) (Value, error) { return dec.Bool() }
+		return func(dec Decoder, _ []byte) (Value, error) { return dec.Bool() }
 	case ir.Int32, ir.Enum:
-		return func(dec Decoder) (Value, error) { return dec.Int32() }
+		return func(dec Decoder, _ []byte) (Value, error) { return dec.Int32() }
 	case ir.Uint32:
-		return func(dec Decoder) (Value, error) { return dec.Uint32() }
+		return func(dec Decoder, _ []byte) (Value, error) { return dec.Uint32() }
 	case ir.Int64:
-		return func(dec Decoder) (Value, error) { return dec.Int64() }
+		return func(dec Decoder, _ []byte) (Value, error) { return dec.Int64() }
 	case ir.Uint64:
-		return func(dec Decoder) (Value, error) { return dec.Uint64() }
+		return func(dec Decoder, _ []byte) (Value, error) { return dec.Uint64() }
 	case ir.Float32:
-		return func(dec Decoder) (Value, error) { return dec.Float32() }
+		return func(dec Decoder, _ []byte) (Value, error) { return dec.Float32() }
 	case ir.Float64:
-		return func(dec Decoder) (Value, error) { return dec.Float64() }
+		return func(dec Decoder, _ []byte) (Value, error) { return dec.Float64() }
 	case ir.String:
-		return func(dec Decoder) (Value, error) { return dec.String() }
+		return func(dec Decoder, _ []byte) (Value, error) { return dec.String() }
 	case ir.Port:
-		return func(dec Decoder) (Value, error) {
+		return func(dec Decoder, _ []byte) (Value, error) {
 			v, err := dec.Uint32()
 			return PortName(v), err
 		}
-	}
-	return nil
-}
-
-// compileDecodeBorrow builds the decode step for server-side in
-// parameters: byte buffers alias the request message — the CORBA
-// server mapping: in parameters are valid for the duration of the
-// call, and a work function that retains them must copy. This is
-// what lets a server receive bulk data with exactly one kernel copy
-// on the request path.
-func (pl *Plan) compileDecodeBorrow(t *ir.Type) DecodeStepFn {
-	if fn := compileDecodeScalar(t); fn != nil {
-		return fn
-	}
-	switch t.Kind {
 	case ir.Bytes:
-		return func(dec Decoder) (Value, error) { return dec.Bytes() }
-	case ir.FixedBytes:
-		size := t.Size
-		return func(dec Decoder) (Value, error) { return dec.FixedBytes(size) }
-	case ir.Seq:
-		elem := pl.compileDecodeBorrow(t.Elem)
-		return compileSeqDecode(elem)
-	case ir.Array:
-		elem := pl.compileDecodeBorrow(t.Elem)
-		return compileArrayDecode(elem, t.Size)
-	case ir.Struct:
-		fields := make([]DecodeStepFn, len(t.Fields))
-		for i, f := range t.Fields {
-			fields[i] = pl.compileDecodeBorrow(f.Type)
+		if l == LandBorrow {
+			return func(dec Decoder, _ []byte) (Value, error) { return dec.Bytes() }
 		}
-		return compileStructDecode(fields)
-	}
-	return pl.compileDecodeOwn(t)
-}
-
-// compileDecodeOwn builds the decode step for values the consumer
-// will own (client-side replies, default move semantics): byte
-// buffers land in fresh storage.
-func (pl *Plan) compileDecodeOwn(t *ir.Type) DecodeStepFn {
-	if fn := compileDecodeScalar(t); fn != nil {
-		return fn
-	}
-	switch t.Kind {
-	case ir.Bytes:
-		return func(dec Decoder) (Value, error) {
+		own := func(dec Decoder, _ []byte) (Value, error) {
 			b, err := dec.Bytes()
 			if err != nil {
 				return nil, err
@@ -623,9 +606,25 @@ func (pl *Plan) compileDecodeOwn(t *ir.Type) DecodeStepFn {
 			pl.meterCopy(len(b))
 			return out, nil
 		}
+		if l != LandCaller {
+			return own
+		}
+		return func(dec Decoder, dst []byte) (Value, error) {
+			if dst == nil {
+				return own(dec, nil)
+			}
+			b, err := dec.BytesInto(dst)
+			if err == nil {
+				pl.meterCopy(len(b))
+			}
+			return b, err
+		}
 	case ir.FixedBytes:
 		size := t.Size
-		return func(dec Decoder) (Value, error) {
+		if l == LandBorrow {
+			return func(dec Decoder, _ []byte) (Value, error) { return dec.FixedBytes(size) }
+		}
+		own := func(dec Decoder, _ []byte) (Value, error) {
 			out := make([]byte, size)
 			if err := dec.FixedBytesInto(out); err != nil {
 				return nil, err
@@ -634,65 +633,63 @@ func (pl *Plan) compileDecodeOwn(t *ir.Type) DecodeStepFn {
 			pl.meterCopy(size)
 			return out, nil
 		}
-	case ir.Seq:
-		elem := pl.compileDecodeOwn(t.Elem)
-		return compileSeqDecode(elem)
-	case ir.Array:
-		elem := pl.compileDecodeOwn(t.Elem)
-		return compileArrayDecode(elem, t.Size)
-	case ir.Struct:
-		fields := make([]DecodeStepFn, len(t.Fields))
-		for i, f := range t.Fields {
-			fields[i] = pl.compileDecodeOwn(f.Type)
+		if l != LandCaller {
+			return own
 		}
-		return compileStructDecode(fields)
+		return func(dec Decoder, dst []byte) (Value, error) {
+			if len(dst) < size {
+				return own(dec, nil)
+			}
+			if err := dec.FixedBytesInto(dst[:size]); err != nil {
+				return nil, err
+			}
+			pl.meterCopy(size)
+			return dst[:size], nil
+		}
+	case ir.Seq:
+		elem := pl.compileDecode(t.Elem, l)
+		return func(dec Decoder, _ []byte) (Value, error) {
+			n, err := decodeSeqLen(dec)
+			if err != nil {
+				return nil, err
+			}
+			return decodeElems(dec, elem, n)
+		}
+	case ir.Array:
+		elem, size := pl.compileDecode(t.Elem, l), t.Size
+		return func(dec Decoder, _ []byte) (Value, error) { return decodeElems(dec, elem, size) }
+	case ir.Struct:
+		fields := make([]decodeFn, len(t.Fields))
+		for i, f := range t.Fields {
+			fields[i] = pl.compileDecode(f.Type, l)
+		}
+		return func(dec Decoder, _ []byte) (Value, error) {
+			vs := make([]Value, len(fields))
+			var err error
+			for i, fn := range fields {
+				if vs[i], err = fn(dec, nil); err != nil {
+					return nil, err
+				}
+			}
+			return vs, nil
+		}
 	}
 	kind := t.Kind
-	return func(Decoder) (Value, error) {
+	return func(Decoder, []byte) (Value, error) {
 		return nil, fmt.Errorf("runtime: cannot unmarshal kind %v", kind)
 	}
 }
 
-func compileSeqDecode(elem DecodeStepFn) DecodeStepFn {
-	return func(dec Decoder) (Value, error) {
-		n, err := decodeSeqLen(dec)
-		if err != nil {
+// decodeElems decodes n elements of one type.
+func decodeElems(dec Decoder, elem decodeFn, n int) (Value, error) {
+	vs := make([]Value, n)
+	var err error
+	for i := range vs {
+		if vs[i], err = elem(dec, nil); err != nil {
 			return nil, err
 		}
-		vs := make([]Value, n)
-		for i := range vs {
-			if vs[i], err = elem(dec); err != nil {
-				return nil, err
-			}
-		}
-		return vs, nil
 	}
-}
-
-func compileArrayDecode(elem DecodeStepFn, size int) DecodeStepFn {
-	return func(dec Decoder) (Value, error) {
-		vs := make([]Value, size)
-		var err error
-		for i := range vs {
-			if vs[i], err = elem(dec); err != nil {
-				return nil, err
-			}
-		}
-		return vs, nil
-	}
-}
-
-func compileStructDecode(fields []DecodeStepFn) DecodeStepFn {
-	return func(dec Decoder) (Value, error) {
-		vs := make([]Value, len(fields))
-		var err error
-		for i, fn := range fields {
-			if vs[i], err = fn(dec); err != nil {
-				return nil, err
-			}
-		}
-		return vs, nil
-	}
+	return vs, nil
 }
 
 // EncodeRequest marshals the in and inout arguments. args is indexed
@@ -703,7 +700,7 @@ func (op *OpPlan) EncodeRequest(enc Encoder, args []Value) error {
 	}
 	for i := range op.reqEnc {
 		st := &op.reqEnc[i]
-		if err := st.fn(enc, args[st.arg]); err != nil {
+		if err := st.enc(enc, args[st.arg]); err != nil {
 			return fmt.Errorf("%s param %s: %w", op.Op.Name, st.name, err)
 		}
 	}
@@ -729,7 +726,7 @@ func (op *OpPlan) DecodeRequest(dec Decoder) ([]Value, error) {
 func (op *OpPlan) DecodeRequestInto(dec Decoder, args []Value) error {
 	for i := range op.reqDec {
 		st := &op.reqDec[i]
-		v, err := st.fn(dec)
+		v, err := st.dec(dec, nil)
 		if err != nil {
 			return fmt.Errorf("%s param %s: %w", op.Op.Name, st.name, err)
 		}
@@ -746,7 +743,7 @@ func (op *OpPlan) EncodeReply(enc Encoder, outs []Value, ret Value) error {
 		if st.arg >= 0 {
 			v = outs[st.arg]
 		}
-		if err := st.fn(enc, v); err != nil {
+		if err := st.enc(enc, v); err != nil {
 			if st.arg >= 0 {
 				return fmt.Errorf("%s out param %s: %w", op.Op.Name, st.name, err)
 			}
@@ -772,25 +769,15 @@ func (op *OpPlan) DecodeReply(dec Decoder, outBufs [][]byte, retBuf []byte) ([]V
 	var ret Value
 	for i := range op.repDec {
 		st := &op.repDec[i]
-		var v Value
-		var err error
-		if st.intoFn != nil && st.callerBuf {
-			var buf []byte
-			if st.arg >= 0 {
-				if outBufs != nil {
-					buf = outBufs[st.arg]
-				}
-			} else {
+		var buf []byte
+		if st.landing == LandCaller {
+			if st.arg < 0 {
 				buf = retBuf
+			} else if outBufs != nil {
+				buf = outBufs[st.arg]
 			}
-			if buf != nil {
-				v, err = st.intoFn(dec, buf)
-			} else {
-				v, err = st.fn(dec)
-			}
-		} else {
-			v, err = st.fn(dec)
 		}
+		v, err := st.dec(dec, buf)
 		if err != nil {
 			if st.arg >= 0 {
 				return nil, nil, fmt.Errorf("%s out param %s: %w", op.Op.Name, st.name, err)

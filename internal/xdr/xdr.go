@@ -182,9 +182,6 @@ func (d *Decoder) Reset(buf []byte) {
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
-// Offset returns the number of bytes consumed so far.
-func (d *Decoder) Offset() int { return d.off }
-
 func (d *Decoder) maxLen() uint32 {
 	if d.MaxLength == 0 {
 		return DefaultMaxLength
