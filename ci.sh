@@ -218,21 +218,25 @@ figures() {
 }
 
 fuzz_smoke() {
-	# Short coverage-guided runs over the network-facing decoders and
-	# the stats snapshot codecs. `go test -fuzz` takes one target per
-	# invocation, so list them. FUZZTIME overrides the per-target
-	# budget (e.g. FUZZTIME=2m ./ci.sh fuzz-smoke for a deeper pass).
+	# Short coverage-guided runs over every fuzz target in the module
+	# (the network-facing decoders, today). `go test -fuzz` takes one
+	# target of one package per invocation, so the (package, target)
+	# pairs are derived from what the packages declare: a target can be
+	# neither forgotten here nor left dangling after it is deleted. As
+	# in alloc-gates, selecting nothing fails the stage. FUZZTIME
+	# overrides the per-target budget (e.g. FUZZTIME=2m ./ci.sh
+	# fuzz-smoke for a deeper pass).
 	fuzztime="${FUZZTIME:-10s}"
-	go test -run='^$' -fuzz=FuzzDecoder -fuzztime="$fuzztime" ./internal/xdr
-	go test -run='^$' -fuzz=FuzzDecoder -fuzztime="$fuzztime" ./internal/cdr
-	go test -run='^$' -fuzz=FuzzReadRecord -fuzztime="$fuzztime" ./internal/sunrpc
-	go test -run='^$' -fuzz=FuzzDecodeMessage -fuzztime="$fuzztime" ./internal/runtime
-	go test -run='^$' -fuzz=FuzzServeMessage -fuzztime="$fuzztime" ./internal/runtime
-	go test -run='^$' -fuzz=FuzzBatchCodec -fuzztime="$fuzztime" ./internal/runtime
-	go test -run='^$' -fuzz=FuzzPushbackFrame -fuzztime="$fuzztime" ./internal/runtime
-	go test -run='^$' -fuzz=FuzzSlotHeader -fuzztime="$fuzztime" ./internal/transport/shmring
-	go test -run='^$' -fuzz=FuzzHistogramCodec -fuzztime="$fuzztime" ./internal/stats
-	go test -run='^$' -fuzz=FuzzTraceCodec -fuzztime="$fuzztime" ./internal/stats
+	pairs=$(go test -list '^Fuzz' ./... |
+		awk '/^Fuzz/ { t[n++] = $1 } /^ok/ { for (i = 0; i < n; i++) print $2, t[i]; n = 0 }')
+	if [ -z "$pairs" ]; then
+		echo "fuzz-smoke: go test -list '^Fuzz' ./... found no fuzz target"
+		exit 1
+	fi
+	echo "$pairs" | while read -r pkg target; do
+		echo "go test -run='^\$' -fuzz='^$target\$' -fuzztime=$fuzztime $pkg"
+		go test -run='^$' -fuzz="^$target\$" -fuzztime="$fuzztime" "$pkg" || exit 1
+	done
 }
 
 full() {

@@ -88,7 +88,7 @@ func CheckEndpoints(iface *ir.Interface, eps []Endpoint) []Diagnostic {
 		if eps[i].Label == "" {
 			eps[i].Label = fmt.Sprintf("endpoint%d", i+1)
 		}
-		c.checkEndpoint(iface, eps[i])
+		c.checkEndpoint(eps[i])
 	}
 	for i := 0; i < len(eps); i++ {
 		for j := i + 1; j < len(eps); j++ {

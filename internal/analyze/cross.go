@@ -114,9 +114,9 @@ func (c *checker) checkTransfer(ctx string, t *ir.Type, sender Endpoint, sAt *pr
 	if !pres.IsBuffer(t) || sAt.Dealloc != pres.DeallocAlways || !rAt.Preserved {
 		return
 	}
-	pos := attrPos(sAt, "dealloc")
+	pos := sAt.AttrPos("dealloc")
 	if pos.Line == 0 {
-		pos = attrPos(rAt, "preserved")
+		pos = rAt.AttrPos("preserved")
 	}
 	c.report("FV002", pos,
 		"%s: %s frees the buffer after marshaling [dealloc(always)] but %s marks it [preserved]: use-after-transfer",
@@ -146,7 +146,7 @@ func (c *checker) checkNaming(ctx string, relaxed Endpoint, relAt *pres.ParamAtt
 	if !relAt.NonUnique || strAt.NonUnique {
 		return
 	}
-	c.report("FV003", attrPos(relAt, "nonunique"),
+	c.report("FV003", relAt.AttrPos("nonunique"),
 		"%s: %s marks the port [nonunique] but %s still relies on the unique-name invariant",
 		ctx, relaxed.Label, strict.Label)
 }

@@ -1,148 +1,104 @@
-// Single-endpoint pass: annotation safety lints (FV004–FV006) and
-// exhaustive presentation/interface consistency checks (FV007–FV012).
+// Single-endpoint pass: annotation safety lints (FV004–FV006, FV013–
+// FV016, FV021, FV022) and the presentation/interface consistency
+// rules (FV007–FV012), which are pres.Walk's.
 package analyze
 
 import (
-	"sort"
-
-	"flexrpc/internal/idl"
-	"flexrpc/internal/ir"
 	"flexrpc/internal/pres"
 	"flexrpc/internal/runtime"
 )
 
+// ruleIDs files each of pres.Walk's consistency rules under its check.
+var ruleIDs = [...]string{
+	pres.RuleDangling:   "FV007",
+	pres.RuleMutability: "FV008",
+	pres.RuleLengthIs:   "FV009",
+	pres.RuleInOnly:     "FV010",
+	pres.RulePortOnly:   "FV011",
+	pres.RuleBufferOnly: "FV012",
+}
+
 // checkEndpoint runs every single-endpoint check over one
 // presentation, reporting all findings rather than stopping at the
-// first the way pres.Validate does.
-func (c *checker) checkEndpoint(iface *ir.Interface, ep Endpoint) {
-	p := ep.Pres
-	if p.Interface != nil {
-		// A presentation is validated against the contract it is
-		// attached to; the reference interface only anchors the
-		// cross-endpoint comparison.
-		iface = p.Interface
-	}
+// first the way pres.Validate does. A presentation is checked against
+// the contract it is attached to; the reference interface only anchors
+// the cross-endpoint comparison.
+func (c *checker) checkEndpoint(ep Endpoint) {
 	c.checkTrust(ep)
-	c.checkTrustedOwnership(iface, ep)
 	c.checkPooledHooks(ep)
 	c.checkTracedSpecial(ep)
-	for _, opName := range sortedOpNames(p.Ops) {
-		op := p.Ops[opName]
-		irOp := iface.Op(opName)
-		if irOp == nil {
-			c.report("FV007", op.Pos, "%s: operation %q not in interface %s: annotation can never apply",
-				p.Interface.Name, opName, iface.Name)
-			continue
-		}
-		if op.Idempotent {
-			c.checkIdempotent(p.Interface.Name, opName, irOp, op)
-		}
-		if op.Batchable {
-			c.checkBatchable(p.Interface.Name, opName, irOp, op)
-		}
-		if op.Hedged {
-			c.checkHedged(p.Interface.Name, opName, irOp, op)
-		}
-		for _, pn := range sortedParamNames(op.Params) {
-			a := op.Params[pn]
-			t, dir, ok := resolveParam(irOp, pn)
-			if !ok {
-				c.report("FV007", a.Pos, "%s.%s: parameter %q not in operation: annotation can never apply",
-					p.Interface.Name, opName, pn)
-				continue
-			}
-			c.checkParam(p.Interface.Name, opName, pn, irOp, a, t, dir)
-		}
+	for _, v := range ep.Pres.Walk(func(s pres.Site) { c.checkSite(ep.Pres, s) }) {
+		c.report(ruleIDs[v.Rule], v.Pos, "%s", v.Msg)
 	}
 }
 
-// checkIdempotent is FV014: an [idempotent] operation whose
-// signature moves buffer ownership. The runtime retries such an
-// operation without consulting the reply cache, so a retransmitted
-// execution must be invisible — ownership moves are not.
-func (c *checker) checkIdempotent(iface, opName string, irOp *ir.Operation, op *pres.OpPres) {
-	for _, pn := range sortedParamNames(op.Params) {
-		a := op.Params[pn]
-		t, dir, ok := resolveParam(irOp, pn)
-		if !ok || !pres.IsBuffer(t) {
-			continue // FV007 covers dangling names
-		}
-		ctx := iface + "." + opName + "." + pn
-		isIn := dir == ir.In || dir == ir.InOut
-		isOut := dir == ir.Out || dir == ir.InOut
-		if isIn && a.Dealloc == pres.DeallocAlways && a.Explicit("dealloc") {
-			c.report("FV014", attrPos(a, "dealloc"),
-				"%s: [idempotent] operation transfers the caller's buffer ([dealloc(always)]); a retry's re-marshal would double-free it", ctx)
-		}
-		if isOut && a.Alloc == pres.AllocCallee && a.Explicit("alloc") {
-			c.report("FV014", attrPos(a, "alloc"),
-				"%s: [idempotent] operation hands out a callee-allocated buffer ([alloc(callee)]); a retried execution allocates again with only one delivery", ctx)
-		}
+// checkSite runs the safety lints of one annotated parameter.
+func (c *checker) checkSite(p *pres.Presentation, s pres.Site) {
+	a := s.Attrs
+	if a.Trashable && a.Special {
+		c.report("FV004", a.AttrPos("special", "trashable"),
+			"%s: [special] marshal hook may alias a buffer the stub is allowed to trash", s.Ctx)
 	}
-}
-
-// checkHedged is FV022: a [hedged] operation whose signature moves
-// buffer ownership. Hedging means the client may marshal and send the
-// call more than once — racing sends, or retrying eagerly on
-// admission-control pushback — so any ownership the marshal path
-// consumes is consumed again by the hedge: a double-move.
-func (c *checker) checkHedged(iface, opName string, irOp *ir.Operation, op *pres.OpPres) {
-	for _, pn := range sortedParamNames(op.Params) {
-		a := op.Params[pn]
-		t, dir, ok := resolveParam(irOp, pn)
-		if !ok || !pres.IsBuffer(t) {
-			continue // FV007 covers dangling names
-		}
-		ctx := iface + "." + opName + "." + pn
-		isIn := dir == ir.In || dir == ir.InOut
-		isOut := dir == ir.Out || dir == ir.InOut
-		if isIn && a.Dealloc == pres.DeallocAlways && a.Explicit("dealloc") {
-			c.report("FV022", attrPos(a, "dealloc"),
-				"%s: [hedged] operation transfers the caller's buffer ([dealloc(always)]); a hedged re-send would double-move it", ctx)
-		}
-		if isOut && a.Alloc == pres.AllocCallee && a.Explicit("alloc") {
-			c.report("FV022", attrPos(a, "alloc"),
-				"%s: [hedged] operation hands out a callee-allocated buffer ([alloc(callee)]); racing executions allocate twice with at most one delivery", ctx)
-		}
+	if s.Op.Batchable && a.Special {
+		c.report("FV016", a.AttrPos("special"),
+			"%s: [batchable] operation's [special] hook runs at enqueue time, not transmission time; the batcher's frame copy makes the deferral observable", s.Ctx)
 	}
-}
-
-// checkTrustedOwnership is FV021's single-endpoint leg: a fully
-// trusted presentation whose signature still moves buffer ownership
-// explicitly. The trusted same-domain binding this grant selects
-// (shmring's arena fast path) elides the per-call ownership protocol
-// — payloads alias leased slots and never transfer — so the
-// annotation is dead weight at best and a false promise at worst.
-func (c *checker) checkTrustedOwnership(iface *ir.Interface, ep Endpoint) {
-	p := ep.Pres
-	if p.Trust != pres.TrustFull {
+	if !pres.IsBuffer(s.Type) {
 		return
 	}
-	grant := trustAttrName(p)
-	for _, opName := range sortedOpNames(p.Ops) {
-		op := p.Ops[opName]
-		irOp := iface.Op(opName)
-		if irOp == nil {
-			continue // FV007 covers dangling operations
-		}
-		for _, pn := range sortedParamNames(op.Params) {
-			a := op.Params[pn]
-			t, dir, ok := resolveParam(irOp, pn)
-			if !ok || !pres.IsBuffer(t) {
-				continue // FV007 covers dangling names
-			}
-			ctx := p.Interface.Name + "." + opName + "." + pn
-			isIn := dir == ir.In || dir == ir.InOut
-			isOut := dir == ir.Out || dir == ir.InOut
-			if isIn && a.Dealloc == pres.DeallocAlways && a.Explicit("dealloc") {
-				c.report("FV021", attrPos(a, "dealloc"),
-					"%s: [%s] binding elides the per-call ownership protocol; [dealloc(always)] is unenforced on the trusted fast path", ctx, grant)
-			}
-			if isOut && a.Alloc == pres.AllocCallee && a.Explicit("alloc") {
-				c.report("FV021", attrPos(a, "alloc"),
-					"%s: [%s] binding elides the per-call ownership protocol; [alloc(callee)] is unenforced on the trusted fast path", ctx, grant)
-			}
-		}
+	if a.Dealloc == pres.DeallocNever && a.Alloc == pres.AllocCallee && a.Explicit("alloc") && !s.In() {
+		c.report("FV006", a.AttrPos("dealloc", "alloc"),
+			"%s: [alloc(callee), dealloc(never)]: a fresh callee-allocated buffer per call that nothing frees", s.Ctx)
+	}
+	// The four checks below are one scan — does the signature move
+	// buffer ownership explicitly? — under four conditions that each
+	// make a move unsafe or meaningless.
+	if s.Op.Idempotent {
+		// FV014: the runtime retries the operation without consulting
+		// the reply cache, so a retransmitted execution must be
+		// invisible — ownership moves are not.
+		c.checkOwnership("FV014", s,
+			"[idempotent] operation transfers the caller's buffer ([dealloc(always)]); a retry's re-marshal would double-free it",
+			"[idempotent] operation hands out a callee-allocated buffer ([alloc(callee)]); a retried execution allocates again with only one delivery")
+	}
+	if s.Op.Batchable {
+		// FV016: the batcher copies the marshaled request into a queue
+		// and transmits it later inside a merged frame, dissolving the
+		// per-call boundary a move is tied to.
+		c.checkOwnership("FV016", s,
+			"[batchable] operation transfers the caller's buffer ([dealloc(always)]), but the batcher queues a copy past the call boundary that lifetime is tied to",
+			"[batchable] operation hands out a callee-allocated buffer ([alloc(callee)]) whose delivery the batcher detaches from the call that allocated it")
+	}
+	if s.Op.Hedged {
+		// FV022: the client may marshal and send the call more than
+		// once — racing sends, or retrying eagerly on pushback — so
+		// ownership the marshal path consumes is consumed again.
+		c.checkOwnership("FV022", s,
+			"[hedged] operation transfers the caller's buffer ([dealloc(always)]); a hedged re-send would double-move it",
+			"[hedged] operation hands out a callee-allocated buffer ([alloc(callee)]); racing executions allocate twice with at most one delivery")
+	}
+	if p.Trust == pres.TrustFull {
+		// FV021's single-endpoint leg: the trusted same-domain binding
+		// (shmring's arena fast path) elides the per-call ownership
+		// protocol — payloads alias leased slots and never transfer —
+		// so the annotation is dead weight at best and a false promise
+		// at worst.
+		grant := "[" + trustAttrName(p) + "] binding elides the per-call ownership protocol; "
+		c.checkOwnership("FV021", s,
+			grant+"[dealloc(always)] is unenforced on the trusted fast path",
+			grant+"[alloc(callee)] is unenforced on the trusted fast path")
+	}
+}
+
+// checkOwnership reports, under id, an explicit [dealloc(always)] on a
+// buffer going in and an explicit [alloc(callee)] on one coming out.
+func (c *checker) checkOwnership(id string, s pres.Site, deallocMsg, allocMsg string) {
+	a := s.Attrs
+	if s.In() && a.Dealloc == pres.DeallocAlways && a.Explicit("dealloc") {
+		c.report(id, a.AttrPos("dealloc"), "%s: %s", s.Ctx, deallocMsg)
+	}
+	if s.Out() && a.Alloc == pres.AllocCallee && a.Explicit("alloc") {
+		c.report(id, a.AttrPos("alloc"), "%s: %s", s.Ctx, allocMsg)
 	}
 }
 
@@ -153,40 +109,6 @@ func trustAttrName(p *pres.Presentation) string {
 		return "trusted"
 	}
 	return "unprotected"
-}
-
-// checkBatchable is FV016: a [batchable] operation carrying [special]
-// hooks or ownership-moving attributes. The batcher copies the
-// marshaled request into a queue and transmits it later inside a
-// merged frame, so anything that runs side effects at marshal time or
-// moves buffer ownership across the (now dissolved) per-call boundary
-// makes the copy observable.
-func (c *checker) checkBatchable(iface, opName string, irOp *ir.Operation, op *pres.OpPres) {
-	for _, pn := range sortedParamNames(op.Params) {
-		a := op.Params[pn]
-		t, dir, ok := resolveParam(irOp, pn)
-		if !ok {
-			continue // FV007 covers dangling names
-		}
-		ctx := iface + "." + opName + "." + pn
-		if a.Special {
-			c.report("FV016", attrPos(a, "special"),
-				"%s: [batchable] operation's [special] hook runs at enqueue time, not transmission time; the batcher's frame copy makes the deferral observable", ctx)
-		}
-		if !pres.IsBuffer(t) {
-			continue
-		}
-		isIn := dir == ir.In || dir == ir.InOut
-		isOut := dir == ir.Out || dir == ir.InOut
-		if isIn && a.Dealloc == pres.DeallocAlways && a.Explicit("dealloc") {
-			c.report("FV016", attrPos(a, "dealloc"),
-				"%s: [batchable] operation transfers the caller's buffer ([dealloc(always)]), but the batcher queues a copy past the call boundary that lifetime is tied to", ctx)
-		}
-		if isOut && a.Alloc == pres.AllocCallee && a.Explicit("alloc") {
-			c.report("FV016", attrPos(a, "alloc"),
-				"%s: [batchable] operation hands out a callee-allocated buffer ([alloc(callee)]) whose delivery the batcher detaches from the call that allocated it", ctx)
-		}
-	}
 }
 
 // checkTrust is FV005: trust granted to a peer outside every
@@ -217,14 +139,12 @@ func (c *checker) checkPooledHooks(ep Endpoint) {
 		return
 	}
 	p := ep.Pres
-	for _, opName := range sortedOpNames(p.Ops) {
-		op := p.Ops[opName]
-		for _, pn := range sortedParamNames(op.Params) {
-			a := op.Params[pn]
+	for opName, op := range p.Ops { // sortDiags orders the findings
+		for pn, a := range op.Params {
 			if !a.Special {
 				continue
 			}
-			c.report("FV013", attrPos(a, "special"),
+			c.report("FV013", a.AttrPos("special"),
 				"%s.%s.%s: [special] endpoint bound through the pooled parallel client, but its hooks (%T) do not implement runtime.StepHooks",
 				p.Interface.Name, opName, pn, ep.Hooks)
 		}
@@ -242,122 +162,14 @@ func (c *checker) checkTracedSpecial(ep Endpoint) {
 		return
 	}
 	p := ep.Pres
-	for _, opName := range sortedOpNames(p.Ops) {
-		op := p.Ops[opName]
-		for _, pn := range sortedParamNames(op.Params) {
-			a := op.Params[pn]
+	for opName, op := range p.Ops { // sortDiags orders the findings
+		for pn, a := range op.Params {
 			if !a.Special || !a.Traced {
 				continue
 			}
-			c.report("FV015", attrPos(a, "traced", "special"),
+			c.report("FV015", a.AttrPos("traced", "special"),
 				"%s.%s.%s: [traced] meter around a [special] hook on the pooled parallel client forces a per-call buffer snapshot, costing an allocation on the pooled zero-alloc path",
 				p.Interface.Name, opName, pn)
 		}
 	}
-}
-
-// checkParam runs the per-parameter lints. ctx pieces identify the
-// finding as iface.op.param.
-func (c *checker) checkParam(iface, opName, pn string, irOp *ir.Operation, a *pres.ParamAttrs, t *ir.Type, dir ir.Direction) {
-	ctx := iface + "." + opName + "." + pn
-	isIn := dir == ir.In || dir == ir.InOut
-
-	if a.Trashable && a.Preserved {
-		c.report("FV008", attrPos(a, "preserved", "trashable"),
-			"%s: [trashable] and [preserved] on the same parameter are mutually exclusive", ctx)
-	}
-	if a.Trashable && !isIn {
-		c.report("FV010", attrPos(a, "trashable"),
-			"%s: [trashable] applies only to in parameters, %s is %s", ctx, pn, dir)
-	}
-	if a.Preserved && !isIn {
-		c.report("FV010", attrPos(a, "preserved"),
-			"%s: [preserved] applies only to in parameters, %s is %s", ctx, pn, dir)
-	}
-	if a.Trashable && a.Special {
-		c.report("FV004", attrPos(a, "special", "trashable"),
-			"%s: [special] marshal hook may alias a buffer the stub is allowed to trash", ctx)
-	}
-	if a.NonUnique && t.Kind != ir.Port {
-		c.report("FV011", attrPos(a, "nonunique"),
-			"%s: [nonunique] applies only to port parameters, have %s", ctx, t.Signature())
-	}
-	if (a.Alloc != pres.AllocAuto || a.Dealloc != pres.DeallocDefault) && !pres.IsBuffer(t) {
-		c.report("FV012", attrPos(a, "alloc", "dealloc"),
-			"%s: allocation annotations require a buffer type, have %s", ctx, t.Signature())
-	}
-	if a.Dealloc == pres.DeallocNever && a.Alloc == pres.AllocCallee &&
-		a.Explicit("alloc") && !isIn && pres.IsBuffer(t) {
-		c.report("FV006", attrPos(a, "dealloc", "alloc"),
-			"%s: [alloc(callee), dealloc(never)]: a fresh callee-allocated buffer per call that nothing frees", ctx)
-	}
-	if a.LengthIs != "" {
-		c.checkLengthIs(ctx, irOp, a)
-	}
-}
-
-// checkLengthIs is FV009.
-func (c *checker) checkLengthIs(ctx string, irOp *ir.Operation, a *pres.ParamAttrs) {
-	pos := attrPos(a, "length_is")
-	var lt *ir.Type
-	for _, param := range irOp.Params {
-		if param.Name == a.LengthIs {
-			lt = param.Type
-		}
-	}
-	if lt == nil {
-		c.report("FV009", pos, "%s: length_is(%s): no such parameter in the operation", ctx, a.LengthIs)
-		return
-	}
-	switch lt.Kind {
-	case ir.Int32, ir.Uint32, ir.Int64, ir.Uint64:
-	default:
-		c.report("FV009", pos, "%s: length_is(%s): parameter is %s, need an integer", ctx, a.LengthIs, lt.Signature())
-	}
-}
-
-// attrPos picks the most precise recorded position: the first listed
-// attribute that was explicitly applied, else the parameter clause.
-func attrPos(a *pres.ParamAttrs, attrs ...string) idl.Pos {
-	for _, name := range attrs {
-		if p, ok := a.PosOf(name); ok {
-			return p
-		}
-	}
-	return a.Pos
-}
-
-// resolveParam finds the wire type and direction of a presentation
-// parameter entry, treating ResultParam as an out pseudo-parameter.
-func resolveParam(irOp *ir.Operation, pn string) (*ir.Type, ir.Direction, bool) {
-	if pn == pres.ResultParam {
-		if !irOp.HasResult() {
-			return nil, 0, false
-		}
-		return irOp.Result, ir.Out, true
-	}
-	for _, param := range irOp.Params {
-		if param.Name == pn {
-			return param.Type, param.Dir, true
-		}
-	}
-	return nil, 0, false
-}
-
-func sortedOpNames(ops map[string]*pres.OpPres) []string {
-	names := make([]string, 0, len(ops))
-	for name := range ops {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func sortedParamNames(params map[string]*pres.ParamAttrs) []string {
-	names := make([]string, 0, len(params))
-	for name := range params {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -16,6 +16,7 @@ import (
 	"flexrpc/internal/flexload"
 	"flexrpc/internal/netpoll"
 	frt "flexrpc/internal/runtime"
+	"flexrpc/internal/stats"
 	"flexrpc/internal/transport/suntcp"
 )
 
@@ -197,7 +198,7 @@ func c10kCell(cfg c10kConfig, conns int, poller bool) (Row, error) {
 		// population: every reader up, or every conn owned by a poller.
 		established := func() bool { return runtime.NumGoroutine() >= baseline+conns }
 		if poller {
-			established = func() bool { return bed.stats.Snapshot().PollerConnsRegistered >= uint64(conns) }
+			established = func() bool { return bed.stats.Load(stats.PollerConnsRegistered) >= uint64(conns) }
 			for i := 0; i < conns; i++ {
 				cc, err := net.Dial("unix", socks[i%c10kShards])
 				if err != nil {

@@ -95,7 +95,7 @@ func faultsRow(calls int, lossPct float64, retry bool) (Row, error) {
 	clientStats := stats.New([]string{"nop"})
 	conn := bed.robust(sched.Wrap(&sessLoopback{sess: bed.sess}), 0, frt.RobustOptions{Policy: policy}, clientStats)
 	// One caller; a lost call is the measurement, not a failure.
-	l, err := bed.closedLoop([]*frt.RobustConn{conn}, 1,
+	l, err := bed.closedLoop([]*frt.RobustConn{conn}, 1, 0,
 		func(issued int, _ time.Duration) bool { return issued < calls },
 		func(error) bool { return true })
 	if err != nil {
@@ -107,9 +107,9 @@ func faultsRow(calls int, lossPct float64, retry bool) (Row, error) {
 	}
 	n := float64(calls)
 	return Row{Label: faultsLabel(lossPct, retry), Cells: []float64{
-		100 * float64(len(l.lat)) / n,
-		float64(l.percentile(0.50).Nanoseconds()) / 1e3,
-		float64(l.percentile(0.99).Nanoseconds()) / 1e3,
+		100 * float64(l.lat.Count) / n,
+		float64(l.lat.Quantile(0.50).Nanoseconds()) / 1e3,
+		float64(l.lat.Quantile(0.99).Nanoseconds()) / 1e3,
 		n / l.elapsed.Seconds(),
 		float64(retries(clientStats.Snapshot())) / n,
 		float64(replays) / n,

@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	frt "flexrpc/internal/runtime"
@@ -147,7 +146,7 @@ func overloadCell(window time.Duration, m overloadMode, load int) (Row, error) {
 	}
 	// One closed-loop driver per connection for the window; a shed call
 	// is load doing its work.
-	l, err := bed.closedLoop(conns, 1,
+	l, err := bed.closedLoop(conns, 1, overloadSLO,
 		func(_ int, since time.Duration) bool { return since < window },
 		func(err error) bool {
 			var shed *frt.ErrOverloaded
@@ -156,16 +155,15 @@ func overloadCell(window time.Duration, m overloadMode, load int) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
-	withinSLO := sort.Search(len(l.lat), func(i int) bool { return l.lat[i] > overloadSLO })
 	cs := clientStats.Snapshot()
 	n := float64(max(l.issued, 1))
 	return Row{Label: overloadLabel(load, m), Cells: []float64{
-		float64(withinSLO) / l.elapsed.Seconds(),
-		100 * float64(len(l.lat)) / n,
-		float64(l.percentile(0.50).Nanoseconds()) / 1e6,
-		float64(l.percentile(0.99).Nanoseconds()) / 1e6,
+		float64(l.withinSLO) / l.elapsed.Seconds(),
+		100 * float64(l.lat.Count) / n,
+		float64(l.lat.Quantile(0.50).Nanoseconds()) / 1e6,
+		float64(l.lat.Quantile(0.99).Nanoseconds()) / 1e6,
 		float64(retries(cs)) / n,
-		float64(bed.stats.Snapshot().Sheds) / n,
+		float64(bed.stats.Load(stats.Sheds)) / n,
 		float64(cs.RetrySuppressed),
 	}}, nil
 }

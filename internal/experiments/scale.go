@@ -133,7 +133,7 @@ func scaleRow(calls int, m scaleMode, stall time.Duration, conns int) (Row, erro
 		}
 	}
 	perDriver := max(calls/(conns*scaleWorkers), 1)
-	l, err := bed.closedLoop(rconns, scaleWorkers,
+	l, err := bed.closedLoop(rconns, scaleWorkers, 0,
 		func(issued int, _ time.Duration) bool { return issued < perDriver },
 		func(error) bool { return false })
 	if err != nil {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
@@ -98,30 +97,28 @@ func (b *sessionBed) robust(conn frt.Conn, id int, opts frt.RobustOptions, clien
 
 // closedLoad is what a closed loop of callers measured.
 type closedLoad struct {
-	issued  int
-	lat     []time.Duration // completed calls, ascending
-	elapsed time.Duration
-}
-
-// percentile reads quantile q of the completed calls, 0 with none.
-func (l closedLoad) percentile(q float64) time.Duration {
-	if len(l.lat) == 0 {
-		return 0
-	}
-	return l.lat[int(q*float64(len(l.lat)-1))]
+	issued    int
+	lat       stats.HistogramSnapshot // completed calls
+	withinSLO uint64                  // completed calls no slower than the loop's slo
+	elapsed   time.Duration
 }
 
 // closedLoop runs drivers callers on every connection, each calling nop
 // back to back while more(calls it has issued, time since the start)
-// holds, then closes the connections. A failed call that tolerate
-// accepts counts as issued but not completed; any other error is a
-// harness bug, not load, and aborts the figure.
-func (b *sessionBed) closedLoop(conns []*frt.RobustConn, drivers int,
+// holds, then closes the connections. A completed call counts toward
+// withinSLO when it took at most slo (every one does when slo is 0). A
+// failed call that tolerate accepts counts as issued but not
+// completed; any other error is a harness bug, not load, and aborts the
+// figure.
+func (b *sessionBed) closedLoop(conns []*frt.RobustConn, drivers int, slo time.Duration,
 	more func(issued int, since time.Duration) bool, tolerate func(error) bool) (closedLoad, error) {
+	// One histogram per driver, merged afterwards: the drivers share no
+	// cache line while the loop is being timed.
 	type tally struct {
-		issued int
-		lat    []time.Duration
-		err    error
+		issued    int
+		lat       stats.Histogram
+		withinSLO uint64
+		err       error
 	}
 	tallies := make([]tally, len(conns)*drivers)
 	var wg sync.WaitGroup
@@ -138,7 +135,11 @@ func (b *sessionBed) closedLoop(conns []*frt.RobustConn, drivers int,
 				reply, err := conn.CallContext(context.Background(), b.opIdx, b.req, replyBuf)
 				switch {
 				case err == nil:
-					t.lat = append(t.lat, time.Since(t0))
+					d := time.Since(t0)
+					t.lat.Record(d)
+					if slo <= 0 || d <= slo {
+						t.withinSLO++
+					}
 					replyBuf = reply[:0]
 				case !tolerate(err):
 					t.err = err
@@ -152,14 +153,16 @@ func (b *sessionBed) closedLoop(conns []*frt.RobustConn, drivers int,
 	for _, conn := range conns {
 		conn.Close()
 	}
-	for _, t := range tallies {
+	for i := range tallies {
+		t := &tallies[i]
 		if t.err != nil {
 			return closedLoad{}, t.err
 		}
 		l.issued += t.issued
-		l.lat = append(l.lat, t.lat...)
+		l.withinSLO += t.withinSLO
+		lat := t.lat.Snapshot()
+		l.lat.Merge(&lat)
 	}
-	sort.Slice(l.lat, func(i, j int) bool { return l.lat[i] < l.lat[j] })
 	return l, nil
 }
 

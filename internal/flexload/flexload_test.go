@@ -79,7 +79,7 @@ type sessConn struct {
 func (c *sessConn) Call(opIdx int, req, replyBuf []byte) ([]byte, error) {
 	c.count++
 	if c.w.every > 0 && c.count%c.w.every == 0 {
-		c.w.srv.AddShed()
+		c.w.srv.Add(stats.Sheds, 1)
 		return runtime.AppendPushbackFrame(replyBuf[:0], false, 2*time.Millisecond), nil
 	}
 	frame := c.w.sess.Handle(context.Background(), opIdx, req)

@@ -252,6 +252,19 @@ func TestValidateErrorsArePositionedAndContextual(t *testing.T) {
 	}
 }
 
+// A PDL with two violations reports the same one on every run: the
+// rule walk visits operations and parameters by name, not in map
+// order.
+func TestValidateFirstErrorIsDeterministic(t *testing.T) {
+	const src = "interface FileIO {\n    write([nonunique] data);\n    read([trashable] return);\n};"
+	for i := 0; i < 50; i++ {
+		_, err := Apply(fileIOPres(t), "two.pdl", src)
+		if err == nil || !strings.Contains(err.Error(), "two.pdl:3:11") || !strings.Contains(err.Error(), "FileIO.read.return") {
+			t.Fatalf("run %d: err = %v, want the violation on FileIO.read.return (read sorts before write)", i, err)
+		}
+	}
+}
+
 // ApplyLoose keeps dangling declarations (for the analyzer) and skips
 // validation.
 func TestApplyLoose(t *testing.T) {

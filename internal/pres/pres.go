@@ -10,6 +10,7 @@ package pres
 
 import (
 	"fmt"
+	"sort"
 
 	"flexrpc/internal/idl"
 	"flexrpc/internal/ir"
@@ -202,6 +203,18 @@ func (a *ParamAttrs) Explicit(attr string) bool {
 	return ok
 }
 
+// AttrPos picks the most precise recorded position for a diagnostic:
+// that of the first listed attribute that was explicitly applied, else
+// the parameter clause's.
+func (a *ParamAttrs) AttrPos(attrs ...string) idl.Pos {
+	for _, name := range attrs {
+		if p, ok := a.At[name]; ok {
+			return p
+		}
+	}
+	return a.Pos
+}
+
 // OpPres is the presentation of a single operation.
 type OpPres struct {
 	Name string
@@ -328,7 +341,7 @@ func Default(iface *ir.Interface, style Style) *Presentation {
 
 func defaultParamAttrs(t *ir.Type, dir ir.Direction, style Style) *ParamAttrs {
 	a := &ParamAttrs{}
-	if !isBufferType(t) {
+	if !IsBuffer(t) {
 		return a
 	}
 	switch dir {
@@ -367,8 +380,6 @@ func IsBuffer(t *ir.Type) bool {
 	}
 	return false
 }
-
-func isBufferType(t *ir.Type) bool { return IsBuffer(t) }
 
 // Op returns the presentation of the named operation, or nil.
 func (p *Presentation) Op(name string) *OpPres { return p.Ops[name] }
@@ -414,102 +425,148 @@ func clonePosMap(m map[string]idl.Pos) map[string]idl.Pos {
 	return cp
 }
 
-// Validate checks the presentation's internal consistency against
-// its interface: every annotated operation and parameter must exist,
-// length_is must reference an integer parameter of the same
-// operation and direction, and attributes must be applicable to the
-// parameter's type and direction. A valid presentation can never
-// alter the network contract.
-func (p *Presentation) Validate() error {
-	for name, op := range p.Ops {
-		irOp := p.Interface.Op(name)
+// A Rule names one consistency rule between a presentation and the
+// interface it is attached to; flexvet reports each under an FV id.
+type Rule int
+
+// Consistency rules, in the order one parameter is checked.
+const (
+	// RuleDangling: an annotated operation, parameter or result the
+	// interface does not have.
+	RuleDangling Rule = iota
+	// RuleInOnly: trashable or preserved on a parameter that is not in.
+	RuleInOnly
+	// RuleMutability: trashable and preserved together.
+	RuleMutability
+	// RuleBufferOnly: allocation attributes on a non-buffer type.
+	RuleBufferOnly
+	// RulePortOnly: nonunique on a non-port type.
+	RulePortOnly
+	// RuleLengthIs: length_is names no integer parameter of the operation.
+	RuleLengthIs
+)
+
+// A Violation is one broken rule: where, and what is wrong, worded as
+// "Iface.op.param: ...".
+type Violation struct {
+	Rule Rule
+	Pos  idl.Pos
+	Msg  string
+}
+
+// A Site is one annotated parameter (or result, under ResultParam)
+// that the interface has, with its wire type and direction.
+type Site struct {
+	Op    *OpPres
+	Attrs *ParamAttrs
+	Type  *ir.Type
+	Dir   ir.Direction
+	Ctx   string // "Iface.op.param", for messages
+}
+
+// In reports whether the parameter carries data to the callee.
+func (s Site) In() bool { return s.Dir == ir.In || s.Dir == ir.InOut }
+
+// Out reports whether the parameter carries data back to the caller.
+func (s Site) Out() bool { return s.Dir == ir.Out || s.Dir == ir.InOut }
+
+// Walk checks the presentation against its interface: every annotated
+// operation and parameter must exist, length_is must name an integer
+// parameter of the same operation, and attributes must apply to the
+// parameter's type and direction. It visits operations by name and
+// each one's parameters by name, so the violations it returns are in
+// the same order on every run; site, when not nil, is also called for
+// every annotated parameter the interface has. This is the one rule
+// walk: Validate returns its first violation, flexvet reports them all
+// and hangs its own per-parameter lints on site.
+func (p *Presentation) Walk(site func(Site)) []Violation {
+	var out []Violation
+	bad := func(r Rule, pos idl.Pos, format string, args ...any) {
+		out = append(out, Violation{r, pos, fmt.Sprintf(format, args...)})
+	}
+	iface := p.Interface
+	for _, name := range sortedKeys(p.Ops) {
+		op, irOp := p.Ops[name], iface.Op(name)
 		if irOp == nil {
-			return errAt(op.Pos, "pres: %s.%s: operation %q not in interface %s",
-				p.Interface.Name, name, name, p.Interface.Name)
+			bad(RuleDangling, op.Pos, "%s: operation %q not in interface %s: annotation can never apply",
+				iface.Name, name, iface.Name)
+			continue
 		}
-		for pn, pa := range op.Params {
-			ctx := fmt.Sprintf("%s.%s.%s", p.Interface.Name, name, pn)
-			var t *ir.Type
-			var dir ir.Direction
-			if pn == ResultParam {
-				if !irOp.HasResult() {
-					return errAt(pa.Pos, "pres: %s: operation has no result to annotate", ctx)
-				}
-				t, dir = irOp.Result, ir.Out
-			} else {
-				found := false
-				for _, param := range irOp.Params {
-					if param.Name == pn {
-						t, dir, found = param.Type, param.Dir, true
-						break
-					}
-				}
-				if !found {
-					return errAt(pa.Pos, "pres: %s.%s: parameter %q not in operation", p.Interface.Name, name, pn)
+		for _, pn := range sortedKeys(op.Params) {
+			a := op.Params[pn]
+			t, dir, ok := lookupParam(irOp, pn)
+			if !ok {
+				bad(RuleDangling, a.Pos, "%s.%s: parameter %q not in operation: annotation can never apply",
+					iface.Name, name, pn)
+				continue
+			}
+			s := Site{Op: op, Attrs: a, Type: t, Dir: dir, Ctx: iface.Name + "." + name + "." + pn}
+			if a.Trashable && !s.In() {
+				bad(RuleInOnly, a.AttrPos("trashable"), "%s: [trashable] applies only to in parameters, %s is %s", s.Ctx, pn, dir)
+			}
+			if a.Preserved && !s.In() {
+				bad(RuleInOnly, a.AttrPos("preserved"), "%s: [preserved] applies only to in parameters, %s is %s", s.Ctx, pn, dir)
+			}
+			if a.Trashable && a.Preserved {
+				bad(RuleMutability, a.AttrPos("preserved", "trashable"),
+					"%s: [trashable] and [preserved] on the same parameter are mutually exclusive", s.Ctx)
+			}
+			if (a.Alloc != AllocAuto || a.Dealloc != DeallocDefault) && !IsBuffer(t) {
+				bad(RuleBufferOnly, a.AttrPos("alloc", "dealloc"),
+					"%s: allocation annotations require a buffer type, have %s", s.Ctx, t.Signature())
+			}
+			if a.NonUnique && t.Kind != ir.Port {
+				bad(RulePortOnly, a.AttrPos("nonunique"), "%s: [nonunique] applies only to port parameters, have %s", s.Ctx, t.Signature())
+			}
+			if a.LengthIs != "" {
+				if lt, _, ok := lookupParam(irOp, a.LengthIs); !ok || a.LengthIs == ResultParam {
+					bad(RuleLengthIs, a.AttrPos("length_is"), "%s: length_is(%s): no such parameter in the operation", s.Ctx, a.LengthIs)
+				} else if k := lt.Kind; k != ir.Int32 && k != ir.Uint32 && k != ir.Int64 && k != ir.Uint64 {
+					bad(RuleLengthIs, a.AttrPos("length_is"), "%s: length_is(%s): parameter is %s, need an integer", s.Ctx, a.LengthIs, lt.Signature())
 				}
 			}
-			if err := validateAttrs(ctx, irOp, pa, t, dir); err != nil {
-				return err
+			if site != nil {
+				site(s)
 			}
 		}
 	}
-	return nil
+	return out
 }
 
-// errAt builds an error carrying pos when one was recorded; the zero
-// position falls back to an unpositioned error.
-func errAt(pos idl.Pos, format string, args ...any) error {
-	if pos.Line == 0 {
-		return fmt.Errorf(format, args...)
+// Validate returns the first violation Walk finds, as an error carrying
+// its position. A valid presentation can never alter the network
+// contract.
+func (p *Presentation) Validate() error {
+	vs := p.Walk(nil)
+	if len(vs) == 0 {
+		return nil
 	}
-	return idl.Errorf(pos, format, args...)
+	if vs[0].Pos.Line == 0 {
+		return fmt.Errorf("pres: %s", vs[0].Msg)
+	}
+	return idl.Errorf(vs[0].Pos, "pres: %s", vs[0].Msg)
 }
 
-// attrPos picks the most precise recorded position for an attribute:
-// the attribute's own PDL position, else the parameter clause's.
-func attrPos(a *ParamAttrs, attr string) idl.Pos {
-	if p, ok := a.PosOf(attr); ok {
-		return p
+// lookupParam finds the wire type and direction of the named parameter
+// of op; ResultParam is the out pseudo-parameter of an operation that
+// has a result.
+func lookupParam(op *ir.Operation, name string) (*ir.Type, ir.Direction, bool) {
+	if name == ResultParam {
+		return op.Result, ir.Out, op.HasResult()
 	}
-	return a.Pos
+	for _, param := range op.Params {
+		if param.Name == name {
+			return param.Type, param.Dir, true
+		}
+	}
+	return nil, 0, false
 }
 
-func validateAttrs(ctx string, op *ir.Operation, a *ParamAttrs, t *ir.Type, dir ir.Direction) error {
-	if a.Trashable && dir != ir.In && dir != ir.InOut {
-		return errAt(attrPos(a, "trashable"), "pres: %s: trashable applies only to in parameters", ctx)
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	if a.Preserved && dir != ir.In && dir != ir.InOut {
-		return errAt(attrPos(a, "preserved"), "pres: %s: preserved applies only to in parameters", ctx)
-	}
-	if a.Trashable && a.Preserved {
-		return errAt(attrPos(a, "preserved"), "pres: %s: trashable and preserved are mutually exclusive", ctx)
-	}
-	if (a.Alloc != AllocAuto || a.Dealloc != DeallocDefault) && !isBufferType(t) {
-		pos := attrPos(a, "alloc")
-		if p, ok := a.PosOf("dealloc"); ok {
-			pos = p
-		}
-		return errAt(pos, "pres: %s: allocation attributes require a buffer type, have %s", ctx, t.Signature())
-	}
-	if a.NonUnique && t.Kind != ir.Port {
-		return errAt(attrPos(a, "nonunique"), "pres: %s: nonunique applies only to port parameters", ctx)
-	}
-	if a.LengthIs != "" {
-		var lt *ir.Type
-		for _, param := range op.Params {
-			if param.Name == a.LengthIs {
-				lt = param.Type
-			}
-		}
-		if lt == nil {
-			return errAt(attrPos(a, "length_is"), "pres: %s: length_is(%s): no such parameter", ctx, a.LengthIs)
-		}
-		switch lt.Kind {
-		case ir.Int32, ir.Uint32, ir.Int64, ir.Uint64:
-		default:
-			return errAt(attrPos(a, "length_is"), "pres: %s: length_is(%s): parameter is %s, need integer",
-				ctx, a.LengthIs, lt.Signature())
-		}
-	}
-	return nil
+	sort.Strings(keys)
+	return keys
 }

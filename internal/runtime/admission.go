@@ -169,20 +169,20 @@ func (a *Admission) Admit(cid uint32, idem bool) []byte {
 		return nil
 	}
 	if a.draining.Load() {
-		a.stats.AddDrainReject()
+		a.stats.Add(stats.DrainRejects, 1)
 		return a.drainFrame
 	}
 	if a.shedP99 > 0 {
 		lvl := a.shedLevel()
 		if lvl >= shedLevelMax || (lvl >= 1 && !idem) {
-			a.stats.AddShed()
+			a.stats.Add(stats.Sheds, 1)
 			return a.overFrame
 		}
 	}
 	n := a.inflight.Add(1)
 	if a.maxInflight > 0 && n > a.maxInflight {
 		a.inflight.Add(-1)
-		a.stats.AddShed()
+		a.stats.Add(stats.Sheds, 1)
 		return a.overFrame
 	}
 	if a.perClient > 0 {
@@ -190,7 +190,7 @@ func (a *Admission) Admit(cid uint32, idem bool) []byte {
 		if slot.Add(1) > a.perClient {
 			slot.Add(-1)
 			a.inflight.Add(-1)
-			a.stats.AddShed()
+			a.stats.Add(stats.Sheds, 1)
 			return a.overFrame
 		}
 	}

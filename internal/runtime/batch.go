@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"sync"
 	"time"
+
+	"flexrpc/internal/stats"
 )
 
 // Client-side call batching: [batchable] operations may be queued for
@@ -122,7 +124,7 @@ func decodeBatchReply(body []byte, want int) ([][]byte, error) {
 func (s *SessionServer) execBatch(ctx context.Context, body []byte, tid uint32, dst []byte) []byte {
 	ops, reqs, err := decodeBatchRequest(body)
 	if err != nil {
-		s.disp.stats.AddBadFrame()
+		s.disp.stats.Add(stats.BadFrames, 1)
 		return appendBadRequestFrame(dst)
 	}
 	enc, _ := s.encs.Get().(Encoder)

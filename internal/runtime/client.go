@@ -166,9 +166,6 @@ func (c *Client) SetStats(e *stats.Endpoint) {
 	}
 }
 
-// StatsEndpoint returns the live endpoint, nil when disabled.
-func (c *Client) StatsEndpoint() *stats.Endpoint { return c.stats }
-
 // Stats snapshots the client-side counters; on a disabled client the
 // snapshot is empty but non-nil.
 func (c *Client) Stats() *stats.Snapshot { return c.stats.Snapshot() }
@@ -271,7 +268,7 @@ func (c *Client) invokeParallel(ctx context.Context, opPlan *OpPlan, idx int, ar
 func (c *Client) roundTrip(ctx context.Context, idx int, req, replyBuf []byte, tid uint32) ([]byte, error) {
 	if c.stats != nil {
 		c.stats.Encode.Add(len(req))
-		c.stats.AddBytes(idx, len(req), 0)
+		c.stats.AddOp(idx, stats.OpBytesOut, len(req))
 		c.stats.Trace(tid, idx, stats.StageEncode)
 		c.stats.Trace(tid, idx, stats.StageSend)
 	}
@@ -287,7 +284,7 @@ func (c *Client) roundTrip(ctx context.Context, idx int, req, replyBuf []byte, t
 	}
 	if c.stats != nil {
 		c.stats.Decode.Add(len(reply))
-		c.stats.AddBytes(idx, 0, len(reply))
+		c.stats.AddOp(idx, stats.OpBytesIn, len(reply))
 	}
 	return reply, nil
 }

@@ -145,6 +145,12 @@ func TestAdmissionShedderHysteresis(t *testing.T) {
 	if a.ShedLevel() != 0 || !admitted(a, 1, false) {
 		t.Fatal("fresh controller not admitting everything")
 	}
+	// Just under the entry threshold the level stays put: a 9 ms p99
+	// must read as 9 ms, not as the top of a bucket above 10 ms.
+	feed(9*time.Millisecond, 100)
+	if !step(false) || a.ShedLevel() != 0 {
+		t.Fatalf("level = %d with a 9 ms p99 under a 10 ms threshold, want 0", a.ShedLevel())
+	}
 	// A p99 storm raises one level per interval: first non-idempotent
 	// traffic sheds while idempotent still admits, then everything.
 	feed(50*time.Millisecond, 100)
@@ -180,7 +186,9 @@ func TestAdmissionShedderHysteresis(t *testing.T) {
 	if a.ShedLevel() != 1 {
 		t.Fatalf("level = %d after recovery interval, want 1", a.ShedLevel())
 	}
-	feed(time.Millisecond, 100)
+	// Just under the exit threshold counts as recovered: a 4.5 ms p99
+	// must read below 5 ms.
+	feed(4500*time.Microsecond, 100)
 	if !step(false) {
 		t.Fatal("call shed after full recovery")
 	}

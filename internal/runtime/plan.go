@@ -379,7 +379,8 @@ func (pl *Plan) wrapTraced(opIdx int, inner EncodeStepFn) EncodeStepFn {
 		if err := inner(enc, v); err != nil {
 			return err
 		}
-		pl.stats.AddTraced(opIdx, len(enc.Bytes())-before)
+		pl.stats.AddOp(opIdx, stats.OpTracedMsgs, 1)
+		pl.stats.AddOp(opIdx, stats.OpTracedBytes, len(enc.Bytes())-before)
 		return nil
 	}
 }

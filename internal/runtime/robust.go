@@ -272,7 +272,7 @@ func (r *RobustConn) CallTraceContext(ctx context.Context, opIdx int, req, reply
 // RetryAfter instead of the jittered backoff.
 func (r *RobustConn) callSession(ctx context.Context, wireOp, statOp int, req, replyBuf []byte, flags uint32, idem bool, tid uint32) ([]byte, error) {
 	if !r.breaker.Allow() {
-		r.stats.AddBreakerFastFail()
+		r.stats.Add(stats.BreakerFastFails, 1)
 		return nil, ErrCircuitOpen
 	}
 	attempts := r.policy.MaxAttempts
@@ -309,7 +309,7 @@ func (r *RobustConn) callSession(ctx context.Context, wireOp, statOp int, req, r
 			break
 		}
 		if attempt > 1 {
-			r.stats.AddRetry(statOp)
+			r.stats.AddOp(statOp, stats.OpRetries, 1)
 			r.stats.Trace(tid, statOp, stats.StageRetry)
 		}
 		reply, err = r.callOnce(ctx, wireOp, frame, replyBuf)
@@ -321,13 +321,13 @@ func (r *RobustConn) callSession(ctx context.Context, wireOp, statOp int, req, r
 		pushback := errors.As(err, &ov)
 		switch {
 		case pushback:
-			r.stats.AddPushback()
+			r.stats.Add(stats.Pushbacks, 1)
 			if r.breaker.OnFailure(ov.RetryAfter) {
-				r.stats.AddBreakerOpen()
+				r.stats.Add(stats.BreakerOpens, 1)
 			}
 		case Retryable(err):
 			if r.breaker.OnFailure(0) {
-				r.stats.AddBreakerOpen()
+				r.stats.Add(stats.BreakerOpens, 1)
 			}
 		default:
 			// A RemoteError means the server executed and answered —
@@ -351,7 +351,7 @@ func (r *RobustConn) callSession(ctx context.Context, wireOp, statOp int, req, r
 			break
 		}
 		if !r.budget.allowRetry() {
-			r.stats.AddRetrySuppressed()
+			r.stats.Add(stats.RetrySuppressed, 1)
 			break
 		}
 		if pushback && ov.RetryAfter > 0 {
@@ -396,14 +396,14 @@ func (r *RobustConn) callOnce(ctx context.Context, opIdx int, frame, replyBuf []
 		r.stats.Wire.Add(len(reply))
 	}
 	if len(reply) < robustRepHeader {
-		r.stats.AddCorruptReply()
+		r.stats.Add(stats.CorruptReplies, 1)
 		return nil, fmt.Errorf("%w: %d-byte frame", ErrCorruptReply, len(reply))
 	}
 	status := binary.BigEndian.Uint32(reply[0:4])
 	sum := binary.BigEndian.Uint32(reply[4:8])
 	body := reply[robustRepHeader:]
 	if crc32.ChecksumIEEE(body) != sum {
-		r.stats.AddCorruptReply()
+		r.stats.Add(stats.CorruptReplies, 1)
 		return nil, ErrCorruptReply
 	}
 	switch status {
@@ -586,7 +586,7 @@ func (c *ReplyCache) lock(s *replyShard) {
 		return
 	}
 	c.contention.Add(1)
-	c.stats.AddShardContention()
+	c.stats.Add(stats.ShardContention, 1)
 	s.mu.Lock()
 }
 
@@ -781,7 +781,7 @@ func (s *SessionServer) Handle(ctx context.Context, opIdx int, frame []byte) []b
 // dst a call allocates nothing here, cached or not.
 func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst []byte) []byte {
 	if len(frame) < robustReqHeader {
-		s.disp.stats.AddBadFrame()
+		s.disp.stats.Add(stats.BadFrames, 1)
 		return appendBadRequestFrame(dst)
 	}
 	cid := binary.BigEndian.Uint32(frame[0:4])
@@ -801,7 +801,7 @@ func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst 
 		// Damaged in transit: tell the client to retransmit. Not
 		// cached — the retry must reach the dispatcher.
 		s.adm.Release(cid)
-		s.disp.stats.AddBadFrame()
+		s.disp.stats.Add(stats.BadFrames, 1)
 		return appendBadRequestFrame(dst)
 	}
 	exec := func(dst []byte) []byte {
@@ -822,7 +822,7 @@ func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst 
 	dst, replayed := s.cache.do(key, dst, exec)
 	s.adm.Release(cid)
 	if replayed {
-		s.disp.stats.AddReplay(opIdx)
+		s.disp.stats.AddOp(opIdx, stats.OpReplays, 1)
 	}
 	return dst
 }

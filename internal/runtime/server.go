@@ -178,9 +178,6 @@ func (d *Dispatcher) EnableStats() *stats.Endpoint {
 // endpoint; EnableStats is the common path.
 func (d *Dispatcher) SetStats(e *stats.Endpoint) { d.stats = e }
 
-// StatsEndpoint returns the live endpoint, nil when disabled.
-func (d *Dispatcher) StatsEndpoint() *stats.Endpoint { return d.stats }
-
 // Stats snapshots the server-side counters; on a disabled dispatcher
 // the snapshot is empty but non-nil.
 func (d *Dispatcher) Stats() *stats.Snapshot { return d.stats.Snapshot() }
@@ -402,7 +399,8 @@ func (d *Dispatcher) meterReply(opIdx, encBase, bodyLen int, enc Encoder, tid ui
 	}
 	out := len(enc.Bytes()) - encBase
 	d.stats.Encode.Add(out)
-	d.stats.AddBytes(opIdx, out, bodyLen)
+	d.stats.AddOp(opIdx, stats.OpBytesOut, out)
+	d.stats.AddOp(opIdx, stats.OpBytesIn, bodyLen)
 	d.stats.Trace(tid, opIdx, stats.StageServerReply)
 }
 

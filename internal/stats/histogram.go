@@ -1,26 +1,58 @@
 package stats
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 	"time"
 )
 
-// HistBuckets is the fixed bucket count of the latency histogram.
-// Bucket i counts durations whose nanosecond value has bit length i:
-// bucket 0 is exactly 0ns, bucket i covers [2^(i-1), 2^i) ns, and the
-// last bucket absorbs everything longer (2^46 ns ≈ 19.5 hours, far
-// past any RPC deadline).
-const HistBuckets = 48
+// The latency histogram is log-linear: every octave [2^k, 2^(k+1)) ns
+// is cut into histSub equal sub-buckets, so a bucket is at most
+// 1/histSub (6.25%) of its lower bound wide, values below histSub ns
+// are exact, and a quantile — reported as its bucket's midpoint — is
+// within 1/32 (3.125%) of the sample it stands for. The resolution is a
+// constant, not an option: every reader (flexc stats, flexload, the
+// load shedder, the experiment figures) gets the same one.
+const (
+	histSubBits = 4
+	histSub     = 1 << histSubBits
+	// histMaxBits caps the range: 2^40 ns (~18 minutes) is far past any
+	// RPC deadline, and longer observations land in the last bucket.
+	histMaxBits = 40
+	// HistBuckets is the fixed bucket count of the latency histogram.
+	HistBuckets = (histMaxBits - histSubBits + 1) * histSub
+)
 
-// A Histogram is a lock-free power-of-two latency histogram. The
-// zero value is an empty histogram; Record on a nil *Histogram is a
-// no-op. Concurrent Record calls never block each other — every
-// field is an independent atomic.
+// bucketOf maps a nanosecond value to its bucket. Values below histSub
+// index themselves; above, the octave and the histSubBits bits under
+// the leading one select the bucket.
+func bucketOf(ns uint64) int {
+	if ns < histSub {
+		return int(ns)
+	}
+	e := bits.Len64(ns) - 1 - histSubBits // ns>>e is in [histSub, 2*histSub)
+	if i := e<<histSubBits + int(ns>>e); i < HistBuckets {
+		return i
+	}
+	return HistBuckets - 1
+}
+
+// bucketMid is the midpoint of bucket i, the value a quantile reports.
+func bucketMid(i int) time.Duration {
+	if i < histSub {
+		return time.Duration(i)
+	}
+	e := i>>histSubBits - 1
+	lo := uint64(histSub+i&(histSub-1)) << e
+	return time.Duration(lo + (1<<e-1)/2)
+}
+
+// A Histogram is a lock-free log-linear latency histogram. The zero
+// value is an empty histogram; Record on a nil *Histogram is a no-op.
+// Concurrent Record calls never block each other — every field is an
+// independent atomic — and the observation count is the sum of the
+// buckets, so it can never disagree with them.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64 // nanoseconds
 	buckets [HistBuckets]atomic.Uint64
 }
@@ -30,40 +62,33 @@ func (h *Histogram) Record(d time.Duration) {
 	if h == nil {
 		return
 	}
-	ns := uint64(0)
-	if d > 0 {
-		ns = uint64(d)
-	}
-	i := bits.Len64(ns)
-	if i >= HistBuckets {
-		i = HistBuckets - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
+	ns := uint64(max(d, 0))
+	h.buckets[bucketOf(ns)].Add(1)
 	h.sum.Add(ns)
+}
+
+// addTo accumulates the histogram's current contents into s.
+func (h *Histogram) addTo(s *HistogramSnapshot) {
+	for i := range h.buckets {
+		n := h.buckets[i].Load()
+		s.Buckets[i] += n
+		s.Count += n
+	}
+	s.SumNs += h.sum.Load()
 }
 
 // Snapshot copies the histogram's current contents.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
-	if h == nil {
-		return s
+	if h != nil {
+		h.addTo(&s)
 	}
-	// Buckets first, totals after: a racing Record can make the
-	// totals run slightly ahead of the buckets but never behind,
-	// which Quantile tolerates (it clamps at the last non-empty
-	// bucket).
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
-	s.Count = h.count.Load()
-	s.SumNs = h.sum.Load()
 	return s
 }
 
 // HistogramSnapshot is a plain-value copy of a Histogram; snapshots
 // merge by addition, which is what makes per-shard histograms cheap
-// to aggregate.
+// to aggregate. Count is the sum of Buckets.
 type HistogramSnapshot struct {
 	Count   uint64              `json:"count"`
 	SumNs   uint64              `json:"sum_ns"`
@@ -82,7 +107,8 @@ func (s *HistogramSnapshot) Merge(o *HistogramSnapshot) {
 	}
 }
 
-// Mean returns the average observation, 0 when empty.
+// Mean returns the average observation (exact: it does not go through
+// the buckets), 0 when empty.
 func (s *HistogramSnapshot) Mean() time.Duration {
 	if s.Count == 0 {
 		return 0
@@ -90,8 +116,10 @@ func (s *HistogramSnapshot) Mean() time.Duration {
 	return time.Duration(s.SumNs / s.Count)
 }
 
-// Quantile returns an upper bound for the q-quantile (q in [0,1]):
-// the top of the bucket the q-th observation falls in.
+// Quantile returns the q-quantile (q in [0,1]) as the midpoint of the
+// bucket the q-th observation falls in, 0 when empty. It reads only
+// Buckets, so a snapshot whose Count was decoded from elsewhere cannot
+// mislead it.
 func (s *HistogramSnapshot) Quantile(q float64) time.Duration {
 	var total uint64
 	for _, b := range s.Buckets {
@@ -100,74 +128,12 @@ func (s *HistogramSnapshot) Quantile(q float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(total-1))
+	rank := uint64(min(max(q, 0), 1) * float64(total-1))
 	var seen uint64
 	for i, b := range s.Buckets {
-		seen += b
-		if b > 0 && seen > rank {
-			if i == 0 {
-				return 0
-			}
-			return time.Duration(uint64(1)<<uint(i) - 1)
+		if seen += b; seen > rank {
+			return bucketMid(i)
 		}
 	}
-	return time.Duration(uint64(1)<<uint(HistBuckets-1) - 1)
-}
-
-// histMagic guards the binary form against foreign bytes; the low
-// byte is the format version.
-const histMagic = uint32(0x46585348) // "FXSH"
-
-// histWireSize is the fixed encoded size: magic + count + sum +
-// buckets, all big-endian uint64s except the magic.
-const histWireSize = 4 + 8 + 8 + 8*HistBuckets
-
-// MarshalBinary encodes the snapshot in a fixed-size, mergeable,
-// endian-stable form.
-func (s *HistogramSnapshot) MarshalBinary() ([]byte, error) {
-	out := make([]byte, histWireSize)
-	binary.BigEndian.PutUint32(out[0:], histMagic)
-	binary.BigEndian.PutUint64(out[4:], s.Count)
-	binary.BigEndian.PutUint64(out[12:], s.SumNs)
-	for i, b := range s.Buckets {
-		binary.BigEndian.PutUint64(out[20+8*i:], b)
-	}
-	return out, nil
-}
-
-// UnmarshalBinary decodes a snapshot produced by MarshalBinary. It
-// rejects wrong sizes, wrong magic, and inconsistent contents
-// (bucket sum must equal the observation count), so merging decoded
-// snapshots can never corrupt totals.
-func (s *HistogramSnapshot) UnmarshalBinary(data []byte) error {
-	if len(data) != histWireSize {
-		return fmt.Errorf("stats: histogram: %d bytes, want %d", len(data), histWireSize)
-	}
-	if m := binary.BigEndian.Uint32(data[0:]); m != histMagic {
-		return fmt.Errorf("stats: histogram: bad magic %#x", m)
-	}
-	var dec HistogramSnapshot
-	dec.Count = binary.BigEndian.Uint64(data[4:])
-	dec.SumNs = binary.BigEndian.Uint64(data[12:])
-	var total uint64
-	overflow := false
-	for i := range dec.Buckets {
-		b := binary.BigEndian.Uint64(data[20+8*i:])
-		dec.Buckets[i] = b
-		if total+b < total {
-			overflow = true
-		}
-		total += b
-	}
-	if overflow || total != dec.Count {
-		return fmt.Errorf("stats: histogram: bucket sum %d != count %d", total, dec.Count)
-	}
-	*s = dec
-	return nil
+	return bucketMid(HistBuckets - 1)
 }

@@ -44,17 +44,6 @@ func (m *Meter) Add(n int) {
 	}
 }
 
-// AddN records events moving n bytes in total.
-func (m *Meter) AddN(events, n int) {
-	if m == nil || events <= 0 {
-		return
-	}
-	m.count.Add(uint64(events))
-	if n > 0 {
-		m.bytes.Add(uint64(n))
-	}
-}
-
 // Snapshot returns the meter's current totals.
 func (m *Meter) Snapshot() MeterSnapshot {
 	if m == nil {
@@ -83,19 +72,154 @@ const (
 	Panicked
 )
 
-// opCounters is the per-operation counter row. Everything is an
-// atomic so rows can be updated concurrently without locks.
-type opCounters struct {
-	calls    atomic.Uint64
-	errors   atomic.Uint64
-	retries  atomic.Uint64
-	replays  atomic.Uint64
-	panics   atomic.Uint64
-	timeouts atomic.Uint64
-	bytesOut atomic.Uint64
-	bytesIn  atomic.Uint64
-	traced   Meter // [traced] parameter payloads
+// A Counter names one endpoint-wide event counter. The counter table
+// below is the single place a counter is declared: to add one, add a
+// constant here, a row to the table (its Text key and its Snapshot
+// field) and the field to Snapshot — Add, Load, Snapshot, Merge and
+// Text all iterate the table. The constants are in Text order.
+type Counter uint8
+
+const (
+	// Session-layer failures that have no single op to bill: unparseable
+	// or mis-checksummed request frames, and replies discarded for a bad
+	// checksum or frame.
+	BadFrames Counter = iota
+	CorruptReplies
+
+	// Server concurrency: requests handed to a worker pool; reply-writer
+	// flushes, the records they carried and the flushes that carried two
+	// or more (see AddFlush); contended reply-cache shard lock
+	// acquisitions; handler panics recovered by a transport server that
+	// has no op row to bill.
+	Queued
+	Flushes
+	FlushedRecords
+	CoalescedWrites
+	ShardContention
+	HandlerPanics
+
+	// Netpoll server runtime: readiness events delivered to registered
+	// connections, connections registered with a poller over the
+	// server's lifetime, accepts delayed by the per-shard accept rate
+	// limiter, and reads that ended mid-record (the partial record waits
+	// in per-connection reassembly state for the next read).
+	PollerWakeups
+	PollerConnsRegistered
+	AcceptThrottled
+	PartialReads
+
+	// Server overload: calls rejected with a pushback frame before
+	// decode (admission caps or the load shedder), and calls rejected
+	// because the server is draining.
+	Sheds
+	DrainRejects
+
+	// Client batching (see AddBatched), then client overload: pushback
+	// replies received, retries the retry budget refused to spend,
+	// circuit-breaker trips, and calls the open breaker failed without
+	// touching the wire.
+	BatchedCalls
+	BatchFlushes
+	Pushbacks
+	RetrySuppressed
+	BreakerOpens
+	BreakerFastFails
+
+	numCounters
+)
+
+var counters = [numCounters]struct {
+	key   string // Text key
+	field func(*Snapshot) *uint64
+}{
+	BadFrames:             {"session.bad_frames", func(s *Snapshot) *uint64 { return &s.BadFrames }},
+	CorruptReplies:        {"session.corrupt_replies", func(s *Snapshot) *uint64 { return &s.CorruptReplies }},
+	Queued:                {"server.queued", func(s *Snapshot) *uint64 { return &s.Queued }},
+	Flushes:               {"server.flushes", func(s *Snapshot) *uint64 { return &s.Flushes }},
+	FlushedRecords:        {"server.flushed_records", func(s *Snapshot) *uint64 { return &s.FlushedRecords }},
+	CoalescedWrites:       {"server.coalesced_writes", func(s *Snapshot) *uint64 { return &s.CoalescedWrites }},
+	ShardContention:       {"server.shard_contention", func(s *Snapshot) *uint64 { return &s.ShardContention }},
+	HandlerPanics:         {"server.handler_panics", func(s *Snapshot) *uint64 { return &s.HandlerPanics }},
+	PollerWakeups:         {"server.poller_wakeups", func(s *Snapshot) *uint64 { return &s.PollerWakeups }},
+	PollerConnsRegistered: {"server.poller_conns_registered", func(s *Snapshot) *uint64 { return &s.PollerConnsRegistered }},
+	AcceptThrottled:       {"server.accept_throttled", func(s *Snapshot) *uint64 { return &s.AcceptThrottled }},
+	PartialReads:          {"server.partial_reads", func(s *Snapshot) *uint64 { return &s.PartialReads }},
+	Sheds:                 {"server.sheds", func(s *Snapshot) *uint64 { return &s.Sheds }},
+	DrainRejects:          {"server.drain_rejects", func(s *Snapshot) *uint64 { return &s.DrainRejects }},
+	BatchedCalls:          {"client.batched_calls", func(s *Snapshot) *uint64 { return &s.BatchedCalls }},
+	BatchFlushes:          {"client.batch_flushes", func(s *Snapshot) *uint64 { return &s.BatchFlushes }},
+	Pushbacks:             {"client.pushbacks", func(s *Snapshot) *uint64 { return &s.Pushbacks }},
+	RetrySuppressed:       {"client.retry_suppressed", func(s *Snapshot) *uint64 { return &s.RetrySuppressed }},
+	BreakerOpens:          {"client.breaker_opens", func(s *Snapshot) *uint64 { return &s.BreakerOpens }},
+	BreakerFastFails:      {"client.breaker_fast_fails", func(s *Snapshot) *uint64 { return &s.BreakerFastFails }},
+}
+
+// An OpCounter names one column of the per-operation counter row; the
+// table below declares them the way the Counter table does.
+type OpCounter uint8
+
+const (
+	// OpCalls to OpTimeouts are written by RecordCall: timeouts and
+	// panics also count as errors.
+	OpCalls OpCounter = iota
+	OpErrors
+	// OpRetries counts retransmitted attempts, OpReplays replies served
+	// from the at-most-once cache instead of re-executing the op.
+	OpRetries
+	OpReplays
+	OpPanics
+	OpTimeouts
+	// OpBytesOut and OpBytesIn are marshaled request and reply sizes.
+	OpBytesOut
+	OpBytesIn
+	// OpTracedMsgs and OpTracedBytes count [traced] parameter payloads
+	// and their marshaled sizes.
+	OpTracedMsgs
+	OpTracedBytes
+
+	numOpCounters
+)
+
+var opCounters = [numOpCounters]struct {
+	key   string // Text key under "op.<name>."
+	field func(*OpSnapshot) *uint64
+}{
+	OpCalls:       {"calls", func(o *OpSnapshot) *uint64 { return &o.Calls }},
+	OpErrors:      {"errors", func(o *OpSnapshot) *uint64 { return &o.Errors }},
+	OpRetries:     {"retries", func(o *OpSnapshot) *uint64 { return &o.Retries }},
+	OpReplays:     {"replays", func(o *OpSnapshot) *uint64 { return &o.Replays }},
+	OpPanics:      {"panics", func(o *OpSnapshot) *uint64 { return &o.Panics }},
+	OpTimeouts:    {"timeouts", func(o *OpSnapshot) *uint64 { return &o.Timeouts }},
+	OpBytesOut:    {"bytes_out", func(o *OpSnapshot) *uint64 { return &o.BytesOut }},
+	OpBytesIn:     {"bytes_in", func(o *OpSnapshot) *uint64 { return &o.BytesIn }},
+	OpTracedMsgs:  {"traced_msgs", func(o *OpSnapshot) *uint64 { return &o.TracedMsgs }},
+	OpTracedBytes: {"traced_bytes", func(o *OpSnapshot) *uint64 { return &o.TracedBytes }},
+}
+
+// meters declares the endpoint's Meter fields the same way.
+var meters = [...]struct {
+	key  string // Text key
+	live func(*Endpoint) *Meter
+	snap func(*Snapshot) *MeterSnapshot
+}{
+	{"codec.encode", func(e *Endpoint) *Meter { return &e.Encode }, func(s *Snapshot) *MeterSnapshot { return &s.Encode }},
+	{"codec.decode", func(e *Endpoint) *Meter { return &e.Decode }, func(s *Snapshot) *MeterSnapshot { return &s.Decode }},
+	{"codec.copy", func(e *Endpoint) *Meter { return &e.Copy }, func(s *Snapshot) *MeterSnapshot { return &s.Copy }},
+	{"codec.alloc", func(e *Endpoint) *Meter { return &e.Alloc }, func(s *Snapshot) *MeterSnapshot { return &s.Alloc }},
+	{"wire", func(e *Endpoint) *Meter { return &e.Wire }, func(s *Snapshot) *MeterSnapshot { return &s.Wire }},
+}
+
+// opRow is the per-operation counter row. Everything is an atomic so
+// rows can be updated concurrently without locks.
+type opRow struct {
+	counters [numOpCounters]atomic.Uint64
 	lat      Histogram
+}
+
+func (r *opRow) add(c OpCounter, n int) {
+	if n > 0 {
+		r.counters[c].Add(uint64(n))
+	}
 }
 
 // An Endpoint aggregates observability for one side of an interface:
@@ -106,7 +230,7 @@ type opCounters struct {
 type Endpoint struct {
 	names  []string
 	byName map[string]int
-	ops    []opCounters
+	ops    []opRow
 
 	// Codec-layer meters: marshaled request/reply bytes produced and
 	// consumed, plus the copies and fresh landing-buffer allocations
@@ -120,48 +244,7 @@ type Endpoint struct {
 	// session-layer retransmissions the op counters hide.
 	Wire Meter
 
-	// Session-layer failure counters that have no single op to bill.
-	badFrames      atomic.Uint64
-	corruptReplies atomic.Uint64
-
-	// Concurrency counters for the scaling machinery: requests queued
-	// to a server worker pool, reply-writer flushes and the records
-	// they carried (a flush with two or more records coalesced writes
-	// that would otherwise have been separate syscalls), calls that
-	// rode inside a client batch frame, reply-cache shard lock
-	// contention, and handler panics recovered outside any op row.
-	queued          atomic.Uint64
-	flushes         atomic.Uint64
-	flushedRecords  atomic.Uint64
-	coalescedWrites atomic.Uint64
-	batchedCalls    atomic.Uint64
-	batchFlushes    atomic.Uint64
-	shardContention atomic.Uint64
-	handlerPanics   atomic.Uint64
-
-	// Netpoll server-runtime counters: poller wakeups (readiness
-	// events delivered to registered connections), connections
-	// registered with a poller over the server's lifetime, accepts
-	// delayed by the per-shard accept rate limiter, and reads that
-	// ended mid-record (the partial record persists in per-conn
-	// reassembly state until the next readiness event).
-	pollerWakeups   atomic.Uint64
-	pollerConnsReg  atomic.Uint64
-	acceptThrottled atomic.Uint64
-	partialReads    atomic.Uint64
-
-	// Overload counters. Server side: calls rejected with a pushback
-	// frame before decode (admission caps or the load shedder) and
-	// calls rejected because the server is draining. Client side:
-	// pushback replies received, retries the retry budget refused to
-	// spend, circuit-breaker trips, and calls the open breaker failed
-	// without touching the wire.
-	sheds            atomic.Uint64
-	drainRejects     atomic.Uint64
-	pushbacks        atomic.Uint64
-	retrySuppressed  atomic.Uint64
-	breakerOpens     atomic.Uint64
-	breakerFastFails atomic.Uint64
+	counters [numCounters]atomic.Uint64
 
 	tracer atomic.Pointer[Tracer]
 	lastID atomic.Uint32
@@ -173,16 +256,13 @@ func New(names []string) *Endpoint {
 	e := &Endpoint{
 		names:  append([]string(nil), names...),
 		byName: make(map[string]int, len(names)),
-		ops:    make([]opCounters, len(names)),
+		ops:    make([]opRow, len(names)),
 	}
 	for i, n := range names {
 		e.byName[n] = i
 	}
 	return e
 }
-
-// Enabled reports whether the endpoint records anything.
-func (e *Endpoint) Enabled() bool { return e != nil }
 
 // OpIndex returns the counter-row index for name, or -1.
 func (e *Endpoint) OpIndex(name string) int {
@@ -195,7 +275,7 @@ func (e *Endpoint) OpIndex(name string) int {
 	return -1
 }
 
-func (e *Endpoint) row(op int) *opCounters {
+func (e *Endpoint) row(op int) *opRow {
 	if e == nil || op < 0 || op >= len(e.ops) {
 		return nil
 	}
@@ -206,89 +286,38 @@ func (e *Endpoint) row(op int) *opCounters {
 // marshaled request/reply sizes, and its outcome. Timeouts and
 // panics also count as errors.
 func (e *Endpoint) RecordCall(op int, d time.Duration, bytesOut, bytesIn int, o Outcome) {
-	c := e.row(op)
-	if c == nil {
+	r := e.row(op)
+	if r == nil {
 		return
 	}
-	c.calls.Add(1)
+	r.add(OpCalls, 1)
 	switch o {
 	case Failed:
-		c.errors.Add(1)
+		r.add(OpErrors, 1)
 	case TimedOut:
-		c.errors.Add(1)
-		c.timeouts.Add(1)
+		r.add(OpErrors, 1)
+		r.add(OpTimeouts, 1)
 	case Panicked:
-		c.errors.Add(1)
-		c.panics.Add(1)
+		r.add(OpErrors, 1)
+		r.add(OpPanics, 1)
 	}
-	if bytesOut > 0 {
-		c.bytesOut.Add(uint64(bytesOut))
-	}
-	if bytesIn > 0 {
-		c.bytesIn.Add(uint64(bytesIn))
-	}
-	c.lat.Record(d)
+	r.add(OpBytesOut, bytesOut)
+	r.add(OpBytesIn, bytesIn)
+	r.lat.Record(d)
 }
 
-// AddBytes adds marshaled request/reply sizes to op's byte counters
-// without touching the call count — for layers that see the bytes of
-// a call someone else counts.
-func (e *Endpoint) AddBytes(op, bytesOut, bytesIn int) {
-	c := e.row(op)
-	if c == nil {
-		return
-	}
-	if bytesOut > 0 {
-		c.bytesOut.Add(uint64(bytesOut))
-	}
-	if bytesIn > 0 {
-		c.bytesIn.Add(uint64(bytesIn))
+// Add adds n to counter c; n <= 0 adds nothing.
+func (e *Endpoint) Add(c Counter, n int) {
+	if e != nil && n > 0 {
+		e.counters[c].Add(uint64(n))
 	}
 }
 
-// AddRetry counts one retransmitted attempt of op.
-func (e *Endpoint) AddRetry(op int) {
-	if c := e.row(op); c != nil {
-		c.retries.Add(1)
-	}
-}
-
-// AddReplay counts one reply served from the at-most-once cache
-// instead of re-executing op.
-func (e *Endpoint) AddReplay(op int) {
-	if c := e.row(op); c != nil {
-		c.replays.Add(1)
-	}
-}
-
-// AddTraced records the marshaled size of one [traced] parameter of
-// op.
-func (e *Endpoint) AddTraced(op, n int) {
-	if c := e.row(op); c != nil {
-		c.traced.Add(n)
-	}
-}
-
-// AddBadFrame counts one unparseable or mis-checksummed session
-// frame.
-func (e *Endpoint) AddBadFrame() {
-	if e != nil {
-		e.badFrames.Add(1)
-	}
-}
-
-// AddCorruptReply counts one reply discarded for a bad checksum or
-// frame.
-func (e *Endpoint) AddCorruptReply() {
-	if e != nil {
-		e.corruptReplies.Add(1)
-	}
-}
-
-// AddQueued counts one request handed to a server worker pool.
-func (e *Endpoint) AddQueued() {
-	if e != nil {
-		e.queued.Add(1)
+// AddOp adds n to column c of op's row; an op out of range or n <= 0
+// adds nothing.
+func (e *Endpoint) AddOp(op int, c OpCounter, n int) {
+	if r := e.row(op); r != nil {
+		r.add(c, n)
 	}
 }
 
@@ -296,119 +325,33 @@ func (e *Endpoint) AddQueued() {
 // records. A flush of two or more records is a coalesced write: those
 // records shared one syscall instead of taking one each.
 func (e *Endpoint) AddFlush(records int) {
-	if e == nil || records <= 0 {
+	if records <= 0 {
 		return
 	}
-	e.flushes.Add(1)
-	e.flushedRecords.Add(uint64(records))
+	e.Add(Flushes, 1)
+	e.Add(FlushedRecords, records)
 	if records >= 2 {
-		e.coalescedWrites.Add(1)
+		e.Add(CoalescedWrites, 1)
 	}
 }
 
 // AddBatched counts one client batch flush carrying n calls in a
 // single session frame.
 func (e *Endpoint) AddBatched(n int) {
-	if e == nil || n <= 0 {
+	if n <= 0 {
 		return
 	}
-	e.batchFlushes.Add(1)
-	e.batchedCalls.Add(uint64(n))
+	e.Add(BatchFlushes, 1)
+	e.Add(BatchedCalls, n)
 }
 
-// AddShardContention counts one contended reply-cache shard lock
-// acquisition (the fast-path TryLock failed and the caller blocked).
-func (e *Endpoint) AddShardContention() {
-	if e != nil {
-		e.shardContention.Add(1)
+// Load reads counter c without taking a snapshot — for pollers that
+// wait on one counter.
+func (e *Endpoint) Load(c Counter) uint64 {
+	if e == nil {
+		return 0
 	}
-}
-
-// AddPollerWakeups counts n readiness events delivered to registered
-// connections in one poller wakeup batch.
-func (e *Endpoint) AddPollerWakeups(n int) {
-	if e != nil && n > 0 {
-		e.pollerWakeups.Add(uint64(n))
-	}
-}
-
-// AddPollerConnRegistered counts one connection registered with a
-// netpoll poller.
-func (e *Endpoint) AddPollerConnRegistered() {
-	if e != nil {
-		e.pollerConnsReg.Add(1)
-	}
-}
-
-// AddAcceptThrottled counts one accept delayed by the per-shard
-// accept rate limiter.
-func (e *Endpoint) AddAcceptThrottled() {
-	if e != nil {
-		e.acceptThrottled.Add(1)
-	}
-}
-
-// AddPartialRead counts one readiness batch that ended mid-record,
-// leaving a partial record parked in per-connection reassembly state.
-func (e *Endpoint) AddPartialRead() {
-	if e != nil {
-		e.partialReads.Add(1)
-	}
-}
-
-// AddHandlerPanic counts one handler panic recovered by a transport
-// server that has no per-op counter row to bill it to.
-func (e *Endpoint) AddHandlerPanic() {
-	if e != nil {
-		e.handlerPanics.Add(1)
-	}
-}
-
-// AddShed counts one call the server rejected with an overload
-// pushback before decoding it.
-func (e *Endpoint) AddShed() {
-	if e != nil {
-		e.sheds.Add(1)
-	}
-}
-
-// AddDrainReject counts one call rejected because the server is
-// draining.
-func (e *Endpoint) AddDrainReject() {
-	if e != nil {
-		e.drainRejects.Add(1)
-	}
-}
-
-// AddPushback counts one pushback reply the client received.
-func (e *Endpoint) AddPushback() {
-	if e != nil {
-		e.pushbacks.Add(1)
-	}
-}
-
-// AddRetrySuppressed counts one retry the client's retry budget
-// refused — the call failed fast instead of amplifying overload.
-func (e *Endpoint) AddRetrySuppressed() {
-	if e != nil {
-		e.retrySuppressed.Add(1)
-	}
-}
-
-// AddBreakerOpen counts one circuit-breaker trip (a transition into
-// the open state).
-func (e *Endpoint) AddBreakerOpen() {
-	if e != nil {
-		e.breakerOpens.Add(1)
-	}
-}
-
-// AddBreakerFastFail counts one call the open breaker failed without
-// an attempt.
-func (e *Endpoint) AddBreakerFastFail() {
-	if e != nil {
-		e.breakerFastFails.Add(1)
-	}
+	return e.counters[c].Load()
 }
 
 // MergedLatency accumulates every operation row's latency histogram
@@ -421,12 +364,7 @@ func (e *Endpoint) MergedLatency(dst *HistogramSnapshot) {
 		return
 	}
 	for i := range e.ops {
-		h := &e.ops[i].lat
-		for j := range h.buckets {
-			dst.Buckets[j] += h.buckets[j].Load()
-		}
-		dst.Count += h.count.Load()
-		dst.SumNs += h.sum.Load()
+		e.ops[i].lat.addTo(dst)
 	}
 }
 
@@ -492,48 +430,19 @@ func (e *Endpoint) Snapshot() *Snapshot {
 	}
 	s.Ops = make([]OpSnapshot, len(e.ops))
 	for i := range e.ops {
-		c := &e.ops[i]
-		tr := c.traced.Snapshot()
-		s.Ops[i] = OpSnapshot{
-			Name:        e.names[i],
-			Calls:       c.calls.Load(),
-			Errors:      c.errors.Load(),
-			Retries:     c.retries.Load(),
-			Replays:     c.replays.Load(),
-			Panics:      c.panics.Load(),
-			Timeouts:    c.timeouts.Load(),
-			BytesOut:    c.bytesOut.Load(),
-			BytesIn:     c.bytesIn.Load(),
-			TracedMsgs:  tr.Count,
-			TracedBytes: tr.Bytes,
-			Latency:     c.lat.Snapshot(),
+		r, o := &e.ops[i], &s.Ops[i]
+		o.Name = e.names[i]
+		for c := range opCounters {
+			*opCounters[c].field(o) = r.counters[c].Load()
 		}
+		o.Latency = r.lat.Snapshot()
 	}
-	s.Encode = e.Encode.Snapshot()
-	s.Decode = e.Decode.Snapshot()
-	s.Copy = e.Copy.Snapshot()
-	s.Alloc = e.Alloc.Snapshot()
-	s.Wire = e.Wire.Snapshot()
-	s.BadFrames = e.badFrames.Load()
-	s.CorruptReplies = e.corruptReplies.Load()
-	s.Queued = e.queued.Load()
-	s.Flushes = e.flushes.Load()
-	s.FlushedRecords = e.flushedRecords.Load()
-	s.CoalescedWrites = e.coalescedWrites.Load()
-	s.BatchedCalls = e.batchedCalls.Load()
-	s.BatchFlushes = e.batchFlushes.Load()
-	s.ShardContention = e.shardContention.Load()
-	s.HandlerPanics = e.handlerPanics.Load()
-	s.PollerWakeups = e.pollerWakeups.Load()
-	s.PollerConnsRegistered = e.pollerConnsReg.Load()
-	s.AcceptThrottled = e.acceptThrottled.Load()
-	s.PartialReads = e.partialReads.Load()
-	s.Sheds = e.sheds.Load()
-	s.DrainRejects = e.drainRejects.Load()
-	s.Pushbacks = e.pushbacks.Load()
-	s.RetrySuppressed = e.retrySuppressed.Load()
-	s.BreakerOpens = e.breakerOpens.Load()
-	s.BreakerFastFails = e.breakerFastFails.Load()
+	for _, m := range meters {
+		*m.snap(s) = m.live(e).Snapshot()
+	}
+	for c := range counters {
+		*counters[c].field(s) = e.counters[c].Load()
+	}
 	if tr := e.tracer.Load(); tr != nil {
 		s.Trace = tr.Events()
 	}
@@ -541,7 +450,7 @@ func (e *Endpoint) Snapshot() *Snapshot {
 }
 
 // Merge folds o into s (op rows matched by name, appended when new;
-// meters and histograms added; traces concatenated by time).
+// counters, meters and histograms added; traces concatenated by time).
 func (s *Snapshot) Merge(o *Snapshot) {
 	if o == nil {
 		return
@@ -550,60 +459,34 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	for i := range s.Ops {
 		idx[s.Ops[i].Name] = i
 	}
-	for _, op := range o.Ops {
-		i, ok := idx[op.Name]
+	for i := range o.Ops {
+		op := &o.Ops[i]
+		j, ok := idx[op.Name]
 		if !ok {
-			s.Ops = append(s.Ops, op)
+			s.Ops = append(s.Ops, *op)
 			continue
 		}
-		d := &s.Ops[i]
-		d.Calls += op.Calls
-		d.Errors += op.Errors
-		d.Retries += op.Retries
-		d.Replays += op.Replays
-		d.Panics += op.Panics
-		d.Timeouts += op.Timeouts
-		d.BytesOut += op.BytesOut
-		d.BytesIn += op.BytesIn
-		d.TracedMsgs += op.TracedMsgs
-		d.TracedBytes += op.TracedBytes
+		d := &s.Ops[j]
+		for c := range opCounters {
+			*opCounters[c].field(d) += *opCounters[c].field(op)
+		}
 		d.Latency.Merge(&op.Latency)
 	}
-	mergeMeter := func(d *MeterSnapshot, s MeterSnapshot) {
-		d.Count += s.Count
-		d.Bytes += s.Bytes
+	for _, m := range meters {
+		d, src := m.snap(s), m.snap(o)
+		d.Count += src.Count
+		d.Bytes += src.Bytes
 	}
-	mergeMeter(&s.Encode, o.Encode)
-	mergeMeter(&s.Decode, o.Decode)
-	mergeMeter(&s.Copy, o.Copy)
-	mergeMeter(&s.Alloc, o.Alloc)
-	mergeMeter(&s.Wire, o.Wire)
-	s.BadFrames += o.BadFrames
-	s.CorruptReplies += o.CorruptReplies
-	s.Queued += o.Queued
-	s.Flushes += o.Flushes
-	s.FlushedRecords += o.FlushedRecords
-	s.CoalescedWrites += o.CoalescedWrites
-	s.BatchedCalls += o.BatchedCalls
-	s.BatchFlushes += o.BatchFlushes
-	s.ShardContention += o.ShardContention
-	s.HandlerPanics += o.HandlerPanics
-	s.PollerWakeups += o.PollerWakeups
-	s.PollerConnsRegistered += o.PollerConnsRegistered
-	s.AcceptThrottled += o.AcceptThrottled
-	s.PartialReads += o.PartialReads
-	s.Sheds += o.Sheds
-	s.DrainRejects += o.DrainRejects
-	s.Pushbacks += o.Pushbacks
-	s.RetrySuppressed += o.RetrySuppressed
-	s.BreakerOpens += o.BreakerOpens
-	s.BreakerFastFails += o.BreakerFastFails
+	for c := range counters {
+		*counters[c].field(s) += *counters[c].field(o)
+	}
 	s.Trace = append(s.Trace, o.Trace...)
 	sort.SliceStable(s.Trace, func(i, j int) bool { return s.Trace[i].At < s.Trace[j].At })
 }
 
 // Text renders the snapshot as expvar-style "key value" lines, one
-// metric per line, stable order.
+// metric per line, stable order. A counter at zero is left out, except
+// an op's call count.
 func (s *Snapshot) Text() string {
 	var b strings.Builder
 	line := func(key string, v uint64) {
@@ -611,53 +494,26 @@ func (s *Snapshot) Text() string {
 			fmt.Fprintf(&b, "%s %d\n", key, v)
 		}
 	}
-	for _, op := range s.Ops {
-		k := "op." + op.Name
-		fmt.Fprintf(&b, "%s.calls %d\n", k, op.Calls)
-		line(k+".errors", op.Errors)
-		line(k+".retries", op.Retries)
-		line(k+".replays", op.Replays)
-		line(k+".panics", op.Panics)
-		line(k+".timeouts", op.Timeouts)
-		line(k+".bytes_out", op.BytesOut)
-		line(k+".bytes_in", op.BytesIn)
-		line(k+".traced_msgs", op.TracedMsgs)
-		line(k+".traced_bytes", op.TracedBytes)
+	for i := range s.Ops {
+		op := &s.Ops[i]
+		k := "op." + op.Name + "."
+		fmt.Fprintf(&b, "%s%s %d\n", k, opCounters[OpCalls].key, op.Calls)
+		for _, c := range opCounters[OpCalls+1:] {
+			line(k+c.key, *c.field(op))
+		}
 		if op.Latency.Count > 0 {
-			fmt.Fprintf(&b, "%s.latency.p50_ns %d\n", k, op.Latency.Quantile(0.50).Nanoseconds())
-			fmt.Fprintf(&b, "%s.latency.p99_ns %d\n", k, op.Latency.Quantile(0.99).Nanoseconds())
-			fmt.Fprintf(&b, "%s.latency.mean_ns %d\n", k, op.Latency.Mean().Nanoseconds())
+			fmt.Fprintf(&b, "%slatency.p50_ns %d\n", k, op.Latency.Quantile(0.50).Nanoseconds())
+			fmt.Fprintf(&b, "%slatency.p99_ns %d\n", k, op.Latency.Quantile(0.99).Nanoseconds())
+			fmt.Fprintf(&b, "%slatency.mean_ns %d\n", k, op.Latency.Mean().Nanoseconds())
 		}
 	}
-	meter := func(key string, m MeterSnapshot) {
-		line(key+".count", m.Count)
-		line(key+".bytes", m.Bytes)
+	for _, m := range meters {
+		line(m.key+".count", m.snap(s).Count)
+		line(m.key+".bytes", m.snap(s).Bytes)
 	}
-	meter("codec.encode", s.Encode)
-	meter("codec.decode", s.Decode)
-	meter("codec.copy", s.Copy)
-	meter("codec.alloc", s.Alloc)
-	meter("wire", s.Wire)
-	line("session.bad_frames", s.BadFrames)
-	line("session.corrupt_replies", s.CorruptReplies)
-	line("server.queued", s.Queued)
-	line("server.flushes", s.Flushes)
-	line("server.flushed_records", s.FlushedRecords)
-	line("server.coalesced_writes", s.CoalescedWrites)
-	line("server.shard_contention", s.ShardContention)
-	line("server.handler_panics", s.HandlerPanics)
-	line("server.poller_wakeups", s.PollerWakeups)
-	line("server.poller_conns_registered", s.PollerConnsRegistered)
-	line("server.accept_throttled", s.AcceptThrottled)
-	line("server.partial_reads", s.PartialReads)
-	line("server.sheds", s.Sheds)
-	line("server.drain_rejects", s.DrainRejects)
-	line("client.batched_calls", s.BatchedCalls)
-	line("client.batch_flushes", s.BatchFlushes)
-	line("client.pushbacks", s.Pushbacks)
-	line("client.retry_suppressed", s.RetrySuppressed)
-	line("client.breaker_opens", s.BreakerOpens)
-	line("client.breaker_fast_fails", s.BreakerFastFails)
+	for _, c := range counters {
+		line(c.key, *c.field(s))
+	}
 	if len(s.Trace) > 0 {
 		fmt.Fprintf(&b, "trace.events %d\n", len(s.Trace))
 		for _, ev := range s.Trace {

@@ -1,6 +1,11 @@
 package stats
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -11,30 +16,23 @@ import (
 // threading the meters through hot paths free when stats are off.
 func TestNilEndpointIsSafe(t *testing.T) {
 	var e *Endpoint
-	if e.Enabled() {
-		t.Fatal("nil endpoint reports enabled")
-	}
 	if got := e.OpIndex("echo"); got != -1 {
 		t.Fatalf("OpIndex on nil = %d, want -1", got)
 	}
 	e.RecordCall(0, time.Millisecond, 1, 2, OK)
-	e.AddBytes(0, 1, 2)
-	e.AddRetry(0)
-	e.AddReplay(0)
-	e.AddTraced(0, 9)
-	e.AddBadFrame()
-	e.AddCorruptReply()
-	e.EnableTracing(64)
-	if e.Tracing() {
-		t.Fatal("nil endpoint reports tracing")
+	e.AddOp(0, OpRetries, 1)
+	e.Add(BadFrames, 1)
+	e.AddFlush(2)
+	e.AddBatched(2)
+	if got := e.Load(BadFrames); got != 0 {
+		t.Fatalf("Load on nil = %d, want 0", got)
 	}
+	e.MergedLatency(&HistogramSnapshot{})
+	e.EnableTracing(64)
 	if id := e.NextTraceID(); id != 0 {
 		t.Fatalf("NextTraceID on nil = %d, want 0", id)
 	}
 	e.Trace(1, 0, StageEncode)
-	if evs := e.TraceEvents(); evs != nil {
-		t.Fatalf("TraceEvents on nil = %v, want nil", evs)
-	}
 	s := e.Snapshot()
 	if s == nil {
 		t.Fatal("Snapshot on nil endpoint is nil")
@@ -44,7 +42,6 @@ func TestNilEndpointIsSafe(t *testing.T) {
 	}
 	var m *Meter
 	m.Add(5)
-	m.AddN(2, 10)
 	if ms := m.Snapshot(); ms != (MeterSnapshot{}) {
 		t.Fatalf("nil meter snapshot = %+v", ms)
 	}
@@ -58,9 +55,12 @@ func TestRecordCallOutcomes(t *testing.T) {
 	e.RecordCall(1, time.Microsecond, 0, 0, Panicked)
 	e.RecordCall(-1, time.Second, 0, 0, OK) // out of range: ignored
 	e.RecordCall(7, time.Second, 0, 0, OK)  // out of range: ignored
-	e.AddRetry(0)
-	e.AddReplay(1)
-	e.AddTraced(0, 64)
+	e.AddOp(0, OpRetries, 1)
+	e.AddOp(1, OpReplays, 1)
+	e.AddOp(0, OpTracedMsgs, 1)
+	e.AddOp(0, OpTracedBytes, 64)
+	e.AddOp(7, OpRetries, 1)  // out of range: ignored
+	e.AddOp(0, OpRetries, -3) // nothing to add: ignored
 
 	s := e.Snapshot()
 	echo := s.Ops[0]
@@ -90,28 +90,49 @@ func TestRecordCallOutcomes(t *testing.T) {
 
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	var h Histogram
-	h.Record(0)
+	h.Record(-5) // negative durations clamp to 0
 	h.Record(1)
 	h.Record(100)
-	h.Record(time.Hour * 100) // far past the last bucket boundary
+	h.Record(time.Hour * 100) // far past the 2^40 ns range cap
 	s := h.Snapshot()
 	if s.Count != 4 {
 		t.Fatalf("count = %d", s.Count)
 	}
-	if s.Buckets[0] != 1 || s.Buckets[1] != 1 || s.Buckets[7] != 1 || s.Buckets[HistBuckets-1] != 1 {
+	// 100 = 0b1100100: octave [64,128), sub-bucket (100>>2)-16 = 9,
+	// covering [100,104).
+	if s.Buckets[0] != 1 || s.Buckets[1] != 1 || s.Buckets[3*histSub+9] != 1 || s.Buckets[HistBuckets-1] != 1 {
 		t.Fatalf("buckets = %v", s.Buckets)
 	}
 	if q := s.Quantile(0); q != 0 {
 		t.Fatalf("q0 = %v", q)
 	}
-	// The rank-1 observation (1ns) is in bucket 1, upper bound 1ns.
 	if q := s.Quantile(0.5); q != 1 {
 		t.Fatalf("q50 = %v", q)
 	}
-	// The 100ns observation lands in bucket 7 ([64,128)); its quantile
-	// upper bound is 127ns.
-	if q := s.Quantile(0.75); q != 127 {
-		t.Fatalf("q75 = %v", q)
+	if q := s.Quantile(0.75); q != 101 {
+		t.Fatalf("q75 = %v, want the midpoint of [100,104)", q)
+	}
+	if q := s.Quantile(1); q < 1<<39 {
+		t.Fatalf("q100 = %v, want a value in the last octave", q)
+	}
+	// Every bucket boundary: exact below histSub, and above it each
+	// value maps to the bucket whose midpoint is within 1/32 of it.
+	for ns := uint64(0); ns < 1<<12; ns++ {
+		mid := float64(bucketMid(bucketOf(ns)))
+		if ns < histSub && mid != float64(ns) {
+			t.Fatalf("%d ns is not exact: midpoint %v", ns, mid)
+		}
+		if d := mid - float64(ns); d > float64(ns)/32 || -d > float64(ns)/32 {
+			t.Fatalf("%d ns reports as %v", ns, mid)
+		}
+	}
+	for i := 1; i < HistBuckets; i++ {
+		if bucketMid(i) <= bucketMid(i-1) {
+			t.Fatalf("bucket %d midpoint %v not above bucket %d's %v", i, bucketMid(i), i-1, bucketMid(i-1))
+		}
+		if got := bucketOf(uint64(bucketMid(i))); got != i {
+			t.Fatalf("midpoint of bucket %d maps to bucket %d", i, got)
+		}
 	}
 	var empty HistogramSnapshot
 	if empty.Quantile(0.99) != 0 || empty.Mean() != 0 {
@@ -121,6 +142,44 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	nilH.Record(time.Second) // must not panic
 	if nilH.Snapshot().Count != 0 {
 		t.Fatal("nil histogram recorded")
+	}
+}
+
+// TestHistogramQuantilesTrackOrderStatistics is the property the
+// log-linear layout exists for: over seeded random samples spanning
+// 50 ns to 10 s, every reported quantile is within one bucket width
+// (6.25%) of the exact order statistic, and merging two snapshots is
+// the same as recording both streams into one histogram.
+func TestHistogramQuantilesTrackOrderStatistics(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261003))
+	for trial := 0; trial < 20; trial++ {
+		n := 1000 + rng.Intn(20000)
+		var a, b, both Histogram
+		samples := make([]time.Duration, n)
+		for i := range samples {
+			// Log-uniform over 50 ns .. 10 s, so every octave is hit.
+			d := time.Duration(50 * math.Pow(2e8, rng.Float64()))
+			samples[i] = d
+			if i%3 == 0 {
+				a.Record(d)
+			} else {
+				b.Record(d)
+			}
+			both.Record(d)
+		}
+		merged, bs := a.Snapshot(), b.Snapshot()
+		merged.Merge(&bs)
+		if merged != both.Snapshot() {
+			t.Fatalf("trial %d: merge of two snapshots differs from recording both streams", trial)
+		}
+		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+		for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
+			exact := samples[int(q*float64(n-1))]
+			got := merged.Quantile(q)
+			if err := math.Abs(float64(got-exact)) / float64(exact); err > 0.0625 {
+				t.Fatalf("trial %d (n=%d): q%v = %v, exact %v (off by %.2f%%)", trial, n, q, got, exact, 100*err)
+			}
+		}
 	}
 }
 
@@ -143,37 +202,6 @@ func TestHistogramMergeMatchesCombinedRecording(t *testing.T) {
 	}
 }
 
-func TestHistogramBinaryRoundTrip(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 1000; i++ {
-		h.Record(time.Duration(i) * time.Microsecond)
-	}
-	s := h.Snapshot()
-	data, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back HistogramSnapshot
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if back != s {
-		t.Fatal("round trip changed the snapshot")
-	}
-	// Corrupt a bucket: count no longer matches the bucket sum.
-	data[len(data)-1] ^= 1
-	if err := back.UnmarshalBinary(data); err == nil {
-		t.Fatal("inconsistent histogram accepted")
-	}
-	if err := back.UnmarshalBinary(data[:10]); err == nil {
-		t.Fatal("truncated histogram accepted")
-	}
-	data[0] ^= 0xFF
-	if err := back.UnmarshalBinary(data); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
 func TestConcurrentRecording(t *testing.T) {
 	e := New([]string{"echo"})
 	e.EnableTracing(128)
@@ -188,6 +216,7 @@ func TestConcurrentRecording(t *testing.T) {
 				e.Trace(id, 0, StageEncode)
 				e.RecordCall(0, time.Duration(i), 1, 1, OK)
 				e.Wire.Add(10)
+				e.Add(Queued, 1)
 			}
 		}()
 	}
@@ -196,8 +225,13 @@ func TestConcurrentRecording(t *testing.T) {
 	if s.Ops[0].Calls != workers*per {
 		t.Fatalf("calls = %d, want %d", s.Ops[0].Calls, workers*per)
 	}
-	if s.Ops[0].Latency.Count != workers*per {
-		t.Fatalf("latency count = %d", s.Ops[0].Latency.Count)
+	// Nothing is lost: the count is the bucket sum, and the nanosecond
+	// total is exactly workers * (0 + 1 + ... + per-1).
+	if lat := s.Ops[0].Latency; lat.Count != workers*per || lat.SumNs != workers*per*(per-1)/2 {
+		t.Fatalf("latency count = %d, sum = %d ns", lat.Count, lat.SumNs)
+	}
+	if s.Queued != workers*per || e.Load(Queued) != workers*per {
+		t.Fatalf("queued = %d (Load %d), want %d", s.Queued, e.Load(Queued), workers*per)
 	}
 	if s.Wire.Count != workers*per || s.Wire.Bytes != workers*per*10 {
 		t.Fatalf("wire = %+v", s.Wire)
@@ -208,7 +242,7 @@ func TestConcurrentRecording(t *testing.T) {
 }
 
 func TestTracerRingOverwritesOldest(t *testing.T) {
-	tr := NewTracer(16)
+	tr := newTracer(16)
 	for i := 0; i < 40; i++ {
 		tr.Record(uint32(i+1), i%3, StageSend)
 	}
@@ -243,79 +277,172 @@ func TestTraceIDsAreNonZeroAndBounded(t *testing.T) {
 	}
 }
 
-func TestTraceBinaryRoundTrip(t *testing.T) {
-	events := []TraceEvent{
-		{ID: 1, Op: 0, Stage: StageBind, At: 0},
-		{ID: 1, Op: 0, Stage: StageEncode, At: 1500},
-		{ID: 2, Op: 65535, Stage: StageReply, At: 1 << 40},
-	}
-	data, err := MarshalTrace(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalTrace(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(events) {
-		t.Fatalf("got %d events", len(back))
-	}
-	for i := range back {
-		if back[i] != events[i] {
-			t.Fatalf("event %d: %+v != %+v", i, back[i], events[i])
-		}
-	}
-	if _, err := UnmarshalTrace(append(data, 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-	if _, err := UnmarshalTrace(data[:len(data)-1]); err == nil {
-		t.Fatal("truncated trace accepted")
-	}
-	if _, err := MarshalTrace([]TraceEvent{{Stage: 99}}); err == nil {
-		t.Fatal("invalid stage marshaled")
-	}
-}
-
+// TestSnapshotMergeAndText pins the rendered form: the keys below are
+// the golden for Text(), byte for byte, whatever builds it.
 func TestSnapshotMergeAndText(t *testing.T) {
 	a := New([]string{"echo"})
 	b := New([]string{"echo", "write"})
 	a.RecordCall(0, time.Millisecond, 5, 5, OK)
 	a.Encode.Add(5)
-	a.AddBadFrame()
+	a.Add(BadFrames, 1)
+	a.AddFlush(3)
 	b.RecordCall(0, time.Millisecond, 0, 0, Failed)
 	b.RecordCall(1, time.Second, 0, 0, OK)
 	b.Wire.Add(100)
+	b.AddFlush(1)
+	b.AddBatched(4)
 
 	s := a.Snapshot()
 	s.Merge(b.Snapshot())
 	if len(s.Ops) != 2 {
 		t.Fatalf("merged ops = %d", len(s.Ops))
 	}
-	if s.Ops[0].Calls != 2 || s.Ops[0].Errors != 1 {
-		t.Fatalf("merged echo: %+v", s.Ops[0])
+	// 1 ms falls in a 32768 ns wide bucket, 1 s in a 2^25 ns wide one;
+	// the quantiles are those buckets' midpoints, the means are exact.
+	const want = `op.echo.calls 2
+op.echo.errors 1
+op.echo.bytes_out 5
+op.echo.bytes_in 5
+op.echo.latency.p50_ns 999423
+op.echo.latency.p99_ns 999423
+op.echo.latency.mean_ns 1000000
+op.write.calls 1
+op.write.latency.p50_ns 989855743
+op.write.latency.p99_ns 989855743
+op.write.latency.mean_ns 1000000000
+codec.encode.count 1
+codec.encode.bytes 5
+wire.count 1
+wire.bytes 100
+session.bad_frames 1
+server.flushes 2
+server.flushed_records 4
+server.coalesced_writes 1
+client.batched_calls 4
+client.batch_flushes 1
+`
+	if got := s.Text(); got != want {
+		t.Fatalf("Text() =\n%s\nwant\n%s", got, want)
 	}
-	if s.Wire.Count != 1 || s.BadFrames != 1 {
-		t.Fatalf("merged meters: wire %+v badFrames %d", s.Wire, s.BadFrames)
+}
+
+// TestCounterTablesAreComplete checks the tables against the schema by
+// reflection, so a counter cannot be half-added: every Counter, every
+// OpCounter and every Meter, set to a distinct value, shows up in
+// exactly one uint64 of Snapshot(), no other field is set, each key is
+// unique, Merge sums it and Text prints it under its key.
+func TestCounterTablesAreComplete(t *testing.T) {
+	e := New([]string{"op"})
+	next := 1000
+	want := map[string]uint64{} // Text key -> value
+	set := func(key string, add func(n int)) {
+		next++
+		if _, dup := want[key]; dup {
+			t.Fatalf("key %q declared twice", key)
+		}
+		want[key] = uint64(next)
+		add(next)
+	}
+	for c := Counter(0); c < numCounters; c++ {
+		if counters[c].key == "" || counters[c].field == nil {
+			t.Fatalf("Counter %d has no table row", c)
+		}
+		set(counters[c].key, func(n int) { e.Add(c, n) })
+	}
+	for c := OpCounter(0); c < numOpCounters; c++ {
+		if opCounters[c].key == "" || opCounters[c].field == nil {
+			t.Fatalf("OpCounter %d has no table row", c)
+		}
+		set("op.op."+opCounters[c].key, func(n int) { e.AddOp(0, c, n) })
+	}
+	for _, m := range meters {
+		// One event of n bytes, then n-2 empty ones: count n-1 (a value
+		// skipped for it), bytes n.
+		next++
+		set(m.key+".bytes", func(n int) {
+			for m.live(e).Add(n); n > 2; n-- {
+				m.live(e).Add(0)
+			}
+		})
+		want[m.key+".count"] = want[m.key+".bytes"] - 1
 	}
 
-	text := s.Text()
-	for _, want := range []string{
-		"op.echo.calls 2",
-		"op.echo.errors 1",
-		"op.write.calls 1",
-		"op.echo.latency.p50_ns",
-		"codec.encode.count 1",
-		"wire.bytes 100",
-		"session.bad_frames 1",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("Text() missing %q:\n%s", want, text)
+	// Every uint64 the schema declares (histograms aside), by path.
+	s := e.Snapshot()
+	schema := map[string]uint64{}
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch {
+		case v.Kind() == reflect.Uint64:
+			schema[path] = v.Uint()
+		case v.Kind() == reflect.Struct && v.Type() != reflect.TypeOf(HistogramSnapshot{}):
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		case v.Kind() == reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				walk(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+			}
 		}
+	}
+	walk("Snapshot", reflect.ValueOf(*s))
+	// Each value set above lands in exactly one field, and no field is
+	// left at zero: a Snapshot field without a table row fails here.
+	var got, wantVals []uint64
+	for path, v := range schema {
+		if v == 0 {
+			t.Errorf("schema field %s: no table row writes it", path)
+		}
+		got = append(got, v)
+	}
+	for _, v := range want {
+		wantVals = append(wantVals, v)
+	}
+	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	sort.Slice(wantVals, func(i, j int) bool { return wantVals[i] < wantVals[j] })
+	for i := 1; i < len(wantVals); i++ {
+		if wantVals[i] == wantVals[i-1] {
+			t.Fatalf("test bug: value %d set twice", wantVals[i])
+		}
+	}
+	if !reflect.DeepEqual(got, wantVals) {
+		t.Fatalf("Snapshot() holds %v\nwant each of %v exactly once", got, wantVals)
+	}
+
+	s.Merge(e.Snapshot())
+	text := s.Text()
+	for key, v := range want {
+		line := fmt.Sprintf("%s %d\n", key, 2*v)
+		if n := strings.Count(text, line); n != 1 {
+			t.Fatalf("Text() has %d lines %q after a self-merge:\n%s", n, line, text)
+		}
+	}
+	if n := strings.Count(text, "\n"); n != len(want) {
+		t.Fatalf("Text() has %d lines, want one per counter (%d):\n%s", n, len(want), text)
+	}
+}
+
+// The recording side and the shedder's poll allocate nothing.
+func TestRecordAndMergedLatencyZeroAllocs(t *testing.T) {
+	e := New([]string{"a", "b"})
+	var acc HistogramSnapshot
+	if n := testing.AllocsPerRun(100, func() {
+		e.RecordCall(1, 3*time.Millisecond, 10, 20, TimedOut)
+		e.Add(Sheds, 1)
+		e.AddOp(0, OpRetries, 1)
+		e.AddFlush(2)
+		acc = HistogramSnapshot{}
+		e.MergedLatency(&acc)
+	}); n != 0 {
+		t.Fatalf("recording + MergedLatency allocate %v per run, want 0", n)
+	}
+	if acc.Count != 101 || acc.Quantile(0.5) < 2900*time.Microsecond || acc.Quantile(0.5) > 3100*time.Microsecond {
+		t.Fatalf("merged latency count %d p50 %v", acc.Count, acc.Quantile(0.5))
 	}
 }
 
 func TestStageStrings(t *testing.T) {
-	for s := StageBind; s <= stageMax; s++ {
+	for s := StageBind; int(s) < len(stageNames); s++ {
 		if strings.HasPrefix(s.String(), "stage(") {
 			t.Fatalf("stage %d has no name", s)
 		}

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -32,28 +31,22 @@ const (
 	StageServerReply
 	// StageReply marks the reply decoded back on the client.
 	StageReply
-
-	stageMax = StageReply
 )
 
+var stageNames = [...]string{
+	StageBind:         "bind",
+	StageEncode:       "encode",
+	StageSend:         "send",
+	StageRetry:        "retry",
+	StageServerDecode: "server-decode",
+	StageDispatch:     "dispatch",
+	StageServerReply:  "server-reply",
+	StageReply:        "reply",
+}
+
 func (s Stage) String() string {
-	switch s {
-	case StageBind:
-		return "bind"
-	case StageEncode:
-		return "encode"
-	case StageSend:
-		return "send"
-	case StageRetry:
-		return "retry"
-	case StageServerDecode:
-		return "server-decode"
-	case StageDispatch:
-		return "dispatch"
-	case StageServerReply:
-		return "server-reply"
-	case StageReply:
-		return "reply"
+	if int(s) < len(stageNames) && stageNames[s] != "" {
+		return stageNames[s]
 	}
 	return fmt.Sprintf("stage(%d)", uint8(s))
 }
@@ -88,9 +81,9 @@ type traceSlot struct {
 
 const slotValid = 1 << 63
 
-// NewTracer creates a tracer holding the most recent capacity events
+// newTracer creates a tracer holding the most recent capacity events
 // (rounded up to a power of two, minimum 16).
-func NewTracer(capacity int) *Tracer {
+func newTracer(capacity int) *Tracer {
 	if capacity < 16 {
 		capacity = 16
 	}
@@ -142,11 +135,8 @@ func (e *Endpoint) EnableTracing(capacity int) {
 	if e == nil || e.tracer.Load() != nil {
 		return
 	}
-	e.tracer.CompareAndSwap(nil, NewTracer(capacity))
+	e.tracer.CompareAndSwap(nil, newTracer(capacity))
 }
-
-// Tracing reports whether a trace ring is installed.
-func (e *Endpoint) Tracing() bool { return e != nil && e.tracer.Load() != nil }
 
 // NextTraceID returns a fresh non-zero 16-bit trace id, or 0 when
 // tracing is disabled — 0 is the "untraced" id the session layer
@@ -168,100 +158,4 @@ func (e *Endpoint) Trace(id uint32, op int, s Stage) {
 		return
 	}
 	e.tracer.Load().Record(id, op, s)
-}
-
-// TraceEvents snapshots the trace ring, oldest first.
-func (e *Endpoint) TraceEvents() []TraceEvent {
-	if e == nil {
-		return nil
-	}
-	return e.tracer.Load().Events()
-}
-
-// traceMagic guards the trace binary form; low byte is the version.
-const traceMagic = uint32(0x46585431) // "FXT1"
-
-// maxTraceEvents bounds decoded traces; it is far above any ring
-// capacity in use and exists to keep hostile inputs cheap.
-const maxTraceEvents = 1 << 20
-
-// MarshalTrace encodes events in a compact varint form that
-// round-trips through UnmarshalTrace.
-func MarshalTrace(events []TraceEvent) ([]byte, error) {
-	if len(events) > maxTraceEvents {
-		return nil, fmt.Errorf("stats: trace: %d events exceeds limit %d", len(events), maxTraceEvents)
-	}
-	out := make([]byte, 4, 4+10*len(events))
-	binary.BigEndian.PutUint32(out, traceMagic)
-	out = binary.AppendUvarint(out, uint64(len(events)))
-	for _, ev := range events {
-		if ev.Stage == 0 || ev.Stage > stageMax {
-			return nil, fmt.Errorf("stats: trace: invalid stage %d", ev.Stage)
-		}
-		if ev.At < 0 {
-			return nil, fmt.Errorf("stats: trace: negative timestamp %d", ev.At)
-		}
-		out = binary.AppendUvarint(out, uint64(ev.ID))
-		out = binary.AppendUvarint(out, uint64(ev.Op))
-		out = append(out, byte(ev.Stage))
-		out = binary.AppendUvarint(out, uint64(ev.At))
-	}
-	return out, nil
-}
-
-// UnmarshalTrace decodes a trace produced by MarshalTrace, rejecting
-// truncated input, out-of-range fields and trailing garbage.
-func UnmarshalTrace(data []byte) ([]TraceEvent, error) {
-	if len(data) < 4 || binary.BigEndian.Uint32(data) != traceMagic {
-		return nil, fmt.Errorf("stats: trace: bad magic")
-	}
-	data = data[4:]
-	n, sz := binary.Uvarint(data)
-	if sz <= 0 || n > maxTraceEvents {
-		return nil, fmt.Errorf("stats: trace: bad event count")
-	}
-	data = data[sz:]
-	// Each event is at least 4 bytes; reject counts the input cannot
-	// hold before allocating for them.
-	if n*4 > uint64(len(data)) {
-		return nil, fmt.Errorf("stats: trace: truncated (%d events in %d bytes)", n, len(data))
-	}
-	events := make([]TraceEvent, 0, n)
-	uv := func() (uint64, bool) {
-		v, s := binary.Uvarint(data)
-		if s <= 0 {
-			return 0, false
-		}
-		data = data[s:]
-		return v, true
-	}
-	for i := uint64(0); i < n; i++ {
-		id, ok := uv()
-		if !ok || id > 0xFFFFFFFF {
-			return nil, fmt.Errorf("stats: trace: bad id")
-		}
-		op, ok := uv()
-		if !ok || op > 0xFFFF {
-			return nil, fmt.Errorf("stats: trace: bad op")
-		}
-		if len(data) == 0 {
-			return nil, fmt.Errorf("stats: trace: truncated")
-		}
-		stage := Stage(data[0])
-		data = data[1:]
-		if stage == 0 || stage > stageMax {
-			return nil, fmt.Errorf("stats: trace: invalid stage %d", stage)
-		}
-		at, ok := uv()
-		if !ok || at > uint64(1)<<62 {
-			return nil, fmt.Errorf("stats: trace: bad timestamp")
-		}
-		events = append(events, TraceEvent{
-			ID: uint32(id), Op: uint16(op), Stage: stage, At: time.Duration(at),
-		})
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("stats: trace: %d trailing bytes", len(data))
-	}
-	return events, nil
 }

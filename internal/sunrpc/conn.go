@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"flexrpc/internal/netpoll"
+	"flexrpc/internal/stats"
 )
 
 // aLongTimeAgo is a past deadline used to unpark blocked writers.
@@ -173,7 +174,7 @@ func (c *srvConn) readLoop() {
 			if n, rerr = c.read(dst); c.asm.landed(n, c.holder) {
 				paused = c.submit(nil)
 			} else if n > 0 {
-				c.srv.stats.AddPartialRead()
+				c.srv.stats.Add(stats.PartialReads, 1)
 			}
 		} else {
 			n, rerr = c.read(buf)
@@ -272,7 +273,7 @@ func (c *srvConn) ingest(b []byte) (paused bool, err error) {
 		}
 	}
 	if c.asm.midRecord() {
-		c.srv.stats.AddPartialRead()
+		c.srv.stats.Add(stats.PartialReads, 1)
 	}
 	return false, nil
 }
@@ -288,7 +289,7 @@ func (c *srvConn) ingest(b []byte) (paused bool, err error) {
 func (c *srvConn) submit(rest []byte) (paused bool) {
 	job := poolJob{c, c.holder}
 	c.holder = nil
-	c.srv.stats.AddQueued()
+	c.srv.stats.Add(stats.Queued, 1)
 	c.mu.Lock()
 	c.njobs++
 	stalled := false

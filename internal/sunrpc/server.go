@@ -278,7 +278,7 @@ func (s *Server) attach(nc net.Conn) *srvConn {
 		c.pl = s.pollers[s.pollerNext%len(s.pollers)]
 		s.pollerNext++
 		if c.pl.Register(c.fd, c.onReady) == nil {
-			s.stats.AddPollerConnRegistered()
+			s.stats.Add(stats.PollerConnsRegistered, 1)
 		} else {
 			c.pl = nil
 		}
@@ -296,7 +296,7 @@ func (s *Server) attach(nc net.Conn) *srvConn {
 // serialise through a goroutine that is usually running on another P.
 func (s *Server) startPollersLocked() error {
 	for i := runtime.GOMAXPROCS(0); i > 0; i-- {
-		p, err := netpoll.New(func(events int) { s.stats.AddPollerWakeups(events) })
+		p, err := netpoll.New(func(events int) { s.stats.Add(stats.PollerWakeups, events) })
 		if err != nil {
 			for _, q := range s.pollers {
 				q.Close()
@@ -399,7 +399,7 @@ func (s *Server) dispatch(d *xdr.Decoder, enc *xdr.Encoder) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	if s.draining.Load() {
-		s.stats.AddDrainReject()
+		s.stats.Add(stats.DrainRejects, 1)
 		encodeAcceptedReply(enc, h.XID, SystemErr)
 		return
 	}
@@ -436,7 +436,7 @@ func (s *Server) dispatch(d *xdr.Decoder, enc *xdr.Encoder) {
 func (s *Server) runHandler(proc uint32, h ProcHandler, d *xdr.Decoder, enc *xdr.Encoder) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			s.stats.AddHandlerPanic()
+			s.stats.Add(stats.HandlerPanics, 1)
 			err = &PanicError{Proc: proc, Value: p, Stack: debug.Stack()}
 		}
 	}()
@@ -464,7 +464,7 @@ func (s *Server) Serve(l net.Listener) error {
 	limiter := s.newAcceptLimiter()
 	for {
 		if limiter != nil && limiter.take() {
-			s.stats.AddAcceptThrottled()
+			s.stats.Add(stats.AcceptThrottled, 1)
 		}
 		conn, err := l.Accept()
 		if err != nil {

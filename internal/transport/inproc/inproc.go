@@ -56,9 +56,6 @@ func (c *Conn) EnableStats() *stats.Endpoint {
 // SetStats installs (or, with nil, removes) the endpoint.
 func (c *Conn) SetStats(e *stats.Endpoint) { c.stats = e }
 
-// StatsEndpoint returns the live endpoint, nil when disabled.
-func (c *Conn) StatsEndpoint() *stats.Endpoint { return c.stats }
-
 // Stats snapshots the client-side counters; empty but non-nil when
 // stats are disabled.
 func (c *Conn) Stats() *stats.Snapshot { return c.stats.Snapshot() }
