@@ -183,6 +183,23 @@ netpoll_stress() {
 	done
 }
 
+frame_race() {
+	# A call frame is safe only because its owner serialises the calls
+	# (a shmring.Bound's mutex, its doorbell goroutine) or because the
+	# pool hands it to one call at a time; eight goroutines on one Bound
+	# and on one Dispatcher find a frame shared by two calls as a data
+	# race. One pass catches few interleavings, so repeat it. Each
+	# package must select a test: a rename fails here.
+	for pkg in ./internal/runtime ./internal/transport/shmring; do
+		if ! go test -list 'FrameConcurrent' "$pkg" | grep -q '^Test'; then
+			echo "frame-race: no test matches 'FrameConcurrent' in $pkg; update ci.sh"
+			exit 1
+		fi
+	done
+	echo "go test -race -count=10 -run FrameConcurrent ./internal/runtime ./internal/transport/shmring"
+	go test -race -count=10 -run 'FrameConcurrent' ./internal/runtime ./internal/transport/shmring
+}
+
 alloc_gates() {
 	# Every AllocsPerRun gate skips itself under the race detector, and
 	# the test stage above runs only with -race: without this stage CI
@@ -257,6 +274,9 @@ full() {
 	echo "== go test -race"
 	go test -race ./...
 
+	echo "== frame reuse under -race, repeated"
+	frame_race
+
 	echo "== allocation gates (no -race)"
 	alloc_gates
 
@@ -305,10 +325,11 @@ flexload-smoke) flexload_smoke ;;
 netpoll-smoke) netpoll_smoke ;;
 netpoll-stress) netpoll_stress ;;
 alloc-gates) alloc_gates ;;
+frame-race) frame_race ;;
 bench-smoke) bench_smoke ;;
 figures) figures ;;
 *)
-	echo "ci.sh: unknown stage '$1'; stages: vet-examples vet-go certify [-update] fuzz-smoke flexload-smoke netpoll-smoke netpoll-stress alloc-gates bench-smoke figures (no argument runs them all)" >&2
+	echo "ci.sh: unknown stage '$1'; stages: vet-examples vet-go certify [-update] fuzz-smoke flexload-smoke netpoll-smoke netpoll-stress alloc-gates frame-race bench-smoke figures (no argument runs them all)" >&2
 	exit 2
 	;;
 esac

@@ -141,17 +141,18 @@ func TestServerNullCallZeroAllocsStatsOff(t *testing.T) {
 	})
 }
 
-// The borrow-mode 1KB put costs exactly one allocation on the server
-// message path with stats on or off: boxing the borrowed []byte
-// slice header into the dispatcher's Value argument. The payload
-// itself is not copied, and the observability layer adds nothing.
+// The borrow-mode 1KB put costs nothing on the server message path
+// with stats on or off: the borrowed []byte lands in the Call's byte
+// slot as a slice, ArgBytes reads it there, and nothing boxes it. The
+// payload itself is not copied, and the observability layer adds
+// nothing.
 func TestServerBorrowPutAllocsStatsOff(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
 	}
 	disp, plan, body, enc := serverStack(t)
 	idx := plan.OpIndex("put")
-	gateAllocs(t, "stats-off server 1KB put", 1, func() {
+	gateAllocs(t, "stats-off server 1KB put", 0, func() {
 		enc.Reset()
 		disp.ServeMessage(plan, idx, body, enc)
 	})
@@ -164,7 +165,7 @@ func TestServerBorrowPutBoundedAllocsStatsOn(t *testing.T) {
 	disp, plan, body, enc := serverStack(t)
 	disp.EnableStats()
 	idx := plan.OpIndex("put")
-	gateAllocs(t, "stats-on server 1KB put", 3, func() {
+	gateAllocs(t, "stats-on server 1KB put", 0, func() {
 		enc.Reset()
 		disp.ServeMessage(plan, idx, body, enc)
 	})

@@ -24,29 +24,13 @@ type ArenaEncoder interface {
 func (x *xdrEncoder) ResetArena(dst []byte) { x.e.ResetTo(dst) }
 func (c *cdrEncoder) ResetArena(dst []byte) { c.e.ResetTo(dst) }
 
-// AcquireArenaEncoder returns an encoder aimed at dst, pooling when
-// the codec supports arena encoding; ok is false when it does not
-// (callers then fall back to a staged encode + copy). Pair with
-// ReleaseArenaEncoder.
-func (p *Plan) AcquireArenaEncoder(dst []byte) (ArenaEncoder, bool) {
-	if ae, okPool := p.arenaPool.Get().(ArenaEncoder); okPool {
-		ae.ResetArena(dst)
-		return ae, true
-	}
+// NewArenaEncoder returns an encoder of the plan's codec that can be
+// aimed at transport storage; ok is false when the codec cannot
+// (callers then stage the encode and copy). Whoever serialises the
+// calls owns it and re-aims it per message with ResetArena.
+func (p *Plan) NewArenaEncoder() (ArenaEncoder, bool) {
 	ae, ok := p.Codec.NewEncoder().(ArenaEncoder)
-	if !ok {
-		return nil, false
-	}
-	ae.ResetArena(dst)
-	return ae, true
-}
-
-// ReleaseArenaEncoder returns an encoder obtained from
-// AcquireArenaEncoder to the pool, dropping its reference to the
-// transport storage first.
-func (p *Plan) ReleaseArenaEncoder(ae ArenaEncoder) {
-	ae.ResetArena(nil)
-	p.arenaPool.Put(ae)
+	return ae, ok
 }
 
 // ArenaLen validates that an arena-targeted encode stayed inside dst
@@ -66,20 +50,19 @@ func ArenaLen(dst, encoded []byte) (int, error) {
 }
 
 // EncodeRequestArena marshals the in/inout arguments directly into
-// dst and returns the number of bytes written. The pool is the arena:
-// a same-domain transport passes a ring-buffer slot's storage here and
-// the request bytes are produced in place, never staged elsewhere.
-// Returns ErrArenaOverflow when the message does not fit in dst.
-func (op *OpPlan) EncodeRequestArena(dst []byte, args []Value) (int, error) {
-	ae, ok := op.plan.AcquireArenaEncoder(dst)
-	if !ok {
-		return 0, fmt.Errorf("runtime: codec %s cannot target an arena", op.plan.Codec.Name())
-	}
+// dst through ae, the caller's own arena encoder, and returns the
+// number of bytes written. The pool is the arena: a same-domain
+// transport passes a ring-buffer slot's storage here and the request
+// bytes are produced in place, never staged elsewhere. Returns
+// ErrArenaOverflow when the message does not fit in dst; ae holds no
+// reference to dst afterwards.
+func (op *OpPlan) EncodeRequestArena(ae ArenaEncoder, dst []byte, args []Value) (int, error) {
+	ae.ResetArena(dst)
 	err := op.EncodeRequest(ae, args)
 	var n int
 	if err == nil {
 		n, err = ArenaLen(dst, ae.Bytes())
 	}
-	op.plan.ReleaseArenaEncoder(ae)
+	ae.ResetArena(nil)
 	return n, err
 }

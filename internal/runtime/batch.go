@@ -127,21 +127,18 @@ func (s *SessionServer) execBatch(ctx context.Context, body []byte, tid uint32, 
 		s.disp.stats.Add(stats.BadFrames, 1)
 		return appendBadRequestFrame(dst)
 	}
-	enc, _ := s.encs.Get().(Encoder)
-	if enc == nil {
-		enc = s.plan.Codec.NewEncoder()
-	}
+	f := acquireFrame()
 	// The body's checksum is known only once every sub-reply is in.
 	hdr := len(dst)
 	dst = binary.BigEndian.AppendUint32(dst, sessOK)
 	dst = binary.BigEndian.AppendUint32(dst, 0)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ops)))
 	for i, opIdx := range ops {
-		enc.Reset()
-		s.disp.serveMessageTraced(ctx, s.plan, opIdx, reqs[i], enc, tid)
+		enc := f.encoder(s.plan)
+		s.disp.serve(ctx, f, s.plan, opIdx, reqs[i], enc, tid, true)
 		dst = appendBatchReplyEntry(dst, enc.Bytes())
 	}
-	s.encs.Put(enc)
+	releaseFrame(f)
 	binary.BigEndian.PutUint32(dst[hdr+4:], crc32.ChecksumIEEE(dst[hdr+robustRepHeader:]))
 	return dst
 }

@@ -58,10 +58,15 @@ type OpCert struct {
 	NOut int `json:"nout"`
 	// ClientAllocBound / ServerAllocBound are certified upper bounds
 	// on per-call heap allocations (stats off) for each side's
-	// marshal path. Boxing a decoded value into its interface Value
-	// counts: the borrow-mode 1KB put certifies a server bound of 1
-	// (the slice header) even though the payload is never copied —
-	// exactly the number the runtime's AllocsPerRun gate measures.
+	// marshal path (see decodeCost). Boxing a decoded value into its
+	// interface Value counts, so a 16-field attribute struct certifies
+	// 18 on the side that decodes it; the borrow-mode 1KB put certifies
+	// a server bound of 0, because the borrowed slice lands in the
+	// Call's byte slot unboxed and the payload is never copied —
+	// exactly the numbers the runtime's AllocsPerRun gates measure. A
+	// sequence's element count is not known statically: its bound
+	// covers one element, and each further element adds that
+	// element's cost.
 	ClientAllocBound int `json:"client_alloc_bound"`
 	ServerAllocBound int `json:"server_alloc_bound"`
 	// ClientAllocFree / ServerAllocFree: the bound is zero.
@@ -121,7 +126,9 @@ func (op *OpPlan) certify() OpCert {
 			if variableLength(t) && st.landing != LandSpecial {
 				sc.MaxDecode = op.plan.maxDecode
 			}
-			cost = decodeCost(t, sc.Allocs)
+			if st.borrow == nil {
+				cost = decodeCost(t, st.landing)
+			}
 		}
 		switch phase {
 		case PhaseReqEncode, PhaseRepDecode:
@@ -153,24 +160,44 @@ func (op *OpPlan) certify() OpCert {
 	return oc
 }
 
-// decodeCost bounds one decode step's per-call allocations: one for
-// fresh storage when the step allocates, plus one for boxing the
-// decoded value into its interface Value. Scalars box through the Go
-// runtime's small-value cache and are counted free; buffer kinds
-// landing by borrow or in a caller buffer still box a slice header.
-func decodeCost(t *ir.Type, allocs bool) int {
+// decodeCost bounds the heap allocations of decoding one value of
+// wire type t into a Value: one box per scalar leaf (a bool boxes
+// through the runtime's static byte table, for free; any other scalar
+// only when it is below 256), bytes plus a boxed header per string,
+// a boxed header per byte buffer plus its storage when it lands in
+// fresh storage, and a []Value plus its boxed header per composite
+// around its elements' own cost. A sequence is counted with one
+// element. A [special] hook is opaque: one allocation for whatever
+// it builds, one for boxing it.
+func decodeCost(t *ir.Type, l Landing) int {
 	if t == nil || t.Kind == ir.Void {
 		return 0
 	}
-	cost := 0
-	if allocs {
-		cost++
+	if l == LandSpecial {
+		return 2
 	}
 	switch t.Kind {
-	case ir.Bytes, ir.FixedBytes, ir.String, ir.Seq, ir.Array, ir.Struct:
-		cost++ // boxing the header is itself a heap allocation
+	case ir.Bool:
+		return 0
+	case ir.String:
+		return 2
+	case ir.Bytes, ir.FixedBytes:
+		if l == LandOwn {
+			return 2
+		}
+		return 1
+	case ir.Seq:
+		return 2 + decodeCost(t.Elem, l)
+	case ir.Array:
+		return 2 + t.Size*decodeCost(t.Elem, l)
+	case ir.Struct:
+		cost := 2
+		for _, f := range t.Fields {
+			cost += decodeCost(f.Type, l)
+		}
+		return cost
 	}
-	return cost
+	return 1
 }
 
 // decodeAllocates reports whether a decode step with the given

@@ -44,17 +44,14 @@ func TestCertificateBorrowPutBound(t *testing.T) {
 	if oc == nil {
 		t.Fatal("no certificate for put")
 	}
-	// The 1KB borrow-mode put certifies exactly one server-side
-	// allocation — boxing the borrowed slice header into the Value
-	// argument — matching TestServerBorrowPutAllocsStatsOff's gate.
-	if oc.ServerAllocBound != 1 {
-		t.Fatalf("put server alloc bound = %d, want 1", oc.ServerAllocBound)
+	// The 1KB borrow-mode put certifies no server-side allocation —
+	// the borrowed slice lands in the Call's byte slot, not in a boxed
+	// Value — matching TestServerBorrowPutAllocsStatsOff's gate.
+	if oc.ServerAllocBound != 0 {
+		t.Fatalf("put server alloc bound = %d, want 0", oc.ServerAllocBound)
 	}
-	if err := cert.VerifyAllocBound("server", "put", 1); err != nil {
+	if err := cert.VerifyAllocFree("server", "put"); err != nil {
 		t.Fatal(err)
-	}
-	if err := cert.VerifyAllocFree("server", "put"); err == nil {
-		t.Fatal("put server path boxes a slice header; VerifyAllocFree must refuse to certify it")
 	}
 	// The client side only appends into the recycled request frame.
 	if err := cert.VerifyAllocFree("client", "put"); err != nil {
@@ -112,6 +109,72 @@ func TestCertificateMatchesGates(t *testing.T) {
 	gateAllocs(t, "certified server 1KB put", float64(put.ServerAllocBound), func() {
 		enc.Reset()
 		disp.ServeMessage(plan, idx, body, enc)
+	})
+
+	// A getattr-shaped reply — sixteen fields, every scalar at or above
+	// 256 so none boxes for free — and the same struct as a request:
+	// what each side's decode measures is at most what is certified,
+	// and the certified number is the field-by-field count, not "2".
+	f, err := corba.Parse("attr.idl", `
+		struct attr {
+			unsigned long mode; unsigned long nlink; unsigned long uid; unsigned long gid;
+			unsigned long long size; unsigned long long used; unsigned long long fsid; unsigned long long fileid;
+			unsigned long rdev; unsigned long blksize;
+			long long atime; long long mtime; long long ctime;
+			boolean immutable; double heat; string name;
+		};
+		interface Attr {
+			attr getattr(in unsigned long h);
+			void setattr(in attr a);
+		};`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap := pres.Default(f.Interface("Attr"), pres.StyleCORBA)
+	aplan, err := NewPlan(ap, XDRCodec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attr := []Value{uint32(0644), uint32(1000), uint32(1000), uint32(1000),
+		uint64(1 << 20), uint64(1 << 20), uint64(777), uint64(31337),
+		uint32(300), uint32(4096), int64(1 << 40), int64(1 << 41), int64(1 << 42),
+		true, 0.5, "a-file-name"}
+	acert := aplan.Certificate()
+	getattr, setattr := acert.OpCert("getattr"), acert.OpCert("setattr")
+	// struct 2 + 14 boxed scalars (the bool is free) + string 2; the
+	// request's one scalar argument adds a box on the server.
+	if getattr.ClientAllocBound != 18 || getattr.ServerAllocBound != 1 || setattr.ServerAllocBound != 18 {
+		t.Fatalf("attr bounds: getattr client %d server %d, setattr server %d; want 18, 1, 18",
+			getattr.ClientAllocBound, getattr.ServerAllocBound, setattr.ServerAllocBound)
+	}
+
+	adisp := NewDispatcher(ap)
+	var boxed Value = attr // boxed once: the gate measures the stub, not the work function
+	adisp.Handle("getattr", func(c *Call) error { c.SetResult(boxed); return nil })
+	adisp.Handle("setattr", func(c *Call) error { return nil })
+	aenc, getBody := XDRCodec.NewEncoder(), []byte{0, 0, 1, 0}
+	adisp.ServeMessage(aplan, aplan.OpIndex("getattr"), getBody, aenc)
+	aclient, err := NewClient(ap, XDRCodec, &fixedConn{reply: append([]byte(nil), aenc.Bytes()...)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	getArgs := []Value{uint32(256)}
+	gateAllocs(t, "certified client getattr", float64(getattr.ClientAllocBound), func() {
+		if _, ret, err := aclient.Invoke("getattr", getArgs, nil, nil); err != nil || len(ret.([]Value)) != len(attr) {
+			t.Fatal(ret, err)
+		}
+	})
+	gateAllocs(t, "certified server getattr", float64(getattr.ServerAllocBound), func() {
+		aenc.Reset()
+		adisp.ServeMessage(aplan, aplan.OpIndex("getattr"), getBody, aenc)
+	})
+	setEnc := XDRCodec.NewEncoder()
+	if err := aplan.Ops[aplan.OpIndex("setattr")].EncodeRequest(setEnc, []Value{attr}); err != nil {
+		t.Fatal(err)
+	}
+	gateAllocs(t, "certified server setattr", float64(setattr.ServerAllocBound), func() {
+		aenc.Reset()
+		adisp.ServeMessage(aplan, aplan.OpIndex("setattr"), setEnc.Bytes(), aenc)
 	})
 }
 

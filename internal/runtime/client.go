@@ -294,7 +294,7 @@ func (c *Client) roundTrip(ctx context.Context, idx int, req, replyBuf []byte, t
 // codecs that do not support reuse.
 func (c *Client) decoderFor(slot *ReusableDecoder, reply []byte) Decoder {
 	if *slot == nil {
-		d := c.plan.limitDecoder(c.plan.Codec.NewDecoder(reply))
+		d := c.plan.NewDecoder(reply)
 		if rd, ok := d.(ReusableDecoder); ok {
 			*slot = rd
 		}

@@ -1,0 +1,154 @@
+package runtime
+
+import (
+	"context"
+	"sync"
+)
+
+// A Frame is the working state of one served call: the request
+// decoder, the reply staging encoder a session server needs, and the
+// Call the work function sees, its slices sized once for the widest
+// operation met. Whoever serialises calls owns a frame and reuses it —
+// shmring.Bound under its mutex, its doorbell goroutine — the way
+// Client's serial mode owns its encoder and decoder. Every other path
+// (Dispatcher.ServeMessage*, SessionServer, AcquireCall,
+// Plan.AcquireDecoder) borrows one from the package's one pool for the
+// length of a call.
+//
+// A frame is cleared on every return: between calls it references no
+// request, reply, user buffer, AfterReply func or context. It is not
+// safe for concurrent use.
+type Frame struct {
+	// Decoder is the request decoder, embedded so AcquireDecoder can
+	// lend the frame itself as the Decoder and get it back in
+	// ReleaseDecoder; reuse is the same object, for re-aiming it.
+	Decoder
+	reuse ReusableDecoder
+	limit uint32 // the decode bound last set on Decoder
+
+	codec Codec // what Decoder and enc were built for
+	enc   Encoder
+	call  Call
+	busy  bool // between begin and end; still set at the next begin, a panic escaped the call
+}
+
+// NewFrame returns a frame for an owner that serialises its calls.
+func NewFrame() *Frame {
+	f := &Frame{}
+	f.call.frame = f
+	return f
+}
+
+// frames is the one pool of marshal working state on the serving side.
+var frames = sync.Pool{New: func() any { return NewFrame() }}
+
+func acquireFrame() *Frame { return frames.Get().(*Frame) }
+
+// releaseFrame returns f to the pool, cleared: serve has already ended
+// its call, a Call handed out by AcquireCall is ended here.
+func releaseFrame(f *Frame) {
+	if f.busy {
+		f.end()
+	}
+	frames.Put(f)
+}
+
+// ServeMessageContext is Dispatcher.ServeMessageContext on a frame the
+// caller owns: no pool is touched. ctx may be nil.
+func (f *Frame) ServeMessageContext(ctx context.Context, d *Dispatcher, plan *Plan, opIdx int, body []byte, enc Encoder) {
+	d.serve(ctx, f, plan, opIdx, body, enc, 0, true)
+}
+
+// ServeMessageRawContext is Dispatcher.ServeMessageRawContext on a
+// frame the caller owns. ctx may be nil.
+func (f *Frame) ServeMessageRawContext(ctx context.Context, d *Dispatcher, plan *Plan, opIdx int, body []byte, enc Encoder) error {
+	return d.serve(ctx, f, plan, opIdx, body, enc, 0, false)
+}
+
+// use drops codec-specific state built for another codec: pooled
+// frames serve whichever plan asks next.
+func (f *Frame) use(c Codec) {
+	if f.codec != c {
+		f.Decoder, f.reuse, f.enc, f.codec = nil, nil, nil, c
+	}
+}
+
+// decoder aims the frame's decoder at body under p's decode bound,
+// building it on first use. A codec whose decoders cannot be re-aimed
+// gets a fresh one per call.
+func (f *Frame) decoder(p *Plan, body []byte) Decoder {
+	f.use(p.Codec)
+	if f.reuse == nil {
+		d := p.limitDecoder(p.Codec.NewDecoder(body))
+		rd, ok := d.(ReusableDecoder)
+		if !ok {
+			return d
+		}
+		f.Decoder, f.reuse, f.limit = d, rd, p.maxDecode
+		return d
+	}
+	f.reuse.Reset(body)
+	if f.limit != p.maxDecode {
+		p.limitDecoder(f.Decoder)
+		f.limit = p.maxDecode
+	}
+	return f.Decoder
+}
+
+// encoder returns the frame's staging encoder, empty.
+func (f *Frame) encoder(p *Plan) Encoder {
+	f.use(p.Codec)
+	if f.enc == nil {
+		f.enc = p.Codec.NewEncoder()
+	}
+	f.enc.Reset()
+	return f.enc
+}
+
+// begin prepares the frame's Call for operation opIdx of d: handler
+// slot, operation presentation and slice lengths all come from d's
+// index tables.
+func (f *Frame) begin(ctx context.Context, d *Dispatcher, opIdx int) *Call {
+	if f.busy {
+		f.end()
+	}
+	f.busy = true
+	c := &f.call
+	c.Op, c.idx, c.opPres, c.ctx = &d.Pres.Interface.Ops[opIdx], opIdx, d.opPres[opIdx], ctx
+	n := len(c.Op.Params)
+	if cap(c.in) < n {
+		c.in = make([]Value, n)
+		c.inBytes = make([][]byte, n)
+		c.inPrivate = make([]bool, n)
+		c.outs = make([]Value, n)
+		c.outBufs = make([][]byte, n)
+	} else {
+		c.in = c.in[:n]
+		c.inBytes = c.inBytes[:n]
+		c.inPrivate = c.inPrivate[:n]
+		c.outs = c.outs[:n]
+		c.outBufs = c.outBufs[:n]
+	}
+	return c
+}
+
+// end drops every reference the call left in the frame.
+func (f *Frame) end() {
+	c := &f.call
+	for i := range c.in {
+		c.in[i] = nil
+		c.inBytes[i] = nil
+		c.inPrivate[i] = false
+		c.outs[i] = nil
+		c.outBufs[i] = nil
+	}
+	for i := range c.afterReply {
+		c.afterReply[i] = nil
+	}
+	c.afterReply = c.afterReply[:0]
+	c.Op, c.opPres, c.ret, c.retBuf, c.ctx = nil, nil, nil, nil, nil
+	if f.reuse != nil {
+		f.reuse.Reset(nil)
+	}
+	f.busy = false
+}

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sync"
 
 	"flexrpc/internal/ir"
 	"flexrpc/internal/pres"
@@ -74,9 +73,6 @@ type Plan struct {
 	// before the plan is shared (Client.SetStats does this); nil —
 	// the default — costs one nil check inside the affected steps.
 	stats *stats.Endpoint
-
-	decPool   sync.Pool // ReusableDecoder, for pooled server paths
-	arenaPool sync.Pool // ArenaEncoder, for encode-into-arena paths
 }
 
 // setStats points the plan's meters at e (nil disables).
@@ -158,6 +154,10 @@ type step struct {
 	traced  bool // enc is wrapped by the [traced] meter
 	enc     EncodeStepFn
 	dec     decodeFn
+	// borrow is set on a request-decode step whose parameter is itself a
+	// byte buffer landing by borrow: the typed form of dec, which lands
+	// the slice in a Call's byte slot instead of boxing it into a Value.
+	borrow func(Decoder) ([]byte, error)
 }
 
 // A decodeFn is a compiled unmarshal step. dst is the caller's
@@ -205,23 +205,34 @@ func (p *Plan) limitDecoder(d Decoder) Decoder {
 	return d
 }
 
-// AcquireDecoder returns a decoder positioned at body, reusing a
-// pooled one when the codec supports it. Pair with ReleaseDecoder.
+// AcquireDecoder returns a decoder positioned at body under the plan's
+// decode bound, reusing a pooled one when the codec supports it: the
+// decoder is a pooled Frame's, lent as the frame itself. Pair with
+// ReleaseDecoder. A caller that serialises its calls keeps its own
+// instead (NewDecoder).
 func (p *Plan) AcquireDecoder(body []byte) Decoder {
-	if d, ok := p.decPool.Get().(ReusableDecoder); ok {
-		d.Reset(body)
-		return p.limitDecoder(d)
+	f := acquireFrame()
+	if d := f.decoder(p, body); d != f.Decoder {
+		frames.Put(f)
+		return d
 	}
-	return p.limitDecoder(p.Codec.NewDecoder(body))
+	return f
 }
 
 // ReleaseDecoder returns a decoder obtained from AcquireDecoder to
 // the pool once the decoded message is no longer referenced.
 func (p *Plan) ReleaseDecoder(d Decoder) {
-	if rd, ok := d.(ReusableDecoder); ok {
-		rd.Reset(nil)
-		p.decPool.Put(rd)
+	if f, ok := d.(*Frame); ok {
+		f.reuse.Reset(nil)
+		frames.Put(f)
 	}
+}
+
+// NewDecoder returns a decoder positioned at body under the plan's
+// decode bound, for a caller that owns it and re-aims it per message
+// (both built-in codecs' decoders are ReusableDecoders).
+func (p *Plan) NewDecoder(body []byte) Decoder {
+	return p.limitDecoder(p.Codec.NewDecoder(body))
 }
 
 // RequestSteps reports how many compiled marshal steps a request of
@@ -292,6 +303,9 @@ func (o *OpPlan) compileParam(arg int, name string, t *ir.Type, in, out bool) er
 			st.dec = hook
 		default:
 			st.dec = pl.compileDecode(t, st.landing)
+			if phase == PhaseReqDecode && st.landing == LandBorrow {
+				st.borrow = borrowBytes(t)
+			}
 		}
 		*list = append(*list, st)
 	}
@@ -681,6 +695,19 @@ func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
 	}
 }
 
+// borrowBytes is compileDecode for a byte buffer landing by borrow, in
+// typed form; nil for any other wire type.
+func borrowBytes(t *ir.Type) func(Decoder) ([]byte, error) {
+	switch t.Kind {
+	case ir.Bytes:
+		return Decoder.Bytes
+	case ir.FixedBytes:
+		size := t.Size
+		return func(dec Decoder) ([]byte, error) { return dec.FixedBytes(size) }
+	}
+	return nil
+}
+
 // decodeElems decodes n elements of one type.
 func decodeElems(dec Decoder, elem decodeFn, n int) (Value, error) {
 	vs := make([]Value, n)
@@ -732,6 +759,29 @@ func (op *OpPlan) DecodeRequestInto(dec Decoder, args []Value) error {
 			return fmt.Errorf("%s param %s: %w", op.Op.Name, st.name, err)
 		}
 		args[st.arg] = v
+	}
+	return nil
+}
+
+// noBytes stands for an empty borrowed buffer in a Call's byte slot,
+// where nil means "not landed here".
+var noBytes = []byte{}
+
+// decodeRequestCall is DecodeRequestInto landing in a Call: a
+// parameter that is itself a borrowed byte buffer goes to the Call's
+// byte slot as a slice, never boxed; everything else to its Value slot.
+func (op *OpPlan) decodeRequestCall(dec Decoder, c *Call) error {
+	for i := range op.reqDec {
+		st := &op.reqDec[i]
+		var err error
+		if st.borrow == nil {
+			c.in[st.arg], err = st.dec(dec, nil)
+		} else if c.inBytes[st.arg], err = st.borrow(dec); c.inBytes[st.arg] == nil {
+			c.inBytes[st.arg] = noBytes
+		}
+		if err != nil {
+			return fmt.Errorf("%s param %s: %w", op.Op.Name, st.name, err)
+		}
 	}
 	return nil
 }

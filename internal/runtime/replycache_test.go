@@ -71,6 +71,21 @@ func checkShard(t *testing.T, s *replyShard) {
 	if live != len(s.ring) {
 		t.Fatalf("chunks count %d tenants, ring holds %d entries", live, len(s.ring))
 	}
+	// The free list holds whole, empty, standard-size chunks, none of
+	// them also in use.
+	inUse := map[*byte]bool{}
+	for _, k := range s.chunks {
+		inUse[unsafe.SliceData(k.buf)] = true
+	}
+	for i, b := range s.free {
+		if len(b) != 0 || cap(b) != replyChunkSize {
+			t.Fatalf("free chunk %d has len %d cap %d, want 0 and %d", i, len(b), cap(b), replyChunkSize)
+		}
+		if inUse[unsafe.SliceData(b)] {
+			t.Fatalf("free chunk %d is also being filled or listed twice", i)
+		}
+		inUse[unsafe.SliceData(b)] = true
+	}
 	// FIFO on both sides: the oldest entry lives in the oldest chunk.
 	if len(s.ring) == s.cap {
 		if f := s.ring[s.head].frame; len(f) > 0 {
@@ -87,10 +102,7 @@ func arenaChunks(c *ReplyCache) (n int) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.chunks)
-		if s.spare != nil {
-			n++
-		}
+		n += len(s.chunks) + len(s.free)
 		s.mu.Unlock()
 	}
 	return n
@@ -144,8 +156,9 @@ func TestReplyCacheReplayIsOwnBytesOrReexecution(t *testing.T) {
 	if c.Len() != capacity {
 		t.Fatalf("Len = %d after %d keys, want the capacity %d", c.Len(), keys, capacity)
 	}
-	// The arena holds the retained bytes, each chunk's unused tail, and
-	// at most one spare — not every reply it ever saw.
+	// The arena holds no more chunks than were ever in use at once (at
+	// most one per retained reply, and the one the next reply opened
+	// before its eviction retired another) — not every reply it ever saw.
 	if n := arenaChunks(c); n > capacity+1 {
 		t.Fatalf("arena holds %d chunks for %d retained replies", n, capacity)
 	}
@@ -420,7 +433,7 @@ func TestReplyCacheFlushReleasesArena(t *testing.T) {
 }
 
 // TestReplyCacheDoSteadyStateNoAllocs: once the ring has wrapped — slab
-// at capacity, a spare chunk on hand — a call through the cache
+// at capacity, a retired chunk on hand — a call through the cache
 // allocates nothing: no entry, no channel, no retained copy.
 func TestReplyCacheDoSteadyStateNoAllocs(t *testing.T) {
 	if raceEnabled {
@@ -453,5 +466,61 @@ func TestReplyCacheDoSteadyStateNoAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("a replay allocates %.2f times, want 0", allocs)
+	}
+}
+
+// TestReplyCacheMixedSizesNoChunkAllocs: the benchmark's reply mix, 16 B
+// to 8 KiB, in the order that defeats a single spare chunk — a run of
+// large replies, which fills a chunk every eight completions, then a run
+// of small ones, whose evictions retire those chunks far faster than
+// the run fills one. Once the arena has seen a whole period it makes no
+// further chunk, bar the one its high-water mark may still creep by as
+// the fill mark drifts against the period: every other chunk in use or
+// free afterwards existed after warm-up (a single spare made six new
+// ones per period here). Chunks are counted by identity: AllocsPerRun
+// rounds one 64 KiB chunk per few hundred calls down to zero.
+func TestReplyCacheMixedSizesNoChunkAllocs(t *testing.T) {
+	const capacity = 64
+	const period = 4 * capacity
+	c := NewReplyCacheSharded(capacity, 2)
+	sizes := [...]int{8200, 8200, 8200, 4100, 8200, 8200, 1700, 8200, 16, 16, 40, 16, 16, 300, 16, 16}
+	var buf []byte
+	key := uint64(0)
+	run := func(calls int) {
+		for i := 0; i < calls; i++ {
+			key++
+			// The first half of a period draws from the large half of
+			// sizes, the second from the small half.
+			size := sizes[int(key%period)/(period/2)*8+int(key%8)]
+			buf, _ = c.do(key, buf[:0], func(dst []byte) []byte { return append(dst, patterned(key, size)...) })
+		}
+	}
+	chunks := func() map[*byte]bool {
+		set := map[*byte]bool{}
+		for i := range c.shards {
+			s := &c.shards[i]
+			s.mu.Lock()
+			for _, k := range s.chunks {
+				set[unsafe.SliceData(k.buf)] = true
+			}
+			for _, b := range s.free {
+				set[unsafe.SliceData(b)] = true
+			}
+			s.mu.Unlock()
+		}
+		return set
+	}
+	run(4 * period)
+	warm := chunks()
+	run(64 * capacity)
+	fresh := 0
+	for p := range chunks() {
+		if !warm[p] {
+			fresh++
+		}
+	}
+	if fresh > 1 {
+		t.Fatalf("%d of the arena's chunks were allocated after warm-up, over %d completions; the %d that existed then should have been recycled",
+			fresh, 64*capacity, len(warm))
 	}
 }

@@ -445,16 +445,19 @@ func (r *RobustConn) sleep(ctx context.Context, d time.Duration) error {
 // bookkeeping. [idempotent] operations never reach the cache at all.
 //
 // The cache owns the memory it retains, and a call in steady state
-// allocates none of it. Per shard, completed entries sit by value in a
-// ring slab in completion order, found through index; their reply bytes
-// are bump-allocated from an arena of fixed-size chunks filled in that
-// same order. Eviction takes the ring's oldest entry, which is also the
-// arena's oldest bytes, so a chunk is recycled exactly when its last
-// entry is evicted. Slab and arena grow on demand — nothing is sized by
-// the capacity up front — and the arena never holds more than the
-// retained entries' bytes, the unused tail of each chunk, and one spare
-// chunk per shard. Arena bytes never leave the cache: a replay is
-// copied into the caller's buffer under the shard lock.
+// allocates none of it, whatever the mix of reply sizes. Per shard,
+// completed entries sit by value in a ring slab in completion order,
+// found through index; their reply bytes are bump-allocated from an
+// arena of fixed-size chunks filled in that same order. Eviction takes
+// the ring's oldest entry, which is also the arena's oldest bytes, so a
+// chunk is recycled exactly when its last entry is evicted, onto a per-shard free list the next refill takes
+// from: a run of small replies evicting large ones retires many chunks
+// per chunk it fills, and the large run that follows wants them all
+// back. Slab and arena grow on demand — nothing is sized by the
+// capacity up front — and a shard never holds more chunks, filled and
+// free together, than its arena's high-water mark: a new one is made
+// only when none is free. Arena bytes never leave the cache: a replay
+// is copied into the caller's buffer under the shard lock.
 type ReplyCache struct {
 	shards     []replyShard
 	mask       uint64
@@ -474,7 +477,7 @@ type replyShard struct {
 	ring    []cacheEntry     // completed entries; full at len == cap, then head is the oldest
 	head    int
 	chunks  []arenaChunk // oldest first; the last is being filled
-	spare   []byte       // one retired chunk, kept for the next refill
+	free    [][]byte     // retired standard-size chunks, taken back before a new one is made
 	_       [24]byte
 }
 
@@ -645,12 +648,12 @@ func (s *replyShard) retain(key uint64, frame []byte) {
 	delete(s.index, e.key)
 	// The oldest entry lives in the oldest chunk — every chunk listed has
 	// a tenant — and a chunk it was the last tenant of is recycled, the
-	// one being filled included: alloc takes the spare straight back.
+	// one being filled included: alloc takes it straight back.
 	if k := &s.chunks[0]; k.live > 1 {
 		k.live--
 	} else {
 		if cap(k.buf) == replyChunkSize {
-			s.spare = k.buf[:0]
+			s.free = append(s.free, k.buf[:0])
 		}
 		n := copy(s.chunks, s.chunks[1:])
 		s.chunks[n] = arenaChunk{}
@@ -665,14 +668,15 @@ func (s *replyShard) retain(key uint64, frame []byte) {
 // the current one has no room for it whole.
 func (s *replyShard) alloc(frame []byte) []byte {
 	if n := len(s.chunks); n == 0 || cap(s.chunks[n-1].buf)-len(s.chunks[n-1].buf) < len(frame) {
-		buf := s.spare
-		switch {
+		var buf []byte
+		switch last := len(s.free) - 1; {
 		case len(frame) > replyChunkSize:
 			buf = make([]byte, 0, len(frame))
-		case buf == nil:
+		case last < 0:
 			buf = make([]byte, 0, replyChunkSize)
 		default:
-			s.spare = nil
+			buf, s.free[last] = s.free[last], nil
+			s.free = s.free[:last]
 		}
 		s.chunks = append(s.chunks, arenaChunk{buf: buf})
 	}
@@ -709,7 +713,7 @@ func (c *ReplyCache) Flush() int {
 			delete(s.index, s.ring[j].key)
 		}
 		n += len(s.ring)
-		s.ring, s.head, s.chunks, s.spare = nil, 0, nil, nil
+		s.ring, s.head, s.chunks, s.free = nil, 0, nil, nil
 		s.mu.Unlock()
 	}
 	return n
@@ -724,8 +728,6 @@ type SessionServer struct {
 	plan  *Plan
 	cache *ReplyCache
 	adm   *Admission // nil: no admission control
-
-	encs sync.Pool // Encoder
 }
 
 // NewSessionServer wraps disp/plan. cache may be nil, which disables
@@ -830,17 +832,14 @@ func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst 
 // exec dispatches one request body and appends a fresh reply frame to
 // dst.
 func (s *SessionServer) exec(ctx context.Context, opIdx int, body []byte, tid uint32, dst []byte) []byte {
-	enc, _ := s.encs.Get().(Encoder)
-	if enc == nil {
-		enc = s.plan.Codec.NewEncoder()
-	}
-	enc.Reset()
-	s.disp.serveMessageTraced(ctx, s.plan, opIdx, body, enc, tid)
+	f := acquireFrame()
+	enc := f.encoder(s.plan)
+	s.disp.serve(ctx, f, s.plan, opIdx, body, enc, tid, true)
 	out := enc.Bytes()
 	dst = binary.BigEndian.AppendUint32(dst, sessOK)
 	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(out))
 	dst = append(dst, out...)
-	s.encs.Put(enc)
+	releaseFrame(f)
 	return dst
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"flexrpc/internal/ir"
@@ -24,7 +23,9 @@ type Handler func(c *Call) error
 type Call struct {
 	Op *ir.Operation
 
+	idx        int // Op's index in the interface: the handler and stats slot
 	in         []Value
+	inBytes    [][]byte // request byte buffers landed unboxed; see Arg
 	inPrivate  []bool
 	outs       []Value
 	ret        Value
@@ -33,6 +34,7 @@ type Call struct {
 	opPres     *pres.OpPres
 	afterReply []func()
 	ctx        context.Context
+	frame      *Frame // the frame c is part of
 }
 
 // Context returns the context the call was dispatched under:
@@ -62,17 +64,29 @@ func (c *Call) AfterReply(fn func()) {
 // RunAfterReply runs the deferred actions; transports call it after
 // the reply has been marshaled out of server-owned storage.
 func (c *Call) RunAfterReply() {
-	for _, fn := range c.afterReply {
+	for i, fn := range c.afterReply {
 		fn()
+		c.afterReply[i] = nil
 	}
-	c.afterReply = nil
+	c.afterReply = c.afterReply[:0]
 }
 
-// Arg returns the value of parameter i (in or inout).
-func (c *Call) Arg(i int) Value { return c.in[i] }
+// Arg returns the value of parameter i (in or inout). A byte buffer
+// the request decode borrowed from the message sits unboxed in the
+// Call; Arg boxes it here, for the work function that asks — ArgBytes
+// reads it without.
+func (c *Call) Arg(i int) Value {
+	if b := c.inBytes[i]; b != nil {
+		return b
+	}
+	return c.in[i]
+}
 
 // ArgBytes returns parameter i as a byte buffer.
 func (c *Call) ArgBytes(i int) []byte {
+	if b := c.inBytes[i]; b != nil {
+		return b
+	}
 	b, _ := c.in[i].([]byte)
 	return b
 }
@@ -136,19 +150,27 @@ func (c *Call) ResultMoved() bool {
 var errNoHandler = errors.New("runtime: no handler registered")
 
 // A Dispatcher is the server half of the interpreted stubs: a
-// presentation plus a work function per operation.
+// presentation plus a work function per operation. Work functions and
+// operation presentations sit in tables indexed by operation — the
+// index space plans, stats endpoints and the wire already share — so
+// serving a call looks nothing up by name.
 type Dispatcher struct {
 	Pres     *pres.Presentation
-	handlers map[string]Handler
+	handlers []Handler      // by op index; nil = not registered
+	opPres   []*pres.OpPres // by op index
 	hooks    SpecialHooks
-	callPool sync.Pool
 	stats    *stats.Endpoint
 }
 
 // NewDispatcher creates a dispatcher serving p's interface under
 // p's presentation.
 func NewDispatcher(p *pres.Presentation) *Dispatcher {
-	return &Dispatcher{Pres: p, handlers: make(map[string]Handler)}
+	ops := p.Interface.Ops
+	d := &Dispatcher{Pres: p, handlers: make([]Handler, len(ops)), opPres: make([]*pres.OpPres, len(ops))}
+	for i := range ops {
+		d.opPres[i] = p.Op(ops[i].Name)
+	}
+	return d
 }
 
 // SetHooks installs the [special] marshal hooks used when serving
@@ -158,9 +180,30 @@ func (d *Dispatcher) SetHooks(h SpecialHooks) { d.hooks = h }
 // Hooks returns the installed hooks.
 func (d *Dispatcher) Hooks() SpecialHooks { return d.hooks }
 
-// Handle registers the work function for op.
+// Handle registers the work function for op. Naming an operation the
+// interface does not have is a programming error — no request could
+// ever reach the handler — and panics.
 func (d *Dispatcher) Handle(op string, h Handler) {
-	d.handlers[op] = h
+	d.handlers[d.mustIndex(op)] = h
+}
+
+// OpIndex returns the named operation's index in the dispatcher's
+// interface, or -1. Transports resolve it once, at bind time.
+func (d *Dispatcher) OpIndex(op string) int {
+	for i := range d.Pres.Interface.Ops {
+		if d.Pres.Interface.Ops[i].Name == op {
+			return i
+		}
+	}
+	return -1
+}
+
+func (d *Dispatcher) mustIndex(op string) int {
+	i := d.OpIndex(op)
+	if i < 0 {
+		panic(fmt.Sprintf("runtime: interface %s has no operation %q", d.Pres.Interface.Name, op))
+	}
+	return i
 }
 
 // EnableStats switches on server-side observability, creating the
@@ -236,22 +279,20 @@ func (d *Dispatcher) Invoke(c *Call) error {
 // invoke is Invoke carrying the session layer's trace id. With stats
 // disabled the extra cost is exactly the one nil check.
 func (d *Dispatcher) invoke(c *Call, tid uint32) error {
-	h, ok := d.handlers[c.Op.Name]
-	if !ok {
-		err := fmt.Errorf("%w: %s", errNoHandler, c.Op.Name)
+	h := d.handlers[c.idx]
+	if h == nil {
 		if d.stats != nil {
-			d.stats.RecordCall(d.stats.OpIndex(c.Op.Name), 0, 0, 0, stats.Failed)
+			d.stats.RecordCall(c.idx, 0, 0, 0, stats.Failed)
 		}
-		return err
+		return fmt.Errorf("%w: %s", errNoHandler, c.Op.Name)
 	}
 	if d.stats == nil {
 		return invokeRecover(h, c)
 	}
-	op := d.stats.OpIndex(c.Op.Name)
-	d.stats.Trace(tid, op, stats.StageDispatch)
+	d.stats.Trace(tid, c.idx, stats.StageDispatch)
 	t0 := time.Now()
 	err := invokeRecover(h, c)
-	d.stats.RecordCall(op, time.Since(t0), 0, 0, serverOutcome(err))
+	d.stats.RecordCall(c.idx, time.Since(t0), 0, 0, serverOutcome(err))
 	return err
 }
 
@@ -266,62 +307,24 @@ func invokeRecover(h Handler, c *Call) (err error) {
 	return h(c)
 }
 
-// NewCall prepares a Call for the named operation; transports fill
-// the inputs before Invoke.
+// NewCall prepares a Call for op, which must be one of the
+// interface's operations; transports fill the inputs before Invoke.
 func (d *Dispatcher) NewCall(op *ir.Operation) *Call {
-	n := len(op.Params)
-	return &Call{
-		Op:        op,
-		in:        make([]Value, n),
-		inPrivate: make([]bool, n),
-		outs:      make([]Value, n),
-		outBufs:   make([][]byte, n),
-		opPres:    d.Pres.Op(op.Name),
-	}
+	return NewFrame().begin(nil, d, d.mustIndex(op.Name))
 }
 
-// AcquireCall is NewCall with recycling: the Call and its slices come
-// from a pool, so the steady-state invocation path allocates nothing.
-// Pair with ReleaseCall once the call's values are no longer needed.
-func (d *Dispatcher) AcquireCall(op *ir.Operation) *Call {
-	c, _ := d.callPool.Get().(*Call)
-	if c == nil {
-		c = &Call{}
-	}
-	n := len(op.Params)
-	c.Op = op
-	c.opPres = d.Pres.Op(op.Name)
-	if cap(c.in) < n {
-		c.in = make([]Value, n)
-		c.inPrivate = make([]bool, n)
-		c.outs = make([]Value, n)
-		c.outBufs = make([][]byte, n)
-	} else {
-		c.in = c.in[:n]
-		c.inPrivate = c.inPrivate[:n]
-		c.outs = c.outs[:n]
-		c.outBufs = c.outBufs[:n]
-	}
-	return c
+// AcquireCall is NewCall by operation index with recycling: the Call
+// is part of a pooled Frame, so the steady-state invocation path
+// allocates nothing and looks nothing up. Pair with ReleaseCall once
+// the call's values are no longer needed.
+func (d *Dispatcher) AcquireCall(opIdx int) *Call {
+	return acquireFrame().begin(nil, d, opIdx)
 }
 
-// ReleaseCall returns a Call obtained from AcquireCall to the pool,
-// dropping every reference it holds so pooled storage does not pin
-// user buffers.
+// ReleaseCall returns a Call to the pool, dropping every reference it
+// holds so pooled storage does not pin user buffers.
 func (d *Dispatcher) ReleaseCall(c *Call) {
-	for i := range c.in {
-		c.in[i] = nil
-		c.inPrivate[i] = false
-		c.outs[i] = nil
-		c.outBufs[i] = nil
-	}
-	c.Op = nil
-	c.opPres = nil
-	c.ret = nil
-	c.retBuf = nil
-	c.ctx = nil
-	c.afterReply = c.afterReply[:0]
-	d.callPool.Put(c)
+	releaseFrame(c.frame)
 }
 
 // Reply status words on the wire between runtime client and
@@ -333,9 +336,9 @@ const (
 
 // ServeMessage handles one marshaled request arriving from a
 // message transport: decode under the server plan, invoke, encode
-// the reply (status word first) into enc. The Call and decoder are
-// pooled, so the steady-state path allocates only what the decoded
-// argument values themselves need.
+// the reply (status word first) into enc. The working state is one
+// pooled Frame, so the steady-state path allocates only what the
+// decoded argument values themselves need.
 func (d *Dispatcher) ServeMessage(plan *Plan, opIdx int, body []byte, enc Encoder) {
 	d.ServeMessageContext(nil, plan, opIdx, body, enc)
 }
@@ -345,63 +348,9 @@ func (d *Dispatcher) ServeMessage(plan *Plan, opIdx int, body []byte, enc Encode
 // that a session transport forwards can cancel server-side work. ctx
 // may be nil (treated as Background).
 func (d *Dispatcher) ServeMessageContext(ctx context.Context, plan *Plan, opIdx int, body []byte, enc Encoder) {
-	d.serveMessageTraced(ctx, plan, opIdx, body, enc, 0)
-}
-
-// serveMessageTraced is the message-serving core, tagged with the
-// session layer's trace id (0 = untraced).
-func (d *Dispatcher) serveMessageTraced(ctx context.Context, plan *Plan, opIdx int, body []byte, enc Encoder, tid uint32) {
-	if opIdx < 0 || opIdx >= len(plan.Ops) {
-		encodeFailure(enc, fmt.Sprintf("bad operation index %d", opIdx))
-		return
-	}
-	op := plan.Ops[opIdx]
-	dec := plan.AcquireDecoder(body)
-	call := d.AcquireCall(op.Op)
-	call.ctx = ctx
-	defer d.ReleaseCall(call)
-	defer plan.ReleaseDecoder(dec)
-	encBase := 0
-	if d.stats != nil {
-		d.stats.Decode.Add(len(body))
-		encBase = len(enc.Bytes())
-	}
-	if err := op.DecodeRequestInto(dec, call.in); err != nil {
-		encodeFailure(enc, err.Error())
-		return
-	}
-	if d.stats != nil {
-		d.stats.Trace(tid, opIdx, stats.StageServerDecode)
-	}
-	for i := range call.inPrivate {
-		// Data that crossed a protection boundary is always private.
-		call.inPrivate[i] = true
-	}
-	if err := d.invoke(call, tid); err != nil {
-		encodeFailure(enc, err.Error())
-		d.meterReply(opIdx, encBase, len(body), enc, tid)
-		return
-	}
-	enc.PutUint32(replyOK)
-	if err := op.EncodeReply(enc, call.outs, call.ret); err != nil {
-		enc.Reset()
-		encodeFailure(enc, err.Error())
-	}
-	d.meterReply(opIdx, encBase, len(body), enc, tid)
-	// The reply is marshaled: server-owned storage is free again.
-	call.RunAfterReply()
-}
-
-// meterReply records the marshaled reply once it is in enc.
-func (d *Dispatcher) meterReply(opIdx, encBase, bodyLen int, enc Encoder, tid uint32) {
-	if d.stats == nil {
-		return
-	}
-	out := len(enc.Bytes()) - encBase
-	d.stats.Encode.Add(out)
-	d.stats.AddOp(opIdx, stats.OpBytesOut, out)
-	d.stats.AddOp(opIdx, stats.OpBytesIn, bodyLen)
-	d.stats.Trace(tid, opIdx, stats.StageServerReply)
+	f := acquireFrame()
+	d.serve(ctx, f, plan, opIdx, body, enc, 0, true)
+	releaseFrame(f)
 }
 
 // ServeMessageRaw is ServeMessage for self-framing transports: no
@@ -414,38 +363,93 @@ func (d *Dispatcher) ServeMessageRaw(plan *Plan, opIdx int, body []byte, enc Enc
 // ServeMessageRawContext is ServeMessageRaw with a dispatch context
 // (see ServeMessageContext). ctx may be nil.
 func (d *Dispatcher) ServeMessageRawContext(ctx context.Context, plan *Plan, opIdx int, body []byte, enc Encoder) error {
-	if opIdx < 0 || opIdx >= len(plan.Ops) {
-		return fmt.Errorf("runtime: bad operation index %d", opIdx)
+	f := acquireFrame()
+	err := d.serve(ctx, f, plan, opIdx, body, enc, 0, false)
+	releaseFrame(f)
+	return err
+}
+
+// serve is the one message-serving path: decode body under plan into
+// f's Call, invoke, encode the reply into enc, and leave f cleared. tid
+// is the session layer's trace id (0 = untraced). With framed set the
+// reply leads with the status word and every failure is written into
+// enc as an error reply, so the result is always nil; without it
+// failures are returned for the transport's own error channel and enc
+// holds only a successful reply's body.
+func (d *Dispatcher) serve(ctx context.Context, f *Frame, plan *Plan, opIdx int, body []byte, enc Encoder, tid uint32, framed bool) error {
+	if opIdx < 0 || opIdx >= len(plan.Ops) || opIdx >= len(d.handlers) {
+		return failReply(enc, fmt.Errorf("runtime: bad operation index %d", opIdx), framed)
 	}
 	op := plan.Ops[opIdx]
-	dec := plan.AcquireDecoder(body)
-	call := d.AcquireCall(op.Op)
-	call.ctx = ctx
-	defer d.ReleaseCall(call)
-	defer plan.ReleaseDecoder(dec)
+	if ours := &d.Pres.Interface.Ops[opIdx]; op.Op != ours && op.Op.Name != ours.Name {
+		// Dispatch is by index: a plan compiled from an interface that
+		// orders its operations differently would reach the wrong handler.
+		return failReply(enc, fmt.Errorf("runtime: plan operation %d is %s, the dispatcher's is %s", opIdx, op.Op.Name, ours.Name), framed)
+	}
+	call := f.begin(ctx, d, opIdx)
 	encBase := 0
 	if d.stats != nil {
 		d.stats.Decode.Add(len(body))
 		encBase = len(enc.Bytes())
 	}
-	if err := op.DecodeRequestInto(dec, call.in); err != nil {
-		return err
+	if err := op.decodeRequestCall(f.decoder(plan, body), call); err != nil {
+		f.end()
+		return failReply(enc, err, framed)
 	}
 	if d.stats != nil {
-		d.stats.Trace(0, opIdx, stats.StageServerDecode)
+		d.stats.Trace(tid, opIdx, stats.StageServerDecode)
 	}
 	for i := range call.inPrivate {
+		// Data that crossed a protection boundary is always private.
 		call.inPrivate[i] = true
 	}
-	if err := d.Invoke(call); err != nil {
-		return err
+	err := d.invoke(call, tid)
+	invoked := err == nil
+	if invoked {
+		if framed {
+			enc.PutUint32(replyOK)
+		}
+		err = op.EncodeReply(enc, call.outs, call.ret)
 	}
-	if err := op.EncodeReply(enc, call.outs, call.ret); err != nil {
-		return err
+	if err != nil {
+		if !framed {
+			f.end()
+			return err
+		}
+		if invoked {
+			enc.Reset() // drop the partial reply
+		}
+		encodeFailure(enc, err.Error())
 	}
-	d.meterReply(opIdx, encBase, len(body), enc, 0)
-	call.RunAfterReply()
+	d.meterReply(opIdx, encBase, len(body), enc, tid)
+	if invoked {
+		// The reply is marshaled: server-owned storage is free again.
+		call.RunAfterReply()
+	}
+	f.end()
 	return nil
+}
+
+// failReply reports a request that never reached its work function:
+// in band as an error reply when framed, else as the error itself.
+func failReply(enc Encoder, err error, framed bool) error {
+	if !framed {
+		return err
+	}
+	encodeFailure(enc, err.Error())
+	return nil
+}
+
+// meterReply records the marshaled reply once it is in enc.
+func (d *Dispatcher) meterReply(opIdx, encBase, bodyLen int, enc Encoder, tid uint32) {
+	if d.stats == nil {
+		return
+	}
+	out := len(enc.Bytes()) - encBase
+	d.stats.Encode.Add(out)
+	d.stats.AddOp(opIdx, stats.OpBytesOut, out)
+	d.stats.AddOp(opIdx, stats.OpBytesIn, bodyLen)
+	d.stats.Trace(tid, opIdx, stats.StageServerReply)
 }
 
 func encodeFailure(enc Encoder, msg string) {

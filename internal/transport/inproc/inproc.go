@@ -66,6 +66,7 @@ func (c *Conn) Stats() *stats.Snapshot { return c.stats.Snapshot() }
 type opBind struct {
 	op     *ir.Operation
 	idx    int // interface op index — the shared stats op-index space
+	sidx   int // the operation's index in the dispatcher's interface
 	params []paramBind
 	nOut   int // out/inout param count
 
@@ -99,7 +100,7 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher) (*Conn, er
 	for i := range clientPres.Interface.Ops {
 		irOp := &clientPres.Interface.Ops[i]
 		b := c.compileOp(irOp)
-		b.idx = i
+		b.idx, b.sidx = i, disp.OpIndex(irOp.Name)
 		c.binds[irOp.Name] = b
 	}
 	return c, nil
@@ -192,8 +193,7 @@ func (c *Conn) invoke(ctx context.Context, op string, args []runtime.Value, outB
 }
 
 func (c *Conn) invokeBound(ctx context.Context, b *opBind, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
-
-	call := c.disp.AcquireCall(b.op)
+	call := c.disp.AcquireCall(b.sidx)
 	if ctx != nil {
 		call.SetContext(ctx)
 	}

@@ -73,6 +73,16 @@ type Bound struct {
 
 	scratch []byte // server-side gather buffer for spilled requests
 
+	// Marshal working state, owned rather than pooled because the calls
+	// are already serialised: reqEnc and cdec by whoever holds mu (the
+	// client half), frame and repEnc by whoever serves — the same holder
+	// under inline dispatch, the doorbell goroutine otherwise. An arena
+	// encoder is nil when the codec cannot target an arena, cdec when its
+	// decoders cannot be re-aimed; those messages are staged per call.
+	reqEnc, repEnc runtime.ArenaEncoder
+	cdec           runtime.ReusableDecoder
+	frame          *runtime.Frame
+
 	stats  *stats.Endpoint
 	closed atomic.Bool
 	done   chan struct{} // doorbell server goroutine exit
@@ -80,6 +90,7 @@ type Bound struct {
 
 type boundOp struct {
 	idx    int
+	sidx   int // the operation's index in the dispatcher's interface
 	cop    *runtime.OpPlan
 	direct bool // no marshal steps on either path: dispatch directly
 }
@@ -116,7 +127,11 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 		splan:  splan,
 		byName: make(map[string]int),
 		done:   make(chan struct{}),
+		frame:  runtime.NewFrame(),
 	}
+	b.reqEnc, _ = cplan.NewArenaEncoder()
+	b.repEnc, _ = splan.NewArenaEncoder()
+	b.cdec, _ = cplan.NewDecoder(nil).(runtime.ReusableDecoder)
 	// The combination signature: trust is the minimum both sides
 	// extend; naming is relaxed only when neither endpoint relies on
 	// the unique-name invariant for any port parameter.
@@ -126,6 +141,7 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 	for i, op := range cplan.Ops {
 		b.binds = append(b.binds, boundOp{
 			idx:    i,
+			sidx:   disp.OpIndex(op.Op.Name),
 			cop:    op,
 			direct: op.RequestSteps() == 0 && op.ReplySteps() == 0,
 		})
@@ -270,7 +286,7 @@ func (b *Bound) invokeBound(ctx context.Context, idx int, args []runtime.Value, 
 	if b.inline && bop.direct {
 		// Nothing to marshal in either direction: the bound call is a
 		// plain dispatch, no arena, no lock.
-		call := b.disp.AcquireCall(bop.cop.Op)
+		call := b.disp.AcquireCall(bop.sidx)
 		if ctx != nil {
 			call.SetContext(ctx)
 		}
@@ -298,7 +314,7 @@ func (b *Bound) invokeBound(ctx context.Context, idx int, args []runtime.Value, 
 // argument) and validation is elided.
 func (b *Bound) invokeInline(ctx context.Context, bop *boundOp, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
 	body := b.reqArena
-	n, err := bop.cop.EncodeRequestArena(b.reqArena, args)
+	n, err := b.encodeRequest(bop, b.reqArena, args)
 	switch {
 	case err == nil:
 		body = b.reqArena[:n]
@@ -312,34 +328,57 @@ func (b *Bound) invokeInline(ctx context.Context, bop *boundOp, args []runtime.V
 	default:
 		return nil, nil, err
 	}
-	renc, ok := b.splan.AcquireArenaEncoder(b.repArena)
-	if !ok {
-		renc = nil
-	}
-	var reply []byte
-	if renc != nil {
-		err = b.disp.ServeMessageRawContext(ctx, b.splan, bop.idx, body, renc)
-		reply = renc.Bytes()
-	} else {
-		henc := b.splan.Codec.NewEncoder()
-		err = b.disp.ServeMessageRawContext(ctx, b.splan, bop.idx, body, henc)
-		reply = henc.Bytes()
-	}
+	renc := b.replyEncoder(b.repArena)
+	err = b.frame.ServeMessageRawContext(ctx, b.disp, b.splan, bop.idx, body, renc)
 	if err != nil {
-		if renc != nil {
-			b.splan.ReleaseArenaEncoder(renc)
-		}
+		b.dropReply()
 		return nil, nil, err
 	}
 	// An oversized reply reallocated off the arena; the bytes are
 	// still valid either way, so no length check is needed inline.
-	dec := b.cplan.AcquireDecoder(reply)
-	outs, ret, derr := bop.cop.DecodeReply(dec, outBufs, retBuf)
-	b.cplan.ReleaseDecoder(dec)
-	if renc != nil {
-		b.splan.ReleaseArenaEncoder(renc)
-	}
+	outs, ret, derr := bop.cop.DecodeReply(b.replyDecoder(renc.Bytes()), outBufs, retBuf)
+	b.dropReply()
 	return outs, ret, derr
+}
+
+// encodeRequest produces the request into arena through the binding's
+// own encoder. A codec that cannot target an arena reads as an
+// overflow: every caller stages the message then.
+func (b *Bound) encodeRequest(bop *boundOp, arena []byte, args []runtime.Value) (int, error) {
+	if b.reqEnc == nil {
+		return 0, runtime.ErrArenaOverflow
+	}
+	return bop.cop.EncodeRequestArena(b.reqEnc, arena, args)
+}
+
+// replyEncoder aims the server half's encoder at arena, or stages in
+// heap storage when the codec cannot target one.
+func (b *Bound) replyEncoder(arena []byte) runtime.Encoder {
+	if b.repEnc == nil {
+		return b.splan.Codec.NewEncoder()
+	}
+	b.repEnc.ResetArena(arena)
+	return b.repEnc
+}
+
+// replyDecoder aims the client half's decoder at reply.
+func (b *Bound) replyDecoder(reply []byte) runtime.Decoder {
+	if b.cdec == nil {
+		return b.cplan.NewDecoder(reply)
+	}
+	b.cdec.Reset(reply)
+	return b.cdec
+}
+
+// dropReply ends an inline call: neither half keeps a reference to the
+// reply, which a spill put in heap storage.
+func (b *Bound) dropReply() {
+	if b.repEnc != nil {
+		b.repEnc.ResetArena(nil)
+	}
+	if b.cdec != nil {
+		b.cdec.Reset(nil)
+	}
 }
 
 // invokeDoorbell publishes the request through the doorbell handoff
@@ -386,7 +425,7 @@ func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Va
 		if err != nil {
 			return 0, err
 		}
-		n, err := bop.cop.EncodeRequestArena(arena[headerSize:], args)
+		n, err := b.encodeRequest(bop, arena[headerSize:], args)
 		if errors.Is(err, runtime.ErrArenaOverflow) {
 			return b.spillRequest(ctx, bop, args)
 		}
@@ -405,7 +444,7 @@ func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Va
 	// Trusted: the cached arena is written directly; ownership ops and
 	// checksums are elided, only the header's op and length words are
 	// produced for the peer.
-	n, err := bop.cop.EncodeRequestArena(b.reqArena[headerSize:], args)
+	n, err := b.encodeRequest(bop, b.reqArena[headerSize:], args)
 	if errors.Is(err, runtime.ErrArenaOverflow) {
 		return b.spillRequest(ctx, bop, args)
 	}
@@ -475,8 +514,14 @@ func (b *Bound) receiveReply(bop *boundOp, ref uint64, outBufs [][]byte, retBuf 
 }
 
 func (b *Bound) decodeFramedReply(bop *boundOp, reply []byte, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
-	dec := b.cplan.AcquireDecoder(reply)
-	defer b.cplan.ReleaseDecoder(dec)
+	outs, ret, err := decodeFramed(bop.cop, b.replyDecoder(reply), outBufs, retBuf)
+	if b.cdec != nil {
+		b.cdec.Reset(nil) // the reply's slots go back to the peer
+	}
+	return outs, ret, err
+}
+
+func decodeFramed(cop *runtime.OpPlan, dec runtime.Decoder, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
 	status, err := dec.Uint32()
 	if err != nil {
 		return nil, nil, fmt.Errorf("shmring: truncated reply: %w", err)
@@ -488,7 +533,7 @@ func (b *Bound) decodeFramedReply(bop *boundOp, reply []byte, outBufs [][]byte, 
 		}
 		return nil, nil, &runtime.RemoteError{Msg: msg}
 	}
-	return bop.cop.DecodeReply(dec, outBufs, retBuf)
+	return cop.DecodeReply(dec, outBufs, retBuf)
 }
 
 // poison marks the binding unusable and wakes everything.
@@ -576,14 +621,15 @@ func (b *Bound) serveOne(ref uint64) error {
 // before the reply doorbell rings.
 func (b *Bound) replyOne(op uint32, body []byte, recycle func() error) error {
 	r := b.ring
-	if !b.trusted && !b.nonUnique {
-		// Unique naming: the reply, too, travels as a name-table frame.
+	if (!b.trusted && !b.nonUnique) || b.repEnc == nil {
+		// Unique naming: the reply, too, travels as a name-table frame
+		// (as does any reply of a codec that cannot target an arena).
 		henc := b.splan.Codec.NewEncoder()
-		b.disp.ServeMessageContext(nil, b.splan, int(op), body, henc)
+		b.frame.ServeMessageContext(nil, b.disp, b.splan, int(op), body, henc)
 		if err := recycle(); err != nil {
 			return err
 		}
-		return b.publishReply(op, henc.Bytes(), nil)
+		return b.publishReply(op, henc.Bytes())
 	}
 	var arena []byte
 	if b.trusted {
@@ -594,47 +640,36 @@ func (b *Bound) replyOne(op uint32, body []byte, recycle func() error) error {
 			return err
 		}
 	}
-	renc, ok := b.splan.AcquireArenaEncoder(arena[headerSize:])
-	if !ok {
-		henc := b.splan.Codec.NewEncoder()
-		b.disp.ServeMessageContext(nil, b.splan, int(op), body, henc)
-		if err := recycle(); err != nil {
-			return err
-		}
-		return b.publishReply(op, henc.Bytes(), nil)
-	}
-	b.disp.ServeMessageContext(nil, b.splan, int(op), body, renc)
-	encoded := renc.Bytes()
+	b.repEnc.ResetArena(arena[headerSize:])
+	b.frame.ServeMessageContext(nil, b.disp, b.splan, int(op), body, b.repEnc)
+	encoded := b.repEnc.Bytes()
+	// Whatever happens next the encoder is done with the slot (and with
+	// the heap storage an oversized reply landed in).
+	b.repEnc.ResetArena(nil)
 	if err := recycle(); err != nil {
-		b.splan.ReleaseArenaEncoder(renc)
 		return err
 	}
-	if n, err := runtime.ArenaLen(arena[headerSize:], encoded); err == nil {
-		putHeader(arena, op, uint32(n), 0)
-		if !b.trusted {
-			if err := b.repSlot.SetProduced(r.server, headerSize+n); err != nil {
-				b.splan.ReleaseArenaEncoder(renc)
-				return err
-			}
-			if err := b.repSlot.Transfer(r.server, r.client, false); err != nil {
-				b.splan.ReleaseArenaEncoder(renc)
-				return err
-			}
-		}
-		b.splan.ReleaseArenaEncoder(renc)
-		r.repBell.ring(stateRep, 0)
-		return nil
+	n, err := runtime.ArenaLen(arena[headerSize:], encoded)
+	if err != nil {
+		// Oversized reply: the encode landed in heap storage; splice it
+		// across pool slots without re-dispatching.
+		return b.publishReply(op, encoded)
 	}
-	// Oversized reply: the encode landed in heap storage; splice it
-	// across pool slots without re-dispatching.
-	return b.publishReply(op, encoded, renc)
+	putHeader(arena, op, uint32(n), 0)
+	if !b.trusted {
+		if err := b.repSlot.SetProduced(r.server, headerSize+n); err != nil {
+			return err
+		}
+		if err := b.repSlot.Transfer(r.server, r.client, false); err != nil {
+			return err
+		}
+	}
+	r.repBell.ring(stateRep, 0)
+	return nil
 }
 
-func (b *Bound) publishReply(op uint32, frame []byte, renc runtime.ArenaEncoder) error {
+func (b *Bound) publishReply(op uint32, frame []byte) error {
 	head, _, err := b.ring.writeMessage(nil, b.ring.server, b.ring.client, op, frame)
-	if renc != nil {
-		b.splan.ReleaseArenaEncoder(renc)
-	}
 	if err != nil {
 		return err
 	}

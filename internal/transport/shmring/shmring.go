@@ -494,6 +494,12 @@ type Server struct {
 	scratch []byte
 	frame   []byte // session reply frame under construction (ServeSession)
 	bufs    []*fbuf.Buffer
+
+	// The serve loop is one goroutine, so it owns its marshal state:
+	// the arena encoder replies are produced through (nil when the codec
+	// cannot target an arena) and the call frame requests are served in.
+	enc  runtime.ArenaEncoder
+	work *runtime.Frame
 }
 
 // New creates a connected client/server pair over a default-geometry
@@ -514,7 +520,8 @@ func NewWithConfig(disp *runtime.Dispatcher, plan *runtime.Plan, cfg Config) (*C
 		return nil, nil, err
 	}
 	r := newRing(cfg)
-	return &Conn{r: r}, &Server{r: r, disp: disp, plan: plan}, nil
+	enc, _ := plan.NewArenaEncoder()
+	return &Conn{r: r}, &Server{r: r, disp: disp, plan: plan, enc: enc, work: runtime.NewFrame()}, nil
 }
 
 // SetStats points the connection's wire meter at e; every frame is
@@ -636,7 +643,7 @@ func (s *Server) serve(ctx context.Context, sess *runtime.SessionServer) error {
 		s.bufs = bufs
 		if sess != nil {
 			s.frame = sess.HandleAppend(ctx, int(op), body, s.frame[:0])
-			err = s.publish(ctx, op, s.frame, nil)
+			err = s.publish(ctx, op, s.frame)
 		} else {
 			err = s.replyServe(ctx, op, body)
 		}
@@ -654,6 +661,13 @@ func (s *Server) serve(ctx context.Context, sess *runtime.SessionServer) error {
 // spill into a spliced multi-slot frame.
 func (s *Server) replyServe(ctx context.Context, op uint32, body []byte) error {
 	r := s.r
+	if s.enc == nil {
+		// Codec cannot target an arena: stage in a heap encoder and
+		// copy into slots.
+		henc := s.plan.Codec.NewEncoder()
+		s.work.ServeMessageContext(ctx, s.disp, s.plan, int(op), body, henc)
+		return s.publish(ctx, op, henc.Bytes())
+	}
 	rep, err := r.path.AllocBlockingContext(ctx, r.server)
 	if err != nil {
 		return err
@@ -663,47 +677,36 @@ func (s *Server) replyServe(ctx context.Context, op uint32, body []byte) error {
 		rep.Free(r.server)
 		return err
 	}
-	enc, ok := s.plan.AcquireArenaEncoder(arena[headerSize:])
-	if !ok {
-		// Codec cannot target an arena: stage in a heap encoder and
-		// copy into slots.
+	s.enc.ResetArena(arena[headerSize:])
+	s.work.ServeMessageContext(ctx, s.disp, s.plan, int(op), body, s.enc)
+	encoded := s.enc.Bytes()
+	s.enc.ResetArena(nil)
+	n, err := runtime.ArenaLen(arena[headerSize:], encoded)
+	if err != nil {
+		// Spill: the encode outgrew the slot and landed in heap storage;
+		// the bytes are still valid, so no re-dispatch is needed.
 		rep.Free(r.server)
-		henc := s.plan.Codec.NewEncoder()
-		s.disp.ServeMessageContext(ctx, s.plan, int(op), body, henc)
-		return s.publish(ctx, op, henc.Bytes(), nil)
+		return s.publish(ctx, op, encoded)
 	}
-	s.disp.ServeMessageContext(ctx, s.plan, int(op), body, enc)
-	encoded := enc.Bytes()
-	if n, err := runtime.ArenaLen(arena[headerSize:], encoded); err == nil {
-		// The reply was produced in place: frame it and hand the slot
-		// over without touching the bytes again.
-		putHeader(arena, op, uint32(n), 0)
-		err = rep.SetProduced(r.server, headerSize+n)
-		if err == nil {
-			err = rep.Transfer(r.server, r.client, false)
-		}
-		s.plan.ReleaseArenaEncoder(enc)
-		if err != nil {
-			rep.Free(r.server)
-			return err
-		}
-		r.repBell.ring(stateRep, uint64(rep.ID()))
-		return nil
+	// The reply was produced in place: frame it and hand the slot
+	// over without touching the bytes again.
+	putHeader(arena, op, uint32(n), 0)
+	err = rep.SetProduced(r.server, headerSize+n)
+	if err == nil {
+		err = rep.Transfer(r.server, r.client, false)
 	}
-	// Spill: the encode outgrew the slot and landed in heap storage;
-	// the bytes are still valid, so no re-dispatch is needed.
-	rep.Free(r.server)
-	err = s.publish(ctx, op, encoded, enc)
-	return err
+	if err != nil {
+		rep.Free(r.server)
+		return err
+	}
+	r.repBell.ring(stateRep, uint64(rep.ID()))
+	return nil
 }
 
 // publish writes body as a frame to the client and rings the reply
-// doorbell. enc, when non-nil, is released after body is consumed.
-func (s *Server) publish(ctx context.Context, op uint32, body []byte, enc runtime.ArenaEncoder) error {
+// doorbell.
+func (s *Server) publish(ctx context.Context, op uint32, body []byte) error {
 	head, _, err := s.r.writeMessage(ctx, s.r.server, s.r.client, op, body)
-	if enc != nil {
-		s.plan.ReleaseArenaEncoder(enc)
-	}
 	if err != nil {
 		return err
 	}
