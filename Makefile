@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test vet-examples vet-go certify golden
+.PHONY: ci fmt-check vet build test vet-examples vet-go certify surface golden
 
 ci:
 	./ci.sh
@@ -38,6 +38,11 @@ vet-go:
 # Plan certificates must reproduce their checked-in goldens.
 certify:
 	./ci.sh certify
+
+# The uncalled-surface gate: nothing under internal/ without a caller
+# outside tests, or a reasoned line in surface.allow.
+surface:
+	./ci.sh surface
 
 # Regenerate the analyzer's golden diagnostic files and the plan
 # certificates after an intentional change.

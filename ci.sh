@@ -53,7 +53,7 @@ vet_go() {
 		rm -f "$out"
 		exit 1
 	fi
-	for id in FV017 FV018 FV019 FV020 FV023; do
+	for id in FV017 FV018 FV020 FV023; do
 		if ! grep -q "\"id\": *\"$id\"" "$out"; then
 			echo "seeded violation $id in examples/vetgo not detected:"
 			cat "$out"
@@ -217,6 +217,16 @@ alloc_gates() {
 	go test -count=1 -run "$pattern" ./...
 }
 
+surface() {
+	# The uncalled-surface gate alone: every package-level name and
+	# method under internal/ must have a caller in a non-test file of
+	# the module, bench/ or generated stubs, or a reasoned line in
+	# surface.allow. The full gate reaches it through `go test ./...`;
+	# -v prints what each allowlist line keeps.
+	echo "go test -count=1 -v -run 'TestSurface' ./internal/analyze/gocheck"
+	go test -count=1 -v -run 'TestSurface' ./internal/analyze/gocheck
+}
+
 bench_smoke() {
 	# bench/ is its own module, so `go test ./...` from the root never
 	# reaches it: its smoke test runs every workload once, checks the
@@ -326,10 +336,11 @@ netpoll-smoke) netpoll_smoke ;;
 netpoll-stress) netpoll_stress ;;
 alloc-gates) alloc_gates ;;
 frame-race) frame_race ;;
+surface) surface ;;
 bench-smoke) bench_smoke ;;
 figures) figures ;;
 *)
-	echo "ci.sh: unknown stage '$1'; stages: vet-examples vet-go certify [-update] fuzz-smoke flexload-smoke netpoll-smoke netpoll-stress alloc-gates frame-race bench-smoke figures (no argument runs them all)" >&2
+	echo "ci.sh: unknown stage '$1'; stages: vet-examples vet-go certify [-update] fuzz-smoke flexload-smoke netpoll-smoke netpoll-stress alloc-gates frame-race surface bench-smoke figures (no argument runs them all)" >&2
 	exit 2
 	;;
 esac

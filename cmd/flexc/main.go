@@ -245,6 +245,9 @@ flags:
 		for _, ci := range analyze.Checks() {
 			fmt.Fprintf(stdout, "%s %-28s %-8s %s\n", ci.ID, ci.Title, ci.Severity, ci.Doc)
 		}
+		for _, r := range analyze.Retired {
+			fmt.Fprintf(stdout, "%s %-28s %-8s %s\n", r.ID, "(retired)", "-", r.Reason)
+		}
 		return nil
 	}
 	sty, err := parseStyle(*style)

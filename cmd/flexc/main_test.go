@@ -396,6 +396,12 @@ func TestVetListRegistry(t *testing.T) {
 			t.Errorf("registry listing missing %s", id)
 		}
 	}
+	// Consumers keyed on IDs are told which ones stopped firing.
+	for _, id := range []string{"FV013", "FV015", "FV019", "FV022"} {
+		if !strings.Contains(out.String(), id+" (retired)") {
+			t.Errorf("registry listing does not mark %s retired", id)
+		}
+	}
 }
 
 // The analyzer is dialect-agnostic: the same checks fire no matter

@@ -82,7 +82,7 @@ func (h *handClient) Read(count uint32) ([]byte, error) {
 	if err := h.call(0); err != nil {
 		return nil, err
 	}
-	return h.dec.OpaqueCopy()
+	return h.dec.OpaqueInto(nil)
 }
 
 func (h *handClient) Write(data []byte) error {

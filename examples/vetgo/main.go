@@ -10,9 +10,8 @@
 //	    ./examples/vetgo
 //
 // expects findings FV017 (borrow escape), FV018 (impure [idempotent]
-// handler), FV019 (pooled bind without StepHooks), FV020 (dropped
-// context) and FV023 (netpoll-mode record borrow escape) — all in
-// this file.
+// handler), FV020 (dropped context) and FV023 (netpoll-mode record
+// borrow escape) — all in this file.
 package main
 
 import (
@@ -71,25 +70,6 @@ func register(disp *flexrpc.Dispatcher, b backend) {
 		c.SetResult(data)
 		return nil
 	})
-}
-
-// plainHooks implements SpecialHooks but not the re-entrant StepHooks
-// the pooled client requires.
-type plainHooks struct{}
-
-func (plainHooks) EncodeSpecial(op, param string, enc flexrpc.Encoder, v flexrpc.Value) error {
-	return nil
-}
-
-func (plainHooks) DecodeSpecial(op, param string, dec flexrpc.Decoder) (flexrpc.Value, error) {
-	return nil, nil
-}
-
-// bindPooled is the seeded FV019: the runtime rejects these hooks at
-// bind time, but the analyzer flags the call site before anything
-// runs.
-func bindPooled(p *flexrpc.Presentation, conn flexrpc.Conn) (*flexrpc.Client, error) {
-	return flexrpc.NewParallelClient(p, flexrpc.XDRCodec, conn, plainHooks{}) // FV019
 }
 
 // lastRecord retains decoder bytes from the raw Sun RPC handler below
@@ -152,15 +132,6 @@ func main() {
 		fmt.Printf("vg_fetch -> %q (looks fine; ignores the caller's deadline)\n", ret)
 	}
 
-	// The pooled bind even succeeds here: the runtime only rejects
-	// plain hooks once a [special] parameter needs them, so the
-	// mistake waits for the contract to grow one. The analyzer flags
-	// the call site today.
-	if _, err := bindPooled(compiled.Pres, nil); err != nil {
-		fmt.Println("pooled bind rejected at runtime:", err)
-	} else {
-		fmt.Println("pooled bind accepted (until a [special] parameter appears)")
-	}
 	// The raw Sun RPC server builds cleanly too: serial traffic would
 	// never expose the retained record bytes — only netpoll-mode
 	// concurrency does, which is exactly when no test is watching.

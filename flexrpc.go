@@ -124,13 +124,6 @@ type (
 	// SpecialHooks are programmer-supplied marshal routines for
 	// [special] parameters.
 	SpecialHooks = runtime.SpecialHooks
-	// StepHooks are bind-time compiled (and re-entrant) [special]
-	// marshal hooks, required by NewParallelClient.
-	StepHooks = runtime.StepHooks
-	// EncodeStepFn is one compiled marshal step.
-	EncodeStepFn = runtime.EncodeStepFn
-	// DecodeStepFn is one compiled unmarshal step.
-	DecodeStepFn = runtime.DecodeStepFn
 	// Conn is a client-side message transport connection.
 	Conn = runtime.Conn
 	// Encoder appends wire-format primitives ([special] hooks marshal
@@ -396,14 +389,6 @@ func NewDispatcher(p *Presentation) *Dispatcher { return runtime.NewDispatcher(p
 // connection.
 func NewClient(p *Presentation, codec Codec, conn runtime.Conn, hooks SpecialHooks) (*Client, error) {
 	return runtime.NewClient(p, codec, conn, hooks)
-}
-
-// NewParallelClient builds a client whose Invoke is safe for
-// concurrent use without a global mutex: per-call marshal state is
-// pooled, and [special] hooks must implement StepHooks (re-entrant
-// bind-time steps) — enforced at bind time.
-func NewParallelClient(p *Presentation, codec Codec, conn runtime.Conn, hooks SpecialHooks) (*Client, error) {
-	return runtime.NewParallelClient(p, codec, conn, hooks)
 }
 
 // ConnectInProc binds a client presentation to a dispatcher in the

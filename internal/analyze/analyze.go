@@ -44,14 +44,6 @@ type Endpoint struct {
 	// Label names the endpoint in cross-endpoint messages; defaults
 	// to "endpoint1", "endpoint2", ...
 	Label string
-	// PooledClient reports that the endpoint is bound through the
-	// pooled parallel client (runtime.NewParallelClient), whose
-	// recycled per-call state requires re-entrant marshal hooks.
-	PooledClient bool
-	// Hooks is the SpecialHooks implementation the endpoint binds
-	// with, if any; FV013 checks it against runtime.StepHooks when
-	// PooledClient is set and a parameter is [special].
-	Hooks any
 }
 
 // IsNetworkTransport reports whether the named transport crosses a

@@ -327,19 +327,23 @@ func TestRegistryCoversAllReportedIDs(t *testing.T) {
 	}
 }
 
-// TestJSONRendering: -json output is machine readable and never null.
+// TestJSONRendering: -json output is machine readable, one object per
+// line, and empty when there is nothing to report.
 func TestJSONRendering(t *testing.T) {
-	out, err := analyze.RenderJSON(nil)
-	if err != nil || string(out) != "[]" {
+	out, err := analyze.RenderLines(nil)
+	if err != nil || len(out) != 0 {
 		t.Fatalf("empty = %s, %v", out, err)
 	}
 	iface := compileIface(t)
 	diags := analyze.Check(iface, endpoint(t, iface, `interface FileIO { write([nonunique] data); };`))
-	out, err = analyze.RenderJSON(diags)
+	out, err = analyze.RenderLines(diags)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"id": "FV011"`, `"severity": "error"`, `"file": "ep.pdl"`, `"fix"`} {
+	if n := strings.Count(string(out), "\n"); n != len(diags) {
+		t.Errorf("%d lines for %d findings:\n%s", n, len(diags), out)
+	}
+	for _, want := range []string{`"id":"FV011"`, `"severity":"error"`, `"file":"ep.pdl"`, `"fix"`} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("json missing %s:\n%s", want, out)
 		}

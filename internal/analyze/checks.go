@@ -103,27 +103,6 @@ var registry = map[string]CheckInfo{
 		Doc: "Allocation annotations govern buffer storage; scalars are copied by " +
 			"value and have no storage to manage.",
 	},
-	"FV013": {
-		ID: "FV013", Title: "pooled-client-needs-step-hooks", Severity: SevWarning,
-		Fix: "implement runtime.StepHooks (EncodeStep/DecodeStep) on the endpoint's hooks, or bind through the serial client",
-		Doc: "A presentation with [special] parameters is bound through the pooled " +
-			"parallel client, whose recycled per-call state runs marshal hooks " +
-			"concurrently: the hooks must implement the bind-time step interface " +
-			"(runtime.StepHooks), which also declares them re-entrant. " +
-			"NewParallelClient rejects plain SpecialHooks at bind time; this check " +
-			"flags the mismatch before it gets there.",
-	},
-	"FV015": {
-		ID: "FV015", Title: "traced-special-allocates-on-pooled-path", Severity: SevWarning,
-		Fix: "drop [traced] from the [special] parameter, meter at the transport's wire meter instead, or bind through the serial client",
-		Doc: "[traced] meters a parameter by snapshotting the encoder position " +
-			"around its marshal step. A [special] hook is opaque user code, so " +
-			"the meter cannot piggyback on the compiled step's size knowledge; " +
-			"on the pooled parallel client, whose per-call encoder state is " +
-			"recycled concurrently, the wrapper must take a defensive buffer " +
-			"snapshot per call — an allocation on the otherwise zero-alloc " +
-			"pooled path.",
-	},
 	"FV016": {
 		ID: "FV016", Title: "batchable-copies-frames", Severity: SevWarning,
 		Fix: "drop [batchable], or remove the [special] hook / ownership-moving annotation from the operation",
@@ -158,16 +137,6 @@ var registry = map[string]CheckInfo{
 			"contradicting the annotation. Non-idempotent operations go " +
 			"through the (cid,seq) reply cache instead, which executes once.",
 	},
-	"FV019": {
-		ID: "FV019", Title: "pooled-bind-without-step-hooks", Severity: SevWarning,
-		Fix: "implement runtime.StepHooks (EncodeStep/DecodeStep) on the hooks value passed to NewParallelClient",
-		Doc: "A call site binds hooks through runtime.NewParallelClient whose " +
-			"concrete type implements SpecialHooks but not the re-entrant " +
-			"bind-time StepHooks interface the pooled client requires — the " +
-			"Go-code complement of FV013, which sees only the presentation " +
-			"side. NewParallelClient rejects the bind at runtime; this flags " +
-			"the call site at vet time.",
-	},
 	"FV020": {
 		ID: "FV020", Title: "dropped-context", Severity: SevWarning,
 		Fix: "thread the available context (Call.Context() in handlers, the enclosing ctx parameter in callers) instead of context.Background()",
@@ -193,23 +162,9 @@ var registry = map[string]CheckInfo{
 			"validated ownership path and discards every elision the " +
 			"grant was written to buy.",
 	},
-	"FV022": {
-		ID: "FV022", Title: "hedged-moves-ownership", Severity: SevWarning,
-		Fix: "drop [hedged] (let the retry budget alone pace retries), or stop moving ownership in the signature",
-		Doc: "A [hedged] operation invites the client to race or " +
-			"speculatively re-send it — hedged requests, aggressive " +
-			"retry-on-pushback — but this operation's signature moves " +
-			"buffer ownership: an in parameter freed by the stub after " +
-			"marshaling ([dealloc(always)]) is double-moved by the hedge's " +
-			"second marshal, and a callee-allocated out buffer " +
-			"([alloc(callee)]) arrives once per execution with at most one " +
-			"delivery. A shed-then-retry under admission-control pushback " +
-			"hits exactly this path: the first send already consumed the " +
-			"buffer the hedge needs.",
-	},
 	"FV023": {
 		ID: "FV023", Title: "netpoll-borrow-escape", Severity: SevError,
-		Fix: "copy before retaining: d.OpaqueCopy(), d.OpaqueInto(dst), or append([]byte(nil), b...)",
+		Fix: "copy before retaining: d.OpaqueInto(dst) or append([]byte(nil), b...)",
 		Doc: "A raw Sun RPC handler (Server.Register) in a package that " +
 			"switches the server to netpoll mode (SetNetpoll(true)) retains a " +
 			"[]byte from xdr.Decoder.Opaque or FixedOpaque past handler " +
@@ -233,6 +188,21 @@ var registry = map[string]CheckInfo{
 			"per execution with only one delivery. Either effect makes the " +
 			"retry observable, contradicting the annotation.",
 	},
+}
+
+// A RetiredCheck is an ID that once named a check and never will
+// again: consumers keyed on IDs are told why it stopped firing.
+type RetiredCheck struct {
+	ID     string
+	Reason string
+}
+
+// Retired lists the withdrawn check IDs. None may be re-registered.
+var Retired = []RetiredCheck{
+	{"FV013", "the pooled parallel client it guarded was removed; every client binds [special] hooks the same way"},
+	{"FV015", "fired only for the removed pooled parallel client, and the [traced] meter never took the snapshot it warned of"},
+	{"FV019", "flagged call sites of the removed pooled-client constructor"},
+	{"FV022", "linted [hedged], an annotation no stub or transport read; the PDL parser now rejects it"},
 }
 
 // Lookup returns the registry entry for a check ID; external

@@ -91,14 +91,6 @@ func Render(diags []Diagnostic) string {
 	return b.String()
 }
 
-// RenderJSON formats diagnostics as a JSON array (never null).
-func RenderJSON(diags []Diagnostic) ([]byte, error) {
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	return json.MarshalIndent(diags, "", "  ")
-}
-
 // HasErrors reports whether any diagnostic has error severity.
 func HasErrors(diags []Diagnostic) bool {
 	for _, d := range diags {
@@ -123,17 +115,6 @@ func RenderLines(diags []Diagnostic) ([]byte, error) {
 		b.WriteByte('\n')
 	}
 	return []byte(b.String()), nil
-}
-
-// HasWarnings reports whether any diagnostic has warning severity or
-// above (the `flexc vet -Werror` gate).
-func HasWarnings(diags []Diagnostic) bool {
-	for _, d := range diags {
-		if d.Severity >= SevWarning {
-			return true
-		}
-	}
-	return false
 }
 
 // SortDiags orders findings by position, then ID, then message, so

@@ -11,8 +11,8 @@
 // The suite follows the go/analysis model — one Analyzer per
 // invariant, each a function over a typechecked package pass — with a
 // self-contained driver (load.go) so the toolchain is the only
-// dependency. Findings are ordinary flexvet Diagnostics (FV017–FV020)
-// and render beside the presentation-side checks.
+// dependency. Findings are ordinary flexvet Diagnostics (FV017, FV018,
+// FV020, FV023) and render beside the presentation-side checks.
 package gocheck
 
 import (
@@ -45,7 +45,6 @@ type Analyzer struct {
 var Analyzers = []*Analyzer{
 	BorrowEscape,
 	IdempotentPurity,
-	PooledHooks,
 	ContextDiscipline,
 	NetpollBorrow,
 }

@@ -11,7 +11,7 @@
 // FV017 borrow-escape engine over every Register handler in any
 // package that switches a server to netpoll mode, with the decoder's
 // borrowing accessors as the alias sources. The safe alternatives are
-// OpaqueCopy, OpaqueInto and String, which copy into owned storage.
+// OpaqueInto and String, which copy into owned storage.
 package gocheck
 
 import (

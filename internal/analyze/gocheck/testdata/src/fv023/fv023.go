@@ -52,8 +52,8 @@ func Build(ix *index, sink chan []byte) *sunrpc.Server {
 	})
 	s.Register(5, indexKey(ix))
 	s.Register(6, func(d *xdr.Decoder, e *xdr.Encoder) error {
-		// Clean: OpaqueCopy and OpaqueInto return owned storage.
-		b, err := d.OpaqueCopy()
+		// Clean: OpaqueInto returns owned storage.
+		b, err := d.OpaqueInto(nil)
 		if err != nil {
 			return err
 		}

@@ -18,19 +18,11 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // message) for each check. PDL sources live here so the recorded
 // positions are real; the expected output lives under testdata/.
 var goldenCases = []struct {
-	name       string
-	client     string
-	server     string // "" for single-endpoint cases
-	transport  string
-	pooled     bool // bind the client endpoint through the pooled parallel client
-	plainHooks bool // bind non-re-entrant hooks (the FV013 trigger)
+	name      string
+	client    string
+	server    string // "" for single-endpoint cases
+	transport string
 }{
-	{
-		name:       "fv013_pooled_without_step_hooks",
-		client:     "interface FileIO {\n    write_msg([special] msg);\n};\n",
-		pooled:     true,
-		plainHooks: true,
-	},
 	{
 		name:   "fv002_use_after_transfer",
 		client: "interface FileIO {\n    write([dealloc(always)] data);\n};\n",
@@ -83,17 +75,8 @@ var goldenCases = []struct {
 		client: "interface FileIO {\n    [idempotent] write([dealloc(always)] data);\n    [idempotent] read([alloc(callee)] return);\n};\n",
 	},
 	{
-		name:   "fv022_hedged_moves_ownership",
-		client: "interface FileIO {\n    [hedged] write([dealloc(always)] data);\n    [hedged] read([alloc(callee)] return);\n};\n",
-	},
-	{
 		name:   "fv016_batchable_copies_frames",
 		client: "interface FileIO {\n    [batchable] write([dealloc(always)] data);\n    [batchable] read([alloc(callee)] return);\n    [batchable] write_msg([special] msg);\n};\n",
-	},
-	{
-		name:   "fv015_traced_special_on_pooled",
-		client: "interface FileIO {\n    write([special, traced] data);\n};\n",
-		pooled: true,
 	},
 	{
 		name:   "fv021_trust_elides_ownership",
@@ -116,15 +99,6 @@ func TestGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			ep := analyze.Endpoint{Pres: client, Transport: tc.transport, Label: "client"}
-			if tc.pooled {
-				// Step hooks keep FV013 quiet so each golden file pins
-				// the pooled-path check under test alone; the FV013
-				// case binds the non-re-entrant hooks instead.
-				ep.PooledClient, ep.Hooks = true, stepHooks{}
-				if tc.plainHooks {
-					ep.Hooks = plainHooks{}
-				}
-			}
 			eps := []analyze.Endpoint{ep}
 			if tc.server != "" {
 				server, err := pdl.ApplyLoose(pres.Default(iface, pres.StyleCORBA), "server.pdl", tc.server)

@@ -1,12 +1,9 @@
-// Single-endpoint pass: annotation safety lints (FV004–FV006, FV013–
-// FV016, FV021, FV022) and the presentation/interface consistency
-// rules (FV007–FV012), which are pres.Walk's.
+// Single-endpoint pass: annotation safety lints (FV004–FV006, FV014,
+// FV016, FV021) and the presentation/interface consistency rules
+// (FV007–FV012), which are pres.Walk's.
 package analyze
 
-import (
-	"flexrpc/internal/pres"
-	"flexrpc/internal/runtime"
-)
+import "flexrpc/internal/pres"
 
 // ruleIDs files each of pres.Walk's consistency rules under its check.
 var ruleIDs = [...]string{
@@ -25,8 +22,6 @@ var ruleIDs = [...]string{
 // the cross-endpoint comparison.
 func (c *checker) checkEndpoint(ep Endpoint) {
 	c.checkTrust(ep)
-	c.checkPooledHooks(ep)
-	c.checkTracedSpecial(ep)
 	for _, v := range ep.Pres.Walk(func(s pres.Site) { c.checkSite(ep.Pres, s) }) {
 		c.report(ruleIDs[v.Rule], v.Pos, "%s", v.Msg)
 	}
@@ -50,8 +45,8 @@ func (c *checker) checkSite(p *pres.Presentation, s pres.Site) {
 		c.report("FV006", a.AttrPos("dealloc", "alloc"),
 			"%s: [alloc(callee), dealloc(never)]: a fresh callee-allocated buffer per call that nothing frees", s.Ctx)
 	}
-	// The four checks below are one scan — does the signature move
-	// buffer ownership explicitly? — under four conditions that each
+	// The three checks below are one scan — does the signature move
+	// buffer ownership explicitly? — under three conditions that each
 	// make a move unsafe or meaningless.
 	if s.Op.Idempotent {
 		// FV014: the runtime retries the operation without consulting
@@ -68,14 +63,6 @@ func (c *checker) checkSite(p *pres.Presentation, s pres.Site) {
 		c.checkOwnership("FV016", s,
 			"[batchable] operation transfers the caller's buffer ([dealloc(always)]), but the batcher queues a copy past the call boundary that lifetime is tied to",
 			"[batchable] operation hands out a callee-allocated buffer ([alloc(callee)]) whose delivery the batcher detaches from the call that allocated it")
-	}
-	if s.Op.Hedged {
-		// FV022: the client may marshal and send the call more than
-		// once — racing sends, or retrying eagerly on pushback — so
-		// ownership the marshal path consumes is consumed again.
-		c.checkOwnership("FV022", s,
-			"[hedged] operation transfers the caller's buffer ([dealloc(always)]); a hedged re-send would double-move it",
-			"[hedged] operation hands out a callee-allocated buffer ([alloc(callee)]); racing executions allocate twice with at most one delivery")
 	}
 	if p.Trust == pres.TrustFull {
 		// FV021's single-endpoint leg: the trusted same-domain binding
@@ -126,50 +113,4 @@ func (c *checker) checkTrust(ep Endpoint) {
 	c.reportSev("FV005", sev, pos,
 		"%s: [%s] trust granted on network transport %s; the peer is outside every protection domain",
 		p.Interface.Name, attr, ep.Transport)
-}
-
-// checkPooledHooks is FV013: a presentation with [special]
-// parameters bound through the pooled parallel client needs hooks
-// implementing the re-entrant step interface.
-func (c *checker) checkPooledHooks(ep Endpoint) {
-	if !ep.PooledClient {
-		return
-	}
-	if _, ok := ep.Hooks.(runtime.StepHooks); ok {
-		return
-	}
-	p := ep.Pres
-	for opName, op := range p.Ops { // sortDiags orders the findings
-		for pn, a := range op.Params {
-			if !a.Special {
-				continue
-			}
-			c.report("FV013", a.AttrPos("special"),
-				"%s.%s.%s: [special] endpoint bound through the pooled parallel client, but its hooks (%T) do not implement runtime.StepHooks",
-				p.Interface.Name, opName, pn, ep.Hooks)
-		}
-	}
-}
-
-// checkTracedSpecial is FV015: a [traced] meter wrapped around a
-// [special] marshal hook on the pooled parallel client. The meter
-// brackets the hook's encoder output, and because the pooled client
-// recycles per-call encoder state concurrently, bracketing opaque
-// hook output forces a defensive per-call snapshot — an allocation on
-// the path the pool exists to keep allocation-free.
-func (c *checker) checkTracedSpecial(ep Endpoint) {
-	if !ep.PooledClient {
-		return
-	}
-	p := ep.Pres
-	for opName, op := range p.Ops { // sortDiags orders the findings
-		for pn, a := range op.Params {
-			if !a.Special || !a.Traced {
-				continue
-			}
-			c.report("FV015", a.AttrPos("traced", "special"),
-				"%s.%s.%s: [traced] meter around a [special] hook on the pooled parallel client forces a per-call buffer snapshot, costing an allocation on the pooled zero-alloc path",
-				p.Interface.Name, opName, pn)
-		}
-	}
 }

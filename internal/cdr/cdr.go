@@ -57,12 +57,6 @@ func NewEncoder(order ByteOrder) *Encoder {
 // Bytes returns the encoded data.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
-// Order returns the encoder's byte order.
-func (e *Encoder) Order() ByteOrder { return e.order }
-
 // Reset discards all encoded data but retains the buffer.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
@@ -90,16 +84,6 @@ func (e *Encoder) PutBool(v bool) {
 		e.PutOctet(1)
 	} else {
 		e.PutOctet(0)
-	}
-}
-
-// PutUint16 encodes an unsigned short, aligned to 2.
-func (e *Encoder) PutUint16(v uint16) {
-	e.Align(2)
-	if e.order == BigEndian {
-		e.buf = append(e.buf, byte(v>>8), byte(v))
-	} else {
-		e.buf = append(e.buf, byte(v), byte(v>>8))
 	}
 }
 
@@ -184,9 +168,6 @@ func (d *Decoder) Reset(buf []byte) {
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
-// Order returns the decoder's byte order.
-func (d *Decoder) Order() ByteOrder { return d.order }
-
 func (d *Decoder) maxLen() uint32 {
 	if d.MaxLength == 0 {
 		return DefaultMaxLength
@@ -219,22 +200,6 @@ func (d *Decoder) Octet() (byte, error) {
 func (d *Decoder) Bool() (bool, error) {
 	v, err := d.Octet()
 	return v != 0, err
-}
-
-// Uint16 decodes an unsigned short.
-func (d *Decoder) Uint16() (uint16, error) {
-	if err := d.Align(2); err != nil {
-		return 0, err
-	}
-	if d.Remaining() < 2 {
-		return 0, ErrShortBuffer
-	}
-	b := d.buf[d.off:]
-	d.off += 2
-	if d.order == BigEndian {
-		return uint16(b[0])<<8 | uint16(b[1]), nil
-	}
-	return uint16(b[1])<<8 | uint16(b[0]), nil
 }
 
 // Uint32 decodes an unsigned long.

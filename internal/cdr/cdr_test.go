@@ -40,15 +40,13 @@ func TestUint64Alignment(t *testing.T) {
 func TestBothByteOrders(t *testing.T) {
 	for _, order := range []ByteOrder{BigEndian, LittleEndian} {
 		e := NewEncoder(order)
-		e.PutUint16(0x1234)
 		e.PutUint32(0xDEADBEEF)
 		e.PutInt64(-5)
 		d := NewDecoder(e.Bytes(), order)
-		v16, _ := d.Uint16()
 		v32, _ := d.Uint32()
 		v64, err := d.Int64()
-		if err != nil || v16 != 0x1234 || v32 != 0xDEADBEEF || v64 != -5 {
-			t.Errorf("%v: decode = %x %x %d %v", order, v16, v32, v64, err)
+		if err != nil || v32 != 0xDEADBEEF || v64 != -5 {
+			t.Errorf("%v: decode = %x %d %v", order, v32, v64, err)
 		}
 	}
 }
@@ -121,26 +119,24 @@ func TestLengthLimit(t *testing.T) {
 // decoding with the opposite order never silently succeeds with the
 // same multi-byte values (for values whose byte-swap differs).
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(o byte, u16 uint16, u32 uint32, i64 int64, s string, seq []byte, le bool) bool {
+	f := func(o byte, u32 uint32, i64 int64, s string, seq []byte, le bool) bool {
 		order := BigEndian
 		if le {
 			order = LittleEndian
 		}
 		e := NewEncoder(order)
 		e.PutOctet(o)
-		e.PutUint16(u16)
 		e.PutUint32(u32)
 		e.PutInt64(i64)
 		e.PutString(s)
 		e.PutOctetSeq(seq)
 		d := NewDecoder(e.Bytes(), order)
 		go1, _ := d.Octet()
-		g16, _ := d.Uint16()
 		g32, _ := d.Uint32()
 		g64, _ := d.Int64()
 		gs, _ := d.String()
 		gseq, err := d.OctetSeq()
-		return err == nil && go1 == o && g16 == u16 && g32 == u32 &&
+		return err == nil && go1 == o && g32 == u32 &&
 			g64 == i64 && gs == s && bytes.Equal(gseq, seq) && d.Remaining() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -159,12 +155,12 @@ func TestQuickAlignmentInvariant(t *testing.T) {
 		for _, b := range pre {
 			e.PutOctet(b)
 		}
-		before := e.Len()
+		before := len(e.Bytes())
 		e.PutUint32(u32)
 		// The 4 value bytes start at an offset divisible by 4.
-		off32 := e.Len() - 4
+		off32 := len(e.Bytes()) - 4
 		e.PutUint64(u64)
-		off64 := e.Len() - 8
+		off64 := len(e.Bytes()) - 8
 		return off32%4 == 0 && off64%8 == 0 && off32 >= before
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -176,7 +172,6 @@ func TestDecoderExhaustionEverywhere(t *testing.T) {
 	// Each primitive must fail cleanly at every truncation point.
 	e := NewEncoder(BigEndian)
 	e.PutOctet(1)
-	e.PutUint16(2)
 	e.PutUint32(3)
 	e.PutUint64(4)
 	e.PutString("abc")
@@ -184,20 +179,16 @@ func TestDecoderExhaustionEverywhere(t *testing.T) {
 	for n := 0; n < len(wire); n++ {
 		d := NewDecoder(wire[:n], BigEndian)
 		_, err1 := d.Octet()
-		_, err2 := d.Uint16()
 		_, err3 := d.Uint32()
 		_, err4 := d.Uint64()
 		_, err5 := d.String()
-		if err1 == nil && err2 == nil && err3 == nil && err4 == nil && err5 == nil {
+		if err1 == nil && err3 == nil && err4 == nil && err5 == nil {
 			t.Fatalf("prefix %d decoded fully without error", n)
 		}
 	}
 	// The full buffer decodes.
 	d := NewDecoder(wire, BigEndian)
 	if _, err := d.Octet(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Uint16(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Uint32(); err != nil {
@@ -251,12 +242,6 @@ func TestStringLengthLimit(t *testing.T) {
 }
 
 func TestOrderAccessors(t *testing.T) {
-	if NewEncoder(LittleEndian).Order() != LittleEndian {
-		t.Fatal("encoder order")
-	}
-	if NewDecoder(nil, BigEndian).Order() != BigEndian {
-		t.Fatal("decoder order")
-	}
 	if BigEndian.String() != "big-endian" || LittleEndian.String() != "little-endian" {
 		t.Fatal("order strings")
 	}

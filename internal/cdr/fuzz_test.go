@@ -45,7 +45,7 @@ func FuzzDecoder(f *testing.F) {
 			case 2:
 				_, err = d.Uint64()
 			case 3:
-				_, err = d.Uint16()
+				_, err = d.Uint32()
 			case 4:
 				var s string
 				if s, err = d.String(); err == nil && len(s) > len(wire) {

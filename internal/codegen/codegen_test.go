@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
 	"strings"
 	"testing"
 
@@ -260,18 +261,18 @@ func TestGeneratedSourceTypeChecks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks flexrpc from source")
 	}
-	src := generate(t, `
-		enum color { red, green, blue };
-		typedef octet md5[16];
-		struct point { long x; color tint; sequence<octet> blob; string label; };
-		interface Shapes {
-			void plot(in point p, in sequence<point> extra, in sequence<long> ns, in sequence<color> cs);
-			point locate(in string name, inout md5 sum);
-			void stats(out unsigned long count, out sequence<octet> blob, out sequence<point> pts, out sequence<color> cs);
-			color area();
-			sequence<string> names();
-			oneway void poke(in long n);
-		};`, `interface Shapes { stats([alloc(caller)] blob); };`)
+	// testdata/shapes.* is also the generated caller of the uncalled-
+	// surface gate (gocheck's TestSurface): one interface, every
+	// conversion shape.
+	idl, err := os.ReadFile("testdata/shapes.idl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pdl, err := os.ReadFile("testdata/shapes.pdl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := generate(t, string(idl), string(pdl))
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "gen.go", src, 0)
 	if err != nil {

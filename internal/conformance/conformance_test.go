@@ -156,7 +156,6 @@ type invoker interface {
 	Invoke(op string, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error)
 	InvokeContext(ctx context.Context, op string, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error)
 	EnableStats() *stats.Endpoint
-	Stats() *stats.Snapshot
 }
 
 // loopConn is the minimal message transport: marshaled request in,
@@ -474,7 +473,7 @@ func TestMatrix(t *testing.T) {
 			}
 
 			// Every transport reports through the same stats surface.
-			snap := inv.Stats()
+			snap := inv.EnableStats().Snapshot()
 			if add := opStats(t, snap, "add"); add.Calls != 2 || add.Errors != 0 || add.Latency.Count != 2 {
 				t.Fatalf("add stats: %+v", add)
 			}
@@ -513,7 +512,7 @@ func TestMatrixDeadline(t *testing.T) {
 			if took := time.Since(start); took > 2*time.Second {
 				t.Fatalf("deadline took %v to surface", took)
 			}
-			if hang := opStats(t, inv.Stats(), "hang"); hang.Timeouts != 1 || hang.Errors != 1 {
+			if hang := opStats(t, inv.EnableStats().Snapshot(), "hang"); hang.Timeouts != 1 || hang.Errors != 1 {
 				t.Fatalf("hang stats: %+v", hang)
 			}
 		})

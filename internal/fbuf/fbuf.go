@@ -38,9 +38,6 @@ type Domain struct {
 // NewDomain creates a named protection domain.
 func NewDomain(name string) *Domain { return &Domain{name: name} }
 
-// Name returns the domain's debug name.
-func (d *Domain) Name() string { return d.name }
-
 func (d *Domain) String() string { return "domain(" + d.name + ")" }
 
 // A Path is a semi-fixed sequence of domains sharing one buffer
@@ -218,13 +215,6 @@ func (b *Buffer) Len() int {
 	return b.length
 }
 
-// Owner returns the domain currently owning the buffer.
-func (b *Buffer) Owner() *Domain {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.owner
-}
-
 // Produce appends data into the buffer. Only the owner may produce,
 // and only up to the pool's buffer size: fbuf senders must generate
 // data in the special buffers, they cannot splice in malloc'd
@@ -361,9 +351,6 @@ func NewAggregate(segs ...*Buffer) *Aggregate {
 // Append splices a segment onto the end.
 func (a *Aggregate) Append(b *Buffer) { a.segs = append(a.segs, b) }
 
-// Segments returns the aggregate's segments in order.
-func (a *Aggregate) Segments() []*Buffer { return a.segs }
-
 // Len returns the total valid bytes across all segments.
 func (a *Aggregate) Len() int {
 	n := 0
@@ -371,23 +358,6 @@ func (a *Aggregate) Len() int {
 		n += s.Len()
 	}
 	return n
-}
-
-// Split divides the aggregate at segment boundaries so the first
-// part holds at least n bytes (or everything, if shorter). Buffers
-// are never cut: fbufs are spliced, not copied.
-func (a *Aggregate) Split(n int) (head, tail *Aggregate) {
-	head, tail = &Aggregate{}, &Aggregate{}
-	got := 0
-	for _, s := range a.segs {
-		if got < n {
-			head.segs = append(head.segs, s)
-			got += s.Len()
-		} else {
-			tail.segs = append(tail.segs, s)
-		}
-	}
-	return head, tail
 }
 
 // Gather copies the aggregate's contents into dst on behalf of

@@ -200,14 +200,6 @@ func TestAggregateSpliceAndGather(t *testing.T) {
 	if err != nil || n != 12 || !bytes.Equal(dst, want) {
 		t.Fatalf("gather = %d, %q, %v", n, dst, err)
 	}
-	head, tail := agg.Split(5)
-	if head.Len() != 8 || tail.Len() != 4 {
-		t.Fatalf("split lens = %d/%d (segment granularity)", head.Len(), tail.Len())
-	}
-	// Splitting never copies: head's first segment is the original.
-	if head.Segments()[0] != agg.Segments()[0] {
-		t.Fatal("split copied segments")
-	}
 }
 
 func TestGatherRequiresAccessToEverySegment(t *testing.T) {

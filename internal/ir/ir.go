@@ -150,12 +150,6 @@ func (t *Type) Signature() string {
 	}
 }
 
-// Equal reports whether two types have the same wire shape. Names do
-// not participate: struct{a:i32} and struct{b:i32} are wire-equal.
-func (t *Type) Equal(u *Type) bool {
-	return t.Signature() == u.Signature()
-}
-
 // Direction says which way a parameter travels.
 type Direction int
 

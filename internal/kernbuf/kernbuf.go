@@ -1,9 +1,9 @@
 // Package kernbuf simulates the user/kernel address-space split of a
 // monolithic Unix kernel, the substrate of the paper's §4.1 Linux
 // NFS experiment. A UserBuffer stands for memory in a user process;
-// kernel code may touch it only through CopyToUser/CopyFromUser —
-// the equivalents of Linux's memcpy_tofs()/memcpy_fromfs() — which
-// validate the access and count the work done. Kernel-internal
+// kernel code may touch it only through CopyToUser — the equivalent
+// of Linux's memcpy_tofs() — which validates the access and counts
+// the work done (the experiment only reads). Kernel-internal
 // copies go through KernelCopy so the two NFS stub variants can be
 // compared copy-for-copy: the conventional presentation unmarshals
 // into an intermediate kernel buffer and then copies out to user
@@ -52,14 +52,6 @@ func (m *Meter) Snapshot() Snapshot {
 	}
 }
 
-// Reset zeroes the meter.
-func (m *Meter) Reset() {
-	m.userCopies.Store(0)
-	m.userBytes.Store(0)
-	m.kernCopies.Store(0)
-	m.kernBytes.Store(0)
-}
-
 // A UserBuffer is a region of user-process memory. Kernel code must
 // not touch mem directly; it goes through the copy routines below.
 type UserBuffer struct {
@@ -70,9 +62,6 @@ type UserBuffer struct {
 func NewUserBuffer(n int) *UserBuffer {
 	return &UserBuffer{mem: make([]byte, n)}
 }
-
-// Len returns the buffer's size.
-func (u *UserBuffer) Len() int { return len(u.mem) }
 
 // UserView returns the buffer contents as seen by the user process
 // itself (for test assertions; kernel code must not call this).
@@ -98,21 +87,6 @@ func (m *Meter) CopyToUser(dst *UserBuffer, off int, src []byte) error {
 	return nil
 }
 
-// CopyFromUser copies n bytes from the user buffer at off into dst —
-// the simulated memcpy_fromfs().
-func (m *Meter) CopyFromUser(dst []byte, src *UserBuffer, off, n int) error {
-	if err := src.access(off, n); err != nil {
-		return err
-	}
-	if n > len(dst) {
-		return fmt.Errorf("kernbuf: destination too small: %d < %d", len(dst), n)
-	}
-	copy(dst, src.mem[off:off+n])
-	m.userCopies.Add(1)
-	m.userBytes.Add(uint64(n))
-	return nil
-}
-
 // KernelCopy is a metered kernel-internal memcpy.
 func (m *Meter) KernelCopy(dst, src []byte) int {
 	n := copy(dst, src)
@@ -120,44 +94,3 @@ func (m *Meter) KernelCopy(dst, src []byte) int {
 	m.kernBytes.Add(uint64(n))
 	return n
 }
-
-// A Pool is a free list of fixed-size kernel buffers, standing in
-// for the kernel's intermediate network buffers.
-type Pool struct {
-	size int
-	free chan []byte
-}
-
-// NewPool creates a pool of count size-byte buffers.
-func NewPool(size, count int) *Pool {
-	p := &Pool{size: size, free: make(chan []byte, count)}
-	for i := 0; i < count; i++ {
-		p.free <- make([]byte, size)
-	}
-	return p
-}
-
-// Get takes a buffer from the pool, allocating if it is empty.
-func (p *Pool) Get() []byte {
-	select {
-	case b := <-p.free:
-		return b
-	default:
-		return make([]byte, p.size)
-	}
-}
-
-// Put returns a buffer to the pool; oversized or foreign buffers are
-// dropped for the collector.
-func (p *Pool) Put(b []byte) {
-	if cap(b) < p.size {
-		return
-	}
-	select {
-	case p.free <- b[:p.size]:
-	default:
-	}
-}
-
-// Size returns the pool's buffer size.
-func (p *Pool) Size() int { return p.size }

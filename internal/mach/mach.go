@@ -29,44 +29,26 @@ var (
 	ErrNotRegistered = errors.New("mach: no server signature registered on port")
 )
 
-// A Kernel owns every task and port in one simulated machine.
-type Kernel struct {
-	mu    sync.Mutex
-	tasks []*Task
-}
+// A Kernel is one simulated machine: the namespace tasks and ports
+// are created in.
+type Kernel struct{}
 
 // NewKernel creates an empty simulated machine.
 func NewKernel() *Kernel { return &Kernel{} }
 
 // NewTask creates a task with an empty port name space.
 func (k *Kernel) NewTask(name string) *Task {
-	t := &Task{kernel: k, name: name}
+	t := &Task{name: name}
 	t.names.init()
-	k.mu.Lock()
-	k.tasks = append(k.tasks, t)
-	k.mu.Unlock()
 	return t
-}
-
-// Tasks returns the tasks created so far.
-func (k *Kernel) Tasks() []*Task {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make([]*Task, len(k.tasks))
-	copy(out, k.tasks)
-	return out
 }
 
 // A Task is one protection domain: a port name space plus a
 // (simulated) register context.
 type Task struct {
-	kernel *Kernel
-	name   string
-	names  nameTable
+	name  string
+	names nameTable
 }
-
-// Name returns the task's debug name.
-func (t *Task) Name() string { return t.name }
 
 // A Port is a kernel message queue. Exactly one task holds the
 // receive right; any number of tasks may hold send rights under
@@ -164,14 +146,5 @@ func (t *Task) LookupRight(n Name) (*Port, error) {
 func (t *Task) DeallocateRight(n Name) error {
 	return t.names.deallocate(n)
 }
-
-// RefCount returns the reference count of the named right (always 1
-// for non-unique names), or 0 if the name is unknown.
-func (t *Task) RefCount(n Name) int {
-	return t.names.refCount(n)
-}
-
-// NameCount returns the number of live names in the task's space.
-func (t *Task) NameCount() int { return t.names.count() }
 
 func (t *Task) String() string { return fmt.Sprintf("task(%s)", t.name) }

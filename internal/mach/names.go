@@ -147,19 +147,3 @@ func (nt *nameTable) deallocate(n Name) error {
 	nt.live--
 	return nil
 }
-
-func (nt *nameTable) refCount(n Name) int {
-	nt.mu.Lock()
-	defer nt.mu.Unlock()
-	idx := nt.get(n)
-	if idx < 0 {
-		return 0
-	}
-	return nt.entries[idx].refs
-}
-
-func (nt *nameTable) count() int {
-	nt.mu.Lock()
-	defer nt.mu.Unlock()
-	return nt.live
-}

@@ -132,6 +132,3 @@ func (t *splayTree) remove(key uint32) {
 	}
 	t.size--
 }
-
-// count returns the number of nodes (for tests).
-func (t *splayTree) count() int { return t.size }

@@ -37,10 +37,6 @@ package netpoll
 
 import "errors"
 
-// ErrUnsupported is returned by New on platforms without an
-// edge-triggered readiness facility.
-var ErrUnsupported = errors.New("netpoll: not supported on this platform")
-
 // ErrClosed is returned by Register/Deregister after Close.
 var ErrClosed = errors.New("netpoll: poller closed")
 

@@ -2,6 +2,8 @@
 
 package netpoll
 
+import "errors"
+
 // Portable stub: platforms without epoll report Supported() == false
 // and New fails with ErrUnsupported. internal/sunrpc detects this at
 // runtime and serves netpoll-mode connections with the classic
@@ -10,6 +12,10 @@ package netpoll
 // the idle-connection cost differs.
 
 const supported = false
+
+// ErrUnsupported is returned by New on platforms without an
+// edge-triggered readiness facility.
+var ErrUnsupported = errors.New("netpoll: not supported on this platform")
 
 type poller struct{}
 

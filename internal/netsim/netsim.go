@@ -81,14 +81,6 @@ func preciseDelay(d time.Duration) {
 	}
 }
 
-// Pipe returns the two ends of an in-memory duplex connection whose
-// writes in both directions are shaped by p. With zero params it is
-// a plain synchronous pipe.
-func Pipe(p LinkParams) (client, server net.Conn) {
-	c, s := net.Pipe()
-	return Shape(c, p), Shape(s, p)
-}
-
 // bufferedPipe is a byte-stream pipe with an internal buffer so
 // writers do not block waiting for the reader, closer to a kernel
 // socket buffer than net.Pipe's synchronous rendezvous.

@@ -32,7 +32,7 @@ func TestShapeNoopForZeroParams(t *testing.T) {
 }
 
 func TestPipeTransfersData(t *testing.T) {
-	c, s := Pipe(LinkParams{})
+	c, s := BufferedPipe(LinkParams{}, 1)
 	defer c.Close()
 	defer s.Close()
 	go func() {
@@ -50,7 +50,7 @@ func TestPipeTransfersData(t *testing.T) {
 }
 
 func TestShapedWriteIsDelayed(t *testing.T) {
-	c, s := Pipe(LinkParams{Latency: 20 * time.Millisecond})
+	c, s := BufferedPipe(LinkParams{Latency: 20 * time.Millisecond}, 1)
 	defer c.Close()
 	defer s.Close()
 	start := time.Now()

@@ -323,54 +323,3 @@ func (h *HandClient) ReadAt(dst *kernbuf.UserBuffer, dstOff int, fileOff, count 
 		})
 	return n, err
 }
-
-// WriteAt writes count bytes from the user buffer to the file — the
-// copy-in direction, hand-coded only (writes are not part of the
-// Figure 2 experiment).
-func (h *HandClient) WriteAt(src *kernbuf.UserBuffer, srcOff int, fileOff, count uint32) error {
-	staging := make([]byte, count)
-	if err := h.meter.CopyFromUser(staging, src, srcOff, int(count)); err != nil {
-		return err
-	}
-	return h.rpc.Call(ProcWrite,
-		func(e *xdr.Encoder) {
-			e.PutFixedOpaque(h.fh[:])
-			e.PutUint32(0)
-			e.PutUint32(fileOff)
-			e.PutUint32(count)
-			e.PutOpaque(staging)
-		},
-		func(d *xdr.Decoder) error {
-			status, err := d.Uint32()
-			if err != nil {
-				return err
-			}
-			if status != StatOK {
-				return &ErrServer{Stat: status}
-			}
-			return nil
-		})
-}
-
-// Getattr fetches the file attributes (used to learn the file size).
-func (h *HandClient) Getattr() (Attr, error) {
-	var a Attr
-	err := h.rpc.Call(ProcGetattr,
-		func(e *xdr.Encoder) { e.PutFixedOpaque(h.fh[:]) },
-		func(d *xdr.Decoder) error {
-			status, err := d.Uint32()
-			if err != nil {
-				return err
-			}
-			for _, p := range []*uint32{&a.FileID, &a.Size, &a.BlockSize, &a.MTime} {
-				if *p, err = d.Uint32(); err != nil {
-					return err
-				}
-			}
-			if status != StatOK {
-				return &ErrServer{Stat: status}
-			}
-			return nil
-		})
-	return a, err
-}

@@ -8,6 +8,7 @@ import (
 
 	"flexrpc/internal/kernbuf"
 	"flexrpc/internal/netsim"
+	"flexrpc/internal/xdr"
 )
 
 const testFileSize = 64 << 10
@@ -125,17 +126,49 @@ func TestStatsSplitIsSane(t *testing.T) {
 	}
 }
 
+// status reads a reply's leading status word and the attribute words
+// that follow it.
+func status(d *xdr.Decoder, attr ...*uint32) error {
+	stat, err := d.Uint32()
+	if err != nil {
+		return err
+	}
+	for _, p := range attr {
+		if *p, err = d.Uint32(); err != nil {
+			return err
+		}
+	}
+	if stat != StatOK {
+		return &ErrServer{Stat: stat}
+	}
+	return nil
+}
+
+// The server answers GETATTR and WRITE too; no client stub calls them
+// (Figure 2 only reads), so the test speaks the two procedures by hand.
 func TestGetattrAndWrite(t *testing.T) {
 	srv := NewServer(testFileSize)
 	c := NewHandClient(dialTo(t, srv), false)
-	a, err := c.Getattr()
+	var a Attr
+	err := c.rpc.Call(ProcGetattr,
+		func(e *xdr.Encoder) { e.PutFixedOpaque(c.fh[:]) },
+		func(d *xdr.Decoder) error { return status(d, &a.FileID, &a.Size, &a.BlockSize, &a.MTime) })
 	if err != nil || a.Size != testFileSize {
 		t.Fatalf("getattr = %+v, %v", a, err)
 	}
-	// Write through copy-in, then read back.
+	// Write, then read back.
 	ub := kernbuf.NewUserBuffer(512)
 	copy(ub.UserView(), bytes.Repeat([]byte("W"), 512))
-	if err := c.WriteAt(ub, 0, 1024, 512); err != nil {
+	err = c.rpc.Call(ProcWrite,
+		func(e *xdr.Encoder) {
+			e.PutFixedOpaque(c.fh[:])
+			e.PutUint32(0)
+			e.PutUint32(1024)
+			e.PutUint32(512)
+			e.PutOpaque(ub.UserView())
+		},
+		func(d *xdr.Decoder) error { return status(d) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	out := kernbuf.NewUserBuffer(512)

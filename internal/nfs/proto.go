@@ -92,7 +92,6 @@ const (
 	FHSize  = 32
 	MaxData = 8192
 
-	ProcNull    = 0
 	ProcGetattr = 1
 	ProcRead    = 6
 	ProcWrite   = 8

@@ -17,8 +17,6 @@
 package pdl
 
 import (
-	"fmt"
-
 	"flexrpc/internal/idl"
 	"flexrpc/internal/pres"
 )
@@ -282,10 +280,8 @@ func (d *opDecl) apply(out *pres.Presentation, strict bool) error {
 			op.Idempotent = true
 		case "batchable":
 			op.Batchable = true
-		case "hedged":
-			op.Hedged = true
 		default:
-			return idl.Errorf(a.pos, "pdl: unknown operation attribute %q", a.name)
+			return idl.Errorf(a.pos, "pdl: unknown operation attribute %q (accepted: comm_status, idempotent, batchable)", a.name)
 		}
 		op.MarkAt(a.name, a.pos)
 	}
@@ -381,14 +377,4 @@ func applyParamAttr(pa *pres.ParamAttrs, a attr) error {
 	}
 	pa.MarkAt(a.name, a.pos)
 	return nil
-}
-
-// MustApply is Apply for tests and examples with known-good PDL; it
-// panics on error.
-func MustApply(base *pres.Presentation, filename, src string) *pres.Presentation {
-	p, err := Apply(base, filename, src)
-	if err != nil {
-		panic(fmt.Sprintf("pdl.MustApply: %v", err))
-	}
-	return p
 }

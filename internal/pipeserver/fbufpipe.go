@@ -24,15 +24,6 @@ import (
 // one pool; control transfer uses the streamlined Mach IPC path with
 // a tiny XDR body describing fbuf segments.
 
-// FbufSpecialPDL is the server-side PDL enabling the fbuf
-// pass-through, the same [special] attribute as the Linux NFS client
-// (paper §4.3 "as was done in the Linux NFS client examples").
-const FbufSpecialPDL = `
-interface FileIO {
-    read([special] return);
-    write([special] data);
-};`
-
 // Control message operations (carried in mach inline word 0).
 const (
 	fpWrite = iota
@@ -276,10 +267,6 @@ func (s *FbufPipeServer) handleRead(dec *xdr.Decoder, enc *xdr.Encoder) error {
 	return nil
 }
 
-// ServerCopies reports how many reads forced a server-side copy
-// (partial segment deliveries); whole-segment reads are zero-copy.
-func (s *FbufPipeServer) ServerCopies() uint64 { return s.copies.Load() }
-
 func (s *FbufPipeServer) closeWrite() {
 	s.mu.Lock()
 	s.wclosed = true
@@ -410,17 +397,6 @@ func (r *FbufReader) Read(dst []byte) (int, error) {
 		return 0, io.EOF
 	}
 	return total, nil
-}
-
-// CloseRead signals EPIPE to the writer.
-func (r *FbufReader) CloseRead() error {
-	msg := &mach.Message{}
-	msg.Inline[0] = fpCloseRead
-	reply, err := r.bind.Call(msg, nil)
-	if err != nil {
-		return err
-	}
-	return decodeStatus(reply.Body)
 }
 
 func decodeStatus(body []byte) error {

@@ -37,25 +37,12 @@ type Pipe struct {
 	readCopies atomic.Uint64
 }
 
-// ReadCopies reports how many reads paid the circular-buffer copy.
-func (p *Pipe) ReadCopies() uint64 { return p.readCopies.Load() }
-
 // NewPipe creates a pipe with an n-byte buffer.
 func NewPipe(n int) *Pipe {
 	p := &Pipe{buf: make([]byte, n)}
 	p.notEmpty.L = &p.mu
 	p.notFull.L = &p.mu
 	return p
-}
-
-// Size returns the buffer size.
-func (p *Pipe) Size() int { return len(p.buf) }
-
-// Len returns the number of buffered bytes.
-func (p *Pipe) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.count
 }
 
 // Write appends all of data, blocking while the buffer is full. It

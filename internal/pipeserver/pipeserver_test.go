@@ -100,12 +100,12 @@ func TestPeekZeroCopyAndWrap(t *testing.T) {
 		t.Fatalf("peek = %q, %v, %v", view, wrapped, err)
 	}
 	// Nothing consumed yet.
-	if p.Len() != 6 {
-		t.Fatalf("len = %d", p.Len())
+	if p.count != 6 {
+		t.Fatalf("len = %d", p.count)
 	}
 	p.Consume(4)
-	if p.Len() != 2 {
-		t.Fatalf("len after consume = %d", p.Len())
+	if p.count != 2 {
+		t.Fatalf("len after consume = %d", p.count)
 	}
 	// Force wrap: r=4, write 5 more -> data spans the boundary.
 	_, _ = p.Write([]byte("ghijk"))
@@ -266,7 +266,9 @@ func TestMachPipeDeallocNever8K(t *testing.T) {
 
 func TestMachPipeEPIPE(t *testing.T) {
 	w, r := startMachPipe(t, 4096, "")
-	if err := r.CloseRead(); err != nil {
+	// No client stub closes the read end; the operation is in the
+	// contract and the server honours it.
+	if _, _, err := r.inv.Invoke("close_read", []runtime.Value{}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	err := w.Write([]byte("x"))
@@ -355,8 +357,10 @@ func TestFbufPipeEOFAndEPIPE(t *testing.T) {
 	}
 
 	fp2 := startFbufPipe(t, 4096, 1024)
-	if err := fp2.Reader.CloseRead(); err != nil {
-		t.Fatal(err)
+	msg := &mach.Message{}
+	msg.Inline[0] = fpCloseRead
+	if reply, err := fp2.Reader.bind.Call(msg, nil); err != nil || decodeStatus(reply.Body) != nil {
+		t.Fatalf("close_read: %v", err)
 	}
 	if err := fp2.Writer.Write([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -462,11 +466,11 @@ func TestDeallocNeverEliminatesReadCopies(t *testing.T) {
 	}
 
 	srv, reads := run("")
-	if got := srv.Pipe.ReadCopies(); got != uint64(reads) {
+	if got := srv.Pipe.readCopies.Load(); got != uint64(reads) {
 		t.Errorf("default presentation: %d copies for %d reads, want every read to copy", got, reads)
 	}
 	srv, reads = run(Figure5PDL)
-	if got := srv.Pipe.ReadCopies(); got > uint64(reads)/4 {
+	if got := srv.Pipe.readCopies.Load(); got > uint64(reads)/4 {
 		t.Errorf("[dealloc(never)]: %d copies for %d reads, want only wrap-around copies", got, reads)
 	}
 }
@@ -485,7 +489,7 @@ func TestFbufSpecialServerIsZeroCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := fp.Server.ServerCopies(); got != 0 {
+	if got := fp.Server.copies.Load(); got != 0 {
 		t.Fatalf("whole-segment reads caused %d server copies, want 0", got)
 	}
 	// A partial read pays exactly one copy.
@@ -495,7 +499,7 @@ func TestFbufSpecialServerIsZeroCopy(t *testing.T) {
 	if _, err := fp.Reader.Read(buf[:100]); err != nil {
 		t.Fatal(err)
 	}
-	if got := fp.Server.ServerCopies(); got != 1 {
+	if got := fp.Server.copies.Load(); got != 1 {
 		t.Fatalf("partial read caused %d copies, want 1", got)
 	}
 }

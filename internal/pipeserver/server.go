@@ -180,9 +180,3 @@ func (c *Client) CloseWrite() error {
 	_, _, err := c.inv.Invoke("close_write", []runtime.Value{}, nil, nil)
 	return err
 }
-
-// CloseRead signals EPIPE to the writer.
-func (c *Client) CloseRead() error {
-	_, _, err := c.inv.Invoke("close_read", []runtime.Value{}, nil, nil)
-	return err
-}

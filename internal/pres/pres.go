@@ -161,8 +161,7 @@ type ParamAttrs struct {
 	NonUnique bool
 	// Traced: the parameter's encoded size is metered into the
 	// endpoint's per-op traced counters when stats are enabled
-	// ([traced]). Free when stats are off; flexvet FV015 warns when
-	// it is combined with [special] hooks on a pooled-client path.
+	// ([traced]). Free when stats are off.
 	Traced bool
 	// Pos is the source position of the parameter's PDL annotation
 	// clause, when the attributes came from a PDL file; the zero
@@ -187,13 +186,6 @@ func (a *ParamAttrs) MarkAt(attr string, pos idl.Pos) {
 	if a.Pos.Line == 0 {
 		a.Pos = pos
 	}
-}
-
-// PosOf returns the recorded position of the named attribute and
-// whether it was explicitly applied.
-func (a *ParamAttrs) PosOf(attr string) (idl.Pos, bool) {
-	p, ok := a.At[attr]
-	return p, ok
 }
 
 // Explicit reports whether the named attribute was explicitly
@@ -238,13 +230,6 @@ type OpPres struct {
 	// endpoint-private: the sub-call bodies inside a batch frame are
 	// byte-identical to unbatched ones.
 	Batchable bool
-	// Hedged ([hedged]): a client may race or aggressively re-send
-	// this operation — retry budgets, hedged requests, speculative
-	// retries on pushback. It is a client-policy hint, wire-invisible
-	// like the others; flexvet flags it on operations whose buffer
-	// annotations move ownership, where a shed-then-retry would move
-	// the same buffer twice (FV022).
-	Hedged bool
 	// Pos is the source position of the operation's PDL declaration,
 	// when one was applied.
 	Pos idl.Pos
@@ -260,13 +245,6 @@ func (o *OpPres) MarkAt(attr string, pos idl.Pos) {
 		o.At = make(map[string]idl.Pos)
 	}
 	o.At[attr] = pos
-}
-
-// PosOf returns the recorded position of the named operation
-// attribute and whether it was explicitly applied.
-func (o *OpPres) PosOf(attr string) (idl.Pos, bool) {
-	p, ok := o.At[attr]
-	return p, ok
 }
 
 // ResultParam is the Params key for the operation result.
@@ -384,6 +362,37 @@ func IsBuffer(t *ir.Type) bool {
 // Op returns the presentation of the named operation, or nil.
 func (p *Presentation) Op(name string) *OpPres { return p.Ops[name] }
 
+// PortNaming reports the endpoint's stance on the unique-name
+// invariant for transferred rights (paper §4.6). Transports relax the
+// invariant per endpoint, not per parameter — one flag in the Mach
+// endpoint signature, one name-table elision in a shmring binding — so
+// an endpoint has given it up only when every port it moves is
+// [nonunique]: ports says whether the interface has a port parameter
+// or result at all, nonUnique that none of them lacks the attribute
+// (vacuously true without ports). One unannotated port keeps unique
+// naming for the whole endpoint.
+func (p *Presentation) PortNaming() (ports, nonUnique bool) {
+	nonUnique = true
+	see := func(op *OpPres, name string, t *ir.Type) {
+		if t == nil || t.Kind != ir.Port {
+			return
+		}
+		ports = true
+		if op == nil || op.Params[name] == nil || !op.Params[name].NonUnique {
+			nonUnique = false
+		}
+	}
+	for i := range p.Interface.Ops {
+		irOp := &p.Interface.Ops[i]
+		op := p.Op(irOp.Name)
+		for j := range irOp.Params {
+			see(op, irOp.Params[j].Name, irOp.Params[j].Type)
+		}
+		see(op, ResultParam, irOp.Result)
+	}
+	return ports, nonUnique
+}
+
 // Clone returns a deep copy sharing the (immutable) interface.
 func (p *Presentation) Clone() *Presentation {
 	q := &Presentation{
@@ -400,7 +409,6 @@ func (p *Presentation) Clone() *Presentation {
 			CommStatus: op.CommStatus,
 			Idempotent: op.Idempotent,
 			Batchable:  op.Batchable,
-			Hedged:     op.Hedged,
 			Pos:        op.Pos,
 			At:         clonePosMap(op.At),
 		}

@@ -120,6 +120,40 @@ func TestValidateRejectsNonUniqueOnNonPort(t *testing.T) {
 	}
 }
 
+// Naming is relaxed per endpoint, so it takes every port: one
+// unannotated port parameter (or result) keeps unique names.
+func TestPortNamingNeedsEveryPortAnnotated(t *testing.T) {
+	if ports, nonUnique := Default(fileIO(), StyleCORBA).PortNaming(); ports || !nonUnique {
+		t.Fatalf("portless interface = %v, %v; want no ports, vacuously non-unique", ports, nonUnique)
+	}
+	caps := &ir.Interface{Name: "Caps", Ops: []ir.Operation{
+		{
+			Name: "swap",
+			Params: []ir.Param{
+				{Name: "give", Type: ir.PortType, Dir: ir.In},
+				{Name: "also", Type: ir.PortType, Dir: ir.In},
+			},
+			Result: ir.PortType,
+		},
+	}}
+	p := Default(caps, StyleCORBA)
+	steps := []struct {
+		annotate string
+		want     bool
+	}{{"", false}, {"give", false}, {"also", false}, {ResultParam, true}}
+	for _, s := range steps {
+		if s.annotate != "" {
+			p.Op("swap").Param(s.annotate).NonUnique = true
+		}
+		if ports, nonUnique := p.PortNaming(); !ports || nonUnique != s.want {
+			t.Errorf("after annotating %q: ports %v nonUnique %v, want true %v", s.annotate, ports, nonUnique, s.want)
+		}
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestValidateLengthIs(t *testing.T) {
 	iface := &ir.Interface{
 		Name: "SysLog",

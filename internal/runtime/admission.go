@@ -225,21 +225,6 @@ func (a *Admission) StartDrain() {
 	}
 }
 
-// Draining reports whether StartDrain has run.
-func (a *Admission) Draining() bool {
-	return a != nil && a.draining.Load()
-}
-
-// ShedLevel reports the shedder's current level: 0 admits everything,
-// 1 sheds non-idempotent traffic, 2 sheds all. Exposed for tests and
-// operators; Admit consults it internally.
-func (a *Admission) ShedLevel() int {
-	if a == nil {
-		return 0
-	}
-	return int(a.level.Load())
-}
-
 // shedLevel returns the current level, first recomputing it when the
 // interval has elapsed. The CAS elects exactly one caller per
 // interval to do the recompute; everyone else reads the level word.

@@ -3,7 +3,6 @@ package runtime
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -114,9 +113,11 @@ func TestOutParamLandsInCallerBuffer(t *testing.T) {
 	}
 }
 
-// The parallel client: per-call pooled state, no global mutex. Run
-// under -race this hammers the pools and the shared conn from eight
-// goroutines.
+// One Client shared by eight goroutines is safe: calls serialise on
+// its mutex, and under -race nothing of one call's encoder, decoder or
+// reply buffer shows through in another's results. (Pipelining is
+// several Clients over one concurrent Conn: suntcp's
+// TestClientsPipelineOverSharedRobustConn.)
 func TestParallelClientConcurrentCalls(t *testing.T) {
 	p := testPres(t)
 	disp := NewDispatcher(p)
@@ -136,7 +137,7 @@ func TestParallelClientConcurrentCalls(t *testing.T) {
 		c.SetResult(uint32(7))
 		return nil
 	})
-	client, err := NewParallelClient(testPres(t), XDRCodec, &loopConn{disp: disp, plan: plan}, nil)
+	client, err := NewClient(testPres(t), XDRCodec, &loopConn{disp: disp, plan: plan}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,31 +179,5 @@ func TestParallelClientConcurrentCalls(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
-	}
-}
-
-// stepTestHooks is testHooks plus the StepHooks re-entrancy
-// declaration, with both step methods deferring to the dynamic path.
-type stepTestHooks struct{ testHooks }
-
-func (h *stepTestHooks) EncodeStep(op, param string) EncodeStepFn { return nil }
-func (h *stepTestHooks) DecodeStep(op, param string) DecodeStepFn { return nil }
-
-func TestParallelClientRequiresStepHooksForSpecial(t *testing.T) {
-	p := testPres(t)
-	p.Op("write").Param("data").Special = true
-	disp := NewDispatcher(testPres(t))
-	plan, err := NewPlan(testPres(t), XDRCodec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn := &loopConn{disp: disp, plan: plan}
-
-	if _, err := NewParallelClient(p, XDRCodec, conn, &testHooks{}); err == nil ||
-		!strings.Contains(err.Error(), "StepHooks") {
-		t.Fatalf("plain SpecialHooks should be rejected at bind time, err = %v", err)
-	}
-	if _, err := NewParallelClient(p, XDRCodec, conn, &stepTestHooks{}); err != nil {
-		t.Fatalf("StepHooks implementation rejected: %v", err)
 	}
 }

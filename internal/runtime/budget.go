@@ -101,22 +101,6 @@ func (b *RetryBudget) allowRetry() bool {
 	}
 }
 
-// Suppressed reports how many retries the budget refused.
-func (b *RetryBudget) Suppressed() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.suppressed.Load()
-}
-
-// Tokens reports the current balance in whole retries.
-func (b *RetryBudget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	return float64(b.tokens.Load()) / budgetScale
-}
-
 // breaker states.
 type breakerState uint8
 
@@ -227,32 +211,4 @@ func (b *Breaker) OnFailure(retryAfter time.Duration) bool {
 		b.opens++
 	}
 	return !wasOpen
-}
-
-// State reports the breaker state as "closed", "open" or
-// "half-open", for tests and diagnostics.
-func (b *Breaker) State() string {
-	if b == nil {
-		return "closed"
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// Opens reports how many times the breaker has tripped open.
-func (b *Breaker) Opens() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
 }

@@ -40,24 +40,21 @@ type Invoker interface {
 
 // A Client executes calls by marshaling through a Plan onto a Conn.
 type Client struct {
-	plan     *Plan
-	conn     Conn
-	framed   bool
-	parallel bool
+	plan   *Plan
+	conn   Conn
+	framed bool
 
 	// Observability: nil means disabled, and disabled costs exactly
 	// one nil check per call (the zero-alloc gates assert this).
 	stats     *stats.Endpoint
 	traceConn TraceConn // conn's trace-propagating form, when it has one
 
-	// Serial mode: one encoder/decoder/reply buffer behind a mutex.
+	// One encoder, reply decoder and reply landing buffer, recycled
+	// across calls behind mu so the steady-state path allocates nothing.
 	mu       sync.Mutex
 	enc      Encoder
 	dec      ReusableDecoder
 	replyBuf []byte
-
-	// Parallel mode: per-call marshal state sharded through a pool.
-	states sync.Pool
 }
 
 // A TraceConn is a Conn that can propagate a trace id alongside a
@@ -69,19 +66,11 @@ type TraceConn interface {
 	CallTraceContext(ctx context.Context, opIdx int, req, replyBuf []byte, tid uint32) ([]byte, error)
 }
 
-// callState is the per-call marshal state a parallel client shards:
-// the encoder, a reusable reply decoder, and the reply landing
-// buffer, recycled across calls so the steady-state hot path
-// allocates nothing.
-type callState struct {
-	enc      Encoder
-	dec      ReusableDecoder
-	replyBuf []byte
-}
-
 // NewClient builds a marshal-based client for presentation p over
-// conn. hooks may be nil when no parameter is [special]. Calls are
-// serialized per client; see NewParallelClient for concurrent use.
+// conn. hooks may be nil when no parameter is [special]. A Client is
+// safe for concurrent use and serializes its calls; to pipeline, bind
+// several Clients over one Conn that accepts concurrent Calls (the
+// xid-multiplexed Sun RPC client, RobustConn over it).
 func NewClient(p *pres.Presentation, codec Codec, conn Conn, hooks SpecialHooks) (*Client, error) {
 	plan, err := NewPlan(p, codec, hooks)
 	if err != nil {
@@ -91,57 +80,12 @@ func NewClient(p *pres.Presentation, codec Codec, conn Conn, hooks SpecialHooks)
 	return &Client{plan: plan, conn: conn, framed: connFramed(conn), traceConn: tc, enc: codec.NewEncoder()}, nil
 }
 
-// NewParallelClient builds a marshal-based client whose Invoke is
-// safe for concurrent use without a global mutex: marshal state is
-// sharded through a pool, so concurrent calls pipeline down to the
-// transport (which must itself accept concurrent Call invocations,
-// as the xid-multiplexed Sun RPC client does).
-//
-// Plans with [special] parameters require hooks implementing
-// StepHooks: the bind-time step form both avoids per-call name
-// dispatch and declares the hooks re-entrant. Plain SpecialHooks are
-// rejected here — at bind time, with a clear error — because the
-// serial client's one-call-at-a-time guarantee they may rely on no
-// longer holds.
-func NewParallelClient(p *pres.Presentation, codec Codec, conn Conn, hooks SpecialHooks) (*Client, error) {
-	plan, err := NewPlan(p, codec, hooks)
-	if err != nil {
-		return nil, err
-	}
-	if hooks != nil && planHasSpecial(plan) {
-		if _, ok := hooks.(StepHooks); !ok {
-			return nil, fmt.Errorf("runtime: %s has [special] parameters; the parallel client requires hooks implementing StepHooks (re-entrant bind-time steps), have %T",
-				p.Interface.Name, hooks)
-		}
-	}
-	tc, _ := conn.(TraceConn)
-	c := &Client{plan: plan, conn: conn, framed: connFramed(conn), traceConn: tc, parallel: true}
-	c.states.New = func() any { return &callState{enc: codec.NewEncoder()} }
-	return c, nil
-}
-
 func connFramed(conn Conn) bool {
 	if sf, ok := conn.(SelfFraming); ok && sf.SelfFraming() {
 		return false
 	}
 	return true
 }
-
-// planHasSpecial reports whether any parameter of any operation
-// carries the [special] attribute.
-func planHasSpecial(pl *Plan) bool {
-	for _, op := range pl.Ops {
-		for _, a := range op.pres.Params {
-			if a.Special {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Plan exposes the client's marshal plan (for tests and tooling).
-func (c *Client) Plan() *Plan { return c.plan }
 
 // EnableStats switches on client-side observability, creating the
 // endpoint on first use: per-op counters and latency histograms,
@@ -160,7 +104,7 @@ func (c *Client) EnableStats() *stats.Endpoint {
 // endpoint, pointing the plan's copy/alloc meters at it too.
 func (c *Client) SetStats(e *stats.Endpoint) {
 	c.stats = e
-	c.plan.setStats(e)
+	c.plan.SetStats(e)
 	if tc, ok := c.conn.(interface{ SetStats(*stats.Endpoint) }); ok {
 		tc.SetStats(e)
 	}
@@ -182,8 +126,7 @@ func clientOutcome(err error) stats.Outcome {
 }
 
 // Invoke implements Invoker: marshal the request, round-trip it,
-// unmarshal the reply. Serial clients serialize calls; parallel
-// clients (NewParallelClient) pipeline them.
+// unmarshal the reply.
 func (c *Client) Invoke(op string, args []Value, outBufs [][]byte, retBuf []byte) ([]Value, Value, error) {
 	return c.invoke(nil, op, args, outBufs, retBuf)
 }
@@ -198,31 +141,19 @@ func (c *Client) invoke(ctx context.Context, op string, args []Value, outBufs []
 	opPlan := c.plan.Ops[idx]
 
 	if c.stats == nil {
-		if c.parallel {
-			return c.invokeParallel(ctx, opPlan, idx, args, outBufs, retBuf, 0)
-		}
-		return c.invokeSerial(ctx, opPlan, idx, args, outBufs, retBuf, 0)
+		return c.call(ctx, opPlan, idx, args, outBufs, retBuf, 0)
 	}
 
 	t0 := time.Now()
 	tid := c.stats.NextTraceID()
-	var (
-		outs []Value
-		ret  Value
-		err  error
-	)
-	if c.parallel {
-		outs, ret, err = c.invokeParallel(ctx, opPlan, idx, args, outBufs, retBuf, tid)
-	} else {
-		outs, ret, err = c.invokeSerial(ctx, opPlan, idx, args, outBufs, retBuf, tid)
-	}
+	outs, ret, err := c.call(ctx, opPlan, idx, args, outBufs, retBuf, tid)
 	c.stats.Trace(tid, idx, stats.StageReply)
 	c.stats.RecordCall(idx, time.Since(t0), 0, 0, clientOutcome(err))
 	return outs, ret, err
 }
 
-// invokeSerial round-trips one call under the client mutex.
-func (c *Client) invokeSerial(ctx context.Context, opPlan *OpPlan, idx int, args []Value, outBufs [][]byte, retBuf []byte, tid uint32) ([]Value, Value, error) {
+// call round-trips one call under the client mutex.
+func (c *Client) call(ctx context.Context, opPlan *OpPlan, idx int, args []Value, outBufs [][]byte, retBuf []byte, tid uint32) ([]Value, Value, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.enc.Reset()
@@ -236,31 +167,7 @@ func (c *Client) invokeSerial(ctx context.Context, opPlan *OpPlan, idx int, args
 	if cap(reply) > cap(c.replyBuf) {
 		c.replyBuf = reply[:cap(reply)]
 	}
-	dec := c.decoderFor(&c.dec, reply)
-	return c.finishCall(opPlan, dec, outBufs, retBuf)
-}
-
-// invokeParallel is invokeSerial with pooled per-call state instead
-// of the client mutex.
-func (c *Client) invokeParallel(ctx context.Context, opPlan *OpPlan, idx int, args []Value, outBufs [][]byte, retBuf []byte, tid uint32) ([]Value, Value, error) {
-	st := c.states.Get().(*callState)
-	st.enc.Reset()
-	if err := opPlan.EncodeRequest(st.enc, args); err != nil {
-		c.states.Put(st)
-		return nil, nil, err
-	}
-	reply, err := c.roundTrip(ctx, idx, st.enc.Bytes(), st.replyBuf, tid)
-	if err != nil {
-		c.states.Put(st)
-		return nil, nil, err
-	}
-	if cap(reply) > cap(st.replyBuf) {
-		st.replyBuf = reply[:cap(reply)]
-	}
-	dec := c.decoderFor(&st.dec, reply)
-	outs, ret, err := c.finishCall(opPlan, dec, outBufs, retBuf)
-	c.states.Put(st)
-	return outs, ret, err
+	return c.finishCall(opPlan, c.decoderFor(reply), outBufs, retBuf)
 }
 
 // roundTrip sends the marshaled request and returns the raw reply,
@@ -292,16 +199,16 @@ func (c *Client) roundTrip(ctx context.Context, idx int, req, replyBuf []byte, t
 // decoderFor aims the cached reusable decoder (allocating it on
 // first use) at the reply, falling back to a fresh decoder for
 // codecs that do not support reuse.
-func (c *Client) decoderFor(slot *ReusableDecoder, reply []byte) Decoder {
-	if *slot == nil {
+func (c *Client) decoderFor(reply []byte) Decoder {
+	if c.dec == nil {
 		d := c.plan.NewDecoder(reply)
 		if rd, ok := d.(ReusableDecoder); ok {
-			*slot = rd
+			c.dec = rd
 		}
 		return d
 	}
-	(*slot).Reset(reply)
-	return *slot
+	c.dec.Reset(reply)
+	return c.dec
 }
 
 // finishCall consumes the runtime status framing (when the transport

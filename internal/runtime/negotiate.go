@@ -40,13 +40,6 @@ func NegotiateIn(client, server *pres.ParamAttrs) InSemantics {
 	return InCopy
 }
 
-// InMayModify reports whether the server work function may modify
-// the buffer it receives under the negotiated semantics: always
-// after a copy, and otherwise only when the client said trashable.
-func InMayModify(sem InSemantics, client *pres.ParamAttrs) bool {
-	return sem == InCopy || client.Trashable
-}
-
 // OutSemantics is the transfer method for an out parameter or
 // result.
 type OutSemantics int

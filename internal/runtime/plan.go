@@ -24,27 +24,6 @@ type SpecialHooks interface {
 	DecodeSpecial(op, param string, dec Decoder) (Value, error)
 }
 
-// An EncodeStepFn is one compiled marshal step: it encodes a single
-// parameter value, with the parameter's type, presentation attributes
-// and codec dispatch already resolved at bind time.
-type EncodeStepFn func(enc Encoder, v Value) error
-
-// A DecodeStepFn is one compiled unmarshal step.
-type DecodeStepFn func(dec Decoder) (Value, error)
-
-// StepHooks is the bind-time form of SpecialHooks: instead of a
-// name-keyed dispatch on every call, the plan compiler asks once per
-// [special] parameter for a compiled step closure and threads it into
-// the operation's step list. A StepHooks implementation also declares
-// that its hooks are re-entrant, which the pooled parallel client
-// (NewParallelClient) requires. Either method may return nil to fall
-// back to the corresponding SpecialHooks method for that parameter.
-type StepHooks interface {
-	SpecialHooks
-	EncodeStep(op, param string) EncodeStepFn
-	DecodeStep(op, param string) DecodeStepFn
-}
-
 // A Plan is the compiled marshal program for one endpoint: one
 // OpPlan per operation, honoring the endpoint's presentation.
 //
@@ -75,11 +54,8 @@ type Plan struct {
 	stats *stats.Endpoint
 }
 
-// setStats points the plan's meters at e (nil disables).
-func (p *Plan) setStats(e *stats.Endpoint) { p.stats = e }
-
-// SetStats is setStats for callers outside the package that drive a
-// Plan directly (servers: SessionServer, suntcp, pipeconn). Use the
+// SetStats points the plan's meters at e (nil disables). Servers that
+// drive a Plan directly (SessionServer, suntcp, pipeconn) pass the
 // dispatcher's endpoint so codec meters land beside its counters.
 func (p *Plan) SetStats(e *stats.Endpoint) { p.stats = e }
 
@@ -152,13 +128,18 @@ type step struct {
 	name    string
 	landing Landing
 	traced  bool // enc is wrapped by the [traced] meter
-	enc     EncodeStepFn
+	enc     encodeFn
 	dec     decodeFn
 	// borrow is set on a request-decode step whose parameter is itself a
 	// byte buffer landing by borrow: the typed form of dec, which lands
 	// the slice in a Call's byte slot instead of boxing it into a Value.
 	borrow func(Decoder) ([]byte, error)
 }
+
+// An encodeFn is a compiled marshal step: it encodes one parameter
+// value, with the parameter's type, presentation attributes and codec
+// dispatch already resolved at bind time.
+type encodeFn func(enc Encoder, v Value) error
 
 // A decodeFn is a compiled unmarshal step. dst is the caller's
 // landing buffer; only LandCaller steps look at it.
@@ -281,7 +262,7 @@ func (pl *Plan) compileOp(idx int, op *ir.Operation, opPres *pres.OpPres) (*OpPl
 // built from it.
 func (o *OpPlan) compileParam(arg int, name string, t *ir.Type, in, out bool) error {
 	pl, a := o.plan, o.attrs(name)
-	var enc EncodeStepFn
+	var enc encodeFn
 	var hook decodeFn // set for a [special] parameter
 	if a.Special {
 		var err error
@@ -352,9 +333,8 @@ func resolveLanding(phase string, t *ir.Type, a *pres.ParamAttrs) Landing {
 	return LandScalar
 }
 
-// compileSpecial resolves a [special] parameter to its hooks,
-// preferring the bind-time StepHooks form.
-func (pl *Plan) compileSpecial(opName, prmName string) (EncodeStepFn, decodeFn, error) {
+// compileSpecial resolves a [special] parameter to its hooks.
+func (pl *Plan) compileSpecial(opName, prmName string) (encodeFn, decodeFn, error) {
 	if pl.hooks == nil {
 		what := "param " + prmName
 		if prmName == pres.ResultParam {
@@ -363,28 +343,16 @@ func (pl *Plan) compileSpecial(opName, prmName string) (EncodeStepFn, decodeFn, 
 		return nil, nil, fmt.Errorf("runtime: %s.%s %s is [special] but no hooks were provided",
 			pl.Pres.Interface.Name, opName, what)
 	}
-	var enc EncodeStepFn
-	var dec DecodeStepFn
-	if sh, ok := pl.hooks.(StepHooks); ok {
-		enc = sh.EncodeStep(opName, prmName)
-		dec = sh.DecodeStep(opName, prmName)
-	}
 	hooks := pl.hooks
-	if enc == nil {
-		enc = func(e Encoder, v Value) error { return hooks.EncodeSpecial(opName, prmName, e, v) }
-	}
-	if dec == nil {
-		dec = func(d Decoder) (Value, error) { return hooks.DecodeSpecial(opName, prmName, d) }
-	}
-	return enc, func(d Decoder, _ []byte) (Value, error) { return dec(d) }, nil
+	return func(e Encoder, v Value) error { return hooks.EncodeSpecial(opName, prmName, e, v) },
+		func(d Decoder, _ []byte) (Value, error) { return hooks.DecodeSpecial(opName, prmName, d) }, nil
 }
 
 // wrapTraced meters an encode step whose parameter carries [traced]:
 // the per-op traced Meter accumulates how many values and encoded
 // bytes flowed through it. Free when stats are disabled beyond one
-// nil check; flexvet FV015 flags the pooled+[special] combinations
-// where even the enabled path would force an allocation.
-func (pl *Plan) wrapTraced(opIdx int, inner EncodeStepFn) EncodeStepFn {
+// nil check.
+func (pl *Plan) wrapTraced(opIdx int, inner encodeFn) encodeFn {
 	return func(enc Encoder, v Value) error {
 		if pl.stats == nil {
 			return inner(enc, v)
@@ -402,7 +370,7 @@ func (pl *Plan) wrapTraced(opIdx int, inner EncodeStepFn) EncodeStepFn {
 // compileEncode builds the encode step for wire type t: the type
 // switch runs here, once, at bind time; the returned closure performs
 // only the type assertion and the codec call.
-func compileEncode(t *ir.Type) EncodeStepFn {
+func compileEncode(t *ir.Type) encodeFn {
 	if t == nil || t.Kind == ir.Void {
 		return func(enc Encoder, v Value) error {
 			if v != nil {
@@ -540,7 +508,7 @@ func compileEncode(t *ir.Type) EncodeStepFn {
 			return nil
 		}
 	case ir.Struct:
-		fields := make([]EncodeStepFn, len(t.Fields))
+		fields := make([]encodeFn, len(t.Fields))
 		names := make([]string, len(t.Fields))
 		for i, f := range t.Fields {
 			fields[i] = compileEncode(f.Type)

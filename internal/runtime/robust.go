@@ -563,9 +563,6 @@ func (c *ReplyCache) SetStats(e *stats.Endpoint) { c.stats = e }
 // spreading load.
 func (c *ReplyCache) Contention() uint64 { return c.contention.Load() }
 
-// Shards reports the shard count (always a power of two).
-func (c *ReplyCache) Shards() int { return len(c.shards) }
-
 // shardHash spreads the (cid, seq) key over the shards: a splitmix64
 // finalizer, so consecutive sequence numbers from one client land on
 // different shards.
@@ -687,19 +684,6 @@ func (s *replyShard) alloc(frame []byte) []byte {
 	return k.buf[off:len(k.buf):len(k.buf)]
 }
 
-// Len reports how many completed replies the cache currently holds,
-// summed across shards.
-func (c *ReplyCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		c.lock(s)
-		n += len(s.ring)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // Flush evicts every completed reply and releases the slab and the
 // arena, returning how many replies were dropped. In-flight executions
 // are left to finish; a drain calls Flush after the last in-flight call
@@ -742,9 +726,6 @@ func NewSessionServer(disp *Dispatcher, plan *Plan, cache *ReplyCache) *SessionS
 // checksumming) and answers rejected calls with its pushback frame.
 // Set before serving; nil (the default) admits everything.
 func (s *SessionServer) SetAdmission(a *Admission) { s.adm = a }
-
-// Admission returns the installed controller (nil when none).
-func (s *SessionServer) Admission() *Admission { return s.adm }
 
 // Drain gracefully retires the session server: new calls are rejected
 // with a draining pushback, then Drain waits (bounded by ctx) for

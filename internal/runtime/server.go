@@ -307,16 +307,11 @@ func invokeRecover(h Handler, c *Call) (err error) {
 	return h(c)
 }
 
-// NewCall prepares a Call for op, which must be one of the
-// interface's operations; transports fill the inputs before Invoke.
-func (d *Dispatcher) NewCall(op *ir.Operation) *Call {
-	return NewFrame().begin(nil, d, d.mustIndex(op.Name))
-}
-
-// AcquireCall is NewCall by operation index with recycling: the Call
-// is part of a pooled Frame, so the steady-state invocation path
-// allocates nothing and looks nothing up. Pair with ReleaseCall once
-// the call's values are no longer needed.
+// AcquireCall prepares a Call for the operation at opIdx; transports
+// fill the inputs before Invoke. The Call is part of a pooled Frame,
+// so the steady-state invocation path allocates nothing and looks
+// nothing up. Pair with ReleaseCall once the call's values are no
+// longer needed.
 func (d *Dispatcher) AcquireCall(opIdx int) *Call {
 	return acquireFrame().begin(nil, d, opIdx)
 }

@@ -38,93 +38,6 @@ type Value = any
 // 32-bit task-local name.
 type PortName uint32
 
-// CheckValue verifies that v matches the wire type t, recursively.
-func CheckValue(t *ir.Type, v Value) error {
-	if t == nil || t.Kind == ir.Void {
-		if v != nil {
-			return fmt.Errorf("runtime: void value must be nil, have %T", v)
-		}
-		return nil
-	}
-	switch t.Kind {
-	case ir.Bool:
-		_, ok := v.(bool)
-		return checkOk(ok, t, v)
-	case ir.Int32, ir.Enum:
-		_, ok := v.(int32)
-		return checkOk(ok, t, v)
-	case ir.Uint32:
-		_, ok := v.(uint32)
-		return checkOk(ok, t, v)
-	case ir.Int64:
-		_, ok := v.(int64)
-		return checkOk(ok, t, v)
-	case ir.Uint64:
-		_, ok := v.(uint64)
-		return checkOk(ok, t, v)
-	case ir.Float32:
-		_, ok := v.(float32)
-		return checkOk(ok, t, v)
-	case ir.Float64:
-		_, ok := v.(float64)
-		return checkOk(ok, t, v)
-	case ir.String:
-		_, ok := v.(string)
-		return checkOk(ok, t, v)
-	case ir.Bytes:
-		_, ok := v.([]byte)
-		return checkOk(ok, t, v)
-	case ir.FixedBytes:
-		b, ok := v.([]byte)
-		if !ok {
-			return typeErr(t, v)
-		}
-		if len(b) != t.Size {
-			return fmt.Errorf("runtime: fixed opaque needs %d bytes, have %d", t.Size, len(b))
-		}
-		return nil
-	case ir.Seq, ir.Array:
-		vs, ok := v.([]Value)
-		if !ok {
-			return typeErr(t, v)
-		}
-		if t.Kind == ir.Array && len(vs) != t.Size {
-			return fmt.Errorf("runtime: array needs %d elements, have %d", t.Size, len(vs))
-		}
-		for i, e := range vs {
-			if err := CheckValue(t.Elem, e); err != nil {
-				return fmt.Errorf("element %d: %w", i, err)
-			}
-		}
-		return nil
-	case ir.Struct:
-		vs, ok := v.([]Value)
-		if !ok {
-			return typeErr(t, v)
-		}
-		if len(vs) != len(t.Fields) {
-			return fmt.Errorf("runtime: struct %s needs %d fields, have %d", t.Name, len(t.Fields), len(vs))
-		}
-		for i, f := range t.Fields {
-			if err := CheckValue(f.Type, vs[i]); err != nil {
-				return fmt.Errorf("field %s: %w", f.Name, err)
-			}
-		}
-		return nil
-	case ir.Port:
-		_, ok := v.(PortName)
-		return checkOk(ok, t, v)
-	}
-	return fmt.Errorf("runtime: unsupported kind %v", t.Kind)
-}
-
-func checkOk(ok bool, t *ir.Type, v Value) error {
-	if ok {
-		return nil
-	}
-	return typeErr(t, v)
-}
-
 func typeErr(t *ir.Type, v Value) error {
 	return fmt.Errorf("runtime: value %T does not match wire type %s", v, t.Signature())
 }

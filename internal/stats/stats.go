@@ -100,12 +100,10 @@ const (
 
 	// Netpoll server runtime: readiness events delivered to registered
 	// connections, connections registered with a poller over the
-	// server's lifetime, accepts delayed by the per-shard accept rate
-	// limiter, and reads that ended mid-record (the partial record waits
-	// in per-connection reassembly state for the next read).
+	// server's lifetime, and reads that ended mid-record (the partial
+	// record waits in per-connection reassembly state for the next read).
 	PollerWakeups
 	PollerConnsRegistered
-	AcceptThrottled
 	PartialReads
 
 	// Server overload: calls rejected with a pushback frame before
@@ -142,7 +140,6 @@ var counters = [numCounters]struct {
 	HandlerPanics:         {"server.handler_panics", func(s *Snapshot) *uint64 { return &s.HandlerPanics }},
 	PollerWakeups:         {"server.poller_wakeups", func(s *Snapshot) *uint64 { return &s.PollerWakeups }},
 	PollerConnsRegistered: {"server.poller_conns_registered", func(s *Snapshot) *uint64 { return &s.PollerConnsRegistered }},
-	AcceptThrottled:       {"server.accept_throttled", func(s *Snapshot) *uint64 { return &s.AcceptThrottled }},
 	PartialReads:          {"server.partial_reads", func(s *Snapshot) *uint64 { return &s.PartialReads }},
 	Sheds:                 {"server.sheds", func(s *Snapshot) *uint64 { return &s.Sheds }},
 	DrainRejects:          {"server.drain_rejects", func(s *Snapshot) *uint64 { return &s.DrainRejects }},
@@ -228,9 +225,8 @@ func (r *opRow) add(c OpCounter, n int) {
 //
 // A nil *Endpoint is the disabled state: every method no-ops.
 type Endpoint struct {
-	names  []string
-	byName map[string]int
-	ops    []opRow
+	names []string
+	ops   []opRow
 
 	// Codec-layer meters: marshaled request/reply bytes produced and
 	// consumed, plus the copies and fresh landing-buffer allocations
@@ -253,26 +249,10 @@ type Endpoint struct {
 // New creates an Endpoint with one counter row per operation name,
 // indexed in order.
 func New(names []string) *Endpoint {
-	e := &Endpoint{
-		names:  append([]string(nil), names...),
-		byName: make(map[string]int, len(names)),
-		ops:    make([]opRow, len(names)),
+	return &Endpoint{
+		names: append([]string(nil), names...),
+		ops:   make([]opRow, len(names)),
 	}
-	for i, n := range names {
-		e.byName[n] = i
-	}
-	return e
-}
-
-// OpIndex returns the counter-row index for name, or -1.
-func (e *Endpoint) OpIndex(name string) int {
-	if e == nil {
-		return -1
-	}
-	if i, ok := e.byName[name]; ok {
-		return i
-	}
-	return -1
 }
 
 func (e *Endpoint) row(op int) *opRow {
@@ -407,7 +387,6 @@ type Snapshot struct {
 
 	PollerWakeups         uint64 `json:"poller_wakeups,omitempty"`
 	PollerConnsRegistered uint64 `json:"poller_conns_registered,omitempty"`
-	AcceptThrottled       uint64 `json:"accept_throttled,omitempty"`
 	PartialReads          uint64 `json:"partial_reads,omitempty"`
 
 	Sheds            uint64 `json:"sheds,omitempty"`

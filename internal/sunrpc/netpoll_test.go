@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"flexrpc/internal/netpoll"
-	rt "flexrpc/internal/runtime"
 	"flexrpc/internal/stats"
 	"flexrpc/internal/xdr"
 )
@@ -246,59 +245,6 @@ func TestNetpollIdleConnScale(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("Drain with %d conns: %v", conns, err)
 	}
-	if err := <-served; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-}
-
-// TestAcceptRateLimitFakeClock: the per-shard token bucket is
-// Clock-driven, so under a FakeClock the pacing schedule is exact —
-// burst-sized admits for free, then one sleep of 1/rate per accept.
-func TestAcceptRateLimitFakeClock(t *testing.T) {
-	const conns = 6
-	ck := rt.NewFakeClock()
-	ck.AutoAdvance(true)
-	s := newTestServer()
-	s.SetClock(ck)
-	s.SetAcceptRate(1000, 2) // 1ms a token, burst of 2
-	e := stats.New(nil)
-	s.SetStats(e)
-
-	l := newMemListener()
-	served := make(chan error, 1)
-	go func() { served <- s.Serve(l) }()
-
-	for i := 0; i < conns; i++ {
-		cc, err := l.dial()
-		if err != nil {
-			t.Fatalf("dial %d: %v", i, err)
-		}
-		c := NewClient(cc, testProg, testVers)
-		if err := c.Call(0, nil, func(*xdr.Decoder) error { return nil }); err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		cc.Close()
-	}
-
-	// First accept spends a burst token, the dial-time second token
-	// re-accrues while calls run; every later accept waits exactly
-	// once. The deterministic part: throttles happened, each sleep is
-	// at most one token interval, and no accept slept twice.
-	sleeps := ck.Sleeps()
-	throttled := e.Snapshot().AcceptThrottled
-	if throttled == 0 {
-		t.Fatal("AcceptThrottled = 0; the bucket never paced a burst of accepts")
-	}
-	if uint64(len(sleeps)) != throttled {
-		t.Fatalf("%d sleeps for %d throttled accepts; want exactly one sleep each", len(sleeps), throttled)
-	}
-	for i, d := range sleeps {
-		if d <= 0 || d > time.Millisecond+time.Microsecond {
-			t.Fatalf("sleep %d = %v; want (0, 1ms]", i, d)
-		}
-	}
-
-	l.Close()
 	if err := <-served; err != nil {
 		t.Fatalf("Serve: %v", err)
 	}

@@ -13,7 +13,6 @@ import (
 	"syscall"
 	"time"
 
-	"flexrpc/internal/clock"
 	"flexrpc/internal/netpoll"
 	"flexrpc/internal/stats"
 	"flexrpc/internal/xdr"
@@ -63,13 +62,6 @@ type Server struct {
 
 	recBufs  sync.Pool // record holders, shared by every connection and executor
 	pollBufs sync.Pool // pollReadBuf scratch the poller feed reads into
-
-	// Accept rate limiting: a token bucket per accept shard (see
-	// accept.go). The clock is swappable so tests drive it with a
-	// FakeClock.
-	acceptRate  float64
-	acceptBurst int
-	clock       clock.Clock
 
 	// A draining server answers SYSTEM_ERR — the only pushback the bare
 	// Sun RPC wire can carry — instead of starting work it may not
@@ -449,9 +441,7 @@ func (s *Server) runHandler(proc uint32, h ProcHandler, d *xdr.Decoder, enc *xdr
 // are classified by errno (see classifyAcceptError): connections that
 // died in the backlog retry immediately, resource exhaustion (EMFILE
 // and friends) backs off at the 100ms cap, anything else is permanent
-// and stops the shard. With SetAcceptRate configured, a per-shard
-// token bucket paces accepts so an accept storm cannot monopolize the
-// pollers.
+// and stops the shard.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.draining.Load() {
@@ -461,11 +451,7 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 	s.listeners = append(s.listeners, l)
 	s.mu.Unlock()
-	limiter := s.newAcceptLimiter()
 	for {
-		if limiter != nil && limiter.take() {
-			s.stats.Add(stats.AcceptThrottled, 1)
-		}
 		conn, err := l.Accept()
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {

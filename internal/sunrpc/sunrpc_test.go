@@ -69,7 +69,7 @@ func TestEchoRoundTrip(t *testing.T) {
 	err := c.Call(procEcho,
 		func(e *xdr.Encoder) { e.PutOpaque(payload) },
 		func(d *xdr.Decoder) error {
-			b, err := d.OpaqueCopy()
+			b, err := d.OpaqueInto(nil)
 			got = b
 			return err
 		})
@@ -287,7 +287,7 @@ func TestOverTCPSocket(t *testing.T) {
 	err = c.Call(procEcho,
 		func(e *xdr.Encoder) { e.PutOpaque(payload) },
 		func(d *xdr.Decoder) error {
-			b, err := d.OpaqueCopy()
+			b, err := d.OpaqueInto(nil)
 			got = b
 			return err
 		})

@@ -105,7 +105,7 @@ func TestNullCallBoundedAllocsStatsOn(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("stats-on null call allocates %.1f times per call, want <= 2", allocs)
 	}
-	if snap := conn.Stats(); len(snap.Ops) == 0 || snap.Ops[0].Calls == 0 {
+	if snap := conn.EnableStats().Snapshot(); len(snap.Ops) == 0 || snap.Ops[0].Calls == 0 {
 		t.Fatal("stats-on gate recorded no calls")
 	}
 }

@@ -56,10 +56,6 @@ func (c *Conn) EnableStats() *stats.Endpoint {
 // SetStats installs (or, with nil, removes) the endpoint.
 func (c *Conn) SetStats(e *stats.Endpoint) { c.stats = e }
 
-// Stats snapshots the client-side counters; empty but non-nil when
-// stats are disabled.
-func (c *Conn) Stats() *stats.Snapshot { return c.stats.Snapshot() }
-
 // opBind is one operation's compiled invocation program: every
 // negotiation the engine would otherwise redo per call, resolved at
 // bind time.

@@ -7,6 +7,7 @@ import (
 
 	"flexrpc/internal/mach"
 	"flexrpc/internal/pdl"
+	"flexrpc/internal/pres"
 	"flexrpc/internal/runtime"
 )
 
@@ -33,14 +34,17 @@ func TestCrossPresentationInteropMatrix(t *testing.T) {
 	for sname, spdl := range serverPDLs {
 		for cname, cpdl := range clientPDLs {
 			t.Run(fmt.Sprintf("server=%s/client=%s", sname, cname), func(t *testing.T) {
-				sp := fileIOPres(t)
-				if spdl != "" {
-					sp = pdl.MustApply(sp, "s.pdl", spdl)
+				apply := func(name, src string) *pres.Presentation {
+					if src == "" {
+						return fileIOPres(t)
+					}
+					p, err := pdl.Apply(fileIOPres(t), name, src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return p
 				}
-				cp := fileIOPres(t)
-				if cpdl != "" {
-					cp = pdl.MustApply(cp, "c.pdl", cpdl)
-				}
+				sp, cp := apply("s.pdl", spdl), apply("c.pdl", cpdl)
 
 				k := mach.NewKernel()
 				srvTask := k.NewTask("server")

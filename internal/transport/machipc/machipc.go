@@ -26,16 +26,11 @@ func SigFor(p *pres.Presentation) mach.EndpointSig {
 	case pres.TrustFull:
 		sig.Trust = mach.TrustFullLevel
 	}
-	// The connection relaxes the unique-name invariant when the
-	// endpoint marked its port parameters [nonunique]; presentation
-	// validation guarantees the attribute appears only on ports.
-	for _, op := range p.Ops {
-		for _, a := range op.Params {
-			if a.NonUnique {
-				sig.NonUniquePorts = true
-			}
-		}
-	}
+	// The flag is endpoint-wide — every right the connection transfers
+	// is then inserted non-uniquely — so it is set only when the
+	// endpoint annotated every port it moves.
+	ports, nonUnique := p.PortNaming()
+	sig.NonUniquePorts = ports && nonUnique
 	return sig
 }
 

@@ -150,6 +150,57 @@ func TestSigForMapsTrustAndNaming(t *testing.T) {
 	}
 }
 
+// The signature's naming flag covers every right the connection moves,
+// so an endpoint that annotated one of its two ports must keep unique
+// names: the same right sent twice lands under one name.
+func TestOneAnnotatedPortKeepsUniqueNames(t *testing.T) {
+	f, err := corba.Parse("cap.idl", `
+		interface Caps { void grant(in Object loose, in Object strict); };`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := pres.Default(f.Interface("Caps"), pres.StyleCORBA)
+	sp.Op("grant").Param("loose").NonUnique = true
+	if SigFor(sp).NonUniquePorts {
+		t.Fatal("one [nonunique] port of two relaxed naming for the whole endpoint")
+	}
+
+	k := mach.NewKernel()
+	srvTask, cliTask := k.NewTask("server"), k.NewTask("client")
+	_, port := srvTask.AllocatePort()
+	Announce(port, sp)
+	conn, err := Dial(cliTask, cliTask.InsertRight(port), pres.Default(f.Interface("Caps"), pres.StyleCORBA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, carried := cliTask.AllocatePort()
+	names := make(chan mach.Name, 2)
+	go func() {
+		for i := 0; i < 2; i++ {
+			in, err := srvTask.Receive(port, nil)
+			if err != nil {
+				return
+			}
+			names <- in.PortNames[0]
+			in.Reply(&mach.Message{})
+		}
+	}()
+	for i := 0; i < 2; i++ {
+		if _, err := conn.binding.Call(&mach.Message{Ports: []*mach.Port{carried}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n1, n2 := <-names, <-names; n1 != n2 {
+		t.Fatalf("the same right arrived as names %d and %d: the unique-name invariant was dropped", n1, n2)
+	}
+	port.Destroy()
+
+	sp.Op("grant").Param("strict").NonUnique = true
+	if !SigFor(sp).NonUniquePorts {
+		t.Fatal("every port [nonunique] should relax naming")
+	}
+}
+
 func TestServerErrorTravelsBack(t *testing.T) {
 	sp := fileIOPres(t)
 	k := mach.NewKernel()

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"flexrpc/internal/fbuf"
-	"flexrpc/internal/ir"
 	"flexrpc/internal/pres"
 	"flexrpc/internal/runtime"
 	"flexrpc/internal/stats"
@@ -26,9 +25,6 @@ type Options struct {
 	// use it to measure the handoff itself.
 	ForceDoorbell bool
 }
-
-// statusErr mirrors the dispatcher's framed error status word.
-const statusErr = 1
 
 // A Bound is a bind-time specialized shmring connection implementing
 // runtime.Invoker/ContextInvoker: marshal plans for both presentations
@@ -136,7 +132,9 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 	// extend; naming is relaxed only when neither endpoint relies on
 	// the unique-name invariant for any port parameter.
 	b.trusted = clientPres.Trust >= pres.TrustFull && disp.Pres.Trust >= pres.TrustFull
-	b.nonUnique = !uniqueNamesNeeded(clientPres) && !uniqueNamesNeeded(disp.Pres)
+	_, cRelaxed := clientPres.PortNaming()
+	_, sRelaxed := disp.Pres.PortNaming()
+	b.nonUnique = cRelaxed && sRelaxed
 	b.inline = b.trusted && !opts.ForceDoorbell
 	for i, op := range cplan.Ops {
 		b.binds = append(b.binds, boundOp{
@@ -170,33 +168,8 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 	return b, nil
 }
 
-// uniqueNamesNeeded reports whether p relies on the system-maintained
-// unique name table: true when any port parameter lacks [nonunique].
-// Interfaces without port parameters never need it.
-func uniqueNamesNeeded(p *pres.Presentation) bool {
-	for i := range p.Interface.Ops {
-		op := &p.Interface.Ops[i]
-		opp := p.Op(op.Name)
-		for j := range op.Params {
-			prm := &op.Params[j]
-			if prm.Type == nil || prm.Type.Kind != ir.Port {
-				continue
-			}
-			if opp == nil {
-				return true
-			}
-			if a, ok := opp.Params[prm.Name]; !ok || !a.NonUnique {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Trusted reports whether the binding elides the untrusted-peer
-// machinery; NonUniqueNames whether the name-table lookup is elided.
-func (b *Bound) Trusted() bool        { return b.trusted }
-func (b *Bound) NonUniqueNames() bool { return b.nonUnique }
+// InlineDispatch reports whether calls run the handler on the caller's
+// goroutine: mutual full trust, and no ForceDoorbell.
 func (b *Bound) InlineDispatch() bool { return b.inline }
 
 // EnableStats switches on client-side observability, pointing the
@@ -224,9 +197,6 @@ func (b *Bound) SetStats(e *stats.Endpoint) {
 // its meters at an endpoint (benchmarks metering the full round
 // trip). Do this before issuing calls.
 func (b *Bound) ServerPlan() *runtime.Plan { return b.splan }
-
-// Stats snapshots the client-side counters.
-func (b *Bound) Stats() *stats.Snapshot { return b.stats.Snapshot() }
 
 // Close tears the binding down: both doorbells wake closed and the
 // serve goroutine (if any) exits.

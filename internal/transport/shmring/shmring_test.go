@@ -358,12 +358,43 @@ func TestConnectResolvesModes(t *testing.T) {
 	for _, m := range modes() {
 		t.Run(m.name, func(t *testing.T) {
 			b, _ := connectMode(t, m, Config{})
-			if b.Trusted() != m.trusted || b.NonUniqueNames() != m.nonUnique || b.InlineDispatch() != m.inline {
+			if b.trusted != m.trusted || b.nonUnique != m.nonUnique || b.inline != m.inline {
 				t.Fatalf("flags = trusted %v nonunique %v inline %v, want %v %v %v",
-					b.Trusted(), b.NonUniqueNames(), b.InlineDispatch(),
+					b.trusted, b.nonUnique, b.inline,
 					m.trusted, m.nonUnique, m.inline)
 			}
 		})
+	}
+}
+
+// The name-table elision is per binding, so it takes every port of
+// both endpoints: one unannotated port parameter keeps the lookups.
+func TestOneAnnotatedPortKeepsNameTable(t *testing.T) {
+	twoPorts := func(annotate ...string) *pres.Presentation {
+		f, err := corba.Parse("cap.idl", `
+			interface Caps { void grant(in Object loose, in Object strict); };`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := pres.Default(f.Interface("Caps"), pres.StyleCORBA)
+		for _, name := range annotate {
+			p.Op("grant").Param(name).NonUnique = true
+		}
+		return p
+	}
+	for _, c := range []struct {
+		annotate []string
+		want     bool
+	}{{[]string{"loose"}, false}, {[]string{"loose", "strict"}, true}} {
+		disp := runtime.NewDispatcher(twoPorts(c.annotate...))
+		b, err := Connect(twoPorts(c.annotate...), disp, runtime.XDRCodec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.nonUnique != c.want {
+			t.Errorf("annotated %v of 2 ports: nonUnique = %v, want %v", c.annotate, b.nonUnique, c.want)
+		}
+		b.Close()
 	}
 }
 
@@ -452,7 +483,7 @@ func TestBoundStats(t *testing.T) {
 	b, pr := connectMode(t, modes()[0], Config{})
 	b.EnableStats()
 	driveCalls(t, b, pr, []byte("metered"))
-	snap := b.Stats()
+	snap := b.EnableStats().Snapshot()
 	var addCalls, failErrors uint64
 	for _, op := range snap.Ops {
 		switch op.Name {
@@ -509,7 +540,7 @@ func TestZeroCopyTrustedBorrow(t *testing.T) {
 			if pr.putLen != 1024 {
 				t.Fatalf("server saw %d bytes", pr.putLen)
 			}
-			snap := b.Stats()
+			snap := b.EnableStats().Snapshot()
 			if snap.Copy.Bytes != 0 {
 				t.Fatalf("copy meter reports %d copied bytes for a trusted borrow round trip, want 0", snap.Copy.Bytes)
 			}

@@ -93,9 +93,8 @@ func TestCallContextDeadline(t *testing.T) {
 	}
 }
 
-// SetRedial on the suntcp conn reaches the underlying Sun RPC
-// client: after the server connection dies, calls recover over a
-// fresh dial.
+// A redial hook on the Sun RPC client under a suntcp conn: after the
+// server connection dies, calls recover over a fresh dial.
 func TestRedialThroughConn(t *testing.T) {
 	c := compileEcho(t)
 	disp := runtime.NewDispatcher(c.Pres)
@@ -120,7 +119,7 @@ func TestRedialThroughConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := Dial(nc, c.Pres)
-	conn.SetRedial(func() (net.Conn, error) {
+	conn.rpc.SetRedial(func() (net.Conn, error) {
 		return net.Dial("tcp", l.Addr().String())
 	})
 	client, err := runtime.NewClient(c.Pres, runtime.XDRCodec, conn, nil)

@@ -105,15 +105,6 @@ func (c *Conn) CallContext(ctx context.Context, opIdx int, req []byte, replyBuf 
 	return body, nil
 }
 
-// SetRedial installs a dial function the Sun RPC client uses to
-// replace the connection after a transport failure (see
-// sunrpc.Client.SetRedial).
-func (c *Conn) SetRedial(dial func() (net.Conn, error)) { c.rpc.SetRedial(dial) }
-
-// RPC exposes the underlying Sun RPC client (e.g. to configure
-// MaxMessageSize).
-func (c *Conn) RPC() *sunrpc.Client { return c.rpc }
-
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.rpc.Close() }
 

@@ -13,12 +13,8 @@ import (
 	"math"
 )
 
-// Wire sizes of fixed XDR primitives, in bytes.
-const (
-	UnitSize   = 4 // the fundamental XDR alignment unit
-	HyperSize  = 8
-	DoubleSize = 8
-)
+// UnitSize is the fundamental XDR alignment unit, in bytes.
+const UnitSize = 4
 
 var (
 	// ErrShortBuffer is returned when a decode runs off the end of
@@ -51,18 +47,9 @@ type Encoder struct {
 	buf []byte
 }
 
-// NewEncoder returns an Encoder writing into buf (which may be nil);
-// encoded data is appended.
-func NewEncoder(buf []byte) *Encoder {
-	return &Encoder{buf: buf}
-}
-
 // Bytes returns the encoded data. The slice aliases the encoder's
 // internal buffer and is valid until the next Put call.
 func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
 
 // Reset discards all encoded data but retains the buffer capacity.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
@@ -137,10 +124,6 @@ func (e *Encoder) PutString(s string) {
 	}
 }
 
-// PutOptional encodes the boolean discriminant of XDR optional data
-// ("*" syntax); when present is true the caller then encodes the body.
-func (e *Encoder) PutOptional(present bool) { e.PutBool(present) }
-
 // PutRaw appends pre-encoded XDR data verbatim. The caller is
 // responsible for its alignment; transports use this to embed an
 // already-marshaled body.
@@ -148,9 +131,6 @@ func (e *Encoder) PutRaw(b []byte) { e.buf = append(e.buf, b...) }
 
 // PutArrayLen encodes the element count of a variable-length array.
 func (e *Encoder) PutArrayLen(n int) { e.PutUint32(uint32(n)) }
-
-// PutUnionTag encodes the discriminant of an XDR union.
-func (e *Encoder) PutUnionTag(tag int32) { e.PutInt32(tag) }
 
 // A Decoder unmarshals XDR items from a byte slice.
 type Decoder struct {
@@ -323,26 +303,11 @@ func (d *Decoder) OpaqueInto(dst []byte) ([]byte, error) {
 	return out, nil
 }
 
-// OpaqueCopy decodes variable-length opaque data into freshly
-// allocated storage, for callers that must own the result.
-func (d *Decoder) OpaqueCopy() ([]byte, error) {
-	b, err := d.Opaque()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, nil
-}
-
 // String decodes an XDR string.
 func (d *Decoder) String() (string, error) {
 	b, err := d.Opaque()
 	return string(b), err
 }
-
-// Optional decodes the discriminant of XDR optional data.
-func (d *Decoder) Optional() (bool, error) { return d.Bool() }
 
 // ArrayLen decodes a variable-length array count, bounded by the
 // decoder's length limit.
@@ -356,9 +321,6 @@ func (d *Decoder) ArrayLen() (int, error) {
 	}
 	return int(n), nil
 }
-
-// UnionTag decodes the discriminant of an XDR union.
-func (d *Decoder) UnionTag() (int32, error) { return d.Int32() }
 
 // Rest returns the unread remainder of the buffer, consuming it.
 // Transports use this to hand an embedded pre-encoded body to

@@ -126,7 +126,7 @@ func TestOpaqueAliasVsCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := NewDecoder(wire).OpaqueCopy()
+	cp, err := NewDecoder(wire).OpaqueInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestOpaqueAliasVsCopy(t *testing.T) {
 		t.Error("Opaque should alias the input buffer")
 	}
 	if cp[0] != 'h' {
-		t.Error("OpaqueCopy should not alias the input buffer")
+		t.Error("OpaqueInto should not alias the input buffer")
 	}
 }
 
@@ -189,26 +189,12 @@ func TestLengthLimit(t *testing.T) {
 	}
 }
 
-func TestUnionAndOptional(t *testing.T) {
-	var e Encoder
-	e.PutUnionTag(-7)
-	e.PutOptional(true)
-	e.PutOptional(false)
-	d := NewDecoder(e.Bytes())
-	tag, _ := d.UnionTag()
-	p1, _ := d.Optional()
-	p2, _ := d.Optional()
-	if tag != -7 || !p1 || p2 {
-		t.Fatalf("tag=%d p1=%v p2=%v", tag, p1, p2)
-	}
-}
-
 func TestEncoderReset(t *testing.T) {
 	var e Encoder
 	e.PutUint32(1)
 	e.Reset()
-	if e.Len() != 0 {
-		t.Fatalf("len after reset = %d", e.Len())
+	if len(e.Bytes()) != 0 {
+		t.Fatalf("len after reset = %d", len(e.Bytes()))
 	}
 	e.PutUint32(2)
 	if !bytes.Equal(e.Bytes(), []byte{0, 0, 0, 2}) {
@@ -230,7 +216,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		e.PutFloat64(f64)
 		e.PutOpaque(op)
 		e.PutString(s)
-		if e.Len()%UnitSize != 0 {
+		if len(e.Bytes())%UnitSize != 0 {
 			return false
 		}
 		d := NewDecoder(e.Bytes())
@@ -262,7 +248,7 @@ func TestQuickFixedOpaque(t *testing.T) {
 	f := func(b []byte) bool {
 		var e Encoder
 		e.PutFixedOpaque(b)
-		if e.Len() != PaddedLen(len(b)) {
+		if len(e.Bytes()) != PaddedLen(len(b)) {
 			return false
 		}
 		got, err := NewDecoder(e.Bytes()).FixedOpaque(len(b))
