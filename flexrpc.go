@@ -36,8 +36,6 @@
 package flexrpc
 
 import (
-	"time"
-
 	"flexrpc/internal/analyze"
 	"flexrpc/internal/core"
 	"flexrpc/internal/pres"
@@ -178,38 +176,29 @@ type (
 )
 
 // Re-exported overload-resilience types (admission control with
-// wire-visible pushback, stats-informed load shedding, retry budgets,
-// circuit breaking, graceful drain; see DESIGN.md §6).
+// wire-visible pushback, retry budgets, graceful drain; see DESIGN.md
+// §6).
 type (
 	// Admission is a server-side admission controller; install with
 	// SessionServer.SetAdmission. Decisions run before decode and
 	// allocate nothing.
 	Admission = runtime.Admission
-	// AdmissionOptions configure an Admission controller: inflight
-	// caps, per-client fairness, pushback advice, and the
-	// stats-informed load shedder.
+	// AdmissionOptions configure an Admission controller: the inflight
+	// cap, the pushback frames' advisory RetryAfter, and the stats
+	// endpoint that counts sheds and drain rejects.
 	AdmissionOptions = runtime.AdmissionOptions
 	// RetryBudget is a client-side token bucket bounding retry
 	// amplification under pushback; share one across the conns that
 	// target one backend.
 	RetryBudget = runtime.RetryBudget
-	// Breaker is a client-side circuit breaker: consecutive failures
-	// open it, a half-open probe closes it.
-	Breaker = runtime.Breaker
 	// ErrOverloaded is a server pushback surfaced to the caller, with
 	// the server's advisory RetryAfter; errors.Is(err, ErrDraining)
 	// discriminates a drain from momentary load.
 	ErrOverloaded = runtime.ErrOverloaded
 )
 
-// Overload-taxonomy sentinels.
-var (
-	// ErrDraining matches pushback from a draining server.
-	ErrDraining = runtime.ErrDraining
-	// ErrCircuitOpen reports a call failed fast at an open Breaker
-	// without touching the wire.
-	ErrCircuitOpen = runtime.ErrCircuitOpen
-)
+// ErrDraining matches pushback from a draining server.
+var ErrDraining = runtime.ErrDraining
 
 // NewAdmission builds an admission controller from o.
 func NewAdmission(o AdmissionOptions) *Admission { return runtime.NewAdmission(o) }
@@ -218,14 +207,6 @@ func NewAdmission(o AdmissionOptions) *Admission { return runtime.NewAdmission(o
 // retries, refilled at ratio tokens per attempt.
 func NewRetryBudget(capacity, ratio float64) *RetryBudget {
 	return runtime.NewRetryBudget(capacity, ratio)
-}
-
-// NewBreaker returns a circuit breaker opening after threshold
-// consecutive failures for at least cooldown (or the server's
-// RetryAfter advice, whichever is longer). A nil clock means
-// WallClock.
-func NewBreaker(threshold int, cooldown time.Duration, clock Clock) *Breaker {
-	return runtime.NewBreaker(threshold, cooldown, clock)
 }
 
 // NewRobustConn wraps a transport connection with the client half of

@@ -21,8 +21,7 @@
 //
 // Entry points: Check for plain presentations, CheckEndpoints when
 // transport bindings and endpoint labels are known. flexc vet is the
-// CLI; core.Compile runs the single-endpoint passes when Options.Vet
-// is set.
+// CLI.
 package analyze
 
 import (

@@ -91,16 +91,6 @@ func Render(diags []Diagnostic) string {
 	return b.String()
 }
 
-// HasErrors reports whether any diagnostic has error severity.
-func HasErrors(diags []Diagnostic) bool {
-	for _, d := range diags {
-		if d.Severity == SevError {
-			return true
-		}
-	}
-	return false
-}
-
 // RenderLines formats diagnostics in the machine-readable NDJSON
 // form of `flexc vet -json`: one Diagnostic object per line, so CI
 // pipelines and editors can stream-parse without buffering an array.

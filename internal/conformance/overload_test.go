@@ -110,7 +110,7 @@ func TestOverloadPushbackTaxonomy(t *testing.T) {
 			ow.adm.SetStats(st) // one endpoint covers client and controller
 
 			// Fill the server: two foreign admissions hold the global cap.
-			if ow.adm.Admit(90, false) != nil || ow.adm.Admit(91, false) != nil {
+			if ow.adm.Admit() != nil || ow.adm.Admit() != nil {
 				t.Fatal("pre-fill admissions rejected")
 			}
 			_, _, err := inv.Invoke("add", []runtime.Value{int32(1), int32(2)}, nil, nil)
@@ -132,8 +132,8 @@ func TestOverloadPushbackTaxonomy(t *testing.T) {
 			}
 
 			// Release the capacity: the same call now admits and runs.
-			ow.adm.Release(90)
-			ow.adm.Release(91)
+			ow.adm.Release()
+			ow.adm.Release()
 			_, ret, err := inv.Invoke("add", []runtime.Value{int32(20), int32(22)}, nil, nil)
 			if err != nil || ret.(int32) != 42 {
 				t.Fatalf("post-release add = %v, %v", ret, err)
@@ -166,13 +166,13 @@ func TestOverloadShedAndRetryAtMostOnce(t *testing.T) {
 			for i := 0; i < calls; i++ {
 				// Hold the only slot, free it shortly after the first
 				// attempt has been pushed back.
-				if ow.adm.Admit(77, false) != nil {
+				if ow.adm.Admit() != nil {
 					t.Fatal("pre-fill admission rejected")
 				}
 				release := make(chan struct{})
 				go func() {
 					time.Sleep(500 * time.Microsecond)
-					ow.adm.Release(77)
+					ow.adm.Release()
 					close(release)
 				}()
 				data := []byte{1, 2, 3}

@@ -12,9 +12,7 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
-	"flexrpc/internal/analyze"
 	"flexrpc/internal/idl/corba"
 	"flexrpc/internal/idl/migdefs"
 	"flexrpc/internal/idl/sunxdr"
@@ -76,13 +74,6 @@ type Options struct {
 	// in its error messages.
 	PDL         string
 	PDLFilename string
-	// Vet runs the flexvet single-endpoint passes over the compiled
-	// presentation. Findings land in Compiled.Diags; error-severity
-	// findings fail the compilation.
-	Vet bool
-	// Transport optionally names the transport this endpoint will
-	// bind to, enabling the transport-aware vet checks (FV005).
-	Transport string
 }
 
 // Compiled is the result of the first two compiler stages: the
@@ -91,8 +82,6 @@ type Compiled struct {
 	File  *ir.File
 	Iface *ir.Interface
 	Pres  *pres.Presentation
-	// Diags holds flexvet findings when Options.Vet was set.
-	Diags []analyze.Diagnostic
 }
 
 // Compile runs the front-end and presentation stages.
@@ -135,14 +124,6 @@ func Compile(o Options) (*Compiled, error) {
 		c.Pres, err = pdl.Apply(c.Pres, name, o.PDL)
 		if err != nil {
 			return nil, err
-		}
-	}
-	if o.Vet {
-		c.Diags = analyze.CheckEndpoints(c.Iface, []analyze.Endpoint{
-			{Pres: c.Pres, Transport: o.Transport},
-		})
-		if analyze.HasErrors(c.Diags) {
-			return nil, fmt.Errorf("core: vet failed:\n%s", strings.TrimRight(analyze.Render(c.Diags), "\n"))
 		}
 	}
 	return c, nil

@@ -187,42 +187,3 @@ func TestCompileMIGDefaultsToMIGStyle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCompileVetOption(t *testing.T) {
-	opts := Options{
-		Frontend: FrontendCORBA,
-		Filename: "f.idl",
-		Source:   `interface F { void put(in sequence<octet> data); };`,
-		Vet:      true,
-	}
-	// Clean compile: vet runs, finds nothing.
-	c, err := Compile(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Diags) != 0 {
-		t.Fatalf("clean compile produced diagnostics: %v", c.Diags)
-	}
-	// A warning-severity finding is reported but does not fail.
-	opts.PDL = `interface F { put([trashable, special] data); };`
-	c, err = Compile(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Diags) != 1 || c.Diags[0].ID != "FV004" {
-		t.Fatalf("diags = %v, want one FV004", c.Diags)
-	}
-	// An error-severity finding fails the compilation.
-	opts.PDL = ``
-	opts.Transport = "suntcp"
-	opts.Source = `interface F { void put(in sequence<octet> data); };`
-	opts.PDL = `[leaky, unprotected] interface F { };`
-	if _, err = Compile(opts); err == nil || !strings.Contains(err.Error(), "FV005") {
-		t.Fatalf("err = %v, want vet failure naming FV005", err)
-	}
-	// The same compile without Vet set is untouched.
-	opts.Vet = false
-	if _, err = Compile(opts); err != nil {
-		t.Fatalf("non-vet compile failed: %v", err)
-	}
-}

@@ -143,16 +143,16 @@ func (s *SessionServer) execBatch(ctx context.Context, body []byte, tid uint32, 
 	return dst
 }
 
+// batchFlushBytes flushes the queue when the queued request bodies
+// reach this many bytes, so large calls don't pile up behind the timer.
+const batchFlushBytes = 16 << 10
+
 // BatchOptions size the client-side batcher. The zero value of any
 // field selects its default.
 type BatchOptions struct {
 	// MaxCalls flushes the queue when this many calls are waiting
 	// (default 16).
 	MaxCalls int
-	// MaxBytes flushes when the queued request bodies reach this many
-	// bytes (default 16 KiB), so large calls don't pile up behind the
-	// timer.
-	MaxBytes int
 	// MaxDelay bounds how long any call — including a lone one — may
 	// wait for companions before the queue is flushed (default 200µs;
 	// keep it well under one transport RTT for a net win).
@@ -163,9 +163,6 @@ func (o BatchOptions) withDefaults() BatchOptions {
 	if o.MaxCalls <= 0 {
 		o.MaxCalls = 16
 	}
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = 16 << 10
-	}
 	if o.MaxDelay <= 0 {
 		o.MaxDelay = 200 * time.Microsecond
 	}
@@ -174,7 +171,7 @@ func (o BatchOptions) withDefaults() BatchOptions {
 
 // EnableBatching starts the adaptive small-call batcher: concurrent
 // calls to [batchable] operations are merged into single session
-// frames, flushed when MaxCalls/MaxBytes accumulate or MaxDelay
+// frames, flushed when MaxCalls calls or 16 KiB accumulate or MaxDelay
 // elapses, whichever is first. Calls carrying a cancelable context, a
 // trace id, or a non-[batchable] operation bypass the queue and use
 // the ordinary per-call path. Call before the conn is shared; call at
@@ -240,7 +237,7 @@ func (b *batcher) call(opIdx int, req, replyBuf []byte) (reply []byte, err error
 	b.queue = append(b.queue, c)
 	b.bytes += len(req)
 	var batch []*batchCall
-	if len(b.queue) >= b.opts.MaxCalls || b.bytes >= b.opts.MaxBytes {
+	if len(b.queue) >= b.opts.MaxCalls || b.bytes >= batchFlushBytes {
 		batch = b.takeLocked()
 	}
 	b.mu.Unlock()

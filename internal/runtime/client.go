@@ -53,7 +53,7 @@ type Client struct {
 	// across calls behind mu so the steady-state path allocates nothing.
 	mu       sync.Mutex
 	enc      Encoder
-	dec      ReusableDecoder
+	dec      Decoder
 	replyBuf []byte
 }
 
@@ -196,18 +196,14 @@ func (c *Client) roundTrip(ctx context.Context, idx int, req, replyBuf []byte, t
 	return reply, nil
 }
 
-// decoderFor aims the cached reusable decoder (allocating it on
-// first use) at the reply, falling back to a fresh decoder for
-// codecs that do not support reuse.
+// decoderFor aims the client's decoder (allocating it on first use) at
+// the reply.
 func (c *Client) decoderFor(reply []byte) Decoder {
 	if c.dec == nil {
-		d := c.plan.NewDecoder(reply)
-		if rd, ok := d.(ReusableDecoder); ok {
-			c.dec = rd
-		}
-		return d
+		c.dec = c.plan.NewDecoder(reply)
+	} else {
+		c.dec.Reset(reply)
 	}
-	c.dec.Reset(reply)
 	return c.dec
 }
 

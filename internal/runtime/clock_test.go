@@ -69,7 +69,6 @@ func TestRobustBackoffScheduleFakeClock(t *testing.T) {
 		MaxAttempts: 6,
 		BaseBackoff: 10 * time.Millisecond,
 		MaxBackoff:  50 * time.Millisecond,
-		Multiplier:  2,
 		Seed:        7,
 	}
 	r := NewRobustConn(conn, p, RobustOptions{ClientID: 1, AtMostOnce: true, Policy: policy, Clock: fc})
@@ -177,7 +176,6 @@ func TestRobustOverallDeadlineFakeClock(t *testing.T) {
 			MaxAttempts: 100,
 			BaseBackoff: 10 * time.Millisecond,
 			MaxBackoff:  100 * time.Millisecond,
-			Multiplier:  2,
 			Seed:        9,
 		},
 		Clock: fc,

@@ -14,14 +14,21 @@ func f64frombits(v uint64) float64 { return math.Float64frombits(v) }
 
 // A Codec is a wire encoding the marshal plans can target. The stub
 // compiler back-ends are codec-agnostic: the same plan marshals to
-// Sun XDR or CORBA CDR depending on the transport's choice.
+// Sun XDR or CORBA CDR depending on the transport's choice. The set is
+// closed — XDRCodec, CDRCodec and CDRCodecLE below — so every hot path
+// may rely on everything Encoder and Decoder declare.
 type Codec interface {
 	Name() string
 	NewEncoder() Encoder
 	NewDecoder(buf []byte) Decoder
 }
 
-// An Encoder appends wire-format primitives.
+// An Encoder appends wire-format primitives. Its owner reuses it
+// across messages: Reset empties it, and ResetArena(dst) makes
+// subsequent Puts land in dst's backing array (up to its length), so a
+// marshal plan can encode a message directly into a transport buffer —
+// a ring-buffer slot — with no intermediate record buffer and no copy
+// (see ArenaLen).
 type Encoder interface {
 	PutBool(bool)
 	PutInt32(int32)
@@ -36,9 +43,15 @@ type Encoder interface {
 	PutLen(int)           // sequence/array element count
 	Bytes() []byte
 	Reset()
+	ResetArena(dst []byte)
 }
 
-// A Decoder reads wire-format primitives.
+// A Decoder reads wire-format primitives. Its owner re-aims it at each
+// new message with Reset instead of allocating one per message, and
+// SetMaxLength bounds how large any single variable-length item
+// (opaque, string, element count) may claim to be, so a hostile length
+// prefix cannot force a huge allocation; n == 0 restores the codec
+// default.
 type Decoder interface {
 	Bool() (bool, error)
 	Int32() (int32, error)
@@ -58,22 +71,7 @@ type Decoder interface {
 	FixedBytesInto(dst []byte) error
 	Len() (int, error)
 	Remaining() int
-}
-
-// A ReusableDecoder can be re-aimed at a new message, letting hot
-// paths pool decoders instead of allocating one per reply. Both
-// built-in codecs implement it.
-type ReusableDecoder interface {
-	Decoder
 	Reset(buf []byte)
-}
-
-// A LimitedDecoder can bound how large any single variable-length
-// item (opaque, string, element count) it decodes may claim to be,
-// so a hostile length prefix cannot force a huge allocation. Both
-// built-in codecs implement it; n == 0 restores the codec default.
-type LimitedDecoder interface {
-	Decoder
 	SetMaxLength(n uint32)
 }
 
@@ -109,6 +107,7 @@ func (x *xdrEncoder) PutFixedBytes(v []byte) { x.e.PutFixedOpaque(v) }
 func (x *xdrEncoder) PutLen(n int)           { x.e.PutArrayLen(n) }
 func (x *xdrEncoder) Bytes() []byte          { return x.e.Bytes() }
 func (x *xdrEncoder) Reset()                 { x.e.Reset() }
+func (x *xdrEncoder) ResetArena(dst []byte)  { x.e.ResetTo(dst) }
 
 // xdrDecoder holds the xdr.Decoder by value so one allocation covers
 // both the interface box and the decoder state.
@@ -173,6 +172,7 @@ func (c *cdrEncoder) PutFixedBytes(v []byte) { c.e.PutFixedOctets(v) }
 func (c *cdrEncoder) PutLen(n int)           { c.e.PutSeqLen(n) }
 func (c *cdrEncoder) Bytes() []byte          { return c.e.Bytes() }
 func (c *cdrEncoder) Reset()                 { c.e.Reset() }
+func (c *cdrEncoder) ResetArena(dst []byte)  { c.e.ResetTo(dst) }
 
 // cdrDecoder holds the cdr.Decoder by value so one allocation covers
 // both the interface box and the decoder state.

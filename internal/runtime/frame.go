@@ -21,9 +21,8 @@ import (
 type Frame struct {
 	// Decoder is the request decoder, embedded so AcquireDecoder can
 	// lend the frame itself as the Decoder and get it back in
-	// ReleaseDecoder; reuse is the same object, for re-aiming it.
+	// ReleaseDecoder.
 	Decoder
-	reuse ReusableDecoder
 	limit uint32 // the decode bound last set on Decoder
 
 	codec Codec // what Decoder and enc were built for
@@ -69,27 +68,21 @@ func (f *Frame) ServeMessageRawContext(ctx context.Context, d *Dispatcher, plan 
 // frames serve whichever plan asks next.
 func (f *Frame) use(c Codec) {
 	if f.codec != c {
-		f.Decoder, f.reuse, f.enc, f.codec = nil, nil, nil, c
+		f.Decoder, f.enc, f.codec = nil, nil, c
 	}
 }
 
 // decoder aims the frame's decoder at body under p's decode bound,
-// building it on first use. A codec whose decoders cannot be re-aimed
-// gets a fresh one per call.
+// building it on first use.
 func (f *Frame) decoder(p *Plan, body []byte) Decoder {
 	f.use(p.Codec)
-	if f.reuse == nil {
-		d := p.limitDecoder(p.Codec.NewDecoder(body))
-		rd, ok := d.(ReusableDecoder)
-		if !ok {
-			return d
-		}
-		f.Decoder, f.reuse, f.limit = d, rd, p.maxDecode
-		return d
+	if f.Decoder == nil {
+		f.Decoder, f.limit = p.NewDecoder(body), p.maxDecode
+		return f.Decoder
 	}
-	f.reuse.Reset(body)
+	f.Decoder.Reset(body)
 	if f.limit != p.maxDecode {
-		p.limitDecoder(f.Decoder)
+		f.Decoder.SetMaxLength(p.maxDecode)
 		f.limit = p.maxDecode
 	}
 	return f.Decoder
@@ -147,8 +140,8 @@ func (f *Frame) end() {
 	}
 	c.afterReply = c.afterReply[:0]
 	c.Op, c.opPres, c.ret, c.retBuf, c.ctx = nil, nil, nil, nil, nil
-	if f.reuse != nil {
-		f.reuse.Reset(nil)
+	if f.Decoder != nil {
+		f.Decoder.Reset(nil)
 	}
 	f.busy = false
 }

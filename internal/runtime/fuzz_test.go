@@ -36,8 +36,8 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sel uint8, body []byte) {
 		plan := plans[int(sel)%len(plans)]
 		op := plan.Ops[(int(sel)/2)%len(plan.Ops)]
-		_, _ = op.DecodeRequest(plan.limitDecoder(plan.Codec.NewDecoder(body)))
-		_, _, _ = op.DecodeReply(plan.limitDecoder(plan.Codec.NewDecoder(body)), nil, nil)
+		_, _ = op.DecodeRequest(plan.NewDecoder(body))
+		_, _, _ = op.DecodeReply(plan.NewDecoder(body), nil, nil)
 	})
 }
 

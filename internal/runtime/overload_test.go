@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -11,26 +12,16 @@ import (
 )
 
 // Unit tests for the overload-resilience layer: the Admission
-// controller and its stats-informed shedder, the client-side
-// RetryBudget and Breaker, and the RobustConn retry loop's pushback
-// handling. Everything time-dependent runs on a FakeClock.
-
-// admitted calls Admit and immediately returns the capacity when the
-// call was admitted, reporting whether it was.
-func admitted(a *Admission, cid uint32, idem bool) bool {
-	if pb := a.Admit(cid, idem); pb != nil {
-		return false
-	}
-	a.Release(cid)
-	return true
-}
+// controller, the client-side RetryBudget, and the RobustConn retry
+// loop's pushback handling. Everything time-dependent runs on a
+// FakeClock.
 
 func TestAdmissionNilIsDisabled(t *testing.T) {
 	var a *Admission
-	if pb := a.Admit(1, false); pb != nil {
+	if pb := a.Admit(); pb != nil {
 		t.Fatalf("nil admission rejected: %v", pb)
 	}
-	a.Release(1)
+	a.Release()
 	a.StartDrain()
 	a.SetStats(nil)
 	if a.Inflight() != 0 {
@@ -42,10 +33,10 @@ func TestAdmissionGlobalCap(t *testing.T) {
 	const ra = 7 * time.Millisecond
 	e := stats.New(nil)
 	a := NewAdmission(AdmissionOptions{MaxInflight: 2, RetryAfter: ra, Stats: e})
-	if a.Admit(1, false) != nil || a.Admit(2, false) != nil {
+	if a.Admit() != nil || a.Admit() != nil {
 		t.Fatal("calls under the cap rejected")
 	}
-	pb := a.Admit(3, false)
+	pb := a.Admit()
 	if pb == nil {
 		t.Fatal("call over the cap admitted")
 	}
@@ -63,45 +54,24 @@ func TestAdmissionGlobalCap(t *testing.T) {
 		t.Fatalf("sheds = %d, want 1", e.Snapshot().Sheds)
 	}
 	// Releasing one slot readmits.
-	a.Release(1)
-	if a.Admit(3, false) != nil {
+	a.Release()
+	if a.Admit() != nil {
 		t.Fatal("call after release rejected")
-	}
-}
-
-func TestAdmissionPerClientFairness(t *testing.T) {
-	// Client ids 5 and 6 hash to distinct fair-share slots.
-	if clientSlot(5) == clientSlot(6) {
-		t.Fatal("test ids collide in the fair-share table")
-	}
-	a := NewAdmission(AdmissionOptions{PerClient: 2})
-	if a.Admit(5, false) != nil || a.Admit(5, false) != nil {
-		t.Fatal("greedy client rejected under its share")
-	}
-	if a.Admit(5, false) == nil {
-		t.Fatal("greedy client admitted over its share")
-	}
-	// A different client is unaffected by the greedy one's cap.
-	if !admitted(a, 6, false) {
-		t.Fatal("well-behaved client starved by the greedy one")
-	}
-	a.Release(5)
-	if !admitted(a, 5, false) {
-		t.Fatal("greedy client still capped after release")
 	}
 }
 
 func TestAdmissionDrain(t *testing.T) {
 	e := stats.New(nil)
 	a := NewAdmission(AdmissionOptions{RetryAfter: time.Millisecond, Stats: e})
-	if !admitted(a, 1, false) {
+	if a.Admit() != nil {
 		t.Fatal("pre-drain call rejected")
 	}
+	a.Release()
 	a.StartDrain()
 	if !a.Draining() {
 		t.Fatal("Draining false after StartDrain")
 	}
-	pb := a.Admit(1, true)
+	pb := a.Admit()
 	if pb == nil {
 		t.Fatal("draining controller admitted a call")
 	}
@@ -111,102 +81,6 @@ func TestAdmissionDrain(t *testing.T) {
 	}
 	if e.Snapshot().DrainRejects != 1 {
 		t.Fatalf("drain rejects = %d, want 1", e.Snapshot().DrainRejects)
-	}
-}
-
-// TestAdmissionShedderHysteresis drives the load shedder through its
-// whole level diagram on a FakeClock: up under a latency storm
-// (shedding non-idempotent traffic first, then everything), holding
-// in the hysteresis band, stepping down on recovery, and decaying
-// when shedding is so total that no traffic completes at all.
-func TestAdmissionShedderHysteresis(t *testing.T) {
-	fc := NewFakeClock()
-	e := stats.New([]string{"op"})
-	a := NewAdmission(AdmissionOptions{
-		ShedP99:      10 * time.Millisecond,
-		ShedExitP99:  5 * time.Millisecond,
-		ShedInterval: 100 * time.Millisecond,
-		Clock:        fc,
-		Stats:        e,
-	})
-	feed := func(d time.Duration, n int) {
-		for i := 0; i < n; i++ {
-			e.RecordCall(0, d, 0, 0, stats.OK)
-		}
-	}
-	// step advances one shed interval and probes the controller once
-	// (the probe is the elected recomputer), returning whether the
-	// probe was admitted.
-	step := func(idem bool) bool {
-		fc.Advance(100 * time.Millisecond)
-		return admitted(a, 1, idem)
-	}
-
-	if a.ShedLevel() != 0 || !admitted(a, 1, false) {
-		t.Fatal("fresh controller not admitting everything")
-	}
-	// Just under the entry threshold the level stays put: a 9 ms p99
-	// must read as 9 ms, not as the top of a bucket above 10 ms.
-	feed(9*time.Millisecond, 100)
-	if !step(false) || a.ShedLevel() != 0 {
-		t.Fatalf("level = %d with a 9 ms p99 under a 10 ms threshold, want 0", a.ShedLevel())
-	}
-	// A p99 storm raises one level per interval: first non-idempotent
-	// traffic sheds while idempotent still admits, then everything.
-	feed(50*time.Millisecond, 100)
-	if !step(true) {
-		t.Fatal("idempotent call shed at level 1")
-	}
-	if a.ShedLevel() != 1 {
-		t.Fatalf("level = %d after storm, want 1", a.ShedLevel())
-	}
-	if admitted(a, 1, false) {
-		t.Fatal("non-idempotent call admitted at level 1")
-	}
-	feed(50*time.Millisecond, 100)
-	if step(true) {
-		t.Fatal("idempotent call admitted at level 2")
-	}
-	if a.ShedLevel() != 2 {
-		t.Fatalf("level = %d after second storm interval, want 2", a.ShedLevel())
-	}
-	// In the hysteresis band (between exit and entry) the level holds.
-	feed(6*time.Millisecond, 100)
-	if step(true) {
-		t.Fatal("call admitted while p99 holds in the hysteresis band")
-	}
-	if a.ShedLevel() != 2 {
-		t.Fatalf("level = %d in hysteresis band, want 2", a.ShedLevel())
-	}
-	// Recovery steps down one level per interval.
-	feed(time.Millisecond, 100)
-	if step(false) {
-		t.Fatal("non-idempotent call admitted at level 1")
-	}
-	if a.ShedLevel() != 1 {
-		t.Fatalf("level = %d after recovery interval, want 1", a.ShedLevel())
-	}
-	// Just under the exit threshold counts as recovered: a 4.5 ms p99
-	// must read below 5 ms.
-	feed(4500*time.Microsecond, 100)
-	if !step(false) {
-		t.Fatal("call shed after full recovery")
-	}
-	if a.ShedLevel() != 0 {
-		t.Fatalf("level = %d after full recovery, want 0", a.ShedLevel())
-	}
-	// Idle decay: with no completed traffic at all between checks the
-	// level steps down rather than wedging shut forever.
-	feed(50*time.Millisecond, 100)
-	step(true)
-	if a.ShedLevel() != 1 {
-		t.Fatalf("level = %d before idle decay, want 1", a.ShedLevel())
-	}
-	if !step(true) {
-		t.Fatal("idle decay probe shed")
-	}
-	if a.ShedLevel() != 0 {
-		t.Fatalf("level = %d after idle interval, want 0 (decay)", a.ShedLevel())
 	}
 }
 
@@ -246,88 +120,6 @@ func TestRetryBudgetSpendAndRefill(t *testing.T) {
 	nilB.onAttempt()
 	if !nilB.allowRetry() {
 		t.Fatal("nil budget is not the disabled state")
-	}
-}
-
-func TestBreakerTripHalfOpenRecover(t *testing.T) {
-	fc := NewFakeClock()
-	b := NewBreaker(3, 100*time.Millisecond, fc)
-	if b.OnFailure(0) || b.OnFailure(0) {
-		t.Fatal("breaker opened below its threshold")
-	}
-	if !b.Allow() || b.State() != "closed" {
-		t.Fatal("closed breaker not admitting")
-	}
-	if !b.OnFailure(0) {
-		t.Fatal("threshold failure did not report the open transition")
-	}
-	if b.State() != "open" || b.Opens() != 1 {
-		t.Fatalf("state = %s opens = %d after trip, want open/1", b.State(), b.Opens())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker admitted a call")
-	}
-	fc.Advance(99 * time.Millisecond)
-	if b.Allow() {
-		t.Fatal("breaker admitted before its cooldown elapsed")
-	}
-	fc.Advance(time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("cooled-down breaker refused the probe")
-	}
-	// Exactly one probe until it resolves.
-	if b.Allow() {
-		t.Fatal("half-open breaker admitted a second probe")
-	}
-	if b.State() != "half-open" {
-		t.Fatalf("state = %s during probe, want half-open", b.State())
-	}
-	b.OnSuccess()
-	if b.State() != "closed" || !b.Allow() {
-		t.Fatal("successful probe did not close the breaker")
-	}
-	// The probe's success reset the consecutive-failure count.
-	if b.OnFailure(0) || b.OnFailure(0) {
-		t.Fatal("failure count survived the close")
-	}
-
-	var nilB *Breaker
-	if !nilB.Allow() || nilB.OnFailure(0) {
-		t.Fatal("nil breaker is not the disabled state")
-	}
-	nilB.OnSuccess()
-}
-
-func TestBreakerFailedProbeReopens(t *testing.T) {
-	fc := NewFakeClock()
-	b := NewBreaker(1, 10*time.Millisecond, fc)
-	if !b.OnFailure(0) {
-		t.Fatal("threshold-1 breaker did not open on first failure")
-	}
-	fc.Advance(10 * time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("probe refused")
-	}
-	if !b.OnFailure(0) {
-		t.Fatal("failed probe did not report re-opening")
-	}
-	if b.State() != "open" || b.Opens() != 2 {
-		t.Fatalf("state = %s opens = %d after failed probe, want open/2", b.State(), b.Opens())
-	}
-}
-
-func TestBreakerRetryAfterSeedsCooldown(t *testing.T) {
-	fc := NewFakeClock()
-	b := NewBreaker(1, 10*time.Millisecond, fc)
-	// The server's advisory horizon outranks the client default.
-	b.OnFailure(500 * time.Millisecond)
-	fc.Advance(499 * time.Millisecond)
-	if b.Allow() {
-		t.Fatal("breaker reopened before the server's RetryAfter")
-	}
-	fc.Advance(time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("breaker still closed after the server's RetryAfter")
 	}
 }
 
@@ -446,55 +238,6 @@ func TestDrainingPushbackTaxonomy(t *testing.T) {
 	}
 }
 
-// TestBreakerFastFailsCalls wires a Breaker into the retry loop:
-// persistent pushback trips it, a tripped breaker fails calls without
-// touching the transport, and the cooled-down probe closes it again.
-func TestBreakerFastFailsCalls(t *testing.T) {
-	p := allocPres(t)
-	fc := NewFakeClock()
-	fc.AutoAdvance(true)
-	conn := &pushbackNConn{n: 2, ra: time.Millisecond}
-	br := NewBreaker(2, 100*time.Millisecond, fc)
-	r := NewRobustConn(conn, p, RobustOptions{
-		ClientID: 1,
-		Policy:   RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, Seed: 5},
-		Clock:    fc,
-		Breaker:  br,
-	})
-	e := stats.New([]string{"nop", "put"})
-	r.SetStats(e)
-
-	// Two pushed-back attempts reach the threshold and trip it.
-	_, err := r.Call(0, nil, nil)
-	var ov *ErrOverloaded
-	if !errors.As(err, &ov) {
-		t.Fatalf("first call err = %v, want *ErrOverloaded", err)
-	}
-	if br.State() != "open" {
-		t.Fatalf("breaker %s after persistent pushback, want open", br.State())
-	}
-	// While open, calls fail fast: the transport sees nothing.
-	if _, err := r.Call(0, nil, nil); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("fast-fail err = %v, want ErrCircuitOpen", err)
-	}
-	if conn.calls != 2 {
-		t.Fatalf("conn saw %d calls, want 2 (fast fail must not touch the wire)", conn.calls)
-	}
-	// After the cooldown the probe goes through and closes it.
-	fc.Advance(200 * time.Millisecond)
-	if _, err := r.Call(0, nil, nil); err != nil {
-		t.Fatalf("probe call: %v", err)
-	}
-	if br.State() != "closed" {
-		t.Fatalf("breaker %s after successful probe, want closed", br.State())
-	}
-	snap := e.Snapshot()
-	if snap.BreakerOpens != 1 || snap.BreakerFastFails != 1 || snap.Pushbacks != 2 {
-		t.Fatalf("counters = opens %d fastfails %d pushbacks %d, want 1/1/2",
-			snap.BreakerOpens, snap.BreakerFastFails, snap.Pushbacks)
-	}
-}
-
 // TestBudgetSuppressesRetryStorm starves the retry budget: when
 // nearly every call is failing, deposits cannot keep up and the loop
 // fails fast with the last error instead of spending MaxAttempts.
@@ -547,6 +290,39 @@ func sessionRequestFrame(cid, seq, flags uint32, body []byte) []byte {
 	return f
 }
 
+// TestDrainWithoutAdmissionKeepsReplies: with no Admission installed
+// nothing turns new calls away, so Drain must refuse rather than flush
+// the reply cache — a retransmit of a completed non-idempotent call
+// would find no entry and execute a second time, breaking at-most-once.
+func TestDrainWithoutAdmissionKeepsReplies(t *testing.T) {
+	p := allocPres(t) // nop is not [idempotent]
+	disp := NewDispatcher(p)
+	execs := 0
+	disp.Handle("nop", func(*Call) error { execs++; return nil })
+	e := disp.EnableStats()
+	plan, err := NewPlan(p, XDRCodec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSessionServer(disp, plan, NewReplyCache(64))
+	idx := plan.OpIndex("nop")
+	frame := sessionRequestFrame(1, 1, 0, nil)
+	first := s.Handle(t.Context(), idx, frame)
+	if err := s.Drain(t.Context()); err == nil {
+		t.Fatal("Drain without an admission controller reported success")
+	}
+	retransmit := s.Handle(t.Context(), idx, frame)
+	if execs != 1 {
+		t.Fatalf("nop executed %d times across a drain, want 1", execs)
+	}
+	if !bytes.Equal(first, retransmit) {
+		t.Fatal("the retransmit's reply differs from the original's")
+	}
+	if n := e.Snapshot().Ops[idx].Replays; n != 1 {
+		t.Fatalf("replays = %d, want 1", n)
+	}
+}
+
 // The admission path's allocation contract: deciding a call — admit
 // or reject — allocates nothing, because overload is exactly when the
 // server cannot afford to allocate per rejected call.
@@ -555,20 +331,20 @@ func TestAdmissionDecisionZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
 	}
-	a := NewAdmission(AdmissionOptions{MaxInflight: 64, PerClient: 8})
+	a := NewAdmission(AdmissionOptions{MaxInflight: 64})
 	gateAllocs(t, "admitted call decision", 0, func() {
-		if pb := a.Admit(7, false); pb != nil {
+		if pb := a.Admit(); pb != nil {
 			t.Fatal("call rejected under the cap")
 		}
-		a.Release(7)
+		a.Release()
 	})
 
 	full := NewAdmission(AdmissionOptions{MaxInflight: 1})
-	if full.Admit(1, false) != nil {
+	if full.Admit() != nil {
 		t.Fatal("pre-fill rejected")
 	}
 	gateAllocs(t, "shed call rejection", 0, func() {
-		if full.Admit(2, false) == nil {
+		if full.Admit() == nil {
 			t.Fatal("call admitted over the cap")
 		}
 	})
@@ -582,7 +358,7 @@ func TestSessionServerShedHandleZeroAllocs(t *testing.T) {
 	s := NewSessionServer(disp, plan, NewReplyCache(64))
 	a := NewAdmission(AdmissionOptions{MaxInflight: 1})
 	s.SetAdmission(a)
-	if a.Admit(99, false) != nil {
+	if a.Admit() != nil {
 		t.Fatal("pre-fill rejected")
 	}
 	frame := sessionRequestFrame(1, 1, 0, nil)
@@ -604,7 +380,7 @@ func TestSessionServerAdmittedHandleBoundedAllocs(t *testing.T) {
 	}
 	disp, plan, _, _ := serverStack(t)
 	s := NewSessionServer(disp, plan, NewReplyCache(64))
-	s.SetAdmission(NewAdmission(AdmissionOptions{MaxInflight: 64, PerClient: 8}))
+	s.SetAdmission(NewAdmission(AdmissionOptions{MaxInflight: 64}))
 	frame := sessionRequestFrame(1, 1, flagIdempotent, nil)
 	idx := plan.OpIndex("nop")
 	buf := make([]byte, 0, 64)
@@ -615,8 +391,8 @@ func TestSessionServerAdmittedHandleBoundedAllocs(t *testing.T) {
 	})
 }
 
-// The client's protection (budget deposits, breaker bookkeeping) adds
-// zero allocations to a successful session call.
+// The client's protection (budget deposits) adds zero allocations to a
+// successful session call.
 func TestRobustCallZeroAllocsWithProtection(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
@@ -626,7 +402,6 @@ func TestRobustCallZeroAllocsWithProtection(t *testing.T) {
 	r := NewRobustConn(conn, p, RobustOptions{
 		ClientID: 1,
 		Budget:   NewRetryBudget(10, 0.1),
-		Breaker:  NewBreaker(5, 100*time.Millisecond, nil),
 	})
 	replyBuf := make([]byte, 0, 64)
 	gateAllocs(t, "protected null session call", 0, func() {

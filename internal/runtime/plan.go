@@ -41,7 +41,7 @@ type Plan struct {
 	byName map[string]int
 
 	// maxDecode bounds any single variable-length item the plan's
-	// decoders accept (see LimitedDecoder); hostile length prefixes
+	// decoders accept (see Decoder.SetMaxLength); hostile length prefixes
 	// fail instead of forcing a huge allocation. A trusted peer
 	// ([leaky, unprotected] — the paper's trust model, same ladder
 	// FV005 lints against) gets the relaxed bound.
@@ -177,43 +177,31 @@ func (p *Plan) OpIndex(name string) int {
 	return -1
 }
 
-// limitDecoder applies the plan's decode bound to d when the codec
-// supports limiting.
-func (p *Plan) limitDecoder(d Decoder) Decoder {
-	if ld, ok := d.(LimitedDecoder); ok {
-		ld.SetMaxLength(p.maxDecode)
-	}
-	return d
-}
-
 // AcquireDecoder returns a decoder positioned at body under the plan's
-// decode bound, reusing a pooled one when the codec supports it: the
-// decoder is a pooled Frame's, lent as the frame itself. Pair with
+// decode bound: a pooled Frame's, lent as the frame itself. Pair with
 // ReleaseDecoder. A caller that serialises its calls keeps its own
 // instead (NewDecoder).
 func (p *Plan) AcquireDecoder(body []byte) Decoder {
 	f := acquireFrame()
-	if d := f.decoder(p, body); d != f.Decoder {
-		frames.Put(f)
-		return d
-	}
+	f.decoder(p, body)
 	return f
 }
 
 // ReleaseDecoder returns a decoder obtained from AcquireDecoder to
 // the pool once the decoded message is no longer referenced.
 func (p *Plan) ReleaseDecoder(d Decoder) {
-	if f, ok := d.(*Frame); ok {
-		f.reuse.Reset(nil)
-		frames.Put(f)
-	}
+	f := d.(*Frame)
+	f.Decoder.Reset(nil)
+	frames.Put(f)
 }
 
 // NewDecoder returns a decoder positioned at body under the plan's
 // decode bound, for a caller that owns it and re-aims it per message
-// (both built-in codecs' decoders are ReusableDecoders).
+// with Reset.
 func (p *Plan) NewDecoder(body []byte) Decoder {
-	return p.limitDecoder(p.Codec.NewDecoder(body))
+	d := p.Codec.NewDecoder(body)
+	d.SetMaxLength(p.maxDecode)
+	return d
 }
 
 // RequestSteps reports how many compiled marshal steps a request of

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Pushback: when admission control (or the load shedder, or a drain)
+// Pushback: when admission control (its inflight cap, or a drain)
 // rejects a call, the server answers with a pushback frame instead of
 // executing it. The frame is an ordinary 8-byte session reply with an
 // empty body — it rides the existing status word, so the wire format
@@ -64,10 +64,6 @@ var ErrDraining = errors.New("runtime: server draining")
 func (e *ErrOverloaded) Is(target error) bool {
 	return target == ErrDraining && e.Draining
 }
-
-// ErrCircuitOpen reports a call the client's circuit breaker failed
-// fast, without an attempt on the wire.
-var ErrCircuitOpen = errors.New("runtime: circuit breaker open")
 
 // AppendPushbackFrame appends the 8-byte pushback reply frame to dst.
 // retryAfter is clamped to [0, pushbackMaxMs] milliseconds; sub-

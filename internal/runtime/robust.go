@@ -94,12 +94,10 @@ type RetryPolicy struct {
 	// attempt runs until the call's own deadline.
 	AttemptTimeout time.Duration
 	// BaseBackoff is the delay before the first retry (default 1ms);
-	// each subsequent delay is multiplied by Multiplier (default 2)
-	// and capped at MaxBackoff (default 100ms). The actual sleep is
-	// jittered uniformly over [d/2, d).
+	// each subsequent delay doubles, capped at MaxBackoff (default
+	// 100ms). The actual sleep is jittered uniformly over [d/2, d).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	Multiplier  float64
 	// Seed makes the jitter deterministic for tests; zero seeds from
 	// an arbitrary fixed value.
 	Seed int64
@@ -114,9 +112,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 100 * time.Millisecond
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
 	}
 	return p
 }
@@ -139,9 +134,6 @@ type RobustOptions struct {
 	// Budget throttles retries (shareable across conns to one
 	// backend); nil means retries are limited only by the policy.
 	Budget *RetryBudget
-	// Breaker short-circuits calls while the peer is persistently
-	// failing or pushing back; nil disables breaking.
-	Breaker *Breaker
 }
 
 // A RobustConn wraps a Conn with the client half of the session
@@ -160,7 +152,6 @@ type RobustConn struct {
 	policy    RetryPolicy
 	batch     *batcher // nil until EnableBatching
 	budget    *RetryBudget
-	breaker   *Breaker
 
 	rmu sync.Mutex // guards rng
 	rng *rand.Rand
@@ -204,7 +195,6 @@ func NewRobustConn(inner Conn, p *pres.Presentation, opts RobustOptions) *Robust
 		atMost:    opts.AtMostOnce,
 		policy:    opts.Policy.withDefaults(),
 		budget:    opts.Budget,
-		breaker:   opts.Breaker,
 		rng:       rand.New(rand.NewSource(seed)),
 		clock:     clock,
 	}
@@ -265,16 +255,11 @@ func (r *RobustConn) CallTraceContext(ctx context.Context, opIdx int, req, reply
 // batch frames that have no single op). idem permits retrying even
 // without an at-most-once session.
 //
-// Overload protection threads through here: the breaker may fail the
-// call before any attempt; the budget gates every retry; a pushback
-// reply (the server shed the call before executing it) is retryable
-// regardless of idempotency and sleeps the server's advisory
-// RetryAfter instead of the jittered backoff.
+// Overload protection threads through here: the budget gates every
+// retry; a pushback reply (the server shed the call before executing
+// it) is retryable regardless of idempotency and sleeps the server's
+// advisory RetryAfter instead of the jittered backoff.
 func (r *RobustConn) callSession(ctx context.Context, wireOp, statOp int, req, replyBuf []byte, flags uint32, idem bool, tid uint32) ([]byte, error) {
-	if !r.breaker.Allow() {
-		r.stats.Add(stats.BreakerFastFails, 1)
-		return nil, ErrCircuitOpen
-	}
 	attempts := r.policy.MaxAttempts
 	if !r.atMost && !idem {
 		attempts = 1
@@ -314,28 +299,12 @@ func (r *RobustConn) callSession(ctx context.Context, wireOp, statOp int, req, r
 		}
 		reply, err = r.callOnce(ctx, wireOp, frame, replyBuf)
 		if err == nil {
-			r.breaker.OnSuccess()
 			break
 		}
 		var ov *ErrOverloaded
 		pushback := errors.As(err, &ov)
-		switch {
-		case pushback:
+		if pushback {
 			r.stats.Add(stats.Pushbacks, 1)
-			if r.breaker.OnFailure(ov.RetryAfter) {
-				r.stats.Add(stats.BreakerOpens, 1)
-			}
-		case Retryable(err):
-			if r.breaker.OnFailure(0) {
-				r.stats.Add(stats.BreakerOpens, 1)
-			}
-		default:
-			// A RemoteError means the server executed and answered —
-			// the peer is healthy, whatever the application thinks.
-			var re *RemoteError
-			if errors.As(err, &re) {
-				r.breaker.OnSuccess()
-			}
 		}
 		if !Retryable(err) {
 			break
@@ -364,7 +333,7 @@ func (r *RobustConn) callSession(ctx context.Context, wireOp, statOp int, req, r
 		if serr := r.sleep(ctx, backoff); serr != nil {
 			break
 		}
-		backoff = time.Duration(float64(backoff) * r.policy.Multiplier)
+		backoff *= 2
 		if backoff > r.policy.MaxBackoff {
 			backoff = r.policy.MaxBackoff
 		}
@@ -727,22 +696,30 @@ func NewSessionServer(disp *Dispatcher, plan *Plan, cache *ReplyCache) *SessionS
 // Set before serving; nil (the default) admits everything.
 func (s *SessionServer) SetAdmission(a *Admission) { s.adm = a }
 
+// errNoAdmission reports a Drain on a session server with no Admission
+// controller installed: nothing could turn new calls away, so flushing
+// the reply cache would let a retransmit of a completed call execute
+// again.
+var errNoAdmission = errors.New("runtime: drain needs an admission controller")
+
 // Drain gracefully retires the session server: new calls are rejected
 // with a draining pushback, then Drain waits (bounded by ctx) for
 // every admitted in-flight call to complete and flushes the reply
 // cache. It reports ctx.Err() when in-flight calls outlive the
-// deadline, nil once the server is idle. Requires an installed
-// Admission controller (it owns the inflight count); without one,
-// Drain only flushes the cache.
+// deadline, nil once the server is idle. It requires an installed
+// Admission controller, which turns new calls away and owns the
+// inflight count; without one it returns an error and leaves
+// the cache alone.
 func (s *SessionServer) Drain(ctx context.Context) error {
-	if s.adm != nil {
-		s.adm.StartDrain()
-		for s.adm.Inflight() > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			s.adm.clock.Sleep(ctx, 100*time.Microsecond)
+	if s.adm == nil {
+		return errNoAdmission
+	}
+	s.adm.StartDrain()
+	for s.adm.Inflight() > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		WallClock.Sleep(ctx, 100*time.Microsecond)
 	}
 	if s.cache != nil {
 		s.cache.Flush()
@@ -772,18 +749,17 @@ func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst 
 	flags := binary.BigEndian.Uint32(frame[8:12])
 	sum := binary.BigEndian.Uint32(frame[12:16])
 	// Admission runs before the CRC check: shedding exists to avoid
-	// work, and checksumming a call we are about to reject is work.
-	// Everything needed — client id, [idempotent] bit — is in the
-	// header. A rejected call copies out the controller's prebuilt
-	// pushback frame.
-	if pb := s.adm.Admit(cid, flags&flagIdempotent != 0); pb != nil {
+	// work, and checksumming a call we are about to reject is work. A
+	// rejected call copies out the controller's prebuilt pushback
+	// frame.
+	if pb := s.adm.Admit(); pb != nil {
 		return append(dst, pb...)
 	}
 	body := frame[robustReqHeader:]
 	if crc32.ChecksumIEEE(body) != sum {
 		// Damaged in transit: tell the client to retransmit. Not
 		// cached — the retry must reach the dispatcher.
-		s.adm.Release(cid)
+		s.adm.Release()
 		s.disp.stats.Add(stats.BadFrames, 1)
 		return appendBadRequestFrame(dst)
 	}
@@ -795,7 +771,7 @@ func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst 
 	}
 	if flags&flagIdempotent != 0 || s.cache == nil {
 		dst = exec(dst)
-		s.adm.Release(cid)
+		s.adm.Release()
 		return dst
 	}
 	// A batch frame is cached and replayed whole under the outer
@@ -803,7 +779,7 @@ func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst 
 	// cache entry gives every sub-call at-most-once execution.
 	key := uint64(cid)<<32 | uint64(seq)
 	dst, replayed := s.cache.do(key, dst, exec)
-	s.adm.Release(cid)
+	s.adm.Release()
 	if replayed {
 		s.disp.stats.AddOp(opIdx, stats.OpReplays, 1)
 	}

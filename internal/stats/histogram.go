@@ -12,7 +12,7 @@ import (
 // are exact, and a quantile — reported as its bucket's midpoint — is
 // within 1/32 (3.125%) of the sample it stands for. The resolution is a
 // constant, not an option: every reader (flexc stats, flexload, the
-// load shedder, the experiment figures) gets the same one.
+// experiment figures) gets the same one.
 const (
 	histSubBits = 4
 	histSub     = 1 << histSubBits
@@ -67,22 +67,18 @@ func (h *Histogram) Record(d time.Duration) {
 	h.sum.Add(ns)
 }
 
-// addTo accumulates the histogram's current contents into s.
-func (h *Histogram) addTo(s *HistogramSnapshot) {
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		s.Buckets[i] += n
-		s.Count += n
-	}
-	s.SumNs += h.sum.Load()
-}
-
 // Snapshot copies the histogram's current contents.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
-	if h != nil {
-		h.addTo(&s)
+	if h == nil {
+		return s
 	}
+	for i := range h.buckets {
+		n := h.buckets[i].Load()
+		s.Buckets[i] = n
+		s.Count += n
+	}
+	s.SumNs = h.sum.Load()
 	return s
 }
 

@@ -107,21 +107,17 @@ const (
 	PartialReads
 
 	// Server overload: calls rejected with a pushback frame before
-	// decode (admission caps or the load shedder), and calls rejected
-	// because the server is draining.
+	// decode (the admission cap), and calls rejected because the server
+	// is draining.
 	Sheds
 	DrainRejects
 
 	// Client batching (see AddBatched), then client overload: pushback
-	// replies received, retries the retry budget refused to spend,
-	// circuit-breaker trips, and calls the open breaker failed without
-	// touching the wire.
+	// replies received, and retries the retry budget refused to spend.
 	BatchedCalls
 	BatchFlushes
 	Pushbacks
 	RetrySuppressed
-	BreakerOpens
-	BreakerFastFails
 
 	numCounters
 )
@@ -147,8 +143,6 @@ var counters = [numCounters]struct {
 	BatchFlushes:          {"client.batch_flushes", func(s *Snapshot) *uint64 { return &s.BatchFlushes }},
 	Pushbacks:             {"client.pushbacks", func(s *Snapshot) *uint64 { return &s.Pushbacks }},
 	RetrySuppressed:       {"client.retry_suppressed", func(s *Snapshot) *uint64 { return &s.RetrySuppressed }},
-	BreakerOpens:          {"client.breaker_opens", func(s *Snapshot) *uint64 { return &s.BreakerOpens }},
-	BreakerFastFails:      {"client.breaker_fast_fails", func(s *Snapshot) *uint64 { return &s.BreakerFastFails }},
 }
 
 // An OpCounter names one column of the per-operation counter row; the
@@ -334,20 +328,6 @@ func (e *Endpoint) Load(c Counter) uint64 {
 	return e.counters[c].Load()
 }
 
-// MergedLatency accumulates every operation row's latency histogram
-// into dst without allocating — the load-shedding controller polls it
-// from the admission path, which must stay heap-free. dst is an
-// accumulator: callers zero it (or keep it as a running total and
-// diff snapshots) themselves.
-func (e *Endpoint) MergedLatency(dst *HistogramSnapshot) {
-	if e == nil || dst == nil {
-		return
-	}
-	for i := range e.ops {
-		e.ops[i].lat.addTo(dst)
-	}
-}
-
 // OpSnapshot is the point-in-time counter row of one operation.
 type OpSnapshot struct {
 	Name        string            `json:"name"`
@@ -389,12 +369,10 @@ type Snapshot struct {
 	PollerConnsRegistered uint64 `json:"poller_conns_registered,omitempty"`
 	PartialReads          uint64 `json:"partial_reads,omitempty"`
 
-	Sheds            uint64 `json:"sheds,omitempty"`
-	DrainRejects     uint64 `json:"drain_rejects,omitempty"`
-	Pushbacks        uint64 `json:"pushbacks,omitempty"`
-	RetrySuppressed  uint64 `json:"retry_suppressed,omitempty"`
-	BreakerOpens     uint64 `json:"breaker_opens,omitempty"`
-	BreakerFastFails uint64 `json:"breaker_fast_fails,omitempty"`
+	Sheds           uint64 `json:"sheds,omitempty"`
+	DrainRejects    uint64 `json:"drain_rejects,omitempty"`
+	Pushbacks       uint64 `json:"pushbacks,omitempty"`
+	RetrySuppressed uint64 `json:"retry_suppressed,omitempty"`
 
 	Trace []TraceEvent `json:"trace,omitempty"`
 }

@@ -24,7 +24,6 @@ func TestNilEndpointIsSafe(t *testing.T) {
 	if got := e.Load(BadFrames); got != 0 {
 		t.Fatalf("Load on nil = %d, want 0", got)
 	}
-	e.MergedLatency(&HistogramSnapshot{})
 	e.EnableTracing(64)
 	if id := e.NextTraceID(); id != 0 {
 		t.Fatalf("NextTraceID on nil = %d, want 0", id)
@@ -413,22 +412,20 @@ func TestCounterTablesAreComplete(t *testing.T) {
 	}
 }
 
-// The recording side and the shedder's poll allocate nothing.
-func TestRecordAndMergedLatencyZeroAllocs(t *testing.T) {
+// The recording side allocates nothing.
+func TestRecordZeroAllocs(t *testing.T) {
 	e := New([]string{"a", "b"})
-	var acc HistogramSnapshot
 	if n := testing.AllocsPerRun(100, func() {
 		e.RecordCall(1, 3*time.Millisecond, 10, 20, TimedOut)
 		e.Add(Sheds, 1)
 		e.AddOp(0, OpRetries, 1)
 		e.AddFlush(2)
-		acc = HistogramSnapshot{}
-		e.MergedLatency(&acc)
 	}); n != 0 {
-		t.Fatalf("recording + MergedLatency allocate %v per run, want 0", n)
+		t.Fatalf("recording allocates %v per run, want 0", n)
 	}
-	if acc.Count != 101 || acc.Quantile(0.5) < 2900*time.Microsecond || acc.Quantile(0.5) > 3100*time.Microsecond {
-		t.Fatalf("merged latency count %d p50 %v", acc.Count, acc.Quantile(0.5))
+	lat := e.Snapshot().Ops[1].Latency
+	if lat.Count != 101 || lat.Quantile(0.5) < 2900*time.Microsecond || lat.Quantile(0.5) > 3100*time.Microsecond {
+		t.Fatalf("latency count %d p50 %v", lat.Count, lat.Quantile(0.5))
 	}
 }
 

@@ -36,10 +36,6 @@ type Client struct {
 	prog uint32
 	vers uint32
 
-	// MaxMessageSize bounds received reply records; zero means
-	// DefaultMaxRecord. Set before the first call.
-	MaxMessageSize int
-
 	// wmu serializes request marshaling and record writes; a record's
 	// header and fragments must not interleave with another call's.
 	// It also serializes redials (lock order: wmu before pmu).
@@ -272,7 +268,7 @@ func (c *Client) maybeRedial() error {
 // assembler and delivers every completed record, until conn fails.
 func (c *Client) readLoop(conn net.Conn) {
 	defer c.readers.Done()
-	asm := newAssembler(c.MaxMessageSize)
+	asm := recordAssembler{limit: DefaultMaxRecord}
 	scratch := make([]byte, goReadBuf)
 	var rec *[]byte // pooled; nil between records, so a parked reader holds only scratch
 	for {

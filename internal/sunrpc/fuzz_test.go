@@ -34,7 +34,7 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 // returns the completed records, the rejection, and the most capacity a
 // record buffer ever held beyond the bytes received for it.
 func feedAll(r io.Reader, scratchSize, limit int) (recs [][]byte, ahead int, err error) {
-	f := &oneRecordFeed{r: r, asm: newAssembler(limit), scratch: make([]byte, scratchSize)}
+	f := &oneRecordFeed{r: r, asm: recordAssembler{limit: limit}, scratch: make([]byte, scratchSize)}
 	for {
 		rec, err := f.next()
 		if err != nil {

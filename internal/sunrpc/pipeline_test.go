@@ -157,7 +157,7 @@ func TestReadRecordSteadyStateNoAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		f := &oneRecordFeed{r: bytes.NewReader(stream.Bytes()), asm: newAssembler(0), scratch: make([]byte, goReadBuf)}
+		f := &oneRecordFeed{r: bytes.NewReader(stream.Bytes()), asm: recordAssembler{limit: DefaultMaxRecord}, scratch: make([]byte, goReadBuf)}
 		for i := 0; i < 2; i++ { // the buffer reaches its working size
 			if _, err := f.next(); err != nil {
 				t.Fatal(err)

@@ -16,9 +16,8 @@ const (
 	maxFragment  = 1 << 20 // fragments we emit; larger messages split
 )
 
-// DefaultMaxRecord bounds the total size of a received record when
-// the reader was not given an explicit limit, protecting it from
-// corrupt length words.
+// DefaultMaxRecord bounds the total size of a received record,
+// protecting the reader from corrupt length words.
 const DefaultMaxRecord = 64 << 20
 
 // writeRecord sends data as a record-marked message, splitting it
@@ -86,15 +85,6 @@ type recordAssembler struct {
 	fragRem int  // body bytes remaining in the current fragment
 	more    bool // the record continues past the current fragment
 	hdr     [4]byte
-}
-
-// newAssembler returns an assembler bounding records to limit bytes
-// (DefaultMaxRecord when limit <= 0).
-func newAssembler(limit int) recordAssembler {
-	if limit <= 0 {
-		limit = DefaultMaxRecord
-	}
-	return recordAssembler{limit: limit}
 }
 
 // midRecord reports whether the assembler is holding a partial record.

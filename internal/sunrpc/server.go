@@ -52,10 +52,6 @@ type Server struct {
 	vers     uint32
 	handlers map[uint32]ProcHandler
 
-	// MaxMessageSize bounds received request records; zero means
-	// DefaultMaxRecord. Set before serving.
-	MaxMessageSize int
-
 	concurrency int
 	stats       *stats.Endpoint
 	netpoll     bool
@@ -240,7 +236,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // — and adds it to the set Drain closes. It returns nil, with nc
 // closed, when the server is already draining.
 func (s *Server) attach(nc net.Conn) *srvConn {
-	c := &srvConn{srv: s, conn: nc, fd: -1, done: make(chan struct{}), asm: newAssembler(s.MaxMessageSize)}
+	c := &srvConn{srv: s, conn: nc, fd: -1, done: make(chan struct{}), asm: recordAssembler{limit: DefaultMaxRecord}}
 	if sc, ok := nc.(syscall.Conn); ok && s.netpoll && netpoll.Supported() {
 		if raw, err := sc.SyscallConn(); err == nil {
 			raw.Control(func(u uintptr) { c.fd = int(u) })

@@ -72,11 +72,9 @@ type Bound struct {
 	// Marshal working state, owned rather than pooled because the calls
 	// are already serialised: reqEnc and cdec by whoever holds mu (the
 	// client half), frame and repEnc by whoever serves — the same holder
-	// under inline dispatch, the doorbell goroutine otherwise. An arena
-	// encoder is nil when the codec cannot target an arena, cdec when its
-	// decoders cannot be re-aimed; those messages are staged per call.
-	reqEnc, repEnc runtime.ArenaEncoder
-	cdec           runtime.ReusableDecoder
+	// under inline dispatch, the doorbell goroutine otherwise.
+	reqEnc, repEnc runtime.Encoder
+	cdec           runtime.Decoder
 	frame          *runtime.Frame
 
 	stats  *stats.Endpoint
@@ -124,10 +122,10 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 		byName: make(map[string]int),
 		done:   make(chan struct{}),
 		frame:  runtime.NewFrame(),
+		reqEnc: codec.NewEncoder(),
+		repEnc: codec.NewEncoder(),
+		cdec:   cplan.NewDecoder(nil),
 	}
-	b.reqEnc, _ = cplan.NewArenaEncoder()
-	b.repEnc, _ = splan.NewArenaEncoder()
-	b.cdec, _ = cplan.NewDecoder(nil).(runtime.ReusableDecoder)
 	// The combination signature: trust is the minimum both sides
 	// extend; naming is relaxed only when neither endpoint relies on
 	// the unique-name invariant for any port parameter.
@@ -284,7 +282,7 @@ func (b *Bound) invokeBound(ctx context.Context, idx int, args []runtime.Value, 
 // argument) and validation is elided.
 func (b *Bound) invokeInline(ctx context.Context, bop *boundOp, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
 	body := b.reqArena
-	n, err := b.encodeRequest(bop, b.reqArena, args)
+	n, err := bop.cop.EncodeRequestArena(b.reqEnc, b.reqArena, args)
 	switch {
 	case err == nil:
 		body = b.reqArena[:n]
@@ -298,57 +296,25 @@ func (b *Bound) invokeInline(ctx context.Context, bop *boundOp, args []runtime.V
 	default:
 		return nil, nil, err
 	}
-	renc := b.replyEncoder(b.repArena)
-	err = b.frame.ServeMessageRawContext(ctx, b.disp, b.splan, bop.idx, body, renc)
+	b.repEnc.ResetArena(b.repArena)
+	err = b.frame.ServeMessageRawContext(ctx, b.disp, b.splan, bop.idx, body, b.repEnc)
 	if err != nil {
 		b.dropReply()
 		return nil, nil, err
 	}
 	// An oversized reply reallocated off the arena; the bytes are
 	// still valid either way, so no length check is needed inline.
-	outs, ret, derr := bop.cop.DecodeReply(b.replyDecoder(renc.Bytes()), outBufs, retBuf)
+	b.cdec.Reset(b.repEnc.Bytes())
+	outs, ret, derr := bop.cop.DecodeReply(b.cdec, outBufs, retBuf)
 	b.dropReply()
 	return outs, ret, derr
-}
-
-// encodeRequest produces the request into arena through the binding's
-// own encoder. A codec that cannot target an arena reads as an
-// overflow: every caller stages the message then.
-func (b *Bound) encodeRequest(bop *boundOp, arena []byte, args []runtime.Value) (int, error) {
-	if b.reqEnc == nil {
-		return 0, runtime.ErrArenaOverflow
-	}
-	return bop.cop.EncodeRequestArena(b.reqEnc, arena, args)
-}
-
-// replyEncoder aims the server half's encoder at arena, or stages in
-// heap storage when the codec cannot target one.
-func (b *Bound) replyEncoder(arena []byte) runtime.Encoder {
-	if b.repEnc == nil {
-		return b.splan.Codec.NewEncoder()
-	}
-	b.repEnc.ResetArena(arena)
-	return b.repEnc
-}
-
-// replyDecoder aims the client half's decoder at reply.
-func (b *Bound) replyDecoder(reply []byte) runtime.Decoder {
-	if b.cdec == nil {
-		return b.cplan.NewDecoder(reply)
-	}
-	b.cdec.Reset(reply)
-	return b.cdec
 }
 
 // dropReply ends an inline call: neither half keeps a reference to the
 // reply, which a spill put in heap storage.
 func (b *Bound) dropReply() {
-	if b.repEnc != nil {
-		b.repEnc.ResetArena(nil)
-	}
-	if b.cdec != nil {
-		b.cdec.Reset(nil)
-	}
+	b.repEnc.ResetArena(nil)
+	b.cdec.Reset(nil)
 }
 
 // invokeDoorbell publishes the request through the doorbell handoff
@@ -395,7 +361,7 @@ func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Va
 		if err != nil {
 			return 0, err
 		}
-		n, err := b.encodeRequest(bop, arena[headerSize:], args)
+		n, err := bop.cop.EncodeRequestArena(b.reqEnc, arena[headerSize:], args)
 		if errors.Is(err, runtime.ErrArenaOverflow) {
 			return b.spillRequest(ctx, bop, args)
 		}
@@ -414,7 +380,7 @@ func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Va
 	// Trusted: the cached arena is written directly; ownership ops and
 	// checksums are elided, only the header's op and length words are
 	// produced for the peer.
-	n, err := b.encodeRequest(bop, b.reqArena[headerSize:], args)
+	n, err := bop.cop.EncodeRequestArena(b.reqEnc, b.reqArena[headerSize:], args)
 	if errors.Is(err, runtime.ErrArenaOverflow) {
 		return b.spillRequest(ctx, bop, args)
 	}
@@ -484,10 +450,9 @@ func (b *Bound) receiveReply(bop *boundOp, ref uint64, outBufs [][]byte, retBuf 
 }
 
 func (b *Bound) decodeFramedReply(bop *boundOp, reply []byte, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
-	outs, ret, err := decodeFramed(bop.cop, b.replyDecoder(reply), outBufs, retBuf)
-	if b.cdec != nil {
-		b.cdec.Reset(nil) // the reply's slots go back to the peer
-	}
+	b.cdec.Reset(reply)
+	outs, ret, err := decodeFramed(bop.cop, b.cdec, outBufs, retBuf)
+	b.cdec.Reset(nil) // the reply's slots go back to the peer
 	return outs, ret, err
 }
 
@@ -591,9 +556,8 @@ func (b *Bound) serveOne(ref uint64) error {
 // before the reply doorbell rings.
 func (b *Bound) replyOne(op uint32, body []byte, recycle func() error) error {
 	r := b.ring
-	if (!b.trusted && !b.nonUnique) || b.repEnc == nil {
-		// Unique naming: the reply, too, travels as a name-table frame
-		// (as does any reply of a codec that cannot target an arena).
+	if !b.trusted && !b.nonUnique {
+		// Unique naming: the reply, too, travels as a name-table frame.
 		henc := b.splan.Codec.NewEncoder()
 		b.frame.ServeMessageContext(nil, b.disp, b.splan, int(op), body, henc)
 		if err := recycle(); err != nil {

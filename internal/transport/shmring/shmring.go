@@ -496,9 +496,9 @@ type Server struct {
 	bufs    []*fbuf.Buffer
 
 	// The serve loop is one goroutine, so it owns its marshal state:
-	// the arena encoder replies are produced through (nil when the codec
-	// cannot target an arena) and the call frame requests are served in.
-	enc  runtime.ArenaEncoder
+	// the encoder replies are produced through, into slot arenas, and
+	// the call frame requests are served in.
+	enc  runtime.Encoder
 	work *runtime.Frame
 }
 
@@ -520,8 +520,7 @@ func NewWithConfig(disp *runtime.Dispatcher, plan *runtime.Plan, cfg Config) (*C
 		return nil, nil, err
 	}
 	r := newRing(cfg)
-	enc, _ := plan.NewArenaEncoder()
-	return &Conn{r: r}, &Server{r: r, disp: disp, plan: plan, enc: enc, work: runtime.NewFrame()}, nil
+	return &Conn{r: r}, &Server{r: r, disp: disp, plan: plan, enc: plan.Codec.NewEncoder(), work: runtime.NewFrame()}, nil
 }
 
 // SetStats points the connection's wire meter at e; every frame is
@@ -661,13 +660,6 @@ func (s *Server) serve(ctx context.Context, sess *runtime.SessionServer) error {
 // spill into a spliced multi-slot frame.
 func (s *Server) replyServe(ctx context.Context, op uint32, body []byte) error {
 	r := s.r
-	if s.enc == nil {
-		// Codec cannot target an arena: stage in a heap encoder and
-		// copy into slots.
-		henc := s.plan.Codec.NewEncoder()
-		s.work.ServeMessageContext(ctx, s.disp, s.plan, int(op), body, henc)
-		return s.publish(ctx, op, henc.Bytes())
-	}
 	rep, err := r.path.AllocBlockingContext(ctx, r.server)
 	if err != nil {
 		return err
