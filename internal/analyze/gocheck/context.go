@@ -8,8 +8,8 @@
 //     parameter — the server-side work escapes the client's deadline;
 //   - a function that receives a ctx parameter but invokes a flexrpc
 //     context-aware entry point (InvokeContext, CallContext,
-//     CallTraceContext, ServeMessageContext, ServeMessageRawContext,
-//     SessionServer.Handle) with a fresh Background instead.
+//     CallTraceContext, ServeMessageRawContext, SessionServer.Handle)
+//     with a fresh Background instead.
 //
 // Functions with no context in scope are not flagged: a top-level
 // driver calling CallContext(context.Background(), ...) has nothing
@@ -35,7 +35,6 @@ var ctxEntryPoints = map[string]bool{
 	"InvokeContext":          true,
 	"CallContext":            true,
 	"CallTraceContext":       true,
-	"ServeMessageContext":    true,
 	"ServeMessageRawContext": true,
 	"Handle":                 true, // SessionServer.Handle(ctx, ...)
 	"HandleAppend":           true,

@@ -387,7 +387,7 @@ type allowLine struct {
 	pattern string
 }
 
-const maxAllowLines = 15
+const maxAllowLines = 9
 
 // parseAllow reads the allowlist: "pattern reason…" per line, blank
 // lines and #-comments skipped. A line without a reason is a finding.

@@ -24,7 +24,6 @@ type Pipe struct {
 	buf      [BufferSize]byte
 	r, count int
 	wclosed  bool
-	rclosed  bool
 }
 
 // New creates a pipe.
@@ -43,18 +42,14 @@ func trap() {
 }
 
 // Write copies all of data into the pipe, blocking while full.
-// It returns io.ErrClosedPipe after CloseRead (EPIPE).
 func (p *Pipe) Write(data []byte) (int, error) {
 	trap()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	written := 0
 	for len(data) > 0 {
-		for p.count == BufferSize && !p.rclosed {
+		for p.count == BufferSize {
 			p.notFull.Wait()
-		}
-		if p.rclosed {
-			return written, io.ErrClosedPipe
 		}
 		n := BufferSize - p.count
 		if n > len(data) {
@@ -105,12 +100,4 @@ func (p *Pipe) CloseWrite() {
 	p.wclosed = true
 	p.mu.Unlock()
 	p.notEmpty.Broadcast()
-}
-
-// CloseRead signals EPIPE to the writer.
-func (p *Pipe) CloseRead() {
-	p.mu.Lock()
-	p.rclosed = true
-	p.mu.Unlock()
-	p.notFull.Broadcast()
 }

@@ -57,14 +57,6 @@ func TestBlockingAt4K(t *testing.T) {
 	}
 }
 
-func TestEPIPE(t *testing.T) {
-	p := New()
-	p.CloseRead()
-	if _, err := p.Write([]byte("x")); err != io.ErrClosedPipe {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestQuickStreamIntegrity(t *testing.T) {
 	f := func(data []byte) bool {
 		p := New()

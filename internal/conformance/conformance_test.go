@@ -11,14 +11,17 @@ import (
 	"time"
 
 	"flexrpc/internal/core"
+	"flexrpc/internal/fbuf"
+	"flexrpc/internal/mach"
 	"flexrpc/internal/netsim"
 	"flexrpc/internal/pres"
 	"flexrpc/internal/runtime"
 	"flexrpc/internal/stats"
 	"flexrpc/internal/sunrpc"
 	"flexrpc/internal/transport/faultconn"
+	"flexrpc/internal/transport/fbufrpc"
 	"flexrpc/internal/transport/inproc"
-	"flexrpc/internal/transport/pipeconn"
+	"flexrpc/internal/transport/machipc"
 	"flexrpc/internal/transport/shmring"
 	"flexrpc/internal/transport/suntcp"
 )
@@ -123,7 +126,7 @@ func newWorld(t testing.TB) *world {
 	})
 	w.disp.Handle("hang", func(c *runtime.Call) error {
 		// Cooperative when the transport forwards the caller's
-		// context (inproc), self-bounded when it cannot — so a
+		// context (inproc, shm inline), self-bounded when it cannot — so a
 		// deadline cell never wedges a serve loop for good.
 		select {
 		case <-c.Context().Done():
@@ -171,7 +174,7 @@ func (l *loopConn) Call(opIdx int, req, replyBuf []byte) ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.enc.Reset()
-	l.disp.ServeMessageContext(context.Background(), l.plan, opIdx, req, l.enc)
+	l.disp.ServeMessage(l.plan, opIdx, req, l.enc)
 	return append(replyBuf[:0], l.enc.Bytes()...), nil
 }
 
@@ -223,6 +226,70 @@ func newClient(t testing.TB, w *world, conn runtime.Conn) invoker {
 	return client
 }
 
+// connectShm binds the world's presentation to its dispatcher over a
+// private shared-memory ring: inline when both sides are [trusted],
+// through the doorbell otherwise.
+func connectShm(t *testing.T, w *world) invoker {
+	t.Helper()
+	b, err := shmring.Connect(w.p, w.disp, runtime.XDRCodec, shmring.Options{Hooks: confHooks{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	return b
+}
+
+// machPair is a kernel with a server task owning a port announced
+// under the world's presentation, and a client task to dial it from.
+func machPair(t *testing.T, w *world) (srv, cli *mach.Task, port *mach.Port) {
+	t.Helper()
+	k := mach.NewKernel()
+	srv, cli = k.NewTask("server"), k.NewTask("client")
+	_, port = srv.AllocatePort()
+	machipc.Announce(port, w.p)
+	t.Cleanup(port.Destroy)
+	return srv, cli, port
+}
+
+// machClient binds a client over conn, a Mach IPC binding to a
+// machPair port. Its calls are tracked so that cleanup waits out any
+// still in flight before the port is destroyed: the deadline test
+// abandons a hang call that is blocked in the kernel when the test
+// ends, and closing the port under its send is a data race.
+func machClient(t *testing.T, w *world, conn runtime.Conn) invoker {
+	t.Helper()
+	sc := &settledConn{Conn: conn}
+	t.Cleanup(sc.settle) // runs before machPair's port.Destroy
+	return newClient(t, w, sc)
+}
+
+type settledConn struct {
+	runtime.Conn
+	mu       sync.Mutex
+	closed   bool
+	inflight sync.WaitGroup
+}
+
+func (c *settledConn) Call(opIdx int, req, replyBuf []byte) ([]byte, error) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, mach.ErrDeadPort
+	}
+	c.inflight.Add(1)
+	c.mu.Unlock()
+	defer c.inflight.Done()
+	return c.Conn.Call(opIdx, req, replyBuf)
+}
+
+// settle refuses new calls and waits for those in flight to return.
+func (c *settledConn) settle() {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.inflight.Wait()
+}
+
 // A cell is one transport × session combination plus its documented
 // place in the error taxonomy.
 type cell struct {
@@ -271,57 +338,46 @@ func cells() []cell {
 			},
 		},
 		{
-			name: "pipe/plain", failClass: "remote", failCarriesMsg: true,
+			name: "shm/inline", failClass: "app", failCarriesMsg: true,
 			build: func(t *testing.T, w *world) invoker {
-				conn, srv := pipeconn.New(w.disp, w.plan(t))
-				go func() { _ = srv.Serve(context.Background()) }()
-				return newClient(t, w, conn)
+				// [trusted] on both sides: the world's one presentation is
+				// the client's and the dispatcher's.
+				w.p.Trust = pres.TrustFull
+				return connectShm(t, w)
 			},
 		},
 		{
-			name: "pipe/robust", failClass: "remote", failCarriesMsg: true,
+			name: "shm/doorbell", failClass: "remote", failCarriesMsg: true,
+			build: connectShm,
+		},
+		{
+			name: "machipc/plain", failClass: "remote", failCarriesMsg: true,
 			build: func(t *testing.T, w *world) invoker {
-				conn, srv := pipeconn.New(w.disp, w.plan(t))
-				sess := w.session(t)
-				go func() { _ = srv.ServeSession(context.Background(), sess) }()
-				return newClient(t, w, runtime.NewRobustConn(conn, w.p, robustOpts()))
+				srv, cli, port := machPair(t, w)
+				plan := w.plan(t)
+				go func() { _ = machipc.Serve(srv, port, w.disp, plan) }()
+				conn, err := machipc.Dial(cli, cli.InsertRight(port), w.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return machClient(t, w, conn)
 			},
 		},
 		{
-			name: "pipe/robust+fault", failClass: "remote", failCarriesMsg: true,
+			name: "fbufrpc/plain", failClass: "remote", failCarriesMsg: true,
 			build: func(t *testing.T, w *world) invoker {
-				conn, srv := pipeconn.New(w.disp, w.plan(t))
-				sess := w.session(t)
-				go func() { _ = srv.ServeSession(context.Background(), sess) }()
-				faulty := faultconn.New(faultProfile()).Wrap(conn)
-				return newClient(t, w, runtime.NewRobustConn(faulty, w.p, robustOpts()))
-			},
-		},
-		{
-			name: "shm/plain", failClass: "remote", failCarriesMsg: true,
-			build: func(t *testing.T, w *world) invoker {
-				conn, srv := shmring.New(w.disp, w.plan(t))
-				go func() { _ = srv.Serve(context.Background()) }()
-				return newClient(t, w, conn)
-			},
-		},
-		{
-			name: "shm/robust", failClass: "remote", failCarriesMsg: true,
-			build: func(t *testing.T, w *world) invoker {
-				conn, srv := shmring.New(w.disp, w.plan(t))
-				sess := w.session(t)
-				go func() { _ = srv.ServeSession(context.Background(), sess) }()
-				return newClient(t, w, runtime.NewRobustConn(conn, w.p, robustOpts()))
-			},
-		},
-		{
-			name: "shm/robust+fault", failClass: "remote", failCarriesMsg: true,
-			build: func(t *testing.T, w *world) invoker {
-				conn, srv := shmring.New(w.disp, w.plan(t))
-				sess := w.session(t)
-				go func() { _ = srv.ServeSession(context.Background(), sess) }()
-				faulty := faultconn.New(faultProfile()).Wrap(conn)
-				return newClient(t, w, runtime.NewRobustConn(faulty, w.p, robustOpts()))
+				srv, cli, port := machPair(t, w)
+				ch := fbufrpc.NewChannel(
+					fbufrpc.Endpoint{Task: cli, Domain: fbuf.NewDomain("client")},
+					fbufrpc.Endpoint{Task: srv, Domain: fbuf.NewDomain("server")},
+					64<<10, 8)
+				plan := w.plan(t)
+				go func() { _ = fbufrpc.Serve(ch, port, w.disp, plan) }()
+				conn, err := fbufrpc.Dial(ch, cli.InsertRight(port), w.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return machClient(t, w, conn)
 			},
 		},
 		{

@@ -10,14 +10,13 @@ import (
 
 	"flexrpc/internal/netsim"
 	"flexrpc/internal/runtime"
-	"flexrpc/internal/transport/shmring"
 	"flexrpc/internal/transport/suntcp"
 )
 
 // The overload cells: admission control installed in front of the
-// session layer, over the in-process loopback, the Sun RPC stream,
-// and the shared-memory ring. The pushback protocol is a session-
-// layer construct, so every transport must surface the identical
+// session layer, over the in-process loopback and the Sun RPC stream,
+// the two transports sessions run over. The pushback protocol is a
+// session-layer construct, so every transport must surface the identical
 // taxonomy: *runtime.ErrOverloaded out of the retry loop, with the
 // server's advisory RetryAfter intact, and errors.Is(err,
 // runtime.ErrDraining) discriminating a drain from momentary load.
@@ -65,14 +64,6 @@ func overloadCells() []overloadCell {
 				go func() { _ = srv.ServeConn(sc) }()
 				t.Cleanup(func() { cc.Close(); sc.Close() })
 				return newClient(t, ow.world, runtime.NewRobustConn(suntcp.Dial(cc, ow.p), ow.p, robustOpts()))
-			},
-		},
-		{
-			name: "shm/admission",
-			build: func(t *testing.T, ow *overloadWorld) invoker {
-				conn, srv := shmring.New(ow.disp, ow.plan(t))
-				go func() { _ = srv.ServeSession(context.Background(), ow.sess) }()
-				return newClient(t, ow.world, runtime.NewRobustConn(conn, ow.p, robustOpts()))
 			},
 		},
 	}

@@ -52,14 +52,15 @@ func releaseFrame(f *Frame) {
 	frames.Put(f)
 }
 
-// ServeMessageContext is Dispatcher.ServeMessageContext on a frame the
-// caller owns: no pool is touched. ctx may be nil.
-func (f *Frame) ServeMessageContext(ctx context.Context, d *Dispatcher, plan *Plan, opIdx int, body []byte, enc Encoder) {
-	d.serve(ctx, f, plan, opIdx, body, enc, 0, true)
+// ServeMessage is Dispatcher.ServeMessage on a frame the caller owns:
+// no pool is touched.
+func (f *Frame) ServeMessage(d *Dispatcher, plan *Plan, opIdx int, body []byte, enc Encoder) {
+	d.serve(nil, f, plan, opIdx, body, enc, 0, true)
 }
 
-// ServeMessageRawContext is Dispatcher.ServeMessageRawContext on a
-// frame the caller owns. ctx may be nil.
+// ServeMessageRawContext is Dispatcher.ServeMessageRaw on a frame the
+// caller owns, under the caller's dispatch context: work functions
+// observe it through Call.Context. ctx may be nil.
 func (f *Frame) ServeMessageRawContext(ctx context.Context, d *Dispatcher, plan *Plan, opIdx int, body []byte, enc Encoder) error {
 	return d.serve(ctx, f, plan, opIdx, body, enc, 0, false)
 }

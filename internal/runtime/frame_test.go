@@ -224,7 +224,7 @@ func TestFrameClearedOnEveryReturn(t *testing.T) {
 				ctx := context.WithValue(context.Background(), ctxKey{}, name)
 				s.afterReply = 0
 				if framed {
-					f.ServeMessageContext(ctx, s.disp, s.plan, swap, sc.body, enc)
+					f.ServeMessage(s.disp, s.plan, swap, sc.body, enc)
 					dec := XDRCodec.NewDecoder(enc.Bytes())
 					if status, _ := dec.Uint32(); (status == replyOK) != (sc.rawErr == "") {
 						t.Fatalf("status %d, want failure=%v", status, sc.rawErr != "")
@@ -247,7 +247,7 @@ func TestFrameClearedOnEveryReturn(t *testing.T) {
 				// The next call on the same frame, a narrower operation
 				// then the same one, sees only its own request.
 				put, next := s.body("put", []byte("next")), XDRCodec.NewEncoder()
-				f.ServeMessageContext(nil, s.disp, s.plan, s.plan.OpIndex("put"), put, next)
+				f.ServeMessage(s.disp, s.plan, s.plan.OpIndex("put"), put, next)
 				checkFrameCleared(t, "after a narrower call", f, sc.body, put)
 
 				s.stale, s.afterReply = "unset", 0
@@ -300,8 +300,7 @@ func TestPooledFrameNextCallSeesNothingStale(t *testing.T) {
 	swap := s.plan.OpIndex("swap")
 	for _, tag := range []string{"fine", "panic", "error", "mistyped"} {
 		enc := XDRCodec.NewEncoder()
-		ctx := context.WithValue(context.Background(), ctxKey{}, tag)
-		s.disp.ServeMessageContext(ctx, s.plan, swap, s.swapBody([]byte("previous"), tag), enc)
+		s.disp.ServeMessage(s.plan, swap, s.swapBody([]byte("previous"), tag), enc)
 		s.stale = "unset"
 		enc.Reset()
 		if err := s.disp.ServeMessageRaw(s.plan, swap, s.swapBody([]byte("fresh"), "witness"), enc); err != nil {

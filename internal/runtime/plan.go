@@ -55,8 +55,9 @@ type Plan struct {
 }
 
 // SetStats points the plan's meters at e (nil disables). Servers that
-// drive a Plan directly (SessionServer, suntcp, pipeconn) pass the
-// dispatcher's endpoint so codec meters land beside its counters.
+// drive a Plan directly (SessionServer, suntcp, a shmring.Bound's
+// ServerPlan) pass the dispatcher's endpoint so codec meters land
+// beside its counters.
 func (p *Plan) SetStats(e *stats.Endpoint) { p.stats = e }
 
 // meterCopy records a decode-side copy into owned or caller storage.

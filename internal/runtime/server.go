@@ -39,7 +39,7 @@ type Call struct {
 
 // Context returns the context the call was dispatched under:
 // transports that plumb per-call deadlines (InvokeContext,
-// ServeMessageContext) install it so work functions can observe
+// Frame.ServeMessageRawContext) install it so work functions can observe
 // cancellation; everywhere else it is context.Background().
 func (c *Call) Context() context.Context {
 	if c.ctx != nil {
@@ -238,7 +238,7 @@ func opNames(p *pres.Presentation) []string {
 // OutcomeOf classifies a call error for the stats counters: nil is
 // OK, a recovered handler panic is Panicked, a deadline expiry is
 // TimedOut, anything else Failed. Transports that keep their own
-// endpoints (inproc, pipeconn) share this taxonomy.
+// endpoints (inproc, shmring) share this taxonomy.
 func OutcomeOf(err error) stats.Outcome { return serverOutcome(err) }
 
 // serverOutcome classifies a dispatch error for the counters.
@@ -335,16 +335,8 @@ const (
 // pooled Frame, so the steady-state path allocates only what the
 // decoded argument values themselves need.
 func (d *Dispatcher) ServeMessage(plan *Plan, opIdx int, body []byte, enc Encoder) {
-	d.ServeMessageContext(nil, plan, opIdx, body, enc)
-}
-
-// ServeMessageContext is ServeMessage with a dispatch context: work
-// functions observe it through Call.Context, so a client deadline
-// that a session transport forwards can cancel server-side work. ctx
-// may be nil (treated as Background).
-func (d *Dispatcher) ServeMessageContext(ctx context.Context, plan *Plan, opIdx int, body []byte, enc Encoder) {
 	f := acquireFrame()
-	d.serve(ctx, f, plan, opIdx, body, enc, 0, true)
+	d.serve(nil, f, plan, opIdx, body, enc, 0, true)
 	releaseFrame(f)
 }
 
@@ -352,14 +344,8 @@ func (d *Dispatcher) ServeMessageContext(ctx context.Context, plan *Plan, opIdx 
 // status word is emitted; decode, application, and marshal errors
 // are returned for the transport's own error channel.
 func (d *Dispatcher) ServeMessageRaw(plan *Plan, opIdx int, body []byte, enc Encoder) error {
-	return d.ServeMessageRawContext(nil, plan, opIdx, body, enc)
-}
-
-// ServeMessageRawContext is ServeMessageRaw with a dispatch context
-// (see ServeMessageContext). ctx may be nil.
-func (d *Dispatcher) ServeMessageRawContext(ctx context.Context, plan *Plan, opIdx int, body []byte, enc Encoder) error {
 	f := acquireFrame()
-	err := d.serve(ctx, f, plan, opIdx, body, enc, 0, false)
+	err := d.serve(nil, f, plan, opIdx, body, enc, 0, false)
 	releaseFrame(f)
 	return err
 }

@@ -296,6 +296,7 @@ func (b *Bound) invokeInline(ctx context.Context, bop *boundOp, args []runtime.V
 	default:
 		return nil, nil, err
 	}
+	b.stats.AddOp(bop.idx, stats.OpBytesOut, len(body))
 	b.repEnc.ResetArena(b.repArena)
 	err = b.frame.ServeMessageRawContext(ctx, b.disp, b.splan, bop.idx, body, b.repEnc)
 	if err != nil {
@@ -304,7 +305,9 @@ func (b *Bound) invokeInline(ctx context.Context, bop *boundOp, args []runtime.V
 	}
 	// An oversized reply reallocated off the arena; the bytes are
 	// still valid either way, so no length check is needed inline.
-	b.cdec.Reset(b.repEnc.Bytes())
+	reply := b.repEnc.Bytes()
+	b.stats.AddOp(bop.idx, stats.OpBytesIn, len(reply))
+	b.cdec.Reset(reply)
 	outs, ret, derr := bop.cop.DecodeReply(b.cdec, outBufs, retBuf)
 	b.dropReply()
 	return outs, ret, derr
@@ -320,10 +323,11 @@ func (b *Bound) dropReply() {
 // invokeDoorbell publishes the request through the doorbell handoff
 // and decodes the framed reply the serve goroutine produced.
 func (b *Bound) invokeDoorbell(ctx context.Context, bop *boundOp, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
-	ref, err := b.sendRequest(ctx, bop, args)
+	ref, n, err := b.sendRequest(ctx, bop, args)
 	if err != nil {
 		return nil, nil, err
 	}
+	b.stats.AddOp(bop.idx, stats.OpBytesOut, n)
 	b.ring.reqBell.ring(stateReq, ref)
 	rref, ok, err := b.ring.repBell.waitCtx(ctx, stateRep)
 	if err != nil {
@@ -342,8 +346,9 @@ func (b *Bound) invokeDoorbell(ctx context.Context, bop *boundOp, args []runtime
 
 // sendRequest produces the request frame under the binding's mode and
 // returns the doorbell reference (0 = the leased slot pair; nonzero =
-// a generic frame resolved through the path's name table).
-func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Value) (uint64, error) {
+// a generic frame resolved through the path's name table) and the
+// body's length.
+func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Value) (ref uint64, n int, err error) {
 	r := b.ring
 	if !b.trusted && !b.nonUnique {
 		// Unique naming: the peer insists on resolving buffers through
@@ -359,52 +364,53 @@ func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Va
 		// ownership.
 		arena, err := b.reqSlot.Arena(r.client)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		n, err := bop.cop.EncodeRequestArena(b.reqEnc, arena[headerSize:], args)
+		n, err = bop.cop.EncodeRequestArena(b.reqEnc, arena[headerSize:], args)
 		if errors.Is(err, runtime.ErrArenaOverflow) {
 			return b.spillRequest(ctx, bop, args)
 		}
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		putHeader(arena, uint32(bop.idx), uint32(n), 0)
 		if err := b.reqSlot.SetProduced(r.client, headerSize+n); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if err := b.reqSlot.Transfer(r.client, r.server, false); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		return 0, nil
+		return 0, n, nil
 	}
 	// Trusted: the cached arena is written directly; ownership ops and
 	// checksums are elided, only the header's op and length words are
 	// produced for the peer.
-	n, err := bop.cop.EncodeRequestArena(b.reqEnc, b.reqArena[headerSize:], args)
+	n, err = bop.cop.EncodeRequestArena(b.reqEnc, b.reqArena[headerSize:], args)
 	if errors.Is(err, runtime.ErrArenaOverflow) {
 		return b.spillRequest(ctx, bop, args)
 	}
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	putHeader(b.reqArena, uint32(bop.idx), uint32(n), 0)
-	return 0, nil
+	return 0, n, nil
 }
 
 // spillRequest publishes the request as a generic name-table frame:
 // oversized messages splice across pool slots, and unique-naming
 // bindings route every request here so the peer can resolve the
 // buffers by id.
-func (b *Bound) spillRequest(ctx context.Context, bop *boundOp, args []runtime.Value) (uint64, error) {
+func (b *Bound) spillRequest(ctx context.Context, bop *boundOp, args []runtime.Value) (uint64, int, error) {
 	enc := b.cplan.Codec.NewEncoder()
 	if err := bop.cop.EncodeRequest(enc, args); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	head, _, err := b.ring.writeMessage(ctx, b.ring.client, b.ring.server, uint32(bop.idx), enc.Bytes())
+	body := enc.Bytes()
+	head, _, err := b.ring.writeMessage(ctx, b.ring.client, b.ring.server, uint32(bop.idx), body)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return uint64(head.ID()), nil
+	return uint64(head.ID()), len(body), nil
 }
 
 // receiveReply reads the framed reply (status word first) and decodes
@@ -437,6 +443,7 @@ func (b *Bound) receiveReply(bop *boundOp, ref uint64, outBufs [][]byte, retBuf 
 			return nil, nil, err
 		}
 	}
+	b.stats.AddOp(bop.idx, stats.OpBytesIn, len(reply))
 	outs, ret, err := b.decodeFramedReply(bop, reply, outBufs, retBuf)
 	if bufs != nil {
 		r.freeAll(r.client, bufs)
@@ -559,7 +566,7 @@ func (b *Bound) replyOne(op uint32, body []byte, recycle func() error) error {
 	if !b.trusted && !b.nonUnique {
 		// Unique naming: the reply, too, travels as a name-table frame.
 		henc := b.splan.Codec.NewEncoder()
-		b.frame.ServeMessageContext(nil, b.disp, b.splan, int(op), body, henc)
+		b.frame.ServeMessage(b.disp, b.splan, int(op), body, henc)
 		if err := recycle(); err != nil {
 			return err
 		}
@@ -575,7 +582,7 @@ func (b *Bound) replyOne(op uint32, body []byte, recycle func() error) error {
 		}
 	}
 	b.repEnc.ResetArena(arena[headerSize:])
-	b.frame.ServeMessageContext(nil, b.disp, b.splan, int(op), body, b.repEnc)
+	b.frame.ServeMessage(b.disp, b.splan, int(op), body, b.repEnc)
 	encoded := b.repEnc.Bytes()
 	// Whatever happens next the encoder is done with the slot (and with
 	// the heap storage an oversized reply landed in).

@@ -16,10 +16,11 @@
 // [nonunique] naming replaces the path-wide name-table lookup with
 // direct ring-position indexing.
 //
-// The generic Conn/Server pair below implements runtime.Conn for
-// already-marshaled bodies — the session layer (RobustConn,
-// at-most-once, deadlines) and the conformance matrix run over it
-// unchanged. The zero-copy bind-time path lives in Connect.
+// Connect's Bound is the only binding: marshal plans encode straight
+// into the leased slots, one call is in flight at a time, and the
+// conformance matrix runs it inline and through the doorbell. Session
+// traffic (RobustConn, at-most-once) does not ride the ring: a binding
+// is in-process, so there is no loss for retries to mask.
 package shmring
 
 import (
@@ -28,12 +29,9 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
-	"sync"
 	"sync/atomic"
 
 	"flexrpc/internal/fbuf"
-	"flexrpc/internal/runtime"
-	"flexrpc/internal/stats"
 )
 
 // Slot-frame geometry. The header is four big-endian uint32 words:
@@ -55,7 +53,7 @@ const (
 // longer length word means the frame is corrupt.
 const MaxMessage = 16 << 20
 
-// Default ring geometry for New.
+// Default ring geometry for Connect.
 const (
 	DefaultSlotSize = 4096
 	DefaultSlots    = 8
@@ -115,7 +113,6 @@ const (
 	stateIdle uint64 = iota
 	stateReq
 	stateRep
-	stateClosed
 )
 
 const (
@@ -133,7 +130,7 @@ const (
 //
 // Closure is a separate dead flag rather than a state stored into the
 // word: storing would clobber a published-but-unconsumed reply, and a
-// drain wants exactly the opposite — the completed call delivers, the
+// close wants exactly the opposite — the completed call delivers, the
 // next wait observes death. The close wakes unconditionally (no
 // parked check) so a waiter between its parked store and its channel
 // receive cannot sleep through it.
@@ -186,12 +183,8 @@ func (d *doorbell) close() {
 // check polls the word once for want (or closure). A ready want wins
 // over death, so closure never swallows a completed exchange.
 func (d *doorbell) check(want uint64) (ref uint64, ok, done bool) {
-	w := d.word.Load()
-	switch w & stateMask {
-	case want:
+	if w := d.word.Load(); w&stateMask == want {
 		return w >> stateBits, true, true
-	case stateClosed:
-		return 0, false, true
 	}
 	if d.dead.Load() {
 		return 0, false, true
@@ -255,31 +248,6 @@ type Ring struct {
 	slots    int
 	reqBell  *doorbell
 	repBell  *doorbell
-
-	// poison carries the taxonomy cause of closure (nil for a plain
-	// Close); whoever closes first wins, so every blocked peer unparks
-	// with the same classified error.
-	poison atomic.Pointer[error]
-}
-
-// poisonWith records cause (first writer wins) and closes both
-// doorbells, unparking any blocked peer.
-func (r *Ring) poisonWith(cause error) {
-	if cause != nil {
-		r.poison.CompareAndSwap(nil, &cause)
-	}
-	r.reqBell.close()
-	r.repBell.close()
-}
-
-// closeErr is the error a call blocked on the ring returns after
-// closure: ErrClosed, wrapping the poison cause when one was recorded
-// so errors.Is sees both the transport closure and its reason.
-func (r *Ring) closeErr() error {
-	if p := r.poison.Load(); p != nil {
-		return fmt.Errorf("%w: %w", ErrClosed, *p)
-	}
-	return ErrClosed
 }
 
 // Config sizes a ring.
@@ -471,237 +439,4 @@ func (r *Ring) freeAll(d *fbuf.Domain, bufs []*fbuf.Buffer) {
 	for _, b := range bufs {
 		b.Free(d)
 	}
-}
-
-// A Conn is the client end of the generic shmring transport,
-// implementing runtime.Conn over already-marshaled bodies. One call
-// is in flight at a time (the ring has no xids); the session layer's
-// retries and deadlines compose on top exactly as over a pipe.
-type Conn struct {
-	mu     sync.Mutex
-	r      *Ring
-	stats  *stats.Endpoint
-	bufs   []*fbuf.Buffer
-	closed bool
-}
-
-// A Server executes frames published on the request doorbell against
-// a dispatcher (Serve) or a session layer (ServeSession).
-type Server struct {
-	r       *Ring
-	disp    *runtime.Dispatcher
-	plan    *runtime.Plan
-	scratch []byte
-	frame   []byte // session reply frame under construction (ServeSession)
-	bufs    []*fbuf.Buffer
-
-	// The serve loop is one goroutine, so it owns its marshal state:
-	// the encoder replies are produced through, into slot arenas, and
-	// the call frame requests are served in.
-	enc  runtime.Encoder
-	work *runtime.Frame
-}
-
-// New creates a connected client/server pair over a default-geometry
-// ring. Run srv.Serve (or srv.ServeSession) in a goroutine, then
-// issue calls on the Conn.
-func New(disp *runtime.Dispatcher, plan *runtime.Plan) (*Conn, *Server) {
-	c, s, err := NewWithConfig(disp, plan, Config{})
-	if err != nil {
-		panic(err) // defaults are always valid
-	}
-	return c, s
-}
-
-// NewWithConfig is New with explicit ring geometry.
-func NewWithConfig(disp *runtime.Dispatcher, plan *runtime.Plan, cfg Config) (*Conn, *Server, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, nil, err
-	}
-	r := newRing(cfg)
-	return &Conn{r: r}, &Server{r: r, disp: disp, plan: plan, enc: plan.Codec.NewEncoder(), work: runtime.NewFrame()}, nil
-}
-
-// SetStats points the connection's wire meter at e; every frame is
-// metered with its header, matching what crosses the ring.
-func (c *Conn) SetStats(e *stats.Endpoint) {
-	c.mu.Lock()
-	c.stats = e
-	c.mu.Unlock()
-}
-
-// Call implements runtime.Conn: the request is produced into ring
-// slots, the request doorbell is rung, and the reply is read back out
-// of the slots the server published.
-func (c *Conn) Call(opIdx int, req, replyBuf []byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, c.r.closeErr()
-	}
-	head, _, err := c.r.writeMessage(nil, c.r.client, c.r.server, uint32(opIdx), req)
-	if err != nil {
-		return nil, fmt.Errorf("shmring: send: %w", err)
-	}
-	if c.stats != nil {
-		c.stats.Wire.Add(headerSize + len(req))
-	}
-	c.r.reqBell.ring(stateReq, uint64(head.ID()))
-	ref, ok := c.r.repBell.wait(stateRep)
-	if !ok {
-		c.closed = true
-		return nil, c.r.closeErr()
-	}
-	c.r.repBell.reset()
-	_, body, aliased, bufs, err := c.r.readMessage(c.r.client, ref, replyBuf)
-	if err != nil {
-		c.r.freeAll(c.r.client, bufs)
-		return nil, fmt.Errorf("shmring: receive: %w", err)
-	}
-	out := body
-	if aliased {
-		// The body aliases a slot about to be recycled: land it in the
-		// caller's buffer — the one endpoint copy a pre-marshaled
-		// runtime.Conn body pays.
-		if cap(replyBuf) >= len(body) {
-			out = replyBuf[:len(body)]
-		} else {
-			out = make([]byte, len(body))
-		}
-		copy(out, body)
-	}
-	c.r.freeAll(c.r.client, bufs)
-	if c.stats != nil {
-		c.stats.Wire.Add(headerSize + len(out))
-	}
-	return out, nil
-}
-
-// Close wakes both ends and marks the ring closed.
-func (c *Conn) Close() error {
-	c.r.poisonWith(nil)
-	return nil
-}
-
-// Poison closes the ring carrying cause: a peer blocked in Call (or a
-// server blocked waiting for requests) unparks promptly with an error
-// wrapping both ErrClosed and cause, so drains and fault injection
-// surface a classified taxonomy error instead of a bare closure.
-func (c *Conn) Poison(cause error) {
-	c.r.poisonWith(cause)
-}
-
-// Serve runs the request loop until the client closes the ring or
-// ctx is done. The returned error is nil on clean closure.
-func (s *Server) Serve(ctx context.Context) error {
-	return s.serve(ctx, nil)
-}
-
-// ServeSession is Serve for session traffic: each body is an
-// at-most-once session frame handed to sess.HandleAppend, so a RobustConn
-// client gets retries, duplicate suppression and reply replay over
-// the ring.
-func (s *Server) ServeSession(ctx context.Context, sess *runtime.SessionServer) error {
-	return s.serve(ctx, sess)
-}
-
-// Drain poisons the ring with cause (runtime.ErrDraining when nil):
-// the serve loop exits after any in-progress exchange, and a client
-// blocked mid-call unparks with an error wrapping ErrClosed and
-// cause instead of spinning until its deadline.
-func (s *Server) Drain(cause error) {
-	if cause == nil {
-		cause = runtime.ErrDraining
-	}
-	s.r.poisonWith(cause)
-}
-
-func (s *Server) serve(ctx context.Context, sess *runtime.SessionServer) error {
-	r := s.r
-	for {
-		ref, ok, err := r.reqBell.waitCtx(ctx, stateReq)
-		if err != nil {
-			r.repBell.close()
-			return err
-		}
-		if !ok {
-			r.repBell.close()
-			return nil
-		}
-		r.reqBell.reset()
-		op, body, _, bufs, err := r.readMessage(r.server, ref, s.scratch)
-		if err != nil {
-			r.freeAll(r.server, bufs)
-			r.repBell.close()
-			return fmt.Errorf("shmring: serve: %w", err)
-		}
-		if len(body) > cap(s.scratch) && len(bufs) > 1 {
-			s.scratch = body[:0] // keep the grown gather buffer
-		}
-		s.bufs = bufs
-		if sess != nil {
-			s.frame = sess.HandleAppend(ctx, int(op), body, s.frame[:0])
-			err = s.publish(ctx, op, s.frame)
-		} else {
-			err = s.replyServe(ctx, op, body)
-		}
-		r.freeAll(r.server, s.bufs)
-		s.bufs = nil
-		if err != nil {
-			r.repBell.close()
-			return fmt.Errorf("shmring: reply: %w", err)
-		}
-	}
-}
-
-// replyServe dispatches body and publishes the reply, encoding it
-// directly into a leased slot's arena; replies that outgrow the slot
-// spill into a spliced multi-slot frame.
-func (s *Server) replyServe(ctx context.Context, op uint32, body []byte) error {
-	r := s.r
-	rep, err := r.path.AllocBlockingContext(ctx, r.server)
-	if err != nil {
-		return err
-	}
-	arena, err := rep.Arena(r.server)
-	if err != nil {
-		rep.Free(r.server)
-		return err
-	}
-	s.enc.ResetArena(arena[headerSize:])
-	s.work.ServeMessageContext(ctx, s.disp, s.plan, int(op), body, s.enc)
-	encoded := s.enc.Bytes()
-	s.enc.ResetArena(nil)
-	n, err := runtime.ArenaLen(arena[headerSize:], encoded)
-	if err != nil {
-		// Spill: the encode outgrew the slot and landed in heap storage;
-		// the bytes are still valid, so no re-dispatch is needed.
-		rep.Free(r.server)
-		return s.publish(ctx, op, encoded)
-	}
-	// The reply was produced in place: frame it and hand the slot
-	// over without touching the bytes again.
-	putHeader(arena, op, uint32(n), 0)
-	err = rep.SetProduced(r.server, headerSize+n)
-	if err == nil {
-		err = rep.Transfer(r.server, r.client, false)
-	}
-	if err != nil {
-		rep.Free(r.server)
-		return err
-	}
-	r.repBell.ring(stateRep, uint64(rep.ID()))
-	return nil
-}
-
-// publish writes body as a frame to the client and rings the reply
-// doorbell.
-func (s *Server) publish(ctx context.Context, op uint32, body []byte) error {
-	head, _, err := s.r.writeMessage(ctx, s.r.server, s.r.client, op, body)
-	if err != nil {
-		return err
-	}
-	s.r.repBell.ring(stateRep, uint64(head.ID()))
-	return nil
 }

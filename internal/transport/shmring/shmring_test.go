@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	goruntime "runtime"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"flexrpc/internal/idl/corba"
 	"flexrpc/internal/pres"
 	"flexrpc/internal/runtime"
+	"flexrpc/internal/stats"
 )
 
 // ringIface covers the shapes the ring must carry: a null call,
@@ -90,38 +92,7 @@ func newDispatcher(t testing.TB, p *pres.Presentation, pr *probe) *runtime.Dispa
 	return disp
 }
 
-func ringPlan(t testing.TB, p *pres.Presentation) *runtime.Plan {
-	t.Helper()
-	plan, err := runtime.NewPlan(p, runtime.XDRCodec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return plan
-}
-
-// --- generic Conn/Server (runtime.Conn over already-marshaled bodies) ---
-
-func newClientConn(t testing.TB, cfg Config) (*runtime.Client, *probe) {
-	t.Helper()
-	p := ringIface(t)
-	pr := &probe{}
-	disp := newDispatcher(t, p, pr)
-	conn, srv, err := NewWithConfig(disp, ringPlan(t, p), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(context.Background()) }()
-	client, err := runtime.NewClient(ringIface(t), runtime.XDRCodec, conn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-	return client, pr
-}
-
-func driveCalls(t *testing.T, inv interface {
-	Invoke(op string, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error)
-}, pr *probe, payload []byte) {
+func driveCalls(t *testing.T, inv *Bound, pr *probe, payload []byte) {
 	t.Helper()
 	if _, _, err := inv.Invoke("nop", nil, nil, nil); err != nil {
 		t.Fatalf("nop: %v", err)
@@ -160,114 +131,6 @@ func driveCalls(t *testing.T, inv interface {
 	}
 }
 
-func TestConnRoundTrip(t *testing.T) {
-	client, pr := newClientConn(t, Config{})
-	driveCalls(t, client, pr, []byte("ring payload"))
-}
-
-// TestConnMultiSlotSplice forces every bulk message across
-// continuation slots: the body is spliced through the pool as an
-// fbuf.Aggregate and gathered on the far side.
-func TestConnMultiSlotSplice(t *testing.T) {
-	client, pr := newClientConn(t, Config{SlotSize: 64, Slots: 16})
-	payload := bytes.Repeat([]byte{0xA5, 1, 2, 3}, 64) // 256 B >> 48 B of slot body
-	driveCalls(t, client, pr, payload)
-}
-
-// TestConnTooLarge: a message that cannot fit half the ring is
-// refused outright instead of deadlocking the pool.
-func TestConnTooLarge(t *testing.T) {
-	client, _ := newClientConn(t, Config{SlotSize: 64, Slots: 4})
-	_, _, err := client.Invoke("put", []runtime.Value{make([]byte, 4096)}, nil, nil)
-	if err == nil {
-		t.Fatal("oversized message accepted")
-	}
-}
-
-// TestConnSession runs the at-most-once session layer over the ring.
-func TestConnSession(t *testing.T) {
-	p := ringIface(t)
-	pr := &probe{}
-	disp := newDispatcher(t, p, pr)
-	plan := ringPlan(t, p)
-	conn, srv := New(disp, plan)
-	sess := runtime.NewSessionServer(disp, plan, runtime.NewReplyCache(runtime.DefaultReplyCacheSize))
-	go func() { _ = srv.ServeSession(context.Background(), sess) }()
-	robust := runtime.NewRobustConn(conn, p, runtime.RobustOptions{
-		ClientID: 1, AtMostOnce: true,
-		Policy: runtime.RetryPolicy{MaxAttempts: 3, AttemptTimeout: time.Second},
-	})
-	client, err := runtime.NewClient(ringIface(t), runtime.XDRCodec, robust, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	driveCalls(t, client, pr, []byte("sessioned"))
-}
-
-// TestDrainUnparksBlockedCaller is the regression test for the
-// spin-then-park closure race: a caller parked on the reply doorbell
-// must observe a drain promptly and return the drain's taxonomy error
-// — not spin until its own deadline. The client's session layer runs
-// on a FakeClock that is never advanced, so its AttemptTimeout can
-// never fire: if the unpark were deadline-driven rather than
-// event-driven, the call below would hang forever instead of
-// returning.
-func TestDrainUnparksBlockedCaller(t *testing.T) {
-	p := ringIface(t)
-	pr := &probe{}
-	disp := newDispatcher(t, p, pr)
-	plan := ringPlan(t, p)
-	conn, srv := New(disp, plan)
-	// No serve loop: the reply doorbell never rings, so the caller
-	// parks exactly as it would behind a stalled server.
-	fc := runtime.NewFakeClock()
-	robust := runtime.NewRobustConn(conn, p, runtime.RobustOptions{
-		ClientID: 1, AtMostOnce: true,
-		Policy: runtime.RetryPolicy{MaxAttempts: 1, AttemptTimeout: time.Hour},
-		Clock:  fc,
-	})
-	client, err := runtime.NewClient(ringIface(t), runtime.XDRCodec, robust, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := client.Invoke("nop", nil, nil, nil)
-		errc <- err
-	}()
-	// Let the caller publish its request and park on the reply bell,
-	// then drain the server side.
-	time.Sleep(5 * time.Millisecond)
-	srv.Drain(nil)
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("unparked with %v, want ErrClosed in the chain", err)
-		}
-		if !errors.Is(err, runtime.ErrDraining) {
-			t.Fatalf("unparked with %v, want runtime.ErrDraining in the chain", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("caller still parked 2s after drain — wakeup lost")
-	}
-}
-
-// TestPoisonCarriesCause: an explicit poison cause survives into the
-// blocked caller's error chain alongside ErrClosed.
-func TestPoisonCarriesCause(t *testing.T) {
-	p := ringIface(t)
-	pr := &probe{}
-	disp := newDispatcher(t, p, pr)
-	conn, _ := New(disp, ringPlan(t, p))
-	cause := errors.New("taxonomy: injected crash")
-	conn.Poison(cause)
-	_, err := conn.Call(0, []byte{}, nil)
-	if !errors.Is(err, ErrClosed) || !errors.Is(err, cause) {
-		t.Fatalf("Call after poison = %v, want ErrClosed wrapping the cause", err)
-	}
-}
-
 func TestHeaderValidation(t *testing.T) {
 	var b [headerSize]byte
 	putHeader(b[:], 3, 99, 2)
@@ -291,8 +154,6 @@ func TestHeaderValidation(t *testing.T) {
 		t.Fatal("short header accepted")
 	}
 }
-
-// --- bind-time specialized path (Connect/Bound) ---
 
 type mode struct {
 	name string
@@ -425,6 +286,68 @@ func TestBoundOversizeSpill(t *testing.T) {
 	}
 }
 
+// TestBoundTooLarge: through the doorbell, a message that cannot fit
+// half the ring is refused outright instead of deadlocking the pool.
+// Inline dispatch stages an oversized request on the heap and never
+// touches the pool, so there it succeeds.
+func TestBoundTooLarge(t *testing.T) {
+	for _, m := range modes() {
+		t.Run(m.name, func(t *testing.T) {
+			b, pr := connectMode(t, m, Config{SlotSize: 64, Slots: 4})
+			_, _, err := b.Invoke("put", []runtime.Value{make([]byte, 4096)}, nil, nil)
+			if m.inline {
+				if err != nil || pr.putLen != 4096 {
+					t.Fatalf("inline 4 KB put = %v, server saw %d bytes", err, pr.putLen)
+				}
+				return
+			}
+			if !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("4 KB put over a 4-slot ring of 64-byte slots = %v, want ErrTooLarge", err)
+			}
+		})
+	}
+}
+
+// TestCloseUnparksDoorbellCaller is the regression test for the
+// spin-then-park closure race: a caller parked on the reply doorbell
+// behind a stalled handler must observe Close promptly and return
+// ErrClosed, not sleep until the handler finishes or forever.
+func TestCloseUnparksDoorbellCaller(t *testing.T) {
+	for _, m := range modes() {
+		if m.inline {
+			continue
+		}
+		t.Run(m.name, func(t *testing.T) {
+			b, _ := connectMode(t, m, Config{})
+			errc := make(chan error, 1)
+			go func() {
+				_, _, err := b.Invoke("hang", nil, nil, nil)
+				errc <- err
+			}()
+			for deadline := time.Now().Add(2 * time.Second); !b.ring.repBell.parked.Load(); {
+				if time.Now().After(deadline) {
+					t.Fatal("caller never parked on the reply doorbell")
+				}
+				goruntime.Gosched()
+			}
+			closed := make(chan struct{})
+			go func() {
+				b.Close() // returns once the serve goroutine finishes hang
+				close(closed)
+			}()
+			select {
+			case err := <-errc:
+				if !errors.Is(err, ErrClosed) {
+					t.Fatalf("unparked with %v, want ErrClosed", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("caller still parked 2s after Close — wakeup lost")
+			}
+			<-closed
+		})
+	}
+}
+
 func TestBoundUnknownOpAndArity(t *testing.T) {
 	b, _ := connectMode(t, modes()[0], Config{})
 	if _, _, err := b.Invoke("nosuch", nil, nil, nil); err == nil {
@@ -479,22 +402,28 @@ func TestBoundDeadline(t *testing.T) {
 	}
 }
 
+// TestBoundStats: every mode counts calls and errors, and meters the
+// marshalled request and reply sizes the way runtime.Client does. A
+// void op's inline reply is empty (no status word), so put's reply
+// side is not asserted.
 func TestBoundStats(t *testing.T) {
-	b, pr := connectMode(t, modes()[0], Config{})
-	b.EnableStats()
-	driveCalls(t, b, pr, []byte("metered"))
-	snap := b.EnableStats().Snapshot()
-	var addCalls, failErrors uint64
-	for _, op := range snap.Ops {
-		switch op.Name {
-		case "add":
-			addCalls = op.Calls
-		case "fail":
-			failErrors = op.Errors
-		}
-	}
-	if addCalls != 1 || failErrors != 1 {
-		t.Fatalf("stats: add calls %d (want 1), fail errors %d (want 1)", addCalls, failErrors)
+	for _, m := range modes() {
+		t.Run(m.name, func(t *testing.T) {
+			b, pr := connectMode(t, m, Config{})
+			b.EnableStats()
+			driveCalls(t, b, pr, []byte("metered"))
+			ops := map[string]stats.OpSnapshot{}
+			for _, op := range b.EnableStats().Snapshot().Ops {
+				ops[op.Name] = op
+			}
+			if ops["add"].Calls != 1 || ops["fail"].Errors != 1 {
+				t.Fatalf("add calls %d (want 1), fail errors %d (want 1)", ops["add"].Calls, ops["fail"].Errors)
+			}
+			if put, echo := ops["put"], ops["echo"]; put.BytesOut == 0 || echo.BytesOut == 0 || echo.BytesIn == 0 {
+				t.Fatalf("bytes out/in: put %d/%d, echo %d/%d; want put out and both echo sides non-zero",
+					put.BytesOut, put.BytesIn, echo.BytesOut, echo.BytesIn)
+			}
+		})
 	}
 }
 
