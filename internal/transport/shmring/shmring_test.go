@@ -286,6 +286,56 @@ func TestBoundOversizeSpill(t *testing.T) {
 	}
 }
 
+// TestConnRoundTrip drives the name-table frame path: under unique
+// naming every request and reply is a generic frame whose slots the
+// peer resolves by id. Ten rounds lease more slots than the pool
+// holds, and after each round every slot but the bound pair must be
+// back in the pool.
+func TestConnRoundTrip(t *testing.T) {
+	b, pr := connectMode(t, modes()[3], Config{Slots: 64}) // doorbell-unique
+	free := b.ring.path.FreeCount()
+	for round := 0; round < 10; round++ {
+		driveCalls(t, b, pr, []byte("ring payload"))
+		if got := b.ring.path.FreeCount(); got != free {
+			t.Fatalf("round %d: %d slots free, want %d — a frame leaked its slots", round, got, free)
+		}
+	}
+}
+
+// TestConnMultiSlotSplice forces a body across continuation slots:
+// the head slot carries only the header and the continuation ids, the
+// body is spliced through the pool as an fbuf.Aggregate and gathered
+// on the far side, and every slot goes back to the pool.
+func TestConnMultiSlotSplice(t *testing.T) {
+	cfg, err := Config{SlotSize: 64, Slots: 16}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRing(cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	body := bytes.Repeat([]byte{0xA5, 1, 2, 3}, 64) // 256 B: four 64-byte continuation slots
+	head, cont, err := r.writeMessage(ctx, r.client, r.server, 5, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cont) != 4 {
+		t.Fatalf("%d-byte body spliced across %d continuation slots, want 4", len(body), len(cont))
+	}
+	op, got, aliased, bufs, err := r.readMessage(r.server, uint64(head.ID()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op != 5 || aliased || len(bufs) != 5 || !bytes.Equal(got, body) {
+		t.Fatalf("read op %d, aliased %v, %d bufs, body equal %v; want op 5, gathered copy of 5 bufs",
+			op, aliased, len(bufs), bytes.Equal(got, body))
+	}
+	r.freeAll(r.server, bufs)
+	if n := r.path.FreeCount(); n != cfg.Slots {
+		t.Fatalf("%d of %d slots free after the splice was consumed", n, cfg.Slots)
+	}
+}
+
 // TestBoundTooLarge: through the doorbell, a message that cannot fit
 // half the ring is refused outright instead of deadlocking the pool.
 // Inline dispatch stages an oversized request on the heap and never
