@@ -59,14 +59,14 @@ type OpCert struct {
 	// ClientAllocBound / ServerAllocBound are certified upper bounds
 	// on per-call heap allocations (stats off) for each side's
 	// marshal path (see decodeCost). Boxing a decoded value into its
-	// interface Value counts, so a 16-field attribute struct certifies
-	// 18 on the side that decodes it; the borrow-mode 1KB put certifies
-	// a server bound of 0, because the borrowed slice lands in the
-	// Call's byte slot unboxed and the payload is never copied —
-	// exactly the numbers the runtime's AllocsPerRun gates measure. A
-	// sequence's element count is not known statically: its bound
-	// covers one element, and each further element adds that
-	// element's cost.
+	// interface Value counts, so a 16-field attribute struct with one
+	// string field certifies 5 on the side that decodes it (its scalars
+	// share one slab); the borrow-mode 1KB put certifies a server bound
+	// of 0, because the borrowed slice lands in the Call's byte slot
+	// unboxed and the payload is never copied — exactly the numbers the
+	// runtime's AllocsPerRun gates measure. A sequence of allocating
+	// elements has no static element count: its bound covers one
+	// element, and each further element adds that element's cost.
 	ClientAllocBound int `json:"client_alloc_bound"`
 	ServerAllocBound int `json:"server_alloc_bound"`
 	// ClientAllocFree / ServerAllocFree: the bound is zero.
@@ -161,14 +161,16 @@ func (op *OpPlan) certify() OpCert {
 }
 
 // decodeCost bounds the heap allocations of decoding one value of
-// wire type t into a Value: one box per scalar leaf (a bool boxes
+// wire type t into a Value: one box per top-level scalar (a bool boxes
 // through the runtime's static byte table, for free; any other scalar
 // only when it is below 256), bytes plus a boxed header per string,
 // a boxed header per byte buffer plus its storage when it lands in
-// fresh storage, and a []Value plus its boxed header per composite
-// around its elements' own cost. A sequence is counted with one
-// element. A [special] hook is opaque: one allocation for whatever
-// it builds, one for boxing it.
+// fresh storage, and a []Value plus its boxed header per composite.
+// A composite's non-bool scalar leaves cost one slab between them, at
+// any count; its other fields and elements add their own cost. A
+// sequence of allocating elements is counted with one element. A
+// [special] hook is opaque: one allocation for whatever it builds,
+// one for boxing it.
 func decodeCost(t *ir.Type, l Landing) int {
 	if t == nil || t.Kind == ir.Void {
 		return 0
@@ -186,16 +188,25 @@ func decodeCost(t *ir.Type, l Landing) int {
 			return 2
 		}
 		return 1
-	case ir.Seq:
-		return 2 + decodeCost(t.Elem, l)
-	case ir.Array:
-		return 2 + t.Size*decodeCost(t.Elem, l)
-	case ir.Struct:
-		cost := 2
-		for _, f := range t.Fields {
-			cost += decodeCost(f.Type, l)
+	case ir.Seq, ir.Array:
+		if leaf, _ := slabLeaf(t.Elem); leaf != nil {
+			return 3
 		}
-		return cost
+		n := 1
+		if t.Kind == ir.Array {
+			n = t.Size
+		}
+		return 2 + n*decodeCost(t.Elem, l)
+	case ir.Struct:
+		cost, slab := 2, 0
+		for _, f := range t.Fields {
+			if leaf, _ := slabLeaf(f.Type); leaf != nil {
+				slab = 1
+			} else {
+				cost += decodeCost(f.Type, l)
+			}
+		}
+		return cost + slab
 	}
 	return 1
 }

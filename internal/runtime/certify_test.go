@@ -86,9 +86,33 @@ func TestCertificateBoundsInvariant(t *testing.T) {
 	}
 }
 
+// attrPres is the getattr-shaped interface: a sixteen-field attribute
+// struct as a reply and as a request, and a scalar sequence reply.
+func attrPres(t testing.TB) *pres.Presentation {
+	t.Helper()
+	f, err := corba.Parse("attr.idl", `
+		struct attr {
+			unsigned long mode; unsigned long nlink; unsigned long uid; unsigned long gid;
+			unsigned long long size; unsigned long long used; unsigned long long fsid; unsigned long long fileid;
+			unsigned long rdev; unsigned long blksize;
+			long long atime; long long mtime; long long ctime;
+			boolean immutable; double heat; string name;
+		};
+		interface Attr {
+			attr getattr(in unsigned long h);
+			void setattr(in attr a);
+			sequence<unsigned long> list(in unsigned long n);
+		};`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pres.Default(f.Interface("Attr"), pres.StyleCORBA)
+}
+
 // TestCertificateMatchesGates ties the static and dynamic views
 // together: run the same client/server paths the alloc gates run and
-// assert the measured allocations never exceed the certified bounds.
+// assert the measured allocations never exceed the certified bounds,
+// and meet the composite ones exactly.
 func TestCertificateMatchesGates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
@@ -111,26 +135,12 @@ func TestCertificateMatchesGates(t *testing.T) {
 		disp.ServeMessage(plan, idx, body, enc)
 	})
 
-	// A getattr-shaped reply — sixteen fields, every scalar at or above
-	// 256 so none boxes for free — and the same struct as a request:
-	// what each side's decode measures is at most what is certified,
-	// and the certified number is the field-by-field count, not "2".
-	f, err := corba.Parse("attr.idl", `
-		struct attr {
-			unsigned long mode; unsigned long nlink; unsigned long uid; unsigned long gid;
-			unsigned long long size; unsigned long long used; unsigned long long fsid; unsigned long long fileid;
-			unsigned long rdev; unsigned long blksize;
-			long long atime; long long mtime; long long ctime;
-			boolean immutable; double heat; string name;
-		};
-		interface Attr {
-			attr getattr(in unsigned long h);
-			void setattr(in attr a);
-		};`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap := pres.Default(f.Interface("Attr"), pres.StyleCORBA)
+	// A getattr-shaped reply — every scalar at or above 256 so none
+	// would box for free — the same struct as a request, and a
+	// 1000-element scalar sequence: each side's decode measures exactly
+	// what is certified, so neither a per-field box nor a per-element
+	// one can come back unnoticed.
+	ap := attrPres(t)
 	aplan, err := NewPlan(ap, XDRCodec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -140,31 +150,43 @@ func TestCertificateMatchesGates(t *testing.T) {
 		uint32(300), uint32(4096), int64(1 << 40), int64(1 << 41), int64(1 << 42),
 		true, 0.5, "a-file-name"}
 	acert := aplan.Certificate()
-	getattr, setattr := acert.OpCert("getattr"), acert.OpCert("setattr")
-	// struct 2 + 14 boxed scalars (the bool is free) + string 2; the
-	// request's one scalar argument adds a box on the server.
-	if getattr.ClientAllocBound != 18 || getattr.ServerAllocBound != 1 || setattr.ServerAllocBound != 18 {
-		t.Fatalf("attr bounds: getattr client %d server %d, setattr server %d; want 18, 1, 18",
-			getattr.ClientAllocBound, getattr.ServerAllocBound, setattr.ServerAllocBound)
+	getattr, setattr, list := acert.OpCert("getattr"), acert.OpCert("setattr"), acert.OpCert("list")
+	// struct 2 + one slab for its 14 non-bool scalars + string 2; the
+	// request's one scalar argument adds a box on the server. The
+	// sequence is its []Value, header and one slab at any length.
+	if getattr.ClientAllocBound != 5 || getattr.ServerAllocBound != 1 || setattr.ServerAllocBound != 5 || list.ClientAllocBound != 3 {
+		t.Fatalf("attr bounds: getattr client %d server %d, setattr server %d, list client %d; want 5, 1, 5, 3",
+			getattr.ClientAllocBound, getattr.ServerAllocBound, setattr.ServerAllocBound, list.ClientAllocBound)
 	}
 
 	adisp := NewDispatcher(ap)
 	var boxed Value = attr // boxed once: the gate measures the stub, not the work function
 	adisp.Handle("getattr", func(c *Call) error { c.SetResult(boxed); return nil })
 	adisp.Handle("setattr", func(c *Call) error { return nil })
-	aenc, getBody := XDRCodec.NewEncoder(), []byte{0, 0, 1, 0}
-	adisp.ServeMessage(aplan, aplan.OpIndex("getattr"), getBody, aenc)
-	aclient, err := NewClient(ap, XDRCodec, &fixedConn{reply: append([]byte(nil), aenc.Bytes()...)}, nil)
-	if err != nil {
-		t.Fatal(err)
+	elems := make([]Value, 1000)
+	for i := range elems {
+		elems[i] = uint32(256 + i)
 	}
+	var boxedElems Value = elems
+	adisp.Handle("list", func(c *Call) error { c.SetResult(boxedElems); return nil })
+	aenc, getBody := XDRCodec.NewEncoder(), []byte{0, 0, 1, 0}
+	cannedClient := func(op string) *Client {
+		aenc.Reset()
+		adisp.ServeMessage(aplan, aplan.OpIndex(op), getBody, aenc)
+		c, err := NewClient(ap, XDRCodec, &fixedConn{reply: append([]byte(nil), aenc.Bytes()...)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	aclient, lclient := cannedClient("getattr"), cannedClient("list")
 	getArgs := []Value{uint32(256)}
-	gateAllocs(t, "certified client getattr", float64(getattr.ClientAllocBound), func() {
+	gateAllocsExact(t, "certified client getattr", getattr.ClientAllocBound, func() {
 		if _, ret, err := aclient.Invoke("getattr", getArgs, nil, nil); err != nil || len(ret.([]Value)) != len(attr) {
 			t.Fatal(ret, err)
 		}
 	})
-	gateAllocs(t, "certified server getattr", float64(getattr.ServerAllocBound), func() {
+	gateAllocsExact(t, "certified server getattr", getattr.ServerAllocBound, func() {
 		aenc.Reset()
 		adisp.ServeMessage(aplan, aplan.OpIndex("getattr"), getBody, aenc)
 	})
@@ -172,10 +194,26 @@ func TestCertificateMatchesGates(t *testing.T) {
 	if err := aplan.Ops[aplan.OpIndex("setattr")].EncodeRequest(setEnc, []Value{attr}); err != nil {
 		t.Fatal(err)
 	}
-	gateAllocs(t, "certified server setattr", float64(setattr.ServerAllocBound), func() {
+	gateAllocsExact(t, "certified server setattr", setattr.ServerAllocBound, func() {
 		aenc.Reset()
 		adisp.ServeMessage(aplan, aplan.OpIndex("setattr"), setEnc.Bytes(), aenc)
 	})
+	gateAllocsExact(t, "certified client 1000-element list", list.ClientAllocBound, func() {
+		if _, ret, err := lclient.Invoke("list", getArgs, nil, nil); err != nil || len(ret.([]Value)) != len(elems) {
+			t.Fatal(ret, err)
+		}
+	})
+}
+
+// gateAllocsExact is gateAllocs for a certified bound the path must
+// meet exactly: a certificate that over-counts fails as loudly as one
+// that under-counts.
+func gateAllocsExact(t *testing.T, what string, bound int, fn func()) {
+	t.Helper()
+	fn()
+	if allocs := testing.AllocsPerRun(200, fn); allocs != float64(bound) {
+		t.Fatalf("%s allocates %.1f times per call, certified %d", what, allocs, bound)
+	}
 }
 
 // TestCertificateCallerBufferLanding pins the [alloc(caller)] reply

@@ -3,18 +3,21 @@ package runtime
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
 
 // FuzzDecodeMessage promotes the quick-check properties in
 // robust_test.go to coverage-guided fuzzing: arbitrary bytes fed to
-// a compiled plan's request/reply decoders must error cleanly, never
-// panic, and never produce oversized values.
+// a compiled plan's request/reply decoders, on every byte order, must
+// error cleanly, never panic, and never produce oversized values. A
+// request or reply that decodes must re-encode and decode to an equal
+// value.
 func FuzzDecodeMessage(f *testing.F) {
 	p := richPres(f)
-	plans := make([]*Plan, 0, 2)
-	for _, codec := range []Codec{XDRCodec, CDRCodec} {
+	plans := make([]*Plan, 0, 3)
+	for _, codec := range []Codec{XDRCodec, CDRCodec, CDRCodecLE} {
 		plan, err := NewPlan(p, codec, nil)
 		if err != nil {
 			f.Fatal(err)
@@ -35,10 +38,56 @@ func FuzzDecodeMessage(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, sel uint8, body []byte) {
 		plan := plans[int(sel)%len(plans)]
-		op := plan.Ops[(int(sel)/2)%len(plan.Ops)]
-		_, _ = op.DecodeRequest(plan.NewDecoder(body))
-		_, _, _ = op.DecodeReply(plan.NewDecoder(body), nil, nil)
+		op := plan.Ops[(int(sel)/len(plans))%len(plan.Ops)]
+		if args, err := op.DecodeRequest(plan.NewDecoder(body)); err == nil {
+			enc := plan.Codec.NewEncoder()
+			if err := op.EncodeRequest(enc, args); err != nil {
+				t.Fatalf("decoded request does not re-encode: %v", err)
+			}
+			again, err := op.DecodeRequest(plan.NewDecoder(enc.Bytes()))
+			if err != nil || !sameValue(again, args) {
+				t.Fatalf("request round trip: %v, %v, want %v", again, err, args)
+			}
+		}
+		if outs, ret, err := op.DecodeReply(plan.NewDecoder(body), nil, nil); err == nil {
+			enc := plan.Codec.NewEncoder()
+			if err := op.EncodeReply(enc, outs, ret); err != nil {
+				t.Fatalf("decoded reply does not re-encode: %v", err)
+			}
+			outs2, ret2, err := op.DecodeReply(plan.NewDecoder(enc.Bytes()), nil, nil)
+			if err != nil || !sameValue(outs2, outs) || !sameValue(ret2, ret) {
+				t.Fatalf("reply round trip: %v %v, %v, want %v %v", outs2, ret2, err, outs, ret)
+			}
+		}
 	})
+}
+
+// sameValue compares two decoded Values, floats by their bits so that
+// a NaN equals itself.
+func sameValue(a, b Value) bool {
+	switch x := a.(type) {
+	case float32:
+		y, ok := b.(float32)
+		return ok && math.Float32bits(x) == math.Float32bits(y)
+	case float64:
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	case []byte:
+		y, ok := b.([]byte)
+		return ok && bytes.Equal(x, y)
+	case []Value:
+		y, ok := b.([]Value)
+		if !ok || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if !sameValue(x[i], y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return a == b
 }
 
 // FuzzServeMessage asserts the dispatcher answers every garbage

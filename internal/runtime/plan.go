@@ -536,7 +536,9 @@ func compileEncode(t *ir.Type) encodeFn {
 
 // compileDecode builds the decode step that lands wire type t where l
 // says. The type switch runs here, once, at bind time; composites
-// pass their landing down to their elements.
+// pass their landing down to their elements. A top-level scalar boxes
+// into its own Value; the scalars of a composite box into slots of one
+// slab per decoded value (slabLeaf).
 func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
 	if t == nil || t.Kind == ir.Void {
 		return func(Decoder, []byte) (Value, error) { return nil, nil }
@@ -619,6 +621,15 @@ func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
 			return dst[:size], nil
 		}
 	case ir.Seq:
+		if leaf, w := slabLeaf(t.Elem); leaf != nil {
+			return func(dec Decoder, _ []byte) (Value, error) {
+				n, err := decodeSeqLen(dec)
+				if err != nil {
+					return nil, err
+				}
+				return decodeSlabElems(dec, leaf, w, n)
+			}
+		}
 		elem := pl.compileDecode(t.Elem, l)
 		return func(dec Decoder, _ []byte) (Value, error) {
 			n, err := decodeSeqLen(dec)
@@ -628,18 +639,41 @@ func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
 			return decodeElems(dec, elem, n)
 		}
 	case ir.Array:
-		elem, size := pl.compileDecode(t.Elem, l), t.Size
+		size := t.Size
+		if leaf, w := slabLeaf(t.Elem); leaf != nil {
+			return func(dec Decoder, _ []byte) (Value, error) { return decodeSlabElems(dec, leaf, w, size) }
+		}
+		elem := pl.compileDecode(t.Elem, l)
 		return func(dec Decoder, _ []byte) (Value, error) { return decodeElems(dec, elem, size) }
 	case ir.Struct:
-		fields := make([]decodeFn, len(t.Fields))
-		for i, f := range t.Fields {
-			fields[i] = pl.compileDecode(f.Type, l)
+		// Non-bool scalar fields land in one slab per decoded struct, at
+		// offsets packed here; every other field keeps its own decode.
+		type field struct {
+			dec  decodeFn
+			leaf leafFn
+			off  uintptr
 		}
+		fields := make([]field, len(t.Fields))
+		var lay slabLayout
+		for i, f := range t.Fields {
+			if leaf, w := slabLeaf(f.Type); leaf != nil {
+				fields[i].leaf, fields[i].off = leaf, lay.place(w)
+			} else {
+				fields[i].dec = pl.compileDecode(f.Type, l)
+			}
+		}
+		words := lay.words
 		return func(dec Decoder, _ []byte) (Value, error) {
 			vs := make([]Value, len(fields))
+			s := make([]uint64, words)
 			var err error
-			for i, fn := range fields {
-				if vs[i], err = fn(dec, nil); err != nil {
+			for i := range fields {
+				if f := &fields[i]; f.leaf != nil {
+					vs[i], err = f.leaf(dec, s, f.off)
+				} else {
+					vs[i], err = f.dec(dec, nil)
+				}
+				if err != nil {
 					return nil, err
 				}
 			}
@@ -675,6 +709,95 @@ func decodeElems(dec Decoder, elem decodeFn, n int) (Value, error) {
 		}
 	}
 	return vs, nil
+}
+
+// decodeSlabElems decodes n scalars whose slots are w bytes wide into
+// one slab.
+func decodeSlabElems(dec Decoder, leaf leafFn, w uintptr, n int) (Value, error) {
+	vs := make([]Value, n)
+	s := make([]uint64, (uintptr(n)*w+7)/8)
+	var err error
+	for i := range vs {
+		if vs[i], err = leaf(dec, s, uintptr(i)*w); err != nil {
+			return nil, err
+		}
+	}
+	return vs, nil
+}
+
+// A leafFn decodes one non-bool scalar leaf of a composite into the
+// composite's slab at byte offset off (see slab.go).
+type leafFn func(dec Decoder, s []uint64, off uintptr) (Value, error)
+
+// slabLeaf returns the slab decode of wire type t and the width of its
+// slot in bytes, or nil and 0 when t is not a non-bool scalar. It is
+// the only decode a scalar inside a composite has; a bool keeps the Go
+// runtime's free static box.
+func slabLeaf(t *ir.Type) (leafFn, uintptr) {
+	if t == nil {
+		return nil, 0
+	}
+	switch t.Kind {
+	case ir.Int32, ir.Enum:
+		return func(dec Decoder, s []uint64, off uintptr) (Value, error) {
+			n, err := dec.Int32()
+			return slabInt32.boxAt(s, off, n), err
+		}, 4
+	case ir.Uint32:
+		return func(dec Decoder, s []uint64, off uintptr) (Value, error) {
+			n, err := dec.Uint32()
+			return slabUint32.boxAt(s, off, n), err
+		}, 4
+	case ir.Int64:
+		return func(dec Decoder, s []uint64, off uintptr) (Value, error) {
+			n, err := dec.Int64()
+			return slabInt64.boxAt(s, off, n), err
+		}, 8
+	case ir.Uint64:
+		return func(dec Decoder, s []uint64, off uintptr) (Value, error) {
+			n, err := dec.Uint64()
+			return slabUint64.boxAt(s, off, n), err
+		}, 8
+	case ir.Float32:
+		return func(dec Decoder, s []uint64, off uintptr) (Value, error) {
+			f, err := dec.Float32()
+			return slabFloat32.boxAt(s, off, f), err
+		}, 4
+	case ir.Float64:
+		return func(dec Decoder, s []uint64, off uintptr) (Value, error) {
+			f, err := dec.Float64()
+			return slabFloat64.boxAt(s, off, f), err
+		}, 8
+	case ir.Port:
+		return func(dec Decoder, s []uint64, off uintptr) (Value, error) {
+			n, err := dec.Uint32()
+			return slabPort.boxAt(s, off, PortName(n)), err
+		}, 4
+	}
+	return nil, 0
+}
+
+// A slabLayout packs a struct's scalar leaves into slab words at bind
+// time: an 8-byte leaf takes the next whole word, and a 4-byte leaf the
+// open half of a word when there is one, else the first half of the
+// next word.
+type slabLayout struct {
+	words int
+	half  uintptr // byte offset of the open half-word; 0 when none is open
+}
+
+func (l *slabLayout) place(width uintptr) uintptr {
+	if width == 4 && l.half != 0 {
+		off := l.half
+		l.half = 0
+		return off
+	}
+	off := uintptr(l.words) * 8
+	l.words++
+	if width == 4 {
+		l.half = off + 4
+	}
+	return off
 }
 
 // EncodeRequest marshals the in and inout arguments. args is indexed
