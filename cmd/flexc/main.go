@@ -293,7 +293,7 @@ flags:
 		eps = append(eps, analyze.Endpoint{Pres: server, Transport: *peerTransport, Label: "server"})
 	}
 
-	return emitVet(stdout, analyze.CheckEndpoints(compiled.Iface, eps), *jsonOut, *werror)
+	return emitVet(stdout, analyze.CheckEndpoints(eps), *jsonOut, *werror)
 }
 
 // emitVet renders findings (vet style, or NDJSON with -json) and maps

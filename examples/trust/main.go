@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"flexrpc/internal/mach"
+	"flexrpc/internal/pres"
 )
 
 const iters = 20000
@@ -21,7 +22,7 @@ const iters = 20000
 func main() {
 	fmt.Println("null RPC time by trust combination (paper Figure 12):")
 	fmt.Printf("%-28s", "")
-	levels := []mach.Trust{mach.TrustNoneLevel, mach.TrustLeakyLevel, mach.TrustFullLevel}
+	levels := []pres.Trust{pres.TrustNone, pres.TrustLeaky, pres.TrustFull}
 	for _, st := range levels {
 		fmt.Printf("  server [%s]", st)
 	}
@@ -54,7 +55,7 @@ func main() {
 }
 
 // nullRPC measures one trust combination.
-func nullRPC(clientTrust, serverTrust mach.Trust) (int64, error) {
+func nullRPC(clientTrust, serverTrust pres.Trust) (int64, error) {
 	k := mach.NewKernel()
 	server := k.NewTask("server")
 	client := k.NewTask("client")
@@ -91,11 +92,11 @@ func portTransfer(nonunique bool) (int64, error) {
 
 	port.RegisterServer(mach.EndpointSig{
 		Contract:       "xfer-demo",
-		Trust:          mach.TrustFullLevel,
+		Trust:          pres.TrustFull,
 		NonUniquePorts: nonunique,
 	})
 	bind, err := mach.Bind(client, client.InsertRight(port),
-		mach.EndpointSig{Contract: "xfer-demo", Trust: mach.TrustFullLevel})
+		mach.EndpointSig{Contract: "xfer-demo", Trust: pres.TrustFull})
 	if err != nil {
 		return 0, err
 	}

@@ -349,16 +349,11 @@ func Certify(p *Presentation, codec Codec, hooks SpecialHooks) (*PlanCert, error
 // interface: annotation safety lints on each, cross-endpoint
 // compatibility (contract identity, unsafe annotation pairs) on
 // every pair. Diagnostics come back sorted by source position.
-func Check(ps ...*Presentation) []Diagnostic { return analyze.Check(nil, ps...) }
+func Check(ps ...*Presentation) []Diagnostic { return analyze.Check(ps...) }
 
 // CheckEndpoints is Check with transport bindings and endpoint
 // labels, enabling the transport-aware checks (FV005).
-func CheckEndpoints(eps []Endpoint) []Diagnostic {
-	if len(eps) == 0 {
-		return nil
-	}
-	return analyze.CheckEndpoints(nil, eps)
-}
+func CheckEndpoints(eps []Endpoint) []Diagnostic { return analyze.CheckEndpoints(eps) }
 
 // Compile runs the front-end and presentation stages.
 func Compile(o Options) (*Compiled, error) { return core.Compile(o) }

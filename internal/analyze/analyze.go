@@ -28,7 +28,6 @@ import (
 	"fmt"
 
 	"flexrpc/internal/idl"
-	"flexrpc/internal/ir"
 	"flexrpc/internal/pres"
 )
 
@@ -57,23 +56,18 @@ func IsNetworkTransport(name string) bool {
 }
 
 // Check runs every applicable pass over the given presentations of
-// iface: single-endpoint lints on each, cross-endpoint compatibility
-// on every pair. iface may be nil when at least one presentation is
-// given; the first presentation's interface is then the reference
-// contract.
-func Check(iface *ir.Interface, ps ...*pres.Presentation) []Diagnostic {
+// one interface: single-endpoint lints on each, cross-endpoint
+// compatibility on every pair.
+func Check(ps ...*pres.Presentation) []Diagnostic {
 	eps := make([]Endpoint, len(ps))
 	for i, p := range ps {
 		eps[i] = Endpoint{Pres: p}
 	}
-	return CheckEndpoints(iface, eps)
+	return CheckEndpoints(eps)
 }
 
 // CheckEndpoints is Check with transport bindings and labels.
-func CheckEndpoints(iface *ir.Interface, eps []Endpoint) []Diagnostic {
-	if iface == nil && len(eps) > 0 {
-		iface = eps[0].Pres.Interface
-	}
+func CheckEndpoints(eps []Endpoint) []Diagnostic {
 	c := &checker{}
 	for i := range eps {
 		if eps[i].Label == "" {
@@ -83,7 +77,7 @@ func CheckEndpoints(iface *ir.Interface, eps []Endpoint) []Diagnostic {
 	}
 	for i := 0; i < len(eps); i++ {
 		for j := i + 1; j < len(eps); j++ {
-			c.checkPair(iface, eps[i], eps[j])
+			c.checkPair(eps[i], eps[j])
 		}
 	}
 	sortDiags(c.diags)

@@ -24,7 +24,12 @@ interface FileIO {
 
 func compileIface(t *testing.T) *ir.Interface {
 	t.Helper()
-	f, err := corba.Parse("fileio.idl", vetIDL)
+	return parseIface(t, vetIDL)
+}
+
+func parseIface(t *testing.T, src string) *ir.Interface {
+	t.Helper()
+	f, err := corba.Parse("fileio.idl", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +73,7 @@ func TestChecksCleanAndDirty(t *testing.T) {
 		name      string
 		client    string // PDL for endpoint 1
 		server    string // PDL for endpoint 2; "" means single-endpoint run
+		serverIDL string // endpoint 2's own declaration; "" means vetIDL
 		two       bool   // run with two endpoints even if server PDL is empty
 		transport string
 		want      []string // IDs that must fire, in any order
@@ -79,6 +85,19 @@ func TestChecksCleanAndDirty(t *testing.T) {
 			server: `interface FileIO { write([preserved] data); };`,
 			two:    true,
 			want:   []string{"FV002"},
+		},
+		{
+			name:   "FV002 dirty: receiver names the parameter differently",
+			client: `interface FileIO { write([dealloc(always)] data); };`,
+			server: `interface FileIO { write([preserved] buf); };`,
+			serverIDL: `
+				interface FileIO {
+				    void send_port(in Object right);
+				    void write_msg(in string msg, in long length);
+				    void write(in sequence<octet> buf);
+				    sequence<octet> read(in unsigned long count);
+				};`,
+			want: []string{"FV002"},
 		},
 		{
 			name:   "FV002 clean: figure 8/9 trashable-preserved pairing",
@@ -195,9 +214,13 @@ func TestChecksCleanAndDirty(t *testing.T) {
 			iface := compileIface(t)
 			eps := []analyze.Endpoint{{Pres: endpoint(t, iface, tc.client), Transport: tc.transport, Label: "client"}}
 			if tc.server != "" || tc.two {
-				eps = append(eps, analyze.Endpoint{Pres: endpoint(t, iface, tc.server), Label: "server"})
+				siface := iface
+				if tc.serverIDL != "" {
+					siface = parseIface(t, tc.serverIDL)
+				}
+				eps = append(eps, analyze.Endpoint{Pres: endpoint(t, siface, tc.server), Label: "server"})
 			}
-			diags := analyze.CheckEndpoints(iface, eps)
+			diags := analyze.CheckEndpoints(eps)
 			for _, id := range tc.want {
 				if !hasID(diags, id) {
 					t.Errorf("want %s, got %v:\n%s", id, ids(diags), analyze.Render(diags))
@@ -227,7 +250,7 @@ func TestCrossAcceptsLegalPDLPairs(t *testing.T) {
 	}
 	for _, a := range pdls {
 		for _, b := range pdls {
-			diags := analyze.Check(iface, endpoint(t, iface, a), endpoint(t, iface, b))
+			diags := analyze.Check(endpoint(t, iface, a), endpoint(t, iface, b))
 			if hasID(diags, "FV001") {
 				t.Fatalf("FV001 fired for legal PDL pair %q / %q:\n%s", a, b, analyze.Render(diags))
 			}
@@ -249,7 +272,7 @@ func TestCrossRejectsContractDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	drift := driftFile.Interface("FileIO")
-	diags := analyze.Check(iface, pres.Default(iface, pres.StyleCORBA), pres.Default(drift, pres.StyleCORBA))
+	diags := analyze.Check(pres.Default(iface, pres.StyleCORBA), pres.Default(drift, pres.StyleCORBA))
 	if !hasID(diags, "FV001") {
 		t.Fatalf("contract drift not detected:\n%s", analyze.Render(diags))
 	}
@@ -275,10 +298,10 @@ func TestCrossRejectsContractDrift(t *testing.T) {
 // an error for full [unprotected] trust.
 func TestUnprotectedEscalatesToError(t *testing.T) {
 	iface := compileIface(t)
-	leaky := analyze.CheckEndpoints(iface, []analyze.Endpoint{
+	leaky := analyze.CheckEndpoints([]analyze.Endpoint{
 		{Pres: endpoint(t, iface, `[leaky] interface FileIO { };`), Transport: "suntcp"},
 	})
-	full := analyze.CheckEndpoints(iface, []analyze.Endpoint{
+	full := analyze.CheckEndpoints([]analyze.Endpoint{
 		{Pres: endpoint(t, iface, `[leaky, unprotected] interface FileIO { };`), Transport: "suntcp"},
 	})
 	hasErrors := func(diags []analyze.Diagnostic) bool {
@@ -302,7 +325,7 @@ func TestUnprotectedEscalatesToError(t *testing.T) {
 func TestDiagnosticsArePositioned(t *testing.T) {
 	iface := compileIface(t)
 	p := endpoint(t, iface, "interface FileIO {\n    write([nonunique] data);\n};")
-	diags := analyze.Check(iface, p)
+	diags := analyze.Check(p)
 	if len(diags) != 1 || diags[0].ID != "FV011" {
 		t.Fatalf("diags = %v", diags)
 	}
@@ -343,7 +366,7 @@ func TestJSONRendering(t *testing.T) {
 		t.Fatalf("empty = %s, %v", out, err)
 	}
 	iface := compileIface(t)
-	diags := analyze.Check(iface, endpoint(t, iface, `interface FileIO { write([nonunique] data); };`))
+	diags := analyze.Check(endpoint(t, iface, `interface FileIO { write([nonunique] data); };`))
 	out, err = analyze.RenderLines(diags)
 	if err != nil {
 		t.Fatal(err)

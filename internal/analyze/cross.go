@@ -13,44 +13,40 @@ import (
 )
 
 // checkPair runs the cross-endpoint checks over one pair of
-// endpoints.
-func (c *checker) checkPair(iface *ir.Interface, a, b Endpoint) {
+// endpoints, paired as a binding pairs them (pres.Combine): operations
+// by name, parameters by position.
+func (c *checker) checkPair(a, b Endpoint) {
 	// Trust asymmetry is interface-level and meaningful even when the
 	// contracts have drifted, so it runs before the FV001 gate.
 	c.checkTrustAsymmetry(a, b)
 	c.checkTrustAsymmetry(b, a)
-	if !c.checkContract(a, b) {
+	comb, err := pres.Combine(a.Pres, b.Pres)
+	if err != nil {
 		// The endpoints do not agree on the contract; annotation-pair
 		// comparison over mismatched operations would be noise.
+		c.reportDrift(a, b)
 		return
 	}
-	for i := range iface.Ops {
-		irOp := &iface.Ops[i]
-		aOp, bOp := a.Pres.Op(irOp.Name), b.Pres.Op(irOp.Name)
-		for _, prm := range irOp.Params {
-			aAt := attrsOf(aOp, prm.Name)
-			bAt := attrsOf(bOp, prm.Name)
-			ctx := iface.Name + "." + irOp.Name + "." + prm.Name
-			if prm.Dir == ir.In || prm.Dir == ir.InOut {
-				c.checkTransfer(ctx, prm.Type, a, aAt, b, bAt)
-				c.checkTransfer(ctx, prm.Type, b, bAt, a, aAt)
+	for _, op := range comb.Ops {
+		for i := range op.Params {
+			prm := &op.Params[i]
+			ctx := a.Pres.Interface.Name + "." + op.Op.Name + "." + op.Op.Params[i].Name
+			if prm.IsIn {
+				c.checkTransfer(ctx, prm.Type, a, prm.Client, b, prm.Server)
+				c.checkTransfer(ctx, prm.Type, b, prm.Server, a, prm.Client)
 			}
 			if prm.Type.Kind == ir.Port {
-				c.checkNaming(ctx, a, aAt, b, bAt)
-				c.checkNaming(ctx, b, bAt, a, aAt)
+				c.checkNaming(ctx, a, prm.Client, b, prm.Server)
+				c.checkNaming(ctx, b, prm.Server, a, prm.Client)
 			}
 		}
 	}
 }
 
-// checkContract is FV001: the wire contracts must be identical.
-// Reports per-operation drift and returns whether the contracts
-// match.
-func (c *checker) checkContract(a, b Endpoint) bool {
+// reportDrift is FV001: the wire contracts of a and b differ. It
+// reports the drift per operation and in the interface identity.
+func (c *checker) reportDrift(a, b Endpoint) {
 	ia, ib := a.Pres.Interface, b.Pres.Interface
-	if ia.Signature() == ib.Signature() {
-		return true
-	}
 	sigsB := make(map[string]string, len(ib.Ops))
 	for i := range ib.Ops {
 		sigsB[ib.Ops[i].Name] = ib.Ops[i].Signature()
@@ -83,7 +79,6 @@ func (c *checker) checkContract(a, b Endpoint) bool {
 			"contract drift between %s and %s: interface identity %s vs %s",
 			a.Label, b.Label, identity(ia), identity(ib))
 	}
-	return false
 }
 
 func identity(i *ir.Interface) string {
@@ -150,15 +145,3 @@ func (c *checker) checkNaming(ctx string, relaxed Endpoint, relAt *pres.ParamAtt
 		"%s: %s marks the port [nonunique] but %s still relies on the unique-name invariant",
 		ctx, relaxed.Label, strict.Label)
 }
-
-// attrsOf returns a parameter's attributes or a shared zero value.
-func attrsOf(op *pres.OpPres, name string) *pres.ParamAttrs {
-	if op != nil {
-		if a, ok := op.Params[name]; ok {
-			return a
-		}
-	}
-	return &zeroAttrs
-}
-
-var zeroAttrs pres.ParamAttrs

@@ -107,7 +107,7 @@ func TestGolden(t *testing.T) {
 				}
 				eps = append(eps, analyze.Endpoint{Pres: server, Label: "server"})
 			}
-			got := analyze.Render(analyze.CheckEndpoints(iface, eps))
+			got := analyze.Render(analyze.CheckEndpoints(eps))
 			path := filepath.Join("testdata", tc.name+".golden")
 			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -141,7 +141,7 @@ func TestGoldenContractDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := analyze.Render(analyze.CheckEndpoints(iface, []analyze.Endpoint{
+	got := analyze.Render(analyze.CheckEndpoints([]analyze.Endpoint{
 		{Pres: pres.Default(iface, pres.StyleCORBA), Label: "client"},
 		{Pres: pres.Default(driftFile.Interface("FileIO"), pres.StyleCORBA), Label: "server"},
 	}))

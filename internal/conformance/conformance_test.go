@@ -69,9 +69,10 @@ func (confHooks) DecodeSpecial(op, param string, dec runtime.Decoder) (runtime.V
 // world is one compiled contract plus a live dispatcher; every cell
 // gets a fresh one so execution counts are per-cell.
 type world struct {
-	p     *pres.Presentation
-	disp  *runtime.Dispatcher
-	execs atomic.Int64 // exchange handler executions (at-most-once witness)
+	p      *pres.Presentation // the server's
+	client *pres.Presentation // the one cells bind clients with; p unless redeclared
+	disp   *runtime.Dispatcher
+	execs  atomic.Int64 // exchange handler executions (at-most-once witness)
 }
 
 func newWorld(t testing.TB) *world {
@@ -83,7 +84,7 @@ func newWorld(t testing.TB) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &world{p: compiled.Pres, disp: runtime.NewDispatcher(compiled.Pres)}
+	w := &world{p: compiled.Pres, client: compiled.Pres, disp: runtime.NewDispatcher(compiled.Pres)}
 	w.disp.SetHooks(confHooks{})
 	w.disp.Handle("add", func(c *runtime.Call) error {
 		c.SetResult(c.Arg(0).(int32) + c.Arg(1).(int32))
@@ -218,7 +219,7 @@ func faultProfile() faultconn.Profile {
 
 func newClient(t testing.TB, w *world, conn runtime.Conn) invoker {
 	t.Helper()
-	client, err := runtime.NewClient(w.p, runtime.XDRCodec, conn, confHooks{})
+	client, err := runtime.NewClient(w.client, runtime.XDRCodec, conn, confHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,17 +227,17 @@ func newClient(t testing.TB, w *world, conn runtime.Conn) invoker {
 	return client
 }
 
-// connectShm binds the world's presentation to its dispatcher over a
+// connectShm binds the world's client to its dispatcher over a
 // private shared-memory ring: inline when both sides are [trusted],
 // through the doorbell otherwise.
-func connectShm(t *testing.T, w *world) invoker {
+func connectShm(t *testing.T, w *world) (invoker, error) {
 	t.Helper()
-	b, err := shmring.Connect(w.p, w.disp, runtime.XDRCodec, shmring.Options{Hooks: confHooks{}})
+	b, err := shmring.Connect(w.client, w.disp, runtime.XDRCodec, shmring.Options{Hooks: confHooks{}})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	t.Cleanup(func() { b.Close() })
-	return b
+	return b, nil
 }
 
 // machPair is a kernel with a server task owning a port announced
@@ -303,46 +304,56 @@ type cell struct {
 	// failCarriesMsg is whether the handler's error text survives
 	// the trip; Sun RPC's bare accept_stat (SYSTEM_ERR) drops it.
 	failCarriesMsg bool
-	build          func(t *testing.T, w *world) invoker
+	// build binds a client to w's dispatcher; the error is the bind's.
+	build func(t *testing.T, w *world) (invoker, error)
+}
+
+// bind builds tc's client, failing the test if the bind fails.
+func (tc cell) bind(t *testing.T, w *world) invoker {
+	t.Helper()
+	inv, err := tc.build(t, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inv
 }
 
 func cells() []cell {
 	return []cell{
 		{
 			name: "inproc/plain", direct: true, failClass: "app", failCarriesMsg: true,
-			build: func(t *testing.T, w *world) invoker {
-				conn, err := inproc.Connect(w.p, w.disp)
+			build: func(t *testing.T, w *world) (invoker, error) {
+				conn, err := inproc.Connect(w.client, w.disp)
 				if err != nil {
-					t.Fatal(err)
+					return nil, err
 				}
-				return conn
+				return conn, nil
 			},
 		},
 		{
 			name: "loopback/plain", failClass: "remote", failCarriesMsg: true,
-			build: func(t *testing.T, w *world) invoker {
-				return newClient(t, w, &loopConn{disp: w.disp, plan: w.plan(t), enc: runtime.XDRCodec.NewEncoder()})
+			build: func(t *testing.T, w *world) (invoker, error) {
+				return newClient(t, w, &loopConn{disp: w.disp, plan: w.plan(t), enc: runtime.XDRCodec.NewEncoder()}), nil
 			},
 		},
 		{
 			name: "loopback/robust", failClass: "remote", failCarriesMsg: true,
-			build: func(t *testing.T, w *world) invoker {
-				return newClient(t, w, runtime.NewRobustConn(&sessLoop{sess: w.session(t)}, w.p, robustOpts()))
+			build: func(t *testing.T, w *world) (invoker, error) {
+				return newClient(t, w, runtime.NewRobustConn(&sessLoop{sess: w.session(t)}, w.client, robustOpts())), nil
 			},
 		},
 		{
 			name: "loopback/robust+fault", failClass: "remote", failCarriesMsg: true,
-			build: func(t *testing.T, w *world) invoker {
+			build: func(t *testing.T, w *world) (invoker, error) {
 				faulty := faultconn.New(faultProfile()).Wrap(&sessLoop{sess: w.session(t)})
-				return newClient(t, w, runtime.NewRobustConn(faulty, w.p, robustOpts()))
+				return newClient(t, w, runtime.NewRobustConn(faulty, w.client, robustOpts())), nil
 			},
 		},
 		{
 			name: "shm/inline", failClass: "app", failCarriesMsg: true,
-			build: func(t *testing.T, w *world) invoker {
-				// [trusted] on both sides: the world's one presentation is
-				// the client's and the dispatcher's.
-				w.p.Trust = pres.TrustFull
+			build: func(t *testing.T, w *world) (invoker, error) {
+				// [trusted] on both sides.
+				w.p.Trust, w.client.Trust = pres.TrustFull, pres.TrustFull
 				return connectShm(t, w)
 			},
 		},
@@ -352,20 +363,20 @@ func cells() []cell {
 		},
 		{
 			name: "machipc/plain", failClass: "remote", failCarriesMsg: true,
-			build: func(t *testing.T, w *world) invoker {
+			build: func(t *testing.T, w *world) (invoker, error) {
 				srv, cli, port := machPair(t, w)
 				plan := w.plan(t)
 				go func() { _ = machipc.Serve(srv, port, w.disp, plan) }()
-				conn, err := machipc.Dial(cli, cli.InsertRight(port), w.p)
+				conn, err := machipc.Dial(cli, cli.InsertRight(port), w.client)
 				if err != nil {
-					t.Fatal(err)
+					return nil, err
 				}
-				return machClient(t, w, conn)
+				return machClient(t, w, conn), nil
 			},
 		},
 		{
 			name: "fbufrpc/plain", failClass: "remote", failCarriesMsg: true,
-			build: func(t *testing.T, w *world) invoker {
+			build: func(t *testing.T, w *world) (invoker, error) {
 				srv, cli, port := machPair(t, w)
 				ch := fbufrpc.NewChannel(
 					fbufrpc.Endpoint{Task: cli, Domain: fbuf.NewDomain("client")},
@@ -373,42 +384,42 @@ func cells() []cell {
 					64<<10, 8)
 				plan := w.plan(t)
 				go func() { _ = fbufrpc.Serve(ch, port, w.disp, plan) }()
-				conn, err := fbufrpc.Dial(ch, cli.InsertRight(port), w.p)
+				conn, err := fbufrpc.Dial(ch, cli.InsertRight(port), w.client)
 				if err != nil {
-					t.Fatal(err)
+					return nil, err
 				}
-				return machClient(t, w, conn)
+				return machClient(t, w, conn), nil
 			},
 		},
 		{
 			name: "suntcp/plain", failClass: "remote", failCarriesMsg: false,
-			build: func(t *testing.T, w *world) invoker {
+			build: func(t *testing.T, w *world) (invoker, error) {
 				srv := suntcp.NewServer(w.disp, w.plan(t))
 				cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 64)
 				go func() { _ = srv.ServeConn(sc) }()
 				t.Cleanup(func() { cc.Close(); sc.Close() })
-				return newClient(t, w, suntcp.Dial(cc, w.p))
+				return newClient(t, w, suntcp.Dial(cc, w.client)), nil
 			},
 		},
 		{
 			name: "suntcp/robust", failClass: "remote", failCarriesMsg: true,
-			build: func(t *testing.T, w *world) invoker {
+			build: func(t *testing.T, w *world) (invoker, error) {
 				srv := suntcp.NewSessionServer(w.session(t), w.p.Interface)
 				cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 64)
 				go func() { _ = srv.ServeConn(sc) }()
 				t.Cleanup(func() { cc.Close(); sc.Close() })
-				return newClient(t, w, runtime.NewRobustConn(suntcp.Dial(cc, w.p), w.p, robustOpts()))
+				return newClient(t, w, runtime.NewRobustConn(suntcp.Dial(cc, w.client), w.client, robustOpts())), nil
 			},
 		},
 		{
 			name: "suntcp/robust+fault", failClass: "remote", failCarriesMsg: true,
-			build: func(t *testing.T, w *world) invoker {
+			build: func(t *testing.T, w *world) (invoker, error) {
 				srv := suntcp.NewSessionServer(w.session(t), w.p.Interface)
 				cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 64)
 				go func() { _ = srv.ServeConn(sc) }()
 				t.Cleanup(func() { cc.Close(); sc.Close() })
-				faulty := faultconn.New(faultProfile()).Wrap(suntcp.Dial(cc, w.p))
-				return newClient(t, w, runtime.NewRobustConn(faulty, w.p, robustOpts()))
+				faulty := faultconn.New(faultProfile()).Wrap(suntcp.Dial(cc, w.client))
+				return newClient(t, w, runtime.NewRobustConn(faulty, w.client, robustOpts())), nil
 			},
 		},
 	}
@@ -441,107 +452,167 @@ func opStats(t *testing.T, snap *stats.Snapshot, name string) stats.OpSnapshot {
 	return stats.OpSnapshot{}
 }
 
-// TestMatrix runs the canonical call sequence through every cell and
-// asserts identical results, the documented error taxonomy, exactly-
-// once execution of the non-idempotent operation, and that the
-// observability layer reports through the same interface everywhere.
+// TestMatrix runs the canonical call sequence through every cell.
 func TestMatrix(t *testing.T) {
 	for _, tc := range cells() {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			w := newWorld(t)
-			inv := tc.build(t, w)
-			inv.EnableStats().EnableTracing(256)
+			runCanonical(t, tc, w, tc.bind(t, w))
+		})
+	}
+}
 
-			// Two passes: under the fault cells the second pass runs
-			// on a session with retry/replay history behind it.
-			for pass := 0; pass < 2; pass++ {
-				// in params, scalar result.
-				_, ret, err := inv.Invoke("add", []runtime.Value{int32(20), int32(22)}, nil, nil)
-				if err != nil || ret.(int32) != 42 {
-					t.Fatalf("add = %v, %v", ret, err)
-				}
+// runCanonical runs the canonical call sequence through one bound cell
+// and asserts identical results, the documented error taxonomy,
+// exactly-once execution of the non-idempotent operation, and that the
+// observability layer reports through the same interface everywhere.
+func runCanonical(t *testing.T, tc cell, w *world, inv invoker) {
+	inv.EnableStats().EnableTracing(256)
 
-				// in sequences, sequence result.
-				_, ret, err = inv.Invoke("concat",
-					[]runtime.Value{[]byte("conform"), []byte("ance")}, nil, nil)
-				if err != nil || !bytes.Equal(ret.([]byte), []byte("conformance")) {
-					t.Fatalf("concat = %q, %v", ret, err)
-				}
+	// Two passes: under the fault cells the second pass runs
+	// on a session with retry/replay history behind it.
+	for pass := 0; pass < 2; pass++ {
+		// in params, scalar result.
+		_, ret, err := inv.Invoke("add", []runtime.Value{int32(20), int32(22)}, nil, nil)
+		if err != nil || ret.(int32) != 42 {
+			t.Fatalf("add = %v, %v", ret, err)
+		}
 
-				// Same call through the borrow path: a caller-provided
-				// result buffer must not change the value seen.
-				retBuf := make([]byte, 32)
-				_, ret, err = inv.Invoke("concat",
-					[]runtime.Value{[]byte("bor"), []byte("row")}, nil, retBuf)
-				if err != nil || !bytes.Equal(ret.([]byte), []byte("borrow")) {
-					t.Fatalf("concat into retBuf = %q, %v", ret, err)
-				}
+		// in sequences, sequence result.
+		_, ret, err = inv.Invoke("concat",
+			[]runtime.Value{[]byte("conform"), []byte("ance")}, nil, nil)
+		if err != nil || !bytes.Equal(ret.([]byte), []byte("conformance")) {
+			t.Fatalf("concat = %q, %v", ret, err)
+		}
 
-				// inout + out parameters.
-				data := []byte{1, 2, 3, 250}
-				outs, _, err := inv.Invoke("exchange", []runtime.Value{data, nil}, nil, nil)
-				if err != nil {
-					t.Fatalf("exchange: %v", err)
-				}
-				if !bytes.Equal(outs[0].([]byte), []byte{250, 3, 2, 1}) {
-					t.Fatalf("exchange data = %v", outs[0])
-				}
-				if outs[1].(uint32) != 256 {
-					t.Fatalf("exchange sum = %v", outs[1])
-				}
+		// Same call through the borrow path: a caller-provided
+		// result buffer must not change the value seen.
+		retBuf := make([]byte, 32)
+		_, ret, err = inv.Invoke("concat",
+			[]runtime.Value{[]byte("bor"), []byte("row")}, nil, retBuf)
+		if err != nil || !bytes.Equal(ret.([]byte), []byte("borrow")) {
+			t.Fatalf("concat into retBuf = %q, %v", ret, err)
+		}
 
-				// [special]-marshaled parameter.
-				_, ret, err = inv.Invoke("stamp", []runtime.Value{[]byte("Paper")}, nil, nil)
-				if err != nil {
-					t.Fatalf("stamp: %v", err)
-				}
-				want := []byte("Paper")
-				for i := range want {
-					want[i] ^= 0x5A
-				}
-				if !bytes.Equal(ret.([]byte), want) {
-					t.Fatalf("stamp = %v, want %v", ret, want)
-				}
+		// inout + out parameters.
+		data := []byte{1, 2, 3, 250}
+		outs, _, err := inv.Invoke("exchange", []runtime.Value{data, nil}, nil, nil)
+		if err != nil {
+			t.Fatalf("exchange: %v", err)
+		}
+		if !bytes.Equal(outs[0].([]byte), []byte{250, 3, 2, 1}) {
+			t.Fatalf("exchange data = %v", outs[0])
+		}
+		if outs[1].(uint32) != 256 {
+			t.Fatalf("exchange sum = %v", outs[1])
+		}
 
-				// [idempotent] operation.
-				_, ret, err = inv.Invoke("bump", []runtime.Value{int32(7)}, nil, nil)
-				if err != nil || ret.(int32) != 8 {
-					t.Fatalf("bump = %v, %v", ret, err)
-				}
+		// [special]-marshaled parameter.
+		_, ret, err = inv.Invoke("stamp", []runtime.Value{[]byte("Paper")}, nil, nil)
+		if err != nil {
+			t.Fatalf("stamp: %v", err)
+		}
+		want := []byte("Paper")
+		for i := range want {
+			want[i] ^= 0x5A
+		}
+		if !bytes.Equal(ret.([]byte), want) {
+			t.Fatalf("stamp = %v, want %v", ret, want)
+		}
 
-				// Error taxonomy: a handler error surfaces with the
-				// cell's documented class and fidelity.
-				_, _, err = inv.Invoke("fail", []runtime.Value{"boom"}, nil, nil)
-				if got := classify(err); got != tc.failClass {
-					t.Fatalf("fail classified %q (%v), want %q", got, err, tc.failClass)
-				}
-				if carries := err != nil && strings.Contains(err.Error(), "boom"); carries != tc.failCarriesMsg {
-					t.Fatalf("fail error %q: message fidelity = %v, want %v", err, carries, tc.failCarriesMsg)
-				}
+		// [idempotent] operation.
+		_, ret, err = inv.Invoke("bump", []runtime.Value{int32(7)}, nil, nil)
+		if err != nil || ret.(int32) != 8 {
+			t.Fatalf("bump = %v, %v", ret, err)
+		}
+
+		// Error taxonomy: a handler error surfaces with the
+		// cell's documented class and fidelity.
+		_, _, err = inv.Invoke("fail", []runtime.Value{"boom"}, nil, nil)
+		if got := classify(err); got != tc.failClass {
+			t.Fatalf("fail classified %q (%v), want %q", got, err, tc.failClass)
+		}
+		if carries := err != nil && strings.Contains(err.Error(), "boom"); carries != tc.failCarriesMsg {
+			t.Fatalf("fail error %q: message fidelity = %v, want %v", err, carries, tc.failCarriesMsg)
+		}
+	}
+
+	// At-most-once: the non-idempotent exchange handler ran
+	// exactly once per client call, retries and replays
+	// notwithstanding.
+	if n := w.execs.Load(); n != 2 {
+		t.Fatalf("exchange executed %d times for 2 calls", n)
+	}
+
+	// Every transport reports through the same stats surface.
+	snap := inv.EnableStats().Snapshot()
+	if add := opStats(t, snap, "add"); add.Calls != 2 || add.Errors != 0 || add.Latency.Count != 2 {
+		t.Fatalf("add stats: %+v", add)
+	}
+	if fail := opStats(t, snap, "fail"); fail.Calls != 2 || fail.Errors != 2 {
+		t.Fatalf("fail stats: %+v", fail)
+	}
+	if conc := opStats(t, snap, "concat"); !tc.direct && (conc.BytesOut == 0 || conc.BytesIn == 0) {
+		t.Fatalf("concat moved no bytes: %+v", conc)
+	}
+	if len(snap.Trace) == 0 {
+		t.Fatal("tracing enabled but no trace events recorded")
+	}
+}
+
+// confRedeclared is Conf as a client might declare it: the operations
+// in the reverse order and every parameter renamed. Parameter names
+// and declaration order are not part of the contract.
+const confRedeclared = `
+	interface Conf {
+	    void hang();
+	    void fail(in string why);
+	    long bump(in long k);
+	    sequence<octet> stamp(in sequence<octet> payload);
+	    void exchange(inout sequence<octet> buf, out unsigned long total);
+	    sequence<octet> concat(in sequence<octet> head, in sequence<octet> tail);
+	    long add(in long x, in long y);
+	};`
+
+const confRedeclaredPDL = `interface Conf {
+    [idempotent] bump();
+    stamp([special] payload);
+};`
+
+// TestMatrixDeclaredDifferently binds a client that declares Conf
+// differently from the server. A bind that pairs the two
+// presentations (pres.Combine) must give the canonical results; one
+// whose wire numbers operations by declaration position must refuse
+// the peer.
+func TestMatrixDeclaredDifferently(t *testing.T) {
+	for _, tc := range cells() {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			transport := tc.name[:strings.Index(tc.name, "/")]
+			if transport == "loopback" || transport == "suntcp" {
+				t.Skip("no bind step checks the peer: ops are numbered by the client's declaration position (ROADMAP item 13)")
 			}
-
-			// At-most-once: the non-idempotent exchange handler ran
-			// exactly once per client call, retries and replays
-			// notwithstanding.
-			if n := w.execs.Load(); n != 2 {
-				t.Fatalf("exchange executed %d times for 2 calls", n)
+			compiled, err := core.Compile(core.Options{
+				Frontend: core.FrontendCORBA, Filename: "conf.idl", Source: confRedeclared,
+				PDL: confRedeclaredPDL, PDLFilename: "conf.pdl",
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-
-			// Every transport reports through the same stats surface.
-			snap := inv.EnableStats().Snapshot()
-			if add := opStats(t, snap, "add"); add.Calls != 2 || add.Errors != 0 || add.Latency.Count != 2 {
-				t.Fatalf("add stats: %+v", add)
+			w := newWorld(t)
+			w.client = compiled.Pres
+			inv, err := tc.build(t, w)
+			if transport == "machipc" || transport == "fbufrpc" {
+				if !errors.Is(err, mach.ErrContract) {
+					t.Fatalf("bind error %v, want %v", err, mach.ErrContract)
+				}
+				return
 			}
-			if fail := opStats(t, snap, "fail"); fail.Calls != 2 || fail.Errors != 2 {
-				t.Fatalf("fail stats: %+v", fail)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if conc := opStats(t, snap, "concat"); !tc.direct && (conc.BytesOut == 0 || conc.BytesIn == 0) {
-				t.Fatalf("concat moved no bytes: %+v", conc)
-			}
-			if len(snap.Trace) == 0 {
-				t.Fatal("tracing enabled but no trace events recorded")
-			}
+			runCanonical(t, tc, w, inv)
 		})
 	}
 }
@@ -555,7 +626,7 @@ func TestMatrixDeadline(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			w := newWorld(t)
-			inv := tc.build(t, w)
+			inv := tc.bind(t, w)
 			inv.EnableStats()
 
 			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"flexrpc/internal/mach"
+	"flexrpc/internal/pres"
 )
 
 // The §4.5 experiments: a transport specialized at bind time from the
@@ -56,9 +57,9 @@ func newMachCall(serverSig, clientSig mach.EndpointSig, carry bool) (op func() e
 }
 
 // trustLevels in display order (the paper's axes).
-var trustLevels = []mach.Trust{mach.TrustNoneLevel, mach.TrustLeakyLevel, mach.TrustFullLevel}
+var trustLevels = []pres.Trust{pres.TrustNone, pres.TrustLeaky, pres.TrustFull}
 
-func newTrustCall(client, server mach.Trust) Build {
+func newTrustCall(client, server pres.Trust) Build {
 	return func() (func() error, func(), error) {
 		return newMachCall(mach.EndpointSig{Contract: "null", Trust: server},
 			mach.EndpointSig{Contract: "null", Trust: client}, false)
@@ -125,8 +126,8 @@ var portModes = []struct {
 func newPortTransfer(nonunique bool) Build {
 	return func() (func() error, func(), error) {
 		return newMachCall(
-			mach.EndpointSig{Contract: "xfer", Trust: mach.TrustFullLevel, NonUniquePorts: nonunique},
-			mach.EndpointSig{Contract: "xfer", Trust: mach.TrustFullLevel}, true)
+			mach.EndpointSig{Contract: "xfer", Trust: pres.TrustFull, NonUniquePorts: nonunique},
+			mach.EndpointSig{Contract: "xfer", Trust: pres.TrustFull}, true)
 	}
 }
 

@@ -3,10 +3,12 @@ package mach
 import (
 	"fmt"
 	"testing"
+
+	"flexrpc/internal/pres"
 )
 
 // benchServer starts a null-RPC server and returns a bound client.
-func benchServer(b *testing.B, clientTrust, serverTrust Trust) (*Binding, *Port) {
+func benchServer(b *testing.B, clientTrust, serverTrust pres.Trust) (*Binding, *Port) {
 	b.Helper()
 	k := NewKernel()
 	srv := k.NewTask("server")
@@ -33,7 +35,7 @@ func benchServer(b *testing.B, clientTrust, serverTrust Trust) (*Binding, *Port)
 // BenchmarkNullRPCTrust is the Figure 12 matrix: null RPC time for
 // every client-trust x server-trust combination.
 func BenchmarkNullRPCTrust(b *testing.B) {
-	trusts := []Trust{TrustNoneLevel, TrustLeakyLevel, TrustFullLevel}
+	trusts := []pres.Trust{pres.TrustNone, pres.TrustLeaky, pres.TrustFull}
 	for _, ct := range trusts {
 		for _, st := range trusts {
 			b.Run(fmt.Sprintf("client=%v/server=%v", ct, st), func(b *testing.B) {
@@ -65,9 +67,9 @@ func BenchmarkPortTransfer(b *testing.B) {
 			srv := k.NewTask("server")
 			cli := k.NewTask("client")
 			_, port := srv.AllocatePort()
-			port.RegisterServer(EndpointSig{Contract: "bench", Trust: TrustFullLevel, NonUniquePorts: nonunique})
+			port.RegisterServer(EndpointSig{Contract: "bench", Trust: pres.TrustFull, NonUniquePorts: nonunique})
 			right := cli.InsertRight(port)
-			bind, err := Bind(cli, right, EndpointSig{Contract: "bench", Trust: TrustFullLevel})
+			bind, err := Bind(cli, right, EndpointSig{Contract: "bench", Trust: pres.TrustFull})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -146,8 +148,8 @@ func BenchmarkReceiveBuffer(b *testing.B) {
 			srv := k.NewTask("server")
 			cli := k.NewTask("client")
 			_, port := srv.AllocatePort()
-			port.RegisterServer(EndpointSig{Contract: "c", Trust: TrustFullLevel})
-			bind, err := Bind(cli, cli.InsertRight(port), EndpointSig{Contract: "c", Trust: TrustFullLevel})
+			port.RegisterServer(EndpointSig{Contract: "c", Trust: pres.TrustFull})
+			bind, err := Bind(cli, cli.InsertRight(port), EndpointSig{Contract: "c", Trust: pres.TrustFull})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"flexrpc/internal/pres"
 )
 
 func TestUniqueNameInvariant(t *testing.T) {
@@ -383,7 +385,7 @@ func TestDoubleReplyPanics(t *testing.T) {
 }
 
 func TestAllTrustCombinationsDeliver(t *testing.T) {
-	trusts := []Trust{TrustNoneLevel, TrustLeakyLevel, TrustFullLevel}
+	trusts := []pres.Trust{pres.TrustNone, pres.TrustLeaky, pres.TrustFull}
 	for _, ct := range trusts {
 		for _, st := range trusts {
 			k := NewKernel()
@@ -414,13 +416,13 @@ func TestTrustStepCounts(t *testing.T) {
 	srv := k.NewTask("server")
 	cli := k.NewTask("client")
 	_, port := srv.AllocatePort()
-	port.RegisterServer(EndpointSig{Contract: "c", Trust: TrustNoneLevel})
+	port.RegisterServer(EndpointSig{Contract: "c", Trust: pres.TrustNone})
 	right := cli.InsertRight(port)
 
-	counts := map[Trust][2]int{
-		TrustNoneLevel:  {2, 1}, // prologue: save+clear, epilogue: restore
-		TrustLeakyLevel: {1, 1},
-		TrustFullLevel:  {0, 0},
+	counts := map[pres.Trust][2]int{
+		pres.TrustNone:  {2, 1}, // prologue: save+clear, epilogue: restore
+		pres.TrustLeaky: {1, 1},
+		pres.TrustFull:  {0, 0},
 	}
 	for trust, want := range counts {
 		b, err := Bind(cli, right, EndpointSig{Contract: "c", Trust: trust})
@@ -434,7 +436,7 @@ func TestTrustStepCounts(t *testing.T) {
 	}
 	// Server-side: only the leaky bit matters (the paper's flat
 	// unprotected column).
-	for _, st := range []Trust{TrustLeakyLevel, TrustFullLevel} {
+	for _, st := range []pres.Trust{pres.TrustLeaky, pres.TrustFull} {
 		port.RegisterServer(EndpointSig{Contract: "c", Trust: st})
 		b, err := Bind(cli, right, EndpointSig{Contract: "c"})
 		if err != nil {
@@ -444,7 +446,7 @@ func TestTrustStepCounts(t *testing.T) {
 			t.Errorf("server trust %v should skip the reply clear", st)
 		}
 	}
-	port.RegisterServer(EndpointSig{Contract: "c", Trust: TrustNoneLevel})
+	port.RegisterServer(EndpointSig{Contract: "c", Trust: pres.TrustNone})
 	b, _ := Bind(cli, right, EndpointSig{Contract: "c"})
 	if !b.serverClearOnReply {
 		t.Error("untrusting server must clear on reply")

@@ -362,22 +362,19 @@ func IsBuffer(t *ir.Type) bool {
 // Op returns the presentation of the named operation, or nil.
 func (p *Presentation) Op(name string) *OpPres { return p.Ops[name] }
 
-// PortNaming reports the endpoint's stance on the unique-name
+// PortNaming reports whether the endpoint has given up the unique-name
 // invariant for transferred rights (paper §4.6). Transports relax the
 // invariant per endpoint, not per parameter — one flag in the Mach
 // endpoint signature, one name-table elision in a shmring binding — so
-// an endpoint has given it up only when every port it moves is
-// [nonunique]: ports says whether the interface has a port parameter
-// or result at all, nonUnique that none of them lacks the attribute
-// (vacuously true without ports). One unannotated port keeps unique
-// naming for the whole endpoint.
-func (p *Presentation) PortNaming() (ports, nonUnique bool) {
+// an endpoint has given it up only when every port parameter or result
+// it moves is [nonunique], vacuously so when it moves none. One
+// unannotated port keeps unique naming for the whole endpoint.
+func (p *Presentation) PortNaming() (nonUnique bool) {
 	nonUnique = true
 	see := func(op *OpPres, name string, t *ir.Type) {
 		if t == nil || t.Kind != ir.Port {
 			return
 		}
-		ports = true
 		if op == nil || op.Params[name] == nil || !op.Params[name].NonUnique {
 			nonUnique = false
 		}
@@ -390,7 +387,7 @@ func (p *Presentation) PortNaming() (ports, nonUnique bool) {
 		}
 		see(op, ResultParam, irOp.Result)
 	}
-	return ports, nonUnique
+	return nonUnique
 }
 
 // Clone returns a deep copy sharing the (immutable) interface.

@@ -387,48 +387,6 @@ func TestResultMoved(t *testing.T) {
 	}
 }
 
-// Negotiation matrix tests (paper §4.4.1 and §4.4.2).
-func TestNegotiateIn(t *testing.T) {
-	mk := func(trash, preserve bool) *pres.ParamAttrs {
-		return &pres.ParamAttrs{Trashable: trash, Preserved: preserve}
-	}
-	cases := []struct {
-		client, server *pres.ParamAttrs
-		want           InSemantics
-	}{
-		{mk(false, false), mk(false, false), InCopy},
-		{mk(true, false), mk(false, false), InBorrow},
-		{mk(false, false), mk(false, true), InBorrow},
-		{mk(true, false), mk(false, true), InBorrow},
-	}
-	for i, c := range cases {
-		if got := NegotiateIn(c.client, c.server); got != c.want {
-			t.Errorf("case %d: %v, want %v", i, got, c.want)
-		}
-	}
-}
-
-func TestNegotiateOut(t *testing.T) {
-	mk := func(a pres.AllocPolicy) *pres.ParamAttrs { return &pres.ParamAttrs{Alloc: a} }
-	cases := []struct {
-		client, server pres.AllocPolicy
-		want           OutSemantics
-	}{
-		{pres.AllocAuto, pres.AllocAuto, OutStubAlloc},
-		{pres.AllocAuto, pres.AllocCallee, OutServerBuffer},
-		{pres.AllocCaller, pres.AllocAuto, OutCallerBuffer},
-		{pres.AllocCaller, pres.AllocCallee, OutCopy},
-		// A server declaring caller-alloc defers to the caller.
-		{pres.AllocCaller, pres.AllocCaller, OutCallerBuffer},
-		{pres.AllocAuto, pres.AllocCaller, OutStubAlloc},
-	}
-	for i, c := range cases {
-		if got := NegotiateOut(mk(c.client), mk(c.server)); got != c.want {
-			t.Errorf("case %d (%v/%v): %v, want %v", i, c.client, c.server, got, c.want)
-		}
-	}
-}
-
 // Property: both codecs round-trip arbitrary read/write payloads
 // bit-exactly through the full plan path.
 func TestQuickPlanRoundTrip(t *testing.T) {
@@ -499,19 +457,6 @@ func TestOnewayReturnsNothing(t *testing.T) {
 	}
 	if !called {
 		t.Fatal("handler not invoked")
-	}
-}
-
-// BenchmarkNegotiation measures the per-invocation semantics
-// computation of §4.4 in isolation — the paper: "even with the
-// current 'dumb' implementation, we found the additional overhead of
-// this computation to be negligible."
-func BenchmarkNegotiation(b *testing.B) {
-	client := &pres.ParamAttrs{Trashable: true}
-	server := &pres.ParamAttrs{Alloc: pres.AllocCallee}
-	for i := 0; i < b.N; i++ {
-		_ = NegotiateIn(client, server)
-		_ = NegotiateOut(client, server)
 	}
 }
 

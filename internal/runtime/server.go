@@ -187,23 +187,13 @@ func (d *Dispatcher) Handle(op string, h Handler) {
 	d.handlers[d.mustIndex(op)] = h
 }
 
-// OpIndex returns the named operation's index in the dispatcher's
-// interface, or -1. Transports resolve it once, at bind time.
-func (d *Dispatcher) OpIndex(op string) int {
+func (d *Dispatcher) mustIndex(op string) int {
 	for i := range d.Pres.Interface.Ops {
 		if d.Pres.Interface.Ops[i].Name == op {
 			return i
 		}
 	}
-	return -1
-}
-
-func (d *Dispatcher) mustIndex(op string) int {
-	i := d.OpIndex(op)
-	if i < 0 {
-		panic(fmt.Sprintf("runtime: interface %s has no operation %q", d.Pres.Interface.Name, op))
-	}
-	return i
+	panic(fmt.Sprintf("runtime: interface %s has no operation %q", d.Pres.Interface.Name, op))
 }
 
 // EnableStats switches on server-side observability, creating the

@@ -2,6 +2,7 @@ package fbufrpc
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"flexrpc/internal/fbuf"
@@ -139,5 +140,45 @@ func TestReplyLandsInClientBuffer(t *testing.T) {
 	}
 	if len(reply) > 0 && &reply[0] != &landing[0] {
 		t.Fatal("reply should land in the provided buffer")
+	}
+}
+
+// A server that declares interface O's two operations in the other
+// order numbers them differently on the wire, so the bind refuses it.
+func TestReorderedServerRefusedAtBind(t *testing.T) {
+	parse := func(src string) *pres.Presentation {
+		f, err := corba.Parse("o.idl", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pres.Default(f.Interface("O"), pres.StyleCORBA)
+	}
+	cp := parse(`interface O { long a(in long x); long b(in long x); };`)
+	disp := runtime.NewDispatcher(parse(`interface O { long b(in long x); long a(in long x); };`))
+	disp.Handle("a", func(c *runtime.Call) error { c.SetResult(int32(1)); return nil })
+	disp.Handle("b", func(c *runtime.Call) error { c.SetResult(int32(2)); return nil })
+
+	k := mach.NewKernel()
+	srvTask, cliTask := k.NewTask("server"), k.NewTask("client")
+	ch := NewChannel(
+		Endpoint{Task: cliTask, Domain: fbuf.NewDomain("client")},
+		Endpoint{Task: srvTask, Domain: fbuf.NewDomain("server")},
+		16<<10, 8)
+	_, port := srvTask.AllocatePort()
+	plan, err := runtime.NewPlan(disp.Pres, runtime.XDRCodec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	port.RegisterServer(machipc.SigFor(disp.Pres))
+	go func() { _ = Serve(ch, port, disp, plan) }()
+	t.Cleanup(port.Destroy)
+	conn, err := Dial(ch, cliTask.InsertRight(port), cp)
+	if err == nil {
+		client, _ := runtime.NewClient(cp, runtime.XDRCodec, conn, nil)
+		_, ret, err := client.Invoke("a", []runtime.Value{int32(0)}, nil, nil)
+		t.Fatalf("bound to a server that numbers its ops differently: a() = %v, %v", ret, err)
+	}
+	if !errors.Is(err, mach.ErrContract) {
+		t.Fatalf("err = %v, want %v", err, mach.ErrContract)
 	}
 }

@@ -5,12 +5,12 @@
 //
 // The invocation semantics — copy vs borrow for in parameters, who
 // provides the buffer for out parameters — are derived from the two
-// sides' presentation attributes once, at Connect time, into a flat
-// per-operation step list: the same-domain analogue of the Mach
-// combination signatures the paper describes in §4.5. Presentations
-// are part of the binding, so a presentation changed after Connect
-// requires a new Connect, exactly as a re-bind would over a message
-// transport. The per-call path is then a straight loop over
+// sides' presentation attributes once, at Connect time, by
+// pres.Combine: the combination signature the paper describes in
+// §4.5, which pairs operations by name and parameters by position.
+// Presentations are part of the binding, so a presentation changed
+// after Connect requires a new Connect, exactly as a re-bind would over
+// a message transport. The per-call path is then a straight loop over
 // precomputed decisions, with pooled Call frames, so a null call and
 // a borrow-mode bulk call allocate nothing.
 package inproc
@@ -31,7 +31,7 @@ import (
 type Conn struct {
 	clientPres *pres.Presentation
 	disp       *runtime.Dispatcher
-	binds      map[string]*opBind
+	binds      map[string]*pres.CombinedOp
 
 	// stats, when set, receives the client-side view of every
 	// invocation: per-op calls, outcomes and latency. The server-side
@@ -56,96 +56,22 @@ func (c *Conn) EnableStats() *stats.Endpoint {
 // SetStats installs (or, with nil, removes) the endpoint.
 func (c *Conn) SetStats(e *stats.Endpoint) { c.stats = e }
 
-// opBind is one operation's compiled invocation program: every
-// negotiation the engine would otherwise redo per call, resolved at
-// bind time.
-type opBind struct {
-	op     *ir.Operation
-	idx    int // interface op index — the shared stats op-index space
-	sidx   int // the operation's index in the dispatcher's interface
-	params []paramBind
-	nOut   int // out/inout param count
-
-	hasResult bool
-	resType   *ir.Type
-	resOut    runtime.OutSemantics
-}
-
-// paramBind carries the negotiated transfer decisions for one
-// parameter position.
-type paramBind struct {
-	idx     int
-	typ     *ir.Type
-	isIn    bool
-	isOut   bool
-	in      runtime.InSemantics
-	out     runtime.OutSemantics
-	private bool // SetIn private flag under borrow semantics
-}
-
 // Connect binds a client presentation to a dispatcher in the same
 // domain. The two presentations may differ arbitrarily, but the
 // network contract must match — the same check a remote bind
-// performs.
+// performs. Each operation's invocation program is its entry in the
+// pres.Combine combination: every negotiation the engine would
+// otherwise redo per call, resolved at bind time.
 func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher) (*Conn, error) {
-	if clientPres.Interface.Signature() != disp.Pres.Interface.Signature() {
-		return nil, fmt.Errorf("inproc: contract mismatch:\n  client %s\n  server %s",
-			clientPres.Interface.Signature(), disp.Pres.Interface.Signature())
+	comb, err := pres.Combine(clientPres, disp.Pres)
+	if err != nil {
+		return nil, fmt.Errorf("inproc: %w", err)
 	}
-	c := &Conn{clientPres: clientPres, disp: disp, binds: make(map[string]*opBind)}
-	for i := range clientPres.Interface.Ops {
-		irOp := &clientPres.Interface.Ops[i]
-		b := c.compileOp(irOp)
-		b.idx, b.sidx = i, disp.OpIndex(irOp.Name)
-		c.binds[irOp.Name] = b
+	c := &Conn{clientPres: clientPres, disp: disp, binds: make(map[string]*pres.CombinedOp, len(comb.Ops))}
+	for i := range comb.Ops {
+		c.binds[comb.Ops[i].Op.Name] = &comb.Ops[i]
 	}
 	return c, nil
-}
-
-// compileOp negotiates every parameter of one operation against both
-// presentations, once.
-func (c *Conn) compileOp(irOp *ir.Operation) *opBind {
-	cop := c.clientPres.Op(irOp.Name)
-	sop := c.disp.Pres.Op(irOp.Name)
-	b := &opBind{op: irOp}
-	for i := range irOp.Params {
-		prm := &irOp.Params[i]
-		ca := attrsOf(cop, prm.Name)
-		sa := attrsOf(sop, prm.Name)
-		pb := paramBind{
-			idx:   i,
-			typ:   prm.Type,
-			isIn:  prm.Dir == ir.In || prm.Dir == ir.InOut,
-			isOut: prm.Dir == ir.Out || prm.Dir == ir.InOut,
-		}
-		if pb.isIn {
-			pb.in = runtime.NegotiateIn(ca, sa)
-			pb.private = ca.Trashable
-		}
-		if pb.isOut {
-			pb.out = runtime.NegotiateOut(ca, sa)
-			b.nOut++
-		}
-		b.params = append(b.params, pb)
-	}
-	if irOp.HasResult() {
-		b.hasResult = true
-		b.resType = irOp.Result
-		b.resOut = runtime.NegotiateOut(attrsOf(cop, pres.ResultParam), attrsOf(sop, pres.ResultParam))
-	}
-	return b
-}
-
-var zeroAttrs pres.ParamAttrs
-
-func attrsOf(op *pres.OpPres, name string) *pres.ParamAttrs {
-	if op == nil {
-		return &zeroAttrs
-	}
-	if a, ok := op.Params[name]; ok {
-		return a
-	}
-	return &zeroAttrs
 }
 
 // Invoke implements runtime.Invoker with a direct call under the
@@ -173,40 +99,40 @@ func (c *Conn) invoke(ctx context.Context, op string, args []runtime.Value, outB
 	if !ok {
 		return nil, nil, fmt.Errorf("inproc: unknown operation %q", op)
 	}
-	if len(args) != len(b.op.Params) {
-		return nil, nil, fmt.Errorf("inproc: %s takes %d params, have %d", op, len(b.op.Params), len(args))
+	if len(args) != len(b.Op.Params) {
+		return nil, nil, fmt.Errorf("inproc: %s takes %d params, have %d", op, len(b.Op.Params), len(args))
 	}
 	if c.stats != nil {
 		t0 := time.Now()
 		tid := c.stats.NextTraceID()
-		c.stats.Trace(tid, b.idx, stats.StageDispatch)
+		c.stats.Trace(tid, b.Index, stats.StageDispatch)
 		outs, ret, err := c.invokeBound(ctx, b, args, outBufs, retBuf)
-		c.stats.Trace(tid, b.idx, stats.StageReply)
-		c.stats.RecordCall(b.idx, time.Since(t0), 0, 0, runtime.OutcomeOf(err))
+		c.stats.Trace(tid, b.Index, stats.StageReply)
+		c.stats.RecordCall(b.Index, time.Since(t0), 0, 0, runtime.OutcomeOf(err))
 		return outs, ret, err
 	}
 	return c.invokeBound(ctx, b, args, outBufs, retBuf)
 }
 
-func (c *Conn) invokeBound(ctx context.Context, b *opBind, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
-	call := c.disp.AcquireCall(b.sidx)
+func (c *Conn) invokeBound(ctx context.Context, b *pres.CombinedOp, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
+	call := c.disp.AcquireCall(b.Server)
 	if ctx != nil {
 		call.SetContext(ctx)
 	}
-	for i := range b.params {
-		pb := &b.params[i]
-		if pb.isIn {
-			if pb.in == runtime.InCopy {
-				call.SetIn(pb.idx, runtime.CopyValue(pb.typ, args[pb.idx]), true)
+	for i := range b.Params {
+		pb := &b.Params[i]
+		if pb.IsIn {
+			if pb.In == pres.InCopy {
+				call.SetIn(i, runtime.CopyValue(pb.Type, args[i]), true)
 			} else {
-				call.SetIn(pb.idx, args[pb.idx], pb.private)
+				call.SetIn(i, args[i], pb.Private)
 			}
 		}
-		if pb.isOut && pb.out == runtime.OutCallerBuffer && outBufs != nil {
-			call.SetOutBuffer(pb.idx, outBufs[pb.idx])
+		if pb.IsOut && pb.Out == pres.OutCallerBuffer && outBufs != nil {
+			call.SetOutBuffer(i, outBufs[i])
 		}
 	}
-	if b.hasResult && b.resOut == runtime.OutCallerBuffer {
+	if b.Result.IsOut && b.Result.Out == pres.OutCallerBuffer {
 		call.SetResultBuffer(retBuf)
 	}
 
@@ -218,19 +144,19 @@ func (c *Conn) invokeBound(ctx context.Context, b *opBind, args []runtime.Value,
 	// Deliver out values, copying only where both sides insisted on
 	// their own buffer.
 	var outs []runtime.Value
-	if b.nOut > 0 {
-		outs = make([]runtime.Value, len(b.op.Params))
-		for i := range b.params {
-			pb := &b.params[i]
-			if !pb.isOut {
+	if b.Outs > 0 {
+		outs = make([]runtime.Value, len(b.Op.Params))
+		for i := range b.Params {
+			pb := &b.Params[i]
+			if !pb.IsOut {
 				continue
 			}
-			outs[pb.idx] = deliverOut(pb.typ, call.Out(pb.idx), pb.out, bufAt(outBufs, pb.idx))
+			outs[i] = deliverOut(pb.Type, call.Out(i), pb.Out, bufAt(outBufs, i))
 		}
 	}
 	var ret runtime.Value
-	if b.hasResult {
-		ret = deliverOut(b.resType, call.Result(), b.resOut, retBuf)
+	if b.Result.IsOut {
+		ret = deliverOut(b.Result.Type, call.Result(), b.Result.Out, retBuf)
 	}
 	c.disp.ReleaseCall(call)
 	return outs, ret, nil
@@ -245,8 +171,8 @@ func bufAt(bufs [][]byte, i int) []byte {
 
 // deliverOut hands one out value to the client under the negotiated
 // semantics.
-func deliverOut(t *ir.Type, v runtime.Value, sem runtime.OutSemantics, clientBuf []byte) runtime.Value {
-	if sem != runtime.OutCopy {
+func deliverOut(t *ir.Type, v runtime.Value, sem pres.OutSemantics, clientBuf []byte) runtime.Value {
+	if sem != pres.OutCopy {
 		// Stub-alloc, server-buffer and caller-buffer semantics all
 		// deliver by reference in the same domain.
 		return v

@@ -13,12 +13,30 @@ import (
 // the paper's Figures 10 and 11.
 func storeIface(t *testing.T) *pres.Presentation {
 	t.Helper()
-	f, err := corba.Parse("store.idl", `
+	return parseStore(t, `
 		interface Store {
 			void put(in sequence<octet> data);
 			void get(in unsigned long count, out sequence<octet> data);
 			sequence<octet> fetch(in unsigned long count);
 		};`)
+}
+
+// renamedStore is Store as a server might declare it: the operations
+// in another order and get's parameters named n and buf. The contract
+// is the same, since parameters pair by position.
+func renamedStore(t *testing.T) *pres.Presentation {
+	t.Helper()
+	return parseStore(t, `
+		interface Store {
+			sequence<octet> fetch(in unsigned long count);
+			void get(in unsigned long n, out sequence<octet> buf);
+			void put(in sequence<octet> data);
+		};`)
+}
+
+func parseStore(t *testing.T, src string) *pres.Presentation {
+	t.Helper()
+	f, err := corba.Parse("store.idl", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,22 +125,22 @@ func TestOutParamSemantics(t *testing.T) {
 		aliasClientBuf bool // result landed in the client's buffer
 		aliasServerBuf bool // result is the server's own buffer
 	}
-	run := func(t *testing.T, clientAlloc, serverAlloc pres.AllocPolicy) outcome {
+	run := func(t *testing.T, clientAlloc, serverAlloc pres.AllocPolicy, sp *pres.Presentation) outcome {
 		cp := storeIface(t)
 		cp.Op("get").Param("data").Alloc = clientAlloc
-		sp := storeIface(t)
-		sp.Op("get").Param("data").Alloc = serverAlloc
+		sp.Op("get").Param(sp.Interface.Op("get").Params[1].Name).Alloc = serverAlloc
 
 		disp := runtime.NewDispatcher(sp)
 		disp.Handle("get", func(c *runtime.Call) error {
 			count := int(c.Arg(0).(uint32))
-			if buf := c.OutBuffer(1); buf != nil {
+			if buf := c.OutBuffer(1); buf != nil && serverAlloc != pres.AllocCallee {
 				// Caller-provided buffer: fill in place.
 				copy(buf, serverOwned)
 				c.SetOut(1, buf[:count])
 				return nil
 			}
-			// Serve from our own storage.
+			// Serve from our own storage, as a callee-alloc server
+			// always does.
 			c.SetOut(1, serverOwned[:count])
 			return nil
 		})
@@ -148,7 +166,7 @@ func TestOutParamSemantics(t *testing.T) {
 	}
 
 	t.Run("neither cares: no copy", func(t *testing.T) {
-		o := run(t, pres.AllocAuto, pres.AllocAuto)
+		o := run(t, pres.AllocAuto, pres.AllocAuto, storeIface(t))
 		if o.aliasClientBuf {
 			t.Error("stub-alloc should not use the client's buffer")
 		}
@@ -157,26 +175,34 @@ func TestOutParamSemantics(t *testing.T) {
 		}
 	})
 	t.Run("server provides: no copy", func(t *testing.T) {
-		o := run(t, pres.AllocAuto, pres.AllocCallee)
+		o := run(t, pres.AllocAuto, pres.AllocCallee, storeIface(t))
 		if !o.aliasServerBuf {
 			t.Error("server's buffer should reach the client directly")
 		}
 	})
 	t.Run("client provides: filled in place", func(t *testing.T) {
-		o := run(t, pres.AllocCaller, pres.AllocAuto)
+		o := run(t, pres.AllocCaller, pres.AllocAuto, storeIface(t))
 		if !o.aliasClientBuf {
 			t.Error("server should fill the client's buffer directly")
 		}
 	})
-	t.Run("both insist: one stub copy", func(t *testing.T) {
-		o := run(t, pres.AllocCaller, pres.AllocCallee)
-		if !o.aliasClientBuf {
-			t.Error("copy semantics should land in the client's buffer")
-		}
-		if o.aliasServerBuf {
-			t.Error("client must not see the server's buffer when both insist")
-		}
-	})
+	for _, c := range []struct {
+		name string
+		sp   func(*testing.T) *pres.Presentation
+	}{
+		{"both insist: one stub copy", storeIface},
+		{"both insist, server names the parameter buf: one stub copy", renamedStore},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := run(t, pres.AllocCaller, pres.AllocCallee, c.sp(t))
+			if !o.aliasClientBuf {
+				t.Error("copy semantics should land in the client's buffer")
+			}
+			if o.aliasServerBuf {
+				t.Error("client must not see the server's buffer when both insist")
+			}
+		})
+	}
 }
 
 func TestResultAllocationSemantics(t *testing.T) {

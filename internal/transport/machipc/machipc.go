@@ -9,6 +9,7 @@ package machipc
 
 import (
 	"errors"
+	"strings"
 
 	"flexrpc/internal/mach"
 	"flexrpc/internal/pres"
@@ -17,21 +18,21 @@ import (
 
 // SigFor derives the endpoint type signature the kernel sees from a
 // presentation: the interface contract plus the attributes the
-// transport can exploit.
+// transport can exploit. The op index on the wire is the operation's
+// declaration position, so the contract also fixes the numbering: the
+// operation names in declaration order follow the interface signature,
+// and a peer that declares the operations in another order does not
+// bind. The naming flag is endpoint-wide — every right the connection
+// transfers is then inserted non-uniquely — so it is set only when the
+// endpoint annotated every port it moves.
 func SigFor(p *pres.Presentation) mach.EndpointSig {
-	sig := mach.EndpointSig{Contract: p.Interface.Signature()}
-	switch p.Trust {
-	case pres.TrustLeaky:
-		sig.Trust = mach.TrustLeakyLevel
-	case pres.TrustFull:
-		sig.Trust = mach.TrustFullLevel
+	var contract strings.Builder
+	contract.WriteString(p.Interface.Signature())
+	for i := range p.Interface.Ops {
+		contract.WriteByte(' ')
+		contract.WriteString(p.Interface.Ops[i].Name)
 	}
-	// The flag is endpoint-wide — every right the connection transfers
-	// is then inserted non-uniquely — so it is set only when the
-	// endpoint annotated every port it moves.
-	ports, nonUnique := p.PortNaming()
-	sig.NonUniquePorts = ports && nonUnique
-	return sig
+	return mach.EndpointSig{Contract: contract.String(), Trust: p.Trust, NonUniquePorts: p.PortNaming()}
 }
 
 // A Conn is the client side of a machipc connection, implementing

@@ -122,16 +122,16 @@ func TestDifferentPresentationsSameContractBind(t *testing.T) {
 
 func TestSigForMapsTrustAndNaming(t *testing.T) {
 	p := fileIOPres(t)
-	if sig := SigFor(p); sig.Trust != mach.TrustNoneLevel || sig.NonUniquePorts {
-		t.Fatalf("default sig = %+v", sig)
+	for _, trust := range []pres.Trust{pres.TrustNone, pres.TrustLeaky, pres.TrustFull} {
+		p.Trust = trust
+		if got := SigFor(p).Trust; got != trust {
+			t.Fatalf("trust %v mapped to %v", trust, got)
+		}
 	}
-	p.Trust = pres.TrustLeaky
-	if SigFor(p).Trust != mach.TrustLeakyLevel {
-		t.Fatal("leaky not mapped")
-	}
-	p.Trust = pres.TrustFull
-	if SigFor(p).Trust != mach.TrustFullLevel {
-		t.Fatal("full trust not mapped")
+	// An endpoint that moves no right relaxes naming vacuously; the flag
+	// only picks how moved rights are inserted.
+	if !SigFor(p).NonUniquePorts {
+		t.Fatal("portless endpoint keeps unique names")
 	}
 
 	// nonunique on a port param flips the connection flag.
@@ -141,6 +141,9 @@ func TestSigForMapsTrustAndNaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := pres.Default(f.Interface("Caps"), pres.StyleCORBA)
+	if SigFor(cp).NonUniquePorts {
+		t.Fatal("unannotated port relaxed naming")
+	}
 	cp.Op("grant").Param("which").NonUnique = true
 	if err := cp.Validate(); err != nil {
 		t.Fatal(err)
@@ -225,5 +228,47 @@ func TestServerErrorTravelsBack(t *testing.T) {
 	var remote *runtime.RemoteError
 	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "pipe burst") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// swappedServer serves interface O with its two operations declared in
+// the other order from the client's: the same contract, but the op
+// index on the wire is the declaration position. a returns 1, b 2.
+func swappedServer(t *testing.T) (client *pres.Presentation, disp *runtime.Dispatcher) {
+	t.Helper()
+	parse := func(src string) *pres.Presentation {
+		f, err := corba.Parse("o.idl", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pres.Default(f.Interface("O"), pres.StyleCORBA)
+	}
+	client = parse(`interface O { long a(in long x); long b(in long x); };`)
+	disp = runtime.NewDispatcher(parse(`interface O { long b(in long x); long a(in long x); };`))
+	disp.Handle("a", func(c *runtime.Call) error { c.SetResult(int32(1)); return nil })
+	disp.Handle("b", func(c *runtime.Call) error { c.SetResult(int32(2)); return nil })
+	return client, disp
+}
+
+func TestReorderedServerRefusedAtBind(t *testing.T) {
+	cp, disp := swappedServer(t)
+	k := mach.NewKernel()
+	srvTask, cliTask := k.NewTask("server"), k.NewTask("client")
+	_, port := srvTask.AllocatePort()
+	plan, err := runtime.NewPlan(disp.Pres, runtime.XDRCodec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Announce(port, disp.Pres)
+	go func() { _ = Serve(srvTask, port, disp, plan) }()
+	t.Cleanup(port.Destroy)
+	conn, err := Dial(cliTask, cliTask.InsertRight(port), cp)
+	if err == nil {
+		client, _ := runtime.NewClient(cp, runtime.XDRCodec, conn, nil)
+		_, ret, err := client.Invoke("a", []runtime.Value{int32(0)}, nil, nil)
+		t.Fatalf("bound to a server that numbers its ops differently: a() = %v, %v", ret, err)
+	}
+	if !errors.Is(err, mach.ErrContract) {
+		t.Fatalf("err = %v, want %v", err, mach.ErrContract)
 	}
 }

@@ -2,9 +2,13 @@ package shmring
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
+	"flexrpc/internal/core"
+	"flexrpc/internal/pres"
 	"flexrpc/internal/runtime"
+	"flexrpc/internal/transport/inproc"
 )
 
 // The allocation gates pin the steady-state promise of the bind-time
@@ -59,3 +63,46 @@ func borrowPutGate(t *testing.T, m mode) {
 
 func TestBorrowPutZeroAllocsInline(t *testing.T)   { borrowPutGate(t, modes()[0]) }
 func TestBorrowPutZeroAllocsDoorbell(t *testing.T) { borrowPutGate(t, modes()[1]) }
+
+// Binding is part of the benchmark's setup_s cycle, so the two
+// same-domain Connects are gated at their allocation counts on the
+// benchmark's own interface and presentations.
+func TestConnectAllocsBenchIDL(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are not meaningful under the race detector")
+	}
+	read := func(name string) string {
+		b, err := os.ReadFile("../../../bench/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	compile := func(pdl string) *pres.Presentation {
+		c, err := core.Compile(core.Options{
+			Frontend: core.FrontendCORBA, Filename: "bench.idl", Source: read("bench.idl"),
+			PDL: read(pdl), PDLFilename: pdl,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Pres
+	}
+	cp, disp := compile("client.pdl"), runtime.NewDispatcher(compile("server.pdl"))
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := inproc.Connect(cp, disp); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 64 {
+		t.Errorf("inproc.Connect allocates %.0f times, want <= 64", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		b, err := Connect(cp, disp, runtime.XDRCodec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Close()
+	}); allocs > 192 {
+		t.Errorf("shmring.Connect allocates %.0f times, want <= 192", allocs)
+	}
+}

@@ -48,13 +48,12 @@ type Options struct {
 // dispatch directly — the combination signature compiled the
 // transport away, which is exactly the paper's point.
 type Bound struct {
-	mu     sync.Mutex
-	ring   *Ring
-	disp   *runtime.Dispatcher
-	cplan  *runtime.Plan
-	splan  *runtime.Plan
-	binds  []boundOp
-	byName map[string]int
+	mu    sync.Mutex
+	ring  *Ring
+	disp  *runtime.Dispatcher
+	cplan *runtime.Plan
+	splan *runtime.Plan
+	binds []boundOp
 
 	trusted   bool
 	nonUnique bool
@@ -84,7 +83,7 @@ type Bound struct {
 
 type boundOp struct {
 	idx    int
-	sidx   int // the operation's index in the dispatcher's interface
+	sidx   int // the combination's server index: what every path dispatches by
 	cop    *runtime.OpPlan
 	direct bool // no marshal steps on either path: dispatch directly
 }
@@ -94,9 +93,9 @@ type boundOp struct {
 // driven specializations once. The network contract must match, as
 // for any bind. Enable stats before issuing calls.
 func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runtime.Codec, opts Options) (*Bound, error) {
-	if clientPres.Interface.Signature() != disp.Pres.Interface.Signature() {
-		return nil, fmt.Errorf("shmring: contract mismatch:\n  client %s\n  server %s",
-			clientPres.Interface.Signature(), disp.Pres.Interface.Signature())
+	comb, err := pres.Combine(clientPres, disp.Pres)
+	if err != nil {
+		return nil, fmt.Errorf("shmring: %w", err)
 	}
 	cfg, err := opts.Config.withDefaults()
 	if err != nil {
@@ -115,33 +114,27 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 		return nil, err
 	}
 	b := &Bound{
-		ring:   newRing(cfg),
-		disp:   disp,
-		cplan:  cplan,
-		splan:  splan,
-		byName: make(map[string]int),
-		done:   make(chan struct{}),
-		frame:  runtime.NewFrame(),
-		reqEnc: codec.NewEncoder(),
-		repEnc: codec.NewEncoder(),
-		cdec:   cplan.NewDecoder(nil),
+		ring:      newRing(cfg),
+		disp:      disp,
+		cplan:     cplan,
+		splan:     splan,
+		binds:     make([]boundOp, len(cplan.Ops)),
+		trusted:   comb.Trusted,
+		nonUnique: comb.NonUnique,
+		inline:    comb.Trusted && !opts.ForceDoorbell,
+		done:      make(chan struct{}),
+		frame:     runtime.NewFrame(),
+		reqEnc:    codec.NewEncoder(),
+		repEnc:    codec.NewEncoder(),
+		cdec:      cplan.NewDecoder(nil),
 	}
-	// The combination signature: trust is the minimum both sides
-	// extend; naming is relaxed only when neither endpoint relies on
-	// the unique-name invariant for any port parameter.
-	b.trusted = clientPres.Trust >= pres.TrustFull && disp.Pres.Trust >= pres.TrustFull
-	_, cRelaxed := clientPres.PortNaming()
-	_, sRelaxed := disp.Pres.PortNaming()
-	b.nonUnique = cRelaxed && sRelaxed
-	b.inline = b.trusted && !opts.ForceDoorbell
 	for i, op := range cplan.Ops {
-		b.binds = append(b.binds, boundOp{
+		b.binds[i] = boundOp{
 			idx:    i,
-			sidx:   disp.OpIndex(op.Op.Name),
+			sidx:   comb.Ops[i].Server,
 			cop:    op,
 			direct: op.RequestSteps() == 0 && op.ReplySteps() == 0,
-		})
-		b.byName[op.Op.Name] = i
+		}
 	}
 	// Bind-time slot lease: one slot per direction for the steady
 	// state; splices for oversized messages come from the rest of the
@@ -227,8 +220,8 @@ func (b *Bound) InvokeContext(ctx context.Context, op string, args []runtime.Val
 }
 
 func (b *Bound) invoke(ctx context.Context, op string, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
-	idx, ok := b.byName[op]
-	if !ok {
+	idx := b.cplan.OpIndex(op)
+	if idx < 0 {
 		return nil, nil, fmt.Errorf("shmring: unknown operation %q", op)
 	}
 	if len(args) != len(b.binds[idx].cop.Op.Params) {
@@ -298,7 +291,7 @@ func (b *Bound) invokeInline(ctx context.Context, bop *boundOp, args []runtime.V
 	}
 	b.stats.AddOp(bop.idx, stats.OpBytesOut, len(body))
 	b.repEnc.ResetArena(b.repArena)
-	err = b.frame.ServeMessageRawContext(ctx, b.disp, b.splan, bop.idx, body, b.repEnc)
+	err = b.frame.ServeMessageRawContext(ctx, b.disp, b.splan, bop.sidx, body, b.repEnc)
 	if err != nil {
 		b.dropReply()
 		return nil, nil, err
@@ -373,7 +366,7 @@ func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Va
 		if err != nil {
 			return 0, 0, err
 		}
-		putHeader(arena, uint32(bop.idx), uint32(n), 0)
+		putHeader(arena, uint32(bop.sidx), uint32(n), 0)
 		if err := b.reqSlot.SetProduced(r.client, headerSize+n); err != nil {
 			return 0, 0, err
 		}
@@ -392,7 +385,7 @@ func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Va
 	if err != nil {
 		return 0, 0, err
 	}
-	putHeader(b.reqArena, uint32(bop.idx), uint32(n), 0)
+	putHeader(b.reqArena, uint32(bop.sidx), uint32(n), 0)
 	return 0, n, nil
 }
 
@@ -406,7 +399,7 @@ func (b *Bound) spillRequest(ctx context.Context, bop *boundOp, args []runtime.V
 		return 0, 0, err
 	}
 	body := enc.Bytes()
-	head, _, err := b.ring.writeMessage(ctx, b.ring.client, b.ring.server, uint32(bop.idx), body)
+	head, _, err := b.ring.writeMessage(ctx, b.ring.client, b.ring.server, uint32(bop.sidx), body)
 	if err != nil {
 		return 0, 0, err
 	}

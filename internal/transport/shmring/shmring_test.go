@@ -491,6 +491,43 @@ func TestBoundContractMismatch(t *testing.T) {
 	}
 }
 
+// A server that declares the two operations in the other order shares
+// the contract; the binding pairs them by name, so a() reaches a's
+// handler through the doorbell and inline alike.
+func TestBoundPairsOpsByName(t *testing.T) {
+	parse := func(src string, trust pres.Trust) *pres.Presentation {
+		f, err := corba.Parse("o.idl", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := pres.Default(f.Interface("O"), pres.StyleCORBA)
+		p.Trust = trust
+		return p
+	}
+	for _, m := range []struct {
+		name  string
+		trust pres.Trust
+	}{{"doorbell", pres.TrustNone}, {"inline", pres.TrustFull}} {
+		t.Run(m.name, func(t *testing.T) {
+			cp := parse(`interface O { long a(in long x); long b(in long x); };`, m.trust)
+			disp := runtime.NewDispatcher(parse(`interface O { long b(in long x); long a(in long x); };`, m.trust))
+			disp.Handle("a", func(c *runtime.Call) error { c.SetResult(int32(1)); return nil })
+			disp.Handle("b", func(c *runtime.Call) error { c.SetResult(int32(2)); return nil })
+			b, err := Connect(cp, disp, runtime.XDRCodec, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { b.Close() })
+			if b.InlineDispatch() != (m.name == "inline") {
+				t.Fatalf("inline dispatch %v", b.InlineDispatch())
+			}
+			if _, ret, err := b.Invoke("a", []runtime.Value{int32(0)}, nil, nil); err != nil || ret != int32(1) {
+				t.Fatalf("a() = %v, %v; want a's handler's 1", ret, err)
+			}
+		})
+	}
+}
+
 // TestZeroCopyTrustedBorrow is the acceptance gate for the zero-copy
 // claim: a 1KB [trusted] borrow round trip meters ZERO copied bytes —
 // the client produces the payload directly into the ring slot's arena
