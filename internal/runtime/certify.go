@@ -60,8 +60,9 @@ type OpCert struct {
 	// on per-call heap allocations (stats off) for each side's
 	// marshal path (see decodeCost). Boxing a decoded value into its
 	// interface Value counts, so a 16-field attribute struct with one
-	// string field certifies 5 on the side that decodes it (its scalars
-	// share one slab); the borrow-mode 1KB put certifies a server bound
+	// string field certifies 2 on the side that decodes it (one block
+	// holds its headers, Values and scalars; the string's bytes are the
+	// other); the borrow-mode 1KB put certifies a server bound
 	// of 0, because the borrowed slice lands in the Call's byte slot
 	// unboxed and the payload is never copied — exactly the numbers the
 	// runtime's AllocsPerRun gates measure. A sequence of allocating
@@ -165,12 +166,11 @@ func (op *OpPlan) certify() OpCert {
 // through the runtime's static byte table, for free; any other scalar
 // only when it is below 256), bytes plus a boxed header per string,
 // a boxed header per byte buffer plus its storage when it lands in
-// fresh storage, and a []Value plus its boxed header per composite.
-// A composite's non-bool scalar leaves cost one slab between them, at
-// any count; its other fields and elements add their own cost. A
-// sequence of allocating elements is counted with one element. A
-// [special] hook is opaque: one allocation for whatever it builds,
-// one for boxing it.
+// fresh storage. A struct or array is one block plus what its leaves
+// allocate apart (blockCost). A sequence is its backing, its boxed
+// header, and either one slab for scalar elements at any count or one
+// element's cost: its length is not static. A [special] hook is
+// opaque: one allocation for whatever it builds, one for boxing it.
 func decodeCost(t *ir.Type, l Landing) int {
 	if t == nil || t.Kind == ir.Void {
 		return 0
@@ -188,27 +188,47 @@ func decodeCost(t *ir.Type, l Landing) int {
 			return 2
 		}
 		return 1
-	case ir.Seq, ir.Array:
-		if leaf, _ := slabLeaf(t.Elem); leaf != nil {
-			return 3
-		}
-		n := 1
-		if t.Kind == ir.Array {
-			n = t.Size
-		}
-		return 2 + n*decodeCost(t.Elem, l)
-	case ir.Struct:
-		cost, slab := 2, 0
-		for _, f := range t.Fields {
-			if leaf, _ := slabLeaf(f.Type); leaf != nil {
-				slab = 1
-			} else {
-				cost += decodeCost(f.Type, l)
-			}
-		}
-		return cost + slab
+	case ir.Seq:
+		return 2 + elemCost(t.Elem, l)
+	case ir.Array, ir.Struct:
+		return 1 + blockCost(t, l)
 	}
 	return 1
+}
+
+// blockCost counts the allocations a value of wire type t makes apart
+// from the block it lands in: a string's bytes, an owned byte buffer's
+// storage, and a sequence's backing plus its slab or one element. Its
+// headers, Values and scalars are all in the block.
+func blockCost(t *ir.Type, l Landing) int {
+	switch t.Kind {
+	case ir.String:
+		return 1
+	case ir.Bytes, ir.FixedBytes:
+		if l == LandOwn {
+			return 1
+		}
+	case ir.Seq:
+		return 1 + elemCost(t.Elem, l)
+	case ir.Array:
+		return t.Size * blockCost(t.Elem, l)
+	case ir.Struct:
+		cost := 0
+		for _, f := range t.Fields {
+			cost += blockCost(f.Type, l)
+		}
+		return cost
+	}
+	return 0
+}
+
+// elemCost is what one element adds to a sequence: one slab shared by
+// all scalar elements, or the element's own cost.
+func elemCost(elem *ir.Type, l Landing) int {
+	if leaf, _ := slabLeaf(elem); leaf != nil {
+		return 1
+	}
+	return decodeCost(elem, l)
 }
 
 // decodeAllocates reports whether a decode step with the given
@@ -286,7 +306,7 @@ func variableSig(sig string) bool {
 	return false
 }
 
-// Op returns the named operation's certificate, or nil.
+// OpCert returns the named operation's certificate, or nil.
 func (c *PlanCert) OpCert(name string) *OpCert {
 	for i := range c.Ops {
 		if c.Ops[i].Op == name {

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -86,18 +87,21 @@ func TestCertificateBoundsInvariant(t *testing.T) {
 	}
 }
 
-// attrPres is the getattr-shaped interface: a sixteen-field attribute
-// struct as a reply and as a request, and a scalar sequence reply.
+// attrIDL is a sixteen-field attribute struct, the getattr reply.
+const attrIDL = `
+	struct attr {
+		unsigned long mode; unsigned long nlink; unsigned long uid; unsigned long gid;
+		unsigned long long size; unsigned long long used; unsigned long long fsid; unsigned long long fileid;
+		unsigned long rdev; unsigned long blksize;
+		long long atime; long long mtime; long long ctime;
+		boolean immutable; double heat; string name;
+	};`
+
+// attrPres is the getattr-shaped interface: the attribute struct as a
+// reply and as a request, and a scalar sequence reply.
 func attrPres(t testing.TB) *pres.Presentation {
 	t.Helper()
-	f, err := corba.Parse("attr.idl", `
-		struct attr {
-			unsigned long mode; unsigned long nlink; unsigned long uid; unsigned long gid;
-			unsigned long long size; unsigned long long used; unsigned long long fsid; unsigned long long fileid;
-			unsigned long rdev; unsigned long blksize;
-			long long atime; long long mtime; long long ctime;
-			boolean immutable; double heat; string name;
-		};
+	f, err := corba.Parse("attr.idl", attrIDL+`
 		interface Attr {
 			attr getattr(in unsigned long h);
 			void setattr(in attr a);
@@ -151,11 +155,12 @@ func TestCertificateMatchesGates(t *testing.T) {
 		true, 0.5, "a-file-name"}
 	acert := aplan.Certificate()
 	getattr, setattr, list := acert.OpCert("getattr"), acert.OpCert("setattr"), acert.OpCert("list")
-	// struct 2 + one slab for its 14 non-bool scalars + string 2; the
-	// request's one scalar argument adds a box on the server. The
-	// sequence is its []Value, header and one slab at any length.
-	if getattr.ClientAllocBound != 5 || getattr.ServerAllocBound != 1 || setattr.ServerAllocBound != 5 || list.ClientAllocBound != 3 {
-		t.Fatalf("attr bounds: getattr client %d server %d, setattr server %d, list client %d; want 5, 1, 5, 3",
+	// One block for the struct's headers, Values and scalars + the
+	// string's bytes; the request's one scalar argument adds a box on the
+	// server. The sequence is its []Value, header and one slab at any
+	// length.
+	if getattr.ClientAllocBound != 2 || getattr.ServerAllocBound != 1 || setattr.ServerAllocBound != 2 || list.ClientAllocBound != 3 {
+		t.Fatalf("attr bounds: getattr client %d server %d, setattr server %d, list client %d; want 2, 1, 2, 3",
 			getattr.ClientAllocBound, getattr.ServerAllocBound, setattr.ServerAllocBound, list.ClientAllocBound)
 	}
 
@@ -203,6 +208,68 @@ func TestCertificateMatchesGates(t *testing.T) {
 			t.Fatal(ret, err)
 		}
 	})
+}
+
+// TestCertificateMatchesGatesNested measures nested fixed shapes at
+// their certified bounds exactly: a struct holding a struct, a long[4],
+// a sequence<octet>, a sequence<long> and a string flattens into one
+// block, so its reply costs the block, the two strings' bytes, the owned
+// octets' storage and the long sequence's backing and slab; an unsigned
+// long[8] reply is its block alone.
+func TestCertificateMatchesGatesNested(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are not meaningful under the race detector")
+	}
+	f, err := corba.Parse("nest.idl", `
+		struct inner { unsigned long id; string tag; };
+		typedef long quad[4];
+		struct outer { inner in; quad q; sequence<octet> data; sequence<long> ids; string name; };
+		typedef unsigned long eight[8];
+		interface Nest {
+			outer get(in unsigned long h);
+			eight words(in unsigned long h);
+		};`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pres.Default(f.Interface("Nest"), pres.StyleCORBA)
+	plan, err := NewPlan(p, XDRCodec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert := plan.Certificate()
+	get, words := cert.OpCert("get"), cert.OpCert("words")
+	if get.ClientAllocBound != 6 || words.ClientAllocBound != 1 {
+		t.Fatalf("nested bounds: get client %d, words client %d; want 6, 1", get.ClientAllocBound, words.ClientAllocBound)
+	}
+	replies := map[string]Value{
+		"get": []Value{[]Value{uint32(300), "a-tag"},
+			[]Value{int32(1000), int32(-1000), int32(1 << 20), int32(-1 << 20)},
+			[]byte("octets"), []Value{int32(300), int32(-300), int32(1 << 30)}, "a-name"},
+		"words": []Value{uint32(300), uint32(301), uint32(302), uint32(303),
+			uint32(304), uint32(305), uint32(306), uint32(1 << 31)},
+	}
+	disp := NewDispatcher(p)
+	for op, reply := range replies {
+		disp.Handle(op, func(c *Call) error { c.SetResult(reply); return nil })
+	}
+	args := []Value{uint32(256)}
+	for op, bound := range map[string]int{"get": get.ClientAllocBound, "words": words.ClientAllocBound} {
+		enc := XDRCodec.NewEncoder()
+		disp.ServeMessage(plan, plan.OpIndex(op), []byte{0, 0, 1, 0}, enc)
+		c, err := NewClient(p, XDRCodec, &fixedConn{reply: enc.Bytes()}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ret, err := c.Invoke(op, args, nil, nil); err != nil || !reflect.DeepEqual(ret, replies[op]) {
+			t.Fatalf("%s returns %v, %v; want %v", op, ret, err, replies[op])
+		}
+		gateAllocsExact(t, "certified client "+op, bound, func() {
+			if _, _, err := c.Invoke(op, args, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // gateAllocsExact is gateAllocs for a certified bound the path must

@@ -35,6 +35,17 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(uint8(0), enc.Bytes())
 	f.Add(uint8(1), []byte{0x7f, 0xff, 0xff, 0xff})
 	f.Add(uint8(2), []byte{})
+	// And a valid XDR reshape() request, which is also a valid reply:
+	// nested structs, an array of structs and a scalar array flatten
+	// into one block on decode.
+	pt := func(x int32) Value { return []Value{x, float64(x) / 2} }
+	shape := []Value{pt(1), []Value{pt(2), pt(3), pt(4)},
+		[]Value{uint32(5), uint32(6), uint32(7), uint32(8), uint32(9)}, "square", true}
+	enc = XDRCodec.NewEncoder()
+	if err := plans[0].Ops[plans[0].OpIndex("reshape")].EncodeRequest(enc, []Value{shape}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(2*len(plans)), enc.Bytes())
 
 	f.Fuzz(func(t *testing.T, sel uint8, body []byte) {
 		plan := plans[int(sel)%len(plans)]

@@ -537,8 +537,9 @@ func compileEncode(t *ir.Type) encodeFn {
 // compileDecode builds the decode step that lands wire type t where l
 // says. The type switch runs here, once, at bind time; composites
 // pass their landing down to their elements. A top-level scalar boxes
-// into its own Value; the scalars of a composite box into slots of one
-// slab per decoded value (slabLeaf).
+// into its own Value; a struct or array lands in one block per decoded
+// value (compileBlock), and a sequence's scalar elements in one slab
+// (slabLeaf).
 func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
 	if t == nil || t.Kind == ir.Void {
 		return func(Decoder, []byte) (Value, error) { return nil, nil }
@@ -574,11 +575,7 @@ func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
 			if err != nil {
 				return nil, err
 			}
-			out := make([]byte, len(b))
-			copy(out, b)
-			pl.meterAlloc(len(b))
-			pl.meterCopy(len(b))
-			return out, nil
+			return pl.ownBytes(b), nil
 		}
 		if l != LandCaller {
 			return own
@@ -621,69 +618,34 @@ func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
 			return dst[:size], nil
 		}
 	case ir.Seq:
-		if leaf, w := slabLeaf(t.Elem); leaf != nil {
-			return func(dec Decoder, _ []byte) (Value, error) {
-				n, err := decodeSeqLen(dec)
-				if err != nil {
-					return nil, err
-				}
-				return decodeSlabElems(dec, leaf, w, n)
-			}
+		leaf, w := slabLeaf(t.Elem)
+		var elem decodeFn
+		if leaf == nil {
+			elem = pl.compileDecode(t.Elem, l)
 		}
-		elem := pl.compileDecode(t.Elem, l)
 		return func(dec Decoder, _ []byte) (Value, error) {
-			n, err := decodeSeqLen(dec)
+			vs, err := decodeSeq(dec, leaf, w, elem)
 			if err != nil {
 				return nil, err
 			}
-			return decodeElems(dec, elem, n)
-		}
-	case ir.Array:
-		size := t.Size
-		if leaf, w := slabLeaf(t.Elem); leaf != nil {
-			return func(dec Decoder, _ []byte) (Value, error) { return decodeSlabElems(dec, leaf, w, size) }
-		}
-		elem := pl.compileDecode(t.Elem, l)
-		return func(dec Decoder, _ []byte) (Value, error) { return decodeElems(dec, elem, size) }
-	case ir.Struct:
-		// Non-bool scalar fields land in one slab per decoded struct, at
-		// offsets packed here; every other field keeps its own decode.
-		type field struct {
-			dec  decodeFn
-			leaf leafFn
-			off  uintptr
-		}
-		fields := make([]field, len(t.Fields))
-		var lay slabLayout
-		for i, f := range t.Fields {
-			if leaf, w := slabLeaf(f.Type); leaf != nil {
-				fields[i].leaf, fields[i].off = leaf, lay.place(w)
-			} else {
-				fields[i].dec = pl.compileDecode(f.Type, l)
-			}
-		}
-		words := lay.words
-		return func(dec Decoder, _ []byte) (Value, error) {
-			vs := make([]Value, len(fields))
-			s := make([]uint64, words)
-			var err error
-			for i := range fields {
-				if f := &fields[i]; f.leaf != nil {
-					vs[i], err = f.leaf(dec, s, f.off)
-				} else {
-					vs[i], err = f.dec(dec, nil)
-				}
-				if err != nil {
-					return nil, err
-				}
-			}
 			return vs, nil
 		}
+	case ir.Array, ir.Struct:
+		return pl.compileBlock(t, l)
 	}
 	kind := t.Kind
 	return func(Decoder, []byte) (Value, error) {
 		return nil, fmt.Errorf("runtime: cannot unmarshal kind %v", kind)
 	}
+}
+
+// ownBytes copies a borrowed byte buffer into fresh storage, metered.
+func (pl *Plan) ownBytes(b []byte) []byte {
+	out := make([]byte, len(b))
+	copy(out, b)
+	pl.meterAlloc(len(b))
+	pl.meterCopy(len(b))
+	return out
 }
 
 // borrowBytes is compileDecode for a byte buffer landing by borrow, in
@@ -699,10 +661,23 @@ func borrowBytes(t *ir.Type) func(Decoder) ([]byte, error) {
 	return nil
 }
 
-// decodeElems decodes n elements of one type.
-func decodeElems(dec Decoder, elem decodeFn, n int) (Value, error) {
+// decodeSeq decodes a sequence: its scalar elements into one slab when
+// leaf is set, each through elem otherwise.
+func decodeSeq(dec Decoder, leaf leafFn, w uintptr, elem decodeFn) ([]Value, error) {
+	n, err := decodeSeqLen(dec)
+	if err != nil {
+		return nil, err
+	}
 	vs := make([]Value, n)
-	var err error
+	if leaf != nil {
+		s := make([]uint64, (uintptr(n)*w+7)/8)
+		for i := range vs {
+			if vs[i], err = leaf(dec, s, uintptr(i)*w); err != nil {
+				return nil, err
+			}
+		}
+		return vs, nil
+	}
 	for i := range vs {
 		if vs[i], err = elem(dec, nil); err != nil {
 			return nil, err
@@ -711,18 +686,211 @@ func decodeElems(dec Decoder, elem decodeFn, n int) (Value, error) {
 	return vs, nil
 }
 
-// decodeSlabElems decodes n scalars whose slots are w bytes wide into
-// one slab.
-func decodeSlabElems(dec Decoder, leaf leafFn, w uintptr, n int) (Value, error) {
-	vs := make([]Value, n)
-	s := make([]uint64, (uintptr(n)*w+7)/8)
+// A blockOp decodes n values of one wire type in a row into a block:
+// one field, or an array's run of elements. Value j lands in
+// vals[dst+j]; whatever else it boxes lands in slot at+j of its region,
+// or for a scalar leaf at slab byte offset off+j*w.
+type blockOp struct {
+	n, dst, at int
+	v0, nv     int // opFixed: its elements are vals[v0:v0+nv]
+	off, w     uintptr
+	bytes      func(Decoder) ([]byte, error) // opBytes, by borrow (borrowBytes)
+	leaf       leafFn                        // opLeaf; opSeq of scalar elements
+	elem       decodeFn                      // opSeq of other elements; opValue itself
+	kind       blockOpKind
+	own        bool // opBytes: copied into fresh storage
+}
+
+type blockOpKind uint8
+
+const (
+	opValue  blockOpKind = iota // boxes through elem (a bool, which is free)
+	opLeaf                      // a non-bool scalar in the slab
+	opString                    // header in strs
+	opBytes                     // header in byts
+	opSeq                       // header in hdrs; backing and slab apart
+	opFixed                     // a nested struct or array: header in hdrs
+)
+
+// A blockLayout places a fixed-shape value's slots in its block at bind
+// time, and appends the ops that fill them.
+type blockLayout struct {
+	shape blockShape
+	half  uintptr // slab byte offset of the open half-word; 0 when none is open
+	ops   []blockOp
+}
+
+// compileBlock builds the decode of a fixed-shape value t (a struct or
+// an array). Each decoded value is one allocation, a block (slab.go):
+// nested structs and arrays flatten into it, and only string bytes,
+// owned byte storage and a sequence's backing and slab allocate apart.
+func (pl *Plan) compileBlock(t *ir.Type, l Landing) decodeFn {
+	lay := blockLayout{ops: make([]blockOp, 0, elemOps(t))}
+	lay.fixed(pl, t, l)
+	bt, ops, n := blockTypeOf(lay.shape), lay.ops, fixedLen(t)
+	return func(dec Decoder, _ []byte) (Value, error) {
+		return pl.decodeBlock(dec, bt, n, ops)
+	}
+}
+
+// fixedLen is the element count of a struct or array.
+func fixedLen(t *ir.Type) int {
+	if t.Kind == ir.Array {
+		return t.Size
+	}
+	return len(t.Fields)
+}
+
+// elemOps counts the ops that decode the elements of struct or array t.
+func elemOps(t *ir.Type) int {
+	if t.Kind == ir.Array {
+		return placeOps(t.Elem, t.Size)
+	}
+	count := 0
+	for _, f := range t.Fields {
+		count += placeOps(f.Type, 1)
+	}
+	return count
+}
+
+// placeOps counts the ops place emits for n values of wire type t.
+func placeOps(t *ir.Type, n int) int {
+	if t.Kind != ir.Array && t.Kind != ir.Struct {
+		return 1
+	}
+	return n * (1 + elemOps(t))
+}
+
+// fixed places composite t's header in the next hdrs slot and its
+// elements in the next vals slots, then lays the elements out.
+func (lay *blockLayout) fixed(pl *Plan, t *ir.Type, l Landing) {
+	lay.shape.hdrs++
+	v0 := lay.shape.vals
+	lay.shape.vals += fixedLen(t)
+	if t.Kind == ir.Array {
+		lay.place(pl, t.Elem, l, v0, t.Size)
+		return
+	}
+	for i, f := range t.Fields {
+		lay.place(pl, f.Type, l, v0+i, 1)
+	}
+}
+
+// place lays out n values of wire type t landing at vals[dst:dst+n] and
+// appends the ops that decode them.
+func (lay *blockLayout) place(pl *Plan, t *ir.Type, l Landing, dst, n int) {
+	if t.Kind == ir.Array || t.Kind == ir.Struct {
+		// Each element is its own op, followed by its elements' ops: a
+		// composite's fields need not be one kind.
+		for j := 0; j < n; j++ {
+			o := lay.next()
+			o.kind, o.n, o.dst, o.at, o.v0, o.nv = opFixed, 1, dst+j, lay.shape.hdrs, lay.shape.vals, fixedLen(t)
+			lay.fixed(pl, t, l)
+		}
+		return
+	}
+	o := lay.next()
+	o.n, o.dst = n, dst
+	if leaf, w := slabLeaf(t); leaf != nil {
+		o.kind, o.leaf, o.w, o.off = opLeaf, leaf, w, lay.words(w, n)
+		return
+	}
+	take := func(c *int) int { at := *c; *c += n; return at }
+	switch t.Kind {
+	case ir.String:
+		o.kind, o.at = opString, take(&lay.shape.strs)
+	case ir.Bytes, ir.FixedBytes:
+		o.kind, o.at, o.own, o.bytes = opBytes, take(&lay.shape.byts), l != LandBorrow, borrowBytes(t)
+	case ir.Seq:
+		o.kind, o.at = opSeq, take(&lay.shape.hdrs)
+		if o.leaf, o.w = slabLeaf(t.Elem); o.leaf == nil {
+			o.elem = pl.compileDecode(t.Elem, l)
+		}
+	default:
+		o.elem = pl.compileDecode(t, l)
+	}
+}
+
+// next appends a zero op and returns it; compileBlock sized ops so that
+// it never grows.
+func (lay *blockLayout) next() *blockOp {
+	lay.ops = append(lay.ops, blockOp{})
+	return &lay.ops[len(lay.ops)-1]
+}
+
+// words places n slab slots w bytes wide side by side and returns the
+// first one's byte offset. An 8-byte slot takes the next whole word, and
+// a lone 4-byte slot the open half of a word when there is one, else the
+// first half of the next word; a run leaves its last half-word open.
+func (lay *blockLayout) words(w uintptr, n int) uintptr {
+	if n == 1 && w == 4 && lay.half != 0 {
+		off := lay.half
+		lay.half = 0
+		return off
+	}
+	off, size := uintptr(lay.shape.words)*8, uintptr(n)*w
+	lay.shape.words += int((size + 7) / 8)
+	if size%8 != 0 {
+		lay.half = off + size
+	}
+	return off
+}
+
+// decodeBlock decodes one fixed-shape value of n elements into a fresh
+// block of type bt by running its ops in wire order.
+func (pl *Plan) decodeBlock(dec Decoder, bt *blockType, n int, ops []blockOp) (Value, error) {
+	var b block
+	bt.alloc(&b)
+	root := valuesBox.setAt(b.hdrs, 0, b.vals[:n:n])
 	var err error
-	for i := range vs {
-		if vs[i], err = leaf(dec, s, uintptr(i)*w); err != nil {
-			return nil, err
+	for i := range ops {
+		o := &ops[i]
+		vals := b.vals[o.dst : o.dst+o.n]
+		switch o.kind {
+		case opLeaf:
+			for j := range vals {
+				if vals[j], err = o.leaf(dec, b.slab, o.off+uintptr(j)*o.w); err != nil {
+					return nil, err
+				}
+			}
+		case opString:
+			for j := range vals {
+				var s string
+				if s, err = dec.String(); err != nil {
+					return nil, err
+				}
+				vals[j] = stringBox.setAt(b.strs, o.at+j, s)
+			}
+		case opBytes:
+			for j := range vals {
+				var bs []byte
+				if bs, err = o.bytes(dec); err != nil {
+					return nil, err
+				}
+				if o.own {
+					bs = pl.ownBytes(bs)
+				}
+				vals[j] = bytesBox.setAt(b.byts, o.at+j, bs)
+			}
+		case opSeq:
+			for j := range vals {
+				var vs []Value
+				if vs, err = decodeSeq(dec, o.leaf, o.w, o.elem); err != nil {
+					return nil, err
+				}
+				vals[j] = valuesBox.setAt(b.hdrs, o.at+j, vs)
+			}
+		case opFixed:
+			vals[0] = valuesBox.setAt(b.hdrs, o.at, b.vals[o.v0:o.v0+o.nv:o.v0+o.nv])
+		default:
+			for j := range vals {
+				if vals[j], err = o.elem(dec, nil); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
-	return vs, nil
+	return root, nil
 }
 
 // A leafFn decodes one non-bool scalar leaf of a composite into the
@@ -775,29 +943,6 @@ func slabLeaf(t *ir.Type) (leafFn, uintptr) {
 		}, 4
 	}
 	return nil, 0
-}
-
-// A slabLayout packs a struct's scalar leaves into slab words at bind
-// time: an 8-byte leaf takes the next whole word, and a 4-byte leaf the
-// open half of a word when there is one, else the first half of the
-// next word.
-type slabLayout struct {
-	words int
-	half  uintptr // byte offset of the open half-word; 0 when none is open
-}
-
-func (l *slabLayout) place(width uintptr) uintptr {
-	if width == 4 && l.half != 0 {
-		off := l.half
-		l.half = 0
-		return off
-	}
-	off := uintptr(l.words) * 8
-	l.words++
-	if width == 4 {
-		l.half = off + 4
-	}
-	return off
 }
 
 // EncodeRequest marshals the in and inout arguments. args is indexed

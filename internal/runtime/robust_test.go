@@ -16,10 +16,15 @@ func richPres(t testing.TB) *pres.Presentation {
 	t.Helper()
 	f, err := corba.Parse("r.idl", `
 		struct item { long id; string name; sequence<long> scores; };
+		struct pt { long x; double y; };
+		typedef pt path[3];
+		typedef unsigned long bits[5];
+		struct shape { pt origin; path hops; bits flags; string label; boolean on; };
 		interface R {
 			item mix(in item a, in sequence<octet> b, in string c,
 			         in double d, in boolean e, in Object p);
 			sequence<octet> blob(in unsigned long n);
+			shape reshape(in shape s);
 		};`)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -11,43 +12,85 @@ import (
 	"flexrpc/internal/pres"
 )
 
-// TestSlabValuesSurviveGC decodes 1000 getattr replies through one
-// reused client decoder and keeps every result. It then overwrites the
-// reply buffer and collects garbage several times, and every field
-// must still read as the value encoded: by ==, as a map key, under
-// reflect.DeepEqual and through fmt. Under -race, checkptr also checks
-// every slab pointer the decode builds.
+// TestSlabValuesSurviveGC decodes 500 replies of every block shape
+// through one reused client decoder and keeps every result: a flat
+// attribute struct, nested structs, attr[3], Object[3] and a struct
+// with byte-buffer fields. It then overwrites the reply buffer and
+// collects garbage several times, and every leaf must still read as the
+// value encoded: by ==, as a map key, under reflect.DeepEqual and
+// through fmt. Under -race, checkptr also checks every block and slab
+// pointer the decode builds.
 func TestSlabValuesSurviveGC(t *testing.T) {
-	const n = 1000
-	plan, err := NewPlan(attrPres(t), XDRCodec, nil)
+	const n = 500
+	f, err := corba.Parse("blocks.idl", attrIDL+`
+		struct inner { unsigned long id; double w; string tag; };
+		typedef inner pair[2];
+		struct outer { inner a; pair b; long long stamp; boolean on; };
+		typedef octet md5[16];
+		struct buf { unsigned long id; sequence<octet> data; md5 sum; string name; };
+		typedef attr attrs[3];
+		typedef Object ports[3];
+		interface Blocks {
+			attr getattr();
+			outer nested();
+			attrs three();
+			ports names();
+			buf buffer();
+		};`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := plan.Ops[plan.OpIndex("getattr")]
+	plan, err := NewPlan(pres.Default(f.Interface("Blocks"), pres.StyleCORBA), XDRCodec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(20261015))
-	table := make([][]Value, n)
-	for i := range table {
-		table[i] = []Value{rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32(),
+	attr := func(i int) Value {
+		return []Value{rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32(),
 			rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64(),
 			rng.Uint32(), rng.Uint32(), rng.Int63(), -rng.Int63(), rng.Int63(),
 			i%2 == 0, rng.NormFloat64(), fmt.Sprintf("file-%d", i)}
 	}
+	inner := func(i int) Value { return []Value{rng.Uint32(), rng.NormFloat64(), fmt.Sprintf("tag-%d", i)} }
+	shapes := []struct {
+		op  string
+		gen func(i int) Value
+	}{
+		{"getattr", attr},
+		{"nested", func(i int) Value {
+			return []Value{inner(i), []Value{inner(i + 1), inner(i + 2)}, -rng.Int63(), i%3 == 0}
+		}},
+		{"three", func(i int) Value { return []Value{attr(i), attr(i + 1), attr(i + 2)} }},
+		{"names", func(int) Value {
+			return []Value{PortName(rng.Uint32()), PortName(rng.Uint32()), PortName(rng.Uint32())}
+		}},
+		{"buffer", func(i int) Value {
+			data, sum := make([]byte, 1+rng.Intn(40)), make([]byte, 16)
+			rng.Read(data)
+			rng.Read(sum)
+			return []Value{rng.Uint32(), data, sum, fmt.Sprintf("buf-%d", i)}
+		}},
+	}
 
 	enc, dec := XDRCodec.NewEncoder(), plan.NewDecoder(nil)
 	var buf []byte
-	got := make([][]Value, n)
-	for i, want := range table {
-		enc.Reset()
-		if err := op.EncodeReply(enc, nil, want); err != nil {
-			t.Fatal(err)
+	var want, got []Value
+	for _, sh := range shapes {
+		op := plan.Ops[plan.OpIndex(sh.op)]
+		for i := 0; i < n; i++ {
+			w := sh.gen(i)
+			enc.Reset()
+			if err := op.EncodeReply(enc, nil, w); err != nil {
+				t.Fatal(err)
+			}
+			buf = append(buf[:0], enc.Bytes()...)
+			dec.Reset(buf)
+			_, ret, err := op.DecodeReply(dec, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got = append(want, w), append(got, ret)
 		}
-		buf = append(buf[:0], enc.Bytes()...)
-		dec.Reset(buf)
-		_, ret, err := op.DecodeReply(dec, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[i] = ret.([]Value)
 	}
 	buf = buf[:cap(buf)]
 	for i := range buf {
@@ -63,26 +106,50 @@ func TestSlabValuesSurviveGC(t *testing.T) {
 	}
 
 	keys := make(map[Value]bool)
-	for i, want := range table {
-		for j, w := range want {
-			if got[i][j] != w {
-				t.Fatalf("reply %d field %d: %v (%T), want %v (%T)", i, j, got[i][j], got[i][j], w, w)
+	for i := range want {
+		eachLeaf(t, got[i], want[i], func(g, w Value) {
+			if b, ok := w.([]byte); ok {
+				if !bytes.Equal(g.([]byte), b) {
+					t.Fatalf("reply %d: bytes % x, want % x", i, g, b)
+				}
+				return
 			}
-			keys[got[i][j]] = true
+			if g != w {
+				t.Fatalf("reply %d: %v (%T), want %v (%T)", i, g, g, w, w)
+			}
+			keys[g] = true
+		})
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("reply %d: DeepEqual fails:\n%v\nwant\n%v", i, got[i], want[i])
 		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("reply %d: DeepEqual fails:\n%v\nwant\n%v", i, got[i], want)
-		}
-		if g, w := fmt.Sprint(got[i]), fmt.Sprint(want); g != w {
+		if g, w := fmt.Sprint(got[i]), fmt.Sprint(want[i]); g != w {
 			t.Fatalf("reply %d prints %s, want %s", i, g, w)
 		}
 	}
-	for i, want := range table {
-		for j, w := range want {
-			if !keys[w] {
-				t.Fatalf("reply %d field %d: %v is not a key of the decoded values", i, j, w)
+	for i := range want {
+		eachLeaf(t, want[i], want[i], func(w, _ Value) {
+			if _, ok := w.([]byte); !ok && !keys[w] {
+				t.Fatalf("reply %d: %v is not a key of the decoded values", i, w)
 			}
-		}
+		})
+	}
+}
+
+// eachLeaf walks a decoded value beside the value encoded and calls fn
+// on each pair of leaves, a byte buffer counting as one leaf.
+func eachLeaf(t *testing.T, got, want Value, fn func(g, w Value)) {
+	t.Helper()
+	ws, ok := want.([]Value)
+	if !ok {
+		fn(got, want)
+		return
+	}
+	gs, ok := got.([]Value)
+	if !ok || len(gs) != len(ws) {
+		t.Fatalf("decoded %v (%T), want %v", got, got, want)
+	}
+	for i := range ws {
+		eachLeaf(t, gs[i], ws[i], fn)
 	}
 }
 
