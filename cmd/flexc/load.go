@@ -318,7 +318,7 @@ func buildLoadServer(compiled *core.Compiled, workers, conns int) (*sunrpc.Serve
 			return nil
 		})
 	}
-	plan, err := frt.NewPlan(compiled.Pres, frt.XDRCodec, nil)
+	plan, err := disp.Plan(frt.XDRCodec)
 	if err != nil {
 		return nil, nil, err
 	}

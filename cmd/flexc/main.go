@@ -477,7 +477,7 @@ func runStats(args []string, stdout io.Writer) error {
 			return nil
 		})
 	}
-	plan, err := frt.NewPlan(compiled.Pres, frt.XDRCodec, nil)
+	plan, err := disp.Plan(frt.XDRCodec)
 	if err != nil {
 		return err
 	}

@@ -20,15 +20,11 @@ func startServer(t testing.TB, srv FileIOServer) func() *machipc.Conn {
 	c := compileIDL(t)
 	disp := flexrpc.NewDispatcher(c.Pres)
 	RegisterFileIO(disp, srv)
-	plan, err := runtime.NewPlan(c.Pres, runtime.XDRCodec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	k := mach.NewKernel()
 	srvTask := k.NewTask("server")
 	_, port := srvTask.AllocatePort()
 	machipc.Announce(port, c.Pres)
-	go func() { _ = machipc.Serve(srvTask, port, disp, plan) }()
+	go func() { _ = machipc.Serve(srvTask, port, disp, runtime.XDRCodec) }()
 	t.Cleanup(port.Destroy)
 
 	n := 0

@@ -10,8 +10,8 @@
 //	    ./examples/vetgo
 //
 // expects findings FV017 (borrow escape), FV018 (impure [idempotent]
-// handler), FV020 (dropped context) and FV023 (netpoll-mode record
-// borrow escape) — all in this file.
+// handler), FV020 (dropped context) and FV023 (pooled record borrow
+// escape) — all in this file.
 package main
 
 import (
@@ -76,11 +76,9 @@ func register(disp *flexrpc.Dispatcher, b backend) {
 // — the seeded FV023 retention target.
 var lastRecord []byte
 
-// rawServer is the seeded FV023: the handler would be safe on the
-// serial path, where each connection's record buffer stays private
-// until its next request, but SetNetpoll(true) routes every record
-// through the shared worker pool, which recycles the buffer the
-// moment the handler returns.
+// rawServer is the seeded FV023: the handler retains bytes that alias
+// the request record, and the server recycles that buffer the moment
+// the handler returns, whatever mode it serves in.
 func rawServer() *flexrpc.SunServer {
 	s := flexrpc.NewSunServer(0x20049630, 1)
 	s.SetNetpoll(true)
@@ -132,9 +130,9 @@ func main() {
 		fmt.Printf("vg_fetch -> %q (looks fine; ignores the caller's deadline)\n", ret)
 	}
 
-	// The raw Sun RPC server builds cleanly too: serial traffic would
-	// never expose the retained record bytes — only netpoll-mode
-	// concurrency does, which is exactly when no test is watching.
+	// The raw Sun RPC server builds cleanly too: a smoke test that
+	// checks each reply before the next record arrives never sees the
+	// retained bytes rewritten.
 	_ = rawServer()
 	fmt.Println("run flexc vet -go to see what the smoke test missed")
 }

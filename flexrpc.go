@@ -135,7 +135,7 @@ type (
 // Re-exported Sun RPC server-runtime types (the record-marked TCP
 // transport; see DESIGN.md §8). The raw ProcHandler surface decodes
 // straight out of the record buffer, so handlers obey the borrow
-// contract flexvet's FV023 check enforces in netpoll mode.
+// contract flexvet's FV023 check enforces.
 type (
 	// SunServer is the record-marked Sun RPC (RFC 5531) server.
 	SunServer = sunrpc.Server
@@ -228,10 +228,11 @@ func NewReplyCacheSharded(capacity, shards int) *ReplyCache {
 }
 
 // NewSessionServer builds the server half of the session layer over
-// disp, compiling disp's marshal plan for codec. cache may be nil,
-// which disables duplicate suppression.
-func NewSessionServer(disp *Dispatcher, codec Codec, hooks SpecialHooks, cache *ReplyCache) (*SessionServer, error) {
-	plan, err := runtime.NewPlan(disp.Pres, codec, hooks)
+// disp, under disp's server plan for codec (compiled with the hooks
+// given to Dispatcher.SetHooks). cache may be nil, which disables
+// duplicate suppression.
+func NewSessionServer(disp *Dispatcher, codec Codec, cache *ReplyCache) (*SessionServer, error) {
+	plan, err := disp.Plan(codec)
 	if err != nil {
 		return nil, err
 	}

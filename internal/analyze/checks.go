@@ -163,18 +163,16 @@ var registry = map[string]CheckInfo{
 			"grant was written to buy.",
 	},
 	"FV023": {
-		ID: "FV023", Title: "netpoll-borrow-escape", Severity: SevError,
+		ID: "FV023", Title: "record-borrow-escape", Severity: SevError,
 		Fix: "copy before retaining: d.OpaqueInto(dst) or append([]byte(nil), b...)",
-		Doc: "A raw Sun RPC handler (Server.Register) in a package that " +
-			"switches the server to netpoll mode (SetNetpoll(true)) retains a " +
-			"[]byte from xdr.Decoder.Opaque or FixedOpaque past handler " +
-			"return. Those accessors alias the request record buffer; the " +
-			"serial path keeps that buffer connection-private until the next " +
-			"record, which masks the bug, but the netpoll runtime dispatches " +
-			"through the shared worker pool, which returns the buffer to the " +
-			"pool the moment the handler returns — the retained slice is " +
-			"rewritten under concurrent handlers for other connections. The " +
-			"FV017 borrow contract applied to the raw decoder surface.",
+		Doc: "A raw Sun RPC handler (Server.Register) retains a []byte " +
+			"from xdr.Decoder.Opaque or FixedOpaque past handler return. " +
+			"Those accessors alias the request record buffer, which the " +
+			"server returns to its record pool the moment the handler " +
+			"returns — in serial, pool and netpoll mode alike — so the " +
+			"retained slice is rewritten by the next record that reuses the " +
+			"buffer, on this connection or another. The FV017 borrow " +
+			"contract applied to the raw decoder surface.",
 	},
 	"FV014": {
 		ID: "FV014", Title: "idempotent-moves-ownership", Severity: SevWarning,

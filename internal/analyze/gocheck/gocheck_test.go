@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixtures are the seeded-violation packages under testdata/src. The
 // clean package must produce no findings; the rest pin one check each.
-var fixtures = []string{"clean", "fv017", "fv018", "fv020", "fv023"}
+var fixtures = []string{"clean", "fv017", "fv018", "fv020", "fv023", "fv023pool"}
 
 func repoRoot(t *testing.T) string {
 	t.Helper()

@@ -1,17 +1,14 @@
-// FV023: netpoll borrow-escape. The raw Sun RPC handler surface
+// FV023: record borrow-escape. The raw Sun RPC handler surface
 // (Server.Register's ProcHandler) decodes straight out of the record
 // buffer: xdr.Decoder.Opaque and FixedOpaque return slices that alias
-// it. On the serial path that buffer is connection-private and stays
-// valid until the connection's next record, which masks retention
-// bugs in sequential tests. SetNetpoll(true) removes the mask: the
-// netpoll runtime dispatches every record through the shared worker
-// pool, which returns the record buffer to the pool the moment the
-// handler returns — a retained alias is then rewritten under
-// concurrent handlers for other connections. This analyzer runs the
-// FV017 borrow-escape engine over every Register handler in any
-// package that switches a server to netpoll mode, with the decoder's
-// borrowing accessors as the alias sources. The safe alternatives are
-// OpaqueInto and String, which copy into owned storage.
+// it. Every executor — serial, pool and netpoll alike — returns that
+// buffer to the server's record pool the moment the handler returns,
+// so a retained alias is rewritten by whichever record, on whichever
+// connection, reuses the buffer next. This analyzer runs the FV017
+// borrow-escape engine over every Register handler, with the
+// decoder's borrowing accessors as the alias sources. The safe
+// alternatives are OpaqueInto and String, which copy into owned
+// storage.
 package gocheck
 
 import (
@@ -22,8 +19,8 @@ import (
 // NetpollBorrow is the FV023 analyzer.
 var NetpollBorrow = &Analyzer{
 	ID:   "FV023",
-	Name: "netpoll-borrow-escape",
-	Doc:  "raw handler retains a record-aliasing []byte under the netpoll runtime",
+	Name: "record-borrow-escape",
+	Doc:  "raw handler retains a []byte aliasing the pooled request record",
 	Run:  runNetpollBorrow,
 }
 
@@ -35,45 +32,9 @@ var decoderBorrowSources = map[string]string{
 }
 
 func runNetpollBorrow(p *Pass) {
-	if !packageEnablesNetpoll(p.Pkg) {
-		return
-	}
 	for _, h := range rawHandlers(p.Pkg) {
 		checkNetpollBorrow(p, h)
 	}
-}
-
-// packageEnablesNetpoll reports whether any code in the package calls
-// SetNetpoll(true) on a flexrpc Server. The check is package-scoped
-// rather than flow-sensitive: once a package opts a server into the
-// netpoll runtime, every raw handler it registers must assume the
-// shared-pool buffer lifetime (handlers and the mode switch rarely
-// share a function, and a handler that is only safe in serial mode is
-// a latent bug anyway). An explicit SetNetpoll(false) call does not
-// count.
-func packageEnablesNetpoll(pkg *Package) bool {
-	enabled := false
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 || enabled {
-				return !enabled
-			}
-			recv, method, ok := callMethod(pkg.Info, call)
-			if !ok || recv != "Server" || method != "SetNetpoll" {
-				return true
-			}
-			if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok && id.Name == "false" {
-				return true
-			}
-			enabled = true
-			return false
-		})
-		if enabled {
-			return true
-		}
-	}
-	return false
 }
 
 // A rawHandlerSite is one ProcHandler bound by Server.Register(proc,
@@ -171,14 +132,14 @@ func checkNetpollBorrow(p *Pass, h rawHandlerSite) {
 		scope:    h.node(),
 		body:     h.body,
 		borrowed: make(map[*types.Var]string),
-		storeFmt: "netpoll-mode handler stores a []byte aliasing %s into %s; " +
-			"the worker pool recycles the record buffer when the handler returns",
-		sendFmt: "netpoll-mode handler sends a []byte aliasing %s on a channel; " +
-			"the receiver outlives the call and the worker pool recycles the record buffer under it",
-		goFmt: "netpoll-mode handler hands a []byte aliasing %s to a goroutine; " +
-			"the worker pool recycles the record buffer under it when the handler returns",
+		storeFmt: "raw handler stores a []byte aliasing %s into %s; " +
+			"the server recycles the record buffer when the handler returns",
+		sendFmt: "raw handler sends a []byte aliasing %s on a channel; " +
+			"the receiver outlives the call and the server recycles the record buffer under it",
+		goFmt: "raw handler hands a []byte aliasing %s to a goroutine; " +
+			"the server recycles the record buffer under it when the handler returns",
 		captureFmt: "closure captures %s, a []byte aliasing %s; " +
-			"if the closure outlives the handler the worker pool recycles the record buffer under it",
+			"if the closure outlives the handler the server recycles the record buffer under it",
 	}
 	ba.source = func(e ast.Expr) (string, bool) {
 		call, ok := ast.Unparen(e).(*ast.CallExpr)

@@ -141,7 +141,7 @@ func newWorld(t testing.TB) *world {
 
 func (w *world) plan(t testing.TB) *runtime.Plan {
 	t.Helper()
-	plan, err := runtime.NewPlan(w.p, runtime.XDRCodec, confHooks{})
+	plan, err := w.disp.Plan(runtime.XDRCodec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +365,7 @@ func cells() []cell {
 			name: "machipc/plain", failClass: "remote", failCarriesMsg: true,
 			build: func(t *testing.T, w *world) (invoker, error) {
 				srv, cli, port := machPair(t, w)
-				plan := w.plan(t)
-				go func() { _ = machipc.Serve(srv, port, w.disp, plan) }()
+				go func() { _ = machipc.Serve(srv, port, w.disp, runtime.XDRCodec) }()
 				conn, err := machipc.Dial(cli, cli.InsertRight(port), w.client)
 				if err != nil {
 					return nil, err
@@ -382,8 +381,7 @@ func cells() []cell {
 					fbufrpc.Endpoint{Task: cli, Domain: fbuf.NewDomain("client")},
 					fbufrpc.Endpoint{Task: srv, Domain: fbuf.NewDomain("server")},
 					64<<10, 8)
-				plan := w.plan(t)
-				go func() { _ = fbufrpc.Serve(ch, port, w.disp, plan) }()
+				go func() { _ = fbufrpc.Serve(ch, port, w.disp, runtime.XDRCodec) }()
 				conn, err := fbufrpc.Dial(ch, cli.InsertRight(port), w.client)
 				if err != nil {
 					return nil, err
@@ -394,7 +392,10 @@ func cells() []cell {
 		{
 			name: "suntcp/plain", failClass: "remote", failCarriesMsg: false,
 			build: func(t *testing.T, w *world) (invoker, error) {
-				srv := suntcp.NewServer(w.disp, w.plan(t))
+				srv, err := suntcp.NewServer(w.disp)
+				if err != nil {
+					return nil, err
+				}
 				cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 64)
 				go func() { _ = srv.ServeConn(sc) }()
 				t.Cleanup(func() { cc.Close(); sc.Close() })

@@ -136,7 +136,7 @@ func newFbufStandardPipe(pipeSize int) (*pipe, error) {
 		// Two workers per channel: a blocked write handler must not
 		// stall the channel.
 		for i := 0; i < 2; i++ {
-			go func() { _ = fbufrpc.Serve(ch, port, srv.Disp, srv.Plan) }()
+			go func() { _ = fbufrpc.Serve(ch, port, srv.Disp, runtime.XDRCodec) }()
 		}
 		conn, err := fbufrpc.Dial(ch, task.InsertRight(port), compiled.DefaultPres(pres.StyleCORBA))
 		if err != nil {

@@ -55,7 +55,7 @@ func newSessionBed(spec bedSpec) (*sessionBed, error) {
 	b := &sessionBed{pres: compiled.Pres, stats: stats.New(nil)}
 	b.disp = frt.NewDispatcher(b.pres)
 	b.disp.Handle("nop", spec.handler)
-	plan, err := frt.NewPlan(b.pres, frt.XDRCodec, nil)
+	plan, err := b.disp.Plan(frt.XDRCodec)
 	if err != nil {
 		return nil, err
 	}

@@ -205,7 +205,9 @@ func (o *Operation) Signature() string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s:%s", p.Dir, p.Type.Signature())
+		b.WriteString(p.Dir.String())
+		b.WriteByte(':')
+		b.WriteString(p.Type.Signature())
 	}
 	b.WriteString(")->")
 	b.WriteString(o.Result.Signature())

@@ -12,6 +12,7 @@ import (
 	"flexrpc/internal/netsim"
 	"flexrpc/internal/pres"
 	"flexrpc/internal/runtime"
+	"flexrpc/internal/transport/inproc"
 	"flexrpc/internal/transport/suntcp"
 )
 
@@ -396,7 +397,10 @@ func TestPipeServerOverSunRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rpcServer := suntcp.NewServer(srv.Disp, srv.Plan)
+	rpcServer, err := suntcp.NewServer(srv.Disp)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	dial := func() *Client {
 		cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 64)
@@ -501,5 +505,51 @@ func TestFbufSpecialServerIsZeroCopy(t *testing.T) {
 	}
 	if got := fp.Server.copies.Load(); got != 1 {
 		t.Fatalf("partial read caused %d copies, want 1", got)
+	}
+}
+
+// The Figure 5 server bound in the same domain: its read returns a view
+// of the circular buffer and consumes it in an AfterReply action, which
+// the same-domain program must run — or every read returns the same
+// bytes. The action frees the storage the view aliases, so the client
+// gets a copy: the first read still says "abc" once the buffer has
+// wrapped over it.
+func TestInprocPipeRunsAfterReply(t *testing.T) {
+	compiled, err := Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := compiled.WithPDL("server.pdl", Figure5PDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(6, sc.Pres)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := inproc.Connect(compiled.DefaultPres(pres.StyleCORBA), srv.Disp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClientOver(conn)
+	var reads [][]byte
+	for _, chunk := range []string{"abc", "def"} {
+		if err := c.Write([]byte(chunk)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Read(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != chunk {
+			t.Fatalf("read %q after writing %q", got, chunk)
+		}
+		reads = append(reads, got)
+	}
+	if err := c.Write([]byte("xyz")); err != nil { // wraps over "abc"
+		t.Fatal(err)
+	}
+	if string(reads[0]) != "abc" || string(reads[1]) != "def" {
+		t.Fatalf("earlier reads now say %q and %q: they alias the pipe's buffer", reads[0], reads[1])
 	}
 }

@@ -44,7 +44,6 @@ func Compile() (*core.Compiled, error) {
 type Server struct {
 	Pipe *Pipe
 	Disp *runtime.Dispatcher
-	Plan *runtime.Plan
 }
 
 // NewServer builds a pipe server with an n-byte buffer under the
@@ -54,12 +53,6 @@ type Server struct {
 func NewServer(n int, serverPres *pres.Presentation) (*Server, error) {
 	s := &Server{Pipe: NewPipe(n)}
 	s.Disp = runtime.NewDispatcher(serverPres)
-	plan, err := runtime.NewPlan(serverPres, runtime.XDRCodec, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.Plan = plan
-
 	s.Disp.Handle("write", func(c *runtime.Call) error {
 		_, err := s.Pipe.Write(c.ArgBytes(0))
 		return err
@@ -125,7 +118,7 @@ func NewServer(n int, serverPres *pres.Presentation) (*Server, error) {
 func (s *Server) ServeMach(task *mach.Task, port *mach.Port, workers int) {
 	machipc.Announce(port, s.Disp.Pres)
 	for i := 0; i < workers; i++ {
-		go func() { _ = machipc.Serve(task, port, s.Disp, s.Plan) }()
+		go func() { _ = machipc.Serve(task, port, s.Disp, runtime.XDRCodec) }()
 	}
 }
 

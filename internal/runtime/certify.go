@@ -38,9 +38,11 @@ type StepCert struct {
 	// "none" for encode phases, which append into the recycled
 	// frame.
 	Landing Landing `json:"landing"`
-	// Allocs reports whether executing the step heap-allocates
-	// fresh storage per call. [special] steps are opaque user code
-	// and are conservatively marked allocating.
+	// Allocs reports whether the step counts toward its side's
+	// allocation bound: a decode step that boxes or stores its value in
+	// fresh heap memory per call (see decodeCost), or an opaque
+	// [special] hook — so VerifyAllocBound can name the steps behind a
+	// nonzero bound (the client's positional outs slice aside).
 	Allocs bool `json:"allocs"`
 	// MaxDecode is the bound applied to the step's variable-length
 	// items, 0 when the step has none (scalars, fixed-size).
@@ -118,12 +120,10 @@ func (op *OpPlan) certify() OpCert {
 		case PhaseReqEncode, PhaseRepEncode:
 			// Encode steps append into the recycled frame; only
 			// opaque [special] hooks may allocate.
-			sc.Allocs = st.landing == LandSpecial
-			if sc.Allocs {
+			if st.landing == LandSpecial {
 				cost = 1
 			}
 		default:
-			sc.Allocs = decodeAllocates(t, st.landing)
 			if variableLength(t) && st.landing != LandSpecial {
 				sc.MaxDecode = op.plan.maxDecode
 			}
@@ -131,10 +131,10 @@ func (op *OpPlan) certify() OpCert {
 				cost = decodeCost(t, st.landing)
 			}
 		}
-		switch phase {
-		case PhaseReqEncode, PhaseRepDecode:
+		sc.Allocs = cost > 0
+		if sideOf(phase) == "client" {
 			oc.ClientAllocBound += cost
-		case PhaseReqDecode, PhaseRepEncode:
+		} else {
 			oc.ServerAllocBound += cost
 		}
 		oc.Steps = append(oc.Steps, sc)
@@ -159,6 +159,15 @@ func (op *OpPlan) certify() OpCert {
 	oc.ClientAllocFree = oc.ClientAllocBound == 0
 	oc.ServerAllocFree = oc.ServerAllocBound == 0
 	return oc
+}
+
+// sideOf names the side a phase runs on: the client encodes requests
+// and decodes replies, the server the other two.
+func sideOf(phase string) string {
+	if phase == PhaseReqEncode || phase == PhaseRepDecode {
+		return "client"
+	}
+	return "server"
 }
 
 // decodeCost bounds the heap allocations of decoding one value of
@@ -229,33 +238,6 @@ func elemCost(elem *ir.Type, l Landing) int {
 		return 1
 	}
 	return decodeCost(elem, l)
-}
-
-// decodeAllocates reports whether a decode step with the given
-// landing heap-allocates per call. Scalars decode into interface
-// words whose common values the Go runtime interns; buffer kinds
-// allocate only when they land in fresh storage.
-func decodeAllocates(t *ir.Type, landing Landing) bool {
-	if t == nil || t.Kind == ir.Void {
-		return false
-	}
-	switch landing {
-	case LandSpecial:
-		return true // opaque hook: conservatively allocating
-	case LandBorrow, LandCaller, LandScalar, LandNone:
-		switch t.Kind {
-		case ir.String, ir.Seq, ir.Array, ir.Struct:
-			// Composite landings build []Value / string storage even
-			// when their leaves borrow.
-			return true
-		}
-		return false
-	}
-	switch t.Kind {
-	case ir.Bytes, ir.FixedBytes, ir.String, ir.Seq, ir.Array, ir.Struct:
-		return true
-	}
-	return false
 }
 
 // variableLength reports whether decoding t reads a length prefix
@@ -344,7 +326,7 @@ func (c *PlanCert) VerifyAllocBound(side, name string, max int) error {
 		return nil
 	}
 	for _, sc := range oc.Steps {
-		if sc.Allocs {
+		if sc.Allocs && sideOf(sc.Phase) == side {
 			return fmt.Errorf("certify: %s.%s certifies %d %s-side allocations per call, want <= %d: %s step on %q (%s, lands %s) allocates",
 				c.Interface, name, bound, side, max, sc.Phase, sc.Param, sc.Type, sc.Landing)
 		}

@@ -284,8 +284,10 @@ func gateAllocsExact(t *testing.T, what string, bound int, fn func()) {
 }
 
 // TestCertificateCallerBufferLanding pins the [alloc(caller)] reply
-// landing: the compiled step certifies LandCaller and a 0-alloc
-// client decode, the paper's figure-9 caller-buffer optimization.
+// landing: the compiled step certifies LandCaller, the paper's figure-9
+// caller-buffer optimization. The bytes land in the caller's buffer, so
+// the step's one allocation is the boxed slice header — counted in the
+// client bound, and so marked on the step.
 func TestCertificateCallerBufferLanding(t *testing.T) {
 	f, err := corba.Parse("fetch.idl", `
 		interface Fetch {
@@ -315,13 +317,57 @@ func TestCertificateCallerBufferLanding(t *testing.T) {
 			if sc.Landing != LandCaller {
 				t.Fatalf("read.return lands %q, want %q", sc.Landing, LandCaller)
 			}
-			if sc.Allocs {
-				t.Fatal("caller-buffer landing marked allocating")
+			if !sc.Allocs || oc.ClientAllocBound != 1 {
+				t.Fatalf("caller-buffer landing: allocs %v, client bound %d; want the boxed header's 1", sc.Allocs, oc.ClientAllocBound)
 			}
 		}
 	}
 	if !landed {
 		t.Fatal("no rep-decode step for read.return in certificate")
+	}
+}
+
+// TestCertificateAllocsMatchBounds: a step's Allocs and its side's
+// bound are one model (decodeCost), so every decode step is marked
+// allocating exactly when it costs an allocation, and a nonzero bound
+// always has a marked step for VerifyAllocBound to name.
+func TestCertificateAllocsMatchBounds(t *testing.T) {
+	plan, err := NewPlan(richPres(t), XDRCodec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert := plan.Certificate()
+	for i, op := range plan.Ops {
+		oc := &cert.Ops[i]
+		k := 0 // oc.Steps lists the four phases in this order
+		for _, steps := range [][]step{op.reqEnc, op.reqDec, op.repEnc, op.repDec} {
+			for _, st := range steps {
+				sc := oc.Steps[k]
+				k++
+				if sc.Phase != PhaseReqDecode && sc.Phase != PhaseRepDecode {
+					continue
+				}
+				typ := op.Op.Result
+				if st.arg >= 0 {
+					typ = op.Op.Params[st.arg].Type
+				}
+				cost := 0
+				if st.borrow == nil {
+					cost = decodeCost(typ, st.landing)
+				}
+				if sc.Allocs != (cost > 0) {
+					t.Errorf("%s.%s %s: allocs %v, but the step costs %d", oc.Op, sc.Param, sc.Phase, sc.Allocs, cost)
+				}
+			}
+		}
+		for side, bound := range map[string]int{"client": oc.ClientAllocBound, "server": oc.ServerAllocBound} {
+			if bound == 0 {
+				continue
+			}
+			if err := cert.VerifyAllocBound(side, oc.Op, bound-1); err == nil || !strings.Contains(err.Error(), "step on") {
+				t.Errorf("%s.%s certifies %d %s-side allocations, but VerifyAllocBound names no step: %v", cert.Interface, oc.Op, bound, side, err)
+			}
+		}
 	}
 }
 

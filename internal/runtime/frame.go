@@ -11,7 +11,7 @@ import (
 // operation met. Whoever serialises calls owns a frame and reuses it —
 // shmring.Bound under its mutex, its doorbell goroutine — the way
 // Client's serial mode owns its encoder and decoder. Every other path
-// (Dispatcher.ServeMessage*, SessionServer, AcquireCall,
+// (Dispatcher.ServeMessage*, SessionServer, the same-domain program,
 // Plan.AcquireDecoder) borrows one from the package's one pool for the
 // length of a call.
 //
@@ -32,11 +32,7 @@ type Frame struct {
 }
 
 // NewFrame returns a frame for an owner that serialises its calls.
-func NewFrame() *Frame {
-	f := &Frame{}
-	f.call.frame = f
-	return f
-}
+func NewFrame() *Frame { return &Frame{} }
 
 // frames is the one pool of marshal working state on the serving side.
 var frames = sync.Pool{New: func() any { return NewFrame() }}
@@ -44,7 +40,7 @@ var frames = sync.Pool{New: func() any { return NewFrame() }}
 func acquireFrame() *Frame { return frames.Get().(*Frame) }
 
 // releaseFrame returns f to the pool, cleared: serve has already ended
-// its call, a Call handed out by AcquireCall is ended here.
+// its call, the same-domain program's is ended here.
 func releaseFrame(f *Frame) {
 	if f.busy {
 		f.end()

@@ -368,3 +368,20 @@ func TestHandleUnknownOperationPanics(t *testing.T) {
 	}()
 	d.Handle("swop", func(c *Call) error { return nil })
 }
+
+// TestSetHooksAfterPlanPanics: the hooks are compiled into the
+// dispatcher's server plan, so installing them after that compile could
+// change nothing that serves — setting them then is a programming error.
+func TestSetHooksAfterPlanPanics(t *testing.T) {
+	d := NewDispatcher(reusePres(t))
+	d.SetHooks(nil) // before any compile: fine
+	if _, err := d.Plan(XDRCodec); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "SetHooks") || !strings.Contains(msg, "Reuse") {
+			t.Fatalf("SetHooks after Plan: recovered %q, want a panic naming SetHooks and the interface", msg)
+		}
+	}()
+	d.SetHooks(nil)
+}

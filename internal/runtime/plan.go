@@ -205,15 +205,6 @@ func (p *Plan) NewDecoder(body []byte) Decoder {
 	return d
 }
 
-// RequestSteps reports how many compiled marshal steps a request of
-// this operation carries; 0 means no in or inout parameters, so a
-// bound transport can skip the encoder entirely.
-func (op *OpPlan) RequestSteps() int { return len(op.reqEnc) }
-
-// ReplySteps reports how many compiled marshal steps the reply
-// carries; 0 means no out/inout parameters and no result.
-func (op *OpPlan) ReplySteps() int { return len(op.repEnc) }
-
 // attrs returns the presentation attributes for a parameter name,
 // or a zero value when unannotated.
 func (op *OpPlan) attrs(name string) *pres.ParamAttrs {

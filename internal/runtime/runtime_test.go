@@ -374,14 +374,14 @@ func TestMessageArgsAlwaysPrivate(t *testing.T) {
 func TestResultMoved(t *testing.T) {
 	p := testPres(t)
 	d := NewDispatcher(p)
-	call := d.AcquireCall(d.mustIndex("read"))
+	call := acquireFrame().begin(nil, d, d.mustIndex("read"))
 	if !call.ResultMoved() {
 		t.Fatal("default CORBA result should be move semantics")
 	}
 	p2 := testPres(t)
 	p2.Op("read").Result().Dealloc = pres.DeallocNever
 	d2 := NewDispatcher(p2)
-	call2 := d2.AcquireCall(d2.mustIndex("read"))
+	call2 := acquireFrame().begin(nil, d2, d2.mustIndex("read"))
 	if call2.ResultMoved() {
 		t.Fatal("dealloc(never) result must not be moved")
 	}

@@ -1,0 +1,223 @@
+package runtime
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"flexrpc/internal/ir"
+	"flexrpc/internal/pres"
+	"flexrpc/internal/stats"
+)
+
+// A SameDomain is the bound same-domain program (paper §4.4): a client
+// presentation calling a dispatcher in its own protection domain, with
+// no marshalling between them. NewSameDomain turns each operation of a
+// pres.Combine combination into a short parameter program, once: which
+// in arguments the server gets a private copy of, which caller buffers
+// it fills in place, and which out values reach the client by reference.
+// A call then looks up its operation by name, checks its arity, and
+// runs that program — no other decision is taken per call.
+//
+// inproc.Conn is a SameDomain. A shmring.Bound runs one for its op
+// table, its stats, and the inline calls that have nothing to marshal.
+type SameDomain struct {
+	disp   *Dispatcher
+	ops    []sameOp // by the client's op index
+	byName map[string]*sameOp
+	// marshal carries every call that is not direct; see NewSameDomain.
+	marshal func(ctx context.Context, op *pres.CombinedOp, args []Value, outBufs [][]byte, retBuf []byte) ([]Value, Value, error)
+
+	// stats, when set, receives the client-side view of every call:
+	// per-op calls, outcomes and latency. The server-side view lives on
+	// the dispatcher's own endpoint. Disabled (nil) costs one pointer
+	// check per call.
+	stats *stats.Endpoint
+}
+
+// A sameOp is one operation's bound program.
+type sameOp struct {
+	*pres.CombinedOp
+	direct bool
+	ins    []sameParam // in and inout parameters
+	outs   []sameParam // out and inout parameters, then the result
+}
+
+// A sameParam is one step of an operation's program: an argument
+// handed to the work function, or an out value delivered to the client
+// (arg -1: the result).
+type sameParam struct {
+	arg     int
+	typ     *ir.Type
+	copy    bool // in: neither side allows a borrow (InCopy); out: both sides insist on their own buffer (OutCopy)
+	private bool // in: what ArgPrivate reports
+	caller  bool // out: the server fills the caller's buffer (OutCallerBuffer)
+}
+
+// NewSameDomain binds comb's client to disp. A nil marshal runs every
+// call direct. Otherwise marshal carries the calls, and only when the
+// server runs on the caller's goroutine (inline) does a call with
+// nothing to marshal — no parameters, no result — run direct instead.
+func NewSameDomain(comb *pres.Combination, disp *Dispatcher, marshal func(ctx context.Context, op *pres.CombinedOp, args []Value, outBufs [][]byte, retBuf []byte) ([]Value, Value, error), inline bool) *SameDomain {
+	s := &SameDomain{disp: disp, ops: make([]sameOp, len(comb.Ops)), byName: make(map[string]*sameOp, len(comb.Ops)), marshal: marshal}
+	n := 0
+	for i := range comb.Ops {
+		n += 2*len(comb.Ops[i].Params) + 1
+	}
+	steps := make([]sameParam, 0, n) // every op's ins, then its outs
+	for i := range comb.Ops {
+		cop := &comb.Ops[i]
+		o := &s.ops[i]
+		o.CombinedOp = cop
+		o.direct = marshal == nil || inline && len(cop.Params) == 0 && !cop.Result.IsOut
+		base := len(steps)
+		for k := range cop.Params {
+			if p := &cop.Params[k]; p.IsIn {
+				copied := p.In == pres.InCopy
+				steps = append(steps, sameParam{arg: k, typ: p.Type, copy: copied, private: copied || p.Private})
+			}
+		}
+		mid := len(steps)
+		for k := range cop.Params {
+			if p := &cop.Params[k]; p.IsOut {
+				steps = append(steps, outStep(k, p))
+			}
+		}
+		if cop.Result.IsOut {
+			steps = append(steps, outStep(-1, &cop.Result))
+		}
+		o.ins, o.outs = steps[base:mid:mid], steps[mid:len(steps):len(steps)]
+		s.byName[cop.Op.Name] = o
+	}
+	return s
+}
+
+func outStep(arg int, p *pres.CombinedParam) sameParam {
+	return sameParam{arg: arg, typ: p.Type, copy: p.Out == pres.OutCopy, caller: p.Out == pres.OutCallerBuffer}
+}
+
+// EnableStats switches on client-side observability for this binding,
+// creating the endpoint on first use. Call before issuing calls.
+func (s *SameDomain) EnableStats() *stats.Endpoint {
+	if s.stats == nil {
+		names := make([]string, len(s.ops))
+		for i := range s.ops {
+			names[i] = s.ops[i].Op.Name
+		}
+		s.stats = stats.New(names)
+	}
+	return s.stats
+}
+
+// Invoke implements Invoker under the bind-time negotiated semantics.
+// outs is nil when the operation has no out or inout parameters.
+func (s *SameDomain) Invoke(op string, args []Value, outBufs [][]byte, retBuf []byte) ([]Value, Value, error) {
+	return s.invoke(nil, op, args, outBufs, retBuf)
+}
+
+// InvokeContext implements ContextInvoker: in the same domain there is
+// no transport to time out, so the context's role is a pre-flight
+// expiry check plus delivery to the work function via Call.Context — a
+// cooperative handler observes cancellation itself.
+func (s *SameDomain) InvokeContext(ctx context.Context, op string, args []Value, outBufs [][]byte, retBuf []byte) ([]Value, Value, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+	}
+	return s.invoke(ctx, op, args, outBufs, retBuf)
+}
+
+func (s *SameDomain) invoke(ctx context.Context, op string, args []Value, outBufs [][]byte, retBuf []byte) ([]Value, Value, error) {
+	o, ok := s.byName[op]
+	if !ok {
+		return nil, nil, fmt.Errorf("runtime: unknown operation %q", op)
+	}
+	if len(args) != len(o.Params) {
+		return nil, nil, fmt.Errorf("runtime: %s takes %d params, have %d", op, len(o.Params), len(args))
+	}
+	if s.stats == nil {
+		return s.run(ctx, o, args, outBufs, retBuf)
+	}
+	t0 := time.Now()
+	tid := s.stats.NextTraceID()
+	s.stats.Trace(tid, o.Index, stats.StageDispatch)
+	outs, ret, err := s.run(ctx, o, args, outBufs, retBuf)
+	s.stats.Trace(tid, o.Index, stats.StageReply)
+	s.stats.RecordCall(o.Index, time.Since(t0), 0, 0, serverOutcome(err))
+	return outs, ret, err
+}
+
+// run executes one call: through the transport's marshal path, or as
+// the direct program.
+func (s *SameDomain) run(ctx context.Context, o *sameOp, args []Value, outBufs [][]byte, retBuf []byte) ([]Value, Value, error) {
+	if !o.direct {
+		return s.marshal(ctx, o.CombinedOp, args, outBufs, retBuf)
+	}
+	f := acquireFrame()
+	c := f.begin(ctx, s.disp, o.Server)
+	for i := range o.ins {
+		p := &o.ins[i]
+		v := args[p.arg]
+		if p.copy {
+			v = CopyValue(p.typ, v)
+		}
+		c.in[p.arg], c.inPrivate[p.arg] = v, p.private
+	}
+	for i := range o.outs {
+		if p := &o.outs[i]; p.caller {
+			if p.arg < 0 {
+				c.retBuf = retBuf
+			} else if outBufs != nil {
+				c.outBufs[p.arg] = outBufs[p.arg]
+			}
+		}
+	}
+	if err := s.disp.invoke(c, 0); err != nil {
+		releaseFrame(f)
+		return nil, nil, err
+	}
+	var outs []Value
+	var ret Value
+	if o.Outs > 0 {
+		outs = make([]Value, len(o.Params))
+	}
+	// Deferred actions release server storage the by-reference values
+	// alias, so a call that scheduled any delivers copies.
+	deferred := len(c.afterReply) > 0
+	for i := range o.outs {
+		p := &o.outs[i]
+		if p.arg < 0 {
+			ret = p.deliver(c.Result(), retBuf, deferred)
+			continue
+		}
+		var buf []byte
+		if outBufs != nil {
+			buf = outBufs[p.arg]
+		}
+		outs[p.arg] = p.deliver(c.Out(p.arg), buf, deferred)
+	}
+	if deferred {
+		c.runAfterReply()
+	}
+	releaseFrame(f)
+	return outs, ret, nil
+}
+
+// deliver hands one out value to the client. Only where both sides
+// insisted on their own buffer does the stub copy — into the client's
+// buffer when it fits — and every other semantics delivers by
+// reference, unless deferred actions are about to release what the
+// reference aliases.
+func (p *sameParam) deliver(v Value, buf []byte, deferred bool) Value {
+	if !p.copy {
+		if deferred {
+			return CopyValue(p.typ, v)
+		}
+		return v
+	}
+	if b, ok := v.([]byte); ok && buf != nil && len(buf) >= len(b) {
+		return buf[:copy(buf, b)]
+	}
+	return CopyValue(p.typ, v)
+}

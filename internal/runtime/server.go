@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"flexrpc/internal/ir"
@@ -34,23 +35,19 @@ type Call struct {
 	opPres     *pres.OpPres
 	afterReply []func()
 	ctx        context.Context
-	frame      *Frame // the frame c is part of
 }
 
-// Context returns the context the call was dispatched under:
-// transports that plumb per-call deadlines (InvokeContext,
-// Frame.ServeMessageRawContext) install it so work functions can observe
-// cancellation; everywhere else it is context.Background().
+// Context returns the context the call was dispatched under: paths
+// that plumb per-call deadlines (the same-domain program's
+// InvokeContext, Frame.ServeMessageRawContext) install it so work
+// functions can observe cancellation; everywhere else it is
+// context.Background().
 func (c *Call) Context() context.Context {
 	if c.ctx != nil {
 		return c.ctx
 	}
 	return context.Background()
 }
-
-// SetContext installs the dispatch context; transports call this
-// before Invoke.
-func (c *Call) SetContext(ctx context.Context) { c.ctx = ctx }
 
 // AfterReply schedules fn to run once the reply has been marshaled —
 // the stub's deallocation point. A [dealloc(never)] server uses this
@@ -61,9 +58,10 @@ func (c *Call) AfterReply(fn func()) {
 	c.afterReply = append(c.afterReply, fn)
 }
 
-// RunAfterReply runs the deferred actions; transports call it after
-// the reply has been marshaled out of server-owned storage.
-func (c *Call) RunAfterReply() {
+// runAfterReply runs the deferred actions once the reply no longer
+// needs server-owned storage: marshaled out of it, or copied out of it
+// by the same-domain program.
+func (c *Call) runAfterReply() {
 	for i, fn := range c.afterReply {
 		fn()
 		c.afterReply[i] = nil
@@ -113,20 +111,6 @@ func (c *Call) SetOut(i int, v Value) { c.outs[i] = v }
 // SetResult supplies the operation result.
 func (c *Call) SetResult(v Value) { c.ret = v }
 
-// SetIn primes parameter i before invocation; transports call this.
-func (c *Call) SetIn(i int, v Value, private bool) {
-	c.in[i] = v
-	c.inPrivate[i] = private
-}
-
-// SetOutBuffer installs a caller-provided landing buffer for out
-// parameter i (caller-buffer semantics).
-func (c *Call) SetOutBuffer(i int, buf []byte) { c.outBufs[i] = buf }
-
-// SetResultBuffer installs a caller-provided landing buffer for the
-// result.
-func (c *Call) SetResultBuffer(buf []byte) { c.retBuf = buf }
-
 // Out returns the value set for out/inout parameter i.
 func (c *Call) Out(i int) Value { return c.outs[i] }
 
@@ -158,8 +142,13 @@ type Dispatcher struct {
 	Pres     *pres.Presentation
 	handlers []Handler      // by op index; nil = not registered
 	opPres   []*pres.OpPres // by op index
-	hooks    SpecialHooks
 	stats    *stats.Endpoint
+
+	// mu guards the server plans, compiled once per codec under hooks —
+	// the one home of the server's [special] routines.
+	mu    sync.Mutex
+	hooks SpecialHooks
+	plans []*Plan
 }
 
 // NewDispatcher creates a dispatcher serving p's interface under
@@ -173,12 +162,37 @@ func NewDispatcher(p *pres.Presentation) *Dispatcher {
 	return d
 }
 
-// SetHooks installs the [special] marshal hooks used when serving
-// message transports.
-func (d *Dispatcher) SetHooks(h SpecialHooks) { d.hooks = h }
+// SetHooks installs the [special] marshal hooks the dispatcher's server
+// plans are compiled under. The hooks are part of every plan Plan has
+// compiled, so setting them after the first compile is a programming
+// error and panics.
+func (d *Dispatcher) SetHooks(h SpecialHooks) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.plans) > 0 {
+		panic(fmt.Sprintf("runtime: SetHooks on interface %s after its server plan was compiled", d.Pres.Interface.Name))
+	}
+	d.hooks = h
+}
 
-// Hooks returns the installed hooks.
-func (d *Dispatcher) Hooks() SpecialHooks { return d.hooks }
+// Plan returns the dispatcher's server plan for codec: compiled from its
+// presentation under its hooks on first use, then shared by every
+// transport that serves it. Safe for concurrent use.
+func (d *Dispatcher) Plan(codec Codec) (*Plan, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, p := range d.plans {
+		if p.Codec == codec {
+			return p, nil
+		}
+	}
+	p, err := NewPlan(d.Pres, codec, d.hooks)
+	if err != nil {
+		return nil, err
+	}
+	d.plans = append(d.plans, p)
+	return p, nil
+}
 
 // Handle registers the work function for op. Naming an operation the
 // interface does not have is a programming error — no request could
@@ -225,13 +239,10 @@ func opNames(p *pres.Presentation) []string {
 	return names
 }
 
-// OutcomeOf classifies a call error for the stats counters: nil is
+// serverOutcome classifies a call error for the stats counters: nil is
 // OK, a recovered handler panic is Panicked, a deadline expiry is
-// TimedOut, anything else Failed. Transports that keep their own
-// endpoints (inproc, shmring) share this taxonomy.
-func OutcomeOf(err error) stats.Outcome { return serverOutcome(err) }
-
-// serverOutcome classifies a dispatch error for the counters.
+// TimedOut, anything else Failed. The same-domain program's client-side
+// endpoint shares this taxonomy.
 func serverOutcome(err error) stats.Outcome {
 	if err == nil {
 		return stats.OK
@@ -259,15 +270,11 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runtime: handler %s panicked: %v", e.Op, e.Value)
 }
 
-// Invoke runs the work function for a fully prepared Call. A
-// panicking work function is recovered into a *PanicError: the
-// transport turns it into an error reply and keeps serving.
-func (d *Dispatcher) Invoke(c *Call) error {
-	return d.invoke(c, 0)
-}
-
-// invoke is Invoke carrying the session layer's trace id. With stats
-// disabled the extra cost is exactly the one nil check.
+// invoke runs the work function for a fully prepared Call, under the
+// session layer's trace id (0 = untraced). A panicking work function is
+// recovered into a *PanicError: the transport turns it into an error
+// reply and keeps serving. With stats disabled the extra cost is
+// exactly the one nil check.
 func (d *Dispatcher) invoke(c *Call, tid uint32) error {
 	h := d.handlers[c.idx]
 	if h == nil {
@@ -295,21 +302,6 @@ func invokeRecover(h Handler, c *Call) (err error) {
 		}
 	}()
 	return h(c)
-}
-
-// AcquireCall prepares a Call for the operation at opIdx; transports
-// fill the inputs before Invoke. The Call is part of a pooled Frame,
-// so the steady-state invocation path allocates nothing and looks
-// nothing up. Pair with ReleaseCall once the call's values are no
-// longer needed.
-func (d *Dispatcher) AcquireCall(opIdx int) *Call {
-	return acquireFrame().begin(nil, d, opIdx)
-}
-
-// ReleaseCall returns a Call to the pool, dropping every reference it
-// holds so pooled storage does not pin user buffers.
-func (d *Dispatcher) ReleaseCall(c *Call) {
-	releaseFrame(c.frame)
 }
 
 // Reply status words on the wire between runtime client and
@@ -395,7 +387,7 @@ func (d *Dispatcher) serve(ctx context.Context, f *Frame, plan *Plan, opIdx int,
 	d.meterReply(opIdx, encBase, len(body), enc, tid)
 	if invoked {
 		// The reply is marshaled: server-owned storage is free again.
-		call.RunAfterReply()
+		call.runAfterReply()
 	}
 	f.end()
 	return nil

@@ -119,11 +119,16 @@ func (c *Conn) Call(opIdx int, req []byte, replyBuf []byte) ([]byte, error) {
 // Close implements runtime.Conn.
 func (c *Conn) Close() error { return nil }
 
-// Serve runs the server loop on port: requests arrive as fbufs,
-// replies are produced into fresh fbufs and transferred back.
-func Serve(ch *Channel, port *mach.Port, disp *runtime.Dispatcher, plan *runtime.Plan) error {
+// Serve runs the server loop on port under disp's server plan for
+// codec: requests arrive as fbufs, replies are produced into fresh
+// fbufs and transferred back.
+func Serve(ch *Channel, port *mach.Port, disp *runtime.Dispatcher, codec runtime.Codec) error {
+	plan, err := disp.Plan(codec)
+	if err != nil {
+		return err
+	}
 	port.RegisterServer(machipc.SigFor(disp.Pres))
-	enc := plan.Codec.NewEncoder()
+	enc := codec.NewEncoder()
 	for {
 		in, err := ch.Server.Task.Receive(port, nil)
 		if err != nil {

@@ -53,12 +53,8 @@ func startChannel(t *testing.T, serverPres *pres.Presentation) (*Channel, mach.N
 		c.SetResult(out)
 		return nil
 	})
-	plan, err := runtime.NewPlan(serverPres, runtime.XDRCodec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	port.RegisterServer(machipc.SigFor(serverPres))
-	go func() { _ = Serve(ch, port, disp, plan) }()
+	go func() { _ = Serve(ch, port, disp, runtime.XDRCodec) }()
 	t.Cleanup(port.Destroy)
 	return ch, cliTask.InsertRight(port)
 }
@@ -165,12 +161,8 @@ func TestReorderedServerRefusedAtBind(t *testing.T) {
 		Endpoint{Task: srvTask, Domain: fbuf.NewDomain("server")},
 		16<<10, 8)
 	_, port := srvTask.AllocatePort()
-	plan, err := runtime.NewPlan(disp.Pres, runtime.XDRCodec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	port.RegisterServer(machipc.SigFor(disp.Pres))
-	go func() { _ = Serve(ch, port, disp, plan) }()
+	go func() { _ = Serve(ch, port, disp, runtime.XDRCodec) }()
 	t.Cleanup(port.Destroy)
 	conn, err := Dial(ch, cliTask.InsertRight(port), cp)
 	if err == nil {

@@ -70,12 +70,8 @@ func TestCrossPresentationInteropMatrix(t *testing.T) {
 					}
 					return nil
 				})
-				plan, err := runtime.NewPlan(sp, runtime.XDRCodec, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
 				Announce(port, sp)
-				go func() { _ = Serve(srvTask, port, disp, plan) }()
+				go func() { _ = Serve(srvTask, port, disp, runtime.XDRCodec) }()
 				defer port.Destroy()
 
 				conn, err := Dial(cliTask, cliTask.InsertRight(port), cp)

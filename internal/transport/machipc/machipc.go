@@ -68,11 +68,16 @@ func (c *Conn) Call(opIdx int, req []byte, replyBuf []byte) ([]byte, error) {
 func (c *Conn) Close() error { return nil }
 
 // Serve receives requests on port (owned by task) and dispatches
-// them through disp under the server plan, until the port dies.
-func Serve(task *mach.Task, port *mach.Port, disp *runtime.Dispatcher, plan *runtime.Plan) error {
+// them through disp under its server plan for codec, until the port
+// dies.
+func Serve(task *mach.Task, port *mach.Port, disp *runtime.Dispatcher, codec runtime.Codec) error {
+	plan, err := disp.Plan(codec)
+	if err != nil {
+		return err
+	}
 	port.RegisterServer(SigFor(disp.Pres))
 	recvBuf := make([]byte, 64<<10)
-	enc := plan.Codec.NewEncoder()
+	enc := codec.NewEncoder()
 	for {
 		in, err := task.Receive(port, recvBuf)
 		if err != nil {

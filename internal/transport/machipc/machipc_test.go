@@ -50,12 +50,8 @@ func startFileServer(t *testing.T, serverPres *pres.Presentation) (*mach.Kernel,
 		c.SetResult(out)
 		return nil
 	})
-	plan, err := runtime.NewPlan(serverPres, runtime.XDRCodec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	Announce(port, serverPres)
-	go func() { _ = Serve(srvTask, port, disp, plan) }()
+	go func() { _ = Serve(srvTask, port, disp, runtime.XDRCodec) }()
 	t.Cleanup(port.Destroy)
 	right := cliTask.InsertRight(port)
 	return k, cliTask, right, port
@@ -214,9 +210,8 @@ func TestServerErrorTravelsBack(t *testing.T) {
 	disp.Handle("read", func(c *runtime.Call) error {
 		return errors.New("pipe burst")
 	})
-	plan, _ := runtime.NewPlan(sp, runtime.XDRCodec, nil)
 	Announce(port, sp)
-	go func() { _ = Serve(srvTask, port, disp, plan) }()
+	go func() { _ = Serve(srvTask, port, disp, runtime.XDRCodec) }()
 	defer port.Destroy()
 
 	conn, err := Dial(cliTask, cliTask.InsertRight(port), fileIOPres(t))
@@ -255,12 +250,8 @@ func TestReorderedServerRefusedAtBind(t *testing.T) {
 	k := mach.NewKernel()
 	srvTask, cliTask := k.NewTask("server"), k.NewTask("client")
 	_, port := srvTask.AllocatePort()
-	plan, err := runtime.NewPlan(disp.Pres, runtime.XDRCodec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	Announce(port, disp.Pres)
-	go func() { _ = Serve(srvTask, port, disp, plan) }()
+	go func() { _ = Serve(srvTask, port, disp, runtime.XDRCodec) }()
 	t.Cleanup(port.Destroy)
 	conn, err := Dial(cliTask, cliTask.InsertRight(port), cp)
 	if err == nil {

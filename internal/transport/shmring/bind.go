@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"flexrpc/internal/fbuf"
 	"flexrpc/internal/pres"
@@ -17,8 +16,8 @@ import (
 // Options configures Connect.
 type Options struct {
 	Config
-	// Hooks supply [special] marshal routines for the client plan (the
-	// dispatcher's own hooks serve the server plan when set).
+	// Hooks supply [special] marshal routines for the client plan; the
+	// server plan is the dispatcher's, compiled under its own hooks.
 	Hooks runtime.SpecialHooks
 	// ForceDoorbell keeps the cross-goroutine doorbell handoff even
 	// when full mutual trust would allow inline dispatch; benchmarks
@@ -27,11 +26,11 @@ type Options struct {
 }
 
 // A Bound is a bind-time specialized shmring connection implementing
-// runtime.Invoker/ContextInvoker: marshal plans for both presentations
-// are compiled at Connect, request bytes are produced directly into a
-// leased ring slot's arena, and the annotations decide — once, at
-// bind — how much of the untrusted-peer machinery the per-call path
-// keeps:
+// runtime.Invoker/ContextInvoker: the client plan is compiled at
+// Connect beside the dispatcher's own server plan, request bytes are
+// produced directly into a leased ring slot's arena, and the
+// annotations decide — once, at bind — how much of the untrusted-peer
+// machinery the per-call path keeps:
 //
 //   - [trusted] on both sides (the paper's §4.5 trust ladder) elides
 //     header validation, the per-call fbuf ownership protocol, and —
@@ -44,16 +43,18 @@ type Options struct {
 //     indexing instead of an fbuf id resolved through the path's
 //     id map.
 //
-// Operations whose compiled plans carry no marshal steps at all
-// dispatch directly — the combination signature compiled the
-// transport away, which is exactly the paper's point.
+// The op table, the stats front and, inline, the operations with
+// nothing to marshal are the same-domain program's (runtime.SameDomain):
+// for those the combination signature compiled the transport away,
+// which is exactly the paper's point. The Bound keeps the marshalled
+// paths.
 type Bound struct {
 	mu    sync.Mutex
 	ring  *Ring
 	disp  *runtime.Dispatcher
+	prog  *runtime.SameDomain
 	cplan *runtime.Plan
 	splan *runtime.Plan
-	binds []boundOp
 
 	trusted   bool
 	nonUnique bool
@@ -76,22 +77,16 @@ type Bound struct {
 	cdec           runtime.Decoder
 	frame          *runtime.Frame
 
-	stats  *stats.Endpoint
+	stats  *stats.Endpoint // the program's endpoint, for the byte meters
 	closed atomic.Bool
 	done   chan struct{} // doorbell server goroutine exit
 }
 
-type boundOp struct {
-	idx    int
-	sidx   int // the combination's server index: what every path dispatches by
-	cop    *runtime.OpPlan
-	direct bool // no marshal steps on either path: dispatch directly
-}
-
 // Connect binds a client presentation to a dispatcher over a private
-// ring, compiling both marshal plans and resolving the annotation-
-// driven specializations once. The network contract must match, as
-// for any bind. Enable stats before issuing calls.
+// ring, compiling the client plan, taking the dispatcher's server plan
+// and resolving the annotation-driven specializations once. The network
+// contract must match, as for any bind. Enable stats before issuing
+// calls.
 func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runtime.Codec, opts Options) (*Bound, error) {
 	comb, err := pres.Combine(clientPres, disp.Pres)
 	if err != nil {
@@ -105,11 +100,7 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 	if err != nil {
 		return nil, err
 	}
-	shooks := disp.Hooks()
-	if shooks == nil {
-		shooks = opts.Hooks
-	}
-	splan, err := runtime.NewPlan(disp.Pres, codec, shooks)
+	splan, err := disp.Plan(codec)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +109,6 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 		disp:      disp,
 		cplan:     cplan,
 		splan:     splan,
-		binds:     make([]boundOp, len(cplan.Ops)),
 		trusted:   comb.Trusted,
 		nonUnique: comb.NonUnique,
 		inline:    comb.Trusted && !opts.ForceDoorbell,
@@ -128,14 +118,7 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 		repEnc:    codec.NewEncoder(),
 		cdec:      cplan.NewDecoder(nil),
 	}
-	for i, op := range cplan.Ops {
-		b.binds[i] = boundOp{
-			idx:    i,
-			sidx:   comb.Ops[i].Server,
-			cop:    op,
-			direct: op.RequestSteps() == 0 && op.ReplySteps() == 0,
-		}
-	}
+	b.prog = runtime.NewSameDomain(comb, disp, b.marshal, b.inline)
 	// Bind-time slot lease: one slot per direction for the steady
 	// state; splices for oversized messages come from the rest of the
 	// pool per call.
@@ -168,23 +151,13 @@ func (b *Bound) InlineDispatch() bool { return b.inline }
 // issuing calls — the plans are shared with the serve goroutine.
 func (b *Bound) EnableStats() *stats.Endpoint {
 	if b.stats == nil {
-		names := make([]string, len(b.cplan.Ops))
-		for i, op := range b.cplan.Ops {
-			names[i] = op.Op.Name
-		}
-		b.stats = stats.New(names)
+		b.stats = b.prog.EnableStats()
 		b.cplan.SetStats(b.stats)
 	}
 	return b.stats
 }
 
-// SetStats installs (or removes) the endpoint; see EnableStats.
-func (b *Bound) SetStats(e *stats.Endpoint) {
-	b.stats = e
-	b.cplan.SetStats(e)
-}
-
-// ServerPlan exposes the compiled server plan so callers can point
+// ServerPlan exposes the dispatcher's server plan so callers can point
 // its meters at an endpoint (benchmarks metering the full round
 // trip). Do this before issuing calls.
 func (b *Bound) ServerPlan() *runtime.Plan { return b.splan }
@@ -203,7 +176,10 @@ func (b *Bound) Close() error {
 
 // Invoke implements runtime.Invoker.
 func (b *Bound) Invoke(op string, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
-	return b.invoke(nil, op, args, outBufs, retBuf)
+	if b.closed.Load() {
+		return nil, nil, ErrClosed
+	}
+	return b.prog.Invoke(op, args, outBufs, retBuf)
 }
 
 // InvokeContext implements runtime.ContextInvoker. The context bounds
@@ -211,60 +187,26 @@ func (b *Bound) Invoke(op string, args []runtime.Value, outBufs [][]byte, retBuf
 // the doorbell poisons the binding (the ring is desynchronized), so
 // subsequent calls fail with ErrClosed.
 func (b *Bound) InvokeContext(ctx context.Context, op string, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-	}
-	return b.invoke(ctx, op, args, outBufs, retBuf)
-}
-
-func (b *Bound) invoke(ctx context.Context, op string, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
-	idx := b.cplan.OpIndex(op)
-	if idx < 0 {
-		return nil, nil, fmt.Errorf("shmring: unknown operation %q", op)
-	}
-	if len(args) != len(b.binds[idx].cop.Op.Params) {
-		return nil, nil, fmt.Errorf("shmring: %s takes %d params, have %d", op, len(b.binds[idx].cop.Op.Params), len(args))
-	}
-	if b.stats != nil {
-		t0 := time.Now()
-		tid := b.stats.NextTraceID()
-		b.stats.Trace(tid, idx, stats.StageDispatch)
-		outs, ret, err := b.invokeBound(ctx, idx, args, outBufs, retBuf)
-		b.stats.Trace(tid, idx, stats.StageReply)
-		b.stats.RecordCall(idx, time.Since(t0), 0, 0, runtime.OutcomeOf(err))
-		return outs, ret, err
-	}
-	return b.invokeBound(ctx, idx, args, outBufs, retBuf)
-}
-
-func (b *Bound) invokeBound(ctx context.Context, idx int, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
 	if b.closed.Load() {
 		return nil, nil, ErrClosed
 	}
-	bop := &b.binds[idx]
-	if b.inline && bop.direct {
-		// Nothing to marshal in either direction: the bound call is a
-		// plain dispatch, no arena, no lock.
-		call := b.disp.AcquireCall(bop.sidx)
-		if ctx != nil {
-			call.SetContext(ctx)
-		}
-		err := b.disp.Invoke(call)
-		call.RunAfterReply()
-		b.disp.ReleaseCall(call)
-		return nil, nil, err
-	}
+	return b.prog.InvokeContext(ctx, op, args, outBufs, retBuf)
+}
+
+// marshal is the program's path for every call it does not run direct:
+// through the slot arenas, inline or over the doorbell. Every path
+// dispatches by the combination's server index.
+func (b *Bound) marshal(ctx context.Context, op *pres.CombinedOp, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed.Load() {
 		return nil, nil, ErrClosed
 	}
+	cop := b.cplan.Ops[op.Index]
 	if b.inline {
-		return b.invokeInline(ctx, bop, args, outBufs, retBuf)
+		return b.invokeInline(ctx, cop, op.Server, args, outBufs, retBuf)
 	}
-	return b.invokeDoorbell(ctx, bop, args, outBufs, retBuf)
+	return b.invokeDoorbell(ctx, cop, op.Server, args, outBufs, retBuf)
 }
 
 // invokeInline runs the call on the caller's goroutine: request bytes
@@ -273,25 +215,25 @@ func (b *Bound) invokeBound(ctx context.Context, idx int, args []runtime.Value, 
 // and the client plan decodes it from there. No doorbell, no header:
 // under full mutual trust the op index rides in a register (the
 // argument) and validation is elided.
-func (b *Bound) invokeInline(ctx context.Context, bop *boundOp, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
+func (b *Bound) invokeInline(ctx context.Context, cop *runtime.OpPlan, sidx int, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
 	body := b.reqArena
-	n, err := bop.cop.EncodeRequestArena(b.reqEnc, b.reqArena, args)
+	n, err := cop.EncodeRequestArena(b.reqEnc, b.reqArena, args)
 	switch {
 	case err == nil:
 		body = b.reqArena[:n]
 	case errors.Is(err, runtime.ErrArenaOverflow):
 		// Oversized request: stage in heap storage (rare path).
 		enc := b.cplan.Codec.NewEncoder()
-		if err := bop.cop.EncodeRequest(enc, args); err != nil {
+		if err := cop.EncodeRequest(enc, args); err != nil {
 			return nil, nil, err
 		}
 		body = enc.Bytes()
 	default:
 		return nil, nil, err
 	}
-	b.stats.AddOp(bop.idx, stats.OpBytesOut, len(body))
+	b.stats.AddOp(cop.Idx, stats.OpBytesOut, len(body))
 	b.repEnc.ResetArena(b.repArena)
-	err = b.frame.ServeMessageRawContext(ctx, b.disp, b.splan, bop.sidx, body, b.repEnc)
+	err = b.frame.ServeMessageRawContext(ctx, b.disp, b.splan, sidx, body, b.repEnc)
 	if err != nil {
 		b.dropReply()
 		return nil, nil, err
@@ -299,9 +241,9 @@ func (b *Bound) invokeInline(ctx context.Context, bop *boundOp, args []runtime.V
 	// An oversized reply reallocated off the arena; the bytes are
 	// still valid either way, so no length check is needed inline.
 	reply := b.repEnc.Bytes()
-	b.stats.AddOp(bop.idx, stats.OpBytesIn, len(reply))
+	b.stats.AddOp(cop.Idx, stats.OpBytesIn, len(reply))
 	b.cdec.Reset(reply)
-	outs, ret, derr := bop.cop.DecodeReply(b.cdec, outBufs, retBuf)
+	outs, ret, derr := cop.DecodeReply(b.cdec, outBufs, retBuf)
 	b.dropReply()
 	return outs, ret, derr
 }
@@ -315,12 +257,12 @@ func (b *Bound) dropReply() {
 
 // invokeDoorbell publishes the request through the doorbell handoff
 // and decodes the framed reply the serve goroutine produced.
-func (b *Bound) invokeDoorbell(ctx context.Context, bop *boundOp, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
-	ref, n, err := b.sendRequest(ctx, bop, args)
+func (b *Bound) invokeDoorbell(ctx context.Context, cop *runtime.OpPlan, sidx int, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
+	ref, n, err := b.sendRequest(ctx, cop, sidx, args)
 	if err != nil {
 		return nil, nil, err
 	}
-	b.stats.AddOp(bop.idx, stats.OpBytesOut, n)
+	b.stats.AddOp(cop.Idx, stats.OpBytesOut, n)
 	b.ring.reqBell.ring(stateReq, ref)
 	rref, ok, err := b.ring.repBell.waitCtx(ctx, stateRep)
 	if err != nil {
@@ -334,20 +276,20 @@ func (b *Bound) invokeDoorbell(ctx context.Context, bop *boundOp, args []runtime
 		return nil, nil, ErrClosed
 	}
 	b.ring.repBell.reset()
-	return b.receiveReply(bop, rref, outBufs, retBuf)
+	return b.receiveReply(cop, rref, outBufs, retBuf)
 }
 
 // sendRequest produces the request frame under the binding's mode and
 // returns the doorbell reference (0 = the leased slot pair; nonzero =
 // a generic frame resolved through the path's name table) and the
 // body's length.
-func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Value) (ref uint64, n int, err error) {
+func (b *Bound) sendRequest(ctx context.Context, cop *runtime.OpPlan, sidx int, args []runtime.Value) (ref uint64, n int, err error) {
 	r := b.ring
 	if !b.trusted && !b.nonUnique {
 		// Unique naming: the peer insists on resolving buffers through
 		// the system-maintained name table, so every call leases fresh
 		// slots and publishes their ids — the cost [nonunique] elides.
-		return b.spillRequest(ctx, bop, args)
+		return b.spillRequest(ctx, cop, sidx, args)
 	}
 	if !b.trusted {
 		// [nonunique] naming with an untrusted peer: the slot pair is
@@ -359,14 +301,14 @@ func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Va
 		if err != nil {
 			return 0, 0, err
 		}
-		n, err = bop.cop.EncodeRequestArena(b.reqEnc, arena[headerSize:], args)
+		n, err = cop.EncodeRequestArena(b.reqEnc, arena[headerSize:], args)
 		if errors.Is(err, runtime.ErrArenaOverflow) {
-			return b.spillRequest(ctx, bop, args)
+			return b.spillRequest(ctx, cop, sidx, args)
 		}
 		if err != nil {
 			return 0, 0, err
 		}
-		putHeader(arena, uint32(bop.sidx), uint32(n), 0)
+		putHeader(arena, uint32(sidx), uint32(n), 0)
 		if err := b.reqSlot.SetProduced(r.client, headerSize+n); err != nil {
 			return 0, 0, err
 		}
@@ -378,14 +320,14 @@ func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Va
 	// Trusted: the cached arena is written directly; ownership ops and
 	// checksums are elided, only the header's op and length words are
 	// produced for the peer.
-	n, err = bop.cop.EncodeRequestArena(b.reqEnc, b.reqArena[headerSize:], args)
+	n, err = cop.EncodeRequestArena(b.reqEnc, b.reqArena[headerSize:], args)
 	if errors.Is(err, runtime.ErrArenaOverflow) {
-		return b.spillRequest(ctx, bop, args)
+		return b.spillRequest(ctx, cop, sidx, args)
 	}
 	if err != nil {
 		return 0, 0, err
 	}
-	putHeader(b.reqArena, uint32(bop.sidx), uint32(n), 0)
+	putHeader(b.reqArena, uint32(sidx), uint32(n), 0)
 	return 0, n, nil
 }
 
@@ -393,13 +335,13 @@ func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Va
 // oversized messages splice across pool slots, and unique-naming
 // bindings route every request here so the peer can resolve the
 // buffers by id.
-func (b *Bound) spillRequest(ctx context.Context, bop *boundOp, args []runtime.Value) (uint64, int, error) {
+func (b *Bound) spillRequest(ctx context.Context, cop *runtime.OpPlan, sidx int, args []runtime.Value) (uint64, int, error) {
 	enc := b.cplan.Codec.NewEncoder()
-	if err := bop.cop.EncodeRequest(enc, args); err != nil {
+	if err := cop.EncodeRequest(enc, args); err != nil {
 		return 0, 0, err
 	}
 	body := enc.Bytes()
-	head, _, err := b.ring.writeMessage(ctx, b.ring.client, b.ring.server, uint32(bop.sidx), body)
+	head, _, err := b.ring.writeMessage(ctx, b.ring.client, b.ring.server, uint32(sidx), body)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -408,7 +350,7 @@ func (b *Bound) spillRequest(ctx context.Context, bop *boundOp, args []runtime.V
 
 // receiveReply reads the framed reply (status word first) and decodes
 // it with the client plan.
-func (b *Bound) receiveReply(bop *boundOp, ref uint64, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
+func (b *Bound) receiveReply(cop *runtime.OpPlan, ref uint64, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
 	r := b.ring
 	var reply []byte
 	var bufs []*fbuf.Buffer
@@ -436,8 +378,8 @@ func (b *Bound) receiveReply(bop *boundOp, ref uint64, outBufs [][]byte, retBuf 
 			return nil, nil, err
 		}
 	}
-	b.stats.AddOp(bop.idx, stats.OpBytesIn, len(reply))
-	outs, ret, err := b.decodeFramedReply(bop, reply, outBufs, retBuf)
+	b.stats.AddOp(cop.Idx, stats.OpBytesIn, len(reply))
+	outs, ret, err := b.decodeFramedReply(cop, reply, outBufs, retBuf)
 	if bufs != nil {
 		r.freeAll(r.client, bufs)
 	} else if !b.trusted {
@@ -449,9 +391,9 @@ func (b *Bound) receiveReply(bop *boundOp, ref uint64, outBufs [][]byte, retBuf 
 	return outs, ret, err
 }
 
-func (b *Bound) decodeFramedReply(bop *boundOp, reply []byte, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
+func (b *Bound) decodeFramedReply(cop *runtime.OpPlan, reply []byte, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
 	b.cdec.Reset(reply)
-	outs, ret, err := decodeFramed(bop.cop, b.cdec, outBufs, retBuf)
+	outs, ret, err := decodeFramed(cop, b.cdec, outBufs, retBuf)
 	b.cdec.Reset(nil) // the reply's slots go back to the peer
 	return outs, ret, err
 }

@@ -260,3 +260,62 @@ func TestFrameConcurrentBound(t *testing.T) {
 		})
 	}
 }
+
+// TestFrameConcurrentDispatcherPlan: eight bindings Connect at once to
+// one fresh dispatcher whose swap takes a [special] tag, and call it.
+// The server plan is the dispatcher's, compiled once under its hooks,
+// so every binding serves with the same plan — and the special tag
+// decodes through the dispatcher's hooks on every one of them. Run
+// under -race (ci.sh repeats it): the first compile races the rest.
+func TestFrameConcurrentDispatcherPlan(t *testing.T) {
+	f, err := corba.Parse("reuse.idl", reuseIDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newPres := func() *pres.Presentation {
+		p := pres.Default(f.Interface("Reuse"), pres.StyleCORBA)
+		p.Trust = pres.TrustFull
+		return p
+	}
+	sp := newPres()
+	sp.Op("swap").Param("tag").Special = true
+	disp := runtime.NewDispatcher(sp)
+	disp.SetHooks(tagHooks{})
+	disp.Handle("swap", func(c *runtime.Call) error {
+		c.SetOut(0, c.Arg(0))
+		c.SetOut(2, uint32(len(c.Arg(1).(string))))
+		c.SetResult(c.Arg(0))
+		return nil
+	})
+	plans := make([]*runtime.Plan, 8)
+	var wg sync.WaitGroup
+	for g := range plans {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			b, err := Connect(newPres(), disp, runtime.XDRCodec, Options{ForceDoorbell: g%2 == 1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer b.Close()
+			plans[g] = b.ServerPlan()
+			if _, _, err := b.Invoke("swap", []runtime.Value{[]byte{byte(g)}, "undecodable", nil}, nil, nil); err == nil || !strings.Contains(err.Error(), "tag refused") {
+				t.Errorf("binding %d: the dispatcher's hooks did not decode the tag: %v", g, err)
+			}
+			outs, _, err := b.Invoke("swap", []runtime.Value{[]byte{byte(g)}, "tag", nil}, nil, nil)
+			if err != nil || !bytes.Equal(outs[0].([]byte), []byte{byte(g)}) || outs[2].(uint32) != 3 {
+				t.Errorf("binding %d: swap = %v, %v", g, outs, err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, p := range plans {
+		if p == nil || p != plans[0] {
+			t.Fatalf("binding %d serves with plan %p, binding 0 with %p: want the dispatcher's one plan", g, p, plans[0])
+		}
+	}
+	if p, err := disp.Plan(runtime.XDRCodec); err != nil || p != plans[0] {
+		t.Fatalf("Dispatcher.Plan = %p, %v; the bindings serve with %p", p, err, plans[0])
+	}
+}

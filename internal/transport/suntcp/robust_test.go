@@ -25,11 +25,10 @@ func TestHandlerPanicKeepsServing(t *testing.T) {
 		call.SetResult(append([]byte(nil), call.ArgBytes(0)...))
 		return nil
 	})
-	plan, err := runtime.NewPlan(c.Pres, runtime.XDRCodec, nil)
+	srv, err := NewServer(disp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(disp, plan)
 	cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 64)
 	go func() { _ = srv.ServeConn(sc) }()
 	t.Cleanup(func() { cc.Close(); sc.Close() })
@@ -68,11 +67,10 @@ func TestCallContextDeadline(t *testing.T) {
 		call.SetResult(append([]byte(nil), call.ArgBytes(0)...))
 		return nil
 	})
-	plan, err := runtime.NewPlan(c.Pres, runtime.XDRCodec, nil)
+	srv, err := NewServer(disp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(disp, plan)
 	cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 64)
 	go func() { _ = srv.ServeConn(sc) }()
 	t.Cleanup(func() { close(release); cc.Close(); sc.Close() })
@@ -102,11 +100,10 @@ func TestRedialThroughConn(t *testing.T) {
 		call.SetResult(append([]byte(nil), call.ArgBytes(0)...))
 		return nil
 	})
-	plan, err := runtime.NewPlan(c.Pres, runtime.XDRCodec, nil)
+	srv, err := NewServer(disp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(disp, plan)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -134,10 +134,14 @@ func NewSessionServer(sess *runtime.SessionServer, iface *ir.Interface) *sunrpc.
 	return srv
 }
 
-// NewServer builds a Sun RPC server that dispatches through disp
-// under the server plan. Call ServeConn/Serve on the result. Reply
+// NewServer builds a Sun RPC server that dispatches through disp under
+// its XDR server plan. Call ServeConn/Serve on the result. Reply
 // encoders are pooled across requests and procedures.
-func NewServer(disp *runtime.Dispatcher, plan *runtime.Plan) *sunrpc.Server {
+func NewServer(disp *runtime.Dispatcher) (*sunrpc.Server, error) {
+	plan, err := disp.Plan(runtime.XDRCodec)
+	if err != nil {
+		return nil, err
+	}
 	prog, vers := progVers(disp.Pres.Interface)
 	srv := sunrpc.NewServer(prog, vers)
 	encPool := &sync.Pool{New: func() any { return plan.Codec.NewEncoder() }}
@@ -156,5 +160,5 @@ func NewServer(disp *runtime.Dispatcher, plan *runtime.Plan) *sunrpc.Server {
 			return nil
 		})
 	}
-	return srv
+	return srv, nil
 }

@@ -48,11 +48,10 @@ func startServer(t *testing.T, c *core.Compiled) (client *runtime.Client) {
 		call.SetResult(call.Arg(0).(int32) + call.Arg(1).(int32))
 		return nil
 	})
-	plan, err := runtime.NewPlan(c.Pres, runtime.XDRCodec, nil)
+	srv, err := NewServer(disp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(disp, plan)
 	cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 64)
 	go func() { _ = srv.ServeConn(sc) }()
 	t.Cleanup(func() { cc.Close(); sc.Close() })
@@ -99,8 +98,10 @@ func TestOverRealTCP(t *testing.T) {
 		call.SetResult(append([]byte(nil), call.ArgBytes(0)...))
 		return nil
 	})
-	plan, _ := runtime.NewPlan(c.Pres, runtime.XDRCodec, nil)
-	srv := NewServer(disp, plan)
+	srv, err := NewServer(disp)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -128,8 +129,10 @@ func TestOverRealTCP(t *testing.T) {
 func TestWrongProgramRejected(t *testing.T) {
 	c := compileEcho(t)
 	disp := runtime.NewDispatcher(c.Pres)
-	plan, _ := runtime.NewPlan(c.Pres, runtime.XDRCodec, nil)
-	srv := NewServer(disp, plan)
+	srv, err := NewServer(disp)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 16)
 	defer cc.Close()
 	defer sc.Close()
