@@ -40,7 +40,8 @@ certify:
 	./ci.sh certify
 
 # The uncalled-surface gate: nothing under internal/ without a caller
-# outside tests, or a reasoned line in surface.allow.
+# and no option field without a writer outside tests, or a reasoned
+# line in surface.allow; prints the pinned settable-value count by kind.
 surface:
 	./ci.sh surface
 

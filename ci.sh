@@ -227,11 +227,15 @@ alloc_gates() {
 }
 
 surface() {
-	# The uncalled-surface gate alone: every package-level name and
-	# method under internal/ must have a caller in a non-test file of
-	# the module, bench/ or generated stubs, or a reasoned line in
-	# surface.allow. The full gate reaches it through `go test ./...`;
-	# -v prints what each allowlist line keeps.
+	# The uncalled-surface gate alone: nothing without a caller, and no
+	# field without a writer. Every package-level name and method under
+	# internal/ must have a caller in a non-test file of the module,
+	# bench/ or generated stubs, and every option field a non-test
+	# writer outside its package, or a reasoned line in surface.allow;
+	# the settable-value count must match the pinned one. The full gate
+	# reaches it through `go test ./...`; -v prints the settable-value
+	# count by kind and what each allowlist line keeps, declaration
+	# lines and option fields.
 	echo "go test -count=1 -v -run 'TestSurface' ./internal/analyze/gocheck"
 	go test -count=1 -v -run 'TestSurface' ./internal/analyze/gocheck
 }

@@ -215,14 +215,11 @@ func NewRobustConn(inner Conn, p *Presentation, opts RobustOptions) *RobustConn 
 	return runtime.NewRobustConn(inner, p, opts)
 }
 
-// NewReplyCache returns an at-most-once reply cache retaining up to
-// capacity completed replies.
-func NewReplyCache(capacity int) *ReplyCache { return runtime.NewReplyCache(capacity) }
-
-// NewReplyCacheSharded returns an at-most-once reply cache whose
-// state is split across independently locked shards (rounded up to a
-// power of two; shards <= 0 derives a count from GOMAXPROCS), so
-// concurrent worker-pool dispatch doesn't serialize on one lock.
+// NewReplyCacheSharded returns an at-most-once reply cache retaining up
+// to capacity completed replies, its state split across independently
+// locked shards (rounded up to a power of two; shards <= 0 derives a
+// count from GOMAXPROCS), so concurrent worker-pool dispatch doesn't
+// serialize on one lock.
 func NewReplyCacheSharded(capacity, shards int) *ReplyCache {
 	return runtime.NewReplyCacheSharded(capacity, shards)
 }
@@ -309,9 +306,9 @@ const (
 // what the hot path will really do.
 type (
 	// PlanCert certifies one compiled plan: codec, interface
-	// signature, and one OpCert per operation. VerifyBounds,
-	// VerifyAllocFree and VerifyAllocBound prove the paper's
-	// 0-alloc/bounded-decode invariants statically.
+	// signature, and one OpCert per operation. VerifyBounds proves
+	// every variable-length decode bounded; each OpCert's per-side
+	// allocation bounds state the 0-alloc invariant statically.
 	PlanCert = runtime.PlanCert
 	// OpCert certifies one operation's step lists and per-side
 	// allocation bounds.

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,9 +28,30 @@ import (
 // that has it. Names that must stay without a caller are extra roots
 // listed, with a reason each, in surface.allow.
 //
+// The same gate covers option fields. A subject is an exported struct
+// type under internal/ whose name ends in Options, Policy, Config,
+// Profile or Params; an embedded struct contributes its own fields.
+// Each exported field must be set by a non-test file outside its own
+// package — as a composite-literal key, a positional literal element,
+// an assignment, an increment or an address taken — or by a preset: a
+// package-level variable of the field's package whose initializer sets
+// it and which a non-test file outside that package uses
+// (netsim.Ethernet10 sets LinkParams.Latency). A field nothing outside
+// sets is a finding unless an allow line ("pkg.Type.Field" or a ".*"
+// prefix) covers it.
+//
+// Settable values are what a caller can vary besides the presentation:
+// the subject fields, plus every exported Set…/Enable… method of an
+// exported type under internal/, plus every parameter of an exported
+// New…/Connect…/Dial… function under internal/. Methods that carry one
+// call's data rather than configure anything are not knobs (see
+// notSettable). settableValues pins the total, so a change that adds or
+// removes a knob shows it in its diff.
+//
 // What it cannot see: files the host's GOOS excludes (a name only
-// netpoll_stub.go mentions reads as uncalled — declare it there), struct
-// fields, and calls made through reflection.
+// netpoll_stub.go mentions reads as uncalled — declare it there), calls
+// made through reflection, and a method kept alive only because its
+// receiver matches an interface some caller asserts.
 
 // A surfaceNode is one top-level declaration of a subject package. An
 // iota block is one node with several names: its values are positional.
@@ -50,6 +72,13 @@ type surface struct {
 	nodes   map[string]*surfaceNode
 	roots   map[string]bool
 	via     map[string][]viaIface // by receiver type name
+
+	fields  map[string]token.Position // subject option fields, "pkg.Type.Field"
+	set     map[string]bool           // fields a non-test file outside their package sets
+	presets map[string][]string       // package-level var: own-package fields its initializer sets
+	usedOut map[string]bool           // names a non-test file outside their package mentions
+	setters []string                  // "pkg.Type.SetX", "pkg.Type.EnableX"
+	params  int                       // parameters of New…/Connect…/Dial… functions
 }
 
 func newSurface(subject string) *surface {
@@ -58,6 +87,10 @@ func newSurface(subject string) *surface {
 		nodes:   make(map[string]*surfaceNode),
 		roots:   make(map[string]bool),
 		via:     make(map[string][]viaIface),
+		fields:  make(map[string]token.Position),
+		set:     make(map[string]bool),
+		presets: make(map[string][]string),
+		usedOut: make(map[string]bool),
 	}
 }
 
@@ -98,6 +131,10 @@ func (s *surface) add(pkgs []*gocheck.Package) {
 				s.addDecl(p, d)
 			}
 		}
+		if s.isSubject(p.Types) {
+			s.addKnobs(p)
+		}
+		s.addWrites(p)
 	}
 	s.addInterfaces(pkgs)
 }
@@ -308,6 +345,241 @@ func (s *surface) addInterfaces(pkgs []*gocheck.Package) {
 	}
 }
 
+// optionSuffixes end the names of the struct types whose exported
+// fields are settable values.
+var optionSuffixes = []string{"Options", "Policy", "Config", "Profile", "Params"}
+
+// notSettable names the exported methods that have a setter's name but
+// move one call's data instead of configuring an endpoint.
+var notSettable = map[string]string{
+	"runtime.Call.SetOut":     "a handler's out-parameter for the call in hand",
+	"runtime.Call.SetResult":  "a handler's result for the call in hand",
+	"xdr.Encoder.SetBytes":    "hands the encoder the bytes an append-style producer wrote",
+	"fbuf.Buffer.SetProduced": "declares how many bytes the owner produced in place",
+}
+
+func hasPrefix(name string, prefixes ...string) bool {
+	for _, p := range prefixes {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// addKnobs records the settable values a subject package declares: its
+// option types' fields, its setters and its constructors' parameters.
+func (s *surface) addKnobs(p *gocheck.Package) {
+	scope := p.Types.Scope()
+	for _, n := range scope.Names() {
+		switch obj := scope.Lookup(n).(type) {
+		case *types.TypeName:
+			named, ok := obj.Type().(*types.Named)
+			if !ok || obj.IsAlias() || !obj.Exported() {
+				continue
+			}
+			for _, suffix := range optionSuffixes {
+				if strings.HasSuffix(n, suffix) && structNamed(named) != nil {
+					s.addFields(p, named)
+					break
+				}
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				if name := s.name(m); m.Exported() && hasPrefix(m.Name(), "Set", "Enable") && notSettable[name] == "" {
+					s.setters = append(s.setters, name)
+				}
+			}
+		case *types.Func:
+			if obj.Exported() && hasPrefix(n, "New", "Connect", "Dial") {
+				s.params += obj.Type().(*types.Signature).Params().Len()
+			}
+		}
+	}
+}
+
+// addFields records named's exported fields; an embedded subject
+// struct contributes its own.
+func (s *surface) addFields(p *gocheck.Package, named *types.Named) {
+	st := named.Underlying().(*types.Struct)
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if f.Embedded() {
+			if inner := structNamed(f.Type()); inner != nil && s.isSubject(inner.Obj().Pkg()) {
+				s.addFields(p, inner)
+			}
+			continue
+		}
+		if f.Exported() {
+			s.fields[fieldName(named, f)] = p.Fset.Position(f.Pos())
+		}
+	}
+}
+
+// structNamed is t, or what t points to, when that is a named struct.
+func structNamed(t types.Type) *types.Named {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := types.Unalias(t).(*types.Named); ok {
+		if _, ok := named.Underlying().(*types.Struct); ok {
+			return named
+		}
+	}
+	return nil
+}
+
+func fieldName(named *types.Named, f *types.Var) string {
+	return named.Obj().Pkg().Name() + "." + named.Obj().Name() + "." + f.Name()
+}
+
+// addWrites records the subject fields p sets outside their package,
+// the subject names p mentions outside their package, and — when p is
+// a subject — the own-package fields each package-level variable of p
+// presets.
+func (s *surface) addWrites(p *gocheck.Package) {
+	own := p.Types.Path()
+	for _, f := range p.Files {
+		s.eachWrite(p, f, func(field string, pkg *types.Package) {
+			if pkg.Path() != own {
+				s.set[field] = true
+			}
+		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if obj := p.Info.Uses[id]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() != own {
+					if name := s.name(obj); name != "" {
+						s.usedOut[name] = true
+					}
+				}
+			}
+			return true
+		})
+		if !s.isSubject(p.Types) {
+			continue
+		}
+		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				for _, spec := range gd.Specs {
+					vs := spec.(*ast.ValueSpec)
+					var preset []string
+					s.eachWrite(p, vs, func(field string, pkg *types.Package) {
+						if pkg.Path() == own {
+							preset = append(preset, field)
+						}
+					})
+					for _, id := range vs.Names {
+						if name := s.name(p.Info.Defs[id]); name != "" {
+							s.presets[name] = append(s.presets[name], preset...)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// eachWrite calls fn for every subject field n sets, with the package
+// that declares the field.
+func (s *surface) eachWrite(p *gocheck.Package, n ast.Node, fn func(field string, pkg *types.Package)) {
+	write := func(named *types.Named, f *types.Var) {
+		if s.isSubject(named.Obj().Pkg()) {
+			fn(fieldName(named, f), named.Obj().Pkg())
+		}
+	}
+	selected := func(e ast.Expr) {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok || p.Info.Selections[sel] == nil || p.Info.Selections[sel].Kind() != types.FieldVal {
+			return
+		}
+		selection := p.Info.Selections[sel]
+		t, path := selection.Recv(), selection.Index()
+		for k, i := range path {
+			named := structNamed(t)
+			if named == nil {
+				return
+			}
+			f := named.Underlying().(*types.Struct).Field(i)
+			if k == len(path)-1 {
+				write(named, f)
+			}
+			t = f.Type()
+		}
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			named := structNamed(p.Info.Types[n].Type)
+			if named == nil {
+				return true
+			}
+			st := named.Underlying().(*types.Struct)
+			for i, e := range n.Elts {
+				kv, ok := e.(*ast.KeyValueExpr)
+				if !ok {
+					write(named, st.Field(i))
+					continue
+				}
+				for j := 0; j < st.NumFields(); j++ {
+					if id, ok := kv.Key.(*ast.Ident); ok && st.Field(j).Name() == id.Name {
+						write(named, st.Field(j))
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				selected(l)
+			}
+		case *ast.IncDecStmt:
+			selected(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				selected(n.X)
+			}
+		}
+		return true
+	})
+}
+
+// unset returns the subject fields nothing outside their package sets,
+// directly or through a preset it uses, in source order.
+func (s *surface) unset() []string {
+	set := maps.Clone(s.set)
+	for v, fields := range s.presets {
+		for _, f := range fields {
+			set[f] = set[f] || s.usedOut[v]
+		}
+	}
+	var out []string
+	for f := range s.fields {
+		if !set[f] {
+			out = append(out, f)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := s.fields[out[i]], s.fields[out[j]]
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Line < b.Line || a.Line == b.Line && out[i] < out[j]
+	})
+	return out
+}
+
+// uncovered is the names no pattern in allow covers.
+func uncovered(names, allow []string) (out []string) {
+	for _, n := range names {
+		covered := false
+		for _, a := range allow {
+			covered = covered || matches(a, n)
+		}
+		if !covered {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 // matches reports whether an allowlist pattern covers name: an exact
 // "pkg.Name" or "pkg.Type.Method", or a prefix ending in ".*" for the
 // name itself and everything under it ("pkg.Type.*", "pkg.*").
@@ -389,6 +661,10 @@ type allowLine struct {
 
 const maxAllowLines = 9
 
+// settableValues pins the settable-value count defined in the gate's
+// header: option fields + setters + constructor parameters.
+const settableValues = 154
+
 // parseAllow reads the allowlist: "pattern reason…" per line, blank
 // lines and #-comments skipped. A line without a reason is a finding.
 func parseAllow(file, text string) (lines []allowLine, findings []string) {
@@ -414,9 +690,10 @@ func parseAllow(file, text string) (lines []allowLine, findings []string) {
 func (s *surface) check(allowFile, allowText, trim string) []string {
 	allow, findings := parseAllow(allowFile, allowText)
 	unallowed := s.dead(nil)
+	unset := s.unset()
 	var patterns []string
 	for _, a := range allow {
-		stale := true
+		stale := len(uncovered(unset, []string{a.pattern})) == len(unset)
 		for _, n := range unallowed {
 			for _, name := range n.names {
 				stale = stale && !matches(a.pattern, name)
@@ -430,6 +707,11 @@ func (s *surface) check(allowFile, allowText, trim string) []string {
 	for _, n := range s.dead(patterns) {
 		findings = append(findings, fmt.Sprintf("%s:%d: %s has no caller outside tests (%d lines)",
 			strings.TrimPrefix(n.pos.Filename, trim), n.pos.Line, strings.Join(n.names, ", "), n.lines))
+	}
+	for _, f := range uncovered(unset, patterns) {
+		pos := s.fields[f]
+		findings = append(findings, fmt.Sprintf("%s:%d: %s is set by no non-test file outside its package",
+			strings.TrimPrefix(pos.Filename, trim), pos.Line, f))
 	}
 	return findings
 }
@@ -498,7 +780,9 @@ func (m loadedImporter) Import(path string) (*types.Package, error) {
 // TestSurfaceFixture runs the gate on testdata/src/surface: a dead
 // function (and the helper only it calls), a function only a _test.go
 // calls, a method reached only through an interface, an allowlisted
-// name and a stale allowlist line.
+// name, a stale allowlist line, and an option type with a field the
+// command sets, one only a preset it uses sets, and one that only a
+// _test.go and its own package set.
 func TestSurfaceFixture(t *testing.T) {
 	root := repoRoot(t)
 	const dir = "internal/analyze/gocheck/testdata/src/surface"
@@ -518,6 +802,7 @@ func TestSurfaceFixture(t *testing.T) {
 		"internal/lib/lib.go:22: lib.Dead has no caller outside tests (2 lines)",
 		"internal/lib/lib.go:24: lib.orphan has no caller outside tests (1 lines)",
 		"internal/lib/lib.go:27: lib.OnlyTested has no caller outside tests (2 lines)",
+		"internal/lib/lib.go:37: lib.Options.Tested is set by no non-test file outside its package",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -548,8 +833,16 @@ func TestSurface(t *testing.T) {
 	for _, f := range s.check("surface.allow", string(allowText), root+string(filepath.Separator)) {
 		t.Error(f)
 	}
+	fields, setters, params := len(s.fields), len(s.setters), s.params
+	if n := fields + setters + params; n != settableValues {
+		t.Errorf("%d settable values (%d option fields, %d setters, %d constructor parameters), settableValues pins %d: set it to %d",
+			n, fields, setters, params, settableValues, n)
+	}
 	if testing.Verbose() {
+		t.Logf("%d settable values: %d option fields, %d setters, %d constructor parameters",
+			fields+setters+params, fields, setters, params)
 		allow, _ := parseAllow("surface.allow", string(allowText))
+		unset := s.unset()
 		for i, a := range allow {
 			var others []string
 			for j, b := range allow {
@@ -557,8 +850,10 @@ func TestSurface(t *testing.T) {
 					others = append(others, b.pattern)
 				}
 			}
-			t.Logf("%s keeps %d declaration lines", a.pattern, totalLines(s.dead(others)))
+			kept := len(uncovered(unset, others)) - len(uncovered(unset, append(others, a.pattern)))
+			t.Logf("%s keeps %d declaration lines and %d option fields", a.pattern, totalLines(s.dead(others)), kept)
 		}
-		t.Logf("%d declaration lines lack a caller before the allowlist", totalLines(s.dead(nil)))
+		t.Logf("%d declaration lines lack a caller and %d option fields a writer before the allowlist",
+			totalLines(s.dead(nil)), len(unset))
 	}
 }

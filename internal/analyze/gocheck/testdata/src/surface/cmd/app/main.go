@@ -7,4 +7,8 @@ import (
 	"flexrpc/internal/analyze/gocheck/testdata/src/surface/internal/lib"
 )
 
-func main() { fmt.Println(lib.Used().Greet()) }
+func main() {
+	o := lib.Defaults
+	o.Live = 2
+	fmt.Println(lib.Used().Greet(), lib.Run(o))
+}

@@ -150,7 +150,7 @@ func (w *world) plan(t testing.TB) *runtime.Plan {
 
 func (w *world) session(t testing.TB) *runtime.SessionServer {
 	t.Helper()
-	return runtime.NewSessionServer(w.disp, w.plan(t), runtime.NewReplyCache(runtime.DefaultReplyCacheSize))
+	return runtime.NewSessionServer(w.disp, w.plan(t), runtime.NewReplyCacheSharded(runtime.DefaultReplyCacheSize, 0))
 }
 
 // invoker is the slice of client surface the matrix drives: both the

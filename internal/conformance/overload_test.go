@@ -10,6 +10,7 @@ import (
 
 	"flexrpc/internal/netsim"
 	"flexrpc/internal/runtime"
+	"flexrpc/internal/stats"
 	"flexrpc/internal/transport/suntcp"
 )
 
@@ -36,7 +37,7 @@ func newOverloadWorld(t testing.TB, opts runtime.AdmissionOptions) *overloadWorl
 	ow := &overloadWorld{
 		world: w,
 		adm:   runtime.NewAdmission(opts),
-		cache: runtime.NewReplyCache(runtime.DefaultReplyCacheSize),
+		cache: runtime.NewReplyCacheSharded(runtime.DefaultReplyCacheSize, 0),
 	}
 	ow.sess = runtime.NewSessionServer(w.disp, w.plan(t), ow.cache)
 	ow.sess.SetAdmission(ow.adm)
@@ -93,12 +94,12 @@ func TestOverloadPushbackTaxonomy(t *testing.T) {
 	for _, tc := range overloadCells() {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
+			srv := stats.New(nil) // the controller's shed counter
 			ow := newOverloadWorld(t, runtime.AdmissionOptions{
-				MaxInflight: 2, RetryAfter: retryAfter,
+				MaxInflight: 2, RetryAfter: retryAfter, Stats: srv,
 			})
 			inv := tc.build(t, ow)
-			st := inv.EnableStats()
-			ow.adm.SetStats(st) // one endpoint covers client and controller
+			inv.EnableStats()
 
 			// Fill the server: two foreign admissions hold the global cap.
 			if ow.adm.Admit() != nil || ow.adm.Admit() != nil {
@@ -129,7 +130,7 @@ func TestOverloadPushbackTaxonomy(t *testing.T) {
 			if err != nil || ret.(int32) != 42 {
 				t.Fatalf("post-release add = %v, %v", ret, err)
 			}
-			if sheds := st.Snapshot().Sheds; sheds == 0 {
+			if sheds := srv.Snapshot().Sheds; sheds == 0 {
 				t.Fatal("server endpoint recorded no sheds")
 			}
 		})

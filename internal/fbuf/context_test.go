@@ -20,8 +20,8 @@ func TestAllocBlockingContextExpired(t *testing.T) {
 		t.Fatalf("expired ctx = %v", err)
 	}
 	// The pool was untouched.
-	if p.FreeCount() != 1 {
-		t.Fatalf("free = %d", p.FreeCount())
+	if pooled(p) != 1 {
+		t.Fatalf("free = %d", pooled(p))
 	}
 }
 

@@ -78,13 +78,6 @@ func NewPath(bufSize, count int, domains ...*Domain) *Path {
 // BufSize returns the pool's fixed buffer size.
 func (p *Path) BufSize() int { return p.bufSize }
 
-// FreeCount returns the number of buffers currently in the pool.
-func (p *Path) FreeCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}
-
 // onPath reports whether d participates in the path.
 func (p *Path) onPath(d *Domain) bool {
 	for _, pd := range p.domains {

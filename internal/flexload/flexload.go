@@ -1,11 +1,11 @@
 // Package flexload is the load-generator harness for the connection-
 // scale experiments: open- and closed-loop traffic from thousands of
 // simulated clients, paced by a runtime.Clock so the same engine runs
-// in real time against a live server or fully deterministically under
-// a FakeClock. Latency percentiles come from the existing stats
-// histograms (one sharded Endpoint pool merged via Snapshot.Merge),
-// so the generator measures with the same instruments the runtime
-// exports.
+// in real time against a live server or — exactly when the clock is a
+// *runtime.FakeClock — fully deterministically in virtual time.
+// Latency percentiles come from the existing stats histograms (one
+// sharded Endpoint pool merged via Snapshot.Merge), so the generator
+// measures with the same instruments the runtime exports.
 //
 // The run protocol is warmup → measure → cooldown: only calls whose
 // arrival falls inside the measure window are recorded, so pool
@@ -79,8 +79,11 @@ type Options struct {
 	// Warmup/Measure/Cooldown are the protocol phases; only Measure
 	// is required.
 	Warmup, Measure, Cooldown time.Duration
-	// Clock paces the run; nil means runtime.WallClock. Deterministic
-	// runs require a *runtime.FakeClock.
+	// Clock paces the run; nil means runtime.WallClock. A
+	// *runtime.FakeClock makes the run deterministic: every client
+	// runs on one goroutine in virtual time (auto-advance is enabled
+	// so retry backoffs advance it), and two runs with the same seed
+	// produce identical reports.
 	Clock runtime.Clock
 	// Seed derives every client's arrival/jitter rng; identical seeds
 	// (plus a FakeClock) reproduce a run byte-for-byte.
@@ -100,15 +103,6 @@ type Options struct {
 	// SLO bounds "good" latency: goodput counts only completions at
 	// or under it. 0 counts every completion.
 	SLO time.Duration
-	// MaxQueue bounds each open-loop client's backlog of scheduled-
-	// but-unissued arrivals; overflow is counted, not queued.
-	// 0 means 1024.
-	MaxQueue int
-	// Deterministic runs every client on one goroutine in virtual
-	// time: Clock must be a *runtime.FakeClock (auto-advance is
-	// enabled so retry backoffs advance it), and two runs with the
-	// same seed produce identical reports.
-	Deterministic bool
 }
 
 // Report is the outcome of a run. All fields are plain values, so
@@ -148,7 +142,7 @@ type Report struct {
 	Sheds           uint64  `json:"sheds"`
 
 	// QueueMax is the deepest per-client open-loop backlog seen;
-	// QueueDrops counts arrivals past MaxQueue.
+	// QueueDrops counts arrivals past maxQueue.
 	QueueMax   int    `json:"queue_max"`
 	QueueDrops uint64 `json:"queue_drops"`
 
@@ -183,8 +177,9 @@ func (r *Report) Text() string {
 // histogram sets.
 const statsShards = 64
 
-// defaultMaxQueue bounds open-loop backlogs when Options.MaxQueue is 0.
-const defaultMaxQueue = 1024
+// maxQueue bounds each open-loop client's backlog of scheduled-but-
+// unissued arrivals; overflow is counted, not queued.
+const maxQueue = 1024
 
 type client struct {
 	id   int
@@ -210,7 +205,7 @@ type run struct {
 	t     *Target
 	o     *Options
 	clock runtime.Clock
-	fake  *runtime.FakeClock // non-nil in deterministic mode
+	fake  *runtime.FakeClock // non-nil in virtual time
 
 	opIdx  int
 	opName string
@@ -240,29 +235,17 @@ func Run(t Target, o Options) (*Report, error) {
 	if o.Mode == Open && o.Rate <= 0 {
 		return nil, errors.New("flexload: open loop requires Options.Rate")
 	}
-	if o.MaxQueue == 0 {
-		o.MaxQueue = defaultMaxQueue
-	}
 
-	r := &run{t: &t, o: &o}
-	r.clock = o.Clock
-	if o.Deterministic {
-		fc, ok := r.clock.(*runtime.FakeClock)
-		if r.clock == nil {
-			fc, ok = runtime.NewFakeClock(), true
-		}
-		if !ok {
-			return nil, errors.New("flexload: deterministic mode requires a *runtime.FakeClock")
-		}
+	r := &run{t: &t, o: &o, clock: o.Clock}
+	if fc, ok := o.Clock.(*runtime.FakeClock); ok {
 		if o.Mode == Closed && o.Think <= 0 {
-			return nil, errors.New("flexload: deterministic closed loop requires think time")
+			return nil, errors.New("flexload: a virtual-time closed loop requires think time")
 		}
 		// Any sleep inside the stack (retry backoff, advisory
 		// retry-after) advances virtual time instead of blocking the
 		// single engine goroutine.
 		fc.AutoAdvance(true)
 		r.fake = fc
-		r.clock = fc
 	} else if r.clock == nil {
 		r.clock = runtime.WallClock
 	}
@@ -340,7 +323,7 @@ func Run(t Target, o Options) (*Report, error) {
 		}
 	}
 
-	if o.Deterministic {
+	if r.fake != nil {
 		r.runVirtual()
 	} else {
 		r.runWall()
@@ -391,7 +374,7 @@ func (r *run) step(c *client) (next time.Time, done bool) {
 		if !at.Before(r.measStart) && at.Before(r.measEnd) {
 			c.offered++
 		}
-		if len(c.queue)-c.qhead >= r.o.MaxQueue {
+		if len(c.queue)-c.qhead >= maxQueue {
 			c.drops++
 			continue
 		}

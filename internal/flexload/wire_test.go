@@ -20,19 +20,18 @@ func wireWorker(t *testing.T, clients, base int) *WireReport {
 		Pres: w.p,
 		Op:   "nop",
 	}, Options{
-		Clients:       clients,
-		Mode:          Closed,
-		Think:         2 * time.Millisecond,
-		Warmup:        5 * time.Millisecond,
-		Measure:       50 * time.Millisecond,
-		Cooldown:      5 * time.Millisecond,
-		Clock:         fc,
-		Seed:          1234,
-		ClientIDBase:  base,
-		Robust:        detRobust(),
-		ServerStats:   w.srv,
-		SLO:           20 * time.Millisecond,
-		Deterministic: true,
+		Clients:      clients,
+		Mode:         Closed,
+		Think:        2 * time.Millisecond,
+		Warmup:       5 * time.Millisecond,
+		Measure:      50 * time.Millisecond,
+		Cooldown:     5 * time.Millisecond,
+		Clock:        fc,
+		Seed:         1234,
+		ClientIDBase: base,
+		Robust:       detRobust(),
+		ServerStats:  w.srv,
+		SLO:          20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -66,15 +66,6 @@ func NewAdmission(o AdmissionOptions) *Admission {
 	}
 }
 
-// SetStats points the controller's shed/drain counters at e, replacing
-// AdmissionOptions.Stats. Set before admitting; a nil endpoint records
-// nothing.
-func (a *Admission) SetStats(e *stats.Endpoint) {
-	if a != nil {
-		a.stats = e
-	}
-}
-
 // Admit decides one call before decode. A nil return admits — the
 // caller must pair it with Release when the call completes. A non-nil
 // return is the complete pushback reply frame (shared and immutable;

@@ -12,12 +12,12 @@ import (
 )
 
 // Client-side call batching: [batchable] operations may be queued for
-// at most a bounded delay and sent to the server merged into one
-// session frame, amortizing per-call framing, checksums and transport
-// round trips across small calls. The batch frame rides the ordinary
-// session layer (flagBatch set), so it inherits CRC protection,
-// retries, and — under the outer (cid, seq) key — at-most-once
-// execution of the whole batch.
+// at most a fixed delay (maxBatchDelay, 200µs) and sent to the server
+// merged into one session frame, amortizing per-call framing,
+// checksums and transport round trips across small calls. The batch
+// frame rides the ordinary session layer (flagBatch set), so it
+// inherits CRC protection, retries, and — under the outer (cid, seq)
+// key — at-most-once execution of the whole batch.
 //
 // Wire format, big-endian, inside the session body:
 //
@@ -147,34 +147,32 @@ func (s *SessionServer) execBatch(ctx context.Context, body []byte, tid uint32, 
 // reach this many bytes, so large calls don't pile up behind the timer.
 const batchFlushBytes = 16 << 10
 
+// maxBatchDelay bounds how long any call — including a lone one — may
+// wait for companions before the queue is flushed: fixed, and well
+// under one transport RTT, so batching is a net win.
+const maxBatchDelay = 200 * time.Microsecond
+
 // BatchOptions size the client-side batcher. The zero value of any
 // field selects its default.
 type BatchOptions struct {
 	// MaxCalls flushes the queue when this many calls are waiting
 	// (default 16).
 	MaxCalls int
-	// MaxDelay bounds how long any call — including a lone one — may
-	// wait for companions before the queue is flushed (default 200µs;
-	// keep it well under one transport RTT for a net win).
-	MaxDelay time.Duration
 }
 
 func (o BatchOptions) withDefaults() BatchOptions {
 	if o.MaxCalls <= 0 {
 		o.MaxCalls = 16
 	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = 200 * time.Microsecond
-	}
 	return o
 }
 
 // EnableBatching starts the adaptive small-call batcher: concurrent
 // calls to [batchable] operations are merged into single session
-// frames, flushed when MaxCalls calls or 16 KiB accumulate or MaxDelay
-// elapses, whichever is first. Calls carrying a cancelable context, a
-// trace id, or a non-[batchable] operation bypass the queue and use
-// the ordinary per-call path. Call before the conn is shared; call at
+// frames, flushed when MaxCalls calls or 16 KiB accumulate or
+// maxBatchDelay elapses, whichever is first. Calls carrying a
+// cancelable context, a trace id, or a non-[batchable] operation
+// bypass the queue and use the ordinary per-call path. Call before the conn is shared; call at
 // most once.
 func (r *RobustConn) EnableBatching(opts BatchOptions) {
 	b := &batcher{
@@ -203,7 +201,7 @@ type batchResult struct {
 // session frames. Size-triggered flushes run on the enqueuing
 // goroutine; the timer flush runs on a dedicated flusher goroutine
 // driven by the conn's Clock, so a lone call never waits past
-// MaxDelay.
+// maxBatchDelay.
 type batcher struct {
 	r    *RobustConn
 	opts BatchOptions
@@ -265,11 +263,11 @@ func (b *batcher) takeLocked() []*batchCall {
 }
 
 // run is the timer flusher: each time a fresh queue starts it sleeps
-// MaxDelay on the conn's clock and flushes whatever is waiting. A
+// maxBatchDelay on the conn's clock and flushes whatever is waiting. A
 // size-triggered flush may empty the queue first; the subsequent
 // timer flush of an empty queue is a no-op. Because the flusher was
 // already armed by an earlier generation at worst, no call ever waits
-// longer than MaxDelay.
+// longer than maxBatchDelay.
 func (b *batcher) run() {
 	defer close(b.done)
 	for {
@@ -279,7 +277,7 @@ func (b *batcher) run() {
 			return
 		case <-b.wake:
 		}
-		_ = b.r.clock.Sleep(b.ctx, b.opts.MaxDelay)
+		_ = b.r.clock.Sleep(b.ctx, maxBatchDelay)
 		b.flush()
 		if b.ctx.Err() != nil {
 			b.flush()

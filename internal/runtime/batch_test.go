@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,7 +127,7 @@ func decodeDoubled(plan *Plan, opIdx int, body []byte) (int32, error) {
 // each, and all return correct results.
 func TestBatchSizeFlushMergesCalls(t *testing.T) {
 	fc := NewFakeClock()
-	st := newBatchStack(t, fc, BatchOptions{MaxCalls: 4, MaxDelay: time.Hour})
+	st := newBatchStack(t, fc, BatchOptions{MaxCalls: 4})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -162,12 +161,15 @@ func TestBatchSizeFlushMergesCalls(t *testing.T) {
 
 // TestBatcherLoneCallBound pins the latency contract: a lone call
 // waits for companions on the flusher's timer, and that timer is
-// exactly MaxDelay — never more. The fake clock proves the bound
-// without trusting wall time.
+// exactly maxBatchDelay (200µs) — never more. The fake clock proves
+// the bound without trusting wall time.
 func TestBatcherLoneCallBound(t *testing.T) {
-	const bound = 5 * time.Millisecond
+	const bound = 200 * time.Microsecond
+	if maxBatchDelay != bound {
+		t.Fatalf("maxBatchDelay = %v, want %v", maxBatchDelay, bound)
+	}
 	fc := NewFakeClock()
-	st := newBatchStack(t, fc, BatchOptions{MaxCalls: 64, MaxDelay: bound})
+	st := newBatchStack(t, fc, BatchOptions{MaxCalls: 64})
 
 	done := make(chan error, 1)
 	go func() {
@@ -179,7 +181,7 @@ func TestBatcherLoneCallBound(t *testing.T) {
 	}()
 
 	// The flusher must arm exactly one timer, and it must be the
-	// configured bound — the "never delays a lone call past MaxDelay"
+	// bound — the "never delays a lone call past maxBatchDelay"
 	// guarantee is this assertion.
 	deadline := time.Now().Add(5 * time.Second)
 	for len(fc.Sleeps()) == 0 {
@@ -189,7 +191,7 @@ func TestBatcherLoneCallBound(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	if sleeps := fc.Sleeps(); sleeps[0] != bound {
-		t.Fatalf("flusher armed %v, want exactly MaxDelay %v", sleeps[0], bound)
+		t.Fatalf("flusher armed %v, want exactly maxBatchDelay %v", sleeps[0], bound)
 	}
 
 	fc.Advance(bound)
@@ -212,7 +214,7 @@ var errBadReply = errors.New("wrong reply value")
 func TestBatchBypasses(t *testing.T) {
 	fc := NewFakeClock()
 	fc.AutoAdvance(true)
-	st := newBatchStack(t, fc, BatchOptions{MaxCalls: 4, MaxDelay: time.Millisecond})
+	st := newBatchStack(t, fc, BatchOptions{MaxCalls: 4})
 
 	if got, err := st.call(context.Background(), "lone", 3); err != nil || got != 6 {
 		t.Fatalf("lone(3) = %v, %v", got, err)
@@ -235,7 +237,7 @@ func TestBatchBypasses(t *testing.T) {
 // cross-wired: every call sees its own doubled argument and the
 // handler runs exactly once per call.
 func TestBatchConcurrentStress(t *testing.T) {
-	st := newBatchStack(t, WallClock, BatchOptions{MaxCalls: 8, MaxDelay: 100 * time.Microsecond})
+	st := newBatchStack(t, WallClock, BatchOptions{MaxCalls: 8})
 
 	const goroutines, per = 8, 25
 	var wg sync.WaitGroup
@@ -288,13 +290,7 @@ func TestBatchReplayedWhole(t *testing.T) {
 	body := binary.BigEndian.AppendUint32(nil, 2)
 	body = appendBatchEntry(body, uint32(plan.OpIndex("echo")), enc.Bytes())
 	body = appendBatchEntry(body, uint32(plan.OpIndex("echo")), enc.Bytes())
-
-	frame := make([]byte, robustReqHeader+len(body))
-	binary.BigEndian.PutUint32(frame[0:4], 11) // cid
-	binary.BigEndian.PutUint32(frame[4:8], 1)  // seq
-	binary.BigEndian.PutUint32(frame[8:12], flagBatch)
-	binary.BigEndian.PutUint32(frame[12:16], crc32.ChecksumIEEE(body))
-	copy(frame[robustReqHeader:], body)
+	frame := sessionRequestFrame(11, 1, flagBatch, body)
 
 	first := sess.Handle(context.Background(), 0, frame)
 	replay := sess.Handle(context.Background(), 0, frame)
@@ -316,6 +312,48 @@ func TestBatchReplayedWhole(t *testing.T) {
 		if err != nil || got != 18 {
 			t.Fatalf("sub-reply %d: %v, %v", i, got, err)
 		}
+	}
+}
+
+// TestBatchReplayBilledToSubCalls: a batch frame travels as wire op 0,
+// but a replay of it answers its sub-calls, so the replay is billed to
+// each sub-call's op and none to op 0.
+func TestBatchReplayBilledToSubCalls(t *testing.T) {
+	p := batchPres(t)
+	disp := NewDispatcher(p)
+	double := func(c *Call) error {
+		c.SetResult(c.Arg(0).(int32) * 2)
+		return nil
+	}
+	disp.Handle("echo", double)
+	disp.Handle("lone", double)
+	e := disp.EnableStats()
+	plan, err := NewPlan(p, XDRCodec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSessionServer(disp, plan, NewReplyCacheSharded(16, 2))
+	echo, lone := plan.OpIndex("echo"), plan.OpIndex("lone")
+	if echo != 0 {
+		t.Fatalf("echo is op %d, want 0: the wire op a batch frame travels as", echo)
+	}
+	enc := XDRCodec.NewEncoder()
+	if err := plan.Ops[lone].EncodeRequest(enc, []Value{int32(4)}); err != nil {
+		t.Fatal(err)
+	}
+	body := binary.BigEndian.AppendUint32(nil, 2)
+	body = appendBatchEntry(body, uint32(lone), enc.Bytes())
+	body = appendBatchEntry(body, uint32(lone), enc.Bytes())
+	frame := sessionRequestFrame(12, 1, flagBatch, body)
+
+	sess.Handle(context.Background(), 0, frame)
+	sess.Handle(context.Background(), 0, frame)
+	snap := e.Snapshot()
+	if got := snap.Ops[echo]; got.Replays != 0 || got.Calls != 0 {
+		t.Fatalf("echo: %d replays, %d calls; want 0 and 0: the batch's wire op never ran", got.Replays, got.Calls)
+	}
+	if got := snap.Ops[lone].Replays; got != 2 {
+		t.Fatalf("lone: %d replays, want 2, one per replayed sub-call", got)
 	}
 }
 

@@ -288,53 +288,6 @@ func variableSig(sig string) bool {
 	return false
 }
 
-// OpCert returns the named operation's certificate, or nil.
-func (c *PlanCert) OpCert(name string) *OpCert {
-	for i := range c.Ops {
-		if c.Ops[i].Op == name {
-			return &c.Ops[i]
-		}
-	}
-	return nil
-}
-
-// VerifyAllocFree proves the 0-alloc invariant for the named
-// operations on the named side ("client" or "server"). This is the
-// static form of the AllocsPerRun gates: a plan that certifies
-// alloc-free here measures zero allocations per call there.
-func (c *PlanCert) VerifyAllocFree(side string, ops ...string) error {
-	for _, name := range ops {
-		if err := c.VerifyAllocBound(side, name, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// VerifyAllocBound proves the named operation's certified per-call
-// allocation bound on the named side is at most max.
-func (c *PlanCert) VerifyAllocBound(side, name string, max int) error {
-	oc := c.OpCert(name)
-	if oc == nil {
-		return fmt.Errorf("certify: no operation %q in plan for %s", name, c.Interface)
-	}
-	bound := oc.ClientAllocBound
-	if side == "server" {
-		bound = oc.ServerAllocBound
-	}
-	if bound <= max {
-		return nil
-	}
-	for _, sc := range oc.Steps {
-		if sc.Allocs && sideOf(sc.Phase) == side {
-			return fmt.Errorf("certify: %s.%s certifies %d %s-side allocations per call, want <= %d: %s step on %q (%s, lands %s) allocates",
-				c.Interface, name, bound, side, max, sc.Phase, sc.Param, sc.Type, sc.Landing)
-		}
-	}
-	return fmt.Errorf("certify: %s.%s certifies %d %s-side allocations per call, want <= %d",
-		c.Interface, name, bound, side, max)
-}
-
 // Render formats the certificate as indented JSON — the golden
 // `flexc vet -certify` diffs. (Deliberately not named MarshalText:
 // encoding/json would recurse through a TextMarshaler.)

@@ -31,10 +31,10 @@ func TestCertificateNullRPCAllocFree(t *testing.T) {
 	// The null RPC is certified 0-alloc on both sides — the static
 	// form of TestClientNullCallZeroAllocsStatsOff and
 	// TestServerNullCallZeroAllocsStatsOff.
-	if err := cert.VerifyAllocFree("client", "nop"); err != nil {
+	if err := cert.VerifyAllocBound("client", "nop", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := cert.VerifyAllocFree("server", "nop"); err != nil {
+	if err := cert.VerifyAllocBound("server", "nop", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -51,11 +51,11 @@ func TestCertificateBorrowPutBound(t *testing.T) {
 	if oc.ServerAllocBound != 0 {
 		t.Fatalf("put server alloc bound = %d, want 0", oc.ServerAllocBound)
 	}
-	if err := cert.VerifyAllocFree("server", "put"); err != nil {
+	if err := cert.VerifyAllocBound("server", "put", 0); err != nil {
 		t.Fatal(err)
 	}
 	// The client side only appends into the recycled request frame.
-	if err := cert.VerifyAllocFree("client", "put"); err != nil {
+	if err := cert.VerifyAllocBound("client", "put", 0); err != nil {
 		t.Fatal(err)
 	}
 	// The decode step that borrows the frame must carry the plan's

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,7 +24,6 @@ func TestAdmissionNilIsDisabled(t *testing.T) {
 	}
 	a.Release()
 	a.StartDrain()
-	a.SetStats(nil)
 	if a.Inflight() != 0 {
 		t.Fatal("nil admission reported state")
 	}
@@ -304,7 +304,7 @@ func TestDrainWithoutAdmissionKeepsReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSessionServer(disp, plan, NewReplyCache(64))
+	s := NewSessionServer(disp, plan, NewReplyCacheSharded(64, 0))
 	idx := plan.OpIndex("nop")
 	frame := sessionRequestFrame(1, 1, 0, nil)
 	first := s.Handle(t.Context(), idx, frame)
@@ -320,6 +320,67 @@ func TestDrainWithoutAdmissionKeepsReplies(t *testing.T) {
 	}
 	if n := e.Snapshot().Ops[idx].Replays; n != 1 {
 		t.Fatalf("replays = %d, want 1", n)
+	}
+}
+
+// panicHooks marshal a [special] byte parameter, except that the
+// decode hook panics.
+type panicHooks struct{}
+
+func (panicHooks) EncodeSpecial(op, param string, enc Encoder, v Value) error {
+	enc.PutBytes(v.([]byte))
+	return nil
+}
+
+func (panicHooks) DecodeSpecial(op, param string, dec Decoder) (Value, error) {
+	panic("hook exploded")
+}
+
+// TestSpecialHookPanicFailsTheCall: a server [special] hook that panics
+// fails its call like any other decode error. The call gets an error
+// reply, the reply cache keeps it, and admission is released, so a
+// retransmit replays that reply instead of waiting forever on an
+// execution that never finished.
+func TestSpecialHookPanicFailsTheCall(t *testing.T) {
+	p := testPres(t)
+	p.Op("write").Param("data").Special = true
+	disp := NewDispatcher(p)
+	disp.SetHooks(panicHooks{})
+	disp.Handle("write", func(*Call) error { return nil })
+	plan, err := disp.Plan(XDRCodec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSessionServer(disp, plan, NewReplyCacheSharded(64, 0))
+	a := NewAdmission(AdmissionOptions{MaxInflight: 4})
+	s.SetAdmission(a)
+	enc := XDRCodec.NewEncoder()
+	enc.PutBytes([]byte("abc"))
+	frame := sessionRequestFrame(1, 1, 0, enc.Bytes())
+	idx := plan.OpIndex("write")
+
+	first := s.Handle(t.Context(), idx, frame)
+	if len(first) < robustRepHeader || binary.BigEndian.Uint32(first[0:4]) != sessOK {
+		t.Fatalf("reply frame %x, want a session OK frame carrying the error", first)
+	}
+	dec := XDRCodec.NewDecoder(first[robustRepHeader:])
+	status, _ := dec.Uint32()
+	msg, _ := dec.String()
+	if status != replyErr || !strings.Contains(msg, "write param data") || !strings.Contains(msg, "hook exploded") {
+		t.Fatalf("reply status %d %q, want an error naming the op, the parameter and the panic", status, msg)
+	}
+	if n := a.Inflight(); n != 0 {
+		t.Fatalf("%d calls in flight after the failed call, want 0", n)
+	}
+	done := make(chan []byte, 1)
+	go func() { done <- s.Handle(t.Context(), idx, frame) }()
+	select {
+	case rep := <-done:
+		if !bytes.Equal(rep, first) {
+			t.Fatal("the retransmit's reply differs from the original's")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the retransmit is still waiting on the failed call after 2s")
 	}
 }
 
@@ -355,7 +416,7 @@ func TestSessionServerShedHandleZeroAllocs(t *testing.T) {
 		t.Skip("allocation gates are not meaningful under the race detector")
 	}
 	disp, plan, _, _ := serverStack(t)
-	s := NewSessionServer(disp, plan, NewReplyCache(64))
+	s := NewSessionServer(disp, plan, NewReplyCacheSharded(64, 0))
 	a := NewAdmission(AdmissionOptions{MaxInflight: 1})
 	s.SetAdmission(a)
 	if a.Admit() != nil {
@@ -379,7 +440,7 @@ func TestSessionServerAdmittedHandleBoundedAllocs(t *testing.T) {
 		t.Skip("allocation gates are not meaningful under the race detector")
 	}
 	disp, plan, _, _ := serverStack(t)
-	s := NewSessionServer(disp, plan, NewReplyCache(64))
+	s := NewSessionServer(disp, plan, NewReplyCacheSharded(64, 0))
 	s.SetAdmission(NewAdmission(AdmissionOptions{MaxInflight: 64}))
 	frame := sessionRequestFrame(1, 1, flagIdempotent, nil)
 	idx := plan.OpIndex("nop")

@@ -313,19 +313,35 @@ func resolveLanding(phase string, t *ir.Type, a *pres.ParamAttrs) Landing {
 	return LandScalar
 }
 
-// compileSpecial resolves a [special] parameter to its hooks.
+// compileSpecial resolves a [special] parameter to its hooks. A hook
+// that panics fails its step instead: the call then ends like any
+// other marshal error — on a server, an error reply that the reply
+// cache keeps and a released admission slot — rather than unwinding
+// through the session layer with its cache key still executing.
 func (pl *Plan) compileSpecial(opName, prmName string) (encodeFn, decodeFn, error) {
+	what := "param " + prmName
+	if prmName == pres.ResultParam {
+		what = "result"
+	}
 	if pl.hooks == nil {
-		what := "param " + prmName
-		if prmName == pres.ResultParam {
-			what = "result"
-		}
 		return nil, nil, fmt.Errorf("runtime: %s.%s %s is [special] but no hooks were provided",
 			pl.Pres.Interface.Name, opName, what)
 	}
 	hooks := pl.hooks
-	return func(e Encoder, v Value) error { return hooks.EncodeSpecial(opName, prmName, e, v) },
-		func(d Decoder, _ []byte) (Value, error) { return hooks.DecodeSpecial(opName, prmName, d) }, nil
+	recoverHook := func(err *error, hook string) {
+		if r := recover(); r != nil {
+			*err = fmt.Errorf("runtime: %s.%s %s: [special] %s hook panicked: %v",
+				pl.Pres.Interface.Name, opName, what, hook, r)
+		}
+	}
+	return func(e Encoder, v Value) (err error) {
+			defer recoverHook(&err, "encode")
+			return hooks.EncodeSpecial(opName, prmName, e, v)
+		},
+		func(d Decoder, _ []byte) (v Value, err error) {
+			defer recoverHook(&err, "decode")
+			return hooks.DecodeSpecial(opName, prmName, d)
+		}, nil
 }
 
 // wrapTraced meters an encode step whose parameter carries [traced]:

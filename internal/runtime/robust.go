@@ -474,8 +474,8 @@ type arenaChunk struct {
 // its entry is evicted.
 const replyChunkSize = 64 << 10
 
-// DefaultReplyCacheSize bounds the cache when NewReplyCache is given
-// a non-positive capacity.
+// DefaultReplyCacheSize bounds the cache when NewReplyCacheSharded is
+// given a non-positive capacity.
 const DefaultReplyCacheSize = 4096
 
 // maxReplyCacheShards caps the default shard count; past the point
@@ -483,18 +483,13 @@ const DefaultReplyCacheSize = 4096
 // cost memory.
 const maxReplyCacheShards = 64
 
-// NewReplyCache returns a cache retaining up to capacity completed
-// replies (DefaultReplyCacheSize when capacity <= 0), sharded for the
-// current GOMAXPROCS.
-func NewReplyCache(capacity int) *ReplyCache {
-	return NewReplyCacheSharded(capacity, 0)
-}
-
-// NewReplyCacheSharded is NewReplyCache with an explicit shard
-// count, rounded up to a power of two. shards <= 0 derives the count
-// from GOMAXPROCS (the next power of two, at most
-// maxReplyCacheShards); shards == 1 restores the single-mutex
-// behavior, which experiments use as the serial baseline.
+// NewReplyCacheSharded returns a cache retaining up to capacity
+// completed replies (DefaultReplyCacheSize when capacity <= 0), its
+// state split across the given number of independently locked shards,
+// rounded up to a power of two. shards <= 0 derives the count from
+// GOMAXPROCS (the next power of two, at most maxReplyCacheShards);
+// shards == 1 restores the single-mutex behavior, which experiments
+// use as the serial baseline.
 func NewReplyCacheSharded(capacity, shards int) *ReplyCache {
 	if capacity <= 0 {
 		capacity = DefaultReplyCacheSize
@@ -780,10 +775,24 @@ func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst 
 	key := uint64(cid)<<32 | uint64(seq)
 	dst, replayed := s.cache.do(key, dst, exec)
 	s.adm.Release()
-	if replayed {
-		s.disp.stats.AddOp(opIdx, stats.OpReplays, 1)
+	if replayed && s.disp.stats != nil {
+		s.billReplay(opIdx, flags, body)
 	}
 	return dst
+}
+
+// billReplay counts a replayed reply against the ops it answers: the
+// frame's op, or — for a batch, which travels as wire op 0 — each
+// sub-call's.
+func (s *SessionServer) billReplay(opIdx int, flags uint32, body []byte) {
+	if flags&flagBatch == 0 {
+		s.disp.stats.AddOp(opIdx, stats.OpReplays, 1)
+		return
+	}
+	ops, _, _ := decodeBatchRequest(body)
+	for _, op := range ops {
+		s.disp.stats.AddOp(op, stats.OpReplays, 1)
+	}
 }
 
 // exec dispatches one request body and appends a fresh reply frame to

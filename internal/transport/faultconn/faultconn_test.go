@@ -68,7 +68,7 @@ func newFaultyStack(t *testing.T, prof faultconn.Profile, opts runtime.RobustOpt
 	}
 	var cache *runtime.ReplyCache
 	if opts.AtMostOnce {
-		cache = runtime.NewReplyCache(runtime.DefaultReplyCacheSize)
+		cache = runtime.NewReplyCacheSharded(runtime.DefaultReplyCacheSize, 0)
 	}
 	sess := runtime.NewSessionServer(disp, plan, cache)
 	sched := faultconn.New(prof)
@@ -175,7 +175,7 @@ func TestDeadlineAbandonsStuckCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := runtime.NewSessionServer(disp, plan, runtime.NewReplyCache(16))
+	sess := runtime.NewSessionServer(disp, plan, runtime.NewReplyCacheSharded(16, 0))
 	robust := runtime.NewRobustConn(&loopback{sess: sess}, p, runtime.RobustOptions{
 		ClientID:   9,
 		AtMostOnce: true,

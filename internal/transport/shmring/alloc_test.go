@@ -21,7 +21,7 @@ func allocGate(t *testing.T, m mode, bound float64, f func(b *Bound)) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
 	}
-	b, _ := connectMode(t, m, Config{})
+	b, _ := connectMode(t, m)
 	for i := 0; i < 100; i++ {
 		f(b) // warm the frame pool and grow reused buffers
 	}

@@ -13,9 +13,9 @@ import (
 	"flexrpc/internal/stats"
 )
 
-// Options configures Connect.
+// Options configures Connect. The ring's geometry is fixed (SlotSize,
+// Slots).
 type Options struct {
-	Config
 	// Hooks supply [special] marshal routines for the client plan; the
 	// server plan is the dispatcher's, compiled under its own hooks.
 	Hooks runtime.SpecialHooks
@@ -92,10 +92,6 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 	if err != nil {
 		return nil, fmt.Errorf("shmring: %w", err)
 	}
-	cfg, err := opts.Config.withDefaults()
-	if err != nil {
-		return nil, err
-	}
 	cplan, err := runtime.NewPlan(clientPres, codec, opts.Hooks)
 	if err != nil {
 		return nil, err
@@ -105,7 +101,7 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 		return nil, err
 	}
 	b := &Bound{
-		ring:      newRing(cfg),
+		ring:      newRing(SlotSize, Slots),
 		disp:      disp,
 		cplan:     cplan,
 		splan:     splan,

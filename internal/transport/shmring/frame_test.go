@@ -96,11 +96,10 @@ func newReuseBed(t testing.TB, opts Options) *reuseBed {
 		case "panic":
 			panic("kaboom")
 		case "big":
-			c.SetResult(make([]byte, 3*testSlot)) // outgrows the reply slot
+			c.SetResult(make([]byte, bigReply))
 		}
 		return nil
 	})
-	opts.Config = Config{SlotSize: testSlot, Slots: 32}
 	if bed.b, err = Connect(trusted(), disp, runtime.XDRCodec, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +107,9 @@ func newReuseBed(t testing.TB, opts Options) *reuseBed {
 	return bed
 }
 
-// testSlot is small enough that a 1 KB argument overflows the arena.
-const testSlot = 512
+// bigReply outgrows the reply slot, and still fits half the ring beside
+// an inout argument that outgrew the request slot.
+const bigReply = SlotSize + SlotSize/2
 
 // staleIn reports what the work function can see in a Call before it
 // has set anything itself, and whether its argument lies in the heap
@@ -133,7 +133,7 @@ func (bed *reuseBed) staleIn(c *runtime.Call) string {
 	if c.Context() != context.Background() {
 		found = append(found, fmt.Sprintf("context %v", c.Context()))
 	}
-	if len(bed.prevArg) > testSlot && within(c.ArgBytes(0), bed.prevArg) {
+	if len(bed.prevArg) > SlotSize && within(c.ArgBytes(0), bed.prevArg) {
 		found = append(found, "an argument inside the previous request's staging buffer")
 	}
 	return strings.Join(found, "; ")
@@ -149,7 +149,7 @@ func within(b, region []byte) bool {
 }
 
 func TestBoundFrameClearedOnEveryReturn(t *testing.T) {
-	small, large := bytes.Repeat([]byte{0x5A}, 100), bytes.Repeat([]byte{0xA5}, 1024)
+	small, large := bytes.Repeat([]byte{0x5A}, 100), bytes.Repeat([]byte{0xA5}, SlotSize+1024)
 	scenarios := []struct {
 		name, tag  string
 		data       []byte
@@ -180,7 +180,7 @@ func TestBoundFrameClearedOnEveryReturn(t *testing.T) {
 				case err != nil:
 					t.Fatal(err)
 				case sc.tag == "big":
-					if len(ret.([]byte)) != 3*testSlot {
+					if len(ret.([]byte)) != bigReply {
 						t.Fatalf("oversize reply came back %d bytes", len(ret.([]byte)))
 					}
 				default:

@@ -16,6 +16,9 @@
 // [nonunique] naming replaces the path-wide name-table lookup with
 // direct ring-position indexing.
 //
+// Every ring has the same geometry, Slots slots of SlotSize bytes: no
+// caller has needed another, so none can ask for one.
+//
 // Connect's Bound is the only binding: marshal plans encode straight
 // into the leased slots, one call is in flight at a time, and the
 // conformance matrix runs it inline and through the doorbell. Session
@@ -53,10 +56,14 @@ const (
 // longer length word means the frame is corrupt.
 const MaxMessage = 16 << 20
 
-// Default ring geometry for Connect.
+// Ring geometry. Every binding's ring is Slots fbufs of SlotSize bytes:
+// a body up to one slot less its header travels in the head slot, a
+// longer one splices continuation slots, and one message may splice at
+// most half the ring, so both directions can hold a maximal message at
+// once without deadlocking the pool.
 const (
-	DefaultSlotSize = 4096
-	DefaultSlots    = 8
+	SlotSize = 4096
+	Slots    = 8
 )
 
 // Common errors.
@@ -250,55 +257,24 @@ type Ring struct {
 	repBell  *doorbell
 }
 
-// Config sizes a ring.
-type Config struct {
-	// SlotSize is the fixed fbuf size backing each slot; 0 means
-	// DefaultSlotSize. Must exceed the frame header.
-	SlotSize int
-	// Slots is the pool depth; 0 means DefaultSlots. One message may
-	// splice together at most half the ring, so both directions can
-	// hold a maximal message at once without deadlocking the pool.
-	Slots int
-}
-
-func (cfg Config) withDefaults() (Config, error) {
-	if cfg.SlotSize == 0 {
-		cfg.SlotSize = DefaultSlotSize
-	}
-	if cfg.Slots == 0 {
-		cfg.Slots = DefaultSlots
-	}
-	if cfg.SlotSize <= headerSize+4 {
-		return cfg, fmt.Errorf("shmring: slot size %d does not fit a frame header", cfg.SlotSize)
-	}
-	if cfg.Slots < 2 {
-		return cfg, fmt.Errorf("shmring: ring needs at least 2 slots, have %d", cfg.Slots)
-	}
-	return cfg, nil
-}
-
-func newRing(cfg Config) *Ring {
+// newRing builds a ring of slots fbufs of slotSize bytes; Connect's
+// is always SlotSize by Slots.
+func newRing(slotSize, slots int) *Ring {
 	client := fbuf.NewDomain("shmring-client")
 	server := fbuf.NewDomain("shmring-server")
 	return &Ring{
-		path:     fbuf.NewPath(cfg.SlotSize, cfg.Slots, client, server),
+		path:     fbuf.NewPath(slotSize, slots, client, server),
 		client:   client,
 		server:   server,
-		slotSize: cfg.SlotSize,
-		slots:    cfg.Slots,
+		slotSize: slotSize,
+		slots:    slots,
 		reqBell:  newDoorbell(),
 		repBell:  newDoorbell(),
 	}
 }
 
 // maxMsgSlots bounds how many slots one message may splice together.
-func (r *Ring) maxMsgSlots() int {
-	n := r.slots / 2
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+func (r *Ring) maxMsgSlots() int { return r.slots / 2 }
 
 // writeMessage leases slots from the pool, produces the frame in
 // place (header and body in the head slot when the body fits; header

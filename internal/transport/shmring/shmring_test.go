@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"flexrpc/internal/fbuf"
 	"flexrpc/internal/idl/corba"
 	"flexrpc/internal/pres"
 	"flexrpc/internal/runtime"
@@ -201,13 +202,11 @@ func modes() []mode {
 	}
 }
 
-func connectMode(t testing.TB, m mode, cfg Config) (*Bound, *probe) {
+func connectMode(t testing.TB, m mode) (*Bound, *probe) {
 	t.Helper()
 	pr := &probe{}
 	disp := newDispatcher(t, m.sp(t), pr)
-	opts := m.opts
-	opts.Config = cfg
-	b, err := Connect(m.cp(t), disp, runtime.XDRCodec, opts)
+	b, err := Connect(m.cp(t), disp, runtime.XDRCodec, m.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func connectMode(t testing.TB, m mode, cfg Config) (*Bound, *probe) {
 func TestConnectResolvesModes(t *testing.T) {
 	for _, m := range modes() {
 		t.Run(m.name, func(t *testing.T) {
-			b, _ := connectMode(t, m, Config{})
+			b, _ := connectMode(t, m)
 			if b.trusted != m.trusted || b.nonUnique != m.nonUnique || b.inline != m.inline {
 				t.Fatalf("flags = trusted %v nonunique %v inline %v, want %v %v %v",
 					b.trusted, b.nonUnique, b.inline,
@@ -262,7 +261,7 @@ func TestOneAnnotatedPortKeepsNameTable(t *testing.T) {
 func TestBoundRoundTrip(t *testing.T) {
 	for _, m := range modes() {
 		t.Run(m.name, func(t *testing.T) {
-			b, pr := connectMode(t, m, Config{})
+			b, pr := connectMode(t, m)
 			driveCalls(t, b, pr, []byte("bound payload"))
 			var rerr *runtime.RemoteError
 			_, _, err := b.Invoke("fail", []runtime.Value{"class"}, nil, nil)
@@ -279,8 +278,8 @@ func TestBoundRoundTrip(t *testing.T) {
 func TestBoundOversizeSpill(t *testing.T) {
 	for _, m := range modes() {
 		t.Run(m.name, func(t *testing.T) {
-			b, pr := connectMode(t, m, Config{SlotSize: 128, Slots: 16})
-			payload := bytes.Repeat([]byte{7, 1, 9, 3}, 128) // 512 B >> 112 B slot body
+			b, pr := connectMode(t, m)
+			payload := bytes.Repeat([]byte{7, 1, 9, 3}, SlotSize/2) // two slots' worth
 			driveCalls(t, b, pr, payload)
 		})
 	}
@@ -292,11 +291,14 @@ func TestBoundOversizeSpill(t *testing.T) {
 // holds, and after each round every slot but the bound pair must be
 // back in the pool.
 func TestConnRoundTrip(t *testing.T) {
-	b, pr := connectMode(t, modes()[3], Config{Slots: 64}) // doorbell-unique
-	free := b.ring.path.FreeCount()
+	b, pr := connectMode(t, modes()[3]) // doorbell-unique
+	free := pooled(b.ring.path, b.ring.client)
+	if free == 0 {
+		t.Fatal("the client domain drained no slots from the pool")
+	}
 	for round := 0; round < 10; round++ {
 		driveCalls(t, b, pr, []byte("ring payload"))
-		if got := b.ring.path.FreeCount(); got != free {
+		if got := pooled(b.ring.path, b.ring.client); got != free {
 			t.Fatalf("round %d: %d slots free, want %d — a frame leaked its slots", round, got, free)
 		}
 	}
@@ -307,11 +309,8 @@ func TestConnRoundTrip(t *testing.T) {
 // body is spliced through the pool as an fbuf.Aggregate and gathered
 // on the far side, and every slot goes back to the pool.
 func TestConnMultiSlotSplice(t *testing.T) {
-	cfg, err := Config{SlotSize: 64, Slots: 16}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newRing(cfg)
+	const slots = 16
+	r := newRing(64, slots)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	body := bytes.Repeat([]byte{0xA5, 1, 2, 3}, 64) // 256 B: four 64-byte continuation slots
@@ -331,9 +330,22 @@ func TestConnMultiSlotSplice(t *testing.T) {
 			op, aliased, len(bufs), bytes.Equal(got, body))
 	}
 	r.freeAll(r.server, bufs)
-	if n := r.path.FreeCount(); n != cfg.Slots {
-		t.Fatalf("%d of %d slots free after the splice was consumed", n, cfg.Slots)
+	if n := pooled(r.path, r.client); n != slots {
+		t.Fatalf("%d of %d slots free after the splice was consumed", n, slots)
 	}
+}
+
+// pooled drains p from d and frees every buffer back: how many the
+// pool held.
+func pooled(p *fbuf.Path, d *fbuf.Domain) int {
+	var held []*fbuf.Buffer
+	for b, err := p.Alloc(d); err == nil; b, err = p.Alloc(d) {
+		held = append(held, b)
+	}
+	for _, b := range held {
+		b.Free(d)
+	}
+	return len(held)
 }
 
 // TestBoundTooLarge: through the doorbell, a message that cannot fit
@@ -341,18 +353,19 @@ func TestConnMultiSlotSplice(t *testing.T) {
 // Inline dispatch stages an oversized request on the heap and never
 // touches the pool, so there it succeeds.
 func TestBoundTooLarge(t *testing.T) {
+	const size = Slots / 2 * SlotSize // half the ring, before the header
 	for _, m := range modes() {
 		t.Run(m.name, func(t *testing.T) {
-			b, pr := connectMode(t, m, Config{SlotSize: 64, Slots: 4})
-			_, _, err := b.Invoke("put", []runtime.Value{make([]byte, 4096)}, nil, nil)
+			b, pr := connectMode(t, m)
+			_, _, err := b.Invoke("put", []runtime.Value{make([]byte, size)}, nil, nil)
 			if m.inline {
-				if err != nil || pr.putLen != 4096 {
-					t.Fatalf("inline 4 KB put = %v, server saw %d bytes", err, pr.putLen)
+				if err != nil || pr.putLen != size {
+					t.Fatalf("inline %d-byte put = %v, server saw %d bytes", size, err, pr.putLen)
 				}
 				return
 			}
 			if !errors.Is(err, ErrTooLarge) {
-				t.Fatalf("4 KB put over a 4-slot ring of 64-byte slots = %v, want ErrTooLarge", err)
+				t.Fatalf("%d-byte put over a ring of %d %d-byte slots = %v, want ErrTooLarge", size, Slots, SlotSize, err)
 			}
 		})
 	}
@@ -368,7 +381,7 @@ func TestCloseUnparksDoorbellCaller(t *testing.T) {
 			continue
 		}
 		t.Run(m.name, func(t *testing.T) {
-			b, _ := connectMode(t, m, Config{})
+			b, _ := connectMode(t, m)
 			errc := make(chan error, 1)
 			go func() {
 				_, _, err := b.Invoke("hang", nil, nil, nil)
@@ -399,7 +412,7 @@ func TestCloseUnparksDoorbellCaller(t *testing.T) {
 }
 
 func TestBoundUnknownOpAndArity(t *testing.T) {
-	b, _ := connectMode(t, modes()[0], Config{})
+	b, _ := connectMode(t, modes()[0])
 	if _, _, err := b.Invoke("nosuch", nil, nil, nil); err == nil {
 		t.Fatal("unknown op accepted")
 	}
@@ -411,7 +424,7 @@ func TestBoundUnknownOpAndArity(t *testing.T) {
 func TestBoundClosed(t *testing.T) {
 	for _, m := range modes() {
 		t.Run(m.name, func(t *testing.T) {
-			b, _ := connectMode(t, m, Config{})
+			b, _ := connectMode(t, m)
 			if err := b.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -426,7 +439,7 @@ func TestBoundClosed(t *testing.T) {
 // context that dies mid-doorbell-wait surfaces its error and poisons
 // the binding (the ring state is unknowable afterwards).
 func TestBoundDeadline(t *testing.T) {
-	b, _ := connectMode(t, modes()[1], Config{}) // doorbell-trusted
+	b, _ := connectMode(t, modes()[1]) // doorbell-trusted
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := b.InvokeContext(expired, "nop", nil, nil, nil); !errors.Is(err, context.Canceled) {
@@ -459,7 +472,7 @@ func TestBoundDeadline(t *testing.T) {
 func TestBoundStats(t *testing.T) {
 	for _, m := range modes() {
 		t.Run(m.name, func(t *testing.T) {
-			b, pr := connectMode(t, m, Config{})
+			b, pr := connectMode(t, m)
 			b.EnableStats()
 			driveCalls(t, b, pr, []byte("metered"))
 			ops := map[string]stats.OpSnapshot{}
