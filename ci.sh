@@ -198,13 +198,16 @@ frame_race() {
 	done
 	echo "go test -race -count=10 -run FrameConcurrent ./internal/runtime ./internal/transport/shmring"
 	go test -race -count=10 -run 'FrameConcurrent' ./internal/runtime ./internal/transport/shmring
-	# Decoded values point into hand-built blocks and slabs (slab.go):
-	# checkptr, on under -race, checks each of those pointers, and each
-	# repetition meets a different GC schedule.
-	if ! go test -list 'Slab' ./internal/runtime | grep -q '^Test'; then
-		echo "frame-race: no test matches 'Slab' in ./internal/runtime; update ci.sh"
-		exit 1
-	fi
+	# Decoded values point into hand-built blocks, their tails and slabs
+	# (slab.go): checkptr, on under -race, checks each of those pointers,
+	# and each repetition meets a different GC schedule. The block and
+	# the tail tests must each still be selected.
+	for pat in 'SlabValues' 'SlabTails'; do
+		if ! go test -list "$pat" ./internal/runtime | grep -q '^Test'; then
+			echo "frame-race: no test matches '$pat' in ./internal/runtime; update ci.sh"
+			exit 1
+		fi
+	done
 	echo "go test -race -count=5 -run Slab ./internal/runtime"
 	go test -race -count=5 -run 'Slab' ./internal/runtime
 }

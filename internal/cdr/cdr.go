@@ -255,25 +255,49 @@ func (d *Decoder) Int64() (int64, error) {
 
 // String decodes a CDR string, validating the NUL terminator.
 func (d *Decoder) String() (string, error) {
+	b, err := d.StringBytes()
+	return string(b), err
+}
+
+// StringBytes decodes a CDR string without copying it: the returned
+// slice aliases the decoder's buffer and excludes the NUL terminator,
+// which is validated as in String.
+func (d *Decoder) StringBytes() ([]byte, error) {
 	n, err := d.Uint32()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n == 0 {
-		return "", ErrBadString
+		return nil, ErrBadString
 	}
 	if n > d.maxLen() {
-		return "", fmt.Errorf("%w: %d", ErrLengthOverflow, n)
+		return nil, fmt.Errorf("%w: %d", ErrLengthOverflow, n)
 	}
 	if d.Remaining() < int(n) {
-		return "", ErrShortBuffer
+		return nil, ErrShortBuffer
 	}
-	b := d.buf[d.off : d.off+int(n)]
+	b := d.buf[d.off : d.off+int(n)-1 : d.off+int(n)-1]
 	d.off += int(n)
-	if b[n-1] != 0 {
-		return "", ErrBadString
+	if d.buf[d.off-1] != 0 {
+		return nil, ErrBadString
 	}
-	return string(b[:n-1]), nil
+	return b, nil
+}
+
+// Offset is the number of bytes read so far: the position alignment is
+// computed from.
+func (d *Decoder) Offset() int { return d.off }
+
+// Raw returns the next n bytes as they are, padding included, aliasing
+// the decoder's buffer, and consumes them: one bounds check for a run
+// of items the caller aligns and decodes itself from Offset.
+func (d *Decoder) Raw(n int) ([]byte, error) {
+	if n < 0 || d.Remaining() < n {
+		return nil, ErrShortBuffer
+	}
+	b := d.buf[d.off : d.off+n : d.off+n]
+	d.off += n
+	return b, nil
 }
 
 // OctetSeq decodes a sequence<octet>. The returned slice aliases the

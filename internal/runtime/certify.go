@@ -62,14 +62,15 @@ type OpCert struct {
 	// on per-call heap allocations (stats off) for each side's
 	// marshal path (see decodeCost). Boxing a decoded value into its
 	// interface Value counts, so a 16-field attribute struct with one
-	// string field certifies 2 on the side that decodes it (one block
-	// holds its headers, Values and scalars; the string's bytes are the
-	// other); the borrow-mode 1KB put certifies a server bound
-	// of 0, because the borrowed slice lands in the Call's byte slot
-	// unboxed and the payload is never copied — exactly the numbers the
-	// runtime's AllocsPerRun gates measure. A sequence of allocating
-	// elements has no static element count: its bound covers one
-	// element, and each further element adds that element's cost.
+	// string field certifies 1 on the side that decodes it (one block
+	// holds its headers, Values and scalars, and the string's bytes in
+	// its tail), and so does a top-level string or owned byte buffer
+	// (its header with its bytes); the borrow-mode 1KB put certifies a
+	// server bound of 0, because the borrowed slice lands in the Call's
+	// byte slot unboxed and the payload is never copied — exactly the
+	// numbers the runtime's AllocsPerRun gates measure. A sequence of
+	// allocating elements has no static element count: its bound covers
+	// one element, and each further element adds that element's cost.
 	ClientAllocBound int `json:"client_alloc_bound"`
 	ServerAllocBound int `json:"server_alloc_bound"`
 	// ClientAllocFree / ServerAllocFree: the bound is zero.
@@ -173,9 +174,10 @@ func sideOf(phase string) string {
 // decodeCost bounds the heap allocations of decoding one value of
 // wire type t into a Value: one box per top-level scalar (a bool boxes
 // through the runtime's static byte table, for free; any other scalar
-// only when it is below 256), bytes plus a boxed header per string,
-// a boxed header per byte buffer plus its storage when it lands in
-// fresh storage. A struct or array is one block plus what its leaves
+// only when it is below 256), and one block for a string or owned byte
+// buffer, its header with its bytes in the block's tail (an empty
+// string boxes for free). A borrowed or caller-landed buffer is its
+// boxed header. A struct or array is one block plus what its leaves
 // allocate apart (blockCost). A sequence is its backing, its boxed
 // header, and either one slab for scalar elements at any count or one
 // element's cost: its length is not static. A [special] hook is
@@ -190,13 +192,6 @@ func decodeCost(t *ir.Type, l Landing) int {
 	switch t.Kind {
 	case ir.Bool:
 		return 0
-	case ir.String:
-		return 2
-	case ir.Bytes, ir.FixedBytes:
-		if l == LandOwn {
-			return 2
-		}
-		return 1
 	case ir.Seq:
 		return 2 + elemCost(t.Elem, l)
 	case ir.Array, ir.Struct:
@@ -206,17 +201,11 @@ func decodeCost(t *ir.Type, l Landing) int {
 }
 
 // blockCost counts the allocations a value of wire type t makes apart
-// from the block it lands in: a string's bytes, an owned byte buffer's
-// storage, and a sequence's backing plus its slab or one element. Its
-// headers, Values and scalars are all in the block.
+// from the block it lands in: a sequence's backing plus its slab or one
+// element. Its headers, Values and scalars are in the block, and so are
+// its strings' and owned byte buffers' bytes, in the tail.
 func blockCost(t *ir.Type, l Landing) int {
 	switch t.Kind {
-	case ir.String:
-		return 1
-	case ir.Bytes, ir.FixedBytes:
-		if l == LandOwn {
-			return 1
-		}
 	case ir.Seq:
 		return 1 + elemCost(t.Elem, l)
 	case ir.Array:
@@ -234,7 +223,7 @@ func blockCost(t *ir.Type, l Landing) int {
 // elemCost is what one element adds to a sequence: one slab shared by
 // all scalar elements, or the element's own cost.
 func elemCost(elem *ir.Type, l Landing) int {
-	if leaf, _ := slabLeaf(elem); leaf != nil {
+	if _, slab := seqLeaf(elem); slab {
 		return 1
 	}
 	return decodeCost(elem, l)

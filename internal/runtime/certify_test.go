@@ -98,7 +98,8 @@ const attrIDL = `
 	};`
 
 // attrPres is the getattr-shaped interface: the attribute struct as a
-// reply and as a request, and a scalar sequence reply.
+// reply and as a request, a scalar sequence reply, and a top-level
+// string and owned byte buffer reply.
 func attrPres(t testing.TB) *pres.Presentation {
 	t.Helper()
 	f, err := corba.Parse("attr.idl", attrIDL+`
@@ -106,6 +107,8 @@ func attrPres(t testing.TB) *pres.Presentation {
 			attr getattr(in unsigned long h);
 			void setattr(in attr a);
 			sequence<unsigned long> list(in unsigned long n);
+			string name(in unsigned long h);
+			sequence<octet> data(in unsigned long h);
 		};`)
 	if err != nil {
 		t.Fatal(err)
@@ -155,13 +158,18 @@ func TestCertificateMatchesGates(t *testing.T) {
 		true, 0.5, "a-file-name"}
 	acert := aplan.Certificate()
 	getattr, setattr, list := acert.OpCert("getattr"), acert.OpCert("setattr"), acert.OpCert("list")
-	// One block for the struct's headers, Values and scalars + the
-	// string's bytes; the request's one scalar argument adds a box on the
-	// server. The sequence is its []Value, header and one slab at any
-	// length.
-	if getattr.ClientAllocBound != 2 || getattr.ServerAllocBound != 1 || setattr.ServerAllocBound != 2 || list.ClientAllocBound != 3 {
-		t.Fatalf("attr bounds: getattr client %d server %d, setattr server %d, list client %d; want 2, 1, 2, 3",
+	name, data := acert.OpCert("name"), acert.OpCert("data")
+	// One block for the struct's headers, Values and scalars, with the
+	// string's bytes in its tail; the request's one scalar argument adds
+	// a box on the server. The sequence is its []Value, header and one
+	// slab at any length. A top-level string or owned buffer is one
+	// block: its header, and its bytes in the tail.
+	if getattr.ClientAllocBound != 1 || getattr.ServerAllocBound != 1 || setattr.ServerAllocBound != 1 || list.ClientAllocBound != 3 {
+		t.Fatalf("attr bounds: getattr client %d server %d, setattr server %d, list client %d; want 1, 1, 1, 3",
 			getattr.ClientAllocBound, getattr.ServerAllocBound, setattr.ServerAllocBound, list.ClientAllocBound)
+	}
+	if name.ClientAllocBound != 1 || data.ClientAllocBound != 1 {
+		t.Fatalf("tail bounds: name client %d, data client %d; want 1, 1", name.ClientAllocBound, data.ClientAllocBound)
 	}
 
 	adisp := NewDispatcher(ap)
@@ -174,6 +182,9 @@ func TestCertificateMatchesGates(t *testing.T) {
 	}
 	var boxedElems Value = elems
 	adisp.Handle("list", func(c *Call) error { c.SetResult(boxedElems); return nil })
+	var boxedName, boxedData Value = "a-file-name", []byte("some owned bytes")
+	adisp.Handle("name", func(c *Call) error { c.SetResult(boxedName); return nil })
+	adisp.Handle("data", func(c *Call) error { c.SetResult(boxedData); return nil })
 	aenc, getBody := XDRCodec.NewEncoder(), []byte{0, 0, 1, 0}
 	cannedClient := func(op string) *Client {
 		aenc.Reset()
@@ -208,14 +219,22 @@ func TestCertificateMatchesGates(t *testing.T) {
 			t.Fatal(ret, err)
 		}
 	})
+	for op, bound := range map[string]int{"name": name.ClientAllocBound, "data": data.ClientAllocBound} {
+		c := cannedClient(op)
+		gateAllocsExact(t, "certified client "+op, bound, func() {
+			if _, ret, err := c.Invoke(op, getArgs, nil, nil); err != nil || ret == nil {
+				t.Fatal(ret, err)
+			}
+		})
+	}
 }
 
 // TestCertificateMatchesGatesNested measures nested fixed shapes at
 // their certified bounds exactly: a struct holding a struct, a long[4],
 // a sequence<octet>, a sequence<long> and a string flattens into one
-// block, so its reply costs the block, the two strings' bytes, the owned
-// octets' storage and the long sequence's backing and slab; an unsigned
-// long[8] reply is its block alone.
+// block, whose tail holds the two strings' bytes and the owned octets,
+// so its reply costs the block and the long sequence's backing and
+// slab; an unsigned long[8] reply is its block alone.
 func TestCertificateMatchesGatesNested(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
@@ -239,8 +258,8 @@ func TestCertificateMatchesGatesNested(t *testing.T) {
 	}
 	cert := plan.Certificate()
 	get, words := cert.OpCert("get"), cert.OpCert("words")
-	if get.ClientAllocBound != 6 || words.ClientAllocBound != 1 {
-		t.Fatalf("nested bounds: get client %d, words client %d; want 6, 1", get.ClientAllocBound, words.ClientAllocBound)
+	if get.ClientAllocBound != 3 || words.ClientAllocBound != 1 {
+		t.Fatalf("nested bounds: get client %d, words client %d; want 3, 1", get.ClientAllocBound, words.ClientAllocBound)
 	}
 	replies := map[string]Value{
 		"get": []Value{[]Value{uint32(300), "a-tag"},

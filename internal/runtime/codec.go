@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"encoding/binary"
 	"math"
 
 	"flexrpc/internal/cdr"
@@ -73,6 +74,16 @@ type Decoder interface {
 	Remaining() int
 	Reset(buf []byte)
 	SetMaxLength(n uint32)
+
+	// stringView decodes a string without copying it: the slice aliases
+	// the message, under String's bound and checks.
+	stringView() ([]byte, error)
+	// scalars decodes a run of adjacent scalar leaves with one bounds
+	// check: run[0] is the run step, and leaf run[1+i]'s wire bits land
+	// in out[i] (a bool as 0 or 1 on XDR, its octet on CDR).
+	scalars(run []blockStep, out []uint64) error
+	// scratch is the decoder's phase-1 store (see decodeBlock).
+	scratch() *scratch
 }
 
 // XDRCodec marshals in Sun XDR (RFC 4506).
@@ -112,10 +123,11 @@ func (x *xdrEncoder) ResetArena(dst []byte)  { x.e.ResetTo(dst) }
 // xdrDecoder holds the xdr.Decoder by value so one allocation covers
 // both the interface box and the decoder state.
 type xdrDecoder struct {
-	d xdr.Decoder
+	d  xdr.Decoder
+	sc scratch
 }
 
-func (x *xdrDecoder) Reset(buf []byte)                     { x.d.Reset(buf) }
+func (x *xdrDecoder) Reset(buf []byte)                     { x.d.Reset(buf); x.sc.reset() }
 func (x *xdrDecoder) Bool() (bool, error)                  { return x.d.Bool() }
 func (x *xdrDecoder) Int32() (int32, error)                { return x.d.Int32() }
 func (x *xdrDecoder) Uint32() (uint32, error)              { return x.d.Uint32() }
@@ -131,6 +143,33 @@ func (x *xdrDecoder) FixedBytesInto(dst []byte) error      { return x.d.FixedOpa
 func (x *xdrDecoder) Len() (int, error)                    { return x.d.ArrayLen() }
 func (x *xdrDecoder) Remaining() int                       { return x.d.Remaining() }
 func (x *xdrDecoder) SetMaxLength(n uint32)                { x.d.MaxLength = n }
+func (x *xdrDecoder) stringView() ([]byte, error)          { return x.d.StringBytes() }
+func (x *xdrDecoder) scratch() *scratch                    { return &x.sc }
+
+// scalars reads a run: XDR has no alignment, so its size is fixed.
+func (x *xdrDecoder) scalars(run []blockStep, out []uint64) error {
+	b, err := x.d.Raw(int(run[0].xdr))
+	if err != nil {
+		return err
+	}
+	leaves := run[1:]
+	out = out[:len(leaves)]
+	for i := range leaves {
+		k := leaves[i].leaf
+		if k >= leafInt64 {
+			out[i] = binary.BigEndian.Uint64(b)
+			b = b[8:]
+			continue
+		}
+		v := binary.BigEndian.Uint32(b)
+		if k == leafBool && v > 1 {
+			return xdr.ErrBadBool
+		}
+		out[i] = uint64(v)
+		b = b[4:]
+	}
+	return nil
+}
 
 // CDRCodec marshals in CORBA CDR, big-endian.
 var CDRCodec Codec = cdrCodec{order: cdr.BigEndian, name: "cdr"}
@@ -150,7 +189,7 @@ func (c cdrCodec) NewEncoder() Encoder {
 	return &cdrEncoder{e: cdr.NewEncoder(c.order)}
 }
 func (c cdrCodec) NewDecoder(buf []byte) Decoder {
-	d := &cdrDecoder{d: *cdr.NewDecoder(nil, c.order)}
+	d := &cdrDecoder{d: *cdr.NewDecoder(nil, c.order), big: c.order == cdr.BigEndian}
 	d.d.Reset(buf)
 	return d
 }
@@ -177,10 +216,12 @@ func (c *cdrEncoder) ResetArena(dst []byte)  { c.e.ResetTo(dst) }
 // cdrDecoder holds the cdr.Decoder by value so one allocation covers
 // both the interface box and the decoder state.
 type cdrDecoder struct {
-	d cdr.Decoder
+	d   cdr.Decoder
+	big bool
+	sc  scratch
 }
 
-func (c *cdrDecoder) Reset(buf []byte)        { c.d.Reset(buf) }
+func (c *cdrDecoder) Reset(buf []byte)        { c.d.Reset(buf); c.sc.reset() }
 func (c *cdrDecoder) Bool() (bool, error)     { return c.d.Bool() }
 func (c *cdrDecoder) Int32() (int32, error)   { return c.d.Int32() }
 func (c *cdrDecoder) Uint32() (uint32, error) { return c.d.Uint32() }
@@ -214,3 +255,42 @@ func (c *cdrDecoder) FixedBytesInto(dst []byte) error  { return c.d.FixedOctetsI
 func (c *cdrDecoder) Len() (int, error)                { return c.d.SeqLen() }
 func (c *cdrDecoder) Remaining() int                   { return c.d.Remaining() }
 func (c *cdrDecoder) SetMaxLength(n uint32)            { c.d.MaxLength = n }
+func (c *cdrDecoder) stringView() ([]byte, error)      { return c.d.StringBytes() }
+func (c *cdrDecoder) scratch() *scratch                { return &c.sc }
+
+// scalars reads a run: each leaf aligns to its size from the message
+// start, so the run's size depends on where it starts modulo 8.
+func (c *cdrDecoder) scalars(run []blockStep, out []uint64) error {
+	at := c.d.Offset()
+	b, err := c.d.Raw(int(run[0].cdr[at&7]))
+	if err != nil {
+		return err
+	}
+	leaves := run[1:]
+	out = out[:len(leaves)]
+	p := 0
+	for i := range leaves {
+		switch k := leaves[i].leaf; {
+		case k == leafBool:
+			out[i] = uint64(b[p])
+			p++
+		case k >= leafInt64:
+			p += -(at + p) & 7
+			if c.big {
+				out[i] = binary.BigEndian.Uint64(b[p:])
+			} else {
+				out[i] = binary.LittleEndian.Uint64(b[p:])
+			}
+			p += 8
+		default:
+			p += -(at + p) & 3
+			if c.big {
+				out[i] = uint64(binary.BigEndian.Uint32(b[p:]))
+			} else {
+				out[i] = uint64(binary.LittleEndian.Uint32(b[p:]))
+			}
+			p += 4
+		}
+	}
+	return nil
+}

@@ -46,6 +46,18 @@ func FuzzDecodeMessage(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(uint8(2*len(plans)), enc.Bytes())
+	// And a valid tails() request per codec, also a valid reply: a
+	// string between scalars, two strings, a byte buffer, and a double
+	// after an odd-length string, which CDR realigns. The reply lands
+	// both strings and the buffer in the block's tail.
+	tails := []Value{int32(-1), "between", int32(2), []byte("bytes"), "odd", 0.25}
+	for i, plan := range plans {
+		enc := plan.Codec.NewEncoder()
+		if err := plan.Ops[plan.OpIndex("tails")].EncodeRequest(enc, []Value{tails}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i+plan.OpIndex("tails")*len(plans)), enc.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, sel uint8, body []byte) {
 		plan := plans[int(sel)%len(plans)]

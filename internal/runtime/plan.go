@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 
 	"flexrpc/internal/ir"
 	"flexrpc/internal/pres"
@@ -67,10 +68,12 @@ func (p *Plan) meterCopy(n int) {
 	}
 }
 
-// meterAlloc records a fresh landing-buffer allocation.
-func (p *Plan) meterAlloc(n int) {
+// meterTail records a string or owned buffer of n bytes copied out of
+// the message into its block's tail: a copy into a fresh allocation.
+func (p *Plan) meterTail(n int) {
 	if p.stats != nil {
 		p.stats.Alloc.Add(n)
+		p.stats.Copy.Add(n)
 	}
 }
 
@@ -544,9 +547,10 @@ func compileEncode(t *ir.Type) encodeFn {
 // compileDecode builds the decode step that lands wire type t where l
 // says. The type switch runs here, once, at bind time; composites
 // pass their landing down to their elements. A top-level scalar boxes
-// into its own Value; a struct or array lands in one block per decoded
-// value (compileBlock), and a sequence's scalar elements in one slab
-// (slabLeaf).
+// into its own Value; a string or owned byte buffer lands in one block,
+// its header with its bytes (ownString, ownBytes); a struct or array
+// lands in one block per decoded value (compileBlock), and a sequence's
+// scalar elements in one slab (seqLeaf).
 func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
 	if t == nil || t.Kind == ir.Void {
 		return func(Decoder, []byte) (Value, error) { return nil, nil }
@@ -567,7 +571,13 @@ func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
 	case ir.Float64:
 		return func(dec Decoder, _ []byte) (Value, error) { return dec.Float64() }
 	case ir.String:
-		return func(dec Decoder, _ []byte) (Value, error) { return dec.String() }
+		return func(dec Decoder, _ []byte) (Value, error) {
+			v, err := dec.stringView()
+			if err != nil {
+				return nil, err
+			}
+			return pl.ownString(v), nil
+		}
 	case ir.Port:
 		return func(dec Decoder, _ []byte) (Value, error) {
 			v, err := dec.Uint32()
@@ -578,11 +588,11 @@ func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
 			return func(dec Decoder, _ []byte) (Value, error) { return dec.Bytes() }
 		}
 		own := func(dec Decoder, _ []byte) (Value, error) {
-			b, err := dec.Bytes()
+			v, err := dec.Bytes()
 			if err != nil {
 				return nil, err
 			}
-			return pl.ownBytes(b), nil
+			return pl.ownBytes(v), nil
 		}
 		if l != LandCaller {
 			return own
@@ -603,13 +613,11 @@ func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
 			return func(dec Decoder, _ []byte) (Value, error) { return dec.FixedBytes(size) }
 		}
 		own := func(dec Decoder, _ []byte) (Value, error) {
-			out := make([]byte, size)
-			if err := dec.FixedBytesInto(out); err != nil {
+			v, err := dec.FixedBytes(size)
+			if err != nil {
 				return nil, err
 			}
-			pl.meterAlloc(size)
-			pl.meterCopy(size)
-			return out, nil
+			return pl.ownBytes(v), nil
 		}
 		if l != LandCaller {
 			return own
@@ -625,13 +633,13 @@ func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
 			return dst[:size], nil
 		}
 	case ir.Seq:
-		leaf, w := slabLeaf(t.Elem)
+		k, slab := seqLeaf(t.Elem)
 		var elem decodeFn
-		if leaf == nil {
+		if !slab {
 			elem = pl.compileDecode(t.Elem, l)
 		}
 		return func(dec Decoder, _ []byte) (Value, error) {
-			vs, err := decodeSeq(dec, leaf, w, elem)
+			vs, err := decodeSeq(dec, k, elem)
 			if err != nil {
 				return nil, err
 			}
@@ -644,15 +652,6 @@ func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
 	return func(Decoder, []byte) (Value, error) {
 		return nil, fmt.Errorf("runtime: cannot unmarshal kind %v", kind)
 	}
-}
-
-// ownBytes copies a borrowed byte buffer into fresh storage, metered.
-func (pl *Plan) ownBytes(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	pl.meterAlloc(len(b))
-	pl.meterCopy(len(b))
-	return out
 }
 
 // borrowBytes is compileDecode for a byte buffer landing by borrow, in
@@ -668,20 +667,23 @@ func borrowBytes(t *ir.Type) func(Decoder) ([]byte, error) {
 	return nil
 }
 
-// decodeSeq decodes a sequence: its scalar elements into one slab when
-// leaf is set, each through elem otherwise.
-func decodeSeq(dec Decoder, leaf leafFn, w uintptr, elem decodeFn) ([]Value, error) {
+// decodeSeq decodes a sequence: with elem nil, its elements are scalars
+// of kind k in one slab; otherwise each decodes through elem.
+func decodeSeq(dec Decoder, k leafKind, elem decodeFn) ([]Value, error) {
 	n, err := decodeSeqLen(dec)
 	if err != nil {
 		return nil, err
 	}
 	vs := make([]Value, n)
-	if leaf != nil {
+	if elem == nil {
+		w := k.width()
 		s := make([]uint64, (uintptr(n)*w+7)/8)
 		for i := range vs {
-			if vs[i], err = leaf(dec, s, uintptr(i)*w); err != nil {
+			bits, err := readLeaf(dec, k)
+			if err != nil {
 				return nil, err
 			}
+			vs[i] = boxLeaf(s, uintptr(i)*w, k, bits)
 		}
 		return vs, nil
 	}
@@ -693,50 +695,215 @@ func decodeSeq(dec Decoder, leaf leafFn, w uintptr, elem decodeFn) ([]Value, err
 	return vs, nil
 }
 
-// A blockOp decodes n values of one wire type in a row into a block:
-// one field, or an array's run of elements. Value j lands in
-// vals[dst+j]; whatever else it boxes lands in slot at+j of its region,
-// or for a scalar leaf at slab byte offset off+j*w.
-type blockOp struct {
-	n, dst, at int
-	v0, nv     int // opFixed: its elements are vals[v0:v0+nv]
-	off, w     uintptr
-	bytes      func(Decoder) ([]byte, error) // opBytes, by borrow (borrowBytes)
-	leaf       leafFn                        // opLeaf; opSeq of scalar elements
-	elem       decodeFn                      // opSeq of other elements; opValue itself
-	kind       blockOpKind
-	own        bool // opBytes: copied into fresh storage
+// seqLeaf returns the leaf kind of wire type t and whether a sequence
+// of t lands its elements in one slab: t is a scalar other than bool,
+// which keeps the Go runtime's free static box.
+func seqLeaf(t *ir.Type) (leafKind, bool) {
+	k, ok := leafKindOf(t)
+	return k, ok && k != leafBool
 }
 
-type blockOpKind uint8
+// readLeaf decodes one non-bool scalar of kind k as its wire bits, the
+// form boxLeaf stores.
+func readLeaf(dec Decoder, k leafKind) (uint64, error) {
+	switch k {
+	case leafInt32:
+		v, err := dec.Int32()
+		return uint64(uint32(v)), err
+	case leafUint32, leafPort:
+		v, err := dec.Uint32()
+		return uint64(v), err
+	case leafFloat32:
+		v, err := dec.Float32()
+		return uint64(math.Float32bits(v)), err
+	case leafInt64:
+		v, err := dec.Int64()
+		return uint64(v), err
+	case leafUint64:
+		return dec.Uint64()
+	}
+	v, err := dec.Float64()
+	return math.Float64bits(v), err
+}
+
+// Decoding a fixed-shape value (a struct or an array) runs in two
+// phases over a program compiled once per type at bind time:
+//
+//   - phase 1 reads the wire in order into the decoder's scratch: each
+//     maximal run of adjacent scalar leaves in one codec call, a string
+//     or byte buffer as a view of the message, a sequence as its own
+//     decoded value. Nothing of the value itself is allocated yet, so a
+//     malformed message fails here with no block; only a sequence,
+//     decoded apart, allocates on the way;
+//   - phase 2 allocates the value's one block (slab.go) with a tail of
+//     the size phase 1 measured, stores the scalars in its slab and the
+//     strings and owned buffers in its tail, and boxes every Value.
+
+// A blockProg is the compiled decode of one fixed-shape value: its
+// steps in wire order, where each run is followed by its leaves, and
+// its nested structs and arrays, parents before children.
+type blockProg struct {
+	bt    *blockType
+	n     int // the value's element count
+	steps []blockStep
+	fixed []blockFixed
+	words int // scratch words: one per scalar leaf
+	views int // scratch views: one per string and byte buffer
+	seqs  int // scratch sequences
+}
+
+type stepKind uint8
 
 const (
-	opValue  blockOpKind = iota // boxes through elem (a bool, which is free)
-	opLeaf                      // a non-bool scalar in the slab
-	opString                    // header in strs
-	opBytes                     // header in byts
-	opSeq                       // header in hdrs; backing and slab apart
-	opFixed                     // a nested struct or array: header in hdrs
+	stepRun    stepKind = iota // a run of scalar leaves: one codec call
+	stepLeaf                   // one of its run's leaves
+	stepString                 // a view, copied into the tail
+	stepBytes                  // a view, copied into the tail when own
+	stepSeq                    // a sequence, decoded apart
+	stepFail                   // a kind no plan decodes: elem fails
 )
 
+// A blockStep is one step of a blockProg. A leaf lands scratch word idx
+// in value slot dst and slab byte offset off. A string, byte buffer or
+// sequence fills scratch slot idx in phase 1 and lands it in region
+// slot at and value slot dst in phase 2.
+type blockStep struct {
+	kind         stepKind
+	leaf         leafKind // stepLeaf; stepSeq: its elements' kind when they land in a slab
+	own          bool     // stepBytes: copied into the tail
+	n            int32    // stepRun: its leaves
+	size         int32    // stepBytes: the fixed length, or -1 when the wire carries it
+	dst, at, idx int32
+	off          uint32
+	xdr          int32    // stepRun: wire size on XDR
+	cdr          [8]int32 // stepRun: wire size on CDR by start offset modulo 8
+	elem         decodeFn // stepSeq: each element, unless they land in a slab; stepFail
+}
+
+// sizes fills in run step run[0]'s wire sizes from its leaves run[1:].
+// CDR aligns each leaf to its own size from the message start, so there
+// a run's size depends on where it starts.
+func sizes(run []blockStep) {
+	r, leaves := &run[0], run[1:]
+	for i := range leaves {
+		r.xdr += 4
+		if leaves[i].leaf >= leafInt64 {
+			r.xdr += 4
+		}
+	}
+	for at := range r.cdr {
+		p := int32(at)
+		for i := range leaves {
+			switch k := leaves[i].leaf; {
+			case k == leafBool:
+				p++
+			case k >= leafInt64:
+				p += -p&7 + 8
+			default:
+				p += -p&3 + 4
+			}
+		}
+		r.cdr[at] = p - int32(at)
+	}
+}
+
+// A leafKind is the wire and Value form of one scalar leaf. Kinds from
+// leafInt64 on are 8 bytes wide on the wire and in the slab, the others
+// 4, except that a bool has no slab slot: it keeps the Go runtime's free
+// static box.
+type leafKind uint8
+
+const (
+	leafBool leafKind = iota
+	leafInt32
+	leafUint32
+	leafFloat32
+	leafPort
+	leafInt64
+	leafUint64
+	leafFloat64
+)
+
+// leafKindOf returns the leaf kind of wire type t, or false when t is
+// not a scalar.
+func leafKindOf(t *ir.Type) (leafKind, bool) {
+	switch t.Kind {
+	case ir.Bool:
+		return leafBool, true
+	case ir.Int32, ir.Enum:
+		return leafInt32, true
+	case ir.Uint32:
+		return leafUint32, true
+	case ir.Float32:
+		return leafFloat32, true
+	case ir.Port:
+		return leafPort, true
+	case ir.Int64:
+		return leafInt64, true
+	case ir.Uint64:
+		return leafUint64, true
+	case ir.Float64:
+		return leafFloat64, true
+	}
+	return 0, false
+}
+
+// width is the size of k's slab slot in bytes.
+func (k leafKind) width() uintptr {
+	switch {
+	case k == leafBool:
+		return 0
+	case k >= leafInt64:
+		return 8
+	}
+	return 4
+}
+
+// A blockFixed is a nested struct or array: its header, in hdrs slot
+// at, covers vals[v0:v0+nv] and boxes into vals[dst].
+type blockFixed struct{ dst, at, v0, nv int }
+
 // A blockLayout places a fixed-shape value's slots in its block at bind
-// time, and appends the ops that fill them.
+// time and emits the steps that fill them. It runs twice: once to count,
+// so that the second run allocates each slice at its final size.
 type blockLayout struct {
-	shape blockShape
-	half  uintptr // slab byte offset of the open half-word; 0 when none is open
-	ops   []blockOp
+	pl     *Plan
+	l      Landing
+	count  bool // the counting run: emit nothing
+	steps  []blockStep
+	fixeds []blockFixed
+	nsteps int
+	nfixed int
+	run    int // the open run step, or -1 when a non-scalar step closed it
+	leaves int // scalar leaves so far
+	views  int
+	seqs   int
+	shape  blockShape
+	half   uintptr // slab byte offset of the open half-word; 0 when none is open
 }
 
 // compileBlock builds the decode of a fixed-shape value t (a struct or
-// an array). Each decoded value is one allocation, a block (slab.go):
-// nested structs and arrays flatten into it, and only string bytes,
-// owned byte storage and a sequence's backing and slab allocate apart.
+// an array). Each decoded value is one allocation, a block: nested
+// structs and arrays flatten into it, strings and owned byte buffers
+// land in its tail, and only a sequence's backing and slab allocate
+// apart.
 func (pl *Plan) compileBlock(t *ir.Type, l Landing) decodeFn {
-	lay := blockLayout{ops: make([]blockOp, 0, elemOps(t))}
-	lay.fixed(pl, t, l)
-	bt, ops, n := blockTypeOf(lay.shape), lay.ops, fixedLen(t)
+	first := blockLayout{pl: pl, l: l, count: true, run: -1}
+	first.fixed(t)
+	lay := blockLayout{pl: pl, l: l, run: -1, steps: make([]blockStep, 0, first.nsteps)}
+	if first.nfixed > 0 {
+		lay.fixeds = make([]blockFixed, 0, first.nfixed)
+	}
+	lay.fixed(t)
+	for i, s := range lay.steps {
+		if s.kind == stepRun {
+			sizes(lay.steps[i : i+1+int(s.n)])
+		}
+	}
+	pr := blockProg{bt: blockTypeOf(lay.shape), n: fixedLen(t), steps: lay.steps, fixed: lay.fixeds,
+		words: lay.leaves, views: lay.views, seqs: lay.seqs}
 	return func(dec Decoder, _ []byte) (Value, error) {
-		return pl.decodeBlock(dec, bt, n, ops)
+		return pl.decodeBlock(dec, pr)
 	}
 }
 
@@ -748,81 +915,95 @@ func fixedLen(t *ir.Type) int {
 	return len(t.Fields)
 }
 
-// elemOps counts the ops that decode the elements of struct or array t.
-func elemOps(t *ir.Type) int {
-	if t.Kind == ir.Array {
-		return placeOps(t.Elem, t.Size)
+// emit appends step s and returns its index.
+func (lay *blockLayout) emit(s blockStep) int {
+	lay.nsteps++
+	if !lay.count {
+		lay.steps = append(lay.steps, s)
 	}
-	count := 0
-	for _, f := range t.Fields {
-		count += placeOps(f.Type, 1)
-	}
-	return count
-}
-
-// placeOps counts the ops place emits for n values of wire type t.
-func placeOps(t *ir.Type, n int) int {
-	if t.Kind != ir.Array && t.Kind != ir.Struct {
-		return 1
-	}
-	return n * (1 + elemOps(t))
+	return lay.nsteps - 1
 }
 
 // fixed places composite t's header in the next hdrs slot and its
 // elements in the next vals slots, then lays the elements out.
-func (lay *blockLayout) fixed(pl *Plan, t *ir.Type, l Landing) {
+func (lay *blockLayout) fixed(t *ir.Type) {
 	lay.shape.hdrs++
 	v0 := lay.shape.vals
 	lay.shape.vals += fixedLen(t)
 	if t.Kind == ir.Array {
-		lay.place(pl, t.Elem, l, v0, t.Size)
+		lay.place(t.Elem, v0, t.Size)
 		return
 	}
 	for i, f := range t.Fields {
-		lay.place(pl, f.Type, l, v0+i, 1)
+		lay.place(f.Type, v0+i, 1)
 	}
 }
 
 // place lays out n values of wire type t landing at vals[dst:dst+n] and
-// appends the ops that decode them.
-func (lay *blockLayout) place(pl *Plan, t *ir.Type, l Landing, dst, n int) {
+// emits the steps that decode them.
+func (lay *blockLayout) place(t *ir.Type, dst, n int) {
 	if t.Kind == ir.Array || t.Kind == ir.Struct {
-		// Each element is its own op, followed by its elements' ops: a
-		// composite's fields need not be one kind.
 		for j := 0; j < n; j++ {
-			o := lay.next()
-			o.kind, o.n, o.dst, o.at, o.v0, o.nv = opFixed, 1, dst+j, lay.shape.hdrs, lay.shape.vals, fixedLen(t)
-			lay.fixed(pl, t, l)
+			lay.nfixed++
+			if !lay.count {
+				lay.fixeds = append(lay.fixeds, blockFixed{dst + j, lay.shape.hdrs, lay.shape.vals, fixedLen(t)})
+			}
+			lay.fixed(t)
 		}
 		return
 	}
-	o := lay.next()
-	o.n, o.dst = n, dst
-	if leaf, w := slabLeaf(t); leaf != nil {
-		o.kind, o.leaf, o.w, o.off = opLeaf, leaf, w, lay.words(w, n)
+	if k, ok := leafKindOf(t); ok {
+		if lay.run < 0 {
+			lay.run = lay.emit(blockStep{kind: stepRun})
+		}
+		w, off := k.width(), uintptr(0)
+		if w > 0 {
+			off = lay.words(w, n)
+		}
+		for j := 0; j < n; j++ {
+			lay.emit(blockStep{kind: stepLeaf, leaf: k, dst: int32(dst + j), idx: int32(lay.leaves), off: uint32(off + uintptr(j)*w)})
+			lay.leaves++
+		}
+		if !lay.count {
+			lay.steps[lay.run].n += int32(n)
+		}
 		return
 	}
-	take := func(c *int) int { at := *c; *c += n; return at }
+	if t.Kind == ir.Void {
+		return
+	}
+	lay.run = -1
+	take := func(c *int) int32 { at := *c; *c++; return int32(at) }
+	s := blockStep{size: -1}
 	switch t.Kind {
 	case ir.String:
-		o.kind, o.at = opString, take(&lay.shape.strs)
+		s.kind = stepString
 	case ir.Bytes, ir.FixedBytes:
-		o.kind, o.at, o.own, o.bytes = opBytes, take(&lay.shape.byts), l != LandBorrow, borrowBytes(t)
+		s.kind, s.own = stepBytes, lay.l != LandBorrow
+		if t.Kind == ir.FixedBytes {
+			s.size = int32(t.Size)
+		}
 	case ir.Seq:
-		o.kind, o.at = opSeq, take(&lay.shape.hdrs)
-		if o.leaf, o.w = slabLeaf(t.Elem); o.leaf == nil {
-			o.elem = pl.compileDecode(t.Elem, l)
+		s.kind = stepSeq
+		var slab bool
+		if s.leaf, slab = seqLeaf(t.Elem); !slab && !lay.count {
+			s.elem = lay.pl.compileDecode(t.Elem, lay.l)
 		}
 	default:
-		o.elem = pl.compileDecode(t, l)
+		s.kind, s.elem = stepFail, lay.pl.compileDecode(t, lay.l)
 	}
-}
-
-// next appends a zero op and returns it; compileBlock sized ops so that
-// it never grows.
-func (lay *blockLayout) next() *blockOp {
-	lay.ops = append(lay.ops, blockOp{})
-	return &lay.ops[len(lay.ops)-1]
+	for j := 0; j < n; j++ {
+		s.dst = int32(dst + j)
+		switch s.kind {
+		case stepString:
+			s.at, s.idx = take(&lay.shape.strs), take(&lay.views)
+		case stepBytes:
+			s.at, s.idx = take(&lay.shape.byts), take(&lay.views)
+		case stepSeq:
+			s.at, s.idx = take(&lay.shape.hdrs), take(&lay.seqs)
+		}
+		lay.emit(s)
+	}
 }
 
 // words places n slab slots w bytes wide side by side and returns the
@@ -843,113 +1024,147 @@ func (lay *blockLayout) words(w uintptr, n int) uintptr {
 	return off
 }
 
-// decodeBlock decodes one fixed-shape value of n elements into a fresh
-// block of type bt by running its ops in wire order.
-func (pl *Plan) decodeBlock(dec Decoder, bt *blockType, n int, ops []blockOp) (Value, error) {
-	var b block
-	bt.alloc(&b)
-	root := valuesBox.setAt(b.hdrs, 0, b.vals[:n:n])
-	var err error
-	for i := range ops {
-		o := &ops[i]
-		vals := b.vals[o.dst : o.dst+o.n]
-		switch o.kind {
-		case opLeaf:
-			for j := range vals {
-				if vals[j], err = o.leaf(dec, b.slab, o.off+uintptr(j)*o.w); err != nil {
-					return nil, err
-				}
-			}
-		case opString:
-			for j := range vals {
-				var s string
-				if s, err = dec.String(); err != nil {
-					return nil, err
-				}
-				vals[j] = stringBox.setAt(b.strs, o.at+j, s)
-			}
-		case opBytes:
-			for j := range vals {
-				var bs []byte
-				if bs, err = o.bytes(dec); err != nil {
-					return nil, err
-				}
-				if o.own {
-					bs = pl.ownBytes(bs)
-				}
-				vals[j] = bytesBox.setAt(b.byts, o.at+j, bs)
-			}
-		case opSeq:
-			for j := range vals {
-				var vs []Value
-				if vs, err = decodeSeq(dec, o.leaf, o.w, o.elem); err != nil {
-					return nil, err
-				}
-				vals[j] = valuesBox.setAt(b.hdrs, o.at+j, vs)
-			}
-		case opFixed:
-			vals[0] = valuesBox.setAt(b.hdrs, o.at, b.vals[o.v0:o.v0+o.nv:o.v0+o.nv])
-		default:
-			for j := range vals {
-				if vals[j], err = o.elem(dec, nil); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return root, nil
+// A scratch is a decoder's phase-1 store: one word per scalar leaf,
+// and the views and sequences a block lands in phase 2. It lives as long
+// as its decoder, so a decode allocates nothing for it once it has grown
+// to the widest value met. It is a stack, because a sequence inside a
+// block decodes its own elements' blocks while the outer phase 1 is
+// open; a decode clears the views and sequences it took before it
+// returns, so the scratch keeps no pointer into a message.
+type scratch struct {
+	words []uint64
+	views [][]byte
+	seqs  [][]Value
+	top   scratchTop
 }
 
-// A leafFn decodes one non-bool scalar leaf of a composite into the
-// composite's slab at byte offset off (see slab.go).
-type leafFn func(dec Decoder, s []uint64, off uintptr) (Value, error)
+// scratchTop is how much of each scratch region is taken.
+type scratchTop struct{ words, views, seqs int }
 
-// slabLeaf returns the slab decode of wire type t and the width of its
-// slot in bytes, or nil and 0 when t is not a non-bool scalar. It is
-// the only decode a scalar inside a composite has; a bool keeps the Go
-// runtime's free static box.
-func slabLeaf(t *ir.Type) (leafFn, uintptr) {
-	if t == nil {
-		return nil, 0
+// take returns the next nw words, nv views and ns sequences. A region
+// too small for them is replaced, not copied: whoever took the slots
+// below the top holds its own slices of the old one.
+func (s *scratch) take(nw, nv, ns int) ([]uint64, [][]byte, [][]Value) {
+	return grow(&s.words, &s.top.words, nw), grow(&s.views, &s.top.views, nv), grow(&s.seqs, &s.top.seqs, ns)
+}
+
+func grow[T any](buf *[]T, top *int, n int) []T {
+	at := *top
+	if at+n > len(*buf) {
+		*buf = make([]T, max(2*len(*buf), at+n))
 	}
-	switch t.Kind {
-	case ir.Int32, ir.Enum:
-		return func(dec Decoder, s []uint64, off uintptr) (Value, error) {
-			n, err := dec.Int32()
-			return slabInt32.boxAt(s, off, n), err
-		}, 4
-	case ir.Uint32:
-		return func(dec Decoder, s []uint64, off uintptr) (Value, error) {
-			n, err := dec.Uint32()
-			return slabUint32.boxAt(s, off, n), err
-		}, 4
-	case ir.Int64:
-		return func(dec Decoder, s []uint64, off uintptr) (Value, error) {
-			n, err := dec.Int64()
-			return slabInt64.boxAt(s, off, n), err
-		}, 8
-	case ir.Uint64:
-		return func(dec Decoder, s []uint64, off uintptr) (Value, error) {
-			n, err := dec.Uint64()
-			return slabUint64.boxAt(s, off, n), err
-		}, 8
-	case ir.Float32:
-		return func(dec Decoder, s []uint64, off uintptr) (Value, error) {
-			f, err := dec.Float32()
-			return slabFloat32.boxAt(s, off, f), err
-		}, 4
-	case ir.Float64:
-		return func(dec Decoder, s []uint64, off uintptr) (Value, error) {
-			f, err := dec.Float64()
-			return slabFloat64.boxAt(s, off, f), err
-		}, 8
-	case ir.Port:
-		return func(dec Decoder, s []uint64, off uintptr) (Value, error) {
-			n, err := dec.Uint32()
-			return slabPort.boxAt(s, off, PortName(n)), err
-		}, 4
+	*top = at + n
+	return (*buf)[at : at+n : at+n]
+}
+
+// reset drops what a decode left taken when a panic unwound it;
+// Decoder.Reset calls it before each message.
+func (s *scratch) reset() { s.top = scratchTop{} }
+
+// decodeBlock decodes one value of pr's shape: phase 1 into the
+// decoder's scratch, phase 2 into one fresh block.
+func (pl *Plan) decodeBlock(dec Decoder, pr blockProg) (Value, error) {
+	sc := dec.scratch()
+	top := sc.top
+	words, views, seqs := sc.take(pr.words, pr.views, pr.seqs)
+	v, err := pl.fillBlock(dec, &pr, words, views, seqs)
+	clear(views)
+	clear(seqs)
+	sc.top = top
+	return v, err
+}
+
+// fillBlock runs pr's two phases over scratch words, views and seqs.
+func (pl *Plan) fillBlock(dec Decoder, pr *blockProg, words []uint64, views [][]byte, seqs [][]Value) (Value, error) {
+	tail := 0
+	for i := 0; i < len(pr.steps); i++ {
+		s := &pr.steps[i]
+		var err error
+		switch s.kind {
+		case stepRun:
+			err = dec.scalars(pr.steps[i:i+1+int(s.n)], words[pr.steps[i+1].idx:])
+			i += int(s.n)
+		case stepString:
+			views[s.idx], err = dec.stringView()
+			tail += len(views[s.idx])
+		case stepBytes:
+			if s.size < 0 {
+				views[s.idx], err = dec.Bytes()
+			} else {
+				views[s.idx], err = dec.FixedBytes(int(s.size))
+			}
+			if s.own {
+				tail += len(views[s.idx])
+			}
+		case stepSeq:
+			seqs[s.idx], err = decodeSeq(dec, s.leaf, s.elem)
+		case stepFail:
+			_, err = s.elem(dec, nil)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	return nil, 0
+
+	var b block
+	pr.bt.alloc(&b, tail)
+	for i := range pr.steps {
+		switch s := &pr.steps[i]; s.kind {
+		case stepLeaf:
+			if s.leaf == leafBool {
+				b.vals[s.dst] = words[s.idx] != 0
+			} else {
+				b.vals[s.dst] = boxLeaf(b.slab, uintptr(s.off), s.leaf, words[s.idx])
+			}
+		case stepString:
+			pl.meterTail(len(views[s.idx]))
+			b.vals[s.dst] = stringBox.setAt(b.strs, int(s.at), b.string(views[s.idx]))
+		case stepBytes:
+			v := views[s.idx]
+			if s.own {
+				pl.meterTail(len(v))
+				v = b.bytes(v)
+			}
+			b.vals[s.dst] = bytesBox.setAt(b.byts, int(s.at), v)
+		case stepSeq:
+			b.vals[s.dst] = valuesBox.setAt(b.hdrs, int(s.at), seqs[s.idx])
+		}
+	}
+	// Children before parents, so that every Value a header covers is
+	// written before the header is.
+	for i := len(pr.fixed) - 1; i >= 0; i-- {
+		f := &pr.fixed[i]
+		b.vals[f.dst] = valuesBox.setAt(b.hdrs, f.at, b.vals[f.v0:f.v0+f.nv:f.v0+f.nv])
+	}
+	return valuesBox.setAt(b.hdrs, 0, b.vals[:pr.n:pr.n]), nil
+}
+
+// Top-level strings and owned byte buffers are blocks too: the header
+// and, in the tail, the bytes.
+var (
+	stringBlock = blockTypeOf(blockShape{strs: 1})
+	bytesBlock  = blockTypeOf(blockShape{byts: 1})
+)
+
+// ownString lands a string, a view of the message, in one fresh block;
+// an empty one boxes for free.
+func (pl *Plan) ownString(v []byte) Value {
+	pl.meterTail(len(v))
+	if len(v) == 0 {
+		return ""
+	}
+	var b block
+	stringBlock.alloc(&b, len(v))
+	return stringBox.setAt(b.strs, 0, b.string(v))
+}
+
+// ownBytes lands a byte buffer, a view of the message, in one fresh
+// block.
+func (pl *Plan) ownBytes(v []byte) Value {
+	pl.meterTail(len(v))
+	var b block
+	bytesBlock.alloc(&b, len(v))
+	return bytesBox.setAt(b.byts, 0, b.bytes(v))
 }
 
 // EncodeRequest marshals the in and inout arguments. args is indexed

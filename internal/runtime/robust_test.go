@@ -20,11 +20,13 @@ func richPres(t testing.TB) *pres.Presentation {
 		typedef pt path[3];
 		typedef unsigned long bits[5];
 		struct shape { pt origin; path hops; bits flags; string label; boolean on; };
+		struct tails { long a; string s; long b; sequence<octet> data; string t; double d; };
 		interface R {
 			item mix(in item a, in sequence<octet> b, in string c,
 			         in double d, in boolean e, in Object p);
 			sequence<octet> blob(in unsigned long n);
 			shape reshape(in shape s);
+			tails tails(in tails x);
 		};`)
 	if err != nil {
 		t.Fatal(err)

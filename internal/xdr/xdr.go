@@ -305,8 +305,26 @@ func (d *Decoder) OpaqueInto(dst []byte) ([]byte, error) {
 
 // String decodes an XDR string.
 func (d *Decoder) String() (string, error) {
-	b, err := d.Opaque()
+	b, err := d.StringBytes()
 	return string(b), err
+}
+
+// StringBytes decodes an XDR string without copying it: the returned
+// slice aliases the decoder's buffer, under the same length bound and
+// padding check as String.
+func (d *Decoder) StringBytes() ([]byte, error) { return d.Opaque() }
+
+// Raw returns the next n bytes as they are, aliasing the decoder's
+// buffer, and consumes them: one bounds check for a run of items the
+// caller decodes itself. n must keep the decoder on a four-byte
+// boundary.
+func (d *Decoder) Raw(n int) ([]byte, error) {
+	if n < 0 || d.Remaining() < n {
+		return nil, ErrShortBuffer
+	}
+	b := d.buf[d.off : d.off+n : d.off+n]
+	d.off += n
+	return b, nil
 }
 
 // ArrayLen decodes a variable-length array count, bounded by the
