@@ -545,7 +545,8 @@ func compileFor(path, frontend, iface string, style pres.Style) (*core.Compiled,
 }
 
 // vetEndpoint applies an optional PDL file loosely, so annotation
-// mistakes surface as analyzer findings rather than fatal errors.
+// mistakes surface as analyzer findings rather than fatal errors. It
+// annotates a clone: both endpoints of a vet may start from one base.
 func vetEndpoint(base *pres.Presentation, pdlPath string) (*pres.Presentation, error) {
 	if pdlPath == "" {
 		return base, nil
@@ -554,7 +555,11 @@ func vetEndpoint(base *pres.Presentation, pdlPath string) (*pres.Presentation, e
 	if err != nil {
 		return nil, err
 	}
-	return pdl.ApplyLoose(base, pdlPath, string(src))
+	p := base.Clone()
+	if err := pdl.ApplyLoose(p, pdlPath, string(src)); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // describePresentation renders a presentation in PDL-like syntax.

@@ -42,11 +42,10 @@ func endpoint(t *testing.T, iface *ir.Interface, pdlSrc string) *pres.Presentati
 	if pdlSrc == "" {
 		return base
 	}
-	p, err := pdl.ApplyLoose(base, "ep.pdl", pdlSrc)
-	if err != nil {
+	if err := pdl.ApplyLoose(base, "ep.pdl", pdlSrc); err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return base
 }
 
 func ids(diags []analyze.Diagnostic) []string {

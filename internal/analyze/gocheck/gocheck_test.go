@@ -53,9 +53,9 @@ func counterContract(t *testing.T) *pres.Presentation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pdl.ApplyLoose(pres.Default(file.Interface("Counter"), pres.StyleCORBA), "counter.pdl",
-		"interface Counter {\n    [idempotent] bump(key);\n    [idempotent] peek();\n};\n")
-	if err != nil {
+	p := pres.Default(file.Interface("Counter"), pres.StyleCORBA)
+	if err := pdl.ApplyLoose(p, "counter.pdl",
+		"interface Counter {\n    [idempotent] bump(key);\n    [idempotent] peek();\n};\n"); err != nil {
 		t.Fatal(err)
 	}
 	return p

@@ -94,15 +94,15 @@ func TestGolden(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			iface := compileIface(t)
-			client, err := pdl.ApplyLoose(pres.Default(iface, pres.StyleCORBA), "client.pdl", tc.client)
-			if err != nil {
+			client := pres.Default(iface, pres.StyleCORBA)
+			if err := pdl.ApplyLoose(client, "client.pdl", tc.client); err != nil {
 				t.Fatal(err)
 			}
 			ep := analyze.Endpoint{Pres: client, Transport: tc.transport, Label: "client"}
 			eps := []analyze.Endpoint{ep}
 			if tc.server != "" {
-				server, err := pdl.ApplyLoose(pres.Default(iface, pres.StyleCORBA), "server.pdl", tc.server)
-				if err != nil {
+				server := pres.Default(iface, pres.StyleCORBA)
+				if err := pdl.ApplyLoose(server, "server.pdl", tc.server); err != nil {
 					t.Fatal(err)
 				}
 				eps = append(eps, analyze.Endpoint{Pres: server, Label: "server"})

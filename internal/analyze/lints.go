@@ -32,18 +32,18 @@ func (c *checker) checkSite(p *pres.Presentation, s pres.Site) {
 	a := s.Attrs
 	if a.Trashable && a.Special {
 		c.report("FV004", a.AttrPos("special", "trashable"),
-			"%s: [special] marshal hook may alias a buffer the stub is allowed to trash", s.Ctx)
+			"%s: [special] marshal hook may alias a buffer the stub is allowed to trash", s.Ctx())
 	}
 	if s.Op.Batchable && a.Special {
 		c.report("FV016", a.AttrPos("special"),
-			"%s: [batchable] operation's [special] hook runs at enqueue time, not transmission time; the batcher's frame copy makes the deferral observable", s.Ctx)
+			"%s: [batchable] operation's [special] hook runs at enqueue time, not transmission time; the batcher's frame copy makes the deferral observable", s.Ctx())
 	}
 	if !pres.IsBuffer(s.Type) {
 		return
 	}
 	if a.Dealloc == pres.DeallocNever && a.Alloc == pres.AllocCallee && a.Explicit("alloc") && !s.In() {
 		c.report("FV006", a.AttrPos("dealloc", "alloc"),
-			"%s: [alloc(callee), dealloc(never)]: a fresh callee-allocated buffer per call that nothing frees", s.Ctx)
+			"%s: [alloc(callee), dealloc(never)]: a fresh callee-allocated buffer per call that nothing frees", s.Ctx())
 	}
 	// The three checks below are one scan — does the signature move
 	// buffer ownership explicitly? — under three conditions that each
@@ -82,10 +82,10 @@ func (c *checker) checkSite(p *pres.Presentation, s pres.Site) {
 func (c *checker) checkOwnership(id string, s pres.Site, deallocMsg, allocMsg string) {
 	a := s.Attrs
 	if s.In() && a.Dealloc == pres.DeallocAlways && a.Explicit("dealloc") {
-		c.report(id, a.AttrPos("dealloc"), "%s: %s", s.Ctx, deallocMsg)
+		c.report(id, a.AttrPos("dealloc"), "%s: %s", s.Ctx(), deallocMsg)
 	}
 	if s.Out() && a.Alloc == pres.AllocCallee && a.Explicit("alloc") {
-		c.report(id, a.AttrPos("alloc"), "%s: %s", s.Ctx, allocMsg)
+		c.report(id, a.AttrPos("alloc"), "%s: %s", s.Ctx(), allocMsg)
 	}
 }
 

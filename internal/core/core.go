@@ -121,8 +121,7 @@ func Compile(o Options) (*Compiled, error) {
 		if name == "" {
 			name = "(inline pdl)"
 		}
-		c.Pres, err = pdl.Apply(c.Pres, name, o.PDL)
-		if err != nil {
+		if err := pdl.Apply(c.Pres, name, o.PDL); err != nil {
 			return nil, err
 		}
 	}
@@ -156,9 +155,8 @@ func selectInterface(file *ir.File, name string) (*ir.Interface, error) {
 // unchanged — each endpoint of a connection typically calls this
 // with its own PDL (paper §3: "each can have its own PDL file").
 func (c *Compiled) WithPDL(filename, src string) (*Compiled, error) {
-	base := pres.Default(c.Iface, c.Pres.Style)
-	p, err := pdl.Apply(base, filename, src)
-	if err != nil {
+	p := pres.Default(c.Iface, c.Pres.Style)
+	if err := pdl.Apply(p, filename, src); err != nil {
 		return nil, err
 	}
 	return &Compiled{File: c.File, Iface: c.Iface, Pres: p}, nil

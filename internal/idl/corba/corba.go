@@ -26,7 +26,7 @@ func Parse(filename, src string) (*ir.File, error) {
 }
 
 type parser struct {
-	*idl.Parser
+	idl.Parser
 	file *ir.File
 }
 
@@ -150,7 +150,7 @@ func (p *parser) parseInterface() error {
 		if iface.Op(op.Name) != nil {
 			return idl.Errorf(pos, "duplicate operation %q in interface %q", op.Name, name)
 		}
-		iface.Ops = append(iface.Ops, *op)
+		iface.Ops = append(iface.Ops, op)
 	}
 	if _, err := p.Accept(";"); err != nil {
 		return err
@@ -159,45 +159,41 @@ func (p *parser) parseInterface() error {
 	return nil
 }
 
-func (p *parser) parseOperation() (*ir.Operation, error) {
-	op := &ir.Operation{}
-	oneway, err := p.AcceptKeyword("oneway")
-	if err != nil {
-		return nil, err
+func (p *parser) parseOperation() (op ir.Operation, err error) {
+	if op.Oneway, err = p.AcceptKeyword("oneway"); err != nil {
+		return op, err
 	}
-	op.Oneway = oneway
-	op.Result, err = p.parseType()
-	if err != nil {
-		return nil, err
+	if op.Result, err = p.parseType(); err != nil {
+		return op, err
 	}
-	op.Name, _, err = p.ExpectIdent()
-	if err != nil {
-		return nil, err
+	var pos idl.Pos
+	if op.Name, pos, err = p.ExpectIdent(); err != nil {
+		return op, err
 	}
 	if err := p.Expect("("); err != nil {
-		return nil, err
+		return op, err
 	}
 	for {
 		done, err := p.Accept(")")
 		if err != nil {
-			return nil, err
+			return op, err
 		}
 		if done {
 			break
 		}
 		if len(op.Params) > 0 {
 			if err := p.Expect(","); err != nil {
-				return nil, err
+				return op, err
 			}
 		}
-		param, err := p.parseParam()
+		param, err := p.parseParam(&op)
 		if err != nil {
-			return nil, err
+			return op, err
 		}
-		op.Params = append(op.Params, *param)
+		op.Params = append(op.Params, param)
 	}
-	if op.Oneway && (op.HasResult() || hasOutParam(op)) {
-		return nil, fmt.Errorf("corba: oneway operation %q must not return data", op.Name)
+	if op.Oneway && (op.HasResult() || hasOutParam(&op)) {
+		return op, idl.Errorf(pos, "corba: oneway operation %q must not return data", op.Name)
 	}
 	return op, p.Expect(";")
 }
@@ -211,13 +207,14 @@ func hasOutParam(op *ir.Operation) bool {
 	return false
 }
 
-func (p *parser) parseParam() (*ir.Param, error) {
+// parseParam parses op's next parameter.
+func (p *parser) parseParam(op *ir.Operation) (ir.Param, error) {
 	tok, err := p.Next()
 	if err != nil {
-		return nil, err
+		return ir.Param{}, err
 	}
 	if tok.Kind != idl.Ident {
-		return nil, idl.Errorf(tok.Pos, "expected parameter direction, found %s", tok)
+		return ir.Param{}, idl.Errorf(tok.Pos, "expected parameter direction, found %s", tok)
 	}
 	var dir ir.Direction
 	switch tok.Text {
@@ -228,17 +225,17 @@ func (p *parser) parseParam() (*ir.Param, error) {
 	case "inout":
 		dir = ir.InOut
 	default:
-		return nil, idl.Errorf(tok.Pos, "expected in/out/inout, found %q", tok.Text)
+		return ir.Param{}, idl.Errorf(tok.Pos, "expected in/out/inout, found %q", tok.Text)
 	}
 	t, err := p.parseType()
 	if err != nil {
-		return nil, err
+		return ir.Param{}, err
 	}
-	name, _, err := p.ExpectIdent()
-	if err != nil {
-		return nil, err
+	name, pos, err := p.ExpectIdent()
+	if err == nil && op.ParamNameTaken(name) {
+		err = idl.Errorf(pos, "operation %q: parameter name %q is taken", op.Name, name)
 	}
-	return &ir.Param{Name: name, Type: t, Dir: dir}, nil
+	return ir.Param{Name: name, Type: t, Dir: dir}, err
 }
 
 // parseType parses a CORBA type specifier.

@@ -189,3 +189,44 @@ func TestSignatureStableAcrossDeclOrder(t *testing.T) {
 		t.Fatal("contract should not depend on declaration order")
 	}
 }
+
+// A leading 0 is octal in CORBA IDL (section 7.2.6.1), as in C.
+func TestOctalConstants(t *testing.T) {
+	f := mustParse(t, `
+		const long K = 010;
+		typedef long a[K];
+		typedef octet b[0x10];
+		interface I { void f(in a x, in b y); };`)
+	if got := f.Interface("I").Op("f").Signature(); got != "f(in:array<i32,8>,in:fbytes<16>)->void" {
+		t.Fatalf("signature %s, want array<i32,8> and fbytes<16>", got)
+	}
+	_, err := Parse("test.idl", "const long K = 08;")
+	if err == nil || err.Error() != `test.idl:1:16: bad integer literal "08"` {
+		t.Fatalf("err = %v, want a positioned bad integer literal", err)
+	}
+}
+
+// ">>" closes two nested sequences, as "> >" does.
+func TestNestedSequenceCloses(t *testing.T) {
+	var sigs []string
+	for _, closer := range []string{">>", "> >"} {
+		f := mustParse(t, "interface I { sequence<sequence<octet"+closer+" f(in sequence<sequence<long"+closer+" x); };")
+		sigs = append(sigs, f.Interface("I").Signature())
+	}
+	if sigs[0] != sigs[1] || sigs[0] != "I{f(in:seq<seq<i32>>)->seq<bytes>}" {
+		t.Fatalf("signatures %q", sigs)
+	}
+}
+
+// Every parameter needs its own name, and "return" is the result's: a
+// presentation keys its attributes by parameter name.
+func TestParamNamesAreDistinct(t *testing.T) {
+	for src, want := range map[string]string{
+		"interface I { void f(in long a,\n  out long a); };": `test.idl:2:12: operation "f": parameter name "a" is taken`,
+		"interface I { long f(in long return); };":           `test.idl:1:30: operation "f": parameter name "return" is taken`,
+	} {
+		if _, err := Parse("test.idl", src); err == nil || err.Error() != want {
+			t.Errorf("%q: err = %v, want %s", src, err, want)
+		}
+	}
+}

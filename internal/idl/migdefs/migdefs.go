@@ -37,7 +37,7 @@ func Parse(filename, src string) (*ir.File, error) {
 }
 
 type parser struct {
-	*idl.Parser
+	idl.Parser
 	file  *ir.File
 	iface *ir.Interface
 	base  int64 // subsystem message-id base
@@ -254,8 +254,7 @@ func (p *parser) parseArray() (*ir.Type, error) {
 // parseRoutine handles routine/simpleroutine declarations.
 func (p *parser) parseRoutine(oneway bool) error {
 	if p.iface == nil {
-		tok, _ := p.Peek()
-		return idl.Errorf(tok.Pos, "routine before subsystem declaration")
+		return p.ErrorfAtNext("routine before subsystem declaration")
 	}
 	name, pos, err := p.ExpectIdent()
 	if err != nil {
@@ -294,7 +293,7 @@ func (p *parser) parseRoutine(oneway bool) error {
 				break
 			}
 		}
-		param, err := p.parseArg()
+		param, argPos, err := p.parseArg()
 		if err != nil {
 			return err
 		}
@@ -307,7 +306,10 @@ func (p *parser) parseRoutine(oneway bool) error {
 			continue
 		}
 		first = false
-		op.Params = append(op.Params, *param)
+		if op.ParamNameTaken(param.Name) {
+			return idl.Errorf(argPos, "routine %q: argument name %q is taken", name, param.Name)
+		}
+		op.Params = append(op.Params, param)
 	}
 	if oneway {
 		for _, prm := range op.Params {
@@ -323,32 +325,29 @@ func (p *parser) parseRoutine(oneway bool) error {
 	return nil
 }
 
-// parseArg handles "dir name : type".
-func (p *parser) parseArg() (*ir.Param, error) {
+// parseArg handles "dir name : type", returning the name's position.
+func (p *parser) parseArg() (ir.Param, idl.Pos, error) {
 	dir := ir.In
 	if ok, err := p.AcceptKeyword("in"); err != nil {
-		return nil, err
+		return ir.Param{}, idl.Pos{}, err
 	} else if !ok {
 		if ok, err := p.AcceptKeyword("out"); err != nil {
-			return nil, err
+			return ir.Param{}, idl.Pos{}, err
 		} else if ok {
 			dir = ir.Out
 		} else if ok, err := p.AcceptKeyword("inout"); err != nil {
-			return nil, err
+			return ir.Param{}, idl.Pos{}, err
 		} else if ok {
 			dir = ir.InOut
 		}
 	}
-	name, _, err := p.ExpectIdent()
+	name, pos, err := p.ExpectIdent()
 	if err != nil {
-		return nil, err
+		return ir.Param{}, pos, err
 	}
 	if err := p.Expect(":"); err != nil {
-		return nil, err
+		return ir.Param{}, pos, err
 	}
 	t, err := p.parseTypeSpec()
-	if err != nil {
-		return nil, err
-	}
-	return &ir.Param{Name: name, Type: t, Dir: dir}, nil
+	return ir.Param{Name: name, Type: t, Dir: dir}, pos, err
 }

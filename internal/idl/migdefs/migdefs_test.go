@@ -153,3 +153,12 @@ func TestContractSignatureStable(t *testing.T) {
 		t.Fatal("parsing is not deterministic")
 	}
 }
+
+// Found by FuzzCompile: three arguments named A gave a default
+// presentation that failed its own validation.
+func TestArgNamesAreDistinct(t *testing.T) {
+	_, err := Parse("t.defs", "subsystem pipe 0;type buf_t=array[*:0]of char;routine A(A:mach_port_t;in A:int;out A:buf_t);")
+	if want := `t.defs:1:84: routine "A": argument name "A" is taken`; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
+	}
+}

@@ -28,7 +28,7 @@ func Parse(filename, src string) (*ir.File, error) {
 }
 
 type parser struct {
-	*idl.Parser
+	idl.Parser
 	file *ir.File
 }
 
@@ -179,8 +179,7 @@ func (p *parser) parseDecl() (string, *ir.Type, error) {
 	if ok, err := p.Accept("*"); err != nil {
 		return "", nil, err
 	} else if ok {
-		tok, _ := p.Peek()
-		return "", nil, idl.Errorf(tok.Pos, "XDR optional data (*) is not supported")
+		return "", nil, p.ErrorfAtNext("XDR optional data (*) is not supported")
 	}
 	name, pos, err := p.ExpectIdent()
 	if err != nil {
@@ -237,8 +236,7 @@ func (p *parser) parseTypedef() error {
 		return err
 	}
 	if _, dup := p.file.Typedefs[name]; dup {
-		tok, _ := p.Peek()
-		return idl.Errorf(tok.Pos, "duplicate typedef %q", name)
+		return p.ErrorfAtNext("duplicate typedef %q", name)
 	}
 	p.file.Typedefs[name] = t
 	return p.Expect(";")
@@ -424,8 +422,7 @@ func (p *parser) parseProc() (*ir.Operation, error) {
 		return nil, err
 	}
 	if result.Kind == ir.Uint8Kind {
-		tok, _ := p.Peek()
-		return nil, idl.Errorf(tok.Pos, "opaque cannot be a procedure result")
+		return nil, p.ErrorfAtNext("opaque cannot be a procedure result")
 	}
 	name, _, err := p.ExpectIdent()
 	if err != nil {
@@ -457,8 +454,7 @@ func (p *parser) parseProc() (*ir.Operation, error) {
 			continue // proc(void) has no params
 		}
 		if t.Kind == ir.Uint8Kind {
-			tok, _ := p.Peek()
-			return nil, idl.Errorf(tok.Pos, "opaque cannot be a bare argument; use a typedef")
+			return nil, p.ErrorfAtNext("opaque cannot be a bare argument; use a typedef")
 		}
 		argn++
 		op.Params = append(op.Params, ir.Param{

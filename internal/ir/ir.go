@@ -217,6 +217,23 @@ func (o *Operation) Signature() string {
 	return b.String()
 }
 
+// Param returns the named parameter, or nil.
+func (o *Operation) Param(name string) *Param {
+	for k := range o.Params {
+		if o.Params[k].Name == name {
+			return &o.Params[k]
+		}
+	}
+	return nil
+}
+
+// ParamNameTaken reports whether name cannot be o's next parameter: an
+// earlier parameter has it, or it is "return", the name a presentation
+// gives the result.
+func (o *Operation) ParamNameTaken(name string) bool {
+	return name == "return" || o.Param(name) != nil
+}
+
 // An Interface is a named set of operations — the unit a client
 // binds to.
 type Interface struct {
@@ -259,6 +276,92 @@ func (i *Interface) Signature() string {
 	return b.String()
 }
 
+// SameContract reports whether i and j are the same network contract,
+// i.Signature() == j.Signature(), without building either signature.
+// (The two agree for names that are identifiers, as every front end's
+// are.) Signature sorts the operations, so the contract is the multiset
+// of operations; both sides usually declare them in one order, which is
+// checked first.
+func (i *Interface) SameContract(j *Interface) bool {
+	if i.Name != j.Name || i.Program != j.Program || (i.Program != 0 && i.Version != j.Version) ||
+		len(i.Ops) != len(j.Ops) {
+		return false
+	}
+	for k := range i.Ops {
+		if !i.Ops[k].sameAs(&j.Ops[k]) {
+			return sameOps(i.Ops, j.Ops)
+		}
+	}
+	return true
+}
+
+// sameOps reports whether a and b, of one length, hold the same
+// operations in any order: each operation of a occurs in b as often as
+// in a.
+func sameOps(a, b []Operation) bool {
+	count := func(ops []Operation, op *Operation) (n int) {
+		for k := range ops {
+			if ops[k].sameAs(op) {
+				n++
+			}
+		}
+		return n
+	}
+	for k := range a {
+		if count(a, &a[k]) != count(b, &a[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameAs reports whether o.Signature() == p.Signature().
+func (o *Operation) sameAs(p *Operation) bool {
+	if o.Name != p.Name || o.Oneway != p.Oneway || len(o.Params) != len(p.Params) || !sameType(o.Result, p.Result) {
+		return false
+	}
+	for k := range o.Params {
+		if o.Params[k].Dir != p.Params[k].Dir || !sameType(o.Params[k].Type, p.Params[k].Type) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameType reports whether a.Signature() == b.Signature().
+func sameType(a, b *Type) bool {
+	kind := func(t *Type) Kind {
+		if t == nil {
+			return Void
+		}
+		return t.Kind
+	}
+	k := kind(a)
+	if k != kind(b) {
+		return false
+	}
+	switch k {
+	case Seq:
+		return sameType(a.Elem, b.Elem)
+	case Array:
+		return a.Size == b.Size && sameType(a.Elem, b.Elem)
+	case FixedBytes:
+		return a.Size == b.Size
+	case Struct:
+		if len(a.Fields) != len(b.Fields) {
+			return false
+		}
+		for f := range a.Fields {
+			if !sameType(a.Fields[f].Type, b.Fields[f].Type) {
+				return false
+			}
+		}
+	case Named:
+		return a.Name == b.Name
+	}
+	return true
+}
+
 // A File is the result of parsing one IDL source file.
 type File struct {
 	Name       string
@@ -290,18 +393,19 @@ func (f *File) Interface(name string) *Interface {
 // referenced typedef's structure. It reports an error on dangling or
 // cyclic references.
 func (f *File) Resolve() error {
+	var seen [8]string // typedef chains are short: no allocation for the names
 	for _, iface := range f.Interfaces {
 		for oi := range iface.Ops {
 			op := &iface.Ops[oi]
 			for pi := range op.Params {
-				t, err := f.resolveType(op.Params[pi].Type, nil)
+				t, err := f.resolveType(op.Params[pi].Type, seen[:0])
 				if err != nil {
 					return fmt.Errorf("%s.%s param %s: %w", iface.Name, op.Name, op.Params[pi].Name, err)
 				}
 				op.Params[pi].Type = t
 			}
 			if op.Result != nil {
-				t, err := f.resolveType(op.Result, nil)
+				t, err := f.resolveType(op.Result, seen[:0])
 				if err != nil {
 					return fmt.Errorf("%s.%s result: %w", iface.Name, op.Name, err)
 				}
@@ -343,19 +447,20 @@ func (f *File) resolveType(t *Type, seen []string) (*Type, error) {
 		}
 		return t, nil
 	case Struct:
-		changed := false
-		fields := make([]Field, len(t.Fields))
+		var fields []Field // a copy, made at the first field that changes
 		for i, fl := range t.Fields {
 			ft, err := f.resolveType(fl.Type, seen)
 			if err != nil {
 				return nil, err
 			}
-			fields[i] = Field{Name: fl.Name, Type: ft}
-			if ft != fl.Type {
-				changed = true
+			if ft != fl.Type && fields == nil {
+				fields = append([]Field(nil), t.Fields...)
+			}
+			if fields != nil {
+				fields[i].Type = ft
 			}
 		}
-		if changed {
+		if fields != nil {
 			cp := *t
 			cp.Fields = fields
 			return &cp, nil

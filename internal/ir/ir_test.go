@@ -177,3 +177,74 @@ func TestResolveSeqOfNamedOctet(t *testing.T) {
 		t.Fatalf("seq<named-octet> should collapse to bytes, got %v", got.Kind)
 	}
 }
+
+// SameContract is Signature equality without the strings: every pair
+// drawn from interfaces that differ (or only seem to) in each part of
+// the signature gets the same answer from both.
+func TestSameContractAgreesWithSignature(t *testing.T) {
+	st := func(name string, fields ...*Type) *Type {
+		s := &Type{Kind: Struct, Name: name}
+		for i, f := range fields {
+			s.Fields = append(s.Fields, Field{Name: string(rune('a' + i)), Type: f})
+		}
+		return s
+	}
+	op := func(name string, result *Type, params ...Param) Operation {
+		return Operation{Name: name, Result: result, Params: params}
+	}
+	in := func(t *Type) Param { return Param{Name: "p", Type: t, Dir: In} }
+	base := []Operation{
+		op("get", st("attr", Uint32Type, StringType), in(Uint32Type)),
+		op("put", nil, in(BytesType), Param{Name: "n", Type: Int64Type, Dir: InOut}),
+		op("list", SeqOf(ArrayOf(Int32Type, 3))),
+	}
+	variants := map[string]func(i *Interface){
+		"same":             func(i *Interface) {},
+		"name":             func(i *Interface) { i.Name = "J" },
+		"program":          func(i *Interface) { i.Program, i.Version = 7, 1 },
+		"version":          func(i *Interface) { i.Program, i.Version = 7, 2 },
+		"version only":     func(i *Interface) { i.Version = 9 }, // ignored without a program
+		"reordered":        func(i *Interface) { i.Ops[0], i.Ops[2] = i.Ops[2], i.Ops[0] },
+		"op name":          func(i *Interface) { i.Ops[1].Name = "post" },
+		"oneway":           func(i *Interface) { i.Ops[1].Oneway = true },
+		"direction":        func(i *Interface) { i.Ops[1].Params[1].Dir = Out },
+		"param name":       func(i *Interface) { i.Ops[1].Params[1].Name = "m" }, // not part of the contract
+		"extra param":      func(i *Interface) { i.Ops[2].Params = append(i.Ops[2].Params, in(BoolType)) },
+		"void result":      func(i *Interface) { i.Ops[1].Result = VoidType },
+		"result":           func(i *Interface) { i.Ops[1].Result = Int32Type },
+		"array size":       func(i *Interface) { i.Ops[2].Result = SeqOf(ArrayOf(Int32Type, 4)) },
+		"array elem":       func(i *Interface) { i.Ops[2].Result = SeqOf(ArrayOf(Uint32Type, 3)) },
+		"seq elem":         func(i *Interface) { i.Ops[2].Result = SeqOf(SeqOf(Int32Type)) },
+		"fbytes":           func(i *Interface) { i.Ops[1].Params[0].Type = ArrayOf(OctetType, 8) },
+		"fbytes size":      func(i *Interface) { i.Ops[1].Params[0].Type = ArrayOf(OctetType, 9) },
+		"struct names":     func(i *Interface) { i.Ops[0].Result = st("other", Uint32Type, StringType) },
+		"struct field":     func(i *Interface) { i.Ops[0].Result = st("attr", Uint32Type, BytesType) },
+		"struct arity":     func(i *Interface) { i.Ops[0].Result = st("attr", Uint32Type) },
+		"enum":             func(i *Interface) { i.Ops[0].Params[0].Type = &Type{Kind: Enum, Name: "e", Enumerators: []string{"x"}} },
+		"other enum":       func(i *Interface) { i.Ops[0].Params[0].Type = &Type{Kind: Enum, Name: "f"} },
+		"named":            func(i *Interface) { i.Ops[0].Params[0].Type = &Type{Kind: Named, Name: "h"} },
+		"other named":      func(i *Interface) { i.Ops[0].Params[0].Type = &Type{Kind: Named, Name: "k"} },
+		"duplicate first":  func(i *Interface) { i.Ops[2] = i.Ops[0] },
+		"duplicate second": func(i *Interface) { i.Ops[2] = i.Ops[1] },
+		"dup swapped":      func(i *Interface) { i.Ops[2], i.Ops[0] = i.Ops[0], i.Ops[1] },
+	}
+	var ifaces []*Interface
+	var names []string
+	for name, mutate := range variants {
+		i := &Interface{Name: "I", Ops: make([]Operation, len(base))}
+		for k, o := range base {
+			o.Params = append([]Param(nil), o.Params...)
+			i.Ops[k] = o
+		}
+		mutate(i)
+		ifaces, names = append(ifaces, i), append(names, name)
+	}
+	for a := range ifaces {
+		for b := range ifaces {
+			want := ifaces[a].Signature() == ifaces[b].Signature()
+			if got := ifaces[a].SameContract(ifaces[b]); got != want {
+				t.Errorf("%s vs %s: SameContract = %v, signatures equal = %v", names[a], names[b], got, want)
+			}
+		}
+	}
+}

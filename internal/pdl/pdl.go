@@ -12,8 +12,8 @@
 //	};
 //
 // Nothing declared in a PDL file can affect the contract between
-// client and server: Apply works on a clone of the presentation and
-// validates the result against the interface before returning it.
+// client and server: Apply validates the presentation against the
+// interface after annotating it.
 package pdl
 
 import (
@@ -28,10 +28,12 @@ type attr struct {
 	pos  idl.Pos
 }
 
-// Apply parses PDL source and applies it to a clone of base,
-// returning the modified presentation. base is not mutated.
-func Apply(base *pres.Presentation, filename, src string) (*pres.Presentation, error) {
-	return apply(base, filename, src, true)
+// Apply parses PDL source and applies it to p in place, then
+// validates the result. A caller that keeps p's prior state (one base
+// presentation for several endpoints) applies to p.Clone(). On error p
+// may be partly annotated and is to be discarded.
+func Apply(p *pres.Presentation, filename, src string) error {
+	return apply(p, filename, src, true)
 }
 
 // ApplyLoose is Apply for lint passes: declarations naming operations
@@ -39,28 +41,25 @@ func Apply(base *pres.Presentation, filename, src string) (*pres.Presentation, e
 // presentation entries a static analyzer can flag with their source
 // positions) and the result is not validated. Parse errors and
 // unknown attribute names still fail.
-func ApplyLoose(base *pres.Presentation, filename, src string) (*pres.Presentation, error) {
-	return apply(base, filename, src, false)
+func ApplyLoose(p *pres.Presentation, filename, src string) error {
+	return apply(p, filename, src, false)
 }
 
-func apply(base *pres.Presentation, filename, src string, strict bool) (*pres.Presentation, error) {
+func apply(out *pres.Presentation, filename, src string, strict bool) error {
 	p := &parser{Parser: idl.NewParser(filename, src)}
 	decls, err := p.parseFile()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := base.Clone()
 	for _, d := range decls {
 		if err := d.apply(out, strict); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if strict {
-		if err := out.Validate(); err != nil {
-			return nil, err
-		}
+		return out.Validate()
 	}
-	return out, nil
+	return nil
 }
 
 type paramDecl struct {
@@ -84,7 +83,7 @@ type ifaceDecl struct {
 }
 
 type parser struct {
-	*idl.Parser
+	idl.Parser
 }
 
 func (p *parser) parseFile() ([]ifaceDecl, error) {
@@ -101,7 +100,7 @@ func (p *parser) parseFile() ([]ifaceDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		decls = append(decls, *d)
+		decls = append(decls, d)
 	}
 }
 
@@ -151,73 +150,67 @@ func (p *parser) parseAttrs() ([]attr, error) {
 	return attrs, p.Expect("]")
 }
 
-func (p *parser) parseInterface() (*ifaceDecl, error) {
-	attrs, err := p.parseAttrs()
-	if err != nil {
-		return nil, err
+func (p *parser) parseInterface() (d ifaceDecl, err error) {
+	if d.attrs, err = p.parseAttrs(); err != nil {
+		return d, err
 	}
 	if err := p.ExpectKeyword("interface"); err != nil {
-		return nil, err
+		return d, err
 	}
-	name, pos, err := p.ExpectIdent()
-	if err != nil {
-		return nil, err
+	if d.name, d.pos, err = p.ExpectIdent(); err != nil {
+		return d, err
 	}
-	d := &ifaceDecl{name: name, attrs: attrs, pos: pos}
 	if err := p.Expect("{"); err != nil {
-		return nil, err
+		return d, err
 	}
 	for {
 		done, err := p.Accept("}")
 		if err != nil {
-			return nil, err
+			return d, err
 		}
 		if done {
 			break
 		}
 		op, err := p.parseOp()
 		if err != nil {
-			return nil, err
+			return d, err
 		}
-		d.ops = append(d.ops, *op)
+		d.ops = append(d.ops, op)
 	}
 	_, err = p.Accept(";")
 	return d, err
 }
 
-func (p *parser) parseOp() (*opDecl, error) {
-	attrs, err := p.parseAttrs()
-	if err != nil {
-		return nil, err
+func (p *parser) parseOp() (d opDecl, err error) {
+	if d.attrs, err = p.parseAttrs(); err != nil {
+		return d, err
 	}
-	name, pos, err := p.ExpectIdent()
-	if err != nil {
-		return nil, err
+	if d.name, d.pos, err = p.ExpectIdent(); err != nil {
+		return d, err
 	}
-	d := &opDecl{name: name, attrs: attrs, pos: pos}
 	if err := p.Expect("("); err != nil {
-		return nil, err
+		return d, err
 	}
 	for {
 		done, err := p.Accept(")")
 		if err != nil {
-			return nil, err
+			return d, err
 		}
 		if done {
 			break
 		}
 		if len(d.params) > 0 {
 			if err := p.Expect(","); err != nil {
-				return nil, err
+				return d, err
 			}
 		}
 		pattrs, err := p.parseAttrs()
 		if err != nil {
-			return nil, err
+			return d, err
 		}
 		pname, ppos, err := p.ExpectIdent()
 		if err != nil {
-			return nil, err
+			return d, err
 		}
 		d.params = append(d.params, paramDecl{name: pname, attrs: pattrs, pos: ppos})
 	}

@@ -21,35 +21,46 @@ func fileIOPres(t *testing.T) *pres.Presentation {
 	return pres.Default(f.Interface("FileIO"), pres.StyleCORBA)
 }
 
+// applied returns base annotated in place by the PDL source, with
+// Apply's error.
+func applied(base *pres.Presentation, name, src string) (*pres.Presentation, error) {
+	return base, Apply(base, name, src)
+}
+
+func appliedLoose(base *pres.Presentation, name, src string) (*pres.Presentation, error) {
+	return base, ApplyLoose(base, name, src)
+}
+
 // Paper Figure 5: [dealloc(never)] on the read result lets the pipe
 // server keep its circular buffer.
 func TestFigure5DeallocNever(t *testing.T) {
+	// Apply annotates in place; a caller that keeps its base for
+	// another endpoint applies to a clone.
 	base := fileIOPres(t)
-	p, err := Apply(base, "server.pdl", `
+	p := base.Clone()
+	if err := Apply(p, "server.pdl", `
 		interface FileIO {
 			read([dealloc(never)] return);
-		};`)
-	if err != nil {
+		};`); err != nil {
 		t.Fatal(err)
 	}
 	if p.Op("read").Result().Dealloc != pres.DeallocNever {
 		t.Fatal("dealloc(never) not applied")
 	}
-	// The base is untouched.
 	if base.Op("read").Result().Dealloc != pres.DeallocAlways {
-		t.Fatal("Apply mutated the base presentation")
+		t.Fatal("Apply to a clone mutated the base presentation")
 	}
 }
 
 // Paper Figures 8 and 9: trashable on the client, preserved on the
 // server.
 func TestFigures8And9Mutability(t *testing.T) {
-	client, err := Apply(fileIOPres(t), "client.pdl", `
+	client, err := applied(fileIOPres(t), "client.pdl", `
 		interface FileIO { write([trashable] data); };`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := Apply(fileIOPres(t), "server.pdl", `
+	server, err := applied(fileIOPres(t), "server.pdl", `
 		interface FileIO { write([preserved] data); };`)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +75,7 @@ func TestFigures8And9Mutability(t *testing.T) {
 
 // Paper §4.5: trust attributes at interface level.
 func TestTrustAttributes(t *testing.T) {
-	p, err := Apply(fileIOPres(t), "t.pdl", `
+	p, err := applied(fileIOPres(t), "t.pdl", `
 		[leaky] interface FileIO { };`)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +83,7 @@ func TestTrustAttributes(t *testing.T) {
 	if p.Trust != pres.TrustLeaky {
 		t.Fatalf("trust = %v", p.Trust)
 	}
-	p, err = Apply(fileIOPres(t), "t.pdl", `
+	p, err = applied(fileIOPres(t), "t.pdl", `
 		[leaky, unprotected] interface FileIO { };`)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +105,7 @@ func TestFigure1CommStatusAndSpecial(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := pres.Default(f.Interface("NFS"), pres.StyleSun)
-	p, err := Apply(base, "nfs.pdl", `
+	p, err := applied(base, "nfs.pdl", `
 		interface NFS {
 			[comm_status] nfsproc_read([special] data);
 		};`)
@@ -116,7 +127,7 @@ func TestLengthIs(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := pres.Default(f.Interface("SysLog"), pres.StyleCORBA)
-	p, err := Apply(base, "syslog.pdl", `
+	p, err := applied(base, "syslog.pdl", `
 		interface SysLog { write_msg([length_is(length)] msg); };`)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +138,7 @@ func TestLengthIs(t *testing.T) {
 }
 
 func TestAllocAttr(t *testing.T) {
-	p, err := Apply(fileIOPres(t), "t.pdl", `
+	p, err := applied(fileIOPres(t), "t.pdl", `
 		interface FileIO { read([alloc(caller)] return); };`)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +153,7 @@ func TestAllocAttr(t *testing.T) {
 func TestApplyNeverAltersContract(t *testing.T) {
 	base := fileIOPres(t)
 	before := base.Interface.Signature()
-	_, err := Apply(base, "t.pdl", `
+	_, err := applied(base, "t.pdl", `
 		[leaky, unprotected]
 		interface FileIO {
 			[comm_status] read([dealloc(never), alloc(callee)] return);
@@ -175,7 +186,7 @@ func TestApplyErrors(t *testing.T) {
 		{`interface FileIO { write([preserved] nosuchparam); };`, `"nosuchparam"`},
 	}
 	for _, c := range cases {
-		_, err := Apply(fileIOPres(t), "t.pdl", c.src)
+		_, err := applied(fileIOPres(t), "t.pdl", c.src)
 		if err == nil || !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("src %q:\n  err = %v\n  want substring %q", c.src, err, c.wantSub)
 		}
@@ -185,7 +196,7 @@ func TestApplyErrors(t *testing.T) {
 func TestOnlyDeviationsNeeded(t *testing.T) {
 	// A PDL file mentioning one op must leave every other op at the
 	// default (paper §3: no need to re-declare everything).
-	p, err := Apply(fileIOPres(t), "t.pdl", `
+	p, err := applied(fileIOPres(t), "t.pdl", `
 		interface FileIO { read([dealloc(never)] return); };`)
 	if err != nil {
 		t.Fatal(err)
@@ -197,10 +208,10 @@ func TestOnlyDeviationsNeeded(t *testing.T) {
 }
 
 func TestMultipleInterfaceBlocksAndEmptyFile(t *testing.T) {
-	if _, err := Apply(fileIOPres(t), "t.pdl", ``); err != nil {
+	if _, err := applied(fileIOPres(t), "t.pdl", ``); err != nil {
 		t.Fatalf("empty PDL should be valid: %v", err)
 	}
-	p, err := Apply(fileIOPres(t), "t.pdl", `
+	p, err := applied(fileIOPres(t), "t.pdl", `
 		interface FileIO { read([dealloc(never)] return); };
 		interface FileIO { write([trashable] data); };`)
 	if err != nil {
@@ -214,7 +225,7 @@ func TestMultipleInterfaceBlocksAndEmptyFile(t *testing.T) {
 // Attribute positions must survive into the applied presentation so
 // validation errors and flexvet diagnostics can point at PDL source.
 func TestPositionsThreadedIntoPresentation(t *testing.T) {
-	p, err := Apply(fileIOPres(t), "pos.pdl",
+	p, err := applied(fileIOPres(t), "pos.pdl",
 		"[leaky]\ninterface FileIO {\n    [comm_status] read([dealloc(never)] return);\n};")
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +254,7 @@ func TestPositionsThreadedIntoPresentation(t *testing.T) {
 // Validation errors carry the iface.op.param context and the PDL
 // source position of the offending attribute.
 func TestValidateErrorsArePositionedAndContextual(t *testing.T) {
-	_, err := Apply(fileIOPres(t), "bad.pdl",
+	_, err := applied(fileIOPres(t), "bad.pdl",
 		"interface FileIO {\n    write([trashable, preserved] data);\n};")
 	if err == nil {
 		t.Fatal("expected validation error")
@@ -261,7 +272,7 @@ func TestValidateErrorsArePositionedAndContextual(t *testing.T) {
 func TestValidateFirstErrorIsDeterministic(t *testing.T) {
 	const src = "interface FileIO {\n    write([nonunique] data);\n    read([trashable] return);\n};"
 	for i := 0; i < 50; i++ {
-		_, err := Apply(fileIOPres(t), "two.pdl", src)
+		_, err := applied(fileIOPres(t), "two.pdl", src)
 		if err == nil || !strings.Contains(err.Error(), "two.pdl:3:11") || !strings.Contains(err.Error(), "FileIO.read.return") {
 			t.Fatalf("run %d: err = %v, want the violation on FileIO.read.return (read sorts before write)", i, err)
 		}
@@ -271,7 +282,7 @@ func TestValidateFirstErrorIsDeterministic(t *testing.T) {
 // ApplyLoose keeps dangling declarations (for the analyzer) and skips
 // validation.
 func TestApplyLoose(t *testing.T) {
-	p, err := ApplyLoose(fileIOPres(t), "loose.pdl",
+	p, err := appliedLoose(fileIOPres(t), "loose.pdl",
 		"interface FileIO {\n    frob([special] x);\n    write([trashable, preserved] data);\n};")
 	if err != nil {
 		t.Fatal(err)
@@ -284,14 +295,14 @@ func TestApplyLoose(t *testing.T) {
 		t.Error("valid attributes must still apply in loose mode")
 	}
 	// Unknown attribute names are still parse errors, even loose.
-	if _, err := ApplyLoose(fileIOPres(t), "loose.pdl", `interface FileIO { write([frob] data); };`); err == nil {
+	if _, err := appliedLoose(fileIOPres(t), "loose.pdl", `interface FileIO { write([frob] data); };`); err == nil {
 		t.Error("unknown attribute must fail even in loose mode")
 	}
 }
 
 func TestValidationRunsAfterApply(t *testing.T) {
 	// trashable+preserved passes parsing but must fail validation.
-	_, err := Apply(fileIOPres(t), "t.pdl", `
+	_, err := applied(fileIOPres(t), "t.pdl", `
 		interface FileIO { write([trashable, preserved] data); };`)
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("err = %v", err)

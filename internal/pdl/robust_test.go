@@ -16,7 +16,7 @@ func TestQuickApplyNeverPanics(t *testing.T) {
 	}
 	base := pres.Default(f.Interface("F"), pres.StyleCORBA)
 	prop := func(src string) bool {
-		_, _ = Apply(base, "fuzz.pdl", src)
+		_ = Apply(base.Clone(), "fuzz.pdl", src)
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {

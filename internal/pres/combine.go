@@ -60,11 +60,12 @@ type CombinedParam struct {
 }
 
 // Combine pairs client with server. It refuses presentations of
-// differing contracts (ir.Interface.Signature).
+// differing contracts (ir.Interface.SameContract), and builds their
+// signatures only to say how they differ.
 func Combine(client, server *Presentation) (*Combination, error) {
 	ci, si := client.Interface, server.Interface
-	if cs, ss := ci.Signature(), si.Signature(); cs != ss {
-		return nil, fmt.Errorf("pres: contract mismatch:\n  client %s\n  server %s", cs, ss)
+	if !ci.SameContract(si) {
+		return nil, fmt.Errorf("pres: contract mismatch:\n  client %s\n  server %s", ci.Signature(), si.Signature())
 	}
 	c := &Combination{
 		Ops:       make([]CombinedOp, len(ci.Ops)),
@@ -78,8 +79,8 @@ func Combine(client, server *Presentation) (*Combination, error) {
 	params := make([]CombinedParam, n)
 	for i := range ci.Ops {
 		op := &ci.Ops[i]
-		// Equal signatures give each client operation a server operation
-		// of the same name with the same parameter list.
+		// The same contract gives each client operation a server
+		// operation of the same name with the same parameter list.
 		j := 0
 		for si.Ops[j].Name != op.Name {
 			j++

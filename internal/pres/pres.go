@@ -301,24 +301,33 @@ func Default(iface *ir.Interface, style Style) *Presentation {
 	p := &Presentation{
 		Interface: iface,
 		Style:     style,
-		Ops:       make(map[string]*OpPres),
+		Ops:       make(map[string]*OpPres, len(iface.Ops)),
 	}
+	n := 0
 	for i := range iface.Ops {
-		op := &iface.Ops[i]
-		po := &OpPres{Name: op.Name, Params: make(map[string]*ParamAttrs)}
+		n += len(iface.Ops[i].Params) + 1
+	}
+	// One block of operations and one of parameter attributes.
+	ops, attrs := make([]OpPres, len(iface.Ops)), make([]ParamAttrs, n)
+	for i := range iface.Ops {
+		op, po := &iface.Ops[i], &ops[i]
+		*po = OpPres{Name: op.Name, Params: make(map[string]*ParamAttrs, len(op.Params)+1)}
 		for _, param := range op.Params {
-			po.Params[param.Name] = defaultParamAttrs(param.Type, param.Dir, style)
+			po.Params[param.Name] = defaultParamAttrs(&attrs[0], param.Type, param.Dir, style)
+			attrs = attrs[1:]
 		}
 		if op.HasResult() {
-			po.Params[ResultParam] = defaultParamAttrs(op.Result, ir.Out, style)
+			po.Params[ResultParam] = defaultParamAttrs(&attrs[0], op.Result, ir.Out, style)
 		}
+		attrs = attrs[1:]
 		p.Ops[op.Name] = po
 	}
 	return p
 }
 
-func defaultParamAttrs(t *ir.Type, dir ir.Direction, style Style) *ParamAttrs {
-	a := &ParamAttrs{}
+// defaultParamAttrs sets a, which is zero, to the style's attributes
+// for a parameter of type t and direction dir, and returns it.
+func defaultParamAttrs(a *ParamAttrs, t *ir.Type, dir ir.Direction, style Style) *ParamAttrs {
 	if !IsBuffer(t) {
 		return a
 	}
@@ -462,12 +471,16 @@ type Violation struct {
 // A Site is one annotated parameter (or result, under ResultParam)
 // that the interface has, with its wire type and direction.
 type Site struct {
+	Iface string
 	Op    *OpPres
+	Param string
 	Attrs *ParamAttrs
 	Type  *ir.Type
 	Dir   ir.Direction
-	Ctx   string // "Iface.op.param", for messages
 }
+
+// Ctx names the site as "Iface.op.param", for messages.
+func (s Site) Ctx() string { return s.Iface + "." + s.Op.Name + "." + s.Param }
 
 // In reports whether the parameter carries data to the callee.
 func (s Site) In() bool { return s.Dir == ir.In || s.Dir == ir.InOut }
@@ -486,54 +499,65 @@ func (s Site) Out() bool { return s.Dir == ir.Out || s.Dir == ir.InOut }
 // and hangs its own per-parameter lints on site.
 func (p *Presentation) Walk(site func(Site)) []Violation {
 	var out []Violation
-	bad := func(r Rule, pos idl.Pos, format string, args ...any) {
-		out = append(out, Violation{r, pos, fmt.Sprintf(format, args...)})
-	}
-	iface := p.Interface
 	for _, name := range sortedKeys(p.Ops) {
-		op, irOp := p.Ops[name], iface.Op(name)
+		op := p.Ops[name]
+		irOp := p.Interface.Op(name)
 		if irOp == nil {
-			bad(RuleDangling, op.Pos, "%s: operation %q not in interface %s: annotation can never apply",
-				iface.Name, name, iface.Name)
+			out = append(out, p.danglingOp(name, op))
 			continue
 		}
 		for _, pn := range sortedKeys(op.Params) {
-			a := op.Params[pn]
-			t, dir, ok := lookupParam(irOp, pn)
-			if !ok {
-				bad(RuleDangling, a.Pos, "%s.%s: parameter %q not in operation: annotation can never apply",
-					iface.Name, name, pn)
-				continue
-			}
-			s := Site{Op: op, Attrs: a, Type: t, Dir: dir, Ctx: iface.Name + "." + name + "." + pn}
-			if a.Trashable && !s.In() {
-				bad(RuleInOnly, a.AttrPos("trashable"), "%s: [trashable] applies only to in parameters, %s is %s", s.Ctx, pn, dir)
-			}
-			if a.Preserved && !s.In() {
-				bad(RuleInOnly, a.AttrPos("preserved"), "%s: [preserved] applies only to in parameters, %s is %s", s.Ctx, pn, dir)
-			}
-			if a.Trashable && a.Preserved {
-				bad(RuleMutability, a.AttrPos("preserved", "trashable"),
-					"%s: [trashable] and [preserved] on the same parameter are mutually exclusive", s.Ctx)
-			}
-			if (a.Alloc != AllocAuto || a.Dealloc != DeallocDefault) && !IsBuffer(t) {
-				bad(RuleBufferOnly, a.AttrPos("alloc", "dealloc"),
-					"%s: allocation annotations require a buffer type, have %s", s.Ctx, t.Signature())
-			}
-			if a.NonUnique && t.Kind != ir.Port {
-				bad(RulePortOnly, a.AttrPos("nonunique"), "%s: [nonunique] applies only to port parameters, have %s", s.Ctx, t.Signature())
-			}
-			if a.LengthIs != "" {
-				if lt, _, ok := lookupParam(irOp, a.LengthIs); !ok || a.LengthIs == ResultParam {
-					bad(RuleLengthIs, a.AttrPos("length_is"), "%s: length_is(%s): no such parameter in the operation", s.Ctx, a.LengthIs)
-				} else if k := lt.Kind; k != ir.Int32 && k != ir.Uint32 && k != ir.Int64 && k != ir.Uint64 {
-					bad(RuleLengthIs, a.AttrPos("length_is"), "%s: length_is(%s): parameter is %s, need an integer", s.Ctx, a.LengthIs, lt.Signature())
-				}
-			}
-			if site != nil {
-				site(s)
-			}
+			out = p.checkParam(op, irOp, pn, site, out)
 		}
+	}
+	return out
+}
+
+func (p *Presentation) danglingOp(name string, op *OpPres) Violation {
+	return Violation{RuleDangling, op.Pos, fmt.Sprintf("%s: operation %q not in interface %s: annotation can never apply",
+		p.Interface.Name, name, p.Interface.Name)}
+}
+
+// checkParam appends the violations of op's parameter pn to out. It
+// formats a message only for a violation.
+func (p *Presentation) checkParam(op *OpPres, irOp *ir.Operation, pn string, site func(Site), out []Violation) []Violation {
+	bad := func(r Rule, pos idl.Pos, format string, args ...any) {
+		out = append(out, Violation{r, pos, fmt.Sprintf(format, args...)})
+	}
+	a := op.Params[pn]
+	t, dir, ok := lookupParam(irOp, pn)
+	if !ok {
+		bad(RuleDangling, a.Pos, "%s.%s: parameter %q not in operation: annotation can never apply",
+			p.Interface.Name, op.Name, pn)
+		return out
+	}
+	s := Site{Iface: p.Interface.Name, Op: op, Param: pn, Attrs: a, Type: t, Dir: dir}
+	if a.Trashable && !s.In() {
+		bad(RuleInOnly, a.AttrPos("trashable"), "%s: [trashable] applies only to in parameters, %s is %s", s.Ctx(), pn, dir)
+	}
+	if a.Preserved && !s.In() {
+		bad(RuleInOnly, a.AttrPos("preserved"), "%s: [preserved] applies only to in parameters, %s is %s", s.Ctx(), pn, dir)
+	}
+	if a.Trashable && a.Preserved {
+		bad(RuleMutability, a.AttrPos("preserved", "trashable"),
+			"%s: [trashable] and [preserved] on the same parameter are mutually exclusive", s.Ctx())
+	}
+	if (a.Alloc != AllocAuto || a.Dealloc != DeallocDefault) && !IsBuffer(t) {
+		bad(RuleBufferOnly, a.AttrPos("alloc", "dealloc"),
+			"%s: allocation annotations require a buffer type, have %s", s.Ctx(), t.Signature())
+	}
+	if a.NonUnique && t.Kind != ir.Port {
+		bad(RulePortOnly, a.AttrPos("nonunique"), "%s: [nonunique] applies only to port parameters, have %s", s.Ctx(), t.Signature())
+	}
+	if a.LengthIs != "" {
+		if lt, _, ok := lookupParam(irOp, a.LengthIs); !ok || a.LengthIs == ResultParam {
+			bad(RuleLengthIs, a.AttrPos("length_is"), "%s: length_is(%s): no such parameter in the operation", s.Ctx(), a.LengthIs)
+		} else if k := lt.Kind; k != ir.Int32 && k != ir.Uint32 && k != ir.Int64 && k != ir.Uint64 {
+			bad(RuleLengthIs, a.AttrPos("length_is"), "%s: length_is(%s): parameter is %s, need an integer", s.Ctx(), a.LengthIs, lt.Signature())
+		}
+	}
+	if site != nil {
+		site(s)
 	}
 	return out
 }
@@ -542,14 +566,33 @@ func (p *Presentation) Walk(site func(Site)) []Violation {
 // its position. A valid presentation can never alter the network
 // contract.
 func (p *Presentation) Validate() error {
-	vs := p.Walk(nil)
-	if len(vs) == 0 {
+	if p.valid() {
 		return nil
 	}
-	if vs[0].Pos.Line == 0 {
-		return fmt.Errorf("pres: %s", vs[0].Msg)
+	v := p.Walk(nil)[0]
+	if v.Pos.Line == 0 {
+		return fmt.Errorf("pres: %s", v.Msg)
 	}
-	return idl.Errorf(vs[0].Pos, "pres: %s", vs[0].Msg)
+	return idl.Errorf(v.Pos, "pres: %s", v.Msg)
+}
+
+// valid reports whether Walk would find no violation. Valid is the
+// common case, so it checks in map order, which sorts nothing and
+// formats no message; Validate walks an invalid presentation again, in
+// Walk's order, for its first violation.
+func (p *Presentation) valid() bool {
+	for name, op := range p.Ops {
+		irOp := p.Interface.Op(name)
+		if irOp == nil {
+			return false
+		}
+		for pn := range op.Params {
+			if len(p.checkParam(op, irOp, pn, nil, nil)) > 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // lookupParam finds the wire type and direction of the named parameter
@@ -559,10 +602,8 @@ func lookupParam(op *ir.Operation, name string) (*ir.Type, ir.Direction, bool) {
 	if name == ResultParam {
 		return op.Result, ir.Out, op.HasResult()
 	}
-	for _, param := range op.Params {
-		if param.Name == name {
-			return param.Type, param.Dir, true
-		}
+	if param := op.Param(name); param != nil {
+		return param.Type, param.Dir, true
 	}
 	return nil, 0, false
 }

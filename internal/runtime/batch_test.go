@@ -28,9 +28,8 @@ func batchPres(t testing.TB) *pres.Presentation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pdl.ApplyLoose(pres.Default(f.Interface("B"), pres.StyleCORBA),
-		"b.pdl", "interface B {\n    [batchable, idempotent] echo();\n};\n")
-	if err != nil {
+	p := pres.Default(f.Interface("B"), pres.StyleCORBA)
+	if err := pdl.ApplyLoose(p, "b.pdl", "interface B {\n    [batchable, idempotent] echo();\n};\n"); err != nil {
 		t.Fatal(err)
 	}
 	return p

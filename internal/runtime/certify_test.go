@@ -315,9 +315,8 @@ func TestCertificateCallerBufferLanding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pdl.Apply(pres.Default(f.Interface("Fetch"), pres.StyleCORBA), "fetch.pdl",
-		"interface Fetch {\n    read([alloc(caller)] return);\n};\n")
-	if err != nil {
+	p := pres.Default(f.Interface("Fetch"), pres.StyleCORBA)
+	if err := pdl.Apply(p, "fetch.pdl", "interface Fetch {\n    read([alloc(caller)] return);\n};\n"); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := NewPlan(p, XDRCodec, nil)

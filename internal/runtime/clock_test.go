@@ -28,9 +28,8 @@ func clockPres(t testing.TB) *pres.Presentation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pdl.ApplyLoose(pres.Default(f.Interface("C"), pres.StyleCORBA),
-		"c.pdl", "interface C {\n    [idempotent] echo();\n};\n")
-	if err != nil {
+	p := pres.Default(f.Interface("C"), pres.StyleCORBA)
+	if err := pdl.ApplyLoose(p, "c.pdl", "interface C {\n    [idempotent] echo();\n};\n"); err != nil {
 		t.Fatal(err)
 	}
 	return p

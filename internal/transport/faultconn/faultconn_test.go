@@ -27,9 +27,8 @@ func counterPres(t testing.TB) *pres.Presentation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pdl.ApplyLoose(pres.Default(f.Interface("Counter"), pres.StyleCORBA),
-		"counter.pdl", "interface Counter {\n    [idempotent] peek();\n};\n")
-	if err != nil {
+	p := pres.Default(f.Interface("Counter"), pres.StyleCORBA)
+	if err := pdl.ApplyLoose(p, "counter.pdl", "interface Counter {\n    [idempotent] peek();\n};\n"); err != nil {
 		t.Fatal(err)
 	}
 	return p

@@ -38,8 +38,8 @@ func TestCrossPresentationInteropMatrix(t *testing.T) {
 					if src == "" {
 						return fileIOPres(t)
 					}
-					p, err := pdl.Apply(fileIOPres(t), name, src)
-					if err != nil {
+					p := fileIOPres(t)
+					if err := pdl.Apply(p, name, src); err != nil {
 						t.Fatal(err)
 					}
 					return p

@@ -94,8 +94,8 @@ func TestConnectAllocsBenchIDL(t *testing.T) {
 		if _, err := inproc.Connect(cp, disp); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 52 {
-		t.Errorf("inproc.Connect allocates %.0f times, want <= 52", allocs)
+	}); allocs > 8 {
+		t.Errorf("inproc.Connect allocates %.0f times, want <= 8", allocs)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		b, err := Connect(cp, disp, runtime.XDRCodec, Options{})
@@ -103,7 +103,7 @@ func TestConnectAllocsBenchIDL(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.Close()
-	}); allocs > 137 {
-		t.Errorf("shmring.Connect allocates %.0f times, want <= 137", allocs)
+	}); allocs > 93 {
+		t.Errorf("shmring.Connect allocates %.0f times, want <= 93", allocs)
 	}
 }
