@@ -10,6 +10,7 @@ package netsim
 
 import (
 	"net"
+	"os"
 	"sync"
 	"time"
 )
@@ -98,21 +99,78 @@ func (bp *bufferedPipe) close() {
 // BufferedPipe returns an in-memory duplex stream with depth
 // messages of write buffering per direction, shaped by p. It is
 // useful when client and server would otherwise deadlock on
-// synchronous writes.
+// synchronous writes. Its ends honour read and write deadlines as a
+// net.Conn must.
 func BufferedPipe(p LinkParams, depth int) (client, server net.Conn) {
 	ab := &bufferedPipe{ch: make(chan []byte, depth), closed: make(chan struct{})}
 	ba := &bufferedPipe{ch: make(chan []byte, depth), closed: make(chan struct{})}
-	c := &pipeEnd{r: ba, w: ab}
-	s := &pipeEnd{r: ab, w: ba}
+	c := &pipeEnd{r: ba, w: ab, rd: newDeadline(), wd: newDeadline()}
+	s := &pipeEnd{r: ab, w: ba, rd: newDeadline(), wd: newDeadline()}
 	return Shape(c, p), Shape(s, p)
 }
 
 type pipeEnd struct {
-	r, w *bufferedPipe
+	r, w   *bufferedPipe
+	rd, wd *deadline
+}
+
+// A deadline is one direction's deadline as a channel that is closed
+// once it passes. Moving the deadline re-arms its timer: a call
+// blocked on the channel wakes when the deadline moves into the past
+// and keeps waiting when it moves into the future.
+type deadline struct {
+	mu      sync.Mutex
+	timer   *time.Timer
+	expired chan struct{}
+}
+
+func newDeadline() *deadline { return &deadline{expired: make(chan struct{})} }
+
+// set moves the deadline to t; the zero time means none.
+func (d *deadline) set(t time.Time) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.timer != nil && !d.timer.Stop() {
+		<-d.expired // the timer fired: wait for it to close the channel
+	}
+	d.timer = nil
+	if isClosed(d.expired) {
+		d.expired = make(chan struct{})
+	}
+	if t.IsZero() {
+		return
+	}
+	if wait := time.Until(t); wait > 0 {
+		expired := d.expired
+		d.timer = time.AfterFunc(wait, func() { close(expired) })
+		return
+	}
+	close(d.expired)
+}
+
+// done returns the channel that is closed once the current deadline
+// passes.
+func (d *deadline) done() chan struct{} {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.expired
+}
+
+func isClosed(c chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
 }
 
 func (e *pipeEnd) Read(b []byte) (int, error) {
 	bp := e.r
+	expired := e.rd.done()
+	if isClosed(expired) {
+		return 0, os.ErrDeadlineExceeded
+	}
 	if len(bp.rest) == 0 {
 		select {
 		case data, ok := <-bp.ch:
@@ -131,6 +189,8 @@ func (e *pipeEnd) Read(b []byte) (int, error) {
 			default:
 				return 0, net.ErrClosed
 			}
+		case <-expired:
+			return 0, os.ErrDeadlineExceeded
 		}
 	}
 	n := copy(b, bp.rest)
@@ -139,9 +199,12 @@ func (e *pipeEnd) Read(b []byte) (int, error) {
 }
 
 func (e *pipeEnd) Write(b []byte) (int, error) {
+	expired := e.wd.done()
 	select {
 	case <-e.w.closed:
 		return 0, net.ErrClosed
+	case <-expired:
+		return 0, os.ErrDeadlineExceeded
 	default:
 	}
 	data := make([]byte, len(b))
@@ -151,6 +214,8 @@ func (e *pipeEnd) Write(b []byte) (int, error) {
 		return len(b), nil
 	case <-e.w.closed:
 		return 0, net.ErrClosed
+	case <-expired:
+		return 0, os.ErrDeadlineExceeded
 	}
 }
 
@@ -160,11 +225,17 @@ func (e *pipeEnd) Close() error {
 	return nil
 }
 
-func (e *pipeEnd) LocalAddr() net.Addr                { return pipeAddr{} }
-func (e *pipeEnd) RemoteAddr() net.Addr               { return pipeAddr{} }
-func (e *pipeEnd) SetDeadline(t time.Time) error      { return nil }
-func (e *pipeEnd) SetReadDeadline(t time.Time) error  { return nil }
-func (e *pipeEnd) SetWriteDeadline(t time.Time) error { return nil }
+func (e *pipeEnd) LocalAddr() net.Addr  { return pipeAddr{} }
+func (e *pipeEnd) RemoteAddr() net.Addr { return pipeAddr{} }
+
+func (e *pipeEnd) SetDeadline(t time.Time) error {
+	e.rd.set(t)
+	e.wd.set(t)
+	return nil
+}
+
+func (e *pipeEnd) SetReadDeadline(t time.Time) error  { e.rd.set(t); return nil }
+func (e *pipeEnd) SetWriteDeadline(t time.Time) error { e.wd.set(t); return nil }
 
 type pipeAddr struct{}
 

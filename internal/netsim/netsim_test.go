@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
+	"os"
 	"testing"
 	"time"
 )
@@ -149,5 +151,87 @@ func TestWriterDataIsSnapshotted(t *testing.T) {
 	}
 	if string(buf) != "orig" {
 		t.Fatalf("got %q, want snapshot", buf)
+	}
+}
+
+// result runs f on its own goroutine and returns its error, or fails
+// the test when f is still blocked after limit.
+func result(t *testing.T, limit time.Duration, f func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(limit):
+		t.Fatalf("still blocked after %v", limit)
+		return nil
+	}
+}
+
+// TestPipeReadDeadline: a Read blocked on an empty pipe fails with
+// os.ErrDeadlineExceeded once its deadline passes, and wakes at once
+// when the deadline is moved into the past; clearing the deadline
+// makes the end readable again.
+func TestPipeReadDeadline(t *testing.T) {
+	c, s := BufferedPipe(LinkParams{}, 1)
+	defer c.Close()
+	defer s.Close()
+	buf := make([]byte, 4)
+	s.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	if err := result(t, 5*time.Second, func() error { _, err := s.Read(buf); return err }); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Read past its deadline: %v, want os.ErrDeadlineExceeded", err)
+	}
+
+	s.SetReadDeadline(time.Now().Add(time.Hour))
+	blocked := make(chan error, 1)
+	go func() { _, err := s.Read(buf); blocked <- err }()
+	time.Sleep(10 * time.Millisecond) // let the Read block
+	s.SetReadDeadline(time.Now())
+	select {
+	case err := <-blocked:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("Read woken by a moved deadline: %v, want os.ErrDeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("moving the deadline into the past did not wake the blocked Read")
+	}
+
+	s.SetReadDeadline(time.Time{})
+	if _, err := c.Write([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	if err := result(t, 5*time.Second, func() error { _, err := io.ReadFull(s, buf); return err }); err != nil || string(buf) != "ping" {
+		t.Fatalf("Read after the deadline was cleared: %q, %v", buf, err)
+	}
+}
+
+// TestPipeWriteDeadline: a Write blocked on a full pipe fails with
+// os.ErrDeadlineExceeded once its deadline passes; SetDeadline sets
+// both directions.
+func TestPipeWriteDeadline(t *testing.T) {
+	c, s := BufferedPipe(LinkParams{}, 1)
+	defer c.Close()
+	defer s.Close()
+	if _, err := c.Write([]byte("fill")); err != nil {
+		t.Fatal(err)
+	}
+	c.SetWriteDeadline(time.Now().Add(20 * time.Millisecond))
+	if err := result(t, 5*time.Second, func() error { _, err := c.Write([]byte("more")); return err }); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Write past its deadline: %v, want os.ErrDeadlineExceeded", err)
+	}
+	c.SetDeadline(time.Now().Add(-time.Second))
+	if err := result(t, 5*time.Second, func() error { _, err := c.Read(make([]byte, 1)); return err }); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Read after SetDeadline in the past: %v, want os.ErrDeadlineExceeded", err)
+	}
+	c.SetDeadline(time.Time{})
+	if err := result(t, 5*time.Second, func() error {
+		_, err := io.ReadFull(s, make([]byte, 4))
+		if err == nil {
+			_, err = c.Write([]byte("more"))
+		}
+		return err
+	}); err != nil {
+		t.Fatalf("Write after the deadline was cleared: %v", err)
 	}
 }

@@ -125,7 +125,7 @@ func (s *SessionServer) execBatch(ctx context.Context, body []byte, tid uint32, 
 	ops, reqs, err := decodeBatchRequest(body)
 	if err != nil {
 		s.disp.stats.Add(stats.BadFrames, 1)
-		return appendBadRequestFrame(dst)
+		return appendEmptyReply(dst, sessBadRequest)
 	}
 	f := acquireFrame()
 	// The body's checksum is known only once every sub-reply is in.

@@ -18,17 +18,34 @@ func (b *RetryBudget) Tokens() float64 { return float64(b.tokens.Load()) / budge
 // Shards reports the shard count (always a power of two).
 func (c *ReplyCache) Shards() int { return len(c.shards) }
 
-// Len reports how many completed replies the cache currently holds,
-// summed across shards.
+// Len reports how many completed keys the cache currently remembers —
+// acknowledged ones, which hold no reply bytes, included — summed
+// across shards.
 func (c *ReplyCache) Len() int {
-	n := 0
+	n, _ := c.count()
+	return n
+}
+
+// Held reports how many completed keys still hold their reply bytes:
+// those not yet acknowledged.
+func (c *ReplyCache) Held() int {
+	_, n := c.count()
+	return n
+}
+
+func (c *ReplyCache) count() (keys, held int) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		c.lock(s)
-		n += len(s.ring)
+		keys += len(s.ring)
+		for _, e := range s.ring {
+			if !e.acked {
+				held++
+			}
+		}
 		s.mu.Unlock()
 	}
-	return n
+	return keys, held
 }
 
 // OpCert and VerifyAllocBound read a certificate the way the

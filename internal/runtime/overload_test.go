@@ -285,8 +285,8 @@ func sessionRequestFrame(cid, seq, flags uint32, body []byte) []byte {
 	binary.BigEndian.PutUint32(f[0:4], cid)
 	binary.BigEndian.PutUint32(f[4:8], seq)
 	binary.BigEndian.PutUint32(f[8:12], flags)
-	binary.BigEndian.PutUint32(f[12:16], crc32.ChecksumIEEE(body))
 	copy(f[robustReqHeader:], body)
+	binary.BigEndian.PutUint32(f[12:16], requestCRC(f))
 	return f
 }
 

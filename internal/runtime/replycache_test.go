@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,14 +30,43 @@ func patterned(key uint64, size int) []byte {
 
 // replySize gives each key one of a spread of sizes, from empty to
 // larger than an arena chunk.
+// isPatterned reports whether b is key's reply, without building it.
+func isPatterned(key uint64, b []byte) bool {
+	if len(b) != replySize(key) {
+		return false
+	}
+	for i := range b {
+		if b[i] != byte(key*131+uint64(i)*7) {
+			return false
+		}
+	}
+	return true
+}
+
 func replySize(key uint64) int {
 	sizes := [...]int{8, 0, 100, 5000, 1700, 30000, replyChunkSize + 900, 12, 8200, replyChunkSize}
 	return sizes[key%uint64(len(sizes))]
 }
 
 // checkShard asserts the slab and the arena agree with each other and
-// with what was put in.
+// with what was put in: checkArena, and every reply still held is its
+// key's patterned bytes.
 func checkShard(t *testing.T, s *replyShard) {
+	t.Helper()
+	checkArena(t, s)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.ring {
+		if !e.acked && !isPatterned(e.key, e.frame) {
+			t.Fatalf("arena bytes retained for key %d (%d bytes) are not its reply (%d bytes)", e.key, len(e.frame), replySize(e.key))
+		}
+	}
+}
+
+// checkArena asserts the slab and the arena agree with each other. An
+// acknowledged entry is a tombstone: its key stays in the ring and the
+// index, its bytes are gone.
+func checkArena(t *testing.T, s *replyShard) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -56,20 +86,40 @@ func checkShard(t *testing.T, s *replyShard) {
 	if done != len(s.ring) {
 		t.Fatalf("index finds %d completed entries, ring holds %d", done, len(s.ring))
 	}
+	held := 0
 	for _, e := range s.ring {
-		if want := patterned(e.key, replySize(e.key)); !bytes.Equal(e.frame, want) {
-			t.Fatalf("arena bytes retained for key %d (%d bytes) are not its reply (%d bytes)", e.key, len(e.frame), len(want))
+		if e.acked {
+			if e.frame != nil {
+				t.Fatalf("acknowledged key %d still holds %d bytes", e.key, len(e.frame))
+			}
+			continue
 		}
+		held++
+		// Each retained reply lives inside the chunk its entry names.
+		i := int(e.chunk - s.base)
+		if i < 0 || i >= len(s.chunks) {
+			t.Fatalf("key %d names chunk %d, the arena lists %d from %d", e.key, e.chunk, len(s.chunks), s.base)
+		}
+		if len(e.frame) > 0 {
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(s.chunks[i].buf)))
+			at := uintptr(unsafe.Pointer(unsafe.SliceData(e.frame)))
+			if at < lo || at+uintptr(len(e.frame)) > lo+uintptr(len(s.chunks[i].buf)) {
+				t.Fatalf("key %d's bytes lie outside the chunk it names", e.key)
+			}
+		}
+	}
+	// Acknowledged tenants leave chunks out of order, and a chunk is
+	// recycled once every older one is empty too: the oldest listed
+	// chunk has a tenant, a younger one may have none.
+	if len(s.chunks) > 0 && s.chunks[0].live == 0 {
+		t.Fatalf("the oldest of %d chunks has no tenant and was not recycled", len(s.chunks))
 	}
 	live := 0
-	for i, k := range s.chunks {
+	for _, k := range s.chunks {
 		live += k.live
-		if k.live == 0 {
-			t.Fatalf("chunk %d of %d has no tenant and was not recycled", i, len(s.chunks))
-		}
 	}
-	if live != len(s.ring) {
-		t.Fatalf("chunks count %d tenants, ring holds %d entries", live, len(s.ring))
+	if live != held {
+		t.Fatalf("chunks count %d tenants, ring holds %d entries with bytes", live, held)
 	}
 	// The free list holds whole, empty, standard-size chunks, none of
 	// them also in use.
@@ -86,14 +136,14 @@ func checkShard(t *testing.T, s *replyShard) {
 		}
 		inUse[unsafe.SliceData(b)] = true
 	}
-	// FIFO on both sides: the oldest entry lives in the oldest chunk.
-	if len(s.ring) == s.cap {
-		if f := s.ring[s.head].frame; len(f) > 0 {
-			lo := uintptr(unsafe.Pointer(unsafe.SliceData(s.chunks[0].buf)))
-			at := uintptr(unsafe.Pointer(unsafe.SliceData(f)))
-			if at < lo || at >= lo+uintptr(cap(s.chunks[0].buf)) {
+	// FIFO on both sides: the oldest entry with bytes lives in the oldest
+	// chunk.
+	for i := range s.ring {
+		if e := s.ring[(s.head+i)%len(s.ring)]; !e.acked {
+			if e.chunk != s.base {
 				t.Fatal("the oldest entry does not live in the oldest chunk")
 			}
+			break
 		}
 	}
 }
@@ -523,4 +573,70 @@ func TestReplyCacheMixedSizesNoChunkAllocs(t *testing.T) {
 		t.Fatalf("%d of the arena's chunks were allocated after warm-up, over %d completions; the %d that existed then should have been recycled",
 			fresh, 64*capacity, len(warm))
 	}
+}
+
+// FuzzReplyCache drives one shard with random sequences of first calls,
+// acknowledgements and retransmits, over replies from empty to larger
+// than a chunk, against a model of the at-most-once window: the keys of
+// the last capacity completions, and which of them were acknowledged.
+// No key inside the window executes twice, a replay returns that key's
+// own bytes — or the stale frame once it was acknowledged — and
+// checkShard's invariants hold after every step.
+func FuzzReplyCache(f *testing.F) {
+	f.Add(uint8(3), []byte{0, 7, 0, 6, 1, 0, 2, 0, 0, 9, 2, 1, 1, 1, 2, 1})
+	f.Add(uint8(1), []byte{0, 6, 0, 9, 1, 1, 2, 1, 2, 0, 0, 3, 1, 0})
+	f.Add(uint8(8), bytes.Repeat([]byte{0, 6, 1, 0, 2, 0, 0, 9, 2, 3}, 20))
+	f.Fuzz(func(t *testing.T, capacity uint8, ops []byte) {
+		// Steps and capacity are kept small: checkShard re-reads every
+		// retained reply after each step.
+		ops = ops[:min(len(ops), 128)]
+		c := NewReplyCacheSharded(int(capacity%8)+1, 1)
+		s := &c.shards[0]
+		// The model.
+		var done []uint64 // completions, oldest first
+		acked := map[uint64]bool{}
+		window := func() []uint64 { return done[max(0, len(done)-s.cap):] }
+		inWindow := func(key uint64) bool { return slices.Contains(window(), key) }
+
+		stale := appendEmptyReply(nil, sessStale)
+		next := uint64(0)
+		for len(ops) >= 2 {
+			op, arg := ops[0]%3, ops[1]
+			ops = ops[2:]
+			var key uint64
+			switch {
+			case op == 0 || len(done) == 0: // a first call, its size class picked by arg
+				next++
+				key = next*10 + uint64(arg%10)
+			case op == 1: // acknowledge a recent completion
+				key = done[len(done)-1-int(arg)%min(len(done), 2*s.cap)]
+				c.ack(key)
+				if inWindow(key) {
+					acked[key] = true
+				}
+				checkShard(t, s)
+				continue
+			default: // retransmit a recent completion, in the window or just past it
+				key = done[len(done)-1-int(arg)%min(len(done), 2*s.cap)]
+			}
+			executed := false
+			out, _ := c.do(key, nil, func(dst []byte) []byte {
+				executed = true
+				return append(dst, patterned(key, replySize(key))...)
+			})
+			switch want := !inWindow(key); {
+			case executed != want:
+				t.Fatalf("key %d: executed %v, want %v (window %v)", key, executed, want, window())
+			case executed:
+				done = append(done, key)
+				delete(acked, key)
+			case acked[key] && !bytes.Equal(out, stale):
+				t.Fatalf("acknowledged key %d replayed %d bytes, want the stale frame", key, len(out))
+			}
+			if (executed || !acked[key]) && !isPatterned(key, out) {
+				t.Fatalf("key %d came back with %d bytes that are not its reply", key, len(out))
+			}
+			checkShard(t, s)
+		}
+	})
 }

@@ -26,37 +26,63 @@ import (
 // Session frames are fixed big-endian binary, independent of the
 // marshal codec (the body keeps whatever codec the plan chose):
 //
-//	request: cid(4) seq(4) flags(4) crc32(body)(4) body...
+//	request: cid(4) seq(4) flags(4) crc32(cid seq flags body)(4) body...
 //	reply:   status(4) crc32(body)(4) body...
 //
 // cid identifies the client instance, seq the logical call; a retry
 // retransmits the same (cid, seq), which is what lets the server's
 // ReplyCache suppress duplicate execution. flags bit 0 marks the
-// operation [idempotent], telling the server caching is unnecessary.
-// flags bits 16-31 carry the call's 16-bit trace id (0 = untraced):
-// the flags word always existed, so tracing changes no wire format.
-// The CRC lets the client distinguish a corrupted reply (retryable —
-// the server may or may not have executed, but the cache makes the
-// retry safe) from a clean reply carrying an application error (not
-// retryable: the server definitely executed).
+// operation [idempotent], telling the server caching is unnecessary;
+// bit 1 marks a batch frame. Bits 2-15 carry an acknowledgement:
+// d = seq − s for one earlier cacheable call s of the same client that
+// has finished, its reply received or given up on (0 = no ack). The
+// server then frees the reply bytes it retained for (cid, s) but keeps
+// the key, so a late retransmit of s is answered sessStale rather than
+// executed again; a frame whose bits 2-15 are zero acknowledges
+// nothing, and the cache then behaves as it would with no acks at all.
+// flags bits 16-31 carry the call's 16-bit trace id (0 = untraced).
+// The request CRC covers the 12 header bytes before it and the body,
+// so a damaged cid, seq or flags word — a wrong key, a forged
+// idempotent bit or ack — is refused with sessBadRequest like a
+// damaged body. The reply CRC lets the client distinguish a corrupted
+// reply (retryable — the server may or may not have executed, but the
+// cache makes the retry safe) from a clean reply carrying an
+// application error (not retryable: the server definitely executed).
 const (
 	robustReqHeader = 16
 	robustRepHeader = 8
 
 	flagIdempotent = 1 << 0
 	flagBatch      = 1 << 1 // body is a batch of sub-calls; op index rides per sub-call
+	ackShift       = 2
+	ackMask        = 1<<14 - 1 // flags bits 2-15: seq − acknowledged seq
 	traceIDShift   = 16
 
 	sessOK         = 0 // body is the dispatcher's reply (status framing + results)
 	sessBadRequest = 1 // request frame failed its CRC; body empty; retry
 	sessOverloaded = 2 // admission control shed the call before decode; body empty
 	sessDraining   = 3 // server is draining; body empty; retry elsewhere/later
+	sessStale      = 4 // retransmit of a key whose reply was acknowledged; body empty
 
 	// The pushback statuses (sessOverloaded, sessDraining) split the
 	// status word: code in the low 8 bits, advisory retry-after
-	// milliseconds in the upper 24 (see pushback.go). sessOK and
-	// sessBadRequest keep full-word encodings.
+	// milliseconds in the upper 24 (see pushback.go). sessOK,
+	// sessBadRequest and sessStale keep full-word encodings. No live
+	// caller waits for a sessStale reply — the client acknowledged only
+	// what it had finished — so a client that gets one, through a
+	// damaged status word, takes it as a corrupt reply and retries.
+
+	// ackQueueLen bounds the finished seqs a RobustConn holds for later
+	// frames to acknowledge; when it overflows, the oldest is dropped and
+	// its reply lives in the server's cache until FIFO eviction.
+	ackQueueLen = 64
 )
+
+// requestCRC is the checksum of a request frame: its header words
+// before the CRC, then its body.
+func requestCRC(frame []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(frame[:12]), crc32.IEEETable, frame[robustReqHeader:])
+}
 
 // ErrCorruptReply reports a session reply that failed its length or
 // CRC check; the call may be retried (the reply cache suppresses
@@ -145,7 +171,6 @@ type RobustOptions struct {
 type RobustConn struct {
 	inner     Conn
 	cid       uint32
-	seq       atomic.Uint32
 	idem      []bool // by op index: may retry without the cache
 	batchable []bool // by op index: may ride in a batch frame
 	atMost    bool
@@ -155,6 +180,12 @@ type RobustConn struct {
 
 	rmu sync.Mutex // guards rng
 	rng *rand.Rand
+
+	amu     sync.Mutex // guards seq and the ack queue
+	seq     uint32
+	acks    [ackQueueLen]uint32 // finished cacheable seqs not yet acknowledged, oldest at ackHead
+	ackHead int
+	ackLen  int
 
 	clock Clock
 	stats *stats.Endpoint
@@ -249,11 +280,13 @@ func (r *RobustConn) CallTraceContext(ctx context.Context, opIdx int, req, reply
 	return r.callSession(ctx, opIdx, opIdx, req, replyBuf, flags, idem, tid)
 }
 
-// callSession frames req under a fresh sequence number and drives the
-// retry loop. wireOp is the operation index the transport routes by;
-// statOp bills retries to a counter row (negative for none, e.g. for
-// batch frames that have no single op). idem permits retrying even
-// without an at-most-once session.
+// callSession frames req under a fresh sequence number, acknowledging
+// an earlier finished call, and drives the retry loop; once it returns,
+// a cacheable call's seq waits for a later frame to acknowledge it.
+// wireOp is the operation index the transport routes by; statOp bills
+// retries to a counter row (negative for none, e.g. for batch frames
+// that have no single op). idem permits retrying even without an
+// at-most-once session.
 //
 // Overload protection threads through here: the budget gates every
 // retry; a pushback reply (the server shed the call before executing
@@ -264,7 +297,8 @@ func (r *RobustConn) callSession(ctx context.Context, wireOp, statOp int, req, r
 	if !r.atMost && !idem {
 		attempts = 1
 	}
-	seq := r.seq.Add(1)
+	seq, ack := r.nextSeq()
+	flags |= ack << ackShift
 
 	fb, _ := r.frames.Get().(*[]byte)
 	if fb == nil {
@@ -279,8 +313,8 @@ func (r *RobustConn) callSession(ctx context.Context, wireOp, statOp int, req, r
 	binary.BigEndian.PutUint32(frame[0:4], r.cid)
 	binary.BigEndian.PutUint32(frame[4:8], seq)
 	binary.BigEndian.PutUint32(frame[8:12], flags)
-	binary.BigEndian.PutUint32(frame[12:16], crc32.ChecksumIEEE(req))
 	copy(frame[robustReqHeader:], req)
+	binary.BigEndian.PutUint32(frame[12:16], requestCRC(frame))
 
 	r.budget.onAttempt()
 	var reply []byte
@@ -340,7 +374,44 @@ func (r *RobustConn) callSession(ctx context.Context, wireOp, statOp int, req, r
 	}
 	*fb = frame[:0]
 	r.frames.Put(fb)
+	if flags&flagIdempotent == 0 {
+		r.finished(seq)
+	}
 	return reply, err
+}
+
+// nextSeq draws a fresh sequence number and the acknowledgement its
+// frame carries: seq − s for the oldest queued finished call s that the
+// ack field can still reach, or 0 for none. Both are drawn under one
+// lock, so every queued seq precedes the new one.
+func (r *RobustConn) nextSeq() (seq, ack uint32) {
+	r.amu.Lock()
+	r.seq++
+	seq = r.seq
+	for r.ackLen > 0 {
+		s := r.acks[r.ackHead]
+		r.ackHead = (r.ackHead + 1) % ackQueueLen
+		r.ackLen--
+		if d := seq - s; d <= ackMask {
+			ack = d
+			break
+		}
+	}
+	r.amu.Unlock()
+	return seq, ack
+}
+
+// finished queues the seq of a cacheable call whose callSession is
+// returning, for a later frame to acknowledge.
+func (r *RobustConn) finished(seq uint32) {
+	r.amu.Lock()
+	if r.ackLen == ackQueueLen {
+		r.ackHead = (r.ackHead + 1) % ackQueueLen
+		r.ackLen--
+	}
+	r.acks[(r.ackHead+r.ackLen)%ackQueueLen] = seq
+	r.ackLen++
+	r.amu.Unlock()
 }
 
 // callOnce performs one attempt under the per-attempt timeout and
@@ -417,16 +488,25 @@ func (r *RobustConn) sleep(ctx context.Context, d time.Duration) error {
 // allocates none of it, whatever the mix of reply sizes. Per shard,
 // completed entries sit by value in a ring slab in completion order,
 // found through index; their reply bytes are bump-allocated from an
-// arena of fixed-size chunks filled in that same order. Eviction takes
-// the ring's oldest entry, which is also the arena's oldest bytes, so a
-// chunk is recycled exactly when its last entry is evicted, onto a per-shard free list the next refill takes
-// from: a run of small replies evicting large ones retires many chunks
-// per chunk it fills, and the large run that follows wants them all
-// back. Slab and arena grow on demand — nothing is sized by the
-// capacity up front — and a shard never holds more chunks, filled and
-// free together, than its arena's high-water mark: a new one is made
-// only when none is free. Arena bytes never leave the cache: a replay
-// is copied into the caller's buffer under the shard lock.
+// arena of fixed-size chunks filled in that same order, and each entry
+// records the number of the chunk it lives in. Eviction takes the
+// ring's oldest entry. An entry's bytes are released either then or
+// earlier, when its client acknowledges the reply (ack): the entry
+// stays in the ring and the index as a tombstone without bytes, so the
+// dedupe window — the last capacity completions per shard — is the
+// same whether or not clients acknowledge. A chunk is recycled once it
+// and every older chunk have no tenant, the one being filled included,
+// onto a per-shard free list the next refill takes from: a run of
+// small replies evicting large ones retires many chunks per chunk it
+// fills, and the large run that follows wants them all back. Slab and
+// arena grow on demand — nothing is sized by the capacity up front —
+// and a shard never holds more chunks, filled and free together, than
+// its arena's high-water mark: a new one is made only when none is
+// free. A client that acknowledges each reply on its next call keeps
+// its shards' arenas at a chunk or two; one that goes quiet pins the
+// chunk of its last reply, and the chunks filled after it, until that
+// reply is acknowledged or evicted. Arena bytes never leave the cache:
+// a replay is copied into the caller's buffer under the shard lock.
 type ReplyCache struct {
 	shards     []replyShard
 	mask       uint64
@@ -447,7 +527,8 @@ type replyShard struct {
 	head    int
 	chunks  []arenaChunk // oldest first; the last is being filled
 	free    [][]byte     // retired standard-size chunks, taken back before a new one is made
-	_       [24]byte
+	base    uint32       // number of chunks[0]
+	_       [20]byte
 }
 
 // executing is the index value of a key whose first execution is still
@@ -456,14 +537,18 @@ type replyShard struct {
 // cannot be evicted.
 const executing = -1
 
-// cacheEntry is one retained reply; frame aliases its arena chunk.
+// cacheEntry is one completed key. Until acked, frame is its retained
+// reply, aliasing arena chunk number chunk; an acked entry is a
+// tombstone that holds no bytes.
 type cacheEntry struct {
 	key   uint64
 	frame []byte
+	chunk uint32
+	acked bool
 }
 
 // arenaChunk is one block of reply bytes: buf's length is the fill
-// mark, live the retained entries inside it.
+// mark, live the unacknowledged entries inside it.
 type arenaChunk struct {
 	buf  []byte
 	live int
@@ -471,7 +556,7 @@ type arenaChunk struct {
 
 // replyChunkSize is the arena's allocation unit. A reply larger than a
 // chunk gets a chunk of its own size, returned to the collector when
-// its entry is evicted.
+// it is recycled.
 const replyChunkSize = 64 << 10
 
 // DefaultReplyCacheSize bounds the cache when NewReplyCacheSharded is
@@ -560,12 +645,13 @@ func (c *ReplyCache) lock(s *replyShard) {
 // to finish and get a copy of its bytes. The second result reports
 // whether the reply was replayed (copied from the cache, possibly after
 // waiting out the original execution) rather than produced by this
-// call's own exec. exec runs outside the shard lock, so slow handlers
-// only serialize true duplicates. A duplicate that waited looks the key
-// up afresh when woken: if more than a shard's capacity of other calls
-// completed before it ran, its entry is already evicted and it executes
-// as a first arrival — the outcome of any duplicate that arrives after
-// eviction.
+// call's own exec; a key whose reply was acknowledged replays as a
+// sessStale frame, never as an execution. exec runs outside the shard
+// lock, so slow handlers only serialize true duplicates. A duplicate
+// that waited looks the key up afresh when woken: if more than a
+// shard's capacity of other calls completed before it ran, its entry is
+// already evicted and it executes as a first arrival — the outcome of
+// any duplicate that arrives after eviction.
 func (c *ReplyCache) do(key uint64, dst []byte, exec func(dst []byte) []byte) ([]byte, bool) {
 	s := c.shard(key)
 	c.lock(s)
@@ -575,7 +661,11 @@ func (c *ReplyCache) do(key uint64, dst []byte, exec func(dst []byte) []byte) ([
 			break
 		}
 		if slot != executing {
-			dst = append(dst, s.ring[slot].frame...)
+			if e := &s.ring[slot]; e.acked {
+				dst = appendEmptyReply(dst, sessStale)
+			} else {
+				dst = append(dst, e.frame...)
+			}
 			s.mu.Unlock()
 			return dst, true
 		}
@@ -602,32 +692,25 @@ func (c *ReplyCache) do(key uint64, dst []byte, exec func(dst []byte) []byte) ([
 func (s *replyShard) retain(key uint64, frame []byte) {
 	if len(s.ring) < s.cap {
 		s.index[key] = int32(len(s.ring))
-		s.ring = append(s.ring, cacheEntry{key, s.alloc(frame)})
+		s.ring = append(s.ring, s.alloc(key, frame))
 		return
 	}
 	e := &s.ring[s.head]
 	delete(s.index, e.key)
-	// The oldest entry lives in the oldest chunk — every chunk listed has
-	// a tenant — and a chunk it was the last tenant of is recycled, the
-	// one being filled included: alloc takes it straight back.
-	if k := &s.chunks[0]; k.live > 1 {
-		k.live--
-	} else {
-		if cap(k.buf) == replyChunkSize {
-			s.free = append(s.free, k.buf[:0])
-		}
-		n := copy(s.chunks, s.chunks[1:])
-		s.chunks[n] = arenaChunk{}
-		s.chunks = s.chunks[:n]
+	// Evicting first recycles a chunk the oldest entry was the last
+	// tenant of, the one being filled included: alloc takes it straight
+	// back.
+	if !e.acked {
+		s.release(e.chunk)
 	}
-	*e = cacheEntry{key, s.alloc(frame)}
+	*e = s.alloc(key, frame)
 	s.index[key] = int32(s.head)
 	s.head = (s.head + 1) % s.cap
 }
 
 // alloc copies frame to the arena's fill mark, opening a new chunk when
-// the current one has no room for it whole.
-func (s *replyShard) alloc(frame []byte) []byte {
+// the current one has no room for it whole, and returns key's entry.
+func (s *replyShard) alloc(key uint64, frame []byte) cacheEntry {
 	if n := len(s.chunks); n == 0 || cap(s.chunks[n-1].buf)-len(s.chunks[n-1].buf) < len(frame) {
 		var buf []byte
 		switch last := len(s.free) - 1; {
@@ -641,11 +724,47 @@ func (s *replyShard) alloc(frame []byte) []byte {
 		}
 		s.chunks = append(s.chunks, arenaChunk{buf: buf})
 	}
-	k := &s.chunks[len(s.chunks)-1]
+	n := len(s.chunks) - 1
+	k := &s.chunks[n]
 	off := len(k.buf)
 	k.buf = append(k.buf, frame...)
 	k.live++
-	return k.buf[off:len(k.buf):len(k.buf)]
+	return cacheEntry{key: key, frame: k.buf[off:len(k.buf):len(k.buf)], chunk: s.base + uint32(n)}
+}
+
+// release drops one tenant of chunk number n, then recycles the chunks
+// that, oldest first, are left with none. Chunk numbers wrap; only
+// their distance from base matters.
+func (s *replyShard) release(n uint32) {
+	s.chunks[n-s.base].live--
+	i := 0
+	for ; i < len(s.chunks) && s.chunks[i].live == 0; i++ {
+		if b := s.chunks[i].buf; cap(b) == replyChunkSize {
+			s.free = append(s.free, b[:0])
+		}
+	}
+	if i > 0 {
+		n := copy(s.chunks, s.chunks[i:])
+		clear(s.chunks[n:])
+		s.chunks = s.chunks[:n]
+		s.base += uint32(i)
+	}
+}
+
+// ack releases the reply bytes retained for key, whose client has
+// received them or given up, and leaves the key as a tombstone: until
+// FIFO eviction a retransmit of it is answered sessStale, never
+// executed. A key that is executing, or is not cached, is left alone.
+func (c *ReplyCache) ack(key uint64) {
+	s := c.shard(key)
+	c.lock(s)
+	if slot, ok := s.index[key]; ok && slot != executing {
+		if e := &s.ring[slot]; !e.acked {
+			s.release(e.chunk)
+			e.frame, e.acked = nil, true
+		}
+	}
+	s.mu.Unlock()
 }
 
 // Flush evicts every completed reply and releases the slab and the
@@ -737,7 +856,7 @@ func (s *SessionServer) Handle(ctx context.Context, opIdx int, frame []byte) []b
 func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst []byte) []byte {
 	if len(frame) < robustReqHeader {
 		s.disp.stats.Add(stats.BadFrames, 1)
-		return appendBadRequestFrame(dst)
+		return appendEmptyReply(dst, sessBadRequest)
 	}
 	cid := binary.BigEndian.Uint32(frame[0:4])
 	seq := binary.BigEndian.Uint32(frame[4:8])
@@ -750,14 +869,19 @@ func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst 
 	if pb := s.adm.Admit(); pb != nil {
 		return append(dst, pb...)
 	}
-	body := frame[robustReqHeader:]
-	if crc32.ChecksumIEEE(body) != sum {
+	if requestCRC(frame) != sum {
 		// Damaged in transit: tell the client to retransmit. Not
 		// cached — the retry must reach the dispatcher.
 		s.adm.Release()
 		s.disp.stats.Add(stats.BadFrames, 1)
-		return appendBadRequestFrame(dst)
+		return appendEmptyReply(dst, sessBadRequest)
 	}
+	// The ack names a finished call of this frame's own client, so one
+	// client can never release another's reply.
+	if d := flags >> ackShift & ackMask; d != 0 && s.cache != nil {
+		s.cache.ack(uint64(cid)<<32 | uint64(seq-d))
+	}
+	body := frame[robustReqHeader:]
 	exec := func(dst []byte) []byte {
 		if flags&flagBatch != 0 {
 			return s.execBatch(ctx, body, flags>>traceIDShift, dst)
@@ -773,10 +897,16 @@ func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst 
 	// (cid, seq) key: the client retransmits the whole batch, so one
 	// cache entry gives every sub-call at-most-once execution.
 	key := uint64(cid)<<32 | uint64(seq)
+	start := len(dst)
 	dst, replayed := s.cache.do(key, dst, exec)
 	s.adm.Release()
 	if replayed && s.disp.stats != nil {
-		s.billReplay(opIdx, flags, body)
+		// A stale answer replays no reply, so it is not billed as one.
+		if binary.BigEndian.Uint32(dst[start:]) == sessStale {
+			s.disp.stats.Add(stats.StaleRetransmits, 1)
+		} else {
+			s.billReplay(opIdx, flags, body)
+		}
 	}
 	return dst
 }
@@ -809,8 +939,9 @@ func (s *SessionServer) exec(ctx context.Context, opIdx int, body []byte, tid ui
 	return dst
 }
 
-// appendBadRequestFrame appends the reply that asks for a retransmit.
-// crc32 of its empty body is 0.
-func appendBadRequestFrame(dst []byte) []byte {
-	return append(dst, 0, 0, 0, sessBadRequest, 0, 0, 0, 0)
+// appendEmptyReply appends a reply frame with a full-word status and
+// no body: sessBadRequest, which asks for a retransmit, or sessStale.
+// crc32 of the empty body is 0.
+func appendEmptyReply(dst []byte, status byte) []byte {
+	return append(dst, 0, 0, 0, status, 0, 0, 0, 0)
 }

@@ -81,10 +81,12 @@ type Counter uint8
 
 const (
 	// Session-layer failures that have no single op to bill: unparseable
-	// or mis-checksummed request frames, and replies discarded for a bad
-	// checksum or frame.
+	// or mis-checksummed request frames, replies discarded for a bad
+	// checksum or frame, and retransmits of a key whose reply its client
+	// had acknowledged (answered stale, not replayed).
 	BadFrames Counter = iota
 	CorruptReplies
+	StaleRetransmits
 
 	// Server concurrency: requests handed to a worker pool; reply-writer
 	// flushes, the records they carried and the flushes that carried two
@@ -128,6 +130,7 @@ var counters = [numCounters]struct {
 }{
 	BadFrames:             {"session.bad_frames", func(s *Snapshot) *uint64 { return &s.BadFrames }},
 	CorruptReplies:        {"session.corrupt_replies", func(s *Snapshot) *uint64 { return &s.CorruptReplies }},
+	StaleRetransmits:      {"session.stale_retransmits", func(s *Snapshot) *uint64 { return &s.StaleRetransmits }},
 	Queued:                {"server.queued", func(s *Snapshot) *uint64 { return &s.Queued }},
 	Flushes:               {"server.flushes", func(s *Snapshot) *uint64 { return &s.Flushes }},
 	FlushedRecords:        {"server.flushed_records", func(s *Snapshot) *uint64 { return &s.FlushedRecords }},
@@ -355,6 +358,8 @@ type Snapshot struct {
 	Wire           MeterSnapshot `json:"wire"`
 	BadFrames      uint64        `json:"bad_frames,omitempty"`
 	CorruptReplies uint64        `json:"corrupt_replies,omitempty"`
+
+	StaleRetransmits uint64 `json:"stale_retransmits,omitempty"`
 
 	Queued          uint64 `json:"queued,omitempty"`
 	Flushes         uint64 `json:"flushes,omitempty"`
