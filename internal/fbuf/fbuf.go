@@ -54,22 +54,23 @@ type Path struct {
 }
 
 // NewPath creates a data path through the given domains, backed by a
-// pool of count buffers of bufSize bytes each.
+// pool of count buffers of bufSize bytes each. A buffer's storage is
+// allocated when it is first leased, so a path pays only for the
+// buffers its domains touch.
 func NewPath(bufSize, count int, domains ...*Domain) *Path {
 	p := &Path{
 		domains: append([]*Domain(nil), domains...),
 		bufSize: bufSize,
-		byID:    make(map[uint32]*Buffer),
+		free:    make([]*Buffer, count),
+		byID:    make(map[uint32]*Buffer, count),
 	}
 	p.freeCond.L = &p.mu
-	for i := 0; i < count; i++ {
+	bufs := make([]Buffer, count)
+	for i := range bufs {
 		p.nextID++
-		b := &Buffer{
-			id:      p.nextID,
-			path:    p,
-			storage: make([]byte, bufSize),
-		}
-		p.free = append(p.free, b)
+		b := &bufs[i]
+		b.id, b.path = p.nextID, p
+		p.free[i] = b
 		p.byID[b.id] = b
 	}
 	return p
@@ -159,6 +160,9 @@ func (p *Path) takeLocked(origin *Domain) *Buffer {
 	// ErrNotOwner) — the access check must never be a data race.
 	// Safe order: no path holds b.mu while acquiring p.mu.
 	b.mu.Lock()
+	if b.storage == nil {
+		b.storage = make([]byte, p.bufSize)
+	}
 	b.owner = origin
 	b.origin = origin
 	b.length = 0
@@ -183,8 +187,8 @@ func (p *Path) ByID(d *Domain, id uint32) (*Buffer, error) {
 	return b, nil
 }
 
-// A Buffer is one fbuf: fixed storage from the pool plus ownership
-// and access state.
+// A Buffer is one fbuf: fixed storage from the pool, allocated at its
+// first lease, plus ownership and access state.
 type Buffer struct {
 	id          uint32
 	path        *Path

@@ -258,3 +258,39 @@ func pooled(p *Path) int {
 	defer p.mu.Unlock()
 	return len(p.free)
 }
+
+// A buffer holds storage only once it is leased: a path pays for the
+// buffers its domains touch, and a first lease's arena is a full,
+// zeroed buffer.
+func TestStorageAtFirstLease(t *testing.T) {
+	p, w, _, _ := threeDomainPath(64, 4)
+	for id := uint32(1); id <= 4; id++ {
+		b, err := p.ByID(w, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.storage != nil {
+			t.Fatalf("buffer %d holds %d bytes before any lease", id, len(b.storage))
+		}
+	}
+	b, err := p.Alloc(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena, err := b.Arena(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arena) != p.BufSize() || !bytes.Equal(arena, make([]byte, p.BufSize())) {
+		t.Fatalf("first lease's arena is %d bytes %v, want %d zero bytes", len(arena), arena, p.BufSize())
+	}
+	held := 0
+	for id := uint32(1); id <= 4; id++ {
+		if c, _ := p.ByID(w, id); c.storage != nil {
+			held++
+		}
+	}
+	if held != 1 {
+		t.Fatalf("%d buffers hold storage after one lease, want 1", held)
+	}
+}

@@ -27,7 +27,8 @@ func Parse(filename, src string) (*ir.File, error) {
 
 type parser struct {
 	idl.Parser
-	file *ir.File
+	file  *ir.File
+	depth int // sequences open around the type being parsed
 }
 
 func (p *parser) parseFile() error {
@@ -293,10 +294,15 @@ func (p *parser) parseType() (*ir.Type, error) {
 	case "Object":
 		return ir.PortType, nil
 	case "sequence":
+		if p.depth == ir.MaxTypeDepth {
+			return nil, idl.Errorf(tok.Pos, "type nests deeper than %d levels", ir.MaxTypeDepth)
+		}
 		if err := p.Expect("<"); err != nil {
 			return nil, err
 		}
+		p.depth++
 		elem, err := p.parseType()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}

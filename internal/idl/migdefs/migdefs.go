@@ -42,6 +42,7 @@ type parser struct {
 	iface *ir.Interface
 	base  int64 // subsystem message-id base
 	index int64 // routine index (skip consumes one)
+	depth int   // arrays open around the type being parsed
 }
 
 func (p *parser) parseFile() error {
@@ -175,7 +176,7 @@ func (p *parser) parseTypeSpec() (*ir.Type, error) {
 	case "mach_port_t", "mach_port_send_t":
 		return ir.PortType, nil
 	case "array":
-		return p.parseArray()
+		return p.parseArray(tok.Pos)
 	case "struct":
 		// struct[N] of T: a fixed inline array in MIG terms.
 		if err := p.Expect("["); err != nil {
@@ -191,7 +192,7 @@ func (p *parser) parseTypeSpec() (*ir.Type, error) {
 		if err := p.ExpectKeyword("of"); err != nil {
 			return nil, err
 		}
-		elem, err := p.parseTypeSpec()
+		elem, err := p.parseElem(tok.Pos)
 		if err != nil {
 			return nil, err
 		}
@@ -203,12 +204,23 @@ func (p *parser) parseTypeSpec() (*ir.Type, error) {
 	}
 }
 
+// parseElem parses the element type of the array specifier at pos,
+// one level deeper than the array.
+func (p *parser) parseElem(pos idl.Pos) (*ir.Type, error) {
+	if p.depth == ir.MaxTypeDepth {
+		return nil, idl.Errorf(pos, "type nests deeper than %d levels", ir.MaxTypeDepth)
+	}
+	p.depth++
+	defer func() { p.depth-- }()
+	return p.parseTypeSpec()
+}
+
 // parseArray handles MIG array specifiers:
 //
 //	array[N] of T        fixed-length
 //	array[] of T         variable, unbounded
 //	array[*:N] of T      variable, bounded by N
-func (p *parser) parseArray() (*ir.Type, error) {
+func (p *parser) parseArray(pos idl.Pos) (*ir.Type, error) {
 	if err := p.Expect("["); err != nil {
 		return nil, err
 	}
@@ -241,7 +253,7 @@ func (p *parser) parseArray() (*ir.Type, error) {
 	if err := p.ExpectKeyword("of"); err != nil {
 		return nil, err
 	}
-	elem, err := p.parseTypeSpec()
+	elem, err := p.parseElem(pos)
 	if err != nil {
 		return nil, err
 	}

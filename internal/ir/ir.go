@@ -389,23 +389,30 @@ func (f *File) Interface(name string) *Interface {
 	return nil
 }
 
+// MaxTypeDepth bounds how deeply a type may nest: sequences, arrays,
+// structs and typedef references, counted together. Every pass over a
+// type (Signature, the presentation, the marshal plan) recurses on it,
+// so the parsers whose type syntax nests (CORBA, MIG) and Resolve
+// refuse a deeper one before any of them can run out of stack.
+const MaxTypeDepth = 64
+
 // Resolve replaces every Named type reference in the file with the
 // referenced typedef's structure. It reports an error on dangling or
-// cyclic references.
+// cyclic references, and on a type nesting deeper than MaxTypeDepth.
 func (f *File) Resolve() error {
 	var seen [8]string // typedef chains are short: no allocation for the names
 	for _, iface := range f.Interfaces {
 		for oi := range iface.Ops {
 			op := &iface.Ops[oi]
 			for pi := range op.Params {
-				t, err := f.resolveType(op.Params[pi].Type, seen[:0])
+				t, err := f.resolveType(op.Params[pi].Type, seen[:0], 0)
 				if err != nil {
 					return fmt.Errorf("%s.%s param %s: %w", iface.Name, op.Name, op.Params[pi].Name, err)
 				}
 				op.Params[pi].Type = t
 			}
 			if op.Result != nil {
-				t, err := f.resolveType(op.Result, seen[:0])
+				t, err := f.resolveType(op.Result, seen[:0], 0)
 				if err != nil {
 					return fmt.Errorf("%s.%s result: %w", iface.Name, op.Name, err)
 				}
@@ -416,9 +423,14 @@ func (f *File) Resolve() error {
 	return nil
 }
 
-func (f *File) resolveType(t *Type, seen []string) (*Type, error) {
+// resolveType resolves t, which sits depth levels inside the type being
+// resolved.
+func (f *File) resolveType(t *Type, seen []string, depth int) (*Type, error) {
 	if t == nil {
 		return nil, nil
+	}
+	if depth > MaxTypeDepth {
+		return nil, fmt.Errorf("ir: type nests deeper than %d levels", MaxTypeDepth)
 	}
 	switch t.Kind {
 	case Named:
@@ -431,9 +443,9 @@ func (f *File) resolveType(t *Type, seen []string) (*Type, error) {
 		if !ok {
 			return nil, fmt.Errorf("ir: unknown type %q", t.Name)
 		}
-		return f.resolveType(def, append(seen, t.Name))
+		return f.resolveType(def, append(seen, t.Name), depth+1)
 	case Seq, Array:
-		elem, err := f.resolveType(t.Elem, seen)
+		elem, err := f.resolveType(t.Elem, seen, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -449,7 +461,7 @@ func (f *File) resolveType(t *Type, seen []string) (*Type, error) {
 	case Struct:
 		var fields []Field // a copy, made at the first field that changes
 		for i, fl := range t.Fields {
-			ft, err := f.resolveType(fl.Type, seen)
+			ft, err := f.resolveType(fl.Type, seen, depth+1)
 			if err != nil {
 				return nil, err
 			}

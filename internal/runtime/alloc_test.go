@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"testing"
 
 	"flexrpc/internal/idl/corba"
@@ -171,5 +172,38 @@ func TestServerBorrowPutBoundedAllocsStatsOn(t *testing.T) {
 	})
 	if !statsSawCalls(disp.Stats(), "put") {
 		t.Fatal("stats-on gate recorded no calls")
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for heap bytes: the average
+// bytes f allocates over runs calls, after one warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	f()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	goruntime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// NewRobustConn runs once per client connection, twice per TCP set-up
+// cycle of the benchmark: it allocates the conn and its two by-op flag
+// tables, and its jitter source is a word of state, not a seeded
+// generator.
+func TestNewRobustConnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are not meaningful under the race detector")
+	}
+	p := clockPres(t)
+	conn := &fixedConn{}
+	newConn := func() { NewRobustConn(conn, p, RobustOptions{ClientID: 1, Policy: RetryPolicy{Seed: 5}}) }
+	if allocs := testing.AllocsPerRun(50, newConn); allocs > 3 {
+		t.Errorf("NewRobustConn allocates %.0f times, want <= 3", allocs)
+	}
+	if n := bytesPerRun(50, newConn); n > 640 {
+		t.Errorf("NewRobustConn allocates %d bytes, want <= 640", n)
 	}
 }

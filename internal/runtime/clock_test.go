@@ -194,3 +194,43 @@ func TestRobustOverallDeadlineFakeClock(t *testing.T) {
 		t.Fatalf("conn saw %d calls; deadline did not stop the loop", conn.calls)
 	}
 }
+
+// TestRobustJitterFollowsSeed draws a run of backoff sleeps from conns
+// seeded alike and apart: the same seed draws the same jitter, another
+// seed other jitter, and every draw stays in [d/2, d].
+func TestRobustJitterFollowsSeed(t *testing.T) {
+	p := clockPres(t)
+	const d = 100 * time.Millisecond
+	draw := func(seed int64) []time.Duration {
+		fc := NewFakeClock()
+		fc.AutoAdvance(true)
+		r := NewRobustConn(&fixedConn{}, p, RobustOptions{Policy: RetryPolicy{Seed: seed}, Clock: fc})
+		for i := 0; i < 16; i++ {
+			if err := r.sleep(context.Background(), d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sleeps := fc.Sleeps()
+		for i, s := range sleeps {
+			if s < d/2 || s > d {
+				t.Fatalf("seed %d: sleep %d = %v outside [%v, %v]", seed, i, s, d/2, d)
+			}
+		}
+		return sleeps
+	}
+	a, again, b := draw(7), draw(7), draw(8)
+	if len(a) != 16 {
+		t.Fatalf("drew %d sleeps, want 16", len(a))
+	}
+	same, differ := true, false
+	for i := range a {
+		same = same && a[i] == again[i]
+		differ = differ || a[i] != b[i]
+	}
+	if !same {
+		t.Fatalf("seed 7 drew %v, then %v", a, again)
+	}
+	if !differ {
+		t.Fatalf("seeds 7 and 8 drew the same jitter %v", a)
+	}
+}

@@ -151,23 +151,35 @@ type decodeFn func(dec Decoder, dst []byte) (Value, error)
 
 // NewPlan compiles marshal plans for every operation of p's
 // interface. hooks may be nil when no parameter is [special].
+//
+// A bind allocates the OpPlans in one array and every op's four step
+// lists in another, each at its final size, so compiling costs a few
+// allocations per plan rather than several per op.
 func NewPlan(p *pres.Presentation, codec Codec, hooks SpecialHooks) (*Plan, error) {
-	pl := &Plan{Pres: p, Codec: codec, hooks: hooks, byName: make(map[string]int)}
+	ops := p.Interface.Ops
+	pl := &Plan{Pres: p, Codec: codec, hooks: hooks, byName: make(map[string]int, len(ops))}
 	pl.maxDecode = DefaultMaxDecode
 	if p.Trust >= pres.TrustFull {
 		pl.maxDecode = TrustedMaxDecode
 	}
-	for i := range p.Interface.Ops {
-		op := &p.Interface.Ops[i]
+	nsteps := 0
+	for i := range ops {
+		in, out := stepCounts(&ops[i])
+		nsteps += 2 * (in + out)
+	}
+	opPlans, steps := make([]OpPlan, len(ops)), make([]step, 0, nsteps)
+	pl.Ops = make([]*OpPlan, len(ops))
+	for i := range ops {
+		op := &ops[i]
 		opPres := p.Op(op.Name)
 		if opPres == nil {
 			return nil, fmt.Errorf("runtime: presentation missing operation %q", op.Name)
 		}
-		opPlan, err := pl.compileOp(i, op, opPres)
-		if err != nil {
+		o := &opPlans[i]
+		if err := pl.compileOp(o, i, op, opPres, &steps); err != nil {
 			return nil, err
 		}
-		pl.Ops = append(pl.Ops, opPlan)
+		pl.Ops[i] = o
 		pl.byName[op.Name] = i
 	}
 	return pl, nil
@@ -219,24 +231,52 @@ func (op *OpPlan) attrs(name string) *pres.ParamAttrs {
 
 var zeroAttrs pres.ParamAttrs
 
-// compileOp builds the four step lists for one operation.
-func (pl *Plan) compileOp(idx int, op *ir.Operation, opPres *pres.OpPres) (*OpPlan, error) {
-	o := &OpPlan{Idx: idx, Op: op, pres: opPres, plan: pl}
+// stepCounts returns how many of op's parameters travel in the request
+// and how many, the result included, in the reply.
+func stepCounts(op *ir.Operation) (in, out int) {
+	for i := range op.Params {
+		if op.Params[i].Dir != ir.Out {
+			in++
+		}
+		if op.Params[i].Dir != ir.In {
+			out++
+		}
+	}
+	if op.HasResult() {
+		out++
+	}
+	return in, out
+}
+
+// compileOp builds the four step lists for one operation into o, each
+// an empty list carved from the plan's step array with room for exactly
+// its steps.
+func (pl *Plan) compileOp(o *OpPlan, idx int, op *ir.Operation, opPres *pres.OpPres, steps *[]step) error {
+	*o = OpPlan{Idx: idx, Op: op, pres: opPres, plan: pl}
+	in, out := stepCounts(op)
+	o.reqEnc, o.reqDec = carve(steps, in), carve(steps, in)
+	o.repEnc, o.repDec = carve(steps, out), carve(steps, out)
 	for i := range op.Params {
 		prm := &op.Params[i]
 		if err := o.compileParam(i, prm.Name, prm.Type, prm.Dir != ir.Out, prm.Dir != ir.In); err != nil {
-			return nil, err
+			return err
 		}
 		if prm.Dir != ir.In {
 			o.nOut++
 		}
 	}
 	if op.HasResult() {
-		if err := o.compileParam(-1, pres.ResultParam, op.Result, false, true); err != nil {
-			return nil, err
-		}
+		return o.compileParam(-1, pres.ResultParam, op.Result, false, true)
 	}
-	return o, nil
+	return nil
+}
+
+// carve takes the next n steps of a plan's step array as an empty list
+// that appends in place.
+func carve(steps *[]step, n int) []step {
+	at := len(*steps)
+	*steps = (*steps)[:at+n]
+	return (*steps)[at : at : at+n]
 }
 
 // compileParam appends one parameter's steps to the request lists
@@ -367,99 +407,37 @@ func (pl *Plan) wrapTraced(opIdx int, inner encodeFn) encodeFn {
 }
 
 // compileEncode builds the encode step for wire type t: the type
-// switch runs here, once, at bind time; the returned closure performs
-// only the type assertion and the codec call.
+// switch runs here, once, at bind time; the returned function performs
+// only the type assertion and the codec call. A kind whose step needs
+// nothing from t but the kind has one package-level function, shared by
+// every plan, so compiling its leaves allocates nothing.
 func compileEncode(t *ir.Type) encodeFn {
 	if t == nil || t.Kind == ir.Void {
-		return func(enc Encoder, v Value) error {
-			if v != nil {
-				return fmt.Errorf("runtime: void value must be nil, have %T", v)
-			}
-			return nil
-		}
+		return encVoid
 	}
 	switch t.Kind {
 	case ir.Bool:
-		return func(enc Encoder, v Value) error {
-			b, ok := v.(bool)
-			if !ok {
-				return typeErr(t, v)
-			}
-			enc.PutBool(b)
-			return nil
-		}
-	case ir.Int32, ir.Enum:
-		return func(enc Encoder, v Value) error {
-			n, ok := v.(int32)
-			if !ok {
-				return typeErr(t, v)
-			}
-			enc.PutInt32(n)
-			return nil
-		}
+		return encBool
+	case ir.Int32:
+		return encInt32
+	case ir.Enum:
+		return encEnum
 	case ir.Uint32:
-		return func(enc Encoder, v Value) error {
-			n, ok := v.(uint32)
-			if !ok {
-				return typeErr(t, v)
-			}
-			enc.PutUint32(n)
-			return nil
-		}
+		return encUint32
 	case ir.Int64:
-		return func(enc Encoder, v Value) error {
-			n, ok := v.(int64)
-			if !ok {
-				return typeErr(t, v)
-			}
-			enc.PutInt64(n)
-			return nil
-		}
+		return encInt64
 	case ir.Uint64:
-		return func(enc Encoder, v Value) error {
-			n, ok := v.(uint64)
-			if !ok {
-				return typeErr(t, v)
-			}
-			enc.PutUint64(n)
-			return nil
-		}
+		return encUint64
 	case ir.Float32:
-		return func(enc Encoder, v Value) error {
-			f, ok := v.(float32)
-			if !ok {
-				return typeErr(t, v)
-			}
-			enc.PutFloat32(f)
-			return nil
-		}
+		return encFloat32
 	case ir.Float64:
-		return func(enc Encoder, v Value) error {
-			f, ok := v.(float64)
-			if !ok {
-				return typeErr(t, v)
-			}
-			enc.PutFloat64(f)
-			return nil
-		}
+		return encFloat64
 	case ir.String:
-		return func(enc Encoder, v Value) error {
-			s, ok := v.(string)
-			if !ok {
-				return typeErr(t, v)
-			}
-			enc.PutString(s)
-			return nil
-		}
+		return encString
 	case ir.Bytes:
-		return func(enc Encoder, v Value) error {
-			b, ok := v.([]byte)
-			if !ok {
-				return typeErr(t, v)
-			}
-			enc.PutBytes(b)
-			return nil
-		}
+		return encBytes
+	case ir.Port:
+		return encPort
 	case ir.FixedBytes:
 		size := t.Size
 		return func(enc Encoder, v Value) error {
@@ -507,11 +485,13 @@ func compileEncode(t *ir.Type) encodeFn {
 			return nil
 		}
 	case ir.Struct:
-		fields := make([]encodeFn, len(t.Fields))
-		names := make([]string, len(t.Fields))
+		type field struct {
+			name string
+			enc  encodeFn
+		}
+		fields := make([]field, len(t.Fields))
 		for i, f := range t.Fields {
-			fields[i] = compileEncode(f.Type)
-			names[i] = f.Name
+			fields[i] = field{f.Name, compileEncode(f.Type)}
 		}
 		structName := t.Name
 		return func(enc Encoder, v Value) error {
@@ -522,26 +502,127 @@ func compileEncode(t *ir.Type) encodeFn {
 			if len(vs) != len(fields) {
 				return fmt.Errorf("runtime: struct %s needs %d fields, have %d", structName, len(fields), len(vs))
 			}
-			for i, fn := range fields {
-				if err := fn(enc, vs[i]); err != nil {
-					return fmt.Errorf("field %s: %w", names[i], err)
+			for i := range fields {
+				if err := fields[i].enc(enc, vs[i]); err != nil {
+					return fmt.Errorf("field %s: %w", fields[i].name, err)
 				}
 			}
-			return nil
-		}
-	case ir.Port:
-		return func(enc Encoder, v Value) error {
-			p, ok := v.(PortName)
-			if !ok {
-				return typeErr(t, v)
-			}
-			enc.PutUint32(uint32(p))
 			return nil
 		}
 	}
 	return func(Encoder, Value) error {
 		return fmt.Errorf("runtime: cannot marshal kind %v", t.Kind)
 	}
+}
+
+// The package-level encode steps. Each fails with typeErr's text, which
+// for these kinds is the kind's name ("enum" for an enum, which is why
+// it does not share int32's step).
+
+func encVoid(_ Encoder, v Value) error {
+	if v != nil {
+		return fmt.Errorf("runtime: void value must be nil, have %T", v)
+	}
+	return nil
+}
+
+func encBool(enc Encoder, v Value) error {
+	b, ok := v.(bool)
+	if !ok {
+		return kindErr(ir.Bool, v)
+	}
+	enc.PutBool(b)
+	return nil
+}
+
+func encInt32(enc Encoder, v Value) error {
+	n, ok := v.(int32)
+	if !ok {
+		return kindErr(ir.Int32, v)
+	}
+	enc.PutInt32(n)
+	return nil
+}
+
+func encEnum(enc Encoder, v Value) error {
+	n, ok := v.(int32)
+	if !ok {
+		return kindErr(ir.Enum, v)
+	}
+	enc.PutInt32(n)
+	return nil
+}
+
+func encUint32(enc Encoder, v Value) error {
+	n, ok := v.(uint32)
+	if !ok {
+		return kindErr(ir.Uint32, v)
+	}
+	enc.PutUint32(n)
+	return nil
+}
+
+func encInt64(enc Encoder, v Value) error {
+	n, ok := v.(int64)
+	if !ok {
+		return kindErr(ir.Int64, v)
+	}
+	enc.PutInt64(n)
+	return nil
+}
+
+func encUint64(enc Encoder, v Value) error {
+	n, ok := v.(uint64)
+	if !ok {
+		return kindErr(ir.Uint64, v)
+	}
+	enc.PutUint64(n)
+	return nil
+}
+
+func encFloat32(enc Encoder, v Value) error {
+	f, ok := v.(float32)
+	if !ok {
+		return kindErr(ir.Float32, v)
+	}
+	enc.PutFloat32(f)
+	return nil
+}
+
+func encFloat64(enc Encoder, v Value) error {
+	f, ok := v.(float64)
+	if !ok {
+		return kindErr(ir.Float64, v)
+	}
+	enc.PutFloat64(f)
+	return nil
+}
+
+func encString(enc Encoder, v Value) error {
+	s, ok := v.(string)
+	if !ok {
+		return kindErr(ir.String, v)
+	}
+	enc.PutString(s)
+	return nil
+}
+
+func encBytes(enc Encoder, v Value) error {
+	b, ok := v.([]byte)
+	if !ok {
+		return kindErr(ir.Bytes, v)
+	}
+	enc.PutBytes(b)
+	return nil
+}
+
+func encPort(enc Encoder, v Value) error {
+	p, ok := v.(PortName)
+	if !ok {
+		return kindErr(ir.Port, v)
+	}
+	enc.PutUint32(uint32(p))
+	return nil
 }
 
 // compileDecode builds the decode step that lands wire type t where l

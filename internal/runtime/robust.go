@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/rand"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -179,7 +178,7 @@ type RobustConn struct {
 	budget    *RetryBudget
 
 	rmu sync.Mutex // guards rng
-	rng *rand.Rand
+	rng uint64     // splitmix64 state: the jitter draws
 
 	amu     sync.Mutex // guards seq and the ack queue
 	seq     uint32
@@ -226,7 +225,7 @@ func NewRobustConn(inner Conn, p *pres.Presentation, opts RobustOptions) *Robust
 		atMost:    opts.AtMostOnce,
 		policy:    opts.Policy.withDefaults(),
 		budget:    opts.Budget,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       uint64(seed),
 		clock:     clock,
 	}
 }
@@ -465,8 +464,13 @@ func (r *RobustConn) callOnce(ctx context.Context, opIdx int, frame, replyBuf []
 // sleep waits one jittered backoff interval or until ctx expires.
 func (r *RobustConn) sleep(ctx context.Context, d time.Duration) error {
 	r.rmu.Lock()
-	jittered := d/2 + time.Duration(r.rng.Int63n(int64(d/2)+1))
+	r.rng += 0x9E3779B97F4A7C15
+	x := r.rng
 	r.rmu.Unlock()
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	x ^= x >> 31
+	jittered := d/2 + time.Duration(x%(uint64(d/2)+1))
 	return r.clock.Sleep(ctx, jittered)
 }
 

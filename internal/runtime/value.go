@@ -42,6 +42,9 @@ func typeErr(t *ir.Type, v Value) error {
 	return fmt.Errorf("runtime: value %T does not match wire type %s", v, t.Signature())
 }
 
+// kindErr is typeErr for a type that is its kind alone.
+func kindErr(k ir.Kind, v Value) error { return typeErr(&ir.Type{Kind: k}, v) }
+
 // ZeroValue returns the zero Value of wire type t.
 func ZeroValue(t *ir.Type) Value {
 	if t == nil {

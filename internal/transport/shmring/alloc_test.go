@@ -3,6 +3,7 @@ package shmring
 import (
 	"bytes"
 	"os"
+	goruntime "runtime"
 	"testing"
 
 	"flexrpc/internal/core"
@@ -64,32 +65,53 @@ func borrowPutGate(t *testing.T, m mode) {
 func TestBorrowPutZeroAllocsInline(t *testing.T)   { borrowPutGate(t, modes()[0]) }
 func TestBorrowPutZeroAllocsDoorbell(t *testing.T) { borrowPutGate(t, modes()[1]) }
 
+// benchPres compiles the repository benchmark's contract under one of
+// its endpoint PDLs.
+func benchPres(tb testing.TB, pdl string) *pres.Presentation {
+	tb.Helper()
+	read := func(name string) string {
+		b, err := os.ReadFile("../../../bench/" + name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return string(b)
+	}
+	c, err := core.Compile(core.Options{
+		Frontend: core.FrontendCORBA, Filename: "bench.idl", Source: read("bench.idl"),
+		PDL: read(pdl), PDLFilename: pdl,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c.Pres
+}
+
+// bytesPerRun is testing.AllocsPerRun for heap bytes: the average
+// bytes f allocates over runs calls, after one warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	f()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	goruntime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // Binding is part of the benchmark's setup_s cycle, so the two
 // same-domain Connects are gated at their allocation counts on the
 // benchmark's own interface and presentations. Neither compiles a
-// server plan: that is the dispatcher's, compiled once.
+// server plan: that is the dispatcher's, compiled once. The benchmark's
+// presentations are [trusted] on both sides, so shmring.Connect binds
+// inline and builds no ring: the count is the client plan, the two
+// arenas, the same-domain program and the marshal state.
 func TestConnectAllocsBenchIDL(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
 	}
-	read := func(name string) string {
-		b, err := os.ReadFile("../../../bench/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	compile := func(pdl string) *pres.Presentation {
-		c, err := core.Compile(core.Options{
-			Frontend: core.FrontendCORBA, Filename: "bench.idl", Source: read("bench.idl"),
-			PDL: read(pdl), PDLFilename: pdl,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.Pres
-	}
-	cp, disp := compile("client.pdl"), runtime.NewDispatcher(compile("server.pdl"))
+	cp, disp := benchPres(t, "client.pdl"), runtime.NewDispatcher(benchPres(t, "server.pdl"))
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, err := inproc.Connect(cp, disp); err != nil {
 			t.Fatal(err)
@@ -97,13 +119,40 @@ func TestConnectAllocsBenchIDL(t *testing.T) {
 	}); allocs > 8 {
 		t.Errorf("inproc.Connect allocates %.0f times, want <= 8", allocs)
 	}
-	if allocs := testing.AllocsPerRun(50, func() {
+	connect := func() {
 		b, err := Connect(cp, disp, runtime.XDRCodec, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !b.InlineDispatch() {
+			t.Fatal("the benchmark's presentations did not bind inline")
+		}
 		b.Close()
-	}); allocs > 93 {
-		t.Errorf("shmring.Connect allocates %.0f times, want <= 93", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, connect); allocs > 27 {
+		t.Errorf("shmring.Connect allocates %.0f times, want <= 27", allocs)
+	}
+	if n := bytesPerRun(50, connect); n > 14<<10 {
+		t.Errorf("shmring.Connect allocates %d bytes, want <= %d", n, 14<<10)
+	}
+}
+
+// BenchmarkConnect times one inline shmring bind of the benchmark's
+// contract as its set-up cycle binds it: a fresh dispatcher, so the
+// server plan compiles too, and Connect. Run it against another commit
+// with
+//
+//	go test -run '^$' -bench Connect -benchmem -count 10 ./internal/transport/shmring
+//
+// and compare the two with benchstat or by median.
+func BenchmarkConnect(b *testing.B) {
+	cp, sp := benchPres(b, "client.pdl"), benchPres(b, "server.pdl")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bd, err := Connect(cp, runtime.NewDispatcher(sp), runtime.XDRCodec, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bd.Close()
 	}
 }

@@ -28,15 +28,17 @@ type Options struct {
 // A Bound is a bind-time specialized shmring connection implementing
 // runtime.Invoker/ContextInvoker: the client plan is compiled at
 // Connect beside the dispatcher's own server plan, request bytes are
-// produced directly into a leased ring slot's arena, and the
-// annotations decide — once, at bind — how much of the untrusted-peer
-// machinery the per-call path keeps:
+// produced directly into a slot-sized arena, and the annotations
+// decide — once, at bind — how much of the untrusted-peer machinery
+// the per-call path keeps, and so how much of it the bind builds:
 //
 //   - [trusted] on both sides (the paper's §4.5 trust ladder) elides
 //     header validation, the per-call fbuf ownership protocol, and —
 //     unless ForceDoorbell — the handoff itself: the handler runs
 //     inline on the caller's goroutine, LRPC-style thread migration
-//     for the same-domain case.
+//     for the same-domain case. An inline binding holds two arenas,
+//     one per direction, and no ring: no fbuf pool, no slot leases,
+//     no doorbells, no serve goroutine.
 //   - [nonunique] port naming (or an interface with no port
 //     parameters) elides the per-handoff name-table lookup: the
 //     doorbell word carries a ring position resolved by direct
@@ -50,7 +52,7 @@ type Options struct {
 // paths.
 type Bound struct {
 	mu    sync.Mutex
-	ring  *Ring
+	ring  *Ring // nil under inline dispatch
 	disp  *runtime.Dispatcher
 	prog  *runtime.SameDomain
 	cplan *runtime.Plan
@@ -63,7 +65,8 @@ type Bound struct {
 	// Leased slots: the bind-time lease replaces per-call pool
 	// traffic. Under trust the arenas are cached and the ownership
 	// protocol is skipped; untrusted bindings move ownership back and
-	// forth every call.
+	// forth every call. An inline binding leases nothing: its arenas
+	// are its own storage.
 	reqSlot, repSlot   *fbuf.Buffer
 	reqArena, repArena []byte
 
@@ -79,14 +82,15 @@ type Bound struct {
 
 	stats  *stats.Endpoint // the program's endpoint, for the byte meters
 	closed atomic.Bool
-	done   chan struct{} // doorbell server goroutine exit
+	done   chan struct{} // doorbell server goroutine exit; nil inline
 }
 
-// Connect binds a client presentation to a dispatcher over a private
-// ring, compiling the client plan, taking the dispatcher's server plan
-// and resolving the annotation-driven specializations once. The network
-// contract must match, as for any bind. Enable stats before issuing
-// calls.
+// Connect binds a client presentation to a dispatcher, compiling the
+// client plan, taking the dispatcher's server plan and resolving the
+// annotation-driven specializations once: a binding that hands off
+// (an untrusted peer, or ForceDoorbell) gets a private ring, an inline
+// one only the two arenas its calls touch. The network contract must
+// match, as for any bind. Enable stats before issuing calls.
 func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runtime.Codec, opts Options) (*Bound, error) {
 	comb, err := pres.Combine(clientPres, disp.Pres)
 	if err != nil {
@@ -101,20 +105,28 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 		return nil, err
 	}
 	b := &Bound{
-		ring:      newRing(SlotSize, Slots),
 		disp:      disp,
 		cplan:     cplan,
 		splan:     splan,
 		trusted:   comb.Trusted,
 		nonUnique: comb.NonUnique,
 		inline:    comb.Trusted && !opts.ForceDoorbell,
-		done:      make(chan struct{}),
 		frame:     runtime.NewFrame(),
 		reqEnc:    codec.NewEncoder(),
 		repEnc:    codec.NewEncoder(),
 		cdec:      cplan.NewDecoder(nil),
 	}
 	b.prog = runtime.NewSameDomain(comb, disp, b.marshal, b.inline)
+	if b.inline {
+		// invokeInline touches one slot-sized arena per direction and
+		// nothing else a ring would hold; a message that outgrows its
+		// arena stages in heap storage, as it would beside a ring.
+		arenas := make([]byte, 2*SlotSize)
+		b.reqArena, b.repArena = arenas[:SlotSize:SlotSize], arenas[SlotSize:]
+		return b, nil
+	}
+	b.ring = newRing(SlotSize, Slots)
+	b.done = make(chan struct{})
 	// Bind-time slot lease: one slot per direction for the steady
 	// state; splices for oversized messages come from the rest of the
 	// pool per call.
@@ -130,11 +142,7 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 	if b.repArena, err = b.repSlot.Arena(b.ring.server); err != nil {
 		return nil, err
 	}
-	if !b.inline {
-		go b.serveLoop()
-	} else {
-		close(b.done)
-	}
+	go b.serveLoop()
 	return b, nil
 }
 
@@ -158,10 +166,11 @@ func (b *Bound) EnableStats() *stats.Endpoint {
 // trip). Do this before issuing calls.
 func (b *Bound) ServerPlan() *runtime.Plan { return b.splan }
 
-// Close tears the binding down: both doorbells wake closed and the
-// serve goroutine (if any) exits.
+// Close tears the binding down: later calls fail with ErrClosed and,
+// when the binding has a ring, both doorbells wake closed and the serve
+// goroutine exits.
 func (b *Bound) Close() error {
-	if b.closed.Swap(true) {
+	if b.closed.Swap(true) || b.ring == nil {
 		return nil
 	}
 	b.ring.reqBell.close()

@@ -20,8 +20,10 @@
 // caller has needed another, so none can ask for one.
 //
 // Connect's Bound is the only binding: marshal plans encode straight
-// into the leased slots, one call is in flight at a time, and the
-// conformance matrix runs it inline and through the doorbell. Session
+// into slot-sized arenas, one call is in flight at a time, and the
+// conformance matrix runs it inline and through the doorbell. Only a
+// binding that hands off builds a ring and leases its slots; an inline
+// binding holds two arenas of its own and no ring. Session
 // traffic (RobustConn, at-most-once) does not ride the ring: a binding
 // is in-process, so there is no loss for retries to mask.
 package shmring

@@ -227,6 +227,36 @@ func TestConnectResolvesModes(t *testing.T) {
 	}
 }
 
+// TestInlineBindsNoRing checks that a binding builds only what its
+// calls run: an inline binding holds two slot-sized arenas and no ring,
+// a handoff binding a ring and its two leased slots; and an inline
+// binding still closes.
+func TestInlineBindsNoRing(t *testing.T) {
+	for _, m := range modes() {
+		t.Run(m.name, func(t *testing.T) {
+			b, _ := connectMode(t, m)
+			if len(b.reqArena) != SlotSize || len(b.repArena) != SlotSize || cap(b.reqArena) != SlotSize {
+				t.Fatalf("arenas %d/%d bytes (request cap %d), want %d", len(b.reqArena), len(b.repArena), cap(b.reqArena), SlotSize)
+			}
+			if !m.inline {
+				if b.ring == nil || b.reqSlot == nil || b.repSlot == nil {
+					t.Fatal("a handoff binding has no ring or no leased slots")
+				}
+				return
+			}
+			if b.ring != nil || b.reqSlot != nil || b.done != nil {
+				t.Fatal("an inline binding built ring state")
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := b.Invoke("nop", nil, nil, nil); !errors.Is(err, ErrClosed) {
+				t.Fatalf("call after Close: %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
 // The name-table elision is per binding, so it takes every port of
 // both endpoints: one unannotated port parameter keeps the lookups.
 func TestOneAnnotatedPortKeepsNameTable(t *testing.T) {
