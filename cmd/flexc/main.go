@@ -43,7 +43,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"flexrpc/internal/analyze"
 	"flexrpc/internal/analyze/gocheck"
@@ -566,35 +565,20 @@ func vetEndpoint(base *pres.Presentation, pdlPath string) (*pres.Presentation, e
 func describePresentation(p *pres.Presentation) string {
 	s := fmt.Sprintf("// presentation of %s (style %s, trust %s)\ninterface %s {\n",
 		p.Interface.Name, p.Style, p.Trust, p.Interface.Name)
-	names := make([]string, 0, len(p.Ops))
-	for name := range p.Ops {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		op := p.Ops[name]
+	for _, op := range p.ByName() {
 		s += "    "
 		if op.CommStatus {
 			s += "[comm_status] "
 		}
-		s += name + "("
-		first := true
-		pnames := make([]string, 0, len(op.Params))
-		for pn := range op.Params {
-			pnames = append(pnames, pn)
-		}
-		sort.Strings(pnames)
-		for _, pn := range pnames {
-			if !first {
+		s += op.Name + "("
+		for i, prm := range op.ByName() {
+			if i > 0 {
 				s += ", "
 			}
-			first = false
-			a := op.Params[pn]
-			attrs := attrList(a)
-			if attrs != "" {
+			if attrs := attrList(prm.Attrs); attrs != "" {
 				s += attrs + " "
 			}
-			s += pn
+			s += prm.Name
 		}
 		s += ");\n"
 	}

@@ -109,9 +109,9 @@ func (c *checker) checkTransfer(ctx string, t *ir.Type, sender Endpoint, sAt *pr
 	if !pres.IsBuffer(t) || sAt.Dealloc != pres.DeallocAlways || !rAt.Preserved {
 		return
 	}
-	pos := sAt.AttrPos("dealloc")
+	pos := sAt.AttrPos(pres.AttrDealloc)
 	if pos.Line == 0 {
-		pos = rAt.AttrPos("preserved")
+		pos = rAt.AttrPos(pres.AttrPreserved)
 	}
 	c.report("FV002", pos,
 		"%s: %s frees the buffer after marshaling [dealloc(always)] but %s marks it [preserved]: use-after-transfer",
@@ -128,8 +128,8 @@ func (c *checker) checkTrustAsymmetry(trusted, peer Endpoint) {
 	if trusted.Pres.Trust != pres.TrustFull || peer.Pres.Trust != pres.TrustNone {
 		return
 	}
-	grant := trustAttrName(trusted.Pres)
-	pos, _ := trusted.Pres.PosOf(grant)
+	attr, grant := trustGrant(trusted.Pres)
+	pos, _ := trusted.Pres.PosOf(attr)
 	c.report("FV021", pos,
 		"%s grants [%s] trust but peer %s presents untrusted: the combination signature keeps the validated path, discarding every elision the grant buys",
 		trusted.Label, grant, peer.Label)
@@ -141,7 +141,7 @@ func (c *checker) checkNaming(ctx string, relaxed Endpoint, relAt *pres.ParamAtt
 	if !relAt.NonUnique || strAt.NonUnique {
 		return
 	}
-	c.report("FV003", relAt.AttrPos("nonunique"),
+	c.report("FV003", relAt.AttrPos(pres.AttrNonUnique),
 		"%s: %s marks the port [nonunique] but %s still relies on the unique-name invariant",
 		ctx, relaxed.Label, strict.Label)
 }

@@ -31,18 +31,18 @@ func (c *checker) checkEndpoint(ep Endpoint) {
 func (c *checker) checkSite(p *pres.Presentation, s pres.Site) {
 	a := s.Attrs
 	if a.Trashable && a.Special {
-		c.report("FV004", a.AttrPos("special", "trashable"),
+		c.report("FV004", a.AttrPos(pres.AttrSpecial, pres.AttrTrashable),
 			"%s: [special] marshal hook may alias a buffer the stub is allowed to trash", s.Ctx())
 	}
 	if s.Op.Batchable && a.Special {
-		c.report("FV016", a.AttrPos("special"),
+		c.report("FV016", a.AttrPos(pres.AttrSpecial),
 			"%s: [batchable] operation's [special] hook runs at enqueue time, not transmission time; the batcher's frame copy makes the deferral observable", s.Ctx())
 	}
 	if !pres.IsBuffer(s.Type) {
 		return
 	}
-	if a.Dealloc == pres.DeallocNever && a.Alloc == pres.AllocCallee && a.Explicit("alloc") && !s.In() {
-		c.report("FV006", a.AttrPos("dealloc", "alloc"),
+	if a.Dealloc == pres.DeallocNever && a.Alloc == pres.AllocCallee && a.Explicit(pres.AttrAlloc) && !s.In() {
+		c.report("FV006", a.AttrPos(pres.AttrDealloc, pres.AttrAlloc),
 			"%s: [alloc(callee), dealloc(never)]: a fresh callee-allocated buffer per call that nothing frees", s.Ctx())
 	}
 	// The three checks below are one scan — does the signature move
@@ -70,7 +70,8 @@ func (c *checker) checkSite(p *pres.Presentation, s pres.Site) {
 		// protocol — payloads alias leased slots and never transfer —
 		// so the annotation is dead weight at best and a false promise
 		// at worst.
-		grant := "[" + trustAttrName(p) + "] binding elides the per-call ownership protocol; "
+		_, name := trustGrant(p)
+		grant := "[" + name + "] binding elides the per-call ownership protocol; "
 		c.checkOwnership("FV021", s,
 			grant+"[dealloc(always)] is unenforced on the trusted fast path",
 			grant+"[alloc(callee)] is unenforced on the trusted fast path")
@@ -81,21 +82,21 @@ func (c *checker) checkSite(p *pres.Presentation, s pres.Site) {
 // buffer going in and an explicit [alloc(callee)] on one coming out.
 func (c *checker) checkOwnership(id string, s pres.Site, deallocMsg, allocMsg string) {
 	a := s.Attrs
-	if s.In() && a.Dealloc == pres.DeallocAlways && a.Explicit("dealloc") {
-		c.report(id, a.AttrPos("dealloc"), "%s: %s", s.Ctx(), deallocMsg)
+	if s.In() && a.Dealloc == pres.DeallocAlways && a.Explicit(pres.AttrDealloc) {
+		c.report(id, a.AttrPos(pres.AttrDealloc), "%s: %s", s.Ctx(), deallocMsg)
 	}
-	if s.Out() && a.Alloc == pres.AllocCallee && a.Explicit("alloc") {
-		c.report(id, a.AttrPos("alloc"), "%s: %s", s.Ctx(), allocMsg)
+	if s.Out() && a.Alloc == pres.AllocCallee && a.Explicit(pres.AttrAlloc) {
+		c.report(id, a.AttrPos(pres.AttrAlloc), "%s: %s", s.Ctx(), allocMsg)
 	}
 }
 
-// trustAttrName names the attribute that granted full trust, for
+// trustGrant names the attribute that granted full trust, for
 // diagnostics: [trusted] and [unprotected] are aliases.
-func trustAttrName(p *pres.Presentation) string {
-	if _, ok := p.PosOf("trusted"); ok {
-		return "trusted"
+func trustGrant(p *pres.Presentation) (pres.IfaceAttr, string) {
+	if _, ok := p.PosOf(pres.AttrTrusted); ok {
+		return pres.AttrTrusted, "trusted"
 	}
-	return "unprotected"
+	return pres.AttrUnprotected, "unprotected"
 }
 
 // checkTrust is FV005: trust granted to a peer outside every
@@ -105,12 +106,12 @@ func (c *checker) checkTrust(ep Endpoint) {
 	if p.Trust == pres.TrustNone || !IsNetworkTransport(ep.Transport) {
 		return
 	}
-	attr, sev := "leaky", SevWarning
+	attr, name, sev := pres.AttrLeaky, "leaky", SevWarning
 	if p.Trust == pres.TrustFull {
-		attr, sev = "unprotected", SevError
+		attr, name, sev = pres.AttrUnprotected, "unprotected", SevError
 	}
 	pos, _ := p.PosOf(attr)
 	c.reportSev("FV005", sev, pos,
 		"%s: [%s] trust granted on network transport %s; the peer is outside every protection domain",
-		p.Interface.Name, attr, ep.Transport)
+		p.Interface.Name, name, ep.Transport)
 }

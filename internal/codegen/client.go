@@ -30,7 +30,7 @@ func (g *gen) emitClient() error {
 // attrsFor returns the presentation attributes of op/param.
 func (g *gen) attrsFor(op *ir.Operation, param string) *pres.ParamAttrs {
 	if p := g.pres.Op(op.Name); p != nil {
-		if a, ok := p.Params[param]; ok {
+		if a := p.Param(param); a != nil {
 			return a
 		}
 	}

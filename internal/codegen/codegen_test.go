@@ -263,23 +263,33 @@ func TestGeneratedSourceTypeChecks(t *testing.T) {
 	}
 	// testdata/shapes.* is also the generated caller of the uncalled-
 	// surface gate (gocheck's TestSurface): one interface, every
-	// conversion shape.
-	idl, err := os.ReadFile("testdata/shapes.idl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pdl, err := os.ReadFile("testdata/shapes.pdl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := generate(t, string(idl), string(pdl))
+	// conversion shape. The examples are each contract the repository
+	// ships with a PDL, each endpoint's presentation.
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "gen.go", src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	if _, err := conf.Check("gen", fset, []*ast.File{f}, nil); err != nil {
-		t.Fatalf("%v\n%s", err, src)
+	for _, c := range []struct{ name, idl, pdl string }{
+		{"shapes", "testdata/shapes.idl", "testdata/shapes.pdl"},
+		{"fileio-client", "../../examples/pipes/fileio/fileio.idl", "../../examples/pipes/fileio/client.pdl"},
+		{"fileio-server", "../../examples/pipes/fileio/fileio.idl", "../../examples/pipes/fileio/server.pdl"},
+		{"vetgo-server", "../../examples/vetgo/vetgo.idl", "../../examples/vetgo/server.pdl"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			idl, err := os.ReadFile(c.idl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pdl, err := os.ReadFile(c.pdl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := generate(t, string(idl), string(pdl))
+			f, err := parser.ParseFile(fset, "gen.go", src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conf.Check("gen", fset, []*ast.File{f}, nil); err != nil {
+				t.Fatalf("%v\n%s", err, src)
+			}
+		})
 	}
 }

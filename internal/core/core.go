@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 
+	"flexrpc/internal/idl"
 	"flexrpc/internal/idl/corba"
 	"flexrpc/internal/idl/migdefs"
 	"flexrpc/internal/idl/sunxdr"
@@ -101,7 +102,7 @@ func Compile(o Options) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	iface, err := selectInterface(file, o.Interface)
+	iface, err := selectInterface(file, o.Interface, o.Source)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +129,9 @@ func Compile(o Options) (*Compiled, error) {
 	return c, nil
 }
 
-func selectInterface(file *ir.File, name string) (*ir.Interface, error) {
+// selectInterface picks the interface to compile from file, parsed
+// from src. An error about the file as a whole is positioned at its end.
+func selectInterface(file *ir.File, name, src string) (*ir.Interface, error) {
 	if name != "" {
 		iface := file.Interface(name)
 		if iface == nil {
@@ -138,7 +141,7 @@ func selectInterface(file *ir.File, name string) (*ir.Interface, error) {
 	}
 	switch len(file.Interfaces) {
 	case 0:
-		return nil, fmt.Errorf("core: %s declares no interfaces", file.Name)
+		return nil, idl.Errorf(idl.EndPos(file.Name, src), "core: the file declares no interfaces")
 	case 1:
 		return file.Interfaces[0], nil
 	default:
@@ -146,7 +149,7 @@ func selectInterface(file *ir.File, name string) (*ir.Interface, error) {
 		for i, iface := range file.Interfaces {
 			names[i] = iface.Name
 		}
-		return nil, fmt.Errorf("core: %s declares %d interfaces %v; select one", file.Name, len(names), names)
+		return nil, idl.Errorf(idl.EndPos(file.Name, src), "core: the file declares %d interfaces %v; select one", len(names), names)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"flexrpc/internal/idl"
 	"flexrpc/internal/ir"
@@ -107,5 +108,61 @@ func TestTypeNestingMIGArrays(t *testing.T) {
 	var pe *idl.Error
 	if !errors.As(err, &pe) || pe.Pos.Line != 2 || !strings.Contains(pe.Msg, "nests deeper than") {
 		t.Fatalf("err = %v, want a positioned nesting error on line 2", err)
+	}
+}
+
+// doublingChain is a CORBA contract whose one parameter has the type
+// L<levels>: L0 is a struct of two longs and each L<i> a struct of two
+// L<i-1>, so the parameter resolves to 2^(levels+2) - 1 nodes.
+func doublingChain(levels int) string {
+	var b strings.Builder
+	b.WriteString("struct L0 { long a; long b; };\n")
+	for i := 1; i <= levels; i++ {
+		fmt.Fprintf(&b, "struct L%d { L%d a; L%d b; };\n", i, i-1, i-1)
+	}
+	fmt.Fprintf(&b, "interface I { void op(in L%d v); };\n", levels)
+	return b.String()
+}
+
+// compileWithin compiles src, and panics if that takes longer than
+// limit: a runaway compile cannot be stopped, and it allocates until
+// the host runs out of memory, so the test binary stops instead.
+func compileWithin(limit time.Duration, src string) error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := Compile(Options{Frontend: FrontendCORBA, Filename: "chain.idl", Source: src})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(limit):
+		panic(fmt.Sprintf("Compile ran for more than %v", limit))
+	}
+}
+
+// TestTypeSizeReproducer compiles the largest doubling chain the depth
+// bound admits, 31 levels: resolved, the parameter would be 2^33 - 1
+// nodes. Resolve refuses it at ir.MaxTypeNodes and names the parameter.
+func TestTypeSizeReproducer(t *testing.T) {
+	levels := (ir.MaxTypeDepth - 2) / 2 // L0's fields sit at depth 2*levels+2
+	err := compileWithin(5*time.Second, doublingChain(levels))
+	if err == nil || !strings.Contains(err.Error(), "chain.idl: I.op param v: ir: type expands to more than") {
+		t.Fatalf("err = %v, want the size bound at I.op param v", err)
+	}
+}
+
+// TestTypeSizeAtTheBound compiles and plans a type of 2^16 - 1 nodes,
+// within ir.MaxTypeNodes, and refuses one of 2^17 - 1.
+func TestTypeSizeAtTheBound(t *testing.T) {
+	if err := compileWithin(5*time.Second, doublingChain(15)); err == nil || !strings.Contains(err.Error(), "expands to more than") {
+		t.Fatalf("a type of 2^17 - 1 nodes: err = %v, want the size bound", err)
+	}
+	c, err := Compile(Options{Frontend: FrontendCORBA, Filename: "chain.idl", Source: doublingChain(14)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runtime.NewPlan(c.Pres, runtime.XDRCodec, nil); err != nil {
+		t.Fatal(err)
 	}
 }

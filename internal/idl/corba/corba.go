@@ -6,8 +6,6 @@
 package corba
 
 import (
-	"fmt"
-
 	"flexrpc/internal/idl"
 	"flexrpc/internal/ir"
 )
@@ -20,9 +18,19 @@ func Parse(filename, src string) (*ir.File, error) {
 		return nil, err
 	}
 	if err := p.file.Resolve(); err != nil {
-		return nil, fmt.Errorf("%s: %w", filename, err)
+		return nil, p.ResolveError(err)
 	}
 	return p.file, nil
+}
+
+// exact copies a list parsed into a stack buffer to the heap, at its
+// length: one allocation where appending to the heap makes one per
+// doubling.
+func exact[T any](list []T) []T {
+	if len(list) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(list)), list...)
 }
 
 type parser struct {
@@ -45,9 +53,9 @@ func (p *parser) parseFile() error {
 			return err
 		}
 		if tok.Kind != idl.Ident {
-			return idl.Errorf(tok.Pos, "expected declaration, found %s", tok)
+			return p.ErrorfAt(tok, "expected declaration, found %s", p.Describe(tok))
 		}
-		switch tok.Text {
+		switch p.Text(tok) {
 		case "module":
 			if err := p.parseModule(); err != nil {
 				return err
@@ -73,7 +81,7 @@ func (p *parser) parseFile() error {
 				return err
 			}
 		default:
-			return idl.Errorf(tok.Pos, "unknown declaration %q", tok.Text)
+			return p.ErrorfAt(tok, "unknown declaration %q", p.Text(tok))
 		}
 	}
 }
@@ -100,9 +108,9 @@ func (p *parser) parseModule() error {
 			return err
 		}
 		if tok.Kind != idl.Ident {
-			return idl.Errorf(tok.Pos, "expected declaration in module, found %s", tok)
+			return p.ErrorfAt(tok, "expected declaration in module, found %s", p.Describe(tok))
 		}
-		switch tok.Text {
+		switch p.Text(tok) {
 		case "interface":
 			err = p.parseInterface()
 		case "typedef":
@@ -114,7 +122,7 @@ func (p *parser) parseModule() error {
 		case "const":
 			err = p.parseConst()
 		default:
-			return idl.Errorf(tok.Pos, "unknown declaration %q in module", tok.Text)
+			return p.ErrorfAt(tok, "unknown declaration %q in module", p.Text(tok))
 		}
 		if err != nil {
 			return err
@@ -125,14 +133,15 @@ func (p *parser) parseModule() error {
 }
 
 func (p *parser) parseInterface() error {
-	name, pos, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err != nil {
 		return err
 	}
 	if p.file.Interface(name) != nil {
-		return idl.Errorf(pos, "duplicate interface %q", name)
+		return p.ErrorfAt(at, "duplicate interface %q", name)
 	}
-	iface := &ir.Interface{Name: name}
+	var buf [16]ir.Operation // the operations of most interfaces
+	ops := buf[:0]
 	if err := p.Expect("{"); err != nil {
 		return err
 	}
@@ -148,15 +157,17 @@ func (p *parser) parseInterface() error {
 		if err != nil {
 			return err
 		}
-		if iface.Op(op.Name) != nil {
-			return idl.Errorf(pos, "duplicate operation %q in interface %q", op.Name, name)
+		for i := range ops {
+			if ops[i].Name == op.Name {
+				return p.ErrorfAt(at, "duplicate operation %q in interface %q", op.Name, name)
+			}
 		}
-		iface.Ops = append(iface.Ops, op)
+		ops = append(ops, op)
 	}
 	if _, err := p.Accept(";"); err != nil {
 		return err
 	}
-	p.file.Interfaces = append(p.file.Interfaces, iface)
+	p.file.Interfaces = append(p.file.Interfaces, &ir.Interface{Name: name, Ops: exact(ops)})
 	return nil
 }
 
@@ -167,8 +178,8 @@ func (p *parser) parseOperation() (op ir.Operation, err error) {
 	if op.Result, err = p.parseType(); err != nil {
 		return op, err
 	}
-	var pos idl.Pos
-	if op.Name, pos, err = p.ExpectIdent(); err != nil {
+	var at idl.Token
+	if op.Name, at, err = p.ExpectIdent(); err != nil {
 		return op, err
 	}
 	if err := p.Expect("("); err != nil {
@@ -194,7 +205,7 @@ func (p *parser) parseOperation() (op ir.Operation, err error) {
 		op.Params = append(op.Params, param)
 	}
 	if op.Oneway && (op.HasResult() || hasOutParam(&op)) {
-		return op, idl.Errorf(pos, "corba: oneway operation %q must not return data", op.Name)
+		return op, p.ErrorfAt(at, "corba: oneway operation %q must not return data", op.Name)
 	}
 	return op, p.Expect(";")
 }
@@ -215,10 +226,10 @@ func (p *parser) parseParam(op *ir.Operation) (ir.Param, error) {
 		return ir.Param{}, err
 	}
 	if tok.Kind != idl.Ident {
-		return ir.Param{}, idl.Errorf(tok.Pos, "expected parameter direction, found %s", tok)
+		return ir.Param{}, p.ErrorfAt(tok, "expected parameter direction, found %s", p.Describe(tok))
 	}
 	var dir ir.Direction
-	switch tok.Text {
+	switch p.Text(tok) {
 	case "in":
 		dir = ir.In
 	case "out":
@@ -226,15 +237,15 @@ func (p *parser) parseParam(op *ir.Operation) (ir.Param, error) {
 	case "inout":
 		dir = ir.InOut
 	default:
-		return ir.Param{}, idl.Errorf(tok.Pos, "expected in/out/inout, found %q", tok.Text)
+		return ir.Param{}, p.ErrorfAt(tok, "expected in/out/inout, found %q", p.Text(tok))
 	}
 	t, err := p.parseType()
 	if err != nil {
 		return ir.Param{}, err
 	}
-	name, pos, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err == nil && op.ParamNameTaken(name) {
-		err = idl.Errorf(pos, "operation %q: parameter name %q is taken", op.Name, name)
+		err = p.ErrorfAt(at, "operation %q: parameter name %q is taken", op.Name, name)
 	}
 	return ir.Param{Name: name, Type: t, Dir: dir}, err
 }
@@ -246,9 +257,9 @@ func (p *parser) parseType() (*ir.Type, error) {
 		return nil, err
 	}
 	if tok.Kind != idl.Ident {
-		return nil, idl.Errorf(tok.Pos, "expected type, found %s", tok)
+		return nil, p.ErrorfAt(tok, "expected type, found %s", p.Describe(tok))
 	}
-	switch tok.Text {
+	switch p.Text(tok) {
 	case "void":
 		return ir.VoidType, nil
 	case "boolean":
@@ -271,7 +282,7 @@ func (p *parser) parseType() (*ir.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch t2.Text {
+		switch p.Text(t2) {
 		case "short":
 			return ir.Uint32Type, nil
 		case "long":
@@ -284,7 +295,7 @@ func (p *parser) parseType() (*ir.Type, error) {
 			}
 			return ir.Uint32Type, nil
 		}
-		return nil, idl.Errorf(t2.Pos, "expected short/long after unsigned, found %s", t2)
+		return nil, p.ErrorfAt(t2, "expected short/long after unsigned, found %s", p.Describe(t2))
 	case "float":
 		return ir.Float32Type, nil
 	case "double":
@@ -295,7 +306,7 @@ func (p *parser) parseType() (*ir.Type, error) {
 		return ir.PortType, nil
 	case "sequence":
 		if p.depth == ir.MaxTypeDepth {
-			return nil, idl.Errorf(tok.Pos, "type nests deeper than %d levels", ir.MaxTypeDepth)
+			return nil, p.ErrorfAt(tok, "type nests deeper than %d levels", ir.MaxTypeDepth)
 		}
 		if err := p.Expect("<"); err != nil {
 			return nil, err
@@ -321,7 +332,7 @@ func (p *parser) parseType() (*ir.Type, error) {
 		}
 		return ir.SeqOf(elem), nil
 	default:
-		return &ir.Type{Kind: ir.Named, Name: tok.Text}, nil
+		return &ir.Type{Kind: ir.Named, Name: p.Text(tok), Off: int(tok.Off)}, nil
 	}
 }
 
@@ -334,14 +345,14 @@ func (p *parser) constValue() (int64, error) {
 	}
 	switch tok.Kind {
 	case idl.Int:
-		return tok.Int, nil
+		return p.Int(tok), nil
 	case idl.Ident:
-		if v, ok := p.file.Consts[tok.Text]; ok {
+		if v, ok := p.file.Consts[p.Text(tok)]; ok {
 			return v, nil
 		}
-		return 0, idl.Errorf(tok.Pos, "unknown constant %q", tok.Text)
+		return 0, p.ErrorfAt(tok, "unknown constant %q", p.Text(tok))
 	}
-	return 0, idl.Errorf(tok.Pos, "expected constant, found %s", tok)
+	return 0, p.ErrorfAt(tok, "expected constant, found %s", p.Describe(tok))
 }
 
 func (p *parser) parseTypedef() error {
@@ -349,7 +360,7 @@ func (p *parser) parseTypedef() error {
 	if err != nil {
 		return err
 	}
-	name, pos, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err != nil {
 		return err
 	}
@@ -367,21 +378,22 @@ func (p *parser) parseTypedef() error {
 		t = ir.ArrayOf(t, int(n))
 	}
 	if _, dup := p.file.Typedefs[name]; dup {
-		return idl.Errorf(pos, "duplicate typedef %q", name)
+		return p.ErrorfAt(at, "duplicate typedef %q", name)
 	}
 	p.file.Typedefs[name] = t
 	return p.Expect(";")
 }
 
 func (p *parser) parseStruct() error {
-	name, pos, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err != nil {
 		return err
 	}
 	if err := p.Expect("{"); err != nil {
 		return err
 	}
-	st := &ir.Type{Kind: ir.Struct, Name: name}
+	var buf [32]ir.Field // the fields of most structs
+	fields := buf[:0]
 	for {
 		done, err := p.Accept("}")
 		if err != nil {
@@ -398,7 +410,7 @@ func (p *parser) parseStruct() error {
 		if err != nil {
 			return err
 		}
-		st.Fields = append(st.Fields, ir.Field{Name: fname, Type: ft})
+		fields = append(fields, ir.Field{Name: fname, Type: ft})
 		if err := p.Expect(";"); err != nil {
 			return err
 		}
@@ -407,14 +419,14 @@ func (p *parser) parseStruct() error {
 		return err
 	}
 	if _, dup := p.file.Typedefs[name]; dup {
-		return idl.Errorf(pos, "duplicate type %q", name)
+		return p.ErrorfAt(at, "duplicate type %q", name)
 	}
-	p.file.Typedefs[name] = st
+	p.file.Typedefs[name] = &ir.Type{Kind: ir.Struct, Name: name, Fields: exact(fields)}
 	return nil
 }
 
 func (p *parser) parseEnum() error {
-	name, pos, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err != nil {
 		return err
 	}
@@ -444,7 +456,7 @@ func (p *parser) parseEnum() error {
 		return err
 	}
 	if _, dup := p.file.Typedefs[name]; dup {
-		return idl.Errorf(pos, "duplicate type %q", name)
+		return p.ErrorfAt(at, "duplicate type %q", name)
 	}
 	p.file.Typedefs[name] = et
 	return nil
@@ -454,7 +466,7 @@ func (p *parser) parseConst() error {
 	if _, err := p.parseType(); err != nil {
 		return err
 	}
-	name, pos, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err != nil {
 		return err
 	}
@@ -473,7 +485,7 @@ func (p *parser) parseConst() error {
 		v = -v
 	}
 	if _, dup := p.file.Consts[name]; dup {
-		return idl.Errorf(pos, "duplicate const %q", name)
+		return p.ErrorfAt(at, "duplicate const %q", name)
 	}
 	p.file.Consts[name] = v
 	return p.Expect(";")

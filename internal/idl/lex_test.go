@@ -2,11 +2,13 @@ package idl
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func lexAll(t *testing.T, src string) []Token {
+func lexAll(t *testing.T, src string) (*Lexer, []Token) {
 	t.Helper()
 	l := NewLexer("test.idl", src)
 	var toks []Token
@@ -16,22 +18,26 @@ func lexAll(t *testing.T, src string) []Token {
 			t.Fatalf("lex error: %v", err)
 		}
 		if tok.Kind == EOF {
-			return toks
+			return &l, toks
 		}
 		toks = append(toks, tok)
 	}
 }
 
-func TestLexBasics(t *testing.T) {
-	toks := lexAll(t, `interface SysLog { void write_msg(in string msg); };`)
+func texts(l *Lexer, toks []Token) string {
 	var texts []string
 	for _, tok := range toks {
-		texts = append(texts, tok.Text)
+		texts = append(texts, l.Text(tok))
 	}
+	return strings.Join(texts, " ")
+}
+
+func TestLexBasics(t *testing.T) {
+	l, toks := lexAll(t, `interface SysLog { void write_msg(in string msg); };`)
 	want := []string{"interface", "SysLog", "{", "void", "write_msg",
 		"(", "in", "string", "msg", ")", ";", "}", ";"}
-	if strings.Join(texts, " ") != strings.Join(want, " ") {
-		t.Fatalf("tokens = %v, want %v", texts, want)
+	if got := texts(l, toks); got != strings.Join(want, " ") {
+		t.Fatalf("tokens = %v, want %v", got, want)
 	}
 }
 
@@ -42,49 +48,47 @@ a /* block
 comment */ b
 % xdr passthrough line is skipped
 c`
-	toks := lexAll(t, src)
-	if len(toks) != 3 || toks[0].Text != "a" || toks[1].Text != "b" || toks[2].Text != "c" {
-		t.Fatalf("tokens = %v", toks)
+	l, toks := lexAll(t, src)
+	if got := texts(l, toks); got != "a b c" {
+		t.Fatalf("tokens = %v", got)
 	}
 }
 
 func TestLexPositions(t *testing.T) {
-	toks := lexAll(t, "a\n  bb")
-	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
-		t.Errorf("a at %v", toks[0].Pos)
+	l, toks := lexAll(t, "a\n  bb")
+	if p := l.Pos(toks[0]); p.Line != 1 || p.Col != 1 {
+		t.Errorf("a at %v", p)
 	}
-	if toks[1].Pos.Line != 2 || toks[1].Pos.Col != 3 {
-		t.Errorf("bb at %v", toks[1].Pos)
+	if p := l.Pos(toks[1]); p.Line != 2 || p.Col != 3 {
+		t.Errorf("bb at %v", p)
 	}
 }
 
 func TestLexIntegers(t *testing.T) {
 	// A leading 0 means octal, as in C, CORBA IDL (section 7.2.6.1)
 	// and XDR (RFC 4506).
-	toks := lexAll(t, "42 0x1F 0 010 0777")
-	if toks[0].Int != 42 || toks[1].Int != 31 || toks[2].Int != 0 || toks[3].Int != 8 || toks[4].Int != 511 {
-		t.Fatalf("ints = %d %d %d %d %d", toks[0].Int, toks[1].Int, toks[2].Int, toks[3].Int, toks[4].Int)
+	l, toks := lexAll(t, "42 0x1F 0 010 0777")
+	if l.Int(toks[0]) != 42 || l.Int(toks[1]) != 31 || l.Int(toks[2]) != 0 || l.Int(toks[3]) != 8 || l.Int(toks[4]) != 511 {
+		t.Fatalf("ints = %d %d %d %d %d", l.Int(toks[0]), l.Int(toks[1]), l.Int(toks[2]), l.Int(toks[3]), l.Int(toks[4]))
 	}
 }
 
 func TestLexStrings(t *testing.T) {
-	toks := lexAll(t, `"hello \"there\"\n"`)
-	if toks[0].Kind != StrLit || toks[0].Text != "hello \"there\"\n" {
-		t.Fatalf("string = %q", toks[0].Text)
+	l, toks := lexAll(t, `"hello \"there\"\n" "plain"`)
+	if toks[0].Kind != StrLit || l.Text(toks[0]) != "hello \"there\"\n" {
+		t.Fatalf("string = %q", l.Text(toks[0]))
+	}
+	if toks[1].Kind != StrLit || l.Text(toks[1]) != "plain" {
+		t.Fatalf("string = %q", l.Text(toks[1]))
 	}
 }
 
 func TestLexMultiPunct(t *testing.T) {
 	// "::" is the only multi-character token: ">>" closes two nested
 	// sequences, and no front end has a shift operator.
-	toks := lexAll(t, "a::b < >> <<")
-	var texts []string
-	for _, tok := range toks {
-		texts = append(texts, tok.Text)
-	}
-	want := "a :: b < > > < <"
-	if strings.Join(texts, " ") != want {
-		t.Fatalf("tokens = %v", texts)
+	l, toks := lexAll(t, "a::b < >> <<")
+	if got := texts(l, toks); got != "a :: b < > > < <" {
+		t.Fatalf("tokens = %v", got)
 	}
 }
 
@@ -145,11 +149,11 @@ func TestPeekDoesNotConsume(t *testing.T) {
 	p := NewParser("t", "x y")
 	t1, _ := p.Peek()
 	t2, _ := p.Peek()
-	if t1.Text != "x" || t2.Text != "x" {
+	if p.Text(t1) != "x" || p.Text(t2) != "x" {
 		t.Fatal("peek consumed input")
 	}
 	t3, _ := p.Next()
-	if t3.Text != "x" {
+	if p.Text(t3) != "x" {
 		t.Fatal("next after peek returned wrong token")
 	}
 }
@@ -169,17 +173,18 @@ func naivePos(src string, off int) (line, col int) {
 }
 
 // checkLex lexes all of src, checking every token's position against
-// naivePos at the token's offset and, if lexing fails, that the error
-// is an *Error positioned inside the source. Every other token is
-// peeked first, so both paths to a token are covered.
+// naivePos at the token's offset, the end-of-input token against
+// EndPos, and, if lexing fails, that the error is an *Error positioned
+// inside the source. Every other token is peeked first, so both paths
+// to a token are covered.
 func checkLex(t *testing.T, src string) {
 	t.Helper()
 	l := NewLexer("f", src)
+	prev := int32(-1)
 	for n := 0; n <= len(src); n++ {
-		err := l.skipSpaceAndComments()
-		off := l.off
 		var tok Token
-		if err == nil && n%2 == 1 {
+		var err error
+		if n%2 == 1 {
 			_, err = l.Peek()
 		}
 		if err == nil {
@@ -196,17 +201,55 @@ func checkLex(t *testing.T, src string) {
 			}
 			return
 		}
-		if line, col := naivePos(src, off); tok.Pos != (Pos{"f", line, col}) {
-			t.Fatalf("%q: token %s at offset %d has position %v, want %d:%d", src, tok, off, tok.Pos, line, col)
+		if tok.Off <= prev || tok.End < tok.Off || int(tok.End) > len(src) {
+			t.Fatalf("%q: token %s spans [%d,%d) after one at %d", src, l.Describe(tok), tok.Off, tok.End, prev)
+		}
+		prev = tok.Off
+		if line, col := naivePos(src, int(tok.Off)); l.Pos(tok) != (Pos{"f", line, col}) {
+			t.Fatalf("%q: token %s at offset %d has position %v, want %d:%d", src, l.Describe(tok), tok.Off, l.Pos(tok), line, col)
 		}
 		if tok.Kind == EOF {
+			if int(tok.Off) != len(src) || l.Pos(tok) != EndPos("f", src) {
+				t.Fatalf("%q: end of input at offset %d, %v; want %d, %v", src, tok.Off, l.Pos(tok), len(src), EndPos("f", src))
+			}
 			return
 		}
 	}
 	t.Fatalf("%q: more tokens than bytes", src)
 }
 
-var lexCorpus = []string{
+// lexCorpus is the seed corpus of FuzzLex and of the position check:
+// the repository's IDL and PDL files, then inputs aimed at the lexer's
+// corners.
+func lexCorpus(tb testing.TB) []string {
+	var files []string
+	for _, pattern := range []string{
+		"../../bench/*.[ip]dl",
+		"../../examples/*/*.[ip]dl",
+		"../../examples/*/*/*.[ip]dl",
+		"../codegen/testdata/*.[ip]dl",
+	} {
+		m, err := filepath.Glob(pattern)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		files = append(files, m...)
+	}
+	if len(files) < 10 {
+		tb.Fatalf("found %d IDL/PDL files, want the repository's 10: %v", len(files), files)
+	}
+	var corpus []string
+	for _, name := range files {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		corpus = append(corpus, string(b))
+	}
+	return append(corpus, lexEdges...)
+}
+
+var lexEdges = []string{
 	"interface A {\r\n\tvoid f(in long x);\r\n};\r\n",
 	"a\tb\t\tc\n\t\td",
 	"x /* block\ncomment\r\nspanning */ y /**/ z /* a */\nw",
@@ -225,7 +268,7 @@ var lexCorpus = []string{
 }
 
 func TestLexPositionsMatchNaiveCount(t *testing.T) {
-	for _, src := range lexCorpus {
+	for _, src := range lexCorpus(t) {
 		checkLex(t, src)
 	}
 }
@@ -234,10 +277,41 @@ func TestLexPositionsMatchNaiveCount(t *testing.T) {
 // token's position agrees with a naive count, and every error is an
 // *Error with a position inside the source.
 func FuzzLex(f *testing.F) {
-	for _, src := range lexCorpus {
+	for _, src := range lexCorpus(f) {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		checkLex(t, src)
 	})
+}
+
+// BenchmarkLex lexes the repository benchmark's contract and client
+// PDL, the first stage of every compile BenchmarkCompile times. Compare
+// a change with its parent in pairs:
+//
+//	go test -run '^$' -bench Lex -benchmem -count 10 ./internal/idl
+func BenchmarkLex(b *testing.B) {
+	var srcs []string
+	for _, name := range []string{"../../bench/bench.idl", "../../bench/client.pdl"} {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srcs = append(srcs, string(src))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, src := range srcs {
+			l := NewLexer("bench", src)
+			for {
+				tok, err := l.Next()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if tok.Kind == EOF {
+					break
+				}
+			}
+		}
+	}
 }

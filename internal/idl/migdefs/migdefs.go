@@ -17,8 +17,6 @@
 package migdefs
 
 import (
-	"fmt"
-
 	"flexrpc/internal/idl"
 	"flexrpc/internal/ir"
 )
@@ -31,7 +29,7 @@ func Parse(filename, src string) (*ir.File, error) {
 		return nil, err
 	}
 	if err := p.file.Resolve(); err != nil {
-		return nil, fmt.Errorf("%s: %w", filename, err)
+		return nil, p.ResolveError(err)
 	}
 	return p.file, nil
 }
@@ -53,7 +51,7 @@ func (p *parser) parseFile() error {
 		}
 		if eof {
 			if p.iface == nil {
-				return fmt.Errorf("migdefs: %s declares no subsystem", p.file.Name)
+				return p.ErrorfAtNext("migdefs: the file declares no subsystem")
 			}
 			return nil
 		}
@@ -62,9 +60,9 @@ func (p *parser) parseFile() error {
 			return err
 		}
 		if tok.Kind != idl.Ident {
-			return idl.Errorf(tok.Pos, "expected declaration, found %s", tok)
+			return p.ErrorfAt(tok, "expected declaration, found %s", p.Describe(tok))
 		}
-		switch tok.Text {
+		switch p.Text(tok) {
 		case "subsystem":
 			err = p.parseSubsystem()
 		case "type":
@@ -85,14 +83,14 @@ func (p *parser) parseFile() error {
 					return nerr
 				}
 				if t.Kind == idl.EOF {
-					return idl.Errorf(t.Pos, "unterminated import directive")
+					return p.ErrorfAt(t, "unterminated import directive")
 				}
-				if t.Kind == idl.Punct && t.Text == ";" {
+				if t.Kind == idl.Punct && p.Text(t) == ";" {
 					break
 				}
 			}
 		default:
-			return idl.Errorf(tok.Pos, "unknown declaration %q", tok.Text)
+			return p.ErrorfAt(tok, "unknown declaration %q", p.Text(tok))
 		}
 		if err != nil {
 			return err
@@ -101,12 +99,12 @@ func (p *parser) parseFile() error {
 }
 
 func (p *parser) parseSubsystem() error {
-	name, pos, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err != nil {
 		return err
 	}
 	if p.iface != nil {
-		return idl.Errorf(pos, "duplicate subsystem declaration")
+		return p.ErrorfAt(at, "duplicate subsystem declaration")
 	}
 	base, err := p.ExpectInt()
 	if err != nil {
@@ -120,7 +118,7 @@ func (p *parser) parseSubsystem() error {
 
 // parseType handles "type name = spec;".
 func (p *parser) parseType() error {
-	name, pos, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err != nil {
 		return err
 	}
@@ -132,7 +130,7 @@ func (p *parser) parseType() error {
 		return err
 	}
 	if _, dup := p.file.Typedefs[name]; dup {
-		return idl.Errorf(pos, "duplicate type %q", name)
+		return p.ErrorfAt(at, "duplicate type %q", name)
 	}
 	p.file.Typedefs[name] = t
 	return p.Expect(";")
@@ -145,9 +143,9 @@ func (p *parser) parseTypeSpec() (*ir.Type, error) {
 		return nil, err
 	}
 	if tok.Kind != idl.Ident {
-		return nil, idl.Errorf(tok.Pos, "expected type, found %s", tok)
+		return nil, p.ErrorfAt(tok, "expected type, found %s", p.Describe(tok))
 	}
-	switch tok.Text {
+	switch p.Text(tok) {
 	case "int", "integer_t":
 		return ir.Int32Type, nil
 	case "unsigned", "natural_t":
@@ -176,7 +174,7 @@ func (p *parser) parseTypeSpec() (*ir.Type, error) {
 	case "mach_port_t", "mach_port_send_t":
 		return ir.PortType, nil
 	case "array":
-		return p.parseArray(tok.Pos)
+		return p.parseArray(tok)
 	case "struct":
 		// struct[N] of T: a fixed inline array in MIG terms.
 		if err := p.Expect("["); err != nil {
@@ -192,23 +190,23 @@ func (p *parser) parseTypeSpec() (*ir.Type, error) {
 		if err := p.ExpectKeyword("of"); err != nil {
 			return nil, err
 		}
-		elem, err := p.parseElem(tok.Pos)
+		elem, err := p.parseElem(tok)
 		if err != nil {
 			return nil, err
 		}
 		return ir.ArrayOf(elem, int(n)), nil
 	case "polymorphic":
-		return nil, idl.Errorf(tok.Pos, "polymorphic types are not supported")
+		return nil, p.ErrorfAt(tok, "polymorphic types are not supported")
 	default:
-		return &ir.Type{Kind: ir.Named, Name: tok.Text}, nil
+		return &ir.Type{Kind: ir.Named, Name: p.Text(tok), Off: int(tok.Off)}, nil
 	}
 }
 
-// parseElem parses the element type of the array specifier at pos,
+// parseElem parses the element type of the array specifier token at,
 // one level deeper than the array.
-func (p *parser) parseElem(pos idl.Pos) (*ir.Type, error) {
+func (p *parser) parseElem(at idl.Token) (*ir.Type, error) {
 	if p.depth == ir.MaxTypeDepth {
-		return nil, idl.Errorf(pos, "type nests deeper than %d levels", ir.MaxTypeDepth)
+		return nil, p.ErrorfAt(at, "type nests deeper than %d levels", ir.MaxTypeDepth)
 	}
 	p.depth++
 	defer func() { p.depth-- }()
@@ -220,7 +218,7 @@ func (p *parser) parseElem(pos idl.Pos) (*ir.Type, error) {
 //	array[N] of T        fixed-length
 //	array[] of T         variable, unbounded
 //	array[*:N] of T      variable, bounded by N
-func (p *parser) parseArray(pos idl.Pos) (*ir.Type, error) {
+func (p *parser) parseArray(at idl.Token) (*ir.Type, error) {
 	if err := p.Expect("["); err != nil {
 		return nil, err
 	}
@@ -253,7 +251,7 @@ func (p *parser) parseArray(pos idl.Pos) (*ir.Type, error) {
 	if err := p.ExpectKeyword("of"); err != nil {
 		return nil, err
 	}
-	elem, err := p.parseElem(pos)
+	elem, err := p.parseElem(at)
 	if err != nil {
 		return nil, err
 	}
@@ -268,12 +266,12 @@ func (p *parser) parseRoutine(oneway bool) error {
 	if p.iface == nil {
 		return p.ErrorfAtNext("routine before subsystem declaration")
 	}
-	name, pos, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err != nil {
 		return err
 	}
 	if p.iface.Op(name) != nil {
-		return idl.Errorf(pos, "duplicate routine %q", name)
+		return p.ErrorfAt(at, "duplicate routine %q", name)
 	}
 	op := ir.Operation{
 		Name:   name,
@@ -305,28 +303,28 @@ func (p *parser) parseRoutine(oneway bool) error {
 				break
 			}
 		}
-		param, argPos, err := p.parseArg()
+		param, argAt, err := p.parseArg()
 		if err != nil {
 			return err
 		}
 		if first {
 			// The request port: transport binding, not contract.
 			if param.Type.Kind != ir.Port && param.Type.Kind != ir.Named {
-				return idl.Errorf(pos, "routine %q: first argument must be the request port", name)
+				return p.ErrorfAt(at, "routine %q: first argument must be the request port", name)
 			}
 			first = false
 			continue
 		}
 		first = false
 		if op.ParamNameTaken(param.Name) {
-			return idl.Errorf(argPos, "routine %q: argument name %q is taken", name, param.Name)
+			return p.ErrorfAt(argAt, "routine %q: argument name %q is taken", name, param.Name)
 		}
 		op.Params = append(op.Params, param)
 	}
 	if oneway {
 		for _, prm := range op.Params {
 			if prm.Dir != ir.In {
-				return idl.Errorf(pos, "simpleroutine %q cannot have out arguments", name)
+				return p.ErrorfAt(at, "simpleroutine %q cannot have out arguments", name)
 			}
 		}
 	}
@@ -338,28 +336,28 @@ func (p *parser) parseRoutine(oneway bool) error {
 }
 
 // parseArg handles "dir name : type", returning the name's position.
-func (p *parser) parseArg() (ir.Param, idl.Pos, error) {
+func (p *parser) parseArg() (ir.Param, idl.Token, error) {
 	dir := ir.In
 	if ok, err := p.AcceptKeyword("in"); err != nil {
-		return ir.Param{}, idl.Pos{}, err
+		return ir.Param{}, idl.Token{}, err
 	} else if !ok {
 		if ok, err := p.AcceptKeyword("out"); err != nil {
-			return ir.Param{}, idl.Pos{}, err
+			return ir.Param{}, idl.Token{}, err
 		} else if ok {
 			dir = ir.Out
 		} else if ok, err := p.AcceptKeyword("inout"); err != nil {
-			return ir.Param{}, idl.Pos{}, err
+			return ir.Param{}, idl.Token{}, err
 		} else if ok {
 			dir = ir.InOut
 		}
 	}
-	name, pos, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err != nil {
-		return ir.Param{}, pos, err
+		return ir.Param{}, at, err
 	}
 	if err := p.Expect(":"); err != nil {
-		return ir.Param{}, pos, err
+		return ir.Param{}, at, err
 	}
 	t, err := p.parseTypeSpec()
-	return ir.Param{Name: name, Type: t, Dir: dir}, pos, err
+	return ir.Param{Name: name, Type: t, Dir: dir}, at, err
 }

@@ -22,7 +22,7 @@ func Parse(filename, src string) (*ir.File, error) {
 		return nil, err
 	}
 	if err := p.file.Resolve(); err != nil {
-		return nil, fmt.Errorf("%s: %w", filename, err)
+		return nil, p.ResolveError(err)
 	}
 	return p.file, nil
 }
@@ -46,9 +46,9 @@ func (p *parser) parseFile() error {
 			return err
 		}
 		if tok.Kind != idl.Ident {
-			return idl.Errorf(tok.Pos, "expected declaration, found %s", tok)
+			return p.ErrorfAt(tok, "expected declaration, found %s", p.Describe(tok))
 		}
-		switch tok.Text {
+		switch p.Text(tok) {
 		case "const":
 			err = p.parseConst()
 		case "typedef":
@@ -60,9 +60,9 @@ func (p *parser) parseFile() error {
 		case "program":
 			err = p.parseProgram()
 		case "union":
-			return idl.Errorf(tok.Pos, "XDR unions are not supported by this front-end")
+			return p.ErrorfAt(tok, "XDR unions are not supported by this front-end")
 		default:
-			return idl.Errorf(tok.Pos, "unknown declaration %q", tok.Text)
+			return p.ErrorfAt(tok, "unknown declaration %q", p.Text(tok))
 		}
 		if err != nil {
 			return err
@@ -71,7 +71,7 @@ func (p *parser) parseFile() error {
 }
 
 func (p *parser) parseConst() error {
-	name, pos, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err != nil {
 		return err
 	}
@@ -83,7 +83,7 @@ func (p *parser) parseConst() error {
 		return err
 	}
 	if _, dup := p.file.Consts[name]; dup {
-		return idl.Errorf(pos, "duplicate const %q", name)
+		return p.ErrorfAt(at, "duplicate const %q", name)
 	}
 	p.file.Consts[name] = v
 	return p.Expect(";")
@@ -101,15 +101,15 @@ func (p *parser) constValue() (int64, error) {
 	var v int64
 	switch tok.Kind {
 	case idl.Int:
-		v = tok.Int
+		v = p.Int(tok)
 	case idl.Ident:
-		got, ok := p.file.Consts[tok.Text]
+		got, ok := p.file.Consts[p.Text(tok)]
 		if !ok {
-			return 0, idl.Errorf(tok.Pos, "unknown constant %q", tok.Text)
+			return 0, p.ErrorfAt(tok, "unknown constant %q", p.Text(tok))
 		}
 		v = got
 	default:
-		return 0, idl.Errorf(tok.Pos, "expected constant, found %s", tok)
+		return 0, p.ErrorfAt(tok, "expected constant, found %s", p.Describe(tok))
 	}
 	if neg {
 		v = -v
@@ -125,9 +125,9 @@ func (p *parser) parseTypeSpec() (*ir.Type, error) {
 		return nil, err
 	}
 	if tok.Kind != idl.Ident {
-		return nil, idl.Errorf(tok.Pos, "expected type, found %s", tok)
+		return nil, p.ErrorfAt(tok, "expected type, found %s", p.Describe(tok))
 	}
-	switch tok.Text {
+	switch p.Text(tok) {
 	case "void":
 		return ir.VoidType, nil
 	case "bool":
@@ -142,7 +142,7 @@ func (p *parser) parseTypeSpec() (*ir.Type, error) {
 			return nil, err
 		}
 		if next.Kind == idl.Ident {
-			switch next.Text {
+			switch p.Text(next) {
 			case "int", "long":
 				_, _ = p.Next()
 				return ir.Uint32Type, nil
@@ -164,7 +164,7 @@ func (p *parser) parseTypeSpec() (*ir.Type, error) {
 	case "string":
 		return ir.StringType, nil
 	default:
-		return &ir.Type{Kind: ir.Named, Name: tok.Text}, nil
+		return &ir.Type{Kind: ir.Named, Name: p.Text(tok), Off: int(tok.Off)}, nil
 	}
 }
 
@@ -181,7 +181,7 @@ func (p *parser) parseDecl() (string, *ir.Type, error) {
 	} else if ok {
 		return "", nil, p.ErrorfAtNext("XDR optional data (*) is not supported")
 	}
-	name, pos, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err != nil {
 		return "", nil, err
 	}
@@ -196,7 +196,7 @@ func (p *parser) parseDecl() (string, *ir.Type, error) {
 			return "", nil, err
 		}
 		if t.Kind == ir.StringType.Kind {
-			return "", nil, idl.Errorf(pos, "string cannot be fixed-length")
+			return "", nil, p.ErrorfAt(at, "string cannot be fixed-length")
 		}
 		return name, ir.ArrayOf(t, int(n)), nil
 	}
@@ -225,7 +225,7 @@ func (p *parser) parseDecl() (string, *ir.Type, error) {
 		}
 	}
 	if t.Kind == ir.Uint8Kind {
-		return "", nil, idl.Errorf(pos, "opaque requires [n] or <> declarator")
+		return "", nil, p.ErrorfAt(at, "opaque requires [n] or <> declarator")
 	}
 	return name, t, nil
 }
@@ -243,7 +243,7 @@ func (p *parser) parseTypedef() error {
 }
 
 func (p *parser) parseStruct() error {
-	name, pos, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err != nil {
 		return err
 	}
@@ -272,14 +272,14 @@ func (p *parser) parseStruct() error {
 		return err
 	}
 	if _, dup := p.file.Typedefs[name]; dup {
-		return idl.Errorf(pos, "duplicate type %q", name)
+		return p.ErrorfAt(at, "duplicate type %q", name)
 	}
 	p.file.Typedefs[name] = st
 	return nil
 }
 
 func (p *parser) parseEnum() error {
-	name, pos, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err != nil {
 		return err
 	}
@@ -289,7 +289,7 @@ func (p *parser) parseEnum() error {
 	et := &ir.Type{Kind: ir.Enum, Name: name}
 	next := int64(0)
 	for {
-		id, idPos, err := p.ExpectIdent()
+		id, idAt, err := p.ExpectIdent()
 		if err != nil {
 			return err
 		}
@@ -303,7 +303,7 @@ func (p *parser) parseEnum() error {
 			}
 		}
 		if _, dup := p.file.Consts[id]; dup {
-			return idl.Errorf(idPos, "duplicate enumerator %q", id)
+			return p.ErrorfAt(idAt, "duplicate enumerator %q", id)
 		}
 		p.file.Consts[id] = val
 		et.Enumerators = append(et.Enumerators, id)
@@ -323,7 +323,7 @@ func (p *parser) parseEnum() error {
 		return err
 	}
 	if _, dup := p.file.Typedefs[name]; dup {
-		return idl.Errorf(pos, "duplicate type %q", name)
+		return p.ErrorfAt(at, "duplicate type %q", name)
 	}
 	p.file.Typedefs[name] = et
 	return nil

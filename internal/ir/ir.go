@@ -61,6 +61,9 @@ type Type struct {
 	Size        int     // byte count for FixedBytes; element count for Array
 	Fields      []Field // for Struct, in declaration (wire) order
 	Enumerators []string
+	// Off is a Named reference's byte offset in its source file, for
+	// a Resolve error to be positioned there.
+	Off int
 }
 
 // A Field is one member of a struct type.
@@ -396,23 +399,40 @@ func (f *File) Interface(name string) *Interface {
 // refuse a deeper one before any of them can run out of stack.
 const MaxTypeDepth = 64
 
+// MaxTypeNodes bounds the size of one parameter's or result's type as
+// Resolve expands it, typedef references copied in. Within
+// MaxTypeDepth a typedef'd struct whose two fields are the previous
+// level doubles per level, so depth alone admits 2^33 - 1 nodes.
+const MaxTypeNodes = 1 << 16
+
+// A RefError is a typedef reference Resolve could not follow.
+type RefError struct {
+	Off int // the reference's byte offset in its source file
+	Msg string
+}
+
+func (e *RefError) Error() string { return e.Msg }
+
 // Resolve replaces every Named type reference in the file with the
 // referenced typedef's structure. It reports an error on dangling or
-// cyclic references, and on a type nesting deeper than MaxTypeDepth.
+// cyclic references (a *RefError, wrapped), and on a type nesting
+// deeper than MaxTypeDepth or expanding to more than MaxTypeNodes.
 func (f *File) Resolve() error {
 	var seen [8]string // typedef chains are short: no allocation for the names
 	for _, iface := range f.Interfaces {
 		for oi := range iface.Ops {
 			op := &iface.Ops[oi]
 			for pi := range op.Params {
-				t, err := f.resolveType(op.Params[pi].Type, seen[:0], 0)
+				nodes := 0
+				t, err := f.resolveType(op.Params[pi].Type, seen[:0], 0, &nodes)
 				if err != nil {
 					return fmt.Errorf("%s.%s param %s: %w", iface.Name, op.Name, op.Params[pi].Name, err)
 				}
 				op.Params[pi].Type = t
 			}
 			if op.Result != nil {
-				t, err := f.resolveType(op.Result, seen[:0], 0)
+				nodes := 0
+				t, err := f.resolveType(op.Result, seen[:0], 0, &nodes)
 				if err != nil {
 					return fmt.Errorf("%s.%s result: %w", iface.Name, op.Name, err)
 				}
@@ -424,28 +444,35 @@ func (f *File) Resolve() error {
 }
 
 // resolveType resolves t, which sits depth levels inside the type being
-// resolved.
-func (f *File) resolveType(t *Type, seen []string, depth int) (*Type, error) {
+// resolved; nodes counts the nodes of the resolved type so far.
+func (f *File) resolveType(t *Type, seen []string, depth int, nodes *int) (*Type, error) {
 	if t == nil {
 		return nil, nil
 	}
 	if depth > MaxTypeDepth {
 		return nil, fmt.Errorf("ir: type nests deeper than %d levels", MaxTypeDepth)
 	}
+	if t.Kind != Named {
+		// A reference is replaced by what it names, so it is no node
+		// of the resolved type.
+		if *nodes++; *nodes > MaxTypeNodes {
+			return nil, fmt.Errorf("ir: type expands to more than %d nodes", MaxTypeNodes)
+		}
+	}
 	switch t.Kind {
 	case Named:
 		for _, s := range seen {
 			if s == t.Name {
-				return nil, fmt.Errorf("ir: cyclic typedef %q", t.Name)
+				return nil, &RefError{t.Off, fmt.Sprintf("ir: cyclic typedef %q", t.Name)}
 			}
 		}
 		def, ok := f.Typedefs[t.Name]
 		if !ok {
-			return nil, fmt.Errorf("ir: unknown type %q", t.Name)
+			return nil, &RefError{t.Off, fmt.Sprintf("ir: unknown type %q", t.Name)}
 		}
-		return f.resolveType(def, append(seen, t.Name), depth+1)
+		return f.resolveType(def, append(seen, t.Name), depth+1, nodes)
 	case Seq, Array:
-		elem, err := f.resolveType(t.Elem, seen, depth+1)
+		elem, err := f.resolveType(t.Elem, seen, depth+1, nodes)
 		if err != nil {
 			return nil, err
 		}
@@ -461,7 +488,7 @@ func (f *File) resolveType(t *Type, seen []string, depth int) (*Type, error) {
 	case Struct:
 		var fields []Field // a copy, made at the first field that changes
 		for i, fl := range t.Fields {
-			ft, err := f.resolveType(fl.Type, seen, depth+1)
+			ft, err := f.resolveType(fl.Type, seen, depth+1, nodes)
 			if err != nil {
 				return nil, err
 			}

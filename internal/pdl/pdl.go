@@ -21,11 +21,13 @@ import (
 	"flexrpc/internal/pres"
 )
 
-// An attr is one parsed [name] or [name(arg,...)] attribute.
+// An attr is one parsed [name] or [name(arg,...)] attribute. Every
+// attribute takes at most one argument, so only the first is kept.
 type attr struct {
-	name string
-	args []string
-	pos  idl.Pos
+	name  string
+	arg   string // the first argument
+	nargs int
+	pos   idl.Pos
 }
 
 // Apply parses PDL source and applies it to p in place, then
@@ -45,16 +47,16 @@ func ApplyLoose(p *pres.Presentation, filename, src string) error {
 	return apply(p, filename, src, false)
 }
 
+// apply annotates out clause by clause as it parses. A syntax error
+// anywhere in the file is the error; else the first annotation that
+// failed to apply, after which nothing more is applied.
 func apply(out *pres.Presentation, filename, src string, strict bool) error {
-	p := &parser{Parser: idl.NewParser(filename, src)}
-	decls, err := p.parseFile()
-	if err != nil {
+	p := &parser{Parser: idl.NewParser(filename, src), out: out, strict: strict}
+	if err := p.parseFile(); err != nil {
 		return err
 	}
-	for _, d := range decls {
-		if err := d.apply(out, strict); err != nil {
-			return err
-		}
+	if p.err != nil {
+		return p.err
 	}
 	if strict {
 		return out.Validate()
@@ -62,169 +64,165 @@ func apply(out *pres.Presentation, filename, src string, strict bool) error {
 	return nil
 }
 
-type paramDecl struct {
-	name  string
-	attrs []attr
-	pos   idl.Pos
-}
-
-type opDecl struct {
-	name   string
-	attrs  []attr
-	params []paramDecl
-	pos    idl.Pos
-}
-
-type ifaceDecl struct {
-	name  string
-	attrs []attr
-	ops   []opDecl
-	pos   idl.Pos
-}
-
 type parser struct {
 	idl.Parser
+	out    *pres.Presentation
+	strict bool
+	err    error  // the first annotation that failed to apply
+	attrs  []attr // the attribute list just parsed; every list reuses it
 }
 
-func (p *parser) parseFile() ([]ifaceDecl, error) {
-	var decls []ifaceDecl
+func (p *parser) parseFile() error {
 	for {
 		eof, err := p.AtEOF()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if eof {
-			return decls, nil
+			return nil
 		}
-		d, err := p.parseInterface()
-		if err != nil {
-			return nil, err
+		if err := p.parseInterface(); err != nil {
+			return err
 		}
-		decls = append(decls, d)
 	}
 }
 
-// parseAttrs parses an optional bracketed attribute list.
-func (p *parser) parseAttrs() ([]attr, error) {
+// parseAttrs parses an optional bracketed attribute list into p.attrs.
+func (p *parser) parseAttrs() error {
+	p.attrs = p.attrs[:0]
 	ok, err := p.Accept("[")
 	if err != nil || !ok {
-		return nil, err
+		return err
 	}
-	var attrs []attr
 	for {
-		name, pos, err := p.ExpectIdent()
+		name, at, err := p.ExpectIdent()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		a := attr{name: name, pos: pos}
+		a := attr{name: name, pos: p.Pos(at)}
 		if ok, err := p.Accept("("); err != nil {
-			return nil, err
+			return err
 		} else if ok {
 			for {
 				arg, _, err := p.ExpectIdent()
 				if err != nil {
-					return nil, err
+					return err
 				}
-				a.args = append(a.args, arg)
+				if a.nargs++; a.nargs == 1 {
+					a.arg = arg
+				}
 				more, err := p.Accept(",")
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if !more {
 					break
 				}
 			}
 			if err := p.Expect(")"); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		attrs = append(attrs, a)
+		p.attrs = append(p.attrs, a)
 		more, err := p.Accept(",")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !more {
 			break
 		}
 	}
-	return attrs, p.Expect("]")
+	return p.Expect("]")
 }
 
-func (p *parser) parseInterface() (d ifaceDecl, err error) {
-	if d.attrs, err = p.parseAttrs(); err != nil {
-		return d, err
+func (p *parser) parseInterface() error {
+	if err := p.parseAttrs(); err != nil {
+		return err
 	}
 	if err := p.ExpectKeyword("interface"); err != nil {
-		return d, err
+		return err
 	}
-	if d.name, d.pos, err = p.ExpectIdent(); err != nil {
-		return d, err
+	name, at, err := p.ExpectIdent()
+	if err != nil {
+		return err
+	}
+	if p.err == nil {
+		p.err = p.applyInterface(name, at)
 	}
 	if err := p.Expect("{"); err != nil {
-		return d, err
+		return err
 	}
 	for {
 		done, err := p.Accept("}")
 		if err != nil {
-			return d, err
+			return err
 		}
 		if done {
 			break
 		}
-		op, err := p.parseOp()
-		if err != nil {
-			return d, err
+		if err := p.parseOp(); err != nil {
+			return err
 		}
-		d.ops = append(d.ops, op)
 	}
 	_, err = p.Accept(";")
-	return d, err
+	return err
 }
 
-func (p *parser) parseOp() (d opDecl, err error) {
-	if d.attrs, err = p.parseAttrs(); err != nil {
-		return d, err
+func (p *parser) parseOp() error {
+	if err := p.parseAttrs(); err != nil {
+		return err
 	}
-	if d.name, d.pos, err = p.ExpectIdent(); err != nil {
-		return d, err
+	name, at, err := p.ExpectIdent()
+	if err != nil {
+		return err
+	}
+	var op *pres.OpPres
+	if p.err == nil {
+		op, p.err = p.applyOp(name, at)
 	}
 	if err := p.Expect("("); err != nil {
-		return d, err
+		return err
 	}
-	for {
+	for first := true; ; first = false {
 		done, err := p.Accept(")")
 		if err != nil {
-			return d, err
+			return err
 		}
 		if done {
 			break
 		}
-		if len(d.params) > 0 {
+		if !first {
 			if err := p.Expect(","); err != nil {
-				return d, err
+				return err
 			}
 		}
-		pattrs, err := p.parseAttrs()
-		if err != nil {
-			return d, err
+		if err := p.parseAttrs(); err != nil {
+			return err
 		}
-		pname, ppos, err := p.ExpectIdent()
+		pname, pat, err := p.ExpectIdent()
 		if err != nil {
-			return d, err
+			return err
 		}
-		d.params = append(d.params, paramDecl{name: pname, attrs: pattrs, pos: ppos})
+		if p.err == nil {
+			p.err = p.applyParam(op, pname, pat)
+		}
 	}
-	return d, p.Expect(";")
+	return p.Expect(";")
 }
 
-func (d *ifaceDecl) apply(out *pres.Presentation, strict bool) error {
-	if d.name != out.Interface.Name {
-		return idl.Errorf(d.pos, "pdl: interface %q does not match presentation interface %q",
-			d.name, out.Interface.Name)
+// applyInterface applies the attribute list just parsed to the
+// interface declared as name.
+func (p *parser) applyInterface(name string, at idl.Token) error {
+	out := p.out
+	if name != out.Interface.Name {
+		return p.ErrorfAt(at, "pdl: interface %q does not match presentation interface %q",
+			name, out.Interface.Name)
 	}
-	for _, a := range d.attrs {
+	for _, a := range p.attrs {
+		var attr pres.IfaceAttr
 		switch a.name {
 		case "leaky":
+			attr = pres.AttrLeaky
 			if out.Trust < pres.TrustLeaky {
 				out.Trust = pres.TrustLeaky
 			}
@@ -233,60 +231,67 @@ func (d *ifaceDecl) apply(out *pres.Presentation, strict bool) error {
 			// same grant: the peer shares a protection domain, so
 			// validation and the per-call ownership protocol may be
 			// elided (shmring's arena fast path).
+			attr = pres.AttrUnprotected
+			if a.name == "trusted" {
+				attr = pres.AttrTrusted
+			}
 			out.Trust = pres.TrustFull
 		case "corba_style":
+			attr = pres.AttrCORBAStyle
 			out.Style = pres.StyleCORBA
 		case "mig_style":
+			attr = pres.AttrMIGStyle
 			out.Style = pres.StyleMIG
 		default:
 			return idl.Errorf(a.pos, "pdl: unknown interface attribute %q", a.name)
 		}
-		out.MarkAt(a.name, a.pos)
-	}
-	for _, op := range d.ops {
-		if err := op.apply(out, strict); err != nil {
-			return err
-		}
+		out.MarkAt(attr, a.pos)
 	}
 	return nil
 }
 
-func (d *opDecl) apply(out *pres.Presentation, strict bool) error {
-	op := out.Op(d.name)
+// applyOp applies the attribute list just parsed to the operation
+// declared as name, returning its presentation.
+func (p *parser) applyOp(name string, at idl.Token) (*pres.OpPres, error) {
+	op := p.out.Op(name)
 	if op == nil {
-		if strict {
-			return idl.Errorf(d.pos, "pdl: operation %q not in interface %q", d.name, out.Interface.Name)
+		if p.strict {
+			return nil, p.ErrorfAt(at, "pdl: operation %q not in interface %q", name, p.out.Interface.Name)
 		}
 		// Loose mode: keep the dangling declaration so the analyzer
 		// can report it with its position.
-		op = &pres.OpPres{Name: d.name, Params: make(map[string]*pres.ParamAttrs)}
-		out.Ops[d.name] = op
+		op = p.out.Annotate(name)
 	}
 	if op.Pos.Line == 0 {
-		op.Pos = d.pos
+		op.Pos = p.Pos(at)
 	}
-	for _, a := range d.attrs {
+	for _, a := range p.attrs {
+		var attr pres.OpAttr
 		switch a.name {
 		case "comm_status":
-			op.CommStatus = true
+			attr, op.CommStatus = pres.AttrCommStatus, true
 		case "idempotent":
-			op.Idempotent = true
+			attr, op.Idempotent = pres.AttrIdempotent, true
 		case "batchable":
-			op.Batchable = true
+			attr, op.Batchable = pres.AttrBatchable, true
 		default:
-			return idl.Errorf(a.pos, "pdl: unknown operation attribute %q (accepted: comm_status, idempotent, batchable)", a.name)
+			return nil, idl.Errorf(a.pos, "pdl: unknown operation attribute %q (accepted: comm_status, idempotent, batchable)", a.name)
 		}
-		op.MarkAt(a.name, a.pos)
+		op.MarkAt(attr, a.pos)
 	}
-	for _, pd := range d.params {
-		pa := op.Param(pd.name)
-		if pa.Pos.Line == 0 {
-			pa.Pos = pd.pos
-		}
-		for _, a := range pd.attrs {
-			if err := applyParamAttr(pa, a); err != nil {
-				return err
-			}
+	return op, nil
+}
+
+// applyParam applies the attribute list just parsed to op's parameter
+// declared as name.
+func (p *parser) applyParam(op *pres.OpPres, name string, at idl.Token) error {
+	pa := op.Annotate(name)
+	if pa.Pos.Line == 0 {
+		pa.Pos = p.Pos(at)
+	}
+	for _, a := range p.attrs {
+		if err := applyParamAttr(pa, a); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -294,49 +299,47 @@ func (d *opDecl) apply(out *pres.Presentation, strict bool) error {
 
 func applyParamAttr(pa *pres.ParamAttrs, a attr) error {
 	oneArg := func() (string, error) {
-		if len(a.args) != 1 {
+		if a.nargs != 1 {
 			return "", idl.Errorf(a.pos, "pdl: %s expects exactly one argument", a.name)
 		}
-		return a.args[0], nil
+		return a.arg, nil
 	}
-	noArgs := func() error {
-		if len(a.args) != 0 {
+	var attr pres.ParamAttr
+	// flag applies an attribute that takes no arguments.
+	flag := func(f *bool, at pres.ParamAttr) error {
+		if a.nargs != 0 {
 			return idl.Errorf(a.pos, "pdl: %s takes no arguments", a.name)
 		}
+		*f, attr = true, at
 		return nil
 	}
 	switch a.name {
 	case "special":
-		if err := noArgs(); err != nil {
+		if err := flag(&pa.Special, pres.AttrSpecial); err != nil {
 			return err
 		}
-		pa.Special = true
 	case "trashable":
-		if err := noArgs(); err != nil {
+		if err := flag(&pa.Trashable, pres.AttrTrashable); err != nil {
 			return err
 		}
-		pa.Trashable = true
 	case "preserved":
-		if err := noArgs(); err != nil {
+		if err := flag(&pa.Preserved, pres.AttrPreserved); err != nil {
 			return err
 		}
-		pa.Preserved = true
 	case "nonunique":
-		if err := noArgs(); err != nil {
+		if err := flag(&pa.NonUnique, pres.AttrNonUnique); err != nil {
 			return err
 		}
-		pa.NonUnique = true
 	case "traced":
-		if err := noArgs(); err != nil {
+		if err := flag(&pa.Traced, pres.AttrTraced); err != nil {
 			return err
 		}
-		pa.Traced = true
 	case "length_is":
 		arg, err := oneArg()
 		if err != nil {
 			return err
 		}
-		pa.LengthIs = arg
+		attr, pa.LengthIs = pres.AttrLengthIs, arg
 	case "dealloc":
 		arg, err := oneArg()
 		if err != nil {
@@ -350,6 +353,7 @@ func applyParamAttr(pa *pres.ParamAttrs, a attr) error {
 		default:
 			return idl.Errorf(a.pos, "pdl: dealloc(%s): want never or always", arg)
 		}
+		attr = pres.AttrDealloc
 	case "alloc":
 		arg, err := oneArg()
 		if err != nil {
@@ -365,9 +369,10 @@ func applyParamAttr(pa *pres.ParamAttrs, a attr) error {
 		default:
 			return idl.Errorf(a.pos, "pdl: alloc(%s): want caller, callee or auto", arg)
 		}
+		attr = pres.AttrAlloc
 	default:
 		return idl.Errorf(a.pos, "pdl: unknown parameter attribute %q", a.name)
 	}
-	pa.MarkAt(a.name, a.pos)
+	pa.MarkAt(attr, a.pos)
 	return nil
 }

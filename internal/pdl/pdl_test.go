@@ -230,24 +230,24 @@ func TestPositionsThreadedIntoPresentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pos, ok := p.PosOf("leaky"); !ok || pos.File != "pos.pdl" || pos.Line != 1 {
+	if pos, ok := p.PosOf(pres.AttrLeaky); !ok || pos.File != "pos.pdl" || pos.Line != 1 {
 		t.Errorf("leaky pos = %v, %v; want pos.pdl:1", pos, ok)
 	}
-	if pos, ok := p.Op("read").At["comm_status"]; !ok || pos.Line != 3 {
-		t.Errorf("comm_status pos = %v, %v; want line 3", pos, ok)
+	if pos := p.Op("read").At[pres.AttrCommStatus]; pos.Line != 3 {
+		t.Errorf("comm_status pos = %v; want line 3", pos)
 	}
 	r := p.Op("read").Result()
-	if pos, ok := r.At["dealloc"]; !ok || pos.Line != 3 || pos.Col != 25 {
-		t.Errorf("dealloc pos = %v, %v; want pos.pdl:3:25", pos, ok)
+	if pos := r.At[pres.AttrDealloc]; pos.Line != 3 || pos.Col != 25 {
+		t.Errorf("dealloc pos = %v; want pos.pdl:3:25", pos)
 	}
-	if !r.Explicit("dealloc") || r.Explicit("alloc") {
+	if !r.Explicit(pres.AttrDealloc) || r.Explicit(pres.AttrAlloc) {
 		t.Error("explicitness must track only applied attributes")
 	}
 	// Positions survive a Clone without aliasing.
 	q := p.Clone()
-	q.Op("read").Result().MarkAt("alloc", r.Pos)
-	if p.Op("read").Result().Explicit("alloc") {
-		t.Error("Clone shares position maps with the original")
+	q.Op("read").Result().MarkAt(pres.AttrAlloc, r.Pos)
+	if p.Op("read").Result().Explicit(pres.AttrAlloc) {
+		t.Error("Clone shares attribute positions with the original")
 	}
 }
 
@@ -287,9 +287,11 @@ func TestApplyLoose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := p.Op("frob")
-	if op == nil || op.Pos.Line != 2 {
-		t.Fatalf("dangling op not kept with position: %+v", op)
+	if p.Op("frob") != nil || len(p.Dangling) != 1 || p.Dangling[0].Name != "frob" || p.Dangling[0].Pos.Line != 2 {
+		t.Fatalf("dangling op not kept apart with its position: %+v", p.Dangling)
+	}
+	if x := p.Dangling[0].Annotate("x"); !x.Special || x.Pos.Line != 2 {
+		t.Fatalf("dangling op's parameter not kept with its attributes: %+v", x)
 	}
 	if !p.Op("write").Param("data").Trashable {
 		t.Error("valid attributes must still apply in loose mode")

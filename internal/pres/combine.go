@@ -54,8 +54,7 @@ type CombinedParam struct {
 	// Private: the server may modify a borrowed in buffer, because the
 	// client declared it [trashable].
 	Private bool
-	// Client and Server are the two sides' attributes; a side that has
-	// none for the parameter reads as the zero attributes.
+	// Client and Server are the two sides' attributes.
 	Client, Server *ParamAttrs
 }
 
@@ -85,20 +84,19 @@ func Combine(client, server *Presentation) (*Combination, error) {
 		for si.Ops[j].Name != op.Name {
 			j++
 		}
-		sop := &si.Ops[j]
-		cp, sp := client.Op(op.Name), server.Op(op.Name)
+		// Both presentations are indexed like their interfaces.
+		cp, sp := &client.Ops[i], &server.Ops[j]
 		o := &c.Ops[i]
 		o.Op, o.Index, o.Server = op, i, j
 		o.Params, params = params[:len(op.Params):len(op.Params)], params[len(op.Params):]
 		for k := range op.Params {
-			prm := &op.Params[k]
-			o.Params[k] = combineParam(prm.Type, prm.Dir, attrsOf(cp, prm.Name), attrsOf(sp, sop.Params[k].Name))
+			o.Params[k] = combineParam(op.Params[k].Type, op.Params[k].Dir, &cp.Params[k], &sp.Params[k])
 			if o.Params[k].IsOut {
 				o.Outs++
 			}
 		}
 		if op.HasResult() {
-			o.Result = combineParam(op.Result, Out, attrsOf(cp, ResultParam), attrsOf(sp, ResultParam))
+			o.Result = combineParam(op.Result, Out, cp.Result(), sp.Result())
 		}
 	}
 	return c, nil
@@ -120,17 +118,6 @@ func combineParam(t *ir.Type, dir ir.Direction, client, server *ParamAttrs) Comb
 		p.Out = negotiateOut(client, server)
 	}
 	return p
-}
-
-var zeroAttrs ParamAttrs
-
-func attrsOf(op *OpPres, name string) *ParamAttrs {
-	if op != nil {
-		if a, ok := op.Params[name]; ok {
-			return a
-		}
-	}
-	return &zeroAttrs
 }
 
 // Same-domain invocation semantics (paper §4.4): when client and

@@ -145,10 +145,13 @@ func (b *fuzzBytes) declare(iface *ir.Interface) *Presentation {
 			names = append(names, prm.Name)
 		}
 		for _, name := range names {
-			a := op.Params[name]
+			a := op.Param(name)
 			bits := b.next()
-			if a == nil || bits&128 != 0 {
-				delete(op.Params, name)
+			if a == nil {
+				continue
+			}
+			if bits&128 != 0 {
+				*a = ParamAttrs{}
 				continue
 			}
 			a.Alloc = AllocPolicy(bits % 3)
@@ -227,12 +230,9 @@ func FuzzCombine(f *testing.F) {
 	})
 }
 
-// attrsWant is the attribute record a side declared, or the zero one.
+// attrsWant is the attribute record a side declared.
 func attrsWant(p *Presentation, op, param string) *ParamAttrs {
-	if a := p.Ops[op].Params[param]; a != nil {
-		return a
-	}
-	return &zeroAttrs
+	return p.Op(op).Param(param)
 }
 
 func checkParam(t *testing.T, p *CombinedParam, dir ir.Direction, client, server *ParamAttrs) {

@@ -134,6 +134,49 @@ func (t Trust) String() string {
 	return fmt.Sprintf("Trust(%d)", int(t))
 }
 
+// A ParamAttr names one parameter attribute a PDL file can apply; it
+// indexes ParamAttrs.At.
+type ParamAttr uint8
+
+// Parameter attributes.
+const (
+	AttrAlloc ParamAttr = iota
+	AttrDealloc
+	AttrTrashable
+	AttrPreserved
+	AttrSpecial
+	AttrLengthIs
+	AttrNonUnique
+	AttrTraced
+	numParamAttrs
+)
+
+// An OpAttr names one operation attribute; it indexes OpPres.At.
+type OpAttr uint8
+
+// Operation attributes.
+const (
+	AttrCommStatus OpAttr = iota
+	AttrIdempotent
+	AttrBatchable
+	numOpAttrs
+)
+
+// An IfaceAttr names one interface attribute; it indexes
+// Presentation.At.
+type IfaceAttr uint8
+
+// Interface attributes. [trusted] is shared memory's spelling of
+// [unprotected]; each is recorded under its own name.
+const (
+	AttrLeaky IfaceAttr = iota
+	AttrUnprotected
+	AttrTrusted
+	AttrCORBAStyle
+	AttrMIGStyle
+	numIfaceAttrs
+)
+
 // ParamAttrs carries the presentation attributes of one parameter
 // (or of the operation result, under the pseudo-parameter name
 // "return").
@@ -168,19 +211,20 @@ type ParamAttrs struct {
 	// value means the attributes were synthesized (Default) or built
 	// by hand.
 	Pos idl.Pos
-	// At records the source position of each explicitly applied
-	// annotation, keyed by attribute name ("trashable", "dealloc",
-	// ...). It is nil until an annotation is applied; pdl.Apply
-	// fills it so validation errors and flexvet diagnostics can
-	// point at the PDL source line that caused them.
-	At map[string]idl.Pos
+	// At holds the source position of each explicitly applied
+	// attribute, by ParamAttr; a zero position means the attribute was
+	// not applied. It is nil until one is: a default presentation
+	// carries no positions. pdl.Apply fills it so validation errors and
+	// flexvet diagnostics can point at the PDL source line that caused
+	// them.
+	At *[numParamAttrs]idl.Pos
 }
 
-// MarkAt records that the named attribute was explicitly applied at
-// pos (as opposed to synthesized by the default-presentation rules).
-func (a *ParamAttrs) MarkAt(attr string, pos idl.Pos) {
+// MarkAt records that the attribute was explicitly applied at pos (as
+// opposed to synthesized by the default-presentation rules).
+func (a *ParamAttrs) MarkAt(attr ParamAttr, pos idl.Pos) {
 	if a.At == nil {
-		a.At = make(map[string]idl.Pos)
+		a.At = new([numParamAttrs]idl.Pos)
 	}
 	a.At[attr] = pos
 	if a.Pos.Line == 0 {
@@ -188,20 +232,26 @@ func (a *ParamAttrs) MarkAt(attr string, pos idl.Pos) {
 	}
 }
 
-// Explicit reports whether the named attribute was explicitly
-// applied (by PDL or MarkAt) rather than defaulted.
-func (a *ParamAttrs) Explicit(attr string) bool {
-	_, ok := a.At[attr]
-	return ok
+// Explicit reports whether the attribute was explicitly applied (by
+// PDL or MarkAt) rather than defaulted.
+func (a *ParamAttrs) Explicit(attr ParamAttr) bool { return a.At != nil && a.At[attr].Line != 0 }
+
+// clone returns a copy of a that shares no positions with it.
+func (a ParamAttrs) clone() ParamAttrs {
+	if a.At != nil {
+		at := *a.At
+		a.At = &at
+	}
+	return a
 }
 
 // AttrPos picks the most precise recorded position for a diagnostic:
 // that of the first listed attribute that was explicitly applied, else
 // the parameter clause's.
-func (a *ParamAttrs) AttrPos(attrs ...string) idl.Pos {
-	for _, name := range attrs {
-		if p, ok := a.At[name]; ok {
-			return p
+func (a *ParamAttrs) AttrPos(attrs ...ParamAttr) idl.Pos {
+	for _, attr := range attrs {
+		if a.Explicit(attr) {
+			return a.At[attr]
 		}
 	}
 	return a.Pos
@@ -210,9 +260,12 @@ func (a *ParamAttrs) AttrPos(attrs ...string) idl.Pos {
 // OpPres is the presentation of a single operation.
 type OpPres struct {
 	Name string
-	// Params maps parameter name to attributes; the result uses
-	// the ResultParam key.
-	Params map[string]*ParamAttrs
+	// Params[j] holds the attributes of the operation's parameter j;
+	// the result's, when the operation has one, come last.
+	Params []ParamAttrs
+	// Dangling holds annotations of parameters the operation does not
+	// have, in the order they were first annotated (Annotate).
+	Dangling []NamedParam
 	// CommStatus ([comm_status]): RPC failures are reported through
 	// a status return instead of an exception environment.
 	CommStatus bool
@@ -233,103 +286,161 @@ type OpPres struct {
 	// Pos is the source position of the operation's PDL declaration,
 	// when one was applied.
 	Pos idl.Pos
-	// At records the positions of explicitly applied operation
-	// attributes ("comm_status"), keyed by attribute name.
-	At map[string]idl.Pos
+	// At holds the positions of explicitly applied operation
+	// attributes, by OpAttr.
+	At [numOpAttrs]idl.Pos
+	// op is the interface's operation; nil when the interface has none
+	// of this name.
+	op *ir.Operation
 }
 
-// MarkAt records that the named operation attribute was explicitly
-// applied at pos.
-func (o *OpPres) MarkAt(attr string, pos idl.Pos) {
-	if o.At == nil {
-		o.At = make(map[string]idl.Pos)
-	}
-	o.At[attr] = pos
+// A NamedParam is one parameter's attributes under its name.
+type NamedParam struct {
+	Name  string
+	Attrs *ParamAttrs
 }
 
-// ResultParam is the Params key for the operation result.
+// MarkAt records that the operation attribute was explicitly applied
+// at pos.
+func (o *OpPres) MarkAt(attr OpAttr, pos idl.Pos) { o.At[attr] = pos }
+
+// ResultParam is the name a presentation gives an operation's result.
 const ResultParam = "return"
 
-// Param returns the attributes for the named parameter, creating a
-// default entry on first use.
+// Param returns the attributes of the operation's named parameter, or
+// of its result under ResultParam; nil when the operation has no such
+// parameter.
 func (o *OpPres) Param(name string) *ParamAttrs {
-	if a, ok := o.Params[name]; ok {
+	if o.op == nil {
+		return nil
+	}
+	if name == ResultParam {
+		return o.Result()
+	}
+	for j := range o.op.Params {
+		if o.op.Params[j].Name == name {
+			return &o.Params[j]
+		}
+	}
+	return nil
+}
+
+// Result returns the attributes of the operation result, or nil when
+// the operation has none.
+func (o *OpPres) Result() *ParamAttrs {
+	if o.op == nil || !o.op.HasResult() {
+		return nil
+	}
+	return &o.Params[len(o.Params)-1]
+}
+
+// Annotate returns the record an annotation of the named parameter
+// lands in: the parameter's attributes, or a Dangling entry when the
+// operation has no such parameter, added on first use.
+func (o *OpPres) Annotate(name string) *ParamAttrs {
+	if a := o.Param(name); a != nil {
 		return a
 	}
+	for _, d := range o.Dangling {
+		if d.Name == name {
+			return d.Attrs
+		}
+	}
 	a := &ParamAttrs{}
-	o.Params[name] = a
+	o.Dangling = append(o.Dangling, NamedParam{name, a})
 	return a
 }
 
-// Result returns the attributes of the operation result.
-func (o *OpPres) Result() *ParamAttrs { return o.Param(ResultParam) }
+// param is the name, wire type and direction of the parameter whose
+// attributes are Params[j].
+func (o *OpPres) param(j int) (string, *ir.Type, ir.Direction) {
+	if j == len(o.op.Params) {
+		return ResultParam, o.op.Result, ir.Out
+	}
+	prm := &o.op.Params[j]
+	return prm.Name, prm.Type, prm.Dir
+}
+
+// ByName lists every parameter the operation annotates, its own and
+// dangling ones, sorted by name: the order Walk visits them in.
+func (o *OpPres) ByName() []NamedParam {
+	all := make([]NamedParam, len(o.Params), len(o.Params)+len(o.Dangling))
+	for j := range o.Params {
+		name, _, _ := o.param(j)
+		all[j] = NamedParam{name, &o.Params[j]}
+	}
+	all = append(all, o.Dangling...)
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Name < all[j].Name })
+	return all
+}
 
 // A Presentation is one endpoint's programmer's contract for an
 // interface. It references the network contract but cannot change it.
 type Presentation struct {
 	Interface *ir.Interface
 	Style     Style
-	Ops       map[string]*OpPres
+	// Ops[i] is the presentation of Interface.Ops[i].
+	Ops []OpPres
+	// Dangling holds annotations of operations the interface does not
+	// have, in the order they were first annotated (Annotate).
+	Dangling []*OpPres
 	// Trust is the connection-level trust this endpoint extends to
 	// its peer.
 	Trust Trust
-	// At records the positions of explicitly applied interface-level
-	// attributes ("leaky", "unprotected", ...), keyed by name.
-	At map[string]idl.Pos
+	// At holds the positions of explicitly applied interface
+	// attributes, by IfaceAttr.
+	At [numIfaceAttrs]idl.Pos
 }
 
-// MarkAt records that the named interface attribute was explicitly
-// applied at pos.
-func (p *Presentation) MarkAt(attr string, pos idl.Pos) {
-	if p.At == nil {
-		p.At = make(map[string]idl.Pos)
-	}
-	p.At[attr] = pos
-}
+// MarkAt records that the interface attribute was explicitly applied
+// at pos.
+func (p *Presentation) MarkAt(attr IfaceAttr, pos idl.Pos) { p.At[attr] = pos }
 
-// PosOf returns the recorded position of the named interface
-// attribute and whether it was explicitly applied.
-func (p *Presentation) PosOf(attr string) (idl.Pos, bool) {
-	pos, ok := p.At[attr]
-	return pos, ok
+// PosOf returns the recorded position of the interface attribute and
+// whether it was explicitly applied.
+func (p *Presentation) PosOf(attr IfaceAttr) (idl.Pos, bool) {
+	return p.At[attr], p.At[attr].Line != 0
 }
 
 // Default computes the standard presentation for iface under the
 // given style's fixed rules. A PDL file is only needed to deviate
 // from this (paper §3).
 func Default(iface *ir.Interface, style Style) *Presentation {
-	p := &Presentation{
-		Interface: iface,
-		Style:     style,
-		Ops:       make(map[string]*OpPres, len(iface.Ops)),
-	}
+	p := &Presentation{Interface: iface, Style: style, Ops: make([]OpPres, len(iface.Ops))}
 	n := 0
 	for i := range iface.Ops {
-		n += len(iface.Ops[i].Params) + 1
+		n += paramSlots(&iface.Ops[i])
 	}
-	// One block of operations and one of parameter attributes.
-	ops, attrs := make([]OpPres, len(iface.Ops)), make([]ParamAttrs, n)
+	// One block of parameter attributes for every operation.
+	attrs := make([]ParamAttrs, n)
 	for i := range iface.Ops {
-		op, po := &iface.Ops[i], &ops[i]
-		*po = OpPres{Name: op.Name, Params: make(map[string]*ParamAttrs, len(op.Params)+1)}
-		for _, param := range op.Params {
-			po.Params[param.Name] = defaultParamAttrs(&attrs[0], param.Type, param.Dir, style)
-			attrs = attrs[1:]
+		op, po := &iface.Ops[i], &p.Ops[i]
+		k := paramSlots(op)
+		po.Name, po.op, po.Params, attrs = op.Name, op, attrs[:k:k], attrs[k:]
+		for j := range op.Params {
+			defaultParamAttrs(&po.Params[j], op.Params[j].Type, op.Params[j].Dir, style)
 		}
 		if op.HasResult() {
-			po.Params[ResultParam] = defaultParamAttrs(&attrs[0], op.Result, ir.Out, style)
+			defaultParamAttrs(&po.Params[k-1], op.Result, ir.Out, style)
 		}
-		attrs = attrs[1:]
-		p.Ops[op.Name] = po
 	}
 	return p
 }
 
+// paramSlots is the length of op's OpPres.Params: its parameters, and
+// its result when it has one.
+func paramSlots(op *ir.Operation) int {
+	if op.HasResult() {
+		return len(op.Params) + 1
+	}
+	return len(op.Params)
+}
+
 // defaultParamAttrs sets a, which is zero, to the style's attributes
-// for a parameter of type t and direction dir, and returns it.
-func defaultParamAttrs(a *ParamAttrs, t *ir.Type, dir ir.Direction, style Style) *ParamAttrs {
+// for a parameter of type t and direction dir.
+func defaultParamAttrs(a *ParamAttrs, t *ir.Type, dir ir.Direction, style Style) {
 	if !IsBuffer(t) {
-		return a
+		return
 	}
 	switch dir {
 	case In:
@@ -344,7 +455,6 @@ func defaultParamAttrs(a *ParamAttrs, t *ir.Type, dir ir.Direction, style Style)
 			a.Alloc = AllocCaller
 		}
 	}
-	return a
 }
 
 // Aliases for ir directions, letting this file read like the paper.
@@ -368,8 +478,46 @@ func IsBuffer(t *ir.Type) bool {
 	return false
 }
 
-// Op returns the presentation of the named operation, or nil.
-func (p *Presentation) Op(name string) *OpPres { return p.Ops[name] }
+// Op returns the presentation of the named operation, or nil when the
+// interface has none.
+func (p *Presentation) Op(name string) *OpPres {
+	for i := range p.Ops {
+		if p.Ops[i].Name == name {
+			return &p.Ops[i]
+		}
+	}
+	return nil
+}
+
+// Annotate returns the record an annotation of the named operation
+// lands in: the operation's presentation, or a Dangling entry when the
+// interface has no such operation, added on first use.
+func (p *Presentation) Annotate(name string) *OpPres {
+	if op := p.Op(name); op != nil {
+		return op
+	}
+	for _, op := range p.Dangling {
+		if op.Name == name {
+			return op
+		}
+	}
+	op := &OpPres{Name: name}
+	p.Dangling = append(p.Dangling, op)
+	return op
+}
+
+// ByName lists every operation the presentation annotates, the
+// interface's and dangling ones, sorted by name: the order Walk visits
+// them in.
+func (p *Presentation) ByName() []*OpPres {
+	all := make([]*OpPres, len(p.Ops), len(p.Ops)+len(p.Dangling))
+	for i := range p.Ops {
+		all[i] = &p.Ops[i]
+	}
+	all = append(all, p.Dangling...)
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Name < all[j].Name })
+	return all
+}
 
 // PortNaming reports whether the endpoint has given up the unique-name
 // invariant for transferred rights (paper §4.6). Transports relax the
@@ -379,62 +527,54 @@ func (p *Presentation) Op(name string) *OpPres { return p.Ops[name] }
 // it moves is [nonunique], vacuously so when it moves none. One
 // unannotated port keeps unique naming for the whole endpoint.
 func (p *Presentation) PortNaming() (nonUnique bool) {
-	nonUnique = true
-	see := func(op *OpPres, name string, t *ir.Type) {
-		if t == nil || t.Kind != ir.Port {
-			return
-		}
-		if op == nil || op.Params[name] == nil || !op.Params[name].NonUnique {
-			nonUnique = false
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		for j := range op.Params {
+			if _, t, _ := op.param(j); t != nil && t.Kind == ir.Port && !op.Params[j].NonUnique {
+				return false
+			}
 		}
 	}
-	for i := range p.Interface.Ops {
-		irOp := &p.Interface.Ops[i]
-		op := p.Op(irOp.Name)
-		for j := range irOp.Params {
-			see(op, irOp.Params[j].Name, irOp.Params[j].Type)
-		}
-		see(op, ResultParam, irOp.Result)
-	}
-	return nonUnique
+	return true
 }
 
-// Clone returns a deep copy sharing the (immutable) interface.
+// Clone returns a deep copy sharing the (immutable) interface: a copy
+// of the operations and of one block holding every parameter's
+// attributes, with their own positions.
 func (p *Presentation) Clone() *Presentation {
-	q := &Presentation{
-		Interface: p.Interface,
-		Style:     p.Style,
-		Ops:       make(map[string]*OpPres, len(p.Ops)),
-		Trust:     p.Trust,
-		At:        clonePosMap(p.At),
+	q := *p
+	q.Ops = append([]OpPres(nil), p.Ops...)
+	n := 0
+	for i := range p.Ops {
+		n += len(p.Ops[i].Params)
 	}
-	for name, op := range p.Ops {
-		cp := &OpPres{
-			Name:       op.Name,
-			Params:     make(map[string]*ParamAttrs, len(op.Params)),
-			CommStatus: op.CommStatus,
-			Idempotent: op.Idempotent,
-			Batchable:  op.Batchable,
-			Pos:        op.Pos,
-			At:         clonePosMap(op.At),
+	attrs := make([]ParamAttrs, n)
+	for i := range q.Ops {
+		op := &q.Ops[i]
+		for j := range op.Params {
+			attrs[j] = op.Params[j].clone()
 		}
-		for pn, pa := range op.Params {
-			dup := *pa
-			dup.At = clonePosMap(pa.At)
-			cp.Params[pn] = &dup
-		}
-		q.Ops[name] = cp
+		k := len(op.Params)
+		op.Params, attrs = attrs[:k:k], attrs[k:]
+		op.Dangling = cloneDangling(op.Dangling)
 	}
-	return q
+	q.Dangling = nil
+	for _, op := range p.Dangling {
+		cp := *op
+		cp.Params, cp.Dangling = nil, cloneDangling(op.Dangling)
+		q.Dangling = append(q.Dangling, &cp)
+	}
+	return &q
 }
 
-func clonePosMap(m map[string]idl.Pos) map[string]idl.Pos {
-	if m == nil {
+func cloneDangling(params []NamedParam) []NamedParam {
+	if params == nil {
 		return nil
 	}
-	cp := make(map[string]idl.Pos, len(m))
-	for k, v := range m {
-		cp[k] = v
+	cp := make([]NamedParam, len(params))
+	for i, d := range params {
+		a := d.Attrs.clone()
+		cp[i] = NamedParam{d.Name, &a}
 	}
 	return cp
 }
@@ -492,40 +632,36 @@ func (s Site) Out() bool { return s.Dir == ir.Out || s.Dir == ir.InOut }
 // operation and parameter must exist, length_is must name an integer
 // parameter of the same operation, and attributes must apply to the
 // parameter's type and direction. It visits operations by name and
-// each one's parameters by name, so the violations it returns are in
-// the same order on every run; site, when not nil, is also called for
-// every annotated parameter the interface has. This is the one rule
-// walk: Validate returns its first violation, flexvet reports them all
-// and hangs its own per-parameter lints on site.
+// each one's parameters by name (ByName), so the violations it returns
+// are in the same order on every run; site, when not nil, is also
+// called for every annotated parameter the interface has. This is the
+// one rule walk: Validate returns its first violation, flexvet reports
+// them all and hangs its own per-parameter lints on site.
 func (p *Presentation) Walk(site func(Site)) []Violation {
 	var out []Violation
-	for _, name := range sortedKeys(p.Ops) {
-		op := p.Ops[name]
-		irOp := p.Interface.Op(name)
-		if irOp == nil {
-			out = append(out, p.danglingOp(name, op))
+	for _, op := range p.ByName() {
+		if op.op == nil {
+			out = append(out, Violation{RuleDangling, op.Pos, fmt.Sprintf("%s: operation %q not in interface %s: annotation can never apply",
+				p.Interface.Name, op.Name, p.Interface.Name)})
 			continue
 		}
-		for _, pn := range sortedKeys(op.Params) {
-			out = p.checkParam(op, irOp, pn, site, out)
+		for _, prm := range op.ByName() {
+			t, dir, ok := lookupParam(op.op, prm.Name)
+			out = p.checkParam(op, prm.Name, prm.Attrs, t, dir, ok, site, out)
 		}
 	}
 	return out
 }
 
-func (p *Presentation) danglingOp(name string, op *OpPres) Violation {
-	return Violation{RuleDangling, op.Pos, fmt.Sprintf("%s: operation %q not in interface %s: annotation can never apply",
-		p.Interface.Name, name, p.Interface.Name)}
-}
-
-// checkParam appends the violations of op's parameter pn to out. It
-// formats a message only for a violation.
-func (p *Presentation) checkParam(op *OpPres, irOp *ir.Operation, pn string, site func(Site), out []Violation) []Violation {
+// checkParam appends the violations of op's parameter pn, annotated a,
+// to out; t and dir are its wire type and direction, and ok is false
+// when the operation has no such parameter. It formats a message only
+// for a violation.
+func (p *Presentation) checkParam(op *OpPres, pn string, a *ParamAttrs, t *ir.Type, dir ir.Direction, ok bool,
+	site func(Site), out []Violation) []Violation {
 	bad := func(r Rule, pos idl.Pos, format string, args ...any) {
 		out = append(out, Violation{r, pos, fmt.Sprintf(format, args...)})
 	}
-	a := op.Params[pn]
-	t, dir, ok := lookupParam(irOp, pn)
 	if !ok {
 		bad(RuleDangling, a.Pos, "%s.%s: parameter %q not in operation: annotation can never apply",
 			p.Interface.Name, op.Name, pn)
@@ -533,27 +669,27 @@ func (p *Presentation) checkParam(op *OpPres, irOp *ir.Operation, pn string, sit
 	}
 	s := Site{Iface: p.Interface.Name, Op: op, Param: pn, Attrs: a, Type: t, Dir: dir}
 	if a.Trashable && !s.In() {
-		bad(RuleInOnly, a.AttrPos("trashable"), "%s: [trashable] applies only to in parameters, %s is %s", s.Ctx(), pn, dir)
+		bad(RuleInOnly, a.AttrPos(AttrTrashable), "%s: [trashable] applies only to in parameters, %s is %s", s.Ctx(), pn, dir)
 	}
 	if a.Preserved && !s.In() {
-		bad(RuleInOnly, a.AttrPos("preserved"), "%s: [preserved] applies only to in parameters, %s is %s", s.Ctx(), pn, dir)
+		bad(RuleInOnly, a.AttrPos(AttrPreserved), "%s: [preserved] applies only to in parameters, %s is %s", s.Ctx(), pn, dir)
 	}
 	if a.Trashable && a.Preserved {
-		bad(RuleMutability, a.AttrPos("preserved", "trashable"),
+		bad(RuleMutability, a.AttrPos(AttrPreserved, AttrTrashable),
 			"%s: [trashable] and [preserved] on the same parameter are mutually exclusive", s.Ctx())
 	}
 	if (a.Alloc != AllocAuto || a.Dealloc != DeallocDefault) && !IsBuffer(t) {
-		bad(RuleBufferOnly, a.AttrPos("alloc", "dealloc"),
+		bad(RuleBufferOnly, a.AttrPos(AttrAlloc, AttrDealloc),
 			"%s: allocation annotations require a buffer type, have %s", s.Ctx(), t.Signature())
 	}
 	if a.NonUnique && t.Kind != ir.Port {
-		bad(RulePortOnly, a.AttrPos("nonunique"), "%s: [nonunique] applies only to port parameters, have %s", s.Ctx(), t.Signature())
+		bad(RulePortOnly, a.AttrPos(AttrNonUnique), "%s: [nonunique] applies only to port parameters, have %s", s.Ctx(), t.Signature())
 	}
 	if a.LengthIs != "" {
-		if lt, _, ok := lookupParam(irOp, a.LengthIs); !ok || a.LengthIs == ResultParam {
-			bad(RuleLengthIs, a.AttrPos("length_is"), "%s: length_is(%s): no such parameter in the operation", s.Ctx(), a.LengthIs)
+		if lt, _, ok := lookupParam(op.op, a.LengthIs); !ok || a.LengthIs == ResultParam {
+			bad(RuleLengthIs, a.AttrPos(AttrLengthIs), "%s: length_is(%s): no such parameter in the operation", s.Ctx(), a.LengthIs)
 		} else if k := lt.Kind; k != ir.Int32 && k != ir.Uint32 && k != ir.Int64 && k != ir.Uint64 {
-			bad(RuleLengthIs, a.AttrPos("length_is"), "%s: length_is(%s): parameter is %s, need an integer", s.Ctx(), a.LengthIs, lt.Signature())
+			bad(RuleLengthIs, a.AttrPos(AttrLengthIs), "%s: length_is(%s): parameter is %s, need an integer", s.Ctx(), a.LengthIs, lt.Signature())
 		}
 	}
 	if site != nil {
@@ -577,17 +713,21 @@ func (p *Presentation) Validate() error {
 }
 
 // valid reports whether Walk would find no violation. Valid is the
-// common case, so it checks in map order, which sorts nothing and
+// common case, so it checks in index order, which sorts nothing and
 // formats no message; Validate walks an invalid presentation again, in
 // Walk's order, for its first violation.
 func (p *Presentation) valid() bool {
-	for name, op := range p.Ops {
-		irOp := p.Interface.Op(name)
-		if irOp == nil {
+	if len(p.Dangling) > 0 {
+		return false
+	}
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		if len(op.Dangling) > 0 {
 			return false
 		}
-		for pn := range op.Params {
-			if len(p.checkParam(op, irOp, pn, nil, nil)) > 0 {
+		for j := range op.Params {
+			name, t, dir := op.param(j)
+			if len(p.checkParam(op, name, &op.Params[j], t, dir, true, nil, nil)) > 0 {
 				return false
 			}
 		}
@@ -606,13 +746,4 @@ func lookupParam(op *ir.Operation, name string) (*ir.Type, ir.Direction, bool) {
 		return param.Type, param.Dir, true
 	}
 	return nil, 0, false
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

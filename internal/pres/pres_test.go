@@ -75,12 +75,12 @@ func TestValidateAcceptsPaperFigure5(t *testing.T) {
 
 func TestValidateRejectsUnknownOpAndParam(t *testing.T) {
 	p := Default(fileIO(), StyleCORBA)
-	p.Ops["bogus"] = &OpPres{Name: "bogus", Params: map[string]*ParamAttrs{}}
+	p.Annotate("bogus")
 	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("err = %v, want unknown-operation error", err)
 	}
 	p = Default(fileIO(), StyleCORBA)
-	p.Op("read").Param("nosuch").Trashable = true
+	p.Op("read").Annotate("nosuch").Trashable = true
 	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "nosuch") {
 		t.Fatalf("err = %v, want unknown-parameter error", err)
 	}
@@ -183,7 +183,7 @@ func TestValidateLengthIs(t *testing.T) {
 
 func TestValidateResultOnVoidOp(t *testing.T) {
 	p := Default(fileIO(), StyleCORBA)
-	p.Op("write").Params[ResultParam] = &ParamAttrs{Dealloc: DeallocNever}
+	p.Op("write").Annotate(ResultParam).Dealloc = DeallocNever
 	if err := p.Validate(); err == nil {
 		t.Fatal("annotating the result of a void op should be rejected")
 	}
@@ -213,8 +213,10 @@ func TestPresentationNeverAltersContract(t *testing.T) {
 	iface := fileIO()
 	before := iface.Signature()
 	p := Default(iface, StyleCORBA)
-	for _, op := range p.Ops {
-		for _, a := range op.Params {
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		for j := range op.Params {
+			a := &op.Params[j]
 			a.Alloc = AllocCaller
 			a.Dealloc = DeallocNever
 			a.Special = true

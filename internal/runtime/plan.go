@@ -157,6 +157,9 @@ type decodeFn func(dec Decoder, dst []byte) (Value, error)
 // allocations per plan rather than several per op.
 func NewPlan(p *pres.Presentation, codec Codec, hooks SpecialHooks) (*Plan, error) {
 	ops := p.Interface.Ops
+	if len(p.Ops) != len(ops) {
+		return nil, fmt.Errorf("runtime: presentation of %s has %d operations, its interface %d", p.Interface.Name, len(p.Ops), len(ops))
+	}
 	pl := &Plan{Pres: p, Codec: codec, hooks: hooks, byName: make(map[string]int, len(ops))}
 	pl.maxDecode = DefaultMaxDecode
 	if p.Trust >= pres.TrustFull {
@@ -170,13 +173,8 @@ func NewPlan(p *pres.Presentation, codec Codec, hooks SpecialHooks) (*Plan, erro
 	opPlans, steps := make([]OpPlan, len(ops)), make([]step, 0, nsteps)
 	pl.Ops = make([]*OpPlan, len(ops))
 	for i := range ops {
-		op := &ops[i]
-		opPres := p.Op(op.Name)
-		if opPres == nil {
-			return nil, fmt.Errorf("runtime: presentation missing operation %q", op.Name)
-		}
-		o := &opPlans[i]
-		if err := pl.compileOp(o, i, op, opPres, &steps); err != nil {
+		op, o := &ops[i], &opPlans[i]
+		if err := pl.compileOp(o, i, op, &p.Ops[i], &steps); err != nil {
 			return nil, err
 		}
 		pl.Ops[i] = o
@@ -220,16 +218,14 @@ func (p *Plan) NewDecoder(body []byte) Decoder {
 	return d
 }
 
-// attrs returns the presentation attributes for a parameter name,
-// or a zero value when unannotated.
-func (op *OpPlan) attrs(name string) *pres.ParamAttrs {
-	if a, ok := op.pres.Params[name]; ok {
-		return a
+// attrs returns the presentation attributes of parameter arg, or of
+// the result when arg is -1.
+func (op *OpPlan) attrs(arg int) *pres.ParamAttrs {
+	if arg < 0 {
+		return op.pres.Result()
 	}
-	return &zeroAttrs
+	return &op.pres.Params[arg]
 }
-
-var zeroAttrs pres.ParamAttrs
 
 // stepCounts returns how many of op's parameters travel in the request
 // and how many, the result included, in the reply.
@@ -284,7 +280,7 @@ func carve(steps *[]step, n int) []step {
 // step's landing is resolved here, stored, and the decode closure is
 // built from it.
 func (o *OpPlan) compileParam(arg int, name string, t *ir.Type, in, out bool) error {
-	pl, a := o.plan, o.attrs(name)
+	pl, a := o.plan, o.attrs(arg)
 	var enc encodeFn
 	var hook decodeFn // set for a [special] parameter
 	if a.Special {

@@ -203,11 +203,8 @@ func (r *RobustConn) SetStats(e *stats.Endpoint) { r.stats = e }
 func NewRobustConn(inner Conn, p *pres.Presentation, opts RobustOptions) *RobustConn {
 	idem := make([]bool, len(p.Interface.Ops))
 	batchable := make([]bool, len(p.Interface.Ops))
-	for i := range p.Interface.Ops {
-		if op := p.Op(p.Interface.Ops[i].Name); op != nil {
-			idem[i] = op.Idempotent
-			batchable[i] = op.Batchable
-		}
+	for i := range p.Ops {
+		idem[i], batchable[i] = p.Ops[i].Idempotent, p.Ops[i].Batchable
 	}
 	seed := opts.Policy.Seed
 	if seed == 0 {

@@ -123,11 +123,8 @@ func (c *Call) Result() Value { return c.ret }
 // may return a slice of storage it keeps, e.g. its circular buffer
 // (paper §4.2.1).
 func (c *Call) ResultMoved() bool {
-	a, ok := c.opPres.Params[pres.ResultParam]
-	if !ok {
-		return true
-	}
-	return a.Dealloc != pres.DeallocNever
+	a := c.opPres.Result()
+	return a == nil || a.Dealloc != pres.DeallocNever
 }
 
 // errNoHandler distinguishes unimplemented operations.
@@ -157,7 +154,7 @@ func NewDispatcher(p *pres.Presentation) *Dispatcher {
 	ops := p.Interface.Ops
 	d := &Dispatcher{Pres: p, handlers: make([]Handler, len(ops)), opPres: make([]*pres.OpPres, len(ops))}
 	for i := range ops {
-		d.opPres[i] = p.Op(ops[i].Name)
+		d.opPres[i] = &p.Ops[i]
 	}
 	return d
 }
