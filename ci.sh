@@ -185,19 +185,21 @@ netpoll_stress() {
 
 frame_race() {
 	# A call frame is safe only because its owner serialises the calls
-	# (a shmring.Bound's mutex, its doorbell goroutine) or because the
-	# pool hands it to one call at a time; eight goroutines on one Bound
-	# and on one Dispatcher find a frame shared by two calls as a data
+	# (a shmring.Bound's mutex, its doorbell goroutine, the same-domain
+	# program's claim on its own frame) or because the pool hands it to
+	# one call at a time; eight goroutines on one Bound, one inproc.Conn
+	# and one Dispatcher find a frame shared by two calls as a data
 	# race. One pass catches few interleavings, so repeat it. Each
 	# package must select a test: a rename fails here.
-	for pkg in ./internal/runtime ./internal/transport/shmring; do
+	pkgs="./internal/runtime ./internal/transport/shmring ./internal/transport/inproc"
+	for pkg in $pkgs; do
 		if ! go test -list 'FrameConcurrent' "$pkg" | grep -q '^Test'; then
 			echo "frame-race: no test matches 'FrameConcurrent' in $pkg; update ci.sh"
 			exit 1
 		fi
 	done
-	echo "go test -race -count=10 -run FrameConcurrent ./internal/runtime ./internal/transport/shmring"
-	go test -race -count=10 -run 'FrameConcurrent' ./internal/runtime ./internal/transport/shmring
+	echo "go test -race -count=10 -run FrameConcurrent $pkgs"
+	go test -race -count=10 -run 'FrameConcurrent' $pkgs
 	# Decoded values point into hand-built blocks, their tails and slabs
 	# (slab.go): checkptr, on under -race, checks each of those pointers,
 	# and each repetition meets a different GC schedule. The block and

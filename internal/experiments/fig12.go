@@ -142,17 +142,20 @@ var figPorts = &Figure{
 	Run: func(s Size) (*Result, error) {
 		defer uniprocessor()()
 		iters := pick(s, 20000, 3000, 4000)
+		// The two paths differ by less than a host's noise over one
+		// short trial: the small sizes take more trials of each.
+		trials := pick(s, Trials, 2*Trials, 4*Trials)
+		builds := make([]Build, len(portModes))
+		for i, m := range portModes {
+			builds[i] = newPortTransfer(m.nonunique)
+		}
+		costs, err := timeSystems(builds, iters, trials)
+		if err != nil {
+			return nil, err
+		}
 		res := &Result{}
-		for _, m := range portModes {
-			c, err := timeSystem(newPortTransfer(m.nonunique), iters, nil)
-			if err != nil {
-				return nil, err
-			}
-			base := c.ns
-			if len(res.Rows) > 0 {
-				base = res.Rows[0].Cells[0]
-			}
-			res.Rows = append(res.Rows, Row{Label: m.label, Cells: []float64{c.ns, pctDelta(base, c.ns)}})
+		for i, m := range portModes {
+			res.Rows = append(res.Rows, Row{Label: m.label, Cells: []float64{costs[i].ns, pctDelta(costs[0].ns, costs[i].ns)}})
 		}
 		return res, nil
 	},

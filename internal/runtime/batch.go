@@ -138,7 +138,7 @@ func (s *SessionServer) execBatch(ctx context.Context, body []byte, tid uint32, 
 		s.disp.serve(ctx, f, s.plan, opIdx, reqs[i], enc, tid, true)
 		dst = appendBatchReplyEntry(dst, enc.Bytes())
 	}
-	releaseFrame(f)
+	frames.Put(f)
 	binary.BigEndian.PutUint32(dst[hdr+4:], crc32.ChecksumIEEE(dst[hdr+robustRepHeader:]))
 	return dst
 }

@@ -34,8 +34,9 @@ func benchPres(tb testing.TB, pdl string) *pres.Presentation {
 // TestNewPlanAllocsBenchIDL pins the allocations of compiling the
 // benchmark's client plan: the OpPlans and every op's step lists come
 // from one array each, and a scalar leaf's encode step is a shared
-// function, so what remains is the plan, its name index, and the
-// composite and caller-landing steps that close over their type.
+// function, so what remains is the plan and the composite and
+// caller-landing steps that close over their type. An op name resolves
+// by a scan of the interface, so no name index is built.
 func TestNewPlanAllocsBenchIDL(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
@@ -45,8 +46,8 @@ func TestNewPlanAllocsBenchIDL(t *testing.T) {
 		if _, err := NewPlan(p, XDRCodec, nil); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 12 {
-		t.Errorf("NewPlan(bench.idl) allocates %.0f times, want <= 12", allocs)
+	}); allocs > 10 {
+		t.Errorf("NewPlan(bench.idl) allocates %.0f times, want <= 10", allocs)
 	}
 }
 

@@ -29,6 +29,15 @@ type Frame struct {
 	enc   Encoder
 	call  Call
 	busy  bool // between begin and end; still set at the next begin, a panic escaped the call
+
+	// The storage behind call's slices. begin points the Call at it; the
+	// same-domain program points the Call at the caller's arguments and
+	// its bind-time vectors instead, and uses only what it must fill.
+	in        []Value
+	inBytes   [][]byte
+	inPrivate []bool
+	outs      []Value
+	outBufs   [][]byte
 }
 
 // NewFrame returns a frame for an owner that serialises its calls.
@@ -37,16 +46,10 @@ func NewFrame() *Frame { return &Frame{} }
 // frames is the one pool of marshal working state on the serving side.
 var frames = sync.Pool{New: func() any { return NewFrame() }}
 
+// acquireFrame borrows a frame from the pool. Every user clears what it
+// set before the frames.Put that returns it: serve ends its call on
+// every return, and the same-domain program releases its own.
 func acquireFrame() *Frame { return frames.Get().(*Frame) }
-
-// releaseFrame returns f to the pool, cleared: serve has already ended
-// its call, the same-domain program's is ended here.
-func releaseFrame(f *Frame) {
-	if f.busy {
-		f.end()
-	}
-	frames.Put(f)
-}
 
 // ServeMessage is Dispatcher.ServeMessage on a frame the caller owns:
 // no pool is touched.
@@ -106,20 +109,20 @@ func (f *Frame) begin(ctx context.Context, d *Dispatcher, opIdx int) *Call {
 	c := &f.call
 	c.Op, c.idx, c.opPres, c.ctx = &d.Pres.Interface.Ops[opIdx], opIdx, d.opPres[opIdx], ctx
 	n := len(c.Op.Params)
-	if cap(c.in) < n {
-		c.in = make([]Value, n)
-		c.inBytes = make([][]byte, n)
-		c.inPrivate = make([]bool, n)
-		c.outs = make([]Value, n)
-		c.outBufs = make([][]byte, n)
-	} else {
-		c.in = c.in[:n]
-		c.inBytes = c.inBytes[:n]
-		c.inPrivate = c.inPrivate[:n]
-		c.outs = c.outs[:n]
-		c.outBufs = c.outBufs[:n]
-	}
+	f.reserve(n)
+	c.in, c.inBytes, c.inPrivate, c.outs, c.outBufs = f.in[:n], f.inBytes[:n], f.inPrivate[:n], f.outs[:n], f.outBufs[:n]
 	return c
+}
+
+// reserve makes the frame's storage hold n parameters.
+func (f *Frame) reserve(n int) {
+	if cap(f.in) < n {
+		f.in = make([]Value, n)
+		f.inBytes = make([][]byte, n)
+		f.inPrivate = make([]bool, n)
+		f.outs = make([]Value, n)
+		f.outBufs = make([][]byte, n)
+	}
 }
 
 // end drops every reference the call left in the frame.

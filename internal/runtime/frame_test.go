@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"flexrpc/internal/idl/corba"
 	"flexrpc/internal/pres"
@@ -309,6 +310,69 @@ func TestPooledFrameNextCallSeesNothingStale(t *testing.T) {
 		if s.stale != "" {
 			t.Fatalf("after %q the next call's work function saw: %s", tag, s.stale)
 		}
+	}
+}
+
+// TestSameDomainFrameCleared: the same-domain program borrows a pool
+// frame and points its Call at the caller's arguments and the binding's
+// bind-time state, so what it hands back to the pool must meet the same
+// invariant as a served frame — on the lent path (nop, a [trashable]
+// put), the copying path (swap) and every way swap can return.
+func TestSameDomainFrameCleared(t *testing.T) {
+	s := newReuseServer(t)
+	client := reusePres(t)
+	client.Op("put").Param("data").Trashable = true
+	comb, err := pres.Combine(client, s.disp.Pres)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := NewSameDomain(comb, s.disp, nil, true)
+	// Each work function records its Call, which lives in the frame.
+	var last *Call
+	for i, h := range s.disp.handlers {
+		s.disp.handlers[i] = func(c *Call) error {
+			last = c
+			return h(c)
+		}
+	}
+	var f Frame
+	off := int(unsafe.Offsetof(f.call))
+	frameOf := func(c *Call) *Frame { return (*Frame)(unsafe.Add(unsafe.Pointer(c), -off)) }
+	ctx := context.WithValue(context.Background(), ctxKey{}, "same-domain")
+	for _, sc := range []struct {
+		op   string
+		tag  string // swap's
+		fail bool
+	}{
+		{op: "nop"}, {op: "put"},
+		{op: "swap", tag: "fine"}, {op: "swap", tag: "error", fail: true}, {op: "swap", tag: "panic", fail: true},
+	} {
+		data := bytes.Repeat([]byte{0x5A}, 64)
+		var args []Value
+		switch sc.op {
+		case "put":
+			args = []Value{data}
+		case "swap":
+			args = []Value{data, sc.tag, nil}
+		}
+		last = nil
+		outs, ret, err := sd.InvokeContext(ctx, sc.op, args, nil, nil)
+		if (err != nil) != sc.fail {
+			t.Fatalf("%s %s: err = %v, want failure=%v", sc.op, sc.tag, err, sc.fail)
+		}
+		if last == nil {
+			t.Fatalf("%s %s: the work function never ran", sc.op, sc.tag)
+		}
+		regions := [][]byte{data}
+		if b, ok := ret.([]byte); ok {
+			regions = append(regions, b)
+		}
+		if len(outs) > 0 {
+			if b, ok := outs[0].([]byte); ok {
+				regions = append(regions, b)
+			}
+		}
+		checkFrameCleared(t, "after same-domain "+sc.op+" "+sc.tag, frameOf(last), regions...)
 	}
 }
 

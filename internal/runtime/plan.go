@@ -35,11 +35,10 @@ type SpecialHooks interface {
 // code built per endpoint pair so the per-call path is a straight
 // loop with no map lookups and no type switches.
 type Plan struct {
-	Pres   *pres.Presentation
-	Codec  Codec
-	Ops    []*OpPlan
-	hooks  SpecialHooks
-	byName map[string]int
+	Pres  *pres.Presentation
+	Codec Codec
+	Ops   []*OpPlan
+	hooks SpecialHooks
 
 	// maxDecode bounds any single variable-length item the plan's
 	// decoders accept (see Decoder.SetMaxLength); hostile length prefixes
@@ -160,7 +159,7 @@ func NewPlan(p *pres.Presentation, codec Codec, hooks SpecialHooks) (*Plan, erro
 	if len(p.Ops) != len(ops) {
 		return nil, fmt.Errorf("runtime: presentation of %s has %d operations, its interface %d", p.Interface.Name, len(p.Ops), len(ops))
 	}
-	pl := &Plan{Pres: p, Codec: codec, hooks: hooks, byName: make(map[string]int, len(ops))}
+	pl := &Plan{Pres: p, Codec: codec, hooks: hooks}
 	pl.maxDecode = DefaultMaxDecode
 	if p.Trust >= pres.TrustFull {
 		pl.maxDecode = TrustedMaxDecode
@@ -178,15 +177,22 @@ func NewPlan(p *pres.Presentation, codec Codec, hooks SpecialHooks) (*Plan, erro
 			return nil, err
 		}
 		pl.Ops[i] = o
-		pl.byName[op.Name] = i
 	}
 	return pl, nil
 }
 
 // OpIndex returns the plan index for the named operation, or -1.
-func (p *Plan) OpIndex(name string) int {
-	if i, ok := p.byName[name]; ok {
-		return i
+func (p *Plan) OpIndex(name string) int { return opIndex(p.Pres.Interface.Ops, name) }
+
+// opIndex returns the index of the operation named name in ops, or -1.
+// An interface has a handful of operations, and a string compare tests
+// the lengths before any byte, so the scan costs less than a hash of
+// name would — and a bind builds no index for it.
+func opIndex(ops []ir.Operation, name string) int {
+	for i := range ops {
+		if ops[i].Name == name {
+			return i
+		}
 	}
 	return -1
 }

@@ -936,7 +936,7 @@ func (s *SessionServer) exec(ctx context.Context, opIdx int, body []byte, tid ui
 	dst = binary.BigEndian.AppendUint32(dst, sessOK)
 	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(out))
 	dst = append(dst, out...)
-	releaseFrame(f)
+	frames.Put(f)
 	return dst
 }
 

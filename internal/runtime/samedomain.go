@@ -16,15 +16,15 @@ import (
 // pres.Combine combination into a short parameter program, once: which
 // in arguments the server gets a private copy of, which caller buffers
 // it fills in place, and which out values reach the client by reference.
-// A call then looks up its operation by name, checks its arity, and
-// runs that program — no other decision is taken per call.
+// A call then finds its operation by scanning the bound names, checks
+// its arity, and runs that program — no other decision is taken per
+// call, and nothing is hashed or allocated to take it.
 //
 // inproc.Conn is a SameDomain. A shmring.Bound runs one for its op
 // table, its stats, and the inline calls that have nothing to marshal.
 type SameDomain struct {
-	disp   *Dispatcher
-	ops    []sameOp // by the client's op index
-	byName map[string]*sameOp
+	disp *Dispatcher
+	ops  []sameOp // by the client's op index
 	// marshal carries every call that is not direct; see NewSameDomain.
 	marshal func(ctx context.Context, op *pres.CombinedOp, args []Value, outBufs [][]byte, retBuf []byte) ([]Value, Value, error)
 
@@ -38,20 +38,32 @@ type SameDomain struct {
 // A sameOp is one operation's bound program.
 type sameOp struct {
 	*pres.CombinedOp
+	name   string        // the client's name for it, which a call resolves
+	server *ir.Operation // the dispatcher's declaration, the Call's Op
+	opPres *pres.OpPres  // the dispatcher's presentation of it
 	direct bool
-	ins    []sameParam // in and inout parameters
-	outs   []sameParam // out and inout parameters, then the result
+	// lend: the Call reads the caller's args slice itself, because no
+	// in parameter needs a copy and none is out-only (whose slot the
+	// Call must show as nil).
+	lend bool
+	// callerOuts: some out parameter lands in a caller buffer, so the
+	// Call's out buffers are the frame's; callerRet: the result does.
+	callerOuts, callerRet bool
+	ins                   []sameParam // in and inout parameters, when the Call does not lend args
+	outs                  []sameParam // out and inout parameters, then the result
+	// private is what ArgPrivate reports, by parameter: built at bind
+	// and only read.
+	private []bool
 }
 
 // A sameParam is one step of an operation's program: an argument
 // handed to the work function, or an out value delivered to the client
 // (arg -1: the result).
 type sameParam struct {
-	arg     int
-	typ     *ir.Type
-	copy    bool // in: neither side allows a borrow (InCopy); out: both sides insist on their own buffer (OutCopy)
-	private bool // in: what ArgPrivate reports
-	caller  bool // out: the server fills the caller's buffer (OutCallerBuffer)
+	arg    int
+	typ    *ir.Type
+	copy   bool // in: neither side allows a borrow (InCopy) and the value is mutable; out: both sides insist on their own buffer (OutCopy)
+	caller bool // out: the server fills the caller's buffer (OutCallerBuffer)
 }
 
 // NewSameDomain binds comb's client to disp. A nil marshal runs every
@@ -59,35 +71,50 @@ type sameParam struct {
 // server runs on the caller's goroutine (inline) does a call with
 // nothing to marshal — no parameters, no result — run direct instead.
 func NewSameDomain(comb *pres.Combination, disp *Dispatcher, marshal func(ctx context.Context, op *pres.CombinedOp, args []Value, outBufs [][]byte, retBuf []byte) ([]Value, Value, error), inline bool) *SameDomain {
-	s := &SameDomain{disp: disp, ops: make([]sameOp, len(comb.Ops)), byName: make(map[string]*sameOp, len(comb.Ops)), marshal: marshal}
+	s := &SameDomain{disp: disp, ops: make([]sameOp, len(comb.Ops)), marshal: marshal}
 	n := 0
 	for i := range comb.Ops {
-		n += 2*len(comb.Ops[i].Params) + 1
+		n += len(comb.Ops[i].Params)
 	}
-	steps := make([]sameParam, 0, n) // every op's ins, then its outs
+	steps := make([]sameParam, 0, 2*n+len(comb.Ops)) // every op's ins, then its outs
+	private := make([]bool, n)
 	for i := range comb.Ops {
 		cop := &comb.Ops[i]
 		o := &s.ops[i]
-		o.CombinedOp = cop
+		o.CombinedOp, o.name = cop, cop.Op.Name
+		o.server, o.opPres = &disp.Pres.Interface.Ops[cop.Server], disp.opPres[cop.Server]
 		o.direct = marshal == nil || inline && len(cop.Params) == 0 && !cop.Result.IsOut
+		o.private, private = private[:len(cop.Params):len(cop.Params)], private[len(cop.Params):]
+		o.lend = true
+		for k := range cop.Params {
+			p := &cop.Params[k]
+			if p.IsIn {
+				// A copy of a scalar, string or port is the value itself.
+				copied := p.In == pres.InCopy
+				o.private[k] = copied || p.Private
+				o.lend = o.lend && !(copied && mutable(p.Type))
+			} else {
+				o.lend = false
+			}
+		}
 		base := len(steps)
 		for k := range cop.Params {
-			if p := &cop.Params[k]; p.IsIn {
-				copied := p.In == pres.InCopy
-				steps = append(steps, sameParam{arg: k, typ: p.Type, copy: copied, private: copied || p.Private})
+			if p := &cop.Params[k]; p.IsIn && !o.lend {
+				steps = append(steps, sameParam{arg: k, typ: p.Type, copy: p.In == pres.InCopy && mutable(p.Type)})
 			}
 		}
 		mid := len(steps)
 		for k := range cop.Params {
 			if p := &cop.Params[k]; p.IsOut {
 				steps = append(steps, outStep(k, p))
+				o.callerOuts = o.callerOuts || p.Out == pres.OutCallerBuffer
 			}
 		}
 		if cop.Result.IsOut {
 			steps = append(steps, outStep(-1, &cop.Result))
+			o.callerRet = cop.Result.Out == pres.OutCallerBuffer
 		}
 		o.ins, o.outs = steps[base:mid:mid], steps[mid:len(steps):len(steps)]
-		s.byName[cop.Op.Name] = o
 	}
 	return s
 }
@@ -129,8 +156,8 @@ func (s *SameDomain) InvokeContext(ctx context.Context, op string, args []Value,
 }
 
 func (s *SameDomain) invoke(ctx context.Context, op string, args []Value, outBufs [][]byte, retBuf []byte) ([]Value, Value, error) {
-	o, ok := s.byName[op]
-	if !ok {
+	o := s.lookup(op)
+	if o == nil {
 		return nil, nil, fmt.Errorf("runtime: unknown operation %q", op)
 	}
 	if len(args) != len(o.Params) {
@@ -148,6 +175,19 @@ func (s *SameDomain) invoke(ctx context.Context, op string, args []Value, outBuf
 	return outs, ret, err
 }
 
+// lookup returns the bound operation named op, or nil. An interface
+// has a handful of operations, and a string compare tests the lengths
+// before any byte, so scanning the bound names costs less than hashing
+// the one asked for.
+func (s *SameDomain) lookup(op string) *sameOp {
+	for i := range s.ops {
+		if s.ops[i].name == op {
+			return &s.ops[i]
+		}
+	}
+	return nil
+}
+
 // run executes one call: through the transport's marshal path, or as
 // the direct program.
 func (s *SameDomain) run(ctx context.Context, o *sameOp, args []Value, outBufs [][]byte, retBuf []byte) ([]Value, Value, error) {
@@ -155,32 +195,45 @@ func (s *SameDomain) run(ctx context.Context, o *sameOp, args []Value, outBufs [
 		return s.marshal(ctx, o.CombinedOp, args, outBufs, retBuf)
 	}
 	f := acquireFrame()
-	c := f.begin(ctx, s.disp, o.Server)
-	for i := range o.ins {
-		p := &o.ins[i]
-		v := args[p.arg]
-		if p.copy {
-			v = CopyValue(p.typ, v)
+	n := len(o.Params)
+	f.reserve(n)
+	// The frame's storage is clear between calls, so its byte slots
+	// serve as the Call's (empty) request buffers and, unless a caller
+	// buffer lands in one, its out buffers.
+	c := &f.call
+	c.Op, c.idx, c.opPres, c.ctx = o.server, o.Server, o.opPres, ctx
+	c.inBytes, c.inPrivate, c.outs, c.outBufs = f.inBytes[:n], o.private, f.outs[:n], f.outBufs[:n]
+	if o.lend {
+		c.in = args
+	} else {
+		c.in = f.in[:n]
+		for i := range o.ins {
+			p := &o.ins[i]
+			v := args[p.arg]
+			if p.copy {
+				v = CopyValue(p.typ, v)
+			}
+			c.in[p.arg] = v
 		}
-		c.in[p.arg], c.inPrivate[p.arg] = v, p.private
 	}
-	for i := range o.outs {
-		if p := &o.outs[i]; p.caller {
-			if p.arg < 0 {
-				c.retBuf = retBuf
-			} else if outBufs != nil {
+	if o.callerOuts && outBufs != nil {
+		for i := range o.outs {
+			if p := &o.outs[i]; p.caller && p.arg >= 0 {
 				c.outBufs[p.arg] = outBufs[p.arg]
 			}
 		}
 	}
+	if o.callerRet {
+		c.retBuf = retBuf
+	}
 	if err := s.disp.invoke(c, 0); err != nil {
-		releaseFrame(f)
+		o.release(f)
 		return nil, nil, err
 	}
 	var outs []Value
 	var ret Value
 	if o.Outs > 0 {
-		outs = make([]Value, len(o.Params))
+		outs = make([]Value, n)
 	}
 	// Deferred actions release server storage the by-reference values
 	// alias, so a call that scheduled any delivers copies.
@@ -188,20 +241,44 @@ func (s *SameDomain) run(ctx context.Context, o *sameOp, args []Value, outBufs [
 	for i := range o.outs {
 		p := &o.outs[i]
 		if p.arg < 0 {
-			ret = p.deliver(c.Result(), retBuf, deferred)
+			ret = p.deliver(c.ret, retBuf, deferred)
 			continue
 		}
 		var buf []byte
 		if outBufs != nil {
 			buf = outBufs[p.arg]
 		}
-		outs[p.arg] = p.deliver(c.Out(p.arg), buf, deferred)
+		outs[p.arg] = p.deliver(c.outs[p.arg], buf, deferred)
 	}
 	if deferred {
 		c.runAfterReply()
 	}
-	releaseFrame(f)
+	o.release(f)
 	return outs, ret, nil
+}
+
+// release ends a direct call on f and returns it to the pool: it
+// clears what the call set — the lent arguments, the values and
+// buffers it filled, the context — and drops the Call's views of the
+// caller's arguments and the binding's bind-time state. The Call's
+// slices into frame storage stay; the next call of either kind
+// re-points them.
+func (o *sameOp) release(f *Frame) {
+	c := &f.call
+	if !o.lend {
+		clear(c.in)
+	}
+	if o.callerOuts {
+		clear(f.outBufs[:len(o.Params)])
+	}
+	clear(c.outs)
+	if len(c.afterReply) > 0 {
+		clear(c.afterReply)
+		c.afterReply = c.afterReply[:0]
+	}
+	c.Op, c.opPres, c.in, c.inPrivate = nil, nil, nil, nil
+	c.ret, c.retBuf, c.ctx = nil, nil, nil
+	frames.Put(f)
 }
 
 // deliver hands one out value to the client. Only where both sides

@@ -199,10 +199,8 @@ func (d *Dispatcher) Handle(op string, h Handler) {
 }
 
 func (d *Dispatcher) mustIndex(op string) int {
-	for i := range d.Pres.Interface.Ops {
-		if d.Pres.Interface.Ops[i].Name == op {
-			return i
-		}
+	if i := opIndex(d.Pres.Interface.Ops, op); i >= 0 {
+		return i
 	}
 	panic(fmt.Sprintf("runtime: interface %s has no operation %q", d.Pres.Interface.Name, op))
 }
@@ -316,7 +314,7 @@ const (
 func (d *Dispatcher) ServeMessage(plan *Plan, opIdx int, body []byte, enc Encoder) {
 	f := acquireFrame()
 	d.serve(nil, f, plan, opIdx, body, enc, 0, true)
-	releaseFrame(f)
+	frames.Put(f)
 }
 
 // ServeMessageRaw is ServeMessage for self-framing transports: no
@@ -325,7 +323,7 @@ func (d *Dispatcher) ServeMessage(plan *Plan, opIdx int, body []byte, enc Encode
 func (d *Dispatcher) ServeMessageRaw(plan *Plan, opIdx int, body []byte, enc Encoder) error {
 	f := acquireFrame()
 	err := d.serve(nil, f, plan, opIdx, body, enc, 0, false)
-	releaseFrame(f)
+	frames.Put(f)
 	return err
 }
 

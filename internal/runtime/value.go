@@ -95,9 +95,10 @@ func ZeroValue(t *ir.Type) Value {
 
 // CopyValue returns a deep copy of v (wire type t): the copy the
 // same-domain stubs make when neither [trashable] nor [preserved]
-// lets them pass the original by reference.
+// lets them pass the original by reference. A value of a type that is
+// not mutable is its own copy.
 func CopyValue(t *ir.Type, v Value) Value {
-	if t == nil || v == nil {
+	if !mutable(t) || v == nil {
 		return v
 	}
 	switch t.Kind {
@@ -113,14 +114,26 @@ func CopyValue(t *ir.Type, v Value) Value {
 			dst[i] = CopyValue(t.Elem, e)
 		}
 		return dst
-	case ir.Struct:
+	default: // ir.Struct
 		src := v.([]Value)
 		dst := make([]Value, len(src))
 		for i, f := range t.Fields {
 			dst[i] = CopyValue(f.Type, src[i])
 		}
 		return dst
-	default:
-		return v // scalars, strings and port names are immutable
 	}
+}
+
+// mutable reports whether a value of type t can be changed through a
+// reference to it: byte buffers, sequences, arrays and structs. Scalars,
+// strings and port names cannot.
+func mutable(t *ir.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch t.Kind {
+	case ir.Bytes, ir.FixedBytes, ir.Seq, ir.Array, ir.Struct:
+		return true
+	}
+	return false
 }
