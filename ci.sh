@@ -245,6 +245,16 @@ surface() {
 	go test -count=1 -v -run 'TestSurface' ./internal/analyze/gocheck
 }
 
+lines() {
+	# The line ratchet alone: non-test Go lines per area, bench/ and
+	# testdata included, against the pins in lines_test.go. Any
+	# difference fails and prints the new counts; a change commits them
+	# and says in CHANGES.md why the lines moved. The full gate reaches
+	# it through `go test ./...`; -v prints the counts.
+	echo "go test -count=1 -v -run '^TestLineRatchet$' ."
+	go test -count=1 -v -run '^TestLineRatchet$' .
+}
+
 bench_smoke() {
 	# bench/ is its own module, so `go test ./...` from the root never
 	# reaches it: its smoke test runs every workload once, checks the
@@ -355,10 +365,11 @@ netpoll-stress) netpoll_stress ;;
 alloc-gates) alloc_gates ;;
 frame-race) frame_race ;;
 surface) surface ;;
+lines) lines ;;
 bench-smoke) bench_smoke ;;
 figures) figures ;;
 *)
-	echo "ci.sh: unknown stage '$1'; stages: vet-examples vet-go certify [-update] fuzz-smoke flexload-smoke netpoll-smoke netpoll-stress alloc-gates frame-race surface bench-smoke figures (no argument runs them all)" >&2
+	echo "ci.sh: unknown stage '$1'; stages: vet-examples vet-go certify [-update] fuzz-smoke flexload-smoke netpoll-smoke netpoll-stress alloc-gates frame-race surface lines bench-smoke figures (no argument runs them all)" >&2
 	exit 2
 	;;
 esac

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,8 +30,8 @@ import (
 // The canonical contract: every parameter direction, octet
 // sequences, a [special]-marshaled parameter, an [idempotent]
 // operation, an always-failing operation and a blocking one for
-// deadline behavior.
-const confIDL = `
+// deadline behavior; then the result operations (resultKinds).
+const confIDL = resultTypes + `
 	interface Conf {
 	    long add(in long a, in long b);
 	    sequence<octet> concat(in sequence<octet> a, in sequence<octet> b);
@@ -38,22 +39,74 @@ const confIDL = `
 	    sequence<octet> stamp(in sequence<octet> data);
 	    long bump(in long n);
 	    void fail(in string msg);
-	    void hang();
+	    void hang();` + resultOps + `
 	};`
 
+// The server's presentation. The client's differs in one attribute: it
+// lands rfetch's result in a buffer it supplies ([alloc(caller)]), so a
+// same-domain rfetch copies from the server's buffer into the caller's.
 const confPDL = `interface Conf {
     [idempotent] bump();
     stamp([special] data);
+    rspecial([special] return);
+    rfetch([alloc(callee)] return);
+    rport([nonunique] return);
 };`
 
-// confHooks are the [special] marshal hooks for stamp.data. They are
-// value-transparent — the wire bytes are exactly what the default
-// marshal would produce — so the in-process cell (which never
-// marshals and therefore never runs them) observes the same values
-// as every message transport.
-type confHooks struct{}
+// The result operations: one per kind of the runtime's Value mapping
+// (resultKinds), a byte buffer that lands in the caller's buffer, a
+// [special] one, and two whose work functions set a Go value outside
+// the mapping.
+const resultTypes = `
+	enum shade { light, dark };
+	typedef octet digest[8];
+	typedef long quad[4];
+	struct pair { unsigned long n; string s; };`
 
-func (confHooks) EncodeSpecial(op, param string, enc runtime.Encoder, v runtime.Value) error {
+const resultOps = `
+	    boolean rbool(); long rlong(); shade renum(); unsigned long rulong();
+	    long long rhyper(); unsigned long long ruhyper(); float rfloat(); double rdouble();
+	    string rstring(); sequence<octet> rbytes(); digest rfixed(); sequence<long> rseq();
+	    quad rarray(); pair rstruct(); Object rport(); void rvoid();
+	    sequence<octet> rfetch(); sequence<octet> rspecial();
+	    unsigned long rint(); sequence<octet> rnamed();`
+
+// resultKinds is what each result operation's work function sets, and
+// every cell must return. rbytes, rfetch and rspecial return a slice of
+// the world's blob.
+var resultKinds = []struct {
+	op   string
+	want runtime.Value
+}{
+	{"rbool", true}, {"rlong", int32(-70000)}, {"renum", int32(1)}, {"rulong", uint32(70000)},
+	{"rhyper", int64(-1 << 40)}, {"ruhyper", uint64(1<<63 + 5)}, {"rfloat", float32(1.5)}, {"rdouble", 2.25},
+	{"rstring", "a result string"}, {"rbytes", confBlob[:20]}, {"rfixed", []byte("8 octets")},
+	{"rseq", []runtime.Value{int32(300), int32(-300)}},
+	{"rarray", []runtime.Value{int32(1000), int32(2000), int32(3000), int32(4000)}},
+	{"rstruct", []runtime.Value{uint32(4096), "pair"}}, {"rport", runtime.PortName(513)}, {"rvoid", nil},
+	{"rfetch", confBlob[3:23]}, {"rspecial", confBlob[5:25]},
+}
+
+// confBlob is the server storage the byte-buffer results are slices of.
+var confBlob = []byte("the server's own storage, which a result may alias")
+
+// named is a Go type outside the Value mapping: a []byte by another
+// name, which rnamed's work function sets.
+type named []byte
+
+// confHooks are the [special] marshal hooks for stamp.data and
+// rspecial's result. They are value-transparent — the wire bytes are
+// exactly what the default marshal would produce — so the in-process
+// cell (which never marshals and therefore never runs them) observes
+// the same values as every message transport. A server's hooks keep
+// the last rspecial result they were given in kept, which must hold
+// after the call as it was set: user code may keep what a hook gets.
+type confHooks struct{ kept *runtime.Value }
+
+func (h confHooks) EncodeSpecial(op, param string, enc runtime.Encoder, v runtime.Value) error {
+	if h.kept != nil && op == "rspecial" {
+		*h.kept = v
+	}
 	enc.PutBytes(v.([]byte))
 	return nil
 }
@@ -70,9 +123,10 @@ func (confHooks) DecodeSpecial(op, param string, dec runtime.Decoder) (runtime.V
 // gets a fresh one so execution counts are per-cell.
 type world struct {
 	p      *pres.Presentation // the server's
-	client *pres.Presentation // the one cells bind clients with; p unless redeclared
+	client *pres.Presentation // the one cells bind clients with: p with rfetch's [alloc(caller)], unless redeclared
 	disp   *runtime.Dispatcher
-	execs  atomic.Int64 // exchange handler executions (at-most-once witness)
+	execs  atomic.Int64  // exchange handler executions (at-most-once witness)
+	kept   runtime.Value // what the server's rspecial hook was given
 }
 
 func newWorld(t testing.TB) *world {
@@ -84,8 +138,23 @@ func newWorld(t testing.TB) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &world{p: compiled.Pres, client: compiled.Pres, disp: runtime.NewDispatcher(compiled.Pres)}
-	w.disp.SetHooks(confHooks{})
+	w := &world{p: compiled.Pres, client: compiled.Pres.Clone(), disp: runtime.NewDispatcher(compiled.Pres)}
+	w.client.Op("rfetch").Result().Alloc = pres.AllocCaller
+	w.disp.SetHooks(confHooks{kept: &w.kept})
+	for _, k := range resultKinds {
+		w.disp.Handle(k.op, func(c *runtime.Call) error {
+			c.SetResult(k.want)
+			return nil
+		})
+	}
+	w.disp.Handle("rint", func(c *runtime.Call) error {
+		c.SetResult(5)
+		return nil
+	})
+	w.disp.Handle("rnamed", func(c *runtime.Call) error {
+		c.SetResult(named("x"))
+		return nil
+	})
 	w.disp.Handle("add", func(c *runtime.Call) error {
 		c.SetResult(c.Arg(0).(int32) + c.Arg(1).(int32))
 		return nil
@@ -539,6 +608,8 @@ func runCanonical(t *testing.T, tc cell, w *world, inv invoker) {
 		}
 	}
 
+	runResultKinds(t, tc, w, inv)
+
 	// At-most-once: the non-idempotent exchange handler ran
 	// exactly once per client call, retries and replays
 	// notwithstanding.
@@ -562,11 +633,49 @@ func runCanonical(t *testing.T, tc cell, w *world, inv invoker) {
 	}
 }
 
+// runResultKinds checks that every result operation returns what its
+// work function set, with and without a caller's buffer: a value of
+// each kind of the Value mapping comes back as set on every cell; a
+// same-domain byte buffer result aliases the server's storage unless
+// the client supplies a buffer it lands in; a [special] result reaches
+// the server's hook as a value it may keep; and a Go value outside the
+// mapping fails the call as a mistyped reply.
+func runResultKinds(t *testing.T, tc cell, w *world, inv invoker) {
+	retBuf := make([]byte, 64)
+	for _, k := range resultKinds {
+		for _, buf := range [][]byte{nil, retBuf} {
+			_, ret, err := inv.Invoke(k.op, nil, nil, buf)
+			if err != nil || !reflect.DeepEqual(ret, k.want) {
+				t.Fatalf("%s (caller buffer %v) = %#v, %v; want %#v", k.op, buf != nil, ret, err, k.want)
+			}
+			b, _ := ret.([]byte)
+			switch {
+			case k.op == "rbytes" && (&b[0] == &confBlob[0]) != tc.direct:
+				t.Fatalf("rbytes aliases the server's storage: %v, want %v", !tc.direct, tc.direct)
+			case k.op == "rfetch" && (&b[0] == &retBuf[0]) != (buf != nil):
+				t.Fatalf("rfetch (caller buffer %v) landed in the caller's buffer: %v", buf != nil, buf == nil)
+			}
+		}
+	}
+	if !tc.direct && !reflect.DeepEqual(w.kept, confBlob[5:25]) {
+		t.Fatalf("the rspecial hook was given %#v, which no longer holds the result", w.kept)
+	}
+	for op, typ := range map[string]string{"rint": "int", "rnamed": "conformance.named"} {
+		_, _, err := inv.Invoke(op, nil, nil, nil)
+		if got := classify(err); got != tc.failClass {
+			t.Fatalf("%s classified %q (%v), want %q", op, got, err, tc.failClass)
+		}
+		if want := "value " + typ + " does not match wire type"; tc.failCarriesMsg && !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s failed with %q, want %q", op, err, want)
+		}
+	}
+}
+
 // confRedeclared is Conf as a client might declare it: the operations
 // in the reverse order and every parameter renamed. Parameter names
 // and declaration order are not part of the contract.
-const confRedeclared = `
-	interface Conf {
+const confRedeclared = resultTypes + `
+	interface Conf {` + resultOps + `
 	    void hang();
 	    void fail(in string why);
 	    long bump(in long k);
@@ -579,6 +688,9 @@ const confRedeclared = `
 const confRedeclaredPDL = `interface Conf {
     [idempotent] bump();
     stamp([special] payload);
+    rspecial([special] return);
+    rfetch([alloc(caller)] return);
+    rport([nonunique] return);
 };`
 
 // TestMatrixDeclaredDifferently binds a client that declares Conf

@@ -159,6 +159,43 @@ func TestServerBorrowPutAllocsStatsOff(t *testing.T) {
 	})
 }
 
+// A work function's SetOut and SetResult allocate nothing: the Call
+// keeps a value's contents, not its box, so the box a work function
+// builds for c.SetOut(i, blob[:n]) or a scalar stays on its own stack,
+// and the reply encodes from the Call's slots.
+func TestServerSetOutZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are not meaningful under the race detector")
+	}
+	f, err := corba.Parse("get.idl", `
+		interface Get {
+			sequence<octet> get(in unsigned long n, out sequence<octet> data, out unsigned long long sum);
+		};`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pres.Default(f.Interface("Get"), pres.StyleCORBA)
+	blob := make([]byte, 1024)
+	disp := NewDispatcher(p)
+	disp.Handle("get", func(c *Call) error {
+		n := c.Arg(0).(uint32)
+		c.SetOut(1, blob[:n])
+		c.SetOut(2, uint64(n)<<40) // a box of its own, were it kept
+		c.SetResult(blob[n:])
+		return nil
+	})
+	plan, err := NewPlan(p, XDRCodec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := XDRCodec.NewEncoder()
+	body := []byte{0, 0, 0, 100} // n = 100 boxes for free
+	gateAllocs(t, "server get setting two outs and a result", 0, func() {
+		enc.Reset()
+		disp.ServeMessage(plan, 0, body, enc)
+	})
+}
+
 func TestServerBorrowPutBoundedAllocsStatsOn(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")

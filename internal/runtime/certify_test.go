@@ -172,19 +172,19 @@ func TestCertificateMatchesGates(t *testing.T) {
 		t.Fatalf("tail bounds: name client %d, data client %d; want 1, 1", name.ClientAllocBound, data.ClientAllocBound)
 	}
 
+	// The work functions set their results unboxed: the Call keeps a
+	// value's contents, not its box, so the gate measures the stub alone.
 	adisp := NewDispatcher(ap)
-	var boxed Value = attr // boxed once: the gate measures the stub, not the work function
-	adisp.Handle("getattr", func(c *Call) error { c.SetResult(boxed); return nil })
+	adisp.Handle("getattr", func(c *Call) error { c.SetResult(attr); return nil })
 	adisp.Handle("setattr", func(c *Call) error { return nil })
 	elems := make([]Value, 1000)
 	for i := range elems {
 		elems[i] = uint32(256 + i)
 	}
-	var boxedElems Value = elems
-	adisp.Handle("list", func(c *Call) error { c.SetResult(boxedElems); return nil })
-	var boxedName, boxedData Value = "a-file-name", []byte("some owned bytes")
-	adisp.Handle("name", func(c *Call) error { c.SetResult(boxedName); return nil })
-	adisp.Handle("data", func(c *Call) error { c.SetResult(boxedData); return nil })
+	adisp.Handle("list", func(c *Call) error { c.SetResult(elems); return nil })
+	fileName, fileData := "a-file-name", []byte("some owned bytes")
+	adisp.Handle("name", func(c *Call) error { c.SetResult(fileName); return nil })
+	adisp.Handle("data", func(c *Call) error { c.SetResult(fileData); return nil })
 	aenc, getBody := XDRCodec.NewEncoder(), []byte{0, 0, 1, 0}
 	cannedClient := func(op string) *Client {
 		aenc.Reset()

@@ -36,7 +36,7 @@ type Frame struct {
 	in        []Value
 	inBytes   [][]byte
 	inPrivate []bool
-	outs      []Value
+	outs      []slot
 	outBufs   [][]byte
 }
 
@@ -120,7 +120,7 @@ func (f *Frame) reserve(n int) {
 		f.in = make([]Value, n)
 		f.inBytes = make([][]byte, n)
 		f.inPrivate = make([]bool, n)
-		f.outs = make([]Value, n)
+		f.outs = make([]slot, n)
 		f.outBufs = make([][]byte, n)
 	}
 }
@@ -132,14 +132,15 @@ func (f *Frame) end() {
 		c.in[i] = nil
 		c.inBytes[i] = nil
 		c.inPrivate[i] = false
-		c.outs[i] = nil
+		c.outs[i].clear()
 		c.outBufs[i] = nil
 	}
 	for i := range c.afterReply {
 		c.afterReply[i] = nil
 	}
 	c.afterReply = c.afterReply[:0]
-	c.Op, c.opPres, c.ret, c.retBuf, c.ctx = nil, nil, nil, nil, nil
+	c.ret.clear()
+	c.Op, c.opPres, c.retBuf, c.ctx = nil, nil, nil, nil
 	if f.Decoder != nil {
 		f.Decoder.Reset(nil)
 	}

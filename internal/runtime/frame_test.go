@@ -22,11 +22,19 @@ import (
 // capacity, and through the eyes of the next call's work function.
 
 const reuseIDL = `
+	struct rec { unsigned long n; string s; sequence<octet> b; };
 	interface Reuse {
 		void nop();
 		void put(in sequence<octet> data);
 		sequence<octet> swap(inout sequence<octet> data, in string tag, out unsigned long sum);
+		string label(inout sequence<octet> data, in string tag, out rec r);
+		rec record(inout sequence<octet> data, in string tag, out string s);
 	};`
+
+// reuseOps are the operations whose work function is reuseServer's:
+// each returns a byte buffer, a string or a struct, with an out beside
+// it, so every kind of slot a value lands in is exercised.
+var reuseOps = []string{"swap", "label", "record"}
 
 func reusePres(t testing.TB) *pres.Presentation {
 	t.Helper()
@@ -39,15 +47,37 @@ func reusePres(t testing.TB) *pres.Presentation {
 
 type ctxKey struct{}
 
-// reuseServer's swap does what its tag says. Every variant first fills
-// every slot a call has — both outs, the result, an AfterReply func —
-// so a frame that is not cleared has something to show for it.
+// reuseServer's work function does what its tag says. Every variant
+// first fills every slot a call has — both outs, the result, an
+// AfterReply func — so a frame that is not cleared has something to
+// show for it.
 type reuseServer struct {
 	disp       *Dispatcher
 	plan       *Plan
 	afterReply int    // AfterReply funcs that ran
 	stale      string // what a "witness" call found left over; "" = nothing
 }
+
+// reuseValues are what op's work function sets beside the reversed
+// data: its second out and its result, built fresh from data so that
+// each holds memory of its own.
+func reuseValues(op string, data []byte) (out, ret Value) {
+	rec := []Value{uint32(len(data)), string(data), append([]byte(nil), data...)}
+	switch op {
+	case "label":
+		return rec, string(data)
+	case "record":
+		return string(data), rec
+	}
+	var sum uint32
+	for _, b := range data {
+		sum += uint32(b)
+	}
+	return sum, append([]byte(nil), data...)
+}
+
+// reuseMistyped is a result op's reply encode fails on.
+var reuseMistyped = map[string]Value{"swap": "not bytes", "label": []byte("not a string"), "record": "not a record"}
 
 func newReuseServer(t testing.TB) *reuseServer {
 	t.Helper()
@@ -59,21 +89,20 @@ func newReuseServer(t testing.TB) *reuseServer {
 	}
 	s.disp.Handle("nop", func(c *Call) error { return nil })
 	s.disp.Handle("put", func(c *Call) error { return nil })
-	s.disp.Handle("swap", func(c *Call) error {
+	h := func(c *Call) error {
 		tag := c.Arg(1).(string)
 		if tag == "witness" {
 			s.stale = staleIn(c)
 		}
 		data := c.ArgBytes(0)
 		rev := make([]byte, len(data))
-		var sum uint32
 		for i, b := range data {
 			rev[len(data)-1-i] = b
-			sum += uint32(b)
 		}
+		out, ret := reuseValues(c.Op.Name, data)
 		c.SetOut(0, rev)
-		c.SetOut(2, sum)
-		c.SetResult(append([]byte(nil), data...))
+		c.SetOut(2, out)
+		c.SetResult(ret)
 		c.AfterReply(func() { s.afterReply++ })
 		switch tag {
 		case "panic":
@@ -81,12 +110,16 @@ func newReuseServer(t testing.TB) *reuseServer {
 		case "error":
 			return errors.New("refused")
 		case "mistyped":
-			c.SetResult("not bytes") // the reply encode fails
+			c.SetResult(reuseMistyped[c.Op.Name]) // the reply encode fails
 		case "big":
-			c.SetResult(make([]byte, 4096)) // outgrows a small arena
+			_, big := reuseValues(c.Op.Name, make([]byte, 4096)) // outgrows a small arena
+			c.SetResult(big)
 		}
 		return nil
-	})
+	}
+	for _, op := range reuseOps {
+		s.disp.Handle(op, h)
+	}
 	return s
 }
 
@@ -131,15 +164,17 @@ func (s *reuseServer) swapBody(data []byte, tag string) []byte {
 }
 
 // frameLeaves gathers every byte buffer and string still reachable from
-// f: each slot over its full capacity, so a wider call's tail counts.
+// f: each slot over its full capacity, so a wider call's tail counts,
+// and every field of each value slot, whatever its kind says.
 func frameLeaves(f *Frame) []leaf {
 	c := &f.call
 	var out []leaf
 	for _, v := range c.in[:cap(c.in)] {
 		out = append(out, leaves(v)...)
 	}
-	for _, v := range c.outs[:cap(c.outs)] {
-		out = append(out, leaves(v)...)
+	outs := c.outs[:cap(c.outs)]
+	for i := range outs {
+		out = append(out, slotLeaves(&outs[i])...)
 	}
 	for _, b := range c.inBytes[:cap(c.inBytes)] {
 		out = append(out, leaf{b: b})
@@ -147,8 +182,14 @@ func frameLeaves(f *Frame) []leaf {
 	for _, b := range c.outBufs[:cap(c.outBufs)] {
 		out = append(out, leaf{b: b})
 	}
-	out = append(out, leaves(c.ret)...)
+	out = append(out, slotLeaves(&c.ret)...)
 	return append(out, leaf{b: c.retBuf})
+}
+
+// slotLeaves gathers the byte buffers and strings a value slot holds.
+func slotLeaves(s *slot) []leaf {
+	out := append(leaves(s.vals), leaf{b: s.byts})
+	return append(out, leaves(s.str)...)
 }
 
 // checkFrameCleared asserts f references nothing of the call it just
@@ -166,6 +207,11 @@ func checkFrameCleared(t *testing.T, what string, f *Frame, regions ...[]byte) {
 		}
 	}
 	c := &f.call
+	outs := c.outs[:cap(c.outs)]
+	for i := range outs {
+		checkSlotCleared(t, what, &outs[i])
+	}
+	checkSlotCleared(t, what, &c.ret)
 	for _, fn := range c.afterReply[:cap(c.afterReply)] {
 		if fn != nil {
 			t.Errorf("%s: the frame still holds an AfterReply func", what)
@@ -184,6 +230,15 @@ func checkFrameCleared(t *testing.T, what string, f *Frame, regions ...[]byte) {
 	}
 }
 
+// checkSlotCleared asserts a value slot holds nothing: frameLeaves
+// sees its buffers, this its kind, scalar and type.
+func checkSlotCleared(t *testing.T, what string, s *slot) {
+	t.Helper()
+	if s.kind != slotNil || s.word[0] != 0 || s.typ != nil {
+		t.Errorf("%s: a value slot still holds kind %d, word %#x, type %v", what, s.kind, s.word[0], s.typ)
+	}
+}
+
 // arenaEncoder returns an encoder aimed at a 32-byte arena, which every
 // swap reply outgrows: the reply reallocates into heap storage.
 func arenaEncoder() Encoder {
@@ -192,85 +247,97 @@ func arenaEncoder() Encoder {
 	return enc
 }
 
+// A frameScenario is one way a served call can end.
+type frameScenario struct {
+	name       string
+	tag        string // what the work function is asked to do
+	truncate   bool   // the request arrives cut inside the tag
+	arena      bool   // reply through an arena encoder it outgrows
+	afterReply int    // funcs that must have run once the call returns
+	rawErr     string
+}
+
 func TestFrameClearedOnEveryReturn(t *testing.T) {
 	s := newReuseServer(t)
-	swap := s.plan.OpIndex("swap")
 	data := bytes.Repeat([]byte{0xA5}, 600)
-	truncated := s.swapBody(data, "tag-lost-in-transit")
-	truncated = truncated[:4+len(data)+2] // data arrives whole, tag's length word does not
-
-	scenarios := []struct {
-		name       string
-		body       []byte
-		arena      bool // reply through an arena encoder it outgrows
-		afterReply int  // funcs that must have run once the call returns
-		rawErr     string
-	}{
-		{name: "ok", body: s.swapBody(data, "fine"), afterReply: 1},
-		{name: "handler panics", body: s.swapBody(data, "panic"), rawErr: "panicked"},
-		{name: "handler fails", body: s.swapBody(data, "error"), rawErr: "refused"},
-		{name: "decode fails after the first argument", body: truncated, rawErr: "param tag"},
-		{name: "reply encode fails", body: s.swapBody(data, "mistyped"), afterReply: 1, rawErr: "result"},
-		{name: "oversize reply", body: s.swapBody(data, "big"), arena: true, afterReply: 1},
-	}
-	for _, sc := range scenarios {
+	for _, sc := range []frameScenario{
+		{name: "ok", tag: "fine", afterReply: 1},
+		{name: "handler panics", tag: "panic", rawErr: "panicked"},
+		{name: "handler fails", tag: "error", rawErr: "refused"},
+		{name: "decode fails after the first argument", tag: "tag-lost-in-transit", truncate: true, rawErr: "param tag"},
+		{name: "reply encode fails", tag: "mistyped", afterReply: 1, rawErr: "result"},
+		{name: "oversize reply", tag: "big", arena: true, afterReply: 1},
+	} {
 		for _, framed := range []bool{true, false} {
-			name := fmt.Sprintf("%s/framed=%v", sc.name, framed)
-			t.Run(name, func(t *testing.T) {
-				f := NewFrame()
-				enc := XDRCodec.NewEncoder()
-				if sc.arena {
-					enc = arenaEncoder()
-				}
-				ctx := context.WithValue(context.Background(), ctxKey{}, name)
-				s.afterReply = 0
-				if framed {
-					f.ServeMessage(s.disp, s.plan, swap, sc.body, enc)
-					dec := XDRCodec.NewDecoder(enc.Bytes())
-					if status, _ := dec.Uint32(); (status == replyOK) != (sc.rawErr == "") {
-						t.Fatalf("status %d, want failure=%v", status, sc.rawErr != "")
+			t.Run(fmt.Sprintf("%s/framed=%v", sc.name, framed), func(t *testing.T) {
+				for _, op := range reuseOps {
+					body := s.body(op, data, sc.tag, nil)
+					if sc.truncate {
+						body = body[:4+len(data)+2] // data arrives whole, tag's length word does not
 					}
-				} else {
-					err := f.ServeMessageRawContext(ctx, s.disp, s.plan, swap, sc.body, enc)
-					if (err == nil) != (sc.rawErr == "") || (err != nil && !strings.Contains(err.Error(), sc.rawErr)) {
-						t.Fatalf("err = %v, want %q", err, sc.rawErr)
-					}
+					clearedAcrossCalls(t, s, op, body, sc, framed)
 				}
-				want := sc.afterReply
-				if !framed && sc.rawErr != "" {
-					want = 0 // the raw path reports a failed marshal without reaching the deallocation point
-				}
-				if s.afterReply != want {
-					t.Fatalf("%d AfterReply funcs ran, want %d", s.afterReply, want)
-				}
-				checkFrameCleared(t, "after the call", f, sc.body, enc.Bytes())
-
-				// The next call on the same frame, a narrower operation
-				// then the same one, sees only its own request.
-				put, next := s.body("put", []byte("next")), XDRCodec.NewEncoder()
-				f.ServeMessage(s.disp, s.plan, s.plan.OpIndex("put"), put, next)
-				checkFrameCleared(t, "after a narrower call", f, sc.body, put)
-
-				s.stale, s.afterReply = "unset", 0
-				witness := s.swapBody([]byte("fresh"), "witness")
-				next.Reset()
-				if err := f.ServeMessageRawContext(nil, s.disp, s.plan, swap, witness, next); err != nil {
-					t.Fatal(err)
-				}
-				if s.stale != "" {
-					t.Fatalf("the next call's work function saw: %s", s.stale)
-				}
-				if s.afterReply != 1 {
-					t.Fatalf("%d AfterReply funcs ran in the next call, want its own 1", s.afterReply)
-				}
-				outs, ret, err := s.plan.Ops[swap].DecodeReply(XDRCodec.NewDecoder(next.Bytes()), nil, nil)
-				if err != nil || string(outs[0].([]byte)) != "hserf" || string(ret.([]byte)) != "fresh" {
-					t.Fatalf("next call replied %v, %v, %v", outs, ret, err)
-				}
-				checkFrameCleared(t, "after the next call", f, witness, next.Bytes())
 			})
 		}
 	}
+}
+
+// clearedAcrossCalls serves body as op on a fresh frame, then a
+// narrower call and a witness swap on the same frame, and checks the
+// frame after each.
+func clearedAcrossCalls(t *testing.T, s *reuseServer, op string, body []byte, sc frameScenario, framed bool) {
+	t.Helper()
+	f := NewFrame()
+	enc := XDRCodec.NewEncoder()
+	if sc.arena {
+		enc = arenaEncoder()
+	}
+	ctx := context.WithValue(context.Background(), ctxKey{}, t.Name())
+	s.afterReply = 0
+	if idx := s.plan.OpIndex(op); framed {
+		f.ServeMessage(s.disp, s.plan, idx, body, enc)
+		dec := XDRCodec.NewDecoder(enc.Bytes())
+		if status, _ := dec.Uint32(); (status == replyOK) != (sc.rawErr == "") {
+			t.Fatalf("%s: status %d, want failure=%v", op, status, sc.rawErr != "")
+		}
+	} else {
+		err := f.ServeMessageRawContext(ctx, s.disp, s.plan, idx, body, enc)
+		if (err == nil) != (sc.rawErr == "") || (err != nil && !strings.Contains(err.Error(), sc.rawErr)) {
+			t.Fatalf("%s: err = %v, want %q", op, err, sc.rawErr)
+		}
+	}
+	want := sc.afterReply
+	if !framed && sc.rawErr != "" {
+		want = 0 // the raw path reports a failed marshal without reaching the deallocation point
+	}
+	if s.afterReply != want {
+		t.Fatalf("%s: %d AfterReply funcs ran, want %d", op, s.afterReply, want)
+	}
+	checkFrameCleared(t, op+": after the call", f, body, enc.Bytes())
+
+	// The next call on the same frame, a narrower operation then a
+	// swap, sees only its own request.
+	put, next := s.body("put", []byte("next")), XDRCodec.NewEncoder()
+	f.ServeMessage(s.disp, s.plan, s.plan.OpIndex("put"), put, next)
+	checkFrameCleared(t, op+": after a narrower call", f, body, put)
+
+	s.stale, s.afterReply = "unset", 0
+	swap, witness := s.plan.OpIndex("swap"), s.swapBody([]byte("fresh"), "witness")
+	next.Reset()
+	if err := f.ServeMessageRawContext(nil, s.disp, s.plan, swap, witness, next); err != nil {
+		t.Fatal(err)
+	}
+	if s.stale != "" {
+		t.Fatalf("%s: the next call's work function saw: %s", op, s.stale)
+	}
+	if s.afterReply != 1 {
+		t.Fatalf("%s: %d AfterReply funcs ran in the next call, want its own 1", op, s.afterReply)
+	}
+	outs, ret, err := s.plan.Ops[swap].DecodeReply(XDRCodec.NewDecoder(next.Bytes()), nil, nil)
+	if err != nil || string(outs[0].([]byte)) != "hserf" || string(ret.([]byte)) != "fresh" {
+		t.Fatalf("%s: next call replied %v, %v, %v", op, outs, ret, err)
+	}
+	checkFrameCleared(t, op+": after the next call", f, witness, next.Bytes())
 }
 
 // TestFrameSurvivesEscapedPanic: a panic that is not a work function's
@@ -317,7 +384,8 @@ func TestPooledFrameNextCallSeesNothingStale(t *testing.T) {
 // frame and points its Call at the caller's arguments and the binding's
 // bind-time state, so what it hands back to the pool must meet the same
 // invariant as a served frame — on the lent path (nop, a [trashable]
-// put), the copying path (swap) and every way swap can return.
+// put), the copying path (swap), every way swap can return, and results
+// and outs of every slot kind (label, record).
 func TestSameDomainFrameCleared(t *testing.T) {
 	s := newReuseServer(t)
 	client := reusePres(t)
@@ -341,18 +409,19 @@ func TestSameDomainFrameCleared(t *testing.T) {
 	ctx := context.WithValue(context.Background(), ctxKey{}, "same-domain")
 	for _, sc := range []struct {
 		op   string
-		tag  string // swap's
+		tag  string // a reuseOps op's
 		fail bool
 	}{
 		{op: "nop"}, {op: "put"},
 		{op: "swap", tag: "fine"}, {op: "swap", tag: "error", fail: true}, {op: "swap", tag: "panic", fail: true},
+		{op: "label", tag: "fine"}, {op: "label", tag: "panic", fail: true}, {op: "record", tag: "fine"},
 	} {
 		data := bytes.Repeat([]byte{0x5A}, 64)
 		var args []Value
 		switch sc.op {
 		case "put":
 			args = []Value{data}
-		case "swap":
+		case "swap", "label", "record":
 			args = []Value{data, sc.tag, nil}
 		}
 		last = nil

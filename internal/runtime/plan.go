@@ -1325,13 +1325,55 @@ func (op *OpPlan) EncodeReply(enc Encoder, outs []Value, ret Value) error {
 			v = outs[st.arg]
 		}
 		if err := st.enc(enc, v); err != nil {
-			if st.arg >= 0 {
-				return fmt.Errorf("%s out param %s: %w", op.Op.Name, st.name, err)
-			}
-			return fmt.Errorf("%s result: %w", op.Op.Name, err)
+			return replyParamErr(op.Op, st.arg, err)
 		}
 	}
 	return nil
+}
+
+// encodeReplyCall is EncodeReply reading a Call's slots: each step
+// encodes a transient view of its slot, except that a [special] hook,
+// user code that may keep what it is given, gets a heap box, and a
+// value outside the mapping fails it as it fails a default step.
+func (op *OpPlan) encodeReplyCall(enc Encoder, c *Call) error {
+	for i := range op.repEnc {
+		st := &op.repEnc[i]
+		s := &c.ret
+		if st.arg >= 0 {
+			s = &c.outs[st.arg]
+		}
+		var err error
+		switch {
+		case st.landing != LandSpecial:
+			err = st.enc(enc, s.view())
+		case s.kind == slotOther:
+			err = typeErr(replyType(op.Op, st.arg), s.value())
+		default:
+			err = st.enc(enc, s.value())
+		}
+		if err != nil {
+			return replyParamErr(op.Op, st.arg, err)
+		}
+	}
+	return nil
+}
+
+// replyType is the wire type of reply parameter arg of op (-1: the
+// result).
+func replyType(op *ir.Operation, arg int) *ir.Type {
+	if arg < 0 {
+		return op.Result
+	}
+	return op.Params[arg].Type
+}
+
+// replyParamErr names the reply parameter of op that err is about (arg -1:
+// the result).
+func replyParamErr(op *ir.Operation, arg int, err error) error {
+	if arg < 0 {
+		return fmt.Errorf("%s result: %w", op.Name, err)
+	}
+	return fmt.Errorf("%s out param %s: %w", op.Name, op.Params[arg].Name, err)
 }
 
 // DecodeReply unmarshals the out/inout values and result. outBufs,
@@ -1360,10 +1402,7 @@ func (op *OpPlan) DecodeReply(dec Decoder, outBufs [][]byte, retBuf []byte) ([]V
 		}
 		v, err := st.dec(dec, buf)
 		if err != nil {
-			if st.arg >= 0 {
-				return nil, nil, fmt.Errorf("%s out param %s: %w", op.Op.Name, st.name, err)
-			}
-			return nil, nil, fmt.Errorf("%s result: %w", op.Op.Name, err)
+			return nil, nil, replyParamErr(op.Op, st.arg, err)
 		}
 		if st.arg >= 0 {
 			outs[st.arg] = v

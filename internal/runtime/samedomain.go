@@ -238,23 +238,28 @@ func (s *SameDomain) run(ctx context.Context, o *sameOp, args []Value, outBufs [
 	// Deferred actions release server storage the by-reference values
 	// alias, so a call that scheduled any delivers copies.
 	deferred := len(c.afterReply) > 0
+	var err error
 	for i := range o.outs {
 		p := &o.outs[i]
 		if p.arg < 0 {
-			ret = p.deliver(c.ret, retBuf, deferred)
-			continue
+			ret, err = p.deliver(&c.ret, retBuf, deferred)
+		} else {
+			var buf []byte
+			if outBufs != nil {
+				buf = outBufs[p.arg]
+			}
+			outs[p.arg], err = p.deliver(&c.outs[p.arg], buf, deferred)
 		}
-		var buf []byte
-		if outBufs != nil {
-			buf = outBufs[p.arg]
+		if err != nil {
+			outs, ret, err = nil, nil, replyParamErr(o.server, p.arg, err)
+			break
 		}
-		outs[p.arg] = p.deliver(c.outs[p.arg], buf, deferred)
 	}
 	if deferred {
 		c.runAfterReply()
 	}
 	o.release(f)
-	return outs, ret, nil
+	return outs, ret, err
 }
 
 // release ends a direct call on f and returns it to the pool: it
@@ -271,30 +276,34 @@ func (o *sameOp) release(f *Frame) {
 	if o.callerOuts {
 		clear(f.outBufs[:len(o.Params)])
 	}
-	clear(c.outs)
+	for i := range c.outs {
+		c.outs[i].clear()
+	}
+	c.ret.clear()
 	if len(c.afterReply) > 0 {
 		clear(c.afterReply)
 		c.afterReply = c.afterReply[:0]
 	}
 	c.Op, c.opPres, c.in, c.inPrivate = nil, nil, nil, nil
-	c.ret, c.retBuf, c.ctx = nil, nil, nil
+	c.retBuf, c.ctx = nil, nil
 	frames.Put(f)
 }
 
-// deliver hands one out value to the client. Only where both sides
-// insisted on their own buffer does the stub copy — into the client's
-// buffer when it fits — and every other semantics delivers by
-// reference, unless deferred actions are about to release what the
-// reference aliases.
-func (p *sameParam) deliver(v Value, buf []byte, deferred bool) Value {
-	if !p.copy {
-		if deferred {
-			return CopyValue(p.typ, v)
-		}
-		return v
+// deliver hands one out value, in slot s, to the client. Only where
+// both sides insisted on their own buffer does the stub copy — straight
+// from the slot into the client's buffer when it fits — and every other
+// semantics delivers by reference, in a box of its own, unless deferred
+// actions are about to release what the reference aliases. A value
+// outside the mapping fails as it fails a reply encode.
+func (p *sameParam) deliver(s *slot, buf []byte, deferred bool) (Value, error) {
+	switch {
+	case s.kind == slotOther:
+		return nil, typeErr(p.typ, s.value())
+	case p.copy && s.kind == slotBytes && buf != nil && len(buf) >= len(s.byts):
+		return buf[:copy(buf, s.byts)], nil
+	case (p.copy || deferred) && mutable(p.typ):
+		// CopyValue keeps nothing of a mutable value's view.
+		return CopyValue(p.typ, s.view()), nil
 	}
-	if b, ok := v.([]byte); ok && buf != nil && len(buf) >= len(b) {
-		return buf[:copy(buf, b)]
-	}
-	return CopyValue(p.typ, v)
+	return s.value(), nil
 }

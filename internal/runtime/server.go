@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -28,8 +30,8 @@ type Call struct {
 	in         []Value
 	inBytes    [][]byte // request byte buffers landed unboxed; see Arg
 	inPrivate  []bool
-	outs       []Value
-	ret        Value
+	outs       []slot // by parameter; see SetOut
+	ret        slot
 	outBufs    [][]byte
 	retBuf     []byte
 	opPres     *pres.OpPres
@@ -105,17 +107,24 @@ func (c *Call) OutBuffer(i int) []byte { return c.outBufs[i] }
 // result, or nil.
 func (c *Call) ResultBuffer() []byte { return c.retBuf }
 
-// SetOut supplies the value of out/inout parameter i.
-func (c *Call) SetOut(i int, v Value) { c.outs[i] = v }
+// SetOut supplies the value of out/inout parameter i. The Call keeps
+// the value's contents, not its box: v must be a Value of the mapping
+// value.go lists, and a handler's c.SetOut(i, buf[:n]) builds its box
+// on its own stack. A value of any other Go type keeps only its type,
+// and the reply then fails as a mistyped value does.
+func (c *Call) SetOut(i int, v Value) { c.outs[i].set(v) }
 
-// SetResult supplies the operation result.
-func (c *Call) SetResult(v Value) { c.ret = v }
+// SetResult supplies the operation result. Like SetOut, it keeps the
+// value's contents, not its box.
+func (c *Call) SetResult(v Value) { c.ret.set(v) }
 
-// Out returns the value set for out/inout parameter i.
-func (c *Call) Out(i int) Value { return c.outs[i] }
+// Out returns the value set for out/inout parameter i, boxed afresh: a
+// value outside the mapping comes back as its type's zero value.
+func (c *Call) Out(i int) Value { return c.outs[i].value() }
 
-// Result returns the value set for the operation result.
-func (c *Call) Result() Value { return c.ret }
+// Result returns the value set for the operation result, boxed afresh
+// as Out does.
+func (c *Call) Result() Value { return c.ret.value() }
 
 // ResultMoved reports whether the stub will take ownership of
 // (“deallocate”) the buffer returned as the result — CORBA move
@@ -125,6 +134,152 @@ func (c *Call) Result() Value { return c.ret }
 func (c *Call) ResultMoved() bool {
 	a := c.opPres.Result()
 	return a == nil || a.Dealloc != pres.DeallocNever
+}
+
+// A slot holds one value a work function set, unboxed: kind says which
+// field holds it. set type-switches over value.go's closed mapping, so
+// the slot keeps what the Value points at, never the Value itself. A
+// transient view (view) points at the slot for one reply encode; a
+// consumer that keeps the value gets a heap box (value).
+type slot struct {
+	kind slotKind
+	leaf leafKind     // slotLeaf: which scalar
+	word [1]uint64    // slotLeaf: its wire bits, readLeaf's form; a bool is 0 or 1
+	str  string       // slotString
+	byts []byte       // slotBytes
+	vals []Value      // slotValues
+	typ  reflect.Type // slotOther: the type of a value outside the mapping
+}
+
+type slotKind uint8
+
+const (
+	slotNil slotKind = iota
+	slotLeaf
+	slotString
+	slotBytes
+	slotValues
+	slotOther
+)
+
+func (s *slot) set(v Value) {
+	if s.kind != slotNil {
+		s.clear()
+	}
+	switch x := v.(type) {
+	case nil:
+	case bool:
+		w := uint64(0)
+		if x {
+			w = 1
+		}
+		s.setLeaf(leafBool, w)
+	case int32:
+		s.setLeaf(leafInt32, uint64(uint32(x)))
+	case uint32:
+		s.setLeaf(leafUint32, uint64(x))
+	case float32:
+		s.setLeaf(leafFloat32, uint64(math.Float32bits(x)))
+	case PortName:
+		s.setLeaf(leafPort, uint64(x))
+	case int64:
+		s.setLeaf(leafInt64, uint64(x))
+	case uint64:
+		s.setLeaf(leafUint64, x)
+	case float64:
+		s.setLeaf(leafFloat64, math.Float64bits(x))
+	case string:
+		s.kind, s.str = slotString, x
+	case []byte:
+		s.kind, s.byts = slotBytes, x
+	case []Value:
+		s.kind, s.vals = slotValues, x
+	default:
+		// reflect.TypeOf reads only the type word: v's box stays the
+		// caller's.
+		s.kind, s.typ = slotOther, reflect.TypeOf(v)
+	}
+}
+
+func (s *slot) setLeaf(k leafKind, w uint64) {
+	s.kind, s.leaf, s.word[0] = slotLeaf, k, w
+}
+
+// clear empties the slot. Only the field its kind names holds anything,
+// so clearing writes that field alone: a whole-slot store is a write
+// barrier per pointer word while the collector marks.
+func (s *slot) clear() {
+	switch s.kind {
+	case slotLeaf:
+		s.word[0] = 0
+	case slotString:
+		s.str = ""
+	case slotBytes:
+		s.byts = nil
+	case slotValues:
+		s.vals = nil
+	case slotOther:
+		s.typ = nil
+	}
+	s.kind = slotNil
+}
+
+// view returns the slot's value as a Value whose data word points at
+// the slot (slab.go's transient-view rule): it is valid until the slot
+// is next set or cleared, so only a reply encode that is done before
+// then may read it, and it never reaches user code.
+func (s *slot) view() Value {
+	switch s.kind {
+	case slotLeaf:
+		if s.leaf == leafBool {
+			return s.word[0] != 0
+		}
+		return boxLeaf(s.word[:], 0, s.leaf, s.word[0])
+	case slotString:
+		return stringBox.at(&s.str)
+	case slotBytes:
+		return bytesBox.at(&s.byts)
+	case slotValues:
+		return valuesBox.at(&s.vals)
+	}
+	return s.value()
+}
+
+// value returns the slot's value in a heap box of its own, which the
+// caller may keep; a scalar boxes by Go's own conversion, free for a
+// small one. A value outside the mapping is its type's zero value: what
+// is left of it, and enough for typeErr's text.
+func (s *slot) value() Value {
+	switch s.kind {
+	case slotLeaf:
+		switch w := s.word[0]; s.leaf {
+		case leafBool:
+			return w != 0
+		case leafInt32:
+			return int32(uint32(w))
+		case leafUint32:
+			return uint32(w)
+		case leafFloat32:
+			return math.Float32frombits(uint32(w))
+		case leafPort:
+			return PortName(w)
+		case leafInt64:
+			return int64(w)
+		case leafUint64:
+			return w
+		default:
+			return math.Float64frombits(w)
+		}
+	case slotString:
+		return s.str
+	case slotBytes:
+		return s.byts
+	case slotValues:
+		return s.vals
+	case slotOther:
+		return reflect.Zero(s.typ).Interface()
+	}
+	return nil
 }
 
 // errNoHandler distinguishes unimplemented operations.
@@ -367,7 +522,7 @@ func (d *Dispatcher) serve(ctx context.Context, f *Frame, plan *Plan, opIdx int,
 		if framed {
 			enc.PutUint32(replyOK)
 		}
-		err = op.EncodeReply(enc, call.outs, call.ret)
+		err = op.encodeReplyCall(enc, call)
 	}
 	if err != nil {
 		if !framed {

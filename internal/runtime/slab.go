@@ -28,7 +28,14 @@ package runtime
 //     empty string or buffer points at nothing in the block, never at
 //     the end of the tail;
 //   - a block or slab is never pooled or reused, because callers keep
-//     decoded values for as long as they like.
+//     decoded values for as long as they like;
+//   - a Value that points at mutable Call storage — a value slot a
+//     work function set (server.go), inside a heap-allocated Frame — is
+//     a transient view: it lives only inside one reply encode
+//     (encodeReplyCall), is never handed to user code (Result, Out and
+//     a [special] hook get a heap box), and is dead before the slot is
+//     set or cleared again, so for as long as it lives its data is
+//     written once as above.
 
 import (
 	"math/bits"

@@ -86,6 +86,72 @@ func benchPres(tb testing.TB, pdl string) *pres.Presentation {
 	return c.Pres
 }
 
+// TestBenchIDLCallAllocsInline gates the inline call path at the
+// benchmark's own interface and presentations, with work functions that
+// set their results as the benchmark's do: a fresh slice of the server's
+// table for fetch, an attr struct for getattr. nop and the [trashable]
+// put allocate nothing; fetch allocates its request scalar's box on the
+// server and the box of the caller-buffer slice it returns; getattr its
+// reply's one block. Neither result's box is among them: the Call keeps
+// what a work function sets, not its box.
+func TestBenchIDLCallAllocsInline(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are not meaningful under the race detector")
+	}
+	blob := bytes.Repeat([]byte{0x5A}, 2<<10)
+	attrs := [][]runtime.Value{make([]runtime.Value, 16), {uint32(0644), uint32(1000), uint32(1000), uint32(1000),
+		uint64(1 << 20), uint64(1 << 20), uint64(777), uint64(31337), uint32(300), uint32(4096),
+		int64(1 << 40), int64(1 << 41), int64(1 << 42), true, 0.5, "a-file-name"}}
+	disp := runtime.NewDispatcher(benchPres(t, "server.pdl"))
+	disp.Handle("nop", func(c *runtime.Call) error { return nil })
+	disp.Handle("put", func(c *runtime.Call) error {
+		if data := c.ArgBytes(0); c.ArgPrivate(0) && len(data) > 8 {
+			data[8]++
+		}
+		return nil
+	})
+	disp.Handle("fetch", func(c *runtime.Call) error {
+		n := c.Arg(0).(uint32)
+		off := int(n % 61)
+		c.SetResult(blob[off : off+int(n)])
+		return nil
+	})
+	disp.Handle("getattr", func(c *runtime.Call) error {
+		c.SetResult(attrs[c.Arg(0).(uint32)])
+		return nil
+	})
+	b, err := Connect(benchPres(t, "client.pdl"), disp, runtime.XDRCodec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if !b.InlineDispatch() {
+		t.Fatal("the benchmark's presentations did not bind inline")
+	}
+	retBuf := make([]byte, 2<<10)
+	for _, tc := range []struct {
+		op     string
+		args   []runtime.Value // built once: the gate measures the call, not the caller's boxing
+		retBuf []byte
+		want   float64
+	}{
+		{"nop", nil, nil, 0},
+		{"put", []runtime.Value{make([]byte, 1<<10)}, nil, 0},
+		{"fetch", []runtime.Value{uint32(1000)}, retBuf, 2},
+		{"getattr", []runtime.Value{uint32(1)}, nil, 1}, // a handle below 256 boxes for free
+	} {
+		call := func() {
+			if _, _, err := b.Invoke(tc.op, tc.args, nil, tc.retBuf); err != nil {
+				t.Fatal(tc.op, err)
+			}
+		}
+		call()
+		if got := testing.AllocsPerRun(200, call); got != tc.want {
+			t.Errorf("%s allocates %.1f times per call, want %.0f", tc.op, got, tc.want)
+		}
+	}
+}
+
 // bytesPerRun is testing.AllocsPerRun for heap bytes: the average
 // bytes f allocates over runs calls, after one warm-up call.
 func bytesPerRun(runs int, f func()) uint64 {
