@@ -68,16 +68,17 @@ func BenchmarkNewPlan(b *testing.B) {
 	}
 }
 
-// A scalar's encode step is shared by every leaf of its kind, so it
-// cannot name the leaf's type; its error must still read as typeErr's
-// for that type. An enum's signature is "enum", not its wire int32.
+// A scalar's program is shared by every top-level value of its kind, so
+// it cannot name the value's type; its error must still read as
+// typeErr's for that type. An enum's signature is "enum", not its wire
+// int32.
 func TestScalarEncodeErrorsNameTheirType(t *testing.T) {
 	for _, typ := range []*ir.Type{
 		ir.VoidType, ir.BoolType, ir.Int32Type, {Kind: ir.Enum, Name: "color", Enumerators: []string{"red"}},
 		ir.Uint32Type, ir.Int64Type, ir.Uint64Type, ir.Float32Type, ir.Float64Type,
 		ir.StringType, ir.BytesType, ir.PortType,
 	} {
-		err := compileEncode(typ)(XDRCodec.NewEncoder(), struct{}{})
+		err := checkValue(typ, struct{}{})
 		want := typeErr(typ, struct{}{}).Error()
 		if typ.Kind == ir.Void {
 			want = "runtime: void value must be nil, have struct {}"

@@ -21,8 +21,6 @@ package runtime
 import (
 	"encoding/json"
 	"fmt"
-
-	"flexrpc/internal/ir"
 )
 
 // A StepCert describes one compiled marshal step of an operation.
@@ -40,15 +38,17 @@ type StepCert struct {
 	Landing Landing `json:"landing"`
 	// Allocs reports whether the step counts toward its side's
 	// allocation bound: a decode step that boxes or stores its value in
-	// fresh heap memory per call (see decodeCost), or an opaque
-	// [special] hook — so VerifyAllocBound can name the steps behind a
-	// nonzero bound (the client's positional outs slice aside).
+	// fresh heap memory per call (its program's allocations), or an
+	// opaque [special] hook — so VerifyAllocBound can name the steps
+	// behind a nonzero bound (the client's positional outs slice aside).
 	Allocs bool `json:"allocs"`
 	// MaxDecode is the bound applied to the step's variable-length
 	// items, 0 when the step has none (scalars, fixed-size).
 	MaxDecode uint32 `json:"max_decode,omitempty"`
 	// Traced marks steps wrapped by the [traced] meter.
 	Traced bool `json:"traced,omitempty"`
+	// lengths: the step's program reads a length prefix.
+	lengths bool
 }
 
 // An OpCert certifies one operation's compiled plan.
@@ -60,11 +60,12 @@ type OpCert struct {
 	NOut int `json:"nout"`
 	// ClientAllocBound / ServerAllocBound are certified upper bounds
 	// on per-call heap allocations (stats off) for each side's
-	// marshal path (see decodeCost). Boxing a decoded value into its
-	// interface Value counts, so a 16-field attribute struct with one
-	// string field certifies 1 on the side that decodes it (one block
-	// holds its headers, Values and scalars, and the string's bytes in
-	// its tail), and so does a top-level string or owned byte buffer
+	// marshal path: the sum of its steps' programs' allocations.
+	// Boxing a decoded value into its interface Value counts, so a
+	// 16-field attribute struct with one string field certifies 1 on
+	// the side that decodes it (one block holds its headers, Values and
+	// scalars, and the string's bytes in its tail), and so does a
+	// top-level string or owned byte buffer
 	// (its header with its bytes); the borrow-mode 1KB put certifies a
 	// server bound of 0, because the borrowed slice lands in the Call's
 	// byte slot unboxed and the payload is never copied — exactly the
@@ -104,32 +105,31 @@ func (p *Plan) Certificate() *PlanCert {
 }
 
 // certify builds one operation's certificate from its step lists:
-// each step's landing is the one compileParam stored on it.
+// each step's landing is the one compileParam stored on it, and its
+// allocations and length prefixes are what its program recorded as
+// compile emitted it.
 func (op *OpPlan) certify() OpCert {
 	oc := OpCert{Op: op.Op.Name, NOut: op.nOut, Steps: []StepCert{}}
 	add := func(phase string, st *step) {
-		t := op.Op.Result
-		if st.arg >= 0 {
-			t = op.Op.Params[st.arg].Type
-		}
-		sc := StepCert{Phase: phase, Param: st.name, Type: "void", Landing: st.landing, Traced: st.traced}
-		if t != nil {
-			sc.Type = t.Signature()
-		}
+		sc := StepCert{Phase: phase, Param: st.name, Type: replyType(op.Op, st.arg).Signature(), Landing: st.landing, Traced: st.traced}
+		decode := phase == PhaseReqDecode || phase == PhaseRepDecode
 		cost := 0
-		switch phase {
-		case PhaseReqEncode, PhaseRepEncode:
-			// Encode steps append into the recycled frame; only
-			// opaque [special] hooks may allocate.
-			if st.landing == LandSpecial {
-				cost = 1
-			}
-		default:
-			if variableLength(t) && st.landing != LandSpecial {
+		switch {
+		case st.landing == LandSpecial && decode:
+			// An opaque hook: one allocation for whatever it builds,
+			// one for boxing it.
+			cost = 2
+		case st.landing == LandSpecial:
+			// Other encode steps append into the recycled frame.
+			cost = 1
+		case decode:
+			// A byte buffer viewed into a Call's slot is not boxed.
+			sc.lengths = st.prog.lengths
+			if sc.lengths {
 				sc.MaxDecode = op.plan.maxDecode
 			}
-			if st.borrow == nil {
-				cost = decodeCost(t, st.landing)
+			if !st.view {
+				cost = st.prog.allocs
 			}
 		}
 		sc.Allocs = cost > 0
@@ -171,110 +171,18 @@ func sideOf(phase string) string {
 	return "server"
 }
 
-// decodeCost bounds the heap allocations of decoding one value of
-// wire type t into a Value: one box per top-level scalar (a bool boxes
-// through the runtime's static byte table, for free; any other scalar
-// only when it is below 256), and one block for a string or owned byte
-// buffer, its header with its bytes in the block's tail (an empty
-// string boxes for free). A borrowed or caller-landed buffer is its
-// boxed header. A struct or array is one block plus what its leaves
-// allocate apart (blockCost). A sequence is its backing, its boxed
-// header, and either one slab for scalar elements at any count or one
-// element's cost: its length is not static. A [special] hook is
-// opaque: one allocation for whatever it builds, one for boxing it.
-func decodeCost(t *ir.Type, l Landing) int {
-	if t == nil || t.Kind == ir.Void {
-		return 0
-	}
-	if l == LandSpecial {
-		return 2
-	}
-	switch t.Kind {
-	case ir.Bool:
-		return 0
-	case ir.Seq:
-		return 2 + elemCost(t.Elem, l)
-	case ir.Array, ir.Struct:
-		return 1 + blockCost(t, l)
-	}
-	return 1
-}
-
-// blockCost counts the allocations a value of wire type t makes apart
-// from the block it lands in: a sequence's backing plus its slab or one
-// element. Its headers, Values and scalars are in the block, and so are
-// its strings' and owned byte buffers' bytes, in the tail.
-func blockCost(t *ir.Type, l Landing) int {
-	switch t.Kind {
-	case ir.Seq:
-		return 1 + elemCost(t.Elem, l)
-	case ir.Array:
-		return t.Size * blockCost(t.Elem, l)
-	case ir.Struct:
-		cost := 0
-		for _, f := range t.Fields {
-			cost += blockCost(f.Type, l)
-		}
-		return cost
-	}
-	return 0
-}
-
-// elemCost is what one element adds to a sequence: one slab shared by
-// all scalar elements, or the element's own cost.
-func elemCost(elem *ir.Type, l Landing) int {
-	if _, slab := seqLeaf(elem); slab {
-		return 1
-	}
-	return decodeCost(elem, l)
-}
-
-// variableLength reports whether decoding t reads a length prefix
-// the decode bound must cover.
-func variableLength(t *ir.Type) bool {
-	if t == nil {
-		return false
-	}
-	switch t.Kind {
-	case ir.Bytes, ir.String, ir.Seq:
-		return true
-	case ir.Array, ir.Struct:
-		if t.Elem != nil && variableLength(t.Elem) {
-			return true
-		}
-		for _, f := range t.Fields {
-			if variableLength(f.Type) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // VerifyBounds proves the certificate's bounds invariant: every
 // variable-length decode step carries a finite max-decode bound.
 func (c *PlanCert) VerifyBounds() error {
 	for _, oc := range c.Ops {
 		for _, sc := range oc.Steps {
 			decode := sc.Phase == PhaseReqDecode || sc.Phase == PhaseRepDecode
-			if decode && sc.Landing != LandSpecial && sc.MaxDecode == 0 && variableSig(sc.Type) {
+			if decode && sc.lengths && sc.MaxDecode == 0 {
 				return fmt.Errorf("certify: %s.%s %s step is unbounded", oc.Op, sc.Param, sc.Phase)
 			}
 		}
 	}
 	return nil
-}
-
-// variableSig reports whether a wire-type signature names a
-// variable-length kind (see ir.Type.Signature).
-func variableSig(sig string) bool {
-	switch {
-	case sig == "bytes", sig == "string":
-		return true
-	case len(sig) >= 4 && sig[:4] == "seq<":
-		return true
-	}
-	return false
 }
 
 // Render formats the certificate as indented JSON — the golden

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flexrpc/internal/idl/corba"
+	"flexrpc/internal/ir"
 	"flexrpc/internal/pdl"
 	"flexrpc/internal/pres"
 )
@@ -346,9 +347,12 @@ func TestCertificateCallerBufferLanding(t *testing.T) {
 }
 
 // TestCertificateAllocsMatchBounds: a step's Allocs and its side's
-// bound are one model (decodeCost), so every decode step is marked
-// allocating exactly when it costs an allocation, and a nonzero bound
-// always has a marked step for VerifyAllocBound to name.
+// bound are read off the program the step runs, so each decode step of
+// a rich interface is run alone on its parameter's encoding and must
+// allocate exactly what its program recorded (a sequence holds one
+// element, whose allocations its bound covers, and every scalar is one
+// Go does not box for free); a nonzero bound always has a marked step
+// for VerifyAllocBound to name.
 func TestCertificateAllocsMatchBounds(t *testing.T) {
 	plan, err := NewPlan(richPres(t), XDRCodec, nil)
 	if err != nil {
@@ -365,16 +369,32 @@ func TestCertificateAllocsMatchBounds(t *testing.T) {
 				if sc.Phase != PhaseReqDecode && sc.Phase != PhaseRepDecode {
 					continue
 				}
-				typ := op.Op.Result
-				if st.arg >= 0 {
-					typ = op.Op.Params[st.arg].Type
+				enc := plan.Codec.NewEncoder()
+				if err := plan.encode(enc, st.prog, allocSample(replyType(op.Op, st.arg))); err != nil {
+					t.Fatal(err)
 				}
-				cost := 0
-				if st.borrow == nil {
-					cost = decodeCost(typ, st.landing)
+				msg, dec := enc.Bytes(), plan.NewDecoder(nil)
+				want := st.prog.allocs
+				decode := func() {
+					dec.Reset(msg)
+					if _, err := op.decodeStep(dec, &st, nil); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if sc.Allocs != (cost > 0) {
-					t.Errorf("%s.%s %s: allocs %v, but the step costs %d", oc.Op, sc.Param, sc.Phase, sc.Allocs, cost)
+				if st.view { // lands in a Call's byte slot
+					want = 0
+					decode = func() {
+						dec.Reset(msg)
+						if _, err := readView(dec, &st.prog.steps[0]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if got := testing.AllocsPerRun(50, decode); got != float64(want) {
+					t.Errorf("%s.%s %s: certified %d allocations, decoding allocates %.1f", oc.Op, sc.Param, sc.Phase, want, got)
+				}
+				if sc.Allocs != (want > 0) {
+					t.Errorf("%s.%s %s: allocs %v, but the step costs %d", oc.Op, sc.Param, sc.Phase, sc.Allocs, want)
 				}
 			}
 		}
@@ -387,6 +407,51 @@ func TestCertificateAllocsMatchBounds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// allocSample builds a value of wire type t whose decode allocates all
+// its program certifies: scalars Go boxes apart (not below 256),
+// non-empty strings and buffers, and one-element sequences.
+func allocSample(t *ir.Type) Value {
+	switch t.Kind {
+	case ir.Bool:
+		return true
+	case ir.Int32, ir.Enum:
+		return int32(1000)
+	case ir.Uint32:
+		return uint32(1000)
+	case ir.Int64:
+		return int64(1000)
+	case ir.Uint64:
+		return uint64(1000)
+	case ir.Float32:
+		return float32(0.5)
+	case ir.Float64:
+		return 0.5
+	case ir.Port:
+		return PortName(1000)
+	case ir.String:
+		return "text"
+	case ir.Bytes:
+		return []byte("bytes")
+	case ir.FixedBytes:
+		return make([]byte, t.Size)
+	case ir.Seq:
+		return []Value{allocSample(t.Elem)}
+	case ir.Array:
+		vs := make([]Value, t.Size)
+		for i := range vs {
+			vs[i] = allocSample(t.Elem)
+		}
+		return vs
+	case ir.Struct:
+		vs := make([]Value, len(t.Fields))
+		for i, f := range t.Fields {
+			vs[i] = allocSample(f.Type)
+		}
+		return vs
+	}
+	return nil
 }
 
 func TestCertificateMarshalStable(t *testing.T) {

@@ -3,6 +3,7 @@ package runtime
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"flexrpc/internal/cdr"
 	"flexrpc/internal/xdr"
@@ -45,6 +46,14 @@ type Encoder interface {
 	Bytes() []byte
 	Reset()
 	ResetArena(dst []byte)
+
+	// values is the encoder's scratch for a struct or array's expanded
+	// elements (see Plan.encode).
+	values() *valueStack
+	// putScalars encodes a run of adjacent scalar leaves: run[0] is the
+	// run step, and leaf run[i]'s value is vals[run[i].dst]. It returns
+	// 0, or the first i whose value is not of its leaf's kind.
+	putScalars(run []blockStep, vals []Value) int
 }
 
 // A Decoder reads wire-format primitives. Its owner re-aims it at each
@@ -82,7 +91,7 @@ type Decoder interface {
 	// check: run[0] is the run step, and leaf run[1+i]'s wire bits land
 	// in out[i] (a bool as 0 or 1 on XDR, its octet on CDR).
 	scalars(run []blockStep, out []uint64) error
-	// scratch is the decoder's phase-1 store (see decodeBlock).
+	// scratch is the decoder's phase-1 store (see Plan.decode).
 	scratch() *scratch
 }
 
@@ -102,7 +111,8 @@ func (xdrCodec) NewDecoder(buf []byte) Decoder {
 }
 
 type xdrEncoder struct {
-	e xdr.Encoder
+	e  xdr.Encoder
+	vs valueStack
 }
 
 func (x *xdrEncoder) PutBool(v bool)         { x.e.PutBool(v) }
@@ -119,6 +129,29 @@ func (x *xdrEncoder) PutLen(n int)           { x.e.PutArrayLen(n) }
 func (x *xdrEncoder) Bytes() []byte          { return x.e.Bytes() }
 func (x *xdrEncoder) Reset()                 { x.e.Reset() }
 func (x *xdrEncoder) ResetArena(dst []byte)  { x.e.ResetTo(dst) }
+func (x *xdrEncoder) values() *valueStack    { return &x.vs }
+
+// putScalars writes a run: XDR has no alignment, so its size is fixed.
+func (x *xdrEncoder) putScalars(run []blockStep, vals []Value) int {
+	b := x.e.Bytes()
+	at := len(b)
+	b = slices.Grow(b, int(run[0].xdr))[:at+int(run[0].xdr)]
+	for i, p := 1, b[at:]; i < len(run); i++ {
+		w, ok := leafBits(run[i].leaf, &vals[run[i].dst])
+		switch {
+		case !ok:
+			return i
+		case run[i].leaf >= leafInt64:
+			binary.BigEndian.PutUint64(p, w)
+			p = p[8:]
+		default:
+			binary.BigEndian.PutUint32(p, uint32(w))
+			p = p[4:]
+		}
+	}
+	x.e.SetBytes(b)
+	return 0
+}
 
 // xdrDecoder holds the xdr.Decoder by value so one allocation covers
 // both the interface box and the decoder state.
@@ -186,7 +219,7 @@ type cdrCodec struct {
 
 func (c cdrCodec) Name() string { return c.name }
 func (c cdrCodec) NewEncoder() Encoder {
-	return &cdrEncoder{e: cdr.NewEncoder(c.order)}
+	return &cdrEncoder{e: cdr.NewEncoder(c.order), big: c.order == cdr.BigEndian}
 }
 func (c cdrCodec) NewDecoder(buf []byte) Decoder {
 	d := &cdrDecoder{d: *cdr.NewDecoder(nil, c.order), big: c.order == cdr.BigEndian}
@@ -195,7 +228,10 @@ func (c cdrCodec) NewDecoder(buf []byte) Decoder {
 }
 
 type cdrEncoder struct {
-	e *cdr.Encoder
+	e   *cdr.Encoder
+	big bool
+	vs  valueStack
+	run []byte
 }
 
 func (c *cdrEncoder) PutBool(v bool)         { c.e.PutBool(v) }
@@ -212,6 +248,52 @@ func (c *cdrEncoder) PutLen(n int)           { c.e.PutSeqLen(n) }
 func (c *cdrEncoder) Bytes() []byte          { return c.e.Bytes() }
 func (c *cdrEncoder) Reset()                 { c.e.Reset() }
 func (c *cdrEncoder) ResetArena(dst []byte)  { c.e.ResetTo(dst) }
+func (c *cdrEncoder) values() *valueStack    { return &c.vs }
+
+// putScalars writes a run: each leaf aligns to its size from the
+// message start, its padding zeroed, as the decoder's scalars reads it.
+// The run is laid out in the encoder's run buffer and appended whole.
+func (c *cdrEncoder) putScalars(run []blockStep, vals []Value) int {
+	at := len(c.e.Bytes())
+	n := int(run[0].cdr[at&7])
+	if len(c.run) < n {
+		c.run = make([]byte, 2*n)
+	}
+	b, p := c.run[:n], 0
+	for i := 1; i < len(run); i++ {
+		k := run[i].leaf
+		w, ok := leafBits(k, &vals[run[i].dst])
+		switch {
+		case !ok:
+			return i
+		case k == leafBool:
+			b[p] = byte(w)
+			p++
+		case k >= leafInt64:
+			pad := -(at + p) & 7
+			clear(b[p : p+pad])
+			p += pad
+			if c.big {
+				binary.BigEndian.PutUint64(b[p:], w)
+			} else {
+				binary.LittleEndian.PutUint64(b[p:], w)
+			}
+			p += 8
+		default:
+			pad := -(at + p) & 3
+			clear(b[p : p+pad])
+			p += pad
+			if c.big {
+				binary.BigEndian.PutUint32(b[p:], uint32(w))
+			} else {
+				binary.LittleEndian.PutUint32(b[p:], uint32(w))
+			}
+			p += 4
+		}
+	}
+	c.e.PutFixedOctets(b)
+	return 0
+}
 
 // cdrDecoder holds the cdr.Decoder by value so one allocation covers
 // both the interface box and the decoder state.

@@ -445,6 +445,38 @@ func TestSameDomainFrameCleared(t *testing.T) {
 	}
 }
 
+// TestSameDomainMistypedValuesFail: a value of the wrong kind for a
+// mutable wire type that the same-domain program must copy — a result
+// of a call that scheduled AfterReply, an in argument under InCopy —
+// fails the call with the text a marshalled call fails with, instead of
+// panicking on the caller's goroutine.
+func TestSameDomainMistypedValuesFail(t *testing.T) {
+	s := newReuseServer(t)
+	comb, err := pres.Combine(reusePres(t), s.disp.Pres)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := NewSameDomain(comb, s.disp, nil, true)
+	for _, c := range []struct {
+		args []Value
+		want string
+	}{
+		{[]Value{[]byte("data"), "mistyped", nil}, "record result: runtime: value string does not match wire type struct{u32,string,bytes}"},
+		{[]Value{"not bytes", "fine", nil}, "record param data: runtime: value string does not match wire type bytes"},
+		{[]Value{[]Value{"not bytes"}, "fine", nil}, "record param data: runtime: value []interface {} does not match wire type bytes"},
+	} {
+		outs, ret, err := sd.Invoke("record", c.args, nil, nil)
+		if err == nil || err.Error() != c.want || outs != nil || ret != nil {
+			t.Errorf("record(%v): %v, %v, err = %v; want %q", c.args, outs, ret, err, c.want)
+		}
+	}
+	// The marshalled request path fails the mistyped argument alike.
+	err = s.plan.Ops[s.plan.OpIndex("record")].EncodeRequest(XDRCodec.NewEncoder(), []Value{"not bytes", "fine", nil})
+	if want := "record param data: runtime: value string does not match wire type bytes"; err == nil || err.Error() != want {
+		t.Errorf("marshalled record: err = %v, want %q", err, want)
+	}
+}
+
 // TestFrameConcurrentServeMessage: eight goroutines serve through one
 // Dispatcher; each reply must answer its own request. Run under -race
 // (ci.sh repeats it): a frame shared between two calls is a data race.

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"math"
 
 	"flexrpc/internal/ir"
 	"flexrpc/internal/pres"
@@ -94,9 +93,9 @@ const (
 )
 
 // A Landing says where a decoded value's bytes end up. resolveLanding
-// is the one place a landing is chosen: compileDecode builds the
-// closure that does what it says, DecodeReply hands a caller buffer to
-// the steps it marks, and the certificate reports it.
+// is the one place a landing is chosen: compile builds the program that
+// does what it says, DecodeReply hands a caller buffer to the steps it
+// marks, and the certificate reports it.
 type Landing string
 
 const (
@@ -124,28 +123,30 @@ type OpPlan struct {
 }
 
 // A step marshals or unmarshals one parameter (arg == -1 for the
-// result) in one phase: enc is set in the encode phases, dec in the
-// decode phases.
+// result) in one phase. Both phases of a direction walk the one program
+// of the parameter's type and that direction's landing; a [special]
+// parameter has hooks instead.
 type step struct {
 	arg     int
 	name    string
 	landing Landing
-	traced  bool // enc is wrapped by the [traced] meter
-	enc     encodeFn
-	dec     decodeFn
-	// borrow is set on a request-decode step whose parameter is itself a
-	// byte buffer landing by borrow: the typed form of dec, which lands
-	// the slice in a Call's byte slot instead of boxing it into a Value.
-	borrow func(Decoder) ([]byte, error)
+	traced  bool // an encode step whose parameter is [traced]: it meters what it writes
+	// view is set on a request-decode step whose parameter is itself a
+	// byte buffer landing by borrow: it lands the slice in a Call's byte
+	// slot instead of boxing it into a Value.
+	view bool
+	prog *blockProg
+	// one is the last step of a program that is not a struct or array,
+	// which an encode step that is not [traced] runs directly.
+	one *blockStep
+	enc encodeFn // [special]
+	dec decodeFn // [special]
 }
 
-// An encodeFn is a compiled marshal step: it encodes one parameter
-// value, with the parameter's type, presentation attributes and codec
-// dispatch already resolved at bind time.
+// An encodeFn is a [special] parameter's encode hook.
 type encodeFn func(enc Encoder, v Value) error
 
-// A decodeFn is a compiled unmarshal step. dst is the caller's
-// landing buffer; only LandCaller steps look at it.
+// A decodeFn is a [special] parameter's decode hook.
 type decodeFn func(dec Decoder, dst []byte) (Value, error)
 
 // NewPlan compiles marshal plans for every operation of p's
@@ -283,45 +284,37 @@ func carve(steps *[]step, n int) []step {
 
 // compileParam appends one parameter's steps to the request lists
 // when it travels in and to the reply lists when it travels out. Each
-// step's landing is resolved here, stored, and the decode closure is
-// built from it.
+// direction compiles one program, for the landing its decode resolves,
+// and its encode step walks the same one.
 func (o *OpPlan) compileParam(arg int, name string, t *ir.Type, in, out bool) error {
 	pl, a := o.plan, o.attrs(arg)
 	var enc encodeFn
-	var hook decodeFn // set for a [special] parameter
+	var dec decodeFn
 	if a.Special {
 		var err error
-		if enc, hook, err = pl.compileSpecial(o.Op.Name, name); err != nil {
+		if enc, dec, err = pl.compileSpecial(o.Op.Name, name); err != nil {
 			return err
 		}
-	} else {
-		enc = compileEncode(t)
 	}
-	if a.Traced {
-		enc = pl.wrapTraced(o.Idx, enc)
-	}
-	add := func(list *[]step, phase string) {
-		st := step{arg: arg, name: name, landing: resolveLanding(phase, t, a)}
-		switch {
-		case phase == PhaseReqEncode || phase == PhaseRepEncode:
-			st.enc, st.traced = enc, a.Traced
-		case hook != nil:
-			st.dec = hook
-		default:
-			st.dec = pl.compileDecode(t, st.landing)
-			if phase == PhaseReqDecode && st.landing == LandBorrow {
-				st.borrow = borrowBytes(t)
-			}
+	add := func(encs, decs *[]step, encPhase, decPhase string) {
+		l := resolveLanding(decPhase, t, a)
+		var pr *blockProg
+		if !a.Special {
+			pr = program(t, l)
 		}
-		*list = append(*list, st)
+		st := step{arg: arg, name: name, landing: resolveLanding(encPhase, t, a), traced: a.Traced, prog: pr, enc: enc}
+		if pr != nil && pr.n < 0 && !a.Traced {
+			st.one = &pr.steps[len(pr.steps)-1]
+		}
+		*encs = append(*encs, st)
+		view := l == LandBorrow && (t.Kind == ir.Bytes || t.Kind == ir.FixedBytes)
+		*decs = append(*decs, step{arg: arg, name: name, landing: l, view: view, prog: pr, dec: dec})
 	}
 	if in {
-		add(&o.reqEnc, PhaseReqEncode)
-		add(&o.reqDec, PhaseReqDecode)
+		add(&o.reqEnc, &o.reqDec, PhaseReqEncode, PhaseReqDecode)
 	}
 	if out {
-		add(&o.repEnc, PhaseRepEncode)
-		add(&o.repDec, PhaseRepDecode)
+		add(&o.repEnc, &o.repDec, PhaseRepEncode, PhaseRepDecode)
 	}
 	return nil
 }
@@ -389,428 +382,10 @@ func (pl *Plan) compileSpecial(opName, prmName string) (encodeFn, decodeFn, erro
 		}, nil
 }
 
-// wrapTraced meters an encode step whose parameter carries [traced]:
-// the per-op traced Meter accumulates how many values and encoded
-// bytes flowed through it. Free when stats are disabled beyond one
-// nil check.
-func (pl *Plan) wrapTraced(opIdx int, inner encodeFn) encodeFn {
-	return func(enc Encoder, v Value) error {
-		if pl.stats == nil {
-			return inner(enc, v)
-		}
-		before := len(enc.Bytes())
-		if err := inner(enc, v); err != nil {
-			return err
-		}
-		pl.stats.AddOp(opIdx, stats.OpTracedMsgs, 1)
-		pl.stats.AddOp(opIdx, stats.OpTracedBytes, len(enc.Bytes())-before)
-		return nil
-	}
-}
-
-// compileEncode builds the encode step for wire type t: the type
-// switch runs here, once, at bind time; the returned function performs
-// only the type assertion and the codec call. A kind whose step needs
-// nothing from t but the kind has one package-level function, shared by
-// every plan, so compiling its leaves allocates nothing.
-func compileEncode(t *ir.Type) encodeFn {
-	if t == nil || t.Kind == ir.Void {
-		return encVoid
-	}
-	switch t.Kind {
-	case ir.Bool:
-		return encBool
-	case ir.Int32:
-		return encInt32
-	case ir.Enum:
-		return encEnum
-	case ir.Uint32:
-		return encUint32
-	case ir.Int64:
-		return encInt64
-	case ir.Uint64:
-		return encUint64
-	case ir.Float32:
-		return encFloat32
-	case ir.Float64:
-		return encFloat64
-	case ir.String:
-		return encString
-	case ir.Bytes:
-		return encBytes
-	case ir.Port:
-		return encPort
-	case ir.FixedBytes:
-		size := t.Size
-		return func(enc Encoder, v Value) error {
-			b, ok := v.([]byte)
-			if !ok {
-				return typeErr(t, v)
-			}
-			if len(b) != size {
-				return fmt.Errorf("runtime: fixed opaque needs %d bytes, have %d", size, len(b))
-			}
-			enc.PutFixedBytes(b)
-			return nil
-		}
-	case ir.Seq:
-		elem := compileEncode(t.Elem)
-		return func(enc Encoder, v Value) error {
-			vs, ok := v.([]Value)
-			if !ok {
-				return typeErr(t, v)
-			}
-			enc.PutLen(len(vs))
-			for i, e := range vs {
-				if err := elem(enc, e); err != nil {
-					return fmt.Errorf("element %d: %w", i, err)
-				}
-			}
-			return nil
-		}
-	case ir.Array:
-		elem := compileEncode(t.Elem)
-		size := t.Size
-		return func(enc Encoder, v Value) error {
-			vs, ok := v.([]Value)
-			if !ok {
-				return typeErr(t, v)
-			}
-			if len(vs) != size {
-				return fmt.Errorf("runtime: array needs %d elements, have %d", size, len(vs))
-			}
-			for i, e := range vs {
-				if err := elem(enc, e); err != nil {
-					return fmt.Errorf("element %d: %w", i, err)
-				}
-			}
-			return nil
-		}
-	case ir.Struct:
-		type field struct {
-			name string
-			enc  encodeFn
-		}
-		fields := make([]field, len(t.Fields))
-		for i, f := range t.Fields {
-			fields[i] = field{f.Name, compileEncode(f.Type)}
-		}
-		structName := t.Name
-		return func(enc Encoder, v Value) error {
-			vs, ok := v.([]Value)
-			if !ok {
-				return typeErr(t, v)
-			}
-			if len(vs) != len(fields) {
-				return fmt.Errorf("runtime: struct %s needs %d fields, have %d", structName, len(fields), len(vs))
-			}
-			for i := range fields {
-				if err := fields[i].enc(enc, vs[i]); err != nil {
-					return fmt.Errorf("field %s: %w", fields[i].name, err)
-				}
-			}
-			return nil
-		}
-	}
-	return func(Encoder, Value) error {
-		return fmt.Errorf("runtime: cannot marshal kind %v", t.Kind)
-	}
-}
-
-// The package-level encode steps. Each fails with typeErr's text, which
-// for these kinds is the kind's name ("enum" for an enum, which is why
-// it does not share int32's step).
-
-func encVoid(_ Encoder, v Value) error {
-	if v != nil {
-		return fmt.Errorf("runtime: void value must be nil, have %T", v)
-	}
-	return nil
-}
-
-func encBool(enc Encoder, v Value) error {
-	b, ok := v.(bool)
-	if !ok {
-		return kindErr(ir.Bool, v)
-	}
-	enc.PutBool(b)
-	return nil
-}
-
-func encInt32(enc Encoder, v Value) error {
-	n, ok := v.(int32)
-	if !ok {
-		return kindErr(ir.Int32, v)
-	}
-	enc.PutInt32(n)
-	return nil
-}
-
-func encEnum(enc Encoder, v Value) error {
-	n, ok := v.(int32)
-	if !ok {
-		return kindErr(ir.Enum, v)
-	}
-	enc.PutInt32(n)
-	return nil
-}
-
-func encUint32(enc Encoder, v Value) error {
-	n, ok := v.(uint32)
-	if !ok {
-		return kindErr(ir.Uint32, v)
-	}
-	enc.PutUint32(n)
-	return nil
-}
-
-func encInt64(enc Encoder, v Value) error {
-	n, ok := v.(int64)
-	if !ok {
-		return kindErr(ir.Int64, v)
-	}
-	enc.PutInt64(n)
-	return nil
-}
-
-func encUint64(enc Encoder, v Value) error {
-	n, ok := v.(uint64)
-	if !ok {
-		return kindErr(ir.Uint64, v)
-	}
-	enc.PutUint64(n)
-	return nil
-}
-
-func encFloat32(enc Encoder, v Value) error {
-	f, ok := v.(float32)
-	if !ok {
-		return kindErr(ir.Float32, v)
-	}
-	enc.PutFloat32(f)
-	return nil
-}
-
-func encFloat64(enc Encoder, v Value) error {
-	f, ok := v.(float64)
-	if !ok {
-		return kindErr(ir.Float64, v)
-	}
-	enc.PutFloat64(f)
-	return nil
-}
-
-func encString(enc Encoder, v Value) error {
-	s, ok := v.(string)
-	if !ok {
-		return kindErr(ir.String, v)
-	}
-	enc.PutString(s)
-	return nil
-}
-
-func encBytes(enc Encoder, v Value) error {
-	b, ok := v.([]byte)
-	if !ok {
-		return kindErr(ir.Bytes, v)
-	}
-	enc.PutBytes(b)
-	return nil
-}
-
-func encPort(enc Encoder, v Value) error {
-	p, ok := v.(PortName)
-	if !ok {
-		return kindErr(ir.Port, v)
-	}
-	enc.PutUint32(uint32(p))
-	return nil
-}
-
-// compileDecode builds the decode step that lands wire type t where l
-// says. The type switch runs here, once, at bind time; composites
-// pass their landing down to their elements. A top-level scalar boxes
-// into its own Value; a string or owned byte buffer lands in one block,
-// its header with its bytes (ownString, ownBytes); a struct or array
-// lands in one block per decoded value (compileBlock), and a sequence's
-// scalar elements in one slab (seqLeaf).
-func (pl *Plan) compileDecode(t *ir.Type, l Landing) decodeFn {
-	if t == nil || t.Kind == ir.Void {
-		return func(Decoder, []byte) (Value, error) { return nil, nil }
-	}
-	switch t.Kind {
-	case ir.Bool:
-		return func(dec Decoder, _ []byte) (Value, error) { return dec.Bool() }
-	case ir.Int32, ir.Enum:
-		return func(dec Decoder, _ []byte) (Value, error) { return dec.Int32() }
-	case ir.Uint32:
-		return func(dec Decoder, _ []byte) (Value, error) { return dec.Uint32() }
-	case ir.Int64:
-		return func(dec Decoder, _ []byte) (Value, error) { return dec.Int64() }
-	case ir.Uint64:
-		return func(dec Decoder, _ []byte) (Value, error) { return dec.Uint64() }
-	case ir.Float32:
-		return func(dec Decoder, _ []byte) (Value, error) { return dec.Float32() }
-	case ir.Float64:
-		return func(dec Decoder, _ []byte) (Value, error) { return dec.Float64() }
-	case ir.String:
-		return func(dec Decoder, _ []byte) (Value, error) {
-			v, err := dec.stringView()
-			if err != nil {
-				return nil, err
-			}
-			return pl.ownString(v), nil
-		}
-	case ir.Port:
-		return func(dec Decoder, _ []byte) (Value, error) {
-			v, err := dec.Uint32()
-			return PortName(v), err
-		}
-	case ir.Bytes:
-		if l == LandBorrow {
-			return func(dec Decoder, _ []byte) (Value, error) { return dec.Bytes() }
-		}
-		own := func(dec Decoder, _ []byte) (Value, error) {
-			v, err := dec.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			return pl.ownBytes(v), nil
-		}
-		if l != LandCaller {
-			return own
-		}
-		return func(dec Decoder, dst []byte) (Value, error) {
-			if dst == nil {
-				return own(dec, nil)
-			}
-			b, err := dec.BytesInto(dst)
-			if err == nil {
-				pl.meterCopy(len(b))
-			}
-			return b, err
-		}
-	case ir.FixedBytes:
-		size := t.Size
-		if l == LandBorrow {
-			return func(dec Decoder, _ []byte) (Value, error) { return dec.FixedBytes(size) }
-		}
-		own := func(dec Decoder, _ []byte) (Value, error) {
-			v, err := dec.FixedBytes(size)
-			if err != nil {
-				return nil, err
-			}
-			return pl.ownBytes(v), nil
-		}
-		if l != LandCaller {
-			return own
-		}
-		return func(dec Decoder, dst []byte) (Value, error) {
-			if len(dst) < size {
-				return own(dec, nil)
-			}
-			if err := dec.FixedBytesInto(dst[:size]); err != nil {
-				return nil, err
-			}
-			pl.meterCopy(size)
-			return dst[:size], nil
-		}
-	case ir.Seq:
-		k, slab := seqLeaf(t.Elem)
-		var elem decodeFn
-		if !slab {
-			elem = pl.compileDecode(t.Elem, l)
-		}
-		return func(dec Decoder, _ []byte) (Value, error) {
-			vs, err := decodeSeq(dec, k, elem)
-			if err != nil {
-				return nil, err
-			}
-			return vs, nil
-		}
-	case ir.Array, ir.Struct:
-		return pl.compileBlock(t, l)
-	}
-	kind := t.Kind
-	return func(Decoder, []byte) (Value, error) {
-		return nil, fmt.Errorf("runtime: cannot unmarshal kind %v", kind)
-	}
-}
-
-// borrowBytes is compileDecode for a byte buffer landing by borrow, in
-// typed form; nil for any other wire type.
-func borrowBytes(t *ir.Type) func(Decoder) ([]byte, error) {
-	switch t.Kind {
-	case ir.Bytes:
-		return Decoder.Bytes
-	case ir.FixedBytes:
-		size := t.Size
-		return func(dec Decoder) ([]byte, error) { return dec.FixedBytes(size) }
-	}
-	return nil
-}
-
-// decodeSeq decodes a sequence: with elem nil, its elements are scalars
-// of kind k in one slab; otherwise each decodes through elem.
-func decodeSeq(dec Decoder, k leafKind, elem decodeFn) ([]Value, error) {
-	n, err := decodeSeqLen(dec)
-	if err != nil {
-		return nil, err
-	}
-	vs := make([]Value, n)
-	if elem == nil {
-		w := k.width()
-		s := make([]uint64, (uintptr(n)*w+7)/8)
-		for i := range vs {
-			bits, err := readLeaf(dec, k)
-			if err != nil {
-				return nil, err
-			}
-			vs[i] = boxLeaf(s, uintptr(i)*w, k, bits)
-		}
-		return vs, nil
-	}
-	for i := range vs {
-		if vs[i], err = elem(dec, nil); err != nil {
-			return nil, err
-		}
-	}
-	return vs, nil
-}
-
-// seqLeaf returns the leaf kind of wire type t and whether a sequence
-// of t lands its elements in one slab: t is a scalar other than bool,
-// which keeps the Go runtime's free static box.
-func seqLeaf(t *ir.Type) (leafKind, bool) {
-	k, ok := leafKindOf(t)
-	return k, ok && k != leafBool
-}
-
-// readLeaf decodes one non-bool scalar of kind k as its wire bits, the
-// form boxLeaf stores.
-func readLeaf(dec Decoder, k leafKind) (uint64, error) {
-	switch k {
-	case leafInt32:
-		v, err := dec.Int32()
-		return uint64(uint32(v)), err
-	case leafUint32, leafPort:
-		v, err := dec.Uint32()
-		return uint64(v), err
-	case leafFloat32:
-		v, err := dec.Float32()
-		return uint64(math.Float32bits(v)), err
-	case leafInt64:
-		v, err := dec.Int64()
-		return uint64(v), err
-	case leafUint64:
-		return dec.Uint64()
-	}
-	v, err := dec.Float64()
-	return math.Float64bits(v), err
-}
-
-// Decoding a fixed-shape value (a struct or an array) runs in two
-// phases over a program compiled once per type at bind time:
+// One program per (wire type, landing) is the only description of a
+// wire type: the decoder, the encoder and the certificate all read it.
+//
+// Decoding runs in two phases:
 //
 //   - phase 1 reads the wire in order into the decoder's scratch: each
 //     maximal run of adjacent scalar leaves in one codec call, a string
@@ -820,19 +395,38 @@ func readLeaf(dec Decoder, k leafKind) (uint64, error) {
 //     decoded apart, allocates on the way;
 //   - phase 2 allocates the value's one block (slab.go) with a tail of
 //     the size phase 1 measured, stores the scalars in its slab and the
-//     strings and owned buffers in its tail, and boxes every Value.
+//     strings and owned buffers in its tail, and boxes every Value. A
+//     top-level value that needs no storage slot — a scalar, a borrowed
+//     or caller-landed buffer, a sequence's header — gets Go's own box
+//     instead, and so does a top-level string or owned buffer that
+//     turned out empty.
+//
+// Encoding expands a struct or array's []Value tree into the encoder's
+// scratch in the numbering the block uses, checking each composite's
+// kind and length, then walks the same steps in wire order.
 
-// A blockProg is the compiled decode of one fixed-shape value: its
+// A blockProg is the compiled program of one wire type and landing: its
 // steps in wire order, where each run is followed by its leaves, and
-// its nested structs and arrays, parents before children.
+// its nested structs and arrays, parents before children. A top-level
+// value that is not a struct or array is the value of its one step
+// (dst -1) and has n -1.
 type blockProg struct {
-	bt    *blockType
-	n     int // the value's element count
+	t     *ir.Type
+	bt    *blockType // nil when the shape has no storage slot
+	n     int        // a struct or array's element count; -1 for any other type
 	steps []blockStep
 	fixed []blockFixed
 	words int // scratch words: one per scalar leaf
 	views int // scratch views: one per string and byte buffer
 	seqs  int // scratch sequences
+	vals  int // encode scratch: the value's element Values, nested ones included
+	// allocs is what decoding one value allocates: its block, or Go's
+	// box for a top-level scalar other than bool, a top-level buffer or
+	// a top-level sequence's header; and for each sequence its backing
+	// and its slab, or one element's allocations, its length not being
+	// static. lengths: some step reads a length prefix.
+	allocs  int
+	lengths bool
 }
 
 type stepKind uint8
@@ -843,24 +437,26 @@ const (
 	stepString                 // a view, copied into the tail
 	stepBytes                  // a view, copied into the tail when own
 	stepSeq                    // a sequence, decoded apart
-	stepFail                   // a kind no plan decodes: elem fails
+	stepVoid                   // nothing on the wire, nil in the value
+	stepFail                   // a kind no plan marshals: size holds it
 )
 
 // A blockStep is one step of a blockProg. A leaf lands scratch word idx
 // in value slot dst and slab byte offset off. A string, byte buffer or
 // sequence fills scratch slot idx in phase 1 and lands it in region
-// slot at and value slot dst in phase 2.
+// slot at and value slot dst in phase 2. dst -1 is the value itself.
 type blockStep struct {
 	kind         stepKind
-	leaf         leafKind // stepLeaf; stepSeq: its elements' kind when they land in a slab
+	leaf         leafKind // stepLeaf; stepSeq: its elements' kind, which but for bool land in one slab
 	own          bool     // stepBytes: copied into the tail
+	caller       bool     // stepBytes: copied into the caller's buffer when it fits, else into the tail
 	n            int32    // stepRun: its leaves
-	size         int32    // stepBytes: the fixed length, or -1 when the wire carries it
+	size         int32    // stepBytes: the fixed length, or -1 when the wire carries it; stepFail: the kind
 	dst, at, idx int32
 	off          uint32
-	xdr          int32    // stepRun: wire size on XDR
-	cdr          [8]int32 // stepRun: wire size on CDR by start offset modulo 8
-	elem         decodeFn // stepSeq: each element, unless they land in a slab; stepFail
+	xdr          int32      // stepRun: wire size on XDR
+	cdr          [8]int32   // stepRun: wire size on CDR by start offset modulo 8
+	elem         *blockProg // stepSeq: each element
 }
 
 // sizes fills in run step run[0]'s wire sizes from its leaves run[1:].
@@ -893,7 +489,7 @@ func sizes(run []blockStep) {
 // A leafKind is the wire and Value form of one scalar leaf. Kinds from
 // leafInt64 on are 8 bytes wide on the wire and in the slab, the others
 // 4, except that a bool has no slab slot: it keeps the Go runtime's free
-// static box.
+// static box. An enum is an int32 that names its own kind in errors.
 type leafKind uint8
 
 const (
@@ -902,31 +498,25 @@ const (
 	leafUint32
 	leafFloat32
 	leafPort
+	leafEnum
 	leafInt64
 	leafUint64
 	leafFloat64
 )
 
+// leafIR is each leaf kind's wire kind.
+var leafIR = [...]ir.Kind{
+	leafBool: ir.Bool, leafInt32: ir.Int32, leafUint32: ir.Uint32, leafFloat32: ir.Float32, leafPort: ir.Port,
+	leafEnum: ir.Enum, leafInt64: ir.Int64, leafUint64: ir.Uint64, leafFloat64: ir.Float64,
+}
+
 // leafKindOf returns the leaf kind of wire type t, or false when t is
 // not a scalar.
 func leafKindOf(t *ir.Type) (leafKind, bool) {
-	switch t.Kind {
-	case ir.Bool:
-		return leafBool, true
-	case ir.Int32, ir.Enum:
-		return leafInt32, true
-	case ir.Uint32:
-		return leafUint32, true
-	case ir.Float32:
-		return leafFloat32, true
-	case ir.Port:
-		return leafPort, true
-	case ir.Int64:
-		return leafInt64, true
-	case ir.Uint64:
-		return leafUint64, true
-	case ir.Float64:
-		return leafFloat64, true
+	for k, kind := range leafIR {
+		if t.Kind == kind {
+			return leafKind(k), true
+		}
 	}
 	return 0, false
 }
@@ -942,52 +532,94 @@ func (k leafKind) width() uintptr {
 	return 4
 }
 
-// A blockFixed is a nested struct or array: its header, in hdrs slot
-// at, covers vals[v0:v0+nv] and boxes into vals[dst].
-type blockFixed struct{ dst, at, v0, nv int }
-
-// A blockLayout places a fixed-shape value's slots in its block at bind
-// time and emits the steps that fill them. It runs twice: once to count,
-// so that the second run allocates each slice at its final size.
-type blockLayout struct {
-	pl     *Plan
-	l      Landing
-	count  bool // the counting run: emit nothing
-	steps  []blockStep
-	fixeds []blockFixed
-	nsteps int
-	nfixed int
-	run    int // the open run step, or -1 when a non-scalar step closed it
-	leaves int // scalar leaves so far
-	views  int
-	seqs   int
-	shape  blockShape
-	half   uintptr // slab byte offset of the open half-word; 0 when none is open
+// A blockFixed is a nested struct or array of type t: its header, in
+// hdrs slot at, covers vals[v0:v0+nv] and boxes into vals[dst].
+type blockFixed struct {
+	dst, at, v0, nv int
+	t               *ir.Type
 }
 
-// compileBlock builds the decode of a fixed-shape value t (a struct or
-// an array). Each decoded value is one allocation, a block: nested
-// structs and arrays flatten into it, strings and owned byte buffers
-// land in its tail, and only a sequence's backing and slab allocate
-// apart.
-func (pl *Plan) compileBlock(t *ir.Type, l Landing) decodeFn {
-	first := blockLayout{pl: pl, l: l, count: true, run: -1}
-	first.fixed(t)
-	lay := blockLayout{pl: pl, l: l, run: -1, steps: make([]blockStep, 0, first.nsteps)}
+// A blockLayout places a value's slots in its block at bind time and
+// emits the steps that fill them. It runs twice: once to count, so that
+// the second run allocates each slice at its final size.
+type blockLayout struct {
+	l       Landing
+	count   bool // the counting run: emit nothing
+	steps   []blockStep
+	fixeds  []blockFixed
+	nsteps  int
+	nfixed  int
+	run     int // the open run step, or -1 when a non-scalar step closed it
+	leaves  int // scalar leaves so far
+	views   int
+	seqs    int
+	allocs  int
+	lengths bool
+	shape   blockShape
+	half    uintptr // slab byte offset of the open half-word; 0 when none is open
+}
+
+// shared holds the programs of the top-level types that need nothing
+// but their kind, and a variable-length byte buffer's by landing: every
+// plan reads the same ones, so compiling such a parameter allocates
+// nothing.
+var shared = map[sharedKey]*blockProg{}
+
+func init() {
+	for _, k := range append(leafIR[:], ir.String, ir.Void) {
+		shared[sharedKey{k, ""}] = compile(&ir.Type{Kind: k}, "")
+	}
+	for _, l := range []Landing{LandBorrow, LandOwn, LandCaller} {
+		shared[sharedKey{ir.Bytes, l}] = compile(ir.BytesType, l)
+	}
+}
+
+type sharedKey struct {
+	kind ir.Kind
+	l    Landing // a byte buffer's; "" for the others
+}
+
+// program returns the program of wire type t landing as l.
+func program(t *ir.Type, l Landing) *blockProg {
+	if t == nil {
+		t = ir.VoidType
+	}
+	key := sharedKey{t.Kind, ""}
+	if t.Kind == ir.Bytes {
+		key.l = l
+	}
+	if pr := shared[key]; pr != nil {
+		return pr
+	}
+	return compile(t, l)
+}
+
+// compile builds the program of wire type t landing as l. A struct or
+// array is one block per decoded value: nested structs and arrays
+// flatten into it, strings and owned byte buffers land in its tail, and
+// only a sequence's backing and slab allocate apart.
+func compile(t *ir.Type, l Landing) *blockProg {
+	first := blockLayout{l: l, count: true, run: -1}
+	first.root(t)
+	lay := blockLayout{l: l, run: -1, steps: make([]blockStep, 0, first.nsteps)}
 	if first.nfixed > 0 {
 		lay.fixeds = make([]blockFixed, 0, first.nfixed)
 	}
-	lay.fixed(t)
+	lay.root(t)
 	for i, s := range lay.steps {
 		if s.kind == stepRun {
 			sizes(lay.steps[i : i+1+int(s.n)])
 		}
 	}
-	pr := blockProg{bt: blockTypeOf(lay.shape), n: fixedLen(t), steps: lay.steps, fixed: lay.fixeds,
-		words: lay.leaves, views: lay.views, seqs: lay.seqs}
-	return func(dec Decoder, _ []byte) (Value, error) {
-		return pl.decodeBlock(dec, pr)
+	pr := &blockProg{t: t, n: -1, steps: lay.steps, fixed: lay.fixeds, words: lay.leaves, views: lay.views,
+		seqs: lay.seqs, vals: lay.shape.vals, allocs: lay.allocs, lengths: lay.lengths}
+	if t.Kind == ir.Array || t.Kind == ir.Struct {
+		pr.n = fixedLen(t)
 	}
+	if lay.shape != (blockShape{}) {
+		pr.bt = blockTypeOf(lay.shape)
+	}
+	return pr
 }
 
 // fixedLen is the element count of a struct or array.
@@ -1007,6 +639,21 @@ func (lay *blockLayout) emit(s blockStep) int {
 	return lay.nsteps - 1
 }
 
+// root lays out a top-level value of wire type t: a struct or array is
+// its block, anything else the value of one step, boxed by Go unless a
+// string or a buffer copied into the tail gives it a slot.
+func (lay *blockLayout) root(t *ir.Type) {
+	if t.Kind == ir.Array || t.Kind == ir.Struct {
+		lay.allocs++
+		lay.fixed(t)
+		return
+	}
+	if t.Kind != ir.Bool && t.Kind != ir.Void {
+		lay.allocs++
+	}
+	lay.place(t, -1, 1)
+}
+
 // fixed places composite t's header in the next hdrs slot and its
 // elements in the next vals slots, then lays the elements out.
 func (lay *blockLayout) fixed(t *ir.Type) {
@@ -1022,14 +669,15 @@ func (lay *blockLayout) fixed(t *ir.Type) {
 	}
 }
 
-// place lays out n values of wire type t landing at vals[dst:dst+n] and
-// emits the steps that decode them.
+// place lays out n values of wire type t landing at vals[dst:dst+n]
+// (dst -1: the top-level value) and emits the steps that read and write
+// them.
 func (lay *blockLayout) place(t *ir.Type, dst, n int) {
 	if t.Kind == ir.Array || t.Kind == ir.Struct {
 		for j := 0; j < n; j++ {
 			lay.nfixed++
 			if !lay.count {
-				lay.fixeds = append(lay.fixeds, blockFixed{dst + j, lay.shape.hdrs, lay.shape.vals, fixedLen(t)})
+				lay.fixeds = append(lay.fixeds, blockFixed{dst + j, lay.shape.hdrs, lay.shape.vals, fixedLen(t), t})
 			}
 			lay.fixed(t)
 		}
@@ -1040,7 +688,7 @@ func (lay *blockLayout) place(t *ir.Type, dst, n int) {
 			lay.run = lay.emit(blockStep{kind: stepRun})
 		}
 		w, off := k.width(), uintptr(0)
-		if w > 0 {
+		if w > 0 && dst >= 0 {
 			off = lay.words(w, n)
 		}
 		for j := 0; j < n; j++ {
@@ -1052,38 +700,53 @@ func (lay *blockLayout) place(t *ir.Type, dst, n int) {
 		}
 		return
 	}
-	if t.Kind == ir.Void {
-		return
-	}
 	lay.run = -1
 	take := func(c *int) int32 { at := *c; *c++; return int32(at) }
 	s := blockStep{size: -1}
+	var slot *int // the region s takes a slot of, if any
 	switch t.Kind {
+	case ir.Void:
+		s.kind = stepVoid
 	case ir.String:
-		s.kind = stepString
+		s.kind, slot, lay.lengths = stepString, &lay.shape.strs, true
 	case ir.Bytes, ir.FixedBytes:
-		s.kind, s.own = stepBytes, lay.l != LandBorrow
+		s.kind, s.own, s.caller = stepBytes, lay.l == LandOwn, lay.l == LandCaller
 		if t.Kind == ir.FixedBytes {
 			s.size = int32(t.Size)
+		} else {
+			lay.lengths = true
+		}
+		if dst >= 0 || lay.l != LandBorrow {
+			slot = &lay.shape.byts
 		}
 	case ir.Seq:
-		s.kind = stepSeq
-		var slab bool
-		if s.leaf, slab = seqLeaf(t.Elem); !slab && !lay.count {
-			s.elem = lay.pl.compileDecode(t.Elem, lay.l)
+		s.kind, lay.lengths = stepSeq, true
+		if dst >= 0 {
+			slot = &lay.shape.hdrs
+		}
+		s.leaf, _ = leafKindOf(t.Elem) // leafBool for any other type
+		if !lay.count {
+			s.elem = program(t.Elem, lay.l)
+			lay.allocs += n // the backing
+			if s.leaf != leafBool {
+				lay.allocs += n // the slab
+			} else {
+				lay.allocs += n * s.elem.allocs
+			}
 		}
 	default:
-		s.kind, s.elem = stepFail, lay.pl.compileDecode(t, lay.l)
+		s.kind, s.size = stepFail, int32(t.Kind)
 	}
 	for j := 0; j < n; j++ {
 		s.dst = int32(dst + j)
+		if slot != nil {
+			s.at = take(slot)
+		}
 		switch s.kind {
-		case stepString:
-			s.at, s.idx = take(&lay.shape.strs), take(&lay.views)
-		case stepBytes:
-			s.at, s.idx = take(&lay.shape.byts), take(&lay.views)
+		case stepString, stepBytes:
+			s.idx = take(&lay.views)
 		case stepSeq:
-			s.at, s.idx = take(&lay.shape.hdrs), take(&lay.seqs)
+			s.idx = take(&lay.seqs)
 		}
 		lay.emit(s)
 	}
@@ -1144,20 +807,90 @@ func grow[T any](buf *[]T, top *int, n int) []T {
 // Decoder.Reset calls it before each message.
 func (s *scratch) reset() { s.top = scratchTop{} }
 
-// decodeBlock decodes one value of pr's shape: phase 1 into the
-// decoder's scratch, phase 2 into one fresh block.
-func (pl *Plan) decodeBlock(dec Decoder, pr blockProg) (Value, error) {
+// An encoder's scratch is a stack of Values: the elements of the struct
+// or array being encoded, and below them those of any that contain it.
+type valueStack struct {
+	vals []Value
+	top  int
+}
+
+// decode decodes one value of pr's type. A struct or array runs its
+// two phases, into the decoder's scratch and then one fresh block; any
+// other type is its one step (decodeOne). dst is the caller's buffer for
+// a caller-landed one.
+func (pl *Plan) decode(dec Decoder, pr *blockProg, dst []byte) (Value, error) {
+	if pr.n < 0 {
+		return pl.decodeOne(dec, pr, dst)
+	}
 	sc := dec.scratch()
 	top := sc.top
 	words, views, seqs := sc.take(pr.words, pr.views, pr.seqs)
-	v, err := pl.fillBlock(dec, &pr, words, views, seqs)
+	v, err := pl.fillBlock(dec, pr, words, views, seqs)
 	clear(views)
 	clear(seqs)
 	sc.top = top
 	return v, err
 }
 
-// fillBlock runs pr's two phases over scratch words, views and seqs.
+// decodeOne decodes a value that is not a struct or array: the last
+// step of its program, after a scalar's run. A scalar (free for a bool
+// and below 256), a borrowed or caller-landed buffer and a sequence's
+// header take Go's box; a string or owned buffer lands in the program's
+// one-slot block, its bytes in the tail, unless it is an empty string.
+func (pl *Plan) decodeOne(dec Decoder, pr *blockProg, dst []byte) (Value, error) {
+	s := &pr.steps[len(pr.steps)-1]
+	var v []byte
+	var err error
+	switch s.kind {
+	case stepLeaf:
+		return decodeLeaf(dec, s.leaf)
+	case stepSeq:
+		vs, err := pl.decodeSeq(dec, s)
+		if err != nil {
+			return nil, err
+		}
+		return vs, nil
+	case stepVoid:
+		return nil, nil
+	case stepFail:
+		return nil, fmt.Errorf("runtime: cannot unmarshal kind %v", ir.Kind(s.size))
+	case stepString:
+		v, err = dec.stringView()
+	default:
+		v, err = readView(dec, s)
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case s.caller && dst != nil && len(v) <= len(dst):
+		pl.meterCopy(len(v))
+		return dst[:copy(dst, v)], nil
+	case s.kind == stepBytes && !s.own && !s.caller:
+		return v, nil
+	}
+	pl.meterTail(len(v))
+	var b block
+	if s.kind == stepBytes {
+		pr.bt.alloc(&b, len(v))
+		return bytesBox.setAt(b.byts, 0, b.bytes(v)), nil
+	}
+	if len(v) == 0 {
+		return "", nil
+	}
+	pr.bt.alloc(&b, len(v))
+	return stringBox.setAt(b.strs, 0, b.string(v)), nil
+}
+
+// readView reads byte buffer step s's bytes as a view of the message.
+func readView(dec Decoder, s *blockStep) ([]byte, error) {
+	if s.size < 0 {
+		return dec.Bytes()
+	}
+	return dec.FixedBytes(int(s.size))
+}
+
+// fillBlock runs a struct or array program's two phases over scratch
+// words, views and seqs.
 func (pl *Plan) fillBlock(dec Decoder, pr *blockProg, words []uint64, views [][]byte, seqs [][]Value) (Value, error) {
 	tail := 0
 	for i := 0; i < len(pr.steps); i++ {
@@ -1171,18 +904,13 @@ func (pl *Plan) fillBlock(dec Decoder, pr *blockProg, words []uint64, views [][]
 			views[s.idx], err = dec.stringView()
 			tail += len(views[s.idx])
 		case stepBytes:
-			if s.size < 0 {
-				views[s.idx], err = dec.Bytes()
-			} else {
-				views[s.idx], err = dec.FixedBytes(int(s.size))
-			}
-			if s.own {
+			if views[s.idx], err = readView(dec, s); s.own {
 				tail += len(views[s.idx])
 			}
 		case stepSeq:
-			seqs[s.idx], err = decodeSeq(dec, s.leaf, s.elem)
+			seqs[s.idx], err = pl.decodeSeq(dec, s)
 		case stepFail:
-			_, err = s.elem(dec, nil)
+			err = fmt.Errorf("runtime: cannot unmarshal kind %v", ir.Kind(s.size))
 		}
 		if err != nil {
 			return nil, err
@@ -1222,32 +950,283 @@ func (pl *Plan) fillBlock(dec Decoder, pr *blockProg, words []uint64, views [][]
 	return valuesBox.setAt(b.hdrs, 0, b.vals[:pr.n:pr.n]), nil
 }
 
-// Top-level strings and owned byte buffers are blocks too: the header
-// and, in the tail, the bytes.
-var (
-	stringBlock = blockTypeOf(blockShape{strs: 1})
-	bytesBlock  = blockTypeOf(blockShape{byts: 1})
-)
-
-// ownString lands a string, a view of the message, in one fresh block;
-// an empty one boxes for free.
-func (pl *Plan) ownString(v []byte) Value {
-	pl.meterTail(len(v))
-	if len(v) == 0 {
-		return ""
+// decodeLeaf reads a top-level scalar of kind k into Go's own box, as a
+// decode step does directly for a scalar parameter.
+func decodeLeaf(dec Decoder, k leafKind) (Value, error) {
+	switch k {
+	case leafBool:
+		return dec.Bool()
+	case leafInt32, leafEnum:
+		return dec.Int32()
+	case leafUint32:
+		return dec.Uint32()
+	case leafFloat32:
+		return dec.Float32()
+	case leafPort:
+		v, err := dec.Uint32()
+		return PortName(v), err
+	case leafInt64:
+		return dec.Int64()
+	case leafUint64:
+		return dec.Uint64()
 	}
-	var b block
-	stringBlock.alloc(&b, len(v))
-	return stringBox.setAt(b.strs, 0, b.string(v))
+	return dec.Float64()
 }
 
-// ownBytes lands a byte buffer, a view of the message, in one fresh
-// block.
-func (pl *Plan) ownBytes(v []byte) Value {
-	pl.meterTail(len(v))
-	var b block
-	bytesBlock.alloc(&b, len(v))
-	return bytesBox.setAt(b.byts, 0, b.bytes(v))
+// decodeSeq decodes sequence step s's value: its elements are scalars
+// in one slab, or each decodes through s.elem.
+func (pl *Plan) decodeSeq(dec Decoder, s *blockStep) ([]Value, error) {
+	n, err := decodeSeqLen(dec)
+	if err != nil {
+		return nil, err
+	}
+	vs := make([]Value, n)
+	if s.leaf != leafBool {
+		// Each element runs the run step of its kind's program.
+		sc := dec.scratch()
+		top := sc.top
+		bits, _, _ := sc.take(1, 0, 0)
+		defer func() { sc.top = top }()
+		w := s.leaf.width()
+		slab := make([]uint64, (uintptr(n)*w+7)/8)
+		for i := range vs {
+			if err := dec.scalars(s.elem.steps, bits); err != nil {
+				return nil, err
+			}
+			vs[i] = boxLeaf(slab, uintptr(i)*w, s.leaf, bits[0])
+		}
+		return vs, nil
+	}
+	for i := range vs {
+		if vs[i], err = pl.decode(dec, s.elem, nil); err != nil {
+			return nil, err
+		}
+	}
+	return vs, nil
+}
+
+// decodeSeqLen reads a sequence element count and bounds it by the
+// bytes actually present: every element occupies at least one input
+// byte, so a length word larger than the remaining message is a
+// corrupt (or hostile) message, not a huge allocation.
+func decodeSeqLen(dec Decoder) (int, error) {
+	n, err := dec.Len()
+	if err != nil {
+		return 0, err
+	}
+	if n > dec.Remaining() {
+		return 0, fmt.Errorf("runtime: sequence of %d elements exceeds %d remaining bytes", n, dec.Remaining())
+	}
+	return n, nil
+}
+
+// encode marshals v, a value of pr's type. A struct or array expands
+// into the encoder's scratch first, so a value of the wrong shape fails
+// before any of it is written; any other type is its one step, after a
+// scalar's run.
+func (pl *Plan) encode(enc Encoder, pr *blockProg, v Value) error {
+	if pr.n < 0 {
+		return pl.putOne(enc, &pr.steps[len(pr.steps)-1], v)
+	}
+	if vs, ok := v.([]Value); ok && len(pr.fixed) == 0 && len(vs) == pr.n {
+		return pl.put(enc, pr, vs) // nothing nested: v is its own expansion
+	}
+	sc := enc.values()
+	top := sc.top
+	vals := grow(&sc.vals, &sc.top, pr.vals)
+	err := pr.expand(v, vals)
+	if err == nil {
+		err = pl.put(enc, pr, vals)
+	}
+	clear(vals)
+	sc.top = top
+	return err
+}
+
+// expand lays struct or array value v out in vals, numbered as pr's
+// block numbers them, parents before children.
+func (pr *blockProg) expand(v Value, vals []Value) error {
+	if err := fill(pr.t, v, vals[:pr.n]); err != nil {
+		return err
+	}
+	for i := range pr.fixed {
+		f := &pr.fixed[i]
+		if err := fill(f.t, vals[f.dst], vals[f.v0:f.v0+f.nv]); err != nil {
+			return pr.wrap(f.dst, err)
+		}
+	}
+	return nil
+}
+
+// fill checks that v is a value of struct or array type t and copies
+// its elements into out.
+func fill(t *ir.Type, v Value, out []Value) error {
+	vs, ok := v.([]Value)
+	switch {
+	case !ok:
+		return typeErr(t, v)
+	case len(vs) == len(out):
+		copy(out, vs)
+		return nil
+	case t.Kind == ir.Array:
+		return fmt.Errorf("runtime: array needs %d elements, have %d", t.Size, len(vs))
+	}
+	return fmt.Errorf("runtime: struct %s needs %d fields, have %d", t.Name, len(out), len(vs))
+}
+
+// wrap prefixes err with the path from the top-level value to value
+// slot d: "field x: element 2: ...".
+func (pr *blockProg) wrap(d int, err error) error {
+	for d >= 0 {
+		t, v0, up := pr.t, 0, -1
+		for i := range pr.fixed {
+			if f := &pr.fixed[i]; d >= f.v0 && d < f.v0+f.nv {
+				t, v0, up = f.t, f.v0, f.dst
+			}
+		}
+		if t.Kind == ir.Array {
+			err = fmt.Errorf("element %d: %w", d-v0, err)
+		} else {
+			err = fmt.Errorf("field %s: %w", t.Fields[d-v0].Name, err)
+		}
+		d = up
+	}
+	return err
+}
+
+// put walks pr's steps in wire order, writing the elements expand laid
+// out in vals; a run of scalar leaves in one codec call.
+func (pl *Plan) put(enc Encoder, pr *blockProg, vals []Value) error {
+	for i := 0; i < len(pr.steps); i++ {
+		s := &pr.steps[i]
+		var err error
+		switch {
+		case s.kind == stepRun:
+			run := pr.steps[i : i+1+int(s.n)]
+			i += int(s.n)
+			if j := enc.putScalars(run, vals); j > 0 {
+				s, err = &run[j], putErr(&run[j], vals[run[j].dst])
+			}
+		default:
+			err = pl.putOne(enc, s, vals[s.dst])
+		}
+		if err != nil {
+			return pr.wrap(int(s.dst), err)
+		}
+	}
+	return nil
+}
+
+// putOne writes v as step s, any step but a run.
+func (pl *Plan) putOne(enc Encoder, s *blockStep, v Value) error {
+	switch s.kind {
+	case stepLeaf:
+		if w, ok := leafBits(s.leaf, &v); ok {
+			switch {
+			case s.leaf == leafBool:
+				enc.PutBool(w != 0)
+			case s.leaf >= leafInt64:
+				enc.PutUint64(w)
+			default:
+				enc.PutUint32(uint32(w))
+			}
+			return nil
+		}
+	case stepString:
+		if str, ok := v.(string); ok {
+			enc.PutString(str)
+			return nil
+		}
+	case stepBytes:
+		if b, ok := v.([]byte); ok && s.size < 0 {
+			enc.PutBytes(b)
+			return nil
+		} else if ok && len(b) == int(s.size) {
+			enc.PutFixedBytes(b)
+			return nil
+		}
+	case stepSeq:
+		return pl.putSeq(enc, s, v)
+	case stepVoid:
+		if v == nil {
+			return nil
+		}
+	}
+	return putErr(s, v)
+}
+
+// putErr is why v does not fit step s.
+func putErr(s *blockStep, v Value) error {
+	switch s.kind {
+	case stepLeaf:
+		return kindErr(leafIR[s.leaf], v)
+	case stepString:
+		return kindErr(ir.String, v)
+	case stepBytes:
+		if s.size < 0 {
+			return kindErr(ir.Bytes, v)
+		}
+		if b, ok := v.([]byte); ok {
+			return fmt.Errorf("runtime: fixed opaque needs %d bytes, have %d", s.size, len(b))
+		}
+		return typeErr(&ir.Type{Kind: ir.FixedBytes, Size: int(s.size)}, v)
+	case stepVoid:
+		return fmt.Errorf("runtime: void value must be nil, have %T", v)
+	}
+	return fmt.Errorf("runtime: cannot marshal kind %v", ir.Kind(s.size))
+}
+
+// putSeq writes v as sequence step s: its length, then each element
+// through s.elem.
+func (pl *Plan) putSeq(enc Encoder, s *blockStep, v Value) error {
+	vs, ok := v.([]Value)
+	if !ok {
+		return typeErr(&ir.Type{Kind: ir.Seq, Elem: s.elem.t}, v)
+	}
+	enc.PutLen(len(vs))
+	for j, e := range vs {
+		if err := pl.encode(enc, s.elem, e); err != nil {
+			return fmt.Errorf("element %d: %w", j, err)
+		}
+	}
+	return nil
+}
+
+// encodeStep runs encode step st on v: its [special] hook or its
+// program, metered when the parameter is [traced] and stats are on.
+func (op *OpPlan) encodeStep(enc Encoder, st *step, v Value) error {
+	if st.one != nil {
+		return op.plan.putOne(enc, st.one, v)
+	}
+	pl, before := op.plan, -1
+	if st.traced && pl.stats != nil {
+		before = len(enc.Bytes())
+	}
+	var err error
+	if st.prog == nil {
+		err = st.enc(enc, v)
+	} else {
+		err = pl.encode(enc, st.prog, v)
+	}
+	if err == nil && before >= 0 {
+		pl.stats.AddOp(op.Idx, stats.OpTracedMsgs, 1)
+		pl.stats.AddOp(op.Idx, stats.OpTracedBytes, len(enc.Bytes())-before)
+	}
+	return err
+}
+
+// decodeStep runs decode step st: its [special] hook or its program,
+// with dst the caller's buffer for a caller-landed one.
+func (op *OpPlan) decodeStep(dec Decoder, st *step, dst []byte) (Value, error) {
+	switch pr := st.prog; {
+	case pr == nil:
+		return st.dec(dec, dst)
+	case pr.n < 0 && pr.words > 0:
+		return decodeLeaf(dec, pr.steps[1].leaf)
+	case pr.n < 0:
+		return op.plan.decodeOne(dec, pr, dst)
+	}
+	return op.plan.decode(dec, st.prog, dst)
 }
 
 // EncodeRequest marshals the in and inout arguments. args is indexed
@@ -1258,7 +1237,7 @@ func (op *OpPlan) EncodeRequest(enc Encoder, args []Value) error {
 	}
 	for i := range op.reqEnc {
 		st := &op.reqEnc[i]
-		if err := st.enc(enc, args[st.arg]); err != nil {
+		if err := op.encodeStep(enc, st, args[st.arg]); err != nil {
 			return fmt.Errorf("%s param %s: %w", op.Op.Name, st.name, err)
 		}
 	}
@@ -1284,7 +1263,7 @@ func (op *OpPlan) DecodeRequest(dec Decoder) ([]Value, error) {
 func (op *OpPlan) DecodeRequestInto(dec Decoder, args []Value) error {
 	for i := range op.reqDec {
 		st := &op.reqDec[i]
-		v, err := st.dec(dec, nil)
+		v, err := op.decodeStep(dec, st, nil)
 		if err != nil {
 			return fmt.Errorf("%s param %s: %w", op.Op.Name, st.name, err)
 		}
@@ -1304,9 +1283,9 @@ func (op *OpPlan) decodeRequestCall(dec Decoder, c *Call) error {
 	for i := range op.reqDec {
 		st := &op.reqDec[i]
 		var err error
-		if st.borrow == nil {
-			c.in[st.arg], err = st.dec(dec, nil)
-		} else if c.inBytes[st.arg], err = st.borrow(dec); c.inBytes[st.arg] == nil {
+		if !st.view {
+			c.in[st.arg], err = op.decodeStep(dec, st, nil)
+		} else if c.inBytes[st.arg], err = readView(dec, &st.prog.steps[0]); c.inBytes[st.arg] == nil {
 			c.inBytes[st.arg] = noBytes
 		}
 		if err != nil {
@@ -1324,7 +1303,7 @@ func (op *OpPlan) EncodeReply(enc Encoder, outs []Value, ret Value) error {
 		if st.arg >= 0 {
 			v = outs[st.arg]
 		}
-		if err := st.enc(enc, v); err != nil {
+		if err := op.encodeStep(enc, st, v); err != nil {
 			return replyParamErr(op.Op, st.arg, err)
 		}
 	}
@@ -1345,11 +1324,11 @@ func (op *OpPlan) encodeReplyCall(enc Encoder, c *Call) error {
 		var err error
 		switch {
 		case st.landing != LandSpecial:
-			err = st.enc(enc, s.view())
+			err = op.encodeStep(enc, st, s.view())
 		case s.kind == slotOther:
 			err = typeErr(replyType(op.Op, st.arg), s.value())
 		default:
-			err = st.enc(enc, s.value())
+			err = op.encodeStep(enc, st, s.value())
 		}
 		if err != nil {
 			return replyParamErr(op.Op, st.arg, err)
@@ -1400,7 +1379,7 @@ func (op *OpPlan) DecodeReply(dec Decoder, outBufs [][]byte, retBuf []byte) ([]V
 				buf = outBufs[st.arg]
 			}
 		}
-		v, err := st.dec(dec, buf)
+		v, err := op.decodeStep(dec, st, buf)
 		if err != nil {
 			return nil, nil, replyParamErr(op.Op, st.arg, err)
 		}
@@ -1411,19 +1390,4 @@ func (op *OpPlan) DecodeReply(dec Decoder, outBufs [][]byte, retBuf []byte) ([]V
 		}
 	}
 	return outs, ret, nil
-}
-
-// decodeSeqLen reads a sequence element count and bounds it by the
-// bytes actually present: every element occupies at least one input
-// byte, so a length word larger than the remaining message is a
-// corrupt (or hostile) message, not a huge allocation.
-func decodeSeqLen(dec Decoder) (int, error) {
-	n, err := dec.Len()
-	if err != nil {
-		return 0, err
-	}
-	if n > dec.Remaining() {
-		return 0, fmt.Errorf("runtime: sequence of %d elements exceeds %d remaining bytes", n, dec.Remaining())
-	}
-	return n, nil
 }

@@ -37,10 +37,10 @@ func testPres(t *testing.T) *pres.Presentation {
 	return pres.Default(testIface(t), pres.StyleCORBA)
 }
 
-// checkValue is how a Value meets its wire type: the bind-time encode
-// step is the one checker.
+// checkValue is how a Value meets its wire type: the encode of its
+// bind-time program is the one checker.
 func checkValue(t *ir.Type, v Value) error {
-	return compileEncode(t)(XDRCodec.NewEncoder(), v)
+	return new(Plan).encode(XDRCodec.NewEncoder(), program(t, LandOwn), v)
 }
 
 func TestCheckValue(t *testing.T) {
@@ -87,7 +87,11 @@ func TestCopyValueIsDeep(t *testing.T) {
 		{Name: "s", Type: ir.SeqOf(ir.BytesType)},
 	}}
 	orig := []Value{[]byte("abc"), []Value{[]byte("xyz")}}
-	cp := CopyValue(st, orig).([]Value)
+	v, err := CopyValue(st, orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := v.([]Value)
 	orig[0].([]byte)[0] = 'Z'
 	orig[1].([]Value)[0].([]byte)[0] = 'Z'
 	if cp[0].([]byte)[0] != 'a' || cp[1].([]Value)[0].([]byte)[0] != 'x' {

@@ -211,7 +211,11 @@ func (s *SameDomain) run(ctx context.Context, o *sameOp, args []Value, outBufs [
 			p := &o.ins[i]
 			v := args[p.arg]
 			if p.copy {
-				v = CopyValue(p.typ, v)
+				var err error
+				if v, err = CopyValue(p.typ, v); err != nil {
+					o.release(f)
+					return nil, nil, fmt.Errorf("%s param %s: %w", o.server.Name, o.server.Params[p.arg].Name, err)
+				}
 			}
 			c.in[p.arg] = v
 		}
@@ -303,7 +307,7 @@ func (p *sameParam) deliver(s *slot, buf []byte, deferred bool) (Value, error) {
 		return buf[:copy(buf, s.byts)], nil
 	case (p.copy || deferred) && mutable(p.typ):
 		// CopyValue keeps nothing of a mutable value's view.
-		return CopyValue(p.typ, s.view()), nil
+		return CopyValue(p.typ, s.view())
 	}
 	return s.value(), nil
 }

@@ -4,14 +4,13 @@ package runtime
 //
 // Decoding a composite boxes each of its leaves into a Value, and a
 // plain interface conversion heap-allocates one object per leaf. A
-// fixed-shape value (a struct or an array) instead lands in one block:
-// an object whose Go type reflect.StructOf builds once per shape and
-// tail class. The block holds every []Value header the value boxes, its
-// field and element Values, the string and []byte headers of its
-// fields, a slab of uint64 words for its scalar leaves and, last, a
-// tail for the bytes of its strings and owned byte buffers; the slab
-// and the tail hold no pointers. A top-level string or owned buffer is
-// a block of one header and its tail. Each boxed leaf or header is a
+// decoded value instead lands in one block: an object whose Go type
+// reflect.StructOf builds once per shape (the storage slots its program
+// laid out, plan.go) and tail class. The block holds every []Value
+// header the value boxes, its field and element Values, its string and
+// []byte headers, a slab of uint64 words for its scalar leaves and,
+// last, a tail for the bytes of its strings and owned byte buffers; the
+// slab and the tail hold no pointers. Each boxed leaf or header is a
 // Value built by hand, its data word pointing at its slot in the block,
 // and each string or owned buffer points at its bytes in the tail. A
 // sequence's scalar elements share one pointer-free []uint64 slab of
@@ -82,12 +81,14 @@ var (
 	bytesBox  = newBoxKind[[]byte]()
 )
 
-// leafTypes holds the type word of each non-bool leaf kind's Value.
+// leafTypes holds the type word of each leaf kind's Value.
 var leafTypes = [...]unsafe.Pointer{
+	leafBool:    newBoxKind[bool]().typ,
 	leafInt32:   newBoxKind[int32]().typ,
 	leafUint32:  newBoxKind[uint32]().typ,
 	leafFloat32: newBoxKind[float32]().typ,
 	leafPort:    newBoxKind[PortName]().typ,
+	leafEnum:    newBoxKind[int32]().typ,
 	leafInt64:   newBoxKind[int64]().typ,
 	leafUint64:  newBoxKind[uint64]().typ,
 	leafFloat64: newBoxKind[float64]().typ,
@@ -110,6 +111,21 @@ func boxLeaf(s []uint64, off uintptr, k leafKind, w uint64) Value {
 	var out Value
 	*(*eface)(unsafe.Pointer(&out)) = eface{leafTypes[k], p}
 	return out
+}
+
+// leafBits returns the wire bits of *v, a scalar leaf of kind k, in the
+// form boxLeaf stores; false when *v is not of k's Go type.
+func leafBits(k leafKind, v *Value) (uint64, bool) {
+	e := (*eface)(unsafe.Pointer(v))
+	switch {
+	case e.typ != leafTypes[k]:
+		return 0, false
+	case k == leafBool:
+		return uint64(*(*uint8)(e.data)), true
+	case k >= leafInt64:
+		return *(*uint64)(e.data), true
+	}
+	return uint64(*(*uint32)(e.data)), true
 }
 
 // A blockShape counts a block's slots region by region. It is also the

@@ -398,7 +398,7 @@ func TestMalformedBlockZeroAllocs(t *testing.T) {
 		}
 		copy(msg[at:], []byte{0, 0, 3, 232})
 		dec := plan.NewDecoder(nil)
-		decode := op.repDec[0].dec
+		decode := func(dec Decoder, dst []byte) (Value, error) { return plan.decode(dec, op.repDec[0].prog, dst) }
 		dec.Reset(msg)
 		if _, err := decode(dec, nil); err == nil {
 			t.Fatalf("%s: a 1000-byte name in a %d-byte message decodes", codec.Name(), len(msg))

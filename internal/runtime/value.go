@@ -96,32 +96,38 @@ func ZeroValue(t *ir.Type) Value {
 // CopyValue returns a deep copy of v (wire type t): the copy the
 // same-domain stubs make when neither [trashable] nor [preserved]
 // lets them pass the original by reference. A value of a type that is
-// not mutable is its own copy.
-func CopyValue(t *ir.Type, v Value) Value {
+// not mutable is its own copy. A value whose kind does not match t
+// fails with the text its encode fails with.
+func CopyValue(t *ir.Type, v Value) (Value, error) {
 	if !mutable(t) || v == nil {
-		return v
+		return v, nil
 	}
-	switch t.Kind {
-	case ir.Bytes, ir.FixedBytes:
-		src := v.([]byte)
-		dst := make([]byte, len(src))
-		copy(dst, src)
-		return dst
-	case ir.Seq, ir.Array:
-		src := v.([]Value)
-		dst := make([]Value, len(src))
-		for i, e := range src {
-			dst[i] = CopyValue(t.Elem, e)
+	if t.Kind == ir.Bytes || t.Kind == ir.FixedBytes {
+		src, ok := v.([]byte)
+		if !ok {
+			return nil, typeErr(t, v)
 		}
-		return dst
-	default: // ir.Struct
-		src := v.([]Value)
-		dst := make([]Value, len(src))
-		for i, f := range t.Fields {
-			dst[i] = CopyValue(f.Type, src[i])
-		}
-		return dst
+		return append(make([]byte, 0, len(src)), src...), nil
 	}
+	src, ok := v.([]Value)
+	if !ok {
+		return nil, typeErr(t, v)
+	}
+	if t.Kind == ir.Struct && len(src) != len(t.Fields) {
+		return nil, fmt.Errorf("runtime: struct %s needs %d fields, have %d", t.Name, len(t.Fields), len(src))
+	}
+	dst := make([]Value, len(src))
+	for i, e := range src {
+		var err error
+		if t.Kind != ir.Struct {
+			if dst[i], err = CopyValue(t.Elem, e); err != nil {
+				return nil, fmt.Errorf("element %d: %w", i, err)
+			}
+		} else if dst[i], err = CopyValue(t.Fields[i].Type, e); err != nil {
+			return nil, fmt.Errorf("field %s: %w", t.Fields[i].Name, err)
+		}
+	}
+	return dst, nil
 }
 
 // mutable reports whether a value of type t can be changed through a

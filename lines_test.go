@@ -29,7 +29,7 @@ var lineAreas = []struct {
 // is paid for: a change that adds lines raises its pin and says why in
 // CHANGES.md, and one that removes lines lowers it.
 var pinnedLines = map[string]int{
-	"internal/runtime":     5443,
+	"internal/runtime":     5423,
 	"internal/transport":   1834,
 	"internal/sunrpc":      1760,
 	"internal/experiments": 2876,
