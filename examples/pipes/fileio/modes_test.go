@@ -78,7 +78,8 @@ func (h *handClient) Read(count uint32) ([]byte, error) {
 	if err := h.call(0); err != nil {
 		return nil, err
 	}
-	return h.dec.OpaqueInto(nil)
+	b, err := h.dec.Opaque()
+	return append([]byte(nil), b...), err
 }
 
 func (h *handClient) Write(data []byte) error {

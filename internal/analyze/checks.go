@@ -164,7 +164,7 @@ var registry = map[string]CheckInfo{
 	},
 	"FV023": {
 		ID: "FV023", Title: "record-borrow-escape", Severity: SevError,
-		Fix: "copy before retaining: d.OpaqueInto(dst) or append([]byte(nil), b...)",
+		Fix: "copy before retaining: append([]byte(nil), b...)",
 		Doc: "A raw Sun RPC handler (Server.Register) retains a []byte " +
 			"from xdr.Decoder.Opaque or FixedOpaque past handler return. " +
 			"Those accessors alias the request record buffer, which the " +

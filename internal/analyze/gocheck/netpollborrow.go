@@ -7,8 +7,8 @@
 // connection, reuses the buffer next. This analyzer runs the FV017
 // borrow-escape engine over every Register handler, with the
 // decoder's borrowing accessors as the alias sources. The safe
-// alternatives are OpaqueInto and String, which copy into owned
-// storage.
+// alternatives are a copy, append([]byte(nil), b...), and String, which
+// copies into owned storage.
 package gocheck
 
 import (

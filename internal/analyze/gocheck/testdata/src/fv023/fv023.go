@@ -52,17 +52,17 @@ func Build(ix *index, sink chan []byte) *sunrpc.Server {
 	})
 	s.Register(5, indexKey(ix))
 	s.Register(6, func(d *xdr.Decoder, e *xdr.Encoder) error {
-		// Clean: OpaqueInto returns owned storage.
-		b, err := d.OpaqueInto(nil)
+		// Clean: a copy is owned storage.
+		b, err := d.Opaque()
 		if err != nil {
 			return err
 		}
-		lastRecord = b
-		dst, err := d.OpaqueInto(make([]byte, 64))
+		lastRecord = append([]byte(nil), b...)
+		fixed, err := d.FixedOpaque(16)
 		if err != nil {
 			return err
 		}
-		ix.hot = dst
+		ix.hot = append(make([]byte, 0, 64), fixed...)
 		// Clean: the slice header never escapes; only derived values do.
 		raw, err := d.Opaque()
 		if err != nil {

@@ -22,12 +22,12 @@ func Build() *sunrpc.Server {
 		return nil
 	})
 	s.Register(2, func(d *xdr.Decoder, e *xdr.Encoder) error {
-		// Clean: OpaqueInto returns owned storage.
-		key, err := d.OpaqueInto(nil)
+		// Clean: a copy is owned storage.
+		key, err := d.Opaque()
 		if err != nil {
 			return err
 		}
-		lastKey = key
+		lastKey = append([]byte(nil), key...)
 		return nil
 	})
 	return s

@@ -97,9 +97,6 @@ func (e *Encoder) PutUint32(v uint32) {
 	}
 }
 
-// PutInt32 encodes a long, aligned to 4.
-func (e *Encoder) PutInt32(v int32) { e.PutUint32(uint32(v)) }
-
 // PutUint64 encodes an unsigned long long, aligned to 8.
 func (e *Encoder) PutUint64(v uint64) {
 	e.Align(8)
@@ -113,9 +110,6 @@ func (e *Encoder) PutUint64(v uint64) {
 			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 	}
 }
-
-// PutInt64 encodes a long long, aligned to 8.
-func (e *Encoder) PutInt64(v int64) { e.PutUint64(uint64(v)) }
 
 // PutString encodes a CDR string: aligned length word counting the
 // terminating NUL, then the bytes, then the NUL.
@@ -327,17 +321,6 @@ func (d *Decoder) FixedOctets(n int) ([]byte, error) {
 	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return b, nil
-}
-
-// FixedOctetsInto decodes len(dst) raw octets directly into dst in
-// one bulk copy, avoiding any intermediate allocation.
-func (d *Decoder) FixedOctetsInto(dst []byte) error {
-	if d.Remaining() < len(dst) {
-		return ErrShortBuffer
-	}
-	copy(dst, d.buf[d.off:])
-	d.off += len(dst)
-	return nil
 }
 
 // SeqLen decodes a sequence element count.

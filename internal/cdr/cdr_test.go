@@ -41,7 +41,7 @@ func TestBothByteOrders(t *testing.T) {
 	for _, order := range []ByteOrder{BigEndian, LittleEndian} {
 		e := NewEncoder(order)
 		e.PutUint32(0xDEADBEEF)
-		e.PutInt64(-5)
+		e.PutUint64(0xfffffffffffffffb) // int64 -5
 		d := NewDecoder(e.Bytes(), order)
 		v32, _ := d.Uint32()
 		v64, err := d.Int64()
@@ -127,7 +127,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		e := NewEncoder(order)
 		e.PutOctet(o)
 		e.PutUint32(u32)
-		e.PutInt64(i64)
+		e.PutUint64(uint64(i64))
 		e.PutString(s)
 		e.PutOctetSeq(seq)
 		d := NewDecoder(e.Bytes(), order)

@@ -9,7 +9,7 @@ import "testing"
 // input holds, and never let Remaining go negative.
 func FuzzDecoder(f *testing.F) {
 	e := NewEncoder(BigEndian)
-	e.PutInt32(-5)
+	e.PutUint32(0xfffffffb) // int32 -5
 	e.PutString("hello")
 	e.PutOctetSeq([]byte{1, 2, 3})
 	e.PutUint64(1 << 40)
@@ -33,7 +33,6 @@ func FuzzDecoder(f *testing.F) {
 		}
 		d := NewDecoder(wire, order)
 		d.MaxLength = 1 << 20
-		var scratch [16]byte
 		for i := 0; i < 64; i++ {
 			before := d.Remaining()
 			var err error
@@ -61,7 +60,7 @@ func FuzzDecoder(f *testing.F) {
 			case 7:
 				_, err = d.FixedOctets(8)
 			case 8:
-				err = d.FixedOctetsInto(scratch[:4])
+				_, err = d.Int64()
 			case 9:
 				var n int
 				if n, err = d.SeqLen(); err == nil && uint32(n) > d.MaxLength {

@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	"flexrpc/internal/idl"
+	"flexrpc/internal/runtime"
 )
 
 // FuzzCompile runs each front end and the presentation stage on any
-// input. A compile yields a result whose presentation is valid and
-// whose contract the PDL left alone, or an error: an *idl.Error
-// positioned inside the file it names, or a whole-file error that
-// names the IDL file. It never panics.
+// input. A compile yields a result whose presentation is valid, whose
+// contract the PDL left alone and which binds a marshal plan under XDR
+// and CDR, or an error: an *idl.Error positioned inside the file it
+// names, or a whole-file error that names the IDL file. It never
+// panics.
 func FuzzCompile(f *testing.F) {
 	idlSrc, pdls := benchInputs(f)
 	f.Add(uint8(FrontendCORBA), idlSrc, pdls["client.pdl"])
@@ -23,6 +25,13 @@ func FuzzCompile(f *testing.F) {
 		"interface P_V { GET([dealloc(never)] return); };")
 	f.Add(uint8(FrontendMIG), "subsystem pipe 2400;\ntype buf_t = array[*:4096] of char;\nroutine pipe_read(server : mach_port_t; in count : int; out data : buf_t);",
 		"interface pipe { pipe_read([alloc(caller)] data); };")
+	// An enumerator that redefined a const gave fbytes<0>; a negative
+	// bound panicked the bind (array<i32,-2>) or bound as variable-length
+	// opaque (fbytes<-1>); an XDR program name overwrote a const.
+	f.Add(uint8(FrontendCORBA), "const long N = 8;\nenum E { N };\ntypedef octet Buf[N];\ninterface I { void f(in Buf b); };", "")
+	f.Add(uint8(FrontendCORBA), "const long M = -2;\ntypedef long A[M];\ninterface I { void f(in A a); };", "")
+	f.Add(uint8(FrontendCORBA), "const long M = -1;\ntypedef octet B[M];\ninterface I { void f(in B b); };", "")
+	f.Add(uint8(FrontendSunXDR), "const P = 7;\nprogram P { version V { void f(int) = 1; } = 1; } = 0x20000002;", "")
 	f.Fuzz(func(t *testing.T, fe uint8, idlSrc, pdlSrc string) {
 		o := Options{Frontend: Frontend(fe % 3), Filename: "f.idl", Source: idlSrc, PDL: pdlSrc, PDLFilename: "f.pdl"}
 		c, err := Compile(o)
@@ -40,6 +49,12 @@ func FuzzCompile(f *testing.F) {
 		}
 		if got, want := c.Iface.Signature(), bare.Iface.Signature(); got != want {
 			t.Fatalf("the PDL changed the contract:\n  %s\n  %s", got, want)
+		}
+		for _, codec := range []runtime.Codec{runtime.XDRCodec, runtime.CDRCodec} {
+			if _, err := runtime.NewPlan(bare.Pres, codec, nil); err != nil {
+				t.Fatalf("the default presentation does not bind under %s: %v", codec.Name(), err)
+			}
+			_, _ = runtime.NewPlan(c.Pres, codec, nil) // a [special] parameter needs hooks
 		}
 	})
 }

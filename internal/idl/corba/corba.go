@@ -13,29 +13,15 @@ import (
 // Parse parses CORBA IDL source into an ir.File with all typedefs
 // resolved.
 func Parse(filename, src string) (*ir.File, error) {
-	p := &parser{Parser: idl.NewParser(filename, src), file: ir.NewFile(filename)}
+	p := &parser{Decls: idl.Decls{Parser: idl.NewParser(filename, src), File: ir.NewFile(filename)}}
 	if err := p.parseFile(); err != nil {
 		return nil, err
 	}
-	if err := p.file.Resolve(); err != nil {
-		return nil, p.ResolveError(err)
-	}
-	return p.file, nil
-}
-
-// exact copies a list parsed into a stack buffer to the heap, at its
-// length: one allocation where appending to the heap makes one per
-// doubling.
-func exact[T any](list []T) []T {
-	if len(list) == 0 {
-		return nil
-	}
-	return append(make([]T, 0, len(list)), list...)
+	return p.Resolve()
 }
 
 type parser struct {
-	idl.Parser
-	file  *ir.File
+	idl.Decls
 	depth int // sequences open around the type being parsed
 }
 
@@ -55,33 +41,13 @@ func (p *parser) parseFile() error {
 		if tok.Kind != idl.Ident {
 			return p.ErrorfAt(tok, "expected declaration, found %s", p.Describe(tok))
 		}
-		switch p.Text(tok) {
-		case "module":
-			if err := p.parseModule(); err != nil {
-				return err
-			}
-		case "interface":
-			if err := p.parseInterface(); err != nil {
-				return err
-			}
-		case "typedef":
-			if err := p.parseTypedef(); err != nil {
-				return err
-			}
-		case "struct":
-			if err := p.parseStruct(); err != nil {
-				return err
-			}
-		case "enum":
-			if err := p.parseEnum(); err != nil {
-				return err
-			}
-		case "const":
-			if err := p.parseConst(); err != nil {
-				return err
-			}
-		default:
-			return p.ErrorfAt(tok, "unknown declaration %q", p.Text(tok))
+		if p.Text(tok) == "module" {
+			err = p.parseModule()
+		} else {
+			err = p.definition(tok, "")
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -110,21 +76,7 @@ func (p *parser) parseModule() error {
 		if tok.Kind != idl.Ident {
 			return p.ErrorfAt(tok, "expected declaration in module, found %s", p.Describe(tok))
 		}
-		switch p.Text(tok) {
-		case "interface":
-			err = p.parseInterface()
-		case "typedef":
-			err = p.parseTypedef()
-		case "struct":
-			err = p.parseStruct()
-		case "enum":
-			err = p.parseEnum()
-		case "const":
-			err = p.parseConst()
-		default:
-			return p.ErrorfAt(tok, "unknown declaration %q in module", p.Text(tok))
-		}
-		if err != nil {
+		if err := p.definition(tok, " in module"); err != nil {
 			return err
 		}
 	}
@@ -132,12 +84,33 @@ func (p *parser) parseModule() error {
 	return err
 }
 
+// definition parses the definition keyword tok opens, in a module or
+// at the top level.
+func (p *parser) definition(tok idl.Token, where string) error {
+	switch p.Text(tok) {
+	case "interface":
+		return p.parseInterface()
+	case "typedef":
+		return p.Typedef(p.declarator)
+	case "struct":
+		return p.Struct(p.declarator)
+	case "enum":
+		return p.Enum(false)
+	case "const":
+		if _, err := p.parseType(); err != nil {
+			return err
+		}
+		return p.Const()
+	}
+	return p.ErrorfAt(tok, "unknown declaration %q%s", p.Text(tok), where)
+}
+
 func (p *parser) parseInterface() error {
 	name, at, err := p.ExpectIdent()
 	if err != nil {
 		return err
 	}
-	if p.file.Interface(name) != nil {
+	if p.File.Interface(name) != nil {
 		return p.ErrorfAt(at, "duplicate interface %q", name)
 	}
 	var buf [16]ir.Operation // the operations of most interfaces
@@ -167,7 +140,7 @@ func (p *parser) parseInterface() error {
 	if _, err := p.Accept(";"); err != nil {
 		return err
 	}
-	p.file.Interfaces = append(p.file.Interfaces, &ir.Interface{Name: name, Ops: exact(ops)})
+	p.File.Interfaces = append(p.File.Interfaces, &ir.Interface{Name: name, Ops: idl.Exact(ops)})
 	return nil
 }
 
@@ -323,7 +296,7 @@ func (p *parser) parseType() (*ir.Type, error) {
 		if ok, err := p.Accept(","); err != nil {
 			return nil, err
 		} else if ok {
-			if _, err := p.constValue(); err != nil {
+			if _, err := p.Bound(); err != nil {
 				return nil, err
 			}
 		}
@@ -336,157 +309,28 @@ func (p *parser) parseType() (*ir.Type, error) {
 	}
 }
 
-// constValue parses an integer literal or a previously declared
-// const identifier.
-func (p *parser) constValue() (int64, error) {
-	tok, err := p.Next()
-	if err != nil {
-		return 0, err
-	}
-	switch tok.Kind {
-	case idl.Int:
-		return p.Int(tok), nil
-	case idl.Ident:
-		if v, ok := p.file.Consts[p.Text(tok)]; ok {
-			return v, nil
-		}
-		return 0, p.ErrorfAt(tok, "unknown constant %q", p.Text(tok))
-	}
-	return 0, p.ErrorfAt(tok, "expected constant, found %s", p.Describe(tok))
-}
-
-func (p *parser) parseTypedef() error {
+// declarator parses a type and the name it declares, with an optional
+// array suffix: long v[N].
+func (p *parser) declarator() (ir.Field, idl.Token, error) {
 	t, err := p.parseType()
 	if err != nil {
-		return err
+		return ir.Field{}, idl.Token{}, err
 	}
 	name, at, err := p.ExpectIdent()
 	if err != nil {
-		return err
+		return ir.Field{}, at, err
 	}
-	// Array suffix: typedef octet buf[512];
 	if ok, err := p.Accept("["); err != nil {
-		return err
+		return ir.Field{}, at, err
 	} else if ok {
-		n, err := p.constValue()
+		n, err := p.Bound()
 		if err != nil {
-			return err
+			return ir.Field{}, at, err
 		}
 		if err := p.Expect("]"); err != nil {
-			return err
+			return ir.Field{}, at, err
 		}
-		t = ir.ArrayOf(t, int(n))
+		t = ir.ArrayOf(t, n)
 	}
-	if _, dup := p.file.Typedefs[name]; dup {
-		return p.ErrorfAt(at, "duplicate typedef %q", name)
-	}
-	p.file.Typedefs[name] = t
-	return p.Expect(";")
-}
-
-func (p *parser) parseStruct() error {
-	name, at, err := p.ExpectIdent()
-	if err != nil {
-		return err
-	}
-	if err := p.Expect("{"); err != nil {
-		return err
-	}
-	var buf [32]ir.Field // the fields of most structs
-	fields := buf[:0]
-	for {
-		done, err := p.Accept("}")
-		if err != nil {
-			return err
-		}
-		if done {
-			break
-		}
-		ft, err := p.parseType()
-		if err != nil {
-			return err
-		}
-		fname, _, err := p.ExpectIdent()
-		if err != nil {
-			return err
-		}
-		fields = append(fields, ir.Field{Name: fname, Type: ft})
-		if err := p.Expect(";"); err != nil {
-			return err
-		}
-	}
-	if err := p.Expect(";"); err != nil {
-		return err
-	}
-	if _, dup := p.file.Typedefs[name]; dup {
-		return p.ErrorfAt(at, "duplicate type %q", name)
-	}
-	p.file.Typedefs[name] = &ir.Type{Kind: ir.Struct, Name: name, Fields: exact(fields)}
-	return nil
-}
-
-func (p *parser) parseEnum() error {
-	name, at, err := p.ExpectIdent()
-	if err != nil {
-		return err
-	}
-	if err := p.Expect("{"); err != nil {
-		return err
-	}
-	et := &ir.Type{Kind: ir.Enum, Name: name}
-	for {
-		id, _, err := p.ExpectIdent()
-		if err != nil {
-			return err
-		}
-		p.file.Consts[id] = int64(len(et.Enumerators))
-		et.Enumerators = append(et.Enumerators, id)
-		more, err := p.Accept(",")
-		if err != nil {
-			return err
-		}
-		if !more {
-			break
-		}
-	}
-	if err := p.Expect("}"); err != nil {
-		return err
-	}
-	if err := p.Expect(";"); err != nil {
-		return err
-	}
-	if _, dup := p.file.Typedefs[name]; dup {
-		return p.ErrorfAt(at, "duplicate type %q", name)
-	}
-	p.file.Typedefs[name] = et
-	return nil
-}
-
-func (p *parser) parseConst() error {
-	if _, err := p.parseType(); err != nil {
-		return err
-	}
-	name, at, err := p.ExpectIdent()
-	if err != nil {
-		return err
-	}
-	if err := p.Expect("="); err != nil {
-		return err
-	}
-	neg, err := p.Accept("-")
-	if err != nil {
-		return err
-	}
-	v, err := p.constValue()
-	if err != nil {
-		return err
-	}
-	if neg {
-		v = -v
-	}
-	if _, dup := p.file.Consts[name]; dup {
-		return p.ErrorfAt(at, "duplicate const %q", name)
-	}
-	p.file.Consts[name] = v
-	return p.Expect(";")
+	return ir.Field{Name: name, Type: t}, at, nil
 }

@@ -166,6 +166,10 @@ func TestParseErrors(t *testing.T) {
 		{`typedef long x; typedef long x;`, "duplicate typedef"},
 		{`const long C = 1; const long C = 2;`, "duplicate const"},
 		{`typedef sequence<long, UNDEFINED> x;`, "unknown constant"},
+		{`enum E { A, A };`, `t.idl:1:13: duplicate enumerator "A"`},
+		{`const long N = 8; enum E { N };`, `t.idl:1:28: duplicate enumerator "N"`},
+		{`const long M = -2; typedef long A[M];`, `t.idl:1:35: negative bound -2`},
+		{`typedef sequence<long, -1> s;`, `t.idl:1:24: negative bound -1`},
 	}
 	for _, c := range cases {
 		_, err := Parse("t.idl", c.src)

@@ -1,16 +1,15 @@
-// Package idl provides the lexical machinery shared by the IDL and
-// PDL front-ends: a C-family tokenizer with source positions, plus a
-// parser base with peek/expect helpers and positioned errors.
+// Package idl provides the machinery shared by the IDL and PDL
+// front-ends: a C-family tokenizer with source positions, a parser base
+// with peek/expect helpers and positioned errors, and the declaration
+// layer (Decls) the three IDL dialects parse consts, typedefs, structs
+// and enums with.
 package idl
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
-
-	"flexrpc/internal/ir"
 )
 
 // TokKind classifies a token.
@@ -90,17 +89,6 @@ func EndPos(file, src string) Pos { return offsetPos(file, src, len(src)) }
 func offsetPos(file, src string, off int) Pos {
 	line := 1 + strings.Count(src[:off], "\n")
 	return Pos{File: file, Line: line, Col: off - (strings.LastIndexByte(src[:off], '\n') + 1) + 1}
-}
-
-// ResolveError positions an error from resolving the typedefs of the
-// file the lexer read (ir.File.Resolve): at the reference it could not
-// follow, when it names one, else at the file.
-func (l *Lexer) ResolveError(err error) error {
-	var ref *ir.RefError
-	if errors.As(err, &ref) && ref.Off <= len(l.src) {
-		return &Error{Pos: offsetPos(l.file, l.src, ref.Off), Msg: err.Error()}
-	}
-	return fmt.Errorf("%s: %w", l.file, err)
 }
 
 // A Lexer tokenizes IDL/PDL source. One loop, driven by one byte-class
@@ -420,9 +408,12 @@ func NewParser(file, src string) Parser {
 	return Parser{NewLexer(file, src)}
 }
 
-// is reports whether t is the token text of the given kind.
+// is reports whether t is the token text of the given kind. It tests
+// the first byte before the rest: most tests fail there, and comparing
+// two strings of one length is a call.
 func (p *Parser) is(t Token, kind TokKind, text string) bool {
-	return t.Kind == kind && p.src[t.Off:t.End] == text
+	s := p.src[t.Off:t.End]
+	return t.Kind == kind && len(s) == len(text) && s != "" && s[0] == text[0] && (len(s) == 1 || s == text)
 }
 
 // AtEOF reports whether the input is exhausted.

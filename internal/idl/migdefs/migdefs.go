@@ -24,19 +24,15 @@ import (
 // Parse parses MIG .defs source into an ir.File with typedefs
 // resolved. The subsystem becomes one ir.Interface.
 func Parse(filename, src string) (*ir.File, error) {
-	p := &parser{Parser: idl.NewParser(filename, src), file: ir.NewFile(filename)}
+	p := &parser{Decls: idl.Decls{Parser: idl.NewParser(filename, src), File: ir.NewFile(filename)}}
 	if err := p.parseFile(); err != nil {
 		return nil, err
 	}
-	if err := p.file.Resolve(); err != nil {
-		return nil, p.ResolveError(err)
-	}
-	return p.file, nil
+	return p.Resolve()
 }
 
 type parser struct {
-	idl.Parser
-	file  *ir.File
+	idl.Decls
 	iface *ir.Interface
 	base  int64 // subsystem message-id base
 	index int64 // routine index (skip consumes one)
@@ -112,7 +108,7 @@ func (p *parser) parseSubsystem() error {
 	}
 	p.iface = &ir.Interface{Name: name}
 	p.base = base
-	p.file.Interfaces = append(p.file.Interfaces, p.iface)
+	p.File.Interfaces = append(p.File.Interfaces, p.iface)
 	return p.Expect(";")
 }
 
@@ -129,10 +125,9 @@ func (p *parser) parseType() error {
 	if err != nil {
 		return err
 	}
-	if _, dup := p.file.Typedefs[name]; dup {
-		return p.ErrorfAt(at, "duplicate type %q", name)
+	if err := p.DefineType("type", name, at, t); err != nil {
+		return err
 	}
-	p.file.Typedefs[name] = t
 	return p.Expect(";")
 }
 
@@ -163,7 +158,7 @@ func (p *parser) parseTypeSpec() (*ir.Type, error) {
 		if ok, err := p.Accept("["); err != nil {
 			return nil, err
 		} else if ok {
-			if _, err := p.ExpectInt(); err != nil {
+			if _, err := p.Bound(); err != nil {
 				return nil, err
 			}
 			if err := p.Expect("]"); err != nil {
@@ -180,7 +175,7 @@ func (p *parser) parseTypeSpec() (*ir.Type, error) {
 		if err := p.Expect("["); err != nil {
 			return nil, err
 		}
-		n, err := p.ExpectInt()
+		n, err := p.Bound()
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +189,7 @@ func (p *parser) parseTypeSpec() (*ir.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ir.ArrayOf(elem, int(n)), nil
+		return ir.ArrayOf(elem, n), nil
 	case "polymorphic":
 		return nil, p.ErrorfAt(tok, "polymorphic types are not supported")
 	default:
@@ -222,27 +217,21 @@ func (p *parser) parseArray(at idl.Token) (*ir.Type, error) {
 	if err := p.Expect("["); err != nil {
 		return nil, err
 	}
-	fixed := int64(-1)
-	if ok, err := p.Accept("*"); err != nil {
+	fixed := -1
+	if star, err := p.Accept("*"); err != nil {
 		return nil, err
-	} else if ok {
+	} else if star {
 		if err := p.Expect(":"); err != nil {
 			return nil, err
 		}
-		if _, err := p.ExpectInt(); err != nil { // bound: presentation detail
+		if _, err := p.Bound(); err != nil { // presentation detail
 			return nil, err
 		}
-	} else {
-		tok, err := p.Peek()
-		if err != nil {
+	} else if open, err := p.Peek(); err != nil {
+		return nil, err
+	} else if open.Kind != idl.Punct || p.Text(open) != "]" {
+		if fixed, err = p.Bound(); err != nil {
 			return nil, err
-		}
-		if tok.Kind == idl.Int {
-			n, err := p.ExpectInt()
-			if err != nil {
-				return nil, err
-			}
-			fixed = n
 		}
 	}
 	if err := p.Expect("]"); err != nil {
@@ -256,7 +245,7 @@ func (p *parser) parseArray(at idl.Token) (*ir.Type, error) {
 		return nil, err
 	}
 	if fixed >= 0 {
-		return ir.ArrayOf(elem, int(fixed)), nil
+		return ir.ArrayOf(elem, fixed), nil
 	}
 	return ir.SeqOf(elem), nil
 }

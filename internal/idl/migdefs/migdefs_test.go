@@ -137,6 +137,7 @@ func TestParseErrors(t *testing.T) {
 		{`subsystem s 1; routine r(server : mach_port_t); routine r(server : mach_port_t);`, "duplicate routine"},
 		{`subsystem s 1; frobnicate;`, "unknown declaration"},
 		{`subsystem s 1; routine r(server : mach_port_t; in x : nosuch);`, "unknown type"},
+		{`subsystem s 1; type t = array[-1] of int;`, `t.defs:1:31: negative bound -1`},
 	}
 	for _, c := range cases {
 		_, err := Parse("t.defs", c.src)

@@ -17,19 +17,15 @@ import (
 // resolved. Each program/version pair becomes one ir.Interface
 // carrying its program and version numbers.
 func Parse(filename, src string) (*ir.File, error) {
-	p := &parser{Parser: idl.NewParser(filename, src), file: ir.NewFile(filename)}
+	p := &parser{Decls: idl.Decls{Parser: idl.NewParser(filename, src), File: ir.NewFile(filename)}}
 	if err := p.parseFile(); err != nil {
 		return nil, err
 	}
-	if err := p.file.Resolve(); err != nil {
-		return nil, p.ResolveError(err)
-	}
-	return p.file, nil
+	return p.Resolve()
 }
 
 type parser struct {
-	idl.Parser
-	file *ir.File
+	idl.Decls
 }
 
 func (p *parser) parseFile() error {
@@ -50,13 +46,13 @@ func (p *parser) parseFile() error {
 		}
 		switch p.Text(tok) {
 		case "const":
-			err = p.parseConst()
+			err = p.Const()
 		case "typedef":
-			err = p.parseTypedef()
+			err = p.Typedef(p.declarator)
 		case "struct":
-			err = p.parseStruct()
+			err = p.Struct(p.declarator)
 		case "enum":
-			err = p.parseEnum()
+			err = p.Enum(true)
 		case "program":
 			err = p.parseProgram()
 		case "union":
@@ -68,53 +64,6 @@ func (p *parser) parseFile() error {
 			return err
 		}
 	}
-}
-
-func (p *parser) parseConst() error {
-	name, at, err := p.ExpectIdent()
-	if err != nil {
-		return err
-	}
-	if err := p.Expect("="); err != nil {
-		return err
-	}
-	v, err := p.constValue()
-	if err != nil {
-		return err
-	}
-	if _, dup := p.file.Consts[name]; dup {
-		return p.ErrorfAt(at, "duplicate const %q", name)
-	}
-	p.file.Consts[name] = v
-	return p.Expect(";")
-}
-
-func (p *parser) constValue() (int64, error) {
-	neg, err := p.Accept("-")
-	if err != nil {
-		return 0, err
-	}
-	tok, err := p.Next()
-	if err != nil {
-		return 0, err
-	}
-	var v int64
-	switch tok.Kind {
-	case idl.Int:
-		v = p.Int(tok)
-	case idl.Ident:
-		got, ok := p.file.Consts[p.Text(tok)]
-		if !ok {
-			return 0, p.ErrorfAt(tok, "unknown constant %q", p.Text(tok))
-		}
-		v = got
-	default:
-		return 0, p.ErrorfAt(tok, "expected constant, found %s", p.Describe(tok))
-	}
-	if neg {
-		v = -v
-	}
-	return v, nil
 }
 
 // parseTypeSpec parses an XDR type specifier (without declarator
@@ -168,180 +117,78 @@ func (p *parser) parseTypeSpec() (*ir.Type, error) {
 	}
 }
 
-// parseDecl parses "typespec name" with optional [n], <n>, or <>
-// declarator suffixes, returning the field/typedef name and full
-// type.
-func (p *parser) parseDecl() (string, *ir.Type, error) {
+// declarator parses "typespec name" with an optional [n], <n> or <>
+// suffix.
+func (p *parser) declarator() (ir.Field, idl.Token, error) {
 	t, err := p.parseTypeSpec()
 	if err != nil {
-		return "", nil, err
+		return ir.Field{}, idl.Token{}, err
 	}
 	if ok, err := p.Accept("*"); err != nil {
-		return "", nil, err
+		return ir.Field{}, idl.Token{}, err
 	} else if ok {
-		return "", nil, p.ErrorfAtNext("XDR optional data (*) is not supported")
+		return ir.Field{}, idl.Token{}, p.ErrorfAtNext("XDR optional data (*) is not supported")
 	}
 	name, at, err := p.ExpectIdent()
 	if err != nil {
-		return "", nil, err
+		return ir.Field{}, at, err
 	}
 	if ok, err := p.Accept("["); err != nil {
-		return "", nil, err
+		return ir.Field{}, at, err
 	} else if ok {
-		n, err := p.constValue()
+		n, err := p.Bound()
 		if err != nil {
-			return "", nil, err
+			return ir.Field{}, at, err
 		}
 		if err := p.Expect("]"); err != nil {
-			return "", nil, err
+			return ir.Field{}, at, err
 		}
 		if t.Kind == ir.StringType.Kind {
-			return "", nil, p.ErrorfAt(at, "string cannot be fixed-length")
+			return ir.Field{}, at, p.ErrorfAt(at, "string cannot be fixed-length")
 		}
-		return name, ir.ArrayOf(t, int(n)), nil
+		return ir.Field{Name: name, Type: ir.ArrayOf(t, n)}, at, nil
 	}
 	if ok, err := p.Accept("<"); err != nil {
-		return "", nil, err
+		return ir.Field{}, at, err
 	} else if ok {
 		closed, err := p.Accept(">")
 		if err != nil {
-			return "", nil, err
+			return ir.Field{}, at, err
 		}
 		if !closed {
-			if _, err := p.constValue(); err != nil {
-				return "", nil, err
+			if _, err := p.Bound(); err != nil {
+				return ir.Field{}, at, err
 			}
 			if err := p.Expect(">"); err != nil {
-				return "", nil, err
+				return ir.Field{}, at, err
 			}
 		}
 		switch t.Kind {
 		case ir.Uint8Kind: // opaque<...>
-			return name, ir.BytesType, nil
+			t = ir.BytesType
 		case ir.String:
-			return name, ir.StringType, nil
 		default:
-			return name, ir.SeqOf(t), nil
+			t = ir.SeqOf(t)
 		}
+		return ir.Field{Name: name, Type: t}, at, nil
 	}
 	if t.Kind == ir.Uint8Kind {
-		return "", nil, p.ErrorfAt(at, "opaque requires [n] or <> declarator")
+		return ir.Field{}, at, p.ErrorfAt(at, "opaque requires [n] or <> declarator")
 	}
-	return name, t, nil
-}
-
-func (p *parser) parseTypedef() error {
-	name, t, err := p.parseDecl()
-	if err != nil {
-		return err
-	}
-	if _, dup := p.file.Typedefs[name]; dup {
-		return p.ErrorfAtNext("duplicate typedef %q", name)
-	}
-	p.file.Typedefs[name] = t
-	return p.Expect(";")
-}
-
-func (p *parser) parseStruct() error {
-	name, at, err := p.ExpectIdent()
-	if err != nil {
-		return err
-	}
-	if err := p.Expect("{"); err != nil {
-		return err
-	}
-	st := &ir.Type{Kind: ir.Struct, Name: name}
-	for {
-		done, err := p.Accept("}")
-		if err != nil {
-			return err
-		}
-		if done {
-			break
-		}
-		fname, ft, err := p.parseDecl()
-		if err != nil {
-			return err
-		}
-		st.Fields = append(st.Fields, ir.Field{Name: fname, Type: ft})
-		if err := p.Expect(";"); err != nil {
-			return err
-		}
-	}
-	if err := p.Expect(";"); err != nil {
-		return err
-	}
-	if _, dup := p.file.Typedefs[name]; dup {
-		return p.ErrorfAt(at, "duplicate type %q", name)
-	}
-	p.file.Typedefs[name] = st
-	return nil
-}
-
-func (p *parser) parseEnum() error {
-	name, at, err := p.ExpectIdent()
-	if err != nil {
-		return err
-	}
-	if err := p.Expect("{"); err != nil {
-		return err
-	}
-	et := &ir.Type{Kind: ir.Enum, Name: name}
-	next := int64(0)
-	for {
-		id, idAt, err := p.ExpectIdent()
-		if err != nil {
-			return err
-		}
-		val := next
-		if ok, err := p.Accept("="); err != nil {
-			return err
-		} else if ok {
-			val, err = p.constValue()
-			if err != nil {
-				return err
-			}
-		}
-		if _, dup := p.file.Consts[id]; dup {
-			return p.ErrorfAt(idAt, "duplicate enumerator %q", id)
-		}
-		p.file.Consts[id] = val
-		et.Enumerators = append(et.Enumerators, id)
-		next = val + 1
-		more, err := p.Accept(",")
-		if err != nil {
-			return err
-		}
-		if !more {
-			break
-		}
-	}
-	if err := p.Expect("}"); err != nil {
-		return err
-	}
-	if err := p.Expect(";"); err != nil {
-		return err
-	}
-	if _, dup := p.file.Typedefs[name]; dup {
-		return p.ErrorfAt(at, "duplicate type %q", name)
-	}
-	p.file.Typedefs[name] = et
-	return nil
+	return ir.Field{Name: name, Type: t}, at, nil
 }
 
 func (p *parser) parseProgram() error {
-	progName, _, err := p.ExpectIdent()
+	progName, progAt, err := p.ExpectIdent()
 	if err != nil {
 		return err
 	}
 	if err := p.Expect("{"); err != nil {
 		return err
 	}
-	type versionDef struct {
-		name string
-		ops  []ir.Operation
-	}
-	var versions []versionDef
+	// The program number arrives only after the program's closing
+	// brace, so each version waits until then.
+	var versions []*ir.Interface
 	for {
 		done, err := p.Accept("}")
 		if err != nil {
@@ -353,7 +200,7 @@ func (p *parser) parseProgram() error {
 		if err := p.ExpectKeyword("version"); err != nil {
 			return err
 		}
-		verName, _, err := p.ExpectIdent()
+		verName, verAt, err := p.ExpectIdent()
 		if err != nil {
 			return err
 		}
@@ -369,7 +216,7 @@ func (p *parser) parseProgram() error {
 			if vdone {
 				break
 			}
-			op, err := p.parseProc()
+			op, err := p.parseProc(ops)
 			if err != nil {
 				return err
 			}
@@ -378,45 +225,39 @@ func (p *parser) parseProgram() error {
 		if err := p.Expect("="); err != nil {
 			return err
 		}
-		verNum, err := p.constValue()
+		verNum, err := p.Value()
 		if err != nil {
+			return err
+		}
+		if err := p.DefineConst("version", verName, verAt, verNum); err != nil {
 			return err
 		}
 		if err := p.Expect(";"); err != nil {
 			return err
 		}
-		// The program number arrives only after the program's
-		// closing brace, so stash each version until then.
-		p.file.Consts[verName] = verNum
-		versions = append(versions, versionDef{name: verName, ops: ops})
+		versions = append(versions, &ir.Interface{Name: progName + "_" + verName, Ops: ops, Version: uint32(verNum)})
 	}
 	if err := p.Expect("="); err != nil {
 		return err
 	}
-	progNum, err := p.constValue()
+	progNum, err := p.Value()
 	if err != nil {
 		return err
 	}
-	if err := p.Expect(";"); err != nil {
+	if err := p.DefineConst("program", progName, progAt, progNum); err != nil {
 		return err
 	}
-	p.file.Consts[progName] = progNum
 	for _, v := range versions {
-		iface := &ir.Interface{
-			Name:    fmt.Sprintf("%s_%s", progName, v.name),
-			Ops:     v.ops,
-			Program: uint32(progNum),
-			Version: uint32(p.file.Consts[v.name]),
-		}
-		p.file.Interfaces = append(p.file.Interfaces, iface)
+		v.Program = uint32(progNum)
 	}
-	return nil
+	p.File.Interfaces = append(p.File.Interfaces, versions...)
+	return p.Expect(";")
 }
 
-// parseProc parses one procedure:
+// parseProc parses one procedure of a version that has ops so far:
 //
 //	readres NFSPROC_READ(readargs, unsigned) = 6;
-func (p *parser) parseProc() (*ir.Operation, error) {
+func (p *parser) parseProc(ops []ir.Operation) (*ir.Operation, error) {
 	result, err := p.parseTypeSpec()
 	if err != nil {
 		return nil, err
@@ -424,9 +265,14 @@ func (p *parser) parseProc() (*ir.Operation, error) {
 	if result.Kind == ir.Uint8Kind {
 		return nil, p.ErrorfAtNext("opaque cannot be a procedure result")
 	}
-	name, _, err := p.ExpectIdent()
+	name, at, err := p.ExpectIdent()
 	if err != nil {
 		return nil, err
+	}
+	for i := range ops {
+		if ops[i].Name == name {
+			return nil, p.ErrorfAt(at, "duplicate procedure %q", name)
+		}
 	}
 	op := &ir.Operation{Name: name, Result: result}
 	if err := p.Expect("("); err != nil {
@@ -466,7 +312,7 @@ func (p *parser) parseProc() (*ir.Operation, error) {
 	if err := p.Expect("="); err != nil {
 		return nil, err
 	}
-	procNum, err := p.constValue()
+	procNum, err := p.Value()
 	if err != nil {
 		return nil, err
 	}

@@ -9,9 +9,7 @@ import (
 	"flexrpc/internal/xdr"
 )
 
-func f32bits(v float32) uint32     { return math.Float32bits(v) }
 func f32frombits(v uint32) float32 { return math.Float32frombits(v) }
-func f64bits(v float64) uint64     { return math.Float64bits(v) }
 func f64frombits(v uint64) float64 { return math.Float64frombits(v) }
 
 // A Codec is a wire encoding the marshal plans can target. The stub
@@ -33,12 +31,8 @@ type Codec interface {
 // (see ArenaLen).
 type Encoder interface {
 	PutBool(bool)
-	PutInt32(int32)
 	PutUint32(uint32)
-	PutInt64(int64)
 	PutUint64(uint64)
-	PutFloat32(float32)
-	PutFloat64(float64)
 	PutString(string)
 	PutBytes([]byte)      // variable-length opaque
 	PutFixedBytes([]byte) // fixed-length opaque
@@ -72,13 +66,7 @@ type Decoder interface {
 	Float64() (float64, error)
 	String() (string, error)
 	Bytes() ([]byte, error) // variable-length opaque (aliases input)
-	// BytesInto decodes variable-length opaque data, landing it in dst
-	// when it fits (the result aliases dst) and in freshly allocated
-	// storage otherwise — never truncated. The caller owns the result
-	// either way.
-	BytesInto(dst []byte) ([]byte, error)
 	FixedBytes(n int) ([]byte, error)
-	FixedBytesInto(dst []byte) error
 	Len() (int, error)
 	Remaining() int
 	Reset(buf []byte)
@@ -116,12 +104,8 @@ type xdrEncoder struct {
 }
 
 func (x *xdrEncoder) PutBool(v bool)         { x.e.PutBool(v) }
-func (x *xdrEncoder) PutInt32(v int32)       { x.e.PutInt32(v) }
 func (x *xdrEncoder) PutUint32(v uint32)     { x.e.PutUint32(v) }
-func (x *xdrEncoder) PutInt64(v int64)       { x.e.PutInt64(v) }
 func (x *xdrEncoder) PutUint64(v uint64)     { x.e.PutUint64(v) }
-func (x *xdrEncoder) PutFloat32(v float32)   { x.e.PutFloat32(v) }
-func (x *xdrEncoder) PutFloat64(v float64)   { x.e.PutFloat64(v) }
 func (x *xdrEncoder) PutString(v string)     { x.e.PutString(v) }
 func (x *xdrEncoder) PutBytes(v []byte)      { x.e.PutOpaque(v) }
 func (x *xdrEncoder) PutFixedBytes(v []byte) { x.e.PutFixedOpaque(v) }
@@ -160,24 +144,22 @@ type xdrDecoder struct {
 	sc scratch
 }
 
-func (x *xdrDecoder) Reset(buf []byte)                     { x.d.Reset(buf); x.sc.reset() }
-func (x *xdrDecoder) Bool() (bool, error)                  { return x.d.Bool() }
-func (x *xdrDecoder) Int32() (int32, error)                { return x.d.Int32() }
-func (x *xdrDecoder) Uint32() (uint32, error)              { return x.d.Uint32() }
-func (x *xdrDecoder) Int64() (int64, error)                { return x.d.Int64() }
-func (x *xdrDecoder) Uint64() (uint64, error)              { return x.d.Uint64() }
-func (x *xdrDecoder) Float32() (float32, error)            { return x.d.Float32() }
-func (x *xdrDecoder) Float64() (float64, error)            { return x.d.Float64() }
-func (x *xdrDecoder) String() (string, error)              { return x.d.String() }
-func (x *xdrDecoder) Bytes() ([]byte, error)               { return x.d.Opaque() }
-func (x *xdrDecoder) BytesInto(dst []byte) ([]byte, error) { return x.d.OpaqueInto(dst) }
-func (x *xdrDecoder) FixedBytes(n int) ([]byte, error)     { return x.d.FixedOpaque(n) }
-func (x *xdrDecoder) FixedBytesInto(dst []byte) error      { return x.d.FixedOpaqueInto(dst) }
-func (x *xdrDecoder) Len() (int, error)                    { return x.d.ArrayLen() }
-func (x *xdrDecoder) Remaining() int                       { return x.d.Remaining() }
-func (x *xdrDecoder) SetMaxLength(n uint32)                { x.d.MaxLength = n }
-func (x *xdrDecoder) stringView() ([]byte, error)          { return x.d.StringBytes() }
-func (x *xdrDecoder) scratch() *scratch                    { return &x.sc }
+func (x *xdrDecoder) Reset(buf []byte)                 { x.d.Reset(buf); x.sc.reset() }
+func (x *xdrDecoder) Bool() (bool, error)              { return x.d.Bool() }
+func (x *xdrDecoder) Int32() (int32, error)            { return x.d.Int32() }
+func (x *xdrDecoder) Uint32() (uint32, error)          { return x.d.Uint32() }
+func (x *xdrDecoder) Int64() (int64, error)            { return x.d.Int64() }
+func (x *xdrDecoder) Uint64() (uint64, error)          { return x.d.Uint64() }
+func (x *xdrDecoder) Float32() (float32, error)        { return x.d.Float32() }
+func (x *xdrDecoder) Float64() (float64, error)        { return x.d.Float64() }
+func (x *xdrDecoder) String() (string, error)          { return x.d.String() }
+func (x *xdrDecoder) Bytes() ([]byte, error)           { return x.d.Opaque() }
+func (x *xdrDecoder) FixedBytes(n int) ([]byte, error) { return x.d.FixedOpaque(n) }
+func (x *xdrDecoder) Len() (int, error)                { return x.d.ArrayLen() }
+func (x *xdrDecoder) Remaining() int                   { return x.d.Remaining() }
+func (x *xdrDecoder) SetMaxLength(n uint32)            { x.d.MaxLength = n }
+func (x *xdrDecoder) stringView() ([]byte, error)      { return x.d.StringBytes() }
+func (x *xdrDecoder) scratch() *scratch                { return &x.sc }
 
 // scalars reads a run: XDR has no alignment, so its size is fixed.
 func (x *xdrDecoder) scalars(run []blockStep, out []uint64) error {
@@ -235,12 +217,8 @@ type cdrEncoder struct {
 }
 
 func (c *cdrEncoder) PutBool(v bool)         { c.e.PutBool(v) }
-func (c *cdrEncoder) PutInt32(v int32)       { c.e.PutInt32(v) }
 func (c *cdrEncoder) PutUint32(v uint32)     { c.e.PutUint32(v) }
-func (c *cdrEncoder) PutInt64(v int64)       { c.e.PutInt64(v) }
 func (c *cdrEncoder) PutUint64(v uint64)     { c.e.PutUint64(v) }
-func (c *cdrEncoder) PutFloat32(v float32)   { c.e.PutUint32(f32bits(v)) }
-func (c *cdrEncoder) PutFloat64(v float64)   { c.e.PutUint64(f64bits(v)) }
 func (c *cdrEncoder) PutString(v string)     { c.e.PutString(v) }
 func (c *cdrEncoder) PutBytes(v []byte)      { c.e.PutOctetSeq(v) }
 func (c *cdrEncoder) PutFixedBytes(v []byte) { c.e.PutFixedOctets(v) }
@@ -317,23 +295,9 @@ func (c *cdrDecoder) Float64() (float64, error) {
 	v, err := c.d.Uint64()
 	return f64frombits(v), err
 }
-func (c *cdrDecoder) String() (string, error) { return c.d.String() }
-func (c *cdrDecoder) Bytes() ([]byte, error)  { return c.d.OctetSeq() }
-func (c *cdrDecoder) BytesInto(dst []byte) ([]byte, error) {
-	b, err := c.d.OctetSeq()
-	if err != nil {
-		return nil, err
-	}
-	if len(b) <= len(dst) {
-		n := copy(dst, b)
-		return dst[:n], nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, nil
-}
+func (c *cdrDecoder) String() (string, error)          { return c.d.String() }
+func (c *cdrDecoder) Bytes() ([]byte, error)           { return c.d.OctetSeq() }
 func (c *cdrDecoder) FixedBytes(n int) ([]byte, error) { return c.d.FixedOctets(n) }
-func (c *cdrDecoder) FixedBytesInto(dst []byte) error  { return c.d.FixedOctetsInto(dst) }
 func (c *cdrDecoder) Len() (int, error)                { return c.d.SeqLen() }
 func (c *cdrDecoder) Remaining() int                   { return c.d.Remaining() }
 func (c *cdrDecoder) SetMaxLength(n uint32)            { c.d.MaxLength = n }

@@ -67,7 +67,7 @@ func TestClientReplyChunkings(t *testing.T) {
 					}
 					var e xdr.Encoder
 					encodeAcceptedReply(&e, h.XID, Success)
-					e.PutInt32(arg * 10)
+					e.PutUint32(uint32(arg * 10))
 					recs = append([][]byte{appendRecord(nil, e.Bytes())}, recs...)
 				}
 				served <- deliver(sc, recs)
@@ -82,7 +82,7 @@ func TestClientReplyChunkings(t *testing.T) {
 					arg := int32(i + 1)
 					var got int32
 					err := c.Call(procEcho,
-						func(e *xdr.Encoder) { e.PutInt32(arg) },
+						func(e *xdr.Encoder) { e.PutUint32(uint32(arg)) },
 						func(d *xdr.Decoder) (err error) { got, err = d.Int32(); return err })
 					if err == nil && got != arg*10 {
 						err = fmt.Errorf("call %d got %d, want %d", i, got, arg*10)

@@ -78,7 +78,7 @@ func TestContextAbandonsXIDWithoutDesync(t *testing.T) {
 				}
 				var e xdr.Encoder
 				encodeAcceptedReply(&e, h.XID, Success)
-				e.PutInt32(int32(h.Proc))
+				e.PutUint32(uint32(h.Proc))
 				wmu.Lock()
 				_ = writeRecord(sc, e.Bytes())
 				wmu.Unlock()

@@ -27,7 +27,7 @@ func TestConcurrentDispatchOverlaps(t *testing.T) {
 	s.Register(procSlow, func(args *xdr.Decoder, reply *xdr.Encoder) error {
 		entered <- struct{}{}
 		<-release
-		reply.PutInt32(1)
+		reply.PutUint32(1)
 		return nil
 	})
 	s.SetConcurrency(4)
@@ -50,7 +50,7 @@ func TestConcurrentDispatchOverlaps(t *testing.T) {
 	// slow one is parked.
 	var sum int32
 	err := c.Call(procAdd,
-		func(e *xdr.Encoder) { e.PutInt32(20); e.PutInt32(22) },
+		func(e *xdr.Encoder) { e.PutUint32(20); e.PutUint32(22) },
 		func(d *xdr.Decoder) error {
 			v, err := d.Int32()
 			sum = v
@@ -87,7 +87,7 @@ func TestConcurrentReplyCoalescing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			if err := c.Call(procAdd,
-				func(enc *xdr.Encoder) { enc.PutInt32(2); enc.PutInt32(3) },
+				func(enc *xdr.Encoder) { enc.PutUint32(2); enc.PutUint32(3) },
 				func(d *xdr.Decoder) error { _, err := d.Int32(); return err },
 			); err != nil {
 				t.Error(err)

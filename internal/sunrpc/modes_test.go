@@ -138,7 +138,7 @@ func TestConcurrentPanicRecovery(t *testing.T) {
 		// The connection survived: an ordinary call still works.
 		var sum int32
 		err = c.Call(procAdd,
-			func(enc *xdr.Encoder) { enc.PutInt32(1); enc.PutInt32(2) },
+			func(enc *xdr.Encoder) { enc.PutUint32(1); enc.PutUint32(2) },
 			func(d *xdr.Decoder) error {
 				v, err := d.Int32()
 				sum = v
@@ -339,7 +339,7 @@ func TestConcurrentPoolFullParksConnection(t *testing.T) {
 			for k := 1; k <= tail; k++ {
 				enc.Reset()
 				encodeCall(&enc, CallHeader{XID: uint32(1 + k), Prog: testProg, Vers: testVers, Proc: procSeq})
-				enc.PutInt32(int32(10*i + k))
+				enc.PutUint32(uint32(10*i + k))
 				b = appendRecord(b, enc.Bytes())
 			}
 			parked[i] = send(b, 1)
@@ -429,8 +429,8 @@ func TestNetpollRecordSplitAcrossReadinessEvents(t *testing.T) {
 
 		var enc xdr.Encoder
 		encodeCall(&enc, CallHeader{XID: 7, Prog: testProg, Vers: testVers, Proc: procAdd})
-		enc.PutInt32(40)
-		enc.PutInt32(2)
+		enc.PutUint32(40)
+		enc.PutUint32(2)
 		msg := appendRecord(nil, enc.Bytes())
 
 		// Three chunks: 2 bytes (half the record-marking header), then up

@@ -89,7 +89,7 @@ func TestNetpollBasicRPC(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		var sum int32
 		err := c.Call(procAdd,
-			func(enc *xdr.Encoder) { enc.PutInt32(int32(i)); enc.PutInt32(2) },
+			func(enc *xdr.Encoder) { enc.PutUint32(uint32(i)); enc.PutUint32(2) },
 			func(d *xdr.Decoder) error {
 				v, err := d.Int32()
 				sum = v
@@ -132,7 +132,7 @@ func TestNetpollFallbackPipe(t *testing.T) {
 
 	var sum int32
 	err := NewClient(cc, testProg, testVers).Call(procAdd,
-		func(enc *xdr.Encoder) { enc.PutInt32(40); enc.PutInt32(2) },
+		func(enc *xdr.Encoder) { enc.PutUint32(40); enc.PutUint32(2) },
 		func(d *xdr.Decoder) error {
 			v, err := d.Int32()
 			sum = v
@@ -230,7 +230,7 @@ func TestNetpollIdleConnScale(t *testing.T) {
 	// Still live with the idle herd attached.
 	var sum int32
 	err = c.Call(procAdd,
-		func(enc *xdr.Encoder) { enc.PutInt32(40); enc.PutInt32(2) },
+		func(enc *xdr.Encoder) { enc.PutUint32(40); enc.PutUint32(2) },
 		func(d *xdr.Decoder) error {
 			v, err := d.Int32()
 			sum = v

@@ -54,7 +54,7 @@ func TestPipelinedCallsInterleave(t *testing.T) {
 		for i := len(reqs) - 1; i >= 0; i-- {
 			e.Reset()
 			encodeAcceptedReply(&e, reqs[i].xid, Success)
-			e.PutInt32(reqs[i].arg * 10)
+			e.PutUint32(uint32(reqs[i].arg * 10))
 			if err := writeRecord(sc, e.Bytes()); err != nil {
 				return
 			}
@@ -72,7 +72,7 @@ func TestPipelinedCallsInterleave(t *testing.T) {
 			arg := int32(i + 1)
 			var got int32
 			err := c.Call(procEcho,
-				func(e *xdr.Encoder) { e.PutInt32(arg) },
+				func(e *xdr.Encoder) { e.PutUint32(uint32(arg)) },
 				func(d *xdr.Decoder) error {
 					v, err := d.Int32()
 					got = v

@@ -117,7 +117,7 @@ func TestServeAcceptTemporaryBackoff(t *testing.T) {
 	c := NewClient(cc, testProg, testVers)
 	var sum int32
 	err = c.Call(procAdd,
-		func(e *xdr.Encoder) { e.PutInt32(40); e.PutInt32(2) },
+		func(e *xdr.Encoder) { e.PutUint32(40); e.PutUint32(2) },
 		func(d *xdr.Decoder) error {
 			v, err := d.Int32()
 			sum = v

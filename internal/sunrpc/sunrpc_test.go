@@ -40,7 +40,7 @@ func newTestServer() *Server {
 		if err != nil {
 			return ErrGarbageArgs
 		}
-		reply.PutInt32(a + b)
+		reply.PutUint32(uint32(a + b))
 		return nil
 	})
 	s.Register(procBad, func(args *xdr.Decoder, reply *xdr.Encoder) error {
@@ -69,8 +69,8 @@ func TestEchoRoundTrip(t *testing.T) {
 	err := c.Call(procEcho,
 		func(e *xdr.Encoder) { e.PutOpaque(payload) },
 		func(d *xdr.Decoder) error {
-			b, err := d.OpaqueInto(nil)
-			got = b
+			b, err := d.Opaque()
+			got = append([]byte(nil), b...)
 			return err
 		})
 	if err != nil {
@@ -93,7 +93,7 @@ func TestSequentialCallsIncrementXID(t *testing.T) {
 	for i := int32(0); i < 5; i++ {
 		var sum int32
 		err := c.Call(procAdd,
-			func(e *xdr.Encoder) { e.PutInt32(i); e.PutInt32(10) },
+			func(e *xdr.Encoder) { e.PutUint32(uint32(i)); e.PutUint32(10) },
 			func(d *xdr.Decoder) error {
 				var err error
 				sum, err = d.Int32()
@@ -112,7 +112,7 @@ func TestErrorStatuses(t *testing.T) {
 	c := pair(t)
 	var remote *RemoteError
 
-	err := c.Call(procBad, func(e *xdr.Encoder) { e.PutInt32(0) }, nil)
+	err := c.Call(procBad, func(e *xdr.Encoder) { e.PutUint32(0) }, nil)
 	if !errors.As(err, &remote) || remote.Stat != GarbageArgs {
 		t.Errorf("garbage err = %v", err)
 	}
@@ -157,7 +157,7 @@ func TestConcurrentCallersSerialize(t *testing.T) {
 			for i := int32(0); i < 25; i++ {
 				var sum int32
 				err := c.Call(procAdd,
-					func(e *xdr.Encoder) { e.PutInt32(g); e.PutInt32(i) },
+					func(e *xdr.Encoder) { e.PutUint32(uint32(g)); e.PutUint32(uint32(i)) },
 					func(d *xdr.Decoder) error {
 						var err error
 						sum, err = d.Int32()
@@ -287,8 +287,8 @@ func TestOverTCPSocket(t *testing.T) {
 	err = c.Call(procEcho,
 		func(e *xdr.Encoder) { e.PutOpaque(payload) },
 		func(d *xdr.Decoder) error {
-			b, err := d.OpaqueInto(nil)
-			got = b
+			b, err := d.Opaque()
+			got = append([]byte(nil), b...)
 			return err
 		})
 	if err != nil {

@@ -71,17 +71,11 @@ func (e *Encoder) PutUint32(v uint32) {
 	e.buf = append(e.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
-// PutInt32 encodes a 32-bit signed integer.
-func (e *Encoder) PutInt32(v int32) { e.PutUint32(uint32(v)) }
-
 // PutUint64 encodes an XDR unsigned hyper.
 func (e *Encoder) PutUint64(v uint64) {
 	e.PutUint32(uint32(v >> 32))
 	e.PutUint32(uint32(v))
 }
-
-// PutInt64 encodes an XDR hyper.
-func (e *Encoder) PutInt64(v int64) { e.PutUint64(uint64(v)) }
 
 // PutBool encodes an XDR boolean (0 or 1).
 func (e *Encoder) PutBool(v bool) {
@@ -91,12 +85,6 @@ func (e *Encoder) PutBool(v bool) {
 		e.PutUint32(0)
 	}
 }
-
-// PutFloat32 encodes an IEEE-754 single-precision float.
-func (e *Encoder) PutFloat32(v float32) { e.PutUint32(math.Float32bits(v)) }
-
-// PutFloat64 encodes an IEEE-754 double-precision float.
-func (e *Encoder) PutFloat64(v float64) { e.PutUint64(math.Float64bits(v)) }
 
 // PutFixedOpaque encodes fixed-length opaque data: the bytes followed
 // by zero padding to a four-byte boundary. The length is not encoded;
@@ -283,24 +271,6 @@ func (d *Decoder) Opaque() ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d", ErrLengthOverflow, n)
 	}
 	return d.FixedOpaque(int(n))
-}
-
-// OpaqueInto decodes variable-length opaque data into dst when it
-// fits, returning dst resliced to the data length; when the data is
-// larger than dst it is returned in freshly allocated storage instead,
-// never truncated. Either way the caller owns the result.
-func (d *Decoder) OpaqueInto(dst []byte) ([]byte, error) {
-	b, err := d.Opaque()
-	if err != nil {
-		return nil, err
-	}
-	if len(b) <= len(dst) {
-		n := copy(dst, b)
-		return dst[:n], nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, nil
 }
 
 // String decodes an XDR string.

@@ -29,12 +29,12 @@ var lineAreas = []struct {
 // is paid for: a change that adds lines raises its pin and says why in
 // CHANGES.md, and one that removes lines lowers it.
 var pinnedLines = map[string]int{
-	"internal/runtime":     5423,
+	"internal/runtime":     5387,
 	"internal/transport":   1834,
 	"internal/sunrpc":      1760,
 	"internal/experiments": 2876,
-	"compiler":             4624,
-	"rest":                 12672,
+	"compiler":             4529,
+	"rest":                 12625,
 }
 
 // TestLineRatchet counts the non-test Go lines of every area — bench/
