@@ -139,6 +139,24 @@ func TestAnonymousStructRejected(t *testing.T) {
 	}
 }
 
+// Two source names that map to one Go name would declare it twice:
+// generation fails and names both.
+func TestGoNameCollisionsRejected(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`struct s { long a; long A; }; interface I { void op(in s v); };`,
+			`struct s: codegen: fields "a" and "A" both map to Go name A`},
+		{`interface I { void get_x(); void getX(); };`,
+			`I: codegen: operations "get_x" and "getX" both map to Go name GetX`},
+		{`interface I { void op(in long a_b, in long aB); };`,
+			`I.op: codegen: parameters "a_b" and "aB" both map to Go name AB`},
+	} {
+		_, err := Generate(compile(t, c.src, ""), Options{Package: "x"})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.src, err, c.want)
+		}
+	}
+}
+
 func TestDefaultPackageName(t *testing.T) {
 	c := compile(t, `interface FileIO { void op(); };`, "")
 	out, err := Generate(c, Options{})

@@ -155,6 +155,9 @@ func (p *parser) parseOperation() (op ir.Operation, err error) {
 	if op.Name, at, err = p.ExpectIdent(); err != nil {
 		return op, err
 	}
+	if err := p.ValueType("result of", at, op.Result); err != nil {
+		return op, err
+	}
 	if err := p.Expect("("); err != nil {
 		return op, err
 	}
@@ -219,6 +222,9 @@ func (p *parser) parseParam(op *ir.Operation) (ir.Param, error) {
 	name, at, err := p.ExpectIdent()
 	if err == nil && op.ParamNameTaken(name) {
 		err = p.ErrorfAt(at, "operation %q: parameter name %q is taken", op.Name, name)
+	}
+	if err == nil {
+		err = p.ValueType("parameter", at, t)
 	}
 	return ir.Param{Name: name, Type: t, Dir: dir}, err
 }

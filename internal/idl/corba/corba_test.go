@@ -61,14 +61,14 @@ func TestParseFileIO(t *testing.T) {
 func TestParsePrimitiveTypes(t *testing.T) {
 	f := mustParse(t, `
 		interface T {
-			void a(in boolean b, in octet o, in char c, in short s,
+			void a(in boolean b, in short s,
 			       in long l, in long long ll, in unsigned long ul,
 			       in unsigned long long ull, in unsigned short us,
 			       in float f, in double d, in Object obj);
 		};`)
 	op := f.Interface("T").Op("a")
 	wantKinds := []ir.Kind{
-		ir.Bool, ir.Uint8Kind, ir.Uint8Kind, ir.Int32,
+		ir.Bool, ir.Int32,
 		ir.Int32, ir.Int64, ir.Uint32, ir.Uint64, ir.Uint32,
 		ir.Float32, ir.Float64, ir.Port,
 	}
@@ -76,6 +76,16 @@ func TestParsePrimitiveTypes(t *testing.T) {
 		if op.Params[i].Type.Kind != k {
 			t.Errorf("param %d kind = %v, want %v", i, op.Params[i].Type.Kind, k)
 		}
+	}
+}
+
+// An array of a typedef'd octet is a fixed opaque, as an array of a
+// bare one is, in a typedef and in a struct member.
+func TestArrayOfNamedOctet(t *testing.T) {
+	f := mustParse(t, `typedef octet B; typedef B X[4]; struct s { B b[2]; };
+		interface T { void op(in X x, in s y); };`)
+	if got := f.Interface("T").Op("op").Signature(); got != "op(in:fbytes<4>,in:struct{fbytes<2>})->void" {
+		t.Fatalf("signature = %q", got)
 	}
 }
 
@@ -170,6 +180,12 @@ func TestParseErrors(t *testing.T) {
 		{`const long N = 8; enum E { N };`, `t.idl:1:28: duplicate enumerator "N"`},
 		{`const long M = -2; typedef long A[M];`, `t.idl:1:35: negative bound -2`},
 		{`typedef sequence<long, -1> s;`, `t.idl:1:24: negative bound -1`},
+		{`interface T { void op(in octet x); };`, `t.idl:1:32: parameter "x": a bare octet has no wire type`},
+		{`interface T { char op(); };`, `t.idl:1:20: result of "op": a bare octet has no wire type`},
+		{`struct s { long a; octet b; };`, `t.idl:1:26: field "b": a bare octet has no wire type`},
+		{`typedef octet B; interface T { void op(in B x); };`, `t.idl:1:43: T.op param x: ir: a bare octet has no wire type`},
+		{`typedef char B; interface T { B op(); };`, `t.idl:1:31: T.op result: ir: a bare octet has no wire type`},
+		{`typedef octet B; struct s { B b; }; interface T { void op(in s x); };`, `t.idl:1:29: T.op param x: ir: field b: a bare octet has no wire type`},
 	}
 	for _, c := range cases {
 		_, err := Parse("t.idl", c.src)

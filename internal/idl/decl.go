@@ -108,6 +108,17 @@ func (d *Decls) DefineType(what, name string, at Token, t *ir.Type) error {
 	return nil
 }
 
+// ValueType checks that t, the type of the parameter, result or field
+// named by token at (what says which), is not a bare octet, which has
+// no wire type of its own; ir.File.Resolve refuses one that a typedef
+// names.
+func (d *Decls) ValueType(what string, at Token, t *ir.Type) error {
+	if t.Kind == ir.Uint8Kind {
+		return d.ErrorfAt(at, "%s %q: a bare octet has no wire type; use a sequence or array of it", what, d.Text(at))
+	}
+	return nil
+}
+
 // Const parses the rest of a const declaration, "name = value ;".
 func (d *Decls) Const() error {
 	name, at, err := d.ExpectIdent()
@@ -159,7 +170,10 @@ func (d *Decls) Struct(member Declarator) error {
 		if done {
 			break
 		}
-		f, _, err := member()
+		f, fieldAt, err := member()
+		if err == nil {
+			err = d.ValueType("field", fieldAt, f.Type)
+		}
 		if err != nil {
 			return err
 		}

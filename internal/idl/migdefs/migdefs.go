@@ -348,5 +348,8 @@ func (p *parser) parseArg() (ir.Param, idl.Token, error) {
 		return ir.Param{}, at, err
 	}
 	t, err := p.parseTypeSpec()
+	if err == nil {
+		err = p.ValueType("argument", at, t)
+	}
 	return ir.Param{Name: name, Type: t, Dir: dir}, at, err
 }

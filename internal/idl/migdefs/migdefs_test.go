@@ -138,12 +138,24 @@ func TestParseErrors(t *testing.T) {
 		{`subsystem s 1; frobnicate;`, "unknown declaration"},
 		{`subsystem s 1; routine r(server : mach_port_t; in x : nosuch);`, "unknown type"},
 		{`subsystem s 1; type t = array[-1] of int;`, `t.defs:1:31: negative bound -1`},
+		{`subsystem s 1; routine r(server : mach_port_t; in x : char);`, `t.defs:1:51: argument "x": a bare octet has no wire type`},
+		{`subsystem s 1; type b = byte; routine r(server : mach_port_t; in x : b);`, `t.defs:1:70: s.r param x: ir: a bare octet has no wire type`},
 	}
 	for _, c := range cases {
 		_, err := Parse("t.defs", c.src)
 		if err == nil || !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("src %q:\n  err = %v, want %q", c.src, err, c.wantSub)
 		}
+	}
+}
+
+// An array of a typedef'd byte is a fixed opaque, as an array of a
+// bare one is.
+func TestArrayOfNamedByte(t *testing.T) {
+	f := mustParse(t, `subsystem s 1; type b = byte; type quad = array[4] of b;
+		routine r(server : mach_port_t; in x : quad; in y : array[4] of char);`)
+	if got := f.Interface("s").Op("r").Signature(); got != "r(in:fbytes<4>,in:fbytes<4>)->void" {
+		t.Fatalf("signature = %q", got)
 	}
 }
 

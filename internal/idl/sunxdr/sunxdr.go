@@ -312,10 +312,21 @@ func (p *parser) parseProc(ops []ir.Operation) (*ir.Operation, error) {
 	if err := p.Expect("="); err != nil {
 		return nil, err
 	}
+	numAt, err := p.Peek()
+	if err != nil {
+		return nil, err
+	}
 	procNum, err := p.Value()
 	if err != nil {
 		return nil, err
 	}
 	op.Proc = uint32(procNum)
+	// A server dispatches by number: a second procedure of one number
+	// could never be called.
+	for i := range ops {
+		if ops[i].Proc == op.Proc {
+			return nil, p.ErrorfAt(numAt, "procedure %q: number %d is taken by %q", name, procNum, ops[i].Name)
+		}
+	}
 	return op, p.Expect(";")
 }

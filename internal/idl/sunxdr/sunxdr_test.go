@@ -180,12 +180,14 @@ func TestParseErrors(t *testing.T) {
 		{`const A = 1; const A = 2;`, "duplicate const"},
 		{`enum e { a, a };`, "duplicate enumerator"},
 		{`program P { version V { opaque A(void) = 0; } = 1; } = 2;`, "procedure result"},
+		{`program P { version V { void A(opaque) = 0; } = 1; } = 2;`, "opaque cannot be a bare argument"},
 		{`const P = 1; program P { version V { void A(void) = 0; } = 1; } = 2;`, `t.x:1:22: duplicate program "P"`},
 		{`const V = 1; program P { version V { void A(void) = 0; } = 1; } = 2;`, `t.x:1:34: duplicate version "V"`},
 		{`typedef int x; typedef int x;`, `t.x:1:28: duplicate typedef "x"`},
 		{`typedef int a[-1];`, `t.x:1:15: negative bound -1`},
 		{`const M = -2; typedef int a<M>;`, `t.x:1:29: negative bound -2`},
 		{`program P { version V { void A(void) = 1; void A(int) = 2; } = 1; } = 2;`, `t.x:1:48: duplicate procedure "A"`},
+		{`program P { version V { void A(void) = 2; void B(void) = 2; } = 1; } = 2;`, `t.x:1:58: procedure "B": number 2 is taken by "A"`},
 	}
 	for _, c := range cases {
 		_, err := Parse("t.x", c.src)

@@ -103,7 +103,9 @@ func SeqOf(elem *Type) *Type {
 const octetKind = Uint8Kind
 
 // Uint8Kind marks a single octet; it appears only as a sequence or
-// array element and collapses into Bytes/FixedBytes at construction.
+// array element and collapses into Bytes/FixedBytes at construction
+// or, through a typedef, in Resolve. A bare octet has no wire type:
+// Resolve refuses one.
 const Uint8Kind Kind = 100
 
 // OctetType is the element type used by front-ends for byte elements
@@ -415,8 +417,9 @@ func (e *RefError) Error() string { return e.Msg }
 
 // Resolve replaces every Named type reference in the file with the
 // referenced typedef's structure. It reports an error on dangling or
-// cyclic references (a *RefError, wrapped), and on a type nesting
-// deeper than MaxTypeDepth or expanding to more than MaxTypeNodes.
+// cyclic references and on a bare octet, a parameter, result or field
+// that is one (a *RefError, wrapped), and on a type nesting deeper than
+// MaxTypeDepth or expanding to more than MaxTypeNodes.
 func (f *File) Resolve() error {
 	var seen [8]string // typedef chains are short: no allocation for the names
 	for _, iface := range f.Interfaces {
@@ -424,7 +427,7 @@ func (f *File) Resolve() error {
 			op := &iface.Ops[oi]
 			for pi := range op.Params {
 				nodes := 0
-				t, err := f.resolveType(op.Params[pi].Type, seen[:0], 0, &nodes)
+				t, err := f.resolveValue(op.Params[pi].Type, seen[:0], &nodes)
 				if err != nil {
 					return fmt.Errorf("%s.%s param %s: %w", iface.Name, op.Name, op.Params[pi].Name, err)
 				}
@@ -432,7 +435,7 @@ func (f *File) Resolve() error {
 			}
 			if op.Result != nil {
 				nodes := 0
-				t, err := f.resolveType(op.Result, seen[:0], 0, &nodes)
+				t, err := f.resolveValue(op.Result, seen[:0], &nodes)
 				if err != nil {
 					return fmt.Errorf("%s.%s result: %w", iface.Name, op.Name, err)
 				}
@@ -442,6 +445,18 @@ func (f *File) Resolve() error {
 	}
 	return nil
 }
+
+// resolveValue resolves t, the type of a parameter, result or field,
+// which cannot be a bare octet.
+func (f *File) resolveValue(t *Type, seen []string, nodes *int) (*Type, error) {
+	rt, err := f.resolveType(t, seen, 0, nodes)
+	if err == nil && rt.Kind == octetKind {
+		return nil, &RefError{t.Off, "ir: " + bareOctet}
+	}
+	return rt, err
+}
+
+const bareOctet = "a bare octet has no wire type; use a sequence or array of it"
 
 // resolveType resolves t, which sits depth levels inside the type being
 // resolved; nodes counts the nodes of the resolved type so far.
@@ -476,19 +491,20 @@ func (f *File) resolveType(t *Type, seen []string, depth int, nodes *int) (*Type
 		if err != nil {
 			return nil, err
 		}
-		if elem != t.Elem {
-			cp := *t
-			cp.Elem = elem
-			if cp.Kind == Seq && elem.Kind == octetKind {
-				return BytesType, nil
-			}
-			return &cp, nil
+		if elem == t.Elem {
+			return t, nil
 		}
-		return t, nil
+		if t.Kind == Seq {
+			return SeqOf(elem), nil
+		}
+		return ArrayOf(elem, t.Size), nil
 	case Struct:
 		var fields []Field // a copy, made at the first field that changes
 		for i, fl := range t.Fields {
 			ft, err := f.resolveType(fl.Type, seen, depth+1, nodes)
+			if err == nil && ft.Kind == octetKind {
+				err = &RefError{fl.Type.Off, "ir: field " + fl.Name + ": " + bareOctet}
+			}
 			if err != nil {
 				return nil, err
 			}

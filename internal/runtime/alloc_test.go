@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	goruntime "runtime"
 	"testing"
 
@@ -242,5 +243,62 @@ func TestNewRobustConnAllocs(t *testing.T) {
 	}
 	if n := bytesPerRun(50, newConn); n > 640 {
 		t.Errorf("NewRobustConn allocates %d bytes, want <= 640", n)
+	}
+}
+
+// TestScalarBoxAllocs gates a top-level unsigned long where it boxes on
+// its own: the server's request decode, the client's reply decode and a
+// same-domain result. Below 2^16 it boxes into the static table and
+// allocates nothing; at 2^16 it allocates its one heap box, which is
+// what its step certifies on each side.
+func TestScalarBoxAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are not meaningful under the race detector")
+	}
+	f, err := corba.Parse("scalar.idl", `interface S { unsigned long echo(in unsigned long n); };`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pres.Default(f.Interface("S"), pres.StyleCORBA)
+	plan, err := NewPlan(p, XDRCodec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, cert := plan.Ops[0], plan.Certificate().OpCert("echo")
+	if cert.ServerAllocBound != 1 || cert.ClientAllocBound != 1 {
+		t.Fatalf("echo certifies server %d, client %d allocations; want 1, 1", cert.ServerAllocBound, cert.ClientAllocBound)
+	}
+	disp := NewDispatcher(p)
+	disp.Handle("echo", func(c *Call) error { c.SetResult(c.Arg(0)); return nil })
+	comb, err := pres.Combine(p, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := NewSameDomain(comb, disp, nil, true)
+	for _, tc := range []struct {
+		n            uint32
+		server, want int
+	}{{1000, 0, 0}, {1 << 16, cert.ServerAllocBound, cert.ClientAllocBound}} {
+		enc := XDRCodec.NewEncoder()
+		enc.PutUint32(tc.n)
+		msg, dec, args := enc.Bytes(), plan.NewDecoder(nil), make([]Value, 1)
+		gateAllocsExact(t, fmt.Sprintf("request decode of %d", tc.n), tc.server, func() {
+			dec.Reset(msg)
+			if err := op.DecodeRequestInto(dec, args); err != nil || args[0] != tc.n {
+				t.Fatal(args[0], err)
+			}
+		})
+		gateAllocsExact(t, fmt.Sprintf("reply decode of %d", tc.n), tc.want, func() {
+			dec.Reset(msg)
+			if _, ret, err := op.DecodeReply(dec, nil, nil); err != nil || ret != tc.n {
+				t.Fatal(ret, err)
+			}
+		})
+		in := []Value{tc.n}
+		gateAllocsExact(t, fmt.Sprintf("same-domain result %d", tc.n), tc.want, func() {
+			if _, ret, err := sd.Invoke("echo", in, nil, nil); err != nil || ret != tc.n {
+				t.Fatal(ret, err)
+			}
+		})
 	}
 }

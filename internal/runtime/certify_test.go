@@ -143,7 +143,7 @@ func TestCertificateMatchesGates(t *testing.T) {
 		disp.ServeMessage(plan, idx, body, enc)
 	})
 
-	// A getattr-shaped reply — every scalar at or above 256 so none
+	// A getattr-shaped reply — every scalar at or above 2^16 so none
 	// would box for free — the same struct as a request, and a
 	// 1000-element scalar sequence: each side's decode measures exactly
 	// what is certified, so neither a per-field box nor a per-element
@@ -153,9 +153,9 @@ func TestCertificateMatchesGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attr := []Value{uint32(0644), uint32(1000), uint32(1000), uint32(1000),
-		uint64(1 << 20), uint64(1 << 20), uint64(777), uint64(31337),
-		uint32(300), uint32(4096), int64(1 << 40), int64(1 << 41), int64(1 << 42),
+	attr := []Value{uint32(1<<16 | 0644), uint32(1<<16 | 1000), uint32(1<<16 | 1000), uint32(1<<16 | 1000),
+		uint64(1 << 20), uint64(1 << 20), uint64(1<<16 | 777), uint64(1<<16 | 31337),
+		uint32(1<<16 | 300), uint32(1<<16 | 4096), int64(1 << 40), int64(1 << 41), int64(1 << 42),
 		true, 0.5, "a-file-name"}
 	acert := aplan.Certificate()
 	getattr, setattr, list := acert.OpCert("getattr"), acert.OpCert("setattr"), acert.OpCert("list")
@@ -180,13 +180,13 @@ func TestCertificateMatchesGates(t *testing.T) {
 	adisp.Handle("setattr", func(c *Call) error { return nil })
 	elems := make([]Value, 1000)
 	for i := range elems {
-		elems[i] = uint32(256 + i)
+		elems[i] = uint32(1<<16 + i)
 	}
 	adisp.Handle("list", func(c *Call) error { c.SetResult(elems); return nil })
 	fileName, fileData := "a-file-name", []byte("some owned bytes")
 	adisp.Handle("name", func(c *Call) error { c.SetResult(fileName); return nil })
 	adisp.Handle("data", func(c *Call) error { c.SetResult(fileData); return nil })
-	aenc, getBody := XDRCodec.NewEncoder(), []byte{0, 0, 1, 0}
+	aenc, getBody := XDRCodec.NewEncoder(), []byte{0, 1, 0, 0} // a handle of 2^16 boxes on the heap
 	cannedClient := func(op string) *Client {
 		aenc.Reset()
 		adisp.ServeMessage(aplan, aplan.OpIndex(op), getBody, aenc)
@@ -263,11 +263,11 @@ func TestCertificateMatchesGatesNested(t *testing.T) {
 		t.Fatalf("nested bounds: get client %d, words client %d; want 3, 1", get.ClientAllocBound, words.ClientAllocBound)
 	}
 	replies := map[string]Value{
-		"get": []Value{[]Value{uint32(300), "a-tag"},
-			[]Value{int32(1000), int32(-1000), int32(1 << 20), int32(-1 << 20)},
-			[]byte("octets"), []Value{int32(300), int32(-300), int32(1 << 30)}, "a-name"},
-		"words": []Value{uint32(300), uint32(301), uint32(302), uint32(303),
-			uint32(304), uint32(305), uint32(306), uint32(1 << 31)},
+		"get": []Value{[]Value{uint32(1<<16 | 300), "a-tag"},
+			[]Value{int32(1<<16 | 1000), int32(-1000), int32(1 << 20), int32(-1 << 20)},
+			[]byte("octets"), []Value{int32(1<<16 | 300), int32(-300), int32(1 << 30)}, "a-name"},
+		"words": []Value{uint32(1<<16 | 300), uint32(1<<16 | 301), uint32(1<<16 | 302), uint32(1<<16 | 303),
+			uint32(1<<16 | 304), uint32(1<<16 | 305), uint32(1<<16 | 306), uint32(1 << 31)},
 	}
 	disp := NewDispatcher(p)
 	for op, reply := range replies {
@@ -351,7 +351,7 @@ func TestCertificateCallerBufferLanding(t *testing.T) {
 // a rich interface is run alone on its parameter's encoding and must
 // allocate exactly what its program recorded (a sequence holds one
 // element, whose allocations its bound covers, and every scalar is one
-// Go does not box for free); a nonzero bound always has a marked step
+// that boxes on the heap); a nonzero bound always has a marked step
 // for VerifyAllocBound to name.
 func TestCertificateAllocsMatchBounds(t *testing.T) {
 	plan, err := NewPlan(richPres(t), XDRCodec, nil)
@@ -410,26 +410,26 @@ func TestCertificateAllocsMatchBounds(t *testing.T) {
 }
 
 // allocSample builds a value of wire type t whose decode allocates all
-// its program certifies: scalars Go boxes apart (not below 256),
+// its program certifies: scalars that box on the heap (not below 2^16),
 // non-empty strings and buffers, and one-element sequences.
 func allocSample(t *ir.Type) Value {
 	switch t.Kind {
 	case ir.Bool:
 		return true
 	case ir.Int32, ir.Enum:
-		return int32(1000)
+		return int32(1 << 20)
 	case ir.Uint32:
-		return uint32(1000)
+		return uint32(1 << 20)
 	case ir.Int64:
-		return int64(1000)
+		return int64(1 << 20)
 	case ir.Uint64:
-		return uint64(1000)
+		return uint64(1 << 20)
 	case ir.Float32:
 		return float32(0.5)
 	case ir.Float64:
 		return 0.5
 	case ir.Port:
-		return PortName(1000)
+		return PortName(1 << 20)
 	case ir.String:
 		return "text"
 	case ir.Bytes:

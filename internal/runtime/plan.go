@@ -833,8 +833,8 @@ func (pl *Plan) decode(dec Decoder, pr *blockProg, dst []byte) (Value, error) {
 }
 
 // decodeOne decodes a value that is not a struct or array: the last
-// step of its program, after a scalar's run. A scalar (free for a bool
-// and below 256), a borrowed or caller-landed buffer and a sequence's
+// step of its program, after a scalar's run. A scalar boxes on its own
+// (boxScalar); a borrowed or caller-landed buffer and a sequence's
 // header take Go's box; a string or owned buffer lands in the program's
 // one-slot block, its bytes in the tail, unless it is an empty string.
 func (pl *Plan) decodeOne(dec Decoder, pr *blockProg, dst []byte) (Value, error) {
@@ -950,27 +950,19 @@ func (pl *Plan) fillBlock(dec Decoder, pr *blockProg, words []uint64, views [][]
 	return valuesBox.setAt(b.hdrs, 0, b.vals[:pr.n:pr.n]), nil
 }
 
-// decodeLeaf reads a top-level scalar of kind k into Go's own box, as a
-// decode step does directly for a scalar parameter.
+// decodeLeaf reads a top-level scalar of kind k and boxes it on its
+// own (boxScalar), as a decode step does directly for a scalar
+// parameter.
 func decodeLeaf(dec Decoder, k leafKind) (Value, error) {
-	switch k {
-	case leafBool:
+	switch {
+	case k == leafBool:
 		return dec.Bool()
-	case leafInt32, leafEnum:
-		return dec.Int32()
-	case leafUint32:
-		return dec.Uint32()
-	case leafFloat32:
-		return dec.Float32()
-	case leafPort:
-		v, err := dec.Uint32()
-		return PortName(v), err
-	case leafInt64:
-		return dec.Int64()
-	case leafUint64:
-		return dec.Uint64()
+	case k >= leafInt64:
+		w, err := dec.Uint64()
+		return boxScalar(k, w), err
 	}
-	return dec.Float64()
+	w, err := dec.Uint32()
+	return boxScalar(k, uint64(w)), err
 }
 
 // decodeSeq decodes sequence step s's value: its elements are scalars

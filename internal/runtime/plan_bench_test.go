@@ -9,7 +9,9 @@ import (
 
 // A planBenchCase is one reply shape the plan benchmarks marshal: the
 // getattr reply (a sixteen-field attribute struct with one string) on
-// XDR and CDR, three of them in an array, and a top-level string.
+// XDR and CDR, three of them in an array, a top-level string, and a
+// top-level unsigned long below 2^16, which boxes into the static
+// table, and at 2^20, which boxes on the heap.
 type planBenchCase struct {
 	name  string
 	codec Codec
@@ -24,6 +26,7 @@ func planBenchCases(b *testing.B) (*pres.Presentation, []planBenchCase) {
 			attr getattr();
 			attrs three();
 			string name();
+			unsigned long size();
 		};`)
 	if err != nil {
 		b.Fatal(err)
@@ -39,6 +42,8 @@ func planBenchCases(b *testing.B) (*pres.Presentation, []planBenchCase) {
 		{"attr/cdr", CDRCodec, "getattr", attr("a-file-name")},
 		{"attr3/xdr", XDRCodec, "three", []Value{attr("first"), attr("second"), attr("third")}},
 		{"string/xdr", XDRCodec, "name", "a-file-name-of-some-length"},
+		{"ulong/xdr", XDRCodec, "size", uint32(1000)},
+		{"ulong-heap/xdr", XDRCodec, "size", uint32(1 << 20)},
 	}
 }
 

@@ -140,7 +140,7 @@ func (c *Call) ResultMoved() bool {
 // field holds it. set type-switches over value.go's closed mapping, so
 // the slot keeps what the Value points at, never the Value itself. A
 // transient view (view) points at the slot for one reply encode; a
-// consumer that keeps the value gets a heap box (value).
+// consumer that keeps the value gets a box of its own (value).
 type slot struct {
 	kind slotKind
 	leaf leafKind     // slotLeaf: which scalar
@@ -245,31 +245,14 @@ func (s *slot) view() Value {
 	return s.value()
 }
 
-// value returns the slot's value in a heap box of its own, which the
-// caller may keep; a scalar boxes by Go's own conversion, free for a
-// small one. A value outside the mapping is its type's zero value: what
-// is left of it, and enough for typeErr's text.
+// value returns the slot's value in a box of its own, which the caller
+// may keep; a scalar boxes as a decoded one does (boxScalar). A value
+// outside the mapping is its type's zero value: what is left of it, and
+// enough for typeErr's text.
 func (s *slot) value() Value {
 	switch s.kind {
 	case slotLeaf:
-		switch w := s.word[0]; s.leaf {
-		case leafBool:
-			return w != 0
-		case leafInt32:
-			return int32(uint32(w))
-		case leafUint32:
-			return uint32(w)
-		case leafFloat32:
-			return math.Float32frombits(uint32(w))
-		case leafPort:
-			return PortName(w)
-		case leafInt64:
-			return int64(w)
-		case leafUint64:
-			return w
-		default:
-			return math.Float64frombits(w)
-		}
+		return boxScalar(s.leaf, s.word[0])
 	case slotString:
 		return s.str
 	case slotBytes:

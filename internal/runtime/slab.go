@@ -32,9 +32,18 @@ package runtime
 //     work function set (server.go), inside a heap-allocated Frame — is
 //     a transient view: it lives only inside one reply encode
 //     (encodeReplyCall), is never handed to user code (Result, Out and
-//     a [special] hook get a heap box), and is dead before the slot is
-//     set or cleared again, so for as long as it lives its data is
-//     written once as above.
+//     a [special] hook get a box of their own), and is dead before the
+//     slot is set or cleared again, so for as long as it lives its data
+//     is written once as above;
+//   - a scalar boxed on its own (boxScalar) whose wire bits are below
+//     2^16 points at its word of the static, pointer-free small table,
+//     which the GC never scans; the table is filled one 512-word page at
+//     a time under a mutex, and each page's ready flag is stored after
+//     its words and loaded before any Value points into it, so each
+//     word is written once, before it is shared, and never again.
+//
+// So a scalar Value points at its block's slab, at the small table, or
+// at a heap word of its own.
 
 import (
 	"math/bits"
@@ -112,6 +121,73 @@ func boxLeaf(s []uint64, off uintptr, k leafKind, w uint64) Value {
 	*(*eface)(unsafe.Pointer(&out)) = eface{leafTypes[k], p}
 	return out
 }
+
+// boxScalar returns the Value of k's Go type whose wire bits are w (a
+// bool's 0 or 1), a scalar boxed on its own rather than in a block. A
+// leaf below 2^16 points at word w of the small table, a bool or a
+// 4-byte kind at the word's low byte or half as Go's own static boxes
+// do, and costs nothing; a larger one gets a heap word of its own.
+func boxScalar(k leafKind, w uint64) Value {
+	var p unsafe.Pointer
+	switch {
+	case w < uint64(len(small.words)):
+		if !small.ready[w/smallPage].Load() {
+			fillSmall(w / smallPage)
+		}
+		p = unsafe.Add(unsafe.Pointer(&small.words[w]), smallOff[k])
+	case k >= leafInt64:
+		x := new(uint64)
+		*x = w
+		p = unsafe.Pointer(x)
+	default:
+		x := new(uint32)
+		*x = uint32(w)
+		p = unsafe.Pointer(x)
+	}
+	var out Value
+	*(*eface)(unsafe.Pointer(&out)) = eface{leafTypes[k], p}
+	return out
+}
+
+// smallPage is the words of the small table filled at once: 4 KiB.
+const smallPage = 512
+
+// small is the table a scalar below 2^16 boxes into: word w holds w
+// once its page is ready. It holds no pointers, so it lies in bss,
+// and a page nothing has boxed into costs no memory.
+var small struct {
+	sync.Mutex
+	ready [1 << 16 / smallPage]atomic.Bool
+	words [1 << 16]uint64
+}
+
+// fillSmall writes page pg of the small table and marks it ready,
+// unless another caller has.
+func fillSmall(pg uint64) {
+	small.Lock()
+	defer small.Unlock()
+	if small.ready[pg].Load() {
+		return
+	}
+	for w := pg * smallPage; w < (pg+1)*smallPage; w++ {
+		small.words[w] = w
+	}
+	small.ready[pg].Store(true)
+}
+
+// smallOff is the byte offset of each leaf kind's value in its word of
+// the small table: a bool's is the word's low byte and a 4-byte kind's
+// its low half, 7 and 4 bytes in on a big-endian host.
+var smallOff = func() (off [len(leafTypes)]uintptr) {
+	w := uint64(1)
+	if *(*byte)(unsafe.Pointer(&w)) == 0 {
+		off[leafBool] = 7
+		for k := leafInt32; k < leafInt64; k++ {
+			off[k] = 4
+		}
+	}
+	return off
+}()
 
 // leafBits returns the wire bits of *v, a scalar leaf of kind k, in the
 // form boxLeaf stores; false when *v is not of k's Go type.

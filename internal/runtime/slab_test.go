@@ -3,9 +3,11 @@ package runtime
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	goruntime "runtime"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -410,4 +412,81 @@ func TestMalformedBlockZeroAllocs(t *testing.T) {
 			t.Errorf("%s: a malformed attr allocates %.1f times, want 0", codec.Name(), allocs)
 		}
 	}
+}
+
+// TestSlabSmallScalarsFirstUse boxes every scalar below 2^16 in order,
+// and some above, from eight goroutines at once, each cycling through
+// the non-bool leaf kinds from a different one, so that the first run
+// in a process races the goroutines to fill each page no earlier test
+// boxed into. Each Value must equal Go's own box of the same value, by
+// type and value, as soon as it is boxed and after the collector runs.
+// Under -race, a goroutine that finds a page ready reads words another
+// filled, so a page published before its words are written fails; and
+// checkptr checks every pointer into the table.
+func TestSlabSmallScalarsFirstUse(t *testing.T) {
+	const goroutines = 8
+	kinds := []leafKind{leafInt32, leafUint32, leafFloat32, leafPort, leafEnum, leafInt64, leafUint64, leafFloat64}
+	// sample is goroutine g's i'th kind and bits, and Go's own box of them.
+	sample := func(g, i int) (leafKind, uint64, Value) {
+		k, w := kinds[(i+g)%len(kinds)], uint64(i)
+		if i >= 1<<16 {
+			w = 1<<16 + uint64(i)*12345 // boxed on the heap
+		}
+		switch k {
+		case leafInt32, leafEnum:
+			return k, w, int32(uint32(w))
+		case leafUint32:
+			return k, w, uint32(w)
+		case leafFloat32:
+			return k, w, math.Float32frombits(uint32(w))
+		case leafPort:
+			return k, w, PortName(w)
+		case leafInt64:
+			return k, w, int64(w)
+		case leafUint64:
+			return k, w, w
+		}
+		return k, w, math.Float64frombits(w)
+	}
+	kept := make([][]Value, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vs := make([]Value, 1<<16+64)
+			for i := range vs {
+				// leafBits reads the word in instrumented code, where
+				// an interface comparison reads it in the Go runtime.
+				k, w, want := sample(g, i)
+				if vs[i] = boxScalar(k, w); vs[i] != want || !sameBits(k, &vs[i], w) {
+					t.Errorf("kind %d bits %#x boxes as %v (%T), want %v (%T)", k, w, vs[i], vs[i], want, want)
+					return
+				}
+			}
+			kept[g] = vs
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < 3; i++ {
+		goruntime.GC()
+	}
+	for g, vs := range kept {
+		for i, v := range vs {
+			if k, w, want := sample(g, i); v != want {
+				t.Fatalf("after GC: kind %d bits %#x boxes as %v (%T), want %v (%T)", k, w, v, v, want, want)
+			}
+		}
+	}
+	for w, want := range []Value{false, true} {
+		if v := boxScalar(leafBool, uint64(w)); v != want || !sameBits(leafBool, &v, uint64(w)) {
+			t.Fatalf("a bool of bits %d boxes as %v (%T)", w, v, v)
+		}
+	}
+}
+
+// sameBits reports whether *v, of kind k, holds the wire bits w.
+func sameBits(k leafKind, v *Value, w uint64) bool {
+	got, ok := leafBits(k, v)
+	return ok && got == w
 }

@@ -90,9 +90,9 @@ func benchPres(tb testing.TB, pdl string) *pres.Presentation {
 // benchmark's own interface and presentations, with work functions that
 // set their results as the benchmark's do: a fresh slice of the server's
 // table for fetch, an attr struct for getattr. nop and the [trashable]
-// put allocate nothing; fetch allocates its request scalar's box on the
-// server and the box of the caller-buffer slice it returns; getattr its
-// reply's one block. Neither result's box is among them: the Call keeps
+// put allocate nothing; fetch allocates the box of the caller-buffer
+// slice it returns, its request scalar boxing into the static table;
+// getattr its reply's one block. Neither result's box is among them: the Call keeps
 // what a work function sets, not its box.
 func TestBenchIDLCallAllocsInline(t *testing.T) {
 	if raceEnabled {
@@ -137,8 +137,8 @@ func TestBenchIDLCallAllocsInline(t *testing.T) {
 	}{
 		{"nop", nil, nil, 0},
 		{"put", []runtime.Value{make([]byte, 1<<10)}, nil, 0},
-		{"fetch", []runtime.Value{uint32(1000)}, retBuf, 2},
-		{"getattr", []runtime.Value{uint32(1)}, nil, 1}, // a handle below 256 boxes for free
+		{"fetch", []runtime.Value{uint32(1000)}, retBuf, 1}, // n below 2^16 boxes for free
+		{"getattr", []runtime.Value{uint32(1)}, nil, 1},
 	} {
 		call := func() {
 			if _, _, err := b.Invoke(tc.op, tc.args, nil, tc.retBuf); err != nil {

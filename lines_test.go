@@ -29,11 +29,11 @@ var lineAreas = []struct {
 // is paid for: a change that adds lines raises its pin and says why in
 // CHANGES.md, and one that removes lines lowers it.
 var pinnedLines = map[string]int{
-	"internal/runtime":     5387,
+	"internal/runtime":     5438,
 	"internal/transport":   1834,
 	"internal/sunrpc":      1760,
 	"internal/experiments": 2876,
-	"compiler":             4529,
+	"compiler":             4610,
 	"rest":                 12625,
 }
 
