@@ -255,6 +255,15 @@ lines() {
 	go test -count=1 -v -run '^TestLineRatchet$' .
 }
 
+model() {
+	# The session protocol's small-scope model checker at its deeper
+	# scope: two clients, a real SessionServer and ReplyCache, and a
+	# channel that drops, duplicates, reorders and corrupts, every
+	# schedule to 8 frames with 2 faults (tier-1 runs 1 fault).
+	echo "FLEXRPC_MODEL=1 go test -count=1 -run SessionModel ./internal/runtime"
+	FLEXRPC_MODEL=1 go test -count=1 -run SessionModel ./internal/runtime
+}
+
 bench_smoke() {
 	# bench/ is its own module, so `go test ./...` from the root never
 	# reaches it: its smoke test runs every workload once, checks the
@@ -318,6 +327,9 @@ full() {
 	echo "== allocation gates (no -race)"
 	alloc_gates
 
+	echo "== session protocol model, deeper scope"
+	model
+
 	echo "== benchmarks compile and run one iteration each"
 	go test -run='^$' -bench=. -benchtime=1x ./...
 
@@ -366,10 +378,11 @@ alloc-gates) alloc_gates ;;
 frame-race) frame_race ;;
 surface) surface ;;
 lines) lines ;;
+model) model ;;
 bench-smoke) bench_smoke ;;
 figures) figures ;;
 *)
-	echo "ci.sh: unknown stage '$1'; stages: vet-examples vet-go certify [-update] fuzz-smoke flexload-smoke netpoll-smoke netpoll-stress alloc-gates frame-race surface lines bench-smoke figures (no argument runs them all)" >&2
+	echo "ci.sh: unknown stage '$1'; stages: vet-examples vet-go certify [-update] fuzz-smoke flexload-smoke netpoll-smoke netpoll-stress alloc-gates frame-race surface lines model bench-smoke figures (no argument runs them all)" >&2
 	exit 2
 	;;
 esac

@@ -128,7 +128,9 @@ type (
 	// through it).
 	Encoder = runtime.Encoder
 	// Decoder reads wire-format primitives ([special] hooks unmarshal
-	// through it).
+	// through it). It reads integers; a hook that wants a signed 64-bit
+	// or floating-point value reads the bits with Uint32 or Uint64 and
+	// converts them (math.Float64frombits).
 	Decoder = runtime.Decoder
 )
 

@@ -241,12 +241,6 @@ func (d *Decoder) Uint64() (uint64, error) {
 	return v, nil
 }
 
-// Int64 decodes a long long.
-func (d *Decoder) Int64() (int64, error) {
-	v, err := d.Uint64()
-	return int64(v), err
-}
-
 // String decodes a CDR string, validating the NUL terminator.
 func (d *Decoder) String() (string, error) {
 	b, err := d.StringBytes()

@@ -44,8 +44,8 @@ func TestBothByteOrders(t *testing.T) {
 		e.PutUint64(0xfffffffffffffffb) // int64 -5
 		d := NewDecoder(e.Bytes(), order)
 		v32, _ := d.Uint32()
-		v64, err := d.Int64()
-		if err != nil || v32 != 0xDEADBEEF || v64 != -5 {
+		v64, err := d.Uint64()
+		if err != nil || v32 != 0xDEADBEEF || int64(v64) != -5 {
 			t.Errorf("%v: decode = %x %d %v", order, v32, v64, err)
 		}
 	}
@@ -133,11 +133,11 @@ func TestQuickRoundTrip(t *testing.T) {
 		d := NewDecoder(e.Bytes(), order)
 		go1, _ := d.Octet()
 		g32, _ := d.Uint32()
-		g64, _ := d.Int64()
+		g64, _ := d.Uint64()
 		gs, _ := d.String()
 		gseq, err := d.OctetSeq()
 		return err == nil && go1 == o && g32 == u32 &&
-			g64 == i64 && gs == s && bytes.Equal(gseq, seq) && d.Remaining() == 0
+			int64(g64) == i64 && gs == s && bytes.Equal(gseq, seq) && d.Remaining() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

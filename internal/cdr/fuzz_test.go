@@ -60,7 +60,7 @@ func FuzzDecoder(f *testing.F) {
 			case 7:
 				_, err = d.FixedOctets(8)
 			case 8:
-				_, err = d.Int64()
+				_, err = d.Uint64()
 			case 9:
 				var n int
 				if n, err = d.SeqLen(); err == nil && uint32(n) > d.MaxLength {

@@ -307,8 +307,8 @@ func TestReplyCacheAckSteadyStateNoAllocs(t *testing.T) {
 	call := func() {
 		key++
 		c.ack(key - 1)
-		if out, replayed := c.do(key, buf, exec); replayed || len(out) != len(reply) {
-			t.Fatalf("%d-byte reply, replayed %v", len(out), replayed)
+		if out, got := c.do(key, buf, exec); got != cacheExecuted || len(out) != len(reply) {
+			t.Fatalf("%d-byte reply, outcome %d", len(out), got)
 		}
 	}
 	for i := 0; i < 40*64; i++ {
@@ -383,8 +383,8 @@ func TestReplyCacheAckRecyclesOldestFirst(t *testing.T) {
 	c.ack(65)
 	arena("every reply acknowledged", 0, 4)
 	for _, key := range keys {
-		out, replayed := c.do(key, nil, func(dst []byte) []byte { t.Fatalf("acknowledged key %d executed", key); return dst })
-		if !replayed || !bytes.Equal(out, appendEmptyReply(nil, sessStale)) {
+		out, got := c.do(key, nil, func(dst []byte) []byte { t.Fatalf("acknowledged key %d executed", key); return dst })
+		if got != cacheStale || !bytes.Equal(out, appendEmptyReply(nil, sessStale)) {
 			t.Fatalf("acknowledged key %d answered %d bytes, want the stale frame", key, len(out))
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"sync"
 	"time"
 
@@ -31,50 +30,12 @@ import (
 // ErrBadBatch reports a structurally invalid batch body.
 var ErrBadBatch = errors.New("runtime: malformed batch frame")
 
-// maxBatchCount bounds the sub-call count a decoder will accept
-// before reading entry headers; every entry needs at least 8 bytes,
-// so a count beyond len(body)/8 is already provably corrupt.
-func maxBatchCount(body []byte) uint32 { return uint32(len(body) / 8) }
-
 // appendBatchEntry appends one sub-call (request form) to a batch
 // request body under construction.
 func appendBatchEntry(dst []byte, opIdx uint32, req []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, opIdx)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(req)))
 	return append(dst, req...)
-}
-
-// decodeBatchRequest splits a batch request body into per-sub-call
-// operation indices and bodies. The returned bodies alias body.
-func decodeBatchRequest(body []byte) (ops []int, reqs [][]byte, err error) {
-	if len(body) < 4 {
-		return nil, nil, ErrBadBatch
-	}
-	count := binary.BigEndian.Uint32(body[0:4])
-	if count == 0 || count > maxBatchCount(body[4:]) {
-		return nil, nil, ErrBadBatch
-	}
-	rest := body[4:]
-	ops = make([]int, 0, count)
-	reqs = make([][]byte, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if len(rest) < 8 {
-			return nil, nil, ErrBadBatch
-		}
-		op := binary.BigEndian.Uint32(rest[0:4])
-		n := binary.BigEndian.Uint32(rest[4:8])
-		rest = rest[8:]
-		if uint32(len(rest)) < n {
-			return nil, nil, ErrBadBatch
-		}
-		ops = append(ops, int(op))
-		reqs = append(reqs, rest[:n:n])
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return nil, nil, ErrBadBatch
-	}
-	return ops, reqs, nil
 }
 
 // appendBatchReplyEntry appends one sub-reply to a batch reply body
@@ -84,37 +45,60 @@ func appendBatchReplyEntry(dst, rep []byte) []byte {
 	return append(dst, rep...)
 }
 
-// decodeBatchReply splits a batch reply body into want sub-reply
-// bodies, which alias body.
-func decodeBatchReply(body []byte, want int) ([][]byte, error) {
+// splitBatch splits a batch body into its entries, which alias body;
+// withOps reads the request form, whose entries lead with an op index.
+// The count word is untrusted until the entries check out, so it is
+// bounded by what the body could hold (an entry header each) before
+// anything is sized by it.
+func splitBatch(body []byte, withOps bool) (ops []int, entries [][]byte, err error) {
+	hdr := 4
+	if withOps {
+		hdr = 8
+	}
 	if len(body) < 4 {
-		return nil, ErrBadBatch
+		return nil, nil, ErrBadBatch
 	}
-	count := binary.BigEndian.Uint32(body[0:4])
-	rest := body[4:]
-	// Bound count by what the body could possibly hold (4 bytes per
-	// entry minimum) BEFORE sizing anything by it: the count word is
-	// attacker-controlled until the entries actually check out.
-	if int(count) != want || count > uint32(len(rest)/4) {
-		return nil, ErrBadBatch
+	count, rest := binary.BigEndian.Uint32(body), body[4:]
+	if count == 0 || count > uint32(len(rest)/hdr) {
+		return nil, nil, ErrBadBatch
 	}
-	out := make([][]byte, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if len(rest) < 4 {
-			return nil, ErrBadBatch
+	entries = make([][]byte, 0, count)
+	if withOps {
+		ops = make([]int, 0, count)
+	}
+	for ; count > 0; count-- {
+		if len(rest) < hdr {
+			return nil, nil, ErrBadBatch
 		}
-		n := binary.BigEndian.Uint32(rest[0:4])
-		rest = rest[4:]
-		if uint32(len(rest)) < n {
-			return nil, ErrBadBatch
+		if withOps {
+			ops = append(ops, int(binary.BigEndian.Uint32(rest)))
 		}
-		out = append(out, rest[:n:n])
-		rest = rest[n:]
+		n := binary.BigEndian.Uint32(rest[hdr-4:])
+		if rest = rest[hdr:]; uint32(len(rest)) < n {
+			return nil, nil, ErrBadBatch
+		}
+		entries, rest = append(entries, rest[:n:n]), rest[n:]
 	}
 	if len(rest) != 0 {
+		return nil, nil, ErrBadBatch
+	}
+	return ops, entries, nil
+}
+
+// decodeBatchRequest splits a batch request body into per-sub-call
+// operation indices and bodies.
+func decodeBatchRequest(body []byte) (ops []int, reqs [][]byte, err error) {
+	return splitBatch(body, true)
+}
+
+// decodeBatchReply splits a batch reply body into want sub-reply
+// bodies.
+func decodeBatchReply(body []byte, want int) ([][]byte, error) {
+	_, bodies, err := splitBatch(body, false)
+	if err == nil && len(bodies) != want {
 		return nil, ErrBadBatch
 	}
-	return out, nil
+	return bodies, err
 }
 
 // execBatch executes every sub-call of a batch request body in order
@@ -130,17 +114,14 @@ func (s *SessionServer) execBatch(ctx context.Context, body []byte, tid uint32, 
 	f := acquireFrame()
 	// The body's checksum is known only once every sub-reply is in.
 	hdr := len(dst)
-	dst = binary.BigEndian.AppendUint32(dst, sessOK)
-	dst = binary.BigEndian.AppendUint32(dst, 0)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ops)))
+	dst = binary.BigEndian.AppendUint32(openReply(dst), uint32(len(ops)))
 	for i, opIdx := range ops {
 		enc := f.encoder(s.plan)
 		s.disp.serve(ctx, f, s.plan, opIdx, reqs[i], enc, tid, true)
 		dst = appendBatchReplyEntry(dst, enc.Bytes())
 	}
 	frames.Put(f)
-	binary.BigEndian.PutUint32(dst[hdr+4:], crc32.ChecksumIEEE(dst[hdr+robustRepHeader:]))
-	return dst
+	return closeReply(dst, hdr, sessOK)
 }
 
 // batchFlushBytes flushes the queue when the queued request bodies
@@ -310,12 +291,8 @@ func (b *batcher) send(batch []*batchCall) {
 		}
 		body = appendBatchEntry(body, uint32(c.opIdx), c.req)
 	}
-	flags := uint32(flagBatch)
-	if idem {
-		flags |= flagIdempotent
-	}
 	r.stats.AddBatched(len(batch))
-	reply, err := r.callSession(context.Background(), 0, -1, body, nil, flags, idem, 0)
+	reply, err := r.callSession(context.Background(), 0, -1, body, nil, reqHeader{batch: true, idem: idem})
 	var bodies [][]byte
 	if err == nil {
 		bodies, err = decodeBatchReply(reply, len(batch))

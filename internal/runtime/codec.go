@@ -2,15 +2,11 @@ package runtime
 
 import (
 	"encoding/binary"
-	"math"
 	"slices"
 
 	"flexrpc/internal/cdr"
 	"flexrpc/internal/xdr"
 )
-
-func f32frombits(v uint32) float32 { return math.Float32frombits(v) }
-func f64frombits(v uint64) float64 { return math.Float64frombits(v) }
 
 // A Codec is a wire encoding the marshal plans can target. The stub
 // compiler back-ends are codec-agnostic: the same plan marshals to
@@ -60,10 +56,7 @@ type Decoder interface {
 	Bool() (bool, error)
 	Int32() (int32, error)
 	Uint32() (uint32, error)
-	Int64() (int64, error)
 	Uint64() (uint64, error)
-	Float32() (float32, error)
-	Float64() (float64, error)
 	String() (string, error)
 	Bytes() ([]byte, error) // variable-length opaque (aliases input)
 	FixedBytes(n int) ([]byte, error)
@@ -148,10 +141,7 @@ func (x *xdrDecoder) Reset(buf []byte)                 { x.d.Reset(buf); x.sc.re
 func (x *xdrDecoder) Bool() (bool, error)              { return x.d.Bool() }
 func (x *xdrDecoder) Int32() (int32, error)            { return x.d.Int32() }
 func (x *xdrDecoder) Uint32() (uint32, error)          { return x.d.Uint32() }
-func (x *xdrDecoder) Int64() (int64, error)            { return x.d.Int64() }
 func (x *xdrDecoder) Uint64() (uint64, error)          { return x.d.Uint64() }
-func (x *xdrDecoder) Float32() (float32, error)        { return x.d.Float32() }
-func (x *xdrDecoder) Float64() (float64, error)        { return x.d.Float64() }
 func (x *xdrDecoder) String() (string, error)          { return x.d.String() }
 func (x *xdrDecoder) Bytes() ([]byte, error)           { return x.d.Opaque() }
 func (x *xdrDecoder) FixedBytes(n int) ([]byte, error) { return x.d.FixedOpaque(n) }
@@ -281,20 +271,11 @@ type cdrDecoder struct {
 	sc  scratch
 }
 
-func (c *cdrDecoder) Reset(buf []byte)        { c.d.Reset(buf); c.sc.reset() }
-func (c *cdrDecoder) Bool() (bool, error)     { return c.d.Bool() }
-func (c *cdrDecoder) Int32() (int32, error)   { return c.d.Int32() }
-func (c *cdrDecoder) Uint32() (uint32, error) { return c.d.Uint32() }
-func (c *cdrDecoder) Int64() (int64, error)   { return c.d.Int64() }
-func (c *cdrDecoder) Uint64() (uint64, error) { return c.d.Uint64() }
-func (c *cdrDecoder) Float32() (float32, error) {
-	v, err := c.d.Uint32()
-	return f32frombits(v), err
-}
-func (c *cdrDecoder) Float64() (float64, error) {
-	v, err := c.d.Uint64()
-	return f64frombits(v), err
-}
+func (c *cdrDecoder) Reset(buf []byte)                 { c.d.Reset(buf); c.sc.reset() }
+func (c *cdrDecoder) Bool() (bool, error)              { return c.d.Bool() }
+func (c *cdrDecoder) Int32() (int32, error)            { return c.d.Int32() }
+func (c *cdrDecoder) Uint32() (uint32, error)          { return c.d.Uint32() }
+func (c *cdrDecoder) Uint64() (uint64, error)          { return c.d.Uint64() }
 func (c *cdrDecoder) String() (string, error)          { return c.d.String() }
 func (c *cdrDecoder) Bytes() ([]byte, error)           { return c.d.OctetSeq() }
 func (c *cdrDecoder) FixedBytes(n int) ([]byte, error) { return c.d.FixedOctets(n) }

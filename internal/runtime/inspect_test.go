@@ -1,6 +1,10 @@
 package runtime
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+	"time"
+)
 
 // Inspectors the tests read overload-control and reply-cache state
 // through; no non-test code asks these questions (a gauge surface,
@@ -14,6 +18,15 @@ func (b *RetryBudget) Suppressed() uint64 { return b.suppressed.Load() }
 
 // Tokens reports the current balance in whole retries.
 func (b *RetryBudget) Tokens() float64 { return float64(b.tokens.Load()) / budgetScale }
+
+// sleep waits one jittered backoff interval, as the retry loop does,
+// or until ctx expires.
+func (r *RobustConn) sleep(ctx context.Context, d time.Duration) error {
+	r.mu.Lock()
+	d = r.jitter(d)
+	r.mu.Unlock()
+	return r.clock.Sleep(ctx, d)
+}
 
 // Shards reports the shard count (always a power of two).
 func (c *ReplyCache) Shards() int { return len(c.shards) }

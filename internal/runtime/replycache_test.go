@@ -172,13 +172,13 @@ func TestReplyCacheReplayIsOwnBytesOrReexecution(t *testing.T) {
 	reexecuted := 0
 	call := func(key uint64) (replayed bool) {
 		prefix := []byte("hdr")
-		out, replayed := c.do(key, prefix, func(dst []byte) []byte {
+		out, got := c.do(key, prefix, func(dst []byte) []byte {
 			return append(dst, patterned(key, replySize(key))...)
 		})
 		if !bytes.HasPrefix(out, prefix) || !bytes.Equal(out[len(prefix):], patterned(key, replySize(key))) {
-			t.Fatalf("key %d (replayed=%v) came back with %d bytes that are not its reply", key, replayed, len(out)-len(prefix))
+			t.Fatalf("key %d (outcome %d) came back with %d bytes that are not its reply", key, got, len(out)-len(prefix))
 		}
-		return replayed
+		return got == cacheReplayed
 	}
 	for key := uint64(0); key < keys; key++ {
 		if call(key) {
@@ -253,13 +253,13 @@ func TestReplyCacheDuplicateWaitsForOriginal(t *testing.T) {
 	}
 	first, dup := make(chan result, 1), make(chan result, 1)
 	go func() {
-		out, replayed := c.do(key, nil, exec)
-		first <- result{out, replayed}
+		out, got := c.do(key, nil, exec)
+		first <- result{out, got == cacheReplayed}
 	}()
 	<-entered
 	go func() {
-		out, replayed := c.do(key, make([]byte, 0, 512), exec)
-		dup <- result{out, replayed}
+		out, got := c.do(key, make([]byte, 0, 512), exec)
+		dup <- result{out, got == cacheReplayed}
 	}()
 	// The duplicate is parked on the shard's cond, not spinning or
 	// executing: wait until it is counted there.
@@ -471,7 +471,7 @@ func TestReplyCacheFlushReleasesArena(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d after the in-flight call completed, want 1", c.Len())
 	}
-	if _, replayed := c.do(slow, nil, func(dst []byte) []byte { t.Error("re-executed"); return dst }); !replayed {
+	if _, got := c.do(slow, nil, func(dst []byte) []byte { t.Error("re-executed"); return dst }); got != cacheReplayed {
 		t.Fatal("the call that completed after Flush was not retained")
 	}
 	fill(2000, 30)
@@ -511,7 +511,7 @@ func TestReplyCacheDoSteadyStateNoAllocs(t *testing.T) {
 	}
 	// A replay is as free.
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, replayed := c.do(key, buf, exec); !replayed {
+		if _, got := c.do(key, buf, exec); got != cacheReplayed {
 			t.Fatal("the newest key was not replayed")
 		}
 	}); allocs != 0 {

@@ -2,10 +2,7 @@ package runtime
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -15,73 +12,12 @@ import (
 	"flexrpc/internal/stats"
 )
 
-// The robustness layer: a session protocol between RobustConn
-// (client) and SessionServer (server) that makes calls safe to retry
-// over lossy transports. It rides beneath the presentation — the
-// marshaled bodies it carries are byte-identical with or without it —
-// and above any Conn, so the same layer covers inproc loopbacks,
-// netsim pipes, and Sun RPC streams.
-//
-// Session frames are fixed big-endian binary, independent of the
-// marshal codec (the body keeps whatever codec the plan chose):
-//
-//	request: cid(4) seq(4) flags(4) crc32(cid seq flags body)(4) body...
-//	reply:   status(4) crc32(body)(4) body...
-//
-// cid identifies the client instance, seq the logical call; a retry
-// retransmits the same (cid, seq), which is what lets the server's
-// ReplyCache suppress duplicate execution. flags bit 0 marks the
-// operation [idempotent], telling the server caching is unnecessary;
-// bit 1 marks a batch frame. Bits 2-15 carry an acknowledgement:
-// d = seq − s for one earlier cacheable call s of the same client that
-// has finished, its reply received or given up on (0 = no ack). The
-// server then frees the reply bytes it retained for (cid, s) but keeps
-// the key, so a late retransmit of s is answered sessStale rather than
-// executed again; a frame whose bits 2-15 are zero acknowledges
-// nothing, and the cache then behaves as it would with no acks at all.
-// flags bits 16-31 carry the call's 16-bit trace id (0 = untraced).
-// The request CRC covers the 12 header bytes before it and the body,
-// so a damaged cid, seq or flags word — a wrong key, a forged
-// idempotent bit or ack — is refused with sessBadRequest like a
-// damaged body. The reply CRC lets the client distinguish a corrupted
-// reply (retryable — the server may or may not have executed, but the
-// cache makes the retry safe) from a clean reply carrying an
-// application error (not retryable: the server definitely executed).
-const (
-	robustReqHeader = 16
-	robustRepHeader = 8
-
-	flagIdempotent = 1 << 0
-	flagBatch      = 1 << 1 // body is a batch of sub-calls; op index rides per sub-call
-	ackShift       = 2
-	ackMask        = 1<<14 - 1 // flags bits 2-15: seq − acknowledged seq
-	traceIDShift   = 16
-
-	sessOK         = 0 // body is the dispatcher's reply (status framing + results)
-	sessBadRequest = 1 // request frame failed its CRC; body empty; retry
-	sessOverloaded = 2 // admission control shed the call before decode; body empty
-	sessDraining   = 3 // server is draining; body empty; retry elsewhere/later
-	sessStale      = 4 // retransmit of a key whose reply was acknowledged; body empty
-
-	// The pushback statuses (sessOverloaded, sessDraining) split the
-	// status word: code in the low 8 bits, advisory retry-after
-	// milliseconds in the upper 24 (see pushback.go). sessOK,
-	// sessBadRequest and sessStale keep full-word encodings. No live
-	// caller waits for a sessStale reply — the client acknowledged only
-	// what it had finished — so a client that gets one, through a
-	// damaged status word, takes it as a corrupt reply and retries.
-
-	// ackQueueLen bounds the finished seqs a RobustConn holds for later
-	// frames to acknowledge; when it overflows, the oldest is dropped and
-	// its reply lives in the server's cache until FIFO eviction.
-	ackQueueLen = 64
-)
-
-// requestCRC is the checksum of a request frame: its header words
-// before the CRC, then its body.
-func requestCRC(frame []byte) uint32 {
-	return crc32.Update(crc32.ChecksumIEEE(frame[:12]), crc32.IEEETable, frame[robustReqHeader:])
-}
+// The robustness layer's shells: RobustConn (client) and
+// SessionServer (server) hold the locks, the clock, the retry budget
+// and the I/O of the session protocol, and the ReplyCache its memory.
+// Every decision of the protocol — frame layout, statuses, the client's
+// sequence and ack state, the retry step and the server step — is in
+// session.go; DESIGN.md §6 has it as one table.
 
 // ErrCorruptReply reports a session reply that failed its length or
 // CRC check; the call may be retried (the reply cache suppresses
@@ -97,16 +33,7 @@ var ErrBadRequestFrame = errors.New("runtime: request frame corrupted in transit
 // corruption are retryable; a *RemoteError is not (the server
 // executed and replied), and a canceled context is not (the caller
 // gave up).
-func Retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	var re *RemoteError
-	if errors.As(err, &re) {
-		return false
-	}
-	return !errors.Is(err, context.Canceled)
-}
+func Retryable(err error) bool { return err != nil && faultOutcome(err) == attemptFault }
 
 // A RetryPolicy bounds the retry loop: capped exponential backoff
 // with jitter, and an optional per-attempt timeout carved out of the
@@ -120,7 +47,7 @@ type RetryPolicy struct {
 	AttemptTimeout time.Duration
 	// BaseBackoff is the delay before the first retry (default 1ms);
 	// each subsequent delay doubles, capped at MaxBackoff (default
-	// 100ms). The actual sleep is jittered uniformly over [d/2, d).
+	// 100ms). The actual sleep is jittered uniformly over [d/2, d].
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 	// Seed makes the jitter deterministic for tests; zero seeds from
@@ -177,14 +104,8 @@ type RobustConn struct {
 	batch     *batcher // nil until EnableBatching
 	budget    *RetryBudget
 
-	rmu sync.Mutex // guards rng
-	rng uint64     // splitmix64 state: the jitter draws
-
-	amu     sync.Mutex // guards seq and the ack queue
-	seq     uint32
-	acks    [ackQueueLen]uint32 // finished cacheable seqs not yet acknowledged, oldest at ackHead
-	ackHead int
-	ackLen  int
+	mu sync.Mutex // guards clientState
+	clientState
 
 	clock Clock
 	stats *stats.Endpoint
@@ -215,15 +136,15 @@ func NewRobustConn(inner Conn, p *pres.Presentation, opts RobustOptions) *Robust
 		clock = WallClock
 	}
 	return &RobustConn{
-		inner:     inner,
-		cid:       opts.ClientID,
-		idem:      idem,
-		batchable: batchable,
-		atMost:    opts.AtMostOnce,
-		policy:    opts.Policy.withDefaults(),
-		budget:    opts.Budget,
-		rng:       uint64(seed),
-		clock:     clock,
+		inner:       inner,
+		cid:         opts.ClientID,
+		idem:        idem,
+		batchable:   batchable,
+		atMost:      opts.AtMostOnce,
+		policy:      opts.Policy.withDefaults(),
+		budget:      opts.Budget,
+		clock:       clock,
+		clientState: clientState{rng: uint64(seed)},
 	}
 }
 
@@ -265,154 +186,80 @@ func (r *RobustConn) CallTraceContext(ctx context.Context, opIdx int, req, reply
 			return reply, err
 		}
 	}
-	idem := opIdx >= 0 && opIdx < len(r.idem) && r.idem[opIdx]
 	if tid == 0 {
 		tid = r.stats.NextTraceID()
 	}
-	flags := (tid & 0xFFFF) << traceIDShift
-	if idem {
-		flags |= flagIdempotent
-	}
-	return r.callSession(ctx, opIdx, opIdx, req, replyBuf, flags, idem, tid)
+	idem := opIdx >= 0 && opIdx < len(r.idem) && r.idem[opIdx]
+	return r.callSession(ctx, opIdx, opIdx, req, replyBuf, reqHeader{idem: idem, tid: tid})
 }
 
 // callSession frames req under a fresh sequence number, acknowledging
-// an earlier finished call, and drives the retry loop; once it returns,
-// a cacheable call's seq waits for a later frame to acknowledge it.
-// wireOp is the operation index the transport routes by; statOp bills
-// retries to a counter row (negative for none, e.g. for batch frames
-// that have no single op). idem permits retrying even without an
-// at-most-once session.
-//
-// Overload protection threads through here: the budget gates every
-// retry; a pushback reply (the server shed the call before executing
-// it) is retryable regardless of idempotency and sleeps the server's
-// advisory RetryAfter instead of the jittered backoff.
-func (r *RobustConn) callSession(ctx context.Context, wireOp, statOp int, req, replyBuf []byte, flags uint32, idem bool, tid uint32) ([]byte, error) {
-	attempts := r.policy.MaxAttempts
-	if !r.atMost && !idem {
-		attempts = 1
-	}
-	seq, ack := r.nextSeq()
-	flags |= ack << ackShift
-
+// an earlier finished call, and runs the retry step after each
+// attempt; once it returns, a cacheable call's seq waits for a later
+// frame to acknowledge it. wireOp is the operation index the transport
+// routes by; statOp bills retries to a counter row (negative for none,
+// e.g. for batch frames that have no single op). h says whether the
+// frame is idempotent — which permits retrying even without an
+// at-most-once session — or a batch, and its trace id. The budget gates
+// every retry.
+func (r *RobustConn) callSession(ctx context.Context, wireOp, statOp int, req, replyBuf []byte, h reqHeader) ([]byte, error) {
+	h.cid = r.cid
+	r.mu.Lock()
+	h.seq, h.ackDist = r.nextSeq()
+	r.mu.Unlock()
 	fb, _ := r.frames.Get().(*[]byte)
 	if fb == nil {
 		fb = new([]byte)
 	}
-	frame := *fb
-	need := robustReqHeader + len(req)
-	if cap(frame) < need {
-		frame = make([]byte, need)
-	}
-	frame = frame[:need]
-	binary.BigEndian.PutUint32(frame[0:4], r.cid)
-	binary.BigEndian.PutUint32(frame[4:8], seq)
-	binary.BigEndian.PutUint32(frame[8:12], flags)
-	copy(frame[robustReqHeader:], req)
-	binary.BigEndian.PutUint32(frame[12:16], requestCRC(frame))
+	frame := appendRequest((*fb)[:0], &h, req)
 
 	r.budget.onAttempt()
 	var reply []byte
 	var err error
-	backoff := r.policy.BaseBackoff
-	for attempt := 1; ; attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			if err == nil {
-				err = cerr
-			}
-			break
-		}
-		if attempt > 1 {
-			r.stats.AddOp(statOp, stats.OpRetries, 1)
-			r.stats.Trace(tid, statOp, stats.StageRetry)
-		}
-		reply, err = r.callOnce(ctx, wireOp, frame, replyBuf)
-		if err == nil {
-			break
-		}
-		var ov *ErrOverloaded
-		pushback := errors.As(err, &ov)
-		if pushback {
+	var step retryStep
+	for {
+		var o attemptOutcome
+		reply, o, err = r.callOnce(ctx, wireOp, frame, replyBuf)
+		var ra time.Duration
+		if o == attemptPushback {
 			r.stats.Add(stats.Pushbacks, 1)
+			ra = err.(*ErrOverloaded).RetryAfter
 		}
-		if !Retryable(err) {
-			break
-		}
-		// A pushed-back call never reached the dispatcher, so retrying
-		// it is safe even for non-idempotent calls outside an
-		// at-most-once session.
-		max := attempts
-		if pushback && r.policy.MaxAttempts > max {
-			max = r.policy.MaxAttempts
-		}
-		if attempt >= max {
+		act, d := step.next(o, ra, &r.policy, r.atMost || h.idem)
+		if act == retryDone {
 			break
 		}
 		if !r.budget.allowRetry() {
 			r.stats.Add(stats.RetrySuppressed, 1)
 			break
 		}
-		if pushback && ov.RetryAfter > 0 {
-			// Honor the server's advisory pause over our own schedule.
-			if serr := r.clock.Sleep(ctx, ov.RetryAfter); serr != nil {
-				break
-			}
-			continue
+		if act == retryBackoff {
+			r.mu.Lock()
+			d = r.jitter(d)
+			r.mu.Unlock()
 		}
-		if serr := r.sleep(ctx, backoff); serr != nil {
+		if r.clock.Sleep(ctx, d) != nil || ctx.Err() != nil {
 			break
 		}
-		backoff *= 2
-		if backoff > r.policy.MaxBackoff {
-			backoff = r.policy.MaxBackoff
-		}
+		r.stats.AddOp(statOp, stats.OpRetries, 1)
+		r.stats.Trace(h.tid, statOp, stats.StageRetry)
 	}
 	*fb = frame[:0]
 	r.frames.Put(fb)
-	if flags&flagIdempotent == 0 {
-		r.finished(seq)
+	if !h.idem {
+		r.mu.Lock()
+		r.finished(h.seq)
+		r.mu.Unlock()
 	}
 	return reply, err
 }
 
-// nextSeq draws a fresh sequence number and the acknowledgement its
-// frame carries: seq − s for the oldest queued finished call s that the
-// ack field can still reach, or 0 for none. Both are drawn under one
-// lock, so every queued seq precedes the new one.
-func (r *RobustConn) nextSeq() (seq, ack uint32) {
-	r.amu.Lock()
-	r.seq++
-	seq = r.seq
-	for r.ackLen > 0 {
-		s := r.acks[r.ackHead]
-		r.ackHead = (r.ackHead + 1) % ackQueueLen
-		r.ackLen--
-		if d := seq - s; d <= ackMask {
-			ack = d
-			break
-		}
-	}
-	r.amu.Unlock()
-	return seq, ack
-}
-
-// finished queues the seq of a cacheable call whose callSession is
-// returning, for a later frame to acknowledge.
-func (r *RobustConn) finished(seq uint32) {
-	r.amu.Lock()
-	if r.ackLen == ackQueueLen {
-		r.ackHead = (r.ackHead + 1) % ackQueueLen
-		r.ackLen--
-	}
-	r.acks[(r.ackHead+r.ackLen)%ackQueueLen] = seq
-	r.ackLen++
-	r.amu.Unlock()
-}
-
 // callOnce performs one attempt under the per-attempt timeout and
-// verifies the session reply.
-func (r *RobustConn) callOnce(ctx context.Context, opIdx int, frame, replyBuf []byte) ([]byte, error) {
+// reads the session reply.
+func (r *RobustConn) callOnce(ctx context.Context, opIdx int, frame, replyBuf []byte) ([]byte, attemptOutcome, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, attemptCtxDone, err
+	}
 	actx := ctx
 	var cancel context.CancelFunc
 	if r.policy.AttemptTimeout > 0 {
@@ -426,49 +273,16 @@ func (r *RobustConn) callOnce(ctx context.Context, opIdx int, frame, replyBuf []
 		cancel()
 	}
 	if err != nil {
-		return nil, err
+		return nil, faultOutcome(err), err
 	}
 	if r.stats != nil {
 		r.stats.Wire.Add(len(reply))
 	}
-	if len(reply) < robustRepHeader {
+	body, o, err := readReply(reply)
+	if o == attemptCorrupt {
 		r.stats.Add(stats.CorruptReplies, 1)
-		return nil, fmt.Errorf("%w: %d-byte frame", ErrCorruptReply, len(reply))
 	}
-	status := binary.BigEndian.Uint32(reply[0:4])
-	sum := binary.BigEndian.Uint32(reply[4:8])
-	body := reply[robustRepHeader:]
-	if crc32.ChecksumIEEE(body) != sum {
-		r.stats.Add(stats.CorruptReplies, 1)
-		return nil, ErrCorruptReply
-	}
-	switch status {
-	case sessOK:
-		return body, nil
-	case sessBadRequest:
-		return nil, ErrBadRequestFrame
-	default:
-		// Pushback statuses carry a retry-after in the upper bits, so
-		// they cannot be matched whole; parse strictly and fall through
-		// to corruption for anything else.
-		if ra, draining, perr := ParsePushbackFrame(reply); perr == nil {
-			return nil, &ErrOverloaded{RetryAfter: ra, Draining: draining}
-		}
-		return nil, fmt.Errorf("%w: unknown status %d", ErrCorruptReply, status)
-	}
-}
-
-// sleep waits one jittered backoff interval or until ctx expires.
-func (r *RobustConn) sleep(ctx context.Context, d time.Duration) error {
-	r.rmu.Lock()
-	r.rng += 0x9E3779B97F4A7C15
-	x := r.rng
-	r.rmu.Unlock()
-	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
-	x = (x ^ x>>27) * 0x94D049BB133111EB
-	x ^= x >> 31
-	jittered := d/2 + time.Duration(x%(uint64(d/2)+1))
-	return r.clock.Sleep(ctx, jittered)
+	return body, o, err
 }
 
 // A ReplyCache is the server half of at-most-once execution: it
@@ -640,20 +454,27 @@ func (c *ReplyCache) lock(s *replyShard) {
 	s.mu.Lock()
 }
 
+// cacheOutcome is how the cache answered a key.
+type cacheOutcome uint8
+
+const (
+	cacheExecuted cacheOutcome = iota // this call's own exec produced the reply
+	cacheReplayed                     // a copy of the reply the first execution kept
+	cacheStale                        // the key's reply was acknowledged: a sessStale frame
+)
+
 // do appends the reply frame for key to dst and returns the extended
 // slice, running exec — which appends a fresh frame to the dst it is
 // given — exactly once per key; duplicates wait for the first execution
-// to finish and get a copy of its bytes. The second result reports
-// whether the reply was replayed (copied from the cache, possibly after
-// waiting out the original execution) rather than produced by this
-// call's own exec; a key whose reply was acknowledged replays as a
-// sessStale frame, never as an execution. exec runs outside the shard
-// lock, so slow handlers only serialize true duplicates. A duplicate
-// that waited looks the key up afresh when woken: if more than a
-// shard's capacity of other calls completed before it ran, its entry is
-// already evicted and it executes as a first arrival — the outcome of
-// any duplicate that arrives after eviction.
-func (c *ReplyCache) do(key uint64, dst []byte, exec func(dst []byte) []byte) ([]byte, bool) {
+// to finish and get a copy of its bytes, or a sessStale frame once the
+// key's reply was acknowledged, and are never executed. exec runs
+// outside the shard lock, so slow handlers only serialize true
+// duplicates. A duplicate that waited looks the key up afresh when
+// woken: if more than a shard's capacity of other calls completed
+// before it ran, its entry is already evicted and it executes as a
+// first arrival — the outcome of any duplicate that arrives after
+// eviction.
+func (c *ReplyCache) do(key uint64, dst []byte, exec func(dst []byte) []byte) ([]byte, cacheOutcome) {
 	s := c.shard(key)
 	c.lock(s)
 	for {
@@ -662,13 +483,14 @@ func (c *ReplyCache) do(key uint64, dst []byte, exec func(dst []byte) []byte) ([
 			break
 		}
 		if slot != executing {
+			out := cacheReplayed
 			if e := &s.ring[slot]; e.acked {
-				dst = appendEmptyReply(dst, sessStale)
+				dst, out = appendEmptyReply(dst, sessStale), cacheStale
 			} else {
 				dst = append(dst, e.frame...)
 			}
 			s.mu.Unlock()
-			return dst, true
+			return dst, out
 		}
 		s.waiters++
 		s.done.Wait()
@@ -685,7 +507,7 @@ func (c *ReplyCache) do(key uint64, dst []byte, exec func(dst []byte) []byte) ([
 		s.done.Broadcast()
 	}
 	s.mu.Unlock()
-	return out, false
+	return out, cacheExecuted
 }
 
 // retain copies a completed reply into the arena and claims the ring's
@@ -855,14 +677,11 @@ func (s *SessionServer) Handle(ctx context.Context, opIdx int, frame []byte) []b
 // copy, and a replay is copied out of the cache into dst. With room in
 // dst a call allocates nothing here, cached or not.
 func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst []byte) []byte {
-	if len(frame) < robustReqHeader {
+	h, ok := parseRequest(frame)
+	if !ok {
 		s.disp.stats.Add(stats.BadFrames, 1)
 		return appendEmptyReply(dst, sessBadRequest)
 	}
-	cid := binary.BigEndian.Uint32(frame[0:4])
-	seq := binary.BigEndian.Uint32(frame[4:8])
-	flags := binary.BigEndian.Uint32(frame[8:12])
-	sum := binary.BigEndian.Uint32(frame[12:16])
 	// Admission runs before the CRC check: shedding exists to avoid
 	// work, and checksumming a call we are about to reject is work. A
 	// rejected call copies out the controller's prebuilt pushback
@@ -870,26 +689,28 @@ func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst 
 	if pb := s.adm.Admit(); pb != nil {
 		return append(dst, pb...)
 	}
-	if requestCRC(frame) != sum {
-		// Damaged in transit: tell the client to retransmit. Not
-		// cached — the retry must reach the dispatcher.
+	act, ack, acks := serverStep(frame, &h, s.cache != nil)
+	if act == serveRefuse {
 		s.adm.Release()
 		s.disp.stats.Add(stats.BadFrames, 1)
 		return appendEmptyReply(dst, sessBadRequest)
 	}
-	// The ack names a finished call of this frame's own client, so one
-	// client can never release another's reply.
-	if d := flags >> ackShift & ackMask; d != 0 && s.cache != nil {
-		s.cache.ack(uint64(cid)<<32 | uint64(seq-d))
+	if acks {
+		s.cache.ack(ack)
 	}
 	body := frame[robustReqHeader:]
 	exec := func(dst []byte) []byte {
-		if flags&flagBatch != 0 {
-			return s.execBatch(ctx, body, flags>>traceIDShift, dst)
+		if h.batch {
+			return s.execBatch(ctx, body, h.tid, dst)
 		}
-		return s.exec(ctx, opIdx, body, flags>>traceIDShift, dst)
+		f := acquireFrame()
+		enc := f.encoder(s.plan)
+		s.disp.serve(ctx, f, s.plan, opIdx, body, enc, h.tid, true)
+		dst = appendReply(dst, sessOK, enc.Bytes())
+		frames.Put(f)
+		return dst
 	}
-	if flags&flagIdempotent != 0 || s.cache == nil {
+	if act == serveUncached {
 		dst = exec(dst)
 		s.adm.Release()
 		return dst
@@ -897,52 +718,22 @@ func (s *SessionServer) HandleAppend(ctx context.Context, opIdx int, frame, dst 
 	// A batch frame is cached and replayed whole under the outer
 	// (cid, seq) key: the client retransmits the whole batch, so one
 	// cache entry gives every sub-call at-most-once execution.
-	key := uint64(cid)<<32 | uint64(seq)
-	start := len(dst)
-	dst, replayed := s.cache.do(key, dst, exec)
+	dst, out := s.cache.do(h.key(), dst, exec)
 	s.adm.Release()
-	if replayed && s.disp.stats != nil {
+	switch {
+	case out == cacheStale:
 		// A stale answer replays no reply, so it is not billed as one.
-		if binary.BigEndian.Uint32(dst[start:]) == sessStale {
-			s.disp.stats.Add(stats.StaleRetransmits, 1)
-		} else {
-			s.billReplay(opIdx, flags, body)
+		s.disp.stats.Add(stats.StaleRetransmits, 1)
+	case out == cacheReplayed && s.disp.stats != nil:
+		// A replay is billed to the ops it answers: the frame's, or —
+		// for a batch, which travels as wire op 0 — each sub-call's.
+		ops := []int{opIdx}
+		if h.batch {
+			ops, _, _ = decodeBatchRequest(body)
+		}
+		for _, op := range ops {
+			s.disp.stats.AddOp(op, stats.OpReplays, 1)
 		}
 	}
 	return dst
-}
-
-// billReplay counts a replayed reply against the ops it answers: the
-// frame's op, or — for a batch, which travels as wire op 0 — each
-// sub-call's.
-func (s *SessionServer) billReplay(opIdx int, flags uint32, body []byte) {
-	if flags&flagBatch == 0 {
-		s.disp.stats.AddOp(opIdx, stats.OpReplays, 1)
-		return
-	}
-	ops, _, _ := decodeBatchRequest(body)
-	for _, op := range ops {
-		s.disp.stats.AddOp(op, stats.OpReplays, 1)
-	}
-}
-
-// exec dispatches one request body and appends a fresh reply frame to
-// dst.
-func (s *SessionServer) exec(ctx context.Context, opIdx int, body []byte, tid uint32, dst []byte) []byte {
-	f := acquireFrame()
-	enc := f.encoder(s.plan)
-	s.disp.serve(ctx, f, s.plan, opIdx, body, enc, tid, true)
-	out := enc.Bytes()
-	dst = binary.BigEndian.AppendUint32(dst, sessOK)
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(out))
-	dst = append(dst, out...)
-	frames.Put(f)
-	return dst
-}
-
-// appendEmptyReply appends a reply frame with a full-word status and
-// no body: sessBadRequest, which asks for a retransmit, or sessStale.
-// crc32 of the empty body is 0.
-func appendEmptyReply(dst []byte, status byte) []byte {
-	return append(dst, 0, 0, 0, status, 0, 0, 0, 0)
 }

@@ -61,9 +61,8 @@ func TestReplyCacheShardedEviction(t *testing.T) {
 		t.Fatalf("cache retains %d entries past its capacity %d", got, capacity)
 	}
 	// The newest key must still be present (FIFO evicts oldest).
-	var replayed bool
-	_, replayed = c.do(10*capacity-1, nil, noReply)
-	if !replayed {
+	_, got := c.do(10*capacity-1, nil, noReply)
+	if got != cacheReplayed {
 		t.Fatal("newest key was evicted before older ones")
 	}
 }

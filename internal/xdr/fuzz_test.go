@@ -40,7 +40,7 @@ func FuzzDecoder(f *testing.F) {
 			case 2:
 				_, err = d.Uint64()
 			case 3:
-				_, err = d.Float64()
+				_, err = d.Uint32()
 			case 4:
 				var s string
 				if s, err = d.String(); err == nil && len(s) > len(wire) {
@@ -52,7 +52,7 @@ func FuzzDecoder(f *testing.F) {
 					t.Fatalf("opaque of %d bytes from %d input bytes", len(b), len(wire))
 				}
 			case 6:
-				_, err = d.Float32()
+				_, err = d.Opaque()
 			case 7:
 				_, err = d.FixedOpaque(8)
 			case 8:

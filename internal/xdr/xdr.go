@@ -10,7 +10,6 @@ package xdr
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // UnitSize is the fundamental XDR alignment unit, in bytes.
@@ -187,12 +186,6 @@ func (d *Decoder) Uint64() (uint64, error) {
 	return uint64(hi)<<32 | uint64(lo), nil
 }
 
-// Int64 decodes an XDR hyper.
-func (d *Decoder) Int64() (int64, error) {
-	v, err := d.Uint64()
-	return int64(v), err
-}
-
 // Bool decodes an XDR boolean, rejecting values other than 0 and 1.
 func (d *Decoder) Bool() (bool, error) {
 	v, err := d.Uint32()
@@ -206,18 +199,6 @@ func (d *Decoder) Bool() (bool, error) {
 		return true, nil
 	}
 	return false, ErrBadBool
-}
-
-// Float32 decodes an IEEE-754 single-precision float.
-func (d *Decoder) Float32() (float32, error) {
-	v, err := d.Uint32()
-	return math.Float32frombits(v), err
-}
-
-// Float64 decodes an IEEE-754 double-precision float.
-func (d *Decoder) Float64() (float64, error) {
-	v, err := d.Uint64()
-	return math.Float64frombits(v), err
 }
 
 func (d *Decoder) checkPadding(n int) error {

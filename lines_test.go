@@ -29,12 +29,12 @@ var lineAreas = []struct {
 // is paid for: a change that adds lines raises its pin and says why in
 // CHANGES.md, and one that removes lines lowers it.
 var pinnedLines = map[string]int{
-	"internal/runtime":     5438,
+	"internal/runtime":     5497,
 	"internal/transport":   1834,
 	"internal/sunrpc":      1760,
 	"internal/experiments": 2876,
 	"compiler":             4610,
-	"rest":                 12625,
+	"rest":                 12602,
 }
 
 // TestLineRatchet counts the non-test Go lines of every area — bench/
