@@ -151,7 +151,9 @@ func (d *Decls) Typedef(decl Declarator) error {
 }
 
 // Struct parses the rest of a struct declaration,
-// "name { member ; ... } ;".
+// "name { member ; ... } ;". CORBA and XDR both require a member: a
+// struct without one has no wire bytes, so nothing would bound how many
+// of them a sequence's length word claims.
 func (d *Decls) Struct(member Declarator) error {
 	name, at, err := d.ExpectIdent()
 	if err != nil {
@@ -181,6 +183,9 @@ func (d *Decls) Struct(member Declarator) error {
 		if err := d.Expect(";"); err != nil {
 			return err
 		}
+	}
+	if len(fields) == 0 {
+		return d.ErrorfAt(at, "struct %q has no members; it needs at least one", name)
 	}
 	if err := d.Expect(";"); err != nil {
 		return err

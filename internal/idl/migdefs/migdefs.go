@@ -171,13 +171,18 @@ func (p *parser) parseTypeSpec() (*ir.Type, error) {
 	case "array":
 		return p.parseArray(tok)
 	case "struct":
-		// struct[N] of T: a fixed inline array in MIG terms.
+		// struct[N] of T: a fixed inline array in MIG terms. An empty
+		// one has no wire bytes, as a CORBA or XDR struct without members
+		// would have, and is refused as they are.
 		if err := p.Expect("["); err != nil {
 			return nil, err
 		}
 		n, err := p.Bound()
 		if err != nil {
 			return nil, err
+		}
+		if n == 0 {
+			return nil, p.ErrorfAt(tok, "struct[0] has no members; it needs at least one")
 		}
 		if err := p.Expect("]"); err != nil {
 			return nil, err

@@ -24,15 +24,46 @@ func socketpair(t *testing.T) (int, int) {
 	return fds[0], fds[1]
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
+// await waits for the signal a callback sends on ch.
+func await(t *testing.T, what string, ch <-chan struct{}) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
 	}
+}
+
+// edges returns a callback that drains fd as the edge-triggered
+// contract asks — to EAGAIN, or to EOF once the peer has closed — and
+// then signals each edge, and whether it was a hangup, on the channel
+// it returns. The signal follows the drain: a test writes again as soon
+// as it sees one, and a byte that lands while the callback is still
+// reading is consumed there without a new edge.
+func edges(fd int) (Callback, <-chan bool) {
+	ch := make(chan bool, 16) // more than any test's edges: the loop never blocks on it
+	return func(hup bool) {
+		buf := make([]byte, 64)
+		for {
+			if n, err := syscall.Read(fd, buf); n == 0 || err != nil {
+				break
+			}
+		}
+		ch <- hup
+	}, ch
+}
+
+// awaitEdge waits for the next edge on ch and returns whether it was a
+// hangup.
+func awaitEdge(t *testing.T, what string, ch <-chan bool) bool {
+	t.Helper()
+	select {
+	case hup := <-ch:
+		return hup
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+	return false
 }
 
 func TestPollerReadableEdges(t *testing.T) {
@@ -50,43 +81,26 @@ func TestPollerReadableEdges(t *testing.T) {
 	defer syscall.Close(a)
 	defer syscall.Close(b)
 
-	var fired atomic.Int64
-	var sawHup atomic.Bool
-	if err := p.Register(a, func(hup bool) {
-		// Edge-triggered contract: drain to EAGAIN, or to EOF (0, nil)
-		// once the peer has closed.
-		buf := make([]byte, 64)
-		for {
-			if n, err := syscall.Read(a, buf); n == 0 || err != nil {
-				break
-			}
-		}
-		// Count the edge only after the drain: the test writes again
-		// as soon as it sees the count, and a byte that lands while
-		// this callback is still reading is consumed here without a
-		// new edge.
-		if hup {
-			sawHup.Store(true)
-		}
-		fired.Add(1)
-	}); err != nil {
+	cb, fired := edges(a)
+	if err := p.Register(a, cb); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 
 	if _, err := syscall.Write(b, []byte("x")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	waitFor(t, "first edge", func() bool { return fired.Load() >= 1 })
+	awaitEdge(t, "first edge", fired)
 
 	// A second write after a full drain is a new edge.
 	if _, err := syscall.Write(b, []byte("y")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	waitFor(t, "second edge", func() bool { return fired.Load() >= 2 })
+	awaitEdge(t, "second edge", fired)
 
 	// Peer close delivers a hangup edge.
 	syscall.Close(b)
-	waitFor(t, "hangup edge", func() bool { return sawHup.Load() })
+	for !awaitEdge(t, "hangup edge", fired) {
+	}
 
 	if wakeups.Load() < 2 {
 		t.Fatalf("onWake reported %d events, want >= 2", wakeups.Load())
@@ -111,13 +125,27 @@ func TestPollerDeregisterDropsEvents(t *testing.T) {
 	if err := p.Register(a, func(bool) { fired.Add(1) }); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
+	// A sentinel stays registered. Its edge comes after the write to a:
+	// the loop takes ready descriptors in the order they became ready and
+	// runs a batch's callbacks in order, so once the sentinel's callback
+	// has run, an edge on a would already have run a's.
+	s, ps := socketpair(t)
+	defer syscall.Close(s)
+	defer syscall.Close(ps)
+	scb, sentinel := edges(s)
+	if err := p.Register(s, scb); err != nil {
+		t.Fatalf("Register sentinel: %v", err)
+	}
 	if err := p.Deregister(a); err != nil {
 		t.Fatalf("Deregister: %v", err)
 	}
 	if _, err := syscall.Write(b, []byte("x")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	if _, err := syscall.Write(ps, []byte("s")); err != nil {
+		t.Fatalf("write sentinel: %v", err)
+	}
+	awaitEdge(t, "the sentinel's edge", sentinel)
 	if n := fired.Load(); n != 0 {
 		t.Fatalf("deregistered fd fired %d times", n)
 	}
@@ -154,8 +182,8 @@ func TestPollerEdgeDuringCallback(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Register a: %v", err)
 	}
-	var bFired atomic.Bool
-	if err := p.Register(b, func(bool) { bFired.Store(true) }); err != nil {
+	bcb, bFired := edges(b)
+	if err := p.Register(b, bcb); err != nil {
 		t.Fatalf("Register b: %v", err)
 	}
 
@@ -166,11 +194,11 @@ func TestPollerEdgeDuringCallback(t *testing.T) {
 	if _, err := syscall.Write(pb, []byte("y")); err != nil {
 		t.Fatalf("write b: %v", err)
 	}
-	if bFired.Load() {
+	if len(bFired) > 0 {
 		t.Fatal("b's callback ran while a's was still blocking the loop")
 	}
 	close(release)
-	waitFor(t, "b's edge after a's callback returned", bFired.Load)
+	awaitEdge(t, "b's edge after a's callback returned", bFired)
 }
 
 // TestPollerCloseReleasesLoop: Close from another goroutine evicts a
@@ -190,14 +218,14 @@ func TestPollerCloseReleasesLoop(t *testing.T) {
 	a, b := socketpair(t)
 	defer syscall.Close(a)
 	defer syscall.Close(b)
-	var fired atomic.Bool
-	if err := p.Register(a, func(bool) { fired.Store(true) }); err != nil {
+	cb, fired := edges(a)
+	if err := p.Register(a, cb); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	if _, err := syscall.Write(b, []byte("x")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	waitFor(t, "first edge", fired.Load)
+	awaitEdge(t, "first edge", fired)
 
 	closed := make(chan error, 1)
 	go func() { closed <- p.Close() }()
@@ -218,9 +246,13 @@ func TestPollerCloseReleasesLoop(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	waitFor(t, "goroutine count to settle", func() bool {
-		return runtime.NumGoroutine() <= before
-	})
+	// Nothing signals a goroutine's exit after its last send, so the
+	// count is polled.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the poller", runtime.NumGoroutine(), before)
+		}
+	}
 }
 
 // TestIdlePollersCostNoThreads: a poller waits as a parked goroutine,
@@ -233,7 +265,8 @@ func TestIdlePollersCostNoThreads(t *testing.T) {
 	threads := pprof.Lookup("threadcreate")
 	before := threads.Count()
 
-	var fired atomic.Int64
+	var fired sync.WaitGroup
+	fired.Add(pollers)
 	for i := 0; i < pollers; i++ {
 		p, err := New(nil)
 		if err != nil {
@@ -243,18 +276,22 @@ func TestIdlePollersCostNoThreads(t *testing.T) {
 		a, b := socketpair(t)
 		defer syscall.Close(a)
 		defer syscall.Close(b)
-		if err := p.Register(a, func(bool) { fired.Add(1) }); err != nil {
+		var once sync.Once // the deferred closes deliver a hangup edge too
+		if err := p.Register(a, func(bool) { once.Do(fired.Done) }); err != nil {
 			t.Fatalf("Register: %v", err)
 		}
 		if _, err := syscall.Write(b, []byte("x")); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 	}
+	all := make(chan struct{})
+	go func() { fired.Wait(); close(all) }()
+	await(t, "one edge per poller", all)
 	// Every loop has delivered an edge, so every loop is waiting again,
-	// or about to: the pause lets the last ones get there, since a
-	// thread pinned by a blocking wait only shows once its loop is back
-	// in the wait.
-	waitFor(t, "one edge per poller", func() bool { return fired.Load() == pollers })
+	// or about to. A thread pinned by a blocking wait only shows once its
+	// loop is back in the wait, and no event marks that, so the pause
+	// lets the last ones get there; a pause too short can only hide
+	// pinned threads, never fail the test on parked loops.
 	time.Sleep(20 * time.Millisecond)
 
 	// A blocking wait needs a thread per poller, less the few idle ones

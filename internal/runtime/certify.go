@@ -72,6 +72,10 @@ type OpCert struct {
 	// numbers the runtime's AllocsPerRun gates measure. A sequence of
 	// allocating elements has no static element count: its bound covers
 	// one element, and each further element adds that element's cost.
+	// A caller-landed byte buffer ([alloc(caller)]) certifies 0 under a
+	// precondition: the caller supplies a buffer the reply fits and
+	// reuses it, so the step's bound view of it (slab.go) is rewritten.
+	// No buffer, one too small or a new one costs one allocation more.
 	ClientAllocBound int `json:"client_alloc_bound"`
 	ServerAllocBound int `json:"server_alloc_bound"`
 	// ClientAllocFree / ServerAllocFree: the bound is zero.
@@ -123,12 +127,12 @@ func (op *OpPlan) certify() OpCert {
 			// Other encode steps append into the recycled frame.
 			cost = 1
 		case decode:
-			// A byte buffer viewed into a Call's slot is not boxed.
+			// A buffer viewed into a Call's slot or the caller's is not boxed.
 			sc.lengths = st.prog.lengths
 			if sc.lengths {
 				sc.MaxDecode = op.plan.maxDecode
 			}
-			if !st.view {
+			if !st.view && st.landing != LandCaller {
 				cost = st.prog.allocs
 			}
 		}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -228,6 +229,32 @@ func TestCertificateMatchesGates(t *testing.T) {
 			}
 		})
 	}
+
+	// A caller-landed fetch: the same data reply, landing in a buffer
+	// the caller reuses, as OpCert's precondition asks, measures its
+	// certified 0.
+	cp := attrPres(t)
+	cp.Op("data").Result().Alloc = pres.AllocCaller
+	cplan, err := NewPlan(cp, XDRCodec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetch := cplan.Certificate().OpCert("data")
+	if fetch.ClientAllocBound != 0 {
+		t.Fatalf("caller-landed fetch certifies %d client allocations, want 0", fetch.ClientAllocBound)
+	}
+	aenc.Reset()
+	adisp.ServeMessage(aplan, aplan.OpIndex("data"), getBody, aenc)
+	fclient, err := NewClient(cp, XDRCodec, &fixedConn{reply: append([]byte(nil), aenc.Bytes()...)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retBuf := make([]byte, 64)
+	gateAllocsExact(t, "certified client caller-landed fetch", fetch.ClientAllocBound, func() {
+		if _, ret, err := fclient.Invoke("data", getArgs, nil, retBuf); err != nil || !bytes.Equal(ret.([]byte), fileData) {
+			t.Fatal(ret, err)
+		}
+	})
 }
 
 // TestCertificateMatchesGatesNested measures nested fixed shapes at
@@ -305,9 +332,10 @@ func gateAllocsExact(t *testing.T, what string, bound int, fn func()) {
 
 // TestCertificateCallerBufferLanding pins the [alloc(caller)] reply
 // landing: the compiled step certifies LandCaller, the paper's figure-9
-// caller-buffer optimization. The bytes land in the caller's buffer, so
-// the step's one allocation is the boxed slice header — counted in the
-// client bound, and so marked on the step.
+// caller-buffer optimization. The bytes land in the caller's buffer and
+// the Value is the step's bound view of it, so under OpCert's
+// precondition — a reused buffer the reply fits — the step allocates
+// nothing and is not marked.
 func TestCertificateCallerBufferLanding(t *testing.T) {
 	f, err := corba.Parse("fetch.idl", `
 		interface Fetch {
@@ -336,8 +364,8 @@ func TestCertificateCallerBufferLanding(t *testing.T) {
 			if sc.Landing != LandCaller {
 				t.Fatalf("read.return lands %q, want %q", sc.Landing, LandCaller)
 			}
-			if !sc.Allocs || oc.ClientAllocBound != 1 {
-				t.Fatalf("caller-buffer landing: allocs %v, client bound %d; want the boxed header's 1", sc.Allocs, oc.ClientAllocBound)
+			if sc.Allocs || oc.ClientAllocBound != 0 {
+				t.Fatalf("caller-buffer landing: allocs %v, client bound %d; want false, 0", sc.Allocs, oc.ClientAllocBound)
 			}
 		}
 	}
@@ -363,7 +391,8 @@ func TestCertificateAllocsMatchBounds(t *testing.T) {
 		oc := &cert.Ops[i]
 		k := 0 // oc.Steps lists the four phases in this order
 		for _, steps := range [][]step{op.reqEnc, op.reqDec, op.repEnc, op.repDec} {
-			for _, st := range steps {
+			for j := range steps {
+				st := &steps[j]
 				sc := oc.Steps[k]
 				k++
 				if sc.Phase != PhaseReqDecode && sc.Phase != PhaseRepDecode {
@@ -377,7 +406,7 @@ func TestCertificateAllocsMatchBounds(t *testing.T) {
 				want := st.prog.allocs
 				decode := func() {
 					dec.Reset(msg)
-					if _, err := op.decodeStep(dec, &st, nil); err != nil {
+					if _, err := op.decodeStep(dec, st, nil); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -33,7 +33,9 @@ type SelfFraming interface {
 // positions ignored); outBufs optionally provides caller-allocated
 // landing buffers per parameter, and retBuf one for the result.
 // The returned slice is indexed by parameter position for out/inout
-// values; ret is the operation result.
+// values; ret is the operation result. A value landed in a caller's
+// buffer is a view of it: like its bytes, its length is that of the
+// last reply landed there (slab.go), so keep the []byte, not the Value.
 type Invoker interface {
 	Invoke(op string, args []Value, outBufs [][]byte, retBuf []byte) (outs []Value, ret Value, err error)
 }

@@ -74,6 +74,8 @@ type Decoder interface {
 	scalars(run []blockStep, out []uint64) error
 	// scratch is the decoder's phase-1 store (see Plan.decode).
 	scratch() *scratch
+	// minWire is the fewest bytes a value of pr takes on this codec.
+	minWire(pr *blockProg) int
 }
 
 // XDRCodec marshals in Sun XDR (RFC 4506).
@@ -150,6 +152,7 @@ func (x *xdrDecoder) Remaining() int                   { return x.d.Remaining() 
 func (x *xdrDecoder) SetMaxLength(n uint32)            { x.d.MaxLength = n }
 func (x *xdrDecoder) stringView() ([]byte, error)      { return x.d.StringBytes() }
 func (x *xdrDecoder) scratch() *scratch                { return &x.sc }
+func (x *xdrDecoder) minWire(pr *blockProg) int        { return pr.minXDR }
 
 // scalars reads a run: XDR has no alignment, so its size is fixed.
 func (x *xdrDecoder) scalars(run []blockStep, out []uint64) error {
@@ -284,6 +287,7 @@ func (c *cdrDecoder) Remaining() int                   { return c.d.Remaining() 
 func (c *cdrDecoder) SetMaxLength(n uint32)            { c.d.MaxLength = n }
 func (c *cdrDecoder) stringView() ([]byte, error)      { return c.d.StringBytes() }
 func (c *cdrDecoder) scratch() *scratch                { return &c.sc }
+func (c *cdrDecoder) minWire(pr *blockProg) int        { return pr.minCDR }
 
 // scalars reads a run: each leaf aligns to its size from the message
 // start, so the run's size depends on where it starts modulo 8.

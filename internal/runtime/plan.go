@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 
 	"flexrpc/internal/ir"
 	"flexrpc/internal/pres"
@@ -135,7 +136,9 @@ type step struct {
 	// byte buffer landing by borrow: it lands the slice in a Call's byte
 	// slot instead of boxing it into a Value.
 	view bool
-	prog *blockProg
+	// caller: a caller-landed reply step's bound view (slab.go).
+	caller callerView
+	prog   *blockProg
 	// one is the last step of a program that is not a struct or array,
 	// which an encode step that is not [traced] runs directly.
 	one *blockStep
@@ -302,11 +305,11 @@ func (o *OpPlan) compileParam(arg int, name string, t *ir.Type, in, out bool) er
 		if !a.Special {
 			pr = program(t, l)
 		}
-		st := step{arg: arg, name: name, landing: resolveLanding(encPhase, t, a), traced: a.Traced, prog: pr, enc: enc}
+		var one *blockStep
 		if pr != nil && pr.n < 0 && !a.Traced {
-			st.one = &pr.steps[len(pr.steps)-1]
+			one = &pr.steps[len(pr.steps)-1]
 		}
-		*encs = append(*encs, st)
+		*encs = append(*encs, step{arg: arg, name: name, landing: resolveLanding(encPhase, t, a), traced: a.Traced, prog: pr, one: one, enc: enc})
 		view := l == LandBorrow && (t.Kind == ir.Bytes || t.Kind == ir.FixedBytes)
 		*decs = append(*decs, step{arg: arg, name: name, landing: l, view: view, prog: pr, dec: dec})
 	}
@@ -427,6 +430,9 @@ type blockProg struct {
 	// static. lengths: some step reads a length prefix.
 	allocs  int
 	lengths bool
+	// minXDR and minCDR are the fewest wire bytes one value takes on
+	// each codec: what bounds a sequence's element count (decodeSeq).
+	minXDR, minCDR int
 }
 
 type stepKind uint8
@@ -606,13 +612,22 @@ func compile(t *ir.Type, l Landing) *blockProg {
 		lay.fixeds = make([]blockFixed, 0, first.nfixed)
 	}
 	lay.root(t)
-	for i, s := range lay.steps {
-		if s.kind == stepRun {
-			sizes(lay.steps[i : i+1+int(s.n)])
-		}
-	}
 	pr := &blockProg{t: t, n: -1, steps: lay.steps, fixed: lay.fixeds, words: lay.leaves, views: lay.views,
 		seqs: lay.seqs, vals: lay.shape.vals, allocs: lay.allocs, lengths: lay.lengths}
+	// A value's fewest wire bytes: each run's size, at the CDR start
+	// offset that pads it least; a fixed byte buffer's bytes, padded on
+	// XDR; a length word for any other buffer, string or sequence.
+	for i := range lay.steps {
+		switch s := &lay.steps[i]; {
+		case s.kind == stepRun:
+			sizes(lay.steps[i : i+1+int(s.n)])
+			pr.minXDR, pr.minCDR = pr.minXDR+int(s.xdr), pr.minCDR+int(slices.Min(s.cdr[:]))
+		case s.kind == stepBytes && s.size >= 0:
+			pr.minXDR, pr.minCDR = pr.minXDR+int(s.size+3)&^3, pr.minCDR+int(s.size)
+		case s.kind == stepString || s.kind == stepBytes || s.kind == stepSeq:
+			pr.minXDR, pr.minCDR = pr.minXDR+4, pr.minCDR+4
+		}
+	}
 	if t.Kind == ir.Array || t.Kind == ir.Struct {
 		pr.n = fixedLen(t)
 	}
@@ -816,11 +831,10 @@ type valueStack struct {
 
 // decode decodes one value of pr's type. A struct or array runs its
 // two phases, into the decoder's scratch and then one fresh block; any
-// other type is its one step (decodeOne). dst is the caller's buffer for
-// a caller-landed one.
-func (pl *Plan) decode(dec Decoder, pr *blockProg, dst []byte) (Value, error) {
+// other type is its one step (decodeOne).
+func (pl *Plan) decode(dec Decoder, pr *blockProg) (Value, error) {
 	if pr.n < 0 {
-		return pl.decodeOne(dec, pr, dst)
+		return pl.decodeOne(dec, pr, nil, nil)
 	}
 	sc := dec.scratch()
 	top := sc.top
@@ -834,10 +848,11 @@ func (pl *Plan) decode(dec Decoder, pr *blockProg, dst []byte) (Value, error) {
 
 // decodeOne decodes a value that is not a struct or array: the last
 // step of its program, after a scalar's run. A scalar boxes on its own
-// (boxScalar); a borrowed or caller-landed buffer and a sequence's
-// header take Go's box; a string or owned buffer lands in the program's
-// one-slot block, its bytes in the tail, unless it is an empty string.
-func (pl *Plan) decodeOne(dec Decoder, pr *blockProg, dst []byte) (Value, error) {
+// (boxScalar); a borrowed buffer and a sequence's header take Go's box;
+// a caller-landed one that fits the caller's dst is its view cv; a
+// string or other buffer lands in the program's one-slot block, its
+// bytes in the tail, unless it is an empty string.
+func (pl *Plan) decodeOne(dec Decoder, pr *blockProg, dst []byte, cv *callerView) (Value, error) {
 	s := &pr.steps[len(pr.steps)-1]
 	var v []byte
 	var err error
@@ -864,7 +879,7 @@ func (pl *Plan) decodeOne(dec Decoder, pr *blockProg, dst []byte) (Value, error)
 		return nil, err
 	case s.caller && dst != nil && len(v) <= len(dst):
 		pl.meterCopy(len(v))
-		return dst[:copy(dst, v)], nil
+		return cv.land(dst, copy(dst, v)), nil
 	case s.kind == stepBytes && !s.own && !s.caller:
 		return v, nil
 	}
@@ -968,7 +983,13 @@ func decodeLeaf(dec Decoder, k leafKind) (Value, error) {
 // decodeSeq decodes sequence step s's value: its elements are scalars
 // in one slab, or each decodes through s.elem.
 func (pl *Plan) decodeSeq(dec Decoder, s *blockStep) ([]Value, error) {
-	n, err := decodeSeqLen(dec)
+	// Each element takes at least its program's fewest wire bytes, and at
+	// least one byte, so a count the rest of the message cannot hold is a
+	// corrupt (or hostile) message, not a huge allocation.
+	n, err := dec.Len()
+	if w := max(dec.minWire(s.elem), 1); err == nil && n > dec.Remaining()/w {
+		err = fmt.Errorf("runtime: sequence of %d elements of at least %d bytes exceeds %d remaining bytes", n, w, dec.Remaining())
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -990,26 +1011,11 @@ func (pl *Plan) decodeSeq(dec Decoder, s *blockStep) ([]Value, error) {
 		return vs, nil
 	}
 	for i := range vs {
-		if vs[i], err = pl.decode(dec, s.elem, nil); err != nil {
+		if vs[i], err = pl.decode(dec, s.elem); err != nil {
 			return nil, err
 		}
 	}
 	return vs, nil
-}
-
-// decodeSeqLen reads a sequence element count and bounds it by the
-// bytes actually present: every element occupies at least one input
-// byte, so a length word larger than the remaining message is a
-// corrupt (or hostile) message, not a huge allocation.
-func decodeSeqLen(dec Decoder) (int, error) {
-	n, err := dec.Len()
-	if err != nil {
-		return 0, err
-	}
-	if n > dec.Remaining() {
-		return 0, fmt.Errorf("runtime: sequence of %d elements exceeds %d remaining bytes", n, dec.Remaining())
-	}
-	return n, nil
 }
 
 // encode marshals v, a value of pr's type. A struct or array expands
@@ -1187,8 +1193,13 @@ func (pl *Plan) putSeq(enc Encoder, s *blockStep, v Value) error {
 // encodeStep runs encode step st on v: its [special] hook or its
 // program, metered when the parameter is [traced] and stats are on.
 func (op *OpPlan) encodeStep(enc Encoder, st *step, v Value) error {
-	if st.one != nil {
-		return op.plan.putOne(enc, st.one, v)
+	if s := st.one; s != nil {
+		// A lone unsigned long goes straight to its codec call.
+		if x, ok := v.(uint32); ok && s.kind == stepLeaf && s.leaf == leafUint32 {
+			enc.PutUint32(x)
+			return nil
+		}
+		return op.plan.putOne(enc, s, v)
 	}
 	pl, before := op.plan, -1
 	if st.traced && pl.stats != nil {
@@ -1216,9 +1227,9 @@ func (op *OpPlan) decodeStep(dec Decoder, st *step, dst []byte) (Value, error) {
 	case pr.n < 0 && pr.words > 0:
 		return decodeLeaf(dec, pr.steps[1].leaf)
 	case pr.n < 0:
-		return op.plan.decodeOne(dec, pr, dst)
+		return op.plan.decodeOne(dec, pr, dst, &st.caller)
 	}
-	return op.plan.decode(dec, st.prog, dst)
+	return op.plan.decode(dec, st.prog)
 }
 
 // EncodeRequest marshals the in and inout arguments. args is indexed
@@ -1353,8 +1364,10 @@ func replyParamErr(op *ir.Operation, arg int, err error) error {
 // presentation says the caller allocates; retBuf does the same for
 // the result. The returned values alias those buffers when they are
 // used — the stub unmarshals directly into the caller's storage
-// instead of allocating (§4.1's optimization). outs is nil when the
-// operation has no out or inout parameters.
+// instead of allocating (§4.1's optimization) — and are each step's
+// one view of its buffer, whose length the next reply landed there
+// rewrites. outs is nil when the operation has no out or inout
+// parameters.
 func (op *OpPlan) DecodeReply(dec Decoder, outBufs [][]byte, retBuf []byte) ([]Value, Value, error) {
 	var outs []Value
 	if op.nOut > 0 {

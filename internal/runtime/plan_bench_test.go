@@ -108,3 +108,42 @@ func BenchmarkPlanEncode(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScalarParam measures a request of one unsigned long
+// parameter: the client's encode and the server's decode, each alone on
+// a reused encoder or decoder. A top-level scalar runs its program's one
+// leaf step, as every bench call's fetch(n) and getattr(h) do. Compare
+// two commits with
+//
+//	go test -run '^$' -bench ScalarParam -benchmem -count 10 ./internal/runtime
+func BenchmarkScalarParam(b *testing.B) {
+	f, err := corba.Parse("scalar.idl", `interface S { void size(in unsigned long n); };`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := NewPlan(pres.Default(f.Interface("S"), pres.StyleCORBA), XDRCodec, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	op, args := plan.Ops[0], []Value{uint32(1000)}
+	enc := XDRCodec.NewEncoder()
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			enc.Reset()
+			if err := op.EncodeRequest(enc, args); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	msg, dec, got := enc.Bytes(), plan.NewDecoder(nil), make([]Value, 1)
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dec.Reset(msg)
+			if err := op.DecodeRequestInto(dec, got); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

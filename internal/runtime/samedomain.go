@@ -64,6 +64,7 @@ type sameParam struct {
 	typ    *ir.Type
 	copy   bool // in: neither side allows a borrow (InCopy) and the value is mutable; out: both sides insist on their own buffer (OutCopy)
 	caller bool // out: the server fills the caller's buffer (OutCallerBuffer)
+	view   callerView
 }
 
 // NewSameDomain binds comb's client to disp. A nil marshal runs every
@@ -297,14 +298,18 @@ func (o *sameOp) release(f *Frame) {
 // both sides insisted on their own buffer does the stub copy — straight
 // from the slot into the client's buffer when it fits — and every other
 // semantics delivers by reference, in a box of its own, unless deferred
-// actions are about to release what the reference aliases. A value
+// actions are about to release what the reference aliases. A buffer
+// that lands in the client's buffer, copied there or filled in place by
+// the server, is the parameter's bound view of it (slab.go). A value
 // outside the mapping fails as it fails a reply encode.
 func (p *sameParam) deliver(s *slot, buf []byte, deferred bool) (Value, error) {
 	switch {
 	case s.kind == slotOther:
 		return nil, typeErr(p.typ, s.value())
+	case p.caller && s.kind == slotBytes && cap(s.byts) > 0 && cap(s.byts) == cap(buf) && &s.byts[:1][0] == &buf[:1][0]:
+		return p.view.land(buf, len(s.byts)), nil
 	case p.copy && s.kind == slotBytes && buf != nil && len(buf) >= len(s.byts):
-		return buf[:copy(buf, s.byts)], nil
+		return p.view.land(buf, copy(buf, s.byts)), nil
 	case (p.copy || deferred) && mutable(p.typ):
 		// CopyValue keeps nothing of a mutable value's view.
 		return CopyValue(p.typ, s.view())

@@ -40,7 +40,12 @@ package runtime
 //     which the GC never scans; the table is filled one 512-word page at
 //     a time under a mutex, and each page's ready flag is stored after
 //     its words and loaded before any Value points into it, so each
-//     word is written once, before it is shared, and never again.
+//     word is written once, before it is shared, and never again;
+//   - a caller-landed Value ([alloc(caller)]) is a view of the caller's
+//     buffer (callerView): like the buffer's bytes, its length is that
+//     of the last reply landed there through its bound slot. Its header
+//     is rewritten — its length only, by a call landing in the same
+//     buffer, which the caller serialises with any use of the bytes.
 //
 // So a scalar Value points at its block's slab, at the small table, or
 // at a heap word of its own.
@@ -89,6 +94,30 @@ var (
 	stringBox = newBoxKind[string]()
 	bytesBox  = newBoxKind[[]byte]()
 )
+
+// A callerView is one bound (binding, op, parameter) slot's reusable
+// Value for a caller-landed byte buffer: a []byte header on the heap,
+// keyed by the data pointer and capacity it holds. Both key words are
+// written before the header is published and never again, so a call
+// through the slot with another buffer reads them without racing a call
+// that rewrites the length.
+type callerView struct{ hdr atomic.Pointer[[]byte] }
+
+// land returns buf[:n], the bytes a reply landed at the start of the
+// caller's buffer buf, as a Value: the slot's header, seen as its data,
+// length and capacity words, with its length rewritten when the slot's
+// last call landed in buf too, else a new header the slot keeps.
+func (cv *callerView) land(buf []byte, n int) Value {
+	h := cv.hdr.Load()
+	if w := (*[3]uintptr)(unsafe.Pointer(h)); h != nil && w[0] == uintptr(unsafe.Pointer(unsafe.SliceData(buf))) && w[2] == uintptr(cap(buf)) {
+		w[1] = uintptr(n)
+	} else {
+		b := buf[:n]
+		h = &b
+		cv.hdr.Store(h)
+	}
+	return bytesBox.at(h)
+}
 
 // leafTypes holds the type word of each leaf kind's Value.
 var leafTypes = [...]unsafe.Pointer{

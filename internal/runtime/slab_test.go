@@ -400,14 +400,13 @@ func TestMalformedBlockZeroAllocs(t *testing.T) {
 		}
 		copy(msg[at:], []byte{0, 0, 3, 232})
 		dec := plan.NewDecoder(nil)
-		decode := func(dec Decoder, dst []byte) (Value, error) { return plan.decode(dec, op.repDec[0].prog, dst) }
 		dec.Reset(msg)
-		if _, err := decode(dec, nil); err == nil {
+		if _, err := plan.decode(dec, op.repDec[0].prog); err == nil {
 			t.Fatalf("%s: a 1000-byte name in a %d-byte message decodes", codec.Name(), len(msg))
 		}
 		if allocs := testing.AllocsPerRun(100, func() {
 			dec.Reset(msg)
-			_, _ = decode(dec, nil)
+			_, _ = plan.decode(dec, op.repDec[0].prog)
 		}); allocs != 0 {
 			t.Errorf("%s: a malformed attr allocates %.1f times, want 0", codec.Name(), allocs)
 		}

@@ -89,11 +89,11 @@ func benchPres(tb testing.TB, pdl string) *pres.Presentation {
 // TestBenchIDLCallAllocsInline gates the inline call path at the
 // benchmark's own interface and presentations, with work functions that
 // set their results as the benchmark's do: a fresh slice of the server's
-// table for fetch, an attr struct for getattr. nop and the [trashable]
-// put allocate nothing; fetch allocates the box of the caller-buffer
-// slice it returns, its request scalar boxing into the static table;
-// getattr its reply's one block. Neither result's box is among them: the Call keeps
-// what a work function sets, not its box.
+// table for fetch, an attr struct for getattr. nop, the [trashable] put
+// and fetch allocate nothing — fetch's request scalar boxes into the
+// static table and its result is the bound view of the caller's buffer
+// — and getattr its reply's one block. Neither result's box is among
+// them: the Call keeps what a work function sets, not its box.
 func TestBenchIDLCallAllocsInline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
@@ -137,7 +137,7 @@ func TestBenchIDLCallAllocsInline(t *testing.T) {
 	}{
 		{"nop", nil, nil, 0},
 		{"put", []runtime.Value{make([]byte, 1<<10)}, nil, 0},
-		{"fetch", []runtime.Value{uint32(1000)}, retBuf, 1}, // n below 2^16 boxes for free
+		{"fetch", []runtime.Value{uint32(1000)}, retBuf, 0}, // n below 2^16 boxes for free
 		{"getattr", []runtime.Value{uint32(1)}, nil, 1},
 	} {
 		call := func() {

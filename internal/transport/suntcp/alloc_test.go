@@ -16,22 +16,35 @@ const hotIDL = `
 interface Hot {
     void nop();
     sequence<octet> echo(in sequence<octet> data);
+    sequence<octet> fetch(in unsigned long n);
 };`
 
 // sessionStack binds the whole at-most-once TCP path over loopback —
 // runtime.Client → RobustConn{AtMostOnce} → suntcp.Conn → 127.0.0.1 →
 // sunrpc.Server → SessionServer + ReplyCache → Dispatcher — and returns
-// the client and the session conn under it.
+// the client and the session conn under it. The client lands fetch's
+// result in the caller's buffer ([alloc(caller)]); fetch(n) returns the
+// first n bytes of a server table.
 func sessionStack(t *testing.T, usePoller bool, cacheSize int) (*runtime.Client, *runtime.RobustConn) {
 	t.Helper()
 	c, err := core.Compile(core.Options{Frontend: core.FrontendCORBA, Filename: "hot.idl", Source: hotIDL})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cc, err := core.Compile(core.Options{Frontend: core.FrontendCORBA, Filename: "hot.idl", Source: hotIDL,
+		PDL: "interface Hot { fetch([alloc(caller)] return); };", PDLFilename: "client.pdl"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := bytes.Repeat([]byte{0x5A}, 2<<10)
 	disp := runtime.NewDispatcher(c.Pres)
 	disp.Handle("nop", func(*runtime.Call) error { return nil })
 	disp.Handle("echo", func(call *runtime.Call) error {
 		call.SetResult(call.ArgBytes(0))
+		return nil
+	})
+	disp.Handle("fetch", func(call *runtime.Call) error {
+		call.SetResult(table[:call.Arg(0).(uint32)])
 		return nil
 	})
 	plan, err := runtime.NewPlan(c.Pres, runtime.XDRCodec, nil)
@@ -51,8 +64,8 @@ func sessionStack(t *testing.T, usePoller bool, cacheSize int) (*runtime.Client,
 	if err != nil {
 		t.Fatal(err)
 	}
-	robust := runtime.NewRobustConn(Dial(nc, c.Pres), c.Pres, runtime.RobustOptions{ClientID: 1, AtMostOnce: true})
-	client, err := runtime.NewClient(c.Pres, runtime.XDRCodec, robust, nil)
+	robust := runtime.NewRobustConn(Dial(nc, cc.Pres), cc.Pres, runtime.RobustOptions{ClientID: 1, AtMostOnce: true})
+	client, err := runtime.NewClient(cc.Pres, runtime.XDRCodec, robust, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +85,31 @@ func sessionStack(t *testing.T, usePoller bool, cacheSize int) (*runtime.Client,
 // copy, no reply frame, no reply buffer. The cache is small enough that
 // the run is well past its capacity, evicting on every call.
 func TestSessionNullRPCZeroAllocOverTCP(t *testing.T) {
+	tcpGate(t, "a session nop", func(client *runtime.Client) error {
+		_, _, err := client.Invoke("nop", nil, nil, nil)
+		return err
+	})
+}
+
+// TestClientFetchZeroAllocOverTCP gates the client's caller-landed
+// reply over the same stack: a 1000-byte fetch into a buffer the caller
+// reuses allocates nothing. The result is the step's bound view of the
+// buffer, its length rewritten per call, and the server's result stays
+// in the Call's slot unboxed.
+func TestClientFetchZeroAllocOverTCP(t *testing.T) {
+	args, retBuf := []runtime.Value{uint32(1000)}, make([]byte, 1<<10)
+	tcpGate(t, "a caller-landed fetch", func(client *runtime.Client) error {
+		_, ret, err := client.Invoke("fetch", args, nil, retBuf)
+		if b, _ := ret.([]byte); err == nil && (len(b) != 1000 || &b[0] != &retBuf[0]) {
+			t.Fatal("fetch did not land its 1000 bytes in the caller's buffer")
+		}
+		return err
+	})
+}
+
+// tcpGate requires call, on a warm sessionStack with the pool and the
+// poller feed in turn, to allocate nothing.
+func tcpGate(t *testing.T, what string, call func(*runtime.Client) error) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
 	}
@@ -84,16 +122,16 @@ func TestSessionNullRPCZeroAllocOverTCP(t *testing.T) {
 				t.Skip("netpoll unsupported on this platform")
 			}
 			client, _ := sessionStack(t, row.poller, 64)
-			call := func() {
-				if _, _, err := client.Invoke("nop", nil, nil, nil); err != nil {
+			run := func() {
+				if err := call(client); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for i := 0; i < 2000; i++ { // pools warm, buffers at size, every shard's ring wrapped
-				call()
+				run()
 			}
-			if allocs := testing.AllocsPerRun(2000, call); allocs != 0 {
-				t.Fatalf("a session nop over loopback TCP allocates %.2f times per call, want 0", allocs)
+			if allocs := testing.AllocsPerRun(2000, run); allocs != 0 {
+				t.Fatalf("%s over loopback TCP allocates %.2f times per call, want 0", what, allocs)
 			}
 		})
 	}

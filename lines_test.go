@@ -29,11 +29,11 @@ var lineAreas = []struct {
 // is paid for: a change that adds lines raises its pin and says why in
 // CHANGES.md, and one that removes lines lowers it.
 var pinnedLines = map[string]int{
-	"internal/runtime":     5497,
+	"internal/runtime":     5554,
 	"internal/transport":   1834,
 	"internal/sunrpc":      1760,
 	"internal/experiments": 2876,
-	"compiler":             4610,
+	"compiler":             4620,
 	"rest":                 12602,
 }
 
